@@ -20,7 +20,7 @@ COVER_PROFILE ?= coverage.out
 # Scratch dir for the trace round-trip smoke test.
 TRACE_SMOKE_DIR ?= .trace-smoke
 
-.PHONY: build test vet race bench bench-quick bench-baseline bench-shards burst-quick stream-quick plan-quick lint lint-model cover trace-smoke verify
+.PHONY: build test vet race bench bench-test bench-quick bench-baseline bench-shards burst-quick stream-quick plan-quick lint lint-model cover trace-smoke verify
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,11 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# bench-test runs the repository benchmark's own tests (benchmark/ is a
+# nested module, so `go test ./...` from the root never reaches them).
+bench-test:
+	cd benchmark && $(GO) test ./...
 
 # bench-quick measures the quick-scale evaluation sweep and fails on
 # regression against the checked-in baseline: slowdown/alloc growth past
@@ -125,7 +130,8 @@ trace-smoke:
 
 # verify is the pre-merge gate: everything compiles, vet is clean, the full
 # suite passes under the race detector, the determinism lint is clean, the
-# policy model checker passes every shipped policy, the quick-scale sweep
-# shows no perf regression or determinism drift against the checked-in
-# bench baseline, and the decision tracer round-trips.
-verify: build vet race lint lint-model bench-quick trace-smoke
+# policy model checker passes every shipped policy, the benchmark harness's
+# own tests pass, the quick-scale sweep shows no perf regression or
+# determinism drift against the checked-in bench baseline, and the decision
+# tracer round-trips.
+verify: build vet race lint lint-model bench-test bench-quick trace-smoke

@@ -51,7 +51,20 @@ type prEnv struct {
 	app  *pagerank.App
 }
 
-func buildPagerank(cfg Config, su prSetup, machines int, placement []cluster.MachineID, seed int64) *prEnv {
+// prInput is the generated graph and its partition. Both depend only on
+// (setup, seed) and nothing writes to them, so an id builds one per seed and
+// hands it to every arm it runs at that seed.
+type prInput struct {
+	g     *graph.Graph
+	parts []int
+}
+
+func pagerankInput(su prSetup, seed int64) prInput {
+	g := graph.GeneratePowerLaw(su.vertices, su.avgDeg, 2.1, seed)
+	return prInput{g: g, parts: graph.PartitionMultilevel(g, su.workers, seed)}
+}
+
+func buildPagerank(cfg Config, su prSetup, in prInput, machines int, placement []cluster.MachineID, seed int64) *prEnv {
 	k := cfg.kernelSeeded(seed)
 	inst := cluster.M5Large
 	if su.boot > 0 {
@@ -60,10 +73,8 @@ func buildPagerank(cfg Config, su prSetup, machines int, placement []cluster.Mac
 	c := cluster.New(k, machines, inst)
 	rt := actor.NewRuntime(k, c)
 	prof := profile.New(k, c, rt)
-	g := graph.GeneratePowerLaw(su.vertices, su.avgDeg, 2.1, seed)
-	parts := graph.PartitionMultilevel(g, su.workers, seed)
 	app := pagerank.Build(k, rt, pagerank.Config{
-		Graph: g, Parts: parts, K: su.workers,
+		Graph: in.g, Parts: in.parts, K: su.workers,
 		PerEdgeCost: su.perEdge, SyncOverhead: su.syncOver, Iterations: su.iterations,
 		HeteroSpread: 0.5,
 	}, placement)
@@ -93,10 +104,14 @@ func Fig6a(cfg Config) *Result {
 	r.Header = []string{"Elasticity", "Converged iteration time", "Runs"}
 	su := pagerankSetup(cfg)
 	seeds := []int64{cfg.seed(), cfg.seed() + 1, cfg.seed() + 2}
+	inputs := make([]prInput, len(seeds))
+	for i, seed := range seeds {
+		inputs[i] = pagerankInput(su, seed)
+	}
 
-	run := func(mode string, seed int64) sim.Duration {
+	run := func(mode string, seed int64, in prInput) sim.Duration {
 		placement := randomPlacement(seed*7+1, su.workers, 8)
-		env := buildPagerank(cfg, su, 8, placement, seed)
+		env := buildPagerank(cfg, su, in, 8, placement, seed)
 		switch mode {
 		case "plasma":
 			mgr := emr.New(env.k, env.c, env.rt, env.prof, epl.MustParse(pagerank.PolicySrc),
@@ -116,8 +131,8 @@ func Fig6a(cfg Config) *Result {
 	means := map[string]float64{}
 	for _, mode := range []string{"plasma", "orleans"} {
 		var sum sim.Duration
-		for _, seed := range seeds {
-			sum += run(mode, seed)
+		for i, seed := range seeds {
+			sum += run(mode, seed, inputs[i])
 		}
 		mean := sum / sim.Duration(len(seeds))
 		means[mode] = float64(mean)
@@ -142,6 +157,7 @@ func Fig6b(cfg Config) *Result {
 	r.Header = []string{"Setup", "Converged iteration time", "Servers used"}
 	su := pagerankSetup(cfg)
 	su.iterations *= 5 // give scale-out time to converge
+	in := pagerankInput(su, cfg.seed())
 
 	// Conservative: 16 servers, 2 workers (one per vCPU) each.
 	placement := make([]cluster.MachineID, su.workers)
@@ -149,7 +165,7 @@ func Fig6b(cfg Config) *Result {
 		placement[i] = cluster.MachineID(i / 2)
 	}
 	conSrv := 16
-	env := buildPagerank(cfg, su, conSrv, placement, cfg.seed())
+	env := buildPagerank(cfg, su, in, conSrv, placement, cfg.seed())
 	env.app.Start(env.k)
 	runToCompletion(env, 30*sim.Minute)
 	conservative := env.app.ConvergedTime()
@@ -158,7 +174,7 @@ func Fig6b(cfg Config) *Result {
 
 	// PLASMA: everything starts on one server; scale-out provisions more.
 	all := make([]cluster.MachineID, su.workers)
-	env2 := buildPagerank(cfg, su, 1, all, cfg.seed())
+	env2 := buildPagerank(cfg, su, in, 1, all, cfg.seed())
 	inst := cluster.M5Large
 	if su.boot > 0 {
 		inst.Boot = su.boot
@@ -196,10 +212,11 @@ func Fig7a(cfg Config) *Result {
 	// has not converged by then — one reason its measured gain is small).
 	su.iterations = 19
 	su.period = su.period / 2
+	in := pagerankInput(su, cfg.seed())
 
 	run := func(system string, elastic bool) *metrics.Series {
 		placement := randomPlacement(cfg.seed()*7+1, su.workers, 8)
-		env := buildPagerank(cfg, su, 8, placement, cfg.seed())
+		env := buildPagerank(cfg, su, in, 8, placement, cfg.seed())
 		if system == "mizan" {
 			// Mizan's framework is ~4x slower per edge in the paper's runs.
 			env.app.Cfg.PerEdgeCost = su.perEdge * 4
@@ -256,7 +273,7 @@ func Fig7bc(cfg Config) *Result {
 	r := newResult("fig7bc", "PageRank per-server CPU% and worker distribution over redistributions")
 	su := pagerankSetup(cfg)
 	placement := randomPlacement(cfg.seed()*7+1, su.workers, 8)
-	env := buildPagerank(cfg, su, 8, placement, cfg.seed())
+	env := buildPagerank(cfg, su, pagerankInput(su, cfg.seed()), 8, placement, cfg.seed())
 	mgr := emr.New(env.k, env.c, env.rt, env.prof, epl.MustParse(pagerank.PolicySrc),
 		emr.Config{Period: su.period})
 	cfg.wireTrace(mgr)
@@ -314,7 +331,7 @@ func Fig8(cfg Config) *Result {
 	su.iterations *= 5
 
 	all := make([]cluster.MachineID, su.workers)
-	env := buildPagerank(cfg, su, 1, all, cfg.seed())
+	env := buildPagerank(cfg, su, pagerankInput(su, cfg.seed()), 1, all, cfg.seed())
 	inst := cluster.M5Large
 	if su.boot > 0 {
 		inst.Boot = su.boot

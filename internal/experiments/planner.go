@@ -10,7 +10,6 @@ import (
 	"plasma/internal/cluster"
 	"plasma/internal/emr"
 	"plasma/internal/epl"
-	"plasma/internal/graph"
 	"plasma/internal/metrics"
 	"plasma/internal/profile"
 	"plasma/internal/sim"
@@ -46,18 +45,17 @@ func PlanPagerank(cfg Config) *Result {
 	r.Header = []string{"Planner", "Converged iteration time", "Migrations"}
 	su := pagerankSetup(cfg)
 	const statePerVertex = 4 << 20 // ~1.5 GB per worker: memory is a real axis
+	seed := cfg.seed()
+	in := pagerankInput(su, seed)
 
 	run := func(planner string) (sim.Duration, int) {
-		seed := cfg.seed()
 		placement := randomPlacement(seed*7+1, su.workers, 8)
 		k := cfg.kernelSeeded(seed)
 		c := cluster.New(k, 8, cluster.M5Large)
 		rt := actor.NewRuntime(k, c)
 		prof := profile.New(k, c, rt)
-		g := graph.GeneratePowerLaw(su.vertices, su.avgDeg, 2.1, seed)
-		parts := graph.PartitionMultilevel(g, su.workers, seed)
 		app := pagerank.Build(k, rt, pagerank.Config{
-			Graph: g, Parts: parts, K: su.workers,
+			Graph: in.g, Parts: in.parts, K: su.workers,
 			PerEdgeCost: su.perEdge, SyncOverhead: su.syncOver, Iterations: su.iterations,
 			HeteroSpread: 0.5, StatePerVertex: statePerVertex,
 		}, placement)

@@ -46,6 +46,9 @@ func GeneratePowerLaw(n int, avgDeg float64, exponent float64, seed int64) *Grap
 	if exponent <= 1 {
 		panic("graph: exponent must exceed 1")
 	}
+	if avgDeg < 0 {
+		panic("graph: avgDeg must not be negative")
+	}
 	rng := rand.New(rand.NewSource(seed))
 
 	// Chung–Lu expected-degree weights: w_i ∝ (i + i0)^(-1/(exponent-1)).
@@ -64,32 +67,92 @@ func GeneratePowerLaw(n int, avgDeg float64, exponent float64, seed int64) *Grap
 		acc += weights[i] / sum
 		cum[i] = acc
 	}
-	sample := func() int {
-		x := rng.Float64()
-		idx := sort.SearchFloat64s(cum, x)
+	endpoints := newCDFIndex(cum)
+	sample := func() int32 {
+		idx := endpoints.search(rng.Float64())
 		if idx >= n {
 			idx = n - 1
 		}
-		return idx
+		return int32(idx)
 	}
 
+	// Draw every edge before building rows, so each row is sized once.
 	m := int64(float64(n) * avgDeg)
-	out := make([][]int32, n)
+	edges := make([]int32, 0, 2*m)
+	deg := make([]int32, n)
 	for e := int64(0); e < m; e++ {
 		u, v := sample(), sample()
 		if u == v {
 			continue
 		}
-		out[u] = append(out[u], int32(v))
+		edges = append(edges, u, v)
+		deg[u]++
 	}
 	// Guarantee every vertex has at least one out-edge (dangling vertices
 	// complicate PageRank bookkeeping and never occur in LiveJournal's WCC).
 	for v := 0; v < n; v++ {
-		if len(out[v]) == 0 {
-			out[v] = append(out[v], int32(rng.Intn(n)))
+		if deg[v] == 0 {
+			edges = append(edges, int32(v), int32(rng.Intn(n)))
+			deg[v] = 1
 		}
 	}
+	// Rows are slices of one array, capped so that appending to one
+	// reallocates it rather than running into the next.
+	flat := make([]int32, len(edges)/2)
+	out := make([][]int32, n)
+	off := 0
+	for v, d := range deg {
+		end := off + int(d)
+		out[v] = flat[off:off:end]
+		off = end
+	}
+	for i := 0; i < len(edges); i += 2 {
+		u := edges[i]
+		out[u] = append(out[u], edges[i+1])
+	}
 	return &Graph{N: n, Out: out}
+}
+
+// cdfIndex answers sort.SearchFloat64s(cum, x) for x in [0, 1) from a guide
+// table: guide[b] is the first index whose cum value falls in bucket b or a
+// later one, so the answer for an x in bucket b lies in
+// [guide[b], guide[b+1]] and only that stretch is searched. The bucket of a
+// value is a non-decreasing function of it, computed the same way for table
+// and query, which makes the narrowing exact whatever the rounding.
+type cdfIndex struct {
+	cum   []float64
+	guide []int32 // len = buckets + 1
+}
+
+func newCDFIndex(cum []float64) *cdfIndex {
+	buckets := 1
+	for buckets < len(cum) {
+		buckets <<= 1
+	}
+	c := &cdfIndex{cum: cum, guide: make([]int32, buckets+1)}
+	b := 0
+	for i, y := range cum {
+		for ; b <= c.bucket(y); b++ {
+			c.guide[b] = int32(i)
+		}
+	}
+	for ; b <= buckets; b++ {
+		c.guide[b] = int32(len(cum))
+	}
+	return c
+}
+
+// bucket maps [0, 1) onto the guide's buckets; an accumulated cum value a
+// few ulps past 1 lands in the last one.
+func (c *cdfIndex) bucket(y float64) int {
+	buckets := len(c.guide) - 1
+	return min(int(y*float64(buckets)), buckets-1)
+}
+
+func (c *cdfIndex) search(x float64) int {
+	b := c.bucket(x)
+	lo, hi := int(c.guide[b]), int(c.guide[b+1])
+	return lo + sort.SearchFloat64s(c.cum[lo:hi], x)
 }
 
 // InDegrees computes the in-degree of every vertex.
@@ -184,6 +247,7 @@ func PartitionLDG(g *Graph, k int) []int {
 
 // EdgeCut counts directed edges crossing partition boundaries.
 func EdgeCut(g *Graph, parts []int) int64 {
+	checkCovers(g, parts)
 	var cut int64
 	for u := 0; u < g.N; u++ {
 		pu := parts[u]
@@ -194,6 +258,13 @@ func EdgeCut(g *Graph, parts []int) int64 {
 		}
 	}
 	return cut
+}
+
+// checkCovers panics unless parts assigns every vertex of g.
+func checkCovers(g *Graph, parts []int) {
+	if len(parts) < g.N {
+		panic(fmt.Sprintf("graph: %d assignments for %d vertices", len(parts), g.N))
+	}
 }
 
 // PartVertexCounts reports vertices per part.
@@ -208,6 +279,7 @@ func PartVertexCounts(parts []int, k int) []int {
 // PartEdgeCounts reports out-edges per part — the per-partition compute
 // cost proxy for PageRank.
 func PartEdgeCounts(g *Graph, parts []int, k int) []int64 {
+	checkCovers(g, parts)
 	counts := make([]int64, k)
 	for u := 0; u < g.N; u++ {
 		counts[parts[u]] += int64(len(g.Out[u]))

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"fmt"
+	"math"
 	"sort"
 
 	//lint:ignore DET002 partitioning draws from an explicitly seeded generator
@@ -18,7 +20,13 @@ import (
 // Like METIS, it balances *vertex* weight, so on power-law graphs the
 // resulting parts have noticeably different edge counts — the compute skew
 // the PageRank experiments exploit.
+//
+// It panics when k is not positive or g is malformed (fewer than N rows in
+// Out, or an out-neighbor outside [0, N)).
 func PartitionMultilevel(g *Graph, k int, seed int64) []int {
+	if k <= 0 {
+		panic(fmt.Sprintf("graph: k must be positive, got %d", k))
+	}
 	rng := rand.New(rand.NewSource(seed))
 	w := newWorking(g)
 	var levels []*working
@@ -32,16 +40,17 @@ func PartitionMultilevel(g *Graph, k int, seed int64) []int {
 		}
 		w = next
 	}
-	parts := w.initialPartition(k, rng)
-	w.refine(parts, k, 4)
+	r := &refiner{loads: make([]int, k), gain: make([]int32, k), touched: make([]int, 0, k)}
+	parts := w.initialPartition(k)
+	w.refine(parts, r)
 	// Project back through the levels, refining each.
 	for i := len(levels) - 1; i >= 0; i-- {
 		fine := levels[i]
 		fineParts := make([]int, fine.n)
-		for v := 0; v < fine.n; v++ {
-			fineParts[v] = parts[fine.coarseMap[v]]
+		for v, c := range fine.coarseMap {
+			fineParts[v] = parts[c]
 		}
-		fine.refine(fineParts, k, 4)
+		fine.refine(fineParts, r)
 		parts = fineParts
 	}
 	return parts
@@ -49,102 +58,162 @@ func PartitionMultilevel(g *Graph, k int, seed int64) []int {
 
 // working is one level of the multilevel hierarchy: an undirected weighted
 // graph (vertex weights = collapsed vertex counts, edge weights = collapsed
-// multiplicities).
+// multiplicities) in CSR form. A row names each neighbor once, in no
+// particular order; every tie-break below is written on ids, so the order
+// never shows. Edge weights are positive.
 type working struct {
 	n         int
-	vw        []int           // vertex weights
-	adj       []map[int32]int // adjacency with edge weights
-	coarseMap []int           // fine vertex -> coarse vertex (set on the finer level)
+	vw        []int   // vertex weights
+	xadj      []int32 // row v is adj/wgt[xadj[v]:xadj[v+1]]
+	adj, wgt  []int32 // neighbor ids and edge weights
+	coarseMap []int32 // fine vertex -> coarse vertex (set on the finer level)
+}
+
+// add folds edge weight ew toward id into the row being appended, which
+// begins at start. pos[id] remembers where id sits; what an earlier row
+// left there points before start, so pos is never cleared between rows.
+func (w *working) add(pos []int32, start, id, ew int32) {
+	if p := pos[id]; p >= start {
+		w.wgt[p] += ew
+		return
+	}
+	pos[id] = int32(len(w.adj))
+	w.adj = append(w.adj, id)
+	w.wgt = append(w.wgt, ew)
+}
+
+func minusOnes(n int) []int32 {
+	s := make([]int32, n)
+	for i := range s {
+		s[i] = -1
+	}
+	return s
 }
 
 func newWorking(g *Graph) *working {
-	w := &working{n: g.N, vw: make([]int, g.N), adj: make([]map[int32]int, g.N)}
-	for v := 0; v < g.N; v++ {
-		w.vw[v] = 1
-		w.adj[v] = make(map[int32]int)
+	n := g.N
+	if len(g.Out) < n {
+		panic(fmt.Sprintf("graph: Out has %d rows for %d vertices", len(g.Out), n))
 	}
-	// Symmetrize: partitioning treats the graph as undirected.
-	for u := 0; u < g.N; u++ {
-		for _, v := range g.Out[u] {
-			if int(v) == u {
-				continue
+	// Symmetrize: partitioning treats the graph as undirected, and a
+	// self-loop can never be cut.
+	xadj := make([]int32, n+1)
+	var entries int64
+	for u, out := range g.Out[:n] {
+		for _, v := range out {
+			if v < 0 || int(v) >= n {
+				panic(fmt.Sprintf("graph: vertex %d has out-neighbor %d outside [0, %d)", u, v, n))
 			}
-			w.adj[u][v]++
-			w.adj[v][int32(u)]++
+			if int(v) != u {
+				xadj[u+1]++
+				xadj[v+1]++
+				entries += 2
+			}
 		}
 	}
+	if entries > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: %d adjacency entries overflow the partitioner's int32 rows", entries))
+	}
+	for v := 0; v < n; v++ {
+		xadj[v+1] += xadj[v]
+	}
+	// One entry per edge end first, repeats included; pos is the fill cursor.
+	raw := make([]int32, entries)
+	pos := make([]int32, n)
+	copy(pos, xadj)
+	for u, out := range g.Out[:n] {
+		for _, v := range out {
+			if int(v) != u {
+				raw[pos[u]] = v
+				pos[u]++
+				raw[pos[v]] = int32(u)
+				pos[v]++
+			}
+		}
+	}
+	// Fold the repeats into weights in place: the folded rows are written
+	// over raw from the front and never overtake the entry being read.
+	w := &working{n: n, vw: make([]int, n), xadj: xadj, adj: raw[:0], wgt: make([]int32, 0, entries)}
+	for i := range pos {
+		pos[i] = -1
+	}
+	for v := 0; v < n; v++ {
+		w.vw[v] = 1
+		row := raw[xadj[v]:xadj[v+1]]
+		xadj[v] = int32(len(w.adj))
+		for _, u := range row {
+			w.add(pos, xadj[v], u, 1)
+		}
+	}
+	xadj[n] = int32(len(w.adj))
 	return w
 }
 
 // coarsen performs heavy-edge matching and builds the next level.
 func (w *working) coarsen(rng *rand.Rand) *working {
-	match := make([]int, w.n)
-	for i := range match {
-		match[i] = -1
-	}
-	order := rng.Perm(w.n)
-	for _, u := range order {
+	match := minusOnes(w.n)
+	for _, u := range rng.Perm(w.n) {
 		if match[u] >= 0 {
 			continue
 		}
 		// Match with the unmatched neighbor of heaviest edge weight;
-		// ties break toward the smaller vertex id so runs are
-		// reproducible regardless of map iteration order.
-		best, bestW := -1, 0
-		for v, ew := range w.adj[u] {
-			if match[v] >= 0 || int(v) == u {
-				continue
-			}
-			if ew > bestW || (ew == bestW && best >= 0 && int(v) < best) {
-				best, bestW = int(v), ew
+		// ties break toward the smaller vertex id.
+		best, bestW := int32(-1), int32(0)
+		for i := w.xadj[u]; i < w.xadj[u+1]; i++ {
+			v, ew := w.adj[i], w.wgt[i]
+			if match[v] < 0 && (ew > bestW || (ew == bestW && v < best)) {
+				best, bestW = v, ew
 			}
 		}
 		if best >= 0 {
 			match[u] = best
-			match[best] = u
+			match[best] = int32(u)
 		} else {
-			match[u] = u
+			match[u] = int32(u)
 		}
 	}
-	// Assign coarse ids.
-	coarseID := make([]int, w.n)
-	for i := range coarseID {
-		coarseID[i] = -1
-	}
-	next := &working{}
-	for u := 0; u < w.n; u++ {
-		if coarseID[u] >= 0 {
-			continue
-		}
-		id := next.n
-		next.n++
-		coarseID[u] = id
-		if match[u] != u {
-			coarseID[match[u]] = id
+	// Coarse ids go to pairs in order of their smaller member.
+	coarse := make([]int32, w.n)
+	nc := 0
+	for u, m := range match {
+		if int(m) >= u {
+			coarse[u] = int32(nc)
+			coarse[m] = int32(nc)
+			nc++
 		}
 	}
-	next.vw = make([]int, next.n)
-	next.adj = make([]map[int32]int, next.n)
-	for i := range next.adj {
-		next.adj[i] = make(map[int32]int)
+	w.coarseMap = coarse
+	next := &working{
+		n: nc, vw: make([]int, nc), xadj: make([]int32, nc+1),
+		adj: make([]int32, 0, len(w.adj)), wgt: make([]int32, 0, len(w.adj)),
 	}
-	for u := 0; u < w.n; u++ {
-		cu := coarseID[u]
-		next.vw[cu] += w.vw[u]
-		for v, ew := range w.adj[u] {
-			cv := coarseID[v]
-			if cu == cv {
-				continue
+	pos := minusOnes(nc)
+	c := int32(0)
+	for u, m := range match {
+		if int(m) < u {
+			continue // folded in with its smaller partner
+		}
+		start := int32(len(next.adj))
+		next.xadj[c] = start
+		for x := int32(u); ; x = m {
+			next.vw[c] += w.vw[x]
+			for i := w.xadj[x]; i < w.xadj[x+1]; i++ {
+				if cv := coarse[w.adj[i]]; cv != c {
+					next.add(pos, start, cv, w.wgt[i])
+				}
 			}
-			next.adj[cu][int32(cv)] += ew
+			if x == m {
+				break
+			}
 		}
+		c++
 	}
-	w.coarseMap = coarseID
+	next.xadj[nc] = int32(len(next.adj))
 	return next
 }
 
 // initialPartition greedily fills parts in decreasing vertex-weight order.
-func (w *working) initialPartition(k int, rng *rand.Rand) []int {
+func (w *working) initialPartition(k int) []int {
 	parts := make([]int, w.n)
 	order := make([]int, w.n)
 	for i := range order {
@@ -165,56 +234,69 @@ func (w *working) initialPartition(k int, rng *rand.Rand) []int {
 	return parts
 }
 
-// refine runs boundary KL passes: move a vertex to the neighboring part
-// with the largest cut gain, provided vertex-weight balance stays within
-// tolerance. Stops early when a pass makes no move.
-func (w *working) refine(parts []int, k, passes int) {
-	loads := make([]int, k)
+// refiner is the per-part scratch one partitioning shares across its refine
+// calls.
+type refiner struct {
+	loads   []int   // vertex weight per part
+	gain    []int32 // edge weight from the vertex in hand toward each part; zero between vertices
+	touched []int   // the parts whose gain is not zero
+}
+
+const refinePasses = 4
+
+// refine runs up to refinePasses boundary KL passes: move a vertex to the
+// neighboring part with the largest cut gain (ties toward the smaller part
+// id), provided vertex-weight balance stays within tolerance. Stops early
+// when a pass makes no move.
+func (w *working) refine(parts []int, r *refiner) {
+	loads, gain := r.loads, r.gain
+	k := len(loads)
+	for p := range loads {
+		loads[p] = 0
+	}
 	var total int
-	for v := 0; v < w.n; v++ {
-		loads[parts[v]] += w.vw[v]
+	for v, p := range parts {
+		loads[p] += w.vw[v]
 		total += w.vw[v]
 	}
 	maxLoad := int(float64(total)/float64(k)*1.05) + 1
 	minLoad := int(float64(total) / float64(k) * 0.85)
 
-	for pass := 0; pass < passes; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		moved := 0
 		for v := 0; v < w.n; v++ {
-			pv := parts[v]
-			// Tally edge weight toward each part among neighbors.
-			var gainTo map[int]int
-			internal := 0
-			for u, ew := range w.adj[v] {
-				pu := parts[u]
-				if pu == pv {
-					internal += ew
-					continue
-				}
-				if gainTo == nil {
-					gainTo = make(map[int]int)
-				}
-				gainTo[pu] += ew
-			}
-			bestP, bestGain := -1, 0
-			// Deterministic iteration over candidate parts.
-			cands := make([]int, 0, len(gainTo))
-			for p := range gainTo {
-				cands = append(cands, p)
-			}
-			sort.Ints(cands)
-			if loads[pv]-w.vw[v] < minLoad {
+			pv, vw := parts[v], w.vw[v]
+			if loads[pv]-vw < minLoad {
 				continue // moving would under-fill the source part
 			}
-			for _, p := range cands {
-				gain := gainTo[p] - internal
-				if gain > bestGain && loads[p]+w.vw[v] <= maxLoad {
-					bestP, bestGain = p, gain
+			// Tally edge weight toward each part among neighbors.
+			internal := int32(0)
+			touched := r.touched[:0]
+			for i := w.xadj[v]; i < w.xadj[v+1]; i++ {
+				pu := parts[w.adj[i]]
+				if pu == pv {
+					internal += w.wgt[i]
+					continue
+				}
+				if gain[pu] == 0 {
+					touched = append(touched, pu)
+				}
+				gain[pu] += w.wgt[i]
+			}
+			bestP, bestGain := -1, int32(0)
+			for _, p := range touched {
+				g := gain[p] - internal
+				gain[p] = 0
+				if loads[p]+vw > maxLoad {
+					continue
+				}
+				if g > bestGain || (g == bestGain && bestP >= 0 && p < bestP) {
+					bestP, bestGain = p, g
 				}
 			}
 			if bestP >= 0 {
-				loads[pv] -= w.vw[v]
-				loads[bestP] += w.vw[v]
+				loads[pv] -= vw
+				loads[bestP] += vw
 				parts[v] = bestP
 				moved++
 			}
