@@ -70,16 +70,18 @@ type Message struct {
 }
 
 // replyPath routes a reply back to the original requester across any number
-// of Forward hops.
+// of Forward hops: the client's site, when it asked, and its callback.
 type replyPath struct {
 	originSrv cluster.MachineID
-	deliver   func(arg interface{}, size int64)
+	start     sim.Time
+	done      func(lat sim.Duration, reply interface{})
 }
 
 // Behavior is application logic for one actor. Receive runs when a message
 // is dispatched; it should declare its CPU cost via ctx.Use. Outgoing
 // effects (sends, replies, spawns) buffered during Receive take effect when
-// the declared cost has elapsed on the hosting machine.
+// the declared cost has elapsed on the hosting machine. The Context is the
+// runtime's and is reused for later messages: Receive must not keep it.
 type Behavior interface {
 	Receive(ctx *Context, msg Message)
 }
@@ -107,17 +109,17 @@ type PlacementHook interface {
 	Place(typ string, creator Ref, creatorSrv cluster.MachineID) cluster.MachineID
 }
 
-type delivery struct {
-	msg Message
-}
-
 type instance struct {
 	id       ID
 	typ      string
 	behavior Behavior
 	srv      cluster.MachineID
 
-	mailbox   []delivery
+	// The mailbox is a FIFO over one backing array: queued messages are
+	// mailbox[head:]. The array is kept across drains (see enqueue/dequeue),
+	// so an actor in steady state queues without allocating.
+	mailbox   []Message
+	head      int
 	busy      bool // currently processing a message
 	migrating bool
 
@@ -192,11 +194,26 @@ type Runtime struct {
 	// nicBusy is when each destination's inbound NIC next frees. Written
 	// only from the global phase (migTransfer), like all migration state.
 	nicBusy map[cluster.MachineID]sim.Time
-	// shed is striped per kernel shard (deliver runs on the receiving
-	// machine's shard); ShedRequests sums the stripes.
-	shed []int64
+	stripes []stripe // one per kernel shard
 
 	tr *trace.Tracer // nil = migration lifecycle untraced
+}
+
+// stripe is one kernel shard's slice of the runtime's hot mutable state: the
+// shed counter (deliver runs on the receiving machine's shard; ShedRequests
+// sums the stripes) and the free lists of recycled flights and Contexts.
+// A struct is taken from the stripe of the machine whose event is executing
+// and returned to the stripe of the machine whose event is executing then,
+// so no two shard workers ever touch the same list.
+type stripe struct {
+	shed     int64
+	flights  *flight
+	contexts *Context
+}
+
+// stripeOf returns the stripe owned by srv's shard.
+func (rt *Runtime) stripeOf(srv cluster.MachineID) *stripe {
+	return &rt.stripes[rt.K.ShardIndexOf(int32(srv))]
 }
 
 // migration is one in-flight live migration.
@@ -219,7 +236,7 @@ func NewRuntime(k *sim.Kernel, c *cluster.Cluster) *Runtime {
 		SerializePerMB: 5 * sim.Millisecond,
 		actors:         make(map[ID]*instance),
 		inflight:       make(map[ID]*migration),
-		shed:           make([]int64, k.Shards()),
+		stripes:        make([]stripe, k.Shards()),
 	}
 	c.OnFail(rt.onMachineFail)
 	return rt
@@ -579,6 +596,18 @@ func (rt *Runtime) ActorsOn(srv cluster.MachineID) []Ref {
 	return refs
 }
 
+// NumActorsOn counts the live actors hosted on srv without building the
+// slice ActorsOn returns.
+func (rt *Runtime) NumActorsOn(srv cluster.MachineID) int {
+	n := 0
+	for _, id := range rt.order {
+		if inst := rt.actors[id]; inst != nil && inst.srv == srv {
+			n++
+		}
+	}
+	return n
+}
+
 // Info is one live actor's metadata as seen by ForEachActor: everything the
 // elasticity profiling runtime needs per actor per period, delivered in a
 // single visit instead of one map lookup per field.
@@ -630,12 +659,91 @@ func (rt *Runtime) MigratingTo(ref Ref) cluster.MachineID {
 	return -1
 }
 
+// flightKind says what a flight (or a buffered effect) carries.
+type flightKind uint8
+
+const (
+	flightFree  flightKind = iota // on a free list; firing one is a bug
+	flightMsg                     // a message on its way to actor `to`
+	flightDelay                   // a SendAfter delay elapsing on the sender's machine
+	flightReply                   // a reply on its way to msg.reply's origin
+)
+
+// flight is one message, delayed send or reply in transit between two
+// machines: the state of the kernel event that carries it. Flights are
+// recycled through the runtime's striped free lists, and fire — the
+// callback handed to Env.Schedule — is built once per struct, so a message
+// hop allocates nothing in steady state. A reply flight carries its
+// argument and size in msg.Arg and msg.Size and its route in msg.reply.
+type flight struct {
+	kind      flightKind
+	from, dst cluster.MachineID
+	msg       Message
+	to        Ref
+	fire      func() // reusable arrival closure: rt.arrive(f)
+	next      *flight
+}
+
+// launch schedules a flight from machine from to machine dst, d from now. It
+// runs in the global phase or on from's shard.
+func (rt *Runtime) launch(kind flightKind, from, dst cluster.MachineID, d sim.Duration, msg *Message, to Ref) {
+	st := rt.stripeOf(from)
+	f := st.flights
+	if f != nil {
+		st.flights = f.next
+		f.next = nil
+	} else {
+		f = &flight{}
+		f.fire = func() { rt.arrive(f) }
+	}
+	f.kind, f.from, f.dst, f.msg, f.to = kind, from, dst, *msg, to
+	rt.envOf(from).Schedule(int32(dst), d, f.fire)
+}
+
+// arrive is a flight's kernel event, on dst's shard. The struct goes back to
+// the free list first — the event that fired was its only pending reference,
+// and whatever the arrival sends next can reuse it at once.
+func (rt *Runtime) arrive(f *flight) {
+	kind, from, dst, msg, to := f.kind, f.from, f.dst, f.msg, f.to
+	if kind == flightFree {
+		panic("actor: a recycled flight fired")
+	}
+	f.kind, f.msg = flightFree, Message{}
+	st := rt.stripeOf(dst)
+	f.next = st.flights
+	st.flights = f
+
+	if kind == flightDelay {
+		rt.send(dst, &msg, to)
+		return
+	}
+	if from != dst {
+		rt.C.Machine(dst).AddNetBytes(msg.Size)
+	}
+	if kind == flightReply {
+		if rp := msg.reply; rp.done != nil {
+			rp.done(sim.Duration(rt.envOf(dst).Now()-rp.start), msg.Arg)
+		}
+		return
+	}
+	cur := rt.actors[to.ID]
+	if cur == nil {
+		return
+	}
+	if cur.srv != dst {
+		// Actor moved while the message was in flight: forward.
+		rt.send(dst, &msg, to)
+		return
+	}
+	rt.deliver(cur, &msg)
+}
+
 // send routes a message to an actor, resolving its location at delivery
 // time; messages chase migrated actors with an extra forwarding hop. It
 // runs either in the global phase or on fromSrv's shard; the delivery
 // itself is scheduled onto the destination's shard, which is where the
 // receive side of the network accounting happens too.
-func (rt *Runtime) send(fromSrv cluster.MachineID, msg Message, to Ref) {
+func (rt *Runtime) send(fromSrv cluster.MachineID, msg *Message, to Ref) {
 	inst := rt.actors[to.ID]
 	if inst == nil {
 		return // dead letter
@@ -645,30 +753,16 @@ func (rt *Runtime) send(fromSrv cluster.MachineID, msg Message, to Ref) {
 	if fromSrv != dstSrv {
 		rt.C.Machine(fromSrv).AddNetBytes(msg.Size)
 	}
-	rt.envOf(fromSrv).Schedule(int32(dstSrv), lat, func() {
-		if fromSrv != dstSrv {
-			rt.C.Machine(dstSrv).AddNetBytes(msg.Size)
-		}
-		cur := rt.actors[to.ID]
-		if cur == nil {
-			return
-		}
-		if cur.srv != dstSrv {
-			// Actor moved while the message was in flight: forward.
-			rt.send(dstSrv, msg, to)
-			return
-		}
-		rt.deliver(cur, msg)
-	})
+	rt.launch(flightMsg, fromSrv, dstSrv, lat, msg, to)
 }
 
 // deliver runs on inst's shard (or the global phase on an unsharded
 // kernel); the shed trace record is deferred so the shared tracer is only
 // touched at the window barrier, in deterministic merge order.
-func (rt *Runtime) deliver(inst *instance, msg Message) {
-	if rt.MailboxCap > 0 && len(inst.mailbox) >= rt.MailboxCap {
+func (rt *Runtime) deliver(inst *instance, msg *Message) {
+	if rt.MailboxCap > 0 && inst.queued() >= rt.MailboxCap {
 		srv := inst.srv
-		rt.shed[rt.K.ShardIndexOf(int32(srv))]++
+		rt.stripeOf(srv).shed++
 		if rt.tr != nil {
 			id, method := inst.id, msg.Method
 			rt.envOf(srv).Defer(func() {
@@ -678,15 +772,42 @@ func (rt *Runtime) deliver(inst *instance, msg Message) {
 		}
 		return
 	}
-	inst.mailbox = append(inst.mailbox, delivery{msg: msg})
+	inst.enqueue(msg)
 	rt.pump(inst)
+}
+
+// queued reports the number of messages waiting in the mailbox.
+func (inst *instance) queued() int { return len(inst.mailbox) - inst.head }
+
+// enqueue appends to the mailbox. When the backing array is full and at
+// least half of it is consumed prefix, the queued messages slide to the
+// front instead of the array growing; a fuller array is left to append's
+// doubling, which keeps the slide amortized constant per message.
+func (inst *instance) enqueue(msg *Message) {
+	if n := len(inst.mailbox); n == cap(inst.mailbox) && inst.head > 0 && inst.head >= n/2 {
+		live := copy(inst.mailbox, inst.mailbox[inst.head:])
+		clear(inst.mailbox[live:])
+		inst.mailbox, inst.head = inst.mailbox[:live], 0
+	}
+	inst.mailbox = append(inst.mailbox, *msg)
+}
+
+// dequeue removes the oldest queued message into msg, resetting a drained
+// mailbox to the start of its backing array.
+func (inst *instance) dequeue(msg *Message) {
+	*msg = inst.mailbox[inst.head]
+	inst.mailbox[inst.head] = Message{}
+	inst.head++
+	if inst.head == len(inst.mailbox) {
+		inst.mailbox, inst.head = inst.mailbox[:0], 0
+	}
 }
 
 // ShedRequests reports deliveries dropped at full bounded mailboxes.
 func (rt *Runtime) ShedRequests() int64 {
 	var n int64
-	for _, s := range rt.shed {
-		n += s
+	for i := range rt.stripes {
+		n += rt.stripes[i].shed
 	}
 	return n
 }
@@ -699,7 +820,8 @@ func (rt *Runtime) pump(inst *instance) {
 	if inst.busy || inst.migrating || inst.dead {
 		return
 	}
-	if m := rt.C.Machine(inst.srv); m == nil || !m.Up() {
+	machine := rt.C.Machine(inst.srv)
+	if machine == nil || !machine.Up() {
 		return
 	}
 	if inst.pendingDst >= 0 {
@@ -723,35 +845,56 @@ func (rt *Runtime) pump(inst *instance) {
 		}
 		return
 	}
-	if len(inst.mailbox) == 0 {
+	if inst.queued() == 0 {
 		return
 	}
-	d := inst.mailbox[0]
-	inst.mailbox = inst.mailbox[1:]
 	inst.busy = true
+
+	st := rt.stripeOf(inst.srv)
+	ctx := st.contexts
+	if ctx != nil {
+		st.contexts = ctx.next
+		ctx.next = nil
+	} else {
+		ctx = &Context{rt: rt}
+		ctx.done = func() { rt.finish(ctx) }
+	}
+	ctx.inst, ctx.srv = inst, inst.srv
+	inst.dequeue(&ctx.msg)
 
 	cost := rt.BaseMsgCost
 	if rt.profiler != nil {
 		cost += rt.ProfilingCost
-		rt.profiler.OnMessage(inst.srv, d.msg.SenderType, d.msg.Sender, Ref{ID: inst.id}, inst.typ, d.msg.Method, d.msg.Size)
+		rt.profiler.OnMessage(inst.srv, ctx.msg.SenderType, ctx.msg.Sender, Ref{ID: inst.id}, inst.typ, ctx.msg.Method, ctx.msg.Size)
 	}
+	inst.behavior.Receive(ctx, ctx.msg)
+	ctx.cost = cost + ctx.cpu
+	machine.Exec(ctx.cost, ctx.done)
+}
 
-	ctx := &Context{rt: rt, inst: inst, msg: d.msg}
-	inst.behavior.Receive(ctx, d.msg)
-	cost += ctx.cpu
+// finish is a turn's Exec completion, on the machine the turn ran on: the
+// declared cost has elapsed, so the buffered effects take place, the Context
+// is recycled and the actor moves on to its next message. A turn whose
+// machine crashed under it never gets here (Machine drops the completion),
+// and its Context is simply never reused.
+func (rt *Runtime) finish(ctx *Context) {
+	inst, srv := ctx.inst, ctx.srv
+	if inst == nil {
+		panic("actor: a recycled Context completed")
+	}
+	if rt.profiler != nil {
+		// Attribute the actual core-occupancy time, so per-actor CPU
+		// shares are comparable with server utilization.
+		rt.profiler.OnCPU(srv, Ref{ID: inst.id}, inst.typ, rt.C.Machine(srv).ScaledCost(ctx.cost))
+	}
+	ctx.commit()
+	ctx.inst, ctx.msg, ctx.cpu = nil, Message{}, 0
+	st := rt.stripeOf(srv)
+	ctx.next = st.contexts
+	st.contexts = ctx
 
-	srv := inst.srv
-	machine := rt.C.Machine(srv)
-	machine.Exec(cost, func() {
-		if rt.profiler != nil {
-			// Attribute the actual core-occupancy time, so per-actor CPU
-			// shares are comparable with server utilization.
-			rt.profiler.OnCPU(srv, Ref{ID: inst.id}, inst.typ, machine.ScaledCost(cost))
-		}
-		ctx.commit(srv)
-		inst.busy = false
-		rt.pump(inst)
-	})
+	inst.busy = false
+	rt.pump(inst)
 }
 
 // Migrate asks the runtime to move an actor to dst. The move happens after
@@ -916,13 +1059,32 @@ func (rt *Runtime) migValid(mig *migration) bool {
 // Context carries per-message runtime operations for Behavior.Receive.
 // Outgoing effects are buffered and committed once the declared CPU cost
 // has elapsed.
+//
+// A Context is valid only during the Receive call it was passed to: the
+// runtime recycles it for a later message once the turn completes, so a
+// handler must not retain it (or call its methods from a callback that runs
+// later).
 type Context struct {
 	rt   *Runtime
-	inst *instance
+	inst *instance // nil while on a free list
 	msg  Message
+	srv  cluster.MachineID // machine the turn runs on
 
 	cpu     sim.Duration
-	effects []func(srv cluster.MachineID)
+	cost    sim.Duration // total handed to Machine.Exec
+	effects []effect     // reused across turns
+	done    func()       // reusable Exec completion: rt.finish(c)
+	next    *Context     // free-list link
+}
+
+// effect is one buffered outgoing send, delayed send or reply, replayed in
+// order by commit. A reply keeps its argument and size in msg.Arg and
+// msg.Size and its route in msg.reply, as a reply flight does.
+type effect struct {
+	kind  flightKind
+	msg   Message
+	to    Ref
+	delay sim.Duration
 }
 
 // Self returns the receiving actor's ref.
@@ -945,30 +1107,19 @@ func (c *Context) Use(cpu sim.Duration) {
 
 // Send asynchronously delivers a new message (no reply path).
 func (c *Context) Send(to Ref, method string, arg interface{}, size int64) {
-	out := Message{Method: method, Arg: arg, Size: size, Sender: c.Self(), SenderType: c.inst.typ}
-	c.effects = append(c.effects, func(srv cluster.MachineID) {
-		c.rt.send(srv, out, to)
-	})
+	c.push(flightMsg, to, 0, Message{Method: method, Arg: arg, Size: size, Sender: c.Self(), SenderType: c.inst.typ})
 }
 
 // SendAfter delivers a new message after an extra delay beyond the current
 // message's completion (for periodic/self-paced workloads).
 func (c *Context) SendAfter(d sim.Duration, to Ref, method string, arg interface{}, size int64) {
-	out := Message{Method: method, Arg: arg, Size: size, Sender: c.Self(), SenderType: c.inst.typ}
-	c.effects = append(c.effects, func(srv cluster.MachineID) {
-		// The delay elapses on the sending machine (same-home, so no
-		// lookahead floor applies), then the send routes normally.
-		c.rt.envOf(srv).Schedule(int32(srv), d, func() { c.rt.send(srv, out, to) })
-	})
+	c.push(flightDelay, to, d, Message{Method: method, Arg: arg, Size: size, Sender: c.Self(), SenderType: c.inst.typ})
 }
 
 // Forward passes the current message's reply path along to another actor,
 // so a downstream actor can Reply to the original requester.
 func (c *Context) Forward(to Ref, method string, arg interface{}, size int64) {
-	out := Message{Method: method, Arg: arg, Size: size, Sender: c.Self(), SenderType: c.inst.typ, reply: c.msg.reply}
-	c.effects = append(c.effects, func(srv cluster.MachineID) {
-		c.rt.send(srv, out, to)
-	})
+	c.push(flightMsg, to, 0, Message{Method: method, Arg: arg, Size: size, Sender: c.Self(), SenderType: c.inst.typ, reply: c.msg.reply})
 }
 
 // Reply answers the current message's requester, if it expects a reply.
@@ -977,21 +1128,14 @@ func (c *Context) Reply(arg interface{}, size int64) {
 	if rp == nil {
 		return
 	}
-	c.effects = append(c.effects, func(srv cluster.MachineID) {
-		lat := c.rt.C.TransferLatency(srv, rp.originSrv, size)
-		if srv != rp.originSrv {
-			c.rt.C.Machine(srv).AddNetBytes(size)
-		}
-		c.rt.envOf(srv).Schedule(int32(rp.originSrv), lat, func() {
-			if srv != rp.originSrv {
-				c.rt.C.Machine(rp.originSrv).AddNetBytes(size)
-			}
-			rp.deliver(arg, size)
-		})
-	})
+	c.push(flightReply, Ref{}, 0, Message{Arg: arg, Size: size, reply: rp})
 	if c.rt.profiler != nil {
 		c.rt.profiler.OnNet(c.inst.srv, c.Self(), c.inst.typ, size)
 	}
+}
+
+func (c *Context) push(kind flightKind, to Ref, delay sim.Duration, msg Message) {
+	c.effects = append(c.effects, effect{kind: kind, msg: msg, to: to, delay: delay})
 }
 
 // SetProp publishes a reference property visible to EPL `ref(...)`
@@ -1013,13 +1157,30 @@ func (c *Context) SetMemSize(bytes int64) {
 	c.rt.C.Machine(c.inst.srv).AddMem(delta)
 }
 
-// commit applies buffered effects from the server the message was processed
-// on.
-func (c *Context) commit(srv cluster.MachineID) {
-	for _, eff := range c.effects {
-		eff(srv)
+// commit applies the buffered effects, in the order the handler issued
+// them, from the server the message was processed on.
+func (c *Context) commit() {
+	rt, srv := c.rt, c.srv
+	for i := range c.effects {
+		e := &c.effects[i]
+		switch e.kind {
+		case flightMsg:
+			rt.send(srv, &e.msg, e.to)
+		case flightDelay:
+			// The delay elapses on the sending machine (same-home, so no
+			// lookahead floor applies), then the send routes normally.
+			rt.launch(flightDelay, srv, srv, e.delay, &e.msg, e.to)
+		case flightReply:
+			origin := e.msg.reply.originSrv
+			lat := rt.C.TransferLatency(srv, origin, e.msg.Size)
+			if srv != origin {
+				rt.C.Machine(srv).AddNetBytes(e.msg.Size)
+			}
+			rt.launch(flightReply, srv, origin, lat, &e.msg, Ref{})
+		}
+		*e = effect{} // drop the payload references
 	}
-	c.effects = nil
+	c.effects = c.effects[:0]
 }
 
 // Client issues latency-tracked requests into the actor system from a
@@ -1039,23 +1200,15 @@ func NewClient(rt *Runtime, site cluster.MachineID) *Client {
 // API; on a sharded kernel the done callback runs on the client site's
 // shard, so it must only touch state owned by that site.
 func (cl *Client) Request(to Ref, method string, arg interface{}, size int64, done func(lat sim.Duration, reply interface{})) {
-	start := cl.rt.K.Now()
 	msg := Message{
 		Method: method, Arg: arg, Size: size, SenderType: ClientCaller,
-		reply: &replyPath{
-			originSrv: cl.Site,
-			deliver: func(replyArg interface{}, _ int64) {
-				if done != nil {
-					done(sim.Duration(cl.rt.envOf(cl.Site).Now()-start), replyArg)
-				}
-			},
-		},
+		reply: &replyPath{originSrv: cl.Site, start: cl.rt.K.Now(), done: done},
 	}
-	cl.rt.send(cl.Site, msg, to)
+	cl.rt.send(cl.Site, &msg, to)
 }
 
 // Send delivers a one-way client message (no reply expected).
 func (cl *Client) Send(to Ref, method string, arg interface{}, size int64) {
 	msg := Message{Method: method, Arg: arg, Size: size, SenderType: ClientCaller}
-	cl.rt.send(cl.Site, msg, to)
+	cl.rt.send(cl.Site, &msg, to)
 }

@@ -1,0 +1,89 @@
+package actor
+
+import (
+	"testing"
+
+	"plasma/internal/cluster"
+	"plasma/internal/sim"
+)
+
+// msgPath is the fixture of the message-path microbenchmarks: a client on
+// machine 2, a front actor on machine 0 that forwards requests to (and
+// sends ticks at) a leaf on machine 1, every hop crossing the network.
+type msgPath struct {
+	k     *sim.Kernel
+	cl    *Client
+	front Ref
+	onRep func(sim.Duration, interface{})
+}
+
+func newMsgPath() *msgPath {
+	k := sim.New(1)
+	c := cluster.New(k, 3, cluster.InstanceType{Name: "t", VCPUs: 2, MemMB: 4096, NetMbps: 1000, SpeedFac: 1})
+	rt := NewRuntime(k, c)
+	leaf := rt.SpawnOn("Leaf", BehaviorFunc(func(ctx *Context, msg Message) {
+		ctx.Use(sim.Millisecond)
+		ctx.Reply(nil, 16) // no reply path on a tick: a no-op
+	}), 1)
+	front := rt.SpawnOn("Front", BehaviorFunc(func(ctx *Context, msg Message) {
+		ctx.Use(sim.Millisecond)
+		if msg.Method == "tick" {
+			ctx.Send(leaf, "tick", nil, 64)
+			return
+		}
+		ctx.Forward(leaf, msg.Method, msg.Arg, msg.Size)
+	}), 0)
+	return &msgPath{k: k, cl: NewClient(rt, 2), front: front, onRep: func(sim.Duration, interface{}) {}}
+}
+
+// requestReply runs one client request → forward → reply to completion.
+func (p *msgPath) requestReply() {
+	p.cl.Request(p.front, "get", nil, 64, p.onRep)
+	p.k.RunUntilIdle()
+}
+
+// send runs one client send → actor → actor Send to completion; the client's
+// own hop allocates nothing, so what is left is the actor → actor Send.
+func (p *msgPath) send() {
+	p.cl.Send(p.front, "tick", nil, 64)
+	p.k.RunUntilIdle()
+}
+
+func BenchmarkRequestReply(b *testing.B) {
+	p := newMsgPath()
+	p.requestReply()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.requestReply()
+	}
+}
+
+func BenchmarkSend(b *testing.B) {
+	p := newMsgPath()
+	p.send()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.send()
+	}
+}
+
+// The message path's allocation ceiling: once the free lists, mailboxes and
+// the kernel heap are warm, a request costs its reply path (one allocation;
+// the ceiling leaves room for one more) and nothing per hop, and an actor →
+// actor Send costs nothing. Before flights and Contexts were recycled these
+// read 15 and 10, 6 of the 10 being the actor → actor Send.
+func TestMessagePathAllocCeiling(t *testing.T) {
+	p := newMsgPath()
+	for i := 0; i < 100; i++ {
+		p.requestReply()
+		p.send()
+	}
+	if got := testing.AllocsPerRun(200, p.requestReply); got > 2 {
+		t.Errorf("client request → forward → reply: %v allocs, ceiling 2", got)
+	}
+	if got := testing.AllocsPerRun(200, p.send); got > 0 {
+		t.Errorf("actor → actor Send: %v allocs, ceiling 0", got)
+	}
+}

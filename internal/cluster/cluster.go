@@ -46,6 +46,7 @@ type MachineID int
 type work struct {
 	cost  sim.Duration
 	start sim.Time
+	epoch uint64 // the machine's crashEpoch when submitted
 	done  func()
 	fire  func() // reusable completion closure: m.complete(w)
 	next  *work  // free-list link
@@ -69,6 +70,11 @@ type Machine struct {
 	active []*work // currently running, len <= VCPUs
 	queue  []*work // waiting for a core
 	freeW  *work   // recycled work structs
+
+	// crashEpoch counts crashes. Work is stamped with it on submission, so
+	// a completion event that outlives a Fail is recognised as stale even
+	// when Repair has already put the machine back in service.
+	crashEpoch uint64
 
 	windowStart sim.Time
 	busyWindow  sim.Duration // completed core-busy time since windowStart
@@ -115,7 +121,7 @@ func (m *Machine) Exec(cost sim.Duration, done func()) {
 		return
 	}
 	w := m.allocWork()
-	w.cost, w.done = m.ScaledCost(cost), done
+	w.cost, w.epoch, w.done = m.ScaledCost(cost), m.crashEpoch, done
 	if len(m.active) < m.Type.VCPUs {
 		m.start(w)
 	} else {
@@ -145,10 +151,12 @@ func (m *Machine) start(w *work) {
 }
 
 func (m *Machine) complete(w *work) {
-	if m.failed {
-		// The machine crashed while this work was in flight. The struct is
-		// NOT recycled: Fail dropped it from the run queues, and leaving it
-		// out of the free list keeps a later stale fire harmless.
+	if w.epoch != m.crashEpoch {
+		// The machine crashed while this work was in flight (and may have
+		// been repaired since). The work died with the crash: done never
+		// runs and the accounting window is not charged. The struct is NOT
+		// recycled: Fail dropped it from the run queues, and leaving it out
+		// of the free list keeps a later stale fire harmless.
 		return
 	}
 	for i, a := range m.active {
@@ -342,6 +350,7 @@ func (c *Cluster) Fail(id MachineID) bool {
 		return false
 	}
 	m.failed = true
+	m.crashEpoch++
 	m.active = nil
 	m.queue = nil
 	c.tr.Emit(trace.Record{Kind: trace.KindCrash, Server: int32(id), Target: -1, Rule: -1})

@@ -231,6 +231,40 @@ func TestRepairAfterDecommissionRefused(t *testing.T) {
 	}
 }
 
+// Work in flight when a machine crashes died with the crash, even when the
+// machine is repaired before the work's completion event fires: the stale
+// event must neither run done nor charge the new accounting window.
+func TestStaleCompletionAfterFailAndRepairIsDropped(t *testing.T) {
+	k := sim.New(1)
+	c := New(k, 1, InstanceType{Name: "test", VCPUs: 1, MemMB: 1024, NetMbps: 100, SpeedFac: 1.0})
+	m := c.Machine(0)
+	var stale, queued int
+	var freshAt sim.Time
+	m.Exec(10*sim.Second, func() { stale++ })
+	m.Exec(sim.Second, func() { queued++ }) // waiting for the core when the crash hits
+	k.At(sim.Time(sim.Second), func() { c.Fail(0) })
+	k.At(sim.Time(2*sim.Second), func() { c.Repair(0) })
+	// Work submitted after the repair shares the core with nothing.
+	k.At(sim.Time(3*sim.Second), func() { m.Exec(sim.Second, func() { freshAt = k.Now() }) })
+	var cpuAt10 float64
+	k.At(sim.Time(10*sim.Second)+1, func() { cpuAt10 = m.CPUPercent() })
+	k.RunUntilIdle()
+	if stale != 0 || queued != 0 {
+		t.Fatalf("work lost in the crash completed: in-flight %d, queued %d", stale, queued)
+	}
+	if freshAt != sim.Time(4*sim.Second) {
+		t.Fatalf("post-repair work done at %v, want 4s", freshAt)
+	}
+	// One second of work in the eight since the repair opened the window
+	// (the stale completion used to add its ten: 125%).
+	if math.Abs(cpuAt10-12.5) > 1e-3 {
+		t.Fatalf("CPUPercent at 10s = %v, want 12.5", cpuAt10)
+	}
+	if m.Busy() != 0 || m.QueueLen() != 0 {
+		t.Fatalf("run queues not empty: busy %d, queued %d", m.Busy(), m.QueueLen())
+	}
+}
+
 func TestTransferLatency(t *testing.T) {
 	k := sim.New(1)
 	c := New(k, 2, M1Small) // 250 Mbps

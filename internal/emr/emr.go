@@ -659,7 +659,7 @@ func (m *Manager) finishDraining() {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		if len(m.RT.ActorsOn(id)) == 0 {
+		if m.RT.NumActorsOn(id) == 0 {
 			if m.C.Decommission(id) == nil {
 				m.Stats.ScaleIns++
 			}

@@ -310,7 +310,7 @@ func (m *Manager) planReserve(ri epl.ReserveIntent, snap *epl.Snapshot, inScope,
 			continue
 		}
 		load := srv.Res(ri.Res)
-		cnt := len(m.RT.ActorsOn(srv.ID))
+		cnt := m.RT.NumActorsOn(srv.ID)
 		if m.batchPlanner() {
 			// Lexicographic (load, resident count): the quietest server
 			// wins, an emptier one breaks ties, and the id-ordered

@@ -136,7 +136,7 @@ func (m *Manager) tryScaleIn(g *gem, scope []cluster.MachineID, snap *epl.Snapsh
 		if _, taken := m.reserved[id]; taken {
 			continue
 		}
-		n := len(m.RT.ActorsOn(id))
+		n := m.RT.NumActorsOn(id)
 		if n < fewest {
 			fewest = n
 			victim = id
@@ -257,7 +257,7 @@ func (m *Manager) idlestMachine(res epl.Resource) (cluster.MachineID, bool) {
 		}
 		// Bias toward machines with fewer actors to break early-period ties
 		// (utilization windows may be empty right after a reset).
-		load += float64(len(m.RT.ActorsOn(mach.ID))) * 0.01
+		load += float64(m.RT.NumActorsOn(mach.ID)) * 0.01
 		if load < bestLoad {
 			bestLoad = load
 			best = mach.ID
