@@ -20,7 +20,7 @@ COVER_PROFILE ?= coverage.out
 # Scratch dir for the trace round-trip smoke test.
 TRACE_SMOKE_DIR ?= .trace-smoke
 
-.PHONY: build test vet race bench bench-test bench-quick bench-baseline bench-shards burst-quick stream-quick plan-quick lint lint-model cover trace-smoke verify
+.PHONY: build test vet race bench bench-test bench-quick bench-baseline burst-quick stream-quick plan-quick lint lint-model cover trace-smoke loc verify
 
 build:
 	$(GO) build ./...
@@ -52,17 +52,6 @@ bench-quick:
 # machine; commit the refreshed JSON alongside the change justifying it).
 bench-baseline:
 	$(GO) run ./cmd/plasma-bench -json -o $(BENCH_BASELINE)
-
-# bench-shards proves the sharded kernel: every quick experiment id must be
-# byte-identical (report + trace) at shards=1 vs GOMAXPROCS, race-clean on
-# the sharded scale runs, and the shard-twin sweep must show at least a 2x
-# events/sec speedup on machines with 4+ CPUs (the gate self-disables below
-# that — on 1-2 cores the barrier overhead makes a speedup unmeasurable, so
-# the ratio is reported but not enforced).
-bench-shards:
-	$(GO) test -count=1 -run 'TestShardEquivalenceAllQuickIDs|TestScaleShardTwinsMatch' ./internal/experiments/
-	$(GO) test -race -count=1 -run 'TestScaleShard|TestShardDifferentialRandomized' ./internal/experiments/ ./internal/sim/
-	$(GO) run ./cmd/plasma-bench -min-speedup 2.0 > /dev/null
 
 # burst-quick runs the burst/failure robustness family at quick sizes: the
 # flash-crowd sweep across the provisioning spectrum, the chaos-composed
@@ -127,6 +116,11 @@ trace-smoke:
 	$(GO) run ./cmd/plasma-trace chrome $(TRACE_SMOKE_DIR)/a.jsonl > $(TRACE_SMOKE_DIR)/a.trace.json
 	@rm -rf $(TRACE_SMOKE_DIR)
 	@echo "trace-smoke OK: same-seed traces byte-identical, tooling round-trips"
+
+# loc prints the root module's non-test Go line count — the figure behind
+# the net non-test line delta every PR reports (ROADMAP aim 2).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 # verify is the pre-merge gate: everything compiles, vet is clean, the full
 # suite passes under the race detector, the determinism lint is clean, the

@@ -6,8 +6,7 @@
 //
 //	plasma-bench [-full] [-seed N] > report.md
 //
-// Bench mode (-json, -compare, and/or -min-speedup) measures the sweep
-// instead: wall time,
+// Bench mode (-json and/or -compare) measures the sweep instead: wall time,
 // allocations, simulated-event throughput, and peak event-queue depth per
 // experiment id, written as a BENCH_<date>.json perf baseline. -compare
 // checks the fresh measurement against a previous baseline and exits
@@ -19,13 +18,6 @@
 //	plasma-bench -compare BENCH_base.json   # measure, diff, gate
 //	plasma-bench -compare BENCH_base.json -tolerance 0.25
 //	plasma-bench -json -cpuprofile cpu.pprof -memprofile mem.pprof
-//
-// Bench mode also reports the sharded-kernel speedup — the events/sec
-// ratio between the scale_shard (4-shard kernel) and scale_shard1
-// (sequential reference) twins, which run the identical seeded workload.
-// -min-speedup gates on it (machines with >= 4 CPUs only; a single-core
-// runner reports the ratio without gating, since intra-run parallelism
-// cannot win wall-clock there).
 //
 // The JSON schema is documented in EXPERIMENTS.md ("Perf baselines").
 package main
@@ -82,20 +74,18 @@ type BenchFile struct {
 func main() {
 	full := flag.Bool("full", false, "run paper-scale workloads (slower)")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	shards := flag.Int("shards", 1, "kernel shard count for shard-capable experiments (results are byte-identical at any count)")
 	jsonOut := flag.Bool("json", false, "benchmark the sweep and write a BENCH_<date>.json baseline")
 	outPath := flag.String("o", "", "output path for -json (default BENCH_<date>.json)")
 	comparePath := flag.String("compare", "", "benchmark the sweep and diff against this baseline; exit 1 on regression")
 	tolerance := flag.Float64("tolerance", 0.10, "relative slowdown tolerated by -compare before failing")
-	minSpeedup := flag.Float64("min-speedup", 0, "fail bench mode unless scale_shard beats scale_shard1 by this events/sec factor (0 disables; requires >= 4 CPUs, otherwise reported but not gated)")
 	iters := flag.Int("iters", 3, "iterations per experiment in bench mode (min wall time wins)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the bench sweep to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the bench sweep to this file")
 	flag.Parse()
 
-	cfg := experiments.Config{Full: *full, Seed: *seed, Shards: *shards}
-	if *jsonOut || *comparePath != "" || *minSpeedup > 0 {
-		os.Exit(benchMain(cfg, *iters, *outPath, *comparePath, *tolerance, *minSpeedup, *cpuProfile, *memProfile))
+	cfg := experiments.Config{Full: *full, Seed: *seed}
+	if *jsonOut || *comparePath != "" {
+		os.Exit(benchMain(cfg, *iters, *outPath, *comparePath, *tolerance, *cpuProfile, *memProfile))
 	}
 	reportMain(cfg)
 }
@@ -129,7 +119,7 @@ func reportMain(cfg experiments.Config) {
 	}
 }
 
-func benchMain(cfg experiments.Config, iters int, outPath, comparePath string, tolerance, minSpeedup float64, cpuProfile, memProfile string) int {
+func benchMain(cfg experiments.Config, iters int, outPath, comparePath string, tolerance float64, cpuProfile, memProfile string) int {
 	if iters < 1 {
 		iters = 1
 	}
@@ -149,18 +139,6 @@ func benchMain(cfg experiments.Config, iters int, outPath, comparePath string, t
 
 	bf := measureSweep(cfg, iters)
 	printBenchTable(os.Stdout, bf)
-
-	if speedup, ok := shardSpeedup(bf); ok {
-		fmt.Printf("shard speedup: scale_shard vs scale_shard1 events/sec = %.2fx on %d CPU(s)\n", speedup, runtime.NumCPU())
-		if minSpeedup > 0 {
-			if runtime.NumCPU() < 4 {
-				fmt.Printf("note: -min-speedup %.1f not gated (%d CPU(s) < 4; intra-run parallelism cannot show a wall-clock win here)\n", minSpeedup, runtime.NumCPU())
-			} else if speedup < minSpeedup {
-				fmt.Printf("SPEEDUP GATE FAILED: %.2fx < %.1fx required\n", speedup, minSpeedup)
-				return 1
-			}
-		}
-	}
 
 	if memProfile != "" {
 		f, err := os.Create(memProfile)
@@ -459,24 +437,4 @@ func regressedIDs(regressions []string) []string {
 	}
 	sort.Strings(ids)
 	return ids
-}
-
-// shardSpeedup reports the events/sec ratio between the sharded-kernel
-// twin and its sequential reference. The two ids run the identical seeded
-// workload (their reports are byte-equal by construction), so the ratio
-// isolates the kernel's intra-run parallel speedup.
-func shardSpeedup(bf BenchFile) (float64, bool) {
-	var sharded, seq float64
-	for _, e := range bf.Experiments {
-		switch e.ID {
-		case "scale_shard":
-			sharded = e.EventsPerSec
-		case "scale_shard1":
-			seq = e.EventsPerSec
-		}
-	}
-	if sharded <= 0 || seq <= 0 {
-		return 0, false
-	}
-	return sharded / seq, true
 }

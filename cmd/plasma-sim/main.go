@@ -3,12 +3,7 @@
 //
 // Usage:
 //
-//	plasma-sim [-full] [-seed N] [-shards N] [-trace out.jsonl] [experiment ...]
-//
-// -shards runs shard-capable experiments (the scale family) on an N-way
-// partitioned simulation kernel. Results are byte-identical to -shards=1
-// (the sequential reference) at any shard count — sharding only changes
-// wall-clock time; diff two -trace files to check.
+//	plasma-sim [-full] [-seed N] [-trace out.jsonl] [experiment ...]
 //
 // With no arguments, all experiments run in registry order. With -trace,
 // every elasticity decision (rule evaluations, migrations, provisioning,
@@ -30,7 +25,6 @@ import (
 func main() {
 	full := flag.Bool("full", false, "run paper-scale workloads (slower)")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	shards := flag.Int("shards", 1, "kernel shard count for shard-capable experiments (1 = sequential reference; results are byte-identical at any count)")
 	traceOut := flag.String("trace", "", "write a decision trace (JSONL) to this file")
 	traceCap := flag.Int("trace-cap", 1<<20, "max records kept in the trace ring (oldest dropped)")
 	flag.Parse()
@@ -39,7 +33,7 @@ func main() {
 	if len(ids) == 0 {
 		ids = experiments.IDs()
 	}
-	cfg := experiments.Config{Full: *full, Seed: *seed, Shards: *shards}
+	cfg := experiments.Config{Full: *full, Seed: *seed}
 	var ring *trace.Ring
 	if *traceOut != "" {
 		ring = trace.NewRing(*traceCap)

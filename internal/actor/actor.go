@@ -8,30 +8,6 @@
 // run real Go code and declare virtual CPU cost via Context.Use; the hosting
 // machine's cores are occupied for that long, producing the CPU, memory, and
 // network signals the paper's elasticity rules react to.
-//
-// # Shard safety
-//
-// On a sharded kernel (sim.Kernel.SetShards > 1) message dispatch and
-// handler execution run on the hosting machine's shard, concurrently with
-// other shards inside one conservative time window. The runtime keeps that
-// safe by partitioning its state along machine homes:
-//
-//   - per-actor state (mailbox, busy, props, memSize) is owned by the
-//     actor's current home and touched only from that home's context;
-//   - cross-machine effects (sends, replies, forwards) are routed through
-//     the hosting machine's sim.Env, whose cross-home floor is the
-//     kernel's lookahead — below the cluster's minimum network latency,
-//     so message timing is unchanged;
-//   - migration bookkeeping (the inflight table, trace emission, counters)
-//     is global state: shard-context code escalates to the global phase
-//     via Env.Schedule(sim.GlobalHome, ...) instead of mutating it;
-//   - shed counts are striped per shard and summed on read.
-//
-// Control-plane entry points — Spawn/SpawnOn, Stop, Migrate/MigrateTraced,
-// RecoverMachine, Client requests — are global-phase APIs: they may be
-// called from timers and experiment harness code but not from inside a
-// handler running on a sharded kernel (the kernel's context guard panics
-// deterministically on misuse).
 package actor
 
 import (
@@ -133,9 +109,9 @@ type instance struct {
 	pendingTr  uint64 // trace parent for the pending migration
 	dead       bool
 
-	// beginQueued marks an escalation from the actor's shard to the global
-	// phase already in flight for the pending migration, so pump (which may
-	// run once per delivery) queues at most one.
+	// beginQueued marks a begin-migration event already queued for the
+	// pending migration, so pump (which may run once per delivery) queues
+	// at most one.
 	beginQueued bool
 
 	// migEpoch invalidates in-flight migration steps when the actor is
@@ -191,29 +167,15 @@ type Runtime struct {
 	// "batch") turns it on; off by default, migrations keep the legacy
 	// contention-free latency model, byte-identical to pinned runs.
 	XferPipeline bool
-	// nicBusy is when each destination's inbound NIC next frees. Written
-	// only from the global phase (migTransfer), like all migration state.
+	// nicBusy is when each destination's inbound NIC next frees (written
+	// by migTransfer).
 	nicBusy map[cluster.MachineID]sim.Time
-	stripes []stripe // one per kernel shard
+
+	shed     int64    // deliveries dropped at full bounded mailboxes
+	flights  *flight  // free list of recycled flights
+	contexts *Context // free list of recycled Contexts
 
 	tr *trace.Tracer // nil = migration lifecycle untraced
-}
-
-// stripe is one kernel shard's slice of the runtime's hot mutable state: the
-// shed counter (deliver runs on the receiving machine's shard; ShedRequests
-// sums the stripes) and the free lists of recycled flights and Contexts.
-// A struct is taken from the stripe of the machine whose event is executing
-// and returned to the stripe of the machine whose event is executing then,
-// so no two shard workers ever touch the same list.
-type stripe struct {
-	shed     int64
-	flights  *flight
-	contexts *Context
-}
-
-// stripeOf returns the stripe owned by srv's shard.
-func (rt *Runtime) stripeOf(srv cluster.MachineID) *stripe {
-	return &rt.stripes[rt.K.ShardIndexOf(int32(srv))]
 }
 
 // migration is one in-flight live migration.
@@ -236,26 +198,21 @@ func NewRuntime(k *sim.Kernel, c *cluster.Cluster) *Runtime {
 		SerializePerMB: 5 * sim.Millisecond,
 		actors:         make(map[ID]*instance),
 		inflight:       make(map[ID]*migration),
-		stripes:        make([]stripe, k.Shards()),
 	}
 	c.OnFail(rt.onMachineFail)
 	return rt
 }
 
-// envOf returns the scheduling context of the machine hosting srv; all
-// shard-context scheduling in the runtime goes through it.
-func (rt *Runtime) envOf(srv cluster.MachineID) *sim.Env { return rt.C.Machine(srv).Env() }
-
 // spawnGrower is the optional profiler capability the runtime uses to
-// pre-size dense per-actor accumulators at spawn time (the global phase),
-// so profiling hooks never grow shared slices from inside a shard window.
+// pre-size dense per-actor accumulators at spawn time, off the per-message
+// hook path.
 type spawnGrower interface {
 	OnSpawn(srv cluster.MachineID, a Ref)
 }
 
 // SetProfiler attaches (or detaches, with nil) the profiling hook. A hook
 // implementing spawnGrower is told about every already-live actor so its
-// dense accumulators are sized before any shard window runs.
+// dense accumulators are sized before the first message.
 func (rt *Runtime) SetProfiler(p ProfilerHook) {
 	rt.profiler = p
 	if g, ok := p.(spawnGrower); ok {
@@ -671,8 +628,8 @@ const (
 
 // flight is one message, delayed send or reply in transit between two
 // machines: the state of the kernel event that carries it. Flights are
-// recycled through the runtime's striped free lists, and fire — the
-// callback handed to Env.Schedule — is built once per struct, so a message
+// recycled through the runtime's free list, and fire — the callback
+// handed to Kernel.AfterHomed — is built once per struct, so a message
 // hop allocates nothing in steady state. A reply flight carries its
 // argument and size in msg.Arg and msg.Size and its route in msg.reply.
 type flight struct {
@@ -684,34 +641,32 @@ type flight struct {
 	next      *flight
 }
 
-// launch schedules a flight from machine from to machine dst, d from now. It
-// runs in the global phase or on from's shard.
+// launch schedules a flight from machine from to machine dst, d from now,
+// keyed by the sending machine.
 func (rt *Runtime) launch(kind flightKind, from, dst cluster.MachineID, d sim.Duration, msg *Message, to Ref) {
-	st := rt.stripeOf(from)
-	f := st.flights
+	f := rt.flights
 	if f != nil {
-		st.flights = f.next
+		rt.flights = f.next
 		f.next = nil
 	} else {
 		f = &flight{}
 		f.fire = func() { rt.arrive(f) }
 	}
 	f.kind, f.from, f.dst, f.msg, f.to = kind, from, dst, *msg, to
-	rt.envOf(from).Schedule(int32(dst), d, f.fire)
+	rt.K.AfterHomed(int32(from), d, f.fire)
 }
 
-// arrive is a flight's kernel event, on dst's shard. The struct goes back to
-// the free list first — the event that fired was its only pending reference,
-// and whatever the arrival sends next can reuse it at once.
+// arrive is a flight's kernel event. The struct goes back to the free list
+// first — the event that fired was its only pending reference, and whatever
+// the arrival sends next can reuse it at once.
 func (rt *Runtime) arrive(f *flight) {
 	kind, from, dst, msg, to := f.kind, f.from, f.dst, f.msg, f.to
 	if kind == flightFree {
 		panic("actor: a recycled flight fired")
 	}
 	f.kind, f.msg = flightFree, Message{}
-	st := rt.stripeOf(dst)
-	f.next = st.flights
-	st.flights = f
+	f.next = rt.flights
+	rt.flights = f
 
 	if kind == flightDelay {
 		rt.send(dst, &msg, to)
@@ -722,7 +677,7 @@ func (rt *Runtime) arrive(f *flight) {
 	}
 	if kind == flightReply {
 		if rp := msg.reply; rp.done != nil {
-			rp.done(sim.Duration(rt.envOf(dst).Now()-rp.start), msg.Arg)
+			rp.done(sim.Duration(rt.K.Now()-rp.start), msg.Arg)
 		}
 		return
 	}
@@ -739,10 +694,9 @@ func (rt *Runtime) arrive(f *flight) {
 }
 
 // send routes a message to an actor, resolving its location at delivery
-// time; messages chase migrated actors with an extra forwarding hop. It
-// runs either in the global phase or on fromSrv's shard; the delivery
-// itself is scheduled onto the destination's shard, which is where the
-// receive side of the network accounting happens too.
+// time; messages chase migrated actors with an extra forwarding hop. The
+// send side of the network accounting happens here, the receive side when
+// the flight arrives.
 func (rt *Runtime) send(fromSrv cluster.MachineID, msg *Message, to Ref) {
 	inst := rt.actors[to.ID]
 	if inst == nil {
@@ -756,20 +710,13 @@ func (rt *Runtime) send(fromSrv cluster.MachineID, msg *Message, to Ref) {
 	rt.launch(flightMsg, fromSrv, dstSrv, lat, msg, to)
 }
 
-// deliver runs on inst's shard (or the global phase on an unsharded
-// kernel); the shed trace record is deferred so the shared tracer is only
-// touched at the window barrier, in deterministic merge order.
+// deliver queues a message that reached its actor's machine, or sheds it
+// when the bounded mailbox is full.
 func (rt *Runtime) deliver(inst *instance, msg *Message) {
 	if rt.MailboxCap > 0 && inst.queued() >= rt.MailboxCap {
-		srv := inst.srv
-		rt.stripeOf(srv).shed++
-		if rt.tr != nil {
-			id, method := inst.id, msg.Method
-			rt.envOf(srv).Defer(func() {
-				rt.tr.Emit(trace.Record{Kind: trace.KindShed, Server: int32(srv), Target: -1,
-					Actor: uint64(id), Rule: -1, Value: float64(rt.MailboxCap), Detail: method})
-			})
-		}
+		rt.shed++
+		rt.tr.Emit(trace.Record{Kind: trace.KindShed, Server: int32(inst.srv), Target: -1,
+			Actor: uint64(inst.id), Rule: -1, Value: float64(rt.MailboxCap), Detail: msg.Method})
 		return
 	}
 	inst.enqueue(msg)
@@ -804,18 +751,11 @@ func (inst *instance) dequeue(msg *Message) {
 }
 
 // ShedRequests reports deliveries dropped at full bounded mailboxes.
-func (rt *Runtime) ShedRequests() int64 {
-	var n int64
-	for i := range rt.stripes {
-		n += rt.stripes[i].shed
-	}
-	return n
-}
+func (rt *Runtime) ShedRequests() int64 { return rt.shed }
 
 // pump dispatches the next mailbox message if the actor is free and its
 // machine is in service (a crashed machine processes nothing; queued mail
-// drains after recovery). pump runs on the actor's shard (from deliveries
-// and Exec completions) as well as in the global phase.
+// drains after recovery).
 func (rt *Runtime) pump(inst *instance) {
 	if inst.busy || inst.migrating || inst.dead {
 		return
@@ -825,21 +765,20 @@ func (rt *Runtime) pump(inst *instance) {
 		return
 	}
 	if inst.pendingDst >= 0 {
-		// Migration bookkeeping (inflight table, tracer, counters) is
-		// global state, but pump may be running on the actor's shard:
-		// escalate to the global phase instead of starting it here. The
-		// actor stays parked (pump dispatches nothing while a move is
-		// pending), so at most one escalation is ever queued.
+		// The pending migration begins as its own event, after the
+		// handler that called pump returns. The actor stays parked (pump
+		// dispatches nothing while a move is pending), so at most one
+		// such event is ever queued.
 		if !inst.beginQueued {
 			inst.beginQueued = true
-			rt.envOf(inst.srv).Schedule(sim.GlobalHome, 0, func() {
+			rt.K.AfterHomed(int32(inst.srv), 0, func() {
 				inst.beginQueued = false
 				if inst.pendingDst >= 0 && !inst.busy && !inst.migrating {
 					rt.beginMigration(inst)
 					return
 				}
-				// The request was withdrawn while the escalation was in
-				// flight (destination died, actor stopped): resume mail.
+				// The request was withdrawn while the event was queued
+				// (destination died, actor stopped): resume mail.
 				rt.pump(inst)
 			})
 		}
@@ -850,10 +789,9 @@ func (rt *Runtime) pump(inst *instance) {
 	}
 	inst.busy = true
 
-	st := rt.stripeOf(inst.srv)
-	ctx := st.contexts
+	ctx := rt.contexts
 	if ctx != nil {
-		st.contexts = ctx.next
+		rt.contexts = ctx.next
 		ctx.next = nil
 	} else {
 		ctx = &Context{rt: rt}
@@ -889,9 +827,8 @@ func (rt *Runtime) finish(ctx *Context) {
 	}
 	ctx.commit()
 	ctx.inst, ctx.msg, ctx.cpu = nil, Message{}, 0
-	st := rt.stripeOf(srv)
-	ctx.next = st.contexts
-	st.contexts = ctx
+	ctx.next = rt.contexts
+	rt.contexts = ctx
 
 	inst.busy = false
 	rt.pump(inst)
@@ -931,19 +868,17 @@ func (rt *Runtime) MigrateTraced(ref Ref, dst cluster.MachineID, parent uint64, 
 	}
 }
 
-// beginMigration starts a pending migration. It runs only in the global
-// phase (directly from MigrateTraced, or via pump's escalation event).
+// beginMigration starts a pending migration, directly from MigrateTraced
+// or from the event pump queued.
 //
 // Serialize on the source, transfer, deserialize on the destination, then
 // resume message processing there. Every asynchronous step revalidates the
 // migration: a crash of either endpoint (or a Stop, or a crash-recovery
 // re-home) aborts it via the epoch guard, and the actor either resumes on
 // its source with its buffered mail intact or awaits RecoverMachine —
-// never a permanently stuck `migrating` flag. The serialize/deserialize
-// Execs occupy the machines on their own shards; their completions
-// escalate back to the global phase (floored to the kernel lookahead on a
-// sharded kernel) because every inter-step decision reads and writes
-// global migration state.
+// never a permanently stuck `migrating` flag. Each serialize/deserialize
+// Exec completion runs the next step as its own event, after the
+// completion handler returns.
 func (rt *Runtime) beginMigration(inst *instance) {
 	dst := inst.pendingDst
 	onDone := inst.pendingFn
@@ -970,12 +905,12 @@ func (rt *Runtime) beginMigration(inst *instance) {
 	serCost := sim.Duration(stateMB * float64(rt.SerializePerMB))
 
 	rt.C.Machine(src).Exec(serCost, func() {
-		rt.envOf(src).Schedule(sim.GlobalHome, 0, func() { rt.migTransfer(mig, serCost) })
+		rt.K.AfterHomed(int32(src), 0, func() { rt.migTransfer(mig, serCost) })
 	})
 }
 
 // migTransfer is the post-serialize step: charge the state transfer to
-// both NICs and schedule the arrival. Global phase.
+// both NICs and schedule the arrival.
 //
 // With XferPipeline set, the transfer first waits for earlier state
 // streams into the same destination NIC to drain: the wire time itself is
@@ -1019,13 +954,13 @@ func (rt *Runtime) migTransfer(mig *migration, serCost sim.Duration) {
 			return
 		}
 		rt.C.Machine(dst).Exec(serCost, func() {
-			rt.envOf(dst).Schedule(sim.GlobalHome, 0, func() { rt.migCommit(mig) })
+			rt.K.AfterHomed(int32(dst), 0, func() { rt.migCommit(mig) })
 		})
 	})
 }
 
 // migCommit is the post-deserialize step: re-home the actor and resume it
-// on the destination. Global phase.
+// on the destination.
 func (rt *Runtime) migCommit(mig *migration) {
 	if !rt.migValid(mig) {
 		return
@@ -1090,9 +1025,8 @@ type effect struct {
 // Self returns the receiving actor's ref.
 func (c *Context) Self() Ref { return Ref{ID: c.inst.id} }
 
-// Now returns the current virtual time, read from the hosting machine's
-// scheduling context (handlers run on the machine's shard).
-func (c *Context) Now() sim.Time { return c.rt.envOf(c.inst.srv).Now() }
+// Now returns the current virtual time.
+func (c *Context) Now() sim.Time { return c.rt.K.Now() }
 
 // Runtime exposes the hosting runtime (for spawning from handlers).
 func (c *Context) Runtime() *Runtime { return c.rt }
@@ -1167,8 +1101,8 @@ func (c *Context) commit() {
 		case flightMsg:
 			rt.send(srv, &e.msg, e.to)
 		case flightDelay:
-			// The delay elapses on the sending machine (same-home, so no
-			// lookahead floor applies), then the send routes normally.
+			// The delay elapses on the sending machine, then the send
+			// routes normally.
 			rt.launch(flightDelay, srv, srv, e.delay, &e.msg, e.to)
 		case flightReply:
 			origin := e.msg.reply.originSrv
@@ -1196,9 +1130,7 @@ func NewClient(rt *Runtime, site cluster.MachineID) *Client {
 }
 
 // Request sends a message and invokes done with the end-to-end latency when
-// the (possibly multi-hop) reply arrives. Request itself is a global-phase
-// API; on a sharded kernel the done callback runs on the client site's
-// shard, so it must only touch state owned by that site.
+// the (possibly multi-hop) reply arrives at the client's site.
 func (cl *Client) Request(to Ref, method string, arg interface{}, size int64, done func(lat sim.Duration, reply interface{})) {
 	msg := Message{
 		Method: method, Arg: arg, Size: size, SenderType: ClientCaller,

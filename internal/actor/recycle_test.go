@@ -24,24 +24,22 @@ func checkFreeLists(t *testing.T, rt *Runtime) (flights, contexts int) {
 	t.Helper()
 	seenF := map[*flight]bool{}
 	seenC := map[*Context]bool{}
-	for i := range rt.stripes {
-		for f := rt.stripes[i].flights; f != nil; f = f.next {
-			if seenF[f] {
-				t.Fatalf("flight %p is on a free list twice", f)
-			}
-			seenF[f] = true
-			if f.kind != flightFree || !reflect.DeepEqual(f.msg, Message{}) {
-				t.Fatalf("free flight not poisoned: kind %d msg %+v", f.kind, f.msg)
-			}
+	for f := rt.flights; f != nil; f = f.next {
+		if seenF[f] {
+			t.Fatalf("flight %p is on a free list twice", f)
 		}
-		for c := rt.stripes[i].contexts; c != nil; c = c.next {
-			if seenC[c] {
-				t.Fatalf("Context %p is on a free list twice", c)
-			}
-			seenC[c] = true
-			if c.inst != nil || c.cpu != 0 || len(c.effects) != 0 || !reflect.DeepEqual(c.msg, Message{}) {
-				t.Fatalf("free Context not poisoned: %+v", c)
-			}
+		seenF[f] = true
+		if f.kind != flightFree || !reflect.DeepEqual(f.msg, Message{}) {
+			t.Fatalf("free flight not poisoned: kind %d msg %+v", f.kind, f.msg)
+		}
+	}
+	for c := rt.contexts; c != nil; c = c.next {
+		if seenC[c] {
+			t.Fatalf("Context %p is on a free list twice", c)
+		}
+		seenC[c] = true
+		if c.inst != nil || c.cpu != 0 || len(c.effects) != 0 || !reflect.DeepEqual(c.msg, Message{}) {
+			t.Fatalf("free Context not poisoned: %+v", c)
 		}
 	}
 	return len(seenF), len(seenC)
@@ -383,11 +381,10 @@ func TestPoisonedStructsPanic(t *testing.T) {
 	k.Run(sim.Time(sim.Millisecond))
 	rt.Stop(ref)
 	k.RunUntilIdle()
-	st := &rt.stripes[0]
-	if st.flights == nil || st.contexts == nil {
+	if rt.flights == nil || rt.contexts == nil {
 		t.Fatal("fixture recycled nothing")
 	}
-	for name, fire := range map[string]func(){"flight": st.flights.fire, "context": st.contexts.done} {
+	for name, fire := range map[string]func(){"flight": rt.flights.fire, "context": rt.contexts.done} {
 		func() {
 			defer func() {
 				if recover() == nil {

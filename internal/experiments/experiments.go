@@ -110,13 +110,6 @@ type Config struct {
 	Full bool
 	Seed int64
 
-	// Shards is the simulation-kernel shard count for experiments that
-	// support intra-run parallelism (the scale family). 0 or 1 runs the
-	// sequential reference kernel; N>1 partitions the event queue across N
-	// worker shards. Results are byte-identical either way — sharding is
-	// purely a wall-clock optimization (see internal/sim).
-	Shards int
-
 	// Trace, when non-nil, receives the structured decision trace of every
 	// EMR the experiment builds (see internal/trace). Experiments that run
 	// several kernels sequentially re-point its clock at each new kernel,
@@ -134,13 +127,6 @@ func (c Config) seed() int64 {
 		return 1
 	}
 	return c.Seed
-}
-
-func (c Config) shards() int {
-	if c.Shards > 1 {
-		return c.Shards
-	}
-	return 1
 }
 
 // kernel builds the experiment's simulation kernel from the configured
@@ -252,12 +238,6 @@ var Registry = map[string]func(Config) *Result{
 	// fleet sizes the testbed could not reach; see EXPERIMENTS.md).
 	"scale":      Scale,
 	"scale_snap": ScaleSnap,
-
-	// Sharded-kernel twins: the same fleet run on 4 kernel shards and on
-	// the sequential reference. Their reports must be byte-identical; the
-	// events/sec ratio between them is plasma-bench's speedup gate.
-	"scale_shard":  ScaleShard,
-	"scale_shard1": ScaleShard1,
 
 	// Burst/failure robustness family: provisioning spectrum vs flash
 	// crowds, diurnal waves, correlated region failover, and a flash crowd

@@ -177,7 +177,7 @@ func TestRenderIncludesHeaderAndSummary(t *testing.T) {
 
 func TestIDsComplete(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 28 {
-		t.Fatalf("registered experiments = %d, want 28 (every table and figure, chaos, the scale family with its shard twins, and the burst, stream, and batched-planner families)", len(ids))
+	if len(ids) != 26 {
+		t.Fatalf("registered experiments = %d, want 26 (every table and figure, chaos, and the scale, burst, stream, and batched-planner families)", len(ids))
 	}
 }

@@ -1,68 +1,16 @@
 // Package metrics provides the small statistical building blocks used by
-// PLASMA's profiling runtime and by the experiment harnesses: counters,
-// windowed rates, exponentially weighted moving averages, and histograms
-// with percentile queries.
+// PLASMA's experiment harnesses: histograms with percentile queries,
+// time series, and SLO and recovery trackers.
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
 
-// Counter is a monotonically increasing count with a byte total, used for
-// message statistics (count and size per Fig. 3's stat category).
-type Counter struct {
-	N     int64
-	Bytes int64
-}
-
-// Add records one observation of size bytes.
-func (c *Counter) Add(bytes int64) {
-	c.N++
-	c.Bytes += bytes
-}
-
-// Merge folds other into c.
-func (c *Counter) Merge(other Counter) {
-	c.N += other.N
-	c.Bytes += other.Bytes
-}
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { *c = Counter{} }
-
-// EWMA is an exponentially weighted moving average.
-type EWMA struct {
-	alpha float64
-	v     float64
-	init  bool
-}
-
-// NewEWMA returns an EWMA with smoothing factor alpha in (0, 1].
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic(fmt.Sprintf("metrics: EWMA alpha %v out of (0,1]", alpha))
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Observe folds x into the average.
-func (e *EWMA) Observe(x float64) {
-	if !e.init {
-		e.v, e.init = x, true
-		return
-	}
-	e.v = e.alpha*x + (1-e.alpha)*e.v
-}
-
-// Value returns the current average (0 before any observation).
-func (e *EWMA) Value() float64 { return e.v }
-
 // Histogram collects float64 samples for percentile queries. It is not
 // bucketed: experiment sample counts are small enough that exact percentiles
-// are affordable and simpler to reason about; FixedHistogram is the
-// constant-memory variant for high-volume series.
+// are affordable and simpler to reason about.
 //
 // Sorted state is maintained lazily and incrementally: queries sort only
 // the samples appended since the last query and merge them into the sorted

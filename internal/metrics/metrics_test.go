@@ -7,46 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestCounterAddMerge(t *testing.T) {
-	var a, b Counter
-	a.Add(10)
-	a.Add(20)
-	b.Add(5)
-	a.Merge(b)
-	if a.N != 3 || a.Bytes != 35 {
-		t.Fatalf("got N=%d Bytes=%d, want 3, 35", a.N, a.Bytes)
-	}
-	a.Reset()
-	if a.N != 0 || a.Bytes != 0 {
-		t.Fatalf("reset failed: %+v", a)
-	}
-}
-
-func TestEWMAFirstObservationSeeds(t *testing.T) {
-	e := NewEWMA(0.5)
-	e.Observe(10)
-	if e.Value() != 10 {
-		t.Fatalf("value after first observe = %v, want 10", e.Value())
-	}
-	e.Observe(20)
-	if e.Value() != 15 {
-		t.Fatalf("value = %v, want 15", e.Value())
-	}
-}
-
-func TestEWMABadAlphaPanics(t *testing.T) {
-	for _, alpha := range []float64{0, -1, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewEWMA(%v) did not panic", alpha)
-				}
-			}()
-			NewEWMA(alpha)
-		}()
-	}
-}
-
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
 	if h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {

@@ -1,6 +1,11 @@
 package sim
 
 import (
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"os"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -360,5 +365,199 @@ func TestPropertyAllEventsFire(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSameInstantContract pins the (at, depth, home, cnt) contract end to
+// end: at one instant, global events fire first in scheduling order, then
+// homes in ascending id order, each home in its own scheduling order.
+func TestSameInstantContract(t *testing.T) {
+	k := New(7)
+	var log []string
+	mark := func(tag string) func() { return func() { log = append(log, tag) } }
+	const at = 100
+	// Scheduled deliberately out of key order.
+	k.AfterHomed(2, at, mark("h2-a"))
+	k.At(at, mark("g-a"))
+	k.AfterHomed(0, at, mark("h0-a"))
+	k.AfterHomed(2, at, mark("h2-b"))
+	k.At(at, mark("g-b"))
+	k.AfterHomed(0, at, mark("h0-b"))
+	k.RunUntilIdle()
+	want := []string{"g-a", "g-b", "h0-a", "h0-b", "h2-a", "h2-b"}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("same-instant order = %v, want %v", log, want)
+	}
+}
+
+// homedRun is one seeded homed workload's outcome: a per-home event log,
+// one global log, the fired count and the final clock.
+type homedRun struct {
+	Seed    int64      `json:"seed"`
+	PerHome [][]string `json:"per_home"`
+	Global  []string   `json:"global"`
+	Fired   uint64     `json:"fired"`
+	Now     Time       `json:"now"`
+}
+
+// runHomedWorkload drives a seeded workload of homed events: each logs to
+// its home and to the global log, then spawns a same-home follow-up, a
+// zero-delay hop to the next home and, at even depths, a second global
+// record one span later.
+func runHomedWorkload(seed int64, homes, kicks int) homedRun {
+	rng := rand.New(rand.NewSource(seed))
+	type kick struct {
+		at    Time
+		home  int32
+		depth int
+		span  Duration
+	}
+	plan := make([]kick, kicks)
+	for i := range plan {
+		plan[i] = kick{
+			at:    Time(rng.Intn(2000)) * Time(Microsecond),
+			home:  int32(rng.Intn(homes)),
+			depth: 2 + rng.Intn(3),
+			span:  Duration(rng.Intn(50)) * Microsecond,
+		}
+	}
+
+	k := New(seed)
+	run := homedRun{Seed: seed, PerHome: make([][]string, homes)}
+	var hop func(home int32, depth int, span Duration, tag string)
+	hop = func(home int32, depth int, span Duration, tag string) {
+		run.PerHome[home] = append(run.PerHome[home], fmt.Sprintf("%s@%d", tag, k.Now()))
+		run.Global = append(run.Global, fmt.Sprintf("%s:h%d@%d", tag, home, k.Now()))
+		if depth == 0 {
+			return
+		}
+		k.AfterHomed(home, span, func() { hop(home, depth-1, span, tag+"s") })
+		next := (home + 1) % int32(homes)
+		k.AfterHomed(home, 0, func() { hop(next, depth-1, span, tag+"x") })
+		if depth%2 == 0 {
+			k.AfterHomed(home, span, func() {
+				run.Global = append(run.Global, fmt.Sprintf("%s:g@%d", tag, k.Now()))
+			})
+		}
+	}
+	for i, p := range plan {
+		p := p
+		tag := fmt.Sprintf("k%d", i)
+		k.At(p.at, func() {
+			k.AfterHomed(p.home, 0, func() { hop(p.home, p.depth, p.span, tag) })
+		})
+	}
+	k.RunUntilIdle()
+	run.Fired = k.Stats().Fired
+	run.Now = k.Now()
+	return run
+}
+
+// TestHomedOrderGolden is the proof the order key did not move when the
+// sharded execution mode was deleted: testdata/homed_golden.json holds this
+// workload's logs as commit 1dfef8c produced them through Env.Schedule on
+// its sequential kernel (one shard, no lookahead), and AfterHomed must fire
+// the same events in the same order at the same instants.
+func TestHomedOrderGolden(t *testing.T) {
+	raw, err := os.ReadFile("testdata/homed_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden []homedRun
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	if len(golden) == 0 {
+		t.Fatal("golden file holds no runs")
+	}
+	for _, want := range golden {
+		got := runHomedWorkload(want.Seed, len(want.PerHome), 30)
+		if got.Fired != want.Fired || got.Now != want.Now {
+			t.Errorf("seed %d: fired %d at clock %d, golden fired %d at clock %d", want.Seed, got.Fired, got.Now, want.Fired, want.Now)
+		}
+		for h := range want.PerHome {
+			if !reflect.DeepEqual(got.PerHome[h], want.PerHome[h]) {
+				t.Errorf("seed %d: home %d log diverged from golden\ngot:  %v\nwant: %v", want.Seed, h, got.PerHome[h], want.PerHome[h])
+			}
+		}
+		if !reflect.DeepEqual(got.Global, want.Global) {
+			t.Errorf("seed %d: global log diverged from golden\ngot:  %v\nwant: %v", want.Seed, got.Global, want.Global)
+		}
+	}
+}
+
+// TestTimerResetSameInstantIsFreshScheduling pins the Reset contract: Reset
+// on a pending timer assigns a fresh counter, so a Reset to the current
+// instant fires after events already queued for that instant — the order a
+// Stop + new AfterFunc produces.
+func TestTimerResetSameInstantIsFreshScheduling(t *testing.T) {
+	viaReset := func() []string {
+		k := New(3)
+		var log []string
+		tm := k.AfterFunc(0, func() { log = append(log, "T") })
+		k.After(0, func() { log = append(log, "A") })
+		tm.Reset(0) // re-stamp: T must now fire after A and before B
+		k.After(0, func() { log = append(log, "B") })
+		k.RunUntilIdle()
+		return log
+	}
+	viaStopStart := func() []string {
+		k := New(3)
+		var log []string
+		tm := k.AfterFunc(0, func() { log = append(log, "T") })
+		k.After(0, func() { log = append(log, "A") })
+		tm.Stop()
+		k.AfterFunc(0, func() { log = append(log, "T") })
+		k.After(0, func() { log = append(log, "B") })
+		k.RunUntilIdle()
+		return log
+	}
+	want := []string{"A", "T", "B"}
+	if got := viaReset(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Reset-to-now order = %v, want %v (fresh scheduling)", got, want)
+	}
+	if got := viaStopStart(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Stop+AfterFunc order = %v, want %v", got, want)
+	}
+}
+
+// TestTimerResetDifferentialAgainstStopStart runs a randomized mix of
+// Reset-in-place and Stop+reschedule under same-instant contention and
+// checks both strategies produce the same fire order.
+func TestTimerResetDifferentialAgainstStopStart(t *testing.T) {
+	for trial := 0; trial < 40; trial++ {
+		seed := int64(500 + trial)
+		run := func(useReset bool) []string {
+			rng := rand.New(rand.NewSource(seed))
+			k := New(seed)
+			var log []string
+			type step struct {
+				d     Duration
+				plain bool
+			}
+			steps := make([]step, 30)
+			for i := range steps {
+				steps[i] = step{d: Duration(rng.Intn(3)), plain: rng.Intn(2) == 0}
+			}
+			tm := k.AfterFunc(1, func() { log = append(log, "tick") })
+			for i, s := range steps {
+				i := i
+				if s.plain {
+					k.After(s.d, func() { log = append(log, fmt.Sprintf("p%d", i)) })
+					continue
+				}
+				if useReset {
+					tm.Reset(s.d)
+				} else {
+					tm.Stop()
+					tm = k.AfterFunc(s.d, func() { log = append(log, "tick") })
+				}
+			}
+			k.RunUntilIdle()
+			return log
+		}
+		if a, b := run(true), run(false); !reflect.DeepEqual(a, b) {
+			t.Fatalf("seed %d: Reset order %v != Stop+AfterFunc order %v", seed, a, b)
+		}
 	}
 }
