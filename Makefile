@@ -1,14 +1,10 @@
 GO ?= go
 
-# Perf-gate knobs: the checked-in baseline to compare against, and the
-# relative slowdown allowed before bench-quick fails. The wall-time
-# tolerance is deliberately wide (shared/virtualized runners jitter by tens
-# of percent); the gate's load-bearing checks — allocation counts and
-# bit-exact event/summary determinism at fixed seed — are timing-immune,
-# and a real hot-path regression (e.g. reintroducing per-event boxing)
-# multiplies allocs/op far past any tolerance.
+# The checked-in baseline bench-quick compares against. The gate's checks
+# — missing ids, allocation counts, bit-exact event/summary determinism at
+# fixed seed — are timing-immune; wall time is printed, not gated (host-time
+# claims are benchmark/'s job).
 BENCH_BASELINE ?= BENCH_2026-08-08.json
-BENCH_TOLERANCE ?= 0.60
 
 # Coverage gate: `make cover` fails when total statement coverage drops
 # below the floor. Measured 84.4% when the floor was set; the slack keeps
@@ -20,7 +16,7 @@ COVER_PROFILE ?= coverage.out
 # Scratch dir for the trace round-trip smoke test.
 TRACE_SMOKE_DIR ?= .trace-smoke
 
-.PHONY: build test vet race bench bench-test bench-quick bench-baseline burst-quick stream-quick plan-quick lint lint-model cover trace-smoke loc verify
+.PHONY: build test vet race bench bench-test bench-quick bench-baseline scale-quick burst-quick stream-quick plan-quick lint lint-model cover trace-smoke loc verify
 
 build:
 	$(GO) build ./...
@@ -43,15 +39,22 @@ bench-test:
 	cd benchmark && $(GO) test ./...
 
 # bench-quick measures the quick-scale evaluation sweep and fails on
-# regression against the checked-in baseline: slowdown/alloc growth past
-# BENCH_TOLERANCE, or any determinism drift at fixed seed.
+# regression against the checked-in baseline: a missing id, alloc growth
+# past plasma-bench's allocTolerance, or any determinism drift at fixed seed.
 bench-quick:
-	$(GO) run ./cmd/plasma-bench -compare $(BENCH_BASELINE) -tolerance $(BENCH_TOLERANCE)
+	$(GO) run ./cmd/plasma-bench -compare $(BENCH_BASELINE)
 
 # bench-baseline regenerates the checked-in baseline (run on a quiet
 # machine; commit the refreshed JSON alongside the change justifying it).
 bench-baseline:
 	$(GO) run ./cmd/plasma-bench -json -o $(BENCH_BASELINE)
+
+# scale-quick runs the beyond-the-paper scalability family end to end
+# (parallel multi-seed runner included) at quick sizes, with the slow 100k
+# smoke test skipped via -short.
+scale-quick:
+	$(GO) run ./cmd/plasma-sim scale scale_snap
+	$(GO) test -short -run 'TestScale' ./internal/experiments/
 
 # burst-quick runs the burst/failure robustness family at quick sizes: the
 # flash-crowd sweep across the provisioning spectrum, the chaos-composed

@@ -10,13 +10,14 @@
 // allocations, simulated-event throughput, and peak event-queue depth per
 // experiment id, written as a BENCH_<date>.json perf baseline. -compare
 // checks the fresh measurement against a previous baseline and exits
-// non-zero on regression (>10% by default), so `make verify` fails when a
-// change slows the hot path:
+// non-zero on what this VM can measure reliably: a baseline id no longer
+// run, fixed-seed drift in events fired or a summary value, or allocs/op
+// growth past allocTolerance. Wall time is printed, not gated — host-time
+// claims belong to benchmark/, which corrects for the VM's speed drift:
 //
 //	plasma-bench -json                      # write BENCH_<date>.json
 //	plasma-bench -json -o BENCH_ci.json     # explicit output path
 //	plasma-bench -compare BENCH_base.json   # measure, diff, gate
-//	plasma-bench -compare BENCH_base.json -tolerance 0.25
 //	plasma-bench -json -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // The JSON schema is documented in EXPERIMENTS.md ("Perf baselines").
@@ -77,7 +78,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "benchmark the sweep and write a BENCH_<date>.json baseline")
 	outPath := flag.String("o", "", "output path for -json (default BENCH_<date>.json)")
 	comparePath := flag.String("compare", "", "benchmark the sweep and diff against this baseline; exit 1 on regression")
-	tolerance := flag.Float64("tolerance", 0.10, "relative slowdown tolerated by -compare before failing")
 	iters := flag.Int("iters", 3, "iterations per experiment in bench mode (min wall time wins)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the bench sweep to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the bench sweep to this file")
@@ -85,7 +85,7 @@ func main() {
 
 	cfg := experiments.Config{Full: *full, Seed: *seed}
 	if *jsonOut || *comparePath != "" {
-		os.Exit(benchMain(cfg, *iters, *outPath, *comparePath, *tolerance, *cpuProfile, *memProfile))
+		os.Exit(benchMain(cfg, *iters, *outPath, *comparePath, *cpuProfile, *memProfile))
 	}
 	reportMain(cfg)
 }
@@ -119,7 +119,7 @@ func reportMain(cfg experiments.Config) {
 	}
 }
 
-func benchMain(cfg experiments.Config, iters int, outPath, comparePath string, tolerance float64, cpuProfile, memProfile string) int {
+func benchMain(cfg experiments.Config, iters int, outPath, comparePath, cpuProfile, memProfile string) int {
 	if iters < 1 {
 		iters = 1
 	}
@@ -164,7 +164,7 @@ func benchMain(cfg experiments.Config, iters int, outPath, comparePath string, t
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		regressions, notes := compareBench(old, bf, tolerance)
+		regressions, notes := compareBench(old, bf)
 		for _, n := range notes {
 			fmt.Printf("note: %s\n", n)
 		}
@@ -176,12 +176,11 @@ func benchMain(cfg experiments.Config, iters int, outPath, comparePath string, t
 			// names each offending experiment once, so a CI log scan (or a
 			// human skimming the tail) sees the full blast radius without
 			// counting REGRESSION lines.
-			fmt.Printf("%d regression(s) vs %s (tolerance %.0f%%); experiments: %s\n",
-				len(regressions), comparePath, tolerance*100,
-				strings.Join(regressedIDs(regressions), " "))
+			fmt.Printf("%d regression(s) vs %s; experiments: %s\n",
+				len(regressions), comparePath, strings.Join(regressedIDs(regressions), " "))
 			exit = 1
 		} else {
-			fmt.Printf("no regressions vs %s (tolerance %.0f%%)\n", comparePath, tolerance*100)
+			fmt.Printf("no regressions vs %s\n", comparePath)
 		}
 	}
 	if flagPassed("json") {
@@ -350,13 +349,19 @@ func readBenchFile(path string) (BenchFile, error) {
 	return bf, nil
 }
 
+// allocTolerance is the allocs/op growth -compare allows. Allocation counts
+// barely jitter, and a real hot-path regression (per-event boxing back on
+// the message path) multiplies them far past this.
+const allocTolerance = 0.60
+
 // compareBench diffs a fresh measurement against a baseline. A regression
-// is a >tolerance slowdown in wall time or allocation count, or — when
-// mode and seed match — any summary or event-count drift at all, which
-// means determinism broke (same seed must reproduce the same run).
-func compareBench(old, fresh BenchFile, tolerance float64) (regressions, notes []string) {
+// is a baseline id no longer measured, allocs/op growth past
+// allocTolerance, or — when mode and seed match — any summary or
+// event-count drift at all, which means determinism broke (same seed must
+// reproduce the same run). ns/op is not compared.
+func compareBench(old, fresh BenchFile) (regressions, notes []string) {
 	if old.Mode != fresh.Mode {
-		notes = append(notes, fmt.Sprintf("baseline mode %q differs from measured mode %q; timing comparison skipped", old.Mode, fresh.Mode))
+		notes = append(notes, fmt.Sprintf("baseline mode %q differs from measured mode %q; comparison skipped", old.Mode, fresh.Mode))
 		return nil, notes
 	}
 	sameRun := old.Seed == fresh.Seed
@@ -372,11 +377,7 @@ func compareBench(old, fresh BenchFile, tolerance float64) (regressions, notes [
 			regressions = append(regressions, fmt.Sprintf("%s: present in baseline but not measured (experiment removed or renamed?)", o.ID))
 			continue
 		}
-		if o.NsPerOp > 0 && float64(n.NsPerOp) > float64(o.NsPerOp)*(1+tolerance) {
-			regressions = append(regressions, fmt.Sprintf("%s: ns/op %d -> %d (%+.1f%%)",
-				o.ID, o.NsPerOp, n.NsPerOp, pctChange(float64(o.NsPerOp), float64(n.NsPerOp))))
-		}
-		if o.AllocsPerOp > 0 && float64(n.AllocsPerOp) > float64(o.AllocsPerOp)*(1+tolerance) {
+		if o.AllocsPerOp > 0 && float64(n.AllocsPerOp) > float64(o.AllocsPerOp)*(1+allocTolerance) {
 			regressions = append(regressions, fmt.Sprintf("%s: allocs/op %d -> %d (%+.1f%%)",
 				o.ID, o.AllocsPerOp, n.AllocsPerOp, pctChange(float64(o.AllocsPerOp), float64(n.AllocsPerOp))))
 		}

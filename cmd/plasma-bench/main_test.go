@@ -37,24 +37,23 @@ func withNs(bf BenchFile, id string, scale float64) BenchFile {
 	return out
 }
 
-func TestCompareDetectsInjectedSlowdown(t *testing.T) {
+// Wall time is reported, never gated: the VM drifts 10-25% run to run, so
+// even a 10x slowdown (or speedup) is not a -compare finding.
+func TestCompareDoesNotGateWallTime(t *testing.T) {
 	old := baselineFile()
-	// 15% slowdown on fig5 must trip the default 10% gate.
-	fresh := withNs(old, "fig5", 1.15)
-	regs, _ := compareBench(old, fresh, 0.10)
-	if len(regs) != 1 {
-		t.Fatalf("want exactly 1 regression, got %d: %v", len(regs), regs)
-	}
-	if !strings.Contains(regs[0], "fig5") || !strings.Contains(regs[0], "ns/op") {
-		t.Fatalf("regression should name fig5 ns/op, got %q", regs[0])
+	fresh := withNs(withNs(old, "fig5", 10), "table3", 0.1)
+	if regs, _ := compareBench(old, fresh); len(regs) != 0 {
+		t.Fatalf("ns/op must not gate, got %v", regs)
 	}
 }
 
 func TestCompareWithinToleranceOK(t *testing.T) {
 	old := baselineFile()
-	// 8% slowdown stays under the 10% gate; speedups never flag.
-	fresh := withNs(withNs(old, "fig5", 1.08), "table3", 0.5)
-	if regs, _ := compareBench(old, fresh, 0.10); len(regs) != 0 {
+	// +50% allocs stays under allocTolerance; fewer allocs never flag.
+	fresh := baselineFile()
+	fresh.Experiments[0].AllocsPerOp = old.Experiments[0].AllocsPerOp * 3 / 2
+	fresh.Experiments[1].AllocsPerOp /= 2
+	if regs, _ := compareBench(old, fresh); len(regs) != 0 {
 		t.Fatalf("want no regressions, got %v", regs)
 	}
 }
@@ -63,9 +62,9 @@ func TestCompareDetectsAllocRegression(t *testing.T) {
 	old := baselineFile()
 	fresh := baselineFile()
 	fresh.Experiments[1].AllocsPerOp *= 2
-	regs, _ := compareBench(old, fresh, 0.10)
-	if len(regs) != 1 || !strings.Contains(regs[0], "allocs/op") {
-		t.Fatalf("want one allocs/op regression, got %v", regs)
+	regs, _ := compareBench(old, fresh)
+	if len(regs) != 1 || !strings.Contains(regs[0], "table3") || !strings.Contains(regs[0], "allocs/op") {
+		t.Fatalf("want one table3 allocs/op regression, got %v", regs)
 	}
 }
 
@@ -74,7 +73,7 @@ func TestCompareDetectsDeterminismDrift(t *testing.T) {
 	fresh := baselineFile()
 	fresh.Experiments[0].Events++
 	fresh.Experiments[1].Summary["speedup"] = 3.2
-	regs, _ := compareBench(old, fresh, 0.10)
+	regs, _ := compareBench(old, fresh)
 	if len(regs) != 2 {
 		t.Fatalf("want 2 drift regressions, got %v", regs)
 	}
@@ -90,7 +89,7 @@ func TestCompareDifferentSeedSkipsDriftCheck(t *testing.T) {
 	fresh := baselineFile()
 	fresh.Seed = 2
 	fresh.Experiments[0].Summary["p99_ms"] = 99
-	if regs, _ := compareBench(old, fresh, 0.10); len(regs) != 0 {
+	if regs, _ := compareBench(old, fresh); len(regs) != 0 {
 		t.Fatalf("different seeds must not drift-check, got %v", regs)
 	}
 }
@@ -100,7 +99,7 @@ func TestCompareModeMismatchSkips(t *testing.T) {
 	fresh := baselineFile()
 	fresh.Mode = "full"
 	fresh.Experiments[0].NsPerOp *= 10
-	regs, notes := compareBench(old, fresh, 0.10)
+	regs, notes := compareBench(old, fresh)
 	if len(regs) != 0 {
 		t.Fatalf("mode mismatch must not produce regressions, got %v", regs)
 	}
@@ -113,7 +112,7 @@ func TestCompareMissingBaselineIDFails(t *testing.T) {
 	old := baselineFile()
 	fresh := baselineFile()
 	fresh.Experiments[0].ID = "fig99"
-	regs, notes := compareBench(old, fresh, 0.10)
+	regs, notes := compareBench(old, fresh)
 	// A baseline id the run no longer measures is a regression (silent
 	// coverage loss), while a brand-new id is only worth a note.
 	if joined := strings.Join(regs, "\n"); !strings.Contains(joined, "fig5") || !strings.Contains(joined, "not measured") {
@@ -168,12 +167,14 @@ var zero float64
 
 func TestCompareReportsEveryRegressedID(t *testing.T) {
 	old := baselineFile()
-	// Slow down BOTH experiments: the gate must surface both, not stop at
+	// Regress BOTH experiments: the gate must surface both, not stop at
 	// the first, and the consolidated id list must name each exactly once.
-	fresh := withNs(withNs(old, "fig5", 1.5), "table3", 1.5)
-	regs, _ := compareBench(old, fresh, 0.10)
+	fresh := baselineFile()
+	fresh.Experiments[0].AllocsPerOp *= 2
+	fresh.Experiments[1].AllocsPerOp *= 2
+	regs, _ := compareBench(old, fresh)
 	if len(regs) != 2 {
-		t.Fatalf("want 2 regressions (one per slowed experiment), got %d: %v", len(regs), regs)
+		t.Fatalf("want 2 regressions (one per experiment), got %d: %v", len(regs), regs)
 	}
 	ids := regressedIDs(regs)
 	if len(ids) != 2 || ids[0] != "fig5" || ids[1] != "table3" {
@@ -183,7 +184,7 @@ func TestCompareReportsEveryRegressedID(t *testing.T) {
 
 func TestRegressedIDsDedupsAndSorts(t *testing.T) {
 	ids := regressedIDs([]string{
-		"zeta: ns/op 1 -> 2 (+100.0%)",
+		"zeta: allocs/op 1 -> 2 (+100.0%)",
 		"alpha: allocs/op 3 -> 9 (+200.0%)",
 		"zeta: determinism drift: events fired 1 -> 2 at fixed seed",
 	})

@@ -5,17 +5,15 @@
 //
 // Usage:
 //
-//	plasmac [-schema app.json] [-lint] [-model] [-json] [-Werror] policy.epl
+//	plasmac [-schema app.json] [-lint] [-json] [-Werror] policy.epl
 //	plasmac -e 'server.cpu.perc > 80 => balance({Worker}, cpu);'
 //
 // -lint runs the static-analysis passes (satisfiability, flapping,
 // shadowing, unused declarations) on top of the compiler's own conflict
-// detection. -model additionally runs the offline scaling-state model
-// checker (oscillation, overload dead states, unreachable rules, pool
-// dead ends, probabilistic //lint:assert bounds — EPL2xx). -json embeds
-// the per-rule diagnostics in the emitted JSON (instead of printing them
-// to stderr). -Werror exits nonzero when any diagnostic of warning
-// severity or above is produced.
+// detection; the offline scaling-state model checker (EPL2xx) is
+// plasma-lint -model. -json embeds the per-rule diagnostics in the emitted
+// JSON (instead of printing them to stderr). -Werror exits nonzero when any
+// diagnostic of warning severity or above is produced.
 //
 // The schema file declares actor classes:
 //
@@ -31,7 +29,6 @@ import (
 
 	"plasma/internal/epl"
 	"plasma/internal/lint"
-	"plasma/internal/lint/model"
 )
 
 type schemaFile struct {
@@ -63,7 +60,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	expr := fl.String("e", "", "inline policy source instead of a file")
 	schemaPath := fl.String("schema", "", "application schema JSON for checking")
 	doLint := fl.Bool("lint", false, "run the static-analysis passes in addition to conflict detection")
-	doModel := fl.Bool("model", false, "run the scaling-state model checker (EPL2xx)")
 	jsonDiags := fl.Bool("json", false, "embed diagnostics in the JSON output instead of printing to stderr")
 	werror := fl.Bool("Werror", false, "exit nonzero on diagnostics of warning severity or above")
 	if err := fl.Parse(args); err != nil {
@@ -126,9 +122,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *doLint {
 		diags = append(diags, lint.AnalyzePolicy(pol, schema)...)
-	}
-	if *doModel {
-		diags = append(diags, model.Diagnostics(model.Check(pol, schema))...)
 	}
 	lint.SortDiagnostics(diags)
 	if !*jsonDiags {

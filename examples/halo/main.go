@@ -12,28 +12,24 @@ import (
 	"plasma/internal/actor"
 	"plasma/internal/apps/halo"
 	"plasma/internal/cluster"
+	"plasma/internal/core"
 	"plasma/internal/emr"
 	"plasma/internal/epl"
 	"plasma/internal/metrics"
-	"plasma/internal/profile"
 	"plasma/internal/sim"
 )
 
 func run(withRule bool) (mean, p95 float64) {
-	k := sim.New(3)
-	c := cluster.New(k, 10, cluster.M1Small)
-	c.BaseLatency = 5 * sim.Millisecond
-	rt := actor.NewRuntime(k, c)
-	prof := profile.New(k, c, rt)
+	w := core.NewWorld(3, 10, cluster.M1Small, nil)
+	k, rt := w.K, w.RT
+	w.C.BaseLatency = 5 * sim.Millisecond
 	srvs := make([]cluster.MachineID, 8)
 	for i := range srvs {
 		srvs[i] = cluster.MachineID(i)
 	}
 	app := halo.Build(k, rt, srvs, srvs, 8, 8)
 	if withRule {
-		mgr := emr.New(k, c, rt, prof, epl.MustParse(halo.InterPolicySrc),
-			emr.Config{Period: 25 * sim.Second})
-		mgr.Start()
+		w.Manage(epl.MustParse(halo.InterPolicySrc), emr.Config{Period: 25 * sim.Second}).Start()
 	}
 
 	var hist metrics.Histogram

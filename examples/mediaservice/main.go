@@ -12,9 +12,9 @@ import (
 	"plasma/internal/apps/mediaservice"
 	"plasma/internal/apps/workload"
 	"plasma/internal/cluster"
+	"plasma/internal/core"
 	"plasma/internal/emr"
 	"plasma/internal/epl"
-	"plasma/internal/profile"
 	"plasma/internal/sim"
 )
 
@@ -23,15 +23,13 @@ func main() {
 	fmt.Print(mediaservice.PolicySrc)
 	fmt.Println()
 
-	k := sim.New(1)
-	c := cluster.New(k, 4, cluster.M1Small)
+	w := core.NewWorld(1, 4, cluster.M1Small, nil)
+	k, c, rt := w.K, w.C, w.RT
 	c.SetMaxSize(65)
-	rt := actor.NewRuntime(k, c)
-	prof := profile.New(k, c, rt)
 	app := mediaservice.Build(k, rt, []cluster.MachineID{0, 1, 2, 3}, 8)
 	k.RunUntilIdle()
 
-	mgr := emr.New(k, c, rt, prof, epl.MustParse(mediaservice.PolicySrc),
+	mgr := w.Manage(epl.MustParse(mediaservice.PolicySrc),
 		emr.Config{Period: 20 * sim.Second, ScaleOut: true, ScaleIn: true,
 			MinServers: 4, InstanceType: cluster.M1Small})
 	mgr.Start()

@@ -9,21 +9,18 @@ package main
 import (
 	"fmt"
 
-	"plasma/internal/actor"
 	"plasma/internal/apps/pagerank"
 	"plasma/internal/cluster"
+	"plasma/internal/core"
 	"plasma/internal/emr"
 	"plasma/internal/epl"
 	"plasma/internal/graph"
-	"plasma/internal/profile"
 	"plasma/internal/sim"
 )
 
 func run(elastic bool) (sim.Duration, int) {
-	k := sim.New(7)
-	c := cluster.New(k, 8, cluster.M5Large)
-	rt := actor.NewRuntime(k, c)
-	prof := profile.New(k, c, rt)
+	w := core.NewWorld(7, 8, cluster.M5Large, nil)
+	k := w.K
 
 	g := graph.GeneratePowerLaw(12000, 10, 2.1, 7)
 	parts := graph.PartitionMultilevel(g, 32, 7)
@@ -32,24 +29,21 @@ func run(elastic bool) (sim.Duration, int) {
 	for i, p := range perm {
 		placement[p] = cluster.MachineID(i % 8)
 	}
-	app := pagerank.Build(k, rt, pagerank.Config{
+	app := pagerank.Build(k, w.RT, pagerank.Config{
 		Graph: g, Parts: parts, K: 32,
 		PerEdgeCost: 55 * sim.Microsecond, SyncOverhead: 12 * sim.Millisecond,
 		HeteroSpread: 0.5, Iterations: 120,
 	}, placement)
 
-	var mgr *emr.Manager
 	if elastic {
-		mgr = emr.New(k, c, rt, prof, epl.MustParse(pagerank.PolicySrc),
-			emr.Config{Period: 500 * sim.Millisecond})
-		mgr.Start()
+		w.Manage(epl.MustParse(pagerank.PolicySrc), emr.Config{Period: 500 * sim.Millisecond}).Start()
 	}
 	app.Start(k)
 	for !app.Done && k.Step() {
 	}
 	migrations := 0
-	if mgr != nil {
-		migrations = mgr.Stats.ExecutedMigrations
+	if w.M != nil {
+		migrations = w.M.Stats.ExecutedMigrations
 	}
 	return app.ConvergedTime(), migrations
 }

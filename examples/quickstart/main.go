@@ -52,7 +52,7 @@ func main() {
 	// Crowd eight workers onto server 0 (~360% demand on one core).
 	var workers []actor.Ref
 	for i := 0; i < 8; i++ {
-		workers = append(workers, sys.Runtime.SpawnOn("Worker", worker(), 0))
+		workers = append(workers, sys.RT.SpawnOn("Worker", worker(), 0))
 	}
 	cl := sys.Client(1)
 	for _, w := range workers {
@@ -63,9 +63,9 @@ func main() {
 
 	show := func(label string) {
 		fmt.Printf("%-8s", label)
-		for _, m := range sys.Cluster.UpMachines() {
+		for _, m := range sys.C.UpMachines() {
 			fmt.Printf("  server%d: %d workers (%.0f%% cpu)", m.ID,
-				len(sys.Runtime.ActorsOn(m.ID)), m.CPUPercent())
+				len(sys.RT.ActorsOn(m.ID)), m.CPUPercent())
 		}
 		fmt.Println()
 	}
@@ -78,6 +78,6 @@ func main() {
 		show(fmt.Sprintf("t=%ds", 3+i*4))
 		sys.Run(4 * sim.Second)
 	}
-	fmt.Printf("\nmigrations performed: %d\n", sys.Manager.Stats.ExecutedMigrations)
+	fmt.Printf("\nmigrations performed: %d\n", sys.M.Stats.ExecutedMigrations)
 	fmt.Println("PLASMA balanced the workers across the fleet using one declarative rule.")
 }

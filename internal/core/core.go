@@ -1,29 +1,32 @@
-// Package core is PLASMA's public facade: it wires an application's actor
-// program, its EPL elasticity policy, the profiling runtime (EPR), and the
-// elasticity management runtime (EMR) over a simulated cluster, exposing
-// the paper's programming model as one System value.
+// Package core is PLASMA's public facade and the one place its layers are
+// wired: a World is simulator kernel, cluster, actor runtime and profiler
+// (EPR), plus — once asked for — the elasticity management runtime (EMR)
+// and a chaos injector.
 //
-// Typical use:
+// An application hands NewSystem policy source and, optionally, a schema:
 //
 //	sys, err := core.NewSystem(core.Options{
 //	    Policy:   `server.cpu.perc > 80 or server.cpu.perc < 60 => balance({Worker}, cpu);`,
 //	    Machines: 8,
 //	})
 //	...
-//	w := sys.Runtime.SpawnOn("Worker", myBehavior, 0)
+//	w := sys.RT.SpawnOn("Worker", myBehavior, 0)
 //	sys.Start()
 //	sys.Run(5 * sim.Minute)
+//
+// A harness makes the two calls NewSystem makes, sizes and tracer explicit:
+//
+//	w := core.NewWorld(seed, 8, cluster.M5Large, tracer)
+//	app := pagerank.Build(w.K, w.RT, appCfg, placement)
+//	w.Manage(epl.MustParse(pagerank.PolicySrc), emr.Config{Period: sim.Second}).Start()
 package core
 
 import (
 	"fmt"
 
-	"plasma/internal/actor"
 	"plasma/internal/cluster"
 	"plasma/internal/emr"
 	"plasma/internal/epl"
-	"plasma/internal/profile"
-	"plasma/internal/sim"
 )
 
 // Options configures a System.
@@ -43,15 +46,10 @@ type Options struct {
 	EMR emr.Config
 }
 
-// System bundles one PLASMA deployment: simulator, cluster, actor runtime,
-// profiler, compiled policy, and elasticity manager.
+// System is a World whose policy came from source: NewSystem parsed and
+// checked it, and Warnings carries what the checker had to say.
 type System struct {
-	Kernel   *sim.Kernel
-	Cluster  *cluster.Cluster
-	Runtime  *actor.Runtime
-	Profiler *profile.Profiler
-	Policy   *epl.Policy
-	Manager  *emr.Manager
+	*World
 
 	// Warnings holds the policy compiler's conflict diagnostics (§4.3).
 	Warnings []epl.Warning
@@ -85,34 +83,7 @@ func NewSystem(opts Options) (*System, error) {
 		opts.EMR.InstanceType = opts.Instance
 	}
 
-	k := sim.New(opts.Seed)
-	c := cluster.New(k, opts.Machines, opts.Instance)
-	rt := actor.NewRuntime(k, c)
-	prof := profile.New(k, c, rt)
-	mgr := emr.New(k, c, rt, prof, pol, opts.EMR)
-	return &System{
-		Kernel:   k,
-		Cluster:  c,
-		Runtime:  rt,
-		Profiler: prof,
-		Policy:   pol,
-		Manager:  mgr,
-		Warnings: warns,
-	}, nil
-}
-
-// Start begins elasticity management.
-func (s *System) Start() { s.Manager.Start() }
-
-// Stop halts elasticity management.
-func (s *System) Stop() { s.Manager.Stop() }
-
-// Run advances virtual time by d.
-func (s *System) Run(d sim.Duration) {
-	s.Kernel.Run(s.Kernel.Now() + sim.Time(d))
-}
-
-// Client returns a request driver homed on the given machine.
-func (s *System) Client(site cluster.MachineID) *actor.Client {
-	return actor.NewClient(s.Runtime, site)
+	w := NewWorld(opts.Seed, opts.Machines, opts.Instance, nil)
+	w.Manage(pol, opts.EMR)
+	return &System{World: w, Warnings: warns}, nil
 }

@@ -25,7 +25,7 @@ func TestNewSystemEndToEnd(t *testing.T) {
 			ctx.Use(45 * sim.Millisecond)
 			ctx.SendAfter(55*sim.Millisecond, ctx.Self(), "w", nil, 8)
 		})
-		refs = append(refs, sys.Runtime.SpawnOn("Worker", b, 0))
+		refs = append(refs, sys.RT.SpawnOn("Worker", b, 0))
 	}
 	sys.Start()
 	cl := sys.Client(1)
@@ -33,7 +33,7 @@ func TestNewSystemEndToEnd(t *testing.T) {
 		cl.Send(r, "w", nil, 8)
 	}
 	sys.Run(10 * sim.Second)
-	if len(sys.Runtime.ActorsOn(1)) == 0 {
+	if len(sys.RT.ActorsOn(1)) == 0 {
 		t.Fatal("system did not balance load")
 	}
 }
@@ -81,10 +81,10 @@ func TestSystemDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Cluster.UpCount() != 4 {
-		t.Fatalf("default machines = %d, want 4", sys.Cluster.UpCount())
+	if sys.C.UpCount() != 4 {
+		t.Fatalf("default machines = %d, want 4", sys.C.UpCount())
 	}
-	if sys.Cluster.Machine(0).Type.Name != "m1.small" {
-		t.Fatalf("default instance = %s", sys.Cluster.Machine(0).Type.Name)
+	if sys.C.Machine(0).Type.Name != "m1.small" {
+		t.Fatalf("default instance = %s", sys.C.Machine(0).Type.Name)
 	}
 }

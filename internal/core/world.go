@@ -1,0 +1,159 @@
+package core
+
+import (
+	"fmt"
+
+	"plasma/internal/actor"
+	"plasma/internal/chaos"
+	"plasma/internal/cluster"
+	"plasma/internal/emr"
+	"plasma/internal/epl"
+	"plasma/internal/profile"
+	"plasma/internal/sim"
+	"plasma/internal/trace"
+)
+
+// World is one simulated deployment and the only place the layers are wired
+// together. Construction order is load-bearing: kernel, cluster, runtime,
+// profiler (NewWorld), then the caller's application build, then the manager
+// and tracer (Manage), then the injector (Chaos). RNG draws and actor ids
+// follow that order, so changing it changes every fixed-seed run.
+type World struct {
+	K    *sim.Kernel
+	C    *cluster.Cluster
+	RT   *actor.Runtime
+	Prof *profile.Profiler
+	M    *emr.Manager    // nil until Manage
+	Inj  *chaos.Injector // nil until Chaos
+
+	// Crashes and CtlFails count the machine and GEM/LEM crash events the
+	// world applied as a chaos.Env (refused ones are not counted).
+	Crashes, CtlFails int
+
+	tr        *trace.Tracer
+	floor     int
+	protected map[cluster.MachineID]bool
+}
+
+// NewWorld builds kernel, cluster, actor runtime and profiler, and points
+// the tracer's clock (nil = untraced) at the new kernel.
+func NewWorld(seed int64, machines int, inst cluster.InstanceType, tr *trace.Tracer) *World {
+	k := sim.New(seed)
+	tr.SetClock(k.Now)
+	c := cluster.New(k, machines, inst)
+	rt := actor.NewRuntime(k, c)
+	return &World{K: k, C: c, RT: rt, Prof: profile.New(k, c, rt), tr: tr}
+}
+
+// Manage creates the world's elasticity manager (not started) and hands it
+// the tracer, which it fans out to the runtime, cluster and injector.
+func (w *World) Manage(pol *epl.Policy, cfg emr.Config) *emr.Manager {
+	w.M = emr.New(w.K, w.C, w.RT, w.Prof, pol, cfg)
+	w.M.SetTracer(w.tr)
+	return w.M
+}
+
+// Chaos installs a control-plane fault injector on the manager, its fault
+// stream derived from seed, and arms the world as the chaos.Env its
+// schedules run against: crashes that would drop the fleet below floor or
+// touch a protected (client-site) machine are refused. Call after Manage.
+func (w *World) Chaos(seed int64, floor int, protected ...cluster.MachineID) *chaos.Injector {
+	w.Inj = chaos.NewInjector(seed*31+7, w.K.Now)
+	w.M.SetChaos(w.Inj)
+	w.floor = floor
+	w.protected = make(map[cluster.MachineID]bool, len(protected))
+	for _, id := range protected {
+		w.protected[id] = true
+	}
+	return w.Inj
+}
+
+// CrashMachine implements chaos.Env. A crash is immediately followed by the
+// underlying runtime's fault tolerance re-homing the dead machine's actors
+// (§2.2), exactly as the EMR machine-failure tests do.
+func (w *World) CrashMachine(id int) bool {
+	mid := cluster.MachineID(id)
+	if w.protected[mid] || w.C.UpCount() <= w.floor || !w.C.Fail(mid) {
+		return false
+	}
+	w.RT.RecoverMachine(mid)
+	w.Crashes++
+	return true
+}
+
+func (w *World) RepairMachine(id int) bool { return w.C.Repair(cluster.MachineID(id)) }
+
+func (w *World) FailGEM(id int) bool {
+	if !w.M.FailGEM(id) {
+		return false
+	}
+	w.CtlFails++
+	return true
+}
+
+func (w *World) RecoverGEM(id int) bool { return w.M.RecoverGEM(id) }
+
+func (w *World) FailLEM(srv int) bool {
+	mid := cluster.MachineID(srv)
+	if w.protected[mid] || !w.M.FailLEM(mid) {
+		return false
+	}
+	w.CtlFails++
+	return true
+}
+
+func (w *World) RecoverLEM(srv int) bool { return w.M.RecoverLEM(cluster.MachineID(srv)) }
+
+// Start begins elasticity management.
+func (w *World) Start() { w.M.Start() }
+
+// Run advances virtual time by d.
+func (w *World) Run(d sim.Duration) { w.K.Run(w.K.Now() + sim.Time(d)) }
+
+// Client returns a request driver homed on the given machine.
+func (w *World) Client(site cluster.MachineID) *actor.Client {
+	return actor.NewClient(w.RT, site)
+}
+
+// Drain runs to stop, stops the manager (if any), and runs settle longer so
+// migrations admitted in the last period commit before Invariants looks.
+func (w *World) Drain(stop sim.Time, settle sim.Duration) {
+	w.K.Run(stop)
+	if w.M != nil {
+		w.M.Stop()
+	}
+	w.K.Run(stop + sim.Time(settle))
+}
+
+// Invariants is the global sweep over a quiesced world, one message per
+// violation: no migration stuck in flight, every actor homed on an up machine,
+// each up machine's memory accounting exactly the sum of its residents' state.
+func (w *World) Invariants() []string {
+	var bad []string
+	if n := w.RT.InFlightMigrations(); n != 0 {
+		bad = append(bad, fmt.Sprintf("%d migrations stuck in flight", n))
+	}
+	seen := 0
+	for _, mach := range w.C.Machines() {
+		on := w.RT.ActorsOn(mach.ID)
+		seen += len(on)
+		if !mach.Up() && len(on) > 0 {
+			bad = append(bad, fmt.Sprintf("%d actors homed on down machine %d", len(on), mach.ID))
+			continue
+		}
+		if mach.Up() {
+			var sum int64
+			for _, ref := range on {
+				sum += w.RT.MemSize(ref)
+			}
+			if sum != mach.MemUsed() {
+				bad = append(bad, fmt.Sprintf("machine %d memory drift: accounted %d, actors hold %d",
+					mach.ID, mach.MemUsed(), sum))
+			}
+		}
+	}
+	if total := len(w.RT.Actors()); seen != total {
+		bad = append(bad, fmt.Sprintf("directory mismatch: %d placed vs %d live (actor lost or duplicated)", seen, total))
+	}
+	return bad
+}

@@ -1,0 +1,166 @@
+package core
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+
+	"plasma/internal/actor"
+	"plasma/internal/cluster"
+	"plasma/internal/emr"
+	"plasma/internal/epl"
+	"plasma/internal/lint"
+	"plasma/internal/sim"
+)
+
+// TestOnlyCoreWiresTheLayers is the one-builder rule, enforced: outside
+// internal/core and internal/emr, no non-test file under internal/, cmd/ or
+// examples/ calls a layer constructor that World calls for it. (sim.New is
+// not on the list: a throwaway kernel is a legitimate seeded RNG.)
+func TestOnlyCoreWiresTheLayers(t *testing.T) {
+	banned := map[string]string{
+		"plasma/internal/cluster": "New",
+		"plasma/internal/actor":   "NewRuntime",
+		"plasma/internal/profile": "New",
+		"plasma/internal/emr":     "New",
+	}
+	root := filepath.Join("..", "..")
+	files, err := lint.ExpandGoPatterns([]string{
+		filepath.Join(root, "internal") + "/...",
+		filepath.Join(root, "cmd") + "/...",
+		filepath.Join(root, "examples") + "/...",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) < 50 {
+		t.Fatalf("walked only %d files; is the test running inside the repository?", len(files))
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		rel, _ := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
+		if strings.HasPrefix(rel, "internal/core/") || strings.HasPrefix(rel, "internal/emr/") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctor := map[string]string{} // local package name -> banned constructor
+		for _, imp := range f.Imports {
+			ipath, _ := strconv.Unquote(imp.Path.Value)
+			if fn, ok := banned[ipath]; ok {
+				name := filepath.Base(ipath)
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+				ctor[name] = fn
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); ok && ctor[pkg.Name] == sel.Sel.Name {
+				pos := fset.Position(call.Pos())
+				t.Errorf("%s:%d: calls %s.%s; build the world with core.NewWorld / World.Manage",
+					rel, pos.Line, pkg.Name, sel.Sel.Name)
+			}
+			return true
+		})
+	}
+}
+
+// quiescedWorld is three servers with two 1 MB actors each and one 64 MB
+// actor on server 0, every mailbox drained; its Invariants are clean.
+func quiescedWorld(t *testing.T) (*World, actor.Ref) {
+	t.Helper()
+	w := NewWorld(1, 3, cluster.M1Small, nil)
+	sized := func(bytes int64) actor.Behavior {
+		return actor.BehaviorFunc(func(ctx *actor.Context, _ actor.Message) { ctx.SetMemSize(bytes) })
+	}
+	cl := w.Client(0)
+	for srv := cluster.MachineID(0); srv < 3; srv++ {
+		for i := 0; i < 2; i++ {
+			cl.Send(w.RT.SpawnOn("Small", sized(1<<20), srv), "init", nil, 8)
+		}
+	}
+	big := w.RT.SpawnOn("Big", sized(64<<20), 0)
+	cl.Send(big, "init", nil, 8)
+	w.K.RunUntilIdle()
+	if bad := w.Invariants(); len(bad) != 0 {
+		t.Fatalf("quiesced world not clean: %v", bad)
+	}
+	return w, big
+}
+
+func TestWorldInvariantsCatch(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		breakIt func(w *World, big actor.Ref)
+		want    string
+	}{
+		{"MemoryDrift", func(w *World, _ actor.Ref) { w.C.Machine(1).AddMem(1) },
+			"machine 1 memory drift"},
+		{"ActorsOnDownMachine", func(w *World, _ actor.Ref) { w.C.Fail(2) },
+			"2 actors homed on down machine 2"},
+		{"StuckMigration", func(w *World, big actor.Ref) {
+			w.RT.Migrate(big, 1, nil)
+			w.Run(10 * sim.Millisecond) // serializing 64 MB alone takes 320 ms
+		}, "1 migrations stuck in flight"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, big := quiescedWorld(t)
+			tc.breakIt(w, big)
+			bad := w.Invariants()
+			if len(bad) != 1 || !strings.Contains(bad[0], tc.want) {
+				t.Fatalf("Invariants() = %q, want one message containing %q", bad, tc.want)
+			}
+		})
+	}
+}
+
+func TestWorldChaosRefusals(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		floor   int
+		fault   func(w *World) bool
+		applied bool
+	}{
+		{"CrashAtFloor", 3, func(w *World) bool { return w.CrashMachine(0) }, false},
+		{"CrashProtected", 0, func(w *World) bool { return w.CrashMachine(2) }, false},
+		{"FailLEMProtected", 0, func(w *World) bool { return w.FailLEM(2) }, false},
+		{"CrashAllowed", 0, func(w *World) bool { return w.CrashMachine(0) }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, _ := quiescedWorld(t)
+			w.Manage(epl.MustParse(`true => pin(Big(b));`), emr.Config{})
+			w.Chaos(1, tc.floor, 2)
+			if got := tc.fault(w); got != tc.applied {
+				t.Fatalf("fault applied = %v, want %v", got, tc.applied)
+			}
+			if !tc.applied && (w.Crashes != 0 || w.CtlFails != 0 || w.C.UpCount() != 3) {
+				t.Fatalf("refused fault left a mark: crashes %d, ctlFails %d, up %d",
+					w.Crashes, w.CtlFails, w.C.UpCount())
+			}
+			if tc.applied && (w.Crashes != 1 || w.C.UpCount() != 2) {
+				t.Fatalf("applied crash not counted: crashes %d, up %d", w.Crashes, w.C.UpCount())
+			}
+			// A crash the world applies is followed by RecoverMachine, so the
+			// sweep stays clean either way.
+			if bad := w.Invariants(); len(bad) != 0 {
+				t.Fatalf("invariants after fault: %v", bad)
+			}
+		})
+	}
+}

@@ -11,7 +11,6 @@ import (
 	"plasma/internal/emr"
 	"plasma/internal/epl"
 	"plasma/internal/metrics"
-	"plasma/internal/profile"
 	"plasma/internal/sim"
 )
 
@@ -63,8 +62,8 @@ type burstOpts struct {
 	sloMS      float64
 	scaleIn    bool
 	minServers int
-	// events, when set, is a chaos schedule applied through the standard
-	// chaosEnv bridge (burst scenarios compose with the chaos layer).
+	// events, when set, is a chaos schedule applied through the world's
+	// chaos.Env (burst scenarios compose with the chaos layer).
 	events []chaos.Event
 	floor  int
 }
@@ -94,12 +93,10 @@ type burstOut struct {
 // overload, scale-out through the provisioning spectrum, optional chaos
 // schedule, and the SLO-violation integral over the reply-latency signal.
 func burstRun(cfg Config, seed int64, o burstOpts) burstOut {
-	k := cfg.kernelSeeded(seed)
 	clientSite := cluster.MachineID(o.servers)
-	c := cluster.New(k, o.servers+1, cluster.M1Small)
-	rt := actor.NewRuntime(k, c)
+	w := cfg.world(seed, o.servers+1, cluster.M1Small)
+	k, c, rt := w.K, w.C, w.RT
 	rt.MailboxCap = o.mailboxCap
-	prof := profile.New(k, c, rt)
 
 	class := o.class
 	if class == "" {
@@ -110,12 +107,11 @@ func burstRun(cfg Config, seed int64, o burstOpts) burstOut {
 		fes[i] = rt.SpawnOn(class, &burstFrontend{cost: o.reqCost}, cluster.MachineID(i%o.servers))
 	}
 
-	m := emr.New(k, c, rt, prof, epl.MustParse(o.policy), emr.Config{
+	m := w.Manage(epl.MustParse(o.policy), emr.Config{
 		Period: o.period, NumGEMs: o.numGEMs, MinResidence: o.period / 2,
 		ScaleOut: true, ScaleIn: o.scaleIn, MinServers: o.minServers,
 		InstanceType: cluster.M1Small, ProvSpecs: o.specs,
 	})
-	cfg.wireTrace(m)
 
 	peakSrv := c.UpCount()
 	m.OnTick = func(int, *epl.Snapshot) {
@@ -124,13 +120,8 @@ func burstRun(cfg Config, seed int64, o burstOpts) burstOut {
 		}
 	}
 
-	var env *chaosEnv
 	if len(o.events) > 0 {
-		inj := chaos.NewInjector(seed*31+7, k.Now)
-		m.SetChaos(inj)
-		env = &chaosEnv{c: c, rt: rt, m: m, floor: o.floor,
-			protected: map[cluster.MachineID]bool{clientSite: true}}
-		inj.Apply(k, env, o.events)
+		w.Chaos(seed, o.floor, clientSite).Apply(k, w, o.events)
 	}
 	m.Start()
 
@@ -164,9 +155,7 @@ func burstRun(cfg Config, seed int64, o burstOpts) burstOut {
 		k.At(sim.Time(i)*sim.Time(o.baseEvery)/sim.Time(o.clients), loop)
 	}
 
-	k.Run(stop)
-	m.Stop()
-	k.Run(stop + sim.Time(2*o.period))
+	w.Drain(stop, 2*o.period)
 	slo.Finalize(k.Now().Seconds())
 
 	out := burstOut{
@@ -177,13 +166,11 @@ func burstRun(cfg Config, seed int64, o burstOpts) burstOut {
 		failedProv: m.Stats.FailedProvisions, provisions: c.Provisions(),
 		peakSrv: peakSrv, finalSrv: c.UpCount(),
 		latSeries:  rec.Series(),
-		violations: chaosInvariants(c, rt),
+		violations: w.Invariants(),
+		crashes:    w.Crashes, ctlFails: w.CtlFails,
 	}
 	if up := c.UpCount(); up > out.peakSrv {
 		out.peakSrv = up
-	}
-	if env != nil {
-		out.crashes, out.ctlFails = env.crashes, env.ctlFails
 	}
 	return out
 }

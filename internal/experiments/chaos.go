@@ -10,10 +10,10 @@ import (
 	"plasma/internal/apps/pagerank"
 	"plasma/internal/chaos"
 	"plasma/internal/cluster"
+	"plasma/internal/core"
 	"plasma/internal/emr"
 	"plasma/internal/epl"
 	"plasma/internal/graph"
-	"plasma/internal/profile"
 	"plasma/internal/sim"
 )
 
@@ -88,89 +88,15 @@ type chaosRun struct {
 	violations []string
 }
 
-// chaosEnv bridges a fault schedule to the cluster, runtime, and EMR. It
-// refuses crashes that would drop the fleet below floor or touch protected
-// (client-site) machines; a machine crash is immediately followed by the
-// underlying runtime's fault tolerance re-homing the dead machine's actors
-// (§2.2), exactly as the EMR machine-failure tests do.
-type chaosEnv struct {
-	c         *cluster.Cluster
-	rt        *actor.Runtime
-	m         *emr.Manager
-	floor     int
-	protected map[cluster.MachineID]bool
-
-	crashes  int
-	ctlFails int
-}
-
-func (e *chaosEnv) CrashMachine(id int) bool {
-	mid := cluster.MachineID(id)
-	if e.protected[mid] || e.c.UpCount() <= e.floor {
-		return false
+// chaosOutcome reads a drained world's counters and runs the invariant sweep.
+func chaosOutcome(w *core.World) chaosRun {
+	return chaosRun{
+		trace: w.Inj.Trace(), dir: finalDirectory(w.RT),
+		injStats: w.Inj.Stats, emrStats: w.M.Stats,
+		failedMigs: w.RT.FailedMigrations(),
+		crashes:    w.Crashes, ctlFails: w.CtlFails,
+		violations: w.Invariants(),
 	}
-	if !e.c.Fail(mid) {
-		return false
-	}
-	e.rt.RecoverMachine(mid)
-	e.crashes++
-	return true
-}
-
-func (e *chaosEnv) RepairMachine(id int) bool { return e.c.Repair(cluster.MachineID(id)) }
-
-func (e *chaosEnv) FailGEM(id int) bool {
-	if !e.m.FailGEM(id) {
-		return false
-	}
-	e.ctlFails++
-	return true
-}
-
-func (e *chaosEnv) RecoverGEM(id int) bool { return e.m.RecoverGEM(id) }
-
-func (e *chaosEnv) FailLEM(srv int) bool {
-	mid := cluster.MachineID(srv)
-	if e.protected[mid] || !e.m.FailLEM(mid) {
-		return false
-	}
-	e.ctlFails++
-	return true
-}
-
-func (e *chaosEnv) RecoverLEM(srv int) bool { return e.m.RecoverLEM(cluster.MachineID(srv)) }
-
-// chaosInvariants is the global sweep every run ends with: no migration
-// stuck in flight, every actor homed on an up machine, and each up
-// machine's memory accounting exactly the sum of its residents' state.
-func chaosInvariants(c *cluster.Cluster, rt *actor.Runtime) []string {
-	var bad []string
-	if n := rt.InFlightMigrations(); n != 0 {
-		bad = append(bad, fmt.Sprintf("%d migrations stuck in flight", n))
-	}
-	seen := 0
-	for _, mach := range c.Machines() {
-		on := rt.ActorsOn(mach.ID)
-		seen += len(on)
-		if !mach.Up() && len(on) > 0 {
-			bad = append(bad, fmt.Sprintf("%d actors homed on down machine %d", len(on), mach.ID))
-			continue
-		}
-		if mach.Up() {
-			var sum int64
-			for _, ref := range on {
-				sum += rt.MemSize(ref)
-			}
-			if sum != mach.MemUsed() {
-				bad = append(bad, fmt.Sprintf("machine %d memory drift: accounted %d, actors hold %d",
-					mach.ID, mach.MemUsed(), sum))
-			}
-		}
-	}
-	if total := len(rt.Actors()); seen != total {
-		bad = append(bad, fmt.Sprintf("directory mismatch: %d placed vs %d live (actor lost or duplicated)", seen, total))
-	}
-	return bad
 }
 
 // finalDirectory renders the actor directory for bit-identity comparison.
@@ -209,37 +135,31 @@ func chaosPagerank(cfg Config, seed int64) chaosRun {
 		iterations = 80
 	}
 	period := 500 * sim.Millisecond
-	k := cfg.kernelSeeded(seed)
-	c := cluster.New(k, 4, cluster.M5Large)
-	rt := actor.NewRuntime(k, c)
-	prof := profile.New(k, c, rt)
+	w := cfg.world(seed, 4, cluster.M5Large)
+	k := w.K
 	g := graph.GeneratePowerLaw(3000, 8, 2.1, seed)
 	parts := graph.PartitionMultilevel(g, 8, seed)
 	placement := make([]cluster.MachineID, 8)
 	for i := range placement {
 		placement[i] = cluster.MachineID(i % 4)
 	}
-	app := pagerank.Build(k, rt, pagerank.Config{
+	app := pagerank.Build(k, w.RT, pagerank.Config{
 		Graph: g, Parts: parts, K: 8,
 		PerEdgeCost: 55 * sim.Microsecond, SyncOverhead: 8 * sim.Millisecond,
 		Iterations: iterations, HeteroSpread: 0.5,
 	}, placement)
 
-	m := emr.New(k, c, rt, prof, epl.MustParse(pagerank.PolicySrc),
+	m := w.Manage(epl.MustParse(pagerank.PolicySrc),
 		emr.Config{Period: period, NumGEMs: 2, MinResidence: period})
-	cfg.wireTrace(m)
-	inj := chaos.NewInjector(seed*31+7, k.Now)
+	inj := w.Chaos(seed, 4)
 	inj.SetAllFaults(chaosMsgFaults)
-	m.SetChaos(inj)
-
-	env := &chaosEnv{c: c, rt: rt, m: m, floor: 4}
 	events := inj.Generate(chaos.ScheduleOpts{
 		Horizon: sim.Time(20 * sim.Second),
 		GEMs:    2, LEMs: []int{0, 1, 2, 3},
 		GEMFails: 1, LEMFails: 2,
 		MeanOutage: 4 * sim.Second,
 	})
-	inj.Apply(k, env, events)
+	inj.Apply(k, w, events)
 	m.Start()
 	app.Start(k)
 
@@ -247,15 +167,9 @@ func chaosPagerank(cfg Config, seed int64) chaosRun {
 	for !app.Done && k.Now() < deadline && k.Step() {
 	}
 	m.Stop()
-	k.Run(k.Now() + sim.Time(2*period))
+	w.Run(2 * period)
 
-	cr := chaosRun{
-		trace: inj.Trace(), dir: finalDirectory(rt),
-		injStats: inj.Stats, emrStats: m.Stats,
-		failedMigs: rt.FailedMigrations(),
-		crashes:    env.crashes, ctlFails: env.ctlFails,
-		violations: chaosInvariants(c, rt),
-	}
+	cr := chaosOutcome(w)
 	if !app.Done {
 		cr.violations = append(cr.violations, "pagerank stalled under control-plane chaos")
 	}
@@ -274,22 +188,15 @@ func chaosMediaService(cfg Config, seed int64) chaosRun {
 	period := 5 * sim.Second
 	clientSite := cluster.MachineID(4)
 
-	k := cfg.kernelSeeded(seed)
-	c := cluster.New(k, 5, cluster.M1Small)
-	rt := actor.NewRuntime(k, c)
-	prof := profile.New(k, c, rt)
+	w := cfg.world(seed, 5, cluster.M1Small)
+	k, rt := w.K, w.RT
 	app := mediaservice.Build(k, rt, []cluster.MachineID{0, 1, 2, 3}, 4)
 	k.RunUntilIdle()
 
-	m := emr.New(k, c, rt, prof, epl.MustParse(mediaservice.PolicySrc),
+	m := w.Manage(epl.MustParse(mediaservice.PolicySrc),
 		emr.Config{Period: period, NumGEMs: 2, MinResidence: period})
-	cfg.wireTrace(m)
-	inj := chaos.NewInjector(seed*31+7, k.Now)
+	inj := w.Chaos(seed, 3, clientSite)
 	inj.SetAllFaults(chaosMsgFaults)
-	m.SetChaos(inj)
-
-	env := &chaosEnv{c: c, rt: rt, m: m, floor: 3,
-		protected: map[cluster.MachineID]bool{clientSite: true}}
 	events := inj.Generate(chaos.ScheduleOpts{
 		Horizon:  sim.Time(total) * 6 / 10,
 		Machines: []int{1, 2, 3},
@@ -297,7 +204,7 @@ func chaosMediaService(cfg Config, seed int64) chaosRun {
 		Crashes: 2, GEMFails: 1, LEMFails: 1,
 		MeanOutage: 8 * sim.Second,
 	})
-	inj.Apply(k, env, events)
+	inj.Apply(k, w, events)
 	m.Start()
 
 	recoveredAt := lastEventTime(events) + sim.Time(2*period)
@@ -326,17 +233,9 @@ func chaosMediaService(cfg Config, seed int64) chaosRun {
 			})
 		})
 	}
-	k.Run(sim.Time(total))
-	m.Stop()
-	k.Run(sim.Time(total) + sim.Time(2*period))
+	w.Drain(sim.Time(total), 2*period)
 
-	cr := chaosRun{
-		trace: inj.Trace(), dir: finalDirectory(rt),
-		injStats: inj.Stats, emrStats: m.Stats,
-		failedMigs: rt.FailedMigrations(),
-		crashes:    env.crashes, ctlFails: env.ctlFails,
-		violations: chaosInvariants(c, rt),
-	}
+	cr := chaosOutcome(w)
 	if served == 0 {
 		cr.violations = append(cr.violations, "no requests served after recovery window")
 	}
@@ -353,10 +252,8 @@ func chaosHalo(cfg Config, seed int64) chaosRun {
 	period := 10 * sim.Second
 	servers := 8
 
-	k := cfg.kernelSeeded(seed)
-	c := cluster.New(k, servers+2, cluster.M1Small)
-	rt := actor.NewRuntime(k, c)
-	prof := profile.New(k, c, rt)
+	w := cfg.world(seed, servers+2, cluster.M1Small)
+	k, rt := w.K, w.RT
 	routerSrvs := []cluster.MachineID{0, 1}
 	sessionSrvs := make([]cluster.MachineID, servers)
 	for i := range sessionSrvs {
@@ -364,22 +261,15 @@ func chaosHalo(cfg Config, seed int64) chaosRun {
 	}
 	app := halo.Build(k, rt, routerSrvs, sessionSrvs, 4, 8)
 
-	m := emr.New(k, c, rt, prof, epl.MustParse(halo.FullPolicySrc),
+	m := w.Manage(epl.MustParse(halo.FullPolicySrc),
 		emr.Config{Period: period, NumGEMs: 2, MinResidence: period})
-	cfg.wireTrace(m)
-	inj := chaos.NewInjector(seed*31+7, k.Now)
+	inj := w.Chaos(seed, servers/2, cluster.MachineID(servers), cluster.MachineID(servers+1))
 	inj.SetAllFaults(chaosMsgFaults)
-	m.SetChaos(inj)
-
-	protected := map[cluster.MachineID]bool{
-		cluster.MachineID(servers): true, cluster.MachineID(servers + 1): true,
-	}
 	machines := make([]int, servers)
 	lems := make([]int, servers)
 	for i := 0; i < servers; i++ {
 		machines[i], lems[i] = i, i
 	}
-	env := &chaosEnv{c: c, rt: rt, m: m, floor: servers / 2, protected: protected}
 	events := inj.Generate(chaos.ScheduleOpts{
 		Horizon:  sim.Time(total) * 6 / 10,
 		Machines: machines,
@@ -387,7 +277,7 @@ func chaosHalo(cfg Config, seed int64) chaosRun {
 		Crashes: 2, GEMFails: 1, LEMFails: 2,
 		MeanOutage: 10 * sim.Second,
 	})
-	inj.Apply(k, env, events)
+	inj.Apply(k, w, events)
 	m.Start()
 
 	recoveredAt := lastEventTime(events) + sim.Time(2*period)
@@ -411,17 +301,9 @@ func chaosHalo(cfg Config, seed int64) chaosRun {
 			})
 		})
 	}
-	k.Run(sim.Time(total))
-	m.Stop()
-	k.Run(sim.Time(total) + sim.Time(2*period))
+	w.Drain(sim.Time(total), 2*period)
 
-	cr := chaosRun{
-		trace: inj.Trace(), dir: finalDirectory(rt),
-		injStats: inj.Stats, emrStats: m.Stats,
-		failedMigs: rt.FailedMigrations(),
-		crashes:    env.crashes, ctlFails: env.ctlFails,
-		violations: chaosInvariants(c, rt),
-	}
+	cr := chaosOutcome(w)
 	if served == 0 {
 		cr.violations = append(cr.violations, "no heartbeats served after recovery window")
 	}

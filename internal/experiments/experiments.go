@@ -13,7 +13,8 @@ import (
 	"strings"
 	"sync"
 
-	"plasma/internal/emr"
+	"plasma/internal/cluster"
+	"plasma/internal/core"
 	"plasma/internal/metrics"
 	"plasma/internal/sim"
 	"plasma/internal/trace"
@@ -117,8 +118,8 @@ type Config struct {
 	Trace *trace.Tracer
 
 	// stats, when non-nil, collects every kernel created through
-	// Config.kernel/kernelSeeded so Run can aggregate event counts and
-	// queue depths (set internally by Run).
+	// Config.world so Run can aggregate event counts and queue depths (set
+	// internally by Run).
 	stats *simTracker
 }
 
@@ -129,24 +130,20 @@ func (c Config) seed() int64 {
 	return c.Seed
 }
 
-// kernel builds the experiment's simulation kernel from the configured
-// seed, registering it for perf accounting when the run is traced.
-func (c Config) kernel() *sim.Kernel { return c.kernelSeeded(c.seed()) }
-
-// kernelSeeded is kernel for experiments that derive several seeds from
-// the base one (multi-seed averaging, chaos schedules).
-func (c Config) kernelSeeded(seed int64) *sim.Kernel {
-	k := sim.New(seed)
+// world is core.NewWorld with the run's tracer, its kernel registered for
+// Run's perf accounting. Experiments that derive several seeds from the base
+// one (multi-seed averaging, chaos schedules) pass each; the rest c.seed().
+func (c Config) world(seed int64, machines int, inst cluster.InstanceType) *core.World {
+	w := core.NewWorld(seed, machines, inst, c.Trace)
 	if c.stats != nil {
-		c.stats.add(k)
+		c.stats.add(w.K)
 	}
-	c.Trace.SetClock(k.Now)
-	return k
+	return w
 }
 
 // runSeeds runs one independent trial per seed (seed base, base+1, ...) and
 // returns the trials' results in seed order. Each trial must build its own
-// kernel via cfg.kernelSeeded, so trials share no simulation state and the
+// world via cfg.world, so trials share no simulation state and the
 // index-ordered result slice is deterministic no matter how trials are
 // scheduled. Untraced trials run on a goroutine pool; traced runs stay
 // sequential because the tracer's clock is re-pointed at each new kernel
@@ -181,15 +178,6 @@ func runSeeds[T any](cfg Config, seeds int, trial func(idx int, seed int64) T) [
 	close(next)
 	wg.Wait()
 	return out
-}
-
-// wireTrace hands the configured tracer to a freshly built EMR manager
-// (which fans it out to the actor runtime, cluster, and chaos injector).
-// No-op when tracing is off.
-func (c Config) wireTrace(m *emr.Manager) {
-	if c.Trace != nil {
-		m.SetTracer(c.Trace)
-	}
 }
 
 // simTracker accumulates the kernels an experiment creates; totals are

@@ -11,7 +11,6 @@ import (
 	"plasma/internal/emr"
 	"plasma/internal/epl"
 	"plasma/internal/metrics"
-	"plasma/internal/profile"
 	"plasma/internal/sim"
 )
 
@@ -44,19 +43,15 @@ func Fig10(cfg Config) *Result {
 
 	meanLat := map[sim.Duration]float64{}
 	for _, period := range periods {
-		k := cfg.kernel()
-		c := cluster.New(k, 4, cluster.M1Small)
+		w := cfg.world(cfg.seed(), 4, cluster.M1Small)
+		k, c, rt := w.K, w.C, w.RT
 		c.SetMaxSize(65)
-		rt := actor.NewRuntime(k, c)
-		prof := profile.New(k, c, rt)
 		app := mediaservice.Build(k, rt, []cluster.MachineID{0, 1, 2, 3}, 8)
 		k.RunUntilIdle()
 
-		mgr := emr.New(k, c, rt, prof, epl.MustParse(mediaservice.PolicySrc),
+		w.Manage(epl.MustParse(mediaservice.PolicySrc),
 			emr.Config{Period: period, ScaleOut: true, ScaleIn: true,
-				MinServers: 4, InstanceType: cluster.M1Small})
-		cfg.wireTrace(mgr)
-		mgr.Start()
+				MinServers: 4, InstanceType: cluster.M1Small}).Start()
 
 		rec := workload.NewRecorder(20 * sim.Second)
 		servers := &metrics.Series{Name: "servers"}

@@ -10,7 +10,6 @@ import (
 	"plasma/internal/cluster"
 	"plasma/internal/emr"
 	"plasma/internal/epl"
-	"plasma/internal/profile"
 	"plasma/internal/sim"
 )
 
@@ -40,11 +39,9 @@ func Fig11a(cfg Config) *Result {
 	rounds, perRound := 4, 8
 
 	run := func(mode string) *workload.Recorder {
-		k := cfg.kernel()
-		c := cluster.New(k, 10, cluster.M1Small) // 8 app servers + 2 client sites
-		c.BaseLatency = haloBaseLatency
-		rt := actor.NewRuntime(k, c)
-		prof := profile.New(k, c, rt)
+		w := cfg.world(cfg.seed(), 10, cluster.M1Small) // 8 app servers + 2 client sites
+		k, rt := w.K, w.RT
+		w.C.BaseLatency = haloBaseLatency
 		srvs := make([]cluster.MachineID, 8)
 		for i := range srvs {
 			srvs[i] = cluster.MachineID(i)
@@ -53,12 +50,9 @@ func Fig11a(cfg Config) *Result {
 
 		switch mode {
 		case "inter-rule":
-			mgr := emr.New(k, c, rt, prof, epl.MustParse(halo.InterPolicySrc),
-				emr.Config{Period: period})
-			cfg.wireTrace(mgr)
-			mgr.Start()
+			w.Manage(epl.MustParse(halo.InterPolicySrc), emr.Config{Period: period}).Start()
 		case "def-rule":
-			f := &baseline.FreqColocator{K: k, RT: rt, C: c, Prof: prof,
+			f := &baseline.FreqColocator{K: k, RT: rt, C: w.C, Prof: w.Prof,
 				Period: period, Threshold: 10}
 			f.Start()
 		}
@@ -118,17 +112,15 @@ func Fig11b(cfg Config) *Result {
 		total = 80 * sim.Second
 	}
 
-	k := cfg.kernel()
-	c := cluster.New(k, 10, cluster.M1Small)
-	c.BaseLatency = haloBaseLatency
-	rt := actor.NewRuntime(k, c)
-	prof := profile.New(k, c, rt)
+	w := cfg.world(cfg.seed(), 10, cluster.M1Small)
+	k, rt := w.K, w.RT
+	w.C.BaseLatency = haloBaseLatency
 	srvs := make([]cluster.MachineID, 8)
 	for i := range srvs {
 		srvs[i] = cluster.MachineID(i)
 	}
 	app := halo.Build(k, rt, srvs, srvs, 8, 8)
-	f := &baseline.FreqColocator{K: k, RT: rt, C: c, Prof: prof, Period: period, Threshold: 10}
+	f := &baseline.FreqColocator{K: k, RT: rt, C: w.C, Prof: w.Prof, Period: period, Threshold: 10}
 	f.Start()
 
 	recs := make([]*workload.Recorder, 8)
@@ -207,11 +199,9 @@ func Fig11c(cfg Config) *Result {
 	}
 
 	for _, gems := range []int{1, 2, 4} {
-		k := cfg.kernel()
-		c := cluster.New(k, servers+2, cluster.M1Small)
-		c.BaseLatency = haloBaseLatency
-		rt := actor.NewRuntime(k, c)
-		prof := profile.New(k, c, rt)
+		w := cfg.world(cfg.seed(), servers+2, cluster.M1Small)
+		k, rt := w.K, w.RT
+		w.C.BaseLatency = haloBaseLatency
 		routerSrvs := make([]cluster.MachineID, servers/8)
 		for i := range routerSrvs {
 			routerSrvs[i] = cluster.MachineID(i)
@@ -223,10 +213,7 @@ func Fig11c(cfg Config) *Result {
 		app := halo.Build(k, rt, routerSrvs, sessionSrvs, routers, sessions)
 		app.Decrypt = true
 
-		mgr := emr.New(k, c, rt, prof, epl.MustParse(halo.FullPolicySrc),
-			emr.Config{Period: period, NumGEMs: gems})
-		cfg.wireTrace(mgr)
-		mgr.Start()
+		w.Manage(epl.MustParse(halo.FullPolicySrc), emr.Config{Period: period, NumGEMs: gems}).Start()
 
 		rec := workload.NewRecorder(20 * sim.Second)
 		for i := 0; i < clients; i++ {

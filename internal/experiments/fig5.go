@@ -8,7 +8,6 @@ import (
 	"plasma/internal/cluster"
 	"plasma/internal/emr"
 	"plasma/internal/epl"
-	"plasma/internal/profile"
 	"plasma/internal/sim"
 )
 
@@ -31,21 +30,16 @@ func Fig5(cfg Config) *Result {
 	folders, filesPer := 4, 8
 
 	run := func(mode string) *workload.Recorder {
-		k := cfg.kernel()
-		c := cluster.New(k, 2, cluster.M1Small) // server 0 + one spare
-		rt := actor.NewRuntime(k, c)
-		prof := profile.New(k, c, rt)
+		w := cfg.world(cfg.seed(), 2, cluster.M1Small) // server 0 + one spare
+		k, rt := w.K, w.RT
 		app := metadata.Build(k, rt, 0, folders, filesPer)
 		k.RunUntilIdle()
 
 		switch mode {
 		case "res-col-rule":
-			mgr := emr.New(k, c, rt, prof, epl.MustParse(metadata.PolicySrc),
-				emr.Config{Period: period})
-			cfg.wireTrace(mgr)
-			mgr.Start()
+			w.Manage(epl.MustParse(metadata.PolicySrc), emr.Config{Period: period}).Start()
 		case "def-rule":
-			h := &baseline.HeavyMigrator{K: k, RT: rt, C: c, Prof: prof,
+			h := &baseline.HeavyMigrator{K: k, RT: rt, C: w.C, Prof: w.Prof,
 				Period: period, TriggerCPU: 80, MoveCount: 1}
 			h.Start()
 		}

@@ -7,7 +7,6 @@ import (
 	"plasma/internal/cluster"
 	"plasma/internal/emr"
 	"plasma/internal/epl"
-	"plasma/internal/profile"
 	"plasma/internal/sim"
 )
 
@@ -34,21 +33,16 @@ func Fig9(cfg Config) *Result {
 	}
 
 	run := func(mode string) *workload.Recorder {
-		k := cfg.kernel()
-		c := cluster.New(k, 5, cluster.M1Small) // 4 app servers + 1 extra
-		rt := actor.NewRuntime(k, c)
-		prof := profile.New(k, c, rt)
+		w := cfg.world(cfg.seed(), 5, cluster.M1Small) // 4 app servers + 1 extra
+		k, rt := w.K, w.RT
 		app := estore.Build(k, rt, []cluster.MachineID{0, 1, 2, 3}, roots, children)
 		k.RunUntilIdle()
 
 		switch mode {
 		case "plasma":
-			mgr := emr.New(k, c, rt, prof, epl.MustParse(estore.PolicySrc),
-				emr.Config{Period: period})
-			cfg.wireTrace(mgr)
-			mgr.Start()
+			w.Manage(epl.MustParse(estore.PolicySrc), emr.Config{Period: period}).Start()
 		case "in-app":
-			e := &estore.InApp{K: k, RT: rt, C: c, Prof: prof, App: app,
+			e := &estore.InApp{K: k, RT: rt, C: w.C, Prof: w.Prof, App: app,
 				Period: period, HighWater: 80, TopFrac: 0.1}
 			e.Start()
 		}

@@ -3,15 +3,14 @@ package experiments
 import (
 	"fmt"
 
-	"plasma/internal/actor"
 	"plasma/internal/apps/pagerank"
 	"plasma/internal/baseline"
 	"plasma/internal/cluster"
+	"plasma/internal/core"
 	"plasma/internal/emr"
 	"plasma/internal/epl"
 	"plasma/internal/graph"
 	"plasma/internal/metrics"
-	"plasma/internal/profile"
 	"plasma/internal/sim"
 )
 
@@ -38,17 +37,14 @@ func pagerankSetup(cfg Config) prSetup {
 // done (or the deadline passes), so elasticity managers stop ticking into
 // dead time.
 func runToCompletion(env *prEnv, deadline sim.Duration) {
-	for !env.app.Done && env.k.Now() < sim.Time(deadline) && env.k.Step() {
+	for !env.app.Done && env.K.Now() < sim.Time(deadline) && env.K.Step() {
 	}
 }
 
 // prEnv deploys PageRank on a fresh simulated cluster.
 type prEnv struct {
-	k    *sim.Kernel
-	c    *cluster.Cluster
-	rt   *actor.Runtime
-	prof *profile.Profiler
-	app  *pagerank.App
+	*core.World
+	app *pagerank.App
 }
 
 // prInput is the generated graph and its partition. Both depend only on
@@ -65,20 +61,17 @@ func pagerankInput(su prSetup, seed int64) prInput {
 }
 
 func buildPagerank(cfg Config, su prSetup, in prInput, machines int, placement []cluster.MachineID, seed int64) *prEnv {
-	k := cfg.kernelSeeded(seed)
 	inst := cluster.M5Large
 	if su.boot > 0 {
 		inst.Boot = su.boot
 	}
-	c := cluster.New(k, machines, inst)
-	rt := actor.NewRuntime(k, c)
-	prof := profile.New(k, c, rt)
-	app := pagerank.Build(k, rt, pagerank.Config{
+	w := cfg.world(seed, machines, inst)
+	app := pagerank.Build(w.K, w.RT, pagerank.Config{
 		Graph: in.g, Parts: in.parts, K: su.workers,
 		PerEdgeCost: su.perEdge, SyncOverhead: su.syncOver, Iterations: su.iterations,
 		HeteroSpread: 0.5,
 	}, placement)
-	return &prEnv{k: k, c: c, rt: rt, prof: prof, app: app}
+	return &prEnv{World: w, app: app}
 }
 
 // randomPlacement randomly assigns workers to machines while keeping actor
@@ -114,16 +107,13 @@ func Fig6a(cfg Config) *Result {
 		env := buildPagerank(cfg, su, in, 8, placement, seed)
 		switch mode {
 		case "plasma":
-			mgr := emr.New(env.k, env.c, env.rt, env.prof, epl.MustParse(pagerank.PolicySrc),
-				emr.Config{Period: su.period})
-			cfg.wireTrace(mgr)
-			mgr.Start()
+			env.Manage(epl.MustParse(pagerank.PolicySrc), emr.Config{Period: su.period}).Start()
 		case "orleans":
-			o := &baseline.Orleans{K: env.k, RT: env.rt, C: env.c, Prof: env.prof,
+			o := &baseline.Orleans{K: env.K, RT: env.RT, C: env.C, Prof: env.Prof,
 				Period: su.period, Types: map[string]bool{"Worker": true}}
 			o.Start()
 		}
-		env.app.Start(env.k)
+		env.app.Start(env.K)
 		runToCompletion(env, 20*sim.Minute)
 		return env.app.ConvergedTime()
 	}
@@ -166,7 +156,7 @@ func Fig6b(cfg Config) *Result {
 	}
 	conSrv := 16
 	env := buildPagerank(cfg, su, in, conSrv, placement, cfg.seed())
-	env.app.Start(env.k)
+	env.app.Start(env.K)
 	runToCompletion(env, 30*sim.Minute)
 	conservative := env.app.ConvergedTime()
 	r.addRow("conservative (32 vCPU)", conservative.String(), fmt.Sprintf("%d", conSrv))
@@ -179,14 +169,12 @@ func Fig6b(cfg Config) *Result {
 	if su.boot > 0 {
 		inst.Boot = su.boot
 	}
-	mgr := emr.New(env2.k, env2.c, env2.rt, env2.prof, epl.MustParse(pagerank.PolicySrc),
-		emr.Config{Period: su.period, ScaleOut: true, InstanceType: inst})
-	cfg.wireTrace(mgr)
-	mgr.Start()
-	env2.app.Start(env2.k)
+	env2.Manage(epl.MustParse(pagerank.PolicySrc),
+		emr.Config{Period: su.period, ScaleOut: true, InstanceType: inst}).Start()
+	env2.app.Start(env2.K)
 	runToCompletion(env2, 30*sim.Minute)
 	plasma := env2.app.ConvergedTime()
-	used := env2.c.UpCount()
+	used := env2.C.UpCount()
 	r.addRow("PLASMA (dynamic)", plasma.String(), fmt.Sprintf("%d", used))
 	r.Summary["converged_ms_plasma"] = float64(plasma) / float64(sim.Millisecond)
 	r.Summary["servers_plasma"] = float64(used)
@@ -225,12 +213,9 @@ func Fig7a(cfg Config) *Result {
 				mz.Attach()
 			}
 		} else if elastic {
-			mgr := emr.New(env.k, env.c, env.rt, env.prof, epl.MustParse(pagerank.PolicySrc),
-				emr.Config{Period: su.period})
-			cfg.wireTrace(mgr)
-			mgr.Start()
+			env.Manage(epl.MustParse(pagerank.PolicySrc), emr.Config{Period: su.period}).Start()
 		}
-		env.app.Start(env.k)
+		env.app.Start(env.K)
 		runToCompletion(env, 60*sim.Minute)
 		s := &metrics.Series{Name: system}
 		for i, d := range env.app.IterationTimes {
@@ -274,9 +259,7 @@ func Fig7bc(cfg Config) *Result {
 	su := pagerankSetup(cfg)
 	placement := randomPlacement(cfg.seed()*7+1, su.workers, 8)
 	env := buildPagerank(cfg, su, pagerankInput(su, cfg.seed()), 8, placement, cfg.seed())
-	mgr := emr.New(env.k, env.c, env.rt, env.prof, epl.MustParse(pagerank.PolicySrc),
-		emr.Config{Period: su.period})
-	cfg.wireTrace(mgr)
+	mgr := env.Manage(epl.MustParse(pagerank.PolicySrc), emr.Config{Period: su.period})
 	for i := 0; i < 8; i++ {
 		id := fmt.Sprintf("node%d", i+1)
 		r.Series["cpu-"+id] = &metrics.Series{Name: "cpu-" + id}
@@ -285,7 +268,7 @@ func Fig7bc(cfg Config) *Result {
 	mgr.OnTick = func(tick int, snap *epl.Snapshot) {
 		counts := map[cluster.MachineID]int{}
 		for _, w := range env.app.Workers {
-			counts[env.rt.ServerOf(w)]++
+			counts[env.RT.ServerOf(w)]++
 		}
 		for i := 0; i < 8; i++ {
 			id := cluster.MachineID(i)
@@ -297,7 +280,7 @@ func Fig7bc(cfg Config) *Result {
 		}
 	}
 	mgr.Start()
-	env.app.Start(env.k)
+	env.app.Start(env.K)
 	runToCompletion(env, 20*sim.Minute)
 
 	// Spread of CPU% across servers, first vs last redistribution.
@@ -336,9 +319,8 @@ func Fig8(cfg Config) *Result {
 	if su.boot > 0 {
 		inst.Boot = su.boot
 	}
-	mgr := emr.New(env.k, env.c, env.rt, env.prof, epl.MustParse(pagerank.PolicySrc),
+	mgr := env.Manage(epl.MustParse(pagerank.PolicySrc),
 		emr.Config{Period: su.period, ScaleOut: true, InstanceType: inst})
-	cfg.wireTrace(mgr)
 
 	iterSeries := &metrics.Series{Name: "iteration-time"}
 	env.app.OnIteration = func(iter int, d sim.Duration) {
@@ -346,10 +328,10 @@ func Fig8(cfg Config) *Result {
 	}
 	serverSeries := &metrics.Series{Name: "servers"}
 	mgr.OnTick = func(tick int, snap *epl.Snapshot) {
-		serverSeries.Add(float64(tick), float64(env.c.UpCount()))
+		serverSeries.Add(float64(tick), float64(env.C.UpCount()))
 	}
 	mgr.Start()
-	env.app.Start(env.k)
+	env.app.Start(env.K)
 	runToCompletion(env, 40*sim.Minute)
 
 	r.Series["iteration-time"] = iterSeries
@@ -359,7 +341,7 @@ func Fig8(cfg Config) *Result {
 		r.Summary["final_iter_s"] = iterSeries.TailMeanY(0.2)
 		r.Summary["speedup"] = iterSeries.Y[0] / iterSeries.TailMeanY(0.2)
 	}
-	r.Summary["final_servers"] = float64(env.c.UpCount())
+	r.Summary["final_servers"] = float64(env.C.UpCount())
 	r.Summary["scaleouts"] = float64(mgr.Stats.ScaleOuts)
 	r.notef("paper: performance improves round by round as servers are provisioned until CPU%% sits within [60,80]")
 	return r

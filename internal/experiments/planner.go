@@ -11,7 +11,6 @@ import (
 	"plasma/internal/emr"
 	"plasma/internal/epl"
 	"plasma/internal/metrics"
-	"plasma/internal/profile"
 	"plasma/internal/sim"
 )
 
@@ -50,22 +49,17 @@ func PlanPagerank(cfg Config) *Result {
 
 	run := func(planner string) (sim.Duration, int) {
 		placement := randomPlacement(seed*7+1, su.workers, 8)
-		k := cfg.kernelSeeded(seed)
-		c := cluster.New(k, 8, cluster.M5Large)
-		rt := actor.NewRuntime(k, c)
-		prof := profile.New(k, c, rt)
-		app := pagerank.Build(k, rt, pagerank.Config{
+		w := cfg.world(seed, 8, cluster.M5Large)
+		app := pagerank.Build(w.K, w.RT, pagerank.Config{
 			Graph: in.g, Parts: in.parts, K: su.workers,
 			PerEdgeCost: su.perEdge, SyncOverhead: su.syncOver, Iterations: su.iterations,
 			HeteroSpread: 0.5, StatePerVertex: statePerVertex,
 		}, placement)
-		env := &prEnv{k: k, c: c, rt: rt, prof: prof, app: app}
-		mgr := emr.New(k, c, rt, prof, epl.MustParse(planPagerankPolicy),
+		mgr := w.Manage(epl.MustParse(planPagerankPolicy),
 			emr.Config{Period: su.period, Planner: planner})
-		cfg.wireTrace(mgr)
 		mgr.Start()
-		app.Start(k)
-		runToCompletion(env, 30*sim.Minute)
+		app.Start(w.K)
+		runToCompletion(&prEnv{World: w, app: app}, 30*sim.Minute)
 		return app.ConvergedTime(), mgr.Stats.ExecutedMigrations
 	}
 
@@ -125,14 +119,12 @@ func PlanHalo(cfg Config) *Result {
 	}
 
 	run := func(planner string) *workload.Recorder {
-		k := cfg.kernel()
-		c := cluster.New(k, servers+2, cluster.M1Small)
+		w := cfg.world(cfg.seed(), servers+2, cluster.M1Small)
+		k, rt := w.K, w.RT
 		// Accentuate the remote hop further than fig11 (20 ms): the skewed
 		// scenario is about where routers sit relative to their traffic, so
 		// the cross-server hop must dominate per-message compute.
-		c.BaseLatency = 4 * haloBaseLatency
-		rt := actor.NewRuntime(k, c)
-		prof := profile.New(k, c, rt)
+		w.C.BaseLatency = 4 * haloBaseLatency
 		// All routers crowd a sixteenth of the fleet so the balance rule has
 		// real work even at the gentler heartbeat rate.
 		routerSrvs := make([]cluster.MachineID, servers/16)
@@ -146,10 +138,7 @@ func PlanHalo(cfg Config) *Result {
 		app := halo.Build(k, rt, routerSrvs, sessionSrvs, routers, sessions)
 		app.Decrypt = true
 
-		mgr := emr.New(k, c, rt, prof, epl.MustParse(planHaloPolicy),
-			emr.Config{Period: period, Planner: planner})
-		cfg.wireTrace(mgr)
-		mgr.Start()
+		w.Manage(epl.MustParse(planHaloPolicy), emr.Config{Period: period, Planner: planner}).Start()
 
 		rec := workload.NewRecorder(20 * sim.Second)
 		for i := 0; i < clients; i++ {

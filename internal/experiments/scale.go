@@ -7,7 +7,6 @@ import (
 	"plasma/internal/cluster"
 	"plasma/internal/emr"
 	"plasma/internal/epl"
-	"plasma/internal/profile"
 	"plasma/internal/sim"
 )
 
@@ -40,7 +39,7 @@ type scaleTrial struct {
 // so their servers breach the upper band. Every Worker self-messages once
 // per cycle with its start staggered across the cycle, so load is spread
 // and the event queue never sees the whole fleet at one instant.
-func scaleFleet(k *sim.Kernel, size, gems int, cfg Config) scaleTrial {
+func scaleFleet(cfg Config, seed int64, size, gems int) scaleTrial {
 	servers := size / 128
 	if servers < 8 {
 		servers = 8
@@ -52,9 +51,8 @@ func scaleFleet(k *sim.Kernel, size, gems int, cfg Config) scaleTrial {
 	used := servers - spares
 	hot := spares
 
-	c := cluster.New(k, servers, cluster.M1Small)
-	rt := actor.NewRuntime(k, c)
-	prof := profile.New(k, c, rt)
+	w := cfg.world(seed, servers, cluster.M1Small)
+	k, rt := w.K, w.RT
 
 	mkWorker := func(cost sim.Duration) actor.Behavior {
 		return actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
@@ -79,9 +77,8 @@ func scaleFleet(k *sim.Kernel, size, gems int, cfg Config) scaleTrial {
 		k.At(sim.Time(kick), func() { cl.Send(ref, "work", nil, 16) })
 	}
 
-	m := emr.New(k, c, rt, prof, epl.MustParse(scalePolicy),
+	m := w.Manage(epl.MustParse(scalePolicy),
 		emr.Config{Period: scalePeriod, NumGEMs: gems, MinResidence: scalePeriod})
-	cfg.wireTrace(m)
 	m.Start()
 
 	k.Run(sim.Time(4*scalePeriod) + sim.Time(scalePeriod/2))
@@ -116,7 +113,7 @@ func Scale(cfg Config) *Result {
 				seeds = 1 // one resident million-actor kernel at a time
 			}
 			trials := runSeeds(cfg, seeds, func(idx int, seed int64) scaleTrial {
-				return scaleFleet(cfg.kernelSeeded(seed), size, gems, cfg)
+				return scaleFleet(cfg, seed, size, gems)
 			})
 			var mig, den, spare float64
 			for _, t := range trials {
@@ -154,10 +151,8 @@ func ScaleSnap(cfg Config) *Result {
 	servers := size / 128
 	period := 250 * sim.Millisecond
 
-	k := cfg.kernel()
-	c := cluster.New(k, servers, cluster.M1Small)
-	rt := actor.NewRuntime(k, c)
-	prof := profile.New(k, c, rt)
+	w := cfg.world(cfg.seed(), servers, cluster.M1Small)
+	k, rt, prof := w.K, w.RT, w.Prof
 
 	ping := actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
 		ctx.Use(100 * sim.Microsecond)

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"testing"
-
-	"plasma/internal/sim"
 )
 
 // Quick-mode scale sweep: every cell must actually balance load into the
@@ -37,7 +35,7 @@ func TestScale100kSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-actor smoke test skipped in -short mode")
 	}
-	tr := scaleFleet(sim.New(1), 100_000, 2, Config{})
+	tr := scaleFleet(Config{}, 1, 100_000, 2)
 	if tr.stats.ExecutedMigrations == 0 {
 		t.Fatal("100k-actor fleet executed no migrations")
 	}

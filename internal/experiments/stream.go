@@ -14,7 +14,6 @@ import (
 	"plasma/internal/emr"
 	"plasma/internal/epl"
 	"plasma/internal/metrics"
-	"plasma/internal/profile"
 	"plasma/internal/sim"
 )
 
@@ -90,11 +89,9 @@ type streamOut struct {
 // boundary. The same arrival stream (same seed, same draws) feeds whichever
 // manager the mode selects.
 func streamRun(cfg Config, seed int64, o streamOpts) streamOut {
-	k := cfg.kernelSeeded(seed)
 	clientSite := cluster.MachineID(o.servers)
-	c := cluster.New(k, o.servers+1, cluster.M1Small)
-	rt := actor.NewRuntime(k, c)
-	prof := profile.New(k, c, rt)
+	w := cfg.world(seed, o.servers+1, cluster.M1Small)
+	k, c, rt := w.K, w.C, w.RT
 	servers := make([]cluster.MachineID, o.servers)
 	for i := range servers {
 		servers[i] = cluster.MachineID(i)
@@ -107,18 +104,16 @@ func streamRun(cfg Config, seed int64, o streamOpts) streamOut {
 	// Deploy the job and its manager.
 	var owner func(key int) actor.Ref
 	var flushees []actor.Ref
-	var m *emr.Manager
 	var plasma *streamagg.Plasma
 	var elastic *streamagg.Elastic
 	var mgr *baseline.Elasticutor
-	var env *chaosEnv
 	peakSrv := o.servers
 	out := streamOut{}
 	switch o.mode {
 	case "plasma":
 		plasma = streamagg.BuildPlasma(k, rt, servers, o.parts, scfg)
 		owner, flushees = plasma.Owner, plasma.Parts
-		m = emr.New(k, c, rt, prof, epl.MustParse(o.policy), emr.Config{
+		m := w.Manage(epl.MustParse(o.policy), emr.Config{
 			Period: o.period, NumGEMs: o.numGEMs, MinResidence: o.period / 2,
 			ScaleOut: o.scaleOut, MinServers: o.servers,
 			InstanceType: cluster.M1Small, ProvSpecs: o.specs,
@@ -128,18 +123,13 @@ func streamRun(cfg Config, seed int64, o streamOpts) streamOut {
 			// partition actually gets the CPU it was promised.
 			ReserveTTL: 3, ReserveEvacuate: true,
 		})
-		cfg.wireTrace(m)
 		m.OnTick = func(int, *epl.Snapshot) {
 			if up := c.UpCount(); up > peakSrv {
 				peakSrv = up
 			}
 		}
 		if len(o.events) > 0 {
-			inj := chaos.NewInjector(seed*31+7, k.Now)
-			m.SetChaos(inj)
-			env = &chaosEnv{c: c, rt: rt, m: m, floor: o.floor,
-				protected: map[cluster.MachineID]bool{clientSite: true}}
-			inj.Apply(k, env, o.events)
+			w.Chaos(seed, o.floor, clientSite).Apply(k, w, o.events)
 		}
 		m.Start()
 	case "elasticutor":
@@ -212,14 +202,11 @@ func streamRun(cfg Config, seed int64, o streamOpts) streamOut {
 		return true
 	})
 
-	k.Run(stop)
-	if m != nil {
-		m.Stop()
-	}
 	if mgr != nil {
+		k.Run(stop) // the baseline stops at the same instant Drain stops an EMR
 		mgr.Stop()
 	}
-	k.Run(stop + sim.Time(8*sim.Second))
+	w.Drain(stop, 8*sim.Second)
 
 	// Per-window p99 (with the small per-window sample sets this is the
 	// worst partition's backlog); a window whose probes never returned is
@@ -264,12 +251,13 @@ func streamRun(cfg Config, seed int64, o streamOpts) streamOut {
 	out.meanRec, out.recovered = rec.MeanRecovery(horizon)
 	out.violSec = slo.ViolationSeconds()
 	out.p99Series = &series
-	out.bad = chaosInvariants(c, rt)
+	out.bad = w.Invariants()
+	out.ctlFails, out.crashes = w.CtlFails, w.Crashes
 	out.peakSrv = peakSrv
 	if plasma != nil {
 		out.events = plasma.Events
 	}
-	if m != nil {
+	if m := w.M; m != nil {
 		out.moves = m.Stats.ExecutedMigrations
 		out.movedKeys = out.moves * (o.keys / o.parts)
 		out.movedMB = float64(out.moves) * float64(int64(o.keys/o.parts)*o.perKey) / (1 << 20)
@@ -280,9 +268,6 @@ func streamRun(cfg Config, seed int64, o streamOpts) streamOut {
 		out.movedKeys = elastic.HandoffKeys
 		out.movedMB = float64(elastic.HandoffBytes) / (1 << 20)
 		out.events = elastic.Events
-	}
-	if env != nil {
-		out.ctlFails, out.crashes = env.ctlFails, env.crashes
 	}
 	return out
 }

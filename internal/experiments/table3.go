@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"plasma/internal/actor"
 	"plasma/internal/apps/chatroom"
 	"plasma/internal/cluster"
-	"plasma/internal/profile"
 	"plasma/internal/sim"
 )
 
@@ -24,16 +22,14 @@ func Table3(cfg Config) *Result {
 	}
 
 	run := func(inst cluster.InstanceType, users int, profiled bool) sim.Duration {
-		k := cfg.kernel()
-		c := cluster.New(k, 1, inst)
-		rt := actor.NewRuntime(k, c)
-		if profiled {
-			profile.New(k, c, rt)
+		w := cfg.world(cfg.seed(), 1, inst)
+		if !profiled {
+			w.RT.SetProfiler(nil)
 		}
-		app := chatroom.Build(rt, 0, users)
-		app.DrivePosts(k, 0, posts, 5*sim.Millisecond)
-		k.RunUntilIdle()
-		return sim.Duration(k.Now())
+		app := chatroom.Build(w.RT, 0, users)
+		app.DrivePosts(w.K, 0, posts, 5*sim.Millisecond)
+		w.K.RunUntilIdle()
+		return sim.Duration(w.K.Now())
 	}
 
 	worst := 0.0
