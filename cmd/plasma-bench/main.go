@@ -236,14 +236,14 @@ func measureSweep(cfg experiments.Config, iters int) BenchFile {
 	return bf
 }
 
-// benchDecision measures the planner_decision_time entry: one batch-planner
-// GEM decision round over a synthetic dense snapshot — a million actors on a
+// benchDecision measures the planner_decision_time entry: one GEM decision
+// round over a synthetic dense snapshot — a million actors on a
 // thousand servers in full mode, 64k on 256 in quick mode. The snapshot is
 // built outside the timed region (emr.NewDecisionBench), so ns/op is the
 // decision round alone, the part that must stay off the migration critical
 // path. Events counts the snapshot rows one round scans, making events/sec
 // the planner's decision throughput in actors/sec; the fixed synthetic fleet
-// makes both planners' action counts pure functions of the sizes, so the
+// makes the round's action count a pure function of the sizes, so the
 // Summary values feed -compare's determinism gate like any experiment's.
 func benchDecision(cfg experiments.Config, iters int) BenchExperiment {
 	actors, servers := 65536, 256
@@ -252,13 +252,13 @@ func benchDecision(cfg experiments.Config, iters int) BenchExperiment {
 	}
 	db := emr.NewDecisionBench(actors, servers)
 	be := BenchExperiment{ID: "planner_decision_time", Iters: iters, NsPerOp: math.MaxInt64}
-	batchActions := 0
+	actions := 0
 	for i := 0; i < iters; i++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		//lint:ignore DET001 bench mode measures real wall time by design
 		start := time.Now()
-		batchActions = db.Run("batch")
+		actions = db.Run("")
 		elapsed := time.Since(start)
 		runtime.ReadMemStats(&after)
 		if ns := elapsed.Nanoseconds(); ns < be.NsPerOp {
@@ -266,16 +266,14 @@ func benchDecision(cfg experiments.Config, iters int) BenchExperiment {
 		}
 		be.AllocsPerOp = int64(after.Mallocs - before.Mallocs)
 	}
-	legacyActions := db.Run("")
 	be.Events = uint64(actors)
 	if be.NsPerOp > 0 {
 		be.EventsPerSec = float64(be.Events) / (float64(be.NsPerOp) / 1e9)
 	}
 	be.Summary = map[string]float64{
-		"actors":         float64(actors),
-		"servers":        float64(servers),
-		"actions_batch":  float64(batchActions),
-		"actions_legacy": float64(legacyActions),
+		"actors":  float64(actors),
+		"servers": float64(servers),
+		"actions": float64(actions),
 	}
 	return be
 }

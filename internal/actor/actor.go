@@ -13,7 +13,6 @@ package actor
 import (
 	"fmt"
 	"sort"
-	"strconv"
 
 	"plasma/internal/cluster"
 	"plasma/internal/sim"
@@ -109,11 +108,6 @@ type instance struct {
 	pendingTr  uint64 // trace parent for the pending migration
 	dead       bool
 
-	// beginQueued marks a begin-migration event already queued for the
-	// pending migration, so pump (which may run once per delivery) queues
-	// at most one.
-	beginQueued bool
-
 	// migEpoch invalidates in-flight migration steps when the actor is
 	// re-homed (crash recovery) or a newer migration supersedes them.
 	migEpoch uint64
@@ -158,18 +152,6 @@ type Runtime struct {
 	// limit — overload degrades gracefully rather than melting down. Zero
 	// keeps the legacy unbounded mailboxes.
 	MailboxCap int
-
-	// XferPipeline routes migration state transfers through a per-NIC
-	// scheduler: a destination's inbound NIC ingests one state stream at a
-	// time at the existing per-byte cost, so batched transfers into the
-	// same server queue behind each other while transfers to distinct
-	// destinations overlap. The batch planner (emr Config.Planner =
-	// "batch") turns it on; off by default, migrations keep the legacy
-	// contention-free latency model, byte-identical to pinned runs.
-	XferPipeline bool
-	// nicBusy is when each destination's inbound NIC next frees (written
-	// by migTransfer).
-	nicBusy map[cluster.MachineID]sim.Time
 
 	shed     int64    // deliveries dropped at full bounded mailboxes
 	flights  *flight  // free list of recycled flights
@@ -765,23 +747,9 @@ func (rt *Runtime) pump(inst *instance) {
 		return
 	}
 	if inst.pendingDst >= 0 {
-		// The pending migration begins as its own event, after the
-		// handler that called pump returns. The actor stays parked (pump
-		// dispatches nothing while a move is pending), so at most one
-		// such event is ever queued.
-		if !inst.beginQueued {
-			inst.beginQueued = true
-			rt.K.AfterHomed(int32(inst.srv), 0, func() {
-				inst.beginQueued = false
-				if inst.pendingDst >= 0 && !inst.busy && !inst.migrating {
-					rt.beginMigration(inst)
-					return
-				}
-				// The request was withdrawn while the event was queued
-				// (destination died, actor stopped): resume mail.
-				rt.pump(inst)
-			})
-		}
+		// A move requested while the actor was busy begins now, ahead of
+		// any queued mail.
+		rt.beginMigration(inst)
 		return
 	}
 	if inst.queued() == 0 {
@@ -868,17 +836,16 @@ func (rt *Runtime) MigrateTraced(ref Ref, dst cluster.MachineID, parent uint64, 
 	}
 }
 
-// beginMigration starts a pending migration, directly from MigrateTraced
-// or from the event pump queued.
+// beginMigration starts a pending migration, from MigrateTraced when the
+// actor is idle or from pump when its turn ends.
 //
 // Serialize on the source, transfer, deserialize on the destination, then
 // resume message processing there. Every asynchronous step revalidates the
 // migration: a crash of either endpoint (or a Stop, or a crash-recovery
 // re-home) aborts it via the epoch guard, and the actor either resumes on
 // its source with its buffered mail intact or awaits RecoverMachine —
-// never a permanently stuck `migrating` flag. Each serialize/deserialize
-// Exec completion runs the next step as its own event, after the
-// completion handler returns.
+// never a permanently stuck `migrating` flag. Each step runs directly in
+// the Exec completion of the one before it.
 func (rt *Runtime) beginMigration(inst *instance) {
 	dst := inst.pendingDst
 	onDone := inst.pendingFn
@@ -904,21 +871,11 @@ func (rt *Runtime) beginMigration(inst *instance) {
 	stateMB := float64(inst.memSize) / (1 << 20)
 	serCost := sim.Duration(stateMB * float64(rt.SerializePerMB))
 
-	rt.C.Machine(src).Exec(serCost, func() {
-		rt.K.AfterHomed(int32(src), 0, func() { rt.migTransfer(mig, serCost) })
-	})
+	rt.C.Machine(src).Exec(serCost, func() { rt.migTransfer(mig, serCost) })
 }
 
 // migTransfer is the post-serialize step: charge the state transfer to
 // both NICs and schedule the arrival.
-//
-// With XferPipeline set, the transfer first waits for earlier state
-// streams into the same destination NIC to drain: the wire time itself is
-// unchanged (the same per-byte TransferLatency pricing), but concurrent
-// arrivals at one server serialize instead of magically sharing infinite
-// ingest bandwidth, while transfers to distinct destinations overlap. Each
-// pipelined transfer emits a KindXferPipeline record carrying its wire
-// time and how long it queued.
 func (rt *Runtime) migTransfer(mig *migration, serCost sim.Duration) {
 	if !rt.migValid(mig) {
 		return
@@ -927,22 +884,6 @@ func (rt *Runtime) migTransfer(mig *migration, serCost sim.Duration) {
 	lat := rt.C.TransferLatency(src, dst, inst.memSize)
 	rt.C.Machine(src).AddNetBytes(inst.memSize)
 	rt.C.Machine(dst).AddNetBytes(inst.memSize)
-	if rt.XferPipeline {
-		if rt.nicBusy == nil {
-			rt.nicBusy = make(map[cluster.MachineID]sim.Time)
-		}
-		now := rt.K.Now()
-		start := now
-		if busy := rt.nicBusy[dst]; busy > start {
-			start = busy
-		}
-		wait := sim.Duration(start - now)
-		rt.nicBusy[dst] = start + sim.Time(lat)
-		rt.tr.Emit(trace.Record{Kind: trace.KindXferPipeline, Parent: mig.traceID,
-			Server: int32(src), Target: int32(dst), Actor: uint64(inst.id), Rule: -1,
-			Value: float64(lat), Detail: "wait=" + strconv.FormatInt(int64(wait), 10) + "us"})
-		lat += wait
-	}
 	rt.K.After(lat, func() {
 		if !rt.migValid(mig) {
 			return
@@ -953,9 +894,7 @@ func (rt *Runtime) migTransfer(mig *migration, serCost sim.Duration) {
 			rt.abortMigration(mig, true, "dst-down")
 			return
 		}
-		rt.C.Machine(dst).Exec(serCost, func() {
-			rt.K.AfterHomed(int32(dst), 0, func() { rt.migCommit(mig) })
-		})
+		rt.C.Machine(dst).Exec(serCost, func() { rt.migCommit(mig) })
 	})
 }
 

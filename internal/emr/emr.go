@@ -114,25 +114,12 @@ type Config struct {
 	// DefaultUpper is the admission bound used when a rule states no upper
 	// threshold.
 	DefaultUpper float64
-	// Planner selects the GEM planning strategy. Empty or "legacy" keeps
-	// the historical one-intent-at-a-time greedy planner, byte-identical
-	// at fixed seed to every pinned experiment. "batch" collects the
-	// period's balance/reserve intents into one deterministic
-	// multi-resource (CPU/mem/net) packing round, colocates by
-	// communication affinity, and executes the resulting migrations
-	// through the per-NIC transfer pipeline (DESIGN.md §11).
-	Planner string
 	// Priorities orders conflicting actions; higher wins. Zero value uses
 	// the defaults (reserve > pin > balance > colocate > separate: reserve
 	// is the most specific placement demand, pin blocks everything below
 	// it, and balance outranks colocate as in the paper's §4.3 example).
 	Priorities map[epl.BehaviorKind]int
 }
-
-// batchPlanner reports whether the batched multi-resource planning round is
-// selected. Any value other than "batch" (including empty and "legacy")
-// keeps the historical greedy planner.
-func (m *Manager) batchPlanner() bool { return m.Cfg.Planner == "batch" }
 
 func (c Config) priority(k epl.BehaviorKind) int {
 	if c.Priorities != nil {
@@ -271,6 +258,8 @@ type Manager struct {
 
 	tr     *trace.Tracer // nil = decisions untraced
 	trTick uint64        // current period's KindTick record id
+
+	rd round // the planning round's state, reused across periods
 }
 
 // SetTracer installs (or removes, with nil) the decision tracer, fanning it
@@ -385,12 +374,6 @@ func New(k *sim.Kernel, c *cluster.Cluster, rt *actor.Runtime, prof *profile.Pro
 		resEpoch: make(map[cluster.MachineID]uint64),
 		resLease: make(map[cluster.MachineID]int),
 		draining: make(map[cluster.MachineID]bool),
-	}
-	if m.batchPlanner() && rt != nil {
-		// Batched plans hand the runtime several same-period migrations;
-		// the per-NIC scheduler lets transfers to distinct destinations
-		// overlap instead of serializing behind one another.
-		rt.XferPipeline = true
 	}
 	// Copy the provisioning spectrum: specs are mutable (warm-pool
 	// capacity depletes), and the caller's slice must stay pristine.
@@ -761,14 +744,7 @@ func (m *Manager) gemProcess(g *gem, snap *epl.Snapshot, tickIdx int) {
 			}
 		}
 	}
-	var actions []Action
-	var allOver, allUnder, wantIn bool
-	var outNeed int
-	if m.batchPlanner() {
-		actions, allOver, allUnder, outNeed, wantIn = m.planResourceBatch(scope, gemView, res, gemEvalID, tickIdx)
-	} else {
-		actions, allOver, allUnder, outNeed, wantIn = m.planResource(scope, gemView, res)
-	}
+	actions, allOver, allUnder, outNeed, wantIn := m.planResource(scope, g.got, gemView, res, gemEvalID, tickIdx)
 	g.allOver = allOver
 	g.allUnder = allUnder
 	m.Stats.PlannedActions += len(actions)
@@ -920,7 +896,7 @@ func (m *Manager) checkIdleRes(a Action, snap *epl.Snapshot) (bool, string) {
 	}
 	l := m.lemFor(a.Trg)
 	res := a.Res
-	load := m.loadOn(ai, res, a.Trg, snap)
+	load := shareOn(ai, m.capacity(ai.Server), m.capacity(a.Trg))[res]
 	projected := l.promised[res]
 	if ti != nil {
 		projected += ti.Res(res)
@@ -937,34 +913,32 @@ func (m *Manager) admissionBound(res epl.Resource) float64 {
 	return m.Cfg.DefaultUpper
 }
 
-// loadOn estimates the resource share (0-100) the actor would add on the
-// target server, rescaling its measured usage by relative capacity.
-func (m *Manager) loadOn(ai *epl.ActorInfo, res epl.Resource, trg cluster.MachineID, snap *epl.Snapshot) float64 {
-	src := m.C.Machine(ai.Server)
-	dst := m.C.Machine(trg)
-	if src == nil || dst == nil {
-		return ai.ResOf(res)
+// capacity is a machine's (cpu, mem, net) capacity in speed-weighted cores,
+// bytes and Mbps; zero for a machine the cluster does not know.
+func (m *Manager) capacity(id cluster.MachineID) (c [3]float64) {
+	if mach := m.C.Machine(id); mach != nil {
+		t := mach.Type
+		c = [3]float64{float64(t.VCPUs) * t.SpeedFac, float64(t.MemMB * 1024 * 1024), t.NetMbps}
 	}
-	switch res {
-	case epl.CPU:
-		srcCap := float64(src.Type.VCPUs) * src.Type.SpeedFac
-		dstCap := float64(dst.Type.VCPUs) * dst.Type.SpeedFac
-		if dstCap == 0 {
-			return ai.CPUPerc
-		}
-		return ai.CPUPerc * srcCap / dstCap
-	case epl.Mem:
-		if dst.Type.MemMB == 0 {
-			return ai.MemPerc
-		}
-		return float64(ai.MemBytes) / float64(dst.Type.MemMB*1024*1024) * 100
-	case epl.Net:
-		if dst.Type.NetMbps == 0 {
-			return ai.NetPerc
-		}
-		return ai.NetPerc * src.Type.NetMbps / dst.Type.NetMbps
+	return c
+}
+
+// shareOn estimates the (cpu, mem, net) utilization share (0-100) the actor
+// would add on a machine of capacity dst, rescaling the usage it measured
+// on a machine of capacity src. An axis whose capacity is unknown keeps the
+// measured share.
+func shareOn(ai *epl.ActorInfo, src, dst [3]float64) [3]float64 {
+	v := ai.ResVec()
+	if src[epl.CPU] != 0 && dst[epl.CPU] != 0 {
+		v[epl.CPU] = ai.CPUPerc * src[epl.CPU] / dst[epl.CPU]
 	}
-	return 0
+	if dst[epl.Mem] != 0 {
+		v[epl.Mem] = float64(ai.MemBytes) / dst[epl.Mem] * 100
+	}
+	if src[epl.Net] != 0 && dst[epl.Net] != 0 {
+		v[epl.Net] = ai.NetPerc * src[epl.Net] / dst[epl.Net]
+	}
+	return v
 }
 
 // movable reports whether the actor may be migrated now (not pinned, has

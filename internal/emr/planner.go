@@ -1,12 +1,17 @@
 package emr
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 
 	"plasma/internal/actor"
 	"plasma/internal/cluster"
 	"plasma/internal/epl"
+	"plasma/internal/graph"
+	"plasma/internal/trace"
 )
 
 // srvLoad pairs a server with its utilization on the resource being planned.
@@ -109,7 +114,10 @@ func (m *Manager) planColocateGroups(snap *epl.Snapshot, pairs []epl.PairIntent,
 
 // groupAnchor picks where a colocation group should live: the destination
 // of the member with the highest-priority planned action, else the server
-// of a pinned member, else the server already holding the most group state.
+// of a pinned member, else where the group's internal traffic already lands
+// — so the colocate batch moves the least chatty state — with ties (and
+// groups that exchanged no profiled messages) going to the most resident
+// state, then the lowest server id.
 func (m *Manager) groupAnchor(members []*epl.ActorInfo, planned map[actor.Ref]Action) (cluster.MachineID, actor.Ref) {
 	bestPri := -1
 	var dest cluster.MachineID = -1
@@ -129,38 +137,43 @@ func (m *Manager) groupAnchor(members []*epl.ActorInfo, planned map[actor.Ref]Ac
 			return mem.Server, mem.Ref
 		}
 	}
-	if m.batchPlanner() {
-		// Anchor on the group's internal traffic when it has any: the whole
-		// family converges where its messages already land, so the colocate
-		// migration batch moves the least chatty state.
-		if dest, anchor, ok := m.groupAnchorAffinity(members); ok {
-			return dest, anchor
-		}
+	byID := make(map[actor.ID]*epl.ActorInfo, len(members))
+	for _, mem := range members {
+		byID[mem.Ref.ID] = mem
 	}
-	// Most resident state wins; ties go to the lowest server id.
+	// Per server: the intra-group message weight its resident members take
+	// part in (message counts, so the sums are exact in any order), and
+	// their state mass.
+	comm := map[cluster.MachineID]float64{}
 	mass := map[cluster.MachineID]int64{}
 	for _, mem := range members {
 		mass[mem.Server] += mem.MemBytes + 1
+		for _, cs := range mem.Calls {
+			if peer := byID[cs.Caller.ID]; peer != nil && peer != mem && cs.Count > 0 {
+				comm[mem.Server] += float64(cs.Count)
+				comm[peer.Server] += float64(cs.Count)
+			}
+		}
 	}
 	ids := make([]cluster.MachineID, 0, len(mass))
 	for id := range mass {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var best cluster.MachineID = -1
-	var bestMass int64 = -1
 	for _, id := range ids {
-		if mass[id] > bestMass {
-			best, bestMass = id, mass[id]
+		if dest < 0 || comm[id] > comm[dest] || (comm[id] == comm[dest] && mass[id] > mass[dest]) {
+			dest = id
 		}
 	}
+	// The anchor is the partner admission checks the followers against: the
+	// first member already there, but on a dedicated server its owner — a
+	// reserved server admits nobody else's partners.
 	for _, mem := range members {
-		if mem.Server == best {
+		if mem.Server == dest && (anchor.Zero() || mem.Ref == m.reserved[dest]) {
 			anchor = mem.Ref
-			break
 		}
 	}
-	return best, anchor
+	return dest, anchor
 }
 
 // destOf is an actor's server after this period's already-planned actions.
@@ -239,16 +252,199 @@ func (m *Manager) planSeparates(snap *epl.Snapshot, pairs []epl.PairIntent, plan
 	return out
 }
 
-// planResource is Alg. 2's applyResRules over a GEM's scope: balance and
-// reserve intents become actions. It also reports whether every scoped
-// server is overloaded (scale-out signal) or under-utilized (scale-in
-// signal) per the triggering rules.
-func (m *Manager) planResource(scope []cluster.MachineID, snap *epl.Snapshot, in *epl.Intents) (actions []Action, allOver, allUnder bool, outNeed int, wantIn bool) {
-	inScope := map[cluster.MachineID]bool{}
+// The planning round (Alg. 2's applyResRules). A GEM collects the period's
+// reserve and balance intents and solves them in one deterministic greedy
+// packing pass over per-server (cpu, mem, net) utilization vectors:
+//
+//   - reservations first — they are the most specific placement demands —
+//     each to the scoped shared-pool server lowest on (load, resident count,
+//     id); a server dedicated this tick leaves the packing set, so balance
+//     never plans onto it only to be refused at admission;
+//   - every planned move updates one shared projection, so a later intent
+//     sees the fleet as the earlier ones will leave it, and a mover is
+//     planned at most once however many intents cover it;
+//   - a target must fit the mover on all three axes (the planned axis under
+//     the rule's upper bound, the others under the admission bound), so a
+//     cpu rule cannot overload memory and have a mem rule undo it a period
+//     later;
+//   - among fitting targets the mover's communication affinity decides (the
+//     profiled message counts), then the lowest projected load, then the
+//     lowest server id, and a source sheds the actors that talk to it least
+//     first;
+//   - with no server over the band, the rule's low-water side fills the most
+//     starved server from the most loaded one (planDeficitFill).
+//
+// Determinism: servers are scanned in snapshot (id) order, over-band sources
+// sort on (load desc, id asc), candidates on (affinity asc, share desc, id
+// asc), the affinity adjacency is id-sorted, and every tiebreak ends at the
+// lowest id. No map is iterated to produce output, and nothing depends on
+// the order of snap.Actors.
+
+// round is one planning round's state. It lives on the Manager and is
+// re-sliced every round, so a steady-state period allocates next to nothing
+// here; the per-server buckets and the affinity edges are built only by
+// the rounds that reach for them.
+type round struct {
+	snap *epl.Snapshot
+	// fresh, when non-nil, is the set of servers whose REPORT reached the
+	// GEM this period; the others in scope are known from a cached report up
+	// to StalePeriods old. Affinity is trusted only toward the former: it is
+	// the one criterion that prefers a loaded server to an idle one, and a
+	// target packed toward the bound on an outdated reading is the move
+	// admission refuses a hop later, while the overloaded source waits a
+	// period (Fig. 11c with four GEMs: a 950 ms transient).
+	fresh map[cluster.MachineID]bool
+
+	// slot maps a machine id to its index in the packing set (servers,
+	// proj, caps), or to one of the negative markers below.
+	slot    []int32
+	servers []cluster.MachineID            // scoped, up, shared-pool servers, id order
+	proj    [][3]float64                   // projected (cpu, mem, net) utilization
+	caps    [][3]float64                   // capacity, for rescaling a mover's share
+	dest    map[actor.ID]cluster.MachineID // where the round leaves each actor it has decided about
+
+	bucketed bool
+	start    []int32          // machine id -> its run in resident
+	resident []*epl.ActorInfo // snap.Actors grouped by server
+
+	aff      graph.Affinity
+	affBuilt bool
+	pulls    []srvLoad
+	cands    []cand
+}
+
+const (
+	slotOut   = -1 // outside the GEM's scope
+	slotScope = -2 // in scope but not packable: down, draining or reserved
+	slotTaken = -3 // dedicated by a reservation planned this round
+)
+
+// begin resets the round for a new snapshot and marks the scope.
+func (r *round) begin(snap *epl.Snapshot, scope []cluster.MachineID, fresh map[cluster.MachineID]bool) {
+	n := 0
 	for _, id := range scope {
-		inScope[id] = true
+		n = max(n, int(id)+1)
 	}
-	takenThisTick := map[cluster.MachineID]bool{}
+	for _, srv := range snap.Servers {
+		n = max(n, int(srv.ID)+1)
+	}
+	r.snap, r.fresh = snap, fresh
+	r.slot = slices.Grow(r.slot[:0], n)[:n]
+	for i := range r.slot {
+		r.slot[i] = slotOut
+	}
+	for _, id := range scope {
+		r.slot[id] = slotScope
+	}
+	r.servers, r.proj, r.caps = r.servers[:0], r.proj[:0], r.caps[:0]
+	if r.dest == nil {
+		r.dest = map[actor.ID]cluster.MachineID{}
+	}
+	clear(r.dest)
+	r.bucketed, r.affBuilt = false, false
+}
+
+// residents lists the snapshot's actors on srv. The first call of a round
+// buckets snap.Actors by server in two passes; a round that never sheds
+// never pays for them.
+func (r *round) residents(srv cluster.MachineID) []*epl.ActorInfo {
+	if !r.bucketed {
+		r.bucketed = true
+		n := len(r.slot)
+		r.start = slices.Grow(r.start[:0], n+2)[:n+2]
+		clear(r.start)
+		for _, ai := range r.snap.Actors {
+			if s := int(ai.Server); s >= 0 && s < n {
+				r.start[s+2]++
+			}
+		}
+		for i := 1; i < len(r.start); i++ {
+			r.start[i] += r.start[i-1]
+		}
+		total := int(r.start[n+1])
+		r.resident = slices.Grow(r.resident[:0], total)[:total]
+		for _, ai := range r.snap.Actors {
+			if s := int(ai.Server); s >= 0 && s < n {
+				r.resident[r.start[s+1]] = ai
+				r.start[s+1]++
+			}
+		}
+	}
+	return r.resident[r.start[srv]:r.start[srv+1]]
+}
+
+// peers is the actor's adjacency in the period's communication graph: the
+// snapshot's profiled call counts folded into undirected edges. Client
+// calls (Caller.ID == 0) have no actor peer and are skipped. The graph is
+// built by the first call of a round, which only an over-band source or a
+// planned reservation makes.
+func (r *round) peers(id actor.ID) []graph.AffEdge {
+	if !r.affBuilt {
+		r.affBuilt = true
+		r.aff.Reset()
+		for _, ai := range r.snap.Actors {
+			for _, cs := range ai.Calls {
+				if cs.Caller.ID != 0 {
+					r.aff.Add(int64(ai.Ref.ID), int64(cs.Caller.ID), float64(cs.Count))
+				}
+			}
+		}
+	}
+	return r.aff.Peers(int64(id))
+}
+
+// pull resolves a mover's peers to where each will be once this round's
+// moves land: one (server, weight) entry per peer, in peer-id order. The
+// result is scratch, valid until the next call.
+func (r *round) pull(id actor.ID) []srvLoad {
+	r.pulls = r.pulls[:0]
+	for _, e := range r.peers(id) {
+		p := actor.ID(e.Peer)
+		at, planned := r.dest[p]
+		if !planned {
+			pi := r.snap.Actor(actor.Ref{ID: p})
+			if pi == nil {
+				continue
+			}
+			at = pi.Server
+		}
+		r.pulls = append(r.pulls, srvLoad{at, e.Weight})
+	}
+	return r.pulls
+}
+
+// affTo sums a mover's pull toward srv: its communication affinity there.
+func affTo(pull []srvLoad, srv cluster.MachineID) float64 {
+	var s float64
+	for _, p := range pull {
+		if p.id == srv {
+			s += p.load
+		}
+	}
+	return s
+}
+
+// move records a planned migration in the shared projection.
+func (r *round) move(ai *epl.ActorInfo, from, to int32, add [3]float64) {
+	vec := ai.ResVec()
+	for x := range vec {
+		r.proj[from][x] -= vec[x]
+		r.proj[to][x] += add[x]
+	}
+	r.dest[ai.Ref.ID] = r.servers[to]
+}
+
+// planResource runs the round over a GEM's scope and reports, beside the
+// actions, the scale signals: whether every packable server is over (resp.
+// under) some rule's band, how many servers' worth of scale-out pressure
+// the round could not place, and whether a rule wants to scale in.
+// fresh is round.fresh (nil: every scoped server reported this period);
+// parent/tickIdx anchor the plan-batch trace record to the GEM evaluation
+// that produced the intents.
+func (m *Manager) planResource(scope []cluster.MachineID, fresh map[cluster.MachineID]bool, snap *epl.Snapshot, in *epl.Intents, parent uint64, tickIdx int) (actions []Action, allOver, allUnder bool, outNeed int, wantIn bool) {
+	r := &m.rd
+	r.begin(snap, scope, fresh)
+
 	for _, ri := range in.Reserve {
 		// A reserve intent naming a reservation's owner refreshes its lease:
 		// the rule still wants the dedication (see Config.ReserveTTL).
@@ -257,10 +453,15 @@ func (m *Manager) planResource(scope []cluster.MachineID, snap *epl.Snapshot, in
 				m.resLease[srv] = m.Stats.Ticks
 			}
 		}
-		a, starved := m.planReserve(ri, snap, inScope, takenThisTick)
-		if a != nil {
-			takenThisTick[a.Trg] = true
-			actions = append(actions, *a)
+		trg, starved := m.planReserve(ri)
+		if trg >= 0 {
+			r.slot[trg] = slotTaken
+			r.dest[ri.Actor.ID] = trg
+			actions = append(actions, Action{
+				Actor: ri.Actor, Src: snap.Actor(ri.Actor).Server, Trg: trg,
+				Kind: epl.KindReserve, Res: ri.Res,
+				Pri: m.Cfg.priority(epl.KindReserve), Partner: ri.Actor,
+			})
 		}
 		if starved {
 			// A reservation demand with no idle server to satisfy it is
@@ -268,104 +469,10 @@ func (m *Manager) planResource(scope []cluster.MachineID, snap *epl.Snapshot, in
 			outNeed++
 		}
 	}
-	for _, bi := range in.Balance {
-		acts, over, under, out, in2 := m.planBalance(bi, snap, inScope)
-		actions = append(actions, acts...)
-		allOver = allOver || over
-		allUnder = allUnder || under
-		if out {
-			outNeed++
-		}
-		wantIn = wantIn || in2
-	}
-	return actions, allOver, allUnder, outNeed, wantIn
-}
+	nResv := len(actions)
 
-// planReserve migrates the actor to an idle server which then becomes
-// dedicated to it (admission enforces exclusivity).
-func (m *Manager) planReserve(ri epl.ReserveIntent, snap *epl.Snapshot, inScope, takenThisTick map[cluster.MachineID]bool) (act *Action, starved bool) {
-	ai := snap.Actor(ri.Actor)
-	if ai == nil || !m.movableAt(ai, m.Cfg.priority(epl.KindReserve)) {
-		return nil, false
-	}
-	// Already reserved somewhere and sitting there: nothing to do.
-	if owner, ok := m.reserved[ai.Server]; ok && owner == ri.Actor {
-		return nil, false
-	}
-	exclude := map[cluster.MachineID]bool{ai.Server: true}
-	best := cluster.MachineID(-1)
-	bestLoad := math.Inf(1)
-	bestCnt := 0
 	for _, srv := range snap.Servers {
-		if !srv.Up || exclude[srv.ID] || m.draining[srv.ID] {
-			continue
-		}
-		if !inScope[srv.ID] {
-			continue
-		}
-		if _, taken := m.reserved[srv.ID]; taken {
-			continue
-		}
-		if takenThisTick[srv.ID] {
-			continue
-		}
-		load := srv.Res(ri.Res)
-		cnt := m.RT.NumActorsOn(srv.ID)
-		if m.batchPlanner() {
-			// Lexicographic (load, resident count): the quietest server
-			// wins, an emptier one breaks ties, and the id-ordered
-			// iteration breaks full ties to the lowest server id.
-			if load < bestLoad || (load == bestLoad && cnt < bestCnt) {
-				bestLoad, bestCnt = load, cnt
-				best = srv.ID
-			}
-			continue
-		}
-		// Legacy score: utilization percentage plus raw resident count, so
-		// an empty server wins ties. The unit mixing is a known wart — 3
-		// idle residents outweigh 2.9 points of load — but the scoring is
-		// frozen under the byte-identity contract for pinned experiment
-		// ids; the batch planner branch above carries the fix.
-		load += float64(cnt)
-		if load < bestLoad {
-			bestLoad = load
-			best = srv.ID
-		}
-	}
-	if best < 0 {
-		return nil, true
-	}
-	// Only worth reserving if the target is meaningfully quieter.
-	src := snap.Server(ai.Server)
-	trg := snap.Server(best)
-	if src != nil && trg != nil && trg.Res(ri.Res) >= src.Res(ri.Res) {
-		return nil, true
-	}
-	return &Action{
-		Actor: ri.Actor, Src: ai.Server, Trg: best,
-		Kind: epl.KindReserve, Res: ri.Res,
-		Pri: m.Cfg.priority(epl.KindReserve), Partner: ri.Actor,
-	}, false
-}
-
-// planBalance moves actors of the covered types from servers above the
-// rule's upper bound to servers below its lower bound (PLASMA's heuristic,
-// §4.2), greedily by per-actor usage, until the source's projected load
-// falls inside the band.
-func (m *Manager) planBalance(bi epl.BalanceIntent, snap *epl.Snapshot, inScope map[cluster.MachineID]bool) (actions []Action, allOver, allUnder, wantOut, wantIn bool) {
-	upper := bi.Upper
-	lower := bi.Lower
-	if !bi.HasUpper() {
-		upper = m.Cfg.DefaultUpper
-	}
-	if !bi.HasLower() {
-		lower = upper
-	}
-
-	var over, underOrMid []srvLoad
-	nOver, nUnder, total := 0, 0, 0
-	for _, srv := range snap.Servers {
-		if !srv.Up || !inScope[srv.ID] || m.draining[srv.ID] {
+		if r.slot[srv.ID] != slotScope || !srv.Up || m.draining[srv.ID] {
 			continue
 		}
 		if _, taken := m.reserved[srv.ID]; taken {
@@ -373,95 +480,262 @@ func (m *Manager) planBalance(bi epl.BalanceIntent, snap *epl.Snapshot, inScope 
 			// is the reservation owner's entitlement.
 			continue
 		}
-		total++
-		load := srv.Res(bi.Res)
-		if load > upper {
-			nOver++
-			over = append(over, srvLoad{srv.ID, load})
-		} else {
-			if load < lower {
-				nUnder++
+		r.slot[srv.ID] = int32(len(r.servers))
+		r.servers = append(r.servers, srv.ID)
+		r.proj = append(r.proj, srv.ResVec())
+		r.caps = append(r.caps, m.capacity(srv.ID))
+	}
+	// A planned reservation enters the projection like any other move: the
+	// owner's load leaves its source, and the actors it exchanges messages
+	// with stay put for the round. Whether they follow the owner is the
+	// LEM's colocate rule's call; balance moving a child off the source its
+	// parent is just leaving would outrank that colocate and split the
+	// family across three servers.
+	for _, a := range actions {
+		owner := snap.Actor(a.Actor)
+		if from := r.slot[a.Src]; from >= 0 {
+			for x, v := range owner.ResVec() {
+				r.proj[from][x] -= v
 			}
-			underOrMid = append(underOrMid, srvLoad{srv.ID, load})
+		}
+		for _, e := range r.peers(a.Actor.ID) {
+			if pi := snap.Actor(actor.Ref{ID: actor.ID(e.Peer)}); pi != nil {
+				if _, planned := r.dest[pi.Ref.ID]; !planned {
+					r.dest[pi.Ref.ID] = pi.Server
+				}
+			}
 		}
 	}
-	if total == 0 {
-		return nil, false, false, false, false
+	if len(r.servers) > 0 {
+		for _, bi := range in.Balance {
+			acts, over, under, out, in2 := m.planBalance(bi)
+			actions = append(actions, acts...)
+			allOver = allOver || over
+			allUnder = allUnder || under
+			if out {
+				outNeed++
+			}
+			wantIn = wantIn || in2
+		}
 	}
-	allOver = nOver == total
+	m.tracePlan(parent, tickIdx, actions, nResv, in.Balance)
+	return actions, allOver, allUnder, outNeed, wantIn
+}
+
+// planReserve picks the server to dedicate to the intent's actor: the
+// scoped, up, shared-pool server lowest on (load, resident count, id) —
+// the quietest wins, an emptier one breaks ties, the id-ordered scan breaks
+// full ties. trg is -1 when nothing is planned; starved says the demand
+// stands but no server can take it.
+func (m *Manager) planReserve(ri epl.ReserveIntent) (trg cluster.MachineID, starved bool) {
+	r := &m.rd
+	ai := r.snap.Actor(ri.Actor)
+	if ai == nil || !m.movableAt(ai, m.Cfg.priority(epl.KindReserve)) {
+		return -1, false
+	}
+	if _, planned := r.dest[ri.Actor.ID]; planned {
+		return -1, false // a second intent naming the same actor
+	}
+	// Already reserved somewhere and sitting there: nothing to do.
+	if owner, ok := m.reserved[ai.Server]; ok && owner == ri.Actor {
+		return -1, false
+	}
+	trg = -1
+	bestLoad, bestCnt := math.Inf(1), 0
+	for _, srv := range r.snap.Servers {
+		if r.slot[srv.ID] != slotScope || !srv.Up || srv.ID == ai.Server || m.draining[srv.ID] {
+			continue
+		}
+		if _, taken := m.reserved[srv.ID]; taken {
+			continue
+		}
+		load := srv.Res(ri.Res)
+		if load > bestLoad {
+			continue
+		}
+		cnt := len(r.residents(srv.ID))
+		if load < bestLoad || cnt < bestCnt {
+			trg, bestLoad, bestCnt = srv.ID, load, cnt
+		}
+	}
+	// Only worth reserving if the target is meaningfully quieter.
+	if src := r.snap.Server(ai.Server); trg < 0 || (src != nil && bestLoad >= src.Res(ri.Res)) {
+		return -1, true
+	}
+	return trg, false
+}
+
+// bandOf applies the rule's threshold defaulting: a rule without an upper
+// bound sheds at the admission bound, one without a lower bound has an
+// empty band.
+func (m *Manager) bandOf(bi epl.BalanceIntent) (upper, lower float64) {
+	upper, lower = bi.Upper, bi.Lower
+	if !bi.HasUpper() {
+		upper = m.Cfg.DefaultUpper
+	}
+	if !bi.HasLower() {
+		lower = upper
+	}
+	return upper, lower
+}
+
+// planBalance runs one balance intent through the shared projection:
+// servers above the rule's upper bound shed into targets that fit on every
+// axis until they re-enter the band (PLASMA's heuristic, §4.2); with none
+// above it, the low-water side redistributes.
+func (m *Manager) planBalance(bi epl.BalanceIntent) (actions []Action, allOver, allUnder, wantOut, wantIn bool) {
+	r := &m.rd
+	upper, lower := m.bandOf(bi)
+	ax := int(bi.Res)
+
+	var over []srvLoad
+	nUnder := 0
+	for s, id := range r.servers {
+		if load := r.proj[s][ax]; load > upper {
+			over = append(over, srvLoad{id, load})
+		} else if load < lower {
+			nUnder++
+		}
+	}
+	total := len(r.servers)
+	allOver = len(over) == total
 	allUnder = nUnder == total
 	wantIn = allUnder && total > m.Cfg.MinServers
 
-	// No overloaded server: the low-water side of the rule redistributes
-	// by pulling actors onto under-utilized servers. For a lower-only rule
-	// (E-Store's "server.cpu.perc < 50 => balance") any spread qualifies;
-	// for a dual-bound rule the source must itself sit above the low-water
-	// mark — a fleet that is uniformly light is a scale-in signal, not a
-	// balancing problem.
 	if len(over) == 0 {
+		// For a lower-only rule (E-Store's "server.cpu.perc < 50 =>
+		// balance") any spread qualifies; for a dual-bound rule the source
+		// must sit at least midway into the band: §4.2 moves work off
+		// *loaded* servers, and a uniformly light fleet is a scale-in
+		// signal rather than a balancing problem.
 		if nUnder > 0 && bi.HasLower() {
 			minSource := 0.0
 			if bi.HasUpper() {
-				// Sources must be at least midway into the band: §4.2 moves
-				// work off *loaded* servers, and a uniformly light fleet is
-				// a scale-in signal rather than a balancing problem.
 				minSource = (upper + lower) / 2
 			}
-			actions = m.planDeficitFill(bi, snap, underOrMid, lower, upper-lower, minSource)
+			actions = m.planDeficitFill(bi, upper, lower, minSource)
 		}
 		return actions, allOver, allUnder, false, wantIn
 	}
 
-	sort.Slice(over, func(i, j int) bool { return over[i].load > over[j].load })
-	sort.Slice(underOrMid, func(i, j int) bool { return underOrMid[i].load < underOrMid[j].load })
-	projected := map[cluster.MachineID]float64{}
-	for _, t := range underOrMid {
-		projected[t.id] = t.load
-	}
-
+	slices.SortFunc(over, func(a, b srvLoad) int {
+		return cmp.Or(cmp.Compare(b.load, a.load), cmp.Compare(a.id, b.id))
+	})
 	for _, src := range over {
-		cands := m.balanceCandidates(src.id, bi, snap)
-		load := src.load
-		// A source above the upper bound sheds load until it re-enters the
-		// band; a source picked by the low-water redistribution path (its
-		// load is already below upper) sheds toward the middle of the band.
-		bar := upper
-		if load <= upper {
-			bar = (upper + lower) / 2
+		from := r.slot[src.id]
+		cands := m.candidates(src.id, bi)
+		// Shed the candidates that least want to be here first: evicting an
+		// actor away from its own traffic only recreates the remote chatter
+		// somewhere else. Equal-affinity candidates keep heaviest-first.
+		for i := range cands {
+			cands[i].aff = affTo(r.pull(cands[i].ai.Ref.ID), src.id)
 		}
-		for _, ai := range cands {
-			if load <= bar {
+		slices.SortStableFunc(cands, func(a, b cand) int { return cmp.Compare(a.aff, b.aff) })
+		for _, c := range cands {
+			if r.proj[from][ax] <= upper {
 				break
 			}
-			use := ai.ResOf(bi.Res)
-			if use <= 0 {
-				break
-			}
-			trg := m.pickBalanceTarget(ai, bi, upper, projected, underOrMid, snap)
-			if trg < 0 {
-				// This actor fits nowhere; a lighter one may still fit.
+			to, add := m.pickTarget(c.ai, from, ax, upper)
+			if to < 0 {
 				wantOut = true
-				continue
+				continue // a lighter candidate may still fit
 			}
-			actions = append(actions, Action{
-				Actor: ai.Ref, Src: src.id, Trg: trg,
-				Kind: epl.KindBalance, Res: bi.Res,
-				Pri: m.Cfg.priority(epl.KindBalance),
-			})
-			load -= use
-			projected[trg] += m.loadOn(ai, bi.Res, trg, snap)
+			actions = append(actions, m.balanceAction(c.ai, r.servers[to], bi.Res))
+			r.move(c.ai, from, to, add)
 		}
-		if load > upper {
+		if r.proj[from][ax] > upper {
 			// Still over the bound after shedding everything movable (or
 			// having nothing to shed): unresolved overload is scale-out
 			// pressure even when every candidate found a home.
 			wantOut = true
 		}
 	}
-	if allOver {
-		wantOut = true
+	return actions, allOver, allUnder, wantOut || allOver, wantIn
+}
+
+func (m *Manager) balanceAction(ai *epl.ActorInfo, trg cluster.MachineID, res epl.Resource) Action {
+	return Action{Actor: ai.Ref, Src: ai.Server, Trg: trg, Kind: epl.KindBalance, Res: res,
+		Pri: m.Cfg.priority(epl.KindBalance)}
+}
+
+// cand is one shed candidate on a source server.
+type cand struct {
+	ai  *epl.ActorInfo
+	use float64 // its share of the planned axis there
+	aff float64 // its communication affinity to that server
+}
+
+// candidates lists what the intent may move off src — actors of a covered
+// type that are movable, not already planned this round, and hold a
+// positive share of the planned axis — heaviest first, ties to the lowest
+// actor id. The slice is the round's scratch: valid until the next call.
+func (m *Manager) candidates(src cluster.MachineID, bi epl.BalanceIntent) []cand {
+	r := &m.rd
+	r.cands = r.cands[:0]
+	for _, ai := range r.residents(src) {
+		if _, planned := r.dest[ai.Ref.ID]; planned || !bi.Covers(ai.Type) || !m.movable(ai) {
+			continue
+		}
+		if use := ai.ResOf(bi.Res); use > 0 {
+			r.cands = append(r.cands, cand{ai: ai, use: use})
+		}
 	}
-	return actions, allOver, allUnder, wantOut, wantIn
+	slices.SortFunc(r.cands, func(a, b cand) int {
+		return cmp.Or(cmp.Compare(b.use, a.use), cmp.Compare(a.ai.Ref.ID, b.ai.Ref.ID))
+	})
+	return r.cands
+}
+
+// fits reports whether slot s can take a mover adding add: the planned axis
+// must stay under the rule's upper bound, the others under the admission
+// bound.
+func (m *Manager) fits(s int, add [3]float64, ax int, upper float64) bool {
+	p := &m.rd.proj[s]
+	for x := range add {
+		bound := m.Cfg.DefaultUpper
+		if x == ax {
+			bound = upper
+		}
+		if p[x]+add[x] > bound {
+			return false
+		}
+	}
+	return true
+}
+
+// pickTarget chooses where a mover goes: among the slots it fits on every
+// axis, the highest communication affinity wins (counted only toward servers
+// with a current report), then the lowest projected load on the planned
+// axis, then the lowest server id. It returns slot -1
+// when the mover fits nowhere, else the slot and the load the mover adds.
+func (m *Manager) pickTarget(ai *epl.ActorInfo, from int32, ax int, upper float64) (to int32, add [3]float64) {
+	r := &m.rd
+	pull := r.pull(ai.Ref.ID)
+	to = -1
+	bestAff, bestLoad := 0.0, 0.0
+	// The mover's share is the same on every machine of one capacity, so a
+	// homogeneous fleet rescales it once.
+	var a, capA [3]float64
+	known := false
+	for s, id := range r.servers {
+		if int32(s) == from {
+			continue
+		}
+		if c := r.caps[s]; !known || c != capA {
+			a, capA, known = shareOn(ai, r.caps[from], c), c, true
+		}
+		if !m.fits(s, a, ax, upper) {
+			continue
+		}
+		aff, load := 0.0, r.proj[s][ax]
+		if r.fresh == nil || r.fresh[id] {
+			aff = affTo(pull, id)
+		}
+		if to < 0 || aff > bestAff || (aff == bestAff && load < bestLoad) {
+			to, add, bestAff, bestLoad = int32(s), a, aff, load
+		}
+	}
+	return to, add
 }
 
 // planDeficitFill raises servers below the rule's lower bound by moving
@@ -469,133 +743,83 @@ func (m *Manager) planBalance(bi epl.BalanceIntent, snap *epl.Snapshot, inScope 
 // the destination's projected load (which would just invert the imbalance).
 //
 // The starvation probe (how far below lower a target must sit) and the
-// minimum actionable spread are band-relative, capped at the historical
-// constants 5 and 15: a rule with the standard 20-point band (or wider)
-// plans exactly as before, while a tighter band scales both down so its
-// low-water side can still act at all. band is upper-lower with the rule's
-// bounds already defaulted; a degenerate band keeps the legacy constants.
-func (m *Manager) planDeficitFill(bi epl.BalanceIntent, snap *epl.Snapshot, servers []srvLoad, lower, band, minSource float64) []Action {
+// minimum actionable spread are band-relative, capped at 5 and 15 points: a
+// rule with the standard 20-point band (or wider) uses the caps, a tighter
+// band scales both down so its low-water side can still act at all; a
+// degenerate band uses the caps too.
+func (m *Manager) planDeficitFill(bi epl.BalanceIntent, upper, lower, minSource float64) []Action {
+	r := &m.rd
+	ax := int(bi.Res)
 	probe, minSpread := 5.0, 15.0
-	if band > 0 && band/4 < probe {
-		probe = band / 4
+	if band := upper - lower; band > 0 {
+		probe = min(probe, band/4)
+		minSpread = min(minSpread, 0.75*band)
 	}
-	if band > 0 && 0.75*band < minSpread {
-		minSpread = 0.75 * band
-	}
-	proj := map[cluster.MachineID]float64{}
-	for _, s := range servers {
-		proj[s.id] = s.load
-	}
-	moved := map[actor.Ref]bool{}
 	var out []Action
 	for guard := 0; guard < 64; guard++ {
 		// Most deficient target and most loaded source.
-		var trg, src cluster.MachineID = -1, -1
+		var trg, src int32 = -1, -1
 		minL, maxL := lower-probe, -1.0
-		for _, s := range servers {
-			l := proj[s.id]
+		for s := range r.servers {
+			l := r.proj[s][ax]
 			if l < minL {
-				minL, trg = l, s.id
+				minL, trg = l, int32(s)
 			}
 			if l > maxL {
-				maxL, src = l, s.id
+				maxL, src = l, int32(s)
 			}
 		}
 		// Act only on meaningfully starved targets and material spreads;
 		// a tighter trigger here would thrash actors around the band edge.
-		if trg < 0 || src < 0 || src == trg || maxL-minL <= minSpread || maxL < minSource {
+		spread := maxL - minL
+		if trg < 0 || src < 0 || src == trg || spread <= minSpread || maxL < minSource {
 			break
 		}
-		cands := m.balanceCandidates(src, bi, snap)
 		var pick *epl.ActorInfo
-		spread := maxL - minL
-		for _, ai := range cands {
-			if moved[ai.Ref] {
-				continue
-			}
-			use := ai.ResOf(bi.Res)
-			add := m.loadOn(ai, bi.Res, trg, snap)
-			if use <= 0 {
-				break
-			}
+		var add [3]float64
+		for _, c := range m.candidates(r.servers[src], bi) {
+			a := shareOn(c.ai, r.caps[src], r.caps[trg])
 			// The move must shrink the pair's spread, not just invert it.
-			after := (maxL - use) - (minL + add)
-			if after < 0 {
-				after = -after
-			}
-			if after < spread {
-				pick = ai
+			if math.Abs((maxL-c.use)-(minL+a[ax])) < spread && m.fits(int(trg), a, ax, upper) {
+				pick, add = c.ai, a
 				break
 			}
 		}
 		if pick == nil {
 			break
 		}
-		moved[pick.Ref] = true
-		out = append(out, Action{
-			Actor: pick.Ref, Src: src, Trg: trg,
-			Kind: epl.KindBalance, Res: bi.Res,
-			Pri: m.Cfg.priority(epl.KindBalance),
-		})
-		proj[src] -= pick.ResOf(bi.Res)
-		proj[trg] += m.loadOn(pick, bi.Res, trg, snap)
+		out = append(out, m.balanceAction(pick, r.servers[trg], bi.Res))
+		r.move(pick, src, trg, add)
 	}
 	return out
 }
 
-// balanceCandidates lists movable actors of the covered types on src,
-// heaviest first.
-func (m *Manager) balanceCandidates(src cluster.MachineID, bi epl.BalanceIntent, snap *epl.Snapshot) []*epl.ActorInfo {
-	var cands []*epl.ActorInfo
-	for _, ai := range snap.Actors {
-		if ai.Server != src || !bi.Covers(ai.Type) || !m.movable(ai) {
-			continue
-		}
-		cands = append(cands, ai)
+// tracePlan emits the round's plan-batch summary record: the moves, and
+// how many packing-set servers each intent's band still has outside it.
+func (m *Manager) tracePlan(parent uint64, tickIdx int, actions []Action, nResv int, intents []epl.BalanceIntent) {
+	if !m.tr.Enabled() {
+		return
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		return cands[i].ResOf(bi.Res) > cands[j].ResOf(bi.Res)
-	})
-	return cands
-}
-
-// pickBalanceTarget chooses the least-projected-loaded target that stays
-// under the upper bound after receiving the actor. Targets below the lower
-// bound are preferred (the paper's "especially below specified lower
-// bounds").
-func (m *Manager) pickBalanceTarget(ai *epl.ActorInfo, bi epl.BalanceIntent, upper float64, projected map[cluster.MachineID]float64, targets []srvLoad, snap *epl.Snapshot) cluster.MachineID {
-	best := cluster.MachineID(-1)
-	bestLoad := math.Inf(1)
-	for _, t := range targets {
-		p := projected[t.id]
-		add := m.loadOn(ai, bi.Res, t.id, snap)
-		if p+add > upper {
-			continue
-		}
-		if p < bestLoad {
-			bestLoad = p
-			best = t.id
+	r := &m.rd
+	dsts := map[cluster.MachineID]bool{}
+	for _, a := range actions {
+		dsts[a.Trg] = true
+	}
+	nOver, nUnder := 0, 0
+	for _, bi := range intents {
+		upper, lower := m.bandOf(bi)
+		for s := range r.servers {
+			switch l := r.proj[s][bi.Res]; {
+			case l > upper:
+				nOver++
+			case l < lower:
+				nUnder++
+			}
 		}
 	}
-	return best
-}
-
-// leastLoaded returns the up, non-reserved, non-draining server with the
-// lowest utilization on res, excluding the given set.
-func (m *Manager) leastLoaded(res epl.Resource, snap *epl.Snapshot, exclude map[cluster.MachineID]bool) (cluster.MachineID, bool) {
-	best := cluster.MachineID(-1)
-	bestLoad := math.Inf(1)
-	for _, srv := range snap.Servers {
-		if !srv.Up || exclude[srv.ID] || m.draining[srv.ID] {
-			continue
-		}
-		if _, taken := m.reserved[srv.ID]; taken {
-			continue
-		}
-		if srv.Res(res) < bestLoad {
-			bestLoad = srv.Res(res)
-			best = srv.ID
-		}
-	}
-	return best, best >= 0
+	m.tr.Emit(trace.Record{Kind: trace.KindPlanBatch, Parent: parent,
+		Tick: int32(tickIdx), Server: -1, Target: -1, Rule: -1,
+		Value: float64(len(actions)),
+		Detail: "resv=" + strconv.Itoa(nResv) + " moves=" + strconv.Itoa(len(actions)-nResv) +
+			" dsts=" + strconv.Itoa(len(dsts)) + " over=" + strconv.Itoa(nOver) + " under=" + strconv.Itoa(nUnder)})
 }

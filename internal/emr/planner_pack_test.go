@@ -10,14 +10,6 @@ import (
 	"plasma/internal/trace"
 )
 
-// newBatchEnv is newPlanEnv with the batch planner selected.
-func newBatchEnv(t *testing.T, machines int) *planEnv {
-	t.Helper()
-	pe := newPlanEnv(t, machines)
-	pe.m.Cfg.Planner = "batch"
-	return pe
-}
-
 // buildSnapVec is buildSnap with full (cpu, mem, net) server vectors.
 func buildSnapVec(pe *planEnv, servers [][3]float64, actors []*epl.ActorInfo) *epl.Snapshot {
 	snap := &epl.Snapshot{At: pe.e.k.Now(), Window: 1}
@@ -41,27 +33,18 @@ func setMem(ai *epl.ActorInfo, pct float64) *epl.ActorInfo {
 
 // The batch round packs on all three axes: a target whose memory would
 // cross the admission bound is rejected even if it is the quietest on the
-// planned (CPU) axis. The legacy single-axis planner picks it and the move
-// dies at admission a hop later.
+// planned (CPU) axis — a single-axis planner would pick it and the move
+// would die at admission a hop later.
 func TestBatchTargetMustFitEveryAxis(t *testing.T) {
-	pe := newBatchEnv(t, 3)
+	pe := newPlanEnv(t, 3)
 	mover := setMem(mkActor(pe, "W", 0, 20), 10)
 	servers := [][3]float64{{95, 20, 0}, {30, 84, 0}, {50, 10, 0}}
 	bi := epl.BalanceIntent{Types: []string{"W"}, Res: epl.CPU, Upper: 80, Lower: 60}
 
 	snap := buildSnapVec(pe, servers, []*epl.ActorInfo{mover})
-	acts, _, _, _, _ := pe.m.planResourceBatch(scope(3), snap, &epl.Intents{Balance: []epl.BalanceIntent{bi}}, 0, 0)
+	acts, _, _, _, _ := pe.m.planResource(scope(3), nil, snap, &epl.Intents{Balance: []epl.BalanceIntent{bi}}, 0, 0)
 	if len(acts) != 1 || acts[0].Trg != 2 {
-		t.Fatalf("batch actions = %+v, want the mover on server 2 (server 1 memory would hit 94%%)", acts)
-	}
-
-	// Contrast pin: the legacy planner only sees the CPU axis and picks the
-	// server that admission will refuse.
-	pe.m.Cfg.Planner = ""
-	snap = buildSnapVec(pe, servers, []*epl.ActorInfo{mover})
-	acts, _, _, _, _ = pe.m.planResource(scope(3), snap, &epl.Intents{Balance: []epl.BalanceIntent{bi}})
-	if len(acts) != 1 || acts[0].Trg != 1 {
-		t.Fatalf("legacy actions = %+v, want the single-axis choice of server 1", acts)
+		t.Fatalf("actions = %+v, want the mover on server 2 (server 1 memory would hit 94%%)", acts)
 	}
 }
 
@@ -69,21 +52,21 @@ func TestBatchTargetMustFitEveryAxis(t *testing.T) {
 // projected load; with no profiled traffic the round falls back to the
 // least-loaded choice.
 func TestBatchTargetPrefersCommunicationAffinity(t *testing.T) {
-	pe := newBatchEnv(t, 3)
+	pe := newPlanEnv(t, 3)
 	peer := mkActor(pe, "P", 2, 5)
 	mover := mkActor(pe, "W", 0, 20)
 	mover.Calls = []epl.CallStat{{CallerType: "P", Caller: peer.Ref, Method: "m", Count: 50}}
 	bi := epl.BalanceIntent{Types: []string{"W"}, Res: epl.CPU, Upper: 80, Lower: 60}
 
 	snap := buildSnapVec(pe, [][3]float64{{95, 0, 0}, {30, 0, 0}, {40, 0, 0}}, []*epl.ActorInfo{peer, mover})
-	acts, _, _, _, _ := pe.m.planResourceBatch(scope(3), snap, &epl.Intents{Balance: []epl.BalanceIntent{bi}}, 0, 0)
+	acts, _, _, _, _ := pe.m.planResource(scope(3), nil, snap, &epl.Intents{Balance: []epl.BalanceIntent{bi}}, 0, 0)
 	if len(acts) != 1 || acts[0].Trg != 2 {
 		t.Fatalf("actions = %+v, want the mover beside its peer on server 2", acts)
 	}
 
 	mover.Calls = nil
 	snap = buildSnapVec(pe, [][3]float64{{95, 0, 0}, {30, 0, 0}, {40, 0, 0}}, []*epl.ActorInfo{peer, mover})
-	acts, _, _, _, _ = pe.m.planResourceBatch(scope(3), snap, &epl.Intents{Balance: []epl.BalanceIntent{bi}}, 0, 0)
+	acts, _, _, _, _ = pe.m.planResource(scope(3), nil, snap, &epl.Intents{Balance: []epl.BalanceIntent{bi}}, 0, 0)
 	if len(acts) != 1 || acts[0].Trg != 1 {
 		t.Fatalf("actions = %+v, want the least-loaded server 1 without traffic", acts)
 	}
@@ -93,7 +76,7 @@ func TestBatchTargetPrefersCommunicationAffinity(t *testing.T) {
 // after intent A lands its mover on the quietest server, intent B's mover
 // goes to the next-quietest instead of piling onto the same target.
 func TestBatchIntentsShareOneProjection(t *testing.T) {
-	pe := newBatchEnv(t, 4)
+	pe := newPlanEnv(t, 4)
 	a := mkActor(pe, "A", 0, 25)
 	b := mkActor(pe, "B", 1, 25)
 	in := &epl.Intents{Balance: []epl.BalanceIntent{
@@ -101,7 +84,7 @@ func TestBatchIntentsShareOneProjection(t *testing.T) {
 		{Types: []string{"B"}, Res: epl.CPU, Upper: 80, Lower: 60},
 	}}
 	snap := buildSnapVec(pe, [][3]float64{{95, 0, 0}, {95, 0, 0}, {30, 0, 0}, {40, 0, 0}}, []*epl.ActorInfo{a, b})
-	acts, _, _, _, _ := pe.m.planResourceBatch(scope(4), snap, in, 0, 0)
+	acts, _, _, _, _ := pe.m.planResource(scope(4), nil, snap, in, 0, 0)
 	if len(acts) != 2 {
 		t.Fatalf("actions = %+v, want both movers placed", acts)
 	}
@@ -116,29 +99,29 @@ func TestBatchIntentsShareOneProjection(t *testing.T) {
 // An actor planned by one intent is off the table for every later intent in
 // the same round: overlapping rules yield one action, not conflicting ones.
 func TestBatchNeverPlansAnActorTwice(t *testing.T) {
-	pe := newBatchEnv(t, 2)
+	pe := newPlanEnv(t, 2)
 	w := mkActor(pe, "W", 0, 20)
 	in := &epl.Intents{Balance: []epl.BalanceIntent{
 		{Types: []string{"W"}, Res: epl.CPU, Upper: 80, Lower: 60},
 		{Types: []string{"W"}, Res: epl.CPU, Upper: 70, Lower: 50},
 	}}
 	snap := buildSnapVec(pe, [][3]float64{{95, 0, 0}, {30, 0, 0}}, []*epl.ActorInfo{w})
-	acts, _, _, _, _ := pe.m.planResourceBatch(scope(2), snap, in, 0, 0)
+	acts, _, _, _, _ := pe.m.planResource(scope(2), nil, snap, in, 0, 0)
 	if len(acts) != 1 {
 		t.Fatalf("actions = %+v, want the shared actor planned exactly once", acts)
 	}
 }
 
-// Every batch round leaves one plan-batch record summarizing the moves and
+// Every round leaves one plan-batch record summarizing the moves and
 // the residual band pressure.
 func TestBatchRoundEmitsPlanBatchRecord(t *testing.T) {
-	pe := newBatchEnv(t, 3)
+	pe := newPlanEnv(t, 3)
 	ring := trace.NewRing(1 << 10)
 	pe.m.SetTracer(trace.New(ring))
 	w := mkActor(pe, "W", 0, 20)
 	bi := epl.BalanceIntent{Types: []string{"W"}, Res: epl.CPU, Upper: 80, Lower: 60}
 	snap := buildSnapVec(pe, [][3]float64{{95, 0, 0}, {30, 0, 0}, {40, 0, 0}}, []*epl.ActorInfo{w})
-	acts, _, _, _, _ := pe.m.planResourceBatch(scope(3), snap, &epl.Intents{Balance: []epl.BalanceIntent{bi}}, 7, 3)
+	acts, _, _, _, _ := pe.m.planResource(scope(3), nil, snap, &epl.Intents{Balance: []epl.BalanceIntent{bi}}, 7, 3)
 	if len(acts) != 1 {
 		t.Fatalf("actions = %+v", acts)
 	}
@@ -160,11 +143,11 @@ func TestBatchRoundEmitsPlanBatchRecord(t *testing.T) {
 	}
 }
 
-// In batch mode a colocation group with internal traffic anchors where that
-// traffic already lands, not where the most state sits; without traffic (or
-// without the batch planner) the mass rule still decides.
+// A colocation group with internal traffic anchors where that traffic
+// already lands, not where the most state sits; without traffic the mass
+// rule decides.
 func TestGroupAnchorFollowsIntraGroupTraffic(t *testing.T) {
-	pe := newBatchEnv(t, 3)
+	pe := newPlanEnv(t, 3)
 	a := mkActor(pe, "A", 1, 5)
 	a.MemBytes = 1 << 30 // the mass rule would anchor on server 1
 	b := mkActor(pe, "B", 2, 5)
@@ -188,23 +171,16 @@ func TestGroupAnchorFollowsIntraGroupTraffic(t *testing.T) {
 	if dest, _ := pe.m.groupAnchor(members, map[actor.Ref]Action{}); dest != 1 {
 		t.Fatalf("dest = %d, want the mass anchor server 1 without traffic", dest)
 	}
-
-	// Legacy planner: traffic is ignored entirely.
-	c.Calls = []epl.CallStat{{CallerType: "A", Caller: a.Ref, Method: "m", Count: 10}}
-	pe.m.Cfg.Planner = ""
-	if dest, _ := pe.m.groupAnchor(members, map[actor.Ref]Action{}); dest != 1 {
-		t.Fatalf("dest = %d, want the legacy mass anchor server 1", dest)
-	}
 }
 
 // A mover that fits nowhere on every axis is unresolved overload: the round
 // reports scale-out pressure.
 func TestBatchWantOutWhenNothingFits(t *testing.T) {
-	pe := newBatchEnv(t, 2)
+	pe := newPlanEnv(t, 2)
 	w := mkActor(pe, "W", 0, 40)
 	bi := epl.BalanceIntent{Types: []string{"W"}, Res: epl.CPU, Upper: 80, Lower: 60}
 	snap := buildSnapVec(pe, [][3]float64{{95, 0, 0}, {70, 0, 0}}, []*epl.ActorInfo{w})
-	acts, _, _, outNeed, _ := pe.m.planResourceBatch(scope(2), snap, &epl.Intents{Balance: []epl.BalanceIntent{bi}}, 0, 0)
+	acts, _, _, outNeed, _ := pe.m.planResource(scope(2), nil, snap, &epl.Intents{Balance: []epl.BalanceIntent{bi}}, 0, 0)
 	if len(acts) != 0 {
 		t.Fatalf("actions = %+v, want none (70+40 crosses the bound)", acts)
 	}
@@ -213,21 +189,44 @@ func TestBatchWantOutWhenNothingFits(t *testing.T) {
 	}
 }
 
-// The low-water side still works through the batch round: a tight band
-// redistributes via planDeficitFill and the moves land in the shared
-// projection.
+// The low-water side works through the shared projection: a tight band
+// redistributes via planDeficitFill and its moves are visible to later
+// intents.
 func TestBatchLowWaterRedistributes(t *testing.T) {
-	pe := newBatchEnv(t, 2)
+	pe := newPlanEnv(t, 2)
 	actors := []*epl.ActorInfo{mkActor(pe, "W", 0, 6), mkActor(pe, "W", 0, 3)}
 	bi := epl.BalanceIntent{Types: []string{"W"}, Res: epl.CPU, Upper: 70, Lower: 60}
 	snap := buildSnapVec(pe, [][3]float64{{66, 0, 0}, {54, 0, 0}}, actors)
-	acts, _, _, _, _ := pe.m.planResourceBatch(scope(2), snap, &epl.Intents{Balance: []epl.BalanceIntent{bi}}, 0, 0)
+	acts, _, _, _, _ := pe.m.planResource(scope(2), nil, snap, &epl.Intents{Balance: []epl.BalanceIntent{bi}}, 0, 0)
 	if len(acts) == 0 {
-		t.Fatal("tight-band low-water redistribution never fired in batch mode")
+		t.Fatal("tight-band low-water redistribution never fired")
 	}
 	for _, a := range acts {
 		if a.Src != 0 || a.Trg != 1 {
 			t.Fatalf("action %+v, want a move from 0 to the starved server 1", a)
 		}
+	}
+}
+
+// Affinity is trusted only toward servers with a current report: it is what
+// makes the round prefer a loaded server to a quieter one, and a reading
+// that may be periods old is no ground for that. The mover's peer sits on
+// server 1; with server 1 known only from the cache the load order decides.
+func TestBatchAffinityOnlyTowardFreshlyReportedServers(t *testing.T) {
+	pe := newPlanEnv(t, 3)
+	peer := mkActor(pe, "P", 1, 5)
+	mover := mkActor(pe, "W", 0, 20)
+	mover.Calls = []epl.CallStat{{CallerType: "P", Caller: peer.Ref, Method: "m", Count: 50}}
+	in := &epl.Intents{Balance: []epl.BalanceIntent{{Types: []string{"W"}, Res: epl.CPU, Upper: 80, Lower: 60}}}
+	snap := buildSnapVec(pe, [][3]float64{{95, 0, 0}, {50, 0, 0}, {40, 0, 0}}, []*epl.ActorInfo{peer, mover})
+
+	acts, _, _, _, _ := pe.m.planResource(scope(3), nil, snap, in, 0, 0)
+	if len(acts) != 1 || acts[0].Trg != 1 {
+		t.Fatalf("actions = %+v, want the mover beside its peer on server 1", acts)
+	}
+	stale1 := map[cluster.MachineID]bool{0: true, 2: true}
+	acts, _, _, _, _ = pe.m.planResource(scope(3), stale1, snap, in, 0, 0)
+	if len(acts) != 1 || acts[0].Trg != 2 {
+		t.Fatalf("actions = %+v, want the quieter server 2 when server 1's reading is stale", acts)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"plasma/internal/actor"
-	"plasma/internal/cluster"
 	"plasma/internal/epl"
 )
 
@@ -24,7 +23,7 @@ func TestDeficitFillActsOnTightBand(t *testing.T) {
 	}
 	snap := buildSnap(pe, []float64{66, 54}, actors)
 	bi := epl.BalanceIntent{Types: []string{"W"}, Res: epl.CPU, Upper: 70, Lower: 60}
-	acts, _, _, _, _ := pe.m.planBalance(bi, snap, map[cluster.MachineID]bool{0: true, 1: true})
+	acts, _, _, _, _ := pe.planBalance(bi, snap, scope(2))
 	if len(acts) == 0 {
 		t.Fatal("tight-band rule never low-water redistributed")
 	}
@@ -45,7 +44,7 @@ func TestDeficitFillWideBandKeepsLegacyThresholds(t *testing.T) {
 	}
 	snap := buildSnap(pe, []float64{71, 59}, actors)
 	bi := epl.BalanceIntent{Types: []string{"W"}, Res: epl.CPU, Upper: 80, Lower: 60}
-	acts, _, _, _, _ := pe.m.planBalance(bi, snap, map[cluster.MachineID]bool{0: true, 1: true})
+	acts, _, _, _, _ := pe.planBalance(bi, snap, scope(2))
 	if len(acts) != 0 {
 		t.Fatalf("20-point band acted on a 12-point spread: %+v", acts)
 	}
@@ -59,7 +58,7 @@ func TestPlanBalanceWantOutAfterSheddingAllCandidates(t *testing.T) {
 	actors := []*epl.ActorInfo{mkActor(pe, "W", 0, 5)}
 	snap := buildSnap(pe, []float64{95, 50}, actors)
 	bi := epl.BalanceIntent{Types: []string{"W"}, Res: epl.CPU, Upper: 80, Lower: 60}
-	acts, _, _, wantOut, _ := pe.m.planBalance(bi, snap, map[cluster.MachineID]bool{0: true, 1: true})
+	acts, _, _, wantOut, _ := pe.planBalance(bi, snap, scope(2))
 	if len(acts) != 1 {
 		t.Fatalf("actions = %+v, want the single candidate shed", acts)
 	}
@@ -75,7 +74,7 @@ func TestPlanBalanceNoWantOutWhenShedsResolve(t *testing.T) {
 	actors := []*epl.ActorInfo{mkActor(pe, "W", 0, 20)}
 	snap := buildSnap(pe, []float64{95, 30}, actors)
 	bi := epl.BalanceIntent{Types: []string{"W"}, Res: epl.CPU, Upper: 80, Lower: 60}
-	acts, _, _, wantOut, _ := pe.m.planBalance(bi, snap, map[cluster.MachineID]bool{0: true, 1: true})
+	acts, _, _, wantOut, _ := pe.planBalance(bi, snap, scope(2))
 	if len(acts) != 1 {
 		t.Fatalf("actions = %+v, want one shed", acts)
 	}
@@ -84,14 +83,12 @@ func TestPlanBalanceNoWantOutWhenShedsResolve(t *testing.T) {
 	}
 }
 
-// Under the batch planner, planReserve's target choice is lexicographic
-// (load, resident count): a truly idle server with a few cold residents
-// beats a resident-free server carrying real load. The legacy score sums
-// the utilization percentage with the raw actor count, so 3 idle actors
-// outweigh 2.9 points of load.
+// planReserve's target choice is lexicographic (load, resident count): a
+// truly idle server with a few cold residents beats a resident-free server
+// carrying real load. (The greedy planner summed the utilization percentage
+// with the raw actor count, so 3 idle actors outweighed 2.9 points of load.)
 func TestPlanReservePrefersLeastLoadedOverFewestResidents(t *testing.T) {
 	pe := newPlanEnv(t, 3)
-	pe.m.Cfg.Planner = "batch"
 	vip := mkActor(pe, "V", 0, 30)
 	// Server 1: zero load, three idle residents. Server 2: 2.9% load, empty.
 	idle := []*epl.ActorInfo{
@@ -99,7 +96,7 @@ func TestPlanReservePrefersLeastLoadedOverFewestResidents(t *testing.T) {
 	}
 	snap := buildSnap(pe, []float64{90, 0, 2.9}, append(idle, vip))
 	ri := epl.ReserveIntent{Actor: vip.Ref, Res: epl.CPU}
-	act, starved := pe.m.planReserve(ri, snap, map[cluster.MachineID]bool{0: true, 1: true, 2: true}, map[cluster.MachineID]bool{})
+	act, starved := pe.planReserve(ri, snap, scope(3))
 	if act == nil || starved {
 		t.Fatalf("act=%v starved=%v, want action/false", act, starved)
 	}
@@ -108,34 +105,15 @@ func TestPlanReservePrefersLeastLoadedOverFewestResidents(t *testing.T) {
 	}
 }
 
-// Audit pin: the legacy planner keeps the historical sum score (load +
-// resident count) verbatim — pinned experiment ids depend on its choices
-// being byte-identical at fixed seed, unit mixing and all. The fixed
-// scoring lives behind Config.Planner = "batch" (test above).
-func TestPlanReserveLegacyScoreFrozen(t *testing.T) {
-	pe := newPlanEnv(t, 3)
-	vip := mkActor(pe, "V", 0, 30)
-	idle := []*epl.ActorInfo{
-		mkActor(pe, "I", 1, 0), mkActor(pe, "I", 1, 0), mkActor(pe, "I", 1, 0),
-	}
-	snap := buildSnap(pe, []float64{90, 0, 2.9}, append(idle, vip))
-	ri := epl.ReserveIntent{Actor: vip.Ref, Res: epl.CPU}
-	act, _ := pe.m.planReserve(ri, snap, map[cluster.MachineID]bool{0: true, 1: true, 2: true}, map[cluster.MachineID]bool{})
-	if act == nil || act.Trg != 2 {
-		t.Fatalf("act=%+v, want legacy sum score to pick server 2 (2.9 < 0+3)", act)
-	}
-}
-
 // On equal load the resident count breaks the tie, and on a full tie the
 // lowest server id wins (snapshot servers iterate in id order).
 func TestPlanReserveCountThenIDTiebreak(t *testing.T) {
 	pe := newPlanEnv(t, 4)
-	pe.m.Cfg.Planner = "batch"
 	vip := mkActor(pe, "V", 0, 30)
 	resident := mkActor(pe, "I", 1, 0)
 	snap := buildSnap(pe, []float64{90, 0, 0, 0}, []*epl.ActorInfo{vip, resident})
 	ri := epl.ReserveIntent{Actor: vip.Ref, Res: epl.CPU}
-	act, _ := pe.m.planReserve(ri, snap, map[cluster.MachineID]bool{0: true, 1: true, 2: true, 3: true}, map[cluster.MachineID]bool{})
+	act, _ := pe.planReserve(ri, snap, scope(4))
 	if act == nil || act.Trg != 2 {
 		t.Fatalf("act=%+v, want server 2 (same load as 3, fewer residents than 1, lowest id)", act)
 	}
@@ -218,5 +196,58 @@ func TestColocateGroupsMergeOrderIndependent(t *testing.T) {
 		if got1[i] != got2[i] {
 			t.Fatalf("merge order changed the plan: fwd[%d]=%+v rev[%d]=%+v", i, got1[i], i, got2[i])
 		}
+	}
+}
+
+// The paper's §3.3 policy (reserve the hot root, colocate children with
+// their root, lower-only balance) on its minimal fleet: hot server 0 holds
+// the root and its two children, server 1 is light, server 2 idle. The
+// round reserves server 2 for the root; the root's load must leave server
+// 0's projection, and balance must not send a child to server 1 in the same
+// round — that move outranks the colocate that would have followed the root
+// and leaves the family on three servers.
+func TestPlanReserveHoldsOwnersFamily(t *testing.T) {
+	pe := newPlanEnv(t, 3)
+	c1 := mkActor(pe, "P", 0, 32)
+	c2 := mkActor(pe, "P", 0, 32)
+	root := mkActor(pe, "P", 0, 32)
+	stranger := mkActor(pe, "P", 0, 4)
+	for _, c := range []*epl.ActorInfo{c1, c2} {
+		c.Calls = []epl.CallStat{{CallerType: "P", Caller: root.Ref, Method: "readChild", Count: 100}}
+	}
+	snap := buildSnap(pe, []float64{100, 19, 0}, []*epl.ActorInfo{c1, c2, root, stranger})
+	in := &epl.Intents{
+		Reserve: []epl.ReserveIntent{{Actor: root.Ref, Res: epl.CPU}},
+		Balance: []epl.BalanceIntent{{Types: []string{"P"}, Res: epl.CPU, Upper: nan(), Lower: 50}},
+	}
+	acts, _, _, _, _ := pe.m.planResource(scope(3), nil, snap, in, 0, 0)
+	if len(acts) == 0 || acts[0].Kind != epl.KindReserve || acts[0].Actor != root.Ref || acts[0].Trg != 2 {
+		t.Fatalf("actions = %+v, want the root reserved onto idle server 2 first", acts)
+	}
+	for _, a := range acts[1:] {
+		if a.Actor == c1.Ref || a.Actor == c2.Ref || a.Actor == root.Ref {
+			t.Fatalf("balance planned %+v against a family the same round reserves elsewhere", a)
+		}
+	}
+	// With the root's 32 points gone server 0 projects to 68: the stranger
+	// still evens the pair out, so the hold is the only thing keeping the
+	// children.
+	if len(acts) != 2 || acts[1].Actor != stranger.Ref || acts[1].Trg != 1 {
+		t.Fatalf("actions = %+v, want the stranger alone balanced onto server 1", acts)
+	}
+}
+
+// Followers of a group anchored on a dedicated server are admitted only as
+// partners of the reservation's owner, so the owner is the anchor even when
+// a lower-id member sits there too.
+func TestGroupAnchorOnDedicatedServerIsItsOwner(t *testing.T) {
+	pe := newPlanEnv(t, 3)
+	child := mkActor(pe, "P", 2, 10)
+	stray := mkActor(pe, "P", 0, 10)
+	root := mkActor(pe, "P", 2, 10)
+	pe.m.reserved[2] = root.Ref
+	dest, anchor := pe.m.groupAnchor([]*epl.ActorInfo{child, stray, root}, map[actor.Ref]Action{})
+	if dest != 2 || anchor != root.Ref {
+		t.Fatalf("dest=%d anchor=%v, want server 2 anchored at its owner %v", dest, anchor, root.Ref)
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"plasma/internal/sim"
 )
 
-// Direct unit tests for the planners over synthetic snapshots.
+// Direct unit tests for the planner over synthetic snapshots.
 
 type planEnv struct {
 	e *env
@@ -49,6 +49,22 @@ func mkActor(pe *planEnv, typ string, srv cluster.MachineID, cpu float64) *epl.A
 	}
 }
 
+// planBalance runs the planning round with one balance intent; wantOut is
+// the round's scale-out need as a flag.
+func (pe *planEnv) planBalance(bi epl.BalanceIntent, snap *epl.Snapshot, scope []cluster.MachineID) (acts []Action, allOver, allUnder, wantOut, wantIn bool) {
+	acts, allOver, allUnder, outNeed, wantIn := pe.m.planResource(scope, nil, snap, &epl.Intents{Balance: []epl.BalanceIntent{bi}}, 0, 0)
+	return acts, allOver, allUnder, outNeed > 0, wantIn
+}
+
+// planReserve runs the planning round with one reserve intent.
+func (pe *planEnv) planReserve(ri epl.ReserveIntent, snap *epl.Snapshot, scope []cluster.MachineID) (act *Action, starved bool) {
+	acts, _, _, outNeed, _ := pe.m.planResource(scope, nil, snap, &epl.Intents{Reserve: []epl.ReserveIntent{ri}}, 0, 0)
+	if len(acts) > 0 {
+		act = &acts[0]
+	}
+	return act, outNeed > 0
+}
+
 func scope(n int) []cluster.MachineID {
 	out := make([]cluster.MachineID, n)
 	for i := range out {
@@ -65,7 +81,7 @@ func TestPlanBalanceShedsOverloadedServer(t *testing.T) {
 	}
 	snap := buildSnap(pe, []float64{95, 30, 10}, actors)
 	bi := epl.BalanceIntent{Types: []string{"W"}, Res: epl.CPU, Upper: 80, Lower: 60}
-	acts, _, _, _, _ := pe.m.planBalance(bi, snap, map[cluster.MachineID]bool{0: true, 1: true, 2: true})
+	acts, _, _, _, _ := pe.planBalance(bi, snap, scope(3))
 	if len(acts) == 0 {
 		t.Fatal("no actions for a 95% server")
 	}
@@ -85,7 +101,7 @@ func TestPlanBalanceRespectsScope(t *testing.T) {
 	snap := buildSnap(pe, []float64{95, 5, 5}, actors)
 	bi := epl.BalanceIntent{Types: []string{"W"}, Res: epl.CPU, Upper: 80, Lower: 60}
 	// Server 2 is outside the GEM's scope: nothing may target it.
-	acts, _, _, _, _ := pe.m.planBalance(bi, snap, map[cluster.MachineID]bool{0: true, 1: true})
+	acts, _, _, _, _ := pe.planBalance(bi, snap, scope(2))
 	for _, a := range acts {
 		if a.Trg == 2 {
 			t.Fatal("action targets an out-of-scope server")
@@ -98,7 +114,7 @@ func TestPlanBalanceSkipsWrongTypes(t *testing.T) {
 	actors := []*epl.ActorInfo{mkActor(pe, "Other", 0, 90)}
 	snap := buildSnap(pe, []float64{95, 5}, actors)
 	bi := epl.BalanceIntent{Types: []string{"W"}, Res: epl.CPU, Upper: 80, Lower: 60}
-	acts, _, _, outNeedIgnored, _ := pe.m.planBalance(bi, snap, map[cluster.MachineID]bool{0: true, 1: true})
+	acts, _, _, outNeedIgnored, _ := pe.planBalance(bi, snap, scope(2))
 	_ = outNeedIgnored
 	if len(acts) != 0 {
 		t.Fatalf("balanced an uncovered type: %+v", acts)
@@ -110,7 +126,7 @@ func TestPlanBalanceAllOverSignalsScaleOut(t *testing.T) {
 	actors := []*epl.ActorInfo{mkActor(pe, "W", 0, 50), mkActor(pe, "W", 1, 50)}
 	snap := buildSnap(pe, []float64{95, 92}, actors)
 	bi := epl.BalanceIntent{Types: []string{"W"}, Res: epl.CPU, Upper: 80, Lower: 60}
-	_, allOver, _, wantOut, _ := pe.m.planBalance(bi, snap, map[cluster.MachineID]bool{0: true, 1: true})
+	_, allOver, _, wantOut, _ := pe.planBalance(bi, snap, scope(2))
 	if !allOver || !wantOut {
 		t.Fatalf("allOver=%v wantOut=%v, want both true", allOver, wantOut)
 	}
@@ -120,7 +136,7 @@ func TestPlanBalanceAllUnderSignalsScaleIn(t *testing.T) {
 	pe := newPlanEnv(t, 3)
 	snap := buildSnap(pe, []float64{10, 12, 8}, nil)
 	bi := epl.BalanceIntent{Types: []string{"W"}, Res: epl.CPU, Upper: 80, Lower: 60}
-	_, _, allUnder, _, wantIn := pe.m.planBalance(bi, snap, map[cluster.MachineID]bool{0: true, 1: true, 2: true})
+	_, _, allUnder, _, wantIn := pe.planBalance(bi, snap, scope(3))
 	if !allUnder || !wantIn {
 		t.Fatalf("allUnder=%v wantIn=%v, want both true", allUnder, wantIn)
 	}
@@ -134,7 +150,7 @@ func TestDeficitFillPullsOntoEmptyServer(t *testing.T) {
 	}
 	snap := buildSnap(pe, []float64{74, 50, 0}, actors)
 	bi := epl.BalanceIntent{Types: []string{"W"}, Res: epl.CPU, Upper: 80, Lower: 60}
-	acts, _, _, _, _ := pe.m.planBalance(bi, snap, map[cluster.MachineID]bool{0: true, 1: true, 2: true})
+	acts, _, _, _, _ := pe.planBalance(bi, snap, scope(3))
 	filled := false
 	for _, a := range acts {
 		if a.Trg == 2 {
@@ -151,7 +167,7 @@ func TestDeficitFillQuietWhenFleetUniformlyLight(t *testing.T) {
 	actors := []*epl.ActorInfo{mkActor(pe, "W", 0, 10), mkActor(pe, "W", 1, 10), mkActor(pe, "W", 2, 10)}
 	snap := buildSnap(pe, []float64{20, 22, 18}, actors)
 	bi := epl.BalanceIntent{Types: []string{"W"}, Res: epl.CPU, Upper: 80, Lower: 60}
-	acts, _, _, _, _ := pe.m.planBalance(bi, snap, map[cluster.MachineID]bool{0: true, 1: true, 2: true})
+	acts, _, _, _, _ := pe.planBalance(bi, snap, scope(3))
 	if len(acts) != 0 {
 		t.Fatalf("dual-bound rule rebalanced a uniformly light fleet: %+v", acts)
 	}
@@ -165,7 +181,7 @@ func TestDeficitFillLowerOnlyRuleActsOnLightFleet(t *testing.T) {
 	snap := buildSnap(pe, []float64{40, 2, 1}, actors)
 	// Lower-only (E-Store style): redistribute despite all servers < upper.
 	bi := epl.BalanceIntent{Types: []string{"W"}, Res: epl.CPU, Upper: nan(), Lower: 50}
-	acts, _, _, _, _ := pe.m.planBalance(bi, snap, map[cluster.MachineID]bool{0: true, 1: true, 2: true})
+	acts, _, _, _, _ := pe.planBalance(bi, snap, scope(3))
 	if len(acts) == 0 {
 		t.Fatal("lower-only rule did not redistribute")
 	}
@@ -183,7 +199,7 @@ func TestPlanReserveStarvedWhenNoTarget(t *testing.T) {
 	// Reserve the only other server for someone else.
 	pe.m.reserved[1] = actor.Ref{ID: 9999}
 	ri := epl.ReserveIntent{Actor: vip.Ref, Res: epl.CPU}
-	act, starved := pe.m.planReserve(ri, snap, map[cluster.MachineID]bool{0: true, 1: true}, map[cluster.MachineID]bool{})
+	act, starved := pe.planReserve(ri, snap, scope(2))
 	if act != nil || !starved {
 		t.Fatalf("act=%v starved=%v, want nil/true", act, starved)
 	}
@@ -194,7 +210,7 @@ func TestPlanReserveSatisfiedNotStarved(t *testing.T) {
 	vip := mkActor(pe, "V", 0, 30)
 	snap := buildSnap(pe, []float64{90, 5}, []*epl.ActorInfo{vip})
 	ri := epl.ReserveIntent{Actor: vip.Ref, Res: epl.CPU}
-	act, starved := pe.m.planReserve(ri, snap, map[cluster.MachineID]bool{0: true, 1: true}, map[cluster.MachineID]bool{})
+	act, starved := pe.planReserve(ri, snap, scope(2))
 	if act == nil || starved {
 		t.Fatalf("act=%v starved=%v, want action/false", act, starved)
 	}

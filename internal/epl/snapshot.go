@@ -44,7 +44,7 @@ type ServerInfo struct {
 	NetPerc float64
 	VCPUs   int
 	MemMB   int64
-	NetMbps float64 // NIC capacity; the per-NIC transfer pipeline's rate
+	NetMbps float64 // NIC capacity
 	Up      bool
 }
 
@@ -61,8 +61,8 @@ func (s *ServerInfo) Res(r Resource) float64 {
 	return 0
 }
 
-// ResVec returns the server's (cpu, mem, net) utilization vector, the unit
-// the batch planner's multi-resource packing round works in.
+// ResVec returns the server's (cpu, mem, net) utilization vector, indexed
+// by Resource: the unit the GEM's planning round works in.
 func (s *ServerInfo) ResVec() [3]float64 {
 	return [3]float64{s.CPUPerc, s.MemPerc, s.NetPerc}
 }
@@ -73,9 +73,6 @@ func (s *ServerInfo) ResVec() [3]float64 {
 func (a *ActorInfo) ResVec() [3]float64 {
 	return [3]float64{a.CPUPerc, a.MemPerc, a.NetPerc}
 }
-
-// Resources enumerates the planner's resource axes in ResVec order.
-var Resources = [3]Resource{CPU, Mem, Net}
 
 // ResOf reads the actor's named resource utilization percent.
 func (a *ActorInfo) ResOf(r Resource) float64 {

@@ -235,9 +235,9 @@ var Registry = map[string]func(Config) *Result{
 	"burst_region":  BurstRegion,
 	"burst_chaos":   BurstChaos,
 
-	// Batched-planner family: the batch multi-resource planner raced
-	// against the legacy greedy round on the paper's own workloads, all
-	// else pinned (see DESIGN.md §11 and EXPERIMENTS.md).
+	// Planner family: the two scenarios a per-intent greedy planner fails,
+	// held to its last recorded numbers (see DESIGN.md §11 and
+	// EXPERIMENTS.md).
 	"plan_pagerank": PlanPagerank,
 	"plan_halo":     PlanHalo,
 

@@ -14,12 +14,12 @@ import (
 	"plasma/internal/sim"
 )
 
-// The plan_* family races the batched multi-resource planner (Config.Planner
-// = "batch", DESIGN.md §11) against the legacy greedy round on the paper's
-// workloads, everything else pinned: same seed, same placement, same policy,
-// same period. Each scenario exercises a specific legacy blind spot — single-
-// axis rules fighting each other, and load-only targeting that ignores where
-// an actor's traffic lands.
+// The plan_* family holds the planning round (DESIGN.md §11) to the two
+// scenarios that a per-intent greedy planner fails: single-axis rules
+// fighting each other, and load-only targeting that ignores where an
+// actor's traffic lands. The greedy loop this repository once shipped beside
+// the round is gone; its last recorded numbers at seed 1 are the absolute
+// lines the family's tests assert (planner_test.go).
 
 // planPagerankPolicy adds a memory band to the paper's CPU band: with
 // vertex state sized realistically, the two rules constrain the same
@@ -31,67 +31,51 @@ server.mem.perc > 80 or server.mem.perc < 60 =>
     balance({Worker}, mem);
 `
 
-// PlanPagerank races the planners on a memory-heavy Fig. 6a variant: 32
-// PageRank workers with large vertex state, randomly placed on 8 m5.large
-// servers, governed by a CPU band and a memory band. The legacy round plans
-// each rule on its own axis against the same static snapshot, so a CPU move
-// can overload the target's memory (and vice versa) and the rules undo each
-// other across periods — every bounce costs a multi-second state serialize.
-// The batch round packs both intents against one shared (cpu, mem, net)
-// projection, so a target must fit on every axis before a move is planned.
+// PlanPagerank is a memory-heavy Fig. 6a variant: 32 PageRank workers with
+// large vertex state, randomly placed on 8 m5.large servers, governed by a
+// CPU band and a memory band. A planner that takes each rule on its own
+// axis against the same static snapshot lets a CPU move overload the
+// target's memory (and vice versa), and the rules undo each other across
+// periods — every bounce a multi-second state serialize. The round packs
+// both intents against one shared (cpu, mem, net) projection, so a target
+// must fit on every axis before a move is planned.
 func PlanPagerank(cfg Config) *Result {
-	r := newResult("plan_pagerank", "PageRank convergence under cpu+mem bands: batch planner vs legacy greedy")
-	r.Header = []string{"Planner", "Converged iteration time", "Migrations"}
+	r := newResult("plan_pagerank", "PageRank convergence under cpu+mem bands")
+	r.Header = []string{"Converged iteration time", "Migrations"}
 	su := pagerankSetup(cfg)
 	const statePerVertex = 4 << 20 // ~1.5 GB per worker: memory is a real axis
 	seed := cfg.seed()
 	in := pagerankInput(su, seed)
 
-	run := func(planner string) (sim.Duration, int) {
-		placement := randomPlacement(seed*7+1, su.workers, 8)
-		w := cfg.world(seed, 8, cluster.M5Large)
-		app := pagerank.Build(w.K, w.RT, pagerank.Config{
-			Graph: in.g, Parts: in.parts, K: su.workers,
-			PerEdgeCost: su.perEdge, SyncOverhead: su.syncOver, Iterations: su.iterations,
-			HeteroSpread: 0.5, StatePerVertex: statePerVertex,
-		}, placement)
-		mgr := w.Manage(epl.MustParse(planPagerankPolicy),
-			emr.Config{Period: su.period, Planner: planner})
-		mgr.Start()
-		app.Start(w.K)
-		runToCompletion(&prEnv{World: w, app: app}, 30*sim.Minute)
-		return app.ConvergedTime(), mgr.Stats.ExecutedMigrations
-	}
+	placement := randomPlacement(seed*7+1, su.workers, 8)
+	w := cfg.world(seed, 8, cluster.M5Large)
+	app := pagerank.Build(w.K, w.RT, pagerank.Config{
+		Graph: in.g, Parts: in.parts, K: su.workers,
+		PerEdgeCost: su.perEdge, SyncOverhead: su.syncOver, Iterations: su.iterations,
+		HeteroSpread: 0.5, StatePerVertex: statePerVertex,
+	}, placement)
+	mgr := w.Manage(epl.MustParse(planPagerankPolicy), emr.Config{Period: su.period})
+	mgr.Start()
+	app.Start(w.K)
+	runToCompletion(&prEnv{World: w, app: app}, 30*sim.Minute)
 
-	times := map[string]float64{}
-	for _, planner := range []string{"", "batch"} {
-		name := "legacy"
-		if planner != "" {
-			name = planner
-		}
-		conv, migs := run(planner)
-		times[name] = float64(conv)
-		r.addRow(name, conv.String(), fmt.Sprintf("%d", migs))
-		r.Summary["converged_ms_"+name] = float64(conv) / float64(sim.Millisecond)
-		r.Summary["migrations_"+name] = float64(migs)
-	}
-	if times["legacy"] > 0 {
-		imp := (times["legacy"] - times["batch"]) / times["legacy"] * 100
-		r.Summary["batch_improvement_pct"] = imp
-		r.notef("legacy's cpu and mem rules plan blind to each other's axis; batch packs one shared projection — measured %.1f%% faster convergence", imp)
-	}
+	conv, migs := app.ConvergedTime(), mgr.Stats.ExecutedMigrations
+	r.addRow(conv.String(), fmt.Sprintf("%d", migs))
+	r.Summary["converged_ms"] = float64(conv) / float64(sim.Millisecond)
+	r.Summary["migrations"] = float64(migs)
+	r.notef("cpu and mem rules pack one shared projection; the per-intent greedy loop this replaced bounced workers between the axes (36.1 s, 3,699 migrations at seed 1)")
 	return r
 }
 
-// PlanHalo races the planners on a skewed Fig. 11c variant: routers crowded
-// on an eighth of the fleet with CPU-hot decryption, three quarters of the
-// clients joining the four hottest sessions, and each client sticky to one
-// router (the usual sticky load-balancer front end), so every router
-// forwards mostly to one hot session. When the router-balance rule spreads
-// routers out, the legacy round targets the quietest server regardless of
-// traffic; the batch round's affinity scoring places each router where the
-// sessions it forwards to actually live, cutting a remote hop off most
-// heartbeats.
+// PlanHalo is a skewed Fig. 11c variant: routers crowded on a sixteenth of
+// the fleet with CPU-hot decryption, three quarters of the clients joining
+// the four hottest sessions, and each client sticky to one router (the usual
+// sticky load-balancer front end), so every router forwards mostly to one
+// hot session. When the router-balance rule spreads routers out, targeting
+// the quietest server regardless of traffic leaves most heartbeats a remote
+// hop from their session; the round's affinity scoring places each router
+// where the sessions it forwards to actually live.
+//
 // planHaloPolicy tightens fig11's router band ([80,60] -> [40,15]) so the
 // crowded routers actually spread across the fleet instead of stopping at
 // the first server that dips under 80%, and keeps the paper's interaction
@@ -103,8 +87,8 @@ server.cpu.perc > 40 or server.cpu.perc < 15 =>
 ` + halo.InterPolicySrc
 
 func PlanHalo(cfg Config) *Result {
-	r := newResult("plan_halo", "Halo latency with skewed sessions: batch planner vs legacy greedy")
-	r.Header = []string{"Planner", "Mean latency", "Final latency", "Settle time"}
+	r := newResult("plan_halo", "Halo latency with skewed sessions under affinity-scored balancing")
+	r.Header = []string{"Mean latency", "Final latency", "Settle time"}
 
 	servers, routers, sessions, clients := 64, 32, 64, 128
 	period := 80 * sim.Second
@@ -118,76 +102,60 @@ func PlanHalo(cfg Config) *Result {
 		hbEvery = 200 * sim.Millisecond
 	}
 
-	run := func(planner string) *workload.Recorder {
-		w := cfg.world(cfg.seed(), servers+2, cluster.M1Small)
-		k, rt := w.K, w.RT
-		// Accentuate the remote hop further than fig11 (20 ms): the skewed
-		// scenario is about where routers sit relative to their traffic, so
-		// the cross-server hop must dominate per-message compute.
-		w.C.BaseLatency = 4 * haloBaseLatency
-		// All routers crowd a sixteenth of the fleet so the balance rule has
-		// real work even at the gentler heartbeat rate.
-		routerSrvs := make([]cluster.MachineID, servers/16)
-		for i := range routerSrvs {
-			routerSrvs[i] = cluster.MachineID(i)
-		}
-		sessionSrvs := make([]cluster.MachineID, servers)
-		for i := range sessionSrvs {
-			sessionSrvs[i] = cluster.MachineID(i)
-		}
-		app := halo.Build(k, rt, routerSrvs, sessionSrvs, routers, sessions)
-		app.Decrypt = true
+	w := cfg.world(cfg.seed(), servers+2, cluster.M1Small)
+	k, rt := w.K, w.RT
+	// Accentuate the remote hop further than fig11 (20 ms): the skewed
+	// scenario is about where routers sit relative to their traffic, so
+	// the cross-server hop must dominate per-message compute.
+	w.C.BaseLatency = 4 * haloBaseLatency
+	// All routers crowd a sixteenth of the fleet so the balance rule has
+	// real work even at the gentler heartbeat rate.
+	routerSrvs := make([]cluster.MachineID, servers/16)
+	for i := range routerSrvs {
+		routerSrvs[i] = cluster.MachineID(i)
+	}
+	sessionSrvs := make([]cluster.MachineID, servers)
+	for i := range sessionSrvs {
+		sessionSrvs[i] = cluster.MachineID(i)
+	}
+	app := halo.Build(k, rt, routerSrvs, sessionSrvs, routers, sessions)
+	app.Decrypt = true
 
-		w.Manage(epl.MustParse(planHaloPolicy), emr.Config{Period: period, Planner: planner}).Start()
+	w.Manage(epl.MustParse(planHaloPolicy), emr.Config{Period: period}).Start()
 
-		rec := workload.NewRecorder(20 * sim.Second)
-		for i := 0; i < clients; i++ {
-			i := i
-			// Popularity skew: three quarters of the clients pile into the
-			// hot sessions; the rest spread round-robin.
-			sess := i % sessions
-			if i%4 != 0 {
-				sess = i % hotSessions
-			}
-			joinAt := sim.Time(i) * sim.Time(total) / sim.Time(2*clients)
-			k.At(joinAt, func() {
-				p := app.Join(sess)
-				cl := actor.NewClient(rt, cluster.MachineID(servers+i%2))
-				router := app.Routers[i%len(app.Routers)]
-				k.Every(hbEvery, func() bool {
-					cl.Request(router, "heartbeat", p, 256, func(lat sim.Duration, _ interface{}) {
-						rec.Record(k.Now(), lat)
-					})
-					return k.Now() < sim.Time(total)
+	rec := workload.NewRecorder(20 * sim.Second)
+	for i := 0; i < clients; i++ {
+		i := i
+		// Popularity skew: three quarters of the clients pile into the
+		// hot sessions; the rest spread round-robin.
+		sess := i % sessions
+		if i%4 != 0 {
+			sess = i % hotSessions
+		}
+		joinAt := sim.Time(i) * sim.Time(total) / sim.Time(2*clients)
+		k.At(joinAt, func() {
+			p := app.Join(sess)
+			cl := actor.NewClient(rt, cluster.MachineID(servers+i%2))
+			router := app.Routers[i%len(app.Routers)]
+			k.Every(hbEvery, func() bool {
+				cl.Request(router, "heartbeat", p, 256, func(lat sim.Duration, _ interface{}) {
+					rec.Record(k.Now(), lat)
 				})
+				return k.Now() < sim.Time(total)
 			})
-		}
-		k.Run(sim.Time(total))
-		return rec
+		})
 	}
+	k.Run(sim.Time(total))
 
-	stats := map[string][2]float64{}
-	for _, planner := range []string{"", "batch"} {
-		name := "legacy"
-		if planner != "" {
-			name = planner
-		}
-		rec := run(planner)
-		series := rec.Series()
-		r.Series[name] = series
-		mean := rec.Hist.Mean()
-		final := series.TailMeanY(0.25)
-		settle := settleTime(series, final)
-		stats[name] = [2]float64{mean, final}
-		r.addRow(name, ms(mean), ms(final), fmt.Sprintf("%.0f s", settle))
-		r.Summary["mean_ms_"+name] = mean
-		r.Summary["final_ms_"+name] = final
-		r.Summary["settle_s_"+name] = settle
-	}
-	if l := stats["legacy"]; l[0] > 0 {
-		r.Summary["batch_mean_improvement_pct"] = (l[0] - stats["batch"][0]) / l[0] * 100
-		r.Summary["batch_final_improvement_pct"] = (l[1] - stats["batch"][1]) / l[1] * 100
-	}
+	series := rec.Series()
+	r.Series["latency"] = series
+	mean := rec.Hist.Mean()
+	final := series.TailMeanY(0.25)
+	settle := settleTime(series, final)
+	r.addRow(ms(mean), ms(final), fmt.Sprintf("%.0f s", settle))
+	r.Summary["mean_ms"] = mean
+	r.Summary["final_ms"] = final
+	r.Summary["settle_s"] = settle
 	r.notef("affinity-scored targets put each router beside the hot sessions it forwards to; settle time = first bucket after which latency stays within 20%% of final")
 	return r
 }

@@ -22,11 +22,14 @@ func TestStreamSkewPlasmaBeatsElasticutor(t *testing.T) {
 	if p > e {
 		t.Fatalf("plasma recovery %.1fs slower than elasticutor %.1fs; the policy lost the race", p, e)
 	}
-	// Pinned seed-1 values (see EXPERIMENTS.md): plasma absorbs the shift
-	// within the first post-shift window, the baseline takes four violating
-	// windows to re-spread the hot keys.
-	if p != 0.5 {
-		t.Errorf("plasma recovery = %.1fs at seed 1, pinned 0.5s", p)
+	// Pinned seed-1 values (see EXPERIMENTS.md): plasma is back under the
+	// SLO in the second post-shift window, the baseline takes four violating
+	// windows to re-spread the hot keys. (0.5 s until the planning round
+	// began projecting a planned reservation's load off its source — the
+	// hot server then sheds nothing else that period; over seeds 1–6 mean
+	// recovery went 2.7 s → 2.3 s, seed 1 is the one seed that lost.)
+	if p != 1.5 {
+		t.Errorf("plasma recovery = %.1fs at seed 1, pinned 1.5s", p)
 	}
 	if e != 4.5 {
 		t.Errorf("elasticutor recovery = %.1fs at seed 1, pinned 4.5s", e)

@@ -1,31 +1,36 @@
 package graph
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Affinity is an undirected weighted communication graph over opaque int64
-// node ids (actor ids in practice). The batch planner builds one per
-// planning round from the profiled message-rate snapshot and uses it to
-// keep chatty actors together: the affinity of an actor to a server is the
-// summed edge weight toward actors resident there.
+// node ids (actor ids in practice), held as one slice of directed edges
+// sorted by (node, peer): a node's adjacency is a contiguous, peer-sorted
+// run found by binary search. The planner rebuilds it from the profiled
+// message counts in the rounds that need it and uses it to keep chatty
+// actors together: the affinity of an actor to a server is the summed edge
+// weight toward actors resident there.
 //
-// Accumulation is map-backed for O(1) adds; Peers seals each adjacency
-// list into id-sorted order on first read, so iteration is deterministic
-// regardless of insertion order.
+// The zero value is an empty graph. Reset keeps the backing array, so a
+// graph rebuilt every round allocates only while it grows. Iteration order
+// never depends on insertion order: edges sort on (node, peer, weight), so
+// even the float sum of a duplicated edge is the same whichever Add came
+// first.
 type Affinity struct {
-	adj   map[int64]map[int64]float64
-	peers map[int64][]AffEdge // sealed, id-sorted adjacency
+	edges  []AffEdge
+	sealed bool
 }
 
-// AffEdge is one sealed adjacency entry.
+// AffEdge is one directed half of an undirected edge.
 type AffEdge struct {
-	Peer   int64
-	Weight float64
+	Node, Peer int64
+	Weight     float64
 }
 
-// NewAffinity returns an empty affinity graph.
-func NewAffinity() *Affinity {
-	return &Affinity{adj: map[int64]map[int64]float64{}}
-}
+// Reset empties the graph, keeping its storage.
+func (af *Affinity) Reset() { af.edges, af.sealed = af.edges[:0], false }
 
 // Add accumulates weight onto the undirected edge (a, b). Self-edges and
 // non-positive weights are ignored.
@@ -33,54 +38,37 @@ func (af *Affinity) Add(a, b int64, w float64) {
 	if a == b || w <= 0 {
 		return
 	}
-	af.peers = nil // invalidate sealed lists
-	for _, pair := range [2][2]int64{{a, b}, {b, a}} {
-		m := af.adj[pair[0]]
-		if m == nil {
-			m = map[int64]float64{}
-			af.adj[pair[0]] = m
-		}
-		m[pair[1]] += w
-	}
+	af.edges = append(af.edges, AffEdge{a, b, w}, AffEdge{b, a, w})
+	af.sealed = false
 }
 
-// Weight reads the accumulated weight of edge (a, b); 0 when absent.
-func (af *Affinity) Weight(a, b int64) float64 { return af.adj[a][b] }
-
-// Peers returns a's adjacency in ascending peer-id order.
+// Peers returns a's adjacency in ascending peer-id order, one entry per
+// peer. The slice aliases the graph's storage: read it before the next Add.
 func (af *Affinity) Peers(a int64) []AffEdge {
-	if af.peers == nil {
-		af.peers = make(map[int64][]AffEdge, len(af.adj))
+	if !af.sealed {
+		af.seal()
 	}
-	if list, ok := af.peers[a]; ok {
-		return list
+	lo, _ := slices.BinarySearchFunc(af.edges, a, func(e AffEdge, a int64) int { return cmp.Compare(e.Node, a) })
+	hi := lo
+	for hi < len(af.edges) && af.edges[hi].Node == a {
+		hi++
 	}
-	m := af.adj[a]
-	if len(m) == 0 {
-		af.peers[a] = nil
-		return nil
-	}
-	list := make([]AffEdge, 0, len(m))
-	for p, w := range m {
-		list = append(list, AffEdge{Peer: p, Weight: w})
-	}
-	sort.Slice(list, func(i, j int) bool { return list[i].Peer < list[j].Peer })
-	af.peers[a] = list
-	return list
+	return af.edges[lo:hi]
 }
 
-// Nodes reports how many nodes have at least one edge.
-func (af *Affinity) Nodes() int { return len(af.adj) }
-
-// ScoreBy sums a's edge weight toward the peers for which at returns the
-// given key — with at mapping actor to server, this is the actor's
-// communication affinity to that server.
-func (af *Affinity) ScoreBy(a int64, key int64, at func(int64) (int64, bool)) float64 {
-	var s float64
-	for p, w := range af.adj[a] {
-		if k, ok := at(p); ok && k == key {
-			s += w
+// seal sorts the edges and folds duplicates of one (node, peer) pair into
+// a single entry carrying their summed weight.
+func (af *Affinity) seal() {
+	slices.SortFunc(af.edges, func(x, y AffEdge) int {
+		return cmp.Or(cmp.Compare(x.Node, y.Node), cmp.Compare(x.Peer, y.Peer), cmp.Compare(x.Weight, y.Weight))
+	})
+	out := af.edges[:0]
+	for _, e := range af.edges {
+		if n := len(out); n > 0 && out[n-1].Node == e.Node && out[n-1].Peer == e.Peer {
+			out[n-1].Weight += e.Weight
+			continue
 		}
+		out = append(out, e)
 	}
-	return s
+	af.edges, af.sealed = out, true
 }

@@ -53,12 +53,11 @@ func (s *SLOTracker) Observe(t, v float64) {
 	}
 }
 
-// Finish flushes the integration window through time t, crediting the
+// finish flushes the integration window through time t, crediting the
 // interval since the last observation. Idempotent for the same t; the
-// signal is still live afterwards (later Observes keep integrating),
-// which makes Finish suitable for mid-run checkpoints. To close the
-// tracker at end of run use Finalize, which seals it.
-func (s *SLOTracker) Finish(t float64) {
+// signal is still live afterwards (later Observes keep integrating).
+// Finalize is finish plus the seal.
+func (s *SLOTracker) finish(t float64) {
 	if s.closed {
 		return
 	}
@@ -72,16 +71,16 @@ func (s *SLOTracker) Finish(t float64) {
 // Finalize closes the tracker at end of run: a violation window still
 // open at now is credited through now (without this, a run ending
 // mid-violation under-counts by the entire open interval), and the
-// tracker is sealed — further Observe, Finish, or Finalize calls are
+// tracker is sealed — further Observe or Finalize calls are
 // no-ops, so a stray post-deadline sample or a repeated shutdown path
 // cannot inflate the integral.
 func (s *SLOTracker) Finalize(now float64) {
-	s.Finish(now)
+	s.finish(now)
 	s.closed = true
 }
 
-// FinishedAt reports the time the window was last flushed through (the
-// last Finish checkpoint or the Finalize instant; 0 before either).
+// FinishedAt reports the time the window was flushed through by Finalize
+// (0 before it).
 func (s *SLOTracker) FinishedAt() float64 { return s.finishedAt }
 
 func (s *SLOTracker) accumulate(t float64) {
@@ -91,7 +90,7 @@ func (s *SLOTracker) accumulate(t float64) {
 }
 
 // ViolationSeconds reports the accumulated time the signal spent above
-// the threshold (through the last Observe or Finish).
+// the threshold (through the last Observe or Finalize).
 func (s *SLOTracker) ViolationSeconds() float64 { return s.violSec }
 
 // Episodes reports how many distinct violation episodes began (entries

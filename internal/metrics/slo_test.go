@@ -11,7 +11,7 @@ func TestSLOTrackerIntegratesViolationTime(t *testing.T) {
 	s.Observe(10, 150)      // violating 10..25
 	s.Observe(25, 80)       // compliant 25..40
 	s.Observe(40, 200)      // violating 40..45
-	s.Finish(45)
+	s.finish(45)
 
 	if got := s.ViolationSeconds(); math.Abs(got-20) > 1e-9 {
 		t.Errorf("ViolationSeconds = %v, want 20", got)
@@ -28,7 +28,7 @@ func TestSLOTrackerNoViolations(t *testing.T) {
 	s := NewSLOTracker(100)
 	s.Observe(0, 10)
 	s.Observe(5, 99)
-	s.Finish(10)
+	s.finish(10)
 	if s.ViolationSeconds() != 0 || s.Episodes() != 0 {
 		t.Errorf("clean signal reported %v violation-seconds, %d episodes",
 			s.ViolationSeconds(), s.Episodes())
@@ -38,7 +38,7 @@ func TestSLOTrackerNoViolations(t *testing.T) {
 func TestSLOTrackerBoundaryIsCompliant(t *testing.T) {
 	s := NewSLOTracker(100)
 	s.Observe(0, 100) // exactly at the threshold: compliant
-	s.Finish(10)
+	s.finish(10)
 	if s.ViolationSeconds() != 0 {
 		t.Errorf("threshold-equal value counted as violating")
 	}
@@ -46,7 +46,7 @@ func TestSLOTrackerBoundaryIsCompliant(t *testing.T) {
 
 func TestSLOTrackerEmptyFinish(t *testing.T) {
 	s := NewSLOTracker(1)
-	s.Finish(100) // no observations: nothing to integrate
+	s.finish(100) // no observations: nothing to integrate
 	if s.ViolationSeconds() != 0 {
 		t.Errorf("empty tracker reported violations")
 	}
@@ -71,15 +71,13 @@ func TestSLOTrackerFinalizeFlushesOpenWindow(t *testing.T) {
 }
 
 // Finalize seals the tracker: repeating it later, or re-flushing via
-// Finish, must not keep integrating past the end of the run. (Plain
-// Finish deliberately fails this — it is the re-openable mid-run
-// checkpoint — which is exactly why the end-of-run path uses Finalize.)
+// finish, must not keep integrating past the end of the run.
 func TestSLOTrackerFinalizeIsIdempotent(t *testing.T) {
 	s := NewSLOTracker(100)
 	s.Observe(0, 150)
 	s.Finalize(30)
 	s.Finalize(45)
-	s.Finish(60)
+	s.finish(60)
 	if got := s.ViolationSeconds(); math.Abs(got-30) > 1e-9 {
 		t.Errorf("ViolationSeconds after repeated finalization = %v, want 30", got)
 	}
@@ -104,12 +102,11 @@ func TestSLOTrackerObserveAfterFinalizeIgnored(t *testing.T) {
 	}
 }
 
-// Finish stays a live checkpoint: integration continues across it, so
-// periodic reporting can flush without ending the run.
+// The unsealed flush is a live checkpoint: integration continues across it.
 func TestSLOTrackerFinishKeepsIntegrating(t *testing.T) {
 	s := NewSLOTracker(100)
 	s.Observe(0, 150)
-	s.Finish(10)
+	s.finish(10)
 	if got := s.ViolationSeconds(); math.Abs(got-10) > 1e-9 {
 		t.Fatalf("checkpoint ViolationSeconds = %v, want 10", got)
 	}

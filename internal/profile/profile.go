@@ -113,12 +113,6 @@ func New(k *sim.Kernel, c *cluster.Cluster, rt *actor.Runtime) *Profiler {
 // the per-message hooks find them sized.
 func (p *Profiler) OnSpawn(srv cluster.MachineID, a actor.Ref) { p.ensure(a.ID) }
 
-// NoReuse switches the profiler to naive fresh-allocation snapshots: every
-// Snapshot call builds into a brand-new arena instead of the pooled
-// double-buffered one. Differential tests use this as the reference
-// implementation; its results must be identical to the pooled path.
-func (p *Profiler) NoReuse() { p.noReuse = true }
-
 // ensure grows the dense per-actor accumulators to cover id.
 func (p *Profiler) ensure(id actor.ID) {
 	n := int(id) + 1

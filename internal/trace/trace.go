@@ -105,16 +105,11 @@ const (
 	// Value=state bytes moved, Detail=key count) — the baseline's analogue
 	// of a transfer/commit pair.
 	KindHandoff
-	// KindPlanBatch summarizes one batched multi-resource planning round
-	// (Config.Planner = "batch"): Value is the number of planned actions,
-	// Detail carries the over/under server counts and how many moves the
-	// packing round batched per destination.
+	// KindPlanBatch summarizes one GEM planning round: Value is the number
+	// of planned actions, Detail carries the reservations and moves, how
+	// many distinct destinations they batch onto, and how many servers the
+	// round leaves over/under the rules' bands.
 	KindPlanBatch
-	// KindXferPipeline is a migration transfer passing through the per-NIC
-	// pipeline: Value is the wire time in µs, Detail the queue wait behind
-	// earlier transfers into the same destination NIC (zero when the
-	// transfer overlapped with traffic to other destinations).
-	KindXferPipeline
 	numKinds
 )
 
@@ -124,7 +119,7 @@ var kindNames = [numKinds]string{
 	"admit", "deny", "transfer", "commit", "rollback", "scale-out",
 	"scale-in", "provision", "machine-up", "decommission", "crash",
 	"repair", "chaos", "prov-fail", "prov-retry", "shed", "handoff",
-	"plan-batch", "xfer-pipeline",
+	"plan-batch",
 }
 
 func (k Kind) String() string {
