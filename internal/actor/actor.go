@@ -131,15 +131,12 @@ type Runtime struct {
 	profiler  ProfilerHook
 	placement PlacementHook
 
-	nextID     ID
-	actors     map[ID]*instance
+	// actors is indexed by ID: ids are issued sequentially from 1 and never
+	// reused, so the table is dense, walking it is ascending-id (= spawn)
+	// order, and a stopped actor leaves a nil behind. Read it through inst.
+	actors     []*instance
+	live       int // non-nil entries of actors
 	migrations int
-
-	// order lists live actor ids in spawn (= ascending id) order, so bulk
-	// iteration needs no per-call sort. Stopped actors leave stale entries
-	// behind (skipped on iteration) until a compaction sweep removes them.
-	order     []ID
-	orderDead int // stale entries in order (actors since stopped)
 
 	// inflight tracks live migrations so machine crashes can abort or roll
 	// them back; failedMigs counts migrations that did not complete.
@@ -178,11 +175,20 @@ func NewRuntime(k *sim.Kernel, c *cluster.Cluster) *Runtime {
 		BaseMsgCost:    20 * sim.Microsecond,
 		ProfilingCost:  2 * sim.Microsecond,
 		SerializePerMB: 5 * sim.Millisecond,
-		actors:         make(map[ID]*instance),
+		actors:         make([]*instance, 1), // the zero ID is nobody
 		inflight:       make(map[ID]*migration),
 	}
 	c.OnFail(rt.onMachineFail)
 	return rt
+}
+
+// inst returns the live actor with the given id, or nil: for the zero ID, an
+// id never issued, and a stopped actor alike.
+func (rt *Runtime) inst(id ID) *instance {
+	if id < ID(len(rt.actors)) {
+		return rt.actors[id]
+	}
+	return nil
 }
 
 // spawnGrower is the optional profiler capability the runtime uses to
@@ -198,9 +204,9 @@ type spawnGrower interface {
 func (rt *Runtime) SetProfiler(p ProfilerHook) {
 	rt.profiler = p
 	if g, ok := p.(spawnGrower); ok {
-		for _, id := range rt.order {
-			if inst := rt.actors[id]; inst != nil {
-				g.OnSpawn(inst.srv, Ref{ID: id})
+		for _, inst := range rt.actors {
+			if inst != nil {
+				g.OnSpawn(inst.srv, Ref{ID: inst.id})
 			}
 		}
 	}
@@ -226,7 +232,7 @@ func (rt *Runtime) InFlightMigrations() int { return len(rt.inflight) }
 
 // Migrating reports whether the actor is currently mid-migration.
 func (rt *Runtime) Migrating(ref Ref) bool {
-	inst := rt.actors[ref.ID]
+	inst := rt.inst(ref.ID)
 	return inst != nil && inst.migrating
 }
 
@@ -253,7 +259,7 @@ func (rt *Runtime) onMachineFail(id cluster.MachineID) {
 	// Queued (not yet begun) migrations toward the dead machine fail fast so
 	// the initiating LEM can replan instead of waiting forever.
 	for _, ref := range rt.Actors() {
-		inst := rt.actors[ref.ID]
+		inst := rt.inst(ref.ID)
 		if inst.pendingDst == id && !inst.migrating {
 			fn := inst.pendingFn
 			inst.pendingDst = -1
@@ -294,7 +300,7 @@ func (rt *Runtime) Spawn(typ string, b Behavior, creator Ref) Ref {
 	srv := cluster.MachineID(-1)
 	if rt.placement != nil {
 		creatorSrv := cluster.MachineID(-1)
-		if inst := rt.actors[creator.ID]; inst != nil {
+		if inst := rt.inst(creator.ID); inst != nil {
 			creatorSrv = inst.srv
 		}
 		srv = rt.placement.Place(typ, creator, creatorSrv)
@@ -315,17 +321,16 @@ func (rt *Runtime) SpawnOn(typ string, b Behavior, srv cluster.MachineID) Ref {
 	if m == nil || !m.Up() {
 		panic(fmt.Sprintf("actor: spawn on bad machine %d", srv))
 	}
-	rt.nextID++
 	inst := &instance{
-		id:         rt.nextID,
+		id:         ID(len(rt.actors)),
 		typ:        typ,
 		behavior:   b,
 		srv:        srv,
 		lastMove:   rt.K.Now(),
 		pendingDst: -1,
 	}
-	rt.actors[inst.id] = inst
-	rt.order = append(rt.order, inst.id)
+	rt.actors = append(rt.actors, inst)
+	rt.live++
 	if g, ok := rt.profiler.(spawnGrower); ok {
 		g.OnSpawn(srv, Ref{ID: inst.id})
 	}
@@ -345,7 +350,7 @@ func (rt *Runtime) RecoverMachine(srv cluster.MachineID) int {
 	}
 	n := 0
 	for _, ref := range rt.ActorsOn(srv) {
-		inst := rt.actors[ref.ID]
+		inst := rt.inst(ref.ID)
 		if mig := rt.inflight[inst.id]; mig != nil {
 			// The machine's crash hook normally aborts these; clean up here
 			// too so recovery is safe even if invoked on its own.
@@ -379,7 +384,7 @@ func (rt *Runtime) RecoverMachine(srv cluster.MachineID) int {
 // Stop removes an actor permanently. Queued messages are dropped; an
 // in-flight migration is aborted (its initiator is told it failed).
 func (rt *Runtime) Stop(ref Ref) {
-	inst := rt.actors[ref.ID]
+	inst := rt.inst(ref.ID)
 	if inst == nil {
 		return
 	}
@@ -400,31 +405,16 @@ func (rt *Runtime) Stop(ref Ref) {
 		fn(false)
 	}
 	rt.C.Machine(inst.srv).AddMem(-inst.memSize)
-	delete(rt.actors, ref.ID)
-	rt.orderDead++
-	if rt.orderDead*2 > len(rt.order) {
-		rt.compactOrder()
-	}
-}
-
-// compactOrder drops stale (stopped) ids from the spawn-order list.
-func (rt *Runtime) compactOrder() {
-	live := rt.order[:0]
-	for _, id := range rt.order {
-		if rt.actors[id] != nil {
-			live = append(live, id)
-		}
-	}
-	rt.order = live
-	rt.orderDead = 0
+	rt.actors[ref.ID] = nil
+	rt.live--
 }
 
 // Exists reports whether the actor is alive.
-func (rt *Runtime) Exists(ref Ref) bool { return rt.actors[ref.ID] != nil }
+func (rt *Runtime) Exists(ref Ref) bool { return rt.inst(ref.ID) != nil }
 
 // TypeOf reports an actor's type name ("" if dead).
 func (rt *Runtime) TypeOf(ref Ref) string {
-	if inst := rt.actors[ref.ID]; inst != nil {
+	if inst := rt.inst(ref.ID); inst != nil {
 		return inst.typ
 	}
 	return ""
@@ -432,7 +422,7 @@ func (rt *Runtime) TypeOf(ref Ref) string {
 
 // ServerOf reports the machine currently hosting the actor (-1 if dead).
 func (rt *Runtime) ServerOf(ref Ref) cluster.MachineID {
-	if inst := rt.actors[ref.ID]; inst != nil {
+	if inst := rt.inst(ref.ID); inst != nil {
 		return inst.srv
 	}
 	return -1
@@ -440,7 +430,7 @@ func (rt *Runtime) ServerOf(ref Ref) cluster.MachineID {
 
 // Props returns an actor's reference property (nil if absent).
 func (rt *Runtime) Props(ref Ref, name string) []Ref {
-	if inst := rt.actors[ref.ID]; inst != nil {
+	if inst := rt.inst(ref.ID); inst != nil {
 		return inst.props[name]
 	}
 	return nil
@@ -449,7 +439,7 @@ func (rt *Runtime) Props(ref Ref, name string) []Ref {
 // SetProp sets a reference property from outside a message handler (for
 // spawn-time initialization by application facades).
 func (rt *Runtime) SetProp(ref Ref, name string, refs []Ref) {
-	if inst := rt.actors[ref.ID]; inst != nil {
+	if inst := rt.inst(ref.ID); inst != nil {
 		inst.setProp(name, append([]Ref(nil), refs...))
 	}
 }
@@ -465,7 +455,7 @@ func (inst *instance) setProp(name string, refs []Ref) {
 
 // PropNames lists the actor's reference property names in sorted order.
 func (rt *Runtime) PropNames(ref Ref) []string {
-	inst := rt.actors[ref.ID]
+	inst := rt.inst(ref.ID)
 	if inst == nil {
 		return nil
 	}
@@ -479,7 +469,7 @@ func (rt *Runtime) PropNames(ref Ref) []string {
 
 // MemSize reports the actor's declared state size in bytes.
 func (rt *Runtime) MemSize(ref Ref) int64 {
-	if inst := rt.actors[ref.ID]; inst != nil {
+	if inst := rt.inst(ref.ID); inst != nil {
 		return inst.memSize
 	}
 	return 0
@@ -487,27 +477,27 @@ func (rt *Runtime) MemSize(ref Ref) int64 {
 
 // Pin marks the actor as unmovable; Unpin reverses it.
 func (rt *Runtime) Pin(ref Ref) {
-	if inst := rt.actors[ref.ID]; inst != nil {
+	if inst := rt.inst(ref.ID); inst != nil {
 		inst.pinned = true
 	}
 }
 
 // Unpin clears the pinned flag.
 func (rt *Runtime) Unpin(ref Ref) {
-	if inst := rt.actors[ref.ID]; inst != nil {
+	if inst := rt.inst(ref.ID); inst != nil {
 		inst.pinned = false
 	}
 }
 
 // Pinned reports whether the actor is pinned.
 func (rt *Runtime) Pinned(ref Ref) bool {
-	inst := rt.actors[ref.ID]
+	inst := rt.inst(ref.ID)
 	return inst != nil && inst.pinned
 }
 
 // LastMoved reports when the actor last changed servers (spawn counts).
 func (rt *Runtime) LastMoved(ref Ref) sim.Time {
-	if inst := rt.actors[ref.ID]; inst != nil {
+	if inst := rt.inst(ref.ID); inst != nil {
 		return inst.lastMove
 	}
 	return 0
@@ -515,10 +505,10 @@ func (rt *Runtime) LastMoved(ref Ref) sim.Time {
 
 // Actors returns all live actor refs in id order (deterministic).
 func (rt *Runtime) Actors() []Ref {
-	refs := make([]Ref, 0, len(rt.actors))
-	for _, id := range rt.order {
-		if rt.actors[id] != nil {
-			refs = append(refs, Ref{ID: id})
+	refs := make([]Ref, 0, rt.live)
+	for _, inst := range rt.actors {
+		if inst != nil {
+			refs = append(refs, Ref{ID: inst.id})
 		}
 	}
 	return refs
@@ -527,9 +517,9 @@ func (rt *Runtime) Actors() []Ref {
 // ActorsOn returns the live actors hosted on srv, in id order.
 func (rt *Runtime) ActorsOn(srv cluster.MachineID) []Ref {
 	var refs []Ref
-	for _, id := range rt.order {
-		if inst := rt.actors[id]; inst != nil && inst.srv == srv {
-			refs = append(refs, Ref{ID: id})
+	for _, inst := range rt.actors {
+		if inst != nil && inst.srv == srv {
+			refs = append(refs, Ref{ID: inst.id})
 		}
 	}
 	return refs
@@ -539,8 +529,8 @@ func (rt *Runtime) ActorsOn(srv cluster.MachineID) []Ref {
 // slice ActorsOn returns.
 func (rt *Runtime) NumActorsOn(srv cluster.MachineID) int {
 	n := 0
-	for _, id := range rt.order {
-		if inst := rt.actors[id]; inst != nil && inst.srv == srv {
+	for _, inst := range rt.actors {
+		if inst != nil && inst.srv == srv {
 			n++
 		}
 	}
@@ -564,13 +554,12 @@ type Info struct {
 // is the bulk-iteration fast path under the profiler's per-period snapshot;
 // fn must not spawn or stop actors.
 func (rt *Runtime) ForEachActor(fn func(Info)) {
-	for _, id := range rt.order {
-		inst := rt.actors[id]
+	for _, inst := range rt.actors {
 		if inst == nil {
 			continue
 		}
 		fn(Info{
-			Ref:       Ref{ID: id},
+			Ref:       Ref{ID: inst.id},
 			Type:      inst.typ,
 			Server:    inst.srv,
 			MemBytes:  inst.memSize,
@@ -582,7 +571,7 @@ func (rt *Runtime) ForEachActor(fn func(Info)) {
 }
 
 // NumActors reports the number of live actors.
-func (rt *Runtime) NumActors() int { return len(rt.actors) }
+func (rt *Runtime) NumActors() int { return rt.live }
 
 // MigratingTo reports the destination of the actor's in-flight or pending
 // migration, or -1 when no move is underway. The EMR's reservation ledger
@@ -592,7 +581,7 @@ func (rt *Runtime) MigratingTo(ref Ref) cluster.MachineID {
 	if mig := rt.inflight[ref.ID]; mig != nil {
 		return mig.dst
 	}
-	if inst := rt.actors[ref.ID]; inst != nil && inst.pendingDst >= 0 {
+	if inst := rt.inst(ref.ID); inst != nil && inst.pendingDst >= 0 {
 		return inst.pendingDst
 	}
 	return -1
@@ -663,7 +652,7 @@ func (rt *Runtime) arrive(f *flight) {
 		}
 		return
 	}
-	cur := rt.actors[to.ID]
+	cur := rt.inst(to.ID)
 	if cur == nil {
 		return
 	}
@@ -680,7 +669,7 @@ func (rt *Runtime) arrive(f *flight) {
 // send side of the network accounting happens here, the receive side when
 // the flight arrives.
 func (rt *Runtime) send(fromSrv cluster.MachineID, msg *Message, to Ref) {
-	inst := rt.actors[to.ID]
+	inst := rt.inst(to.ID)
 	if inst == nil {
 		return // dead letter
 	}
@@ -813,7 +802,7 @@ func (rt *Runtime) Migrate(ref Ref, dst cluster.MachineID, onDone func(ok bool))
 // KindTransfer record is parented to it (the EMR passes the admission
 // record's id, so a trace links propose → admit → transfer → commit).
 func (rt *Runtime) MigrateTraced(ref Ref, dst cluster.MachineID, parent uint64, onDone func(ok bool)) {
-	inst := rt.actors[ref.ID]
+	inst := rt.inst(ref.ID)
 	fail := func() {
 		if onDone != nil {
 			onDone(false)

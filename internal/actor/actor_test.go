@@ -291,6 +291,43 @@ func TestActorsOnAndOrdering(t *testing.T) {
 	}
 }
 
+// The actor table is a slice indexed by id: an id past its end (never
+// issued), the zero id and a stopped actor's id must all read as "nobody"
+// through every entry point, and touching them must neither panic nor bring
+// an actor back.
+func TestNeverIssuedAndStoppedIDsAreNobody(t *testing.T) {
+	k, _, rt := testEnv(t, 2)
+	e := &echo{}
+	kept := rt.SpawnOn("Echo", e, 0)
+	stopped := rt.SpawnOn("Echo", e, 1)
+	rt.Stop(stopped)
+	cl := NewClient(rt, 0)
+	for _, ref := range []Ref{{}, stopped, {ID: stopped.ID + 1}, {ID: 1 << 40}, {ID: ^ID(0)}} {
+		rt.Stop(ref) // no-op
+		cl.Send(ref, "late", nil, 8)
+		cl.Request(ref, "late", nil, 8, func(sim.Duration, interface{}) { t.Errorf("%v answered", ref) })
+		rt.SetProp(ref, "p", []Ref{kept})
+		rt.Pin(ref)
+		failed := false
+		rt.Migrate(ref, 1, func(ok bool) { failed = !ok })
+		k.RunUntilIdle()
+		if rt.Exists(ref) || rt.TypeOf(ref) != "" || rt.ServerOf(ref) != -1 || rt.Pinned(ref) ||
+			rt.Props(ref, "p") != nil || rt.PropNames(ref) != nil || rt.MigratingTo(ref) != -1 || !failed {
+			t.Fatalf("%v: nobody should be there", ref)
+		}
+	}
+	if len(e.got) != 0 {
+		t.Fatalf("a dead letter was delivered: %+v", e.got)
+	}
+	if all := rt.Actors(); rt.NumActors() != 1 || len(all) != 1 || all[0] != kept || rt.NumActorsOn(1) != 0 {
+		t.Fatalf("live set = %v (NumActors %d), want just %v", all, rt.NumActors(), kept)
+	}
+	// The next spawn takes a fresh id, not the stopped one's.
+	if next := rt.SpawnOn("Echo", e, 1); next.ID != stopped.ID+1 {
+		t.Fatalf("spawn after stop got id %d, want %d", next.ID, stopped.ID+1)
+	}
+}
+
 type countingProfiler struct {
 	msgs, cpu, net int
 	lastMethod     string

@@ -10,12 +10,70 @@ import (
 	"plasma/internal/sim"
 )
 
+// loggedCall is one OnMessage call as the runtime made it.
+type loggedCall struct {
+	callerType     string
+	caller, callee actor.Ref
+	method         string
+	size           int64
+}
+
+// logHook sits between the runtime and the profiler and keeps a plain log
+// of the current window's OnMessage calls, so the reference below owes
+// nothing to the profiler's call table. The test clears log when it Resets.
+type logHook struct {
+	*Profiler
+	log []loggedCall
+}
+
+func (h *logHook) OnMessage(srv cluster.MachineID, callerType string, caller, callee actor.Ref, calleeType, method string, size int64) {
+	h.log = append(h.log, loggedCall{callerType, caller, callee, method, size})
+	h.Profiler.OnMessage(srv, callerType, caller, callee, calleeType, method, size)
+}
+
+// naiveCalls aggregates the log into each callee's call list, in the
+// (Method, CallerType, Caller.ID) order snapshots report.
+func naiveCalls(log []loggedCall) map[actor.Ref][]epl.CallStat {
+	type key struct {
+		callee, caller     actor.Ref
+		callerType, method string
+	}
+	agg := map[key]*epl.CallStat{}
+	for _, c := range log {
+		k := key{c.callee, c.caller, c.callerType, c.method}
+		if agg[k] == nil {
+			agg[k] = &epl.CallStat{CallerType: c.callerType, Caller: c.caller, Method: c.method}
+		}
+		agg[k].Count++
+		agg[k].Bytes += c.size
+	}
+	calls := map[actor.Ref][]epl.CallStat{}
+	for k, cs := range agg {
+		calls[k.callee] = append(calls[k.callee], *cs)
+	}
+	for _, recs := range calls {
+		sort.Slice(recs, func(i, j int) bool {
+			a, b := &recs[i], &recs[j]
+			if a.Method != b.Method {
+				return a.Method < b.Method
+			}
+			if a.CallerType != b.CallerType {
+				return a.CallerType < b.CallerType
+			}
+			return a.Caller.ID < b.Caller.ID
+		})
+	}
+	return calls
+}
+
 // naiveSnapshot replicates the pre-arena snapshot build: one fresh
-// ActorInfo and Props map per actor per call, freshly copied call lists,
-// and fresh lookup maps — the allocation pattern the pooled arena replaced.
-// It reads the same accumulators as Snapshot, so it doubles as a reference
-// for the ≥5× allocation win the arena is required to deliver at 10k actors.
-func naiveSnapshot(p *Profiler) ([]*epl.ActorInfo, map[actor.Ref]*epl.ActorInfo) {
+// ActorInfo and Props map per actor per call, call lists rebuilt from the
+// window's log, and fresh lookup maps — the allocation pattern the pooled
+// arena replaced. It doubles as the reference for the ≥5× allocation win
+// the arena is required to deliver at 10k actors.
+func naiveSnapshot(h *logHook) ([]*epl.ActorInfo, map[actor.Ref]*epl.ActorInfo) {
+	p := h.Profiler
+	calls := naiveCalls(h.log)
 	window := p.Window()
 	scope := map[cluster.MachineID]bool{}
 	for _, m := range p.c.Machines() {
@@ -57,20 +115,7 @@ func naiveSnapshot(p *Profiler) ([]*epl.ActorInfo, map[actor.Ref]*epl.ActorInfo)
 			ai.NetBytes = p.actorNet[id]
 			ai.NetPerc = float64(ai.NetBytes) * 8 / 1e6 / window.Seconds() / m.Type.NetMbps * 100
 		}
-		if id < len(p.calls) && len(p.calls[id].recs) > 0 {
-			recs := append([]epl.CallStat(nil), p.calls[id].recs...)
-			sort.Slice(recs, func(i, j int) bool {
-				a, b := &recs[i], &recs[j]
-				if a.Method != b.Method {
-					return a.Method < b.Method
-				}
-				if a.CallerType != b.CallerType {
-					return a.CallerType < b.CallerType
-				}
-				return a.Caller.ID < b.Caller.ID
-			})
-			ai.Calls = recs
-		}
+		ai.Calls = calls[info.Ref]
 		actors = append(actors, ai)
 	})
 	byRef := make(map[actor.Ref]*epl.ActorInfo, len(actors))
@@ -88,12 +133,13 @@ func naiveSnapshot(p *Profiler) ([]*epl.ActorInfo, map[actor.Ref]*epl.ActorInfo)
 
 // tenKFleet builds a 10k-actor fleet with light messaging and sparse
 // properties — the snapshot-construction workload of the scale experiments.
-func tenKFleet(t *testing.T) *Profiler {
+func tenKFleet(t *testing.T) *logHook {
 	t.Helper()
 	k := sim.New(1)
 	c := cluster.New(k, 80, cluster.M1Small)
 	rt := actor.NewRuntime(k, c)
-	p := New(k, c, rt)
+	h := &logHook{Profiler: New(k, c, rt)}
+	rt.SetProfiler(h)
 	noop := actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
 		ctx.Use(50 * sim.Microsecond)
 	})
@@ -109,20 +155,20 @@ func tenKFleet(t *testing.T) *Profiler {
 		cl.Send(refs[i], "ping", nil, 256)
 	}
 	k.RunUntilIdle()
-	return p
+	return h
 }
 
 // The arena's whole point: at 10k actors a pooled snapshot must allocate at
 // least 5x less than the naive per-actor build it replaced (the acceptance
 // bar for the million-actor fleet work; measured ratios are far higher).
 func TestSnapshotAllocs5xUnderNaiveAt10k(t *testing.T) {
-	p := tenKFleet(t)
+	h := tenKFleet(t)
 	// Warm both arena buffers so the measurement sees steady state.
-	p.Snapshot(nil)
-	p.Snapshot(nil)
+	h.Snapshot(nil)
+	h.Snapshot(nil)
 
-	pooled := testing.AllocsPerRun(3, func() { p.Snapshot(nil) })
-	naive := testing.AllocsPerRun(3, func() { naiveSnapshot(p) })
+	pooled := testing.AllocsPerRun(3, func() { h.Snapshot(nil) })
+	naive := testing.AllocsPerRun(3, func() { naiveSnapshot(h) })
 
 	if pooled == 0 {
 		pooled = 1 // ServerInfos alone should prevent this, but guard the ratio
@@ -136,9 +182,15 @@ func TestSnapshotAllocs5xUnderNaiveAt10k(t *testing.T) {
 
 // The pooled build must report exactly what the naive build reports.
 func TestSnapshotMatchesNaiveReference(t *testing.T) {
-	p := tenKFleet(t)
-	snap := p.Snapshot(nil)
-	actors, byRef := naiveSnapshot(p)
+	h := tenKFleet(t)
+	requireMatchesNaive(t, h, h.Snapshot(nil))
+}
+
+// requireMatchesNaive fails unless snap reports, actor for actor and call
+// for call, what the naive build reports for the same window.
+func requireMatchesNaive(t *testing.T, h *logHook, snap *epl.Snapshot) {
+	t.Helper()
+	actors, byRef := naiveSnapshot(h)
 	if len(snap.Actors) != len(actors) {
 		t.Fatalf("actor count: pooled %d, naive %d", len(snap.Actors), len(actors))
 	}

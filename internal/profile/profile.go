@@ -7,14 +7,18 @@
 // takes a Snapshot and resets the window.
 //
 // The hot path is built for million-actor fleets: actor ids are assigned
-// sequentially and never reused, so all per-actor window accumulators are
-// dense slices indexed by id rather than maps, and snapshots are built
-// into a double-buffered arena of pooled ActorInfo storage instead of
-// allocating one ActorInfo (plus a Props map) per actor per period.
+// sequentially and never reused, so all per-actor state is held in dense
+// slices indexed by id rather than maps, the per-callee call tables keep
+// their keys from one window to the next, and snapshots are built into a
+// double-buffered arena of pooled ActorInfo storage instead of allocating
+// one ActorInfo (plus a Props map) per actor per period.
 package profile
 
 import (
-	"sort"
+	"cmp"
+	"math/bits"
+	"slices"
+	"strings"
 
 	"plasma/internal/actor"
 	"plasma/internal/cluster"
@@ -22,37 +26,92 @@ import (
 	"plasma/internal/sim"
 )
 
-// callerKey identifies one (caller, method) aggregation bucket within a
-// callee's per-window call list.
-type callerKey struct {
-	callerType string
-	caller     actor.Ref
-	method     string
+// callRec is one (caller, method) bucket of a callee's call table: 32 bytes
+// and no pointers, so the table costs the collector nothing. ctype and
+// method index Profiler.names; the strings an epl.CallStat carries are put
+// back when Snapshot copies a live record out.
+type callRec struct {
+	caller        actor.ID
+	ctype, method uint32
+	count, bytes  int64
 }
 
-// promoteAt is the per-callee call-list length past which the linear-scan
-// lookup in OnMessage is promoted to a map index. Most callees see a
-// handful of (caller, method) pairs per window; hot fan-in actors get the
-// map.
+// promoteAt is the per-callee call-table length past which the linear-scan
+// lookup in OnMessage is promoted to a hash index. Most callees see a
+// handful of (caller, method) pairs; hot fan-in actors get the index.
 const promoteAt = 16
 
-// calleeCalls accumulates the call stats received by one callee within the
-// current window. recs is kept unsorted during accumulation and sorted
-// once at snapshot time.
+// calleeCalls is one callee's call table. It persists across windows: Reset
+// zeroes the counters and keeps the keys, so a callee whose callers repeat
+// pays for a key once, not once a window. New keys are appended; Snapshot
+// re-sorts the table (and rebuilds idx) only when unsorted says one was.
 type calleeCalls struct {
-	recs []epl.CallStat
-	idx  map[callerKey]int // non-nil once len(recs) exceeded promoteAt
+	recs []callRec
+	// idx is an open-addressed index over recs, linearly probed: 0 is an
+	// empty slot, j+1 stands for recs[j]. Nil while len(recs) <= promoteAt,
+	// otherwise a power of two of at least 2*len(recs) slots.
+	idx      []int32
+	unsorted bool
 }
 
-func (cc *calleeCalls) buildIdx() {
+// slot is where a key's probe sequence starts in an index of mask+1 slots.
+// It hashes what a lookup has without touching the name table: the caller
+// and the method's length.
+func slot(caller actor.ID, method string, mask uint64) uint64 {
+	h := (uint64(caller) ^ uint64(len(method))<<48) * 0x9E3779B97F4A7C15
+	return h >> bits.LeadingZeros64(mask)
+}
+
+// find returns the key's position in recs, or -1. Records are matched by
+// the strings their ids stand for, which == settles on the pointer when the
+// runtime passes the same string values it passed before — so a hit interns
+// nothing.
+func (cc *calleeCalls) find(names []string, callerType string, caller actor.ID, method string) int {
+	match := func(r *callRec) bool {
+		return r.caller == caller && names[r.method] == method && names[r.ctype] == callerType
+	}
 	if cc.idx == nil {
-		cc.idx = make(map[callerKey]int, 2*len(cc.recs))
+		for j := range cc.recs {
+			if match(&cc.recs[j]) {
+				return j
+			}
+		}
+		return -1
+	}
+	mask := uint64(len(cc.idx) - 1)
+	for s := slot(caller, method, mask); ; s = (s + 1) & mask {
+		j := int(cc.idx[s]) - 1
+		if j < 0 || match(&cc.recs[j]) {
+			return j
+		}
+	}
+}
+
+// place enters recs[i] into an index that has room for it.
+func (cc *calleeCalls) place(names []string, i int) {
+	mask := uint64(len(cc.idx) - 1)
+	s := slot(cc.recs[i].caller, names[cc.recs[i].method], mask)
+	for cc.idx[s] != 0 {
+		s = (s + 1) & mask
+	}
+	cc.idx[s] = int32(i + 1)
+}
+
+// buildIdx indexes recs afresh: after an append found no room, a sort or an
+// eviction. The index is sized at four to eight slots a record and replaced
+// when it has drifted a factor of two outside that.
+func (cc *calleeCalls) buildIdx(names []string) {
+	if len(cc.recs) <= promoteAt {
+		cc.idx = nil
+		return
+	}
+	if n := 1 << bits.Len(uint(4*len(cc.recs)-1)); len(cc.idx) < n/2 || len(cc.idx) > 2*n {
+		cc.idx = make([]int32, n)
 	} else {
 		clear(cc.idx)
 	}
 	for i := range cc.recs {
-		r := &cc.recs[i]
-		cc.idx[callerKey{callerType: r.CallerType, caller: r.Caller, method: r.Method}] = i
+		cc.place(names, i)
 	}
 }
 
@@ -83,19 +142,22 @@ type Profiler struct {
 
 	windowStart sim.Time
 
-	// Dense per-actor window accumulators, indexed by actor id. The three
-	// slices are grown in lockstep, at spawn time via OnSpawn; Reset clears
-	// them in place.
+	// Dense per-actor state, indexed by actor id. The three slices are grown
+	// in lockstep, at spawn time via OnSpawn; Reset zeroes the counters in
+	// place.
 	actorCPU []sim.Duration
 	actorNet []int64
 	calls    []calleeCalls
 
-	callRecs int   // total CallStat records across all callees this window
+	// names interns the actor type and method names callRecs refer to.
+	names []string
+
+	callRecs int   // records held across all call tables, live or quiet
 	messages int64 // total messages observed (all time), for overhead tests
 
 	arenas [2]arena
 	cur    int
-	scope  map[cluster.MachineID]bool // reused scratch for Snapshot scoping
+	scope  []bool // reused scratch for Snapshot scoping, indexed by MachineID
 
 	// noReuse makes every Snapshot build into a brand-new arena (the naive
 	// reference path differential tests compare the pooled path against).
@@ -113,7 +175,7 @@ func New(k *sim.Kernel, c *cluster.Cluster, rt *actor.Runtime) *Profiler {
 // the per-message hooks find them sized.
 func (p *Profiler) OnSpawn(srv cluster.MachineID, a actor.Ref) { p.ensure(a.ID) }
 
-// ensure grows the dense per-actor accumulators to cover id.
+// ensure grows the dense per-actor slices to cover id.
 func (p *Profiler) ensure(id actor.ID) {
 	n := int(id) + 1
 	if n <= len(p.actorCPU) {
@@ -133,39 +195,37 @@ func (p *Profiler) ensure(id actor.ID) {
 	p.calls = calls
 }
 
+// intern returns the name table's id for s, adding s on first sight. The
+// table holds actor type and method names, tens of entries, and is consulted
+// only when a call table gains a key: a linear scan will do.
+func (p *Profiler) intern(s string) uint32 {
+	for i, n := range p.names {
+		if n == s {
+			return uint32(i)
+		}
+	}
+	p.names = append(p.names, s)
+	return uint32(len(p.names) - 1)
+}
+
 // OnMessage implements actor.ProfilerHook.
 func (p *Profiler) OnMessage(srv cluster.MachineID, callerType string, caller actor.Ref, callee actor.Ref, calleeType, method string, size int64) {
 	p.ensure(callee.ID)
 	cc := &p.calls[callee.ID]
-	if cc.idx != nil {
-		key := callerKey{callerType: callerType, caller: caller, method: method}
-		if i, ok := cc.idx[key]; ok {
-			cc.recs[i].Count++
-			cc.recs[i].Bytes += size
+	i := cc.find(p.names, callerType, caller.ID, method)
+	if i < 0 {
+		i = len(cc.recs)
+		cc.recs = append(cc.recs, callRec{caller: caller.ID, ctype: p.intern(callerType), method: p.intern(method)})
+		cc.unsorted = true
+		p.callRecs++
+		if len(cc.idx) >= 2*len(cc.recs) {
+			cc.place(p.names, i)
 		} else {
-			cc.idx[key] = len(cc.recs)
-			cc.recs = append(cc.recs, epl.CallStat{CallerType: callerType, Caller: caller, Method: method, Count: 1, Bytes: size})
-			p.callRecs++
-		}
-	} else {
-		hit := false
-		for i := range cc.recs {
-			r := &cc.recs[i]
-			if r.Method == method && r.CallerType == callerType && r.Caller == caller {
-				r.Count++
-				r.Bytes += size
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			cc.recs = append(cc.recs, epl.CallStat{CallerType: callerType, Caller: caller, Method: method, Count: 1, Bytes: size})
-			p.callRecs++
-			if len(cc.recs) > promoteAt {
-				cc.buildIdx()
-			}
+			cc.buildIdx(p.names)
 		}
 	}
+	cc.recs[i].count++
+	cc.recs[i].bytes += size
 	p.actorNet[callee.ID] += size
 	p.messages++
 }
@@ -188,22 +248,33 @@ func (p *Profiler) Messages() int64 { return p.messages }
 // Window reports the current window's span so far.
 func (p *Profiler) Window() sim.Duration { return sim.Duration(p.k.Now() - p.windowStart) }
 
-// Reset closes the window: per-actor accumulators are cleared in place
-// (no reallocation) and every up machine's utilization window restarts.
+// Reset closes the window: per-actor counters are zeroed in place (no
+// reallocation) and every up machine's utilization window restarts. Call
+// tables keep their keys, within a bound: a table holding more than twice
+// the keys that were live in the window just closed drops its quiet ones,
+// so callers that went away (or a stopped callee) do not pin memory.
 func (p *Profiler) Reset() {
 	p.windowStart = p.k.Now()
 	clear(p.actorCPU)
 	clear(p.actorNet)
 	for i := range p.calls {
 		cc := &p.calls[i]
-		if len(cc.recs) > 0 {
-			cc.recs = cc.recs[:0]
+		live := 0
+		for j := range cc.recs {
+			if cc.recs[j].count > 0 {
+				live++
+			}
 		}
-		if cc.idx != nil {
-			clear(cc.idx)
+		if len(cc.recs) > 2*live {
+			p.callRecs -= len(cc.recs) - live
+			// DeleteFunc keeps the order, so a sorted table stays sorted.
+			cc.recs = slices.DeleteFunc(cc.recs, func(r callRec) bool { return r.count == 0 })
+			cc.buildIdx(p.names)
+		}
+		for j := range cc.recs {
+			cc.recs[j].count, cc.recs[j].bytes = 0, 0
 		}
 	}
-	p.callRecs = 0
 	for _, m := range p.c.Machines() {
 		m.ResetWindow()
 	}
@@ -225,20 +296,17 @@ func (p *Profiler) Snapshot(scope []cluster.MachineID) *epl.Snapshot {
 	snap.Window = window
 
 	// Scope set: the servers whose actors get usage statistics attributed.
-	if p.scope == nil {
-		p.scope = make(map[cluster.MachineID]bool, len(p.c.Machines()))
-	} else {
-		clear(p.scope)
-	}
+	// A MachineID is its machine's index in Machines().
+	p.scope = append(p.scope[:0], make([]bool, len(p.c.Machines()))...)
 	if scope == nil {
 		for _, m := range p.c.Machines() {
-			if m.Up() {
-				p.scope[m.ID] = true
-			}
+			p.scope[m.ID] = m.Up()
 		}
 	} else {
 		for _, id := range scope {
-			p.scope[id] = true
+			if id >= 0 && int(id) < len(p.scope) {
+				p.scope[id] = true
+			}
 		}
 	}
 
@@ -313,34 +381,42 @@ func (p *Profiler) Snapshot(scope []cluster.MachineID) *epl.Snapshot {
 			ai.NetBytes = net
 			ai.NetPerc = float64(net) * 8 / 1e6 / window.Seconds() / m.Type.NetMbps * 100
 		}
-		// Call stats: sort this callee's list once (method, callerType,
-		// caller) — the same order the former global callKey sort yielded
-		// per callee — then copy into the arena so the snapshot does not
-		// alias live accumulation state.
+		// Call stats: the callee's table is kept in (method, callerType,
+		// caller) order, re-sorted only when a key was added since the last
+		// sort; its live records are copied into the arena as CallStats, so
+		// the snapshot does not alias accumulation state and never shows a
+		// key nobody used this window.
 		if id < len(p.calls) && len(p.calls[id].recs) > 0 {
 			cc := &p.calls[id]
-			sortCalls(cc.recs)
-			if cc.idx != nil {
-				cc.buildIdx() // sorting invalidated the indices
+			if cc.unsorted {
+				p.sortCalls(cc.recs)
+				cc.buildIdx(p.names) // sorting invalidated the indices
+				cc.unsorted = false
 			}
 			start := len(a.callBuf)
-			a.callBuf = append(a.callBuf, cc.recs...)
-			ai.Calls = a.callBuf[start:len(a.callBuf):len(a.callBuf)]
+			for _, r := range cc.recs {
+				if r.count > 0 {
+					a.callBuf = append(a.callBuf, epl.CallStat{CallerType: p.names[r.ctype], Caller: actor.Ref{ID: r.caller},
+						Method: p.names[r.method], Count: r.count, Bytes: r.bytes})
+				}
+			}
+			if n := len(a.callBuf); n > start {
+				ai.Calls = a.callBuf[start:n:n]
+			}
 		}
 		snap.Actors = append(snap.Actors, ai)
 	})
 	return snap.Index()
 }
 
-func sortCalls(recs []epl.CallStat) {
-	sort.Slice(recs, func(i, j int) bool {
-		a, b := &recs[i], &recs[j]
-		if a.Method != b.Method {
-			return a.Method < b.Method
+func (p *Profiler) sortCalls(recs []callRec) {
+	slices.SortFunc(recs, func(a, b callRec) int {
+		if a.method != b.method {
+			return strings.Compare(p.names[a.method], p.names[b.method])
 		}
-		if a.CallerType != b.CallerType {
-			return a.CallerType < b.CallerType
+		if a.ctype != b.ctype {
+			return strings.Compare(p.names[a.ctype], p.names[b.ctype])
 		}
-		return a.Caller.ID < b.Caller.ID
+		return cmp.Compare(a.caller, b.caller)
 	})
 }
