@@ -16,7 +16,7 @@ COVER_PROFILE ?= coverage.out
 # Scratch dir for the trace round-trip smoke test.
 TRACE_SMOKE_DIR ?= .trace-smoke
 
-.PHONY: build test vet race bench bench-test bench-quick bench-baseline scale-quick burst-quick stream-quick plan-quick lint lint-model cover trace-smoke loc verify
+.PHONY: build test vet race bench bench-test bench-quick bench-baseline scale-quick burst-quick stream-quick plan-quick lint lint-model cover trace-smoke sweep-snapshot loc verify
 
 build:
 	$(GO) build ./...
@@ -120,10 +120,29 @@ trace-smoke:
 	@rm -rf $(TRACE_SMOKE_DIR)
 	@echo "trace-smoke OK: same-seed traces byte-identical, tooling round-trips"
 
+# sweep-snapshot writes everything a byte-identity refactor is held to into
+# OUT: the quick plasma-bench report at seeds 1 and 2 and one decision trace
+# per registered id. Run it on the parent commit and on the change, then
+# `diff -r` the two directories.
+sweep-snapshot:
+	@test -n "$(OUT)" || { echo "usage: make sweep-snapshot OUT=<dir>"; exit 2; }
+	@mkdir -p $(OUT)
+	$(GO) build -o $(OUT)/.bin/ ./cmd/plasma-bench ./cmd/plasma-sim
+	@set -e; for seed in 1 2; do \
+		$(OUT)/.bin/plasma-bench -seed $$seed > $(OUT)/report-seed$$seed.md; \
+	done; \
+	for id in $$(sed -n 's/^## \([a-z0-9_]*\) .*/\1/p' $(OUT)/report-seed1.md); do \
+		$(OUT)/.bin/plasma-sim -trace $(OUT)/$$id.jsonl $$id > /dev/null; \
+	done
+	@rm -rf $(OUT)/.bin
+	@echo "sweep-snapshot: wrote $(OUT)/report-seed{1,2}.md and one <id>.jsonl per id"
+
 # loc prints the root module's non-test Go line count — the figure behind
-# the net non-test line delta every PR reports (ROADMAP aim 2).
+# the net non-test line delta every PR reports (ROADMAP aim 2) — and beside
+# it the share held by internal/experiments, the largest package.
+GO_NONTEST = -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*'
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l
+	@echo "module $$(find . $(GO_NONTEST) | xargs cat | wc -l)  internal/experiments $$(find ./internal/experiments $(GO_NONTEST) | xargs cat | wc -l)"
 
 # verify is the pre-merge gate: everything compiles, vet is clean, the full
 # suite passes under the race detector, the determinism lint is clean, the

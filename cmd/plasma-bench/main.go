@@ -252,7 +252,9 @@ func benchDecision(cfg experiments.Config, iters int) BenchExperiment {
 	}
 	db := emr.NewDecisionBench(actors, servers)
 	be := BenchExperiment{ID: "planner_decision_time", Iters: iters, NsPerOp: math.MaxInt64}
-	actions := 0
+	// One untimed round first: it sizes the planner's reused scratch, which a
+	// steady-state period never pays for and -iters 1 would otherwise count.
+	actions := db.Run("")
 	for i := 0; i < iters; i++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

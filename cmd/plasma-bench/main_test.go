@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"plasma/internal/experiments"
 )
 
 func baselineFile() BenchFile {
@@ -190,5 +192,20 @@ func TestRegressedIDsDedupsAndSorts(t *testing.T) {
 	})
 	if len(ids) != 2 || ids[0] != "alpha" || ids[1] != "zeta" {
 		t.Fatalf("ids = %v, want [alpha zeta]", ids)
+	}
+}
+
+// planner_decision_time reports a steady-state round: the planner's scratch
+// is sized by an untimed warm-up, so the allocation count cannot depend on
+// how many measured iterations follow it (-iters 1 used to read 121, not 36,
+// and fail the checked-in baseline's allocs gate).
+func TestDecisionBenchAllocsIndependentOfIters(t *testing.T) {
+	one := benchDecision(experiments.Config{Seed: 1}, 1)
+	three := benchDecision(experiments.Config{Seed: 1}, 3)
+	if one.AllocsPerOp != three.AllocsPerOp {
+		t.Fatalf("allocs_per_op: -iters 1 reports %d, -iters 3 reports %d", one.AllocsPerOp, three.AllocsPerOp)
+	}
+	if one.Summary["actions"] != three.Summary["actions"] {
+		t.Fatalf("actions: -iters 1 reports %v, -iters 3 reports %v", one.Summary["actions"], three.Summary["actions"])
 	}
 }

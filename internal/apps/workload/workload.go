@@ -1,8 +1,8 @@
 // Package workload provides the client drivers and latency recorders shared
 // by the PLASMA example applications: closed-loop clients (send, wait for
 // the reply, think, repeat — how the paper's Metadata Server and E-Store
-// clients behave) and open-loop clients (fixed-rate fire-and-measure — how
-// Halo consoles send heartbeats).
+// clients behave) and open-loop clients (arrivals at a rate that ignores
+// completions — how the burst and stream families offer load).
 package workload
 
 import (
@@ -112,42 +112,46 @@ func (c *ClosedLoop) step() {
 	})
 }
 
-// OpenLoop fires requests at a fixed interval regardless of completions,
-// recording each reply's latency.
+// OpenLoop is a set of clients firing regardless of completions. Client i of
+// Clients first fires at i·Every/Clients (arrivals staggered across one
+// interval), then again Every/Rate(now) later — floored at one microsecond —
+// until the horizon.
 type OpenLoop struct {
-	K        *sim.Kernel
-	Client   *actor.Client
-	Interval sim.Duration
-	Next     func() Request
-	Rec      *Recorder
-	OnReply  func(lat sim.Duration)
-
-	stopped bool
+	K       *sim.Kernel
+	Clients int
+	// Every is each client's inter-arrival interval at rate 1.
+	Every sim.Duration
+	// Rate is the arrival-rate multiplier at virtual time t (nil = constant
+	// 1; a flash crowd returns 10-100 inside its window).
+	Rate func(t sim.Time) float64
+	// Until is the horizon: a client due at or after it sends nothing more.
+	Until sim.Time
+	// Fire issues one arrival from the given client.
+	Fire func(client int)
 }
 
-// Start begins firing.
+// Start schedules every client's first arrival.
 func (o *OpenLoop) Start() {
-	o.K.Every(o.Interval, func() bool {
-		if o.stopped {
-			return false
+	rate := o.Rate
+	if rate == nil {
+		rate = func(sim.Time) float64 { return 1 }
+	}
+	for i := 0; i < o.Clients; i++ {
+		var loop func()
+		loop = func() {
+			if o.K.Now() >= o.Until {
+				return
+			}
+			o.Fire(i)
+			iv := sim.Duration(float64(o.Every) / rate(o.K.Now()))
+			if iv < sim.Microsecond {
+				iv = sim.Microsecond
+			}
+			o.K.After(iv, loop)
 		}
-		req := o.Next()
-		if !req.Target.Zero() {
-			o.Client.Request(req.Target, req.Method, req.Arg, req.Size, func(lat sim.Duration, _ interface{}) {
-				if o.Rec != nil {
-					o.Rec.Record(o.K.Now(), lat)
-				}
-				if o.OnReply != nil {
-					o.OnReply(lat)
-				}
-			})
-		}
-		return true
-	})
+		o.K.At(sim.Time(i)*sim.Time(o.Every)/sim.Time(o.Clients), loop)
+	}
 }
-
-// Stop ends the loop at the next firing.
-func (o *OpenLoop) Stop() { o.stopped = true }
 
 // SkewedPicker returns a function choosing index i with the given weights
 // (need not sum to 1), deterministically from the kernel's random stream.

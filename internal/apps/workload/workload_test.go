@@ -65,20 +65,79 @@ func TestClosedLoopSkipsZeroTarget(t *testing.T) {
 	k.RunUntilIdle()
 }
 
+// The open loop fires at Every/Rate(now): two staggered clients at 20 ms, ten
+// times faster inside [100 ms, 200 ms), nothing at or after the 300 ms
+// horizon, and a rate that asks for less than a microsecond gets the floor.
 func TestOpenLoopFiresAtRate(t *testing.T) {
-	k, rt, ref := env()
-	count := 0
+	k := sim.New(1)
+	var fired [2][]sim.Time
 	loop := &OpenLoop{
-		K: k, Client: actor.NewClient(rt, 1), Interval: 20 * sim.Millisecond,
-		Next:    func() Request { return Request{Target: ref, Method: "m", Size: 8} },
-		OnReply: func(sim.Duration) { count++ },
+		K: k, Clients: 2, Every: 20 * sim.Millisecond,
+		Rate: func(t sim.Time) float64 {
+			if t >= sim.Time(100*sim.Millisecond) && t < sim.Time(200*sim.Millisecond) {
+				return 10
+			}
+			return 1
+		},
+		Until: sim.Time(300 * sim.Millisecond),
+		Fire:  func(c int) { fired[c] = append(fired[c], k.Now()) },
 	}
 	loop.Start()
-	k.Run(sim.Time(sim.Second))
-	loop.Stop()
 	k.RunUntilIdle()
-	if count < 45 || count > 55 {
-		t.Fatalf("completions = %d, want ~50", count)
+
+	// Client 0: 0,20,..,100 (6), then every 2 ms through 198 (49 more), the
+	// arrival at 200 is back at rate 1: 200,220,..,280 (5).
+	if n := len(fired[0]); n != 6+49+5 {
+		t.Fatalf("client 0 fired %d times, want 60: %v", n, fired[0])
+	}
+	if fired[1][0] != sim.Time(10*sim.Millisecond) {
+		t.Fatalf("client 1 first fired at %v, want the half-interval stagger 10ms", fired[1][0])
+	}
+	for c := range fired {
+		for i, at := range fired[c] {
+			if at >= loop.Until {
+				t.Fatalf("client %d fired at %v, at or past the horizon", c, at)
+			}
+			if i == 0 {
+				continue
+			}
+			want := sim.Time(20 * sim.Millisecond)
+			if prev := fired[c][i-1]; prev >= sim.Time(100*sim.Millisecond) && prev < sim.Time(200*sim.Millisecond) {
+				want = sim.Time(2 * sim.Millisecond)
+			}
+			if got := at - fired[c][i-1]; got != want {
+				t.Fatalf("client %d arrival %d came %v after the last, want %v", c, i, got, want)
+			}
+		}
+	}
+
+	// A nil Rate is constant 1; an absurd one is floored at 1 µs, not 0.
+	k = sim.New(1)
+	var n int
+	var last sim.Time
+	floor := &OpenLoop{
+		K: k, Clients: 1, Every: sim.Millisecond,
+		Rate:  func(sim.Time) float64 { return 1e9 },
+		Until: sim.Time(50 * sim.Microsecond),
+		Fire: func(int) {
+			if n > 0 && k.Now()-last != sim.Time(sim.Microsecond) {
+				t.Fatalf("arrival %d came %v after the last, want the 1µs floor", n, k.Now()-last)
+			}
+			n, last = n+1, k.Now()
+		},
+	}
+	floor.Start()
+	k.RunUntilIdle()
+	if n != 50 {
+		t.Fatalf("floored loop fired %d times in 50µs, want 50", n)
+	}
+	k = sim.New(1)
+	n = 0
+	(&OpenLoop{K: k, Clients: 1, Every: 10 * sim.Millisecond, Until: sim.Time(95 * sim.Millisecond),
+		Fire: func(int) { n++ }}).Start()
+	k.RunUntilIdle()
+	if n != 10 {
+		t.Fatalf("nil-rate loop fired %d times, want 10 (0..90 ms)", n)
 	}
 }
 

@@ -115,14 +115,16 @@ func (w *World) Client(site cluster.MachineID) *actor.Client {
 	return actor.NewClient(w.RT, site)
 }
 
-// Drain runs to stop, stops the manager (if any), and runs settle longer so
-// migrations admitted in the last period commit before Invariants looks.
-func (w *World) Drain(stop sim.Time, settle sim.Duration) {
-	w.K.Run(stop)
+// Drain stops the manager (if any) and runs settle longer, so migrations
+// admitted in the last period commit before Invariants looks. A zero settle
+// fires nothing: a world cut off at its horizon stays exactly as it was.
+func (w *World) Drain(settle sim.Duration) {
 	if w.M != nil {
 		w.M.Stop()
 	}
-	w.K.Run(stop + sim.Time(settle))
+	if settle > 0 {
+		w.Run(settle)
+	}
 }
 
 // Invariants is the global sweep over a quiesced world, one message per

@@ -81,6 +81,58 @@ func TestOnlyCoreWiresTheLayers(t *testing.T) {
 	}
 }
 
+// TestOnlyRunDrivesWorlds is the one-loop rule, enforced: in
+// internal/experiments, scenario.go's run is the only non-test code that makes
+// a world (Config.world), gives it a manager or an injector, owns OnTick,
+// advances its kernel, drains it or sweeps it. Every id describes its arms as
+// scenario values; what a per-period checker or a seed sweep needs to hook is
+// therefore one function.
+func TestOnlyRunDrivesWorlds(t *testing.T) {
+	banned := map[string]bool{
+		"world": true, "Manage": true, "Chaos": true, "Apply": true,
+		"Run": true, "RunUntilIdle": true, "Step": true,
+		"Drain": true, "Invariants": true,
+	}
+	dir := filepath.Join("..", "experiments")
+	files, err := lint.ExpandGoPatterns([]string{dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sawRun := false
+	fset := token.NewFileSet()
+	for _, path := range files {
+		name := filepath.Base(path)
+		if name == "scenario.go" {
+			sawRun = true
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && banned[sel.Sel.Name] {
+					t.Errorf("%s:%d: calls .%s; describe the arm as a scenario and let run drive it",
+						name, fset.Position(n.Pos()).Line, sel.Sel.Name)
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "OnTick" {
+						t.Errorf("%s:%d: assigns .OnTick; run owns it — use scenario.probe",
+							name, fset.Position(n.Pos()).Line)
+					}
+				}
+			}
+			return true
+		})
+	}
+	if !sawRun {
+		t.Fatal("internal/experiments/scenario.go not found; the rule has nothing to exempt")
+	}
+}
+
 // quiescedWorld is three servers with two 1 MB actors each and one 64 MB
 // actor on server 0, every mailbox drained; its Invariants are clean.
 func quiescedWorld(t *testing.T) (*World, actor.Ref) {

@@ -8,8 +8,8 @@ import (
 	"plasma/internal/apps/workload"
 	"plasma/internal/chaos"
 	"plasma/internal/cluster"
+	"plasma/internal/core"
 	"plasma/internal/emr"
-	"plasma/internal/epl"
 	"plasma/internal/metrics"
 	"plasma/internal/sim"
 )
@@ -39,140 +39,171 @@ func (f *burstFrontend) Receive(ctx *actor.Context, msg actor.Message) {
 	ctx.Reply(nil, 512)
 }
 
-// burstOpts parameterizes one burst run.
+// Every burst arm serves the same request (a fixed CPU cost) against the
+// same reply-latency SLO.
+const (
+	burstReqCost = 6 * sim.Millisecond
+	burstSLOms   = 50
+)
+
+// burstOpts parameterizes one burst arm.
 type burstOpts struct {
 	servers   int // initial app servers (client site is one more)
 	frontends int
-	// class is the actor class the frontends are spawned as, so the run's
+	// class is the actor class the frontends are spawned as, so the arm's
 	// policy can address them ("Frontend" when empty; the counterexample
 	// replays use "Worker" to match the lint corpus).
 	class  string
 	policy string
-	specs     []cluster.ProvSpec
-	numGEMs   int
-	period    sim.Duration
+	// emr carries Period, NumGEMs, ScaleIn, MinServers and ProvSpecs; every
+	// arm scales out m1.small servers with half a period's residence.
+	emr       emr.Config
 	total     sim.Duration
 	clients   int
 	baseEvery sim.Duration
 	// rate is the arrival-rate multiplier at virtual time t (1 = baseline;
 	// a flash crowd returns 10-100 during its window).
 	rate       func(t sim.Time) float64
-	reqCost    sim.Duration
 	mailboxCap int
-	sloMS      float64
-	scaleIn    bool
-	minServers int
 	// events, when set, is a chaos schedule applied through the world's
 	// chaos.Env (burst scenarios compose with the chaos layer).
 	events []chaos.Event
 	floor  int
 }
 
-// burstOut is one burst run's measured outcome.
+// burstOut is one burst arm's measured outcome: what run reports plus the
+// reply-latency signal the clients recorded.
 type burstOut struct {
-	violSec    float64
-	episodes   int
-	shed       int64
-	p95        float64
-	meanMS     float64
-	served     int
-	scaleOuts  int
-	scaleIns   int
-	failedProv int
-	provisions int
-	peakSrv    int
-	finalSrv   int
-	crashes    int
-	ctlFails   int
-	latSeries  *metrics.Series
-	violations []string
+	outcome
+	slo    *metrics.SLOTracker
+	rec    *workload.Recorder
+	served int
 }
 
-// burstRun drives one seeded burst scenario end to end: open-loop clients
-// whose arrival rate follows opts.rate, bounded mailboxes shedding
-// overload, scale-out through the provisioning spectrum, optional chaos
-// schedule, and the SLO-violation integral over the reply-latency signal.
-func burstRun(cfg Config, seed int64, o burstOpts) burstOut {
+// burstTrial runs one seeded burst arm: open-loop clients whose arrival rate
+// follows o.rate, bounded mailboxes shedding overload, scale-out through the
+// provisioning spectrum, optional chaos schedule, and the SLO-violation
+// integral over the reply-latency signal.
+func burstTrial(cfg Config, seed int64, o burstOpts) *burstOut {
 	clientSite := cluster.MachineID(o.servers)
-	w := cfg.world(seed, o.servers+1, cluster.M1Small)
-	k, c, rt := w.K, w.C, w.RT
-	rt.MailboxCap = o.mailboxCap
-
 	class := o.class
 	if class == "" {
 		class = "Frontend"
 	}
+	ecfg := o.emr
+	ecfg.MinResidence, ecfg.ScaleOut, ecfg.InstanceType = ecfg.Period/2, true, cluster.M1Small
+
+	out := &burstOut{slo: metrics.NewSLOTracker(burstSLOms), rec: workload.NewRecorder(sim.Second)}
 	fes := make([]actor.Ref, o.frontends)
-	for i := range fes {
-		fes[i] = rt.SpawnOn(class, &burstFrontend{cost: o.reqCost}, cluster.MachineID(i%o.servers))
+	sc := scenario{
+		machines: o.servers + 1, inst: cluster.M1Small,
+		build: func(w *core.World) {
+			w.RT.MailboxCap = o.mailboxCap
+			for i := range fes {
+				fes[i] = w.RT.SpawnOn(class, &burstFrontend{cost: burstReqCost}, cluster.MachineID(i%o.servers))
+			}
+		},
+		policy: o.policy, emr: ecfg,
+		load: func(w *core.World) {
+			cl := w.Client(clientSite)
+			next := make([]int, o.clients) // round-robin frontend pick, staggered per client
+			for i := range next {
+				next[i] = i
+			}
+			(&workload.OpenLoop{
+				K: w.K, Clients: o.clients, Every: o.baseEvery, Rate: o.rate, Until: sim.Time(o.total),
+				Fire: func(i int) {
+					target := fes[next[i]%len(fes)]
+					next[i]++
+					cl.Request(target, "req", nil, 256, func(lat sim.Duration, _ interface{}) {
+						out.slo.Observe(w.K.Now().Seconds(), float64(lat)/float64(sim.Millisecond))
+						out.rec.Record(w.K.Now(), lat)
+						out.served++
+					})
+				},
+			}).Start()
+		},
+		horizon: o.total, settle: 2 * ecfg.Period,
 	}
-
-	m := w.Manage(epl.MustParse(o.policy), emr.Config{
-		Period: o.period, NumGEMs: o.numGEMs, MinResidence: o.period / 2,
-		ScaleOut: true, ScaleIn: o.scaleIn, MinServers: o.minServers,
-		InstanceType: cluster.M1Small, ProvSpecs: o.specs,
-	})
-
-	peakSrv := c.UpCount()
-	m.OnTick = func(int, *epl.Snapshot) {
-		if up := c.UpCount(); up > peakSrv {
-			peakSrv = up
-		}
-	}
-
 	if len(o.events) > 0 {
-		w.Chaos(seed, o.floor, clientSite).Apply(k, w, o.events)
+		sc.faults = &faultPlan{floor: o.floor, protected: []cluster.MachineID{clientSite}, events: o.events}
 	}
-	m.Start()
-
-	slo := metrics.NewSLOTracker(o.sloMS)
-	rec := workload.NewRecorder(sim.Second)
-	served := 0
-	stop := sim.Time(o.total)
-	for i := 0; i < o.clients; i++ {
-		i := i
-		cl := actor.NewClient(rt, clientSite)
-		next := i // round-robin frontend pick, staggered per client
-		var loop func()
-		loop = func() {
-			if k.Now() >= stop {
-				return
-			}
-			target := fes[next%len(fes)]
-			next++
-			cl.Request(target, "req", nil, 256, func(lat sim.Duration, _ interface{}) {
-				ms := float64(lat) / float64(sim.Millisecond)
-				slo.Observe(k.Now().Seconds(), ms)
-				rec.Record(k.Now(), lat)
-				served++
-			})
-			iv := sim.Duration(float64(o.baseEvery) / o.rate(k.Now()))
-			if iv < sim.Microsecond {
-				iv = sim.Microsecond
-			}
-			k.After(iv, loop)
-		}
-		k.At(sim.Time(i)*sim.Time(o.baseEvery)/sim.Time(o.clients), loop)
-	}
-
-	w.Drain(stop, 2*o.period)
-	slo.Finalize(k.Now().Seconds())
-
-	out := burstOut{
-		violSec: slo.ViolationSeconds(), episodes: slo.Episodes(),
-		shed: rt.ShedRequests(), p95: rec.Hist.Percentile(95), meanMS: rec.Hist.Mean(),
-		served:    served,
-		scaleOuts: m.Stats.ScaleOuts, scaleIns: m.Stats.ScaleIns,
-		failedProv: m.Stats.FailedProvisions, provisions: c.Provisions(),
-		peakSrv: peakSrv, finalSrv: c.UpCount(),
-		latSeries:  rec.Series(),
-		violations: w.Invariants(),
-		crashes:    w.Crashes, ctlFails: w.CtlFails,
-	}
-	if up := c.UpCount(); up > out.peakSrv {
-		out.peakSrv = up
-	}
+	out.outcome = run(cfg, seed, sc)
+	out.slo.Finalize(out.K.Now().Seconds())
 	return out
+}
+
+// burstCol is one column of a burst table: its header, how to read it off an
+// arm's outcome, the decimals it prints with, and — for the per-seed tables —
+// the summary key its mean over the seeds is reported under ("" = none).
+type burstCol struct {
+	head string
+	val  func(o *burstOut) float64
+	prec int
+	mean string
+}
+
+var (
+	colViol      = burstCol{"SLOviol(s)", func(o *burstOut) float64 { return o.slo.ViolationSeconds() }, 1, "mean_slo_viol_s"}
+	colEpisodes  = burstCol{"Episodes", func(o *burstOut) float64 { return float64(o.slo.Episodes()) }, 0, ""}
+	colShed      = burstCol{"Shed", func(o *burstOut) float64 { return float64(o.RT.ShedRequests()) }, 0, "mean_shed"}
+	colServed    = burstCol{"Served", func(o *burstOut) float64 { return float64(o.served) }, 0, ""}
+	colP95       = burstCol{"p95(ms)", func(o *burstOut) float64 { return o.rec.Hist.Percentile(95) }, 1, ""}
+	colScaleOuts = burstCol{"ScaleOuts", func(o *burstOut) float64 { return float64(o.M.Stats.ScaleOuts) }, 0, "mean_scale_outs"}
+	colScaleIns  = burstCol{"ScaleIns", func(o *burstOut) float64 { return float64(o.M.Stats.ScaleIns) }, 0, "mean_scale_ins"}
+	colProvFails = burstCol{"ProvFails", func(o *burstOut) float64 { return float64(o.M.Stats.FailedProvisions) }, 0, ""}
+	colPeakSrv   = burstCol{"PeakSrv", func(o *burstOut) float64 { return float64(o.peakSrv) }, 0, ""}
+	colFinalSrv  = burstCol{"FinalSrv", func(o *burstOut) float64 { return float64(o.C.UpCount()) }, 0, ""}
+	colCrashes   = burstCol{"Crashes", func(o *burstOut) float64 { return float64(o.Crashes) }, 0, "mean_crashes"}
+	colCtlFails  = burstCol{"CtlFails", func(o *burstOut) float64 { return float64(o.CtlFails) }, 0, "mean_ctl_fails"}
+)
+
+// plain is the column without a summarised mean.
+func (c burstCol) plain() burstCol {
+	c.mean = ""
+	return c
+}
+
+// burstHeader is a burst table's header: the label column, the columns, the
+// invariant sweep's verdict.
+func burstHeader(label string, cols []burstCol) []string {
+	h := []string{label}
+	for _, c := range cols {
+		h = append(h, c.head)
+	}
+	return append(h, "Invariants")
+}
+
+// burstRow adds one arm's row: its label, the columns, the sweep's verdict.
+func burstRow(r *Result, label string, o *burstOut, cols []burstCol) {
+	cells := []string{label}
+	for _, c := range cols {
+		cells = append(cells, fmt.Sprintf("%.*f", c.prec, c.val(o)))
+	}
+	r.addRow(append(cells, verdict(o.violations))...)
+}
+
+// burstSeedTable runs one arm at consecutive seeds and renders a row per
+// seed, the mean of every column that names one, and the violation total.
+func burstSeedTable(r *Result, cfg Config, seeds int, o burstOpts, cols []burstCol) {
+	r.Header = burstHeader("Seed", cols)
+	outs := runSeeds(cfg, seeds, func(_ int, seed int64) *burstOut { return burstTrial(cfg, seed, o) })
+	bad := 0
+	for i, o := range outs {
+		burstRow(r, fmt.Sprintf("%d", cfg.seed()+int64(i)), o, cols)
+		bad += len(o.violations)
+		for _, c := range cols {
+			if c.mean != "" {
+				r.Summary[c.mean] += c.val(o)
+			}
+		}
+	}
+	for _, c := range cols {
+		if c.mean != "" {
+			r.Summary[c.mean] /= float64(len(outs))
+		}
+	}
+	r.Summary["invariant_violations"] = float64(bad)
 }
 
 // flashRate is the flash-crowd arrival multiplier: baseline outside the
@@ -212,7 +243,8 @@ server.cpu.perc > 70 => provclass({%s});
 // after it is over, so the run rides out the crowd on shedding alone.
 func BurstFlash(cfg Config) *Result {
 	r := newResult("burst_flash", "Flash crowd vs provisioning class: SLO violation and shedding")
-	r.Header = []string{"Class", "SLOviol(s)", "Episodes", "Shed", "Served", "p95(ms)", "ScaleOuts", "ProvFails", "PeakSrv", "Invariants"}
+	cols := []burstCol{colViol, colEpisodes, colShed, colServed, colP95, colScaleOuts, colProvFails, colPeakSrv}
+	r.Header = burstHeader("Class", cols)
 
 	total := 60 * sim.Second
 	clients, spike := 12, 10.0
@@ -220,30 +252,20 @@ func BurstFlash(cfg Config) *Result {
 		total, clients, spike = 120*sim.Second, 24, 20.0
 	}
 	for _, pc := range []cluster.ProvClass{cluster.WarmPool, cluster.Container, cluster.VM} {
-		o := burstRun(cfg, cfg.seed(), burstOpts{
+		o := burstTrial(cfg, cfg.seed(), burstOpts{
 			servers: 4, frontends: 12,
-			policy:  fmt.Sprintf(burstPolicyFmt, pc),
-			specs:   burstSpec(pc),
-			numGEMs: 1, period: 2 * sim.Second, total: total,
-			clients: clients, baseEvery: 100 * sim.Millisecond,
-			rate:    flashRate(sim.Time(15*sim.Second), sim.Time(35*sim.Second), spike),
-			reqCost: 6 * sim.Millisecond, mailboxCap: 32, sloMS: 50,
-			minServers: 4,
+			policy: fmt.Sprintf(burstPolicyFmt, pc),
+			emr:    emr.Config{Period: 2 * sim.Second, NumGEMs: 1, MinServers: 4, ProvSpecs: burstSpec(pc)},
+			total:  total, clients: clients, baseEvery: 100 * sim.Millisecond,
+			rate:       flashRate(sim.Time(15*sim.Second), sim.Time(35*sim.Second), spike),
+			mailboxCap: 32,
 		})
-		verdict := "ok"
-		if len(o.violations) > 0 {
-			verdict = fmt.Sprintf("%v", o.violations)
-		}
-		r.addRow(pc.String(),
-			fmt.Sprintf("%.1f", o.violSec), fmt.Sprintf("%d", o.episodes),
-			fmt.Sprintf("%d", o.shed), fmt.Sprintf("%d", o.served),
-			fmt.Sprintf("%.1f", o.p95), fmt.Sprintf("%d", o.scaleOuts),
-			fmt.Sprintf("%d", o.failedProv), fmt.Sprintf("%d", o.peakSrv), verdict)
-		r.Summary["slo_viol_s_"+pc.String()] = o.violSec
-		r.Summary["shed_"+pc.String()] = float64(o.shed)
-		r.Summary["scale_outs_"+pc.String()] = float64(o.scaleOuts)
+		burstRow(r, pc.String(), o, cols)
+		r.Summary["slo_viol_s_"+pc.String()] = colViol.val(o)
+		r.Summary["shed_"+pc.String()] = colShed.val(o)
+		r.Summary["scale_outs_"+pc.String()] = colScaleOuts.val(o)
 		r.Summary["invariant_violations_"+pc.String()] = float64(len(o.violations))
-		r.Series["latency_"+pc.String()] = o.latSeries
+		r.Series["latency_"+pc.String()] = o.rec.Series()
 	}
 	r.notef("warm pool restores capacity inside the spike; VM boots land after it — the violation-seconds spread is the provisioning spectrum's effect")
 	return r
@@ -255,50 +277,22 @@ func BurstFlash(cfg Config) *Result {
 // scaling back in on the way down. Three seeds, aggregated.
 func BurstDiurnal(cfg Config) *Result {
 	r := newResult("burst_diurnal", "Diurnal wave: fleet tracks a sinusoidal arrival rate")
-	r.Header = []string{"Seed", "SLOviol(s)", "Shed", "ScaleOuts", "ScaleIns", "PeakSrv", "FinalSrv", "Invariants"}
-
 	total := 90 * sim.Second
 	if cfg.Full {
 		total = 240 * sim.Second
 	}
 	day := 60 * sim.Second
-	outs := runSeeds(cfg, 3, func(_ int, seed int64) burstOut {
-		return burstRun(cfg, seed, burstOpts{
-			servers: 3, frontends: 9,
-			policy:  fmt.Sprintf(burstPolicyFmt, "warm, container"),
-			specs:   append(burstSpec(cluster.WarmPool), burstSpec(cluster.Container)...),
-			numGEMs: 1, period: 3 * sim.Second, total: total,
-			clients: 10, baseEvery: 60 * sim.Millisecond,
-			rate: func(t sim.Time) float64 {
-				return math.Max(0.25, 1+2.2*math.Sin(2*math.Pi*float64(t)/float64(day)))
-			},
-			reqCost: 6 * sim.Millisecond, mailboxCap: 32, sloMS: 50,
-			scaleIn: true, minServers: 3,
-		})
-	})
-	var viol, shed, outsN, ins float64
-	bad := 0
-	for i, o := range outs {
-		verdict := "ok"
-		if len(o.violations) > 0 {
-			verdict = fmt.Sprintf("%v", o.violations)
-			bad += len(o.violations)
-		}
-		r.addRow(fmt.Sprintf("%d", cfg.seed()+int64(i)),
-			fmt.Sprintf("%.1f", o.violSec), fmt.Sprintf("%d", o.shed),
-			fmt.Sprintf("%d", o.scaleOuts), fmt.Sprintf("%d", o.scaleIns),
-			fmt.Sprintf("%d", o.peakSrv), fmt.Sprintf("%d", o.finalSrv), verdict)
-		viol += o.violSec
-		shed += float64(o.shed)
-		outsN += float64(o.scaleOuts)
-		ins += float64(o.scaleIns)
-	}
-	n := float64(len(outs))
-	r.Summary["mean_slo_viol_s"] = viol / n
-	r.Summary["mean_shed"] = shed / n
-	r.Summary["mean_scale_outs"] = outsN / n
-	r.Summary["mean_scale_ins"] = ins / n
-	r.Summary["invariant_violations"] = float64(bad)
+	burstSeedTable(r, cfg, 3, burstOpts{
+		servers: 3, frontends: 9,
+		policy: fmt.Sprintf(burstPolicyFmt, "warm, container"),
+		emr: emr.Config{Period: 3 * sim.Second, NumGEMs: 1, ScaleIn: true, MinServers: 3,
+			ProvSpecs: append(burstSpec(cluster.WarmPool), burstSpec(cluster.Container)...)},
+		total: total, clients: 10, baseEvery: 60 * sim.Millisecond,
+		rate: func(t sim.Time) float64 {
+			return math.Max(0.25, 1+2.2*math.Sin(2*math.Pi*float64(t)/float64(day)))
+		},
+		mailboxCap: 32,
+	}, []burstCol{colViol, colShed, colScaleOuts, colScaleIns, colPeakSrv, colFinalSrv})
 	r.notef("the fleet grows on the wave's crest and is reclaimed in the trough; violation time concentrates in the first crest before capacity catches up")
 	return r
 }
@@ -309,8 +303,6 @@ func BurstDiurnal(cfg Config) *Result {
 // through the spectrum. Region A repairs 30 seconds later.
 func BurstRegion(cfg Config) *Result {
 	r := newResult("burst_region", "Correlated region failover onto survivors")
-	r.Header = []string{"Seed", "Crashes", "SLOviol(s)", "Shed", "ScaleOuts", "ProvFails", "PeakSrv", "Invariants"}
-
 	total := 80 * sim.Second
 	if cfg.Full {
 		total = 160 * sim.Second
@@ -332,40 +324,15 @@ func BurstRegion(cfg Config) *Result {
 server.cpu.perc > 80 or server.cpu.perc < 10 => balance({Frontend}, cpu);
 server.cpu.perc > 80 => provclass({warm, container});
 `
-	outs := runSeeds(cfg, 2, func(_ int, seed int64) burstOut {
-		return burstRun(cfg, seed, burstOpts{
-			servers: servers, frontends: 16,
-			policy:  policy,
-			specs:   append(burstSpec(cluster.WarmPool), burstSpec(cluster.Container)...),
-			numGEMs: 2, period: 2 * sim.Second, total: total,
-			clients: 16, baseEvery: 18 * sim.Millisecond,
-			rate:    func(sim.Time) float64 { return 1 },
-			reqCost: 6 * sim.Millisecond, mailboxCap: 32, sloMS: 50,
-			minServers: 2,
-			events:     events, floor: 2,
-		})
-	})
-	var viol, shed, crashes float64
-	bad := 0
-	for i, o := range outs {
-		verdict := "ok"
-		if len(o.violations) > 0 {
-			verdict = fmt.Sprintf("%v", o.violations)
-			bad += len(o.violations)
-		}
-		r.addRow(fmt.Sprintf("%d", cfg.seed()+int64(i)),
-			fmt.Sprintf("%d", o.crashes), fmt.Sprintf("%.1f", o.violSec),
-			fmt.Sprintf("%d", o.shed), fmt.Sprintf("%d", o.scaleOuts),
-			fmt.Sprintf("%d", o.failedProv), fmt.Sprintf("%d", o.peakSrv), verdict)
-		viol += o.violSec
-		shed += float64(o.shed)
-		crashes += float64(o.crashes)
-	}
-	n := float64(len(outs))
-	r.Summary["mean_slo_viol_s"] = viol / n
-	r.Summary["mean_shed"] = shed / n
-	r.Summary["mean_crashes"] = crashes / n
-	r.Summary["invariant_violations"] = float64(bad)
+	burstSeedTable(r, cfg, 2, burstOpts{
+		servers: servers, frontends: 16,
+		policy: policy,
+		emr: emr.Config{Period: 2 * sim.Second, NumGEMs: 2, MinServers: 2,
+			ProvSpecs: append(burstSpec(cluster.WarmPool), burstSpec(cluster.Container)...)},
+		total: total, clients: 16, baseEvery: 18 * sim.Millisecond,
+		mailboxCap: 32,
+		events:     events, floor: 2,
+	}, []burstCol{colCrashes, colViol, colShed, colScaleOuts.plain(), colProvFails, colPeakSrv})
 	r.notef("survivors absorb the dead region's actors (runtime re-homing) and its load; warm-pool scale-out plus shedding carries the gap until repair")
 	return r
 }
@@ -376,8 +343,6 @@ server.cpu.perc > 80 => provclass({warm, container});
 // self-corroborated scale-out still grows the fleet.
 func BurstChaos(cfg Config) *Result {
 	r := newResult("burst_chaos", "Flash crowd during a GEM crash (chaos-composed burst)")
-	r.Header = []string{"Seed", "CtlFails", "SLOviol(s)", "Shed", "ScaleOuts", "PeakSrv", "Invariants"}
-
 	// Same workload as burst_flash's warm row, so the delta between the
 	// two isolates the GEM crash's cost.
 	total := 60 * sim.Second
@@ -385,46 +350,20 @@ func BurstChaos(cfg Config) *Result {
 	if cfg.Full {
 		total, spike = 120*sim.Second, 20.0
 	}
-	events := []chaos.Event{
-		{At: sim.Time(12 * sim.Second), Op: chaos.FailGEM, Target: 0},
-		{At: sim.Time(40 * sim.Second), Op: chaos.RecoverGEM, Target: 0},
-	}
-	outs := runSeeds(cfg, 2, func(_ int, seed int64) burstOut {
-		return burstRun(cfg, seed, burstOpts{
-			servers: 4, frontends: 12,
-			policy:  fmt.Sprintf(burstPolicyFmt, "warm, container"),
-			specs:   append(burstSpec(cluster.WarmPool), burstSpec(cluster.Container)...),
-			numGEMs: 2, period: 2 * sim.Second, total: total,
-			clients: 12, baseEvery: 100 * sim.Millisecond,
-			rate:    flashRate(sim.Time(15*sim.Second), sim.Time(35*sim.Second), spike),
-			reqCost: 6 * sim.Millisecond, mailboxCap: 32, sloMS: 50,
-			minServers: 4,
-			events:     events, floor: 2,
-		})
-	})
-	var viol, shed, so, ctl float64
-	bad := 0
-	for i, o := range outs {
-		verdict := "ok"
-		if len(o.violations) > 0 {
-			verdict = fmt.Sprintf("%v", o.violations)
-			bad += len(o.violations)
-		}
-		r.addRow(fmt.Sprintf("%d", cfg.seed()+int64(i)),
-			fmt.Sprintf("%d", o.ctlFails), fmt.Sprintf("%.1f", o.violSec),
-			fmt.Sprintf("%d", o.shed), fmt.Sprintf("%d", o.scaleOuts),
-			fmt.Sprintf("%d", o.peakSrv), verdict)
-		viol += o.violSec
-		shed += float64(o.shed)
-		so += float64(o.scaleOuts)
-		ctl += float64(o.ctlFails)
-	}
-	n := float64(len(outs))
-	r.Summary["mean_slo_viol_s"] = viol / n
-	r.Summary["mean_shed"] = shed / n
-	r.Summary["mean_scale_outs"] = so / n
-	r.Summary["mean_ctl_fails"] = ctl / n
-	r.Summary["invariant_violations"] = float64(bad)
+	burstSeedTable(r, cfg, 2, burstOpts{
+		servers: 4, frontends: 12,
+		policy: fmt.Sprintf(burstPolicyFmt, "warm, container"),
+		emr: emr.Config{Period: 2 * sim.Second, NumGEMs: 2, MinServers: 4,
+			ProvSpecs: append(burstSpec(cluster.WarmPool), burstSpec(cluster.Container)...)},
+		total: total, clients: 12, baseEvery: 100 * sim.Millisecond,
+		rate:       flashRate(sim.Time(15*sim.Second), sim.Time(35*sim.Second), spike),
+		mailboxCap: 32,
+		events: []chaos.Event{
+			{At: sim.Time(12 * sim.Second), Op: chaos.FailGEM, Target: 0},
+			{At: sim.Time(40 * sim.Second), Op: chaos.RecoverGEM, Target: 0},
+		},
+		floor: 2,
+	}, []burstCol{colCtlFails, colViol, colShed, colScaleOuts, colPeakSrv})
 	r.notef("with one of two GEMs down for the whole spike, the survivor's scale-out vote self-corroborates and the fleet still grows")
 	return r
 }

@@ -7,6 +7,7 @@ import (
 
 	"plasma/internal/chaos"
 	"plasma/internal/cluster"
+	"plasma/internal/emr"
 	"plasma/internal/sim"
 	"plasma/internal/trace"
 )
@@ -102,14 +103,13 @@ func TestBurstChaosSameTickCompositionDeterministic(t *testing.T) {
 	run := func() ([]string, []byte) {
 		ring := trace.NewRing(1 << 16)
 		cfg := Config{Seed: 7, Trace: trace.New(ring)}
-		burstRun(cfg, 7, burstOpts{
+		burstTrial(cfg, 7, burstOpts{
 			servers: 4, frontends: 8,
 			policy:  `server.cpu.perc > 70 or server.cpu.perc < 10 => balance({Frontend}, cpu);`,
-			numGEMs: 2, period: 2 * sim.Second, total: 16 * sim.Second,
+			emr:     emr.Config{Period: 2 * sim.Second, NumGEMs: 2, MinServers: 2},
+			total:   16 * sim.Second,
 			clients: 4, baseEvery: 50 * sim.Millisecond,
-			rate:    func(sim.Time) float64 { return 1 },
-			reqCost: 6 * sim.Millisecond, mailboxCap: 32, sloMS: 50,
-			minServers: 2,
+			mailboxCap: 32,
 			events:     events, floor: 1,
 		})
 		if ring.Dropped() != 0 {

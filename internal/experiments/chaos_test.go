@@ -37,23 +37,23 @@ func TestChaosDeterministicReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs three full simulations")
 	}
-	a := chaosMediaService(Config{}, 21)
-	b := chaosMediaService(Config{}, 21)
-	if !reflect.DeepEqual(a.trace, b.trace) {
-		t.Fatalf("same seed produced different fault traces:\n%v\nvs\n%v", a.trace, b.trace)
+	a := chaosTrial(Config{}, 21, mediaChaosArm)
+	b := chaosTrial(Config{}, 21, mediaChaosArm)
+	if !reflect.DeepEqual(a.Inj.Trace(), b.Inj.Trace()) {
+		t.Fatalf("same seed produced different fault traces:\n%v\nvs\n%v", a.Inj.Trace(), b.Inj.Trace())
 	}
-	if a.dir != b.dir {
-		t.Fatalf("same seed produced different final directories:\n%s\nvs\n%s", a.dir, b.dir)
+	if ad, bd := finalDirectory(a.RT), finalDirectory(b.RT); ad != bd {
+		t.Fatalf("same seed produced different final directories:\n%s\nvs\n%s", ad, bd)
 	}
-	if a.emrStats != b.emrStats {
-		t.Fatalf("same seed produced different EMR stats:\n%+v\nvs\n%+v", a.emrStats, b.emrStats)
+	if a.M.Stats != b.M.Stats {
+		t.Fatalf("same seed produced different EMR stats:\n%+v\nvs\n%+v", a.M.Stats, b.M.Stats)
 	}
-	if a.injStats != b.injStats {
-		t.Fatalf("same seed produced different injector stats:\n%+v\nvs\n%+v", a.injStats, b.injStats)
+	if a.Inj.Stats != b.Inj.Stats {
+		t.Fatalf("same seed produced different injector stats:\n%+v\nvs\n%+v", a.Inj.Stats, b.Inj.Stats)
 	}
 
-	c := chaosMediaService(Config{}, 22)
-	if reflect.DeepEqual(a.trace, c.trace) {
+	c := chaosTrial(Config{}, 22, mediaChaosArm)
+	if reflect.DeepEqual(a.Inj.Trace(), c.Inj.Trace()) {
 		t.Fatal("different seeds produced identical fault traces")
 	}
 }

@@ -8,11 +8,24 @@ import (
 	"plasma/internal/apps/mediaservice"
 	"plasma/internal/apps/workload"
 	"plasma/internal/cluster"
+	"plasma/internal/core"
 	"plasma/internal/emr"
-	"plasma/internal/epl"
 	"plasma/internal/metrics"
 	"plasma/internal/sim"
 )
+
+// mediaRequests is one Media Service client's request stream against its
+// front end: reviews and watches alternate, review first.
+func mediaRequests(fe actor.Ref) func() workload.Request {
+	watch := true
+	return func() workload.Request {
+		watch = !watch
+		if watch {
+			return workload.Request{Target: fe, Method: "watch", Size: 512}
+		}
+		return workload.Request{Target: fe, Method: "review", Size: 2 << 10}
+	}
+}
 
 // Fig10 reproduces §5.6: the Media Service under a bell-shaped client
 // population. Clients join over the first phase following a normal
@@ -43,61 +56,59 @@ func Fig10(cfg Config) *Result {
 
 	meanLat := map[sim.Duration]float64{}
 	for _, period := range periods {
-		w := cfg.world(cfg.seed(), 4, cluster.M1Small)
-		k, c, rt := w.K, w.C, w.RT
-		c.SetMaxSize(65)
-		app := mediaservice.Build(k, rt, []cluster.MachineID{0, 1, 2, 3}, 8)
-		k.RunUntilIdle()
-
-		w.Manage(epl.MustParse(mediaservice.PolicySrc),
-			emr.Config{Period: period, ScaleOut: true, ScaleIn: true,
-				MinServers: 4, InstanceType: cluster.M1Small}).Start()
-
+		var app *mediaservice.App
 		rec := workload.NewRecorder(20 * sim.Second)
 		servers := &metrics.Series{Name: "servers"}
-		k.Every(10*sim.Second, func() bool {
-			servers.Add(k.Now().Seconds(), float64(c.UpCount()))
-			return k.Now() < sim.Time(total)
-		})
-
-		// Schedule joins and leaves.
-		norm := func(mu, sigma sim.Duration) sim.Time {
-			x := k.Rand().NormFloat64()*float64(sigma) + float64(mu)
-			if x < 0 {
-				x = 0
-			}
-			return sim.Time(x)
-		}
-		for i := 0; i < clients; i++ {
-			joinAt := norm(joinMu, joinSigma)
-			leaveAt := norm(leaveMu, leaveSigma)
-			if sim.Duration(leaveAt) < sim.Duration(joinAt)+stay {
-				leaveAt = joinAt + sim.Time(stay)
-			}
-			k.At(joinAt, func() {
-				id, fe := app.AddClient()
-				watch := true
-				loop := &workload.ClosedLoop{
-					K:      k,
-					Client: actor.NewClient(rt, cluster.MachineID(0)),
-					Think:  200 * sim.Millisecond,
-					Rec:    rec,
-					Next: func() workload.Request {
-						watch = !watch
-						if watch {
-							return workload.Request{Target: fe, Method: "watch", Size: 512}
-						}
-						return workload.Request{Target: fe, Method: "review", Size: 2 << 10}
-					},
-				}
-				loop.Start()
-				k.At(leaveAt, func() {
-					loop.Stop()
-					app.RemoveClient(id)
+		out := run(cfg, cfg.seed(), scenario{
+			machines: 4, inst: cluster.M1Small,
+			build: func(w *core.World) {
+				w.C.SetMaxSize(65)
+				app = mediaservice.Build(w.K, w.RT, []cluster.MachineID{0, 1, 2, 3}, 8)
+			},
+			wire:   true,
+			policy: mediaservice.PolicySrc,
+			emr: emr.Config{Period: period, ScaleOut: true, ScaleIn: true,
+				MinServers: 4, InstanceType: cluster.M1Small},
+			load: func(w *core.World) {
+				k := w.K
+				k.Every(10*sim.Second, func() bool {
+					servers.Add(k.Now().Seconds(), float64(w.C.UpCount()))
+					return k.Now() < sim.Time(total)
 				})
-			})
-		}
-		k.Run(sim.Time(total))
+
+				// Schedule joins and leaves.
+				norm := func(mu, sigma sim.Duration) sim.Time {
+					x := k.Rand().NormFloat64()*float64(sigma) + float64(mu)
+					if x < 0 {
+						x = 0
+					}
+					return sim.Time(x)
+				}
+				for i := 0; i < clients; i++ {
+					joinAt := norm(joinMu, joinSigma)
+					leaveAt := norm(leaveMu, leaveSigma)
+					if sim.Duration(leaveAt) < sim.Duration(joinAt)+stay {
+						leaveAt = joinAt + sim.Time(stay)
+					}
+					k.At(joinAt, func() {
+						id, fe := app.AddClient()
+						loop := &workload.ClosedLoop{
+							K:      k,
+							Client: w.Client(0),
+							Think:  200 * sim.Millisecond,
+							Rec:    rec,
+							Next:   mediaRequests(fe),
+						}
+						loop.Start()
+						k.At(leaveAt, func() {
+							loop.Stop()
+							app.RemoveClient(id)
+						})
+					})
+				}
+			},
+			horizon: total,
+		})
 
 		key := fmt.Sprintf("%ds", int64(period/sim.Second))
 		lat := rec.Series()
@@ -106,7 +117,7 @@ func Fig10(cfg Config) *Result {
 		mean := lat.MeanY()
 		meanLat[period] = mean
 		peak := servers.MaxY()
-		final := float64(c.UpCount())
+		final := float64(out.C.UpCount())
 		r.addRow(key, ms(mean), fmt.Sprintf("%.0f", peak), fmt.Sprintf("%.0f", final))
 		r.Summary["mean_latency_ms_"+key] = mean
 		r.Summary["peak_servers_"+key] = peak

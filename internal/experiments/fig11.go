@@ -8,14 +8,61 @@ import (
 	"plasma/internal/apps/workload"
 	"plasma/internal/baseline"
 	"plasma/internal/cluster"
+	"plasma/internal/core"
 	"plasma/internal/emr"
-	"plasma/internal/epl"
 	"plasma/internal/sim"
 )
 
 // haloBaseLatency accentuates remote-hop cost (the paper's measured
 // latencies are dominated by cross-instance messaging).
 const haloBaseLatency = 5 * sim.Millisecond
+
+// haloFleet is the Halo deployment the fig11, plan_halo and chaos arms share:
+// app servers 0..servers-1 with the routers crowded on the first routerSrvs of
+// them and the sessions spread over all, then two client sites.
+type haloFleet struct {
+	servers, routerSrvs int
+	routers, sessions   int
+	latency             sim.Duration // cluster base latency (0 = the default)
+	decrypt             bool
+	app                 *halo.App // set when the arm's scenario builds it
+}
+
+// arm is the fleet as a scenario; the caller adds manager, load and horizon.
+func (h *haloFleet) arm() scenario {
+	return scenario{
+		machines: h.servers + 2, inst: cluster.M1Small,
+		build: func(w *core.World) {
+			if h.latency > 0 {
+				w.C.BaseLatency = h.latency
+			}
+			srvs := make([]cluster.MachineID, h.servers)
+			for i := range srvs {
+				srvs[i] = cluster.MachineID(i)
+			}
+			h.app = halo.Build(w.K, w.RT, srvs[:h.routerSrvs], srvs, h.routers, h.sessions)
+			h.app.Decrypt = h.decrypt
+		},
+	}
+}
+
+// join adds client i's player to session sess at the current instant and
+// calls beat from the client's site every `every` until it returns false.
+func (h *haloFleet) join(w *core.World, i, sess int, every sim.Duration, beat func(cl *actor.Client, p actor.Ref) bool) actor.Ref {
+	p := h.app.Join(sess)
+	cl := w.Client(cluster.MachineID(h.servers + i%2))
+	w.K.Every(every, func() bool { return beat(cl, p) })
+	return p
+}
+
+// beats is the usual beat: a heartbeat through a random router, its latency
+// into rec, repeated while the clock is short of until.
+func (h *haloFleet) beats(w *core.World, rec *workload.Recorder, until sim.Time) func(*actor.Client, actor.Ref) bool {
+	return func(cl *actor.Client, p actor.Ref) bool {
+		h.app.Heartbeat(cl, p, func(lat sim.Duration) { rec.Record(w.K.Now(), lat) })
+		return w.K.Now() < until
+	}
+}
 
 // Fig11a reproduces §5.7's interaction-rule comparison: 8 routers and 8
 // sessions on 8 servers; 32 clients join in 4 rounds of 180 s; the
@@ -38,51 +85,40 @@ func Fig11a(cfg Config) *Result {
 	}
 	rounds, perRound := 4, 8
 
-	run := func(mode string) *workload.Recorder {
-		w := cfg.world(cfg.seed(), 10, cluster.M1Small) // 8 app servers + 2 client sites
-		k, rt := w.K, w.RT
-		w.C.BaseLatency = haloBaseLatency
-		srvs := make([]cluster.MachineID, 8)
-		for i := range srvs {
-			srvs[i] = cluster.MachineID(i)
-		}
-		app := halo.Build(k, rt, srvs, srvs, 8, 8)
-
+	arm := func(mode string) *workload.Recorder {
+		h := &haloFleet{servers: 8, routerSrvs: 8, routers: 8, sessions: 8, latency: haloBaseLatency}
+		sc := h.arm()
 		switch mode {
 		case "inter-rule":
-			w.Manage(epl.MustParse(halo.InterPolicySrc), emr.Config{Period: period}).Start()
+			sc.policy, sc.emr = halo.InterPolicySrc, emr.Config{Period: period}
 		case "def-rule":
-			f := &baseline.FreqColocator{K: k, RT: rt, C: w.C, Prof: w.Prof,
-				Period: period, Threshold: 10}
-			f.Start()
-		}
-
-		rec := workload.NewRecorder(10 * sim.Second)
-		for round := 0; round < rounds; round++ {
-			for j := 0; j < perRound; j++ {
-				joinAt := sim.Time(round)*sim.Time(roundLen) +
-					sim.Time(k.Rand().Int63n(int64(roundLen)))
-				idx := round*perRound + j
-				k.At(joinAt, func() {
-					p := app.Join(idx % len(app.Sessions))
-					site := cluster.MachineID(8 + idx%2)
-					cl := actor.NewClient(rt, site)
-					k.Every(hbEvery, func() bool {
-						app.Heartbeat(cl, p, func(lat sim.Duration) {
-							rec.Record(k.Now(), lat)
-						})
-						return k.Now() < sim.Time(rounds)*sim.Time(roundLen)+sim.Time(roundLen)
-					})
-				})
+			sc.baseline = func(w *core.World) controller {
+				return &baseline.FreqColocator{K: w.K, RT: w.RT, C: w.C, Prof: w.Prof,
+					Period: period, Threshold: 10}
 			}
 		}
-		k.Run(sim.Time(rounds)*sim.Time(roundLen) + sim.Time(roundLen))
+		rec := workload.NewRecorder(10 * sim.Second)
+		end := sim.Duration(rounds+1) * roundLen
+		sc.horizon = end
+		sc.load = func(w *core.World) {
+			for round := 0; round < rounds; round++ {
+				for j := 0; j < perRound; j++ {
+					joinAt := sim.Time(round)*sim.Time(roundLen) +
+						sim.Time(w.K.Rand().Int63n(int64(roundLen)))
+					idx := round*perRound + j
+					w.K.At(joinAt, func() {
+						h.join(w, idx, idx, hbEvery, h.beats(w, rec, sim.Time(end)))
+					})
+				}
+			}
+		}
+		run(cfg, cfg.seed(), sc)
 		return rec
 	}
 
 	stats := map[string][2]float64{}
 	for _, mode := range []string{"inter-rule", "def-rule"} {
-		rec := run(mode)
+		rec := arm(mode)
 		r.Series[mode] = rec.Series()
 		mean := rec.Hist.Mean()
 		p95 := rec.Hist.Percentile(95)
@@ -112,31 +148,22 @@ func Fig11b(cfg Config) *Result {
 		total = 80 * sim.Second
 	}
 
-	w := cfg.world(cfg.seed(), 10, cluster.M1Small)
-	k, rt := w.K, w.RT
-	w.C.BaseLatency = haloBaseLatency
-	srvs := make([]cluster.MachineID, 8)
-	for i := range srvs {
-		srvs[i] = cluster.MachineID(i)
+	h := &haloFleet{servers: 8, routerSrvs: 8, routers: 8, sessions: 8, latency: haloBaseLatency}
+	sc := h.arm()
+	sc.baseline = func(w *core.World) controller {
+		return &baseline.FreqColocator{K: w.K, RT: w.RT, C: w.C, Prof: w.Prof, Period: period, Threshold: 10}
 	}
-	app := halo.Build(k, rt, srvs, srvs, 8, 8)
-	f := &baseline.FreqColocator{K: k, RT: rt, C: w.C, Prof: w.Prof, Period: period, Threshold: 10}
-	f.Start()
-
 	recs := make([]*workload.Recorder, 8)
 	misplacedAtJoin := make([]bool, 8)
-	for i := 0; i < 8; i++ {
-		i := i
-		recs[i] = workload.NewRecorder(10 * sim.Second)
-		p := app.Join(i)
-		misplacedAtJoin[i] = rt.ServerOf(p) != rt.ServerOf(app.SessionOf(p))
-		cl := actor.NewClient(rt, cluster.MachineID(8+i%2))
-		k.Every(500*sim.Millisecond, func() bool {
-			app.Heartbeat(cl, p, func(lat sim.Duration) { recs[i].Record(k.Now(), lat) })
-			return k.Now() < sim.Time(total)
-		})
+	sc.horizon = total
+	sc.load = func(w *core.World) {
+		for i := range recs {
+			recs[i] = workload.NewRecorder(10 * sim.Second)
+			p := h.join(w, i, i, 500*sim.Millisecond, h.beats(w, recs[i], sim.Time(total)))
+			misplacedAtJoin[i] = w.RT.ServerOf(p) != w.RT.ServerOf(h.app.SessionOf(p))
+		}
 	}
-	k.Run(sim.Time(total))
+	run(cfg, cfg.seed(), sc)
 
 	misplacedEarly, placedEarly := 0.0, 0.0
 	nm, np := 0, 0
@@ -199,36 +226,20 @@ func Fig11c(cfg Config) *Result {
 	}
 
 	for _, gems := range []int{1, 2, 4} {
-		w := cfg.world(cfg.seed(), servers+2, cluster.M1Small)
-		k, rt := w.K, w.RT
-		w.C.BaseLatency = haloBaseLatency
-		routerSrvs := make([]cluster.MachineID, servers/8)
-		for i := range routerSrvs {
-			routerSrvs[i] = cluster.MachineID(i)
-		}
-		sessionSrvs := make([]cluster.MachineID, servers)
-		for i := range sessionSrvs {
-			sessionSrvs[i] = cluster.MachineID(i)
-		}
-		app := halo.Build(k, rt, routerSrvs, sessionSrvs, routers, sessions)
-		app.Decrypt = true
-
-		w.Manage(epl.MustParse(halo.FullPolicySrc), emr.Config{Period: period, NumGEMs: gems}).Start()
-
+		h := &haloFleet{servers: servers, routerSrvs: servers / 8, routers: routers, sessions: sessions,
+			latency: haloBaseLatency, decrypt: true}
+		sc := h.arm()
+		sc.policy, sc.emr = halo.FullPolicySrc, emr.Config{Period: period, NumGEMs: gems}
 		rec := workload.NewRecorder(20 * sim.Second)
-		for i := 0; i < clients; i++ {
-			i := i
-			joinAt := sim.Time(i) * sim.Time(total) / sim.Time(2*clients)
-			k.At(joinAt, func() {
-				p := app.Join(i % sessions)
-				cl := actor.NewClient(rt, cluster.MachineID(servers+i%2))
-				k.Every(hbEvery, func() bool {
-					app.Heartbeat(cl, p, func(lat sim.Duration) { rec.Record(k.Now(), lat) })
-					return k.Now() < sim.Time(total)
+		sc.horizon = total
+		sc.load = func(w *core.World) {
+			for i := 0; i < clients; i++ {
+				w.K.At(sim.Time(i)*sim.Time(total)/sim.Time(2*clients), func() {
+					h.join(w, i, i, hbEvery, h.beats(w, rec, sim.Time(total)))
 				})
-			})
+			}
 		}
-		k.Run(sim.Time(total))
+		out := run(cfg, cfg.seed(), sc)
 
 		key := fmt.Sprintf("%dgem", gems)
 		series := rec.Series()
@@ -236,8 +247,8 @@ func Fig11c(cfg Config) *Result {
 		peak := series.MaxY()
 		final := series.TailMeanY(0.25)
 		routerSrvSet := map[cluster.MachineID]bool{}
-		for _, rr := range app.Routers {
-			routerSrvSet[rt.ServerOf(rr)] = true
+		for _, rr := range h.app.Routers {
+			routerSrvSet[out.RT.ServerOf(rr)] = true
 		}
 		r.addRow(fmt.Sprintf("%d", gems), ms(peak), ms(final), fmt.Sprintf("%d", len(routerSrvSet)))
 		r.Summary["peak_ms_"+key] = peak

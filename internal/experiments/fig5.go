@@ -1,13 +1,12 @@
 package experiments
 
 import (
-	"plasma/internal/actor"
 	"plasma/internal/apps/metadata"
 	"plasma/internal/apps/workload"
 	"plasma/internal/baseline"
 	"plasma/internal/cluster"
+	"plasma/internal/core"
 	"plasma/internal/emr"
-	"plasma/internal/epl"
 	"plasma/internal/sim"
 )
 
@@ -29,42 +28,46 @@ func Fig5(cfg Config) *Result {
 	clients := 16
 	folders, filesPer := 4, 8
 
-	run := func(mode string) *workload.Recorder {
-		w := cfg.world(cfg.seed(), 2, cluster.M1Small) // server 0 + one spare
-		k, rt := w.K, w.RT
-		app := metadata.Build(k, rt, 0, folders, filesPer)
-		k.RunUntilIdle()
-
+	arm := func(mode string) *workload.Recorder {
+		var app *metadata.App
+		rec := workload.NewRecorder(5 * sim.Second)
+		sc := scenario{
+			machines: 2, inst: cluster.M1Small, // server 0 + one spare
+			build: func(w *core.World) { app = metadata.Build(w.K, w.RT, 0, folders, filesPer) },
+			wire:  true,
+			load: func(w *core.World) {
+				pick := workload.SkewedPicker(w.K, metadata.HotWeights(folders, 0.5))
+				for i := 0; i < clients; i++ {
+					loop := &workload.ClosedLoop{
+						K:      w.K,
+						Client: w.Client(1), // clients on the second machine
+						Think:  50 * sim.Millisecond,
+						Rec:    rec,
+						Next: func() workload.Request {
+							return workload.Request{Target: app.Folders[pick()], Method: "open", Size: 128}
+						},
+					}
+					loop.Start()
+				}
+			},
+			horizon: duration,
+		}
 		switch mode {
 		case "res-col-rule":
-			w.Manage(epl.MustParse(metadata.PolicySrc), emr.Config{Period: period}).Start()
+			sc.policy, sc.emr = metadata.PolicySrc, emr.Config{Period: period}
 		case "def-rule":
-			h := &baseline.HeavyMigrator{K: k, RT: rt, C: w.C, Prof: w.Prof,
-				Period: period, TriggerCPU: 80, MoveCount: 1}
-			h.Start()
-		}
-
-		rec := workload.NewRecorder(5 * sim.Second)
-		pick := workload.SkewedPicker(k, metadata.HotWeights(folders, 0.5))
-		for i := 0; i < clients; i++ {
-			loop := &workload.ClosedLoop{
-				K:      k,
-				Client: actor.NewClient(rt, 1), // clients on the second machine
-				Think:  50 * sim.Millisecond,
-				Rec:    rec,
-				Next: func() workload.Request {
-					return workload.Request{Target: app.Folders[pick()], Method: "open", Size: 128}
-				},
+			sc.baseline = func(w *core.World) controller {
+				return &baseline.HeavyMigrator{K: w.K, RT: w.RT, C: w.C, Prof: w.Prof,
+					Period: period, TriggerCPU: 80, MoveCount: 1}
 			}
-			loop.Start()
 		}
-		k.Run(sim.Time(duration))
+		run(cfg, cfg.seed(), sc)
 		return rec
 	}
 
 	var after = map[string]float64{}
 	for _, mode := range []string{"res-col-rule", "def-rule", "no-rule"} {
-		rec := run(mode)
+		rec := arm(mode)
 		series := rec.Series()
 		r.Series[mode] = series
 		// "Before" is the first fifth (pre-elasticity), "after" the last

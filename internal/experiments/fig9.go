@@ -1,12 +1,11 @@
 package experiments
 
 import (
-	"plasma/internal/actor"
 	"plasma/internal/apps/estore"
 	"plasma/internal/apps/workload"
 	"plasma/internal/cluster"
+	"plasma/internal/core"
 	"plasma/internal/emr"
-	"plasma/internal/epl"
 	"plasma/internal/sim"
 )
 
@@ -32,42 +31,48 @@ func Fig9(cfg Config) *Result {
 		period = 20 * sim.Second
 	}
 
-	run := func(mode string) *workload.Recorder {
-		w := cfg.world(cfg.seed(), 5, cluster.M1Small) // 4 app servers + 1 extra
-		k, rt := w.K, w.RT
-		app := estore.Build(k, rt, []cluster.MachineID{0, 1, 2, 3}, roots, children)
-		k.RunUntilIdle()
-
+	arm := func(mode string) *workload.Recorder {
+		var app *estore.App
+		rec := workload.NewRecorder(10 * sim.Second)
+		sc := scenario{
+			machines: 5, inst: cluster.M1Small, // 4 app servers + 1 extra
+			build: func(w *core.World) {
+				app = estore.Build(w.K, w.RT, []cluster.MachineID{0, 1, 2, 3}, roots, children)
+			},
+			wire: true,
+			load: func(w *core.World) {
+				pick := workload.SkewedPicker(w.K, workload.GeometricWeights(roots, 0.35))
+				for i := 0; i < clients; i++ {
+					loop := &workload.ClosedLoop{
+						K:      w.K,
+						Client: w.Client(4), // clients use the spare as their site
+						Think:  40 * sim.Millisecond,
+						Rec:    rec,
+						Next: func() workload.Request {
+							return workload.Request{Target: app.Roots[pick()], Method: "read", Size: 256}
+						},
+					}
+					loop.Start()
+				}
+			},
+			horizon: duration,
+		}
 		switch mode {
 		case "plasma":
-			w.Manage(epl.MustParse(estore.PolicySrc), emr.Config{Period: period}).Start()
+			sc.policy, sc.emr = estore.PolicySrc, emr.Config{Period: period}
 		case "in-app":
-			e := &estore.InApp{K: k, RT: rt, C: w.C, Prof: w.Prof, App: app,
-				Period: period, HighWater: 80, TopFrac: 0.1}
-			e.Start()
-		}
-
-		rec := workload.NewRecorder(10 * sim.Second)
-		pick := workload.SkewedPicker(k, workload.GeometricWeights(roots, 0.35))
-		for i := 0; i < clients; i++ {
-			loop := &workload.ClosedLoop{
-				K:      k,
-				Client: actor.NewClient(rt, 4), // clients use the spare as their site
-				Think:  40 * sim.Millisecond,
-				Rec:    rec,
-				Next: func() workload.Request {
-					return workload.Request{Target: app.Roots[pick()], Method: "read", Size: 256}
-				},
+			sc.baseline = func(w *core.World) controller {
+				return &estore.InApp{K: w.K, RT: w.RT, C: w.C, Prof: w.Prof, App: app,
+					Period: period, HighWater: 80, TopFrac: 0.1}
 			}
-			loop.Start()
 		}
-		k.Run(sim.Time(duration))
+		run(cfg, cfg.seed(), sc)
 		return rec
 	}
 
 	tails := map[string]float64{}
 	for _, mode := range []string{"plasma", "in-app", "none"} {
-		rec := run(mode)
+		rec := arm(mode)
 		series := rec.Series()
 		r.Series[mode] = series
 		tails[mode] = series.TailMeanY(0.34)

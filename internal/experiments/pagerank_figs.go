@@ -24,6 +24,7 @@ type prSetup struct {
 	syncOver   sim.Duration
 	period     sim.Duration
 	boot       sim.Duration // provisioning delay for scale-out experiments
+	state      int64        // worker state bytes per vertex (0 = the app's default)
 }
 
 func pagerankSetup(cfg Config) prSetup {
@@ -33,18 +34,14 @@ func pagerankSetup(cfg Config) prSetup {
 	return prSetup{vertices: 12000, avgDeg: 10, workers: 32, iterations: 150, perEdge: 55 * sim.Microsecond, syncOver: 12 * sim.Millisecond, period: 500 * sim.Millisecond, boot: 4 * sim.Second}
 }
 
-// runToCompletion advances the simulation until the app's iterations are
-// done (or the deadline passes), so elasticity managers stop ticking into
-// dead time.
-func runToCompletion(env *prEnv, deadline sim.Duration) {
-	for !env.app.Done && env.K.Now() < sim.Time(deadline) && env.K.Step() {
+// instance is the m5.large the experiments run on, booting in su.boot when
+// an arm provisions more of them.
+func (su prSetup) instance() cluster.InstanceType {
+	inst := cluster.M5Large
+	if su.boot > 0 {
+		inst.Boot = su.boot
 	}
-}
-
-// prEnv deploys PageRank on a fresh simulated cluster.
-type prEnv struct {
-	*core.World
-	app *pagerank.App
+	return inst
 }
 
 // prInput is the generated graph and its partition. Both depend only on
@@ -60,18 +57,32 @@ func pagerankInput(su prSetup, seed int64) prInput {
 	return prInput{g: g, parts: graph.PartitionMultilevel(g, su.workers, seed)}
 }
 
-func buildPagerank(cfg Config, su prSetup, in prInput, machines int, placement []cluster.MachineID, seed int64) *prEnv {
-	inst := cluster.M5Large
-	if su.boot > 0 {
-		inst.Boot = su.boot
+// prArm is one PageRank arm: the scenario that deploys the job and steps it
+// until its iterations are done (so elasticity managers stop ticking into
+// dead time), and the app once the scenario has built it.
+type prArm struct {
+	scenario
+	app *pagerank.App
+}
+
+// pagerankArm deploys in's partitions on the given machines; the caller adds
+// the arm's manager, if it has one.
+func pagerankArm(su prSetup, in prInput, machines int, placement []cluster.MachineID, deadline sim.Duration) *prArm {
+	a := &prArm{}
+	a.scenario = scenario{
+		machines: machines, inst: su.instance(),
+		build: func(w *core.World) {
+			a.app = pagerank.Build(w.K, w.RT, pagerank.Config{
+				Graph: in.g, Parts: in.parts, K: su.workers,
+				PerEdgeCost: su.perEdge, SyncOverhead: su.syncOver, Iterations: su.iterations,
+				HeteroSpread: 0.5, StatePerVertex: su.state,
+			}, placement)
+		},
+		load:    func(w *core.World) { a.app.Start(w.K) },
+		done:    func() bool { return a.app.Done },
+		horizon: deadline,
 	}
-	w := cfg.world(seed, machines, inst)
-	app := pagerank.Build(w.K, w.RT, pagerank.Config{
-		Graph: in.g, Parts: in.parts, K: su.workers,
-		PerEdgeCost: su.perEdge, SyncOverhead: su.syncOver, Iterations: su.iterations,
-		HeteroSpread: 0.5,
-	}, placement)
-	return &prEnv{World: w, app: app}
+	return a
 }
 
 // randomPlacement randomly assigns workers to machines while keeping actor
@@ -102,27 +113,26 @@ func Fig6a(cfg Config) *Result {
 		inputs[i] = pagerankInput(su, seed)
 	}
 
-	run := func(mode string, seed int64, in prInput) sim.Duration {
-		placement := randomPlacement(seed*7+1, su.workers, 8)
-		env := buildPagerank(cfg, su, in, 8, placement, seed)
+	arm := func(mode string, seed int64, in prInput) sim.Duration {
+		a := pagerankArm(su, in, 8, randomPlacement(seed*7+1, su.workers, 8), 20*sim.Minute)
 		switch mode {
 		case "plasma":
-			env.Manage(epl.MustParse(pagerank.PolicySrc), emr.Config{Period: su.period}).Start()
+			a.policy, a.emr = pagerank.PolicySrc, emr.Config{Period: su.period}
 		case "orleans":
-			o := &baseline.Orleans{K: env.K, RT: env.RT, C: env.C, Prof: env.Prof,
-				Period: su.period, Types: map[string]bool{"Worker": true}}
-			o.Start()
+			a.baseline = func(w *core.World) controller {
+				return &baseline.Orleans{K: w.K, RT: w.RT, C: w.C, Prof: w.Prof,
+					Period: su.period, Types: map[string]bool{"Worker": true}}
+			}
 		}
-		env.app.Start(env.K)
-		runToCompletion(env, 20*sim.Minute)
-		return env.app.ConvergedTime()
+		run(cfg, seed, a.scenario)
+		return a.app.ConvergedTime()
 	}
 
 	means := map[string]float64{}
 	for _, mode := range []string{"plasma", "orleans"} {
 		var sum sim.Duration
 		for i, seed := range seeds {
-			sum += run(mode, seed, inputs[i])
+			sum += arm(mode, seed, inputs[i])
 		}
 		mean := sum / sim.Duration(len(seeds))
 		means[mode] = float64(mean)
@@ -155,26 +165,18 @@ func Fig6b(cfg Config) *Result {
 		placement[i] = cluster.MachineID(i / 2)
 	}
 	conSrv := 16
-	env := buildPagerank(cfg, su, in, conSrv, placement, cfg.seed())
-	env.app.Start(env.K)
-	runToCompletion(env, 30*sim.Minute)
-	conservative := env.app.ConvergedTime()
+	con := pagerankArm(su, in, conSrv, placement, 30*sim.Minute)
+	run(cfg, cfg.seed(), con.scenario)
+	conservative := con.app.ConvergedTime()
 	r.addRow("conservative (32 vCPU)", conservative.String(), fmt.Sprintf("%d", conSrv))
 	r.Summary["converged_ms_conservative"] = float64(conservative) / float64(sim.Millisecond)
 
 	// PLASMA: everything starts on one server; scale-out provisions more.
-	all := make([]cluster.MachineID, su.workers)
-	env2 := buildPagerank(cfg, su, in, 1, all, cfg.seed())
-	inst := cluster.M5Large
-	if su.boot > 0 {
-		inst.Boot = su.boot
-	}
-	env2.Manage(epl.MustParse(pagerank.PolicySrc),
-		emr.Config{Period: su.period, ScaleOut: true, InstanceType: inst}).Start()
-	env2.app.Start(env2.K)
-	runToCompletion(env2, 30*sim.Minute)
-	plasma := env2.app.ConvergedTime()
-	used := env2.C.UpCount()
+	dyn := pagerankArm(su, in, 1, make([]cluster.MachineID, su.workers), 30*sim.Minute)
+	dyn.policy, dyn.emr = pagerank.PolicySrc, emr.Config{Period: su.period, ScaleOut: true, InstanceType: su.instance()}
+	out := run(cfg, cfg.seed(), dyn.scenario)
+	plasma := dyn.app.ConvergedTime()
+	used := out.C.UpCount()
 	r.addRow("PLASMA (dynamic)", plasma.String(), fmt.Sprintf("%d", used))
 	r.Summary["converged_ms_plasma"] = float64(plasma) / float64(sim.Millisecond)
 	r.Summary["servers_plasma"] = float64(used)
@@ -202,23 +204,27 @@ func Fig7a(cfg Config) *Result {
 	su.period = su.period / 2
 	in := pagerankInput(su, cfg.seed())
 
-	run := func(system string, elastic bool) *metrics.Series {
-		placement := randomPlacement(cfg.seed()*7+1, su.workers, 8)
-		env := buildPagerank(cfg, su, in, 8, placement, cfg.seed())
+	arm := func(system string, elastic bool) *metrics.Series {
+		su := su
 		if system == "mizan" {
 			// Mizan's framework is ~4x slower per edge in the paper's runs.
-			env.app.Cfg.PerEdgeCost = su.perEdge * 4
-			if elastic {
-				mz := &pagerank.Mizan{App: env.app}
-				mz.Attach()
-			}
-		} else if elastic {
-			env.Manage(epl.MustParse(pagerank.PolicySrc), emr.Config{Period: su.period}).Start()
+			su.perEdge *= 4
 		}
-		env.app.Start(env.K)
-		runToCompletion(env, 60*sim.Minute)
+		a := pagerankArm(su, in, 8, randomPlacement(cfg.seed()*7+1, su.workers, 8), 60*sim.Minute)
+		switch {
+		case !elastic:
+		case system == "mizan":
+			start := a.load
+			a.load = func(w *core.World) {
+				(&pagerank.Mizan{App: a.app}).Attach()
+				start(w)
+			}
+		default:
+			a.policy, a.emr = pagerank.PolicySrc, emr.Config{Period: su.period}
+		}
+		run(cfg, cfg.seed(), a.scenario)
 		s := &metrics.Series{Name: system}
-		for i, d := range env.app.IterationTimes {
+		for i, d := range a.app.IterationTimes {
 			s.Add(float64(i+1), float64(d))
 		}
 		return s
@@ -226,8 +232,8 @@ func Fig7a(cfg Config) *Result {
 
 	gains := map[string]float64{}
 	for _, system := range []string{"plasma", "mizan"} {
-		base := run(system, false)
-		elas := run(system, true)
+		base := arm(system, false)
+		elas := arm(system, true)
 		norm := base.Y[0] // normalize to the first no-elasticity iteration
 		baseNorm := &metrics.Series{Name: system + "-vanilla"}
 		elasNorm := &metrics.Series{Name: system + "-elastic"}
@@ -257,18 +263,17 @@ func Fig7a(cfg Config) *Result {
 func Fig7bc(cfg Config) *Result {
 	r := newResult("fig7bc", "PageRank per-server CPU% and worker distribution over redistributions")
 	su := pagerankSetup(cfg)
-	placement := randomPlacement(cfg.seed()*7+1, su.workers, 8)
-	env := buildPagerank(cfg, su, pagerankInput(su, cfg.seed()), 8, placement, cfg.seed())
-	mgr := env.Manage(epl.MustParse(pagerank.PolicySrc), emr.Config{Period: su.period})
+	a := pagerankArm(su, pagerankInput(su, cfg.seed()), 8, randomPlacement(cfg.seed()*7+1, su.workers, 8), 20*sim.Minute)
+	a.policy, a.emr = pagerank.PolicySrc, emr.Config{Period: su.period}
 	for i := 0; i < 8; i++ {
 		id := fmt.Sprintf("node%d", i+1)
 		r.Series["cpu-"+id] = &metrics.Series{Name: "cpu-" + id}
 		r.Series["actors-"+id] = &metrics.Series{Name: "actors-" + id}
 	}
-	mgr.OnTick = func(tick int, snap *epl.Snapshot) {
+	a.probe = func(w *core.World, tick int, snap *epl.Snapshot) {
 		counts := map[cluster.MachineID]int{}
-		for _, w := range env.app.Workers {
-			counts[env.RT.ServerOf(w)]++
+		for _, worker := range a.app.Workers {
+			counts[w.RT.ServerOf(worker)]++
 		}
 		for i := 0; i < 8; i++ {
 			id := cluster.MachineID(i)
@@ -279,9 +284,7 @@ func Fig7bc(cfg Config) *Result {
 			r.Series["actors-"+name].Add(float64(tick), float64(counts[id]))
 		}
 	}
-	mgr.Start()
-	env.app.Start(env.K)
-	runToCompletion(env, 20*sim.Minute)
+	out := run(cfg, cfg.seed(), a.scenario)
 
 	// Spread of CPU% across servers, first vs last redistribution.
 	spread := func(tick int) float64 {
@@ -300,7 +303,7 @@ func Fig7bc(cfg Config) *Result {
 		r.Summary["cpu_imbalance_last"] = spread(last)
 		r.Summary["redistributions"] = float64(last + 1)
 	}
-	r.Summary["migrations"] = float64(mgr.Stats.ExecutedMigrations)
+	r.Summary["migrations"] = float64(out.M.Stats.ExecutedMigrations)
 	r.notef("paper: CPU%% of servers converges into the [60,80] band as workers are re-located")
 	return r
 }
@@ -313,26 +316,18 @@ func Fig8(cfg Config) *Result {
 	su := pagerankSetup(cfg)
 	su.iterations *= 5
 
-	all := make([]cluster.MachineID, su.workers)
-	env := buildPagerank(cfg, su, pagerankInput(su, cfg.seed()), 1, all, cfg.seed())
-	inst := cluster.M5Large
-	if su.boot > 0 {
-		inst.Boot = su.boot
-	}
-	mgr := env.Manage(epl.MustParse(pagerank.PolicySrc),
-		emr.Config{Period: su.period, ScaleOut: true, InstanceType: inst})
+	a := pagerankArm(su, pagerankInput(su, cfg.seed()), 1, make([]cluster.MachineID, su.workers), 40*sim.Minute)
+	a.policy, a.emr = pagerank.PolicySrc, emr.Config{Period: su.period, ScaleOut: true, InstanceType: su.instance()}
 
-	iterSeries := &metrics.Series{Name: "iteration-time"}
-	env.app.OnIteration = func(iter int, d sim.Duration) {
-		iterSeries.Add(float64(iter+1), d.Seconds())
-	}
 	serverSeries := &metrics.Series{Name: "servers"}
-	mgr.OnTick = func(tick int, snap *epl.Snapshot) {
-		serverSeries.Add(float64(tick), float64(env.C.UpCount()))
+	a.probe = func(w *core.World, tick int, snap *epl.Snapshot) {
+		serverSeries.Add(float64(tick), float64(w.C.UpCount()))
 	}
-	mgr.Start()
-	env.app.Start(env.K)
-	runToCompletion(env, 40*sim.Minute)
+	out := run(cfg, cfg.seed(), a.scenario)
+	iterSeries := &metrics.Series{Name: "iteration-time"}
+	for i, d := range a.app.IterationTimes {
+		iterSeries.Add(float64(i+1), d.Seconds())
+	}
 
 	r.Series["iteration-time"] = iterSeries
 	r.Series["servers"] = serverSeries
@@ -341,8 +336,8 @@ func Fig8(cfg Config) *Result {
 		r.Summary["final_iter_s"] = iterSeries.TailMeanY(0.2)
 		r.Summary["speedup"] = iterSeries.Y[0] / iterSeries.TailMeanY(0.2)
 	}
-	r.Summary["final_servers"] = float64(env.C.UpCount())
-	r.Summary["scaleouts"] = float64(mgr.Stats.ScaleOuts)
+	r.Summary["final_servers"] = float64(out.C.UpCount())
+	r.Summary["scaleouts"] = float64(out.M.Stats.ScaleOuts)
 	r.notef("paper: performance improves round by round as servers are provisioned until CPU%% sits within [60,80]")
 	return r
 }

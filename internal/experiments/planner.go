@@ -5,11 +5,9 @@ import (
 
 	"plasma/internal/actor"
 	"plasma/internal/apps/halo"
-	"plasma/internal/apps/pagerank"
 	"plasma/internal/apps/workload"
-	"plasma/internal/cluster"
+	"plasma/internal/core"
 	"plasma/internal/emr"
-	"plasma/internal/epl"
 	"plasma/internal/metrics"
 	"plasma/internal/sim"
 )
@@ -43,23 +41,14 @@ func PlanPagerank(cfg Config) *Result {
 	r := newResult("plan_pagerank", "PageRank convergence under cpu+mem bands")
 	r.Header = []string{"Converged iteration time", "Migrations"}
 	su := pagerankSetup(cfg)
-	const statePerVertex = 4 << 20 // ~1.5 GB per worker: memory is a real axis
+	su.state = 4 << 20 // ~1.5 GB per worker: memory is a real axis
 	seed := cfg.seed()
-	in := pagerankInput(su, seed)
 
-	placement := randomPlacement(seed*7+1, su.workers, 8)
-	w := cfg.world(seed, 8, cluster.M5Large)
-	app := pagerank.Build(w.K, w.RT, pagerank.Config{
-		Graph: in.g, Parts: in.parts, K: su.workers,
-		PerEdgeCost: su.perEdge, SyncOverhead: su.syncOver, Iterations: su.iterations,
-		HeteroSpread: 0.5, StatePerVertex: statePerVertex,
-	}, placement)
-	mgr := w.Manage(epl.MustParse(planPagerankPolicy), emr.Config{Period: su.period})
-	mgr.Start()
-	app.Start(w.K)
-	runToCompletion(&prEnv{World: w, app: app}, 30*sim.Minute)
+	a := pagerankArm(su, pagerankInput(su, seed), 8, randomPlacement(seed*7+1, su.workers, 8), 30*sim.Minute)
+	a.policy, a.emr = planPagerankPolicy, emr.Config{Period: su.period}
+	out := run(cfg, seed, a.scenario)
 
-	conv, migs := app.ConvergedTime(), mgr.Stats.ExecutedMigrations
+	conv, migs := a.app.ConvergedTime(), out.M.Stats.ExecutedMigrations
 	r.addRow(conv.String(), fmt.Sprintf("%d", migs))
 	r.Summary["converged_ms"] = float64(conv) / float64(sim.Millisecond)
 	r.Summary["migrations"] = float64(migs)
@@ -102,50 +91,38 @@ func PlanHalo(cfg Config) *Result {
 		hbEvery = 200 * sim.Millisecond
 	}
 
-	w := cfg.world(cfg.seed(), servers+2, cluster.M1Small)
-	k, rt := w.K, w.RT
 	// Accentuate the remote hop further than fig11 (20 ms): the skewed
 	// scenario is about where routers sit relative to their traffic, so
-	// the cross-server hop must dominate per-message compute.
-	w.C.BaseLatency = 4 * haloBaseLatency
-	// All routers crowd a sixteenth of the fleet so the balance rule has
-	// real work even at the gentler heartbeat rate.
-	routerSrvs := make([]cluster.MachineID, servers/16)
-	for i := range routerSrvs {
-		routerSrvs[i] = cluster.MachineID(i)
-	}
-	sessionSrvs := make([]cluster.MachineID, servers)
-	for i := range sessionSrvs {
-		sessionSrvs[i] = cluster.MachineID(i)
-	}
-	app := halo.Build(k, rt, routerSrvs, sessionSrvs, routers, sessions)
-	app.Decrypt = true
-
-	w.Manage(epl.MustParse(planHaloPolicy), emr.Config{Period: period}).Start()
+	// the cross-server hop must dominate per-message compute. All routers
+	// crowd a sixteenth of the fleet so the balance rule has real work even
+	// at the gentler heartbeat rate.
+	h := &haloFleet{servers: servers, routerSrvs: servers / 16, routers: routers, sessions: sessions,
+		latency: 4 * haloBaseLatency, decrypt: true}
+	sc := h.arm()
+	sc.policy, sc.emr = planHaloPolicy, emr.Config{Period: period}
 
 	rec := workload.NewRecorder(20 * sim.Second)
-	for i := 0; i < clients; i++ {
-		i := i
-		// Popularity skew: three quarters of the clients pile into the
-		// hot sessions; the rest spread round-robin.
-		sess := i % sessions
-		if i%4 != 0 {
-			sess = i % hotSessions
-		}
-		joinAt := sim.Time(i) * sim.Time(total) / sim.Time(2*clients)
-		k.At(joinAt, func() {
-			p := app.Join(sess)
-			cl := actor.NewClient(rt, cluster.MachineID(servers+i%2))
-			router := app.Routers[i%len(app.Routers)]
-			k.Every(hbEvery, func() bool {
-				cl.Request(router, "heartbeat", p, 256, func(lat sim.Duration, _ interface{}) {
-					rec.Record(k.Now(), lat)
+	sc.horizon = total
+	sc.load = func(w *core.World) {
+		for i := 0; i < clients; i++ {
+			// Popularity skew: three quarters of the clients pile into the
+			// hot sessions; the rest spread round-robin.
+			sess := i % sessions
+			if i%4 != 0 {
+				sess = i % hotSessions
+			}
+			w.K.At(sim.Time(i)*sim.Time(total)/sim.Time(2*clients), func() {
+				router := h.app.Routers[i%len(h.app.Routers)]
+				h.join(w, i, sess, hbEvery, func(cl *actor.Client, p actor.Ref) bool {
+					cl.Request(router, "heartbeat", p, 256, func(lat sim.Duration, _ interface{}) {
+						rec.Record(w.K.Now(), lat)
+					})
+					return w.K.Now() < sim.Time(total)
 				})
-				return k.Now() < sim.Time(total)
 			})
-		})
+		}
 	}
-	k.Run(sim.Time(total))
+	run(cfg, cfg.seed(), sc)
 
 	series := rec.Series()
 	r.Series["latency"] = series

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"plasma/internal/cluster"
+	"plasma/internal/emr"
 	"plasma/internal/epl"
 	"plasma/internal/lint/model"
 	"plasma/internal/sim"
@@ -75,7 +76,7 @@ type ReplayOut struct {
 func ReplayPath(o ReplayOpts) ReplayOut {
 	const (
 		period  = 500 * sim.Millisecond
-		reqCost = 6 * sim.Millisecond
+		reqCost = burstReqCost
 		clients = 16
 	)
 	env := o.Env
@@ -120,19 +121,19 @@ func ReplayPath(o ReplayOpts) ReplayOut {
 
 	log := &scaleLog{}
 	cfg := Config{Seed: o.Seed, Trace: trace.New(log)}
-	out := burstRun(cfg, o.Seed, burstOpts{
+	out := burstTrial(cfg, o.Seed, burstOpts{
 		servers: env.InitServers, frontends: frontends, class: class,
-		policy: o.Policy, specs: replaySpecs(env),
-		numGEMs: 1, period: period,
+		policy: o.Policy,
+		emr: emr.Config{Period: period, NumGEMs: 1, ScaleIn: true,
+			MinServers: env.MinServers, ProvSpecs: replaySpecs(env)},
 		total:   sim.Duration(o.Periods) * period,
 		clients: clients, baseEvery: baseEvery, rate: rate,
-		reqCost: reqCost, mailboxCap: 64, sloMS: 50,
-		scaleIn: true, minServers: env.MinServers,
+		mailboxCap: 64,
 	})
 
 	r := ReplayOut{
-		StatOuts: out.scaleOuts, StatIns: out.scaleIns,
-		FinalSrv: out.finalSrv, Shed: out.shed,
+		StatOuts: out.M.Stats.ScaleOuts, StatIns: out.M.Stats.ScaleIns,
+		FinalSrv: out.C.UpCount(), Shed: out.RT.ShedRequests(),
 	}
 	last := trace.Kind(0)
 	seen := false

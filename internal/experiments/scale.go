@@ -5,6 +5,7 @@ import (
 
 	"plasma/internal/actor"
 	"plasma/internal/cluster"
+	"plasma/internal/core"
 	"plasma/internal/emr"
 	"plasma/internal/epl"
 	"plasma/internal/sim"
@@ -27,19 +28,19 @@ const (
 // receive them.
 const scalePolicy = `server.cpu.perc > 70 or server.cpu.perc < 30 => balance({Worker}, cpu);`
 
-// scaleTrial is one seeded run's outcome.
-type scaleTrial struct {
+// scaleResult is one seeded trial's outcome.
+type scaleResult struct {
 	stats       emr.Stats
 	spareFilled int // spare servers that received at least one Worker
 }
 
-// scaleFleet builds a size-actor synthetic fleet: ~128 Workers per server
+// scaleTrial runs a size-actor synthetic fleet: ~128 Workers per server
 // placed round-robin on the used servers, the last eighth of the cluster
 // left as idle spares, and the first eighth's residents running double duty
 // so their servers breach the upper band. Every Worker self-messages once
 // per cycle with its start staggered across the cycle, so load is spread
 // and the event queue never sees the whole fleet at one instant.
-func scaleFleet(cfg Config, seed int64, size, gems int) scaleTrial {
+func scaleTrial(cfg Config, seed int64, size, gems int) scaleResult {
 	servers := size / 128
 	if servers < 8 {
 		servers = 8
@@ -50,9 +51,6 @@ func scaleFleet(cfg Config, seed int64, size, gems int) scaleTrial {
 	}
 	used := servers - spares
 	hot := spares
-
-	w := cfg.world(seed, servers, cluster.M1Small)
-	k, rt := w.K, w.RT
 
 	mkWorker := func(cost sim.Duration) actor.Behavior {
 		return actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
@@ -65,32 +63,33 @@ func scaleFleet(cfg Config, seed int64, size, gems int) scaleTrial {
 	coldB := mkWorker(1500 * sim.Microsecond)
 	hotB := mkWorker(3 * sim.Millisecond)
 
-	cl := actor.NewClient(rt, 0)
-	for i := 0; i < size; i++ {
-		srv := cluster.MachineID(i % used)
-		b := coldB
-		if int(srv) < hot {
-			b = hotB
-		}
-		ref := rt.SpawnOn("Worker", b, srv)
-		kick := sim.Duration(i%int(scaleCycle/sim.Millisecond)+1) * sim.Millisecond
-		k.At(sim.Time(kick), func() { cl.Send(ref, "work", nil, 16) })
-	}
-
-	m := w.Manage(epl.MustParse(scalePolicy),
-		emr.Config{Period: scalePeriod, NumGEMs: gems, MinResidence: scalePeriod})
-	m.Start()
-
-	k.Run(sim.Time(4*scalePeriod) + sim.Time(scalePeriod/2))
-	m.Stop()
+	out := run(cfg, seed, scenario{
+		machines: servers, inst: cluster.M1Small,
+		build: func(w *core.World) {
+			cl := w.Client(0)
+			for i := 0; i < size; i++ {
+				srv := cluster.MachineID(i % used)
+				b := coldB
+				if int(srv) < hot {
+					b = hotB
+				}
+				ref := w.RT.SpawnOn("Worker", b, srv)
+				kick := sim.Duration(i%int(scaleCycle/sim.Millisecond)+1) * sim.Millisecond
+				w.K.At(sim.Time(kick), func() { cl.Send(ref, "work", nil, 16) })
+			}
+		},
+		policy:  scalePolicy,
+		emr:     emr.Config{Period: scalePeriod, NumGEMs: gems, MinResidence: scalePeriod},
+		horizon: 4*scalePeriod + scalePeriod/2,
+	})
 
 	filled := map[cluster.MachineID]bool{}
-	rt.ForEachActor(func(info actor.Info) {
+	out.RT.ForEachActor(func(info actor.Info) {
 		if int(info.Server) >= used {
 			filled[info.Server] = true
 		}
 	})
-	return scaleTrial{stats: m.Stats, spareFilled: len(filled)}
+	return scaleResult{stats: out.M.Stats, spareFilled: len(filled)}
 }
 
 // Scale sweeps GEM count across fleet sizes: 1k and 4k actors quick; 10k,
@@ -112,8 +111,8 @@ func Scale(cfg Config) *Result {
 			if size >= 1_000_000 {
 				seeds = 1 // one resident million-actor kernel at a time
 			}
-			trials := runSeeds(cfg, seeds, func(idx int, seed int64) scaleTrial {
-				return scaleFleet(cfg, seed, size, gems)
+			trials := runSeeds(cfg, seeds, func(idx int, seed int64) scaleResult {
+				return scaleTrial(cfg, seed, size, gems)
 			})
 			var mig, den, spare float64
 			for _, t := range trials {
@@ -151,39 +150,47 @@ func ScaleSnap(cfg Config) *Result {
 	servers := size / 128
 	period := 250 * sim.Millisecond
 
-	w := cfg.world(cfg.seed(), servers, cluster.M1Small)
-	k, rt, prof := w.K, w.RT, w.Prof
-
 	ping := actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
 		ctx.Use(100 * sim.Microsecond)
 	})
 	refs := make([]actor.Ref, size)
-	for i := range refs {
-		refs[i] = rt.SpawnOn("Worker", ping, cluster.MachineID(i%servers))
-		if i%100 == 0 { // 1% of the fleet exposes a property (lazy Props path)
-			rt.SetProp(refs[i], "peer", []actor.Ref{refs[0]})
-		}
-	}
-
-	cl := actor.NewClient(rt, 0)
-	contacted := size / 100
-	var callRecs, propActors, actorsSeen int
-	for t := 0; t < periods; t++ {
-		for i := 0; i < contacted; i++ {
+	var cl *actor.Client
+	contact := func() { // one period's traffic: 1% of the fleet hears from the client
+		for i := 0; i < size/100; i++ {
 			cl.Send(refs[i], "ping", nil, 256)
 		}
-		k.Run(sim.Time(t+1) * sim.Time(period))
-		snap := prof.Snapshot(nil)
-		actorsSeen = len(snap.Actors)
-		callRecs, propActors = 0, 0
-		for _, a := range snap.Actors {
-			callRecs += len(a.Calls)
-			if a.Props != nil {
-				propActors++
-			}
-		}
-		prof.Reset()
 	}
+	var callRecs, propActors, actorsSeen int
+	out := run(cfg, cfg.seed(), scenario{
+		machines: servers, inst: cluster.M1Small,
+		build: func(w *core.World) {
+			for i := range refs {
+				refs[i] = w.RT.SpawnOn("Worker", ping, cluster.MachineID(i%servers))
+				if i%100 == 0 { // 1% of the fleet exposes a property (lazy Props path)
+					w.RT.SetProp(refs[i], "peer", []actor.Ref{refs[0]})
+				}
+			}
+			cl = w.Client(0)
+		},
+		// No manager: run closes each profiling window and the probe, having
+		// read it, sends the next period's traffic.
+		emr:  emr.Config{Period: period},
+		load: func(*core.World) { contact() },
+		probe: func(_ *core.World, tick int, snap *epl.Snapshot) {
+			actorsSeen = len(snap.Actors)
+			callRecs, propActors = 0, 0
+			for _, a := range snap.Actors {
+				callRecs += len(a.Calls)
+				if a.Props != nil {
+					propActors++
+				}
+			}
+			if tick < periods {
+				contact()
+			}
+		},
+		horizon: sim.Duration(periods) * period,
+	})
 
 	r.addRow(fmt.Sprintf("%d", size), fmt.Sprintf("%d", servers), fmt.Sprintf("%d", periods),
 		fmt.Sprintf("%d", callRecs), fmt.Sprintf("%d", propActors))
@@ -191,7 +198,7 @@ func ScaleSnap(cfg Config) *Result {
 	r.Summary["snapshots"] = float64(periods)
 	r.Summary["call_records"] = float64(callRecs)
 	r.Summary["prop_actors"] = float64(propActors)
-	r.Summary["messages"] = float64(prof.Messages())
+	r.Summary["messages"] = float64(out.Prof.Messages())
 	r.notef("per-period cost is dominated by building %d ActorInfos; the pooled arena makes that allocation-free after warmup", actorsSeen)
 	return r
 }

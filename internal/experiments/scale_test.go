@@ -35,7 +35,7 @@ func TestScale100kSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-actor smoke test skipped in -short mode")
 	}
-	tr := scaleFleet(Config{}, 1, 100_000, 2)
+	tr := scaleTrial(Config{}, 1, 100_000, 2)
 	if tr.stats.ExecutedMigrations == 0 {
 		t.Fatal("100k-actor fleet executed no migrations")
 	}

@@ -11,8 +11,8 @@ import (
 	"plasma/internal/baseline"
 	"plasma/internal/chaos"
 	"plasma/internal/cluster"
+	"plasma/internal/core"
 	"plasma/internal/emr"
-	"plasma/internal/epl"
 	"plasma/internal/metrics"
 	"plasma/internal/sim"
 )
@@ -26,35 +26,38 @@ import (
 // the first window whose p99 flush latency re-enters the SLO after the hot
 // set rotates onto previously cold partitions (metrics.RecoveryTracker).
 
-// streamOpts parameterizes one streaming run.
+// Every stream arm runs the same job on the same fleet: 8 one-vCPU servers,
+// 32 partitions over 2048 keys, a 256-key hot span carrying ~2/3 of a ~1500
+// ev/s stream (≈3 servers of work) from 12 clients, 1 s tumbling windows and
+// elasticity periods, a 50 ms window-latency SLO. Full mode stretches the
+// horizon, not the fleet.
+const (
+	streamServers = 8
+	streamParts   = 32 // plasma partition count (block size for hot-span interleave)
+	streamKeys    = 2048
+	streamSpan    = 256      // hot-span width in keys
+	streamZipfS   = 1.05     // Zipf exponent (>1)
+	streamPerKey  = 64 << 10 // state bytes per key
+	streamEvCost  = 2 * sim.Millisecond
+	streamPeriod  = sim.Second
+	streamWindow  = sim.Second
+	streamClients = 12
+	streamEvery   = 10 * sim.Millisecond // each client's inter-event interval at rate 1
+	streamSLOms   = 50
+)
+
+// streamOpts is what varies between streaming arms.
 type streamOpts struct {
-	mode    string // "plasma" or "elasticutor"
-	servers int
-	parts   int // plasma partition count (block size for hot-span interleave)
-	keys    int
-	span    int     // hot-span width in keys
-	zipfS   float64 // Zipf exponent (>1)
-	perKey  int64   // state bytes per key
-	evCost  sim.Duration
-	policy  string
-	period  sim.Duration
-	window  sim.Duration
-	total   sim.Duration
-	clients int
-	// baseEvery is each client's inter-event interval at rate 1.
-	baseEvery sim.Duration
-	rate      func(t sim.Time) float64 // nil = constant 1
+	mode   string // "plasma" or "elasticutor": which manager the arm deploys
+	policy string
+	total  sim.Duration
+	rate   func(t sim.Time) float64 // nil = constant 1
 	// uniform draws keys uniformly instead of from the Zipf (rate-spike
 	// scenarios: the load problem is capacity, not skew).
 	uniform bool
-	shifts    []sim.Time               // hot-set rotation instants
-	rotate    int                      // keys rotated per shift
-	sloMS     float64
-	numGEMs   int
-	// Elasticutor knobs.
-	skewRatio float64
-	maxKeys   int
-	maxDests  int
+	shifts  []sim.Time // hot-set rotation instants
+	rotate  int        // keys rotated per shift
+	numGEMs int
 	// PLASMA scale-out (stream_spike).
 	scaleOut bool
 	specs    []cluster.ProvSpec
@@ -63,164 +66,138 @@ type streamOpts struct {
 	floor  int
 }
 
-// streamOut is one run's measured outcome.
+// streamOut is one arm's measured outcome: what run reports plus the
+// per-window flush latencies and the state the arm's manager moved.
 type streamOut struct {
+	outcome
 	recs      []metrics.Recovery
+	first     metrics.Recovery // recs[0], or the zero value when nothing shifted
 	meanRec   float64
 	recovered int
 	violSec   float64
 	steadyP99 float64 // p99 of the window before the first shift
 	peakP99   float64 // worst finite window p99
 	moves     int     // migrations (plasma) or handoff batches (elasticutor)
-	movedKeys int
 	movedMB   float64
 	events    int64
 	scaleOuts int
-	peakSrv   int
-	ctlFails  int
-	crashes   int
 	p99Series *metrics.Series
-	bad       []string
 }
 
-// streamRun drives one seeded streaming run end to end: open-loop clients
-// draw keys from a drifting Zipf, events are one-way with a fixed CPU cost,
-// and per-window flush probes measure the backlog in front of every window
-// boundary. The same arrival stream (same seed, same draws) feeds whichever
-// manager the mode selects.
-func streamRun(cfg Config, seed int64, o streamOpts) streamOut {
-	clientSite := cluster.MachineID(o.servers)
-	w := cfg.world(seed, o.servers+1, cluster.M1Small)
-	k, c, rt := w.K, w.C, w.RT
-	servers := make([]cluster.MachineID, o.servers)
+// streamTrial runs one seeded streaming arm: open-loop clients draw keys from
+// a drifting Zipf, events are one-way with a fixed CPU cost, and per-window
+// flush probes measure the backlog in front of every window boundary. The
+// same arrival stream (same seed, same draws) feeds whichever manager the
+// mode deploys.
+func streamTrial(cfg Config, seed int64, o streamOpts) streamOut {
+	clientSite := cluster.MachineID(streamServers)
+	servers := make([]cluster.MachineID, streamServers)
 	for i := range servers {
 		servers[i] = cluster.MachineID(i)
 	}
 	scfg := streamagg.Config{
-		Keys: o.keys, PerKeyBytes: o.perKey,
-		EvCost: o.evCost, FlushCost: 500 * sim.Microsecond,
+		Keys: streamKeys, PerKeyBytes: streamPerKey,
+		EvCost: streamEvCost, FlushCost: 500 * sim.Microsecond,
 	}
+	sc := scenario{machines: streamServers + 1, inst: cluster.M1Small, horizon: o.total, settle: 8 * sim.Second}
 
-	// Deploy the job and its manager.
+	// The job and its manager.
 	var owner func(key int) actor.Ref
 	var flushees []actor.Ref
 	var plasma *streamagg.Plasma
 	var elastic *streamagg.Elastic
-	var mgr *baseline.Elasticutor
-	peakSrv := o.servers
-	out := streamOut{}
 	switch o.mode {
 	case "plasma":
-		plasma = streamagg.BuildPlasma(k, rt, servers, o.parts, scfg)
-		owner, flushees = plasma.Owner, plasma.Parts
-		m := w.Manage(epl.MustParse(o.policy), emr.Config{
-			Period: o.period, NumGEMs: o.numGEMs, MinResidence: o.period / 2,
-			ScaleOut: o.scaleOut, MinServers: o.servers,
+		sc.build = func(w *core.World) {
+			plasma = streamagg.BuildPlasma(w.K, w.RT, servers, streamParts, scfg)
+			owner, flushees = plasma.Owner, plasma.Parts
+		}
+		sc.policy, sc.emr = o.policy, emr.Config{
+			Period: streamPeriod, NumGEMs: o.numGEMs, MinResidence: streamPeriod / 2,
+			ScaleOut: o.scaleOut, MinServers: streamServers,
 			InstanceType: cluster.M1Small, ProvSpecs: o.specs,
 			// Drifting hot sets leave a trail of stale dedications; the lease
 			// returns cooled-off reserved servers to the pool (3 periods), and
 			// grants evict the dedicated server's old residents so the hot
 			// partition actually gets the CPU it was promised.
 			ReserveTTL: 3, ReserveEvacuate: true,
-		})
-		m.OnTick = func(int, *epl.Snapshot) {
-			if up := c.UpCount(); up > peakSrv {
-				peakSrv = up
-			}
 		}
 		if len(o.events) > 0 {
-			w.Chaos(seed, o.floor, clientSite).Apply(k, w, o.events)
+			sc.faults = &faultPlan{floor: o.floor, protected: []cluster.MachineID{clientSite}, events: o.events}
 		}
-		m.Start()
 	case "elasticutor":
-		elastic = streamagg.BuildElastic(k, rt, servers, clientSite, scfg)
-		if cfg.Trace != nil {
+		sc.build = func(w *core.World) {
+			elastic = streamagg.BuildElastic(w.K, w.RT, servers, clientSite, scfg)
 			elastic.SetTracer(cfg.Trace)
+			owner, flushees = elastic.Owner, elastic.Execs
 		}
-		owner = func(key int) actor.Ref { return elastic.Owner(key) }
-		flushees = elastic.Execs
-		mgr = &baseline.Elasticutor{
-			K: k, App: elastic, Period: o.period,
-			SkewRatio: o.skewRatio, MaxKeys: o.maxKeys, MaxDests: o.maxDests,
+		sc.baseline = func(w *core.World) controller {
+			return &baseline.Elasticutor{
+				K: w.K, App: elastic, Period: streamPeriod,
+				SkewRatio: 1.5, MaxKeys: 64, MaxDests: 4,
+			}
 		}
-		mgr.Start()
 	default:
-		panic("streamRun: unknown mode " + o.mode)
+		panic("streamTrial: unknown mode " + o.mode)
 	}
 
-	// The drifting arrival process, shared by every client.
-	zipf := workload.NewZipfKeys(k, o.zipfS, o.keys, o.span, o.keys/o.parts)
-	for _, at := range o.shifts {
-		k.At(at, func() { zipf.Rotate(o.rotate) })
-	}
-	draw := zipf.Draw
-	if o.uniform {
-		draw = func() int { return k.Rand().Intn(o.keys) }
-	}
-	rate := o.rate
-	if rate == nil {
-		rate = func(sim.Time) float64 { return 1 }
-	}
 	stop := sim.Time(o.total)
-	for i := 0; i < o.clients; i++ {
-		cl := actor.NewClient(rt, clientSite)
-		var loop func()
-		loop = func() {
-			if k.Now() >= stop {
-				return
-			}
-			key := draw()
-			cl.Send(owner(key), "ev", key, 128)
-			iv := sim.Duration(float64(o.baseEvery) / rate(k.Now()))
-			if iv < sim.Microsecond {
-				iv = sim.Microsecond
-			}
-			k.After(iv, loop)
-		}
-		k.At(sim.Time(i)*sim.Time(o.baseEvery)/sim.Time(o.clients), loop)
-	}
-
-	// Window flush probes: at every window boundary, one flush request per
-	// partition/executor; its end-to-end latency is the backlog the window's
-	// results would wait behind. Samples land per window index.
-	numWindows := int(sim.Time(o.total) / sim.Time(o.window))
+	numWindows := int(stop / sim.Time(streamWindow))
 	samples := make([][]float64, numWindows)
-	flushCl := actor.NewClient(rt, clientSite)
-	k.Every(o.window, func() bool {
-		if k.Now() > stop {
-			return false
+	sc.load = func(w *core.World) {
+		k := w.K
+		// The drifting arrival process, shared by every client.
+		zipf := workload.NewZipfKeys(k, streamZipfS, streamKeys, streamSpan, streamKeys/streamParts)
+		for _, at := range o.shifts {
+			k.At(at, func() { zipf.Rotate(o.rotate) })
 		}
-		w := int(k.Now()/sim.Time(o.window)) - 1
-		if w < 0 || w >= numWindows {
-			return k.Now() < stop
+		draw := zipf.Draw
+		if o.uniform {
+			draw = func() int { return k.Rand().Intn(streamKeys) }
 		}
-		for _, ref := range flushees {
-			flushCl.Request(ref, "flush", w, 64, func(lat sim.Duration, _ interface{}) {
-				samples[w] = append(samples[w], float64(lat)/float64(sim.Millisecond))
-			})
-		}
-		return true
-	})
+		cl := w.Client(clientSite)
+		(&workload.OpenLoop{
+			K: k, Clients: streamClients, Every: streamEvery, Rate: o.rate, Until: stop,
+			Fire: func(int) {
+				key := draw()
+				cl.Send(owner(key), "ev", key, 128)
+			},
+		}).Start()
 
-	if mgr != nil {
-		k.Run(stop) // the baseline stops at the same instant Drain stops an EMR
-		mgr.Stop()
+		// Window flush probes: at every window boundary, one flush request per
+		// partition/executor; its end-to-end latency is the backlog the window's
+		// results would wait behind. Samples land per window index.
+		k.Every(streamWindow, func() bool {
+			if k.Now() > stop {
+				return false
+			}
+			win := int(k.Now()/sim.Time(streamWindow)) - 1
+			if win < 0 || win >= numWindows {
+				return k.Now() < stop
+			}
+			for _, ref := range flushees {
+				cl.Request(ref, "flush", win, 64, func(lat sim.Duration, _ interface{}) {
+					samples[win] = append(samples[win], float64(lat)/float64(sim.Millisecond))
+				})
+			}
+			return true
+		})
 	}
-	w.Drain(stop, 8*sim.Second)
+	out := streamOut{outcome: run(cfg, seed, sc)}
 
 	// Per-window p99 (with the small per-window sample sets this is the
 	// worst partition's backlog); a window whose probes never returned is
 	// unboundedly late.
-	horizon := sim.Time(o.total).Seconds()
-	slo := metrics.NewSLOTracker(o.sloMS)
-	rec := metrics.NewRecoveryTracker(o.sloMS)
+	horizon := stop.Seconds()
+	slo := metrics.NewSLOTracker(streamSLOms)
+	rec := metrics.NewRecoveryTracker(streamSLOms)
 	for _, at := range o.shifts {
 		rec.Shift(at.Seconds())
 	}
 	var series metrics.Series
 	firstShiftW := numWindows
 	if len(o.shifts) > 0 {
-		firstShiftW = int(o.shifts[0] / sim.Time(o.window))
+		firstShiftW = int(o.shifts[0] / sim.Time(streamWindow))
 	}
 	for w := 0; w < numWindows; w++ {
 		p99 := math.Inf(1)
@@ -232,7 +209,7 @@ func streamRun(cfg Config, seed int64, o streamOpts) streamOut {
 			}
 			p99 = samples[w][idx-1]
 		}
-		end := (sim.Time(w) + 1) * sim.Time(o.window)
+		end := (sim.Time(w) + 1) * sim.Time(streamWindow)
 		slo.Observe(end.Seconds(), p99)
 		rec.Observe(end.Seconds(), p99)
 		if !math.IsInf(p99, 0) {
@@ -248,26 +225,21 @@ func streamRun(cfg Config, seed int64, o streamOpts) streamOut {
 	slo.Finalize(horizon)
 
 	out.recs = rec.Recoveries(horizon)
+	if len(out.recs) > 0 {
+		out.first = out.recs[0]
+	}
 	out.meanRec, out.recovered = rec.MeanRecovery(horizon)
 	out.violSec = slo.ViolationSeconds()
 	out.p99Series = &series
-	out.bad = w.Invariants()
-	out.ctlFails, out.crashes = w.CtlFails, w.Crashes
-	out.peakSrv = peakSrv
 	if plasma != nil {
 		out.events = plasma.Events
-	}
-	if m := w.M; m != nil {
-		out.moves = m.Stats.ExecutedMigrations
-		out.movedKeys = out.moves * (o.keys / o.parts)
-		out.movedMB = float64(out.moves) * float64(int64(o.keys/o.parts)*o.perKey) / (1 << 20)
-		out.scaleOuts = m.Stats.ScaleOuts
-	}
-	if elastic != nil {
-		out.moves = elastic.HandoffBatches
-		out.movedKeys = elastic.HandoffKeys
-		out.movedMB = float64(elastic.HandoffBytes) / (1 << 20)
+		out.moves = out.M.Stats.ExecutedMigrations
+		out.movedMB = float64(out.moves) * float64(streamKeys/streamParts*streamPerKey) / (1 << 20)
+		out.scaleOuts = out.M.Stats.ScaleOuts
+	} else {
 		out.events = elastic.Events
+		out.moves = elastic.HandoffBatches
+		out.movedMB = float64(elastic.HandoffBytes) / (1 << 20)
 	}
 	return out
 }
@@ -276,38 +248,20 @@ func streamRun(cfg Config, seed int64, o streamOpts) streamOut {
 // so they never coincide with a window boundary).
 func streamT(sec float64) sim.Time { return sim.Time(sec * float64(sim.Second)) }
 
-// streamBase is the shared quick-size configuration: 8 one-vCPU servers,
-// 32 partitions over 2048 keys, a 256-key hot span carrying ~2/3 of a
-// ~1500 ev/s stream (≈3 servers of work), 1 s tumbling windows, 50 ms
-// window-latency SLO. Full mode stretches the horizon, not the fleet.
+// streamBase is the single-shift arm the ids start from.
 func streamBase(cfg Config, mode string) streamOpts {
 	o := streamOpts{
-		mode:    mode,
-		servers: 8, parts: 32, keys: 2048, span: 256,
-		zipfS: 1.05, perKey: 64 << 10,
-		evCost: 2 * sim.Millisecond,
-		policy: streamagg.PolicySrc,
-		period: sim.Second, window: sim.Second,
-		total:   40 * sim.Second,
-		clients: 12, baseEvery: 10 * sim.Millisecond,
+		mode: mode, policy: streamagg.PolicySrc, numGEMs: 2,
+		total: 40 * sim.Second,
 		// Shifts land mid-window so the first post-shift observation is a
 		// window that actually saw shifted traffic.
 		shifts: []sim.Time{streamT(18.5)}, rotate: 1024,
-		sloMS: 50, numGEMs: 2,
-		skewRatio: 1.5, maxKeys: 64, maxDests: 4,
 	}
 	if cfg.Full {
 		o.total = 90 * sim.Second
 		o.shifts = []sim.Time{streamT(40.5)}
 	}
 	return o
-}
-
-func streamVerdict(bad []string) string {
-	if len(bad) > 0 {
-		return fmt.Sprintf("%v", bad)
-	}
-	return "ok"
 }
 
 func recCell(r metrics.Recovery) string {
@@ -325,22 +279,18 @@ func StreamSkew(cfg Config) *Result {
 	r.Header = []string{"Manager", "Steady p99(ms)", "Peak p99(ms)", "Recovery(s)", "SLOviol(s)", "Moves", "MovedMB", "Events", "Invariants"}
 
 	for _, mode := range []string{"plasma", "elasticutor"} {
-		o := streamRun(cfg, cfg.seed(), streamBase(cfg, mode))
-		rec := metrics.Recovery{}
-		if len(o.recs) > 0 {
-			rec = o.recs[0]
-		}
+		o := streamTrial(cfg, cfg.seed(), streamBase(cfg, mode))
 		r.addRow(mode,
 			fmt.Sprintf("%.1f", o.steadyP99), fmt.Sprintf("%.1f", o.peakP99),
-			recCell(rec), fmt.Sprintf("%.1f", o.violSec),
+			recCell(o.first), fmt.Sprintf("%.1f", o.violSec),
 			fmt.Sprintf("%d", o.moves), fmt.Sprintf("%.1f", o.movedMB),
-			fmt.Sprintf("%d", o.events), streamVerdict(o.bad))
-		r.Summary["recovery_s_"+mode] = rec.Seconds
-		r.Summary["recovered_"+mode] = float64(boolToInt(rec.Recovered))
+			fmt.Sprintf("%d", o.events), verdict(o.violations))
+		r.Summary["recovery_s_"+mode] = o.first.Seconds
+		r.Summary["recovered_"+mode] = float64(boolToInt(o.first.Recovered))
 		r.Summary["slo_viol_s_"+mode] = o.violSec
 		r.Summary["moves_"+mode] = float64(o.moves)
 		r.Summary["moved_mb_"+mode] = o.movedMB
-		r.Summary["invariant_violations_"+mode] = float64(len(o.bad))
+		r.Summary["invariant_violations_"+mode] = float64(len(o.violations))
 		r.Series["p99_"+mode] = o.p99Series
 	}
 	r.notef("identical seeds drive identical arrival streams; the race is purely detection + state movement + drain")
@@ -362,7 +312,7 @@ func StreamDrift(cfg Config) *Result {
 			o.total = 96 * sim.Second
 			o.shifts = []sim.Time{streamT(20.5), streamT(40.5), streamT(60.5), streamT(80.5)}
 		}
-		out := streamRun(cfg, cfg.seed(), o)
+		out := streamTrial(cfg, cfg.seed(), o)
 		cells := ""
 		for i, rec := range out.recs {
 			if i > 0 {
@@ -373,11 +323,11 @@ func StreamDrift(cfg Config) *Result {
 		r.addRow(mode, cells,
 			fmt.Sprintf("%d", out.recovered), fmt.Sprintf("%.1f", out.meanRec),
 			fmt.Sprintf("%.1f", out.violSec), fmt.Sprintf("%d", out.moves),
-			fmt.Sprintf("%.1f", out.movedMB), streamVerdict(out.bad))
+			fmt.Sprintf("%.1f", out.movedMB), verdict(out.violations))
 		r.Summary["mean_recovery_s_"+mode] = out.meanRec
 		r.Summary["recovered_"+mode] = float64(out.recovered)
 		r.Summary["slo_viol_s_"+mode] = out.violSec
-		r.Summary["invariant_violations_"+mode] = float64(len(out.bad))
+		r.Summary["invariant_violations_"+mode] = float64(len(out.violations))
 		r.Series["p99_"+mode] = out.p99Series
 	}
 	r.notef("each rotation moves the hot span onto a cold server; mean recovery integrates detection lag over repeated shifts")
@@ -434,18 +384,14 @@ func StreamSpike(cfg Config) *Result {
 				BootMin: 50 * sim.Millisecond, BootMax: 200 * sim.Millisecond,
 				FailProb: 0.01, Capacity: 8}}
 		}
-		out := streamRun(cfg, cfg.seed(), o)
-		rec := metrics.Recovery{}
-		if len(out.recs) > 0 {
-			rec = out.recs[0]
-		}
-		r.addRow(mode, recCell(rec), fmt.Sprintf("%.1f", out.violSec),
+		out := streamTrial(cfg, cfg.seed(), o)
+		r.addRow(mode, recCell(out.first), fmt.Sprintf("%.1f", out.violSec),
 			fmt.Sprintf("%d", out.scaleOuts), fmt.Sprintf("%d", out.peakSrv),
-			fmt.Sprintf("%d", out.moves), streamVerdict(out.bad))
-		r.Summary["recovery_s_"+mode] = rec.Seconds
+			fmt.Sprintf("%d", out.moves), verdict(out.violations))
+		r.Summary["recovery_s_"+mode] = out.first.Seconds
 		r.Summary["slo_viol_s_"+mode] = out.violSec
 		r.Summary["scale_outs_"+mode] = float64(out.scaleOuts)
-		r.Summary["invariant_violations_"+mode] = float64(len(out.bad))
+		r.Summary["invariant_violations_"+mode] = float64(len(out.violations))
 		r.Series["p99_"+mode] = out.p99Series
 	}
 	r.notef("no rotation: the spike adds load everywhere at once; only the manager that can add machines recovers before the spike ends")
@@ -465,20 +411,16 @@ func StreamChaos(cfg Config) *Result {
 		{At: shift - sim.Time(4*sim.Second), Op: chaos.FailGEM, Target: 0},
 		{At: shift + sim.Time(12*sim.Second), Op: chaos.RecoverGEM, Target: 0},
 	}
-	o.floor = o.servers
-	out := streamRun(cfg, cfg.seed(), o)
-	rec := metrics.Recovery{}
-	if len(out.recs) > 0 {
-		rec = out.recs[0]
-	}
-	r.addRow(fmt.Sprintf("%d", cfg.seed()), fmt.Sprintf("%d", out.ctlFails),
-		recCell(rec), fmt.Sprintf("%.1f", out.violSec),
-		fmt.Sprintf("%d", out.moves), streamVerdict(out.bad))
-	r.Summary["recovery_s"] = rec.Seconds
-	r.Summary["recovered"] = float64(boolToInt(rec.Recovered))
-	r.Summary["ctl_fails"] = float64(out.ctlFails)
+	o.floor = streamServers
+	out := streamTrial(cfg, cfg.seed(), o)
+	r.addRow(fmt.Sprintf("%d", cfg.seed()), fmt.Sprintf("%d", out.CtlFails),
+		recCell(out.first), fmt.Sprintf("%.1f", out.violSec),
+		fmt.Sprintf("%d", out.moves), verdict(out.violations))
+	r.Summary["recovery_s"] = out.first.Seconds
+	r.Summary["recovered"] = float64(boolToInt(out.first.Recovered))
+	r.Summary["ctl_fails"] = float64(out.CtlFails)
 	r.Summary["slo_viol_s"] = out.violSec
-	r.Summary["invariant_violations"] = float64(len(out.bad))
+	r.Summary["invariant_violations"] = float64(len(out.violations))
 	r.Series["p99_plasma"] = out.p99Series
 	r.notef("with half the control plane gone for the whole shift, the survivor's self-corroborated plan still rebalances the hot span")
 	return r
