@@ -16,7 +16,7 @@ COVER_PROFILE ?= coverage.out
 # Scratch dir for the trace round-trip smoke test.
 TRACE_SMOKE_DIR ?= .trace-smoke
 
-.PHONY: build test vet race bench bench-test bench-quick bench-baseline scale-quick burst-quick stream-quick plan-quick lint lint-model cover trace-smoke sweep-snapshot loc verify
+.PHONY: build test vet race bench bench-test bench-quick bench-baseline scale-quick burst-quick stream-quick plan-quick lint lint-model cover trace-smoke fuzz-smoke sweep-snapshot loc verify
 
 build:
 	$(GO) build ./...
@@ -120,6 +120,16 @@ trace-smoke:
 	@rm -rf $(TRACE_SMOKE_DIR)
 	@echo "trace-smoke OK: same-seed traces byte-identical, tooling round-trips"
 
+# fuzz-smoke gives the kernel's order fuzzer ten seconds on top of its
+# checked-in corpus (internal/sim/testdata/fuzz): random programs of
+# After/At/AfterHomed/AfterFunc/Stop/Reset/Run/Step calls, every fire compared
+# with a sorted-slice reference. A failing input is written to that corpus
+# directory and fails `go test` from then on. Minimising each
+# coverage-increasing input is capped at a second — the default minute would
+# take the rest of the smoke.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzKernelOrder -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
+
 # sweep-snapshot writes everything a byte-identity refactor is held to into
 # OUT: the quick plasma-bench report at seeds 1 and 2 and one decision trace
 # per registered id. Run it on the parent commit and on the change, then
@@ -148,6 +158,6 @@ loc:
 # suite passes under the race detector, the determinism lint is clean, the
 # policy model checker passes every shipped policy, the benchmark harness's
 # own tests pass, the quick-scale sweep shows no perf regression or
-# determinism drift against the checked-in bench baseline, and the decision
-# tracer round-trips.
-verify: build vet race lint lint-model bench-test bench-quick trace-smoke
+# determinism drift against the checked-in bench baseline, the decision
+# tracer round-trips, and the kernel order fuzzer finds nothing in ten seconds.
+verify: build vet race lint lint-model bench-test bench-quick trace-smoke fuzz-smoke

@@ -400,7 +400,7 @@ func New(k *sim.Kernel, c *cluster.Cluster, rt *actor.Runtime, prof *profile.Pro
 
 // Start installs the new-actor placement hook and schedules periodic
 // elasticity management on a reusable kernel timer: each period re-arms
-// the same slot (sim.Timer.Reset), so the tick loop costs one heap push
+// the same slot (sim.Timer.Reset), so the tick loop costs one queue push
 // and zero allocations per period.
 func (m *Manager) Start() {
 	if m.running {

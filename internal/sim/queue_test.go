@@ -6,11 +6,13 @@ import (
 	"testing"
 )
 
-// refKernel reimplements the pre-overhaul event queue — a container/heap of
-// boxed *refEvent — with identical (at, seq) semantics. The differential
-// tests drive it and the 4-ary value heap with the same schedule and demand
+// refKernel reimplements the kernel's first event queue — a container/heap of
+// boxed *refEvent — with identical (at, seq) semantics. The two differential
+// tests below drive it and the kernel with the same schedule and demand
 // identical fire orders; the alloc test pins the boxed implementation's
-// per-event allocation as the ceiling the new queue must beat.
+// per-event allocation as the ceiling the kernel's queue must beat. (The
+// full-key reference, and plans that reach every bucket of the radix queue,
+// are in order_ref_test.go and order_test.go.)
 type refEvent struct {
 	at  Time
 	seq uint64
@@ -181,9 +183,10 @@ func TestDifferentialWithTimers(t *testing.T) {
 	}
 }
 
-// TestHeapAllocsReduced asserts the value heap schedules and fires events
-// with no more allocations than the boxed reference — and in absolute terms
-// near zero amortized allocs per event (slice growth only).
+// TestHeapAllocsReduced asserts the kernel's inline-event queue schedules and
+// fires events with fewer Go-heap allocations than the boxed reference — and
+// in absolute terms near zero amortized allocs per event (a bucket's first
+// chunk only).
 func TestHeapAllocsReduced(t *testing.T) {
 	const events = 2000
 	fn := func() {}
@@ -205,18 +208,20 @@ func TestHeapAllocsReduced(t *testing.T) {
 	})
 
 	if newAllocs > refAllocs {
-		t.Fatalf("value heap allocates more than boxed reference: %.1f > %.1f allocs per %d events",
+		t.Fatalf("inline queue allocates more than boxed reference: %.1f > %.1f allocs per %d events",
 			newAllocs, refAllocs, events)
 	}
-	// The boxed kernel allocated ~1 event box per event; the value heap
-	// must be at least 10x better amortized.
+	// The boxed kernel allocated ~1 event box per event; storing events
+	// inline must be at least 10x better amortized.
 	if newAllocs > events/10 {
-		t.Fatalf("value heap allocs = %.1f per %d events; want near zero", newAllocs, events)
+		t.Fatalf("inline queue allocs = %.1f per %d events; want near zero", newAllocs, events)
 	}
 }
 
-// BenchmarkKernelSchedule measures raw schedule+fire throughput: the
-// headline number behind BENCH_*.json's events_per_sec.
+// BenchmarkKernelSchedule measures raw schedule+fire throughput in bursts of
+// 1024 events spread over a millisecond: the headline number behind
+// BENCH_*.json's events_per_sec. BenchmarkKernelQueue (queue_bench_test.go)
+// holds the standing-queue regimes.
 func BenchmarkKernelSchedule(b *testing.B) {
 	b.ReportAllocs()
 	fn := func() {}
@@ -231,8 +236,8 @@ func BenchmarkKernelSchedule(b *testing.B) {
 	k.RunUntilIdle()
 }
 
-// BenchmarkKernelScheduleBoxedRef is the same workload on the pre-overhaul
-// boxed container/heap queue, kept for comparison.
+// BenchmarkKernelScheduleBoxedRef is the same workload on the boxed
+// container/heap reference, kept for comparison.
 func BenchmarkKernelScheduleBoxedRef(b *testing.B) {
 	b.ReportAllocs()
 	fn := func() {}
@@ -248,7 +253,8 @@ func BenchmarkKernelScheduleBoxedRef(b *testing.B) {
 }
 
 // BenchmarkEveryTick measures periodic-timer ticks (the cluster/EMR tick
-// loop shape): each tick must be a single in-place heap push.
+// loop shape): each tick is one Timer.Reset from inside the callback — one
+// queue push, no allocation.
 func BenchmarkEveryTick(b *testing.B) {
 	b.ReportAllocs()
 	k := New(1)

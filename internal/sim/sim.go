@@ -24,10 +24,13 @@
 // history, and with it the order its actors see their messages in, does
 // not depend on how many events other machines scheduled in between.
 //
-// The event queue is a value-typed 4-ary indexed heap (see queue.go):
-// scheduling an event is an inline slice append, not a boxed allocation,
-// and periodic work can hold a reusable Timer (AfterFunc/Reset) so tick
-// loops run allocation-free.
+// The kernel never schedules into the past — every fire time is clamped to
+// the clock, and the clock never moves backwards — and the key has no ties,
+// so the event queue is a monotone radix queue on the fire time with a small
+// heap for the current instant (see queue.go). Events are stored inline:
+// scheduling one is a copy into a pooled chunk, not a boxed allocation, and
+// periodic work can hold a reusable Timer (AfterFunc/Reset) so tick loops
+// run allocation-free.
 package sim
 
 import (
@@ -77,6 +80,9 @@ func (d Duration) String() string {
 // GlobalHome is the home of events scheduled through After/At/AfterFunc.
 // It sorts before every real home at the same instant and depth.
 const GlobalHome = int32(-1)
+
+// maxTime is the last representable instant: the limit of a pop that has none.
+const maxTime = Time(1<<63 - 1)
 
 // Kernel is a discrete-event simulator: one queue, one goroutine. The zero
 // value is not usable; create one with New.
@@ -137,9 +143,6 @@ func (k *Kernel) After(d Duration, fn func()) {
 // At schedules fn at absolute virtual time t (clamped to now). The event
 // is global: it fires before any homed event of the same instant and depth.
 func (k *Kernel) At(t Time, fn func()) {
-	if t < k.now {
-		t = k.now
-	}
 	k.schedule(GlobalHome, t, noTimer, fn)
 }
 
@@ -166,10 +169,16 @@ func (k *Kernel) growHomes(home int32) {
 }
 
 // schedule stamps the next order key of home for an event at time at and
-// queues it: a plain callback fn, or the timer slot tid.
+// queues it: a plain callback fn, or the timer slot tid. This is the one
+// place a fire time enters the queue, and it clamps it to now — a past
+// instant, or a delay large enough to wrap the clock — which is what lets
+// the queue assume no event is ever earlier than one it already popped.
 func (k *Kernel) schedule(home int32, at Time, tid int32, fn func()) {
+	if at < k.now {
+		at = k.now
+	}
 	k.homeCnt[home+1]++
-	k.q.push(event{at: at, depth: k.childDepth(at), home: home, cnt: k.homeCnt[home+1], tid: tid, fn: fn})
+	k.q.push(&event{at: at, depth: k.childDepth(at), home: home, cnt: k.homeCnt[home+1], tid: tid, fn: fn})
 	if n := k.q.len(); n > k.peak {
 		k.peak = n
 	}
@@ -197,15 +206,8 @@ func (k *Kernel) AfterFunc(d Duration, fn func()) *Timer {
 	}
 	id := k.q.allocSlot(fn)
 	t := &Timer{k: k, id: id, gen: k.q.slots[id].gen}
-	k.scheduleTimer(id, k.now+Time(d))
+	k.schedule(GlobalHome, k.now+Time(d), id, nil)
 	return t
-}
-
-func (k *Kernel) scheduleTimer(id int32, at Time) {
-	if at < k.now {
-		at = k.now
-	}
-	k.schedule(GlobalHome, at, id, nil)
 }
 
 func (t *Timer) live() bool {
@@ -219,23 +221,22 @@ func (t *Timer) Stop() bool {
 	if !t.live() {
 		return false
 	}
-	s := &t.k.q.slots[t.id]
-	pending := s.pos != noTimer
+	pending := t.k.q.slots[t.id].bkt != notQueued
 	if pending {
-		t.k.q.remove(int(s.pos))
+		t.k.q.remove(t.id)
 	}
 	t.k.q.freeSlot(t.id)
 	return pending
 }
 
 // Reset reschedules the timer to fire d from now (negative d fires
-// immediately). While the timer is pending its queued event is moved in
-// place; from inside the callback it re-arms the slot for another fire.
-// Reset reports false on a released timer (already fired without re-arm,
-// or stopped).
+// immediately). While the timer is pending its queued event is removed and
+// queued anew; from inside the callback it re-arms the slot for another
+// fire. Reset reports false on a released timer (already fired without
+// re-arm, or stopped).
 //
 // Reset is a fresh scheduling with respect to same-instant ordering: the
-// moved event takes a fresh counter value, so a Reset to the current
+// new event takes a fresh counter value, so a Reset to the current
 // instant fires after events that were already queued for that instant —
 // exactly as if the timer had been stopped and scheduled anew; the
 // differential tests in sim_test.go pin it.
@@ -247,24 +248,16 @@ func (t *Timer) Reset(d Duration) bool {
 		d = 0
 	}
 	k := t.k
-	s := &k.q.slots[t.id]
-	at := k.now + Time(d)
-	if s.pos != noTimer {
-		i := int(s.pos)
-		k.homeCnt[0]++
-		k.q.heap[i].at = at
-		k.q.heap[i].depth = k.childDepth(at)
-		k.q.heap[i].cnt = k.homeCnt[0]
-		k.q.fix(i)
-		return true
+	if k.q.slots[t.id].bkt != notQueued {
+		k.q.remove(t.id)
 	}
-	k.scheduleTimer(t.id, at)
+	k.schedule(GlobalHome, k.now+Time(d), t.id, nil)
 	return true
 }
 
 // Every schedules fn at now+d, then every d thereafter, until fn returns
 // false or the simulation stops. The loop holds a single reusable timer
-// slot, so each tick costs one heap push and no allocation.
+// slot, so each tick costs one queue push and no allocation.
 //
 // A non-positive period is floored to one Microsecond: period 0 used to
 // reschedule at the same instant forever, livelocking RunUntilIdle.
@@ -283,10 +276,10 @@ func (k *Kernel) Every(d Duration, fn func() bool) {
 // Step fires the next pending event, advancing the clock. It reports whether
 // an event was fired; it fires nothing once Stop has been called.
 func (k *Kernel) Step() bool {
-	if k.q.len() == 0 || k.stopped {
+	var e event
+	if k.stopped || !k.q.popUntil(maxTime, &e) {
 		return false
 	}
-	e := k.q.pop()
 	k.fire(&e)
 	return true
 }
@@ -317,22 +310,20 @@ func (k *Kernel) fireTimer(id int32) {
 	if s.gen != gen {
 		return // the callback stopped its own timer; slot already released
 	}
-	if s.pos == noTimer {
+	if s.bkt == notQueued {
 		k.q.freeSlot(id)
 	}
 }
 
-// Run fires events until the queue drains, the clock passes until, or Stop
-// is called. The clock does not advance beyond the last fired event; in
-// particular a run halted by Stop leaves the clock at the event that
-// stopped it rather than jumping ahead to the deadline.
+// Run fires every event due at or before until, in order, and then rests the
+// clock at until — unless Stop is called, which leaves the clock at the
+// event that stopped the run rather than jumping ahead to the deadline. The
+// clock never moves backwards: Run to an instant already passed fires
+// nothing and leaves it where it is.
 func (k *Kernel) Run(until Time) {
-	for k.q.len() > 0 && !k.stopped {
-		if k.q.heap[0].at > until {
-			k.now = until
-			return
-		}
-		k.Step()
+	var e event
+	for !k.stopped && k.q.popUntil(until, &e) {
+		k.fire(&e)
 	}
 	if !k.stopped && k.now < until {
 		k.now = until
