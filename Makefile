@@ -149,10 +149,11 @@ sweep-snapshot:
 
 # loc prints the root module's non-test Go line count — the figure behind
 # the net non-test line delta every PR reports (ROADMAP aim 2) — and beside
-# it the share held by internal/experiments, the largest package.
+# it the share held by internal/experiments, the largest package, and by
+# internal/emr, the control plane.
 GO_NONTEST = -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*'
 loc:
-	@echo "module $$(find . $(GO_NONTEST) | xargs cat | wc -l)  internal/experiments $$(find ./internal/experiments $(GO_NONTEST) | xargs cat | wc -l)"
+	@echo "module $$(find . $(GO_NONTEST) | xargs cat | wc -l)  internal/experiments $$(find ./internal/experiments $(GO_NONTEST) | xargs cat | wc -l)  internal/emr $$(find ./internal/emr $(GO_NONTEST) | xargs cat | wc -l)"
 
 # verify is the pre-merge gate: everything compiles, vet is clean, the full
 # suite passes under the race detector, the determinism lint is clean, the

@@ -253,7 +253,7 @@ type Cluster struct {
 	// before the size-proportional transfer term.
 	BaseLatency sim.Duration
 
-	provisions    int // total Provision calls, for experiment accounting
+	provisions    int // total ProvisionClass calls, for experiment accounting
 	decommissions int
 
 	// onFail hooks fire synchronously when a machine crashes, letting the
@@ -278,7 +278,7 @@ func New(k *sim.Kernel, n int, typ InstanceType) *Cluster {
 	return c
 }
 
-// SetMaxSize caps the fleet size for Provision (the paper's Media Service
+// SetMaxSize caps the fleet size for ProvisionClass (the paper's Media Service
 // scales "up to 65 instances").
 func (c *Cluster) SetMaxSize(n int) { c.maxSize = n }
 
@@ -287,25 +287,6 @@ func (c *Cluster) newMachine(typ InstanceType) *Machine {
 	m := &Machine{ID: id, Type: typ, k: c.K, windowStart: c.K.Now()}
 	c.machines = append(c.machines, m)
 	return m
-}
-
-// Provision boots a new machine of the given type with the legacy
-// constant boot delay. The machine is returned immediately but only
-// becomes Up after the type's boot delay; onUp (if non-nil) fires at that
-// point — and only if the machine was not crashed or decommissioned while
-// booting (a stale boot timer is a no-op). Returns nil if the fleet is at
-// its cap. Callers that need to observe provisioning failure use
-// ProvisionClass with an outcome callback instead.
-func (c *Cluster) Provision(typ InstanceType, onUp func(*Machine)) *Machine {
-	var done func(*Machine, bool)
-	if onUp != nil {
-		done = func(m *Machine, ok bool) {
-			if ok {
-				onUp(m)
-			}
-		}
-	}
-	return c.ProvisionClass(typ, nil, done)
 }
 
 // OnFail registers a hook invoked synchronously whenever a machine crashes
@@ -436,7 +417,7 @@ func (c *Cluster) UpCount() int {
 	return n
 }
 
-// Provisions reports the number of Provision calls so far.
+// Provisions reports the number of ProvisionClass calls so far.
 func (c *Cluster) Provisions() int { return c.provisions }
 
 // Decommissions reports the number of Decommission calls so far.

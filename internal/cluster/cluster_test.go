@@ -145,12 +145,18 @@ func TestMemAccounting(t *testing.T) {
 	}
 }
 
+// vmSpec is the paper's provisioner as a class: one constant boot delay, no
+// failures, unlimited supply.
+func vmSpec(typ InstanceType) *ProvSpec {
+	return &ProvSpec{Class: VM, BootMin: typ.Boot, Capacity: -1}
+}
+
 func TestProvisionBootDelay(t *testing.T) {
 	k := sim.New(1)
 	typ := InstanceType{Name: "t", VCPUs: 1, MemMB: 1024, NetMbps: 100, Boot: 30 * sim.Second, SpeedFac: 1}
 	c := New(k, 1, typ)
 	var upAt sim.Time = -1
-	m := c.Provision(typ, func(*Machine) { upAt = k.Now() })
+	m := c.ProvisionClass(typ, vmSpec(typ), func(*Machine, bool) { upAt = k.Now() })
 	if m.Up() {
 		t.Fatal("machine up before boot delay")
 	}
@@ -170,8 +176,8 @@ func TestProvisionRespectsMaxSize(t *testing.T) {
 	k := sim.New(1)
 	c := New(k, 2, M1Small)
 	c.SetMaxSize(2)
-	if m := c.Provision(M1Small, nil); m != nil {
-		t.Fatal("Provision exceeded max size")
+	if m := c.ProvisionClass(M1Small, vmSpec(M1Small), nil); m != nil {
+		t.Fatal("ProvisionClass exceeded max size")
 	}
 }
 
@@ -281,7 +287,7 @@ func TestTransferLatency(t *testing.T) {
 func TestTransferLatencyUsesSlowerNIC(t *testing.T) {
 	k := sim.New(1)
 	c := New(k, 1, M1Small)
-	c.Provision(M5Large, nil)
+	c.ProvisionClass(M5Large, vmSpec(M5Large), nil)
 	k.RunUntilIdle()
 	// m1.small's 250 Mbps should bound the m5.large's 10 Gbps.
 	lat := c.TransferLatency(0, 1, 1e6) - c.BaseLatency

@@ -147,33 +147,22 @@ func (s *ProvSpec) acquire() bool {
 // provisioning fails permanently (retries exhausted, or the machine is
 // crashed/decommissioned mid-boot).
 //
-// A nil spec provisions with the legacy constant boot delay (typ.Boot),
-// no failure draw, and no randomness — byte-identical event sequence to
-// the original single-constant provisioner.
+// The paper's single constant boot delay is the spec {Class: VM, BootMin:
+// typ.Boot, Capacity: -1}: no failure draw and no randomness.
 //
 // Returns nil without side effects when the fleet is at its cap or the
 // class's pool is exhausted.
 func (c *Cluster) ProvisionClass(typ InstanceType, spec *ProvSpec, done func(*Machine, bool)) *Machine {
-	if c.UpCount() >= c.maxSize {
-		return nil
-	}
-	if spec != nil && !spec.acquire() {
+	if c.UpCount() >= c.maxSize || !spec.acquire() {
 		return nil
 	}
 	m := c.newMachine(typ)
 	m.bootPending = true
 	m.bootDone = done
+	m.provClass = spec.Class
 	c.provisions++
-	detail := typ.Name
-	if spec != nil {
-		m.provClass = spec.Class
-		detail = typ.Name + "/" + spec.Class.String()
-	}
-	c.tr.Emit(trace.Record{Kind: trace.KindProvision, Server: -1, Target: int32(m.ID), Rule: -1, Detail: detail})
-	if spec == nil {
-		c.K.After(typ.Boot, func() { c.finishBoot(m) })
-		return m
-	}
+	c.tr.Emit(trace.Record{Kind: trace.KindProvision, Server: -1, Target: int32(m.ID), Rule: -1,
+		Detail: typ.Name + "/" + spec.Class.String()})
 	c.startBoot(m, spec, 0)
 	return m
 }

@@ -17,9 +17,9 @@ func TestFailMidBootMakesBootTimerStale(t *testing.T) {
 	c := New(k, 1, M1Small)
 
 	upFired := false
-	m := c.Provision(M1Small, func(*Machine) { upFired = true })
+	m := c.ProvisionClass(M1Small, vmSpec(M1Small), func(_ *Machine, ok bool) { upFired = ok })
 	if m == nil {
-		t.Fatal("Provision returned nil")
+		t.Fatal("ProvisionClass returned nil")
 	}
 	if !m.Booting() {
 		t.Fatal("provisioned machine should report Booting")
@@ -59,7 +59,7 @@ func TestDecommissionMidBootCancelsProvision(t *testing.T) {
 	c := New(k, 1, M1Small)
 
 	var gotOK *bool
-	m := c.ProvisionClass(M1Small, nil, func(_ *Machine, ok bool) { gotOK = &ok })
+	m := c.ProvisionClass(M1Small, vmSpec(M1Small), func(_ *Machine, ok bool) { gotOK = &ok })
 	if m == nil {
 		t.Fatal("ProvisionClass returned nil")
 	}
@@ -79,14 +79,15 @@ func TestDecommissionMidBootCancelsProvision(t *testing.T) {
 	}
 }
 
-// ProvisionClass with a nil spec must behave exactly like the legacy
-// constant-boot provisioner: up at typ.Boot, outcome ok=true.
-func TestProvisionClassNilSpecLegacyBoot(t *testing.T) {
-	k := sim.New(1)
+// The single-VM-class spec is the paper's constant-boot provisioner: up at
+// typ.Boot, outcome ok=true, and not one draw from the kernel's stream (an
+// arm that sets no spectrum must keep its event sequence).
+func TestProvisionClassVMSpecConstantBoot(t *testing.T) {
+	k, ref := sim.New(1), sim.New(1)
 	c := New(k, 0, M1Small)
 	var upAt sim.Time
 	ok := false
-	m := c.ProvisionClass(M5Large, nil, func(_ *Machine, o bool) { upAt, ok = k.Now(), o })
+	m := c.ProvisionClass(M5Large, vmSpec(M5Large), func(_ *Machine, o bool) { upAt, ok = k.Now(), o })
 	if m == nil {
 		t.Fatal("ProvisionClass returned nil")
 	}
@@ -97,8 +98,11 @@ func TestProvisionClassNilSpecLegacyBoot(t *testing.T) {
 	if upAt != sim.Time(M5Large.Boot) {
 		t.Errorf("came up at %v, want %v", upAt, sim.Time(M5Large.Boot))
 	}
-	if !m.Up() {
-		t.Error("machine not Up after boot")
+	if !m.Up() || m.ProvClass() != VM {
+		t.Errorf("up=%v class=%v, want an Up VM", m.Up(), m.ProvClass())
+	}
+	if got, want := k.Rand().Int63(), ref.Rand().Int63(); got != want {
+		t.Error("a constant-boot provision consumed randomness")
 	}
 }
 

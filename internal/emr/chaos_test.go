@@ -58,7 +58,7 @@ func TestGEMProceedsOnPartialSnapshotUnderReportLoss(t *testing.T) {
 }
 
 // Under heavy loss the retry budget is often exhausted; the GEM then plans
-// on cached REPORTs no older than StalePeriods.
+// on last REPORTs no older than stalePeriods.
 func TestStaleCacheStandsInForLostReports(t *testing.T) {
 	e, refs, pol := hotServerEnv(t)
 	m := New(e.k, e.c, e.rt, e.prof, pol, Config{Period: sim.Second, MinResidence: sim.Millisecond})

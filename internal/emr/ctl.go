@@ -2,7 +2,6 @@ package emr
 
 import (
 	"fmt"
-	"sort"
 
 	"plasma/internal/chaos"
 	"plasma/internal/cluster"
@@ -14,10 +13,11 @@ import (
 // travel as real (simulated) messages that a chaos interceptor may drop,
 // delay, or duplicate. LEMs retransmit unacknowledged REPORTs with capped
 // exponential backoff; GEMs evaluate at a fixed report-window deadline on
-// whatever arrived, filling gaps from a bounded-staleness cache; admission
-// queries time out into denials. Receivers deduplicate, so duplication is
-// harmless. With no interceptor installed every message is delivered after
-// exactly GEMLatency and the flow degenerates to the original lossless one.
+// whatever arrived, filling gaps with bounded-staleness last REPORTs;
+// admission queries time out into denials. Receivers deduplicate, so
+// duplication is harmless. With no interceptor installed every message is
+// delivered after exactly gemLatency and the flow degenerates to the original
+// lossless one.
 
 func lemName(srv cluster.MachineID) string { return fmt.Sprintf("lem%d", srv) }
 func gemName(id int) string                { return fmt.Sprintf("gem%d", id) }
@@ -32,11 +32,11 @@ func (m *Manager) SetChaos(i chaos.Interceptor) {
 	}
 }
 
-// sendCtl delivers one control-plane message after GEMLatency, subject to
+// sendCtl delivers one control-plane message after gemLatency, subject to
 // the chaos interceptor. A duplicated message is delivered a second time one
 // extra hop later; receivers are responsible for deduplication.
 func (m *Manager) sendCtl(kind chaos.MsgKind, from, to string, deliver func()) {
-	lat := m.Cfg.GEMLatency
+	lat := gemLatency
 	if m.chaosI != nil {
 		switch d := m.chaosI.Intercept(kind, from, to); d.Verdict {
 		case chaos.Drop:
@@ -44,7 +44,7 @@ func (m *Manager) sendCtl(kind chaos.MsgKind, from, to string, deliver func()) {
 		case chaos.Delay:
 			lat += d.Delay
 		case chaos.Duplicate:
-			m.K.After(lat+m.Cfg.GEMLatency, deliver)
+			m.K.After(lat+gemLatency, deliver)
 		}
 	}
 	m.K.After(lat, deliver)
@@ -55,7 +55,8 @@ func (m *Manager) sendCtl(kind chaos.MsgKind, from, to string, deliver func()) {
 // capped backoff until the GEM's ack (an RREPLY) lands or the retry budget
 // is spent. Retries re-pick among the GEMs alive at retry time, so a GEM
 // crash mid-period only costs one timeout.
-func (m *Manager) lemReport(l *lem, snap *epl.Snapshot, tickIdx, attempt int) {
+func (m *Manager) lemReport(srv cluster.MachineID, snap *epl.Snapshot, tickIdx, attempt int) {
+	l := m.srv(srv)
 	if l.acked || l.failed || m.Stats.Ticks != tickIdx {
 		return
 	}
@@ -67,7 +68,6 @@ func (m *Manager) lemReport(l *lem, snap *epl.Snapshot, tickIdx, attempt int) {
 	if attempt > 0 {
 		m.Stats.RetriedReports++
 	}
-	srv := l.srv
 	info := snap.Server(srv)
 	if m.tr.Enabled() {
 		m.tr.Emit(trace.Record{Kind: trace.KindReport, Parent: m.trTick,
@@ -78,9 +78,9 @@ func (m *Manager) lemReport(l *lem, snap *epl.Snapshot, tickIdx, attempt int) {
 		if g.failed || m.Stats.Ticks != tickIdx {
 			return
 		}
-		if !g.got[srv] { // duplicate/retransmitted REPORTs collapse
-			g.got[srv] = true
-			g.reports = append(g.reports, report{srv: srv, info: info})
+		if e := &g.last[srv]; e.heard != tickIdx { // duplicate/retransmitted REPORTs collapse
+			e.heard, e.next = tickIdx, info
+			g.heard++
 		}
 		m.sendCtl(chaos.RReply, gemName(g.id), lemName(srv), func() {
 			if m.Stats.Ticks == tickIdx && !l.acked {
@@ -93,36 +93,38 @@ func (m *Manager) lemReport(l *lem, snap *epl.Snapshot, tickIdx, attempt int) {
 			}
 		})
 	})
-	if attempt < m.Cfg.ReportRetries {
-		wait := m.Cfg.ReportTimeout << uint(attempt)
-		if max := 4 * m.Cfg.ReportTimeout; wait > max {
+	if attempt < reportRetries {
+		wait := reportTimeout << uint(attempt)
+		if max := 4 * reportTimeout; wait > max {
 			wait = max
 		}
-		m.K.After(wait, func() { m.lemReport(l, snap, tickIdx, attempt+1) })
+		m.K.After(wait, func() { m.lemReport(srv, snap, tickIdx, attempt+1) })
 	}
 }
 
 // rreplyActions distributes a GEM's planned actions to their source LEMs as
-// RREPLY messages (deduplicated per destination).
+// RREPLY messages, one per LEM in server order (deduplicated per
+// destination).
 func (m *Manager) rreplyActions(g *gem, tickIdx int, actions []Action) {
-	bySrc := map[cluster.MachineID][]Action{}
+	if len(actions) == 0 {
+		return
+	}
 	for _, a := range actions {
-		bySrc[a.Src] = append(bySrc[a.Src], a)
+		l := m.srv(a.Src)
+		l.rreply = append(l.rreply, a)
 	}
-	srcs := make([]cluster.MachineID, 0, len(bySrc))
-	for srv := range bySrc {
-		srcs = append(srcs, srv)
-	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-	for _, srv := range srcs {
-		srv, acts := srv, bySrc[srv]
+	for id, l := range m.servers {
+		if l.rreply == nil {
+			continue
+		}
+		srv, acts := cluster.MachineID(id), l.rreply
+		l.rreply = nil
 		delivered := false
 		m.sendCtl(chaos.RReply, gemName(g.id), lemName(srv), func() {
 			if delivered || m.Stats.Ticks != tickIdx {
 				return
 			}
 			delivered = true
-			l := m.lemFor(srv)
 			if l.failed {
 				return
 			}
@@ -148,29 +150,29 @@ func (m *Manager) queryAdmission(a Action, snap *epl.Snapshot, repin bool) {
 			return
 		}
 		processed = true
-		if tl := m.lemFor(a.Trg); tl.failed {
+		tl := m.srv(a.Trg)
+		if tl.failed {
 			return // dead target LEM: silence; the source times out
 		}
 		ok, denyReason := m.checkIdleRes(a, snap)
 		if ok && a.Kind == epl.KindReserve {
-			m.reserved[a.Trg] = a.Actor
-			m.resLease[a.Trg] = m.Stats.Ticks
-			m.resEpoch[a.Trg]++
+			tl.owner, tl.lease = a.Actor, m.Stats.Ticks
+			tl.epoch++
 			m.evacuateReserved(a, snap, queryID)
-			epoch := m.resEpoch[a.Trg]
+			epoch := tl.epoch
 			// The QREPLY may be lost (chaos) or the period may roll over
 			// before the source acts — then no transfer toward Trg ever
 			// starts and the hold would block the target for every other
 			// actor. The target releases its own grant after the query
 			// timeout unless the owner's transfer is underway (or done).
-			m.K.After(m.Cfg.QueryTimeout, func() {
-				if cur, held := m.reserved[a.Trg]; !held || cur != a.Actor || m.resEpoch[a.Trg] != epoch {
+			m.K.After(queryTimeout, func() {
+				if tl.owner != a.Actor || tl.epoch != epoch {
 					return
 				}
 				if m.RT.ServerOf(a.Actor) == a.Trg || m.RT.MigratingTo(a.Actor) == a.Trg {
 					return // the admitted transfer went ahead
 				}
-				m.dropReservation(a.Trg)
+				tl.dropReservation()
 				m.Stats.ReleasedReservations++
 				m.tr.Emit(trace.Record{Kind: trace.KindDeny, Parent: queryID,
 					Tick: int32(m.Stats.Ticks), Server: int32(a.Trg), Target: -1,
@@ -195,7 +197,7 @@ func (m *Manager) queryAdmission(a Action, snap *epl.Snapshot, repin bool) {
 			m.execMigration(a, repin, admitID)
 		})
 	})
-	m.K.After(m.Cfg.QueryTimeout, func() {
+	m.K.After(queryTimeout, func() {
 		if answered || m.Stats.Ticks != tickIdx {
 			return
 		}
@@ -248,8 +250,8 @@ func (m *Manager) execMigration(a Action, repin bool, parent uint64) {
 		}
 		if ok {
 			m.Stats.ExecutedMigrations++
-		} else if a.Kind == epl.KindReserve && m.reserved[a.Trg] == a.Actor {
-			m.dropReservation(a.Trg)
+		} else if l := m.srv(a.Trg); a.Kind == epl.KindReserve && l.owner == a.Actor {
+			l.dropReservation()
 		}
 	})
 }

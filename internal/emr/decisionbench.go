@@ -29,10 +29,9 @@ type DecisionBench struct {
 	NumActors  int
 	NumServers int
 
-	m     *Manager
-	snap  *epl.Snapshot
-	in    *epl.Intents
-	scope []cluster.MachineID
+	m    *Manager
+	snap *epl.Snapshot
+	in   *epl.Intents
 }
 
 // NewDecisionBench builds the synthetic fleet and snapshot.
@@ -67,7 +66,6 @@ func NewDecisionBench(actors, servers int) *DecisionBench {
 			ID: cluster.MachineID(i), CPUPerc: cpu, MemPerc: mem, NetPerc: 20,
 			VCPUs: typ.VCPUs, MemMB: typ.MemMB, NetMbps: typ.NetMbps, Up: true,
 		})
-		b.scope = append(b.scope, cluster.MachineID(i))
 	}
 	per := actors / servers
 	if per < 1 {
@@ -106,6 +104,6 @@ func NewDecisionBench(actors, servers int) *DecisionBench {
 // emr.plan_ms_per_round.legacy and .batch read the same round until a
 // benchmark PR drops one.
 func (b *DecisionBench) Run(string) int {
-	acts, _, _, _, _ := b.m.planResource(b.scope, nil, b.snap, b.in, 0, 0)
+	acts, _, _, _, _ := b.m.planResource(nil, b.snap, b.in, 0, 0)
 	return len(acts)
 }

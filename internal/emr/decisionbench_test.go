@@ -88,9 +88,8 @@ func TestPlanRoundInBandAllocatesNothing(t *testing.T) {
 		{Types: []string{"W"}, Res: epl.CPU, Upper: 80, Lower: 60},
 		{Types: []string{"W"}, Res: epl.Mem, Upper: 80, Lower: 60},
 	}}
-	sc := scope(4)
 	allocs := testing.AllocsPerRun(5, func() {
-		if acts, _, _, _, _ := pe.m.planResource(sc, nil, snap, in, 0, 0); len(acts) != 0 {
+		if acts, _, _, _, _ := pe.m.planResource(nil, snap, in, 0, 0); len(acts) != 0 {
 			t.Fatalf("in-band fleet planned %+v", acts)
 		}
 	})

@@ -58,40 +58,17 @@ type Config struct {
 	// MinResidence is the minimum time an actor must stay on a server
 	// before it may move again; 0 defaults to Period (§4.3 stability).
 	MinResidence sim.Duration
-	// GEMLatency models one LEM<->GEM message hop.
-	GEMLatency sim.Duration
-	// ReportTimeout is how long a LEM waits for the GEM's REPORT ack before
-	// retransmitting; the wait doubles per attempt, capped at 4x. Default
-	// 4*GEMLatency.
-	ReportTimeout sim.Duration
-	// ReportRetries caps REPORT retransmissions per period (default 2, so
-	// up to three sends).
-	ReportRetries int
-	// ReportWindow is how long after the period starts a GEM waits before
-	// evaluating with whatever REPORTs arrived (partial snapshots instead
-	// of stalling). Default 4*ReportTimeout.
-	ReportWindow sim.Duration
-	// ExecDelay is when LEMs resolve and execute the period's actions;
-	// RREPLYs arriving later are lost for the period. Default
-	// ReportWindow + 4*GEMLatency.
-	ExecDelay sim.Duration
-	// QueryTimeout is how long a source LEM waits for an admission QREPLY
-	// before treating the migration as denied. Default 4*GEMLatency.
-	QueryTimeout sim.Duration
-	// StalePeriods bounds how many periods old a cached REPORT may be and
-	// still stand in for a lost one in the GEM's snapshot. Default 2.
-	StalePeriods int
 	// ScaleOut/ScaleIn enable dynamic resource allocation.
 	ScaleOut bool
 	ScaleIn  bool
 	// MinServers bounds scale-in; InstanceType is what scale-out provisions.
 	MinServers   int
 	InstanceType cluster.InstanceType
-	// ProvSpecs, when non-empty, is the provisioning spectrum scale-out
-	// draws from (warm pool, container, VM, ...). Classes are tried in
-	// policy-preference order (a `provclass` rule), then spec order,
-	// falling to the next class when a pool is exhausted. Empty keeps the
-	// legacy single-constant-boot provisioner.
+	// ProvSpecs is the provisioning spectrum scale-out draws from (warm
+	// pool, container, VM, ...). Classes are tried in policy-preference
+	// order (a `provclass` rule), then spec order, falling to the next class
+	// when a pool is exhausted. Empty defaults to one unlimited VM class
+	// booting in InstanceType.Boot.
 	ProvSpecs []cluster.ProvSpec
 	// ReserveTTL, when positive, is how many periods a granted reservation
 	// outlives the last reserve intent naming its owner: a reserve rule that
@@ -111,9 +88,6 @@ type Config struct {
 	// bandwidth, which only pays off when reservations target loaded
 	// servers (skewed streams), not when they land on idle ones.
 	ReserveEvacuate bool
-	// DefaultUpper is the admission bound used when a rule states no upper
-	// threshold.
-	DefaultUpper float64
 	// Priorities orders conflicting actions; higher wins. Zero value uses
 	// the defaults (reserve > pin > balance > colocate > separate: reserve
 	// is the most specific placement demand, pin blocks everything below
@@ -152,35 +126,36 @@ func (c Config) withDefaults() Config {
 	if c.MinResidence == 0 {
 		c.MinResidence = c.Period
 	}
-	if c.GEMLatency == 0 {
-		c.GEMLatency = sim.Millis(1)
-	}
-	if c.ReportTimeout == 0 {
-		c.ReportTimeout = 4 * c.GEMLatency
-	}
-	if c.ReportRetries == 0 {
-		c.ReportRetries = 2
-	}
-	if c.ReportWindow == 0 {
-		c.ReportWindow = 4 * c.ReportTimeout
-	}
-	if c.ExecDelay == 0 {
-		c.ExecDelay = c.ReportWindow + 4*c.GEMLatency
-	}
-	if c.QueryTimeout == 0 {
-		c.QueryTimeout = 4 * c.GEMLatency
-	}
-	if c.StalePeriods == 0 {
-		c.StalePeriods = 2
-	}
 	if c.MinServers <= 0 {
 		c.MinServers = 1
 	}
-	if c.DefaultUpper == 0 {
-		c.DefaultUpper = 85
+	if len(c.ProvSpecs) == 0 {
+		c.ProvSpecs = []cluster.ProvSpec{{Class: cluster.VM, BootMin: c.InstanceType.Boot, Capacity: -1}}
 	}
 	return c
 }
+
+// The control plane's schedule within one period, from its start t0. Nothing
+// in the tree ever set these, so they are constants, not Config:
+//
+//	t0      every live LEM sends its REPORT to a random live GEM
+//	+1 ms   REPORTs arrive (gemLatency); the GEM's ack leaves
+//	+4 ms   an unacked LEM retransmits (reportTimeout) ...
+//	+12 ms  ... and again, the wait doubled (reportRetries = 2)
+//	+16 ms  GEMs evaluate on what arrived, filling gaps with REPORTs at
+//	        most stalePeriods old (reportWindow); RREPLYs leave
+//	+20 ms  LEMs resolve the period's actions and send QUERYs (execDelay)
+//	+24 ms  an unanswered QUERY is a denial (queryTimeout)
+const (
+	gemLatency    = sim.Millisecond             // one control-plane message hop
+	reportTimeout = 4 * gemLatency              // ack wait before a retransmit; doubles per attempt, capped at 4x
+	reportRetries = 2                           // retransmissions per period (up to three sends)
+	reportWindow  = 4 * reportTimeout           // t0 -> GEM evaluation
+	execDelay     = reportWindow + 4*gemLatency // t0 -> LEM resolve/execute; later RREPLYs are lost for the period
+	queryTimeout  = 4 * gemLatency              // QREPLY wait before the source counts a denial
+	stalePeriods  = 2                           // oldest last REPORT that may stand in for a lost one
+	defaultUpper  = 85.0                        // admission bound, and a balance rule's upper bound when it states none
+)
 
 // Stats counts EMR activity for experiments.
 type Stats struct {
@@ -195,7 +170,7 @@ type Stats struct {
 	// Control-plane robustness counters.
 	RetriedReports   int // REPORT retransmissions after an ack timeout
 	QueryTimeouts    int // admission queries treated as denials on timeout
-	StaleReportsUsed int // cache entries standing in for lost REPORTs
+	StaleReportsUsed int // last REPORTs standing in for lost ones
 	// ReleasedReservations counts target-side reserve grants released
 	// because the admitted transfer never started (lost QREPLY or period
 	// rollover before the source acted).
@@ -218,25 +193,16 @@ type Manager struct {
 	Pol  *epl.Policy
 	Cfg  Config
 
-	gems     []*gem
-	lems     map[cluster.MachineID]*lem
-	reserved map[cluster.MachineID]actor.Ref // dedicated server -> owner
-	// resEpoch counts (re)grants per reserved server, so a stale
-	// release-on-timeout closure from an earlier grant cannot revoke a
-	// newer legitimate reservation of the same server.
-	resEpoch map[cluster.MachineID]uint64
-	// resLease records, per reserved server, the last tick a reserve intent
-	// named the reservation's owner (grants count); with Cfg.ReserveTTL set,
-	// cleanupReservations expires leases this stopped refreshing.
-	resLease map[cluster.MachineID]int
-	draining map[cluster.MachineID]bool
+	gems []*gem
+	// servers is the control plane's one record per machine, indexed by
+	// MachineID (ids are dense: cluster.newMachine numbers them in order)
+	// and grown to the fleet at the top of each period; srv also reaches a
+	// machine provisioned since.
+	servers []*server
 
 	// OnTick, when set, observes each period's global snapshot before
 	// planning (used by experiments to trace CPU% and actor distributions).
 	OnTick func(tick int, snap *epl.Snapshot)
-	// OnActions, when set, observes the final resolved action list each
-	// period before admission checks.
-	OnActions func(final []Action)
 
 	// PolicyDiagnostics holds the static-analysis findings for Pol,
 	// computed once at construction. New panics if any finding has error
@@ -327,10 +293,12 @@ func (m *Manager) tracePropose(actions []Action, parent uint64, tickIdx int) {
 	}
 }
 
-type lem struct {
-	srv cluster.MachineID
-
+// server is what the control plane keeps about one machine: its LEM's
+// period state, and the placement state every planner and admission check
+// consults.
+type server struct {
 	gemActions []Action // actions received via RREPLY this period
+	rreply     []Action // a GEM's actions for this LEM, between planning and RREPLY
 
 	// admission ledger: extra resource share already promised to inbound
 	// actors this period, per resource.
@@ -338,48 +306,74 @@ type lem struct {
 
 	failed bool // crashed LEM: no reports, no queries answered, no actions
 	acked  bool // this period's REPORT was acknowledged (stops retransmits)
+
+	// owner is the actor the server is dedicated to (zero: shared pool).
+	// epoch counts grants, so a stale release-on-timeout closure from an
+	// earlier grant cannot revoke a newer one of the same server. lease is
+	// the last tick a reserve intent named the owner (grants count); with
+	// Cfg.ReserveTTL set, cleanupReservations expires one that stopped
+	// being refreshed.
+	owner actor.Ref
+	epoch uint64
+	lease int
+
+	draining bool // being emptied for scale-in; admits nothing
+}
+
+// srv returns the record of a machine the cluster knows, first growing the
+// table when the machine was provisioned since the last period.
+func (m *Manager) srv(id cluster.MachineID) *server {
+	if int(id) >= len(m.servers) {
+		m.grow()
+	}
+	return m.servers[id]
+}
+
+// grow extends the server table to the fleet. Records are allocated one by
+// one: closures hold them across growth.
+func (m *Manager) grow() {
+	for n := len(m.C.Machines()); len(m.servers) < n; {
+		m.servers = append(m.servers, &server{})
+	}
 }
 
 type gem struct {
-	id      int
-	reports []report
-	got     map[cluster.MachineID]bool // REPORT dedup for this period
-	failed  bool
+	id     int
+	failed bool
 
-	// cache holds each server's last REPORT for bounded-staleness reuse
-	// when a period's REPORT is lost.
-	cache map[cluster.MachineID]cachedReport
+	// last is all a GEM remembers (§4.3: no synchronised state): per server,
+	// the last REPORT it evaluated and the one waiting for this period's
+	// evaluation. heard counts the servers waiting.
+	last  []lastReport
+	heard int
 
 	// view flags from the last processed period, for adjustment voting.
 	allOver  bool
 	allUnder bool
 }
 
-type cachedReport struct {
-	info *epl.ServerInfo
-	tick int
-}
-
-type report struct {
-	srv  cluster.MachineID
-	info *epl.ServerInfo
+// lastReport is one server's row in a GEM's table. A REPORT that arrives in
+// period p is parked in (next, heard = p); the evaluation at reportWindow
+// promotes a non-nil next to (info, tick = p). So a REPORT landing after the
+// evaluation, one to a GEM that crashed before it, and one without a payload
+// (a machine that came up after the snapshot) are all heard and never
+// remembered, and a row with heard < p and p-tick <= stalePeriods is a stale
+// fill.
+type lastReport struct {
+	info  *epl.ServerInfo // payload of the last evaluated REPORT
+	tick  int             // its period
+	next  *epl.ServerInfo // payload parked by this period's REPORT; may be nil
+	heard int             // last period a REPORT arrived
 }
 
 // New creates an EMR manager. Call Start to begin elasticity management.
 func New(k *sim.Kernel, c *cluster.Cluster, rt *actor.Runtime, prof *profile.Profiler, pol *epl.Policy, cfg Config) *Manager {
 	m := &Manager{
 		K: k, C: c, RT: rt, Prof: prof, Pol: pol, Cfg: cfg.withDefaults(),
-		lems:     make(map[cluster.MachineID]*lem),
-		reserved: make(map[cluster.MachineID]actor.Ref),
-		resEpoch: make(map[cluster.MachineID]uint64),
-		resLease: make(map[cluster.MachineID]int),
-		draining: make(map[cluster.MachineID]bool),
 	}
 	// Copy the provisioning spectrum: specs are mutable (warm-pool
 	// capacity depletes), and the caller's slice must stay pristine.
-	if len(m.Cfg.ProvSpecs) > 0 {
-		m.provSpecs = append([]cluster.ProvSpec(nil), m.Cfg.ProvSpecs...)
-	}
+	m.provSpecs = append([]cluster.ProvSpec(nil), m.Cfg.ProvSpecs...)
 	if pol != nil {
 		m.PolicyDiagnostics = lint.AnalyzePolicy(pol, nil)
 		for _, d := range m.PolicyDiagnostics {
@@ -389,11 +383,7 @@ func New(k *sim.Kernel, c *cluster.Cluster, rt *actor.Runtime, prof *profile.Pro
 		}
 	}
 	for i := 0; i < m.Cfg.NumGEMs; i++ {
-		m.gems = append(m.gems, &gem{
-			id:    i,
-			got:   make(map[cluster.MachineID]bool),
-			cache: make(map[cluster.MachineID]cachedReport),
-		})
+		m.gems = append(m.gems, &gem{id: i})
 	}
 	return m
 }
@@ -449,7 +439,7 @@ func (m *Manager) RecoverGEM(id int) bool {
 
 // FailLEM simulates the crash of one server's local elasticity manager:
 // the server stops reporting (so it drops out of the global snapshot once
-// its cached REPORTs age past StalePeriods), answers no admission queries,
+// its last REPORTs age past stalePeriods), answers no admission queries,
 // and receives no actions — but its actors keep running; this is a
 // control-plane failure, not a machine failure. Returns false if no such
 // machine exists.
@@ -457,7 +447,7 @@ func (m *Manager) FailLEM(srv cluster.MachineID) bool {
 	if m.C.Machine(srv) == nil {
 		return false
 	}
-	m.lemFor(srv).failed = true
+	m.srv(srv).failed = true
 	return true
 }
 
@@ -465,10 +455,10 @@ func (m *Manager) FailLEM(srv cluster.MachineID) bool {
 // snapshot at the next period's REPORT. Returns false if no such machine
 // exists or the LEM was not failed.
 func (m *Manager) RecoverLEM(srv cluster.MachineID) bool {
-	if m.C.Machine(srv) == nil || !m.lemFor(srv).failed {
+	if m.C.Machine(srv) == nil || !m.srv(srv).failed {
 		return false
 	}
-	m.lemFor(srv).failed = false
+	m.srv(srv).failed = false
 	return true
 }
 
@@ -477,7 +467,7 @@ func (m *Manager) RecoverLEM(srv cluster.MachineID) bool {
 func (m *Manager) failedLEMCount() int {
 	n := 0
 	for _, mach := range m.C.UpMachines() {
-		if l := m.lems[mach.ID]; l != nil && l.failed {
+		if m.srv(mach.ID).failed {
 			n++
 		}
 	}
@@ -495,17 +485,7 @@ func (m *Manager) aliveGEMs() []*gem {
 	return out
 }
 
-// lemFor returns (creating if needed) the LEM for a server.
-func (m *Manager) lemFor(srv cluster.MachineID) *lem {
-	l := m.lems[srv]
-	if l == nil {
-		l = &lem{srv: srv}
-		m.lems[srv] = l
-	}
-	return l
-}
-
-// tick runs one elasticity period end to end (phases spaced by GEMLatency).
+// tick runs one elasticity period end to end, on the schedule above.
 func (m *Manager) tick() {
 	m.Stats.Ticks++
 	tickIdx := m.Stats.Ticks
@@ -532,15 +512,10 @@ func (m *Manager) tick() {
 	}
 
 	// Phase 1 — LEMs: apply interaction rules locally, report to a GEM.
+	m.grow()
 	for _, g := range m.gems {
-		g.reports = nil
-		g.got = make(map[cluster.MachineID]bool)
-	}
-	for _, mach := range up {
-		l := m.lemFor(mach.ID)
-		l.gemActions = nil
-		l.promised = [3]float64{}
-		l.acked = false
+		g.heard = 0
+		g.last = append(g.last, make([]lastReport, len(m.servers)-len(g.last))...)
 	}
 	// Pins first so planners see them.
 	inter := epl.EvaluateObserved(m.Pol, snap, false, true, m.obs(m.trTick, tickIdx, "lem"))
@@ -555,12 +530,14 @@ func (m *Manager) tick() {
 	// retransmission) to a randomly chosen live GEM — the shuffling that
 	// makes GEM failure harmless.
 	for _, mach := range up {
-		m.lemReport(m.lemFor(mach.ID), snap, tickIdx, 0)
+		l := m.servers[mach.ID]
+		l.gemActions, l.promised, l.acked = nil, [3]float64{}, false
+		m.lemReport(mach.ID, snap, tickIdx, 0)
 	}
 
 	// Phase 2 — GEMs: at the report-window deadline, apply resource rules
-	// over whatever REPORTs arrived (plus bounded-staleness cache fills).
-	m.K.After(m.Cfg.ReportWindow, func() {
+	// over whatever REPORTs arrived (plus bounded-staleness fills).
+	m.K.After(reportWindow, func() {
 		if m.Stats.Ticks != tickIdx {
 			return
 		}
@@ -573,7 +550,7 @@ func (m *Manager) tick() {
 	})
 	// Phase 3 — LEMs: plan interaction actions against the GEM actions'
 	// destinations, resolve conflicts, query targets, migrate.
-	m.K.After(m.Cfg.ExecDelay, func() {
+	m.K.After(execDelay, func() {
 		if m.Stats.Ticks != tickIdx {
 			return
 		}
@@ -581,114 +558,99 @@ func (m *Manager) tick() {
 	})
 }
 
-// cleanupReservations drops reservations whose owner died or moved away.
+// cleanupReservations drops reservations whose owner died or moved away,
+// and, with Cfg.ReserveTTL set, those whose owner no reserve intent has
+// named for more than TTL periods (the owner stays put; only the
+// exclusivity ends).
 // A reservation is kept while the owner's admitted transfer TO the
 // reserved server is still in flight: ServerOf reports the source until
 // the migration commits, so "not on srv yet" must not be read as "moved
 // away" — that window is exactly when a foreign actor could otherwise be
 // admitted onto the dedicated server.
 func (m *Manager) cleanupReservations() {
-	for srv, owner := range m.reserved {
-		if !m.RT.Exists(owner) {
-			m.dropReservation(srv)
+	for id, s := range m.servers {
+		srv, owner := cluster.MachineID(id), s.owner
+		if owner.Zero() {
 			continue
 		}
-		if m.RT.ServerOf(owner) == srv || m.RT.MigratingTo(owner) == srv {
-			continue // settled on, or still being transferred to, srv
-		}
-		m.dropReservation(srv)
-	}
-	m.expireReservations()
-}
-
-// dropReservation forgets a server's dedication and its lease bookkeeping.
-func (m *Manager) dropReservation(srv cluster.MachineID) {
-	delete(m.reserved, srv)
-	delete(m.resLease, srv)
-}
-
-// expireReservations is the ReserveTTL lease check: a reservation whose
-// owner no reserve intent has named for more than TTL periods goes back to
-// the shared pool (the owner stays put; only the exclusivity ends). Sorted
-// iteration keeps trace emission order deterministic.
-func (m *Manager) expireReservations() {
-	ttl := m.Cfg.ReserveTTL
-	if ttl <= 0 || len(m.reserved) == 0 {
-		return
-	}
-	srvs := make([]cluster.MachineID, 0, len(m.reserved))
-	for srv := range m.reserved {
-		srvs = append(srvs, srv)
-	}
-	sort.Slice(srvs, func(i, j int) bool { return srvs[i] < srvs[j] })
-	for _, srv := range srvs {
-		if m.Stats.Ticks-m.resLease[srv] <= ttl {
+		if !m.RT.Exists(owner) || (m.RT.ServerOf(owner) != srv && m.RT.MigratingTo(owner) != srv) {
+			s.dropReservation()
 			continue
 		}
-		owner := m.reserved[srv]
-		m.dropReservation(srv)
-		m.Stats.ExpiredReservations++
-		m.tr.Emit(trace.Record{Kind: trace.KindDeny, Parent: m.trTick,
-			Tick: int32(m.Stats.Ticks), Server: int32(srv), Target: -1,
-			Actor: uint64(owner.ID), Rule: -1, Detail: "reserve-expired"})
+		if ttl := m.Cfg.ReserveTTL; ttl > 0 && m.Stats.Ticks-s.lease > ttl {
+			s.dropReservation()
+			m.Stats.ExpiredReservations++
+			m.tr.Emit(trace.Record{Kind: trace.KindDeny, Parent: m.trTick,
+				Tick: int32(m.Stats.Ticks), Server: int32(srv), Target: -1,
+				Actor: uint64(owner.ID), Rule: -1, Detail: "reserve-expired"})
+		}
 	}
 }
+
+// dropReservation forgets the server's dedication and its lease.
+func (s *server) dropReservation() { s.owner, s.lease = actor.Ref{}, 0 }
+
+// shared reports whether the server is in the shared pool: neither dedicated
+// nor being drained, so planners may place onto it.
+func (s *server) shared() bool { return s.owner.Zero() && !s.draining }
 
 // finishDraining decommissions drained servers once they are empty.
 func (m *Manager) finishDraining() {
-	ids := make([]cluster.MachineID, 0, len(m.draining))
-	for id := range m.draining {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if m.RT.NumActorsOn(id) == 0 {
-			if m.C.Decommission(id) == nil {
+	for id, s := range m.servers {
+		if s.draining && m.RT.NumActorsOn(cluster.MachineID(id)) == 0 {
+			if m.C.Decommission(cluster.MachineID(id)) == nil {
 				m.Stats.ScaleIns++
 			}
-			delete(m.draining, id)
+			s.draining = false
 		}
 	}
+}
+
+// standsIn reports whether the last REPORT a GEM evaluated from a server it
+// has not heard from this period fills the gap: a GEM nobody reported to has
+// no view to fill; the REPORT must be at most stalePeriods old, the machine
+// up and its LEM alive.
+func (m *Manager) standsIn(g *gem, id cluster.MachineID, tickIdx int) bool {
+	e := &g.last[id]
+	return g.heard > 0 && e.info != nil && tickIdx-e.tick <= stalePeriods &&
+		!m.servers[id].failed && m.C.Machine(id).Up()
+}
+
+// inScope reports whether the GEM's view this period covers the server:
+// heard from, or stood in for.
+func (m *Manager) inScope(g *gem, id cluster.MachineID, tickIdx int) bool {
+	return g.last[id].heard == tickIdx || m.standsIn(g, id, tickIdx)
 }
 
 // gemProcess is Alg. 2 at the report-window deadline: build the global
 // snapshot over the servers whose REPORTs arrived — filling gaps with
-// bounded-staleness cache entries, so a lossy control plane degrades the
+// bounded-staleness last REPORTs, so a lossy control plane degrades the
 // view instead of stalling it — apply resource rules, distribute actions
 // as RREPLY messages, and drive scale adjustment. The K-quorum discounts
 // crashed LEMs: their REPORTs are not coming.
 func (m *Manager) gemProcess(g *gem, snap *epl.Snapshot, tickIdx int) {
-	// Refresh the cache from this period's arrivals.
-	for _, r := range g.reports {
-		if r.info != nil {
-			g.cache[r.srv] = cachedReport{info: r.info, tick: tickIdx}
-		}
-	}
-	combined := append([]report(nil), g.reports...)
-	if len(g.reports) > 0 {
-		// Stand in for lost REPORTs with cached ones that are fresh enough,
-		// from machines still up whose LEMs still live.
-		srvs := make([]cluster.MachineID, 0, len(g.cache))
-		for srv := range g.cache {
-			srvs = append(srvs, srv)
-		}
-		sort.Slice(srvs, func(i, j int) bool { return srvs[i] < srvs[j] })
-		for _, srv := range srvs {
-			c := g.cache[srv]
-			if tickIdx-c.tick > m.Cfg.StalePeriods {
-				delete(g.cache, srv)
-				continue
+	// One walk in id order: what arrived becomes the server's last REPORT,
+	// what did not may be stood in for. The GEM's view is built from REPORT
+	// payloads, not from the profiler directly: what the GEM plans on is
+	// exactly what the network delivered.
+	scoped := 0
+	servers := make([]*epl.ServerInfo, 0, len(g.last))
+	for i := range g.last {
+		e, id := &g.last[i], cluster.MachineID(i)
+		if e.heard == tickIdx {
+			if e.next != nil {
+				e.info, e.tick = e.next, tickIdx
 			}
-			if g.got[srv] || m.lemFor(srv).failed {
-				continue
-			}
-			if mach := m.C.Machine(srv); mach == nil || !mach.Up() {
-				continue
-			}
+		} else if m.standsIn(g, id, tickIdx) {
 			m.Stats.StaleReportsUsed++
 			m.tr.Emit(trace.Record{Kind: trace.KindStaleReport, Parent: m.trTick,
-				Tick: int32(tickIdx), Server: int32(srv), Target: -1, Rule: -1, Value: float64(c.tick)})
-			combined = append(combined, report{srv: srv, info: c.info})
+				Tick: int32(tickIdx), Server: int32(id), Target: -1, Rule: -1, Value: float64(e.tick)})
+		} else {
+			continue
+		}
+		scoped++
+		if e.info != nil && tickIdx-e.tick <= stalePeriods {
+			servers = append(servers, e.info)
 		}
 	}
 
@@ -698,40 +660,21 @@ func (m *Manager) gemProcess(g *gem, snap *epl.Snapshot, tickIdx int) {
 	}
 	gemEvalID := uint64(0)
 	if m.tr.Enabled() {
-		det := gemName(g.id) + " reports=" + strconv.Itoa(len(g.reports)) +
-			" combined=" + strconv.Itoa(len(combined)) + " quorum=" + strconv.Itoa(effK)
-		if len(combined) <= effK {
+		det := gemName(g.id) + " reports=" + strconv.Itoa(g.heard) +
+			" combined=" + strconv.Itoa(scoped) + " quorum=" + strconv.Itoa(effK)
+		if scoped <= effK {
 			det += " skipped"
 		}
 		gemEvalID = m.tr.Emit(trace.Record{Kind: trace.KindGemEval, Parent: m.trTick,
 			Tick: int32(tickIdx), Server: -1, Target: -1, Rule: -1,
-			Value: float64(len(combined)), Detail: det})
+			Value: float64(scoped), Detail: det})
 	}
-	if len(combined) <= effK {
+	if scoped <= effK {
 		return
-	}
-	scope := make([]cluster.MachineID, 0, len(combined))
-	for _, r := range combined {
-		scope = append(scope, r.srv)
-	}
-	sort.Slice(scope, func(i, j int) bool { return scope[i] < scope[j] })
-
-	// The GEM's view is built from REPORT payloads (fresh or cached), not
-	// from the profiler directly: what the GEM plans on is exactly what the
-	// network delivered.
-	servers := make([]*epl.ServerInfo, 0, len(scope))
-	for _, srv := range scope {
-		if c, ok := g.cache[srv]; ok && c.info != nil {
-			servers = append(servers, c.info)
-		}
 	}
 	gemView := snap.WithServers(servers)
 
-	var obs epl.EvalObserver
-	if m.tr.Enabled() {
-		obs = &evalObs{m: m, parent: gemEvalID, tick: int32(tickIdx), ctx: gemName(g.id)}
-	}
-	res := epl.EvaluateObserved(m.Pol, gemView, true, false, obs)
+	res := epl.EvaluateObserved(m.Pol, gemView, true, false, m.obs(gemEvalID, tickIdx, gemName(g.id)))
 	if len(res.ProvClass) > 0 {
 		// Refresh the scale-out class preference from the provclass rules
 		// that fired this period (rule order = preference order).
@@ -744,7 +687,7 @@ func (m *Manager) gemProcess(g *gem, snap *epl.Snapshot, tickIdx int) {
 			}
 		}
 	}
-	actions, allOver, allUnder, outNeed, wantIn := m.planResource(scope, g.got, gemView, res, gemEvalID, tickIdx)
+	actions, allOver, allUnder, outNeed, wantIn := m.planResource(g.last, gemView, res, gemEvalID, tickIdx)
 	g.allOver = allOver
 	g.allUnder = allUnder
 	m.Stats.PlannedActions += len(actions)
@@ -754,7 +697,7 @@ func (m *Manager) gemProcess(g *gem, snap *epl.Snapshot, tickIdx int) {
 		m.tryScaleOut(g, outNeed, gemEvalID)
 	}
 	if wantIn && m.Cfg.ScaleIn && len(actions) == 0 {
-		m.tryScaleIn(g, scope, gemView, gemEvalID)
+		m.tryScaleIn(g, gemView, gemEvalID)
 	}
 }
 
@@ -763,18 +706,11 @@ func (m *Manager) gemProcess(g *gem, snap *epl.Snapshot, tickIdx int) {
 // reserved/balanced actors in the same period), resolve per-actor conflicts
 // by priority, admission-check targets, then migrate.
 func (m *Manager) resolveAndExecute(snap *epl.Snapshot, inter *epl.Intents) {
-	srvs := make([]cluster.MachineID, 0, len(m.lems))
-	for id := range m.lems {
-		srvs = append(srvs, id)
-	}
-	sort.Slice(srvs, func(i, j int) bool { return srvs[i] < srvs[j] })
-
 	var all []Action
-	for _, srv := range srvs {
-		if m.lems[srv].failed {
-			continue
+	for _, l := range m.servers {
+		if !l.failed {
+			all = append(all, l.gemActions...)
 		}
-		all = append(all, m.lems[srv].gemActions...)
 	}
 	interActions := m.planInteraction(snap, inter, all)
 	m.Stats.PlannedActions += len(interActions)
@@ -784,9 +720,6 @@ func (m *Manager) resolveAndExecute(snap *epl.Snapshot, inter *epl.Intents) {
 	final := m.resolveActions(all)
 	// Process queries in priority order so reservations admit partners.
 	sort.SliceStable(final, func(i, j int) bool { return final[i].Pri > final[j].Pri })
-	if m.OnActions != nil {
-		m.OnActions(final)
-	}
 
 	pinPri := m.Cfg.priority(epl.KindPin)
 	for _, a := range final {
@@ -795,7 +728,7 @@ func (m *Manager) resolveAndExecute(snap *epl.Snapshot, inter *epl.Intents) {
 			m.traceDrop(a, "stale-src")
 			continue // stale: the actor moved since planning
 		}
-		if m.lemFor(a.Src).failed {
+		if m.srv(a.Src).failed {
 			m.traceDrop(a, "lem-crashed")
 			continue // the initiating LEM crashed after planning
 		}
@@ -877,10 +810,11 @@ func (m *Manager) checkIdleRes(a Action, snap *epl.Snapshot) (bool, string) {
 	if mach == nil || !mach.Up() {
 		return false, "target-down"
 	}
-	if m.draining[a.Trg] {
+	l := m.srv(a.Trg)
+	if l.draining {
 		return false, "draining"
 	}
-	if owner, ok := m.reserved[a.Trg]; ok {
+	if owner := l.owner; !owner.Zero() {
 		if a.Actor != owner && a.Partner != owner {
 			return false, "reserved"
 		}
@@ -894,23 +828,17 @@ func (m *Manager) checkIdleRes(a Action, snap *epl.Snapshot) (bool, string) {
 	if ai == nil {
 		return false, "unknown-actor"
 	}
-	l := m.lemFor(a.Trg)
 	res := a.Res
 	load := shareOn(ai, m.capacity(ai.Server), m.capacity(a.Trg))[res]
 	projected := l.promised[res]
 	if ti != nil {
 		projected += ti.Res(res)
 	}
-	if projected+load > m.admissionBound(res) {
+	if projected+load > defaultUpper {
 		return false, "over-bound"
 	}
 	l.promised[res] += load
 	return true, ""
-}
-
-// admissionBound is the utilization ceiling for accepting migrations.
-func (m *Manager) admissionBound(res epl.Resource) float64 {
-	return m.Cfg.DefaultUpper
 }
 
 // capacity is a machine's (cpu, mem, net) capacity in speed-weighted cores,

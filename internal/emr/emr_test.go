@@ -145,7 +145,7 @@ server.cpu.perc > 80 and client.call(Folder(fo).open).perc > 40 => reserve(fo, c
 	if got := e.rt.ServerOf(hot); got != 1 {
 		t.Fatalf("hot folder on %d, want reserved empty server 1", got)
 	}
-	if owner := m.reserved[1]; owner != hot {
+	if owner := m.srv(1).owner; owner != hot {
 		t.Fatalf("server 1 reserved for %v, want %v", owner, hot)
 	}
 }
@@ -155,7 +155,7 @@ func TestReservedServerRejectsOthers(t *testing.T) {
 	pol := epl.MustParse(`server.cpu.perc > 80 or server.cpu.perc < 60 => balance({Worker}, cpu);`)
 	m := New(e.k, e.c, e.rt, e.prof, pol, Config{Period: sim.Second, MinResidence: sim.Millisecond})
 	owner := e.rt.SpawnOn("VIP", actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {}), 1)
-	m.reserved[1] = owner
+	m.srv(1).owner = owner
 	var refs []actor.Ref
 	for i := 0; i < 4; i++ {
 		refs = append(refs, e.rt.SpawnOn("Worker", worker(45), 0))
@@ -349,21 +349,35 @@ func TestColocateFollowsMigratingPartner(t *testing.T) {
 }
 
 func TestMultipleGEMsStillBalance(t *testing.T) {
-	e := newEnv(3, 8, 1)
-	pol := epl.MustParse(`server.cpu.perc > 80 or server.cpu.perc < 60 => balance({Worker}, cpu);`)
-	var refs []actor.Ref
-	for i := 0; i < 16; i++ {
-		refs = append(refs, e.rt.SpawnOn("Worker", worker(22), 0))
+	run := func(gems int) (*env, *Manager) {
+		e := newEnv(3, 8, 1)
+		pol := epl.MustParse(`server.cpu.perc > 80 or server.cpu.perc < 60 => balance({Worker}, cpu);`)
+		var refs []actor.Ref
+		for i := 0; i < 16; i++ {
+			refs = append(refs, e.rt.SpawnOn("Worker", worker(22), 0))
+		}
+		m := New(e.k, e.c, e.rt, e.prof, pol, Config{Period: sim.Second, MinResidence: sim.Millisecond, NumGEMs: gems})
+		m.Start()
+		startWork(e, refs...)
+		e.k.Run(sim.Time(40 * sim.Second))
+		return e, m
 	}
-	m := New(e.k, e.c, e.rt, e.prof, pol, Config{Period: sim.Second, MinResidence: sim.Millisecond, NumGEMs: 4})
-	m.Start()
-	startWork(e, refs...)
-	e.k.Run(sim.Time(40 * sim.Second))
+	e, m := run(4)
 	if m.Stats.ExecutedMigrations == 0 {
 		t.Fatal("no migrations with 4 GEMs")
 	}
 	if len(e.rt.ActorsOn(0)) == 16 {
 		t.Fatal("load never left the hot server")
+	}
+	// Stale fills on a fault-free control plane are the LEMs' random GEM
+	// choice, not loss: a server that reported to this GEM a period or two
+	// ago and to another one now is filled from its last REPORT. One GEM
+	// hears from every server every period and fills nothing.
+	if m.Stats.StaleReportsUsed == 0 {
+		t.Fatal("4 GEMs, no faults: StaleReportsUsed = 0, want the shuffle's fills")
+	}
+	if _, m1 := run(1); m1.Stats.StaleReportsUsed != 0 {
+		t.Fatalf("1 GEM, no faults: StaleReportsUsed = %d, want 0", m1.Stats.StaleReportsUsed)
 	}
 }
 

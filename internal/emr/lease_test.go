@@ -1,11 +1,14 @@
 package emr
 
 import (
+	"slices"
 	"testing"
 
 	"plasma/internal/actor"
+	"plasma/internal/cluster"
 	"plasma/internal/epl"
 	"plasma/internal/sim"
+	"plasma/internal/trace"
 )
 
 // Tests for the reservation lease (Config.ReserveTTL) and grant-time
@@ -25,15 +28,49 @@ func TestReserveLeaseExpiresWithoutRefresh(t *testing.T) {
 	// An owner sits on its dedicated server, but no reserve rule exists to
 	// re-name it: the lease must lapse after TTL periods.
 	owner := e.rt.SpawnOn("VIP", quiet(), 1)
-	m.reserved[1] = owner
-	m.resLease[1] = 0
+	m.srv(1).owner = owner
 	m.Start()
 	e.k.Run(sim.Time(5 * sim.Second))
-	if _, held := m.reserved[1]; held {
+	if !m.srv(1).owner.Zero() {
 		t.Fatal("unrefreshed reservation still held after TTL periods")
 	}
 	if m.Stats.ExpiredReservations != 1 {
 		t.Fatalf("ExpiredReservations = %d, want 1", m.Stats.ExpiredReservations)
+	}
+}
+
+// Several leases lapsing in one period are reported in ascending server id,
+// whatever order they were granted in: cleanupReservations walks the server
+// table, so the order is the table's and not a sort's.
+func TestReserveLeasesExpireInServerOrder(t *testing.T) {
+	e := newEnv(1, 6, 1)
+	pol := epl.MustParse(`server.cpu.perc > 80 or server.cpu.perc < 60 => balance({Worker}, cpu);`)
+	m := New(e.k, e.c, e.rt, e.prof, pol,
+		Config{Period: sim.Second, MinResidence: sim.Millisecond, ReserveTTL: 1})
+	ring := trace.NewRing(1 << 10)
+	tr := trace.New(ring)
+	tr.SetClock(e.k.Now)
+	m.SetTracer(tr)
+	for _, srv := range []cluster.MachineID{4, 1, 5, 2} {
+		m.srv(srv).owner = e.rt.SpawnOn("VIP", quiet(), srv)
+	}
+	m.Start()
+	e.k.Run(sim.Time(3 * sim.Second))
+
+	var expired []int32
+	for _, r := range ring.Records() {
+		if r.Kind == trace.KindDeny && r.Detail == "reserve-expired" {
+			if r.Tick != 2 {
+				t.Fatalf("lease on server %d expired in period %d, want 2 (TTL 1)", r.Server, r.Tick)
+			}
+			expired = append(expired, r.Server)
+		}
+	}
+	if !slices.Equal(expired, []int32{1, 2, 4, 5}) {
+		t.Fatalf("reserve-expired records for servers %v, want [1 2 4 5] in that order", expired)
+	}
+	if m.Stats.ExpiredReservations != 4 {
+		t.Fatalf("ExpiredReservations = %d, want 4", m.Stats.ExpiredReservations)
 	}
 }
 
@@ -43,11 +80,10 @@ func TestReserveLegacyPersistsWithZeroTTL(t *testing.T) {
 	m := New(e.k, e.c, e.rt, e.prof, pol,
 		Config{Period: sim.Second, MinResidence: sim.Millisecond})
 	owner := e.rt.SpawnOn("VIP", quiet(), 1)
-	m.reserved[1] = owner
-	m.resLease[1] = 0
+	m.srv(1).owner = owner
 	m.Start()
 	e.k.Run(sim.Time(10 * sim.Second))
-	if got := m.reserved[1]; got != owner {
+	if got := m.srv(1).owner; got != owner {
 		t.Fatalf("legacy (TTL=0) reservation dropped: reserved[1]=%v", got)
 	}
 	if m.Stats.ExpiredReservations != 0 {
@@ -95,7 +131,7 @@ server.cpu.perc > 80 and client.call(Folder(fo).open).perc > 40 => reserve(fo, c
 	// intents' refreshes can explain it. (The stat is not asserted zero:
 	// the first thin snapshot may briefly qualify the cold folder too, and
 	// that spurious dedication expiring is the lease doing its job.)
-	if owner := m.reserved[1]; owner != hot {
+	if owner := m.srv(1).owner; owner != hot {
 		t.Fatalf("reservation lapsed despite standing reserve intents (reserved[1]=%v)", owner)
 	}
 }
@@ -132,7 +168,7 @@ server.cpu.perc > 80 and client.call(Folder(fo).open).perc > 40 => reserve(fo, c
 	e.k.Run(sim.Time(10 * sim.Second))
 
 	srv := e.rt.ServerOf(hot)
-	if owner := m.reserved[srv]; owner != hot {
+	if owner := m.srv(srv).owner; owner != hot {
 		t.Fatalf("hot folder's server %d not reserved for it (reserved=%v)", srv, owner)
 	}
 	for _, r := range []actor.Ref{r1, r2} {

@@ -169,7 +169,7 @@ func (m *Manager) groupAnchor(members []*epl.ActorInfo, planned map[actor.Ref]Ac
 	// first member already there, but on a dedicated server its owner — a
 	// reserved server admits nobody else's partners.
 	for _, mem := range members {
-		if mem.Server == dest && (anchor.Zero() || mem.Ref == m.reserved[dest]) {
+		if mem.Server == dest && (anchor.Zero() || mem.Ref == m.srv(dest).owner) {
 			anchor = mem.Ref
 		}
 	}
@@ -195,10 +195,7 @@ func (m *Manager) planSeparates(snap *epl.Snapshot, pairs []epl.PairIntent, plan
 	score := map[cluster.MachineID]float64{}
 	var targets []cluster.MachineID
 	for _, srv := range snap.Servers {
-		if !srv.Up || m.draining[srv.ID] {
-			continue
-		}
-		if _, taken := m.reserved[srv.ID]; taken {
+		if !srv.Up || !m.srv(srv.ID).shared() {
 			continue
 		}
 		score[srv.ID] = srv.CPUPerc
@@ -286,14 +283,15 @@ func (m *Manager) planSeparates(snap *epl.Snapshot, pairs []epl.PairIntent, plan
 // the rounds that reach for them.
 type round struct {
 	snap *epl.Snapshot
-	// fresh, when non-nil, is the set of servers whose REPORT reached the
-	// GEM this period; the others in scope are known from a cached report up
-	// to StalePeriods old. Affinity is trusted only toward the former: it is
-	// the one criterion that prefers a loaded server to an idle one, and a
-	// target packed toward the bound on an outdated reading is the move
-	// admission refuses a hop later, while the overloaded source waits a
+	// last, when non-nil, is the planning GEM's report table: a server it
+	// heard from in period tick is fresh, the others in scope are known from
+	// a REPORT up to stalePeriods old. Affinity is trusted only toward the
+	// former: it is the one criterion that prefers a loaded server to an idle
+	// one, and a target packed toward the bound on an outdated reading is the
+	// move admission refuses a hop later, while the overloaded source waits a
 	// period (Fig. 11c with four GEMs: a 950 ms transient).
-	fresh map[cluster.MachineID]bool
+	last []lastReport
+	tick int
 
 	// slot maps a machine id to its index in the packing set (servers,
 	// proj, caps), or to one of the negative markers below.
@@ -314,27 +312,21 @@ type round struct {
 }
 
 const (
-	slotOut   = -1 // outside the GEM's scope
-	slotScope = -2 // in scope but not packable: down, draining or reserved
+	slotOut   = -1 // outside the GEM's view
+	slotScope = -2 // in view but not packable: down, draining or reserved
 	slotTaken = -3 // dedicated by a reservation planned this round
 )
 
-// begin resets the round for a new snapshot and marks the scope.
-func (r *round) begin(snap *epl.Snapshot, scope []cluster.MachineID, fresh map[cluster.MachineID]bool) {
-	n := 0
-	for _, id := range scope {
-		n = max(n, int(id)+1)
-	}
-	for _, srv := range snap.Servers {
-		n = max(n, int(srv.ID)+1)
-	}
-	r.snap, r.fresh = snap, fresh
+// begin resets the round for a new view — the snapshot's servers are the
+// scope — over a fleet of n machines.
+func (r *round) begin(snap *epl.Snapshot, n int, last []lastReport, tick int) {
+	r.snap, r.last, r.tick = snap, last, tick
 	r.slot = slices.Grow(r.slot[:0], n)[:n]
 	for i := range r.slot {
 		r.slot[i] = slotOut
 	}
-	for _, id := range scope {
-		r.slot[id] = slotScope
+	for _, srv := range snap.Servers {
+		r.slot[srv.ID] = slotScope
 	}
 	r.servers, r.proj, r.caps = r.servers[:0], r.proj[:0], r.caps[:0]
 	if r.dest == nil {
@@ -434,23 +426,24 @@ func (r *round) move(ai *epl.ActorInfo, from, to int32, add [3]float64) {
 	r.dest[ai.Ref.ID] = r.servers[to]
 }
 
-// planResource runs the round over a GEM's scope and reports, beside the
-// actions, the scale signals: whether every packable server is over (resp.
-// under) some rule's band, how many servers' worth of scale-out pressure
-// the round could not place, and whether a rule wants to scale in.
-// fresh is round.fresh (nil: every scoped server reported this period);
-// parent/tickIdx anchor the plan-batch trace record to the GEM evaluation
-// that produced the intents.
-func (m *Manager) planResource(scope []cluster.MachineID, fresh map[cluster.MachineID]bool, snap *epl.Snapshot, in *epl.Intents, parent uint64, tickIdx int) (actions []Action, allOver, allUnder bool, outNeed int, wantIn bool) {
+// planResource runs the round over a GEM's view — snap's servers are its
+// scope — and reports, beside the actions, the scale signals: whether every
+// packable server is over (resp. under) some rule's band, how many servers'
+// worth of scale-out pressure the round could not place, and whether a rule
+// wants to scale in. last is round.last (nil: every scoped server reported
+// this period); parent/tickIdx anchor the plan-batch trace record to the GEM
+// evaluation that produced the intents.
+func (m *Manager) planResource(last []lastReport, snap *epl.Snapshot, in *epl.Intents, parent uint64, tickIdx int) (actions []Action, allOver, allUnder bool, outNeed int, wantIn bool) {
 	r := &m.rd
-	r.begin(snap, scope, fresh)
+	m.grow()
+	r.begin(snap, len(m.servers), last, tickIdx)
 
 	for _, ri := range in.Reserve {
 		// A reserve intent naming a reservation's owner refreshes its lease:
 		// the rule still wants the dedication (see Config.ReserveTTL).
-		for srv, owner := range m.reserved {
-			if owner == ri.Actor {
-				m.resLease[srv] = m.Stats.Ticks
+		for _, s := range m.servers {
+			if s.owner == ri.Actor {
+				s.lease = m.Stats.Ticks
 			}
 		}
 		trg, starved := m.planReserve(ri)
@@ -472,12 +465,9 @@ func (m *Manager) planResource(scope []cluster.MachineID, fresh map[cluster.Mach
 	nResv := len(actions)
 
 	for _, srv := range snap.Servers {
-		if r.slot[srv.ID] != slotScope || !srv.Up || m.draining[srv.ID] {
-			continue
-		}
-		if _, taken := m.reserved[srv.ID]; taken {
-			// Dedicated servers are outside balance's purview: their load
-			// is the reservation owner's entitlement.
+		// Dedicated servers are outside balance's purview: their load is the
+		// reservation owner's entitlement.
+		if r.slot[srv.ID] != slotScope || !srv.Up || !m.servers[srv.ID].shared() {
 			continue
 		}
 		r.slot[srv.ID] = int32(len(r.servers))
@@ -537,16 +527,13 @@ func (m *Manager) planReserve(ri epl.ReserveIntent) (trg cluster.MachineID, star
 		return -1, false // a second intent naming the same actor
 	}
 	// Already reserved somewhere and sitting there: nothing to do.
-	if owner, ok := m.reserved[ai.Server]; ok && owner == ri.Actor {
+	if m.srv(ai.Server).owner == ri.Actor {
 		return -1, false
 	}
 	trg = -1
 	bestLoad, bestCnt := math.Inf(1), 0
 	for _, srv := range r.snap.Servers {
-		if r.slot[srv.ID] != slotScope || !srv.Up || srv.ID == ai.Server || m.draining[srv.ID] {
-			continue
-		}
-		if _, taken := m.reserved[srv.ID]; taken {
+		if r.slot[srv.ID] != slotScope || !srv.Up || srv.ID == ai.Server || !m.servers[srv.ID].shared() {
 			continue
 		}
 		load := srv.Res(ri.Res)
@@ -571,7 +558,7 @@ func (m *Manager) planReserve(ri epl.ReserveIntent) (trg cluster.MachineID, star
 func (m *Manager) bandOf(bi epl.BalanceIntent) (upper, lower float64) {
 	upper, lower = bi.Upper, bi.Lower
 	if !bi.HasUpper() {
-		upper = m.Cfg.DefaultUpper
+		upper = defaultUpper
 	}
 	if !bi.HasLower() {
 		lower = upper
@@ -692,7 +679,7 @@ func (m *Manager) candidates(src cluster.MachineID, bi epl.BalanceIntent) []cand
 func (m *Manager) fits(s int, add [3]float64, ax int, upper float64) bool {
 	p := &m.rd.proj[s]
 	for x := range add {
-		bound := m.Cfg.DefaultUpper
+		bound := defaultUpper
 		if x == ax {
 			bound = upper
 		}
@@ -728,7 +715,7 @@ func (m *Manager) pickTarget(ai *epl.ActorInfo, from int32, ax int, upper float6
 			continue
 		}
 		aff, load := 0.0, r.proj[s][ax]
-		if r.fresh == nil || r.fresh[id] {
+		if r.last == nil || r.last[id].heard == r.tick {
 			aff = affTo(pull, id)
 		}
 		if to < 0 || aff > bestAff || (aff == bestAff && load < bestLoad) {

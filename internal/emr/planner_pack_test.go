@@ -42,7 +42,7 @@ func TestBatchTargetMustFitEveryAxis(t *testing.T) {
 	bi := epl.BalanceIntent{Types: []string{"W"}, Res: epl.CPU, Upper: 80, Lower: 60}
 
 	snap := buildSnapVec(pe, servers, []*epl.ActorInfo{mover})
-	acts, _, _, _, _ := pe.m.planResource(scope(3), nil, snap, &epl.Intents{Balance: []epl.BalanceIntent{bi}}, 0, 0)
+	acts, _, _, _, _ := pe.m.planResource(nil, within(snap, scope(3)), &epl.Intents{Balance: []epl.BalanceIntent{bi}}, 0, 0)
 	if len(acts) != 1 || acts[0].Trg != 2 {
 		t.Fatalf("actions = %+v, want the mover on server 2 (server 1 memory would hit 94%%)", acts)
 	}
@@ -59,14 +59,14 @@ func TestBatchTargetPrefersCommunicationAffinity(t *testing.T) {
 	bi := epl.BalanceIntent{Types: []string{"W"}, Res: epl.CPU, Upper: 80, Lower: 60}
 
 	snap := buildSnapVec(pe, [][3]float64{{95, 0, 0}, {30, 0, 0}, {40, 0, 0}}, []*epl.ActorInfo{peer, mover})
-	acts, _, _, _, _ := pe.m.planResource(scope(3), nil, snap, &epl.Intents{Balance: []epl.BalanceIntent{bi}}, 0, 0)
+	acts, _, _, _, _ := pe.m.planResource(nil, within(snap, scope(3)), &epl.Intents{Balance: []epl.BalanceIntent{bi}}, 0, 0)
 	if len(acts) != 1 || acts[0].Trg != 2 {
 		t.Fatalf("actions = %+v, want the mover beside its peer on server 2", acts)
 	}
 
 	mover.Calls = nil
 	snap = buildSnapVec(pe, [][3]float64{{95, 0, 0}, {30, 0, 0}, {40, 0, 0}}, []*epl.ActorInfo{peer, mover})
-	acts, _, _, _, _ = pe.m.planResource(scope(3), nil, snap, &epl.Intents{Balance: []epl.BalanceIntent{bi}}, 0, 0)
+	acts, _, _, _, _ = pe.m.planResource(nil, within(snap, scope(3)), &epl.Intents{Balance: []epl.BalanceIntent{bi}}, 0, 0)
 	if len(acts) != 1 || acts[0].Trg != 1 {
 		t.Fatalf("actions = %+v, want the least-loaded server 1 without traffic", acts)
 	}
@@ -84,7 +84,7 @@ func TestBatchIntentsShareOneProjection(t *testing.T) {
 		{Types: []string{"B"}, Res: epl.CPU, Upper: 80, Lower: 60},
 	}}
 	snap := buildSnapVec(pe, [][3]float64{{95, 0, 0}, {95, 0, 0}, {30, 0, 0}, {40, 0, 0}}, []*epl.ActorInfo{a, b})
-	acts, _, _, _, _ := pe.m.planResource(scope(4), nil, snap, in, 0, 0)
+	acts, _, _, _, _ := pe.m.planResource(nil, within(snap, scope(4)), in, 0, 0)
 	if len(acts) != 2 {
 		t.Fatalf("actions = %+v, want both movers placed", acts)
 	}
@@ -106,7 +106,7 @@ func TestBatchNeverPlansAnActorTwice(t *testing.T) {
 		{Types: []string{"W"}, Res: epl.CPU, Upper: 70, Lower: 50},
 	}}
 	snap := buildSnapVec(pe, [][3]float64{{95, 0, 0}, {30, 0, 0}}, []*epl.ActorInfo{w})
-	acts, _, _, _, _ := pe.m.planResource(scope(2), nil, snap, in, 0, 0)
+	acts, _, _, _, _ := pe.m.planResource(nil, within(snap, scope(2)), in, 0, 0)
 	if len(acts) != 1 {
 		t.Fatalf("actions = %+v, want the shared actor planned exactly once", acts)
 	}
@@ -121,7 +121,7 @@ func TestBatchRoundEmitsPlanBatchRecord(t *testing.T) {
 	w := mkActor(pe, "W", 0, 20)
 	bi := epl.BalanceIntent{Types: []string{"W"}, Res: epl.CPU, Upper: 80, Lower: 60}
 	snap := buildSnapVec(pe, [][3]float64{{95, 0, 0}, {30, 0, 0}, {40, 0, 0}}, []*epl.ActorInfo{w})
-	acts, _, _, _, _ := pe.m.planResource(scope(3), nil, snap, &epl.Intents{Balance: []epl.BalanceIntent{bi}}, 7, 3)
+	acts, _, _, _, _ := pe.m.planResource(nil, within(snap, scope(3)), &epl.Intents{Balance: []epl.BalanceIntent{bi}}, 7, 3)
 	if len(acts) != 1 {
 		t.Fatalf("actions = %+v", acts)
 	}
@@ -180,7 +180,7 @@ func TestBatchWantOutWhenNothingFits(t *testing.T) {
 	w := mkActor(pe, "W", 0, 40)
 	bi := epl.BalanceIntent{Types: []string{"W"}, Res: epl.CPU, Upper: 80, Lower: 60}
 	snap := buildSnapVec(pe, [][3]float64{{95, 0, 0}, {70, 0, 0}}, []*epl.ActorInfo{w})
-	acts, _, _, outNeed, _ := pe.m.planResource(scope(2), nil, snap, &epl.Intents{Balance: []epl.BalanceIntent{bi}}, 0, 0)
+	acts, _, _, outNeed, _ := pe.m.planResource(nil, within(snap, scope(2)), &epl.Intents{Balance: []epl.BalanceIntent{bi}}, 0, 0)
 	if len(acts) != 0 {
 		t.Fatalf("actions = %+v, want none (70+40 crosses the bound)", acts)
 	}
@@ -197,7 +197,7 @@ func TestBatchLowWaterRedistributes(t *testing.T) {
 	actors := []*epl.ActorInfo{mkActor(pe, "W", 0, 6), mkActor(pe, "W", 0, 3)}
 	bi := epl.BalanceIntent{Types: []string{"W"}, Res: epl.CPU, Upper: 70, Lower: 60}
 	snap := buildSnapVec(pe, [][3]float64{{66, 0, 0}, {54, 0, 0}}, actors)
-	acts, _, _, _, _ := pe.m.planResource(scope(2), nil, snap, &epl.Intents{Balance: []epl.BalanceIntent{bi}}, 0, 0)
+	acts, _, _, _, _ := pe.m.planResource(nil, within(snap, scope(2)), &epl.Intents{Balance: []epl.BalanceIntent{bi}}, 0, 0)
 	if len(acts) == 0 {
 		t.Fatal("tight-band low-water redistribution never fired")
 	}
@@ -220,12 +220,12 @@ func TestBatchAffinityOnlyTowardFreshlyReportedServers(t *testing.T) {
 	in := &epl.Intents{Balance: []epl.BalanceIntent{{Types: []string{"W"}, Res: epl.CPU, Upper: 80, Lower: 60}}}
 	snap := buildSnapVec(pe, [][3]float64{{95, 0, 0}, {50, 0, 0}, {40, 0, 0}}, []*epl.ActorInfo{peer, mover})
 
-	acts, _, _, _, _ := pe.m.planResource(scope(3), nil, snap, in, 0, 0)
+	acts, _, _, _, _ := pe.m.planResource(nil, within(snap, scope(3)), in, 0, 0)
 	if len(acts) != 1 || acts[0].Trg != 1 {
 		t.Fatalf("actions = %+v, want the mover beside its peer on server 1", acts)
 	}
-	stale1 := map[cluster.MachineID]bool{0: true, 2: true}
-	acts, _, _, _, _ = pe.m.planResource(scope(3), stale1, snap, in, 0, 0)
+	stale1 := []lastReport{{heard: 5}, {heard: 4}, {heard: 5}}
+	acts, _, _, _, _ = pe.m.planResource(stale1, within(snap, scope(3)), in, 0, 5)
 	if len(acts) != 1 || acts[0].Trg != 2 {
 		t.Fatalf("actions = %+v, want the quieter server 2 when server 1's reading is stale", acts)
 	}

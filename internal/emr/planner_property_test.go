@@ -16,7 +16,7 @@ import (
 // the GEM's scope or known only from a cached report; actors of two types with random (cpu, mem, net) shares,
 // some pinned, some moved too recently, some chatting; and two or three
 // overlapping balance intents plus up to two reserve intents.
-func randomFleet(t *testing.T, seed int64) (m *Manager, scope []cluster.MachineID, fresh map[cluster.MachineID]bool, snap *epl.Snapshot, in *epl.Intents) {
+func randomFleet(t *testing.T, seed int64) (m *Manager, scope []cluster.MachineID, fresh []lastReport, snap *epl.Snapshot, in *epl.Intents) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	types := []cluster.InstanceType{
@@ -28,14 +28,15 @@ func randomFleet(t *testing.T, seed int64) (m *Manager, scope []cluster.MachineI
 	c := cluster.New(k, 0, types[0])
 	nSrv := 4 + rng.Intn(9)
 	for i := 0; i < nSrv; i++ {
-		c.Provision(types[rng.Intn(len(types))], nil)
+		typ := types[rng.Intn(len(types))]
+		c.ProvisionClass(typ, vmSpec(typ), nil)
 	}
 	rt := actor.NewRuntime(k, c)
 	m = New(k, c, rt, nil, nil, Config{Period: sim.Second, MinResidence: 100 * sim.Millisecond})
 	k.Run(sim.Time(sim.Second))
 
 	snap = &epl.Snapshot{At: k.Now(), Window: sim.Second}
-	fresh = map[cluster.MachineID]bool{}
+	fresh = make([]lastReport, nSrv) // heard == 1: reported in the round's period
 	nextID := actor.ID(1)
 	for i := 0; i < nSrv; i++ {
 		id := cluster.MachineID(i)
@@ -45,13 +46,15 @@ func randomFleet(t *testing.T, seed int64) (m *Manager, scope []cluster.MachineI
 		case 0:
 			srv.Up = false
 		case 1:
-			m.draining[id] = true
+			m.srv(id).draining = true
 		case 2:
-			m.reserved[id] = actor.Ref{ID: 1 << 40}
+			m.srv(id).owner = actor.Ref{ID: 1 << 40}
 		}
 		if rng.Intn(8) != 0 {
 			scope = append(scope, id)
-			fresh[id] = rng.Intn(5) != 0
+			if rng.Intn(5) != 0 {
+				fresh[id].heard = 1
+			}
 		}
 		hot := rng.Intn(3) // 0 light, 1 mid, 2 heavy
 		for n := rng.Intn(5 + 4*hot); n > 0; n-- {
@@ -104,7 +107,7 @@ func TestPlanRoundProperties(t *testing.T) {
 	moves := 0
 	for seed := int64(1); seed <= 60; seed++ {
 		m, scope, fresh, snap, in := randomFleet(t, seed)
-		acts, _, _, _, _ := m.planResource(scope, fresh, snap, in, 0, 0)
+		acts, _, _, _, _ := m.planResource(fresh, within(snap, scope), in, 0, 1)
 		moves += len(acts)
 
 		dedicated := map[cluster.MachineID]bool{}
@@ -134,12 +137,12 @@ func TestPlanRoundProperties(t *testing.T) {
 				t.Fatalf("seed %d: %+v targets a down server", seed, a)
 			case !slices.Contains(scope, a.Trg):
 				t.Fatalf("seed %d: %+v targets a server outside the scope", seed, a)
-			case m.draining[a.Trg]:
+			case m.srv(a.Trg).draining:
 				t.Fatalf("seed %d: %+v targets a draining server", seed, a)
 			case a.Kind == epl.KindBalance && dedicated[a.Trg]:
 				t.Fatalf("seed %d: %+v targets a server dedicated this tick", seed, a)
 			}
-			if _, foreign := m.reserved[a.Trg]; foreign {
+			if !m.srv(a.Trg).owner.Zero() {
 				t.Fatalf("seed %d: %+v targets a server reserved for someone else", seed, a)
 			}
 			add := shareOn(ai, m.capacity(a.Src), m.capacity(a.Trg))
@@ -153,20 +156,20 @@ func TestPlanRoundProperties(t *testing.T) {
 		for _, a := range acts {
 			// Every intent's upper bound is at most the admission bound here.
 			for x, l := range proj[a.Trg] {
-				if a.Kind == epl.KindBalance && l > m.Cfg.DefaultUpper+1e-9 {
+				if a.Kind == epl.KindBalance && l > defaultUpper+1e-9 {
 					t.Fatalf("seed %d: %+v leaves its target at %.2f on axis %d, over the admission bound", seed, a, l, x)
 				}
 			}
 		}
 
-		if again, _, _, _, _ := m.planResource(scope, fresh, snap, in, 0, 0); !slices.Equal(acts, again) {
+		if again, _, _, _, _ := m.planResource(fresh, within(snap, scope), in, 0, 1); !slices.Equal(acts, again) {
 			t.Fatalf("seed %d: the same inputs planned differently twice:\n%+v\n%+v", seed, acts, again)
 		}
 		shuffled := &epl.Snapshot{At: snap.At, Window: snap.Window, Servers: snap.Servers, Actors: slices.Clone(snap.Actors)}
 		rand.New(rand.NewSource(seed)).Shuffle(len(shuffled.Actors), func(i, j int) {
 			shuffled.Actors[i], shuffled.Actors[j] = shuffled.Actors[j], shuffled.Actors[i]
 		})
-		if again, _, _, _, _ := m.planResource(scope, fresh, shuffled.Index(), in, 0, 0); !slices.Equal(acts, again) {
+		if again, _, _, _, _ := m.planResource(fresh, within(shuffled.Index(), scope), in, 0, 1); !slices.Equal(acts, again) {
 			t.Fatalf("seed %d: shuffling snap.Actors changed the plan:\n%+v\n%+v", seed, acts, again)
 		}
 	}

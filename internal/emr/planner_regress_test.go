@@ -220,7 +220,7 @@ func TestPlanReserveHoldsOwnersFamily(t *testing.T) {
 		Reserve: []epl.ReserveIntent{{Actor: root.Ref, Res: epl.CPU}},
 		Balance: []epl.BalanceIntent{{Types: []string{"P"}, Res: epl.CPU, Upper: nan(), Lower: 50}},
 	}
-	acts, _, _, _, _ := pe.m.planResource(scope(3), nil, snap, in, 0, 0)
+	acts, _, _, _, _ := pe.m.planResource(nil, within(snap, scope(3)), in, 0, 0)
 	if len(acts) == 0 || acts[0].Kind != epl.KindReserve || acts[0].Actor != root.Ref || acts[0].Trg != 2 {
 		t.Fatalf("actions = %+v, want the root reserved onto idle server 2 first", acts)
 	}
@@ -245,7 +245,7 @@ func TestGroupAnchorOnDedicatedServerIsItsOwner(t *testing.T) {
 	child := mkActor(pe, "P", 2, 10)
 	stray := mkActor(pe, "P", 0, 10)
 	root := mkActor(pe, "P", 2, 10)
-	pe.m.reserved[2] = root.Ref
+	pe.m.srv(2).owner = root.Ref
 	dest, anchor := pe.m.groupAnchor([]*epl.ActorInfo{child, stray, root}, map[actor.Ref]Action{})
 	if dest != 2 || anchor != root.Ref {
 		t.Fatalf("dest=%d anchor=%v, want server 2 anchored at its owner %v", dest, anchor, root.Ref)

@@ -1,6 +1,7 @@
 package emr
 
 import (
+	"slices"
 	"testing"
 
 	"plasma/internal/actor"
@@ -52,17 +53,29 @@ func mkActor(pe *planEnv, typ string, srv cluster.MachineID, cpu float64) *epl.A
 // planBalance runs the planning round with one balance intent; wantOut is
 // the round's scale-out need as a flag.
 func (pe *planEnv) planBalance(bi epl.BalanceIntent, snap *epl.Snapshot, scope []cluster.MachineID) (acts []Action, allOver, allUnder, wantOut, wantIn bool) {
-	acts, allOver, allUnder, outNeed, wantIn := pe.m.planResource(scope, nil, snap, &epl.Intents{Balance: []epl.BalanceIntent{bi}}, 0, 0)
+	acts, allOver, allUnder, outNeed, wantIn := pe.m.planResource(nil, within(snap, scope), &epl.Intents{Balance: []epl.BalanceIntent{bi}}, 0, 0)
 	return acts, allOver, allUnder, outNeed > 0, wantIn
 }
 
 // planReserve runs the planning round with one reserve intent.
 func (pe *planEnv) planReserve(ri epl.ReserveIntent, snap *epl.Snapshot, scope []cluster.MachineID) (act *Action, starved bool) {
-	acts, _, _, outNeed, _ := pe.m.planResource(scope, nil, snap, &epl.Intents{Reserve: []epl.ReserveIntent{ri}}, 0, 0)
+	acts, _, _, outNeed, _ := pe.m.planResource(nil, within(snap, scope), &epl.Intents{Reserve: []epl.ReserveIntent{ri}}, 0, 0)
 	if len(acts) > 0 {
 		act = &acts[0]
 	}
 	return act, outNeed > 0
+}
+
+// within is the view a GEM whose scope is the given servers plans on: the
+// same actors, only those servers.
+func within(snap *epl.Snapshot, scope []cluster.MachineID) *epl.Snapshot {
+	var servers []*epl.ServerInfo
+	for _, srv := range snap.Servers {
+		if slices.Contains(scope, srv.ID) {
+			servers = append(servers, srv)
+		}
+	}
+	return snap.WithServers(servers)
 }
 
 func scope(n int) []cluster.MachineID {
@@ -197,7 +210,7 @@ func TestPlanReserveStarvedWhenNoTarget(t *testing.T) {
 	vip := mkActor(pe, "V", 0, 30)
 	snap := buildSnap(pe, []float64{90, 50}, []*epl.ActorInfo{vip})
 	// Reserve the only other server for someone else.
-	pe.m.reserved[1] = actor.Ref{ID: 9999}
+	pe.m.srv(1).owner = actor.Ref{ID: 9999}
 	ri := epl.ReserveIntent{Actor: vip.Ref, Res: epl.CPU}
 	act, starved := pe.planReserve(ri, snap, scope(2))
 	if act != nil || !starved {

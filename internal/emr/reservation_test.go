@@ -35,7 +35,7 @@ func TestReservationHeldDuringInFlightReserveTransfer(t *testing.T) {
 
 	// The reserve was admitted: the ledger dedicates server 1 to the owner
 	// and the transfer begins.
-	m.reserved[1] = owner
+	m.srv(1).owner = owner
 	e.rt.Migrate(owner, 1, nil)
 	if !e.rt.Migrating(owner) || e.rt.ServerOf(owner) != 0 {
 		t.Fatalf("transfer not in flight (migrating=%v srv=%d)",
@@ -44,7 +44,7 @@ func TestReservationHeldDuringInFlightReserveTransfer(t *testing.T) {
 
 	// A period boundary's cleanup pass lands mid-transfer.
 	m.cleanupReservations()
-	if got := m.reserved[1]; got != owner {
+	if got := m.srv(1).owner; got != owner {
 		t.Fatalf("reservation dropped while the owner's transfer is in flight (reserved[1]=%v)", got)
 	}
 
@@ -62,7 +62,7 @@ func TestReservationHeldDuringInFlightReserveTransfer(t *testing.T) {
 		t.Fatalf("owner never arrived on the reserved server (srv=%d)", got)
 	}
 	m.cleanupReservations()
-	if m.reserved[1] != owner {
+	if m.srv(1).owner != owner {
 		t.Fatal("reservation dropped after the owner settled on its server")
 	}
 }
@@ -97,7 +97,7 @@ func TestDroppedQReplyReleasesTargetReservation(t *testing.T) {
 	// A reserve action's admission round trip; the QREPLY is dropped.
 	m.queryAdmission(Action{Actor: owner, Src: 0, Trg: 1, Kind: epl.KindReserve, Res: epl.CPU}, snap, false)
 	e.k.Run(sim.Time(2 * sim.Millisecond)) // QUERY delivered, grant recorded
-	if m.reserved[1] != owner {
+	if m.srv(1).owner != owner {
 		t.Fatal("reserve admission did not record the target-side grant")
 	}
 	if !d.dropped {
@@ -110,7 +110,7 @@ func TestDroppedQReplyReleasesTargetReservation(t *testing.T) {
 	if m.Stats.QueryTimeouts != 1 {
 		t.Fatalf("query timeouts = %d, want 1", m.Stats.QueryTimeouts)
 	}
-	if _, held := m.reserved[1]; held {
+	if !m.srv(1).owner.Zero() {
 		t.Fatal("stale reservation still blocks the target after the query timeout")
 	}
 	if m.Stats.ReleasedReservations != 1 {
@@ -121,5 +121,41 @@ func TestDroppedQReplyReleasesTargetReservation(t *testing.T) {
 	ok, reason := m.checkIdleRes(Action{Actor: foreign, Src: 0, Trg: 1, Kind: epl.KindBalance, Res: epl.CPU}, snap)
 	if !ok {
 		t.Fatalf("server still rejects admissions after the orphaned grant (reason=%q)", reason)
+	}
+}
+
+// A grant's release-on-timeout closure outlives the grant. When the same
+// server is granted to the same owner again before the closure fires (the
+// first QREPLY was lost, the source asked again), the stale closure must
+// leave the newer grant alone even though that grant's transfer has not
+// started yet: the grant epoch in the server's record is what tells them
+// apart.
+func TestStaleReleaseClosureCannotRevokeNewerGrant(t *testing.T) {
+	e := newEnv(1, 2, 1)
+	pol := epl.MustParse(`server.cpu.perc > 80 or server.cpu.perc < 60 => balance({Worker}, cpu);`)
+	m := New(e.k, e.c, e.rt, e.prof, pol, Config{Period: sim.Second, MinResidence: sim.Millisecond})
+	m.SetChaos(&dropFirstQReply{})
+	owner := e.rt.SpawnOn("VIP", quiet(), 0)
+	snap := e.prof.Snapshot(nil)
+	reserve := Action{Actor: owner, Src: 0, Trg: 1, Kind: epl.KindReserve, Res: epl.CPU}
+
+	// Grant 1 lands at 1 ms (its QREPLY is dropped; its closure fires at
+	// 5 ms). Grant 2 lands at 4.5 ms; its QREPLY starts the transfer at
+	// 5.5 ms — after the stale closure has looked.
+	m.queryAdmission(reserve, snap, false)
+	e.k.At(sim.Time(3500), func() { m.queryAdmission(reserve, snap, false) })
+	e.k.Run(sim.Time(5200))
+	if s := m.srv(1); s.owner != owner || s.epoch != 2 {
+		t.Fatalf("at 5.2 ms: owner=%v epoch=%d, want the second grant standing", s.owner, s.epoch)
+	}
+	if e.rt.MigratingTo(owner) == 1 {
+		t.Fatal("the transfer already started; the epoch check is not what held the grant")
+	}
+	e.k.RunUntilIdle()
+	if m.Stats.ReleasedReservations != 0 {
+		t.Fatalf("released reservations = %d: a stale closure revoked the newer grant", m.Stats.ReleasedReservations)
+	}
+	if e.rt.ServerOf(owner) != 1 || m.srv(1).owner != owner {
+		t.Fatalf("owner on %d, server 1 reserved for %v", e.rt.ServerOf(owner), m.srv(1).owner)
 	}
 }

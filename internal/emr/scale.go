@@ -11,23 +11,29 @@ import (
 	"plasma/internal/trace"
 )
 
-// tryScaleOut implements the adjustment protocol of §4.2: the requesting
-// GEM broadcasts to all other GEMs; each replies whether its own view is
-// similar (all of its servers overloaded too). On a majority of
-// corroborating replies the fleet grows by one server.
-func (m *Manager) tryScaleOut(g *gem, need int, parent uint64) {
-	agree := 1
-	voters := 1
+// corroborated is the adjustment protocol's poll (§4.2): the requesting GEM
+// broadcasts to all other GEMs; each that is alive and heard from a server
+// this period replies whether its own view is similar. It reports whether a
+// majority, the requester included, agrees.
+func (m *Manager) corroborated(g *gem, similar func(*gem) bool) (agree, voters int, ok bool) {
+	agree, voters = 1, 1
 	for _, other := range m.gems {
-		if other == g || other.failed || len(other.reports) == 0 {
+		if other == g || other.failed || other.heard == 0 {
 			continue
 		}
 		voters++
-		if other.allOver {
+		if similar(other) {
 			agree++
 		}
 	}
-	if agree*2 <= voters {
+	return agree, voters, agree*2 > voters
+}
+
+// tryScaleOut grows the fleet when a majority of GEMs see all of their
+// servers overloaded too.
+func (m *Manager) tryScaleOut(g *gem, need int, parent uint64) {
+	agree, voters, ok := m.corroborated(g, func(o *gem) bool { return o.allOver })
+	if !ok {
 		return
 	}
 	// Provision up to the demand, capped per period, counting machines
@@ -51,23 +57,18 @@ func (m *Manager) tryScaleOut(g *gem, need int, parent uint64) {
 	}
 }
 
-// provisionNext boots one machine for scale-out. With a provisioning
-// spectrum configured it walks the class preference order — the policy's
-// provclass rules first, then spec order — falling to the next class when
-// a warm pool is exhausted; without one it uses the legacy constant-boot
-// provisioner. Either way the outcome callback decrements the booting
-// counter on success AND failure: a machine crashed or decommissioned
-// mid-boot (or whose boot retries are exhausted) must not suppress
-// scale-out forever.
+// provisionNext boots one machine for scale-out, walking the provisioning
+// spectrum in class preference order — the policy's provclass rules first,
+// then spec order — and falling to the next class when a warm pool is
+// exhausted. The outcome callback decrements the booting counter on success
+// AND failure: a machine crashed or decommissioned mid-boot (or whose boot
+// retries are exhausted) must not suppress scale-out forever.
 func (m *Manager) provisionNext() *cluster.Machine {
 	done := func(_ *cluster.Machine, ok bool) {
 		m.booting--
 		if !ok {
 			m.Stats.FailedProvisions++
 		}
-	}
-	if len(m.provSpecs) == 0 {
-		return m.C.ProvisionClass(m.Cfg.InstanceType, nil, done)
 	}
 	for _, i := range m.provOrder() {
 		spec := &m.provSpecs[i]
@@ -110,30 +111,25 @@ func (m *Manager) ProvSpecs() []cluster.ProvSpec { return m.provSpecs }
 // tryScaleIn drains the emptiest of the GEM's servers after a corroborating
 // majority vote, migrating its actors away; the server is decommissioned
 // once empty (next tick).
-func (m *Manager) tryScaleIn(g *gem, scope []cluster.MachineID, snap *epl.Snapshot, parent uint64) {
-	if len(m.draining) > 0 || m.C.UpCount() <= m.Cfg.MinServers {
+func (m *Manager) tryScaleIn(g *gem, snap *epl.Snapshot, parent uint64) {
+	if m.C.UpCount() <= m.Cfg.MinServers {
 		return
 	}
-	agree := 1
-	voters := 1
-	for _, other := range m.gems {
-		if other == g || other.failed || len(other.reports) == 0 {
-			continue
-		}
-		voters++
-		if other.allUnder {
-			agree++
+	for _, s := range m.servers {
+		if s.draining {
+			return // one drain at a time
 		}
 	}
-	if agree*2 <= voters {
+	if _, _, ok := m.corroborated(g, func(o *gem) bool { return o.allUnder }); !ok {
 		return
 	}
 
 	// Pick the scoped server with the fewest actors (cheapest to drain).
 	victim := cluster.MachineID(-1)
 	fewest := math.MaxInt32
-	for _, id := range scope {
-		if _, taken := m.reserved[id]; taken {
+	for i := range g.last {
+		id := cluster.MachineID(i)
+		if !m.inScope(g, id, m.Stats.Ticks) || !m.servers[id].owner.Zero() {
 			continue
 		}
 		n := m.RT.NumActorsOn(id)
@@ -145,7 +141,8 @@ func (m *Manager) tryScaleIn(g *gem, scope []cluster.MachineID, snap *epl.Snapsh
 	if victim < 0 {
 		return
 	}
-	m.draining[victim] = true
+	vs := m.servers[victim]
+	vs.draining = true
 	m.Stats.PlannedActions += fewest
 	scaleInID := m.tr.Emit(trace.Record{Kind: trace.KindScaleIn, Parent: parent,
 		Tick: int32(m.Stats.Ticks), Server: -1, Target: int32(victim), Rule: -1,
@@ -156,13 +153,13 @@ func (m *Manager) tryScaleIn(g *gem, scope []cluster.MachineID, snap *epl.Snapsh
 	// going away), but still respect pins.
 	targets := m.evacTargets(victim, snap)
 	if len(targets) == 0 {
-		delete(m.draining, victim)
+		vs.draining = false
 		return
 	}
 	for i, ref := range m.RT.ActorsOn(victim) {
 		if m.RT.Pinned(ref) {
 			// A pinned actor blocks the drain entirely.
-			delete(m.draining, victim)
+			vs.draining = false
 			return
 		}
 		m.RT.MigrateTraced(ref, targets[i%len(targets)], scaleInID, nil)
@@ -174,10 +171,7 @@ func (m *Manager) tryScaleIn(g *gem, scope []cluster.MachineID, snap *epl.Snapsh
 func (m *Manager) evacTargets(victim cluster.MachineID, snap *epl.Snapshot) []cluster.MachineID {
 	var out []srvLoad
 	for _, srv := range snap.Servers {
-		if !srv.Up || srv.ID == victim || m.draining[srv.ID] {
-			continue
-		}
-		if _, taken := m.reserved[srv.ID]; taken {
+		if !srv.Up || srv.ID == victim || !m.srv(srv.ID).shared() {
 			continue
 		}
 		out = append(out, srvLoad{srv.ID, srv.CPUPerc})
@@ -240,10 +234,7 @@ func (m *Manager) idlestMachine(res epl.Resource) (cluster.MachineID, bool) {
 	best := cluster.MachineID(-1)
 	bestLoad := math.Inf(1)
 	for _, mach := range m.C.UpMachines() {
-		if m.draining[mach.ID] {
-			continue
-		}
-		if _, taken := m.reserved[mach.ID]; taken {
+		if !m.srv(mach.ID).shared() {
 			continue
 		}
 		var load float64

@@ -50,25 +50,3 @@ func (r *Rule) ProvClassChain() []string {
 func (r *Rule) BindingRefs() []*ActorRef {
 	return ruleBindingRefs(r)
 }
-
-// ServerPercThresholds collects the distinct server.<res>.perc comparison
-// values across the whole policy, unordered. Model checkers discretize the
-// utilization axis at these points so abstract states never straddle a
-// rule boundary.
-func (p *Policy) ServerPercThresholds(res Resource) []float64 {
-	seen := map[float64]bool{}
-	var out []float64
-	for _, r := range p.Rules {
-		WalkCmps(r.Cond, func(c *CmpCond) {
-			rf, ok := c.Feat.(*ResFeature)
-			if !ok || !rf.Server || rf.Res != res || c.Stat != Perc {
-				return
-			}
-			if !seen[c.Val] {
-				seen[c.Val] = true
-				out = append(out, c.Val)
-			}
-		})
-	}
-	return out
-}

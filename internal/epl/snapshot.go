@@ -1,6 +1,8 @@
 package epl
 
 import (
+	"slices"
+
 	"plasma/internal/actor"
 	"plasma/internal/cluster"
 	"plasma/internal/sim"
@@ -112,12 +114,12 @@ type Snapshot struct {
 
 	// byID is a dense actor-ID index: actor ids are assigned sequentially
 	// and never reused, so a slice indexed by id replaces the former
-	// map[actor.Ref] lookup. Index() reuses it (and byType's per-type
-	// slices) across calls, so a double-buffered snapshot re-indexes
-	// without reallocating.
+	// map[actor.Ref] lookup; byServer is the same over machine ids. Index()
+	// reuses them (and byType's per-type slices) across calls, so a
+	// double-buffered snapshot re-indexes without reallocating.
 	byID     []*ActorInfo
 	byType   map[string][]*ActorInfo
-	byServer map[cluster.MachineID]*ServerInfo
+	byServer []*ServerInfo
 }
 
 // Index builds lookup indexes; call after populating Actors/Servers. On a
@@ -142,19 +144,27 @@ func (s *Snapshot) Index() *Snapshot {
 			s.byType[t] = list[:0]
 		}
 	}
-	if s.byServer == nil {
-		s.byServer = make(map[cluster.MachineID]*ServerInfo, len(s.Servers))
-	} else {
-		clear(s.byServer)
-	}
 	for _, a := range s.Actors {
 		s.byID[a.Ref.ID] = a
 		s.byType[a.Type] = append(s.byType[a.Type], a)
 	}
-	for _, srv := range s.Servers {
-		s.byServer[srv.ID] = srv
-	}
+	s.byServer = indexServers(s.byServer[:0], s.Servers)
 	return s
+}
+
+// indexServers fills idx (reusing its capacity) so that idx[id] is the
+// listed server with that id, nil for ids not listed.
+func indexServers(idx, servers []*ServerInfo) []*ServerInfo {
+	n := 0
+	for _, srv := range servers {
+		n = max(n, int(srv.ID)+1)
+	}
+	idx = slices.Grow(idx, n)[:n]
+	clear(idx)
+	for _, srv := range servers {
+		idx[srv.ID] = srv
+	}
+	return idx
 }
 
 // WithServers derives a view over the same actors (sharing the actor
@@ -170,10 +180,7 @@ func (s *Snapshot) WithServers(servers []*ServerInfo) *Snapshot {
 		byID:    s.byID,
 		byType:  s.byType,
 	}
-	v.byServer = make(map[cluster.MachineID]*ServerInfo, len(servers))
-	for _, srv := range servers {
-		v.byServer[srv.ID] = srv
-	}
+	v.byServer = indexServers(nil, servers)
 	return v
 }
 
@@ -216,4 +223,9 @@ func (s *Snapshot) OfTypes(types []string) []*ActorInfo {
 }
 
 // Server looks up one server's info (nil if absent).
-func (s *Snapshot) Server(id cluster.MachineID) *ServerInfo { return s.byServer[id] }
+func (s *Snapshot) Server(id cluster.MachineID) *ServerInfo {
+	if id < 0 || int(id) >= len(s.byServer) {
+		return nil
+	}
+	return s.byServer[id]
+}

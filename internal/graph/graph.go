@@ -33,9 +33,6 @@ func (g *Graph) NumEdges() int64 {
 	return m
 }
 
-// OutDeg reports a vertex's out-degree.
-func (g *Graph) OutDeg(v int) int { return len(g.Out[v]) }
-
 // GeneratePowerLaw builds a directed graph with n vertices and roughly
 // n*avgDeg edges whose degree distribution follows a power law with the
 // given exponent (typical social graphs: 2.0-2.5). Deterministic per seed.
@@ -153,17 +150,6 @@ func (c *cdfIndex) search(x float64) int {
 	b := c.bucket(x)
 	lo, hi := int(c.guide[b]), int(c.guide[b+1])
 	return lo + sort.SearchFloat64s(c.cum[lo:hi], x)
-}
-
-// InDegrees computes the in-degree of every vertex.
-func (g *Graph) InDegrees() []int {
-	in := make([]int, g.N)
-	for _, adj := range g.Out {
-		for _, v := range adj {
-			in[v]++
-		}
-	}
-	return in
 }
 
 // PageRank runs the classic power-iteration PageRank for iters rounds and

@@ -222,7 +222,7 @@ func (sys *System) control(servers, load int16) *ctl {
 				continue
 			}
 			// Mirror planBalance's threshold defaulting: a missing upper
-			// bound is the EMR's DefaultUpper, a missing lower bound is
+			// bound is the EMR's admission bound, a missing lower bound is
 			// the upper (hysteresis-free).
 			upper, lower := epl.CondBounds(r.Cond, bb.Res)
 			if isNaN(upper) {
@@ -244,8 +244,8 @@ func (sys *System) control(servers, load int16) *ctl {
 	return c
 }
 
-// defaultUpper mirrors emr.Config.DefaultUpper's default: the utilization
-// bar balance uses when a rule names no upper bound.
+// defaultUpper mirrors the emr package's constant of the same name: the
+// utilization bar balance uses when a rule names no upper bound.
 const defaultUpper = 85
 
 // classOrder maps a fired provclass preference chain onto envelope class
