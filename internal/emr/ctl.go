@@ -60,11 +60,10 @@ func (m *Manager) lemReport(srv cluster.MachineID, snap *epl.Snapshot, tickIdx, 
 	if l.acked || l.failed || m.Stats.Ticks != tickIdx {
 		return
 	}
-	alive := m.aliveGEMs()
-	if len(alive) == 0 {
+	g := m.randomLiveGEM()
+	if g == nil {
 		return // no GEM: interaction rules still ran locally (§4.3)
 	}
-	g := alive[m.K.Rand().Intn(len(alive))]
 	if attempt > 0 {
 		m.Stats.RetriedReports++
 	}

@@ -97,13 +97,18 @@ func NewDecisionBench(actors, servers int) *DecisionBench {
 }
 
 // Run executes one planning round and returns the number of actions
-// planned. The snapshot is never mutated, so repeated runs are independent
-// and identical. The argument is ignored: it once named one of two
+// planned. The snapshot's actors and servers are never mutated, so repeated
+// runs are independent and identical. Each run re-indexes the snapshot
+// first, so it is a period's first round and pays for the per-server
+// buckets and the affinity graph that later GEMs' rounds over the same
+// snapshot share; BenchmarkPlannerDecision, TestPlanRoundAllocCeiling and
+// the benchmark's emr.plan_ms_per_round.* time that round, as they did when
+// every round built its own. The argument is ignored: it once named one of two
 // planners, and benchmark/layers.go — which a PR touching internal/ may not
 // edit — still calls Run("") and Run("batch"), so its
 // emr.plan_ms_per_round.legacy and .batch read the same round until a
 // benchmark PR drops one.
 func (b *DecisionBench) Run(string) int {
-	acts, _, _, _, _ := b.m.planResource(nil, b.snap, b.in, 0, 0)
+	acts, _, _, _, _ := b.m.planResource(nil, b.snap.Index(), b.in, 0, 0)
 	return len(acts)
 }

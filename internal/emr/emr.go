@@ -466,23 +466,36 @@ func (m *Manager) RecoverLEM(srv cluster.MachineID) bool {
 // servers whose REPORTs the K-quorum must not wait for.
 func (m *Manager) failedLEMCount() int {
 	n := 0
-	for _, mach := range m.C.UpMachines() {
-		if m.srv(mach.ID).failed {
+	for _, mach := range m.C.Machines() {
+		if mach.Up() && m.srv(mach.ID).failed {
 			n++
 		}
 	}
 	return n
 }
 
-// aliveGEMs lists the GEMs currently accepting reports.
-func (m *Manager) aliveGEMs() []*gem {
-	var out []*gem
+// randomLiveGEM draws one of the GEMs currently accepting reports, with one
+// RNG draw among them, or returns nil (drawing nothing) when none is.
+func (m *Manager) randomLiveGEM() *gem {
+	n := 0
 	for _, g := range m.gems {
 		if !g.failed {
-			out = append(out, g)
+			n++
 		}
 	}
-	return out
+	if n == 0 {
+		return nil
+	}
+	k := m.K.Rand().Intn(n)
+	for _, g := range m.gems {
+		if !g.failed {
+			if k == 0 {
+				return g
+			}
+			k--
+		}
+	}
+	return nil
 }
 
 // tick runs one elasticity period end to end, on the schedule above.
@@ -519,12 +532,16 @@ func (m *Manager) tick() {
 	}
 	// Pins first so planners see them.
 	inter := epl.EvaluateObserved(m.Pol, snap, false, true, m.obs(m.trTick, tickIdx, "lem"))
+	// Refresh the pin flags planners read. The snapshot copied every actor's
+	// flag an instant ago, and nothing between there and here pins or unpins
+	// (Reset, the reservation and drain sweeps, and OnTick, whose users —
+	// experiments' scenario probes and the emr tests — only read or fail
+	// machines and LEMs), so only the actors just pinned can be out of date.
 	for _, pi := range inter.Pin {
 		m.RT.Pin(pi.Actor)
-	}
-	// Refresh pin flags in the snapshot for planners.
-	for _, ai := range snap.Actors {
-		ai.Pinned = m.RT.Pinned(ai.Ref)
+		if ai := snap.Actor(pi.Actor); ai != nil {
+			ai.Pinned = m.RT.Pinned(pi.Actor)
+		}
 	}
 	// Alg. 1 line 11: each live LEM sends its REPORT (with ack-driven
 	// retransmission) to a randomly chosen live GEM — the shuffling that

@@ -279,8 +279,16 @@ func (m *Manager) planSeparates(snap *epl.Snapshot, pairs []epl.PairIntent, plan
 
 // round is one planning round's state. It lives on the Manager and is
 // re-sliced every round, so a steady-state period allocates next to nothing
-// here; the per-server buckets and the affinity edges are built only by
-// the rounds that reach for them.
+// here.
+//
+// The per-server buckets and the affinity edges are functions of the
+// snapshot's actors alone, which every WithServers view of one snapshot
+// shares: a period's GEMs each plan over such a view. So they are built by
+// the first round that reaches for them and kept, tagged with the
+// snapshot's generation (epl.Snapshot.Gen), for every later round of the
+// period; the next Index() — the profiler re-indexes each period, reusing
+// its two arenas' *Snapshots in turn — draws a new generation and so
+// invalidates both. A round that never sheds or reserves builds neither.
 type round struct {
 	snap *epl.Snapshot
 	// last, when non-nil, is the planning GEM's report table: a server it
@@ -301,14 +309,14 @@ type round struct {
 	caps    [][3]float64                   // capacity, for rescaling a mover's share
 	dest    map[actor.ID]cluster.MachineID // where the round leaves each actor it has decided about
 
-	bucketed bool
-	start    []int32          // machine id -> its run in resident
-	resident []*epl.ActorInfo // snap.Actors grouped by server
+	bucketGen uint64           // the snapshot generation start/resident hold
+	start     []int32          // machine id -> its run in resident
+	resident  []*epl.ActorInfo // snap.Actors grouped by server
 
-	aff      graph.Affinity
-	affBuilt bool
-	pulls    []srvLoad
-	cands    []cand
+	aff    graph.Affinity
+	affGen uint64 // the snapshot generation aff holds
+	pulls  []srvLoad
+	cands  []cand
 }
 
 const (
@@ -333,20 +341,21 @@ func (r *round) begin(snap *epl.Snapshot, n int, last []lastReport, tick int) {
 		r.dest = map[actor.ID]cluster.MachineID{}
 	}
 	clear(r.dest)
-	r.bucketed, r.affBuilt = false, false
 }
 
-// residents lists the snapshot's actors on srv. The first call of a round
-// buckets snap.Actors by server in two passes; a round that never sheds
-// never pays for them.
+// residents lists the snapshot's actors on srv, in snapshot order. The
+// first call for a snapshot generation buckets snap.Actors by server.
 func (r *round) residents(srv cluster.MachineID) []*epl.ActorInfo {
-	if !r.bucketed {
-		r.bucketed = true
-		n := len(r.slot)
+	if r.bucketGen != r.snap.Gen() {
+		r.bucketGen = r.snap.Gen()
+		n := 0
+		for _, ai := range r.snap.Actors {
+			n = max(n, int(ai.Server)+1)
+		}
 		r.start = slices.Grow(r.start[:0], n+2)[:n+2]
 		clear(r.start)
 		for _, ai := range r.snap.Actors {
-			if s := int(ai.Server); s >= 0 && s < n {
+			if s := int(ai.Server); s >= 0 {
 				r.start[s+2]++
 			}
 		}
@@ -356,11 +365,14 @@ func (r *round) residents(srv cluster.MachineID) []*epl.ActorInfo {
 		total := int(r.start[n+1])
 		r.resident = slices.Grow(r.resident[:0], total)[:total]
 		for _, ai := range r.snap.Actors {
-			if s := int(ai.Server); s >= 0 && s < n {
+			if s := int(ai.Server); s >= 0 {
 				r.resident[r.start[s+1]] = ai
 				r.start[s+1]++
 			}
 		}
+	}
+	if int(srv) >= len(r.start)-2 {
+		return nil // past the last server any actor sits on
 	}
 	return r.resident[r.start[srv]:r.start[srv+1]]
 }
@@ -368,11 +380,11 @@ func (r *round) residents(srv cluster.MachineID) []*epl.ActorInfo {
 // peers is the actor's adjacency in the period's communication graph: the
 // snapshot's profiled call counts folded into undirected edges. Client
 // calls (Caller.ID == 0) have no actor peer and are skipped. The graph is
-// built by the first call of a round, which only an over-band source or a
-// planned reservation makes.
+// built by the first call for a snapshot generation, which only an
+// over-band source or a planned reservation makes.
 func (r *round) peers(id actor.ID) []graph.AffEdge {
-	if !r.affBuilt {
-		r.affBuilt = true
+	if r.affGen != r.snap.Gen() {
+		r.affGen = r.snap.Gen()
 		r.aff.Reset()
 		for _, ai := range r.snap.Actors {
 			for _, cs := range ai.Calls {
@@ -695,34 +707,67 @@ func (m *Manager) fits(s int, add [3]float64, ax int, upper float64) bool {
 // with a current report), then the lowest projected load on the planned
 // axis, then the lowest server id. It returns slot -1
 // when the mover fits nowhere, else the slot and the load the mover adds.
+//
+// Only a server one of the mover's peers sits on can score any affinity,
+// so the pick runs in two phases that together equal one scan of every slot
+// in that order. Phase 1 scores just those servers; pull lists them in peer
+// order, not slot order, so an exact tie goes to the lower slot explicitly.
+// If none of them fits with positive affinity, every fitting slot scores 0,
+// and phase 2 is one pass in slot order for the lowest load, which passes
+// over a slot not below the best load so far before rescaling the mover's
+// share or testing the fit.
 func (m *Manager) pickTarget(ai *epl.ActorInfo, from int32, ax int, upper float64) (to int32, add [3]float64) {
 	r := &m.rd
 	pull := r.pull(ai.Ref.ID)
 	to = -1
 	bestAff, bestLoad := 0.0, 0.0
-	// The mover's share is the same on every machine of one capacity, so a
-	// homogeneous fleet rescales it once.
-	var a, capA [3]float64
-	known := false
-	for s, id := range r.servers {
-		if int32(s) == from {
+	sh := shareCache{ai: ai, src: r.caps[from]}
+	for _, p := range pull {
+		if uint(p.id) >= uint(len(r.slot)) {
+			continue // no machine of the fleet: never a slot
+		}
+		s := r.slot[p.id]
+		if s < 0 || s == from || (r.last != nil && r.last[p.id].heard != r.tick) {
 			continue
 		}
-		if c := r.caps[s]; !known || c != capA {
-			a, capA, known = shareOn(ai, r.caps[from], c), c, true
-		}
-		if !m.fits(s, a, ax, upper) {
+		aff, load := affTo(pull, p.id), r.proj[s][ax]
+		if aff < bestAff || (aff == bestAff && (to < 0 || load > bestLoad || (load == bestLoad && s >= to))) {
 			continue
 		}
-		aff, load := 0.0, r.proj[s][ax]
-		if r.last == nil || r.last[id].heard == r.tick {
-			aff = affTo(pull, id)
+		if a := sh.on(r.caps[s]); m.fits(int(s), a, ax, upper) {
+			to, add, bestAff, bestLoad = s, a, aff, load
 		}
-		if to < 0 || aff > bestAff || (aff == bestAff && load < bestLoad) {
-			to, add, bestAff, bestLoad = int32(s), a, aff, load
+	}
+	if to >= 0 {
+		return to, add
+	}
+	for s := range r.servers {
+		load := r.proj[s][ax]
+		if int32(s) == from || (to >= 0 && !(load < bestLoad)) {
+			continue
+		}
+		if a := sh.on(r.caps[s]); m.fits(s, a, ax, upper) {
+			to, add, bestLoad = int32(s), a, load
 		}
 	}
 	return to, add
+}
+
+// shareCache rescales one mover's share to destination capacities. The
+// share is the same on every machine of one capacity, so a homogeneous
+// fleet rescales it once.
+type shareCache struct {
+	ai       *epl.ActorInfo
+	src, dst [3]float64
+	v        [3]float64
+	known    bool
+}
+
+func (c *shareCache) on(dst [3]float64) [3]float64 {
+	if !c.known || dst != c.dst {
+		c.v, c.dst, c.known = shareOn(c.ai, c.src, dst), dst, true
+	}
+	return c.v
 }
 
 // planDeficitFill raises servers below the rule's lower bound by moving

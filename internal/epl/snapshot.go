@@ -2,6 +2,7 @@ package epl
 
 import (
 	"slices"
+	"sync/atomic"
 
 	"plasma/internal/actor"
 	"plasma/internal/cluster"
@@ -120,11 +121,27 @@ type Snapshot struct {
 	byID     []*ActorInfo
 	byType   map[string][]*ActorInfo
 	byServer []*ServerInfo
+
+	// gen names the actor set of the last Index(); views copy it.
+	gen uint64
 }
+
+// generations hands out Snapshot generations, process-wide: two snapshots
+// never share one, so neither a double-buffered *Snapshot reused two periods
+// later nor a second snapshot at the same address can pass for an earlier one.
+var generations atomic.Uint64
+
+// Gen identifies the actor set the snapshot was last indexed over; every
+// WithServers view of it reports the same value, and every Index() call
+// draws a new one. Zero means never indexed. Whatever is derived from
+// Actors alone (the planner's per-server buckets and affinity graph) may be
+// cached under it and shared by all of a period's views.
+func (s *Snapshot) Gen() uint64 { return s.gen }
 
 // Index builds lookup indexes; call after populating Actors/Servers. On a
 // reused Snapshot the previous indexes are cleared and refilled in place.
 func (s *Snapshot) Index() *Snapshot {
+	s.gen = generations.Add(1)
 	var maxID actor.ID
 	for _, a := range s.Actors {
 		if a.Ref.ID > maxID {
@@ -179,6 +196,7 @@ func (s *Snapshot) WithServers(servers []*ServerInfo) *Snapshot {
 		Servers: servers,
 		byID:    s.byID,
 		byType:  s.byType,
+		gen:     s.gen,
 	}
 	v.byServer = indexServers(nil, servers)
 	return v

@@ -8,8 +8,9 @@ import (
 // Affinity is an undirected weighted communication graph over opaque int64
 // node ids (actor ids in practice), held as one slice of directed edges
 // sorted by (node, peer): a node's adjacency is a contiguous, peer-sorted
-// run found by binary search. The planner rebuilds it from the profiled
-// message counts in the rounds that need it and uses it to keep chatty
+// run found by binary search. The planner builds it from a snapshot's
+// profiled message counts when a round first needs it, once for all the
+// period's GEM rounds, and uses it to keep chatty
 // actors together: the affinity of an actor to a server is the summed edge
 // weight toward actors resident there.
 //

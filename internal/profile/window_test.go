@@ -2,6 +2,7 @@ package profile
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -126,6 +127,22 @@ func TestCallTableMatchesLogAcrossWindows(t *testing.T) {
 		if held != p.callRecs {
 			t.Fatalf("window %d: callRecs = %d, tables hold %d", w, p.callRecs, held)
 		}
+		// The held set is exactly the full walk's non-empty tables.
+		ids, listedRecs := heldIDs(p), 0
+		for _, id := range ids {
+			if len(p.calls[id].recs) == 0 {
+				t.Fatalf("window %d: callee %d held with an empty table", w, id)
+			}
+			listedRecs += len(p.calls[id].recs)
+		}
+		for id := range p.calls {
+			if len(p.calls[id].recs) > 0 && !slices.Contains(ids, id) {
+				t.Fatalf("window %d: callee %d holds %d keys but is not in the held set", w, id, len(p.calls[id].recs))
+			}
+		}
+		if listedRecs != p.callRecs {
+			t.Fatalf("window %d: held tables hold %d keys, callRecs = %d", w, listedRecs, p.callRecs)
+		}
 		switch indexed := p.calls[hub.ID].idx != nil; {
 		case indexed && sawLinearAfterIndexed:
 			sawIndexedAgain = true
@@ -144,5 +161,50 @@ func TestCallTableMatchesLogAcrossWindows(t *testing.T) {
 	}
 	if len(p.names) != len(types)+1+3 {
 		t.Fatalf("name table = %q, want the 3 types, client and 3 methods once each", p.names)
+	}
+}
+
+// heldIDs lists the callees in the held set, in id order: the tables Reset
+// visits.
+func heldIDs(p *Profiler) []int {
+	var ids []int
+	for id := range p.calls {
+		if p.held[id/64]&(1<<(id%64)) != 0 {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// Reset walks the callees whose tables hold keys, not every actor id: of
+// 100,000 spawned actors, the 100 that were messaged are all it visits, and
+// a quiet window later, with their tables evicted, it visits none.
+func TestResetSkipsIdleCallees(t *testing.T) {
+	const fleet, called = 100_000, 100
+	k := sim.New(1)
+	c := cluster.New(k, 4, cluster.M1Small)
+	rt := actor.NewRuntime(k, c)
+	p := New(k, c, rt)
+	nop := actor.BehaviorFunc(func(*actor.Context, actor.Message) {})
+	refs := make([]actor.Ref, fleet)
+	for i := range refs {
+		refs[i] = rt.SpawnOn("W", nop, cluster.MachineID(i%4))
+	}
+	for i := 0; i < called; i++ {
+		callee := refs[i*(fleet/called)]
+		for n := 0; n < 3; n++ { // repeat keys: one listing per callee
+			p.OnMessage(rt.ServerOf(callee), "W", refs[i], callee, "W", "m", 64)
+		}
+	}
+	if visits := len(heldIDs(p)); len(p.calls) < fleet || visits > 2*called {
+		t.Fatalf("%d call tables, Reset would visit %d; want ≥ %d tables and ≤ %d visits", len(p.calls), visits, fleet, 2*called)
+	}
+	p.Reset()
+	if visits := len(heldIDs(p)); visits != called || p.callRecs != called {
+		t.Fatalf("after a busy window %d callees held, %d keys; want %d each", visits, p.callRecs, called)
+	}
+	p.Reset()
+	if visits := len(heldIDs(p)); visits != 0 || p.callRecs != 0 {
+		t.Fatalf("after a quiet window %d callees held, %d keys; want none", visits, p.callRecs)
 	}
 }
