@@ -120,15 +120,17 @@ trace-smoke:
 	@rm -rf $(TRACE_SMOKE_DIR)
 	@echo "trace-smoke OK: same-seed traces byte-identical, tooling round-trips"
 
-# fuzz-smoke gives the kernel's order fuzzer ten seconds on top of its
-# checked-in corpus (internal/sim/testdata/fuzz): random programs of
+# fuzz-smoke gives each fuzzer ten seconds on top of its checked-in corpus
+# (the package's testdata/fuzz). FuzzKernelOrder: random programs of
 # After/At/AfterHomed/AfterFunc/Stop/Reset/Run/Step calls, every fire compared
-# with a sorted-slice reference. A failing input is written to that corpus
-# directory and fails `go test` from then on. Minimising each
-# coverage-increasing input is capped at a second — the default minute would
-# take the rest of the smoke.
+# with a sorted-slice reference. FuzzPolicy: EPL source that parses must
+# print, reparse and print the same string, and epl.Check and the analyzer
+# must not panic on it. A failing input is written to the corpus directory and
+# fails `go test` from then on. Minimising each coverage-increasing input is
+# capped at a second — the default minute would take the rest of the smoke.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKernelOrder -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzPolicy -fuzztime 10s -fuzzminimizetime 1s ./internal/lint
 
 # sweep-snapshot writes everything a byte-identity refactor is held to into
 # OUT: the quick plasma-bench report at seeds 1 and 2 and one decision trace
@@ -149,16 +151,19 @@ sweep-snapshot:
 
 # loc prints the root module's non-test Go line count — the figure behind
 # the net non-test line delta every PR reports (ROADMAP aim 2) — and beside
-# it the share held by internal/experiments, the largest package, and by
-# internal/emr, the control plane.
+# it the share held by internal/experiments, the largest package, by
+# internal/emr, the control plane, and by internal/profile and
+# internal/actor, the EPR and the runtime under it.
 GO_NONTEST = -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*'
+LOC_PKGS = internal/experiments internal/emr internal/profile internal/actor
 loc:
-	@echo "module $$(find . $(GO_NONTEST) | xargs cat | wc -l)  internal/experiments $$(find ./internal/experiments $(GO_NONTEST) | xargs cat | wc -l)  internal/emr $$(find ./internal/emr $(GO_NONTEST) | xargs cat | wc -l)"
+	@echo "module $$(find . $(GO_NONTEST) | xargs cat | wc -l) $$(for d in $(LOC_PKGS); do printf ' %s %s' $$d $$(find ./$$d $(GO_NONTEST) | xargs cat | wc -l); done)"
 
 # verify is the pre-merge gate: everything compiles, vet is clean, the full
 # suite passes under the race detector, the determinism lint is clean, the
 # policy model checker passes every shipped policy, the benchmark harness's
 # own tests pass, the quick-scale sweep shows no perf regression or
 # determinism drift against the checked-in bench baseline, the decision
-# tracer round-trips, and the kernel order fuzzer finds nothing in ten seconds.
+# tracer round-trips, and the kernel order and policy fuzzers find nothing in
+# ten seconds each.
 verify: build vet race lint lint-model bench-test bench-quick trace-smoke fuzz-smoke

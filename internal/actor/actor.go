@@ -453,20 +453,6 @@ func (inst *instance) setProp(name string, refs []Ref) {
 	inst.props[name] = refs
 }
 
-// PropNames lists the actor's reference property names in sorted order.
-func (rt *Runtime) PropNames(ref Ref) []string {
-	inst := rt.inst(ref.ID)
-	if inst == nil {
-		return nil
-	}
-	names := make([]string, 0, len(inst.props))
-	for n := range inst.props {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // MemSize reports the actor's declared state size in bytes.
 func (rt *Runtime) MemSize(ref Ref) int64 {
 	if inst := rt.inst(ref.ID); inst != nil {
@@ -547,7 +533,7 @@ type Info struct {
 	MemBytes  int64
 	Pinned    bool
 	LastMoved sim.Time
-	NumProps  int // number of reference properties the actor exposes
+	Props     map[string][]Ref // the actor's own property map (nil if none): read, never write
 }
 
 // ForEachActor visits every live actor in id order without allocating. It
@@ -565,7 +551,7 @@ func (rt *Runtime) ForEachActor(fn func(Info)) {
 			MemBytes:  inst.memSize,
 			Pinned:    inst.pinned,
 			LastMoved: inst.lastMove,
-			NumProps:  len(inst.props),
+			Props:     inst.props,
 		})
 	}
 }

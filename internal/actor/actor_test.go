@@ -312,7 +312,7 @@ func TestNeverIssuedAndStoppedIDsAreNobody(t *testing.T) {
 		rt.Migrate(ref, 1, func(ok bool) { failed = !ok })
 		k.RunUntilIdle()
 		if rt.Exists(ref) || rt.TypeOf(ref) != "" || rt.ServerOf(ref) != -1 || rt.Pinned(ref) ||
-			rt.Props(ref, "p") != nil || rt.PropNames(ref) != nil || rt.MigratingTo(ref) != -1 || !failed {
+			rt.Props(ref, "p") != nil || rt.MigratingTo(ref) != -1 || !failed {
 			t.Fatalf("%v: nobody should be there", ref)
 		}
 	}

@@ -153,8 +153,8 @@ func TestPlanRoundInBandAllocatesNothing(t *testing.T) {
 // rounds only: after it, an actor is moved and its traffic dropped behind
 // the snapshot's back, and the next three rounds still see it where the
 // first one bucketed it, with its old edge. Re-indexing the same
-// *Snapshot — as the profiler does with each of its two arenas every other
-// period — invalidates both, and the next round sees the move.
+// *Snapshot — as the profiler does with its one snapshot every period —
+// invalidates both, and the next round sees the move.
 func TestPeriodIndexSharedAndInvalidated(t *testing.T) {
 	pe := newPlanEnv(t, 3)
 	peer := mkActor(pe, "P", 2, 5)

@@ -286,9 +286,9 @@ func (m *Manager) planSeparates(snap *epl.Snapshot, pairs []epl.PairIntent, plan
 // shares: a period's GEMs each plan over such a view. So they are built by
 // the first round that reaches for them and kept, tagged with the
 // snapshot's generation (epl.Snapshot.Gen), for every later round of the
-// period; the next Index() — the profiler re-indexes each period, reusing
-// its two arenas' *Snapshots in turn — draws a new generation and so
-// invalidates both. A round that never sheds or reserves builds neither.
+// period; the next Index() — the profiler re-indexes its one *Snapshot each
+// period — draws a new generation and so invalidates both. A round that
+// never sheds or reserves builds neither.
 type round struct {
 	snap *epl.Snapshot
 	// last, when non-nil, is the planning GEM's report table: a server it

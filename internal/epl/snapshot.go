@@ -116,8 +116,8 @@ type Snapshot struct {
 	// byID is a dense actor-ID index: actor ids are assigned sequentially
 	// and never reused, so a slice indexed by id replaces the former
 	// map[actor.Ref] lookup; byServer is the same over machine ids. Index()
-	// reuses them (and byType's per-type slices) across calls, so a
-	// double-buffered snapshot re-indexes without reallocating.
+	// reuses them (and byType's per-type slices) across calls, so a reused
+	// snapshot re-indexes without reallocating.
 	byID     []*ActorInfo
 	byType   map[string][]*ActorInfo
 	byServer []*ServerInfo
@@ -127,8 +127,8 @@ type Snapshot struct {
 }
 
 // generations hands out Snapshot generations, process-wide: two snapshots
-// never share one, so neither a double-buffered *Snapshot reused two periods
-// later nor a second snapshot at the same address can pass for an earlier one.
+// never share one, so neither a *Snapshot reused the next period nor a second
+// snapshot at the same address can pass for an earlier one.
 var generations atomic.Uint64
 
 // Gen identifies the actor set the snapshot was last indexed over; every

@@ -138,7 +138,7 @@ func Scale(cfg Config) *Result {
 // -full) where only 1% of actors exchange messages each period, so nearly
 // all per-period work is Snapshot building ActorInfos for the whole fleet
 // and Reset clearing the window. plasma-bench's allocs/op for this id is
-// the snapshot-arena regression gate.
+// the regression gate of the profiler's per-actor rows.
 func ScaleSnap(cfg Config) *Result {
 	r := newResult("scale_snap", "EPR snapshot construction at fleet scale")
 	r.Header = []string{"Actors", "Servers", "Periods", "Call records", "Prop actors"}

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
@@ -66,12 +67,11 @@ func naiveCalls(log []loggedCall) map[actor.Ref][]epl.CallStat {
 	return calls
 }
 
-// naiveSnapshot replicates the pre-arena snapshot build: one fresh
-// ActorInfo and Props map per actor per call, call lists rebuilt from the
-// window's log, and fresh lookup maps — the allocation pattern the pooled
-// arena replaced. It doubles as the reference for the ≥5× allocation win
-// the arena is required to deliver at 10k actors.
-func naiveSnapshot(h *logHook) ([]*epl.ActorInfo, map[actor.Ref]*epl.ActorInfo) {
+// naiveSnapshot is the from-scratch snapshot build: one fresh ActorInfo and
+// Props map per actor per call, call lists rebuilt from the window's log, and
+// fresh lookup maps. Owing nothing to last period, it is the reference the
+// row table is compared with, and the allocation pattern it replaced.
+func naiveSnapshot(h *logHook) []*epl.ActorInfo {
 	p := h.Profiler
 	calls := naiveCalls(h.log)
 	window := p.Window()
@@ -102,7 +102,7 @@ func naiveSnapshot(h *logHook) ([]*epl.ActorInfo, map[actor.Ref]*epl.ActorInfo) 
 			MemBytes: info.MemBytes, Pinned: info.Pinned, LastMoved: info.LastMoved,
 			Props: map[string][]actor.Ref{},
 		}
-		for _, name := range p.rt.PropNames(info.Ref) {
+		for name := range info.Props {
 			ai.Props[name] = p.rt.Props(info.Ref, name)
 		}
 		if m.Type.MemMB > 0 {
@@ -128,7 +128,7 @@ func naiveSnapshot(h *logHook) ([]*epl.ActorInfo, map[actor.Ref]*epl.ActorInfo) 
 	for _, s := range servers {
 		byServer[s.ID] = s
 	}
-	return actors, byRef
+	return actors
 }
 
 // tenKFleet builds a 10k-actor fleet with light messaging and sparse
@@ -158,62 +158,53 @@ func tenKFleet(t *testing.T) *logHook {
 	return h
 }
 
-// The arena's whole point: at 10k actors a pooled snapshot must allocate at
-// least 5x less than the naive per-actor build it replaced (the acceptance
-// bar for the million-actor fleet work; measured ratios are far higher).
+// At 10k actors, 1% of them carrying a property, a steady-state snapshot
+// allocates its ServerInfos, one per up server, and nothing per actor: rows,
+// their Props maps and the call buffer are all kept from the last call. That
+// is at least 5x under the naive per-actor build (the acceptance bar for the
+// million-actor fleet work; measured ratios are far higher).
 func TestSnapshotAllocs5xUnderNaiveAt10k(t *testing.T) {
 	h := tenKFleet(t)
-	// Warm both arena buffers so the measurement sees steady state.
-	h.Snapshot(nil)
-	h.Snapshot(nil)
+	h.Snapshot(nil) // size the rows and give the property carriers their maps
 
-	pooled := testing.AllocsPerRun(3, func() { h.Snapshot(nil) })
+	rows := testing.AllocsPerRun(3, func() { h.Snapshot(nil) })
 	naive := testing.AllocsPerRun(3, func() { naiveSnapshot(h) })
 
-	if pooled == 0 {
-		pooled = 1 // ServerInfos alone should prevent this, but guard the ratio
+	// Plus the visit closure when the race detector's instrumentation moves
+	// it to the heap.
+	if ceiling := float64(len(h.c.UpMachines()) + 1); rows > ceiling {
+		t.Fatalf("steady Snapshot: %.0f allocs, ceiling %.0f (one ServerInfo per up server)", rows, ceiling)
 	}
-	if ratio := naive / pooled; ratio < 5 {
-		t.Fatalf("pooled snapshot allocates too much: naive=%.0f pooled=%.0f allocs/op (ratio %.1fx, want >=5x)",
-			naive, pooled, ratio)
+	if ratio := naive / rows; ratio < 5 {
+		t.Fatalf("snapshot allocates too much: naive=%.0f rows=%.0f allocs/op (ratio %.1fx, want >=5x)",
+			naive, rows, ratio)
 	}
-	t.Logf("allocs/op: naive=%.0f pooled=%.0f", naive, pooled)
+	t.Logf("allocs/op: naive=%.0f rows=%.0f", naive, rows)
 }
 
-// The pooled build must report exactly what the naive build reports.
+// The row build must report exactly what the naive build reports.
 func TestSnapshotMatchesNaiveReference(t *testing.T) {
 	h := tenKFleet(t)
 	requireMatchesNaive(t, h, h.Snapshot(nil))
 }
 
-// requireMatchesNaive fails unless snap reports, actor for actor and call
-// for call, what the naive build reports for the same window.
+// requireMatchesNaive fails unless snap reports, actor for actor and field
+// for field, what the naive build reports for the same window.
 func requireMatchesNaive(t *testing.T, h *logHook, snap *epl.Snapshot) {
 	t.Helper()
-	actors, byRef := naiveSnapshot(h)
+	actors := naiveSnapshot(h)
 	if len(snap.Actors) != len(actors) {
-		t.Fatalf("actor count: pooled %d, naive %d", len(snap.Actors), len(actors))
+		t.Fatalf("actor count: rows %d, naive %d", len(snap.Actors), len(actors))
 	}
 	for i, a := range snap.Actors {
-		n := actors[i]
-		if a.Ref != n.Ref || a.Type != n.Type || a.Server != n.Server ||
-			a.CPUTime != n.CPUTime || a.CPUPerc != n.CPUPerc ||
-			a.NetBytes != n.NetBytes || a.MemPerc != n.MemPerc ||
-			len(a.Calls) != len(n.Calls) {
-			t.Fatalf("actor %d diverges: pooled %+v naive %+v", i, *a, *n)
+		got, want := *a, *actors[i]
+		// Only an actor with properties gets a Props map; the naive build
+		// gives every actor one.
+		if len(got.Props) == 0 && len(want.Props) == 0 {
+			got.Props = want.Props
 		}
-		for j := range a.Calls {
-			if a.Calls[j] != n.Calls[j] {
-				t.Fatalf("actor %d call %d diverges: %+v vs %+v", i, j, a.Calls[j], n.Calls[j])
-			}
-		}
-		// The pooled build leaves Props nil for prop-less actors; the naive
-		// build allocated an empty map — contents must still agree.
-		if len(a.Props) != len(n.Props) {
-			t.Fatalf("actor %d props: pooled %d naive %d", i, len(a.Props), len(n.Props))
-		}
-		if ref := byRef[a.Ref]; ref == nil {
-			t.Fatalf("actor %d missing from naive index", i)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("actor %d diverges:\n rows  %+v\n naive %+v", i, got, want)
 		}
 	}
 }

@@ -83,14 +83,13 @@ func BenchmarkSnapshotSteady(b *testing.B) {
 
 // The allocation ceilings of the EPR's hot paths. Steady state means the
 // window's keys were all seen before: the hooks then only bump counters, and
-// Snapshot finds every table sorted — it allocates its ServerInfos (kept
-// fresh on purpose, see arena) and no more.
+// Snapshot finds every table sorted and every row in place — it allocates its
+// ServerInfos (fresh on purpose, see Profiler) and no more.
 func TestHookAllocCeiling(t *testing.T) {
 	p, traffic := hookFleet(t, 128, 64)
 	if got := testing.AllocsPerRun(5, traffic); got != 0 {
 		t.Errorf("steady-state OnMessage/OnCPU/OnNet: %.0f allocs per window, want 0", got)
 	}
-	p.Snapshot(nil) // warm the second arena buffer
 	for id := range p.calls {
 		if p.calls[id].unsorted {
 			t.Fatalf("callee %d awaits a sort after a window that added no key", id)

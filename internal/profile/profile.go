@@ -12,13 +12,13 @@
 // their keys from one window to the next, the window reset visits only the
 // callees whose tables hold keys, kept as a bitmap over actor ids (a fleet
 // where few actors are called pays for those few, not for every actor id),
-// and snapshots are built into a
-// double-buffered arena of pooled ActorInfo storage instead of allocating
-// one ActorInfo (plus a Props map) per actor per period.
+// and each actor keeps one ActorInfo row, with its own Props map, that every
+// Snapshot overwrites in place instead of allocating one per actor per period.
 package profile
 
 import (
 	"cmp"
+	"maps"
 	"math/bits"
 	"slices"
 	"strings"
@@ -118,26 +118,16 @@ func (cc *calleeCalls) buildIdx(names []string) {
 	}
 }
 
-// arena is one buffer of the double-buffered snapshot storage: the
-// Snapshot handed out plus the pooled backing arrays its ActorInfos and
-// CallStats live in. ServerInfo is deliberately NOT pooled — the GEM's
-// bounded-staleness report cache retains *ServerInfo across periods.
-type arena struct {
-	snap    epl.Snapshot
-	infos   []epl.ActorInfo
-	callBuf []epl.CallStat
-}
-
 // Profiler collects per-window runtime information. It implements
 // actor.ProfilerHook. A single Profiler serves all servers; snapshots can be
 // scoped to a server subset, which is how per-LEM and per-GEM views are
 // produced.
 //
-// Lifetime contract: the *epl.Snapshot returned by Snapshot remains valid
-// until the next-but-one call to Snapshot (the two arena buffers
-// alternate). Callers take one snapshot per elasticity period, so a
-// snapshot stays readable for two full periods; nothing may retain an
-// *ActorInfo beyond that.
+// Lifetime contract: the *epl.Snapshot returned by Snapshot, its ActorInfos
+// and their Calls and Props are valid until the next call to Snapshot, which
+// overwrites them in place. Callers take one snapshot per elasticity period
+// and finish with it inside the period. Its ServerInfos are allocated afresh
+// each call, so they may be kept.
 type Profiler struct {
 	k  *sim.Kernel
 	c  *cluster.Cluster
@@ -164,13 +154,13 @@ type Profiler struct {
 	callRecs int   // records held across all call tables, live or quiet
 	messages int64 // total messages observed (all time), for overhead tests
 
-	arenas [2]arena
-	cur    int
-	scope  []bool // reused scratch for Snapshot scoping, indexed by MachineID
-
-	// noReuse makes every Snapshot build into a brand-new arena (the naive
-	// reference path differential tests compare the pooled path against).
-	noReuse bool
+	// What Snapshot hands out, overwritten by each call: one row per actor id
+	// (a row the last walk did not visit holds nothing), the snapshot listing
+	// the visited rows, and the buffer their Calls slice.
+	rows    []epl.ActorInfo
+	snap    epl.Snapshot
+	callBuf []epl.CallStat
+	scope   []bool // reused scratch for Snapshot scoping, indexed by MachineID
 }
 
 // New creates a profiler and attaches it to the runtime.
@@ -313,13 +303,15 @@ func (p *Profiler) resetCalls(id int) {
 // is included for every live actor so reference conditions resolve across
 // servers; usage statistics are attributed per actor from this window.
 func (p *Profiler) Snapshot(scope []cluster.MachineID) *epl.Snapshot {
-	a := &p.arenas[p.cur]
-	p.cur ^= 1
-	if p.noReuse {
-		a = &arena{}
-	}
 	window := p.Window()
-	snap := &a.snap
+	snap := &p.snap
+	// The walk below is in id order, so the rows it skips are the dead ones:
+	// the gaps between visited ids and, up to the last walk's highest id,
+	// the tail.
+	end := 0
+	if n := len(snap.Actors); n > 0 {
+		end = int(snap.Actors[n-1].Ref.ID) + 1
+	}
 	snap.At = p.k.Now()
 	snap.Window = window
 
@@ -339,7 +331,8 @@ func (p *Profiler) Snapshot(scope []cluster.MachineID) *epl.Snapshot {
 	}
 
 	// Server list: in-scope up machines in id order. ServerInfo is freshly
-	// allocated on purpose (see arena doc).
+	// allocated on purpose: the GEM's report table keeps *ServerInfo for up
+	// to stalePeriods.
 	snap.Servers = snap.Servers[:0]
 	for _, m := range p.c.Machines() {
 		if !p.scope[m.ID] || !m.Up() {
@@ -357,53 +350,46 @@ func (p *Profiler) Snapshot(scope []cluster.MachineID) *epl.Snapshot {
 		})
 	}
 
-	// Reserve arena capacity up front: pointers into infos/callBuf are
-	// carved out as we go, so the backing arrays must not grow mid-build.
-	n := p.rt.NumActors()
-	if cap(a.infos) < n {
-		a.infos = make([]epl.ActorInfo, 0, n+n/4+16)
+	snap.Actors = slices.Grow(snap.Actors[:0], p.rt.NumActors())
+	if cap(p.callBuf) < p.callRecs {
+		p.callBuf = make([]epl.CallStat, 0, p.callRecs+p.callRecs/4+16)
 	}
-	a.infos = a.infos[:0]
-	if cap(snap.Actors) < n {
-		snap.Actors = make([]*epl.ActorInfo, 0, n+n/4+16)
-	}
-	snap.Actors = snap.Actors[:0]
-	if cap(a.callBuf) < p.callRecs {
-		a.callBuf = make([]epl.CallStat, 0, p.callRecs+p.callRecs/4+16)
-	}
-	a.callBuf = a.callBuf[:0]
+	p.callBuf = p.callBuf[:0]
 
+	next := 0 // one past the last visited id
 	p.rt.ForEachActor(func(info actor.Info) {
 		m := p.c.Machine(info.Server)
 		if m == nil {
 			return
 		}
-		a.infos = append(a.infos, epl.ActorInfo{
+		id := int(info.Ref.ID)
+		ai := p.row(id)
+		clear(p.rows[next:id])
+		next = id + 1
+		// Overwrite the whole row, so nothing of last period survives but the
+		// Props map, which is cleared and refilled.
+		props := ai.Props
+		*ai = epl.ActorInfo{
 			Ref:       info.Ref,
 			Type:      info.Type,
 			Server:    info.Server,
 			MemBytes:  info.MemBytes,
 			Pinned:    info.Pinned,
 			LastMoved: info.LastMoved,
-		})
-		ai := &a.infos[len(a.infos)-1]
-		if info.NumProps > 0 {
-			ai.Props = make(map[string][]actor.Ref, info.NumProps)
-			for _, name := range p.rt.PropNames(info.Ref) {
-				ai.Props[name] = p.rt.Props(info.Ref, name)
+		}
+		if len(info.Props) > 0 {
+			if props == nil {
+				props = make(map[string][]actor.Ref, len(info.Props))
 			}
+			clear(props)
+			maps.Copy(props, info.Props)
+			ai.Props = props
 		}
 		if m.Type.MemMB > 0 {
 			ai.MemPerc = float64(ai.MemBytes) / float64(m.Type.MemMB*1024*1024) * 100
 		}
-		id := int(info.Ref.ID)
 		if p.scope[info.Server] && window > 0 {
-			var cpu sim.Duration
-			var net int64
-			if id < len(p.actorCPU) {
-				cpu = p.actorCPU[id]
-				net = p.actorNet[id]
-			}
+			cpu, net := p.actorCPU[id], p.actorNet[id]
 			ai.CPUTime = cpu
 			ai.CPUPerc = float64(cpu) / (float64(window) * float64(m.Type.VCPUs)) * 100
 			ai.NetBytes = net
@@ -411,30 +397,45 @@ func (p *Profiler) Snapshot(scope []cluster.MachineID) *epl.Snapshot {
 		}
 		// Call stats: the callee's table is kept in (method, callerType,
 		// caller) order, re-sorted only when a key was added since the last
-		// sort; its live records are copied into the arena as CallStats, so
-		// the snapshot does not alias accumulation state and never shows a
-		// key nobody used this window.
-		if id < len(p.calls) && len(p.calls[id].recs) > 0 {
-			cc := &p.calls[id]
+		// sort; its live records are copied into callBuf as CallStats, so the
+		// snapshot does not alias accumulation state and never shows a key
+		// nobody used this window.
+		if cc := &p.calls[id]; len(cc.recs) > 0 {
 			if cc.unsorted {
 				p.sortCalls(cc.recs)
 				cc.buildIdx(p.names) // sorting invalidated the indices
 				cc.unsorted = false
 			}
-			start := len(a.callBuf)
+			start := len(p.callBuf)
 			for _, r := range cc.recs {
 				if r.count > 0 {
-					a.callBuf = append(a.callBuf, epl.CallStat{CallerType: p.names[r.ctype], Caller: actor.Ref{ID: r.caller},
+					p.callBuf = append(p.callBuf, epl.CallStat{CallerType: p.names[r.ctype], Caller: actor.Ref{ID: r.caller},
 						Method: p.names[r.method], Count: r.count, Bytes: r.bytes})
 				}
 			}
-			if n := len(a.callBuf); n > start {
-				ai.Calls = a.callBuf[start:n:n]
+			if n := len(p.callBuf); n > start {
+				ai.Calls = p.callBuf[start:n:n]
 			}
 		}
 		snap.Actors = append(snap.Actors, ai)
 	})
+	if next < end {
+		clear(p.rows[next:end])
+	}
 	return snap.Index()
+}
+
+// row returns actor id's row. When the table is short it is sized from the
+// accumulators, which cover every spawn the profiler was told of (ensure
+// grows them for one it was not).
+func (p *Profiler) row(id int) *epl.ActorInfo {
+	if id >= len(p.rows) {
+		p.ensure(actor.ID(id))
+		rows := make([]epl.ActorInfo, len(p.actorCPU))
+		copy(rows, p.rows)
+		p.rows = rows
+	}
+	return &p.rows[id]
 }
 
 func (p *Profiler) sortCalls(recs []callRec) {

@@ -2,7 +2,6 @@ package profile
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"plasma/internal/actor"
@@ -10,19 +9,21 @@ import (
 	"plasma/internal/sim"
 )
 
-// reuseRun drives a fleet whose profile changes shape every period — call
-// lists grow and shrink, actors migrate, die and are born, properties are
-// rewritten — and renders each period's snapshot. With noReuse every
-// snapshot is built into fresh memory; the double-buffered arena must
-// render identically.
-func reuseRun(t *testing.T, noReuse bool) []string {
-	t.Helper()
+// The stale-row differential: Snapshot overwrites one row per actor in place,
+// so a field it forgets to refresh shows last period's value. Eight periods
+// change the profile's shape — call lists grow and shrink, callees go quiet,
+// actors migrate, die and are born, properties are rewritten — and a ninth
+// crashes a server whose residents were busy, so their CPU and net fields
+// must fall to zero. Between periods the test scribbles on every handed-out
+// row, as the EMR's tick does on Pinned, and every period's snapshot must
+// still equal the naive from-scratch build field for field.
+func TestSnapshotRowsMatchNaiveAcrossPeriods(t *testing.T) {
 	k := sim.New(7)
 	typ := cluster.InstanceType{Name: "t", VCPUs: 2, MemMB: 4096, NetMbps: 1000, SpeedFac: 1}
 	c := cluster.New(k, 4, typ)
 	rt := actor.NewRuntime(k, c)
-	p := New(k, c, rt)
-	p.noReuse = noReuse
+	h := &logHook{Profiler: New(k, c, rt)}
+	rt.SetProfiler(h)
 
 	var refs []actor.Ref
 	// A chatter burns CPU and forwards to fanout peers picked by the
@@ -41,57 +42,104 @@ func reuseRun(t *testing.T, noReuse bool) []string {
 	}
 	cl := actor.NewClient(rt, 3)
 
-	var out []string
-	for period := 1; period <= 8; period++ {
+	calls, props, busyOn0 := 0, 0, 0
+	for period := 1; period <= 9; period++ {
 		fanout = 1 + period%4
 		for i, r := range refs {
 			if rt.Exists(r) && (i+period)%3 != 0 {
 				cl.Send(r, "fan", nil, 128)
 			}
 		}
-		switch period % 4 {
-		case 0:
+		switch {
+		case period == 9:
+			c.Fail(0)
+		case period%4 == 0:
 			rt.Stop(refs[period])
-		case 1:
+		case period%4 == 1:
 			rt.Migrate(refs[period], cluster.MachineID(2+period%2), nil)
-		case 2:
+		case period%4 == 2:
 			rt.SetProp(refs[period], "peer", []actor.Ref{refs[0], refs[period+1]})
-		case 3:
+		case period%4 == 3:
 			refs = append(refs, rt.SpawnOn("Late", chatter, 3))
 			rt.SetProp(refs[period-1], "peer", nil)
 		}
 		k.Run(sim.Time(period) * sim.Time(sim.Second))
 
-		snap := p.Snapshot(nil)
-		var b strings.Builder
-		for _, s := range snap.Servers {
-			fmt.Fprintf(&b, "%+v\n", *s)
-		}
+		snap := h.Snapshot(nil)
+		requireMatchesNaive(t, h, snap)
 		for _, a := range snap.Actors {
-			fmt.Fprintf(&b, "%+v\n", *a)
+			calls += len(a.Calls)
+			props += len(a.Props)
+			if period == 8 && a.Server == 0 && a.CPUPerc > 0 {
+				busyOn0++
+			}
+			a.Pinned = !a.Pinned
+			a.CPUPerc, a.NetBytes, a.LastMoved = -1, -1, -1
+			if a.Props != nil {
+				a.Props["stale"] = nil
+			}
 		}
-		out = append(out, b.String())
-		p.Reset()
+		h.Reset()
+		h.log = h.log[:0]
 	}
-	return out
+	if calls == 0 || props == 0 || busyOn0 == 0 {
+		t.Fatalf("the scenario is vacuous: %d call stats, %d properties, %d busy residents of the crashed server", calls, props, busyOn0)
+	}
 }
 
-// The arena-reuse differential: over periods whose snapshots differ in every
-// dimension the arena recycles (ActorInfo slots, call lists, property maps,
-// the indexes), the pooled path and the naive fresh-allocation path must
-// report the same profile. A cross-period leak through reused storage shows
-// up as a diverging period.
-func TestPooledSnapshotTraceMatchesNoReuse(t *testing.T) {
-	pooled := reuseRun(t, false)
-	naive := reuseRun(t, true)
-	calls := 0
-	for i := range pooled {
-		if pooled[i] != naive[i] {
-			t.Fatalf("period %d: pooled and no-reuse snapshots differ\npooled:\n%s\nnaive:\n%s", i+1, pooled[i], naive[i])
+// A stopped actor's row releases what it holds at the next Snapshot: over ten
+// periods of spawning and stopping actors that carry properties and hear
+// calls, no row outside the snapshot keeps a Props map or a Calls slice.
+func TestDeadRowsReleased(t *testing.T) {
+	const periods, perPeriod = 10, 100
+	k := sim.New(5)
+	c := cluster.New(k, 4, cluster.M1Small)
+	rt := actor.NewRuntime(k, c)
+	p := New(k, c, rt)
+	nop := actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) { ctx.Use(sim.Microsecond) })
+	cl := actor.NewClient(rt, 0)
+
+	var live []actor.Ref
+	for period := 1; period <= periods; period++ {
+		for i := 0; i < perPeriod; i++ {
+			ref := rt.SpawnOn("W", nop, cluster.MachineID(i%4))
+			rt.SetProp(ref, "peer", []actor.Ref{ref})
+			cl.Send(ref, "m", nil, 8)
+			live = append(live, ref)
 		}
-		calls += strings.Count(pooled[i], "Method:")
+		k.Run(sim.Time(period) * sim.Time(sim.Second))
+		p.Snapshot(nil)
+		p.Reset()
+		// Stop every other live actor, the newest included, so dead rows sit
+		// both between live ones and past the last.
+		kept := live[:0]
+		for i, ref := range live {
+			if i%2 == 0 {
+				kept = append(kept, ref)
+			} else {
+				rt.Stop(ref)
+			}
+		}
+		live = kept
+		rt.Stop(live[len(live)-1])
+		live = live[:len(live)-1]
 	}
-	if calls == 0 || pooled[0] == pooled[len(pooled)-1] {
-		t.Fatal("the scenario's snapshots carry no call stats or never change; the comparison is vacuous")
+	snap := p.Snapshot(nil)
+	if len(snap.Actors) != len(live) {
+		t.Fatalf("snapshot lists %d actors, %d are live", len(snap.Actors), len(live))
+	}
+	outside := 0
+	for id := range p.rows {
+		row := &p.rows[id]
+		if snap.Actor(actor.Ref{ID: actor.ID(id)}) == row {
+			continue
+		}
+		if row.Props != nil || row.Calls != nil {
+			t.Fatalf("row %d of a stopped actor holds props %v, calls %v", id, row.Props, row.Calls)
+		}
+		outside++
+	}
+	if stopped := periods*perPeriod - len(live); outside < stopped {
+		t.Fatalf("%d rows outside the snapshot, %d actors stopped", outside, stopped)
 	}
 }
