@@ -4,7 +4,7 @@ GO ?= go
 # — missing ids, allocation counts, bit-exact event/summary determinism at
 # fixed seed — are timing-immune; wall time is printed, not gated (host-time
 # claims are benchmark/'s job).
-BENCH_BASELINE ?= BENCH_2026-09-30.json
+BENCH_BASELINE ?= BENCH_2026-10-15.json
 
 # Coverage gate: `make cover` fails when total statement coverage drops
 # below the floor. Measured 84.4% when the floor was set; the slack keeps
@@ -121,16 +121,19 @@ trace-smoke:
 	@echo "trace-smoke OK: same-seed traces byte-identical, tooling round-trips"
 
 # fuzz-smoke gives each fuzzer ten seconds on top of its checked-in corpus
-# (the package's testdata/fuzz). FuzzKernelOrder: random programs of
-# After/At/AfterHomed/AfterFunc/Stop/Reset/Run/Step calls, every fire compared
-# with a sorted-slice reference. FuzzPolicy: EPL source that parses must
-# print, reparse and print the same string, and epl.Check and the analyzer
-# must not panic on it. A failing input is written to the corpus directory and
+# (the package's testdata/fuzz and its f.Add seeds). FuzzKernelOrder: random
+# programs of After/At/AfterFunc/Stop/Reset/Run/Step calls, every fire
+# compared with a sorted-slice reference. FuzzPolicy: EPL source that parses
+# must print, reparse and print the same string, and epl.Check and the
+# analyzer must not panic on it. FuzzTraceJSONL: ReadJSONL must not panic on
+# arbitrary bytes, and every line AppendJSONL writes must parse and round-trip
+# its record. A failing input is written to the corpus directory and
 # fails `go test` from then on. Minimising each coverage-increasing input is
 # capped at a second — the default minute would take the rest of the smoke.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKernelOrder -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzPolicy -fuzztime 10s -fuzzminimizetime 1s ./internal/lint
+	$(GO) test -run '^$$' -fuzz FuzzTraceJSONL -fuzztime 10s -fuzzminimizetime 1s ./internal/trace
 
 # sweep-snapshot writes everything a byte-identity refactor is held to into
 # OUT: the quick plasma-bench report at seeds 1 and 2 and one decision trace
@@ -152,10 +155,10 @@ sweep-snapshot:
 # loc prints the root module's non-test Go line count — the figure behind
 # the net non-test line delta every PR reports (ROADMAP aim 2) — and beside
 # it the share held by internal/experiments, the largest package, by
-# internal/emr, the control plane, and by internal/profile and
-# internal/actor, the EPR and the runtime under it.
+# internal/emr, the control plane, by internal/profile and internal/actor,
+# the EPR and the runtime under it, and by internal/sim, the kernel.
 GO_NONTEST = -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*'
-LOC_PKGS = internal/experiments internal/emr internal/profile internal/actor
+LOC_PKGS = internal/experiments internal/emr internal/profile internal/actor internal/sim
 loc:
 	@echo "module $$(find . $(GO_NONTEST) | xargs cat | wc -l) $$(for d in $(LOC_PKGS); do printf ' %s %s' $$d $$(find ./$$d $(GO_NONTEST) | xargs cat | wc -l); done)"
 
@@ -164,6 +167,6 @@ loc:
 # policy model checker passes every shipped policy, the benchmark harness's
 # own tests pass, the quick-scale sweep shows no perf regression or
 # determinism drift against the checked-in bench baseline, the decision
-# tracer round-trips, and the kernel order and policy fuzzers find nothing in
-# ten seconds each.
+# tracer round-trips, and the kernel order, policy and trace JSONL fuzzers
+# find nothing in ten seconds each.
 verify: build vet race lint lint-model bench-test bench-quick trace-smoke fuzz-smoke

@@ -14,9 +14,8 @@ import (
 )
 
 // Ablation benchmarks isolate the design choices DESIGN.md calls out:
-// which graph partitioner feeds PageRank, whether the placement-stability
-// rule (§4.3) is enforced, and whether balance outranks colocate (§4.3's
-// priority example).
+// which graph partitioner feeds PageRank, and whether the
+// placement-stability rule (§4.3) is enforced.
 
 // pagerankRun deploys the fig6a-style setup with a chosen partitioner and
 // EMR config, returning converged time and migration count.
@@ -114,31 +113,6 @@ func BenchmarkAblationStability(b *testing.B) {
 			}
 			b.ReportMetric(sumMS/float64(b.N), "converged_ms")
 			b.ReportMetric(sumMigs/float64(b.N), "migrations")
-		})
-	}
-}
-
-// BenchmarkAblationPriority inverts the §4.3 priority example (colocate
-// above balance) on the PageRank balance workload combined with a colocate
-// rule, measuring how often conflicting actions had to be resolved.
-func BenchmarkAblationPriority(b *testing.B) {
-	policies := map[string]map[epl.BehaviorKind]int{
-		"balance>colocate": nil, // defaults
-		"colocate>balance": {
-			epl.KindColocate: 50,
-			epl.KindBalance:  40,
-		},
-	}
-	for _, name := range []string{"balance>colocate", "colocate>balance"} {
-		pri := policies[name]
-		b.Run(name, func(b *testing.B) {
-			var sumMS float64
-			for i := 0; i < b.N; i++ {
-				d, _ := pagerankRun(int64(i+1), "multilevel",
-					emr.Config{Period: 500 * sim.Millisecond, Priorities: pri}, true)
-				sumMS += float64(d) / float64(sim.Millisecond)
-			}
-			b.ReportMetric(sumMS/float64(b.N), "converged_ms")
 		})
 	}
 }

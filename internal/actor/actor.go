@@ -586,7 +586,7 @@ const (
 // flight is one message, delayed send or reply in transit between two
 // machines: the state of the kernel event that carries it. Flights are
 // recycled through the runtime's free list, and fire — the callback
-// handed to Kernel.AfterHomed — is built once per struct, so a message
+// handed to Kernel.After — is built once per struct, so a message
 // hop allocates nothing in steady state. A reply flight carries its
 // argument and size in msg.Arg and msg.Size and its route in msg.reply.
 type flight struct {
@@ -598,8 +598,7 @@ type flight struct {
 	next      *flight
 }
 
-// launch schedules a flight from machine from to machine dst, d from now,
-// keyed by the sending machine.
+// launch schedules a flight from machine from to machine dst, d from now.
 func (rt *Runtime) launch(kind flightKind, from, dst cluster.MachineID, d sim.Duration, msg *Message, to Ref) {
 	f := rt.flights
 	if f != nil {
@@ -610,7 +609,7 @@ func (rt *Runtime) launch(kind flightKind, from, dst cluster.MachineID, d sim.Du
 		f.fire = func() { rt.arrive(f) }
 	}
 	f.kind, f.from, f.dst, f.msg, f.to = kind, from, dst, *msg, to
-	rt.K.AfterHomed(int32(from), d, f.fire)
+	rt.K.After(d, f.fire)
 }
 
 // arrive is a flight's kernel event. The struct goes back to the free list

@@ -139,7 +139,7 @@ func (m *Machine) allocWork() *work {
 func (m *Machine) start(w *work) {
 	w.start = m.k.Now()
 	m.active = append(m.active, w)
-	m.k.AfterHomed(int32(m.ID), w.cost, w.fire)
+	m.k.After(w.cost, w.fire)
 }
 
 func (m *Machine) complete(w *work) {

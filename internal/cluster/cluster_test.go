@@ -43,6 +43,20 @@ func TestSingleCoreSerializesWork(t *testing.T) {
 	}
 }
 
+// A completion is an ordinary kernel event: at one instant it takes its
+// place in scheduling order, ahead of a later-scheduled event of any kind.
+func TestExecCompletionKeepsSchedulingOrder(t *testing.T) {
+	k := sim.New(1)
+	m := newTestMachine(k, 1)
+	var order []string
+	m.Exec(10*sim.Millisecond, func() { order = append(order, "exec") })
+	k.At(sim.Time(10*sim.Millisecond), func() { order = append(order, "at") })
+	k.RunUntilIdle()
+	if len(order) != 2 || order[0] != "exec" || order[1] != "at" {
+		t.Fatalf("same-instant order %v, want [exec at]", order)
+	}
+}
+
 func TestTwoCoresRunInParallel(t *testing.T) {
 	k := sim.New(1)
 	m := newTestMachine(k, 2)

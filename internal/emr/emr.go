@@ -88,19 +88,13 @@ type Config struct {
 	// bandwidth, which only pays off when reservations target loaded
 	// servers (skewed streams), not when they land on idle ones.
 	ReserveEvacuate bool
-	// Priorities orders conflicting actions; higher wins. Zero value uses
-	// the defaults (reserve > pin > balance > colocate > separate: reserve
-	// is the most specific placement demand, pin blocks everything below
-	// it, and balance outranks colocate as in the paper's §4.3 example).
-	Priorities map[epl.BehaviorKind]int
 }
 
-func (c Config) priority(k epl.BehaviorKind) int {
-	if c.Priorities != nil {
-		if p, ok := c.Priorities[k]; ok {
-			return p
-		}
-	}
+// priority orders conflicting actions; higher wins. Reserve > pin > balance
+// > colocate > separate: reserve is the most specific placement demand, pin
+// blocks everything below it, and balance outranks colocate as in the
+// paper's §4.3 example.
+func priority(k epl.BehaviorKind) int {
 	switch k {
 	case epl.KindReserve:
 		return 45
@@ -738,7 +732,7 @@ func (m *Manager) resolveAndExecute(snap *epl.Snapshot, inter *epl.Intents) {
 	// Process queries in priority order so reservations admit partners.
 	sort.SliceStable(final, func(i, j int) bool { return final[i].Pri > final[j].Pri })
 
-	pinPri := m.Cfg.priority(epl.KindPin)
+	pinPri := priority(epl.KindPin)
 	for _, a := range final {
 		a := a
 		if m.RT.ServerOf(a.Actor) != a.Src {
@@ -898,7 +892,7 @@ func (m *Manager) movable(ai *epl.ActorInfo) bool {
 // movableAt is movable for a specific action priority: actions outranking
 // pin may move pinned actors.
 func (m *Manager) movableAt(ai *epl.ActorInfo, pri int) bool {
-	if ai.Pinned && pri <= m.Cfg.priority(epl.KindPin) {
+	if ai.Pinned && pri <= priority(epl.KindPin) {
 		return false
 	}
 	return m.rested(ai)

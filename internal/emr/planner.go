@@ -105,7 +105,7 @@ func (m *Manager) planColocateGroups(snap *epl.Snapshot, pairs []epl.PairIntent,
 			out = append(out, Action{
 				Actor: mem.Ref, Src: mem.Server, Trg: dest,
 				Kind: epl.KindColocate, Res: epl.CPU,
-				Pri: m.Cfg.priority(epl.KindColocate), Partner: anchor,
+				Pri: priority(epl.KindColocate), Partner: anchor,
 			})
 		}
 	}
@@ -243,7 +243,7 @@ func (m *Manager) planSeparates(snap *epl.Snapshot, pairs []epl.PairIntent, plan
 		out = append(out, Action{
 			Actor: mover.Ref, Src: mover.Server, Trg: best,
 			Kind: epl.KindSeparate, Res: epl.CPU,
-			Pri: m.Cfg.priority(epl.KindSeparate),
+			Pri: priority(epl.KindSeparate),
 		})
 	}
 	return out
@@ -465,7 +465,7 @@ func (m *Manager) planResource(last []lastReport, snap *epl.Snapshot, in *epl.In
 			actions = append(actions, Action{
 				Actor: ri.Actor, Src: snap.Actor(ri.Actor).Server, Trg: trg,
 				Kind: epl.KindReserve, Res: ri.Res,
-				Pri: m.Cfg.priority(epl.KindReserve), Partner: ri.Actor,
+				Pri: priority(epl.KindReserve), Partner: ri.Actor,
 			})
 		}
 		if starved {
@@ -532,7 +532,7 @@ func (m *Manager) planResource(last []lastReport, snap *epl.Snapshot, in *epl.In
 func (m *Manager) planReserve(ri epl.ReserveIntent) (trg cluster.MachineID, starved bool) {
 	r := &m.rd
 	ai := r.snap.Actor(ri.Actor)
-	if ai == nil || !m.movableAt(ai, m.Cfg.priority(epl.KindReserve)) {
+	if ai == nil || !m.movableAt(ai, priority(epl.KindReserve)) {
 		return -1, false
 	}
 	if _, planned := r.dest[ri.Actor.ID]; planned {
@@ -654,7 +654,7 @@ func (m *Manager) planBalance(bi epl.BalanceIntent) (actions []Action, allOver, 
 
 func (m *Manager) balanceAction(ai *epl.ActorInfo, trg cluster.MachineID, res epl.Resource) Action {
 	return Action{Actor: ai.Ref, Src: ai.Server, Trg: trg, Kind: epl.KindBalance, Res: res,
-		Pri: m.Cfg.priority(epl.KindBalance)}
+		Pri: priority(epl.KindBalance)}
 }
 
 // cand is one shed candidate on a source server.

@@ -7,6 +7,7 @@ package epl
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -181,7 +182,9 @@ type CmpCond struct {
 
 func (*CmpCond) condNode() {}
 func (c *CmpCond) String() string {
-	return fmt.Sprintf("%s.%s %s %g", c.Feat, c.Stat, c.Op, c.Val)
+	// No exponent: the lexer reads a number as digits and dots only, and %g
+	// would print a million as 1e+06.
+	return fmt.Sprintf("%s.%s %s %s", c.Feat, c.Stat, c.Op, strconv.FormatFloat(c.Val, 'f', -1, 64))
 }
 
 // InRefCond selects actors referenced by a property of another actor:

@@ -7,8 +7,7 @@ import (
 
 // This file holds the order-contract reference the differential tests and
 // FuzzKernelOrder compare the kernel with: sortKernel, a kernel whose queue
-// is a slice kept sorted on the full (at, depth, home, cnt) key, and the
-// op programs that drive it and the real kernel through the same calls.
+// is a slice kept sorted on the (at, seq) key, and the op programs that drive it and the real kernel through the same calls.
 
 // orderKernel is the part of the Kernel API an op program drives.
 type orderKernel interface {
@@ -16,7 +15,6 @@ type orderKernel interface {
 	Pending() int
 	At(t Time, fn func())
 	After(d Duration, fn func())
-	AfterHomed(home int32, d Duration, fn func())
 	afterFunc(d Duration, fn func()) orderTimer
 	Run(until Time)
 	Step() bool
@@ -33,24 +31,17 @@ type realKernel struct{ *Kernel }
 func (r realKernel) afterFunc(d Duration, fn func()) orderTimer { return r.AfterFunc(d, fn) }
 
 type sortEvent struct {
-	at    Time
-	depth int32
-	home  int32
-	cnt   uint64
-	fn    func()
-	tm    *sortTimer
+	at  Time
+	seq uint64
+	fn  func()
+	tm  *sortTimer
 }
 
 func (e *sortEvent) less(o *sortEvent) bool {
-	switch {
-	case e.at != o.at:
+	if e.at != o.at {
 		return e.at < o.at
-	case e.depth != o.depth:
-		return e.depth < o.depth
-	case e.home != o.home:
-		return e.home < o.home
 	}
-	return e.cnt < o.cnt
+	return e.seq < o.seq
 }
 
 // sortKernel restates the kernel's contract with nothing to get wrong: one
@@ -58,24 +49,18 @@ func (e *sortEvent) less(o *sortEvent) bool {
 type sortKernel struct {
 	now   Time
 	queue []*sortEvent
-	cnt   map[int32]uint64
-	cur   *sortEvent // the executing event
+	seq   uint64
 }
-
-func newSortKernel() *sortKernel { return &sortKernel{cnt: map[int32]uint64{}} }
 
 func (k *sortKernel) Now() Time    { return k.now }
 func (k *sortKernel) Pending() int { return len(k.queue) }
 
-func (k *sortKernel) schedule(home int32, at Time, fn func(), tm *sortTimer) *sortEvent {
+func (k *sortKernel) schedule(at Time, fn func(), tm *sortTimer) *sortEvent {
 	if at < k.now {
 		at = k.now
 	}
-	k.cnt[home]++
-	e := &sortEvent{at: at, home: home, cnt: k.cnt[home], fn: fn, tm: tm}
-	if k.cur != nil && at == k.cur.at {
-		e.depth = k.cur.depth + 1
-	}
+	k.seq++
+	e := &sortEvent{at: at, seq: k.seq, fn: fn, tm: tm}
 	i := sort.Search(len(k.queue), func(i int) bool { return e.less(k.queue[i]) })
 	k.queue = append(k.queue, nil)
 	copy(k.queue[i+1:], k.queue[i:])
@@ -100,11 +85,8 @@ func clampDelay(d Duration) Duration {
 	return d
 }
 
-func (k *sortKernel) At(t Time, fn func())        { k.schedule(GlobalHome, t, fn, nil) }
+func (k *sortKernel) At(t Time, fn func())        { k.schedule(t, fn, nil) }
 func (k *sortKernel) After(d Duration, fn func()) { k.At(k.now+Time(clampDelay(d)), fn) }
-func (k *sortKernel) AfterHomed(home int32, d Duration, fn func()) {
-	k.schedule(home, k.now+Time(clampDelay(d)), fn, nil)
-}
 
 // sortTimer follows Timer's life: pending while ev is set, live until it
 // fires without being re-armed or is stopped.
@@ -117,7 +99,7 @@ type sortTimer struct {
 
 func (k *sortKernel) afterFunc(d Duration, fn func()) orderTimer {
 	t := &sortTimer{k: k, fn: fn}
-	t.ev = k.schedule(GlobalHome, k.now+Time(clampDelay(d)), nil, t)
+	t.ev = k.schedule(k.now+Time(clampDelay(d)), nil, t)
 	return t
 }
 
@@ -141,7 +123,7 @@ func (t *sortTimer) Reset(d Duration) bool {
 	if t.ev != nil {
 		t.k.unqueue(t.ev)
 	}
-	t.ev = t.k.schedule(GlobalHome, t.k.now+Time(clampDelay(d)), nil, t)
+	t.ev = t.k.schedule(t.k.now+Time(clampDelay(d)), nil, t)
 	return true
 }
 
@@ -151,7 +133,7 @@ func (k *sortKernel) Step() bool {
 	}
 	e := k.queue[0]
 	k.queue = k.queue[1:]
-	k.now, k.cur = e.at, e
+	k.now = e.at
 	if t := e.tm; t != nil {
 		t.ev = nil
 		t.fn()
@@ -161,7 +143,6 @@ func (k *sortKernel) Step() bool {
 	} else {
 		e.fn()
 	}
-	k.cur = nil
 	return true
 }
 
@@ -183,21 +164,18 @@ type opKind uint8
 const (
 	opAfter opKind = iota
 	opAt
-	opHomed
 	opTimer // AfterFunc; the handle joins the program's timer list
 	opStop  // Stop timer tm of the list
 	opReset // Reset timer tm of the list to d from now
 	opRearm // inside a timer's own callback: Reset it to d from now
 	opRun   // top level only: Run(now + d)
 	opStep  // top level only
-	numOps
 )
 
 type op struct {
 	kind opKind
 	d    Duration
 	at   Time
-	home int32
 	tm   int
 }
 
@@ -275,8 +253,6 @@ func (p program) run(k orderKernel) []rec {
 				k.After(o.d, callback(id, nil))
 			case opAt:
 				k.At(o.at, callback(id, nil))
-			case opHomed:
-				k.AfterHomed(o.home, o.d, callback(id, nil))
 			case opTimer:
 				t := new(orderTimer)
 				*t = k.afterFunc(o.d, callback(id, t))
@@ -303,7 +279,7 @@ func (p program) run(k orderKernel) []rec {
 // diverge runs p on the kernel and on the sorted reference and describes
 // the first observation they disagree on, or returns "".
 func (p program) diverge() string {
-	got, want := p.run(realKernel{New(1)}), p.run(newSortKernel())
+	got, want := p.run(realKernel{New(1)}), p.run(&sortKernel{})
 	for i := 0; i < len(got) && i < len(want); i++ {
 		if got[i] != want[i] {
 			return fmt.Sprintf("observation %d: kernel %v, reference %v", i, got[i], want[i])

@@ -34,18 +34,17 @@ func wideOp(rng *rand.Rand, kinds []opKind) op {
 		kind: kinds[rng.Intn(len(kinds))],
 		d:    wideDelay(rng),
 		at:   Time(wideDelay(rng)),
-		home: int32(rng.Intn(5)),
 		tm:   rng.Intn(64),
 	}
 }
 
 // TestOrderDifferentialWide drives the kernel and the sorted reference
-// with plans whose delays run from 0 µs to hours — global, homed and timer
-// events, Stop/Reset/re-arm churn nested inside callbacks, and staged
-// Run(until) calls with scheduling between them — and demands the same
-// fires at the same instants with the same queue lengths throughout.
+// with plans whose delays run from 0 µs to hours — plain and timer events,
+// Stop/Reset/re-arm churn nested inside callbacks, and staged Run(until)
+// calls with scheduling between them — and demands the same fires at the
+// same instants with the same queue lengths throughout.
 func TestOrderDifferentialWide(t *testing.T) {
-	nested := []opKind{opAfter, opAfter, opAt, opHomed, opHomed, opTimer, opStop, opReset, opRearm}
+	nested := []opKind{opAfter, opAfter, opAt, opAfter, opAfter, opTimer, opStop, opReset, opRearm}
 	top := append([]opKind{opRun, opRun, opStep}, nested...)
 	for trial := 0; trial < 80; trial++ {
 		rng := rand.New(rand.NewSource(int64(9000 + trial)))
@@ -70,8 +69,8 @@ func TestOrderDifferentialWide(t *testing.T) {
 // a radix queue's buckets turn over, and the far end of Time.
 func TestOrderAcrossPowerOfTwoBoundaries(t *testing.T) {
 	p := program{budget: 4000, onFire: [][]op{
-		{{kind: opAfter, d: 1}, {kind: opHomed, home: 1, d: 3}},
-		{{kind: opHomed, home: 0, d: 2}},
+		{{kind: opAfter, d: 1}, {kind: opAfter, d: 3}},
+		{{kind: opAfter, d: 2}},
 		{},
 		{{kind: opTimer, d: 4}, {kind: opAfter, d: 0}},
 		{{kind: opRearm, d: 2}},
@@ -104,7 +103,7 @@ func TestTimerStopResetInEveryBucket(t *testing.T) {
 		}
 		for _, reset := range []Duration{-1, 0, 1, at / 2, at, at + 1, 2*at + 1} {
 			p := program{budget: 64, top: []op{
-				{kind: opAfter, d: at}, {kind: opHomed, home: 2, d: at}, {kind: opAfter, d: at + 1},
+				{kind: opAfter, d: at}, {kind: opAt, at: Time(at)}, {kind: opAfter, d: at + 1},
 				{kind: opTimer, d: at}, // the parked timer, among events of its own instant
 				{kind: opAfter, d: at}, {kind: opAfter, d: at - 1}, {kind: opTimer, d: at},
 			}, onFire: [][]op{{}}}
@@ -139,8 +138,8 @@ func TestTimerStopResetInEveryBucket(t *testing.T) {
 	moved = k.AfterFunc(100, func() { log = append(log, "moved") })
 	k.After(100, func() { log = append(log, "b") })
 	k.RunUntilIdle()
-	// Reset(0) from inside an event of instant 100 is a child: depth 1,
-	// after the whole depth-0 cohort.
+	// Reset(0) from inside an event of instant 100 is a fresh scheduling:
+	// after every event already queued for instant 100.
 	if got, want := strings.Join(log, " "), "a b moved"; got != want {
 		t.Fatalf("fire order %q, want %q", got, want)
 	}
@@ -182,7 +181,7 @@ func TestPushBeforeLastPanics(t *testing.T) {
 			t.Fatal("push before the queue's current instant did not panic")
 		}
 	}()
-	k.q.push(&event{at: 9, home: GlobalHome, tid: noTimer, fn: func() {}})
+	k.q.push(&event{at: 9, tid: noTimer, fn: func() {}})
 }
 
 // TestPublicAPICannotScheduleIntoThePast walks every public way a fire time
@@ -205,9 +204,7 @@ func TestPublicAPICannotScheduleIntoThePast(t *testing.T) {
 	k.At(100, mark) // past: fires at 400
 	k.At(401, mark)
 	k.After(-7, mark)
-	k.AfterHomed(3, -7, mark)
-	k.AfterHomed(3, huge, mark) // 400 + huge wraps: clamped to 400
-	k.After(huge, mark)
+	k.After(huge, mark) // 400 + huge wraps: clamped to 400
 	tm := k.AfterFunc(-1, mark)
 	tm.Reset(-1)
 	late := k.AfterFunc(huge, mark)
@@ -215,7 +212,7 @@ func TestPublicAPICannotScheduleIntoThePast(t *testing.T) {
 	k.At(maxTime, mark)
 	k.RunUntilIdle()
 
-	want := []Time{400, 400, 400, 400, 400, 400, 400, 401, 1000, maxTime}
+	want := []Time{400, 400, 400, 400, 400, 401, 1000, maxTime}
 	if len(fired) != len(want) {
 		t.Fatalf("fired at %v, want %v", fired, want)
 	}

@@ -6,25 +6,24 @@ import "math/bits"
 // the fire time at, with a small heap for the current instant.
 //
 // The kernel never schedules into the past (every at is clamped to now) and
-// the order key (at, depth, home, cnt) has no ties — see before — so the pop
-// sequence is fixed by the key alone and the queue is free to exploit
-// monotonicity. last is the instant of the latest refill; every queued
-// event has at >= last and sits in bucket bits.Len64(at ^ last): bucket 0
-// holds the events of instant last itself, bucket b >= 1 those whose
-// highest bit differing from last is bit b-1. A higher bucket holds
-// strictly later events than a lower one, so the next event is always in
-// the lowest non-empty bucket. When bucket 0 runs dry, refill empties that
-// bucket: its minimum is the event to fire, that event's instant becomes
-// last, and the rest are re-filed against it. Each lands strictly lower,
-// and events in higher buckets keep their index because last changed only
-// below their differing bit. An event is therefore moved at most once per
+// the order key (at, seq) has no ties — see before — so the pop sequence is
+// fixed by the key alone and the queue is free to exploit monotonicity.
+// last is the instant of the latest refill; every queued event has
+// at >= last and sits in bucket bits.Len64(at ^ last): bucket 0 holds the
+// events of instant last itself, bucket b >= 1 those whose highest bit
+// differing from last is bit b-1. A higher bucket holds strictly later
+// events than a lower one, so the next event is always in the lowest
+// non-empty bucket. When bucket 0 runs dry, refill empties that bucket: its
+// minimum is the event to fire, that event's instant becomes last, and the
+// rest are re-filed against it. Each lands strictly lower, and events in
+// higher buckets keep their index because last changed only below their
+// differing bit. An event is therefore moved at most once per
 // bit of its delay, in sequential sweeps, instead of being compared down a
 // heap whose every level is a cache miss at fleet scale. 64 buckets is the
 // width of Time, not a setting.
 //
-// Only bucket 0 needs the rest of the key: it is a binary heap on before.
-// An event alone at its instant — most events of a shallow queue — never
-// enters it.
+// Only bucket 0 needs seq: it is a binary heap on before. An event alone at
+// its instant — most events of a shallow queue — never enters it.
 //
 // Buckets store their events inline (scheduling allocates nothing in steady
 // state) in fixed-size chunks drawn from one pool shared by all buckets.
@@ -42,44 +41,27 @@ import "math/bits"
 // the owning slot id in tid; the slot holds the callback so it survives
 // the fire and can be re-armed by Reset.
 //
-// at, depth, home and cnt form the order key (see before).
+// at and seq form the order key (see before).
 type event struct {
-	at    Time
-	depth int32 // same-instant causal depth: parent's depth + 1 when at == parent's at
-	home  int32 // scheduling home that stamped cnt, GlobalHome for After/At/timers
-	cnt   uint64
-	tid   int32 // owning timer slot, or noTimer
-	fn    func()
+	at  Time
+	seq uint64 // Kernel.seq when the event was scheduled
+	tid int32  // owning timer slot, or noTimer
+	fn  func()
 }
 
 const noTimer = int32(-1)
 
 // before is the queue's strict total order and the kernel's same-instant
-// ordering contract: fire time, then same-instant causal depth, then
-// scheduling home (global events first, then homes in ascending id
-// order), then per-home scheduling order. The (home, cnt) pair is unique
-// per kernel — every scheduling bumps its home's counter — so ties cannot
-// exist and any correct priority queue pops events in exactly one order.
-//
-// depth makes the order causal: an event scheduled at its parent's
-// instant carries the parent's depth + 1, so every child's key exceeds
-// its parent's and the queue's pop sequence is monotone in the key. Without
-// it a same-instant child homed below its parent would sort ahead of
-// events the parent's cohort still has queued. For workloads driven purely
-// through After/At/timers depth refines nothing: among same-instant global
-// events, scheduling order already agrees with (depth, cnt) order, because
-// a deeper event can only be scheduled after its shallower producer ran.
+// ordering contract: fire time, then scheduling order. seq is unique per
+// kernel — every scheduling bumps it — so ties cannot exist and any correct
+// priority queue pops events in exactly one order. It also makes the order
+// causal: an event scheduled at its parent's instant is stamped after
+// everything already queued, so the pop sequence is monotone in the key.
 func (e *event) before(o *event) bool {
 	if e.at != o.at {
 		return e.at < o.at
 	}
-	if e.depth != o.depth {
-		return e.depth < o.depth
-	}
-	if e.home != o.home {
-		return e.home < o.home
-	}
-	return e.cnt < o.cnt
+	return e.seq < o.seq
 }
 
 // timerSlot is the persistent half of a Timer: the callback plus where its
@@ -94,7 +76,7 @@ type timerSlot struct {
 
 const notQueued = int8(-1)
 
-// A chunk is the unit bucket storage is handed out in: 32 events, 1.25 KB —
+// A chunk is the unit bucket storage is handed out in: 32 events, 1 KB —
 // small enough that the thirty-odd buckets a short-lived kernel touches cost
 // it less than the heap's doubling did, large enough that a refill streams.
 const (

@@ -38,15 +38,14 @@ func (r *lcg) next(n uint64) uint64 {
 }
 
 // shallowWorld is media_bell's queue: ~350 closed-loop clients, almost all
-// parked on a 200 ms think timer, each request a chain of eight homed hops
-// with network- and CPU-sized delays (60–900 µs). Nearly every instant
-// holds one event.
+// parked on a 200 ms think timer, each request a chain of eight hops with
+// network- and CPU-sized delays (60–900 µs). Nearly every instant holds one
+// event.
 func shallowWorld() *Kernel {
 	k := New(1)
 	const clients, hops = 350, 8
 	rng := lcg(1)
 	for c := 0; c < clients; c++ {
-		home := int32(c % 48)
 		left := 0
 		var hop func()
 		hop = func() {
@@ -56,7 +55,7 @@ func shallowWorld() *Kernel {
 				return
 			}
 			left--
-			k.AfterHomed(home, Duration(60+rng.next(840)), hop)
+			k.After(Duration(60+rng.next(840)), hop)
 		}
 		k.After(Duration(rng.next(uint64(200*Millisecond))), hop)
 	}
@@ -67,24 +66,23 @@ func shallowWorld() *Kernel {
 // loops the benchmark's queue peaks at 133k events.
 const deepWorkers = 131072
 
-// deepWorld is fleet_control's queue: workers Workers on workers/128
-// machines, each on a 2 s self-message cycle kicked off on a millisecond
-// grid — a network hop, 6 ms of CPU on its machine, then the re-arm — so
-// the queue stands workers deep and its instants hold tens of events.
+// deepWorld is fleet_control's queue: workers Workers, each on a 2 s
+// self-message cycle kicked off on a millisecond grid — a network hop, 6 ms
+// of CPU, then the re-arm — so the queue stands workers deep and its
+// instants hold tens of events.
 func deepWorld(workers int) *Kernel {
 	k := New(1)
 	const cycle, cpu = 2 * Second, 6 * Millisecond
 	rng := lcg(1)
 	for w := 0; w < workers; w++ {
-		home := int32(w % (workers/128 + 1))
 		var net Duration
 		var arrive, done, send func()
-		arrive = func() { k.AfterHomed(home, cpu, done) }
+		arrive = func() { k.After(cpu, done) }
 		done = func() {
 			net = Duration(100 + rng.next(200))
 			k.After(cycle-cpu-net, send)
 		}
-		send = func() { k.AfterHomed(home, net, arrive) }
+		send = func() { k.After(net, arrive) }
 		k.At(Time(w%2000+1)*Time(Millisecond), arrive)
 	}
 	return k
@@ -142,13 +140,13 @@ func TestQueueMemoryAtFleetScale(t *testing.T) {
 		var e event
 		for i := 0; i < events; i++ {
 			cnt++
-			e = event{at: Time(i%2000+1)*Time(Millisecond) + Time(i%977), home: GlobalHome, cnt: cnt, tid: noTimer, fn: fn}
+			e = event{at: Time(i%2000+1)*Time(Millisecond) + Time(i%977), seq: cnt, tid: noTimer, fn: fn}
 			push(&e)
 		}
 		for i := 0; i < cycles*events; i++ {
 			pop(&e)
 			cnt++
-			e.at, e.cnt = e.at+Time(2*Second), cnt
+			e.at, e.seq = e.at+Time(2*Second), cnt
 			push(&e)
 		}
 		runtime.GC()
@@ -196,7 +194,7 @@ func TestQueueDifferentialAgainstHeap(t *testing.T) {
 				return
 			}
 			want := h.pop()
-			if got.at != want.at || got.depth != want.depth || got.home != want.home || got.cnt != want.cnt || got.tid != want.tid {
+			if got.at != want.at || got.seq != want.seq || got.tid != want.tid {
 				t.Fatalf("trial %d: popped %+v, heap popped %+v", trial, got, want)
 			}
 			now = got.at
@@ -215,12 +213,9 @@ func TestQueueDifferentialAgainstHeap(t *testing.T) {
 			switch r := rng.Intn(10); {
 			case r < 5:
 				cnt++
-				e := event{at: now + Time(wideDelay(rng)), home: int32(rng.Intn(4)) - 1, cnt: cnt, tid: noTimer}
+				e := event{at: now + Time(wideDelay(rng)), seq: cnt, tid: noTimer}
 				if e.at < now {
 					e.at = now
-				}
-				if e.at == now {
-					e.depth = int32(rng.Intn(3))
 				}
 				if rng.Intn(4) == 0 {
 					e.tid = q.allocSlot(nil)

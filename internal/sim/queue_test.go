@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // refKernel reimplements the kernel's first event queue — a container/heap of
@@ -11,8 +12,8 @@ import (
 // tests below drive it and the kernel with the same schedule and demand
 // identical fire orders; the alloc test pins the boxed implementation's
 // per-event allocation as the ceiling the kernel's queue must beat. (The
-// full-key reference, and plans that reach every bucket of the radix queue,
-// are in order_ref_test.go and order_test.go.)
+// reference with timers and staged runs, and plans that reach every bucket
+// of the radix queue, are in order_ref_test.go and order_test.go.)
 type refEvent struct {
 	at  Time
 	seq uint64
@@ -215,6 +216,15 @@ func TestHeapAllocsReduced(t *testing.T) {
 	// inline must be at least 10x better amortized.
 	if newAllocs > events/10 {
 		t.Fatalf("inline queue allocs = %.1f per %d events; want near zero", newAllocs, events)
+	}
+}
+
+// TestEventIs32Bytes pins the inline event at four words — (at, seq), the
+// timer slot and the callback — so a chunk of 32 stays 1 KB and a refill
+// streams half a cache line per event.
+func TestEventIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 32 {
+		t.Fatalf("event is %d bytes, want 32", n)
 	}
 }
 

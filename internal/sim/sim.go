@@ -1,28 +1,20 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // All of PLASMA's experiments run on virtual time. Every event carries an
-// order key (at, depth, home, cnt) — firing time, same-instant causal
-// depth, scheduling home, per-home scheduling counter — so two events
-// scheduled for the same instant fire in a single well-defined order and
-// every run is reproducible bit-for-bit from a single seed. The
+// order key (at, seq) — firing time, then a kernel-wide scheduling counter —
+// so two events scheduled for the same instant fire in a single well-defined
+// order and every run is reproducible bit-for-bit from a single seed. The
 // same-instant contract is:
 //
+//   - events of one instant fire in the order they were scheduled, whoever
+//     scheduled them: a sender's same-instant messages arrive in send order;
 //   - an event scheduled at its parent's instant (from inside an event
-//     callback, for the same virtual time) fires after every event of
-//     the parent's own causal depth — children never overtake their
-//     parent's cohort;
-//   - at equal depth, global events (plain After/At/AfterFunc, home =
-//     GlobalHome) fire before homed events (AfterHomed);
-//   - among homed events of equal depth, lower home ids fire first;
-//   - within one home at equal depth, events fire in scheduling order;
+//     callback, for the same virtual time) fires after every event already
+//     queued for that instant — children never overtake their parent's
+//     cohort, because their seq is larger than anything queued before them;
 //   - Timer.Reset is a fresh scheduling: resetting a pending timer to the
 //     current instant moves it after previously queued same-instant
 //     events, exactly as if it had been stopped and re-scheduled.
-//
-// A home is a unit of sequential state — one cluster machine. Each home
-// stamps its events from its own counter, so a machine's scheduling
-// history, and with it the order its actors see their messages in, does
-// not depend on how many events other machines scheduled in between.
 //
 // The kernel never schedules into the past — every fire time is clamped to
 // the clock, and the clock never moves backwards — and the key has no ties,
@@ -57,9 +49,6 @@ const (
 // Millis builds a Duration from a (possibly fractional) millisecond count.
 func Millis(ms float64) Duration { return Duration(ms * float64(Millisecond)) }
 
-// Micros builds a Duration from a microsecond count.
-func Micros(us float64) Duration { return Duration(us) }
-
 // Seconds reports d as a float64 number of seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
@@ -77,10 +66,6 @@ func (d Duration) String() string {
 	}
 }
 
-// GlobalHome is the home of events scheduled through After/At/AfterFunc.
-// It sorts before every real home at the same instant and depth.
-const GlobalHome = int32(-1)
-
 // maxTime is the last representable instant: the limit of a pop that has none.
 const maxTime = Time(1<<63 - 1)
 
@@ -90,16 +75,7 @@ type Kernel struct {
 	now Time
 	q   eventQueue
 	rng *rand.Rand
-
-	// homeCnt[h+1] is the scheduling counter for home h; homeCnt[0] is
-	// the global counter (home = GlobalHome).
-	homeCnt []uint64
-
-	// Executing-event context for same-instant depth stamping: while an
-	// event runs, children scheduled at the same instant get curDepth + 1.
-	executing bool
-	curAt     Time
-	curDepth  int32
+	seq uint64 // order key of the latest scheduling
 
 	// Stopped is set by Stop; Run returns once it is observed.
 	stopped bool
@@ -110,20 +86,7 @@ type Kernel struct {
 
 // New returns a kernel whose random stream is derived from seed.
 func New(seed int64) *Kernel {
-	return &Kernel{
-		rng:     rand.New(rand.NewSource(seed)),
-		homeCnt: make([]uint64, 1),
-	}
-}
-
-// childDepth reports the causal depth of an event scheduled for time at
-// from the current context: one deeper than the executing event when it
-// targets the same instant, zero otherwise.
-func (k *Kernel) childDepth(at Time) int32 {
-	if k.executing && at == k.curAt {
-		return k.curDepth + 1
-	}
-	return 0
+	return &Kernel{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -140,45 +103,22 @@ func (k *Kernel) After(d Duration, fn func()) {
 	k.At(k.now+Time(d), fn)
 }
 
-// At schedules fn at absolute virtual time t (clamped to now). The event
-// is global: it fires before any homed event of the same instant and depth.
+// At schedules fn at absolute virtual time t (clamped to now).
 func (k *Kernel) At(t Time, fn func()) {
-	k.schedule(GlobalHome, t, noTimer, fn)
+	k.schedule(t, noTimer, fn)
 }
 
-// AfterHomed schedules fn to run d from now (negative delays fire
-// immediately), keyed by home (>= 0): the event takes its place in the
-// same-instant order from home's own counter, whatever other homes have
-// scheduled since. Cluster machines schedule their CPU completions and
-// outgoing messages this way, with the machine id as home.
-func (k *Kernel) AfterHomed(home int32, d Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	if int(home)+1 >= len(k.homeCnt) {
-		k.growHomes(home)
-	}
-	k.schedule(home, k.now+Time(d), noTimer, fn)
-}
-
-// growHomes extends the counter table to cover home.
-func (k *Kernel) growHomes(home int32) {
-	for int(home)+1 >= len(k.homeCnt) {
-		k.homeCnt = append(k.homeCnt, 0)
-	}
-}
-
-// schedule stamps the next order key of home for an event at time at and
-// queues it: a plain callback fn, or the timer slot tid. This is the one
-// place a fire time enters the queue, and it clamps it to now — a past
-// instant, or a delay large enough to wrap the clock — which is what lets
-// the queue assume no event is ever earlier than one it already popped.
-func (k *Kernel) schedule(home int32, at Time, tid int32, fn func()) {
+// schedule stamps the next seq on an event at time at and queues it: a
+// plain callback fn, or the timer slot tid. This is the one place a fire
+// time enters the queue, and it clamps it to now — a past instant, or a
+// delay large enough to wrap the clock — which is what lets the queue assume
+// no event is ever earlier than one it already popped.
+func (k *Kernel) schedule(at Time, tid int32, fn func()) {
 	if at < k.now {
 		at = k.now
 	}
-	k.homeCnt[home+1]++
-	k.q.push(&event{at: at, depth: k.childDepth(at), home: home, cnt: k.homeCnt[home+1], tid: tid, fn: fn})
+	k.seq++
+	k.q.push(&event{at: at, seq: k.seq, tid: tid, fn: fn})
 	if n := k.q.len(); n > k.peak {
 		k.peak = n
 	}
@@ -189,7 +129,7 @@ func (k *Kernel) schedule(home int32, at Time, tid int32, fn func()) {
 // life: Reset re-queues the same slot and Stop cancels it. A timer that
 // fires without being re-armed by Reset — from inside its own callback —
 // releases its slot automatically; after that, Stop and Reset on the stale
-// handle are no-ops returning false. Timers are global events.
+// handle are no-ops returning false.
 type Timer struct {
 	k   *Kernel
 	id  int32
@@ -206,7 +146,7 @@ func (k *Kernel) AfterFunc(d Duration, fn func()) *Timer {
 	}
 	id := k.q.allocSlot(fn)
 	t := &Timer{k: k, id: id, gen: k.q.slots[id].gen}
-	k.schedule(GlobalHome, k.now+Time(d), id, nil)
+	k.schedule(k.now+Time(d), id, nil)
 	return t
 }
 
@@ -236,10 +176,10 @@ func (t *Timer) Stop() bool {
 // re-arm, or stopped).
 //
 // Reset is a fresh scheduling with respect to same-instant ordering: the
-// new event takes a fresh counter value, so a Reset to the current
-// instant fires after events that were already queued for that instant —
-// exactly as if the timer had been stopped and scheduled anew; the
-// differential tests in sim_test.go pin it.
+// new event takes a fresh seq, so a Reset to the current instant fires after
+// events that were already queued for that instant — exactly as if the timer
+// had been stopped and scheduled anew; the differential tests in sim_test.go
+// pin it.
 func (t *Timer) Reset(d Duration) bool {
 	if !t.live() {
 		return false
@@ -251,7 +191,7 @@ func (t *Timer) Reset(d Duration) bool {
 	if k.q.slots[t.id].bkt != notQueued {
 		k.q.remove(t.id)
 	}
-	k.schedule(GlobalHome, k.now+Time(d), t.id, nil)
+	k.schedule(k.now+Time(d), t.id, nil)
 	return true
 }
 
@@ -284,19 +224,15 @@ func (k *Kernel) Step() bool {
 	return true
 }
 
-// fire runs one popped event with the executing-event context set, so
-// same-instant children stamp the right causal depth.
+// fire runs one popped event at its instant.
 func (k *Kernel) fire(e *event) {
 	k.now = e.at
 	k.fired++
-	prevEx, prevAt, prevD := k.executing, k.curAt, k.curDepth
-	k.executing, k.curAt, k.curDepth = true, e.at, e.depth
 	if e.tid != noTimer {
 		k.fireTimer(e.tid)
 	} else {
 		e.fn()
 	}
-	k.executing, k.curAt, k.curDepth = prevEx, prevAt, prevD
 }
 
 // fireTimer runs a timer slot's callback and recycles the slot unless the

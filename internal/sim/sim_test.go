@@ -1,10 +1,8 @@
 package sim
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -368,121 +366,35 @@ func TestPropertyAllEventsFire(t *testing.T) {
 	}
 }
 
-// TestSameInstantContract pins the (at, depth, home, cnt) contract end to
-// end: at one instant, global events fire first in scheduling order, then
-// homes in ascending id order, each home in its own scheduling order.
+// TestSameInstantContract pins the (at, seq) contract end to end: at one
+// instant events fire in the order they were scheduled, whichever call
+// scheduled them and from whichever earlier instant; a child scheduled at
+// its parent's instant fires after the parent's whole cohort; and Reset is a
+// fresh scheduling, both on a pending timer and from inside its callback.
 func TestSameInstantContract(t *testing.T) {
 	k := New(7)
 	var log []string
 	mark := func(tag string) func() { return func() { log = append(log, tag) } }
 	const at = 100
-	// Scheduled deliberately out of key order.
-	k.AfterHomed(2, at, mark("h2-a"))
-	k.At(at, mark("g-a"))
-	k.AfterHomed(0, at, mark("h0-a"))
-	k.AfterHomed(2, at, mark("h2-b"))
-	k.At(at, mark("g-b"))
-	k.AfterHomed(0, at, mark("h0-b"))
+	k.At(at, func() {
+		log = append(log, "a")
+		k.After(0, mark("a-child"))
+	})
+	var tm *Timer
+	tm = k.AfterFunc(at, func() {
+		log = append(log, "t")
+		if len(log) < 4 {
+			tm.Reset(0)
+		}
+	})
+	k.After(at/2, func() { k.At(at, mark("late")) })
+	r := k.AfterFunc(at, mark("r"))
+	k.After(at, mark("b"))
+	r.Reset(at)
 	k.RunUntilIdle()
-	want := []string{"g-a", "g-b", "h0-a", "h0-b", "h2-a", "h2-b"}
+	want := []string{"a", "t", "b", "r", "late", "a-child", "t"}
 	if !reflect.DeepEqual(log, want) {
 		t.Fatalf("same-instant order = %v, want %v", log, want)
-	}
-}
-
-// homedRun is one seeded homed workload's outcome: a per-home event log,
-// one global log, the fired count and the final clock.
-type homedRun struct {
-	Seed    int64      `json:"seed"`
-	PerHome [][]string `json:"per_home"`
-	Global  []string   `json:"global"`
-	Fired   uint64     `json:"fired"`
-	Now     Time       `json:"now"`
-}
-
-// runHomedWorkload drives a seeded workload of homed events: each logs to
-// its home and to the global log, then spawns a same-home follow-up, a
-// zero-delay hop to the next home and, at even depths, a second global
-// record one span later.
-func runHomedWorkload(seed int64, homes, kicks int) homedRun {
-	rng := rand.New(rand.NewSource(seed))
-	type kick struct {
-		at    Time
-		home  int32
-		depth int
-		span  Duration
-	}
-	plan := make([]kick, kicks)
-	for i := range plan {
-		plan[i] = kick{
-			at:    Time(rng.Intn(2000)) * Time(Microsecond),
-			home:  int32(rng.Intn(homes)),
-			depth: 2 + rng.Intn(3),
-			span:  Duration(rng.Intn(50)) * Microsecond,
-		}
-	}
-
-	k := New(seed)
-	run := homedRun{Seed: seed, PerHome: make([][]string, homes)}
-	var hop func(home int32, depth int, span Duration, tag string)
-	hop = func(home int32, depth int, span Duration, tag string) {
-		run.PerHome[home] = append(run.PerHome[home], fmt.Sprintf("%s@%d", tag, k.Now()))
-		run.Global = append(run.Global, fmt.Sprintf("%s:h%d@%d", tag, home, k.Now()))
-		if depth == 0 {
-			return
-		}
-		k.AfterHomed(home, span, func() { hop(home, depth-1, span, tag+"s") })
-		next := (home + 1) % int32(homes)
-		k.AfterHomed(home, 0, func() { hop(next, depth-1, span, tag+"x") })
-		if depth%2 == 0 {
-			k.AfterHomed(home, span, func() {
-				run.Global = append(run.Global, fmt.Sprintf("%s:g@%d", tag, k.Now()))
-			})
-		}
-	}
-	for i, p := range plan {
-		p := p
-		tag := fmt.Sprintf("k%d", i)
-		k.At(p.at, func() {
-			k.AfterHomed(p.home, 0, func() { hop(p.home, p.depth, p.span, tag) })
-		})
-	}
-	k.RunUntilIdle()
-	run.Fired = k.Stats().Fired
-	run.Now = k.Now()
-	return run
-}
-
-// TestHomedOrderGolden is the proof the order key did not move when the
-// sharded execution mode was deleted: testdata/homed_golden.json holds this
-// workload's logs as commit 1dfef8c produced them through Env.Schedule on
-// its sequential kernel (one shard, no lookahead), and AfterHomed must fire
-// the same events in the same order at the same instants.
-func TestHomedOrderGolden(t *testing.T) {
-	raw, err := os.ReadFile("testdata/homed_golden.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var golden []homedRun
-	if err := json.Unmarshal(raw, &golden); err != nil {
-		t.Fatal(err)
-	}
-	if len(golden) == 0 {
-		t.Fatal("golden file holds no runs")
-	}
-	for _, want := range golden {
-		got := runHomedWorkload(want.Seed, len(want.PerHome), 30)
-		if got.Fired != want.Fired || got.Now != want.Now {
-			t.Errorf("seed %d: fired %d at clock %d, golden fired %d at clock %d", want.Seed, got.Fired, got.Now, want.Fired, want.Now)
-		}
-		for h := range want.PerHome {
-			if !reflect.DeepEqual(got.PerHome[h], want.PerHome[h]) {
-				t.Errorf("seed %d: home %d log diverged from golden\ngot:  %v\nwant: %v", want.Seed, h, got.PerHome[h], want.PerHome[h])
-			}
-		}
-		if !reflect.DeepEqual(got.Global, want.Global) {
-			t.Errorf("seed %d: global log diverged from golden\ngot:  %v\nwant: %v", want.Seed, got.Global, want.Global)
-		}
 	}
 }
 

@@ -5,14 +5,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
+	"unicode/utf8"
 
 	"plasma/internal/sim"
 )
 
 // The JSONL format is the trace layer's interchange form: one record per
 // line, every field present, fields in a fixed order, floats in Go's
-// shortest 'g' form. Writing is deliberately by hand (not encoding/json)
+// shortest 'g' form (a non-finite value, which JSON cannot spell, as null,
+// read back as 0). Writing is deliberately by hand (not encoding/json)
 // so the byte layout is a function of the records alone — two runs at the
 // same seed produce byte-identical files, and `plasma-trace diff` (or
 // plain cmp) localizes determinism drift to the first divergent record.
@@ -41,7 +44,7 @@ func AppendJSONL(dst []byte, r Record) []byte {
 	dst = append(dst, `,"at":`...)
 	dst = strconv.AppendInt(dst, int64(r.At), 10)
 	dst = append(dst, `,"kind":`...)
-	dst = strconv.AppendQuote(dst, r.Kind.String())
+	dst = appendJSONString(dst, r.Kind.String())
 	dst = append(dst, `,"tick":`...)
 	dst = strconv.AppendInt(dst, int64(r.Tick), 10)
 	dst = append(dst, `,"srv":`...)
@@ -53,11 +56,64 @@ func AppendJSONL(dst []byte, r Record) []byte {
 	dst = append(dst, `,"rule":`...)
 	dst = strconv.AppendInt(dst, int64(r.Rule), 10)
 	dst = append(dst, `,"val":`...)
-	dst = strconv.AppendFloat(dst, r.Value, 'g', -1, 64)
+	if math.IsNaN(r.Value) || math.IsInf(r.Value, 0) {
+		dst = append(dst, "null"...)
+	} else {
+		dst = strconv.AppendFloat(dst, r.Value, 'g', -1, 64)
+	}
 	dst = append(dst, `,"det":`...)
-	dst = strconv.AppendQuote(dst, r.Detail)
+	dst = appendJSONString(dst, r.Detail)
 	dst = append(dst, '}', '\n')
 	return dst
+}
+
+// appendJSONString appends s as a JSON string, in one pass and without
+// allocating. Printable ASCII comes out as strconv.Quote writes it, so
+// traces of plain details keep their bytes. Control characters take JSON's
+// escapes, valid UTF-8 passes through, and each byte of invalid UTF-8
+// becomes U+FFFD: strconv's \a, \v, \x00 and \xff are not JSON.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			r, size := utf8.DecodeRuneInString(s[i:])
+			if r != utf8.RuneError || size != 1 {
+				i += size
+				continue
+			}
+		} else if c >= ' ' && c != '"' && c != '\\' {
+			i++
+			continue
+		}
+		dst = append(dst, s[start:i]...)
+		switch c {
+		case '"', '\\':
+			dst = append(dst, '\\', c)
+		case '\n':
+			dst = append(dst, '\\', 'n')
+		case '\r':
+			dst = append(dst, '\\', 'r')
+		case '\t':
+			dst = append(dst, '\\', 't')
+		case '\b':
+			dst = append(dst, '\\', 'b')
+		case '\f':
+			dst = append(dst, '\\', 'f')
+		default:
+			if c >= utf8.RuneSelf {
+				dst = append(dst, `\ufffd`...)
+			} else {
+				dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			}
+		}
+		i++
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
 
 // WriteJSONL writes records as JSONL, one per line, in order.

@@ -3,8 +3,12 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
+	"testing/quick"
+	"unicode/utf8"
 
 	"plasma/internal/sim"
 )
@@ -118,6 +122,56 @@ func TestReadJSONLRejectsGarbage(t *testing.T) {
 	if _, err := ReadJSONL(strings.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "unknown kind") {
 		t.Fatalf("unknown kind must error, got %v", err)
 	}
+}
+
+// Property: on printable text — ASCII and printable runes beyond it —
+// appendJSONString writes exactly strconv.Quote's bytes, so every trace
+// written before it keeps its bytes.
+func TestJSONStringMatchesQuoteOnPrintable(t *testing.T) {
+	alphabet := []rune("µé→世")
+	for c := rune(' '); c <= '~'; c++ {
+		alphabet = append(alphabet, c)
+	}
+	f := func(picks []uint16) bool {
+		var sb strings.Builder
+		for _, p := range picks {
+			sb.WriteRune(alphabet[int(p)%len(alphabet)])
+		}
+		s := sb.String()
+		return string(appendJSONString(nil, s)) == strconv.Quote(s)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzTraceJSONL holds the JSONL format to JSON: ReadJSONL never panics on
+// arbitrary bytes, every line AppendJSONL writes parses, and a record with
+// a valid-UTF-8 detail and a finite value reads back exactly.
+func FuzzTraceJSONL(f *testing.F) {
+	for _, det := range []string{"bell\a", "vt\v", "bad\xff", "nul\x00"} {
+		f.Add([]byte(det), 0.5)
+	}
+	f.Add(AppendJSONL(nil, sampleRecords()[2]), math.Inf(-1))
+	f.Add([]byte("µs \"quoted\" \\ tab\t"), math.NaN())
+	f.Fuzz(func(t *testing.T, data []byte, val float64) {
+		_, _ = ReadJSONL(bytes.NewReader(data)) // garbage is an error, not a panic
+		rec := Record{ID: 7, Parent: 3, At: 42, Kind: KindDeny, Server: 1, Target: -1, Actor: 9, Rule: -1, Value: val, Detail: string(data)}
+		line := AppendJSONL(nil, rec)
+		back, err := ReadJSONL(bytes.NewReader(line))
+		if err != nil {
+			t.Fatalf("AppendJSONL wrote a line ReadJSONL rejects: %v\n%s", err, line)
+		}
+		if len(back) != 1 {
+			t.Fatalf("one record read back as %d", len(back))
+		}
+		if !utf8.Valid(data) || math.IsNaN(val) || math.IsInf(val, 0) {
+			return
+		}
+		if back[0] != rec {
+			t.Fatalf("round trip changed the record:\n got %+v\nwant %+v", back[0], rec)
+		}
+	})
 }
 
 func TestKindStringRoundTrip(t *testing.T) {
