@@ -125,14 +125,17 @@ trace-smoke:
 # programs of After/At/AfterFunc/Stop/Reset/Run/Step calls, every fire
 # compared with a sorted-slice reference. FuzzPolicy: EPL source that parses
 # must print, reparse and print the same string, and epl.Check and the
-# analyzer must not panic on it. FuzzTraceJSONL: ReadJSONL must not panic on
-# arbitrary bytes, and every line AppendJSONL writes must parse and round-trip
-# its record. A failing input is written to the corpus directory and
-# fails `go test` from then on. Minimising each coverage-increasing input is
+# analyzer must not panic on it. FuzzEnvelope: the //lint:envelope and
+# //lint:assert parsers and the envelope's validation must not panic on any
+# source. FuzzTraceJSONL: ReadJSONL must not panic on arbitrary bytes, and
+# every line AppendJSONL writes must parse and round-trip its record. A
+# failing input is written to the corpus directory and fails `go test` from
+# then on. Minimising each coverage-increasing input is
 # capped at a second — the default minute would take the rest of the smoke.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKernelOrder -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzPolicy -fuzztime 10s -fuzzminimizetime 1s ./internal/lint
+	$(GO) test -run '^$$' -fuzz FuzzEnvelope -fuzztime 10s -fuzzminimizetime 1s ./internal/lint/model
 	$(GO) test -run '^$$' -fuzz FuzzTraceJSONL -fuzztime 10s -fuzzminimizetime 1s ./internal/trace
 
 # sweep-snapshot writes everything a byte-identity refactor is held to into
@@ -156,9 +159,10 @@ sweep-snapshot:
 # the net non-test line delta every PR reports (ROADMAP aim 2) — and beside
 # it the share held by internal/experiments, the largest package, by
 # internal/emr, the control plane, by internal/profile and internal/actor,
-# the EPR and the runtime under it, and by internal/sim, the kernel.
+# the EPR and the runtime under it, by internal/sim, the kernel, and by
+# internal/epl, internal/lint and internal/core, the policy front end.
 GO_NONTEST = -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*'
-LOC_PKGS = internal/experiments internal/emr internal/profile internal/actor internal/sim
+LOC_PKGS = internal/experiments internal/emr internal/profile internal/actor internal/sim internal/epl internal/lint internal/core
 loc:
 	@echo "module $$(find . $(GO_NONTEST) | xargs cat | wc -l) $$(for d in $(LOC_PKGS); do printf ' %s %s' $$d $$(find ./$$d $(GO_NONTEST) | xargs cat | wc -l); done)"
 
@@ -167,6 +171,6 @@ loc:
 # policy model checker passes every shipped policy, the benchmark harness's
 # own tests pass, the quick-scale sweep shows no perf regression or
 # determinism drift against the checked-in bench baseline, the decision
-# tracer round-trips, and the kernel order, policy and trace JSONL fuzzers
-# find nothing in ten seconds each.
+# tracer round-trips, and the kernel order, policy, envelope and trace JSONL
+# fuzzers find nothing in ten seconds each.
 verify: build vet race lint lint-model bench-test bench-quick trace-smoke fuzz-smoke

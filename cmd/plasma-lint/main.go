@@ -71,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	schema, err := loadSchema(*schemaPath)
+	schema, err := epl.ReadSchema(*schemaPath)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
@@ -80,9 +80,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var diags []lint.Diagnostic
 	var findings []model.Finding
 	for _, path := range epls {
-		diags = append(diags, lintPolicyFile(path, schema)...)
-		if *doModel {
-			fs := modelPolicyFile(path, schema)
+		pol, fileDiags := lintPolicyFile(path, schema)
+		diags = append(diags, fileDiags...)
+		if *doModel && pol != nil {
+			fs := model.Check(pol, schema)
+			for i := range fs {
+				fs[i].File = path
+			}
 			findings = append(findings, fs...)
 			diags = append(diags, model.Diagnostics(fs)...)
 		}
@@ -146,12 +150,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// lintPolicyFile parses, checks, and analyzes one .epl file; failures
-// surface as diagnostics rather than aborting the run, so a corpus lints
-// in one pass.
-func lintPolicyFile(path string, schema *epl.Schema) []lint.Diagnostic {
-	fail := func(msg string) []lint.Diagnostic {
-		return []lint.Diagnostic{{
+// lintPolicyFile parses, checks, and analyzes one .epl file, returning the
+// checked policy for the model checker (nil when it does not parse or
+// check). Failures surface as EPL000 diagnostics rather than aborting the
+// run, so a corpus lints in one pass.
+func lintPolicyFile(path string, schema *epl.Schema) (*epl.Policy, []lint.Diagnostic) {
+	fail := func(msg string) (*epl.Policy, []lint.Diagnostic) {
+		return nil, []lint.Diagnostic{{
 			Code: lint.CodeParse, Severity: lint.Error, File: path,
 			Line: 1, Col: 1, Message: msg,
 		}}
@@ -171,57 +176,5 @@ func lintPolicyFile(path string, schema *epl.Schema) []lint.Diagnostic {
 	for i := range diags {
 		diags[i].File = path
 	}
-	return diags
-}
-
-// modelPolicyFile runs the scaling-state model checker over one .epl
-// file. Parse and check failures are skipped silently — lintPolicyFile
-// already reported them as EPL001 diagnostics.
-func modelPolicyFile(path string, schema *epl.Schema) []model.Finding {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	pol, err := epl.Parse(string(data))
-	if err != nil {
-		return nil
-	}
-	if _, err := epl.Check(pol, schema); err != nil {
-		return nil
-	}
-	findings := model.Check(pol, schema)
-	for i := range findings {
-		findings[i].File = path
-	}
-	return findings
-}
-
-// loadSchema reads the plasmac-format schema file ({"actors": [...]}), or
-// returns nil for the empty path.
-func loadSchema(path string) (*epl.Schema, error) {
-	if path == "" {
-		return nil, nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var sf struct {
-		Actors []struct {
-			Name      string   `json:"name"`
-			Parent    string   `json:"parent"`
-			Functions []string `json:"functions"`
-			Props     []string `json:"props"`
-		} `json:"actors"`
-	}
-	if err := json.Unmarshal(data, &sf); err != nil {
-		return nil, fmt.Errorf("plasma-lint: bad schema %s: %v", path, err)
-	}
-	var classes []*epl.ActorSchema
-	for _, a := range sf.Actors {
-		classes = append(classes, &epl.ActorSchema{
-			Name: a.Name, Parent: a.Parent, Functions: a.Functions, Props: a.Props,
-		})
-	}
-	return epl.NewSchema(classes...), nil
+	return pol, diags
 }

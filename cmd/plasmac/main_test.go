@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -39,82 +38,43 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// TestGoldenCompile locks the compiled JSON (with embedded diagnostics)
-// for a representative slice of the corpus.
+// TestGoldenCompile locks the compiled JSON and exit status for a
+// representative slice of the corpus.
 func TestGoldenCompile(t *testing.T) {
 	for _, name := range []string{
 		"clean_pagerank", "clean_halo", "shadow_true", "flap_zero_band", "dead_var", "unsat_interval",
 	} {
 		t.Run(name, func(t *testing.T) {
-			stdout, _, code := runPlasmac(t,
-				"-lint", "-json", filepath.Join(corpusDir, name+".epl"))
+			stdout, _, code := runPlasmac(t, filepath.Join(corpusDir, name+".epl"))
 			checkGolden(t, name, stdout+fmt.Sprintf("exit: %d\n", code))
 		})
 	}
 }
 
-// TestDiagnosticsEmbeddedPerRule asserts -json carries each diagnostic
-// with its rule indices, not just a count.
-func TestDiagnosticsEmbeddedPerRule(t *testing.T) {
-	stdout, stderr, _ := runPlasmac(t,
-		"-lint", "-json", filepath.Join(corpusDir, "shadow_true.epl"))
-	if stderr != "" {
-		t.Fatalf("-json should keep stderr quiet, got %q", stderr)
-	}
-	var out struct {
-		Warnings    int `json:"warnings"`
-		Diagnostics []struct {
-			Code  string `json:"code"`
-			Rules []int  `json:"rules"`
-		} `json:"diagnostics"`
-	}
-	if err := json.Unmarshal([]byte(stdout), &out); err != nil {
-		t.Fatalf("bad JSON: %v\n%s", err, stdout)
-	}
-	if out.Warnings != 1 {
-		t.Fatalf("warnings = %d, want 1", out.Warnings)
-	}
-	found := false
-	for _, d := range out.Diagnostics {
-		if d.Code == "EPL020" {
-			found = true
-			if len(d.Rules) != 2 || d.Rules[0] != 0 || d.Rules[1] != 1 {
-				t.Fatalf("EPL020 rules = %v, want [0 1]", d.Rules)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("EPL020 missing from diagnostics: %s", stdout)
-	}
-}
-
-func TestWerror(t *testing.T) {
-	path := filepath.Join(corpusDir, "flap_zero_band.epl")
-	if _, _, code := runPlasmac(t, "-lint", path); code != 0 {
-		t.Fatalf("warnings without -Werror should exit 0, got %d", code)
-	}
-	if _, _, code := runPlasmac(t, "-lint", "-Werror", path); code != 1 {
-		t.Fatal("-Werror with warnings should exit 1")
-	}
-	// Conflict warnings from the checker alone (no -lint) also count.
-	if _, _, code := runPlasmac(t, "-Werror", filepath.Join(corpusDir, "shadow_true.epl")); code != 1 {
-		t.Fatal("-Werror with conflict warnings should exit 1")
-	}
-}
-
+// TestErrorSeverityFailsWithoutWerror asserts a policy the compiler rejects
+// exits 1 with the error on stderr and nothing on stdout.
 func TestErrorSeverityFailsWithoutWerror(t *testing.T) {
-	if _, _, code := runPlasmac(t, "-lint", filepath.Join(corpusDir, "unsat_interval.epl")); code != 1 {
-		t.Fatal("error-severity diagnostics should exit 1 without -Werror")
+	stdout, stderr, code := runPlasmac(t, "-e", "Partition(p).cpu.perc > 30 => balance({p}, cpu);")
+	if code != 1 || stdout != "" {
+		t.Fatalf("exit = %d, stdout %q; want 1 and nothing compiled", code, stdout)
+	}
+	if !strings.Contains(stderr, "balance takes actor types") {
+		t.Fatalf("stderr missing the compiler's error: %q", stderr)
 	}
 }
 
+// TestTextModeWritesDiagnosticsToStderr asserts the conflict warnings go to
+// stderr, leaving stdout the compiled JSON alone.
 func TestTextModeWritesDiagnosticsToStderr(t *testing.T) {
-	stdout, stderr, _ := runPlasmac(t, "-lint", filepath.Join(corpusDir, "dead_var.epl"))
-	if !strings.Contains(stderr, "EPL030") {
-		t.Fatalf("stderr missing EPL030: %q", stderr)
+	stdout, stderr, code := runPlasmac(t, filepath.Join(corpusDir, "shadow_true.epl"))
+	if code != 0 {
+		t.Fatalf("warnings must not fail the compile, exit = %d", code)
 	}
-	if strings.Contains(stdout, "EPL030") {
-		t.Fatal("text mode must not embed diagnostics in stdout JSON")
+	if !strings.Contains(stderr, "warning[EPL102]") {
+		t.Fatalf("stderr missing EPL102: %q", stderr)
+	}
+	if strings.Contains(stdout, "EPL102") {
+		t.Fatal("the compiled JSON must not carry diagnostics")
 	}
 }
 

@@ -2,8 +2,8 @@
 // crowded onto one server, with a single balance rule that spreads them.
 //
 // It demonstrates the whole programming model: write actors against the
-// actor runtime, write an elasticity policy in the EPL, wire both with
-// core.NewSystem, and watch the elasticity management runtime migrate
+// actor runtime, write an elasticity policy in the EPL, hand it to a
+// core.World's Manage, and watch the elasticity management runtime migrate
 // actors based on live CPU profiles.
 //
 // Run: go run ./examples/quickstart
@@ -11,9 +11,9 @@ package main
 
 import (
 	"fmt"
-	"log"
 
 	"plasma/internal/actor"
+	"plasma/internal/cluster"
 	"plasma/internal/core"
 	"plasma/internal/emr"
 	"plasma/internal/epl"
@@ -36,36 +36,30 @@ func worker() actor.Behavior {
 }
 
 func main() {
-	sys, err := core.NewSystem(core.Options{
-		Policy:   policy,
-		Schema:   epl.NewSchema(epl.Class("Worker", []string{"work"}, nil)),
-		Machines: 4,
-		EMR:      emr.Config{Period: 2 * sim.Second},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, w := range sys.Warnings {
-		fmt.Println(w)
+	// Seed 1, four m1.small servers, no decision tracer.
+	world := core.NewWorld(1, 4, cluster.M1Small, nil)
+	world.Manage(epl.MustParse(policy), emr.Config{Period: 2 * sim.Second})
+	for _, d := range world.Diagnostics {
+		fmt.Println(d)
 	}
 
 	// Crowd eight workers onto server 0 (~360% demand on one core).
 	var workers []actor.Ref
 	for i := 0; i < 8; i++ {
-		workers = append(workers, sys.RT.SpawnOn("Worker", worker(), 0))
+		workers = append(workers, world.RT.SpawnOn("Worker", worker(), 0))
 	}
-	cl := sys.Client(1)
+	cl := world.Client(1)
 	for _, w := range workers {
 		cl.Send(w, "work", nil, 16)
 	}
 
-	sys.Start()
+	world.Start()
 
 	show := func(label string) {
 		fmt.Printf("%-8s", label)
-		for _, m := range sys.C.UpMachines() {
+		for _, m := range world.C.UpMachines() {
 			fmt.Printf("  server%d: %d workers (%.0f%% cpu)", m.ID,
-				len(sys.RT.ActorsOn(m.ID)), m.CPUPercent())
+				len(world.RT.ActorsOn(m.ID)), m.CPUPercent())
 		}
 		fmt.Println()
 	}
@@ -73,11 +67,11 @@ func main() {
 	show("t=0s")
 	// Sample mid-period so the utilization window has content (the
 	// profiler resets it at every elasticity tick).
-	sys.Run(3 * sim.Second)
+	world.Run(3 * sim.Second)
 	for i := 0; i < 5; i++ {
 		show(fmt.Sprintf("t=%ds", 3+i*4))
-		sys.Run(4 * sim.Second)
+		world.Run(4 * sim.Second)
 	}
-	fmt.Printf("\nmigrations performed: %d\n", sys.M.Stats.ExecutedMigrations)
+	fmt.Printf("\nmigrations performed: %d\n", world.M.Stats.ExecutedMigrations)
 	fmt.Println("PLASMA balanced the workers across the fleet using one declarative rule.")
 }

@@ -113,20 +113,23 @@ type instance struct {
 	migEpoch uint64
 }
 
+// The runtime's CPU charges.
+const (
+	// baseMsgCost is charged per dispatched message to model runtime
+	// dispatch overhead.
+	baseMsgCost = 20 * sim.Microsecond
+	// profilingCost is the additional per-message CPU charge when a
+	// profiler hook is attached (Table 3 measures this overhead).
+	profilingCost = 2 * sim.Microsecond
+	// SerializePerMB converts actor state to CPU time for migration: this
+	// much per MB, on each side.
+	SerializePerMB = 5 * sim.Millisecond
+)
+
 // Runtime hosts actors across a cluster.
 type Runtime struct {
 	K *sim.Kernel
 	C *cluster.Cluster
-
-	// BaseMsgCost is charged per dispatched message to model runtime
-	// dispatch overhead.
-	BaseMsgCost sim.Duration
-	// ProfilingCost is the additional per-message CPU charge when a
-	// profiler hook is attached (Table 3 measures this overhead).
-	ProfilingCost sim.Duration
-	// SerializeCost converts actor state bytes to CPU time for migration
-	// (cost = SerializeCost per MB, on each side).
-	SerializePerMB sim.Duration
 
 	profiler  ProfilerHook
 	placement PlacementHook
@@ -170,13 +173,10 @@ type migration struct {
 // NewRuntime creates a runtime over the given cluster.
 func NewRuntime(k *sim.Kernel, c *cluster.Cluster) *Runtime {
 	rt := &Runtime{
-		K:              k,
-		C:              c,
-		BaseMsgCost:    20 * sim.Microsecond,
-		ProfilingCost:  2 * sim.Microsecond,
-		SerializePerMB: 5 * sim.Millisecond,
-		actors:         make([]*instance, 1), // the zero ID is nobody
-		inflight:       make(map[ID]*migration),
+		K:        k,
+		C:        c,
+		actors:   make([]*instance, 1), // the zero ID is nobody
+		inflight: make(map[ID]*migration),
 	}
 	c.OnFail(rt.onMachineFail)
 	return rt
@@ -742,9 +742,9 @@ func (rt *Runtime) pump(inst *instance) {
 	ctx.inst, ctx.srv = inst, inst.srv
 	inst.dequeue(&ctx.msg)
 
-	cost := rt.BaseMsgCost
+	cost := baseMsgCost
 	if rt.profiler != nil {
-		cost += rt.ProfilingCost
+		cost += profilingCost
 		rt.profiler.OnMessage(inst.srv, ctx.msg.SenderType, ctx.msg.Sender, Ref{ID: inst.id}, inst.typ, ctx.msg.Method, ctx.msg.Size)
 	}
 	inst.behavior.Receive(ctx, ctx.msg)
@@ -843,7 +843,7 @@ func (rt *Runtime) beginMigration(inst *instance) {
 	mig.traceID = rt.tr.Emit(trace.Record{Kind: trace.KindTransfer, Parent: parent,
 		Server: int32(src), Target: int32(dst), Actor: uint64(inst.id), Rule: -1, Value: float64(inst.memSize)})
 	stateMB := float64(inst.memSize) / (1 << 20)
-	serCost := sim.Duration(stateMB * float64(rt.SerializePerMB))
+	serCost := sim.Duration(stateMB * float64(SerializePerMB))
 
 	rt.C.Machine(src).Exec(serCost, func() { rt.migTransfer(mig, serCost) })
 }

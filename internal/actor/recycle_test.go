@@ -53,7 +53,6 @@ func TestPropertyMailboxMatchesSliceQueue(t *testing.T) {
 	f := func(ops []uint8, capSel uint8) bool {
 		k := sim.New(5)
 		rt := NewRuntime(k, cluster.New(k, 1, oneCore))
-		rt.BaseMsgCost = 0
 		rt.MailboxCap = []int{0, 1, 3, 8}[capSel%4]
 		var served []int
 		ref := rt.SpawnOn("A", BehaviorFunc(func(ctx *Context, msg Message) {
@@ -71,7 +70,7 @@ func TestPropertyMailboxMatchesSliceQueue(t *testing.T) {
 		start := func(at sim.Time) {
 			want = append(want, queue[0])
 			queue = queue[1:]
-			busy, busyUntil = true, at+sim.Time(cost)
+			busy, busyUntil = true, at+sim.Time(cost+baseMsgCost)
 		}
 		advance := func(now sim.Time) {
 			for busy && busyUntil <= now {

@@ -182,7 +182,7 @@ func (e *execState) Receive(ctx *actor.Context, msg actor.Message) {
 // serCost prices (de)serializing bytes of state with the runtime's
 // migration cost model.
 func (a *Elastic) serCost(bytes int64) sim.Duration {
-	return sim.Duration(float64(bytes) / (1 << 20) * float64(a.rt.SerializePerMB))
+	return sim.Duration(float64(bytes) / (1 << 20) * float64(actor.SerializePerMB))
 }
 
 func (a *Elastic) commitHandoff(h *Handoff, src actor.Ref, bytes int64) {

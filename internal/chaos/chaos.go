@@ -11,6 +11,7 @@ package chaos
 
 import (
 	"fmt"
+	"strconv"
 
 	//lint:ignore DET002 the injector is the seeded source of every fault decision
 	"math/rand"
@@ -82,10 +83,31 @@ type Decision struct {
 	Delay   sim.Duration // extra latency when Verdict == Delay
 }
 
+// Endpoint is one end of a control-plane message: the LEM of server ID, or
+// GEM ID.
+type Endpoint struct {
+	GEM bool
+	ID  int
+}
+
+// LEM is server srv's local elasticity manager.
+func LEM(srv int) Endpoint { return Endpoint{ID: srv} }
+
+// GEM is global elasticity manager id.
+func GEM(id int) Endpoint { return Endpoint{GEM: true, ID: id} }
+
+// String names the endpoint as the trace does: "lem3", "gem0".
+func (e Endpoint) String() string {
+	if e.GEM {
+		return "gem" + strconv.Itoa(e.ID)
+	}
+	return "lem" + strconv.Itoa(e.ID)
+}
+
 // Interceptor decides the fate of control-plane messages. The EMR calls it
 // once per logical send; a nil interceptor means a reliable network.
 type Interceptor interface {
-	Intercept(kind MsgKind, from, to string) Decision
+	Intercept(kind MsgKind, from, to Endpoint) Decision
 }
 
 // Faults is the per-message-kind fault plan: independent probabilities for
@@ -171,7 +193,7 @@ func (in *Injector) SetAllFaults(f Faults) {
 
 // Intercept implements Interceptor: it draws the message's fate from the
 // seeded stream and records any injected fault in the trace.
-func (in *Injector) Intercept(kind MsgKind, from, to string) Decision {
+func (in *Injector) Intercept(kind MsgKind, from, to Endpoint) Decision {
 	in.Stats.Intercepted[kind]++
 	p := in.plans[kind]
 	// Always draw all three variates so the stream position per message is

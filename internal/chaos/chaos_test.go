@@ -13,7 +13,7 @@ func TestInterceptDeterministic(t *testing.T) {
 		in.SetAllFaults(Faults{DropProb: 0.2, DupProb: 0.2, DelayProb: 0.3, MaxDelay: sim.Millis(5)})
 		var out []Decision
 		for i := 0; i < 200; i++ {
-			out = append(out, in.Intercept(MsgKind(i%int(numKinds)), "a", "b"))
+			out = append(out, in.Intercept(MsgKind(i%int(numKinds)), LEM(0), GEM(1)))
 		}
 		return out, in.Trace(), in.Stats
 	}
@@ -38,7 +38,7 @@ func TestInterceptSeedsDiffer(t *testing.T) {
 		in := NewInjector(seed, nil)
 		in.SetAllFaults(Faults{DropProb: 0.5})
 		for i := 0; i < 50; i++ {
-			in.Intercept(Report, "a", "b")
+			in.Intercept(Report, LEM(0), GEM(1))
 		}
 		return in.Trace()
 	}
@@ -50,7 +50,7 @@ func TestInterceptSeedsDiffer(t *testing.T) {
 func TestZeroProbabilitiesDeliverEverything(t *testing.T) {
 	in := NewInjector(7, nil)
 	for i := 0; i < 100; i++ {
-		if d := in.Intercept(Query, "a", "b"); d.Verdict != Deliver {
+		if d := in.Intercept(Query, LEM(0), GEM(1)); d.Verdict != Deliver {
 			t.Fatalf("fault injected with zero probabilities: %v", d.Verdict)
 		}
 	}
@@ -66,12 +66,12 @@ func TestDropProbOneDropsEverything(t *testing.T) {
 	in := NewInjector(7, nil)
 	in.SetFaults(Report, Faults{DropProb: 1})
 	for i := 0; i < 20; i++ {
-		if d := in.Intercept(Report, "a", "b"); d.Verdict != Drop {
+		if d := in.Intercept(Report, LEM(0), GEM(1)); d.Verdict != Drop {
 			t.Fatalf("message survived DropProb=1: %v", d.Verdict)
 		}
 	}
 	// Other kinds keep their (empty) plan.
-	if d := in.Intercept(RReply, "a", "b"); d.Verdict != Deliver {
+	if d := in.Intercept(RReply, LEM(0), GEM(1)); d.Verdict != Deliver {
 		t.Fatalf("fault plan leaked across kinds: %v", d.Verdict)
 	}
 	if got := in.Stats.Dropped[Report]; got != 20 {
@@ -84,7 +84,7 @@ func TestDelayBounded(t *testing.T) {
 	max := sim.Millis(3)
 	in.SetFaults(QReply, Faults{DelayProb: 1, MaxDelay: max})
 	for i := 0; i < 100; i++ {
-		d := in.Intercept(QReply, "a", "b")
+		d := in.Intercept(QReply, LEM(0), GEM(1))
 		if d.Verdict != Delay {
 			t.Fatalf("verdict = %v, want Delay", d.Verdict)
 		}
@@ -97,7 +97,7 @@ func TestDelayBounded(t *testing.T) {
 func TestDelayProbWithoutMaxDelayDelivers(t *testing.T) {
 	in := NewInjector(11, nil)
 	in.SetFaults(Query, Faults{DelayProb: 1}) // MaxDelay 0: delay disabled
-	if d := in.Intercept(Query, "a", "b"); d.Verdict != Deliver {
+	if d := in.Intercept(Query, LEM(0), GEM(1)); d.Verdict != Deliver {
 		t.Fatalf("verdict = %v, want Deliver when MaxDelay is zero", d.Verdict)
 	}
 }
@@ -111,8 +111,8 @@ func TestStreamPositionStableAcrossPlanChanges(t *testing.T) {
 		in.SetFaults(Query, Faults{DropProb: 0.4})
 		var out []Verdict
 		for i := 0; i < 100; i++ {
-			in.Intercept(Report, "a", "b") // consumes the stream either way
-			out = append(out, in.Intercept(Query, "a", "b").Verdict)
+			in.Intercept(Report, LEM(0), GEM(1)) // consumes the stream either way
+			out = append(out, in.Intercept(Query, LEM(0), GEM(1)).Verdict)
 		}
 		return out
 	}

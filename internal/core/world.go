@@ -1,3 +1,16 @@
+// Package core is PLASMA's public facade and the one place its layers are
+// wired: a World is simulator kernel, cluster, actor runtime and profiler
+// (EPR), plus — once asked for — the elasticity management runtime (EMR)
+// and a chaos injector.
+//
+// An application builds a world, deploys its actors and hands Manage an EPL
+// policy, the one gate every policy passes on its way to an EMR:
+//
+//	w := core.NewWorld(seed, 8, cluster.M5Large, tracer) // K, C, RT, Prof
+//	w.RT.SpawnOn("Worker", myBehavior, 0)                 // actors first
+//	w.Manage(epl.MustParse(`server.cpu.perc > 80 or server.cpu.perc < 60 => balance({Worker}, cpu);`),
+//	    emr.Config{Period: sim.Second}).Start()
+//	w.Run(5 * sim.Minute)
 package core
 
 import (
@@ -8,6 +21,7 @@ import (
 	"plasma/internal/cluster"
 	"plasma/internal/emr"
 	"plasma/internal/epl"
+	"plasma/internal/lint"
 	"plasma/internal/profile"
 	"plasma/internal/sim"
 	"plasma/internal/trace"
@@ -25,6 +39,11 @@ type World struct {
 	Prof *profile.Profiler
 	M    *emr.Manager    // nil until Manage
 	Inj  *chaos.Injector // nil until Chaos
+
+	// Diagnostics holds what the policy front end found in the managed
+	// policy short of rejecting it: epl.Check's §4.3 conflict warnings and
+	// the lint passes' warnings and infos (nil until Manage).
+	Diagnostics []lint.Diagnostic
 
 	// Crashes and CtlFails count the machine and GEM/LEM crash events the
 	// world applied as a chaos.Env (refused ones are not counted).
@@ -45,9 +64,24 @@ func NewWorld(seed int64, machines int, inst cluster.InstanceType, tr *trace.Tra
 	return &World{K: k, C: c, RT: rt, Prof: profile.New(k, c, rt), tr: tr}
 }
 
-// Manage creates the world's elasticity manager (not started) and hands it
+// Manage is the policy gate: it runs the front end (epl.Check, then the lint
+// passes) over pol once and panics, naming the error or the finding's code,
+// when the compiler rejects the policy or a finding has error severity — a
+// rule that can never fire is a configuration bug, not something to find
+// after a day of simulated elasticity. The other findings go on Diagnostics.
+// Then it creates the world's elasticity manager (not started) and hands it
 // the tracer, which it fans out to the runtime, cluster and injector.
 func (w *World) Manage(pol *epl.Policy, cfg emr.Config) *emr.Manager {
+	diags, err := lint.CheckAndAnalyze(pol, nil)
+	if err != nil {
+		panic("core: policy rejected: " + err.Error())
+	}
+	for _, d := range diags {
+		if d.Severity >= lint.Error {
+			panic("core: policy rejected: " + d.String())
+		}
+	}
+	w.Diagnostics = diags
 	w.M = emr.New(w.K, w.C, w.RT, w.Prof, pol, cfg)
 	w.M.SetTracer(w.tr)
 	return w.M

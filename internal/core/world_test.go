@@ -216,3 +216,49 @@ func TestWorldChaosRefusals(t *testing.T) {
 		})
 	}
 }
+
+func TestManageEndToEnd(t *testing.T) {
+	w := NewWorld(1, 2, cluster.M1Small, nil)
+	w.Manage(epl.MustParse(`server.cpu.perc > 80 or server.cpu.perc < 60 => balance({Worker}, cpu);`),
+		emr.Config{Period: sim.Second, MinResidence: sim.Millisecond})
+	var refs []actor.Ref
+	for i := 0; i < 4; i++ {
+		b := actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
+			ctx.Use(45 * sim.Millisecond)
+			ctx.SendAfter(55*sim.Millisecond, ctx.Self(), "w", nil, 8)
+		})
+		refs = append(refs, w.RT.SpawnOn("Worker", b, 0))
+	}
+	w.Start()
+	cl := w.Client(1)
+	for _, r := range refs {
+		cl.Send(r, "w", nil, 8)
+	}
+	w.Run(10 * sim.Second)
+	if len(w.RT.ActorsOn(1)) == 0 {
+		t.Fatal("world did not balance load")
+	}
+}
+
+// TestNewSystemSurfacesConflictWarnings asserts a policy that pins and
+// balances the same type is managed, not refused, and the §4.3 conflict
+// warning reaches the world's Diagnostics.
+func TestNewSystemSurfacesConflictWarnings(t *testing.T) {
+	w := NewWorld(1, 2, cluster.M1Small, nil)
+	m := w.Manage(epl.MustParse(`
+true => pin(Worker(w));
+server.cpu.perc > 80 => balance({Worker}, cpu);
+`), emr.Config{Period: sim.Second})
+	if m == nil {
+		t.Fatal("conflicting policy not managed")
+	}
+	found := false
+	for _, d := range w.Diagnostics {
+		if d.Code == epl.CodePinBalance {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("conflict warnings not surfaced; got %v", w.Diagnostics)
+	}
+}

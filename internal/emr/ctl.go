@@ -1,8 +1,6 @@
 package emr
 
 import (
-	"fmt"
-
 	"plasma/internal/chaos"
 	"plasma/internal/cluster"
 	"plasma/internal/epl"
@@ -19,8 +17,8 @@ import (
 // delivered after exactly gemLatency and the flow degenerates to the original
 // lossless one.
 
-func lemName(srv cluster.MachineID) string { return fmt.Sprintf("lem%d", srv) }
-func gemName(id int) string                { return fmt.Sprintf("gem%d", id) }
+// lem is server srv's LEM as a control-plane endpoint.
+func lem(srv cluster.MachineID) chaos.Endpoint { return chaos.LEM(int(srv)) }
 
 // SetChaos installs (or, with nil, removes) the control-plane fault
 // interceptor. Install before Start. An already-installed tracer is handed
@@ -35,7 +33,7 @@ func (m *Manager) SetChaos(i chaos.Interceptor) {
 // sendCtl delivers one control-plane message after gemLatency, subject to
 // the chaos interceptor. A duplicated message is delivered a second time one
 // extra hop later; receivers are responsible for deduplication.
-func (m *Manager) sendCtl(kind chaos.MsgKind, from, to string, deliver func()) {
+func (m *Manager) sendCtl(kind chaos.MsgKind, from, to chaos.Endpoint, deliver func()) {
 	lat := gemLatency
 	if m.chaosI != nil {
 		switch d := m.chaosI.Intercept(kind, from, to); d.Verdict {
@@ -71,9 +69,9 @@ func (m *Manager) lemReport(srv cluster.MachineID, snap *epl.Snapshot, tickIdx, 
 	if m.tr.Enabled() {
 		m.tr.Emit(trace.Record{Kind: trace.KindReport, Parent: m.trTick,
 			Tick: int32(tickIdx), Server: int32(srv), Target: -1, Rule: -1,
-			Value: float64(attempt), Detail: gemName(g.id)})
+			Value: float64(attempt), Detail: chaos.GEM(g.id).String()})
 	}
-	m.sendCtl(chaos.Report, lemName(srv), gemName(g.id), func() {
+	m.sendCtl(chaos.Report, lem(srv), chaos.GEM(g.id), func() {
 		if g.failed || m.Stats.Ticks != tickIdx {
 			return
 		}
@@ -81,13 +79,13 @@ func (m *Manager) lemReport(srv cluster.MachineID, snap *epl.Snapshot, tickIdx, 
 			e.heard, e.next = tickIdx, info
 			g.heard++
 		}
-		m.sendCtl(chaos.RReply, gemName(g.id), lemName(srv), func() {
+		m.sendCtl(chaos.RReply, chaos.GEM(g.id), lem(srv), func() {
 			if m.Stats.Ticks == tickIdx && !l.acked {
 				l.acked = true
 				if m.tr.Enabled() {
 					m.tr.Emit(trace.Record{Kind: trace.KindReportAck, Parent: m.trTick,
 						Tick: int32(tickIdx), Server: int32(srv), Target: -1, Rule: -1,
-						Detail: gemName(g.id)})
+						Detail: chaos.GEM(g.id).String()})
 				}
 			}
 		})
@@ -119,7 +117,7 @@ func (m *Manager) rreplyActions(g *gem, tickIdx int, actions []Action) {
 		srv, acts := cluster.MachineID(id), l.rreply
 		l.rreply = nil
 		delivered := false
-		m.sendCtl(chaos.RReply, gemName(g.id), lemName(srv), func() {
+		m.sendCtl(chaos.RReply, chaos.GEM(g.id), lem(srv), func() {
 			if delivered || m.Stats.Ticks != tickIdx {
 				return
 			}
@@ -144,7 +142,7 @@ func (m *Manager) queryAdmission(a Action, snap *epl.Snapshot, repin bool) {
 	queryID := m.tr.Emit(trace.Record{Kind: trace.KindQuery, Parent: a.traceID,
 		Tick: int32(tickIdx), Server: int32(a.Src), Target: int32(a.Trg),
 		Actor: uint64(a.Actor.ID), Rule: -1, Value: float64(a.Pri)})
-	m.sendCtl(chaos.Query, lemName(a.Src), lemName(a.Trg), func() {
+	m.sendCtl(chaos.Query, lem(a.Src), lem(a.Trg), func() {
 		if processed || m.Stats.Ticks != tickIdx {
 			return
 		}
@@ -178,7 +176,7 @@ func (m *Manager) queryAdmission(a Action, snap *epl.Snapshot, repin bool) {
 					Actor: uint64(a.Actor.ID), Rule: -1, Detail: "reserve-released"})
 			})
 		}
-		m.sendCtl(chaos.QReply, lemName(a.Trg), lemName(a.Src), func() {
+		m.sendCtl(chaos.QReply, lem(a.Trg), lem(a.Src), func() {
 			if answered || m.Stats.Ticks != tickIdx {
 				return
 			}

@@ -28,7 +28,6 @@ import (
 	"plasma/internal/chaos"
 	"plasma/internal/cluster"
 	"plasma/internal/epl"
-	"plasma/internal/lint"
 	"plasma/internal/profile"
 	"plasma/internal/sim"
 	"plasma/internal/trace"
@@ -198,11 +197,6 @@ type Manager struct {
 	// planning (used by experiments to trace CPU% and actor distributions).
 	OnTick func(tick int, snap *epl.Snapshot)
 
-	// PolicyDiagnostics holds the static-analysis findings for Pol,
-	// computed once at construction. New panics if any finding has error
-	// severity (an unsatisfiable policy would silently never fire).
-	PolicyDiagnostics []lint.Diagnostic
-
 	Stats   Stats
 	running bool
 	timer   *sim.Timer // reusable tick timer; re-armed each period
@@ -360,7 +354,9 @@ type lastReport struct {
 	heard int             // last period a REPORT arrived
 }
 
-// New creates an EMR manager. Call Start to begin elasticity management.
+// New creates an EMR manager for a policy it does not check (core's
+// World.Manage is the gate that does). Call Start to begin elasticity
+// management.
 func New(k *sim.Kernel, c *cluster.Cluster, rt *actor.Runtime, prof *profile.Profiler, pol *epl.Policy, cfg Config) *Manager {
 	m := &Manager{
 		K: k, C: c, RT: rt, Prof: prof, Pol: pol, Cfg: cfg.withDefaults(),
@@ -368,14 +364,6 @@ func New(k *sim.Kernel, c *cluster.Cluster, rt *actor.Runtime, prof *profile.Pro
 	// Copy the provisioning spectrum: specs are mutable (warm-pool
 	// capacity depletes), and the caller's slice must stay pristine.
 	m.provSpecs = append([]cluster.ProvSpec(nil), m.Cfg.ProvSpecs...)
-	if pol != nil {
-		m.PolicyDiagnostics = lint.AnalyzePolicy(pol, nil)
-		for _, d := range m.PolicyDiagnostics {
-			if d.Severity >= lint.Error {
-				panic("emr: policy rejected by static analysis: " + d.String())
-			}
-		}
-	}
 	for i := 0; i < m.Cfg.NumGEMs; i++ {
 		m.gems = append(m.gems, &gem{id: i})
 	}
@@ -671,7 +659,7 @@ func (m *Manager) gemProcess(g *gem, snap *epl.Snapshot, tickIdx int) {
 	}
 	gemEvalID := uint64(0)
 	if m.tr.Enabled() {
-		det := gemName(g.id) + " reports=" + strconv.Itoa(g.heard) +
+		det := chaos.GEM(g.id).String() + " reports=" + strconv.Itoa(g.heard) +
 			" combined=" + strconv.Itoa(scoped) + " quorum=" + strconv.Itoa(effK)
 		if scoped <= effK {
 			det += " skipped"
@@ -685,7 +673,7 @@ func (m *Manager) gemProcess(g *gem, snap *epl.Snapshot, tickIdx int) {
 	}
 	gemView := snap.WithServers(servers)
 
-	res := epl.EvaluateObserved(m.Pol, gemView, true, false, m.obs(gemEvalID, tickIdx, gemName(g.id)))
+	res := epl.EvaluateObserved(m.Pol, gemView, true, false, m.obs(gemEvalID, tickIdx, chaos.GEM(g.id).String()))
 	if len(res.ProvClass) > 0 {
 		// Refresh the scale-out class preference from the provclass rules
 		// that fired this period (rule order = preference order).

@@ -186,14 +186,10 @@ func newTableHarness(t *testing.T, seed int64, machines, gems, k int) *tableHarn
 	return h
 }
 
-func (h *tableHarness) Intercept(kind chaos.MsgKind, from, to string) chaos.Decision {
-	var srv cluster.MachineID
-	var gem int
+func (h *tableHarness) Intercept(kind chaos.MsgKind, from, to chaos.Endpoint) chaos.Decision {
+	srv, gem := cluster.MachineID(to.ID), to.ID
 	if kind == chaos.Report {
-		fmt.Sscanf(from, "lem%d", &srv)
-		fmt.Sscanf(to, "gem%d", &gem)
-	} else {
-		fmt.Sscanf(to, "lem%d", &srv)
+		srv = cluster.MachineID(from.ID)
 	}
 	d := chaos.Decision{Verdict: chaos.Deliver}
 	if h.verdict != nil {

@@ -71,7 +71,7 @@ func TestReservationHeldDuringInFlightReserveTransfer(t *testing.T) {
 // answer — and delivers everything else.
 type dropFirstQReply struct{ dropped bool }
 
-func (d *dropFirstQReply) Intercept(kind chaos.MsgKind, from, to string) chaos.Decision {
+func (d *dropFirstQReply) Intercept(kind chaos.MsgKind, _, _ chaos.Endpoint) chaos.Decision {
 	if kind == chaos.QReply && !d.dropped {
 		d.dropped = true
 		return chaos.Decision{Verdict: chaos.Drop}

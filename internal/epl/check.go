@@ -1,8 +1,12 @@
 package epl
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"plasma/internal/cluster"
@@ -21,10 +25,10 @@ type Schema struct {
 // written for the parent type also matches subtype actors (see
 // Policy.Expand).
 type ActorSchema struct {
-	Name      string
-	Parent    string
-	Functions []string
-	Props     []string
+	Name      string   `json:"name"`
+	Parent    string   `json:"parent"`
+	Functions []string `json:"functions"`
+	Props     []string `json:"props"`
 }
 
 // NewSchema builds a schema from actor class declarations.
@@ -34,6 +38,28 @@ func NewSchema(classes ...*ActorSchema) *Schema {
 		s.Actors[c.Name] = c
 	}
 	return s
+}
+
+// ReadSchema loads a schema file of the CLIs' format,
+//
+//	{"actors": [{"name": "Folder", "parent": "", "functions": ["open"], "props": ["files"]}]}
+//
+// and returns nil for the empty path (no schema: Check skips name checks).
+func ReadSchema(path string) (*Schema, error) {
+	if path == "" {
+		return nil, nil
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var f struct {
+		Actors []*ActorSchema `json:"actors"`
+	}
+	if err := json.Unmarshal(data, &f); err != nil {
+		return nil, fmt.Errorf("epl: bad schema %s: %v", path, err)
+	}
+	return NewSchema(f.Actors...), nil
 }
 
 // Class declares an actor class for NewSchema.
@@ -125,16 +151,14 @@ func Check(pol *Policy, schema *Schema) ([]Warning, error) {
 		}
 	}
 	if schema != nil {
-		pol.subtypes = map[string][]string{}
-		for name, as := range schema.Actors {
-			if as.Parent != "" {
-				// Only bother when any hierarchy exists.
+		for _, as := range schema.Actors {
+			if as.Parent != "" { // only bother when any hierarchy exists
+				pol.subtypes = map[string][]string{}
 				for n := range schema.Actors {
 					pol.subtypes[n] = schema.descendants(n)
 				}
 				break
 			}
-			_ = name
 		}
 	}
 	return detectConflicts(pol), nil
@@ -150,7 +174,6 @@ func checkRule(r *Rule, schema *Schema) error {
 	if err := checkCond(r.Cond, schema); err != nil {
 		return err
 	}
-	usedInBeh := map[string]bool{}
 	for _, b := range r.Behaviors {
 		switch beh := b.(type) {
 		case *BalanceBeh:
@@ -167,7 +190,6 @@ func checkRule(r *Rule, schema *Schema) error {
 			if err := checkActorRef(beh.Actor, schema); err != nil {
 				return err
 			}
-			markVar(beh.Actor, usedInBeh)
 		case *ColocateBeh:
 			if err := checkActorRef(beh.A, schema); err != nil {
 				return err
@@ -175,8 +197,6 @@ func checkRule(r *Rule, schema *Schema) error {
 			if err := checkActorRef(beh.B, schema); err != nil {
 				return err
 			}
-			markVar(beh.A, usedInBeh)
-			markVar(beh.B, usedInBeh)
 		case *SeparateBeh:
 			if err := checkActorRef(beh.A, schema); err != nil {
 				return err
@@ -184,13 +204,10 @@ func checkRule(r *Rule, schema *Schema) error {
 			if err := checkActorRef(beh.B, schema); err != nil {
 				return err
 			}
-			markVar(beh.A, usedInBeh)
-			markVar(beh.B, usedInBeh)
 		case *PinBeh:
 			if err := checkActorRef(beh.Actor, schema); err != nil {
 				return err
 			}
-			markVar(beh.Actor, usedInBeh)
 		case *ProvClassBeh:
 			for _, c := range beh.Classes {
 				if _, ok := cluster.ProvClassFromString(c); !ok {
@@ -201,12 +218,6 @@ func checkRule(r *Rule, schema *Schema) error {
 		}
 	}
 	return nil
-}
-
-func markVar(ref *ActorRef, used map[string]bool) {
-	if ref.Decl != nil {
-		used[ref.Decl.Name] = true
-	}
 }
 
 func checkCond(c Cond, schema *Schema) error {
@@ -289,208 +300,201 @@ func checkActorRef(ref *ActorRef, schema *Schema) error {
 	return checkType(t, ref.Pos, schema)
 }
 
-// typePair is an unordered pair of actor type names.
-type typePair struct{ a, b string }
-
-func makePair(a, b string) typePair {
-	if a > b {
-		a, b = b, a
-	}
-	return typePair{a, b}
+// Placement is one placement behavior's claim on one actor type, or — for
+// colocate and separate — on one unordered type pair (A <= B). Types are
+// expanded through the hierarchy Check compiled, so a behavior naming a
+// parent type claims each of its subtypes too.
+type Placement struct {
+	Kind BehaviorKind
+	A, B string // B is set only for colocate and separate
+	Rule int
+	Pos  Pos
 }
 
-// occ is one behavior occurrence: the rule it appears in and its position.
-type occ struct {
-	rule int
-	pos  Pos
+// Placements is rule r's placement summary, what the §4.3 conflict classes
+// compare: one Placement per type (or type pair) each of its colocate,
+// separate, pin, balance and reserve behaviors names.
+func (p *Policy) Placements(r *Rule) []Placement {
+	var out []Placement
+	add := func(k BehaviorKind, pos Pos, a, b string) {
+		for _, xa := range p.Expand(a) {
+			if b == "" {
+				out = append(out, Placement{Kind: k, A: xa, Rule: r.Index, Pos: pos})
+				continue
+			}
+			for _, xb := range p.Expand(b) {
+				lo, hi := min(xa, xb), max(xa, xb)
+				out = append(out, Placement{Kind: k, A: lo, B: hi, Rule: r.Index, Pos: pos})
+			}
+		}
+	}
+	for _, b := range r.Behaviors {
+		switch beh := b.(type) {
+		case *ColocateBeh:
+			add(KindColocate, beh.Pos, beh.A.Type(), beh.B.Type())
+		case *SeparateBeh:
+			add(KindSeparate, beh.Pos, beh.A.Type(), beh.B.Type())
+		case *PinBeh:
+			add(KindPin, beh.Pos, beh.Actor.Type(), "")
+		case *BalanceBeh:
+			for _, t := range beh.Types {
+				add(KindBalance, beh.Pos, t, "")
+			}
+		case *ReserveBeh:
+			add(KindReserve, beh.Pos, beh.Actor.Type(), "")
+		}
+	}
+	return out
+}
+
+// conflictClass is one of §4.3's conflict classes: an x behavior and a y
+// behavior that can demand contradictory placements of one actor type.
+type conflictClass struct {
+	code string
+	x, y BehaviorKind
+	msg  string // Check's warning: the type names clashed over, then the rule list
+}
+
+// conflictClasses is the one table of them, in code order. Check warns at
+// every x occurrence; Clash, which the lint shadowing pass reads, names a
+// class "x vs y".
+var conflictClasses = []conflictClass{
+	{CodeColocateSeparate, KindColocate, KindSeparate,
+		"types %q and %q are both colocated and separated (rules %s); runtime priority decides"},
+	{CodePinBalance, KindPin, KindBalance,
+		"type %q is pinned but also subject to balance (rules %s); pinned actors will not be balanced"},
+	{CodePinReserve, KindPin, KindReserve,
+		"type %q is pinned but also subject to reserve (rules %s); pinned actors will not be reserved"},
+	{CodeReserveBalance, KindReserve, KindBalance,
+		"type %q is both reserved and balanced (rules %s); runtime priority (balance first) decides"},
+	{CodeBalanceColocate, KindBalance, KindColocate,
+		"type %q is balanced but also colocated with %q (rules %s); balance may break colocation"},
+}
+
+// each calls f for every x in xs and y in ys of the class's two kinds that
+// claim the same actor type, with what they clash over: x's pair when both
+// are pairs (equal pairs only); x's type when both are single types, AnyType
+// matching every type; x's type and its partner when y is a pair naming x's
+// type.
+func (c conflictClass) each(xs, ys []Placement, f func(x, y Placement, over [2]string)) {
+	for _, x := range xs {
+		if x.Kind != c.x {
+			continue
+		}
+		for _, y := range ys {
+			if y.Kind != c.y {
+				continue
+			}
+			switch {
+			case x.B != "":
+				if x.A == y.A && x.B == y.B {
+					f(x, y, [2]string{x.A, x.B})
+				}
+			case y.B == "":
+				if x.A == y.A || x.A == AnyType || y.A == AnyType {
+					f(x, y, [2]string{x.A})
+				}
+			case x.A == y.A:
+				f(x, y, [2]string{x.A, y.B})
+			case x.A == y.B:
+				f(x, y, [2]string{x.A, y.A})
+			}
+		}
+	}
 }
 
 // detectConflicts flags rule combinations that can demand contradictory
 // placements for the same actor type. These are warnings: the runtime
 // resolves surviving conflicts by priority (§4.3). Every occurrence of a
-// conflicting behavior is reported (not just the last one recorded), each
-// warning carrying the full set of involved rule indices; type names are
-// expanded through the schema hierarchy compiled by Check, so a rule
-// naming a parent type conflict-checks against rules naming its subtypes.
+// conflicting behavior is reported, once per type it clashes over, each
+// warning carrying every rule index on either side of that clash.
 func detectConflicts(pol *Policy) []Warning {
-	var warns []Warning
-	colocated := map[typePair][]occ{}
-	separated := map[typePair][]occ{}
-	pinned := map[string][]occ{}
-	balanced := map[string][]occ{}
-	reserved := map[string][]occ{}
-
-	addPair := func(m map[typePair][]occ, a, b string, o occ) {
-		for _, xa := range pol.Expand(a) {
-			for _, xb := range pol.Expand(b) {
-				m[makePair(xa, xb)] = append(m[makePair(xa, xb)], o)
-			}
-		}
-	}
-	addType := func(m map[string][]occ, t string, o occ) {
-		for _, x := range pol.Expand(t) {
-			m[x] = append(m[x], o)
-		}
-	}
-
+	var all []Placement
 	for _, r := range pol.Rules {
-		for _, b := range r.Behaviors {
-			switch beh := b.(type) {
-			case *ColocateBeh:
-				addPair(colocated, beh.A.Type(), beh.B.Type(), occ{r.Index, beh.Pos})
-			case *SeparateBeh:
-				addPair(separated, beh.A.Type(), beh.B.Type(), occ{r.Index, beh.Pos})
-			case *PinBeh:
-				addType(pinned, beh.Actor.Type(), occ{r.Index, beh.Pos})
-			case *BalanceBeh:
-				for _, t := range beh.Types {
-					addType(balanced, t, occ{r.Index, beh.Pos})
-				}
-			case *ReserveBeh:
-				addType(reserved, beh.Actor.Type(), occ{r.Index, beh.Pos})
-			}
-		}
+		all = append(all, pol.Placements(r)...)
 	}
-
-	// typeOccs returns every occurrence in m matching type t, honoring the
-	// AnyType wildcard on either side.
-	typeOccs := func(m map[string][]occ, t string) []occ {
-		if t == AnyType {
-			var all []occ
-			for _, key := range sortedTypeKeys(m) {
-				all = append(all, m[key]...)
+	var warns []Warning
+	for _, c := range conflictClasses {
+		type clash struct {
+			at    []Pos // the x occurrences
+			rules map[int]bool
+		}
+		byOver := map[[2]string]*clash{}
+		c.each(all, all, func(x, y Placement, over [2]string) {
+			cl := byOver[over]
+			if cl == nil {
+				cl = &clash{rules: map[int]bool{}}
+				byOver[over] = cl
 			}
-			return all
-		}
-		out := append([]occ(nil), m[t]...)
-		out = append(out, m[AnyType]...)
-		return out
-	}
-
-	for _, pair := range sortedPairKeys(colocated) {
-		seps := separated[pair]
-		if len(seps) == 0 {
-			continue
-		}
-		rules := ruleUnion(colocated[pair], seps)
-		for _, o := range colocated[pair] {
-			warns = append(warns, Warning{Code: CodeColocateSeparate, Pos: o.pos, Rules: rules, Msg: fmt.Sprintf(
-				"types %q and %q are both colocated and separated (rules %s); runtime priority decides",
-				pair.a, pair.b, ruleList(rules))})
-		}
-	}
-	for _, t := range sortedTypeKeys(pinned) {
-		if boccs := typeOccs(balanced, t); len(boccs) > 0 {
-			rules := ruleUnion(pinned[t], boccs)
-			for _, o := range pinned[t] {
-				warns = append(warns, Warning{Code: CodePinBalance, Pos: o.pos, Rules: rules, Msg: fmt.Sprintf(
-					"type %q is pinned but also subject to balance (rules %s); pinned actors will not be balanced",
-					t, ruleList(rules))})
+			cl.rules[x.Rule], cl.rules[y.Rule] = true, true
+			if !slices.Contains(cl.at, x.Pos) {
+				cl.at = append(cl.at, x.Pos)
 			}
-		}
-		if roccs := typeOccs(reserved, t); len(roccs) > 0 {
-			rules := ruleUnion(pinned[t], roccs)
-			for _, o := range pinned[t] {
-				warns = append(warns, Warning{Code: CodePinReserve, Pos: o.pos, Rules: rules, Msg: fmt.Sprintf(
-					"type %q is pinned but also subject to reserve (rules %s); pinned actors will not be reserved",
-					t, ruleList(rules))})
+		})
+		for over, cl := range byOver {
+			rules := make([]int, 0, len(cl.rules))
+			for r := range cl.rules {
+				rules = append(rules, r)
 			}
-		}
-	}
-	for _, t := range sortedTypeKeys(reserved) {
-		if boccs := typeOccs(balanced, t); len(boccs) > 0 {
-			rules := ruleUnion(reserved[t], boccs)
-			for _, o := range reserved[t] {
-				warns = append(warns, Warning{Code: CodeReserveBalance, Pos: o.pos, Rules: rules, Msg: fmt.Sprintf(
-					"type %q is both reserved and balanced (rules %s); runtime priority (balance first) decides",
-					t, ruleList(rules))})
+			sort.Ints(rules)
+			args := []any{over[0]}
+			if over[1] != "" {
+				args = append(args, over[1])
 			}
-		}
-	}
-	for _, pair := range sortedPairKeys(colocated) {
-		ts := []string{pair.a}
-		if pair.b != pair.a {
-			ts = append(ts, pair.b)
-		}
-		for _, t := range ts {
-			boccs := balanced[t]
-			if len(boccs) == 0 {
-				continue
-			}
-			rules := ruleUnion(colocated[pair], boccs)
-			for _, o := range boccs {
-				warns = append(warns, Warning{Code: CodeBalanceColocate, Pos: o.pos, Rules: rules, Msg: fmt.Sprintf(
-					"type %q is balanced but also colocated with %q (rules %s); balance may break colocation",
-					t, other(pair, t), ruleList(rules))})
+			msg := fmt.Sprintf(c.msg, append(args, RuleList(rules))...)
+			for _, pos := range cl.at {
+				warns = append(warns, Warning{Code: c.code, Pos: pos, Rules: rules, Msg: msg})
 			}
 		}
 	}
 	sort.Slice(warns, func(i, j int) bool {
-		if warns[i].Pos.Line != warns[j].Pos.Line {
-			return warns[i].Pos.Line < warns[j].Pos.Line
+		a, b := warns[i], warns[j]
+		if a.Pos.Line != b.Pos.Line {
+			return a.Pos.Line < b.Pos.Line
 		}
-		if warns[i].Code != warns[j].Code {
-			return warns[i].Code < warns[j].Code
+		if a.Code != b.Code {
+			return a.Code < b.Code
 		}
-		return warns[i].Msg < warns[j].Msg
+		if a.Msg != b.Msg {
+			return a.Msg < b.Msg
+		}
+		return a.Pos.Col < b.Pos.Col
 	})
 	return warns
 }
 
-// sortedPairKeys orders conflict-map pair keys deterministically.
-func sortedPairKeys(m map[typePair][]occ) []typePair {
-	keys := make([]typePair, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].a != keys[j].a {
-			return keys[i].a < keys[j].a
-		}
-		return keys[i].b < keys[j].b
-	})
-	return keys
-}
-
-// sortedTypeKeys orders conflict-map type keys deterministically.
-func sortedTypeKeys(m map[string][]occ) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// ruleUnion is the sorted, deduplicated set of rule indices across
-// occurrence lists.
-func ruleUnion(lists ...[]occ) []int {
-	set := map[int]bool{}
-	for _, l := range lists {
-		for _, o := range l {
-			set[o.rule] = true
+// Clash names the first conflict class, in code order, under which rules a
+// and b place one actor type contradictorily, and what over:
+// `pin vs balance of type "Worker"`.
+func (p *Policy) Clash(a, b *Rule) (string, bool) {
+	pa, pb := p.Placements(a), p.Placements(b)
+	for _, c := range conflictClasses {
+		for _, side := range [2][2][]Placement{{pa, pb}, {pb, pa}} {
+			var first [2]string
+			found := false
+			c.each(side[0], side[1], func(_, _ Placement, over [2]string) {
+				if !found || over[0] < first[0] || over[0] == first[0] && over[1] < first[1] {
+					first, found = over, true
+				}
+			})
+			if !found {
+				continue
+			}
+			what := fmt.Sprintf("type %q", first[0])
+			if first[1] != "" {
+				what = fmt.Sprintf("types %q and %q", first[0], first[1])
+			}
+			return c.x.String() + " vs " + c.y.String() + " of " + what, true
 		}
 	}
-	out := make([]int, 0, len(set))
-	for r := range set {
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
+	return "", false
 }
 
-// ruleList renders rule indices as "#0, #2".
-func ruleList(rules []int) string {
+// RuleList renders rule indices for messages: "#0, #2".
+func RuleList(rules []int) string {
 	parts := make([]string, len(rules))
 	for i, r := range rules {
-		parts[i] = fmt.Sprintf("#%d", r)
+		parts[i] = "#" + strconv.Itoa(r)
 	}
 	return strings.Join(parts, ", ")
-}
-
-func other(p typePair, t string) string {
-	if p.a == t {
-		return p.b
-	}
-	return p.a
 }

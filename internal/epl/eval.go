@@ -168,17 +168,14 @@ func newDedup() *dedup {
 	}
 }
 
-// implicitVars returns the rule's variables plus implicit existential
+// ruleBindingRefs returns the rule's variables plus implicit existential
 // variables for anonymous typed actor patterns, ordered so that InRef
 // containers are enumerated before their subjects (which enables pruning
 // candidate sets through reference properties).
 func ruleBindingRefs(rule *Rule) []*ActorRef {
 	var refs []*ActorRef
 	seenDecl := map[*VarDecl]bool{}
-	add := func(r *ActorRef) {
-		if r == nil {
-			return
-		}
+	WalkRefs(rule, func(r *ActorRef) {
 		if r.Decl != nil {
 			if seenDecl[r.Decl] {
 				return
@@ -186,48 +183,7 @@ func ruleBindingRefs(rule *Rule) []*ActorRef {
 			seenDecl[r.Decl] = true
 		}
 		refs = append(refs, r)
-	}
-	var walkCond func(c Cond)
-	walkCond = func(c Cond) {
-		switch cond := c.(type) {
-		case *AndCond:
-			walkCond(cond.L)
-			walkCond(cond.R)
-		case *OrCond:
-			walkCond(cond.L)
-			walkCond(cond.R)
-		case *InRefCond:
-			add(cond.Container) // container first for pruning
-			add(cond.Sub)
-		case *CmpCond:
-			switch f := cond.Feat.(type) {
-			case *ResFeature:
-				if !f.Server {
-					add(f.Actor)
-				}
-			case *CallFeature:
-				add(f.Callee)
-				if !f.Client {
-					add(f.Caller)
-				}
-			}
-		}
-	}
-	walkCond(rule.Cond)
-	for _, b := range rule.Behaviors {
-		switch beh := b.(type) {
-		case *ReserveBeh:
-			add(beh.Actor)
-		case *ColocateBeh:
-			add(beh.A)
-			add(beh.B)
-		case *SeparateBeh:
-			add(beh.A)
-			add(beh.B)
-		case *PinBeh:
-			add(beh.Actor)
-		}
-	}
+	})
 	return refs
 }
 

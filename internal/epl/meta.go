@@ -21,6 +21,57 @@ func WalkCmps(c Cond, f func(*CmpCond)) {
 	}
 }
 
+// WalkRefs calls f for every actor reference in rule r: the condition's in
+// syntactic order (a ref(...) container before its subject), then the
+// behaviors'.
+func WalkRefs(r *Rule, f func(*ActorRef)) {
+	visit := func(refs ...*ActorRef) {
+		for _, ref := range refs {
+			if ref != nil {
+				f(ref)
+			}
+		}
+	}
+	var walk func(c Cond)
+	walk = func(c Cond) {
+		switch cond := c.(type) {
+		case *AndCond:
+			walk(cond.L)
+			walk(cond.R)
+		case *OrCond:
+			walk(cond.L)
+			walk(cond.R)
+		case *InRefCond:
+			visit(cond.Container, cond.Sub)
+		case *CmpCond:
+			switch feat := cond.Feat.(type) {
+			case *ResFeature:
+				if !feat.Server {
+					visit(feat.Actor)
+				}
+			case *CallFeature:
+				visit(feat.Callee)
+				if !feat.Client {
+					visit(feat.Caller)
+				}
+			}
+		}
+	}
+	walk(r.Cond)
+	for _, b := range r.Behaviors {
+		switch beh := b.(type) {
+		case *ReserveBeh:
+			visit(beh.Actor)
+		case *ColocateBeh:
+			visit(beh.A, beh.B)
+		case *SeparateBeh:
+			visit(beh.A, beh.B)
+		case *PinBeh:
+			visit(beh.Actor)
+		}
+	}
+}
+
 // CondBounds scans a condition for server-resource comparisons on res and
 // derives the upper (from > / >=) and lower (from < / <=) thresholds,
 // NaN when absent — the same extraction planBalance runs when the rule

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"plasma/internal/epl"
@@ -153,8 +154,33 @@ func TestShadowingReportsAllRules(t *testing.T) {
 	t.Fatal("no shadowing diagnostic produced")
 }
 
+// TestShadowingCoversEveryConflictClass asserts EPL020 reads epl's §4.3
+// class table: a later rule contained in an earlier one is shadowed under
+// each of the five classes epl.Check warns on, balance vs colocate included.
+func TestShadowingCoversEveryConflictClass(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{"true => colocate(A(a), B(b));\nserver.cpu.perc > 80 => separate(A(x), B(y));",
+			`colocate vs separate of types "A" and "B"`},
+		{"true => pin(A);\nserver.cpu.perc > 80 => balance({A}, cpu);", `pin vs balance of type "A"`},
+		{"true => pin(A);\nserver.cpu.perc > 80 => reserve(A, cpu);", `pin vs reserve of type "A"`},
+		{"true => reserve(A, cpu);\nserver.cpu.perc > 80 => balance({A}, cpu);", `reserve vs balance of type "A"`},
+		{"true => balance({A}, cpu);\nserver.cpu.perc > 80 => colocate(A(a), B(b));",
+			`balance vs colocate of types "A" and "B"`},
+	} {
+		diags := AnalyzePolicy(epl.MustParse(c.src), nil)
+		found := false
+		for _, d := range diags {
+			found = found || d.Code == CodeShadowed && strings.Contains(d.Message, c.want)
+		}
+		if !found {
+			t.Errorf("%q: no EPL020 naming %s:\n%s", c.src, c.want, renderDiags(diags))
+		}
+	}
+}
+
 // TestPaperPoliciesLoadable asserts none of the five §3.3 paper policies
-// produce an error-severity finding, i.e. the EMR accepts all of them.
+// produce an error-severity finding, i.e. core.World.Manage accepts all of
+// them.
 func TestPaperPoliciesLoadable(t *testing.T) {
 	srcs := map[string]string{
 		"metadata": `
@@ -195,7 +221,10 @@ Player(p) in ref(Session(s).players) =>
 	for name, src := range srcs {
 		t.Run(name, func(t *testing.T) {
 			pol := epl.MustParse(src)
-			diags := AnalyzePolicy(pol, nil)
+			diags, err := CheckAndAnalyze(pol, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if max := MaxSeverity(diags); max >= Error {
 				t.Fatalf("paper policy produces error-severity findings:\n%s", renderDiags(diags))
 			}

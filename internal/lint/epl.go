@@ -2,7 +2,7 @@ package lint
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"plasma/internal/epl"
@@ -134,7 +134,7 @@ func satisfiabilityPass(pol *epl.Policy, _ *epl.Schema) []Diagnostic {
 // (EPL003).
 func checkAtoms(r *epl.Rule) []Diagnostic {
 	var out []Diagnostic
-	walkCmps(r.Cond, func(c *epl.CmpCond) {
+	epl.WalkCmps(r.Cond, func(c *epl.CmpCond) {
 		dom := domainFor(c.Stat)
 		if c.Stat == epl.Perc && (c.Val < 0 || c.Val > 100) {
 			out = append(out, Diagnostic{
@@ -212,9 +212,6 @@ func singleFeature(c epl.Cond) (string, featIv, bool) {
 	return "", featIv{}, false
 }
 
-// walkCmps is epl.WalkCmps; the alias keeps the passes' call sites short.
-func walkCmps(c epl.Cond, f func(*epl.CmpCond)) { epl.WalkCmps(c, f) }
-
 // ---- pass 2: flapping detection ----
 
 // trigger is one server-utilization threshold extracted from a rule
@@ -243,7 +240,7 @@ func flappingPass(pol *epl.Policy, _ *epl.Schema) []Diagnostic {
 			continue
 		}
 		types[r.Index] = resourceTypes(pol, r)
-		walkCmps(r.Cond, func(c *epl.CmpCond) {
+		epl.WalkCmps(r.Cond, func(c *epl.CmpCond) {
 			rf, ok := c.Feat.(*epl.ResFeature)
 			if !ok || !rf.Server || c.Stat != epl.Perc {
 				return
@@ -279,13 +276,14 @@ func flappingPass(pol *epl.Policy, _ *epl.Schema) []Diagnostic {
 			}
 			seen[key] = true
 			where := fmt.Sprintf("rules #%d and #%d", up.rule, down.rule)
+			rules := []int{min(up.rule, down.rule), max(up.rule, down.rule)}
 			if up.rule == down.rule {
-				where = fmt.Sprintf("rule #%d", up.rule)
+				where, rules = fmt.Sprintf("rule #%d", up.rule), rules[:1]
 			}
 			out = append(out, Diagnostic{
 				Code: CodeFlapping, Severity: Warning,
 				Line: up.pos.Line, Col: up.pos.Col,
-				Rules: ruleSet(up.rule, down.rule),
+				Rules: rules,
 				Message: fmt.Sprintf("%s flap on server.%s.perc: scale-up threshold %g minus scale-down threshold %g leaves no hysteresis band (%g)",
 					where, up.res, up.val, down.val, band),
 				Fix: fmt.Sprintf("separate the thresholds, e.g. scale up above %g and down below %g", up.val, up.val-10),
@@ -299,24 +297,16 @@ func flappingPass(pol *epl.Policy, _ *epl.Schema) []Diagnostic {
 // on, expanded through the schema hierarchy compiled by Check.
 func resourceTypes(pol *epl.Policy, r *epl.Rule) map[string]bool {
 	set := map[string]bool{}
-	for _, b := range r.Behaviors {
-		switch beh := b.(type) {
-		case *epl.BalanceBeh:
-			for _, t := range beh.Types {
-				for _, x := range pol.Expand(t) {
-					set[x] = true
-				}
-			}
-		case *epl.ReserveBeh:
-			for _, x := range pol.Expand(beh.Actor.Type()) {
-				set[x] = true
-			}
-		case *epl.ProvClassBeh:
-			// provclass steers the fleet-wide scale-out decision, so its
-			// triggers pair with every resource rule's: a provclass-guarded
-			// scale-up threshold can flap against any scale-down threshold.
-			set[epl.AnyType] = true
+	for _, p := range pol.Placements(r) {
+		if p.Kind == epl.KindBalance || p.Kind == epl.KindReserve {
+			set[p.A] = true
 		}
+	}
+	// provclass steers the fleet-wide scale-out decision, so its triggers
+	// pair with every resource rule's: a provclass-guarded scale-up
+	// threshold can flap against any scale-down threshold.
+	if r.ProvClassChain() != nil {
+		set[epl.AnyType] = true
 	}
 	return set
 }
@@ -336,19 +326,6 @@ func overlap(a, b map[string]bool) bool {
 		}
 	}
 	return false
-}
-
-func ruleSet(rules ...int) []int {
-	set := map[int]bool{}
-	for _, r := range rules {
-		set[r] = true
-	}
-	out := make([]int, 0, len(set))
-	for r := range set {
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // ---- pass 3: rule subsumption / shadowing ----
@@ -417,154 +394,22 @@ func regionContained(inner, outer []*disjunct) bool {
 	return true
 }
 
-// behSummary is a rule's placement demands by expanded actor type.
-type behSummary struct {
-	coloc    map[string]map[string]bool // unordered expanded type pairs
-	sep      map[string]map[string]bool
-	pinned   map[string]bool
-	balanced map[string]bool
-	reserved map[string]bool
-	prov     []string // provclass preference chain, behavior order
-}
-
-func summarize(pol *epl.Policy, r *epl.Rule) behSummary {
-	s := behSummary{
-		coloc: map[string]map[string]bool{}, sep: map[string]map[string]bool{},
-		pinned: map[string]bool{}, balanced: map[string]bool{}, reserved: map[string]bool{},
-	}
-	addPair := func(m map[string]map[string]bool, a, b string) {
-		for _, xa := range pol.Expand(a) {
-			for _, xb := range pol.Expand(b) {
-				lo, hi := xa, xb
-				if lo > hi {
-					lo, hi = hi, lo
-				}
-				if m[lo] == nil {
-					m[lo] = map[string]bool{}
-				}
-				m[lo][hi] = true
-			}
-		}
-	}
-	addSet := func(m map[string]bool, t string) {
-		for _, x := range pol.Expand(t) {
-			m[x] = true
-		}
-	}
-	for _, b := range r.Behaviors {
-		switch beh := b.(type) {
-		case *epl.ColocateBeh:
-			addPair(s.coloc, beh.A.Type(), beh.B.Type())
-		case *epl.SeparateBeh:
-			addPair(s.sep, beh.A.Type(), beh.B.Type())
-		case *epl.PinBeh:
-			addSet(s.pinned, beh.Actor.Type())
-		case *epl.BalanceBeh:
-			for _, t := range beh.Types {
-				addSet(s.balanced, t)
-			}
-		case *epl.ReserveBeh:
-			addSet(s.reserved, beh.Actor.Type())
-		case *epl.ProvClassBeh:
-			s.prov = append(s.prov, beh.Classes...)
-		}
-	}
-	return s
-}
-
 // behaviorsClash reports whether two rules' behaviors demand contradictory
-// placements for overlapping types, mirroring the §4.3 conflict classes.
+// placements for overlapping types — one of epl's §4.3 conflict classes —
+// or contradictory provisioning preferences.
 func behaviorsClash(pol *epl.Policy, ri, rj *epl.Rule) (string, bool) {
-	a, b := summarize(pol, ri), summarize(pol, rj)
-	if p, ok := pairsIntersect(a.coloc, b.sep); ok {
-		return "colocate vs separate of " + p, true
-	}
-	if p, ok := pairsIntersect(b.coloc, a.sep); ok {
-		return "colocate vs separate of " + p, true
-	}
-	for _, clash := range []struct {
-		x, y map[string]bool
-		desc string
-	}{
-		{a.pinned, b.balanced, "pin vs balance"},
-		{b.pinned, a.balanced, "pin vs balance"},
-		{a.pinned, b.reserved, "pin vs reserve"},
-		{b.pinned, a.reserved, "pin vs reserve"},
-		{a.reserved, b.balanced, "reserve vs balance"},
-		{b.reserved, a.balanced, "reserve vs balance"},
-	} {
-		if overlap(clash.x, clash.y) {
-			return clash.desc + " of type " + overlapName(clash.x, clash.y), true
-		}
+	if desc, ok := pol.Clash(ri, rj); ok {
+		return desc, true
 	}
 	// Two provclass chains in the same region fight over the scale-out
 	// preference order: the EMR rebuilds it from fired rules every period,
 	// so the shadowed rule's chain is overridden (or overrides) silently.
-	if len(a.prov) > 0 && len(b.prov) > 0 && !equalChains(a.prov, b.prov) {
+	a, b := ri.ProvClassChain(), rj.ProvClassChain()
+	if a != nil && b != nil && !slices.Equal(a, b) {
 		return fmt.Sprintf("provclass preference {%s} vs {%s}",
-			strings.Join(a.prov, ", "), strings.Join(b.prov, ", ")), true
+			strings.Join(a, ", "), strings.Join(b, ", ")), true
 	}
 	return "", false
-}
-
-func equalChains(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func pairsIntersect(a, b map[string]map[string]bool) (string, bool) {
-	los := make([]string, 0, len(a))
-	for lo := range a {
-		los = append(los, lo)
-	}
-	sort.Strings(los)
-	for _, lo := range los {
-		his := make([]string, 0, len(a[lo]))
-		for hi := range a[lo] {
-			his = append(his, hi)
-		}
-		sort.Strings(his)
-		for _, hi := range his {
-			if b[lo][hi] {
-				return fmt.Sprintf("types %q and %q", lo, hi), true
-			}
-		}
-	}
-	return "", false
-}
-
-func overlapName(a, b map[string]bool) string {
-	if a[epl.AnyType] || b[epl.AnyType] {
-		names := make([]string, 0, len(a)+len(b))
-		for t := range a {
-			names = append(names, t)
-		}
-		for t := range b {
-			names = append(names, t)
-		}
-		sort.Strings(names)
-		for _, t := range names {
-			if t != epl.AnyType {
-				return fmt.Sprintf("%q", t)
-			}
-		}
-		return fmt.Sprintf("%q", epl.AnyType)
-	}
-	names := make([]string, 0, len(a))
-	for t := range a {
-		if b[t] {
-			names = append(names, t)
-		}
-	}
-	sort.Strings(names)
-	return fmt.Sprintf("%q", names[0])
 }
 
 // ---- pass 4: unused declarations ----
@@ -577,13 +422,13 @@ func unusedPass(pol *epl.Policy, _ *epl.Schema) []Diagnostic {
 	var out []Diagnostic
 	for _, r := range pol.Rules {
 		uses := map[*epl.VarDecl]int{}
-		for _, ref := range ruleRefs(r) {
+		epl.WalkRefs(r, func(ref *epl.ActorRef) {
 			// A use is a ref bound to the decl other than the declaring
 			// occurrence itself (which carries the type name).
 			if ref.Decl != nil && ref.TypeName == "" {
 				uses[ref.Decl]++
 			}
-		}
+		})
 		for _, v := range r.Vars {
 			if uses[v] > 0 {
 				continue
@@ -597,65 +442,4 @@ func unusedPass(pol *epl.Policy, _ *epl.Schema) []Diagnostic {
 		}
 	}
 	return out
-}
-
-// ruleRefs collects every actor reference in a rule, conditions and
-// behaviors alike.
-func ruleRefs(r *epl.Rule) []*epl.ActorRef {
-	var refs []*epl.ActorRef
-	add := func(rs ...*epl.ActorRef) {
-		for _, ref := range rs {
-			if ref != nil {
-				refs = append(refs, ref)
-			}
-		}
-	}
-	var walk func(c epl.Cond)
-	walk = func(c epl.Cond) {
-		switch cond := c.(type) {
-		case *epl.AndCond:
-			walk(cond.L)
-			walk(cond.R)
-		case *epl.OrCond:
-			walk(cond.L)
-			walk(cond.R)
-		case *epl.InRefCond:
-			add(cond.Sub, cond.Container)
-		case *epl.CmpCond:
-			switch f := cond.Feat.(type) {
-			case *epl.ResFeature:
-				if !f.Server {
-					add(f.Actor)
-				}
-			case *epl.CallFeature:
-				add(f.Callee)
-				if !f.Client {
-					add(f.Caller)
-				}
-			}
-		}
-	}
-	walk(r.Cond)
-	for _, b := range r.Behaviors {
-		switch beh := b.(type) {
-		case *epl.ReserveBeh:
-			add(beh.Actor)
-		case *epl.ColocateBeh:
-			add(beh.A, beh.B)
-		case *epl.SeparateBeh:
-			add(beh.A, beh.B)
-		case *epl.PinBeh:
-			add(beh.Actor)
-		}
-	}
-	return refs
-}
-
-// describeRules renders rule indices for messages: "#1, #3".
-func describeRules(rules []int) string {
-	parts := make([]string, len(rules))
-	for i, r := range rules {
-		parts[i] = fmt.Sprintf("#%d", r)
-	}
-	return strings.Join(parts, ", ")
 }

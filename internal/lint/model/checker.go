@@ -352,7 +352,7 @@ func FormatPath(f Finding) string {
 		}
 		fired := ""
 		if len(st.Fired) > 0 {
-			fired = " fires " + describeRules(st.Fired) + " →"
+			fired = " fires " + epl.RuleList(st.Fired) + " →"
 		}
 		fmt.Fprintf(&sb, "    t%02d: load %d (Δ%+d), %d servers at %.1f%% —%s %s",
 			st.Tick, st.Load, st.Drift, st.Servers, st.Util, fired, act)
@@ -362,14 +362,6 @@ func FormatPath(f Finding) string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-func describeRules(rules []int) string {
-	parts := make([]string, len(rules))
-	for i, r := range rules {
-		parts[i] = fmt.Sprintf("#%d", r)
-	}
-	return strings.Join(parts, ", ")
 }
 
 // rulePos anchors a finding at its first responsible rule (1:1 when the

@@ -63,8 +63,12 @@ type Envelope struct {
 }
 
 // maxClasses bounds the provisioning spectrum an envelope may declare; the
-// pool occupancy vector is part of the state key.
-const maxClasses = 4
+// pool occupancy vector is part of the state key. maxDrift bounds the
+// per-period load change: an edge stores its drift in an int8.
+const (
+	maxClasses = 4
+	maxDrift   = math.MaxInt8
+)
 
 // DefaultEnvelope is the envelope used when the policy declares none:
 // the cluster's default provisioning spectrum, a fleet of 4–32 servers
@@ -105,8 +109,8 @@ func (e *Envelope) validate() error {
 		return fmt.Errorf("init load %d outside %d..%d", e.InitLoad, e.MinLoad, e.MaxLoad)
 	case e.PerServer < 1:
 		return fmt.Errorf("perserver %d must be at least 1", e.PerServer)
-	case e.Drift < 0:
-		return fmt.Errorf("drift %d must be non-negative", e.Drift)
+	case e.Drift < 0 || e.Drift > maxDrift:
+		return fmt.Errorf("drift %d outside 0..%d", e.Drift, maxDrift)
 	case len(e.DriftProbs) != 2*e.Drift+1:
 		return fmt.Errorf("driftprobs needs %d entries for drift %d, got %d", 2*e.Drift+1, e.Drift, len(e.DriftProbs))
 	case len(e.Classes) == 0:
@@ -283,8 +287,8 @@ func (e *Envelope) set(field string) error {
 		e.PerServer = n
 	case "drift":
 		n, err := strconv.Atoi(val)
-		if err != nil {
-			return fmt.Errorf("bad drift %q", val)
+		if err != nil || n < 0 || n > maxDrift {
+			return fmt.Errorf("bad drift %q (want 0..%d)", val, maxDrift)
 		}
 		e.Drift = n
 		if len(e.DriftProbs) != 2*n+1 {

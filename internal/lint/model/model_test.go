@@ -69,6 +69,8 @@ func TestMalformedAnnotations(t *testing.T) {
 		"# lint:envelope bogus=1\ntrue => pin(W(w));",
 		"# lint:envelope driftprobs=0.5,0.5,0.5\ntrue => pin(W(w));",
 		"# lint:envelope classes=quantum\ntrue => pin(W(w));",
+		"# lint:envelope drift=-1\ntrue => pin(W(w));",
+		"# lint:envelope drift=128\ntrue => pin(W(w));",
 	}
 	for _, src := range cases {
 		pol := mustCheck(t, src)
