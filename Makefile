@@ -128,15 +128,19 @@ trace-smoke:
 # analyzer must not panic on it. FuzzEnvelope: the //lint:envelope and
 # //lint:assert parsers and the envelope's validation must not panic on any
 # source. FuzzTraceJSONL: ReadJSONL must not panic on arbitrary bytes, and
-# every line AppendJSONL writes must parse and round-trip its record. A
-# failing input is written to the corpus directory and fails `go test` from
-# then on. Minimising each coverage-increasing input is
+# every line AppendJSONL writes must parse and round-trip its record.
+# FuzzSnapshot: random programs of spawns, stops, sends, property, memory
+# and pin changes, migrations, crashes with recovery, runs, resets and
+# snapshots on a 4-machine cluster, every snapshot of the sparse refresh
+# compared field for field with a from-scratch build. A failing input is
+# written to the corpus directory and fails `go test` from then on. Minimising each coverage-increasing input is
 # capped at a second — the default minute would take the rest of the smoke.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKernelOrder -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzPolicy -fuzztime 10s -fuzzminimizetime 1s ./internal/lint
 	$(GO) test -run '^$$' -fuzz FuzzEnvelope -fuzztime 10s -fuzzminimizetime 1s ./internal/lint/model
 	$(GO) test -run '^$$' -fuzz FuzzTraceJSONL -fuzztime 10s -fuzzminimizetime 1s ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/profile
 
 # sweep-snapshot writes everything a byte-identity refactor is held to into
 # OUT: the quick plasma-bench report at seeds 1 and 2 and one decision trace
@@ -171,6 +175,6 @@ loc:
 # policy model checker passes every shipped policy, the benchmark harness's
 # own tests pass, the quick-scale sweep shows no perf regression or
 # determinism drift against the checked-in bench baseline, the decision
-# tracer round-trips, and the kernel order, policy, envelope and trace JSONL
-# fuzzers find nothing in ten seconds each.
+# tracer round-trips, and the kernel order, policy, envelope, trace JSONL
+# and snapshot fuzzers find nothing in ten seconds each.
 verify: build vet race lint lint-model bench-test bench-quick trace-smoke fuzz-smoke

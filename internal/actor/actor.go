@@ -138,8 +138,14 @@ type Runtime struct {
 	// reused, so the table is dense, walking it is ascending-id (= spawn)
 	// order, and a stopped actor leaves a nil behind. Read it through inst.
 	actors     []*instance
-	live       int // non-nil entries of actors
+	live       int                       // non-nil entries of actors
+	on         map[cluster.MachineID]int // live actors per machine
 	migrations int
+
+	// changed is the change set, one bit per actor id: an actor joins it when
+	// it is spawned, stopped, moved (migrated or re-homed by recovery), given
+	// a property, resized, pinned or unpinned. TakeChanged empties it.
+	changed []uint64
 
 	// inflight tracks live migrations so machine crashes can abort or roll
 	// them back; failedMigs counts migrations that did not complete.
@@ -176,6 +182,7 @@ func NewRuntime(k *sim.Kernel, c *cluster.Cluster) *Runtime {
 		K:        k,
 		C:        c,
 		actors:   make([]*instance, 1), // the zero ID is nobody
+		on:       make(map[cluster.MachineID]int),
 		inflight: make(map[ID]*migration),
 	}
 	c.OnFail(rt.onMachineFail)
@@ -198,19 +205,8 @@ type spawnGrower interface {
 	OnSpawn(srv cluster.MachineID, a Ref)
 }
 
-// SetProfiler attaches (or detaches, with nil) the profiling hook. A hook
-// implementing spawnGrower is told about every already-live actor so its
-// dense accumulators are sized before the first message.
-func (rt *Runtime) SetProfiler(p ProfilerHook) {
-	rt.profiler = p
-	if g, ok := p.(spawnGrower); ok {
-		for _, inst := range rt.actors {
-			if inst != nil {
-				g.OnSpawn(inst.srv, Ref{ID: inst.id})
-			}
-		}
-	}
-}
+// SetProfiler attaches (or detaches, with nil) the profiling hook.
+func (rt *Runtime) SetProfiler(p ProfilerHook) { rt.profiler = p }
 
 // SetPlacement attaches (or detaches, with nil) the placement hook.
 func (rt *Runtime) SetPlacement(p PlacementHook) { rt.placement = p }
@@ -331,10 +327,44 @@ func (rt *Runtime) SpawnOn(typ string, b Behavior, srv cluster.MachineID) Ref {
 	}
 	rt.actors = append(rt.actors, inst)
 	rt.live++
+	rt.on[srv]++
+	rt.mark(inst.id)
 	if g, ok := rt.profiler.(spawnGrower); ok {
 		g.OnSpawn(srv, Ref{ID: inst.id})
 	}
 	return Ref{ID: inst.id}
+}
+
+// mark adds the actor to the change set.
+func (rt *Runtime) mark(id ID) {
+	for int(id/64) >= len(rt.changed) {
+		rt.changed = append(rt.changed, 0)
+	}
+	rt.changed[id/64] |= 1 << (id % 64)
+}
+
+// move re-homes the actor on dst: the per-machine counts follow it, its
+// last move is now, and it joins the change set.
+func (rt *Runtime) move(inst *instance, dst cluster.MachineID) {
+	rt.on[inst.srv]--
+	rt.on[dst]++
+	inst.srv, inst.lastMove = dst, rt.K.Now()
+	rt.mark(inst.id)
+}
+
+// TakeChanged ORs the change set into marks, a bitmap over actor ids that it
+// grows to cover every id issued (each was marked at spawn), empties the set
+// and returns marks. The set has one consumer, the profiler's Snapshot: a
+// second caller would take its changes away.
+func (rt *Runtime) TakeChanged(marks []uint64) []uint64 {
+	for w, word := range rt.changed {
+		if w == len(marks) {
+			marks = append(marks, 0)
+		}
+		marks[w] |= word
+	}
+	clear(rt.changed)
+	return marks
 }
 
 // RecoverMachine re-homes every actor of a crashed machine onto surviving
@@ -363,8 +393,7 @@ func (rt *Runtime) RecoverMachine(srv cluster.MachineID) int {
 			}
 		}
 		dst := up[rt.K.Rand().Intn(len(up))]
-		inst.srv = dst.ID
-		inst.lastMove = rt.K.Now()
+		rt.move(inst, dst.ID)
 		inst.busy = false // in-flight processing died with the machine
 		inst.migrating = false
 		inst.migEpoch++ // strand any step of a migration begun before the crash
@@ -407,6 +436,8 @@ func (rt *Runtime) Stop(ref Ref) {
 	rt.C.Machine(inst.srv).AddMem(-inst.memSize)
 	rt.actors[ref.ID] = nil
 	rt.live--
+	rt.on[inst.srv]--
+	rt.mark(inst.id)
 }
 
 // Exists reports whether the actor is alive.
@@ -440,17 +471,18 @@ func (rt *Runtime) Props(ref Ref, name string) []Ref {
 // spawn-time initialization by application facades).
 func (rt *Runtime) SetProp(ref Ref, name string, refs []Ref) {
 	if inst := rt.inst(ref.ID); inst != nil {
-		inst.setProp(name, append([]Ref(nil), refs...))
+		rt.setProp(inst, name, append([]Ref(nil), refs...))
 	}
 }
 
 // setProp stores a property, allocating the map on first use (most actors
 // expose no properties, so instances carry a nil map until one appears).
-func (inst *instance) setProp(name string, refs []Ref) {
+func (rt *Runtime) setProp(inst *instance, name string, refs []Ref) {
 	if inst.props == nil {
 		inst.props = make(map[string][]Ref)
 	}
 	inst.props[name] = refs
+	rt.mark(inst.id)
 }
 
 // MemSize reports the actor's declared state size in bytes.
@@ -465,6 +497,7 @@ func (rt *Runtime) MemSize(ref Ref) int64 {
 func (rt *Runtime) Pin(ref Ref) {
 	if inst := rt.inst(ref.ID); inst != nil {
 		inst.pinned = true
+		rt.mark(inst.id)
 	}
 }
 
@@ -472,6 +505,7 @@ func (rt *Runtime) Pin(ref Ref) {
 func (rt *Runtime) Unpin(ref Ref) {
 	if inst := rt.inst(ref.ID); inst != nil {
 		inst.pinned = false
+		rt.mark(inst.id)
 	}
 }
 
@@ -479,14 +513,6 @@ func (rt *Runtime) Unpin(ref Ref) {
 func (rt *Runtime) Pinned(ref Ref) bool {
 	inst := rt.inst(ref.ID)
 	return inst != nil && inst.pinned
-}
-
-// LastMoved reports when the actor last changed servers (spawn counts).
-func (rt *Runtime) LastMoved(ref Ref) sim.Time {
-	if inst := rt.inst(ref.ID); inst != nil {
-		return inst.lastMove
-	}
-	return 0
 }
 
 // Actors returns all live actor refs in id order (deterministic).
@@ -511,21 +537,13 @@ func (rt *Runtime) ActorsOn(srv cluster.MachineID) []Ref {
 	return refs
 }
 
-// NumActorsOn counts the live actors hosted on srv without building the
-// slice ActorsOn returns.
-func (rt *Runtime) NumActorsOn(srv cluster.MachineID) int {
-	n := 0
-	for _, inst := range rt.actors {
-		if inst != nil && inst.srv == srv {
-			n++
-		}
-	}
-	return n
-}
+// NumActorsOn counts the live actors hosted on srv, from a count kept as
+// actors are spawned, stopped and moved.
+func (rt *Runtime) NumActorsOn(srv cluster.MachineID) int { return rt.on[srv] }
 
-// Info is one live actor's metadata as seen by ForEachActor: everything the
-// elasticity profiling runtime needs per actor per period, delivered in a
-// single visit instead of one map lookup per field.
+// Info is one live actor's metadata as Lookup and ForEachActor deliver it:
+// everything the elasticity profiling runtime needs per actor, in a single
+// visit instead of one lookup per field.
 type Info struct {
 	Ref       Ref
 	Type      string
@@ -536,23 +554,23 @@ type Info struct {
 	Props     map[string][]Ref // the actor's own property map (nil if none): read, never write
 }
 
-// ForEachActor visits every live actor in id order without allocating. It
-// is the bulk-iteration fast path under the profiler's per-period snapshot;
-// fn must not spawn or stop actors.
+// Lookup returns one live actor's Info; ok is false for any other id.
+func (rt *Runtime) Lookup(ref Ref) (info Info, ok bool) {
+	inst := rt.inst(ref.ID)
+	if inst == nil {
+		return Info{}, false
+	}
+	return Info{Ref: ref, Type: inst.typ, Server: inst.srv, MemBytes: inst.memSize,
+		Pinned: inst.pinned, LastMoved: inst.lastMove, Props: inst.props}, true
+}
+
+// ForEachActor visits every live actor in id order without allocating; fn
+// must not spawn or stop actors.
 func (rt *Runtime) ForEachActor(fn func(Info)) {
-	for _, inst := range rt.actors {
-		if inst == nil {
-			continue
+	for id := range rt.actors {
+		if info, ok := rt.Lookup(Ref{ID: ID(id)}); ok {
+			fn(info)
 		}
-		fn(Info{
-			Ref:       Ref{ID: inst.id},
-			Type:      inst.typ,
-			Server:    inst.srv,
-			MemBytes:  inst.memSize,
-			Pinned:    inst.pinned,
-			LastMoved: inst.lastMove,
-			Props:     inst.props,
-		})
 	}
 }
 
@@ -886,8 +904,7 @@ func (rt *Runtime) migCommit(mig *migration) {
 	delete(rt.inflight, inst.id)
 	rt.C.Machine(src).AddMem(-inst.memSize)
 	rt.C.Machine(dst).AddMem(inst.memSize)
-	inst.srv = dst
-	inst.lastMove = rt.K.Now()
+	rt.move(inst, dst)
 	inst.migrating = false
 	rt.migrations++
 	rt.tr.Emit(trace.Record{Kind: trace.KindCommit, Parent: mig.traceID,
@@ -988,12 +1005,12 @@ func (c *Context) push(kind flightKind, to Ref, delay sim.Duration, msg Message)
 // SetProp publishes a reference property visible to EPL `ref(...)`
 // conditions. The update is immediate (metadata, not messaging).
 func (c *Context) SetProp(name string, refs []Ref) {
-	c.inst.setProp(name, append([]Ref(nil), refs...))
+	c.rt.setProp(c.inst, name, append([]Ref(nil), refs...))
 }
 
 // AddPropRef appends one ref to a property.
 func (c *Context) AddPropRef(name string, r Ref) {
-	c.inst.setProp(name, append(c.inst.props[name], r))
+	c.rt.setProp(c.inst, name, append(c.inst.props[name], r))
 }
 
 // SetMemSize declares the actor's state size in bytes (drives machine
@@ -1002,6 +1019,7 @@ func (c *Context) SetMemSize(bytes int64) {
 	delta := bytes - c.inst.memSize
 	c.inst.memSize = bytes
 	c.rt.C.Machine(c.inst.srv).AddMem(delta)
+	c.rt.mark(c.inst.id)
 }
 
 // commit applies the buffered effects, in the order the handler issued

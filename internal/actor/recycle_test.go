@@ -295,7 +295,8 @@ func TestStopAndCrashLeaveFreeListsClean(t *testing.T) {
 // Randomized churn — requests through forwarding chains, timers, stops,
 // migrations, crashes with recovery and repair — with the poison checks
 // armed: no request is answered twice, no poisoned struct ever fires, and
-// the free lists end consistent.
+// the free lists end consistent. After every step each machine's kept
+// actor count equals a walk of the actor table.
 func TestRecyclingUnderChurn(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		k := sim.New(seed)
@@ -355,6 +356,11 @@ func TestRecyclingUnderChurn(t *testing.T) {
 				k.After(sim.Duration(1+rng.Intn(4))*sim.Millisecond, func() { c.Repair(id) })
 			}
 			k.Run(k.Now() + sim.Time(sim.Duration(rng.Intn(3000))*sim.Microsecond))
+			for _, m := range c.Machines() {
+				if n, walk := rt.NumActorsOn(m.ID), len(rt.ActorsOn(m.ID)); n != walk {
+					t.Fatalf("seed %d step %d: NumActorsOn(%d) = %d, a walk finds %d", seed, step, m.ID, n, walk)
+				}
+			}
 		}
 		k.RunUntilIdle()
 		for id, n := range answered {

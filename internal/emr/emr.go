@@ -514,11 +514,13 @@ func (m *Manager) tick() {
 	}
 	// Pins first so planners see them.
 	inter := epl.EvaluateObserved(m.Pol, snap, false, true, m.obs(m.trTick, tickIdx, "lem"))
-	// Refresh the pin flags planners read. The snapshot copied every actor's
+	// Refresh the pin flags planners read. The snapshot showed every actor's
 	// flag an instant ago, and nothing between there and here pins or unpins
 	// (Reset, the reservation and drain sweeps, and OnTick, whose users —
 	// experiments' scenario probes and the emr tests — only read or fail
 	// machines and LEMs), so only the actors just pinned can be out of date.
+	// This is the one write the profiler's rows allow: it stores the
+	// runtime's own flag, and Pin has marked the row for the next Snapshot.
 	for _, pi := range inter.Pin {
 		m.RT.Pin(pi.Actor)
 		if ai := snap.Actor(pi.Actor); ai != nil {

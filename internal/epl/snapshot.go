@@ -122,7 +122,7 @@ type Snapshot struct {
 	byType   map[string][]*ActorInfo
 	byServer []*ServerInfo
 
-	// gen names the actor set of the last Index(); views copy it.
+	// gen names the contents of the last indexing; views copy it.
 	gen uint64
 }
 
@@ -131,17 +131,24 @@ type Snapshot struct {
 // snapshot at the same address can pass for an earlier one.
 var generations atomic.Uint64
 
-// Gen identifies the actor set the snapshot was last indexed over; every
-// WithServers view of it reports the same value, and every Index() call
-// draws a new one. Zero means never indexed. Whatever is derived from
-// Actors alone (the planner's per-server buckets and affinity graph) may be
-// cached under it and shared by all of a period's views.
+// Gen identifies what the snapshot held when it was last indexed; every
+// WithServers view of it reports the same value, and every Index() or
+// IndexServers() call draws a new one. Zero means never indexed. Whatever is
+// derived from Actors alone (the planner's per-server buckets and affinity
+// graph) may be cached under it and shared by all of a period's views.
 func (s *Snapshot) Gen() uint64 { return s.gen }
+
+// IndexServers is Index for a snapshot whose Actors list, ids and types are
+// as last indexed: it keeps the actor indexes and re-indexes the servers.
+func (s *Snapshot) IndexServers() *Snapshot {
+	s.gen = generations.Add(1)
+	s.byServer = indexServers(s.byServer[:0], s.Servers)
+	return s
+}
 
 // Index builds lookup indexes; call after populating Actors/Servers. On a
 // reused Snapshot the previous indexes are cleared and refilled in place.
 func (s *Snapshot) Index() *Snapshot {
-	s.gen = generations.Add(1)
 	var maxID actor.ID
 	for _, a := range s.Actors {
 		if a.Ref.ID > maxID {
@@ -165,8 +172,7 @@ func (s *Snapshot) Index() *Snapshot {
 		s.byID[a.Ref.ID] = a
 		s.byType[a.Type] = append(s.byType[a.Type], a)
 	}
-	s.byServer = indexServers(s.byServer[:0], s.Servers)
-	return s
+	return s.IndexServers()
 }
 
 // indexServers fills idx (reusing its capacity) so that idx[id] is the

@@ -81,6 +81,72 @@ func BenchmarkSnapshotSteady(b *testing.B) {
 	}
 }
 
+// sparseFleet spawns n idle Workers over four servers and returns the
+// profiler and one elasticity period of the sparse shape: Reset, a hundredth
+// of the fleet (a different hundredth each period) messaged by a client and
+// charged CPU, and the clock moved on half a second. A hundred periods have
+// run, so every callee has held a key once and steady periods allocate
+// nothing in the hooks.
+func sparseFleet(tb testing.TB, n int) (p *Profiler, period func()) {
+	tb.Helper()
+	k := sim.New(1)
+	c := cluster.New(k, 4, cluster.M1Small)
+	rt := actor.NewRuntime(k, c)
+	p = New(k, c, rt)
+	refs := make([]actor.Ref, n)
+	for i := range refs {
+		refs[i] = rt.SpawnOn("Worker", actor.BehaviorFunc(func(*actor.Context, actor.Message) {}), cluster.MachineID(i%4))
+	}
+	next := 0
+	period = func() {
+		p.Reset()
+		for i := next % 100; i < n; i += 100 {
+			srv := cluster.MachineID(i % 4)
+			p.OnMessage(srv, actor.ClientCaller, actor.Ref{}, refs[i], "Worker", "tick", 64)
+			p.OnCPU(srv, refs[i], "Worker", sim.Millisecond)
+		}
+		next++
+		k.Run(k.Now() + sim.Time(500*sim.Millisecond))
+	}
+	for i := 0; i < 100; i++ {
+		period()
+		p.Snapshot(nil)
+	}
+	return p, period
+}
+
+// BenchmarkSnapshotSparse is a fleet_control-sized fleet, 131,072 actors,
+// with 1% messaged each period, so a Snapshot refreshes that 1% and the 1%
+// carried from the period before, not the fleet. Ceiling: one allocation
+// per up server, plus one under -race (TestSparseSnapshotAllocCeiling).
+func BenchmarkSnapshotSparse(b *testing.B) {
+	p, period := sparseFleet(b, 131_072)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		period()
+		b.StartTimer()
+		if len(p.Snapshot(nil).Actors) != 131_072 {
+			b.Fatal("snapshot lost actors")
+		}
+	}
+}
+
+// A sparse steady period costs what a steady one does: the hooks allocate
+// nothing and Snapshot its ServerInfos, though a different 1% of the fleet
+// is messaged every period and the carried 1% falls back to zero.
+func TestSparseSnapshotAllocCeiling(t *testing.T) {
+	p, period := sparseFleet(t, 16_384)
+	if got := testing.AllocsPerRun(5, period); got != 0 {
+		t.Errorf("sparse period's Reset and hooks: %.0f allocs, want 0", got)
+	}
+	ceiling := float64(len(p.c.UpMachines()) + 1)
+	if got := testing.AllocsPerRun(5, func() { period(); p.Snapshot(nil) }); got > ceiling {
+		t.Errorf("sparse Snapshot: %.0f allocs, ceiling %.0f", got, ceiling)
+	}
+}
+
 // The allocation ceilings of the EPR's hot paths. Steady state means the
 // window's keys were all seen before: the hooks then only bump counters, and
 // Snapshot finds every table sorted and every row in place — it allocates its

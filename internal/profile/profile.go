@@ -12,8 +12,10 @@
 // their keys from one window to the next, the window reset visits only the
 // callees whose tables hold keys, kept as a bitmap over actor ids (a fleet
 // where few actors are called pays for those few, not for every actor id),
-// and each actor keeps one ActorInfo row, with its own Props map, that every
-// Snapshot overwrites in place instead of allocating one per actor per period.
+// and each actor keeps one ActorInfo row, with its own Props map, that
+// Snapshot refreshes in place only when it can have changed: the actor had
+// usage, or the runtime's change set names it (spawned, stopped, moved, or
+// given properties, memory or a pin).
 package profile
 
 import (
@@ -54,6 +56,7 @@ type calleeCalls struct {
 	// empty slot, j+1 stands for recs[j]. Nil while len(recs) <= promoteAt,
 	// otherwise a power of two of at least 2*len(recs) slots.
 	idx      []int32
+	live     int32 // records with count > 0: the window's keys
 	unsorted bool
 }
 
@@ -125,9 +128,12 @@ func (cc *calleeCalls) buildIdx(names []string) {
 //
 // Lifetime contract: the *epl.Snapshot returned by Snapshot, its ActorInfos
 // and their Calls and Props are valid until the next call to Snapshot, which
-// overwrites them in place. Callers take one snapshot per elasticity period
-// and finish with it inside the period. Its ServerInfos are allocated afresh
-// each call, so they may be kept.
+// refreshes them in place. Callers take one snapshot per elasticity period
+// and finish with it inside the period. The rows are read-only: one the next
+// call does not refresh keeps what it holds, a caller's write included. The
+// one write allowed is the EMR tick's Pinned patch, which stores the
+// runtime's own flag for an actor Pin has just marked. The ServerInfos are
+// allocated afresh each call, so they may be kept.
 type Profiler struct {
 	k  *sim.Kernel
 	c  *cluster.Cluster
@@ -135,9 +141,9 @@ type Profiler struct {
 
 	windowStart sim.Time
 
-	// Dense per-actor state, indexed by actor id. The three slices are grown
-	// in lockstep, at spawn time via OnSpawn; Reset zeroes the counters in
-	// place.
+	// Dense per-actor state, indexed by actor id. These slices and the
+	// bitmaps below grow in lockstep (ensure), at spawn time via OnSpawn;
+	// Reset zeroes the counters in place.
 	actorCPU []sim.Duration
 	actorNet []int64
 	calls    []calleeCalls
@@ -148,19 +154,26 @@ type Profiler struct {
 	// fleet_control 5 MB of allocation; the bitmap is 16 KB.)
 	held []uint64
 
+	// The rows the next Snapshot refreshes: marks holds the usage marks,
+	// set by OnMessage (on the callee), OnCPU and OnNet, and the rows whose
+	// actors had usage when last refreshed; meta takes the runtime's change
+	// set, whose rows get their metadata refreshed too.
+	marks, meta []uint64
+
 	// names interns the actor type and method names callRecs refer to.
 	names []string
 
 	callRecs int   // records held across all call tables, live or quiet
 	messages int64 // total messages observed (all time), for overhead tests
 
-	// What Snapshot hands out, overwritten by each call: one row per actor id
-	// (a row the last walk did not visit holds nothing), the snapshot listing
-	// the visited rows, and the buffer their Calls slice.
+	// What Snapshot hands out, refreshed in place by each call: one row per
+	// actor id (a row of an id with no live actor holds nothing), the
+	// snapshot listing the live rows, and the buffer their Calls slice.
 	rows    []epl.ActorInfo
 	snap    epl.Snapshot
 	callBuf []epl.CallStat
-	scope   []bool // reused scratch for Snapshot scoping, indexed by MachineID
+	// The scope sets of this call and the last, indexed by MachineID.
+	scope, lastScope []bool
 }
 
 // New creates a profiler and attaches it to the runtime.
@@ -174,27 +187,31 @@ func New(k *sim.Kernel, c *cluster.Cluster, rt *actor.Runtime) *Profiler {
 // the per-message hooks find them sized.
 func (p *Profiler) OnSpawn(srv cluster.MachineID, a actor.Ref) { p.ensure(a.ID) }
 
-// ensure grows the dense per-actor slices to cover id.
+// ensure grows the dense per-actor slices to cover id, in whole bitmap
+// words, so that the bitmaps and the slices cover the same ids.
 func (p *Profiler) ensure(id actor.ID) {
 	n := int(id) + 1
 	if n <= len(p.actorCPU) {
 		return
 	}
-	if n < 2*len(p.actorCPU) {
-		n = 2 * len(p.actorCPU)
+	n = (max(n, 2*len(p.actorCPU)) + 63) &^ 63
+	p.actorCPU = grow(p.actorCPU, n)
+	p.actorNet = grow(p.actorNet, n)
+	p.calls = grow(p.calls, n)
+	p.held = grow(p.held, n/64)
+	p.marks = grow(p.marks, n/64)
+	p.meta = grow(p.meta, n/64)
+}
+
+// grow returns s extended with zeros to length n, in an array of exactly
+// that size (append rounds up); a longer s is returned as is.
+func grow[T any](s []T, n int) []T {
+	if len(s) >= n {
+		return s
 	}
-	cpu := make([]sim.Duration, n)
-	copy(cpu, p.actorCPU)
-	p.actorCPU = cpu
-	net := make([]int64, n)
-	copy(net, p.actorNet)
-	p.actorNet = net
-	calls := make([]calleeCalls, n)
-	copy(calls, p.calls)
-	p.calls = calls
-	held := make([]uint64, (n+63)/64)
-	copy(held, p.held)
-	p.held = held
+	t := make([]T, n)
+	copy(t, s)
+	return t
 }
 
 // intern returns the name table's id for s, adding s on first sight. The
@@ -229,9 +246,13 @@ func (p *Profiler) OnMessage(srv cluster.MachineID, callerType string, caller ac
 			cc.buildIdx(p.names)
 		}
 	}
+	if cc.recs[i].count == 0 {
+		cc.live++
+	}
 	cc.recs[i].count++
 	cc.recs[i].bytes += size
 	p.actorNet[callee.ID] += size
+	p.marks[callee.ID/64] |= 1 << (callee.ID % 64)
 	p.messages++
 }
 
@@ -239,12 +260,14 @@ func (p *Profiler) OnMessage(srv cluster.MachineID, callerType string, caller ac
 func (p *Profiler) OnCPU(srv cluster.MachineID, a actor.Ref, typ string, cost sim.Duration) {
 	p.ensure(a.ID)
 	p.actorCPU[a.ID] += cost
+	p.marks[a.ID/64] |= 1 << (a.ID % 64)
 }
 
 // OnNet implements actor.ProfilerHook.
 func (p *Profiler) OnNet(srv cluster.MachineID, a actor.Ref, typ string, size int64) {
 	p.ensure(a.ID)
 	p.actorNet[a.ID] += size
+	p.marks[a.ID/64] |= 1 << (a.ID % 64)
 }
 
 // Messages reports the total number of profiled messages.
@@ -278,16 +301,17 @@ func (p *Profiler) Reset() {
 // from the held set when eviction empties it.
 func (p *Profiler) resetCalls(id int) {
 	cc := &p.calls[id]
-	live := 0
-	for j := range cc.recs {
-		if cc.recs[j].count > 0 {
-			live++
-		}
-	}
+	live := int(cc.live)
+	cc.live = 0
 	if len(cc.recs) > 2*live {
 		p.callRecs -= len(cc.recs) - live
-		// DeleteFunc keeps the order, so a sorted table stays sorted.
-		cc.recs = slices.DeleteFunc(cc.recs, func(r callRec) bool { return r.count == 0 })
+		// DeleteFunc keeps the order, so a sorted table stays sorted. A table
+		// quiet all window is emptied without reading its records.
+		if live == 0 {
+			cc.recs = cc.recs[:0]
+		} else {
+			cc.recs = slices.DeleteFunc(cc.recs, func(r callRec) bool { return r.count == 0 })
+		}
 		cc.buildIdx(p.names)
 	}
 	for j := range cc.recs {
@@ -302,21 +326,20 @@ func (p *Profiler) resetCalls(id int) {
 // means all up servers). Actor metadata (type, placement, properties, pins)
 // is included for every live actor so reference conditions resolve across
 // servers; usage statistics are attributed per actor from this window.
+//
+// Only marked rows are refreshed; the first call, and a call whose scope set
+// differs from the last one's, marks every row. The actor list and its
+// indexes are rebuilt only when a refreshed row was born or died, or the
+// rows grew.
 func (p *Profiler) Snapshot(scope []cluster.MachineID) *epl.Snapshot {
 	window := p.Window()
 	snap := &p.snap
-	// The walk below is in id order, so the rows it skips are the dead ones:
-	// the gaps between visited ids and, up to the last walk's highest id,
-	// the tail.
-	end := 0
-	if n := len(snap.Actors); n > 0 {
-		end = int(snap.Actors[n-1].Ref.ID) + 1
-	}
 	snap.At = p.k.Now()
 	snap.Window = window
 
 	// Scope set: the servers whose actors get usage statistics attributed.
 	// A MachineID is its machine's index in Machines().
+	p.scope, p.lastScope = p.lastScope, p.scope
 	p.scope = append(p.scope[:0], make([]bool, len(p.c.Machines()))...)
 	if scope == nil {
 		for _, m := range p.c.Machines() {
@@ -350,92 +373,124 @@ func (p *Profiler) Snapshot(scope []cluster.MachineID) *epl.Snapshot {
 		})
 	}
 
-	snap.Actors = slices.Grow(snap.Actors[:0], p.rt.NumActors())
+	// The metadata marks cover every id the runtime issued; the
+	// accumulators, the usage marks and the rows cover the metadata marks.
+	p.meta = p.rt.TakeChanged(p.meta)
+	if n := 64 * len(p.meta); n > len(p.actorCPU) {
+		p.ensure(actor.ID(n - 1))
+	}
+	reindex := len(p.rows) < len(p.actorCPU)
+	p.rows = grow(p.rows, len(p.actorCPU))
+	if !slices.Equal(p.scope, p.lastScope) {
+		for w := range p.meta {
+			p.meta[w] = ^uint64(0)
+		}
+	}
+
 	if cap(p.callBuf) < p.callRecs {
 		p.callBuf = make([]epl.CallStat, 0, p.callRecs+p.callRecs/4+16)
 	}
 	p.callBuf = p.callBuf[:0]
-
-	next := 0 // one past the last visited id
-	p.rt.ForEachActor(func(info actor.Info) {
-		m := p.c.Machine(info.Server)
-		if m == nil {
-			return
-		}
-		id := int(info.Ref.ID)
-		ai := p.row(id)
-		clear(p.rows[next:id])
-		next = id + 1
-		// Overwrite the whole row, so nothing of last period survives but the
-		// Props map, which is cleared and refilled.
-		props := ai.Props
-		*ai = epl.ActorInfo{
-			Ref:       info.Ref,
-			Type:      info.Type,
-			Server:    info.Server,
-			MemBytes:  info.MemBytes,
-			Pinned:    info.Pinned,
-			LastMoved: info.LastMoved,
-		}
-		if len(info.Props) > 0 {
-			if props == nil {
-				props = make(map[string][]actor.Ref, len(info.Props))
+	for w, meta := range p.meta {
+		word := meta | p.marks[w]
+		p.meta[w], p.marks[w] = 0, 0
+		for ; word != 0; word &= word - 1 {
+			bit := word & -word
+			id := w*64 + bits.TrailingZeros64(word)
+			ai := &p.rows[id]
+			if listed := ai.Ref.ID != 0; meta&bit != 0 && p.refreshMeta(ai, id) != listed {
+				reindex = true // born or died
 			}
-			clear(props)
-			maps.Copy(props, info.Props)
-			ai.Props = props
-		}
-		if m.Type.MemMB > 0 {
-			ai.MemPerc = float64(ai.MemBytes) / float64(m.Type.MemMB*1024*1024) * 100
-		}
-		if p.scope[info.Server] && window > 0 {
-			cpu, net := p.actorCPU[id], p.actorNet[id]
-			ai.CPUTime = cpu
-			ai.CPUPerc = float64(cpu) / (float64(window) * float64(m.Type.VCPUs)) * 100
-			ai.NetBytes = net
-			ai.NetPerc = float64(net) * 8 / 1e6 / window.Seconds() / m.Type.NetMbps * 100
-		}
-		// Call stats: the callee's table is kept in (method, callerType,
-		// caller) order, re-sorted only when a key was added since the last
-		// sort; its live records are copied into callBuf as CallStats, so the
-		// snapshot does not alias accumulation state and never shows a key
-		// nobody used this window.
-		if cc := &p.calls[id]; len(cc.recs) > 0 {
-			if cc.unsorted {
-				p.sortCalls(cc.recs)
-				cc.buildIdx(p.names) // sorting invalidated the indices
-				cc.unsorted = false
+			if ai.Ref.ID == 0 {
+				continue // no live actor: nothing to show
 			}
-			start := len(p.callBuf)
-			for _, r := range cc.recs {
-				if r.count > 0 {
-					p.callBuf = append(p.callBuf, epl.CallStat{CallerType: p.names[r.ctype], Caller: actor.Ref{ID: r.caller},
-						Method: p.names[r.method], Count: r.count, Bytes: r.bytes})
-				}
-			}
-			if n := len(p.callBuf); n > start {
-				ai.Calls = p.callBuf[start:n:n]
+			p.refreshUsage(ai, window)
+			// Usage is carried: the next call refreshes the row again, to
+			// show the window then, or its zeroing by Reset.
+			if p.actorCPU[id] != 0 || p.actorNet[id] != 0 || ai.Calls != nil {
+				p.marks[w] |= bit
 			}
 		}
-		snap.Actors = append(snap.Actors, ai)
-	})
-	if next < end {
-		clear(p.rows[next:end])
+	}
+	if !reindex {
+		return snap.IndexServers()
+	}
+	snap.Actors = slices.Grow(snap.Actors[:0], p.rt.NumActors())
+	for id := range p.rows {
+		if p.rows[id].Ref.ID != 0 {
+			snap.Actors = append(snap.Actors, &p.rows[id])
+		}
 	}
 	return snap.Index()
 }
 
-// row returns actor id's row. When the table is short it is sized from the
-// accumulators, which cover every spawn the profiler was told of (ensure
-// grows them for one it was not).
-func (p *Profiler) row(id int) *epl.ActorInfo {
-	if id >= len(p.rows) {
-		p.ensure(actor.ID(id))
-		rows := make([]epl.ActorInfo, len(p.actorCPU))
-		copy(rows, p.rows)
-		p.rows = rows
+// refreshMeta rewrites the whole row from the runtime's metadata, usage
+// zeroed, and reports whether the actor is alive. A dead actor's row is
+// zeroed; a live one keeps its Props map, cleared and refilled.
+func (p *Profiler) refreshMeta(ai *epl.ActorInfo, id int) bool {
+	info, ok := p.rt.Lookup(actor.Ref{ID: actor.ID(id)})
+	m := p.c.Machine(info.Server)
+	if !ok || m == nil {
+		if ai.Ref.ID != 0 { // an unused row is left untouched, its page unwritten
+			*ai = epl.ActorInfo{}
+		}
+		return false
 	}
-	return &p.rows[id]
+	props := ai.Props
+	*ai = epl.ActorInfo{
+		Ref:       info.Ref,
+		Type:      info.Type,
+		Server:    info.Server,
+		MemBytes:  info.MemBytes,
+		Pinned:    info.Pinned,
+		LastMoved: info.LastMoved,
+	}
+	if len(info.Props) > 0 {
+		if props == nil {
+			props = make(map[string][]actor.Ref, len(info.Props))
+		}
+		clear(props)
+		maps.Copy(props, info.Props)
+		ai.Props = props
+	}
+	if m.Type.MemMB > 0 {
+		ai.MemPerc = float64(ai.MemBytes) / float64(m.Type.MemMB*1024*1024) * 100
+	}
+	return true
+}
+
+// refreshUsage rewrites a live row's usage fields from this window.
+func (p *Profiler) refreshUsage(ai *epl.ActorInfo, window sim.Duration) {
+	id := ai.Ref.ID
+	ai.CPUTime, ai.CPUPerc, ai.NetBytes, ai.NetPerc, ai.Calls = 0, 0, 0, 0, nil
+	if m := p.c.Machine(ai.Server); p.scope[ai.Server] && window > 0 {
+		cpu, net := p.actorCPU[id], p.actorNet[id]
+		ai.CPUTime = cpu
+		ai.CPUPerc = float64(cpu) / (float64(window) * float64(m.Type.VCPUs)) * 100
+		ai.NetBytes = net
+		ai.NetPerc = float64(net) * 8 / 1e6 / window.Seconds() / m.Type.NetMbps * 100
+	}
+	// Call stats: the callee's table is kept in (method, callerType, caller)
+	// order, re-sorted only when a key was added since the last sort; its
+	// live records are copied into callBuf as CallStats, so the snapshot does
+	// not alias accumulation state and never shows a key nobody used this
+	// window. A row not refreshed shows no calls, so callBuf starts empty.
+	if cc := &p.calls[id]; cc.live > 0 {
+		if cc.unsorted {
+			p.sortCalls(cc.recs)
+			cc.buildIdx(p.names) // sorting invalidated the indices
+			cc.unsorted = false
+		}
+		start := len(p.callBuf)
+		for _, r := range cc.recs {
+			if r.count > 0 {
+				p.callBuf = append(p.callBuf, epl.CallStat{CallerType: p.names[r.ctype], Caller: actor.Ref{ID: r.caller},
+					Method: p.names[r.method], Count: r.count, Bytes: r.bytes})
+			}
+		}
+		n := len(p.callBuf)
+		ai.Calls = p.callBuf[start:n:n]
+	}
 }
 
 func (p *Profiler) sortCalls(recs []callRec) {

@@ -9,13 +9,19 @@ import (
 	"plasma/internal/sim"
 )
 
-// The stale-row differential: Snapshot overwrites one row per actor in place,
-// so a field it forgets to refresh shows last period's value. Eight periods
-// change the profile's shape — call lists grow and shrink, callees go quiet,
-// actors migrate, die and are born, properties are rewritten — and a ninth
-// crashes a server whose residents were busy, so their CPU and net fields
-// must fall to zero. Between periods the test scribbles on every handed-out
-// row, as the EMR's tick does on Pinned, and every period's snapshot must
+// The stale-row differential: Snapshot refreshes a row only when something
+// marked it, so a change that fails to mark one shows last period's value.
+// Ten periods change the profile's shape — call lists grow and shrink,
+// callees go quiet, handlers rewrite their properties and memory, actors
+// migrate, die and are born, properties are rewritten, actors are pinned
+// and unpinned — and every one of those metadata changes also lands on
+// actors that hear nothing for many windows, so only the runtime's change
+// set can bring their rows up to date. Period 9 crashes a server whose
+// residents were busy, so their CPU and net fields must fall to zero;
+// period 10 crashes, recovers and repairs another inside one window, so the
+// scope does not change and only the re-homed actors' marks refresh them.
+// Between periods the test makes the one write the Profiler contract
+// allows, the EMR tick's Pinned patch, and every period's snapshot must
 // still equal the naive from-scratch build field for field.
 func TestSnapshotRowsMatchNaiveAcrossPeriods(t *testing.T) {
 	k := sim.New(7)
@@ -25,44 +31,68 @@ func TestSnapshotRowsMatchNaiveAcrossPeriods(t *testing.T) {
 	h := &logHook{Profiler: New(k, c, rt)}
 	rt.SetProfiler(h)
 
-	var refs []actor.Ref
+	var refs, quiet []actor.Ref
 	// A chatter burns CPU and forwards to fanout peers picked by the
-	// period, so every window has different (caller, method) pairs.
-	fanout := 1
+	// period, so every window has different (caller, method) pairs, and
+	// rewrites its own properties and memory as it goes.
+	fanout, period := 1, 0
 	chatter := actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
 		ctx.Use(2 * sim.Millisecond)
 		if msg.Method == "fan" {
 			for i := 0; i < fanout; i++ {
 				ctx.Send(refs[(int(ctx.Self().ID)+i)%len(refs)], fmt.Sprintf("m%d", i), nil, 64)
 			}
+			switch (int(ctx.Self().ID) + period) % 5 {
+			case 0:
+				ctx.SetProp("next", []actor.Ref{refs[period%len(refs)]})
+			case 1:
+				ctx.AddPropRef("seen", quiet[period%len(quiet)])
+			case 2:
+				ctx.SetMemSize(int64(period) << 20)
+			}
 		}
 	})
 	for i := 0; i < 12; i++ {
 		refs = append(refs, rt.SpawnOn("Worker", chatter, cluster.MachineID(i%2)))
 	}
+	// Quiet actors never hear a message: only marks refresh their rows.
+	for i := 0; i < 16; i++ {
+		quiet = append(quiet, rt.SpawnOn("Quiet", chatter, cluster.MachineID(i%4)))
+	}
 	cl := actor.NewClient(rt, 3)
 
-	calls, props, busyOn0 := 0, 0, 0
-	for period := 1; period <= 9; period++ {
+	calls, props, busyOn0, pinned, recovered := 0, 0, 0, 0, 0
+	for period = 1; period <= 10; period++ {
 		fanout = 1 + period%4
 		for i, r := range refs {
 			if rt.Exists(r) && (i+period)%3 != 0 {
 				cl.Send(r, "fan", nil, 128)
 			}
 		}
+		q := quiet[period]
 		switch {
 		case period == 9:
 			c.Fail(0)
+		case period == 10:
+			c.Fail(1)
+			recovered = rt.RecoverMachine(1)
+			c.Repair(1)
 		case period%4 == 0:
 			rt.Stop(refs[period])
+			rt.Stop(q)
 		case period%4 == 1:
 			rt.Migrate(refs[period], cluster.MachineID(2+period%2), nil)
+			rt.Migrate(q, cluster.MachineID((int(rt.ServerOf(q))+1)%4), nil)
 		case period%4 == 2:
 			rt.SetProp(refs[period], "peer", []actor.Ref{refs[0], refs[period+1]})
+			rt.SetProp(q, "peer", []actor.Ref{refs[0]})
 		case period%4 == 3:
 			refs = append(refs, rt.SpawnOn("Late", chatter, 3))
 			rt.SetProp(refs[period-1], "peer", nil)
+			rt.SpawnOn("Quiet", chatter, 2)
+			rt.SetProp(quiet[period-1], "peer", nil)
 		}
+		rt.Unpin(quiet[period+1]) // pinned two periods ago
 		k.Run(sim.Time(period) * sim.Time(sim.Second))
 
 		snap := h.Snapshot(nil)
@@ -73,17 +103,22 @@ func TestSnapshotRowsMatchNaiveAcrossPeriods(t *testing.T) {
 			if period == 8 && a.Server == 0 && a.CPUPerc > 0 {
 				busyOn0++
 			}
-			a.Pinned = !a.Pinned
-			a.CPUPerc, a.NetBytes, a.LastMoved = -1, -1, -1
-			if a.Props != nil {
-				a.Props["stale"] = nil
+		}
+		// The Pinned patch: the runtime's own flag, for an actor Pin has
+		// just marked.
+		for _, r := range []actor.Ref{quiet[period+3], refs[period%len(refs)]} {
+			rt.Pin(r)
+			if a := snap.Actor(r); a != nil {
+				a.Pinned = rt.Pinned(r)
+				pinned++
 			}
 		}
 		h.Reset()
 		h.log = h.log[:0]
 	}
-	if calls == 0 || props == 0 || busyOn0 == 0 {
-		t.Fatalf("the scenario is vacuous: %d call stats, %d properties, %d busy residents of the crashed server", calls, props, busyOn0)
+	if calls == 0 || props == 0 || busyOn0 == 0 || pinned == 0 || recovered == 0 || rt.Migrations() < 4 {
+		t.Fatalf("the scenario is vacuous: %d call stats, %d properties, %d busy residents of the crashed server, %d pins patched, %d recovered, %d migrations",
+			calls, props, busyOn0, pinned, recovered, rt.Migrations())
 	}
 }
 
