@@ -163,10 +163,11 @@ sweep-snapshot:
 # the net non-test line delta every PR reports (ROADMAP aim 2) — and beside
 # it the share held by internal/experiments, the largest package, by
 # internal/emr, the control plane, by internal/profile and internal/actor,
-# the EPR and the runtime under it, by internal/sim, the kernel, and by
-# internal/epl, internal/lint and internal/core, the policy front end.
+# the EPR and the runtime under it, by internal/sim, the kernel, by
+# internal/epl, internal/lint and internal/core, the policy front end, and by
+# internal/baseline, the comparison managers.
 GO_NONTEST = -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*'
-LOC_PKGS = internal/experiments internal/emr internal/profile internal/actor internal/sim internal/epl internal/lint internal/core
+LOC_PKGS = internal/experiments internal/emr internal/profile internal/actor internal/sim internal/epl internal/lint internal/core internal/baseline
 loc:
 	@echo "module $$(find . $(GO_NONTEST) | xargs cat | wc -l) $$(for d in $(LOC_PKGS); do printf ' %s %s' $$d $$(find ./$$d $(GO_NONTEST) | xargs cat | wc -l); done)"
 

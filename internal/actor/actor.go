@@ -254,16 +254,20 @@ func (rt *Runtime) onMachineFail(id cluster.MachineID) {
 	}
 	// Queued (not yet begun) migrations toward the dead machine fail fast so
 	// the initiating LEM can replan instead of waiting forever.
-	for _, ref := range rt.Actors() {
-		inst := rt.inst(ref.ID)
-		if inst.pendingDst == id && !inst.migrating {
-			fn := inst.pendingFn
-			inst.pendingDst = -1
-			inst.pendingFn = nil
-			if fn != nil {
-				fn(false)
-			}
+	for _, inst := range rt.actors {
+		if inst != nil && inst.pendingDst == id && !inst.migrating {
+			inst.failPending()
 		}
+	}
+}
+
+// failPending withdraws the actor's requested, not yet begun migration and
+// tells its initiator, if it left a callback, that the move failed.
+func (inst *instance) failPending() {
+	fn := inst.pendingFn
+	inst.pendingDst, inst.pendingFn, inst.pendingTr = -1, nil, 0
+	if fn != nil {
+		fn(false)
 	}
 }
 
@@ -384,25 +388,14 @@ func (rt *Runtime) RecoverMachine(srv cluster.MachineID) int {
 		if mig := rt.inflight[inst.id]; mig != nil {
 			// The machine's crash hook normally aborts these; clean up here
 			// too so recovery is safe even if invoked on its own.
-			delete(rt.inflight, inst.id)
-			rt.failedMigs++
-			rt.tr.Emit(trace.Record{Kind: trace.KindRollback, Parent: mig.traceID,
-				Server: int32(mig.src), Target: int32(mig.dst), Actor: uint64(inst.id), Rule: -1, Detail: "src-recovered"})
-			if mig.onDone != nil {
-				mig.onDone(false)
-			}
+			rt.abortMigration(mig, false, "src-recovered")
 		}
 		dst := up[rt.K.Rand().Intn(len(up))]
 		rt.move(inst, dst.ID)
 		inst.busy = false // in-flight processing died with the machine
 		inst.migrating = false
 		inst.migEpoch++ // strand any step of a migration begun before the crash
-		fn := inst.pendingFn
-		inst.pendingDst = -1
-		inst.pendingFn = nil
-		if fn != nil {
-			fn(false)
-		}
+		inst.failPending()
 		dst.AddMem(inst.memSize)
 		n++
 		rt.pump(inst)
@@ -419,20 +412,9 @@ func (rt *Runtime) Stop(ref Ref) {
 	}
 	inst.dead = true
 	if mig := rt.inflight[inst.id]; mig != nil {
-		delete(rt.inflight, inst.id)
-		inst.migEpoch++
-		rt.failedMigs++
-		rt.tr.Emit(trace.Record{Kind: trace.KindRollback, Parent: mig.traceID,
-			Server: int32(mig.src), Target: int32(mig.dst), Actor: uint64(inst.id), Rule: -1, Detail: "actor-stopped"})
-		if mig.onDone != nil {
-			mig.onDone(false)
-		}
+		rt.abortMigration(mig, false, "actor-stopped")
 	}
-	if fn := inst.pendingFn; fn != nil {
-		inst.pendingDst = -1
-		inst.pendingFn = nil
-		fn(false)
-	}
+	inst.failPending()
 	rt.C.Machine(inst.srv).AddMem(-inst.memSize)
 	rt.actors[ref.ID] = nil
 	rt.live--
@@ -839,20 +821,13 @@ func (rt *Runtime) MigrateTraced(ref Ref, dst cluster.MachineID, parent uint64, 
 // never a permanently stuck `migrating` flag. Each step runs directly in
 // the Exec completion of the one before it.
 func (rt *Runtime) beginMigration(inst *instance) {
-	dst := inst.pendingDst
-	onDone := inst.pendingFn
-	parent := inst.pendingTr
-	inst.pendingDst = -1
-	inst.pendingFn = nil
-	inst.pendingTr = 0
-	dstM := rt.C.Machine(dst)
-	if dstM == nil || !dstM.Up() || inst.dead {
-		if onDone != nil {
-			onDone(false)
-		}
+	dst, onDone, parent := inst.pendingDst, inst.pendingFn, inst.pendingTr
+	if dstM := rt.C.Machine(dst); dstM == nil || !dstM.Up() || inst.dead {
+		inst.failPending()
 		rt.pump(inst)
 		return
 	}
+	inst.pendingDst, inst.pendingFn, inst.pendingTr = -1, nil, 0
 	inst.migrating = true
 	inst.migEpoch++
 	mig := &migration{inst: inst, src: inst.srv, dst: dst, epoch: inst.migEpoch, onDone: onDone}

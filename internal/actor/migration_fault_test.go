@@ -5,6 +5,7 @@ import (
 
 	"plasma/internal/cluster"
 	"plasma/internal/sim"
+	"plasma/internal/trace"
 )
 
 // Migration failure and rollback: a live migration must survive a crash of
@@ -221,5 +222,50 @@ func TestStopDuringMigrationAborts(t *testing.T) {
 	}
 	if rt.FailedMigrations() != 1 {
 		t.Fatalf("FailedMigrations = %d, want 1", rt.FailedMigrations())
+	}
+}
+
+// Stop and a RecoverMachine run on its own end an in-flight migration
+// through the crash hook's abort path, and each leaves its own rollback
+// record: parented to the transfer, source and destination of the move,
+// the actor, and its reason.
+func TestStopAndRecoverRollbackRecords(t *testing.T) {
+	for _, tc := range []struct {
+		reason string
+		end    func(rt *Runtime, ref Ref)
+	}{
+		{"actor-stopped", func(rt *Runtime, ref Ref) { rt.Stop(ref) }},
+		{"src-recovered", func(rt *Runtime, _ Ref) { rt.RecoverMachine(0) }},
+	} {
+		k := sim.New(1)
+		c := cluster.New(k, 2, cluster.M1Small)
+		rt := NewRuntime(k, c)
+		ring := trace.NewRing(16)
+		tr := trace.New(ring)
+		tr.SetClock(k.Now)
+		rt.SetTracer(tr)
+		worked := 0
+		ref := bigActor(t, k, rt, 0, &worked)
+		var outcomes []bool
+		rt.Migrate(ref, 1, func(ok bool) { outcomes = append(outcomes, ok) })
+		k.Run(k.Now() + sim.Time(100*sim.Millisecond)) // mid-transfer
+		tc.end(rt, ref)
+
+		recs := ring.Records()
+		if len(recs) != 2 || recs[0].Kind != trace.KindTransfer {
+			t.Fatalf("%s: records %+v, want a transfer and its rollback", tc.reason, recs)
+		}
+		want := trace.Record{ID: recs[0].ID + 1, Parent: recs[0].ID, At: k.Now(), Kind: trace.KindRollback,
+			Server: 0, Target: 1, Actor: uint64(ref.ID), Rule: -1, Detail: tc.reason}
+		if recs[1] != want {
+			t.Errorf("%s: rollback record %+v, want %+v", tc.reason, recs[1], want)
+		}
+		if len(outcomes) != 1 || outcomes[0] {
+			t.Errorf("%s: initiator outcomes %v, want one failure", tc.reason, outcomes)
+		}
+		if rt.InFlightMigrations() != 0 || rt.FailedMigrations() != 1 || rt.Migrating(ref) {
+			t.Errorf("%s: in flight %d, failed %d, migrating %v; want 0, 1, false",
+				tc.reason, rt.InFlightMigrations(), rt.FailedMigrations(), rt.Migrating(ref))
+		}
 	}
 }

@@ -87,7 +87,7 @@ func (childState) Receive(ctx *actor.Context, msg actor.Message) {
 
 // Build deploys roots×childrenPer partition actors spread evenly (roots
 // round-robin with their children on the same server) over the servers.
-func Build(k *sim.Kernel, rt *actor.Runtime, servers []cluster.MachineID, roots, childrenPer int) *App {
+func Build(rt *actor.Runtime, servers []cluster.MachineID, roots, childrenPer int) *App {
 	app := &App{RT: rt}
 	boot := actor.NewClient(rt, servers[0])
 	for i := 0; i < roots; i++ {
@@ -106,55 +106,37 @@ func Build(k *sim.Kernel, rt *actor.Runtime, servers []cluster.MachineID, roots,
 	return app
 }
 
+// The in-app algorithm's constants: a server is hot above highWater CPU
+// percent, and a period moves the topFrac most-requested roots (k%).
+const (
+	highWater = 80
+	topFrac   = 0.1
+)
+
 // InApp is the AEON E-Store baseline of §5.5: application-specific
 // elasticity logic (the paper's authors added 3000 LoC for it). Every
 // period it checks per-server CPU against a high-water mark and moves the
 // top-k% most-requested root partitions on hot servers — together with
-// their children — to the idlest servers.
+// their children — to the idlest servers. Tick is one period; the caller's
+// period timer runs it.
 type InApp struct {
-	K    *sim.Kernel
 	RT   *actor.Runtime
-	C    *cluster.Cluster
 	Prof *profile.Profiler
 	App  *App
 
-	Period    sim.Duration
-	HighWater float64 // CPU% threshold
-	TopFrac   float64 // fraction of hot roots to move (k%)
-
 	Migrations int
-	running    bool
 }
 
-// Start schedules periodic management.
-func (e *InApp) Start() {
-	if e.running {
-		return
-	}
-	e.running = true
-	if e.TopFrac == 0 {
-		e.TopFrac = 0.1
-	}
-	e.K.Every(e.Period, func() bool {
-		if !e.running {
-			return false
-		}
-		e.tick()
-		return true
-	})
-}
-
-// Stop halts management after the current period.
-func (e *InApp) Stop() { e.running = false }
-
-func (e *InApp) tick() {
+// Tick runs one period of the in-app algorithm and closes the profiling
+// window.
+func (e *InApp) Tick() {
 	snap := e.Prof.Snapshot(nil)
 	e.Prof.Reset()
 	// Hot servers above the high-water mark, idlest first for targets.
 	var hot, cool []*epl.ServerInfo
 	hotIDs := map[cluster.MachineID]bool{}
 	for _, s := range snap.Servers {
-		if s.CPUPerc > e.HighWater {
+		if s.CPUPerc > highWater {
 			hot = append(hot, s)
 			hotIDs[s.ID] = true
 		} else {
@@ -187,7 +169,7 @@ func (e *InApp) tick() {
 		ranked = append(ranked, hotRoot{i, reads})
 	}
 	sort.Slice(ranked, func(i, j int) bool { return ranked[i].count > ranked[j].count })
-	n := int(float64(len(e.App.Roots))*e.TopFrac + 0.999)
+	n := int(float64(len(e.App.Roots))*topFrac + 0.999)
 	next := 0
 	for i := 0; i < n && i < len(ranked); i++ {
 		trg := cool[next%len(cool)]

@@ -23,7 +23,7 @@ func TestReadTraversesRootAndChild(t *testing.T) {
 	k := sim.New(1)
 	c := cluster.New(k, 2, cluster.M1Small)
 	rt := actor.NewRuntime(k, c)
-	app := Build(k, rt, []cluster.MachineID{0}, 2, 3)
+	app := Build(rt, []cluster.MachineID{0}, 2, 3)
 	k.RunUntilIdle()
 	var lat sim.Duration
 	actor.NewClient(rt, 1).Request(app.Roots[0], "read", nil, reqSize, func(l sim.Duration, _ interface{}) { lat = l })
@@ -37,7 +37,7 @@ func TestChildrenStartColocatedWithRoot(t *testing.T) {
 	k := sim.New(1)
 	c := cluster.New(k, 4, cluster.M1Small)
 	rt := actor.NewRuntime(k, c)
-	app := Build(k, rt, []cluster.MachineID{0, 1, 2, 3}, 8, 4)
+	app := Build(rt, []cluster.MachineID{0, 1, 2, 3}, 8, 4)
 	k.RunUntilIdle()
 	for i, root := range app.Roots {
 		srv := rt.ServerOf(root)
@@ -66,18 +66,18 @@ func TestGeometricWeights(t *testing.T) {
 	}
 }
 
+// One period moves the topFrac most-requested roots on servers over
+// highWater, each with its children, and later periods keep every family
+// together.
 func TestInAppMovesHotRootWithChildren(t *testing.T) {
 	k := sim.New(1)
 	c := cluster.New(k, 3, cluster.M1Small)
 	rt := actor.NewRuntime(k, c)
 	prof := profile.New(k, c, rt)
-	app := Build(k, rt, []cluster.MachineID{0, 1}, 4, 2)
+	app := Build(rt, []cluster.MachineID{0, 1}, 20, 2)
 	k.RunUntilIdle()
 
-	mgr := &InApp{K: k, RT: rt, C: c, Prof: prof, App: app, Period: 2 * sim.Second, HighWater: 70, TopFrac: 0.3}
-	mgr.Start()
-
-	pick := workload.SkewedPicker(k, workload.GeometricWeights(4, 0.8))
+	pick := workload.SkewedPicker(k, workload.GeometricWeights(20, 0.8))
 	for i := 0; i < 12; i++ {
 		cl := &workload.ClosedLoop{
 			K: k, Client: actor.NewClient(rt, 2), Think: sim.Millisecond,
@@ -87,13 +87,19 @@ func TestInAppMovesHotRootWithChildren(t *testing.T) {
 		}
 		cl.Start()
 	}
-	k.Run(sim.Time(10 * sim.Second))
-
-	if mgr.Migrations == 0 {
-		t.Fatal("in-app manager never migrated")
+	mgr := &InApp{RT: rt, Prof: prof, App: app}
+	k.Run(sim.Time(2 * sim.Second))
+	mgr.Tick()
+	// topFrac of 20 roots is 2 families of 1 root + 2 children each.
+	if want := int(20*topFrac) * 3; mgr.Migrations != want {
+		t.Fatalf("one hot period made %d migrations, want %d (topFrac of the roots, with children)", mgr.Migrations, want)
+	}
+	for at := 4 * sim.Second; at <= 12*sim.Second; at += 2 * sim.Second {
+		k.Run(sim.Time(at))
+		mgr.Tick()
 	}
 	// Whatever moved, every root must still be colocated with its children.
-	k.Run(sim.Time(12 * sim.Second))
+	k.Run(sim.Time(14 * sim.Second))
 	for i, root := range app.Roots {
 		srv := rt.ServerOf(root)
 		for _, ch := range app.Children[i] {
@@ -109,7 +115,7 @@ func TestPlasmaRulesKeepFamiliesTogether(t *testing.T) {
 	c := cluster.New(k, 3, cluster.M1Small)
 	rt := actor.NewRuntime(k, c)
 	prof := profile.New(k, c, rt)
-	app := Build(k, rt, []cluster.MachineID{0, 1}, 4, 2)
+	app := Build(rt, []cluster.MachineID{0, 1}, 4, 2)
 	k.RunUntilIdle()
 
 	mgr := emr.New(k, c, rt, prof, epl.MustParse(PolicySrc),

@@ -269,22 +269,20 @@ func (app *App) ConvergedTime() sim.Duration {
 // recovers only a few percent.
 type Mizan struct {
 	App *App
-	// MaxFrac caps the fraction of the gap closed per iteration.
-	MaxFrac float64
-	// PausePerVertex is the migration stall per moved vertex.
-	PausePerVertex sim.Duration
 
 	MovedVertices int64
 }
 
+// Mizan's pace: one iteration closes at most mizanMaxFrac of the gap
+// between the slowest and fastest worker, and each moved vertex stalls the
+// next iteration by mizanPausePerVertex.
+const (
+	mizanMaxFrac        = 0.1
+	mizanPausePerVertex = 40 * sim.Microsecond
+)
+
 // Attach hooks the migrator into the app's iteration callback chain.
 func (mz *Mizan) Attach() {
-	if mz.MaxFrac == 0 {
-		mz.MaxFrac = 0.1
-	}
-	if mz.PausePerVertex == 0 {
-		mz.PausePerVertex = 40 * sim.Microsecond
-	}
 	prev := mz.App.OnIteration
 	mz.App.OnIteration = func(iter int, d sim.Duration) {
 		if prev != nil {
@@ -314,7 +312,7 @@ func (mz *Mizan) rebalance() {
 	if gap <= 0 || slow == fast {
 		return
 	}
-	moveEdges := int64(float64(gap) / 2 * mz.MaxFrac)
+	moveEdges := int64(float64(gap) / 2 * mizanMaxFrac)
 	if moveEdges <= 0 {
 		return
 	}
@@ -335,5 +333,5 @@ func (mz *Mizan) rebalance() {
 	app.Vertices[slow] -= moveVerts
 	app.Vertices[fast] += moveVerts
 	mz.MovedVertices += moveVerts
-	app.extraDelay += sim.Duration(moveVerts) * mz.PausePerVertex
+	app.extraDelay += sim.Duration(moveVerts) * mizanPausePerVertex
 }

@@ -153,45 +153,30 @@ func TestMizanEqualizesWorkersButMovesNoActors(t *testing.T) {
 	}
 }
 
+// One rebalance closes mizanMaxFrac of half the slow/fast edge gap, moves
+// vertices in proportion, and stalls the next iteration by
+// mizanPausePerVertex per moved vertex.
 func TestMizanPausesCostTime(t *testing.T) {
-	mkApp := func(withMizan bool) *App {
-		k := sim.New(1)
-		c := cluster.New(k, 1, cluster.M5Large)
-		rt := actor.NewRuntime(k, c)
-		cfg := Config{K: 2, PerEdgeCost: 10 * sim.Microsecond, Iterations: 10}
-		app := Build(k, rt, cfg, []cluster.MachineID{0})
-		app.Vertices = []int64{1000, 100}
-		app.Edges = []int64{8000, 800}
-		if withMizan {
-			mz := &Mizan{App: app, PausePerVertex: sim.Millisecond}
-			mz.Attach()
-		}
-		app.Start(k)
-		k.RunUntilIdle()
-		return app
+	k := sim.New(1)
+	c := cluster.New(k, 1, cluster.M5Large)
+	rt := actor.NewRuntime(k, c)
+	app := Build(k, rt, Config{K: 2, PerEdgeCost: 10 * sim.Microsecond, Iterations: 10}, []cluster.MachineID{0})
+	app.Vertices = []int64{1000, 100}
+	app.Edges = []int64{8000, 800}
+	mz := &Mizan{App: app}
+	mz.rebalance()
+
+	moveEdges := int64(7200 / 2 * mizanMaxFrac) // 360
+	moveVerts := moveEdges / 8                  // the slow worker's average degree
+	if app.Edges[0] != 8000-moveEdges || app.Edges[1] != 800+moveEdges {
+		t.Fatalf("edges %v, want %d moved from the slow worker", app.Edges, moveEdges)
 	}
-	plain := mkApp(false)
-	paused := mkApp(true)
-	var sumPlain, sumPaused sim.Duration
-	for _, d := range plain.IterationTimes {
-		sumPlain += d
+	if mz.MovedVertices != moveVerts || app.Vertices[0]+app.Vertices[1] != 1100 {
+		t.Fatalf("moved %d vertices (now %v), want %d and none lost", mz.MovedVertices, app.Vertices, moveVerts)
 	}
-	for _, d := range paused.IterationTimes {
-		sumPaused += d
+	if want := sim.Duration(moveVerts) * mizanPausePerVertex; app.extraDelay != want {
+		t.Fatalf("pause %v, want %v", app.extraDelay, want)
 	}
-	// Same per-iteration compute on one server, but migrations stall the
-	// start of following iterations — total elapsed (not summed iteration
-	// time) is what grows; just sanity-check vertices moved and nothing
-	// was lost.
-	var v int64
-	for _, x := range paused.Vertices {
-		v += x
-	}
-	if v != 1100 {
-		t.Fatalf("vertices not conserved: %d", v)
-	}
-	_ = sumPlain
-	_ = sumPaused
 }
 
 func TestConvergedTimeEmpty(t *testing.T) {

@@ -2,14 +2,14 @@
 // compares against:
 //
 //   - Orleans-style management (§2.1, §5.4): equalize the number of actors
-//     on each server, with optional colocation of actors that communicate
-//     frequently;
+//     on each server;
 //   - the "default rule" of §5.3 (Fig. 5): migrate actors with heavy
 //     workload to an idle server, without application knowledge;
 //   - the frequency-based colocation "default rule" of §5.7 (Fig. 11a):
 //     co-locate actors that frequently interact with one another.
 //
-// The Mizan-style per-superstep vertex migrator lives with the PageRank
+// Each manager is one per-period step, Tick; the caller's period timer runs
+// it. The Mizan-style per-superstep vertex migrator lives with the PageRank
 // application, since it operates below the actor level.
 package baseline
 
@@ -19,51 +19,28 @@ import (
 	"plasma/internal/actor"
 	"plasma/internal/cluster"
 	"plasma/internal/profile"
-	"plasma/internal/sim"
 )
 
 // Orleans equalizes actor counts across servers each period, mimicking the
-// paper's description of Orleans' elasticity management. When
-// ColocateFrequent is set it additionally migrates each period's most
-// chatty cross-server actor pair onto one server.
+// paper's description of Orleans' elasticity management.
 type Orleans struct {
-	K    *sim.Kernel
 	RT   *actor.Runtime
 	C    *cluster.Cluster
 	Prof *profile.Profiler
 
-	Period           sim.Duration
-	ColocateFrequent bool
 	// Types restricts balancing to the listed actor types (nil = all).
 	Types map[string]bool
 
 	Migrations int
-	running    bool
 }
-
-// Start schedules periodic management.
-func (o *Orleans) Start() {
-	if o.running {
-		return
-	}
-	o.running = true
-	o.K.Every(o.Period, func() bool {
-		if !o.running {
-			return false
-		}
-		o.tick()
-		return true
-	})
-}
-
-// Stop halts management after the current period.
-func (o *Orleans) Stop() { o.running = false }
 
 func (o *Orleans) covers(typ string) bool {
 	return o.Types == nil || o.Types[typ]
 }
 
-func (o *Orleans) tick() {
+// Tick runs one period: surplus actors move from over-count servers to
+// under-count ones, and the profiling window closes.
+func (o *Orleans) Tick() {
 	up := o.C.UpMachines()
 	if len(up) < 2 {
 		return
@@ -122,80 +99,29 @@ func (o *Orleans) tick() {
 			sort.Slice(counts, func(i, j int) bool { return counts[i].n > counts[j].n })
 		}
 	}
-	if o.ColocateFrequent {
-		o.colocateChattiest()
-	}
 	o.Prof.Reset()
 }
 
-// colocateChattiest finds the cross-server (caller, callee) actor pair with
-// the highest message count this window and moves the caller to the callee.
-func (o *Orleans) colocateChattiest() {
-	snap := o.Prof.Snapshot(nil)
-	var bestCaller, bestCallee actor.Ref
-	var bestCount int64
-	for _, ai := range snap.Actors {
-		for _, cs := range ai.Calls {
-			if cs.Caller.Zero() {
-				continue
-			}
-			callerSrv := o.RT.ServerOf(cs.Caller)
-			if callerSrv < 0 || callerSrv == ai.Server {
-				continue
-			}
-			if cs.Count > bestCount {
-				bestCount = cs.Count
-				bestCaller, bestCallee = cs.Caller, ai.Ref
-			}
-		}
-	}
-	if bestCount > 0 && !o.RT.Pinned(bestCaller) {
-		o.RT.Migrate(bestCaller, o.RT.ServerOf(bestCallee), nil)
-		o.Migrations++
-	}
-}
+// The def-rule's trigger and pace: a server is busy above heavyTriggerCPU
+// percent, and one period moves at most heavyMoves actors off it.
+const (
+	heavyTriggerCPU = 80
+	heavyMoves      = 1
+)
 
 // HeavyMigrator is Fig. 5's def-rule: each period, migrate the actors with
 // the heaviest CPU usage from the busiest server to the idlest one —
 // without any application knowledge (so dependent actors stay behind).
 type HeavyMigrator struct {
-	K    *sim.Kernel
 	RT   *actor.Runtime
-	C    *cluster.Cluster
 	Prof *profile.Profiler
 
-	Period sim.Duration
-	// TriggerCPU is the busy-server threshold (percent).
-	TriggerCPU float64
-	// MoveCount caps migrations per period.
-	MoveCount int
-
 	Migrations int
-	running    bool
 }
 
-// Start schedules periodic management.
-func (h *HeavyMigrator) Start() {
-	if h.running {
-		return
-	}
-	h.running = true
-	if h.MoveCount == 0 {
-		h.MoveCount = 1
-	}
-	h.K.Every(h.Period, func() bool {
-		if !h.running {
-			return false
-		}
-		h.tick()
-		return true
-	})
-}
-
-// Stop halts management after the current period.
-func (h *HeavyMigrator) Stop() { h.running = false }
-
-func (h *HeavyMigrator) tick() {
+// Tick runs one period: if the busiest server is over heavyTriggerCPU, its
+// heaviest movable actors go to the idlest server.
+func (h *HeavyMigrator) Tick() {
 	snap := h.Prof.Snapshot(nil)
 	h.Prof.Reset()
 	if len(snap.Servers) < 2 {
@@ -210,7 +136,7 @@ func (h *HeavyMigrator) tick() {
 			idlest = s
 		}
 	}
-	if busiest.CPUPerc < h.TriggerCPU || busiest.ID == idlest.ID {
+	if busiest.CPUPerc < heavyTriggerCPU || busiest.ID == idlest.ID {
 		return
 	}
 	var cands []*struct {
@@ -227,49 +153,31 @@ func (h *HeavyMigrator) tick() {
 		}{ai.Ref, ai.CPUPerc})
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].cpu > cands[j].cpu })
-	for i := 0; i < len(cands) && i < h.MoveCount; i++ {
+	for i := 0; i < len(cands) && i < heavyMoves; i++ {
 		h.RT.Migrate(cands[i].ref, idlest.ID, nil)
 		h.Migrations++
 	}
 }
 
+// freqThreshold is the per-window message count below which FreqColocator
+// leaves a caller where it is.
+const freqThreshold = 10
+
 // FreqColocator is Fig. 11a's def-rule: each period, for each actor, find
 // the peer it exchanged the most messages with; if they sit on different
-// servers and the count exceeds Threshold, migrate the caller to the
+// servers and the count reaches freqThreshold, migrate the caller to the
 // callee's server. This is application-agnostic and can make poor choices
 // (e.g. chasing a router that briefly sprays one session).
 type FreqColocator struct {
-	K    *sim.Kernel
 	RT   *actor.Runtime
-	C    *cluster.Cluster
 	Prof *profile.Profiler
 
-	Period    sim.Duration
-	Threshold int64 // minimum per-window message count to act
-
 	Migrations int
-	running    bool
 }
 
-// Start schedules periodic management.
-func (f *FreqColocator) Start() {
-	if f.running {
-		return
-	}
-	f.running = true
-	f.K.Every(f.Period, func() bool {
-		if !f.running {
-			return false
-		}
-		f.tick()
-		return true
-	})
-}
-
-// Stop halts management after the current period.
-func (f *FreqColocator) Stop() { f.running = false }
-
-func (f *FreqColocator) tick() {
+// Tick runs one period: each caller whose strongest edge crosses servers
+// moves to its callee.
+func (f *FreqColocator) Tick() {
 	snap := f.Prof.Snapshot(nil)
 	f.Prof.Reset()
 	// Strongest cross-server edge per caller.
@@ -295,7 +203,7 @@ func (f *FreqColocator) tick() {
 	sort.Slice(callers, func(i, j int) bool { return callers[i].ID < callers[j].ID })
 	for _, caller := range callers {
 		e := best[caller]
-		if e.count < f.Threshold {
+		if e.count < freqThreshold {
 			continue
 		}
 		srcSrv := f.RT.ServerOf(caller)

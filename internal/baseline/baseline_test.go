@@ -25,6 +25,16 @@ func newEnv(machines int) *env {
 	return &env{k, c, rt, prof}
 }
 
+// periods advances the kernel one second at a time up to until, calling
+// tick at the end of each second, as the period timer of whoever drives the
+// manager does.
+func (e *env) periods(until sim.Duration, tick func()) {
+	for at := sim.Second; at <= until; at += sim.Second {
+		e.k.Run(sim.Time(at))
+		tick()
+	}
+}
+
 func idle() actor.Behavior {
 	return actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {})
 }
@@ -34,9 +44,8 @@ func TestOrleansEqualizesCounts(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		e.rt.SpawnOn("A", idle(), 0)
 	}
-	o := &Orleans{K: e.k, RT: e.rt, C: e.c, Prof: e.prof, Period: sim.Second}
-	o.Start()
-	e.k.Run(sim.Time(5 * sim.Second))
+	o := &Orleans{RT: e.rt, C: e.c, Prof: e.prof}
+	e.periods(5*sim.Second, o.Tick)
 	for i := 0; i < 4; i++ {
 		n := len(e.rt.ActorsOn(cluster.MachineID(i)))
 		if n < 2 || n > 4 {
@@ -54,9 +63,8 @@ func TestOrleansStableWhenEqual(t *testing.T) {
 	e.rt.SpawnOn("A", idle(), 0)
 	e.rt.SpawnOn("A", idle(), 1)
 	e.rt.SpawnOn("A", idle(), 1)
-	o := &Orleans{K: e.k, RT: e.rt, C: e.c, Prof: e.prof, Period: sim.Second}
-	o.Start()
-	e.k.Run(sim.Time(5 * sim.Second))
+	o := &Orleans{RT: e.rt, C: e.c, Prof: e.prof}
+	e.periods(5*sim.Second, o.Tick)
 	if o.Migrations != 0 {
 		t.Fatalf("migrations on balanced counts: %d", o.Migrations)
 	}
@@ -70,10 +78,8 @@ func TestOrleansTypeFilter(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		e.rt.SpawnOn("Unmanaged", idle(), 0)
 	}
-	o := &Orleans{K: e.k, RT: e.rt, C: e.c, Prof: e.prof, Period: sim.Second,
-		Types: map[string]bool{"Managed": true}}
-	o.Start()
-	e.k.Run(sim.Time(5 * sim.Second))
+	o := &Orleans{RT: e.rt, C: e.c, Prof: e.prof, Types: map[string]bool{"Managed": true}}
+	e.periods(5*sim.Second, o.Tick)
 	// Unmanaged actors stay put.
 	unmanagedOn0 := 0
 	for _, ref := range e.rt.ActorsOn(0) {
@@ -86,54 +92,46 @@ func TestOrleansTypeFilter(t *testing.T) {
 	}
 }
 
-func TestOrleansColocatesChattiestPair(t *testing.T) {
-	e := newEnv(2)
-	callee := e.rt.SpawnOn("B", idle(), 1)
-	caller := e.rt.SpawnOn("A", actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
-		ctx.Use(sim.Millisecond)
-		ctx.Send(callee, "chat", nil, 32)
-		ctx.SendAfter(10*sim.Millisecond, ctx.Self(), "again", nil, 8)
-	}), 0)
-	// Equal counts on both servers so count balancing is a no-op.
-	e.rt.SpawnOn("Filler", idle(), 1)
-	actor.NewClient(e.rt, 0).Send(caller, "again", nil, 8)
-	o := &Orleans{K: e.k, RT: e.rt, C: e.c, Prof: e.prof, Period: sim.Second, ColocateFrequent: true}
-	o.Start()
-	e.k.Run(sim.Time(3 * sim.Second))
-	if e.rt.ServerOf(caller) != e.rt.ServerOf(callee) {
-		t.Fatalf("chatty pair not colocated: %d vs %d", e.rt.ServerOf(caller), e.rt.ServerOf(callee))
-	}
+// loop is an actor that burns use of CPU per message and messages itself
+// again rest later: a steady (use / (use+rest)) share of one core.
+func loop(use, rest sim.Duration) actor.Behavior {
+	return actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
+		ctx.Use(use)
+		ctx.SendAfter(rest, ctx.Self(), "w", nil, 8)
+	})
 }
 
+// One period moves heavyMoves actors off a server over heavyTriggerCPU,
+// heaviest first, to the idlest server.
 func TestHeavyMigratorMovesHotActor(t *testing.T) {
 	e := newEnv(2)
-	hot := e.rt.SpawnOn("H", actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
-		ctx.Use(60 * sim.Millisecond)
-		ctx.SendAfter(10*sim.Millisecond, ctx.Self(), "w", nil, 8)
-	}), 0)
+	hot := e.rt.SpawnOn("H", loop(80*sim.Millisecond, 5*sim.Millisecond), 0)
+	warm := e.rt.SpawnOn("W", loop(sim.Millisecond, 100*sim.Millisecond), 0)
 	cold := e.rt.SpawnOn("C", idle(), 0)
-	actor.NewClient(e.rt, 0).Send(hot, "w", nil, 8)
-	h := &HeavyMigrator{K: e.k, RT: e.rt, C: e.c, Prof: e.prof, Period: sim.Second, TriggerCPU: 50}
-	h.Start()
-	e.k.Run(sim.Time(4 * sim.Second))
+	cl := actor.NewClient(e.rt, 0)
+	cl.Send(hot, "w", nil, 8)
+	cl.Send(warm, "w", nil, 8)
+	h := &HeavyMigrator{RT: e.rt, Prof: e.prof}
+	e.periods(sim.Second, h.Tick)
+	if h.Migrations != heavyMoves {
+		t.Fatalf("one period over the trigger moved %d actors, want heavyMoves = %d", h.Migrations, heavyMoves)
+	}
+	e.k.Run(sim.Time(1500 * sim.Millisecond))
 	if e.rt.ServerOf(hot) != 1 {
 		t.Fatalf("hot actor on %d, want idle server 1", e.rt.ServerOf(hot))
 	}
-	if e.rt.ServerOf(cold) != 0 {
-		t.Fatal("cold actor moved")
+	if e.rt.ServerOf(warm) != 0 || e.rt.ServerOf(cold) != 0 {
+		t.Fatal("a lighter actor moved")
 	}
 }
 
+// A server just under heavyTriggerCPU keeps its actors.
 func TestHeavyMigratorQuietBelowTrigger(t *testing.T) {
 	e := newEnv(2)
-	warm := e.rt.SpawnOn("W", actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
-		ctx.Use(10 * sim.Millisecond)
-		ctx.SendAfter(90*sim.Millisecond, ctx.Self(), "w", nil, 8)
-	}), 0)
+	warm := e.rt.SpawnOn("W", loop(70*sim.Millisecond, 30*sim.Millisecond), 0)
 	actor.NewClient(e.rt, 0).Send(warm, "w", nil, 8)
-	h := &HeavyMigrator{K: e.k, RT: e.rt, C: e.c, Prof: e.prof, Period: sim.Second, TriggerCPU: 50}
-	h.Start()
-	e.k.Run(sim.Time(4 * sim.Second))
+	h := &HeavyMigrator{RT: e.rt, Prof: e.prof}
+	e.periods(4*sim.Second, h.Tick)
 	if h.Migrations != 0 {
 		t.Fatalf("migrations below trigger: %d", h.Migrations)
 	}
@@ -153,25 +151,30 @@ func TestFreqColocatorChasesHeaviestEdge(t *testing.T) {
 		ctx.SendAfter(20*sim.Millisecond, ctx.Self(), "tick", nil, 8)
 	}), 0)
 	actor.NewClient(e.rt, 0).Send(player, "tick", nil, 8)
-	f := &FreqColocator{K: e.k, RT: e.rt, C: e.c, Prof: e.prof, Period: sim.Second, Threshold: 5}
-	f.Start()
-	e.k.Run(sim.Time(3 * sim.Second))
+	f := &FreqColocator{RT: e.rt, Prof: e.prof}
+	e.periods(3*sim.Second, f.Tick)
 	if e.rt.ServerOf(player) != 2 {
 		t.Fatalf("player on %d, want chattiest peer's server 2", e.rt.ServerOf(player))
 	}
 }
 
+// A caller moves once a window carries freqThreshold messages to its peer,
+// and not at one fewer.
 func TestFreqColocatorRespectsThreshold(t *testing.T) {
-	e := newEnv(2)
-	callee := e.rt.SpawnOn("B", idle(), 1)
-	caller := e.rt.SpawnOn("A", actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
-		ctx.Send(callee, "rare", nil, 8)
-	}), 0)
-	actor.NewClient(e.rt, 0).Send(caller, "go", nil, 8)
-	f := &FreqColocator{K: e.k, RT: e.rt, C: e.c, Prof: e.prof, Period: sim.Second, Threshold: 100}
-	f.Start()
-	e.k.Run(sim.Time(3 * sim.Second))
-	if f.Migrations != 0 {
-		t.Fatalf("migrated below threshold: %d", f.Migrations)
+	for _, n := range []int{freqThreshold - 1, freqThreshold} {
+		e := newEnv(2)
+		callee := e.rt.SpawnOn("B", idle(), 1)
+		caller := e.rt.SpawnOn("A", actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
+			ctx.Send(callee, "rare", nil, 8)
+		}), 0)
+		cl := actor.NewClient(e.rt, 0)
+		for i := 0; i < n; i++ {
+			cl.Send(caller, "go", nil, 8)
+		}
+		f := &FreqColocator{RT: e.rt, Prof: e.prof}
+		e.periods(sim.Second, f.Tick)
+		if want := n / freqThreshold; f.Migrations != want {
+			t.Fatalf("%d messages in the window: %d migrations, want %d", n, f.Migrations, want)
+		}
 	}
 }

@@ -1,10 +1,6 @@
 package baseline
 
-import (
-	"sort"
-
-	"plasma/internal/sim"
-)
+import "sort"
 
 // KeyedApp is the view an executor-level repartitioner needs of a
 // key-partitioned streaming job: a fixed executor fleet, a mutable
@@ -21,62 +17,34 @@ type KeyedApp interface {
 	StartHandoff(keys []int, from, to int)
 }
 
+// The repartitioner's trigger and per-period bounds: it acts when the
+// hottest executor carries more than skewRatio × the fleet mean, and one
+// period moves at most maxKeys keys to at most maxDests executors.
+const (
+	skewRatio = 1.5
+	maxKeys   = 64
+	maxDests  = 4
+)
+
 // Elasticutor is the executor-level key-repartitioning baseline
 // (Elasticutor, PAPERS.md): executors are pinned one per server and never
-// migrate; instead, when one executor's load exceeds SkewRatio times the
+// migrate; instead, when one executor's load exceeds skewRatio times the
 // fleet mean, the manager peels that executor's hottest keys off and hands
 // them to the least-loaded executors until its projected load re-enters
-// the mean — bounded per period by MaxKeys keys and MaxDests destination
+// the mean — bounded per period by maxKeys keys and maxDests destination
 // batches, so a large shift converges over a few periods rather than
 // stalling the pipeline behind one giant transfer.
 type Elasticutor struct {
-	K   *sim.Kernel
 	App KeyedApp
-
-	Period sim.Duration
-	// SkewRatio triggers repartitioning when max executor load exceeds
-	// SkewRatio × mean (default 1.5).
-	SkewRatio float64
-	// MaxKeys caps keys moved per period (default 256).
-	MaxKeys int
-	// MaxDests caps destination executors per period (default 4).
-	MaxDests int
 
 	// Handoffs counts initiated handoff batches; KeysMoved the keys in them.
 	Handoffs  int
 	KeysMoved int
-
-	running bool
 }
 
-// Start schedules periodic skew detection.
-func (e *Elasticutor) Start() {
-	if e.running {
-		return
-	}
-	e.running = true
-	if e.SkewRatio == 0 {
-		e.SkewRatio = 1.5
-	}
-	if e.MaxKeys == 0 {
-		e.MaxKeys = 256
-	}
-	if e.MaxDests == 0 {
-		e.MaxDests = 4
-	}
-	e.K.Every(e.Period, func() bool {
-		if !e.running {
-			return false
-		}
-		e.tick()
-		return true
-	})
-}
-
-// Stop halts management after the current period.
-func (e *Elasticutor) Stop() { e.running = false }
-
-func (e *Elasticutor) tick() {
+// Tick runs one period: detect skew, start the handoffs, and reset the
+// period's load counters.
+func (e *Elasticutor) Tick() {
 	app := e.App
 	defer app.ResetLoads()
 
@@ -100,7 +68,7 @@ func (e *Elasticutor) tick() {
 			src = i
 		}
 	}
-	if float64(loads[src]) <= e.SkewRatio*mean {
+	if float64(loads[src]) <= skewRatio*mean {
 		return
 	}
 
@@ -122,7 +90,7 @@ func (e *Elasticutor) tick() {
 		return cands[i].key < cands[j].key
 	})
 
-	// The MaxDests least-loaded executors receive the peeled keys; each key
+	// The maxDests least-loaded executors receive the peeled keys; each key
 	// goes to whichever destination is currently lightest (projected).
 	type dest struct {
 		exec int
@@ -141,8 +109,8 @@ func (e *Elasticutor) tick() {
 		}
 		return order[i] < order[j]
 	})
-	if len(order) > e.MaxDests {
-		order = order[:e.MaxDests]
+	if len(order) > maxDests {
+		order = order[:maxDests]
 	}
 	dests := make([]*dest, len(order))
 	for i, ex := range order {
@@ -152,7 +120,7 @@ func (e *Elasticutor) tick() {
 	srcLoad := loads[src]
 	moved := 0
 	for _, c := range cands {
-		if moved >= e.MaxKeys || float64(srcLoad) <= mean {
+		if moved >= maxKeys || float64(srcLoad) <= mean {
 			break
 		}
 		d := dests[0]

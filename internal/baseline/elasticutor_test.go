@@ -3,8 +3,6 @@ package baseline
 import (
 	"reflect"
 	"testing"
-
-	"plasma/internal/sim"
 )
 
 // fakeKeyed is a pure in-memory KeyedApp: handoffs are recorded and applied
@@ -47,17 +45,12 @@ func (f *fakeKeyed) StartHandoff(keys []int, from, to int) {
 	}
 }
 
-func elasticutorOn(app KeyedApp) *Elasticutor {
-	e := &Elasticutor{App: app, SkewRatio: 1.5, MaxKeys: 256, MaxDests: 4}
-	return e
-}
-
 func TestElasticutorNoTriggerWhenBalanced(t *testing.T) {
 	// 4 executors, 8 keys, 10 load each: max == mean, no skew to fix.
 	app := newFakeKeyed(4,
 		[]int{0, 0, 1, 1, 2, 2, 3, 3},
 		[]int64{10, 10, 10, 10, 10, 10, 10, 10})
-	elasticutorOn(app).tick()
+	(&Elasticutor{App: app}).Tick()
 	if len(app.handoffs) != 0 {
 		t.Fatalf("balanced load triggered handoffs: %v", app.handoffs)
 	}
@@ -72,7 +65,7 @@ func TestElasticutorPeelsHotKeysToColdestExecs(t *testing.T) {
 	app := newFakeKeyed(4,
 		[]int{0, 0, 0, 0, 1, 2, 3, 3},
 		[]int64{40, 30, 20, 10, 0, 0, 0, 0})
-	elasticutorOn(app).tick()
+	(&Elasticutor{App: app}).Tick()
 	if len(app.handoffs) == 0 {
 		t.Fatal("full skew onto one executor triggered no handoffs")
 	}
@@ -108,33 +101,47 @@ func TestElasticutorPeelsHotKeysToColdestExecs(t *testing.T) {
 }
 
 func TestElasticutorHonorsMaxKeysAndMaxDests(t *testing.T) {
-	// 16 equally hot keys all on executor 0 of 8; caps of 3 keys and 2
-	// destinations bound the period's movement.
-	owner := make([]int, 16)
-	load := make([]int64, 16)
+	// 200 equally hot keys all on executor 0 of 10: reaching the mean would
+	// take 180 keys over 9 destinations, so both per-period caps bind.
+	owner := make([]int, 200)
+	load := make([]int64, 200)
 	for i := range load {
 		load[i] = 10
 	}
-	app := newFakeKeyed(8, owner, load)
-	e := elasticutorOn(app)
-	e.MaxKeys, e.MaxDests = 3, 2
-	e.tick()
-	if e.KeysMoved > 3 {
-		t.Fatalf("moved %d keys, cap is 3", e.KeysMoved)
+	app := newFakeKeyed(10, owner, load)
+	e := &Elasticutor{App: app}
+	e.Tick()
+	if e.KeysMoved != maxKeys {
+		t.Fatalf("moved %d keys, want the cap maxKeys = %d", e.KeysMoved, maxKeys)
 	}
 	dests := map[int]bool{}
 	for _, h := range app.handoffs {
 		dests[h.to] = true
 	}
-	if len(dests) > 2 {
-		t.Fatalf("used %d destinations, cap is 2", len(dests))
+	if len(dests) != maxDests {
+		t.Fatalf("used %d destinations, want the cap maxDests = %d", len(dests), maxDests)
+	}
+}
+
+// The trigger is a load strictly above skewRatio × the fleet mean.
+func TestElasticutorSkewRatioTrigger(t *testing.T) {
+	// Two executors, mean 50: 75 on executor 0 is exactly skewRatio × mean.
+	at := newFakeKeyed(2, []int{0, 0, 1}, []int64{45, 30, 25})
+	(&Elasticutor{App: at}).Tick()
+	if len(at.handoffs) != 0 {
+		t.Fatalf("load at skewRatio × mean triggered handoffs: %v", at.handoffs)
+	}
+	over := newFakeKeyed(2, []int{0, 0, 1}, []int64{46, 30, 24})
+	(&Elasticutor{App: over}).Tick()
+	if len(over.handoffs) == 0 {
+		t.Fatal("load above skewRatio × mean triggered no handoff")
 	}
 }
 
 func TestElasticutorSkipsKeysAlreadyMoving(t *testing.T) {
 	app := newFakeKeyed(2, []int{0, 0, 1, 1}, []int64{50, 40, 0, 0})
 	app.moving[0] = true // the hottest key's handoff is already in flight
-	elasticutorOn(app).tick()
+	(&Elasticutor{App: app}).Tick()
 	for _, h := range app.handoffs {
 		for _, k := range h.keys {
 			if k == 0 {
@@ -159,29 +166,29 @@ func TestElasticutorDeterministic(t *testing.T) {
 		return newFakeKeyed(4, owner, load)
 	}
 	a, b := build(), build()
-	elasticutorOn(a).tick()
-	elasticutorOn(b).tick()
+	(&Elasticutor{App: a}).Tick()
+	(&Elasticutor{App: b}).Tick()
 	if !reflect.DeepEqual(a.handoffs, b.handoffs) {
 		t.Fatalf("identical inputs produced different handoffs:\n%v\nvs\n%v", a.handoffs, b.handoffs)
 	}
 }
 
-func TestElasticutorPeriodicStartStop(t *testing.T) {
-	k := sim.New(1)
+// Each Tick is one period: it repartitions on that period's loads and
+// resets them exactly once, so a run of ticks sees one window each.
+func TestElasticutorTicksResetEachWindow(t *testing.T) {
 	app := newFakeKeyed(2, []int{0, 0, 1, 1}, []int64{60, 30, 5, 5})
-	e := &Elasticutor{K: k, App: app, Period: sim.Second}
-	e.Start()
-	k.Run(sim.Time(3 * sim.Second))
+	e := &Elasticutor{App: app}
+	e.Tick()
 	if e.Handoffs == 0 {
-		t.Fatal("periodic tick never repartitioned the skewed load")
+		t.Fatal("the skewed period repartitioned nothing")
 	}
-	if app.resets == 0 {
-		t.Fatal("periodic tick never reset the load window")
+	for i := 0; i < 3; i++ {
+		e.Tick() // empty windows: nothing to move
 	}
-	e.Stop()
-	before := app.resets
-	k.Run(sim.Time(6 * sim.Second))
-	if app.resets > before+1 {
-		t.Fatalf("manager kept ticking after Stop (resets %d -> %d)", before, app.resets)
+	if app.resets != 4 {
+		t.Fatalf("four ticks reset the load window %d times, want 4", app.resets)
+	}
+	if e.Handoffs != 1 {
+		t.Fatalf("empty windows started handoffs: %d batches", e.Handoffs)
 	}
 }

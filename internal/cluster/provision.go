@@ -75,12 +75,21 @@ type ProvSpec struct {
 	FailProb float64
 	// Capacity is the remaining pool size; negative means unlimited.
 	Capacity int
-	// MaxRetries bounds boot re-attempts after failures (default 3).
-	MaxRetries int
-	// BaseBackoff is the first retry delay, doubling per attempt up to
-	// MaxBackoff (defaults 1s and 8s).
-	BaseBackoff sim.Duration
-	MaxBackoff  sim.Duration
+}
+
+// A failed boot is retried after a backoff that starts at provBaseBackoff
+// and doubles per attempt up to provMaxBackoff; a provision makes at most
+// provAttempts attempts in all.
+const (
+	provAttempts    = 3
+	provBaseBackoff = sim.Second
+	provMaxBackoff  = 8 * sim.Second
+)
+
+// backoff is the delay before the retry that follows failed attempt number
+// attempt (0-based).
+func backoff(attempt int) sim.Duration {
+	return min(provBaseBackoff<<attempt, provMaxBackoff)
 }
 
 // DefaultProvSpecs is the calibrated three-class spectrum used by the
@@ -94,32 +103,6 @@ func DefaultProvSpecs() []ProvSpec {
 		{Class: Container, BootMin: 2 * sim.Second, BootMax: 5 * sim.Second, FailProb: 0.03, Capacity: -1},
 		{Class: VM, BootMin: 30 * sim.Second, BootMax: 60 * sim.Second, FailProb: 0.05, Capacity: -1},
 	}
-}
-
-func (s *ProvSpec) maxRetries() int {
-	if s.MaxRetries <= 0 {
-		return 3
-	}
-	return s.MaxRetries
-}
-
-func (s *ProvSpec) backoff(attempt int) sim.Duration {
-	base := s.BaseBackoff
-	if base <= 0 {
-		base = sim.Second
-	}
-	max := s.MaxBackoff
-	if max <= 0 {
-		max = 8 * sim.Second
-	}
-	d := base
-	for i := 0; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	return d
 }
 
 // Available reports whether the class can supply at least one machine.
@@ -170,7 +153,7 @@ func (c *Cluster) ProvisionClass(typ InstanceType, spec *ProvSpec, done func(*Ma
 // startBoot draws one boot attempt's duration and failure verdict from
 // the kernel's stream (at scheduling time, so the sequence is a function
 // of the call order alone) and schedules its completion. Failed attempts
-// retry with capped exponential backoff until MaxRetries, each failure
+// retry with capped exponential backoff until provAttempts, each failure
 // and retry emitted as a trace record.
 func (c *Cluster) startBoot(m *Machine, spec *ProvSpec, attempt int) {
 	boot := spec.BootMin
@@ -188,11 +171,11 @@ func (c *Cluster) startBoot(m *Machine, spec *ProvSpec, attempt int) {
 		}
 		c.tr.Emit(trace.Record{Kind: trace.KindProvFail, Server: -1, Target: int32(m.ID), Rule: -1,
 			Value: float64(attempt), Detail: spec.Class.String()})
-		if attempt+1 >= spec.maxRetries() {
+		if attempt+1 >= provAttempts {
 			c.abortBoot(m)
 			return
 		}
-		delay := spec.backoff(attempt)
+		delay := backoff(attempt)
 		c.tr.Emit(trace.Record{Kind: trace.KindProvRetry, Server: -1, Target: int32(m.ID), Rule: -1,
 			Value: float64(delay), Detail: spec.Class.String()})
 		c.K.After(delay, func() {

@@ -18,13 +18,11 @@ import (
 // 100ms + 1s).
 func retrySpec() *ProvSpec {
 	return &ProvSpec{
-		Class:       Container,
-		BootMin:     100 * sim.Millisecond,
-		BootMax:     100 * sim.Millisecond, // deterministic: no boot-time draw
-		FailProb:    1,
-		MaxRetries:  3,
-		BaseBackoff: sim.Second,
-		Capacity:    -1,
+		Class:    Container,
+		BootMin:  100 * sim.Millisecond,
+		BootMax:  100 * sim.Millisecond, // deterministic: no boot-time draw
+		FailProb: 1,
+		Capacity: -1,
 	}
 }
 
@@ -140,7 +138,7 @@ func TestFailDuringBackoffStalesRetry(t *testing.T) {
 }
 
 // Control: with no teardown, the armed retry keeps trying and exhausts
-// MaxRetries — proving the staleness above comes from the teardown guards,
+// provAttempts — proving the staleness above comes from the teardown guards,
 // not from the retry path being inert.
 func TestBackoffRetriesExhaustWithoutTeardown(t *testing.T) {
 	k := sim.New(1)
@@ -148,11 +146,11 @@ func TestBackoffRetriesExhaustWithoutTeardown(t *testing.T) {
 	m, outcomes, ring := provisionIntoBackoff(t, k, c)
 
 	k.RunUntilIdle()
-	if got := countKind(ring, trace.KindProvFail); got != 3 {
-		t.Errorf("ProvFail records = %d, want 3 (every attempt fails)", got)
+	if got := countKind(ring, trace.KindProvFail); got != provAttempts {
+		t.Errorf("ProvFail records = %d, want %d (every attempt fails)", got, provAttempts)
 	}
-	if got := countKind(ring, trace.KindProvRetry); got != 2 {
-		t.Errorf("ProvRetry records = %d, want 2 (retries between the 3 attempts)", got)
+	if got := countKind(ring, trace.KindProvRetry); got != provAttempts-1 {
+		t.Errorf("ProvRetry records = %d, want %d (retries between the attempts)", got, provAttempts-1)
 	}
 	if len(*outcomes) != 1 || (*outcomes)[0] {
 		t.Fatalf("outcomes = %v, want exactly one false (permanent exhaustion)", *outcomes)

@@ -167,10 +167,7 @@ func TestProvisionBootWindow(t *testing.T) {
 func TestProvisionFailureRetriesAndExhaustion(t *testing.T) {
 	k := sim.New(3)
 	c := New(k, 0, M1Small)
-	spec := ProvSpec{
-		Class: VM, BootMin: sim.Second, FailProb: 1.0, Capacity: -1,
-		MaxRetries: 3, BaseBackoff: sim.Second, MaxBackoff: 2 * sim.Second,
-	}
+	spec := ProvSpec{Class: VM, BootMin: sim.Second, FailProb: 1.0, Capacity: -1}
 	outcomes := 0
 	okCount := 0
 	m := c.ProvisionClass(M1Small, &spec, func(_ *Machine, ok bool) {
@@ -192,8 +189,11 @@ func TestProvisionFailureRetriesAndExhaustion(t *testing.T) {
 	if !m.Decommissioned() {
 		t.Error("permanently failed provision should be decommissioned")
 	}
-	// Attempts: boot(1s) + backoff(1s) + boot + backoff(2s, capped) + boot.
-	want := sim.Time(3*sim.Second + 3*sim.Second)
+	// provAttempts boots of 1s each, with a doubling backoff between them.
+	want := sim.Time(provAttempts * sim.Second)
+	for attempt := 0; attempt+1 < provAttempts; attempt++ {
+		want += sim.Time(backoff(attempt))
+	}
 	if k.Now() != want {
 		t.Errorf("exhaustion at %v, want %v", k.Now(), want)
 	}

@@ -133,6 +133,49 @@ func TestOnlyRunDrivesWorlds(t *testing.T) {
 	}
 }
 
+// TestComparisonManagersScheduleNothing is the one-period rule, enforced: a
+// comparison manager in internal/baseline or internal/apps/estore is one
+// per-period step (Tick) that run's period timer calls, so no non-test file
+// there schedules a period of its own (.Every, .AfterFunc) or holds a
+// *sim.Kernel to schedule one with.
+func TestComparisonManagersScheduleNothing(t *testing.T) {
+	root := filepath.Join("..", "..")
+	files, err := lint.ExpandGoPatterns([]string{
+		filepath.Join(root, "internal", "baseline"),
+		filepath.Join(root, "internal", "apps", "estore"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) < 3 {
+		t.Fatalf("walked only %d files; is the test running inside the repository?", len(files))
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		rel, _ := filepath.Rel(root, path)
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			line := fset.Position(sel.Pos()).Line
+			switch pkg, _ := sel.X.(*ast.Ident); {
+			case sel.Sel.Name == "Every" || sel.Sel.Name == "AfterFunc":
+				t.Errorf("%s:%d: calls .%s; expose the period as Tick and let run's timer call it",
+					filepath.ToSlash(rel), line, sel.Sel.Name)
+			case pkg != nil && pkg.Name == "sim" && sel.Sel.Name == "Kernel":
+				t.Errorf("%s:%d: holds a *sim.Kernel; a comparison manager schedules nothing",
+					filepath.ToSlash(rel), line)
+			}
+			return true
+		})
+	}
+}
+
 // quiescedWorld is three servers with two 1 MB actors each and one 64 MB
 // actor on server 0, every mailbox drained; its Invariants are clean.
 func quiescedWorld(t *testing.T) (*World, actor.Ref) {

@@ -147,7 +147,6 @@ const (
 	execDelay     = reportWindow + 4*gemLatency // t0 -> LEM resolve/execute; later RREPLYs are lost for the period
 	queryTimeout  = 4 * gemLatency              // QREPLY wait before the source counts a denial
 	stalePeriods  = 2                           // oldest last REPORT that may stand in for a lost one
-	defaultUpper  = 85.0                        // admission bound, and a balance rule's upper bound when it states none
 )
 
 // Stats counts EMR activity for experiments.
@@ -835,7 +834,7 @@ func (m *Manager) checkIdleRes(a Action, snap *epl.Snapshot) (bool, string) {
 	if ti != nil {
 		projected += ti.Res(res)
 	}
-	if projected+load > defaultUpper {
+	if projected+load > epl.DefaultUpper {
 		return false, "over-bound"
 	}
 	l.promised[res] += load

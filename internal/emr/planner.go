@@ -564,27 +564,13 @@ func (m *Manager) planReserve(ri epl.ReserveIntent) (trg cluster.MachineID, star
 	return trg, false
 }
 
-// bandOf applies the rule's threshold defaulting: a rule without an upper
-// bound sheds at the admission bound, one without a lower bound has an
-// empty band.
-func (m *Manager) bandOf(bi epl.BalanceIntent) (upper, lower float64) {
-	upper, lower = bi.Upper, bi.Lower
-	if !bi.HasUpper() {
-		upper = defaultUpper
-	}
-	if !bi.HasLower() {
-		lower = upper
-	}
-	return upper, lower
-}
-
 // planBalance runs one balance intent through the shared projection:
 // servers above the rule's upper bound shed into targets that fit on every
 // axis until they re-enter the band (PLASMA's heuristic, §4.2); with none
 // above it, the low-water side redistributes.
 func (m *Manager) planBalance(bi epl.BalanceIntent) (actions []Action, allOver, allUnder, wantOut, wantIn bool) {
 	r := &m.rd
-	upper, lower := m.bandOf(bi)
+	upper, lower := epl.Band(bi.Upper, bi.Lower)
 	ax := int(bi.Res)
 
 	var over []srvLoad
@@ -687,11 +673,11 @@ func (m *Manager) candidates(src cluster.MachineID, bi epl.BalanceIntent) []cand
 
 // fits reports whether slot s can take a mover adding add: the planned axis
 // must stay under the rule's upper bound, the others under the admission
-// bound.
+// bound (epl.DefaultUpper).
 func (m *Manager) fits(s int, add [3]float64, ax int, upper float64) bool {
 	p := &m.rd.proj[s]
 	for x := range add {
-		bound := defaultUpper
+		bound := epl.DefaultUpper
 		if x == ax {
 			bound = upper
 		}
@@ -839,7 +825,7 @@ func (m *Manager) tracePlan(parent uint64, tickIdx int, actions []Action, nResv 
 	}
 	nOver, nUnder := 0, 0
 	for _, bi := range intents {
-		upper, lower := m.bandOf(bi)
+		upper, lower := epl.Band(bi.Upper, bi.Lower)
 		for s := range r.servers {
 			switch l := r.proj[s][bi.Res]; {
 			case l > upper:

@@ -156,7 +156,7 @@ func TestPlanRoundProperties(t *testing.T) {
 		for _, a := range acts {
 			// Every intent's upper bound is at most the admission bound here.
 			for x, l := range proj[a.Trg] {
-				if a.Kind == epl.KindBalance && l > defaultUpper+1e-9 {
+				if a.Kind == epl.KindBalance && l > epl.DefaultUpper+1e-9 {
 					t.Fatalf("seed %d: %+v leaves its target at %.2f on axis %d, over the admission bound", seed, a, l, x)
 				}
 			}

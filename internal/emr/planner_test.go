@@ -155,6 +155,39 @@ func TestPlanBalanceAllUnderSignalsScaleIn(t *testing.T) {
 	}
 }
 
+// TestPlannerBandIsEplBand holds the planner to epl.Band: on a uniformly
+// loaded fleet, for each shape of balance band (the same four policies as
+// the model's TestModelBandIsEMRBand), every server is over exactly when the
+// load is above the band's upper bound and under exactly when it is below
+// its lower. Together the two tests fail when the EMR and the offline model
+// disagree on a policy's band.
+func TestPlannerBandIsEplBand(t *testing.T) {
+	for _, src := range []string{
+		`server.cpu.perc > 80 or server.cpu.perc < 60 => balance({W}, cpu);`,
+		`server.cpu.perc > 70 => balance({W}, cpu);`,
+		`server.cpu.perc < 50 => balance({W}, cpu);`,
+		`true => balance({W}, cpu);`,
+	} {
+		pol := epl.MustParse(src)
+		for load := 5.0; load <= 100; load += 5 {
+			pe := newPlanEnv(t, 3)
+			snap := buildSnap(pe, []float64{load, load, load}, nil)
+			in := epl.Evaluate(pol, snap, true, false)
+			var wantOver, wantUnder bool
+			for _, bi := range in.Balance {
+				upper, lower := epl.Band(bi.Upper, bi.Lower)
+				wantOver = wantOver || load > upper
+				wantUnder = wantUnder || load < lower
+			}
+			_, allOver, allUnder, _, _ := pe.m.planResource(nil, snap, in, 0, 0)
+			if allOver != wantOver || allUnder != wantUnder {
+				t.Errorf("%s at %.0f%%: planner over=%v under=%v, epl.Band says over=%v under=%v",
+					src, load, allOver, allUnder, wantOver, wantUnder)
+			}
+		}
+	}
+}
+
 func TestDeficitFillPullsOntoEmptyServer(t *testing.T) {
 	pe := newPlanEnv(t, 3)
 	actors := []*epl.ActorInfo{

@@ -131,22 +131,11 @@ func EvaluateObserved(pol *Policy, snap *Snapshot, resource, interaction bool, o
 // a condition for one firing context. Pure: reads only the snapshot.
 func condValues(c Cond, snap *Snapshot, b *binding, ctxSrv *ServerInfo) []FeatureValue {
 	var out []FeatureValue
-	var walk func(Cond)
-	walk = func(c Cond) {
-		switch cond := c.(type) {
-		case *AndCond:
-			walk(cond.L)
-			walk(cond.R)
-		case *OrCond:
-			walk(cond.L)
-			walk(cond.R)
-		case *CmpCond:
-			if v, ok := evalFeature(cond.Feat, cond.Stat, snap, b, ctxSrv); ok {
-				out = append(out, FeatureValue{Feature: cond.String(), Value: v})
-			}
+	WalkCmps(c, func(cond *CmpCond) {
+		if v, ok := evalFeature(cond.Feat, cond.Stat, snap, b, ctxSrv); ok {
+			out = append(out, FeatureValue{Feature: cond.String(), Value: v})
 		}
-	}
-	walk(c)
+	})
 	return out
 }
 
@@ -168,25 +157,6 @@ func newDedup() *dedup {
 	}
 }
 
-// ruleBindingRefs returns the rule's variables plus implicit existential
-// variables for anonymous typed actor patterns, ordered so that InRef
-// containers are enumerated before their subjects (which enables pruning
-// candidate sets through reference properties).
-func ruleBindingRefs(rule *Rule) []*ActorRef {
-	var refs []*ActorRef
-	seenDecl := map[*VarDecl]bool{}
-	WalkRefs(rule, func(r *ActorRef) {
-		if r.Decl != nil {
-			if seenDecl[r.Decl] {
-				return
-			}
-			seenDecl[r.Decl] = true
-		}
-		refs = append(refs, r)
-	})
-	return refs
-}
-
 // binding maps binding refs (by identity of their VarDecl, or the ref
 // itself for anonymous patterns) to concrete actors.
 type binding struct {
@@ -203,7 +173,7 @@ func (b *binding) lookup(ref *ActorRef) *ActorInfo {
 }
 
 func evalRule(pol *Policy, rule *Rule, snap *Snapshot, resource, interaction bool, out *Intents, dd *dedup, obs EvalObserver) {
-	refs := ruleBindingRefs(rule)
+	refs := rule.BindingRefs()
 	if len(refs) == 0 {
 		// Server-scoped rule (e.g. pure balance): the condition is checked
 		// against each server.
@@ -466,7 +436,7 @@ func emitBehaviors(pol *Policy, rule *Rule, snap *Snapshot, b *binding, violatin
 		}
 		switch bh := beh.(type) {
 		case *BalanceBeh:
-			upper, lower := extractBounds(rule.Cond, bh.Res)
+			upper, lower := CondBounds(rule.Cond, bh.Res)
 			// Subtype-aware: a balance on a parent type covers its
 			// schema-declared subtypes too.
 			var types []string
@@ -530,39 +500,4 @@ func mergeBalance(list []BalanceIntent, bi BalanceIntent) []BalanceIntent {
 		}
 	}
 	return append(list, bi)
-}
-
-// extractBounds scans a condition for server-resource comparisons on res
-// and derives the rule's upper (from > / >=) and lower (from < / <=)
-// thresholds. Missing bounds are NaN.
-func extractBounds(c Cond, res Resource) (upper, lower float64) {
-	upper, lower = math.NaN(), math.NaN()
-	var walk func(Cond)
-	walk = func(c Cond) {
-		switch cond := c.(type) {
-		case *AndCond:
-			walk(cond.L)
-			walk(cond.R)
-		case *OrCond:
-			walk(cond.L)
-			walk(cond.R)
-		case *CmpCond:
-			rf, ok := cond.Feat.(*ResFeature)
-			if !ok || !rf.Server || rf.Res != res || cond.Stat != Perc {
-				return
-			}
-			switch cond.Op {
-			case GT, GE:
-				if math.IsNaN(upper) || cond.Val < upper {
-					upper = cond.Val
-				}
-			case LT, LE:
-				if math.IsNaN(lower) || cond.Val > lower {
-					lower = cond.Val
-				}
-			}
-		}
-	}
-	walk(c)
-	return upper, lower
 }

@@ -106,7 +106,7 @@ func TestParseBalanceBounds(t *testing.T) {
 	if !ok || bal.Res != CPU || len(bal.Types) != 1 || bal.Types[0] != "Partition" {
 		t.Fatalf("balance = %v", r.Behaviors[0])
 	}
-	upper, lower := extractBounds(r.Cond, CPU)
+	upper, lower := CondBounds(r.Cond, CPU)
 	if upper != 80 || lower != 60 {
 		t.Fatalf("bounds = %v/%v, want 80/60", upper, lower)
 	}

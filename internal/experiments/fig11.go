@@ -92,9 +92,9 @@ func Fig11a(cfg Config) *Result {
 		case "inter-rule":
 			sc.policy, sc.emr = halo.InterPolicySrc, emr.Config{Period: period}
 		case "def-rule":
-			sc.baseline = func(w *core.World) controller {
-				return &baseline.FreqColocator{K: w.K, RT: w.RT, C: w.C, Prof: w.Prof,
-					Period: period, Threshold: 10}
+			sc.emr.Period = period
+			sc.baseline = func(w *core.World) func() {
+				return (&baseline.FreqColocator{RT: w.RT, Prof: w.Prof}).Tick
 			}
 		}
 		rec := workload.NewRecorder(10 * sim.Second)
@@ -150,8 +150,9 @@ func Fig11b(cfg Config) *Result {
 
 	h := &haloFleet{servers: 8, routerSrvs: 8, routers: 8, sessions: 8, latency: haloBaseLatency}
 	sc := h.arm()
-	sc.baseline = func(w *core.World) controller {
-		return &baseline.FreqColocator{K: w.K, RT: w.RT, C: w.C, Prof: w.Prof, Period: period, Threshold: 10}
+	sc.emr.Period = period
+	sc.baseline = func(w *core.World) func() {
+		return (&baseline.FreqColocator{RT: w.RT, Prof: w.Prof}).Tick
 	}
 	recs := make([]*workload.Recorder, 8)
 	misplacedAtJoin := make([]bool, 8)

@@ -56,9 +56,9 @@ func Fig5(cfg Config) *Result {
 		case "res-col-rule":
 			sc.policy, sc.emr = metadata.PolicySrc, emr.Config{Period: period}
 		case "def-rule":
-			sc.baseline = func(w *core.World) controller {
-				return &baseline.HeavyMigrator{K: w.K, RT: w.RT, C: w.C, Prof: w.Prof,
-					Period: period, TriggerCPU: 80, MoveCount: 1}
+			sc.emr.Period = period
+			sc.baseline = func(w *core.World) func() {
+				return (&baseline.HeavyMigrator{RT: w.RT, Prof: w.Prof}).Tick
 			}
 		}
 		run(cfg, cfg.seed(), sc)

@@ -37,7 +37,7 @@ func Fig9(cfg Config) *Result {
 		sc := scenario{
 			machines: 5, inst: cluster.M1Small, // 4 app servers + 1 extra
 			build: func(w *core.World) {
-				app = estore.Build(w.K, w.RT, []cluster.MachineID{0, 1, 2, 3}, roots, children)
+				app = estore.Build(w.RT, []cluster.MachineID{0, 1, 2, 3}, roots, children)
 			},
 			wire: true,
 			load: func(w *core.World) {
@@ -61,9 +61,9 @@ func Fig9(cfg Config) *Result {
 		case "plasma":
 			sc.policy, sc.emr = estore.PolicySrc, emr.Config{Period: period}
 		case "in-app":
-			sc.baseline = func(w *core.World) controller {
-				return &estore.InApp{K: w.K, RT: w.RT, C: w.C, Prof: w.Prof, App: app,
-					Period: period, HighWater: 80, TopFrac: 0.1}
+			sc.emr.Period = period
+			sc.baseline = func(w *core.World) func() {
+				return (&estore.InApp{RT: w.RT, Prof: w.Prof, App: app}).Tick
 			}
 		}
 		run(cfg, cfg.seed(), sc)

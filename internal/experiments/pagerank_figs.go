@@ -119,9 +119,9 @@ func Fig6a(cfg Config) *Result {
 		case "plasma":
 			a.policy, a.emr = pagerank.PolicySrc, emr.Config{Period: su.period}
 		case "orleans":
-			a.baseline = func(w *core.World) controller {
-				return &baseline.Orleans{K: w.K, RT: w.RT, C: w.C, Prof: w.Prof,
-					Period: su.period, Types: map[string]bool{"Worker": true}}
+			a.emr.Period = su.period
+			a.baseline = func(w *core.World) func() {
+				return (&baseline.Orleans{RT: w.RT, C: w.C, Prof: w.Prof, Types: map[string]bool{"Worker": true}}).Tick
 			}
 		}
 		run(cfg, seed, a.scenario)

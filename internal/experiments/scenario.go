@@ -26,12 +26,13 @@ type scenario struct {
 	build func(w *core.World)
 	wire  bool
 
-	// The manager is an EPL policy with its emr.Config, or a baseline built
-	// from the world's parts and handed over as its Start/Stop pair; an arm
-	// with neither is unmanaged.
+	// The manager is an EPL policy with its emr.Config, or a comparison
+	// manager built from the world's parts and handed over as its
+	// per-period step, which run calls every emr.Period; an arm with neither
+	// is unmanaged.
 	policy   string
 	emr      emr.Config
-	baseline func(w *core.World) controller
+	baseline func(w *core.World) (tick func())
 
 	// faults is the fault schedule of an EPL-managed arm (nil = none).
 	faults *faultPlan
@@ -51,12 +52,6 @@ type scenario struct {
 	horizon sim.Duration
 	done    func() bool
 	settle  sim.Duration
-}
-
-// controller is the Start/Stop pair of a baseline manager.
-type controller interface {
-	Start()
-	Stop()
 }
 
 // faultPlan is a fault schedule: one message-fault mix on every control-plane
@@ -96,7 +91,9 @@ func run(cfg Config, seed int64, sc scenario) outcome {
 		}
 	}
 
-	var ctl controller
+	// step is the period an EMR does not own: a comparison manager's, or the
+	// probe's on an arm with no manager at all.
+	var step func()
 	switch {
 	case sc.policy != "":
 		m := w.Manage(epl.MustParse(sc.policy), sc.emr)
@@ -119,34 +116,39 @@ func run(cfg Config, seed int64, sc scenario) outcome {
 		}
 		m.Start()
 	case sc.baseline != nil:
-		ctl = sc.baseline(w)
-		ctl.Start()
+		step = sc.baseline(w)
+	case sc.probe != nil:
+		tick := 0
+		step = func() {
+			tick++
+			snap := w.Prof.Snapshot(nil)
+			w.Prof.Reset()
+			sc.probe(w, tick, snap)
+		}
+	}
+	running := step != nil
+	if running {
+		w.K.Every(sc.emr.Period, func() bool {
+			if running {
+				step()
+			}
+			return running
+		})
 	}
 	if sc.load != nil {
 		sc.load(w)
 	}
 
 	end := sim.Time(sc.horizon)
-	switch {
-	case sc.done != nil:
+	if sc.done != nil {
 		for !sc.done() && w.K.Now() < end && w.K.Step() {
 		}
-	case sc.probe != nil && w.M == nil && ctl == nil:
-		period := sim.Time(sc.emr.Period)
-		for tick := 1; sim.Time(tick)*period <= end; tick++ {
-			w.K.Run(sim.Time(tick) * period)
-			snap := w.Prof.Snapshot(nil)
-			w.Prof.Reset()
-			sc.probe(w, tick, snap)
-		}
-	default:
+	} else {
 		w.K.Run(end)
 	}
 
-	// The baseline stops at the same instant Drain stops an EMR.
-	if ctl != nil {
-		ctl.Stop()
-	}
+	// The step stops at the same instant Drain stops an EMR.
+	running = false
 	w.Drain(sc.settle)
 	sample()
 	if sc.settle > 0 {

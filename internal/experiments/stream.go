@@ -131,12 +131,8 @@ func streamTrial(cfg Config, seed int64, o streamOpts) streamOut {
 			elastic.SetTracer(cfg.Trace)
 			owner, flushees = elastic.Owner, elastic.Execs
 		}
-		sc.baseline = func(w *core.World) controller {
-			return &baseline.Elasticutor{
-				K: w.K, App: elastic, Period: streamPeriod,
-				SkewRatio: 1.5, MaxKeys: 64, MaxDests: 4,
-			}
-		}
+		sc.emr.Period = streamPeriod
+		sc.baseline = func(*core.World) func() { return (&baseline.Elasticutor{App: elastic}).Tick }
 	default:
 		panic("streamTrial: unknown mode " + o.mode)
 	}

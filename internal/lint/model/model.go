@@ -221,16 +221,8 @@ func (sys *System) control(servers, load int16) *ctl {
 			if !ok || !env.Resources[bb.Res] {
 				continue
 			}
-			// Mirror planBalance's threshold defaulting: a missing upper
-			// bound is the EMR's admission bound, a missing lower bound is
-			// the upper (hysteresis-free).
-			upper, lower := epl.CondBounds(r.Cond, bb.Res)
-			if isNaN(upper) {
-				upper = defaultUpper
-			}
-			if isNaN(lower) {
-				lower = upper
-			}
+			// The band planBalance holds servers in, defaulted as it is.
+			upper, lower := epl.Band(epl.CondBounds(r.Cond, bb.Res))
 			if c.util > upper {
 				c.wantOut = true
 			} else if c.util < lower {
@@ -243,10 +235,6 @@ func (sys *System) control(servers, load int16) *ctl {
 	sys.ctls[key] = c
 	return c
 }
-
-// defaultUpper mirrors the emr package's constant of the same name: the
-// utilization bar balance uses when a rule names no upper bound.
-const defaultUpper = 85
 
 // classOrder maps a fired provclass preference chain onto envelope class
 // slots and appends the remaining spectrum, mirroring the EMR's provOrder
@@ -305,7 +293,7 @@ func (sys *System) evalCond(c epl.Cond, u float64) tri {
 		if !ok || !rf.Server || cond.Stat != epl.Perc || !sys.Env.Resources[rf.Res] {
 			return triUnknown
 		}
-		if cmpHolds(u, cond.Op, cond.Val) {
+		if cond.Op.Apply(u, cond.Val) {
 			return triTrue
 		}
 		return triFalse
@@ -333,19 +321,3 @@ func triOr(a, b tri) tri {
 	}
 	return triUnknown
 }
-
-func cmpHolds(x float64, op epl.CmpOp, val float64) bool {
-	switch op {
-	case epl.LT:
-		return x < val
-	case epl.LE:
-		return x <= val
-	case epl.GT:
-		return x > val
-	case epl.GE:
-		return x >= val
-	}
-	return false
-}
-
-func isNaN(f float64) bool { return f != f }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"plasma/internal/cluster"
 	"plasma/internal/epl"
 	"plasma/internal/lint"
 )
@@ -290,5 +291,45 @@ server.cpu.perc > 90 => provclass({warm, container});
 	}
 	if n := len(sys.states); n > 30000 {
 		t.Errorf("state space has %d states, want well under 30k", n)
+	}
+}
+
+// bandPolicies covers the four shapes of a balance rule's band: both bounds,
+// upper only, lower only, and none on the balanced resource.
+var bandPolicies = []string{
+	`server.cpu.perc > 80 or server.cpu.perc < 60 => balance({W}, cpu);`,
+	`server.cpu.perc > 70 => balance({W}, cpu);`,
+	`server.cpu.perc < 50 => balance({W}, cpu);`,
+	`true => balance({W}, cpu);`,
+}
+
+// TestModelBandIsEMRBand holds the model to the band the EMR plans with: at
+// every load level, a fired balance rule wants scale-out exactly when the
+// uniform utilization is over the upper bound of epl.Band applied to the
+// intent epl.Evaluate hands the EMR, and scale-in exactly when it is under
+// the lower. The planner's side of the same contract is emr's
+// TestPlannerBandIsEplBand; together they fail when the model and the EMR
+// disagree on a policy's band.
+func TestModelBandIsEMRBand(t *testing.T) {
+	for _, src := range bandPolicies {
+		pol := mustCheck(t, src)
+		sys := Compile(pol, DefaultEnvelope())
+		for load := sys.Env.MinLoad; load <= sys.Env.MaxLoad; load++ {
+			c := sys.control(4, int16(load))
+			snap := &epl.Snapshot{}
+			for id := cluster.MachineID(0); id < 4; id++ {
+				snap.Servers = append(snap.Servers, &epl.ServerInfo{ID: id, CPUPerc: c.util, VCPUs: 1, Up: true})
+			}
+			var out, in bool
+			for _, bi := range epl.Evaluate(pol, snap.Index(), true, false).Balance {
+				upper, lower := epl.Band(bi.Upper, bi.Lower)
+				out = out || c.util > upper
+				in = in || c.util < lower
+			}
+			if c.wantOut != out || c.wantIn != in {
+				t.Errorf("%s at %.2f%%: model wants out=%v in=%v, the EMR's band says out=%v in=%v",
+					src, c.util, c.wantOut, c.wantIn, out, in)
+			}
+		}
 	}
 }
