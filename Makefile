@@ -132,8 +132,12 @@ trace-smoke:
 # FuzzSnapshot: random programs of spawns, stops, sends, property, memory
 # and pin changes, migrations, crashes with recovery, runs, resets and
 # snapshots on a 4-machine cluster, every snapshot of the sparse refresh
-# compared field for field with a from-scratch build. A failing input is
-# written to the corpus directory and fails `go test` from then on. Minimising each coverage-increasing input is
+# compared field for field with a from-scratch build. FuzzPercentile: random
+# programs of Observe calls (NaN, ±Inf, ±0, duplicates, raw floats) and
+# queries, every Histogram percentile compared bit for bit with a sort of the
+# samples, up to NaN payloads and zero signs the order cannot tell apart.
+# A failing input is written to the corpus directory and fails `go test`
+# from then on. Minimising each coverage-increasing input is
 # capped at a second — the default minute would take the rest of the smoke.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKernelOrder -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
@@ -141,6 +145,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEnvelope -fuzztime 10s -fuzzminimizetime 1s ./internal/lint/model
 	$(GO) test -run '^$$' -fuzz FuzzTraceJSONL -fuzztime 10s -fuzzminimizetime 1s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/profile
+	$(GO) test -run '^$$' -fuzz FuzzPercentile -fuzztime 10s -fuzzminimizetime 1s ./internal/metrics
 
 # sweep-snapshot writes everything a byte-identity refactor is held to into
 # OUT: the quick plasma-bench report at seeds 1 and 2 and one decision trace
@@ -176,6 +181,6 @@ loc:
 # policy model checker passes every shipped policy, the benchmark harness's
 # own tests pass, the quick-scale sweep shows no perf regression or
 # determinism drift against the checked-in bench baseline, the decision
-# tracer round-trips, and the kernel order, policy, envelope, trace JSONL
-# and snapshot fuzzers find nothing in ten seconds each.
+# tracer round-trips, and the kernel order, policy, envelope, trace JSONL,
+# snapshot and percentile fuzzers find nothing in ten seconds each.
 verify: build vet race lint lint-model bench-test bench-quick trace-smoke fuzz-smoke

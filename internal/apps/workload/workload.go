@@ -86,31 +86,35 @@ type ClosedLoop struct {
 	stopped bool
 }
 
-// Start issues the first request.
-func (c *ClosedLoop) Start() { c.step() }
-
-// Stop ends the loop after the outstanding request completes.
-func (c *ClosedLoop) Stop() { c.stopped = true }
-
-func (c *ClosedLoop) step() {
-	if c.stopped {
-		return
-	}
-	req := c.Next()
-	if req.Target.Zero() {
-		c.K.After(c.Think, c.step)
-		return
-	}
-	c.Client.Request(req.Target, req.Method, req.Arg, req.Size, func(lat sim.Duration, _ interface{}) {
+// Start issues the first request. The loop's step and reply callbacks are
+// built here, once, so that a request allocates neither.
+func (c *ClosedLoop) Start() {
+	var step func()
+	reply := func(lat sim.Duration, _ interface{}) {
 		if c.Rec != nil {
 			c.Rec.Record(c.K.Now(), lat)
 		}
 		if c.OnReply != nil {
 			c.OnReply(lat)
 		}
-		c.K.After(c.Think, c.step)
-	})
+		c.K.After(c.Think, step)
+	}
+	step = func() {
+		if c.stopped {
+			return
+		}
+		req := c.Next()
+		if req.Target.Zero() {
+			c.K.After(c.Think, step)
+			return
+		}
+		c.Client.Request(req.Target, req.Method, req.Arg, req.Size, reply)
+	}
+	step()
 }
+
+// Stop ends the loop after the outstanding request completes.
+func (c *ClosedLoop) Stop() { c.stopped = true }
 
 // OpenLoop is a set of clients firing regardless of completions. Client i of
 // Clients first fires at i·Every/Clients (arrivals staggered across one

@@ -65,6 +65,46 @@ func TestClosedLoopSkipsZeroTarget(t *testing.T) {
 	k.RunUntilIdle()
 }
 
+// A steady request allocates only the runtime's reply path: the loop's own
+// step and reply callbacks are built once, in Start.
+func TestClosedLoopSteadyRequestAllocatesOnce(t *testing.T) {
+	k, rt, ref := env()
+	count := 0
+	loop := &ClosedLoop{
+		K: k, Client: actor.NewClient(rt, 1), Think: 10 * sim.Millisecond,
+		Next:    func() Request { return Request{Target: ref, Method: "m", Size: 8} },
+		OnReply: func(sim.Duration) { count++ },
+	}
+	loop.Start()
+	request := func() {
+		for want := count + 1; count < want; {
+			k.Step()
+		}
+	}
+	for i := 0; i < 100; i++ {
+		request()
+	}
+	if got := testing.AllocsPerRun(200, request); got > 1 {
+		t.Fatalf("a steady request allocated %v times, want at most 1", got)
+	}
+}
+
+// Rec and OnReply are read at each reply, so hooks set after Start count.
+func TestClosedLoopHooksSetAfterStart(t *testing.T) {
+	k, rt, ref := env()
+	loop := &ClosedLoop{
+		K: k, Client: actor.NewClient(rt, 1), Think: 10 * sim.Millisecond,
+		Next: func() Request { return Request{Target: ref, Method: "m", Size: 8} },
+	}
+	loop.Start()
+	rec, replies := NewRecorder(sim.Second), 0
+	loop.Rec, loop.OnReply = rec, func(sim.Duration) { replies++ }
+	k.Run(sim.Time(200 * sim.Millisecond))
+	if replies == 0 || rec.Hist.Count() != replies {
+		t.Fatalf("OnReply saw %d replies and Rec %d, want the same nonzero count", replies, rec.Hist.Count())
+	}
+}
+
 // The open loop fires at Every/Rate(now): two staggered clients at 20 ms, ten
 // times faster inside [100 ms, 200 ms), nothing at or after the 300 ms
 // horizon, and a rate that asks for less than a microsecond gets the floor.

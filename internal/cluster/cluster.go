@@ -67,8 +67,13 @@ type Machine struct {
 	provClass   ProvClass            // class this machine was provisioned through
 
 	active []*work // currently running, len <= VCPUs
-	queue  []*work // waiting for a core
 	freeW  *work   // recycled work structs
+
+	// The run queue, work waiting for a core, is queue[qhead:]. Exec slides
+	// it to the front of a full array at least half consumed instead of
+	// growing it, so a machine in steady state queues without allocating.
+	queue []*work
+	qhead int
 
 	// crashEpoch counts crashes. Work is stamped with it on submission, so
 	// a completion event that outlives a Fail is recognised as stale even
@@ -119,6 +124,9 @@ func (m *Machine) Exec(cost sim.Duration, done func()) {
 	if len(m.active) < m.Type.VCPUs {
 		m.start(w)
 	} else {
+		if n := len(m.queue); n == cap(m.queue) && m.qhead > 0 && m.qhead >= n/2 {
+			m.queue, m.qhead = m.queue[:copy(m.queue, m.queue[m.qhead:])], 0
+		}
 		m.queue = append(m.queue, w)
 	}
 }
@@ -158,9 +166,12 @@ func (m *Machine) complete(w *work) {
 		}
 	}
 	m.busyWindow += sim.Duration(m.k.Now() - w.start)
-	if len(m.queue) > 0 {
-		next := m.queue[0]
-		m.queue = m.queue[1:]
+	if m.qhead < len(m.queue) {
+		next := m.queue[m.qhead]
+		m.qhead++
+		if m.qhead == len(m.queue) {
+			m.queue, m.qhead = m.queue[:0], 0
+		}
 		m.start(next)
 	}
 	done := w.done
@@ -176,7 +187,7 @@ func (m *Machine) complete(w *work) {
 }
 
 // QueueLen reports the number of CPU tasks waiting for a core.
-func (m *Machine) QueueLen() int { return len(m.queue) }
+func (m *Machine) QueueLen() int { return len(m.queue) - m.qhead }
 
 // Busy reports the number of cores currently executing work.
 func (m *Machine) Busy() int { return len(m.active) }
@@ -325,7 +336,7 @@ func (c *Cluster) Fail(id MachineID) bool {
 	m.failed = true
 	m.crashEpoch++
 	m.active = nil
-	m.queue = nil
+	m.queue, m.qhead = nil, 0
 	c.tr.Emit(trace.Record{Kind: trace.KindCrash, Server: int32(id), Target: -1, Rule: -1})
 	for _, fn := range c.onFail {
 		fn(id)

@@ -363,3 +363,105 @@ func TestPropertyBusyConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Once the run queue's array has grown, an Exec→complete cycle on a machine
+// with a deep queue allocates nothing: the queue keeps its array and the
+// work structs come from the free list.
+func TestExecDeepQueueAllocatesNothing(t *testing.T) {
+	k := sim.New(1)
+	m := newTestMachine(k, 1)
+	var refill func()
+	refill = func() { m.Exec(sim.Millisecond, refill) }
+	for i := 0; i < 64; i++ {
+		refill()
+	}
+	// The kernel's queue takes storage the first time its clock carries into
+	// a higher bit: warm up past 2^22 µs, so the measured two seconds (1000
+	// completions, twice) carry into none.
+	k.Run(1 << 22)
+	steps := func() {
+		for i := 0; i < 1000; i++ {
+			k.Step()
+		}
+	}
+	if got := testing.AllocsPerRun(1, steps); got != 0 {
+		t.Fatalf("1000 completions on a 63-deep queue allocated %v times, want 0", got)
+	}
+	if m.QueueLen() != 63 {
+		t.Fatalf("queue len = %d, want 63", m.QueueLen())
+	}
+}
+
+// The run queue is FIFO across its slides to the front of its array and its
+// drains, and the slides keep the array within a small multiple of the
+// deepest queue.
+func TestRunQueueFIFOAcrossSlides(t *testing.T) {
+	k := sim.New(1)
+	m := newTestMachine(k, 1)
+	var got []int
+	next, deepest := 0, 0
+	var submit func()
+	submit = func() {
+		id := next
+		next++
+		m.Exec(sim.Millisecond, func() {
+			got = append(got, id)
+			// Zero, one or two more: the queue's depth wanders, drains and
+			// refills.
+			for i := 0; i < id%3 && next < 2000; i++ {
+				submit()
+			}
+			if next < 2000 && m.QueueLen() == 0 && m.Busy() == 0 {
+				submit()
+			}
+			deepest = max(deepest, m.QueueLen())
+		})
+	}
+	for i := 0; i < 10; i++ {
+		submit()
+	}
+	k.RunUntilIdle()
+	if len(got) != next {
+		t.Fatalf("%d of %d submitted tasks completed", len(got), next)
+	}
+	for i, id := range got {
+		if id != i {
+			t.Fatalf("completion %d was task %d, want FIFO order", i, id)
+		}
+	}
+	if cap(m.queue) > 4*deepest+8 {
+		t.Fatalf("queue array grew to %d for a queue never deeper than %d", cap(m.queue), deepest)
+	}
+}
+
+// A crash drops the whole run queue however far its head had advanced:
+// after Repair the queue is empty, none of the dropped work completes, and
+// new work starts at once.
+func TestFailDropsAdvancedRunQueue(t *testing.T) {
+	k := sim.New(1)
+	c := New(k, 1, InstanceType{Name: "test", VCPUs: 1, MemMB: 1024, NetMbps: 100, SpeedFac: 1.0})
+	m := c.Machine(0)
+	done := 0
+	for i := 0; i < 6; i++ {
+		m.Exec(sim.Second, func() { done++ })
+	}
+	var freshAt sim.Time
+	k.At(sim.Time(2500*sim.Millisecond), func() { c.Fail(0) })
+	k.At(sim.Time(3*sim.Second), func() {
+		c.Repair(0)
+		if m.QueueLen() != 0 {
+			t.Errorf("queue len after repair = %d, want 0", m.QueueLen())
+		}
+		m.Exec(sim.Second, func() { freshAt = k.Now() })
+	})
+	k.RunUntilIdle()
+	if done != 2 {
+		t.Fatalf("%d tasks completed, want the 2 finished before the crash", done)
+	}
+	if freshAt != sim.Time(4*sim.Second) {
+		t.Fatalf("post-repair work done at %v, want 4s", freshAt)
+	}
+	if m.Busy() != 0 || m.QueueLen() != 0 {
+		t.Fatalf("run queues not empty: busy %d, queued %d", m.Busy(), m.QueueLen())
+	}
+}

@@ -1,10 +1,12 @@
 // Package metrics provides the small statistical building blocks used by
-// PLASMA's experiment harnesses: histograms with percentile queries,
+// PLASMA's experiment harnesses: histograms with exact percentile queries,
 // time series, and SLO and recovery trackers.
 package metrics
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -12,18 +14,22 @@ import (
 // bucketed: experiment sample counts are small enough that exact percentiles
 // are affordable and simpler to reason about.
 //
-// Sorted state is maintained lazily and incrementally: queries sort only
-// the samples appended since the last query and merge them into the sorted
-// prefix, so a query burst costs one small tail sort instead of a full
-// re-sort per call.
+// A percentile query selects the order statistics it needs in place instead
+// of sorting: each query costs time linear in the sample count, and no state
+// besides the samples is kept between queries. A query reorders the samples,
+// so Mean, which sums them in their current order, can round differently
+// after one; call it first where that matters.
 type Histogram struct {
 	samples []float64
-	nsorted int       // prefix of samples known sorted
-	scratch []float64 // reused merge buffer
 }
 
 // Observe records one sample.
 func (h *Histogram) Observe(x float64) {
+	if len(h.samples) == cap(h.samples) {
+		// Double: append grows a large slice by a quarter, which copies a
+		// histogram of millions of samples several times as often.
+		h.samples = slices.Grow(h.samples, len(h.samples))
+	}
 	h.samples = append(h.samples, x)
 }
 
@@ -42,108 +48,83 @@ func (h *Histogram) Mean() float64 {
 	return s / float64(len(h.samples))
 }
 
-// Min reports the smallest sample (0 if empty).
-func (h *Histogram) Min() float64 {
-	h.ensureSorted()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	return h.samples[0]
-}
-
-// Max reports the largest sample (0 if empty).
-func (h *Histogram) Max() float64 {
-	h.ensureSorted()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	return h.samples[len(h.samples)-1]
-}
-
 // Percentile reports the p-th percentile using linear interpolation
-// between closest ranks. p outside [0,100] is clamped to the nearest
-// bound; an empty histogram (or a NaN p) reports NaN.
+// between closest ranks, ranks taken in sort.Float64s order (NaN first).
+// p outside [0,100] is clamped to the nearest bound; an empty histogram (or
+// a NaN p) reports NaN.
 func (h *Histogram) Percentile(p float64) float64 {
-	h.ensureSorted()
 	n := len(h.samples)
 	if n == 0 || math.IsNaN(p) {
 		return math.NaN()
 	}
-	if p <= 0 {
-		return h.samples[0]
-	}
-	if p >= 100 {
-		return h.samples[n-1]
-	}
-	rank := p / 100 * float64(n-1)
+	rank := min(max(p, 0), 100) / 100 * float64(n-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
+	x := h.nth(lo)
 	if lo == hi {
-		return h.samples[lo]
+		return x
 	}
-	frac := rank - float64(lo)
-	return h.samples[lo]*(1-frac) + h.samples[hi]*frac
-}
-
-// Stddev reports the population standard deviation (0 if fewer than 2).
-func (h *Histogram) Stddev() float64 {
-	n := len(h.samples)
-	if n < 2 {
-		return 0
-	}
-	m := h.Mean()
-	var ss float64
-	for _, x := range h.samples {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
-// Reset discards all samples.
-func (h *Histogram) Reset() {
-	h.samples = h.samples[:0]
-	h.nsorted = 0
-}
-
-// ensureSorted brings the whole sample slice into sorted order by sorting
-// the unsorted tail and merging it into the already-sorted prefix.
-func (h *Histogram) ensureSorted() {
-	n := len(h.samples)
-	if h.nsorted >= n {
-		return
-	}
-	tail := h.samples[h.nsorted:]
-	sort.Float64s(tail)
-	// Skip the merge when the tail already extends the prefix.
-	if h.nsorted > 0 && tail[0] < h.samples[h.nsorted-1] {
-		h.mergeTail()
-	}
-	h.nsorted = n
-}
-
-// mergeTail merges samples[:nsorted] and samples[nsorted:] (both sorted)
-// through a reused scratch buffer.
-func (h *Histogram) mergeTail() {
-	a := h.samples[:h.nsorted]
-	b := h.samples[h.nsorted:]
-	if cap(h.scratch) < len(h.samples) {
-		h.scratch = make([]float64, len(h.samples))
-	}
-	out := h.scratch[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if b[j] < a[i] {
-			out = append(out, b[j])
-			j++
-		} else {
-			out = append(out, a[i])
-			i++
+	// nth left every sample after lo no smaller than x, so the next order
+	// statistic is the least of them.
+	y := h.samples[hi]
+	for _, s := range h.samples[hi+1:] {
+		if less(s, y) {
+			y = s
 		}
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	copy(h.samples, out)
+	frac := rank - float64(lo)
+	return x*(1-frac) + y*frac
+}
+
+// less is sort.Float64s' order: NaN before every number.
+func less(x, y float64) bool { return x < y || (x != x && y == y) }
+
+// nth reorders the samples so that samples[k] holds the k-th smallest, none
+// after it is smaller and none before it larger, and returns it. It is an
+// introselect: median-of-three Hoare partitions narrow the range holding k,
+// and a range still unsettled after 2·⌈log2 n⌉ of them is sorted, which
+// bounds the adversarial case at a sort's cost.
+func (h *Histogram) nth(k int) float64 {
+	a := h.samples
+	lo, hi := 0, len(a)-1
+	for budget := 2 * bits.Len(uint(len(a)-1)); lo < hi; budget-- {
+		if budget == 0 {
+			sort.Float64s(a[lo : hi+1])
+			break
+		}
+		// Order a[lo] <= a[mid] <= a[hi] and split at a[mid]'s value: both
+		// scans then stop by mid on the first pass, and each side of the
+		// split is non-empty.
+		mid := lo + (hi-lo)/2
+		if less(a[mid], a[lo]) {
+			a[mid], a[lo] = a[lo], a[mid]
+		}
+		if less(a[hi], a[mid]) {
+			a[hi], a[mid] = a[mid], a[hi]
+			if less(a[mid], a[lo]) {
+				a[mid], a[lo] = a[lo], a[mid]
+			}
+		}
+		pivot := a[mid]
+		i, j := lo-1, hi+1
+		for {
+			for i++; less(a[i], pivot); i++ {
+			}
+			for j--; less(pivot, a[j]); j-- {
+			}
+			if i >= j {
+				break
+			}
+			a[i], a[j] = a[j], a[i]
+		}
+		// a[lo..j] <= pivot <= a[j+1..hi].
+		if k <= j {
+			hi = j
+		} else {
+			lo = j + 1
+		}
+	}
+	return a[k]
 }
 
 // Series is an append-only (x, y) trace used to reproduce the paper's

@@ -9,8 +9,8 @@ import (
 
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
-	if h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {
-		t.Fatal("empty histogram should report zero mean/min/max")
+	if h.Mean() != 0 {
+		t.Fatal("empty histogram should report zero mean")
 	}
 	// An empty histogram has no percentile; 0 would be a fabricated sample.
 	if got := h.Percentile(50); !math.IsNaN(got) {
@@ -54,23 +54,19 @@ func TestHistogramPercentiles(t *testing.T) {
 	}
 }
 
+// A sample observed after a query moves the next query.
 func TestHistogramObserveAfterQuery(t *testing.T) {
 	var h Histogram
 	h.Observe(5)
-	_ = h.Percentile(50)
-	h.Observe(1) // must re-sort
-	if got := h.Min(); got != 1 {
-		t.Fatalf("min = %v, want 1", got)
+	if got := h.Percentile(50); got != 5 {
+		t.Fatalf("p50 = %v, want 5", got)
 	}
-}
-
-func TestHistogramStddev(t *testing.T) {
-	var h Histogram
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		h.Observe(x)
+	h.Observe(1)
+	if got := h.Percentile(0); got != 1 {
+		t.Fatalf("p0 = %v, want 1", got)
 	}
-	if got := h.Stddev(); math.Abs(got-2) > 1e-9 {
-		t.Fatalf("stddev = %v, want 2", got)
+	if got := h.Percentile(50); got != 3 {
+		t.Fatalf("p50 = %v, want 3", got)
 	}
 }
 
@@ -109,17 +105,17 @@ func TestTailMeanYMinimumOneSample(t *testing.T) {
 		frac float64
 		want float64 // Y values are 0..n-1
 	}{
-		{n: 3, frac: 0.1, want: 2},            // int(0.3)=0 -> floor to 1 sample
-		{n: 1, frac: 0.99, want: 0},           // int(0.99)=0 -> 1 sample
-		{n: 10, frac: 0.2, want: 8.5},         // exact: last 2 of 0..9
-		{n: 10, frac: 0.25, want: 8.5},        // truncates to 2 samples
-		{n: 4, frac: 1.0, want: 1.5},          // whole series
-		{n: 4, frac: 2.5, want: 1.5},          // frac > 1 clamps to whole series
-		{n: 5, frac: 0, want: 4},              // zero frac -> last sample
-		{n: 5, frac: -0.5, want: 4},           // negative frac -> last sample
-		{n: 5, frac: math.NaN(), want: 4},     // NaN frac -> last sample, not NaN
-		{n: 2, frac: 0.5, want: 1},            // exact single sample
-		{n: 100, frac: 0.001, want: 99},       // tiny frac on large n
+		{n: 3, frac: 0.1, want: 2},        // int(0.3)=0 -> floor to 1 sample
+		{n: 1, frac: 0.99, want: 0},       // int(0.99)=0 -> 1 sample
+		{n: 10, frac: 0.2, want: 8.5},     // exact: last 2 of 0..9
+		{n: 10, frac: 0.25, want: 8.5},    // truncates to 2 samples
+		{n: 4, frac: 1.0, want: 1.5},      // whole series
+		{n: 4, frac: 2.5, want: 1.5},      // frac > 1 clamps to whole series
+		{n: 5, frac: 0, want: 4},          // zero frac -> last sample
+		{n: 5, frac: -0.5, want: 4},       // negative frac -> last sample
+		{n: 5, frac: math.NaN(), want: 4}, // NaN frac -> last sample, not NaN
+		{n: 2, frac: 0.5, want: 1},        // exact single sample
+		{n: 100, frac: 0.001, want: 99},   // tiny frac on large n
 	}
 	for _, c := range cases {
 		var s Series
@@ -130,47 +126,6 @@ func TestTailMeanYMinimumOneSample(t *testing.T) {
 		if math.IsNaN(got) || math.Abs(got-c.want) > 1e-9 {
 			t.Errorf("TailMeanY(n=%d, frac=%v) = %v, want %v", c.n, c.frac, got, c.want)
 		}
-	}
-}
-
-// Property: interleaved Observe/query bursts produce the same percentiles
-// as a single sort at the end — the incremental tail-merge must be
-// equivalent to a full re-sort.
-func TestPropertyIncrementalSortEquivalent(t *testing.T) {
-	f := func(raw []float64, splitRaw uint8) bool {
-		vals := raw[:0:0]
-		for _, x := range raw {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				continue
-			}
-			vals = append(vals, x)
-		}
-		if len(vals) == 0 {
-			return true
-		}
-		var h Histogram
-		split := int(splitRaw) % (len(vals) + 1)
-		for _, x := range vals[:split] {
-			h.Observe(x)
-		}
-		_ = h.Percentile(50) // force a sort of the first burst
-		_ = h.Min()
-		for _, x := range vals[split:] {
-			h.Observe(x)
-		}
-		var ref Histogram
-		for _, x := range vals {
-			ref.Observe(x)
-		}
-		for p := 0.0; p <= 100; p += 7 {
-			if h.Percentile(p) != ref.Percentile(p) {
-				return false
-			}
-		}
-		return h.Min() == ref.Min() && h.Max() == ref.Max()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -189,7 +144,7 @@ func TestImbalance(t *testing.T) {
 	}
 }
 
-// Property: Percentile is monotone in p and bounded by [Min, Max].
+// Property: Percentile is monotone in p and bounded by [p0, p100].
 func TestPropertyPercentileMonotone(t *testing.T) {
 	f := func(raw []float64) bool {
 		var h Histogram
@@ -202,10 +157,11 @@ func TestPropertyPercentileMonotone(t *testing.T) {
 		if h.Count() == 0 {
 			return true
 		}
+		min, max := h.Percentile(0), h.Percentile(100)
 		prev := math.Inf(-1)
 		for p := 0.0; p <= 100; p += 5 {
 			v := h.Percentile(p)
-			if v < prev || v < h.Min() || v > h.Max() {
+			if v < prev || v < min || v > max {
 				return false
 			}
 			prev = v
