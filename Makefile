@@ -88,8 +88,8 @@ lint:
 	$(GO) run ./cmd/plasma-lint -Werror ./internal/... ./cmd/...
 
 # lint-model runs the offline policy model checker: the model package's
-# corpus verdicts and the shipped-policy gate (every internal/apps and
-# examples/ policy must be EPL2xx-clean), then the CLI end to end with
+# corpus verdicts and the shipped-policy gate (every internal/apps, Table 1
+# and examples/ policy must be EPL2xx-clean), then the CLI end to end with
 # -model -Werror over the clean corpus policies (any new model finding —
 # oscillation, overload dead state, pool dead end, assert violation —
 # fails the build).
@@ -169,10 +169,11 @@ sweep-snapshot:
 # it the share held by internal/experiments, the largest package, by
 # internal/emr, the control plane, by internal/profile and internal/actor,
 # the EPR and the runtime under it, by internal/sim, the kernel, by
-# internal/epl, internal/lint and internal/core, the policy front end, and by
-# internal/baseline, the comparison managers.
+# internal/epl, internal/lint and internal/core, the policy front end, by
+# internal/baseline, the comparison managers, and by internal/apps and
+# internal/graph, the applications and the PageRank graph substrate.
 GO_NONTEST = -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*'
-LOC_PKGS = internal/experiments internal/emr internal/profile internal/actor internal/sim internal/epl internal/lint internal/core internal/baseline
+LOC_PKGS = internal/experiments internal/emr internal/profile internal/actor internal/sim internal/epl internal/lint internal/core internal/baseline internal/apps internal/graph
 loc:
 	@echo "module $$(find . $(GO_NONTEST) | xargs cat | wc -l) $$(for d in $(LOC_PKGS); do printf ' %s %s' $$d $$(find ./$$d $(GO_NONTEST) | xargs cat | wc -l); done)"
 

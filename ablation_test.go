@@ -13,27 +13,18 @@ import (
 	"plasma/internal/sim"
 )
 
-// Ablation benchmarks isolate the design choices DESIGN.md calls out:
-// which graph partitioner feeds PageRank, and whether the
-// placement-stability rule (§4.3) is enforced.
+// The ablation benchmark isolates a design choice DESIGN.md calls out:
+// whether the placement-stability rule (§4.3) is enforced.
 
-// pagerankRun deploys the fig6a-style setup with a chosen partitioner and
-// EMR config, returning converged time and migration count.
-func pagerankRun(seed int64, partitioner string, cfg emr.Config, elastic bool) (sim.Duration, int) {
+// pagerankRun deploys the fig6a-style setup, multilevel-partitioned, under
+// an EMR config, returning converged time and migration count.
+func pagerankRun(seed int64, cfg emr.Config) (sim.Duration, int) {
 	k := sim.New(seed)
 	c := cluster.New(k, 8, cluster.M5Large)
 	rt := actor.NewRuntime(k, c)
 	prof := profile.New(k, c, rt)
 	g := graph.GeneratePowerLaw(12000, 10, 2.1, seed)
-	var parts []int
-	switch partitioner {
-	case "multilevel":
-		parts = graph.PartitionMultilevel(g, 32, seed)
-	case "ldg":
-		parts = graph.PartitionLDG(g, 32)
-	case "hash":
-		parts = graph.PartitionHash(g, 32)
-	}
+	parts := graph.PartitionMultilevel(g, 32, seed)
 	perm := sim.New(seed*7 + 1).Rand().Perm(32)
 	placement := make([]cluster.MachineID, 32)
 	for i, p := range perm {
@@ -44,50 +35,12 @@ func pagerankRun(seed int64, partitioner string, cfg emr.Config, elastic bool) (
 		PerEdgeCost: 55 * sim.Microsecond, SyncOverhead: 12 * sim.Millisecond,
 		HeteroSpread: 0.5, Iterations: 120,
 	}, placement)
-	migs := 0
-	if elastic {
-		mgr := emr.New(k, c, rt, prof, epl.MustParse(pagerank.PolicySrc), cfg)
-		mgr.Start()
-		app.Start(k)
-		for !app.Done && k.Step() {
-		}
-		migs = mgr.Stats.ExecutedMigrations
-		return app.ConvergedTime(), migs
-	}
+	mgr := emr.New(k, c, rt, prof, epl.MustParse(pagerank.PolicySrc), cfg)
+	mgr.Start()
 	app.Start(k)
 	for !app.Done && k.Step() {
 	}
-	return app.ConvergedTime(), migs
-}
-
-// BenchmarkAblationPartitioner compares PageRank converged time across
-// partitioners, with PLASMA balancing on: better initial cuts leave less
-// work for the elasticity runtime.
-func BenchmarkAblationPartitioner(b *testing.B) {
-	for _, part := range []string{"multilevel", "ldg", "hash"} {
-		part := part
-		b.Run(part, func(b *testing.B) {
-			var sumMS, sumCut float64
-			for i := 0; i < b.N; i++ {
-				seed := int64(i + 1)
-				d, _ := pagerankRun(seed, part, emr.Config{Period: 500 * sim.Millisecond}, true)
-				g := graph.GeneratePowerLaw(12000, 10, 2.1, seed)
-				var parts []int
-				switch part {
-				case "multilevel":
-					parts = graph.PartitionMultilevel(g, 32, seed)
-				case "ldg":
-					parts = graph.PartitionLDG(g, 32)
-				case "hash":
-					parts = graph.PartitionHash(g, 32)
-				}
-				sumCut += float64(graph.EdgeCut(g, parts))
-				sumMS += float64(d) / float64(sim.Millisecond)
-			}
-			b.ReportMetric(sumMS/float64(b.N), "converged_ms")
-			b.ReportMetric(sumCut/float64(b.N), "edge_cut")
-		})
-	}
+	return app.ConvergedTime(), mgr.Stats.ExecutedMigrations
 }
 
 // BenchmarkAblationStability compares the §4.3 placement-stability rule
@@ -106,8 +59,8 @@ func BenchmarkAblationStability(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			var sumMS, sumMigs float64
 			for i := 0; i < b.N; i++ {
-				d, migs := pagerankRun(int64(i+1), "multilevel",
-					emr.Config{Period: 500 * sim.Millisecond, MinResidence: c.res}, true)
+				d, migs := pagerankRun(int64(i+1),
+					emr.Config{Period: 500 * sim.Millisecond, MinResidence: c.res})
 				sumMS += float64(d) / float64(sim.Millisecond)
 				sumMigs += float64(migs)
 			}

@@ -432,3 +432,142 @@ func TestOnTickObserverFires(t *testing.T) {
 		t.Fatalf("observer fired %d times, want 5", ticks)
 	}
 }
+
+func distinctServers(e *env, refs []actor.Ref) int {
+	srvs := map[cluster.MachineID]bool{}
+	for _, r := range refs {
+		srvs[e.rt.ServerOf(r)] = true
+	}
+	return len(srvs)
+}
+
+// Cassandra's Table 1 policy: the replicas a TableMeta lists go to
+// distinct servers. Two tables' three replicas each start crowded on one
+// server of three.
+func TestSeparateSpreadsReplicas(t *testing.T) {
+	e := newEnv(1, 3, 1)
+	pol := epl.MustParse(`
+Replica(r1) in ref(TableMeta(t).replicas) and
+Replica(r2) in ref(t.replicas) =>
+    separate(r1, r2);
+`)
+	var tables [][]actor.Ref
+	for tbl := 0; tbl < 2; tbl++ {
+		var reps []actor.Ref
+		for r := 0; r < 3; r++ {
+			reps = append(reps, e.rt.SpawnOn("Replica", worker(10), 0))
+		}
+		e.rt.SetProp(e.rt.SpawnOn("TableMeta", quiet(), 0), "replicas", reps)
+		startWork(e, reps...)
+		tables = append(tables, reps)
+	}
+	m := New(e.k, e.c, e.rt, e.prof, pol, Config{Period: sim.Second, MinResidence: sim.Millisecond})
+	m.Start()
+	e.k.Run(sim.Time(10 * sim.Second))
+	for tbl, reps := range tables {
+		if n := distinctServers(e, reps); n != 3 {
+			t.Fatalf("table %d's replicas on %d servers, want 3", tbl, n)
+		}
+	}
+}
+
+// zExpander's Table 1 policy: on a server past 40% memory, each
+// memory-heavy Leaf gets a server of its own. Three 160 MB leaves and their
+// index start on one 512 MB server of four.
+func TestReserveSpreadsMemoryHeavyLeaves(t *testing.T) {
+	k := sim.New(1)
+	c := cluster.New(k, 4, cluster.InstanceType{Name: "t", VCPUs: 1, MemMB: 512, NetMbps: 1000, SpeedFac: 1})
+	rt := actor.NewRuntime(k, c)
+	e := &env{k: k, c: c, rt: rt, prof: profile.New(k, c, rt)}
+	pol := epl.MustParse(`server.mem.perc > 40 => reserve(Leaf(l), mem);`)
+	leaf := actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
+		ctx.SetMemSize(160 << 20)
+		ctx.Use(sim.Millisecond)
+		ctx.SendAfter(100*sim.Millisecond, ctx.Self(), "store", nil, 16)
+	})
+	var leaves []actor.Ref
+	for i := 0; i < 3; i++ {
+		leaves = append(leaves, e.rt.SpawnOn("Leaf", leaf, 0))
+	}
+	e.rt.SpawnOn("Index", worker(5), 0)
+	startWork(e, leaves...)
+	m := New(e.k, e.c, e.rt, e.prof, pol, Config{Period: sim.Second, MinResidence: sim.Millisecond})
+	m.Start()
+	e.k.Run(sim.Time(10 * sim.Second))
+	for _, lf := range leaves {
+		if s := e.rt.ServerOf(lf); s == 0 || m.srv(s).owner != lf {
+			t.Fatalf("leaf %v on server %d (reserved for %v), want a server of its own", lf, s, m.srv(s).owner)
+		}
+	}
+	if n := distinctServers(e, leaves); n != 3 {
+		t.Fatalf("leaves on %d servers, want 3", n)
+	}
+}
+
+// The B+ tree's Table 1 policy: an inner node colocates with the inner
+// nodes it lists as children, and leaves stay apart. The inner nodes (a
+// root, two children, a grandchild) start one per server, so the ref
+// family must converge onto one; the busy leaves start crowded on one
+// server, so separate must spread them.
+func TestElasticityColocatesInnerFamilies(t *testing.T) {
+	e := newEnv(1, 4, 1)
+	pol := epl.MustParse(`
+InnerNode(c) in ref(InnerNode(p).children) => colocate(p, c);
+true => separate(LeafNode(a), LeafNode(b));
+`)
+	var inners, leaves []actor.Ref
+	for i := 0; i < 4; i++ {
+		inners = append(inners, e.rt.SpawnOn("InnerNode", quiet(), cluster.MachineID(i)))
+		leaves = append(leaves, e.rt.SpawnOn("LeafNode", worker(15), 0))
+	}
+	e.rt.SetProp(inners[0], "children", inners[1:3])
+	e.rt.SetProp(inners[1], "children", inners[3:])
+	startWork(e, leaves...)
+	m := New(e.k, e.c, e.rt, e.prof, pol, Config{Period: sim.Second, MinResidence: sim.Millisecond})
+	m.Start()
+	e.k.Run(sim.Time(8 * sim.Second))
+	if n := distinctServers(e, inners); n != 1 {
+		t.Fatalf("inner nodes on %d servers, want 1", n)
+	}
+	if n := distinctServers(e, leaves); n != 4 {
+		t.Fatalf("leaves on %d servers, want 4", n)
+	}
+}
+
+// Piccolo's Table 1 policy balances Workers while colocating each with the
+// Table it reads (EPL105's pair). Eight Workers, each about 40% of a core,
+// start on server 0, far over the band, and their Tables (which hold the
+// state, so each pair's home is the Table's server) are spread over the
+// other three. Balance sheds Workers off server 0 while colocate pulls
+// every Worker to its Table in the same periods; each must end beside it.
+func TestElasticityColocatesWorkerWithTable(t *testing.T) {
+	e := newEnv(1, 4, 2)
+	pol := epl.MustParse(`
+server.cpu.perc > 80 or server.cpu.perc < 60 =>
+    balance({Worker}, cpu);
+Table(t) in ref(Worker(w).reads) => colocate(w, t);
+`)
+	var workers, tables []actor.Ref
+	for i := 0; i < 8; i++ {
+		table := e.rt.SpawnOn("Table", actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
+			ctx.SetMemSize(1 << 20)
+			ctx.Use(50 * sim.Microsecond)
+		}), cluster.MachineID(1+i%3))
+		w := e.rt.SpawnOn("Worker", actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
+			ctx.Use(40 * sim.Millisecond)
+			ctx.Send(table, "get", nil, 64)
+			ctx.SendAfter(60*sim.Millisecond, ctx.Self(), "work", nil, 16)
+		}), 0)
+		e.rt.SetProp(w, "reads", []actor.Ref{table})
+		workers, tables = append(workers, w), append(tables, table)
+	}
+	startWork(e, workers...)
+	m := New(e.k, e.c, e.rt, e.prof, pol, Config{Period: sim.Second, MinResidence: sim.Millisecond})
+	m.Start()
+	e.k.Run(sim.Time(10*sim.Second + 500*sim.Millisecond))
+	for i, w := range workers {
+		if ws, ts := e.rt.ServerOf(w), e.rt.ServerOf(tables[i]); ws != ts {
+			t.Fatalf("worker %d on server %d, its table on %d", i, ws, ts)
+		}
+	}
+}

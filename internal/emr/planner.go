@@ -207,24 +207,37 @@ func (m *Manager) planSeparates(snap *epl.Snapshot, pairs []epl.PairIntent, plan
 	// spreadPenalty makes each assignment push later movers elsewhere.
 	const spreadPenalty = 25
 
-	moved := map[actor.Ref]bool{}
+	// moved is where this pass sends its movers: a pair whose member already
+	// left is settled, so its partner stays.
+	moved := map[actor.Ref]cluster.MachineID{}
+	at := func(ai *epl.ActorInfo) cluster.MachineID {
+		if to, ok := moved[ai.Ref]; ok {
+			return to
+		}
+		return destOf(ai, planned)
+	}
+	stays := func(ai *epl.ActorInfo) bool {
+		_, committed := planned[ai.Ref]
+		_, gone := moved[ai.Ref]
+		return committed || gone || ai.Pinned || !m.movable(ai)
+	}
 	var out []Action
 	for _, pi := range pairs {
 		a, b := snap.Actor(pi.A), snap.Actor(pi.B)
 		if a == nil || b == nil {
 			continue
 		}
-		if destOf(a, planned) != destOf(b, planned) {
+		if at(a) != at(b) {
 			continue
 		}
 		mover := b
-		if _, committed := planned[mover.Ref]; committed || mover.Pinned || !m.movable(mover) || moved[mover.Ref] {
+		if stays(mover) {
 			mover = a
 		}
-		if _, committed := planned[mover.Ref]; committed || mover.Pinned || !m.movable(mover) || moved[mover.Ref] {
+		if stays(mover) {
 			continue
 		}
-		src := destOf(a, planned)
+		src := at(a)
 		best := cluster.MachineID(-1)
 		bestScore := math.Inf(1)
 		for _, id := range targets {
@@ -238,7 +251,7 @@ func (m *Manager) planSeparates(snap *epl.Snapshot, pairs []epl.PairIntent, plan
 		if best < 0 || bestScore >= score[src] {
 			continue // no quieter server available
 		}
-		moved[mover.Ref] = true
+		moved[mover.Ref] = best
 		score[best] += spreadPenalty
 		out = append(out, Action{
 			Actor: mover.Ref, Src: mover.Server, Trg: best,

@@ -365,7 +365,8 @@ type Rule struct {
 	Pos       Pos
 }
 
-// HasResourceBehavior reports whether any behavior is [r-r].
+// HasResourceBehavior reports whether any behavior is [r-r]: GEMs evaluate
+// such rules (Table 2's getResRules).
 func (r *Rule) HasResourceBehavior() bool {
 	for _, b := range r.Behaviors {
 		if b.Kind().IsResource() {
@@ -375,7 +376,8 @@ func (r *Rule) HasResourceBehavior() bool {
 	return false
 }
 
-// HasInteractionBehavior reports whether any behavior is [r-i].
+// HasInteractionBehavior reports whether any behavior is [r-i]: LEMs
+// evaluate such rules (Table 2's getActRules).
 func (r *Rule) HasInteractionBehavior() bool {
 	for _, b := range r.Behaviors {
 		if !b.Kind().IsResource() {
@@ -425,30 +427,6 @@ func (p *Policy) Expand(t string) []string {
 		return d
 	}
 	return []string{t}
-}
-
-// ResourceRules returns rules with at least one [r-r] behavior (what GEMs
-// evaluate — Table 2's getResRules).
-func (p *Policy) ResourceRules() []*Rule {
-	var out []*Rule
-	for _, r := range p.Rules {
-		if r.HasResourceBehavior() {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// InteractionRules returns rules with at least one [r-i] behavior (what
-// LEMs evaluate — Table 2's getActRules).
-func (p *Policy) InteractionRules() []*Rule {
-	var out []*Rule
-	for _, r := range p.Rules {
-		if r.HasInteractionBehavior() {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 func (p *Policy) String() string {

@@ -45,6 +45,8 @@ func NewSchema(classes ...*ActorSchema) *Schema {
 //	{"actors": [{"name": "Folder", "parent": "", "functions": ["open"], "props": ["files"]}]}
 //
 // and returns nil for the empty path (no schema: Check skips name checks).
+// A null entry, a class without a name, a name declared twice or a parent
+// cycle is a bad schema.
 func ReadSchema(path string) (*Schema, error) {
 	if path == "" {
 		return nil, nil
@@ -59,7 +61,27 @@ func ReadSchema(path string) (*Schema, error) {
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("epl: bad schema %s: %v", path, err)
 	}
-	return NewSchema(f.Actors...), nil
+	s := &Schema{Actors: make(map[string]*ActorSchema, len(f.Actors))}
+	for i, c := range f.Actors {
+		switch {
+		case c == nil:
+			return nil, fmt.Errorf("epl: bad schema %s: actor %d is null", path, i)
+		case c.Name == "":
+			return nil, fmt.Errorf("epl: bad schema %s: actor %d has no name", path, i)
+		case s.Actors[c.Name] != nil:
+			return nil, fmt.Errorf("epl: bad schema %s: actor %q declared twice", path, c.Name)
+		}
+		s.Actors[c.Name] = c
+	}
+	// A parent chain longer than the class count has entered a cycle.
+	for _, c := range f.Actors {
+		for p, steps := s.Actors[c.Parent], 0; p != nil; p, steps = s.Actors[p.Parent], steps+1 {
+			if steps == len(f.Actors) {
+				return nil, fmt.Errorf("epl: bad schema %s: actor %q has a parent cycle", path, c.Name)
+			}
+		}
+	}
+	return s, nil
 }
 
 // Class declares an actor class for NewSchema.

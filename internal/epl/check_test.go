@@ -1,8 +1,12 @@
 package epl
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func mediaSchema() *Schema {
@@ -303,5 +307,53 @@ server.cpu.perc > 80 => balance({Worker}, cpu);
 	pb := warnsByCode(warns, CodePinBalance)
 	if len(pb) == 0 || !strings.Contains(pb[0].String(), CodePinBalance) {
 		t.Fatalf("warning string missing code: %v", warns)
+	}
+}
+
+// TestReadSchemaRejectsGarbage feeds ReadSchema schema files that once
+// panicked (a null entry) or sent Check's subtype expansion round a parent
+// cycle forever. Each must come back as a bad-schema error, in bounded time.
+func TestReadSchemaRejectsGarbage(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name, json, want string // want == "": the schema is good
+	}{
+		{"null", `{"actors":[null]}`, "null"},
+		{"self-parent", `{"actors":[{"name":"A","parent":"A"}]}`, "parent cycle"},
+		{"two-class cycle", `{"actors":[{"name":"A","parent":"B"},{"name":"B","parent":"A"}]}`, "parent cycle"},
+		{"cycle above", `{"actors":[{"name":"C","parent":"A"},{"name":"A","parent":"B"},{"name":"B","parent":"A"}]}`, "parent cycle"},
+		{"empty name", `{"actors":[{"name":""}]}`, "no name"},
+		{"duplicate name", `{"actors":[{"name":"A"},{"name":"A"}]}`, "declared twice"},
+		{"chain", `{"actors":[{"name":"C","parent":"B"},{"name":"B","parent":"A"},{"name":"A"}]}`, ""},
+		{"undeclared parent", `{"actors":[{"name":"A","parent":"Z"}]}`, ""},
+	} {
+		path := filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "_")+".json")
+		if err := os.WriteFile(path, []byte(tc.json), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			defer func() {
+				if r := recover(); r != nil {
+					done <- fmt.Errorf("panic: %v", r)
+				}
+			}()
+			s, err := ReadSchema(path)
+			if err == nil {
+				_, err = Check(MustParse(`true => pin(A(a));`), s)
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			switch {
+			case tc.want == "" && err != nil:
+				t.Errorf("%s: %v", tc.name, err)
+			case tc.want != "" && (err == nil || !strings.HasPrefix(err.Error(), "epl: bad schema ") || !strings.Contains(err.Error(), tc.want)):
+				t.Errorf("%s: err = %v, want a bad-schema error naming %q", tc.name, err, tc.want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: ReadSchema + Check still running after 5s", tc.name)
+		}
 	}
 }

@@ -263,19 +263,19 @@ func TestPolicyRoundTripThroughString(t *testing.T) {
 }
 
 func TestResourceAndInteractionRuleSplit(t *testing.T) {
-	pol := MustParse(estorePolicy)
-	res := pol.ResourceRules()
-	inter := pol.InteractionRules()
-	if len(res) != 2 { // rules 1 (reserve) and 3 (balance)
-		t.Fatalf("resource rules = %d, want 2", len(res))
+	// E-Store: rules 1 (reserve) and 3 (balance) are [r-r], rule 2
+	// (colocate) is [r-i].
+	for i, r := range MustParse(estorePolicy).Rules {
+		wantRes, wantInter := i != 1, i == 1
+		if r.HasResourceBehavior() != wantRes || r.HasInteractionBehavior() != wantInter {
+			t.Fatalf("estore rule %d: resource=%v interaction=%v, want %v %v",
+				i+1, r.HasResourceBehavior(), r.HasInteractionBehavior(), wantRes, wantInter)
+		}
 	}
-	if len(inter) != 1 { // rule 2 (colocate)
-		t.Fatalf("interaction rules = %d, want 1", len(inter))
-	}
-	// The metadata rule has both reserve and colocate: appears in both sets.
+	// The metadata rule has both reserve and colocate: it is both.
 	mpol := MustParse(metadataPolicy)
-	if len(mpol.ResourceRules()) != 1 || len(mpol.InteractionRules()) != 1 {
-		t.Fatal("mixed rule should be in both rule sets")
+	if len(mpol.Rules) != 1 || !mpol.Rules[0].HasResourceBehavior() || !mpol.Rules[0].HasInteractionBehavior() {
+		t.Fatal("mixed rule should be both [r-r] and [r-i]")
 	}
 }
 

@@ -19,8 +19,33 @@ func TestTable1AllAppsCompile(t *testing.T) {
 			t.Fatalf("app %s failed to compile: %v", row[0], row)
 		}
 	}
-	if r.Summary["total_rules"] < 15 {
-		t.Fatalf("total rules = %v", r.Summary["total_rules"])
+	if r.Summary["total_rules"] != 19 {
+		t.Fatalf("total rules = %v, want 19", r.Summary["total_rules"])
+	}
+}
+
+// The four applications that exist only as Table 1 rows: each one's policy
+// parses and checks against its schema.
+func TestPolicyChecksAgainstSchema(t *testing.T) {
+	rows := map[string][]string{}
+	for _, row := range Table1(Config{}).Rows {
+		rows[row[0]] = row
+	}
+	for _, tc := range []struct{ name, app string }{
+		{"bptree", "B+ tree"},
+		{"cassandra", "Cassandra"},
+		{"piccolo", "Piccolo"},
+		{"zexpander", "zExpander"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			row, ok := rows[tc.app]
+			if !ok {
+				t.Fatalf("no Table 1 row for %s", tc.app)
+			}
+			if row[3] != "yes" {
+				t.Fatalf("%s policy does not check against its schema: %s", tc.app, row[3])
+			}
+		})
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package graph provides the graph substrate for the PageRank experiments:
 // a seeded power-law (Chung–Lu style) social-graph generator standing in
-// for SNAP's LiveJournal dataset, partitioners (hash, streaming LDG, and a
-// multilevel METIS-like scheme), and a reference PageRank kernel.
+// for SNAP's LiveJournal dataset, a multilevel METIS-like partitioner, and a
+// reference PageRank kernel.
 //
 // The property the paper's experiments rely on is that vertex-balanced
 // partitions of a power-law graph have *uneven edge counts*, so per-partition
@@ -187,48 +187,6 @@ func PageRank(g *Graph, damping float64, iters int) []float64 {
 		rank, next = next, rank
 	}
 	return rank
-}
-
-// PartitionHash assigns vertices to k parts by vertex id modulo k.
-func PartitionHash(g *Graph, k int) []int {
-	parts := make([]int, g.N)
-	for v := range parts {
-		parts[v] = v % k
-	}
-	return parts
-}
-
-// PartitionLDG is the Linear Deterministic Greedy streaming partitioner:
-// each vertex goes to the part holding most of its neighbors, weighted by a
-// linear penalty on part fullness.
-func PartitionLDG(g *Graph, k int) []int {
-	parts := make([]int, g.N)
-	for i := range parts {
-		parts[i] = -1
-	}
-	capacity := float64(g.N)/float64(k) + 1
-	sizes := make([]float64, k)
-	neighborIn := make([]float64, k)
-	for v := 0; v < g.N; v++ {
-		for i := range neighborIn {
-			neighborIn[i] = 0
-		}
-		for _, u := range g.Out[v] {
-			if p := parts[u]; p >= 0 {
-				neighborIn[p]++
-			}
-		}
-		best, bestScore := 0, math.Inf(-1)
-		for p := 0; p < k; p++ {
-			score := (neighborIn[p] + 1) * (1 - sizes[p]/capacity)
-			if score > bestScore {
-				best, bestScore = p, score
-			}
-		}
-		parts[v] = best
-		sizes[best]++
-	}
-	return parts
 }
 
 // EdgeCut counts directed edges crossing partition boundaries.

@@ -40,25 +40,6 @@ func (s Severity) String() string {
 // stable across reorderings of the enum.
 func (s Severity) MarshalJSON() ([]byte, error) { return json.Marshal(s.String()) }
 
-// UnmarshalJSON decodes a severity name.
-func (s *Severity) UnmarshalJSON(data []byte) error {
-	var name string
-	if err := json.Unmarshal(data, &name); err != nil {
-		return err
-	}
-	switch name {
-	case "info":
-		*s = Info
-	case "warning":
-		*s = Warning
-	case "error":
-		*s = Error
-	default:
-		return fmt.Errorf("lint: unknown severity %q", name)
-	}
-	return nil
-}
-
 // Diagnostic is one finding: a stable code, a severity, a source position,
 // a human message, and optionally a suggested fix and the policy rule
 // indices involved.

@@ -10,7 +10,9 @@ import (
 // analyzer. A source that parses must print to a policy that reparses and
 // prints the same string, and neither epl.Check nor AnalyzePolicy may panic
 // on it, whatever they find. The checked-in corpus (testdata/fuzz/FuzzPolicy)
-// holds testdata/*.epl and every app's PolicySrc.
+// holds testdata/*.epl and, as app-*, every application policy: each
+// internal/apps package's PolicySrc and the four Table 1 policies that
+// internal/experiments/table1.go holds without an app package.
 func FuzzPolicy(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 4096 {
