@@ -16,7 +16,7 @@ COVER_PROFILE ?= coverage.out
 # Scratch dir for the trace round-trip smoke test.
 TRACE_SMOKE_DIR ?= .trace-smoke
 
-.PHONY: build test vet race bench bench-test bench-quick bench-baseline scale-quick burst-quick stream-quick plan-quick lint lint-model cover trace-smoke fuzz-smoke sweep-snapshot loc verify
+.PHONY: build test vet race bench bench-test bench-quick bench-baseline scale-quick burst-quick stream-quick plan-quick lint-model cover trace-smoke fuzz-smoke sweep-snapshot loc verify
 
 build:
 	$(GO) build ./...
@@ -81,12 +81,6 @@ plan-quick:
 	$(GO) test -run 'TestPlan|TestBatch|TestGroupAnchor|TestDecisionBench' ./internal/emr/ ./internal/experiments/
 	$(GO) test -bench 'PlannerDecision/64k' -benchtime 1x -run '^$$' ./internal/emr/
 
-# lint runs the determinism linter over all simulator and CLI code; any
-# wall-clock read, global math/rand use, or unsorted map-order output fails
-# (warnings included, via -Werror).
-lint:
-	$(GO) run ./cmd/plasma-lint -Werror ./internal/... ./cmd/...
-
 # lint-model runs the offline policy model checker: the model package's
 # corpus verdicts and the shipped-policy gate (every internal/apps, Table 1
 # and examples/ policy must be EPL2xx-clean), then the CLI end to end with
@@ -136,6 +130,8 @@ trace-smoke:
 # programs of Observe calls (NaN, ±Inf, ±0, duplicates, raw floats) and
 # queries, every Histogram percentile compared bit for bit with a sort of the
 # samples, up to NaN payloads and zero signs the order cannot tell apart.
+# FuzzBenchFile: the bench gate's baseline parser must not panic on any
+# bytes, and every baseline it accepts must compare clean against itself.
 # A failing input is written to the corpus directory and fails `go test`
 # from then on. Minimising each coverage-increasing input is
 # capped at a second — the default minute would take the rest of the smoke.
@@ -146,6 +142,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTraceJSONL -fuzztime 10s -fuzzminimizetime 1s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/profile
 	$(GO) test -run '^$$' -fuzz FuzzPercentile -fuzztime 10s -fuzzminimizetime 1s ./internal/metrics
+	$(GO) test -run '^$$' -fuzz FuzzBenchFile -fuzztime 10s -fuzzminimizetime 1s ./cmd/plasma-bench
 
 # sweep-snapshot writes everything a byte-identity refactor is held to into
 # OUT: the quick plasma-bench report at seeds 1 and 2 and one decision trace
@@ -178,10 +175,12 @@ loc:
 	@echo "module $$(find . $(GO_NONTEST) | xargs cat | wc -l) $$(for d in $(LOC_PKGS); do printf ' %s %s' $$d $$(find ./$$d $(GO_NONTEST) | xargs cat | wc -l); done)"
 
 # verify is the pre-merge gate: everything compiles, vet is clean, the full
-# suite passes under the race detector, the determinism lint is clean, the
-# policy model checker passes every shipped policy, the benchmark harness's
-# own tests pass, the quick-scale sweep shows no perf regression or
-# determinism drift against the checked-in bench baseline, the decision
-# tracer round-trips, and the kernel order, policy, envelope, trace JSONL,
-# snapshot and percentile fuzzers find nothing in ten seconds each.
-verify: build vet race lint lint-model bench-test bench-quick trace-smoke fuzz-smoke
+# suite passes under the race detector (determinism included: the run-twice
+# tests at two seeds and core's wall-clock/global-rand call rule), the policy
+# model checker passes every shipped policy — the one lint stage — the
+# benchmark harness's own tests pass, the quick-scale sweep shows no perf
+# regression or determinism drift against the checked-in bench baseline, the
+# decision tracer round-trips, and the kernel order, policy, envelope, trace
+# JSONL, snapshot, percentile and bench-baseline fuzzers find nothing in ten
+# seconds each.
+verify: build vet race lint-model bench-test bench-quick trace-smoke fuzz-smoke

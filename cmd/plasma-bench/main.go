@@ -25,6 +25,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -217,8 +218,7 @@ func measureSweep(cfg experiments.Config, iters int) BenchFile {
 		mode = "full"
 	}
 	bf := BenchFile{
-		Schema: benchSchema,
-		//lint:ignore DET001 bench mode stamps the baseline file with the wall-clock date
+		Schema:    benchSchema,
 		Date:      time.Now().Format("2006-01-02"),
 		Mode:      mode,
 		Seed:      cfg.Seed,
@@ -258,7 +258,6 @@ func benchDecision(cfg experiments.Config, iters int) BenchExperiment {
 	for i := 0; i < iters; i++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		//lint:ignore DET001 bench mode measures real wall time by design
 		start := time.Now()
 		actions = db.Run("")
 		elapsed := time.Since(start)
@@ -285,7 +284,6 @@ func benchOne(id string, cfg experiments.Config, iters int) (BenchExperiment, er
 	for i := 0; i < iters; i++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		//lint:ignore DET001 bench mode measures real wall time by design
 		start := time.Now()
 		res, err := experiments.Run(id, cfg)
 		elapsed := time.Since(start)
@@ -335,16 +333,41 @@ func printBenchTable(w *os.File, bf BenchFile) {
 }
 
 func readBenchFile(path string) (BenchFile, error) {
-	var bf BenchFile
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return bf, fmt.Errorf("plasma-bench: reading baseline: %w", err)
+		return BenchFile{}, fmt.Errorf("plasma-bench: reading baseline: %w", err)
 	}
+	bf, err := parseBenchFile(data)
+	if err != nil {
+		return bf, fmt.Errorf("plasma-bench: bad baseline %s: %w", path, err)
+	}
+	return bf, nil
+}
+
+// parseBenchFile decodes a baseline and refuses one the gate cannot trust:
+// a foreign schema, no experiments (every comparison would pass while
+// checking nothing), or an empty or repeated id (compareBench keys the
+// fresh run by id, so a repeated one is held to the wrong row).
+func parseBenchFile(data []byte) (BenchFile, error) {
+	var bf BenchFile
 	if err := json.Unmarshal(data, &bf); err != nil {
-		return bf, fmt.Errorf("plasma-bench: parsing %s: %w", path, err)
+		return bf, err
 	}
 	if bf.Schema != benchSchema {
-		return bf, fmt.Errorf("plasma-bench: %s has schema %q, want %q", path, bf.Schema, benchSchema)
+		return bf, fmt.Errorf("schema %q, want %q", bf.Schema, benchSchema)
+	}
+	if len(bf.Experiments) == 0 {
+		return bf, errors.New("no experiments to compare against")
+	}
+	seen := make(map[string]bool, len(bf.Experiments))
+	for i, e := range bf.Experiments {
+		if e.ID == "" {
+			return bf, fmt.Errorf("experiment %d has an empty id", i)
+		}
+		if seen[e.ID] {
+			return bf, fmt.Errorf("id %q listed twice", e.ID)
+		}
+		seen[e.ID] = true
 	}
 	return bf, nil
 }

@@ -151,6 +151,50 @@ func TestReadBenchFileSchemaCheck(t *testing.T) {
 	}
 }
 
+type untrustedBaseline struct {
+	name string
+	bf   BenchFile
+	want string // in the error
+}
+
+// untrustedBaselines are well-formed baselines the gate must refuse: each
+// would compare clean while checking nothing, or fail against itself.
+func untrustedBaselines() []untrustedBaseline {
+	empty := baselineFile()
+	empty.Experiments = []BenchExperiment{}
+	noID := baselineFile()
+	noID.Experiments[1].ID = ""
+	twice := baselineFile()
+	twice.Experiments[1].ID = twice.Experiments[0].ID
+	twice.Experiments[1].Events = twice.Experiments[0].Events + 1
+	return []untrustedBaseline{
+		{"NoExperiments", empty, "no experiments"},
+		{"EmptyID", noID, "empty id"},
+		{"DuplicateID", twice, `"fig5" listed twice`},
+	}
+}
+
+func TestReadBenchFileRejectsUntrustedBaselines(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range untrustedBaselines() {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(dir, tc.name+".json")
+			data, err := json.Marshal(tc.bf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = readBenchFile(path)
+			if err == nil || !strings.Contains(err.Error(), "plasma-bench: bad baseline "+path+": ") ||
+				!strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("want a bad-baseline error naming %q, got %v", tc.want, err)
+			}
+		})
+	}
+}
+
 func TestFiniteSummaryDropsNonFinite(t *testing.T) {
 	in := map[string]float64{"ok": 1.5, "nan": nan(), "inf": inf()}
 	out := finiteSummary(in)
@@ -198,10 +242,20 @@ func TestRegressedIDsDedupsAndSorts(t *testing.T) {
 // planner_decision_time reports a steady-state round: the planner's scratch
 // is sized by an untimed warm-up, so the allocation count cannot depend on
 // how many measured iterations follow it (-iters 1 used to read 121, not 36,
-// and fail the checked-in baseline's allocs gate).
+// and fail the checked-in baseline's allocs gate). The count is process-wide,
+// so a stray allocation on another goroutine can land in a measured round;
+// each side keeps the lowest of three readings.
 func TestDecisionBenchAllocsIndependentOfIters(t *testing.T) {
-	one := benchDecision(experiments.Config{Seed: 1}, 1)
-	three := benchDecision(experiments.Config{Seed: 1}, 3)
+	lowest := func(iters int) BenchExperiment {
+		best := benchDecision(experiments.Config{Seed: 1}, iters)
+		for i := 0; i < 2; i++ {
+			if be := benchDecision(experiments.Config{Seed: 1}, iters); be.AllocsPerOp < best.AllocsPerOp {
+				best = be
+			}
+		}
+		return best
+	}
+	one, three := lowest(1), lowest(3)
 	if one.AllocsPerOp != three.AllocsPerOp {
 		t.Fatalf("allocs_per_op: -iters 1 reports %d, -iters 3 reports %d", one.AllocsPerOp, three.AllocsPerOp)
 	}

@@ -1,17 +1,15 @@
-// Command plasma-lint runs PLASMA's static-analysis engine: the EPL policy
-// passes (satisfiability, flapping, shadowing, unused declarations — plus
-// the compiler's conflict detection) over .epl files, and the determinism
-// linter (wall-clock time, global math/rand, unsorted map-order output)
-// over Go sources.
+// Command plasma-lint runs PLASMA's static-analysis engine over EPL
+// policies: the analyzer's passes (satisfiability, flapping, shadowing,
+// unused declarations — plus the compiler's conflict detection) on each
+// .epl target.
 //
 // Usage:
 //
-//	plasma-lint [-schema app.json] [-json] [-Werror] [-model] [-explain] [target...]
+//	plasma-lint [-schema app.json] [-json] [-Werror] [-model] [-explain] policy.epl...
 //
-// Targets ending in .epl are linted as policies; directories, dir/...
-// patterns, and .go files are linted for determinism. With no targets it
-// lints ./internal/... and ./cmd/... — the repository invariant `make
-// verify` enforces.
+// Every target must be a .epl file; none, or any other target, is a usage
+// error. The simulator's own determinism is checked by running it (the
+// run-twice tests) and by the call rule in internal/core's tests, not here.
 //
 // -model additionally runs the offline model checker on each .epl target:
 // the policy is compiled into a finite transition system over abstract
@@ -32,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"plasma/internal/epl"
@@ -58,17 +57,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		*doModel = true
 	}
 
-	targets := fl.Args()
-	if len(targets) == 0 {
-		targets = []string{"./internal/...", "./cmd/..."}
-	}
-	var epls, gos []string
-	for _, t := range targets {
-		if strings.HasSuffix(t, ".epl") {
-			epls = append(epls, t)
-		} else {
-			gos = append(gos, t)
-		}
+	epls := fl.Args()
+	notPolicy := func(t string) bool { return !strings.HasSuffix(t, ".epl") }
+	if len(epls) == 0 || slices.ContainsFunc(epls, notPolicy) {
+		fmt.Fprintln(stderr, "usage: plasma-lint [-schema app.json] [-json] [-Werror] [-model] [-explain] policy.epl...")
+		return 2
 	}
 
 	schema, err := epl.ReadSchema(*schemaPath)
@@ -90,19 +83,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			findings = append(findings, fs...)
 			diags = append(diags, model.Diagnostics(fs)...)
 		}
-	}
-	if len(gos) > 0 {
-		files, err := lint.ExpandGoPatterns(gos)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		goDiags, err := lint.LintGoFiles(files)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		diags = append(diags, goDiags...)
 	}
 	lint.SortDiagnostics(diags)
 

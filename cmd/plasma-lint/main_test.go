@@ -118,22 +118,30 @@ func TestInfoNeverFails(t *testing.T) {
 	}
 }
 
-func TestLintGoTarget(t *testing.T) {
-	dir := t.TempDir()
-	src := `package p
-
-import "time"
-
-func now() int64 { return time.Now().Unix() }
-`
-	if err := os.WriteFile(filepath.Join(dir, "x.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{dir}, &stdout, &stderr); code != 1 {
-		t.Fatalf("DET001 should exit 1, got %d (stderr %s)", code, stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "DET001") {
-		t.Fatalf("output missing DET001: %s", stdout.String())
+// TestRejectsNonPolicyTargets: plasma-lint lints policies only, so a
+// directory, a Go file or no target at all is a usage error that lints
+// nothing — not even the .epl beside it.
+func TestRejectsNonPolicyTargets(t *testing.T) {
+	policy := filepath.Join(corpusDir, "shadow_true.epl")
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"Directory", []string{policy, corpusDir}},
+		{"GoFile", []string{"main.go"}},
+		{"NoTargets", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(tc.args, &stdout, &stderr); code != 2 {
+				t.Fatalf("exit %d, want 2", code)
+			}
+			if stdout.Len() != 0 {
+				t.Fatalf("stdout not empty: %s", stdout.String())
+			}
+			if !strings.Contains(stderr.String(), "usage: plasma-lint") {
+				t.Fatalf("stderr has no usage line: %q", stderr.String())
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -30,6 +31,25 @@ func TestSummarizeCountsChurn(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestSummarizeDeterministic: the rule, actor and deny-reason sections are
+// keyed by maps, and Go ranges over a map in a different order each time, so
+// a section that skipped its sort would print differently across calls.
+func TestSummarizeDeterministic(t *testing.T) {
+	var recs []trace.Record
+	for i := 0; i < 16; i++ {
+		recs = append(recs,
+			trace.Record{Kind: trace.KindRuleFire, Rule: int32(i)},
+			trace.Record{Kind: trace.KindDeny, Actor: uint64(100 + i), Detail: fmt.Sprintf("reason-%02d", i)},
+			trace.Record{Kind: trace.KindTransfer, Actor: uint64(200 + i)})
+	}
+	first := Summarize(recs)
+	for i := 0; i < 10; i++ {
+		if got := Summarize(recs); got != first {
+			t.Fatalf("call %d differs:\n--- first ---\n%s--- now ---\n%s", i+2, first, got)
 		}
 	}
 }

@@ -9,8 +9,9 @@ import (
 )
 
 // Summarize renders decision churn for a trace: per-kind record counts,
-// rule fire counts, migration activity per actor, and deny reasons. All
-// map-keyed sections print in sorted order (determinism lint DET003).
+// rule fire counts, migration activity per actor, and deny reasons. The
+// map-keyed sections print in sorted key order, so the same trace always
+// summarizes to the same bytes and two summaries can be diffed.
 func Summarize(recs []trace.Record) string {
 	var b strings.Builder
 	if len(recs) == 0 {

@@ -6,7 +6,6 @@
 package workload
 
 import (
-	//lint:ignore DET002 only rand.Zipf over the kernel's seeded generator
 	"math/rand"
 
 	"plasma/internal/actor"

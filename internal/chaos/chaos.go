@@ -11,10 +11,8 @@ package chaos
 
 import (
 	"fmt"
-	"strconv"
-
-	//lint:ignore DET002 the injector is the seeded source of every fault decision
 	"math/rand"
+	"strconv"
 
 	"plasma/internal/sim"
 	"plasma/internal/trace"

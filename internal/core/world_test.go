@@ -4,7 +4,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -13,9 +15,45 @@ import (
 	"plasma/internal/cluster"
 	"plasma/internal/emr"
 	"plasma/internal/epl"
-	"plasma/internal/lint"
 	"plasma/internal/sim"
 )
+
+// goFiles lists the non-test Go files under dirs, sorted, skipping testdata
+// and dot-directories.
+func goFiles(t *testing.T, dirs ...string) []string {
+	t.Helper()
+	var files []string
+	for _, dir := range dirs {
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			name := d.Name()
+			if d.IsDir() && path != dir && (name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			if !d.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+				files = append(files, path)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	sort.Strings(files)
+	return files
+}
+
+// sourceFiles is goFiles over the module's internal/, cmd/ and examples/.
+func sourceFiles(t *testing.T, root string) []string {
+	t.Helper()
+	files := goFiles(t, filepath.Join(root, "internal"), filepath.Join(root, "cmd"), filepath.Join(root, "examples"))
+	if len(files) < 50 {
+		t.Fatalf("walked only %d files; is the test running inside the repository?", len(files))
+	}
+	return files
+}
 
 // TestOnlyCoreWiresTheLayers is the one-builder rule, enforced: outside
 // internal/core and internal/emr, no non-test file under internal/, cmd/ or
@@ -29,17 +67,7 @@ func TestOnlyCoreWiresTheLayers(t *testing.T) {
 		"plasma/internal/emr":     "New",
 	}
 	root := filepath.Join("..", "..")
-	files, err := lint.ExpandGoPatterns([]string{
-		filepath.Join(root, "internal") + "/...",
-		filepath.Join(root, "cmd") + "/...",
-		filepath.Join(root, "examples") + "/...",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) < 50 {
-		t.Fatalf("walked only %d files; is the test running inside the repository?", len(files))
-	}
+	files := sourceFiles(t, root)
 	fset := token.NewFileSet()
 	for _, path := range files {
 		rel, _ := filepath.Rel(root, path)
@@ -81,6 +109,64 @@ func TestOnlyCoreWiresTheLayers(t *testing.T) {
 	}
 }
 
+// TestNoWallClockOrGlobalRand is the determinism call rule: a run is a
+// function of its seed, so no non-test file under internal/, cmd/ or
+// examples/ reads the wall clock (time.Now, time.Since; cmd/plasma-bench,
+// which times the sweep, is exempt) or draws from math/rand's process-global
+// source. The rand rule is an allowlist: only the New* constructors, which
+// build an explicitly seeded generator, may be called on the package. Map
+// order leaking into output is left to the run-twice tests (experiments'
+// TestAllQuickIDsDeterministic), which see every path to the output.
+func TestNoWallClockOrGlobalRand(t *testing.T) {
+	watched := map[string]string{"time": "time", "math/rand": "rand", "math/rand/v2": "rand"}
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	for _, path := range sourceFiles(t, root) {
+		rel, _ := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		imported := map[string]string{} // local package name -> import path
+		for _, imp := range f.Imports {
+			ipath, _ := strconv.Unquote(imp.Path.Value)
+			if name, ok := watched[ipath]; ok {
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+				imported[name] = ipath
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			pkg, ok := sel.X.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			line, fn := fset.Position(call.Pos()).Line, sel.Sel.Name
+			switch imported[pkg.Name] {
+			case "time":
+				if (fn == "Now" || fn == "Since") && !strings.HasPrefix(rel, "cmd/plasma-bench/") {
+					t.Errorf("%s:%d: calls %s.%s; simulated time comes from the kernel's clock", rel, line, pkg.Name, fn)
+				}
+			case "math/rand", "math/rand/v2":
+				if !strings.HasPrefix(fn, "New") {
+					t.Errorf("%s:%d: calls %s.%s on the process-global source; draw from a seeded *rand.Rand", rel, line, pkg.Name, fn)
+				}
+			}
+			return true
+		})
+	}
+}
+
 // TestOnlyRunDrivesWorlds is the one-loop rule, enforced: in
 // internal/experiments, scenario.go's run is the only non-test code that makes
 // a world (Config.world), gives it a manager or an injector, owns OnTick,
@@ -93,11 +179,7 @@ func TestOnlyRunDrivesWorlds(t *testing.T) {
 		"Run": true, "RunUntilIdle": true, "Step": true,
 		"Drain": true, "Invariants": true,
 	}
-	dir := filepath.Join("..", "experiments")
-	files, err := lint.ExpandGoPatterns([]string{dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	files := goFiles(t, filepath.Join("..", "experiments"))
 	sawRun := false
 	fset := token.NewFileSet()
 	for _, path := range files {
@@ -140,13 +222,9 @@ func TestOnlyRunDrivesWorlds(t *testing.T) {
 // *sim.Kernel to schedule one with.
 func TestComparisonManagersScheduleNothing(t *testing.T) {
 	root := filepath.Join("..", "..")
-	files, err := lint.ExpandGoPatterns([]string{
+	files := goFiles(t,
 		filepath.Join(root, "internal", "baseline"),
-		filepath.Join(root, "internal", "apps", "estore"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+		filepath.Join(root, "internal", "apps", "estore"))
 	if len(files) < 3 {
 		t.Fatalf("walked only %d files; is the test running inside the repository?", len(files))
 	}

@@ -8,14 +8,14 @@ import (
 	"plasma/internal/trace"
 )
 
-// runCaptured executes one experiment id at seed 1 with a capturing tracer
+// runCaptured executes one experiment id at a seed with a capturing tracer
 // and returns everything a byte-level comparison needs: the rendered
 // report, the decision-trace JSONL bytes, and the kernel event count.
-func runCaptured(t *testing.T, id string) (render string, traceJSONL []byte, events uint64) {
+func runCaptured(t *testing.T, id string, seed int64) (render string, traceJSONL []byte, events uint64) {
 	t.Helper()
 	ring := trace.NewRing(1 << 20)
 	tr := trace.New(ring)
-	res, err := Run(id, Config{Seed: 1, Trace: tr})
+	res, err := Run(id, Config{Seed: seed, Trace: tr})
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -30,22 +30,26 @@ func runCaptured(t *testing.T, id string) (render string, traceJSONL []byte, eve
 }
 
 // TestAllQuickIDsDeterministic is the all-ids determinism regression: every
-// registered experiment id, run quick twice at seed 1, must produce a
-// byte-identical rendered report, byte-identical decision-trace JSONL, and
-// the same kernel event count.
+// registered experiment id, run quick twice at seed 1 and twice at seed 2,
+// must produce a byte-identical rendered report, byte-identical
+// decision-trace JSONL, and the same kernel event count within each pair.
+// Go randomises the order of every map range, so each pair is an
+// independent chance to catch map order leaking into a report or a trace.
 func TestAllQuickIDsDeterministic(t *testing.T) {
 	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
-			aRender, aTrace, aEvents := runCaptured(t, id)
-			bRender, bTrace, bEvents := runCaptured(t, id)
-			if aEvents != bEvents {
-				t.Errorf("events fired: first run %d, second run %d", aEvents, bEvents)
-			}
-			if aRender != bRender {
-				t.Errorf("rendered report diverged:\n--- first ---\n%s\n--- second ---\n%s", aRender, bRender)
-			}
-			if !bytes.Equal(aTrace, bTrace) {
-				t.Errorf("trace JSONL diverged:\n%s", firstTraceDiff(aTrace, bTrace))
+			for _, seed := range []int64{1, 2} {
+				aRender, aTrace, aEvents := runCaptured(t, id, seed)
+				bRender, bTrace, bEvents := runCaptured(t, id, seed)
+				if aEvents != bEvents {
+					t.Errorf("seed %d: events fired: first run %d, second run %d", seed, aEvents, bEvents)
+				}
+				if aRender != bRender {
+					t.Errorf("seed %d: rendered report diverged:\n--- first ---\n%s\n--- second ---\n%s", seed, aRender, bRender)
+				}
+				if !bytes.Equal(aTrace, bTrace) {
+					t.Errorf("seed %d: trace JSONL diverged:\n%s", seed, firstTraceDiff(aTrace, bTrace))
+				}
 			}
 		})
 	}

@@ -190,7 +190,7 @@ func replaySpecs(env model.Envelope) []cluster.ProvSpec {
 // DriftWalk rolls the envelope's drift distribution forward, returning a
 // per-period load schedule for the property sweeps. The generator is a
 // self-contained LCG so sweeps are reproducible byte for byte at a fixed
-// seed (and the determinism linter stays quiet).
+// seed, independent of any kernel's draw order.
 func DriftWalk(env model.Envelope, periods int, seed uint64) []int {
 	loads := make([]int, periods)
 	x := seed*2862933555777941757 + 3037000493

@@ -12,10 +12,8 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
-
-	//lint:ignore DET002 graph generation draws from an explicitly seeded generator
 	"math/rand"
+	"sort"
 )
 
 // Graph is a directed graph in adjacency-list form.

@@ -3,10 +3,8 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
-
-	//lint:ignore DET002 partitioning draws from an explicitly seeded generator
 	"math/rand"
+	"sort"
 )
 
 // PartitionMultilevel is a METIS-style multilevel k-way partitioner:

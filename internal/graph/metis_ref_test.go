@@ -1,10 +1,8 @@
 package graph
 
 import (
-	"sort"
-
-	//lint:ignore DET002 partitioning draws from an explicitly seeded generator
 	"math/rand"
+	"sort"
 )
 
 // refPartitionMultilevel is the map-based partitioner PartitionMultilevel

@@ -1,8 +1,8 @@
-// Package lint is PLASMA's static-analysis engine: a multi-pass analyzer
-// over EPL policies (satisfiability, flapping, shadowing, dead declarations
-// — extending the compile-time conflict detection of §4.3) plus a
-// determinism linter for the simulator's Go sources, sharing one
-// machine-readable Diagnostic type.
+// Package lint is PLASMA's static-analysis engine for EPL policies: a
+// multi-pass analyzer (satisfiability, flapping, shadowing, dead
+// declarations — extending the compile-time conflict detection of §4.3)
+// whose findings, and the model checker's, share one machine-readable
+// Diagnostic type.
 package lint
 
 import (
@@ -12,9 +12,9 @@ import (
 	"strings"
 )
 
-// Severity ranks diagnostics. Error means the policy (or program) is
-// defective and must not be deployed; Warning means it is suspicious and
-// deserves review; Info is a style-level observation.
+// Severity ranks diagnostics. Error means the policy is defective and must
+// not be deployed; Warning means it is suspicious and deserves review; Info
+// is a style-level observation.
 type Severity int
 
 // Severity levels, ordered.

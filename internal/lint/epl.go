@@ -13,16 +13,13 @@ import (
 // model checker (internal/lint/model, run via plasma-lint -model) emits the
 // EPL2xx range. All codes are registered here so the ranges stay disjoint.
 const (
-	CodeParse       = "EPL000" // source does not parse
-	CodeUnsat       = "EPL001" // condition (or a branch of it) can never be true
-	CodeOutOfRange  = "EPL002" // threshold outside the statistic's domain
-	CodeTautology   = "EPL003" // comparison or disjunction that is always true
-	CodeFlapping    = "EPL010" // scale-up/scale-down thresholds with no hysteresis band
-	CodeShadowed    = "EPL020" // rule contained in an earlier conflicting rule
-	CodeUnusedVar   = "EPL030" // rule variable declared but never referenced
-	CodeNondetTime  = "DET001" // wall-clock time in deterministic code
-	CodeNondetRand  = "DET002" // global math/rand in deterministic code
-	CodeNondetRange = "DET003" // unsorted map iteration feeding output
+	CodeParse      = "EPL000" // source does not parse
+	CodeUnsat      = "EPL001" // condition (or a branch of it) can never be true
+	CodeOutOfRange = "EPL002" // threshold outside the statistic's domain
+	CodeTautology  = "EPL003" // comparison or disjunction that is always true
+	CodeFlapping   = "EPL010" // scale-up/scale-down thresholds with no hysteresis band
+	CodeShadowed   = "EPL020" // rule contained in an earlier conflicting rule
+	CodeUnusedVar  = "EPL030" // rule variable declared but never referenced
 
 	// Model-checker findings (internal/lint/model). Each carries a concrete
 	// counterexample path through the abstract scaling-state system.

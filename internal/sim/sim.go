@@ -27,8 +27,6 @@ package sim
 
 import (
 	"fmt"
-
-	//lint:ignore DET002 the kernel owns the seeded RNG every component draws from
 	"math/rand"
 )
 
