@@ -132,6 +132,9 @@ trace-smoke:
 # samples, up to NaN payloads and zero signs the order cannot tell apart.
 # FuzzBenchFile: the bench gate's baseline parser must not panic on any
 # bytes, and every baseline it accepts must compare clean against itself.
+# FuzzPartition: small graphs with self-loops, repeated edges and isolated
+# vertices, k in [1, 200], every PartitionMultilevel assignment compared
+# with the map-based reference partitioner.
 # A failing input is written to the corpus directory and fails `go test`
 # from then on. Minimising each coverage-increasing input is
 # capped at a second — the default minute would take the rest of the smoke.
@@ -143,6 +146,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/profile
 	$(GO) test -run '^$$' -fuzz FuzzPercentile -fuzztime 10s -fuzzminimizetime 1s ./internal/metrics
 	$(GO) test -run '^$$' -fuzz FuzzBenchFile -fuzztime 10s -fuzzminimizetime 1s ./cmd/plasma-bench
+	$(GO) test -run '^$$' -fuzz FuzzPartition -fuzztime 10s -fuzzminimizetime 1s ./internal/graph
 
 # sweep-snapshot writes everything a byte-identity refactor is held to into
 # OUT: the quick plasma-bench report at seeds 1 and 2 and one decision trace
@@ -181,6 +185,6 @@ loc:
 # benchmark harness's own tests pass, the quick-scale sweep shows no perf
 # regression or determinism drift against the checked-in bench baseline, the
 # decision tracer round-trips, and the kernel order, policy, envelope, trace
-# JSONL, snapshot, percentile and bench-baseline fuzzers find nothing in ten
-# seconds each.
+# JSONL, snapshot, percentile, bench-baseline and partition fuzzers find
+# nothing in ten seconds each.
 verify: build vet race lint-model bench-test bench-quick trace-smoke fuzz-smoke

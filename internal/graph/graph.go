@@ -38,11 +38,13 @@ func GeneratePowerLaw(n int, avgDeg float64, exponent float64, seed int64) *Grap
 	if n <= 0 {
 		panic("graph: n must be positive")
 	}
-	if exponent <= 1 {
-		panic("graph: exponent must exceed 1")
+	// Negated so that NaN fails too: a NaN or infinite edge count converts
+	// to a negative int64, leaving only the dangling-vertex fix-up edges.
+	if !(exponent > 1) || math.IsInf(exponent, 1) {
+		panic("graph: exponent must be finite and exceed 1")
 	}
-	if avgDeg < 0 {
-		panic("graph: avgDeg must not be negative")
+	if !(avgDeg >= 0) || math.IsInf(avgDeg, 1) {
+		panic("graph: avgDeg must be finite and not negative")
 	}
 	rng := rand.New(rand.NewSource(seed))
 
@@ -207,26 +209,6 @@ func checkCovers(g *Graph, parts []int) {
 	if len(parts) < g.N {
 		panic(fmt.Sprintf("graph: %d assignments for %d vertices", len(parts), g.N))
 	}
-}
-
-// PartVertexCounts reports vertices per part.
-func PartVertexCounts(parts []int, k int) []int {
-	counts := make([]int, k)
-	for _, p := range parts {
-		counts[p]++
-	}
-	return counts
-}
-
-// PartEdgeCounts reports out-edges per part — the per-partition compute
-// cost proxy for PageRank.
-func PartEdgeCounts(g *Graph, parts []int, k int) []int64 {
-	checkCovers(g, parts)
-	counts := make([]int64, k)
-	for u := 0; u < g.N; u++ {
-		counts[parts[u]] += int64(len(g.Out[u]))
-	}
-	return counts
 }
 
 // Validate checks that parts is a complete assignment into [0, k).

@@ -11,6 +11,25 @@ func testGraph() *Graph {
 	return GeneratePowerLaw(2000, 8, 2.2, 42)
 }
 
+// partVertexCounts reports vertices per part.
+func partVertexCounts(parts []int, k int) []int {
+	counts := make([]int, k)
+	for _, p := range parts {
+		counts[p]++
+	}
+	return counts
+}
+
+// partEdgeCounts reports out-edges per part — the per-partition compute
+// cost proxy for PageRank.
+func partEdgeCounts(g *Graph, parts []int, k int) []int64 {
+	counts := make([]int64, k)
+	for u := 0; u < g.N; u++ {
+		counts[parts[u]] += int64(len(g.Out[u]))
+	}
+	return counts
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	a := GeneratePowerLaw(500, 6, 2.2, 7)
 	b := GeneratePowerLaw(500, 6, 2.2, 7)
@@ -96,7 +115,7 @@ func TestPartitionersProduceValidAssignments(t *testing.T) {
 	if err := Validate(parts, g.N, k); err != nil {
 		t.Fatal(err)
 	}
-	for p, c := range PartVertexCounts(parts, k) {
+	for p, c := range partVertexCounts(parts, k) {
 		if c == 0 {
 			t.Fatalf("part %d empty", p)
 		}
@@ -107,7 +126,7 @@ func TestMultilevelBalancesVertices(t *testing.T) {
 	g := testGraph()
 	k := 8
 	parts := PartitionMultilevel(g, k, 1)
-	counts := PartVertexCounts(parts, k)
+	counts := partVertexCounts(parts, k)
 	ideal := g.N / k
 	for p, c := range counts {
 		if c < ideal*70/100 || c > ideal*130/100 {
@@ -136,7 +155,7 @@ func TestVertexBalancedPartsHaveEdgeSkew(t *testing.T) {
 	g := GeneratePowerLaw(5000, 10, 2.1, 3)
 	k := 8
 	parts := PartitionMultilevel(g, k, 1)
-	edges := PartEdgeCounts(g, parts, k)
+	edges := partEdgeCounts(g, parts, k)
 	min, max := edges[0], edges[0]
 	for _, e := range edges {
 		if e < min {
@@ -166,7 +185,7 @@ func TestValidateRejectsBadAssignments(t *testing.T) {
 func TestPartEdgeCountsConserveEdges(t *testing.T) {
 	g := testGraph()
 	parts := PartitionMultilevel(g, 4, 9)
-	edges := PartEdgeCounts(g, parts, 4)
+	edges := partEdgeCounts(g, parts, 4)
 	var sum int64
 	for _, e := range edges {
 		sum += e

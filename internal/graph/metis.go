@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 )
@@ -22,11 +23,18 @@ import (
 // It panics when k is not positive or g is malformed (fewer than N rows in
 // Out, or an out-neighbor outside [0, N)).
 func PartitionMultilevel(g *Graph, k int, seed int64) []int {
+	return new(refiner).partition(g, k, seed)
+}
+
+// partition is PartitionMultilevel, sharing r's scratch across every level.
+func (r *refiner) partition(g *Graph, k int, seed int64) []int {
 	if k <= 0 {
 		panic(fmt.Sprintf("graph: k must be positive, got %d", k))
 	}
 	rng := rand.New(rand.NewSource(seed))
 	w := newWorking(g)
+	r.loads, r.gain = make([]int, k), make([]int32, k)
+	r.seen, r.settled = make([]uint64, (k+63)/64), make([]bool, w.n)
 	var levels []*working
 	for w.n > 40*k && len(levels) < 30 {
 		levels = append(levels, w)
@@ -38,7 +46,6 @@ func PartitionMultilevel(g *Graph, k int, seed int64) []int {
 		}
 		w = next
 	}
-	r := &refiner{loads: make([]int, k), gain: make([]int32, k), touched: make([]int, 0, k)}
 	parts := w.initialPartition(k)
 	w.refine(parts, r)
 	// Project back through the levels, refining each.
@@ -232,12 +239,13 @@ func (w *working) initialPartition(k int) []int {
 	return parts
 }
 
-// refiner is the per-part scratch one partitioning shares across its refine
-// calls.
+// refiner is the scratch one partitioning shares across its refine calls.
 type refiner struct {
-	loads   []int   // vertex weight per part
-	gain    []int32 // edge weight from the vertex in hand toward each part; zero between vertices
-	touched []int   // the parts whose gain is not zero
+	loads   []int    // vertex weight per part
+	gain    []int32  // edge weight from the vertex in hand toward each part; zero between vertices
+	seen    []uint64 // bit p set when gain[p] is not zero
+	settled []bool   // per vertex of the level in hand (sized for the finest): its last tally found no gain
+	tallies int      // vertices tallied, across every level
 }
 
 const refinePasses = 4
@@ -246,8 +254,14 @@ const refinePasses = 4
 // neighboring part with the largest cut gain (ties toward the smaller part
 // id), provided vertex-weight balance stays within tolerance. Stops early
 // when a pass makes no move.
+//
+// A vertex whose tally found no part with a positive gain is settled and
+// skipped until a neighbor moves: its tally reads only its own part and its
+// neighbors', so until then it would find the same gains again. One stopped
+// only by the balance bounds stays unsettled, since loads change under it.
 func (w *working) refine(parts []int, r *refiner) {
-	loads, gain := r.loads, r.gain
+	loads, gain, seen, settled := r.loads, r.gain, r.seen, r.settled[:w.n]
+	clear(settled)
 	k := len(loads)
 	for p := range loads {
 		loads[p] = 0
@@ -264,39 +278,42 @@ func (w *working) refine(parts []int, r *refiner) {
 		moved := 0
 		for v := 0; v < w.n; v++ {
 			pv, vw := parts[v], w.vw[v]
-			if loads[pv]-vw < minLoad {
-				continue // moving would under-fill the source part
+			if settled[v] || loads[pv]-vw < minLoad {
+				continue // nothing changed near it, or moving would under-fill the source part
 			}
-			// Tally edge weight toward each part among neighbors.
-			internal := int32(0)
-			touched := r.touched[:0]
+			// Tally edge weight toward each part among neighbors, the
+			// vertex's own part included.
+			r.tallies++
 			for i := w.xadj[v]; i < w.xadj[v+1]; i++ {
 				pu := parts[w.adj[i]]
-				if pu == pv {
-					internal += w.wgt[i]
-					continue
-				}
-				if gain[pu] == 0 {
-					touched = append(touched, pu)
-				}
 				gain[pu] += w.wgt[i]
+				seen[pu>>6] |= 1 << (uint(pu) & 63)
 			}
-			bestP, bestGain := -1, int32(0)
-			for _, p := range touched {
-				g := gain[p] - internal
-				gain[p] = 0
-				if loads[p]+vw > maxLoad {
-					continue
+			internal := gain[pv]
+			// Parts in ascending order, so keeping only a strictly larger
+			// gain breaks ties toward the smaller part id.
+			bestP, bestGain, open := -1, int32(0), false
+			for i, word := range seen {
+				for ; word != 0; word &= word - 1 {
+					p := i<<6 | bits.TrailingZeros64(word)
+					g := gain[p] - internal
+					gain[p] = 0
+					open = open || g > 0
+					if g > bestGain && loads[p]+vw <= maxLoad {
+						bestP, bestGain = p, g
+					}
 				}
-				if g > bestGain || (g == bestGain && bestP >= 0 && p < bestP) {
-					bestP, bestGain = p, g
-				}
+				seen[i] = 0
 			}
+			settled[v] = !open
 			if bestP >= 0 {
 				loads[pv] -= vw
 				loads[bestP] += vw
 				parts[v] = bestP
 				moved++
+				for _, u := range w.adj[w.xadj[v]:w.xadj[v+1]] {
+					settled[u] = false
+				}
 			}
 		}
 		if moved == 0 {

@@ -25,18 +25,24 @@ func messyGraph(n int, rng *rand.Rand) *Graph {
 		return int(x * x * float64(live)) // low ids are hubs
 	}
 	for e := rng.Intn(6*n + 1); e > 0; e-- {
-		u, v := pick(), pick()
-		switch rng.Intn(8) {
-		case 0:
-			v = u // self-loop
-		case 1:
-			out[u] = append(out[u], int32(v)) // the edge twice
-		case 2:
-			out[v] = append(out[v], int32(u)) // and its reverse
-		}
-		out[u] = append(out[u], int32(v))
+		addMessyEdge(out, pick(), pick(), rng.Intn(8))
 	}
 	return &Graph{N: n, Out: out}
+}
+
+// addMessyEdge appends the edge u→v to out in the shape shape%8 picks: a
+// self-loop on u, the edge twice, the edge and its reverse, or (5 in 8) the
+// edge once.
+func addMessyEdge(out [][]int32, u, v, shape int) {
+	switch shape % 8 {
+	case 0:
+		v = u
+	case 1:
+		out[u] = append(out[u], int32(v))
+	case 2:
+		out[v] = append(out[v], int32(u))
+	}
+	out[u] = append(out[u], int32(v))
 }
 
 func TestPartitionMatchesReference(t *testing.T) {
@@ -63,17 +69,54 @@ func TestPartitionMatchesReference(t *testing.T) {
 		default:
 			k = 2 + rng.Intn(63)
 		}
-		got := PartitionMultilevel(g, k, seed)
-		want := refPartitionMultilevel(g, k, seed)
-		if len(got) != len(want) {
-			t.Fatalf("seed %d (n=%d k=%d): %d assignments, reference %d", seed, n, k, len(got), len(want))
+		matchReference(t, g, k, seed)
+	}
+	// Part counts at and around the tally bitset's word boundaries, on
+	// graphs large enough to coarsen.
+	for i, k := range []int{63, 64, 65, 128, 129} {
+		seed := int64(100 + i)
+		g := GeneratePowerLaw(45*k, 8, 2.1, seed)
+		if i%2 == 1 {
+			g = messyGraph(45*k, rand.New(rand.NewSource(seed)))
 		}
-		for v := range want {
-			if got[v] != want[v] {
-				t.Fatalf("seed %d (n=%d k=%d): vertex %d in part %d, reference %d", seed, n, k, v, got[v], want[v])
-			}
+		matchReference(t, g, k, seed)
+	}
+}
+
+// matchReference fails t unless PartitionMultilevel and the map-based
+// reference assign every vertex of g to the same part.
+func matchReference(t *testing.T, g *Graph, k int, seed int64) {
+	t.Helper()
+	got := PartitionMultilevel(g, k, seed)
+	want := refPartitionMultilevel(g, k, seed)
+	if len(got) != len(want) {
+		t.Fatalf("seed %d (n=%d k=%d): %d assignments, reference %d", seed, g.N, k, len(got), len(want))
+	}
+	for v := range want {
+		if got[v] != want[v] {
+			t.Fatalf("seed %d (n=%d k=%d): vertex %d in part %d, reference %d", seed, g.N, k, v, got[v], want[v])
 		}
 	}
+}
+
+// FuzzPartition decodes a graph of up to 400 vertices with messyGraph's
+// shapes and k in [1, 200], and requires PartitionMultilevel to match the
+// map-based reference. Each edge is five bytes: two little-endian endpoints,
+// taken modulo the first four fifths of the vertices (the rest stay
+// isolated), and addMessyEdge's shape byte.
+func FuzzPartition(f *testing.F) {
+	f.Add(uint16(300), uint8(64), int64(1), []byte("\x00\x00\x01\x00\x03\x02\x00\x02\x00\x00\x05\x00\x40\x00\x01"))
+	f.Fuzz(func(t *testing.T, n16 uint16, k8 uint8, seed int64, data []byte) {
+		n, k := int(n16%401), 1+int(k8)%200
+		out := make([][]int32, n)
+		live := max(n-n/5, 1)
+		for ; n > 0 && len(data) >= 5; data = data[5:] {
+			u := int(binary.LittleEndian.Uint16(data)) % live
+			v := int(binary.LittleEndian.Uint16(data[2:])) % live
+			addMessyEdge(out, u, v, int(data[4]))
+		}
+		matchReference(t, &Graph{N: n, Out: out}, k, seed)
+	})
 }
 
 // The cuts the map-based partitioner produced at the commit before the CSR
@@ -192,8 +235,11 @@ func TestEntryPointsRejectBadInput(t *testing.T) {
 	mustPanicGraph(t, "neighbor == N", func() { PartitionMultilevel(&Graph{N: 3, Out: [][]int32{{1}, {3}, {0}}}, 2, 1) })
 	mustPanicGraph(t, "negative neighbor", func() { PartitionMultilevel(&Graph{N: 3, Out: [][]int32{{1}, {-1}, {0}}}, 2, 1) })
 	mustPanicGraph(t, "EdgeCut short parts", func() { EdgeCut(g, []int{0, 1}) })
-	mustPanicGraph(t, "PartEdgeCounts short parts", func() { PartEdgeCounts(g, []int{0, 1}, 2) })
 	mustPanicGraph(t, "negative avgDeg", func() { GeneratePowerLaw(10, -1, 2.1, 1) })
+	mustPanicGraph(t, "NaN avgDeg", func() { GeneratePowerLaw(50, math.NaN(), 2.1, 1) })
+	mustPanicGraph(t, "+Inf avgDeg", func() { GeneratePowerLaw(50, math.Inf(1), 2.1, 1) })
+	mustPanicGraph(t, "NaN exponent", func() { GeneratePowerLaw(50, 8, math.NaN(), 1) })
+	mustPanicGraph(t, "+Inf exponent", func() { GeneratePowerLaw(50, 8, math.Inf(1), 1) })
 
 	if parts := PartitionMultilevel(&Graph{}, 4, 1); len(parts) != 0 {
 		t.Errorf("empty graph: %d assignments", len(parts))
@@ -203,7 +249,7 @@ func TestEntryPointsRejectBadInput(t *testing.T) {
 var benchParts []int
 
 func BenchmarkPartitionMultilevel(b *testing.B) {
-	for _, c := range []struct{ n, k int }{{36000, 56}, {12000, 32}} {
+	for _, c := range []struct{ n, k int }{{36000, 56}, {12000, 32}, {36000, 1024}} {
 		b.Run(fmt.Sprintf("%dk_%d", c.n/1000, c.k), func(b *testing.B) {
 			g := GeneratePowerLaw(c.n, 10, 2.1, 1)
 			b.ReportAllocs()
@@ -212,6 +258,18 @@ func BenchmarkPartitionMultilevel(b *testing.B) {
 				benchParts = PartitionMultilevel(g, c.k, 1)
 			}
 		})
+	}
+}
+
+// Refinement tallies a vertex again only after a neighbor moved or a balance
+// bound stopped it: 159,518 tallies here, where re-tallying every vertex on
+// every pass, as the partitioner once did, makes 390,581.
+func TestRefineTallyCeiling(t *testing.T) {
+	g := GeneratePowerLaw(36000, 10, 2.1, 1)
+	r := new(refiner)
+	r.partition(g, 56, 1)
+	if r.tallies > 175000 {
+		t.Fatalf("%d vertex tallies in a 36k/56 partitioning, ceiling 175000", r.tallies)
 	}
 }
 
