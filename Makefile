@@ -116,10 +116,13 @@ trace-smoke:
 
 # fuzz-smoke gives each fuzzer ten seconds on top of its checked-in corpus
 # (the package's testdata/fuzz and its f.Add seeds). FuzzKernelOrder: random
-# programs of After/At/AfterFunc/Stop/Reset/Run/Step calls, every fire
-# compared with a sorted-slice reference. FuzzPolicy: EPL source that parses
-# must print, reparse and print the same string, and epl.Check and the
-# analyzer must not panic on it. FuzzEnvelope: the //lint:envelope and
+# programs of After/At/Every/Run/Step calls, every fire compared with a
+# sorted-slice reference. FuzzPolicy: EPL source that parses must print,
+# reparse and print the same string, and epl.Check and the analyzer must not
+# panic on it. FuzzEvaluate: every policy that parses and passes epl.Check,
+# evaluated against a snapshot of 1-8 servers and up to 32 actors decoded
+# from bytes, must not panic, must give the same intents twice, and may name
+# only actors and servers in the snapshot. FuzzEnvelope: the //lint:envelope and
 # //lint:assert parsers and the envelope's validation must not panic on any
 # source. FuzzTraceJSONL: ReadJSONL must not panic on arbitrary bytes, and
 # every line AppendJSONL writes must parse and round-trip its record.
@@ -141,6 +144,7 @@ trace-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKernelOrder -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzPolicy -fuzztime 10s -fuzzminimizetime 1s ./internal/lint
+	$(GO) test -run '^$$' -fuzz FuzzEvaluate -fuzztime 10s -fuzzminimizetime 1s ./internal/epl
 	$(GO) test -run '^$$' -fuzz FuzzEnvelope -fuzztime 10s -fuzzminimizetime 1s ./internal/lint/model
 	$(GO) test -run '^$$' -fuzz FuzzTraceJSONL -fuzztime 10s -fuzzminimizetime 1s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/profile
@@ -184,7 +188,7 @@ loc:
 # model checker passes every shipped policy — the one lint stage — the
 # benchmark harness's own tests pass, the quick-scale sweep shows no perf
 # regression or determinism drift against the checked-in bench baseline, the
-# decision tracer round-trips, and the kernel order, policy, envelope, trace
-# JSONL, snapshot, percentile, bench-baseline and partition fuzzers find
-# nothing in ten seconds each.
+# decision tracer round-trips, and the kernel order, policy, evaluator,
+# envelope, trace JSONL, snapshot, percentile, bench-baseline and partition
+# fuzzers find nothing in ten seconds each.
 verify: build vet race lint-model bench-test bench-quick trace-smoke fuzz-smoke

@@ -933,9 +933,6 @@ func (c *Context) Self() Ref { return Ref{ID: c.inst.id} }
 // Now returns the current virtual time.
 func (c *Context) Now() sim.Time { return c.rt.K.Now() }
 
-// Runtime exposes the hosting runtime (for spawning from handlers).
-func (c *Context) Runtime() *Runtime { return c.rt }
-
 // Use declares cpu cost for processing the current message; multiple calls
 // accumulate.
 func (c *Context) Use(cpu sim.Duration) {

@@ -89,9 +89,6 @@ type Machine struct {
 // Up reports whether the machine has finished booting and is usable.
 func (m *Machine) Up() bool { return m.up && !m.failed }
 
-// Failed reports whether the machine has crashed.
-func (m *Machine) Failed() bool { return m.failed }
-
 // Booting reports whether the machine is provisioned but still booting.
 func (m *Machine) Booting() bool { return m.bootPending }
 

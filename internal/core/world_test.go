@@ -218,8 +218,8 @@ func TestOnlyRunDrivesWorlds(t *testing.T) {
 // TestComparisonManagersScheduleNothing is the one-period rule, enforced: a
 // comparison manager in internal/baseline or internal/apps/estore is one
 // per-period step (Tick) that run's period timer calls, so no non-test file
-// there schedules a period of its own (.Every, .AfterFunc) or holds a
-// *sim.Kernel to schedule one with.
+// there schedules a period of its own (.Every) or holds a *sim.Kernel to
+// schedule one with.
 func TestComparisonManagersScheduleNothing(t *testing.T) {
 	root := filepath.Join("..", "..")
 	files := goFiles(t,
@@ -242,7 +242,7 @@ func TestComparisonManagersScheduleNothing(t *testing.T) {
 			}
 			line := fset.Position(sel.Pos()).Line
 			switch pkg, _ := sel.X.(*ast.Ident); {
-			case sel.Sel.Name == "Every" || sel.Sel.Name == "AfterFunc":
+			case sel.Sel.Name == "Every":
 				t.Errorf("%s:%d: calls .%s; expose the period as Tick and let run's timer call it",
 					filepath.ToSlash(rel), line, sel.Sel.Name)
 			case pkg != nil && pkg.Name == "sim" && sel.Sel.Name == "Kernel":

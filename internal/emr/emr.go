@@ -198,8 +198,7 @@ type Manager struct {
 
 	Stats   Stats
 	running bool
-	timer   *sim.Timer // reusable tick timer; re-armed each period
-	booting int        // provisioned machines not yet up (scale-out cooldown)
+	booting int // provisioned machines not yet up (scale-out cooldown)
 
 	// provSpecs is the manager's mutable copy of Cfg.ProvSpecs (warm-pool
 	// capacity depletes); provPref is the class preference the policy's
@@ -369,10 +368,9 @@ func New(k *sim.Kernel, c *cluster.Cluster, rt *actor.Runtime, prof *profile.Pro
 	return m
 }
 
-// Start installs the new-actor placement hook and schedules periodic
-// elasticity management on a reusable kernel timer: each period re-arms
-// the same slot (sim.Timer.Reset), so the tick loop costs one queue push
-// and zero allocations per period.
+// Start installs the new-actor placement hook and runs elasticity
+// management every period on K.Every. After Stop, the pending period
+// lapses without rescheduling.
 func (m *Manager) Start() {
 	if m.running {
 		return
@@ -380,18 +378,13 @@ func (m *Manager) Start() {
 	m.running = true
 	m.RT.SetPlacement(m)
 	m.Prof.Reset()
-	m.timer = m.K.AfterFunc(m.Cfg.Period, m.tickLoop)
-}
-
-// tickLoop runs one elasticity period and re-arms the timer. After Stop,
-// the pending fire lapses without rescheduling (releasing the timer slot),
-// matching the lazy shutdown of the previous Every-based loop.
-func (m *Manager) tickLoop() {
-	if !m.running {
-		return
-	}
-	m.tick()
-	m.timer.Reset(m.Cfg.Period)
+	m.K.Every(m.Cfg.Period, func() bool {
+		if !m.running {
+			return false
+		}
+		m.tick()
+		return true
+	})
 }
 
 // Stop halts elasticity management after the current period.

@@ -7,34 +7,24 @@ import (
 
 // This file holds the order-contract reference the differential tests and
 // FuzzKernelOrder compare the kernel with: sortKernel, a kernel whose queue
-// is a slice kept sorted on the (at, seq) key, and the op programs that drive it and the real kernel through the same calls.
+// is a slice kept sorted on the (at, seq) key, and the op programs that
+// drive it and the real kernel through the same calls.
 
-// orderKernel is the part of the Kernel API an op program drives.
+// orderKernel is the Kernel API an op program drives.
 type orderKernel interface {
 	Now() Time
 	Pending() int
 	At(t Time, fn func())
 	After(d Duration, fn func())
-	afterFunc(d Duration, fn func()) orderTimer
+	Every(d Duration, fn func() bool)
 	Run(until Time)
 	Step() bool
 }
-
-type orderTimer interface {
-	Stop() bool
-	Reset(d Duration) bool
-}
-
-// realKernel adapts Kernel.AfterFunc's concrete *Timer to orderTimer.
-type realKernel struct{ *Kernel }
-
-func (r realKernel) afterFunc(d Duration, fn func()) orderTimer { return r.AfterFunc(d, fn) }
 
 type sortEvent struct {
 	at  Time
 	seq uint64
 	fn  func()
-	tm  *sortTimer
 }
 
 func (e *sortEvent) less(o *sortEvent) bool {
@@ -55,76 +45,31 @@ type sortKernel struct {
 func (k *sortKernel) Now() Time    { return k.now }
 func (k *sortKernel) Pending() int { return len(k.queue) }
 
-func (k *sortKernel) schedule(at Time, fn func(), tm *sortTimer) *sortEvent {
-	if at < k.now {
-		at = k.now
+func (k *sortKernel) At(t Time, fn func()) {
+	if t < k.now {
+		t = k.now
 	}
 	k.seq++
-	e := &sortEvent{at: at, seq: k.seq, fn: fn, tm: tm}
+	e := &sortEvent{at: t, seq: k.seq, fn: fn}
 	i := sort.Search(len(k.queue), func(i int) bool { return e.less(k.queue[i]) })
 	k.queue = append(k.queue, nil)
 	copy(k.queue[i+1:], k.queue[i:])
 	k.queue[i] = e
-	return e
 }
 
-func (k *sortKernel) unqueue(e *sortEvent) {
-	for i, q := range k.queue {
-		if q == e {
-			k.queue = append(k.queue[:i], k.queue[i+1:]...)
-			return
+func (k *sortKernel) After(d Duration, fn func()) { k.At(k.now+Time(max(d, 0)), fn) }
+
+// Every follows Kernel.Every's contract: the period floored to 1 µs, and
+// each next tick scheduled afresh once fn has returned true.
+func (k *sortKernel) Every(d Duration, fn func() bool) {
+	d = max(d, Microsecond)
+	var tick func()
+	tick = func() {
+		if fn() {
+			k.After(d, tick)
 		}
 	}
-	panic("sortKernel: event not queued")
-}
-
-func clampDelay(d Duration) Duration {
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
-func (k *sortKernel) At(t Time, fn func())        { k.schedule(t, fn, nil) }
-func (k *sortKernel) After(d Duration, fn func()) { k.At(k.now+Time(clampDelay(d)), fn) }
-
-// sortTimer follows Timer's life: pending while ev is set, live until it
-// fires without being re-armed or is stopped.
-type sortTimer struct {
-	k        *sortKernel
-	fn       func()
-	ev       *sortEvent
-	released bool
-}
-
-func (k *sortKernel) afterFunc(d Duration, fn func()) orderTimer {
-	t := &sortTimer{k: k, fn: fn}
-	t.ev = k.schedule(k.now+Time(clampDelay(d)), nil, t)
-	return t
-}
-
-func (t *sortTimer) Stop() bool {
-	if t.released {
-		return false
-	}
-	pending := t.ev != nil
-	if pending {
-		t.k.unqueue(t.ev)
-		t.ev = nil
-	}
-	t.released = true
-	return pending
-}
-
-func (t *sortTimer) Reset(d Duration) bool {
-	if t.released {
-		return false
-	}
-	if t.ev != nil {
-		t.k.unqueue(t.ev)
-	}
-	t.ev = t.k.schedule(t.k.now+Time(clampDelay(d)), nil, t)
-	return true
+	k.After(d, tick)
 }
 
 func (k *sortKernel) Step() bool {
@@ -134,15 +79,7 @@ func (k *sortKernel) Step() bool {
 	e := k.queue[0]
 	k.queue = k.queue[1:]
 	k.now = e.at
-	if t := e.tm; t != nil {
-		t.ev = nil
-		t.fn()
-		if !t.released && t.ev == nil {
-			t.released = true
-		}
-	} else {
-		e.fn()
-	}
+	e.fn()
 	return true
 }
 
@@ -156,27 +93,24 @@ func (k *sortKernel) Run(until Time) {
 }
 
 // An op is one kernel call. Scheduling ops give the callback they schedule
-// the next id; when callback id fires it records itself and runs
-// onFire[id % len(onFire)], so a program nests scheduling (and Stop/Reset)
-// inside events to any depth its budget allows.
+// the next id; whenever callback id fires it records itself and runs
+// onFire[id % len(onFire)], so a program nests scheduling inside events to
+// any depth its budget allows.
 type opKind uint8
 
 const (
 	opAfter opKind = iota
 	opAt
-	opTimer // AfterFunc; the handle joins the program's timer list
-	opStop  // Stop timer tm of the list
-	opReset // Reset timer tm of the list to d from now
-	opRearm // inside a timer's own callback: Reset it to d from now
+	opEvery // Every(d) whose callback returns true ticks%8 times, then false
 	opRun   // top level only: Run(now + d)
 	opStep  // top level only
 )
 
 type op struct {
-	kind opKind
-	d    Duration
-	at   Time
-	tm   int
+	kind  opKind
+	d     Duration
+	at    Time
+	ticks int
 }
 
 type program struct {
@@ -185,7 +119,7 @@ type program struct {
 	budget int // schedulings allowed in all, so every program ends
 }
 
-// rec is one observation: a fire, the result of a Stop or Reset, or the
+// rec is one observation: a fire (ok: an Every tick that re-arms), or the
 // clock and queue length after a top-level Run or Step.
 type rec struct {
 	what    string
@@ -203,34 +137,21 @@ func (r rec) String() string {
 func (p program) run(k orderKernel) []rec {
 	var (
 		log       []rec
-		timers    []orderTimer
 		scheduled int
-		exec      func(ops []op, self orderTimer, top bool)
+		exec      func(ops []op, top bool)
 	)
 	note := func(what string, id int, ok bool) {
 		log = append(log, rec{what, id, k.Now(), ok, k.Pending()})
 	}
-	callback := func(id int, self *orderTimer) func() {
-		return func() {
-			note("fire", id, true)
-			if len(p.onFire) > 0 {
-				var s orderTimer
-				if self != nil {
-					s = *self
-				}
-				exec(p.onFire[id%len(p.onFire)], s, false)
-			}
+	fire := func(id int, again bool) {
+		note("fire", id, again)
+		if len(p.onFire) > 0 {
+			exec(p.onFire[id%len(p.onFire)], false)
 		}
 	}
-	exec = func(ops []op, self orderTimer, top bool) {
+	exec = func(ops []op, top bool) {
 		for _, o := range ops {
 			switch o.kind {
-			case opStop:
-				if len(timers) > 0 {
-					i := o.tm % len(timers)
-					note("stop", i, timers[i].Stop())
-				}
-				continue
 			case opRun:
 				if top {
 					k.Run(k.Now() + Time(o.d))
@@ -250,26 +171,21 @@ func (p program) run(k orderKernel) []rec {
 			scheduled++
 			switch o.kind {
 			case opAfter:
-				k.After(o.d, callback(id, nil))
+				k.After(o.d, func() { fire(id, false) })
 			case opAt:
-				k.At(o.at, callback(id, nil))
-			case opTimer:
-				t := new(orderTimer)
-				*t = k.afterFunc(o.d, callback(id, t))
-				timers = append(timers, *t)
-			case opReset:
-				if len(timers) > 0 {
-					i := o.tm % len(timers)
-					note("reset", i, timers[i].Reset(o.d))
-				}
-			case opRearm:
-				if self != nil {
-					note("rearm", id, self.Reset(o.d))
-				}
+				k.At(o.at, func() { fire(id, false) })
+			case opEvery:
+				left := o.ticks % 8
+				k.Every(o.d, func() bool {
+					again := left > 0
+					left--
+					fire(id, again)
+					return again
+				})
 			}
 		}
 	}
-	exec(p.top, nil, true)
+	exec(p.top, true)
 	for k.Step() {
 	}
 	note("end", scheduled, true)
@@ -279,7 +195,7 @@ func (p program) run(k orderKernel) []rec {
 // diverge runs p on the kernel and on the sorted reference and describes
 // the first observation they disagree on, or returns "".
 func (p program) diverge() string {
-	got, want := p.run(realKernel{New(1)}), p.run(&sortKernel{})
+	got, want := p.run(New(1)), p.run(&sortKernel{})
 	for i := 0; i < len(got) && i < len(want); i++ {
 		if got[i] != want[i] {
 			return fmt.Sprintf("observation %d: kernel %v, reference %v", i, got[i], want[i])

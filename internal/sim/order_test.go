@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -31,20 +30,20 @@ func wideDelay(rng *rand.Rand) Duration {
 
 func wideOp(rng *rand.Rand, kinds []opKind) op {
 	return op{
-		kind: kinds[rng.Intn(len(kinds))],
-		d:    wideDelay(rng),
-		at:   Time(wideDelay(rng)),
-		tm:   rng.Intn(64),
+		kind:  kinds[rng.Intn(len(kinds))],
+		d:     wideDelay(rng),
+		at:    Time(wideDelay(rng)),
+		ticks: rng.Intn(64),
 	}
 }
 
 // TestOrderDifferentialWide drives the kernel and the sorted reference
-// with plans whose delays run from 0 µs to hours — plain and timer events,
-// Stop/Reset/re-arm churn nested inside callbacks, and staged Run(until)
-// calls with scheduling between them — and demands the same fires at the
-// same instants with the same queue lengths throughout.
+// with plans whose delays run from 0 µs to hours — plain events and Every
+// loops, nested inside callbacks, and staged Run(until) calls with
+// scheduling between them — and demands the same fires at the same instants
+// with the same queue lengths throughout.
 func TestOrderDifferentialWide(t *testing.T) {
-	nested := []opKind{opAfter, opAfter, opAt, opAfter, opAfter, opTimer, opStop, opReset, opRearm}
+	nested := []opKind{opAfter, opAfter, opAt, opAfter, opAfter, opEvery, opEvery}
 	top := append([]opKind{opRun, opRun, opStep}, nested...)
 	for trial := 0; trial < 80; trial++ {
 		rng := rand.New(rand.NewSource(int64(9000 + trial)))
@@ -72,8 +71,8 @@ func TestOrderAcrossPowerOfTwoBoundaries(t *testing.T) {
 		{{kind: opAfter, d: 1}, {kind: opAfter, d: 3}},
 		{{kind: opAfter, d: 2}},
 		{},
-		{{kind: opTimer, d: 4}, {kind: opAfter, d: 0}},
-		{{kind: opRearm, d: 2}},
+		{{kind: opEvery, d: 4, ticks: 2}, {kind: opAfter, d: 0}},
+		{{kind: opEvery, d: 2, ticks: 1}},
 	}}
 	for k := uint(1); k <= 62; k++ {
 		for off := Time(-3); off <= 3; off++ {
@@ -89,59 +88,29 @@ func TestOrderAcrossPowerOfTwoBoundaries(t *testing.T) {
 	}
 }
 
-// TestTimerStopResetInEveryBucket parks a timer in each bucket of the queue
-// in turn — and in the current-instant heap — among plain events, then
-// Stops it or Resets it down, up or in place, and compares the fire order
-// with the sorted reference. The placement is asserted, not assumed.
-func TestTimerStopResetInEveryBucket(t *testing.T) {
+// TestEveryInEveryBucket parks an Every loop's first tick in each bucket of
+// the queue in turn, among plain events of its own instant and either side
+// of it, lets it re-arm from there for a few periods, and compares the fire
+// order with the sorted reference. The placement is asserted, not assumed.
+func TestEveryInEveryBucket(t *testing.T) {
 	for b := 1; b <= 62; b++ {
 		at := Duration(1) << uint(b-1) // from a fresh queue, bucket b
 		k := New(1)
-		tm := k.AfterFunc(at, func() {})
-		if got := int(k.q.slots[tm.id].bkt); got != b {
-			t.Fatalf("timer at %d parked in bucket %d, want %d", at, got, b)
+		k.Every(at, func() bool { return false })
+		if got := k.q.nonEmpty; got != 1<<uint(b) {
+			t.Fatalf("tick at %d parked in buckets %b, want bucket %d", at, got, b)
 		}
-		for _, reset := range []Duration{-1, 0, 1, at / 2, at, at + 1, 2*at + 1} {
+		for ticks := 0; ticks < 4; ticks++ {
 			p := program{budget: 64, top: []op{
 				{kind: opAfter, d: at}, {kind: opAt, at: Time(at)}, {kind: opAfter, d: at + 1},
-				{kind: opTimer, d: at}, // the parked timer, among events of its own instant
-				{kind: opAfter, d: at}, {kind: opAfter, d: at - 1}, {kind: opTimer, d: at},
+				{kind: opEvery, d: at, ticks: ticks}, // the parked tick, among events of its own instant
+				{kind: opAfter, d: at}, {kind: opAfter, d: at - 1}, {kind: opAfter, d: 2 * at},
+				{kind: opEvery, d: at / 2, ticks: ticks + 1},
 			}, onFire: [][]op{{}}}
-			if reset < 0 {
-				p.top = append(p.top, op{kind: opStop, tm: 0}, op{kind: opReset, tm: 0, d: 1})
-			} else {
-				p.top = append(p.top, op{kind: opReset, tm: 0, d: reset}, op{kind: opStop, tm: 1})
-			}
 			if d := p.diverge(); d != "" {
-				t.Fatalf("bucket %d, reset %d: %s", b, reset, d)
+				t.Fatalf("bucket %d, %d ticks: %s", b, ticks, d)
 			}
 		}
-	}
-
-	// The current-instant heap: five events share instant 100; the first to
-	// fire stops one queued timer of that instant and resets another.
-	k := New(1)
-	var log []string
-	var stopped, moved *Timer
-	k.After(100, func() {
-		for _, tm := range []*Timer{stopped, moved} {
-			if got := k.q.slots[tm.id].bkt; got != 0 {
-				t.Fatalf("same-instant timer sits in bucket %d, want the current-instant heap", got)
-			}
-		}
-		if !stopped.Stop() || !moved.Reset(0) {
-			t.Fatal("Stop/Reset of a timer queued for the current instant reported false")
-		}
-	})
-	stopped = k.AfterFunc(100, func() { log = append(log, "stopped") })
-	k.After(100, func() { log = append(log, "a") })
-	moved = k.AfterFunc(100, func() { log = append(log, "moved") })
-	k.After(100, func() { log = append(log, "b") })
-	k.RunUntilIdle()
-	// Reset(0) from inside an event of instant 100 is a fresh scheduling:
-	// after every event already queued for instant 100.
-	if got, want := strings.Join(log, " "), "a b moved"; got != want {
-		t.Fatalf("fire order %q, want %q", got, want)
 	}
 }
 
@@ -181,12 +150,12 @@ func TestPushBeforeLastPanics(t *testing.T) {
 			t.Fatal("push before the queue's current instant did not panic")
 		}
 	}()
-	k.q.push(&event{at: 9, tid: noTimer, fn: func() {}})
+	k.q.push(&event{at: 9, fn: func() {}})
 }
 
 // TestPublicAPICannotScheduleIntoThePast walks every public way a fire time
-// enters the queue with a time or delay that would put it behind the clock —
-// past instants, negative delays, delays that wrap Time — and the gap a
+// enters the queue with a time, delay or period that would put it behind the
+// clock — past instants, negative delays, delays that wrap Time — and the gap a
 // finished Run(until) leaves between the clock and the next queued event.
 // None may panic, fire out of order or move the clock back.
 func TestPublicAPICannotScheduleIntoThePast(t *testing.T) {
@@ -194,6 +163,7 @@ func TestPublicAPICannotScheduleIntoThePast(t *testing.T) {
 	k := New(1)
 	var fired []Time
 	mark := func() { fired = append(fired, k.Now()) }
+	once := func() bool { mark(); return false }
 
 	k.After(1000, mark)
 	k.Run(400) // the clock rests at 400; the next event is at 1000
@@ -205,14 +175,12 @@ func TestPublicAPICannotScheduleIntoThePast(t *testing.T) {
 	k.At(401, mark)
 	k.After(-7, mark)
 	k.After(huge, mark) // 400 + huge wraps: clamped to 400
-	tm := k.AfterFunc(-1, mark)
-	tm.Reset(-1)
-	late := k.AfterFunc(huge, mark)
-	late.Reset(huge)
+	k.Every(-1, once)   // floored to 1 µs: fires at 401
+	k.Every(huge, once) // wraps like After: clamped to 400
 	k.At(maxTime, mark)
 	k.RunUntilIdle()
 
-	want := []Time{400, 400, 400, 400, 400, 401, 1000, maxTime}
+	want := []Time{400, 400, 400, 400, 401, 401, 1000, maxTime}
 	if len(fired) != len(want) {
 		t.Fatalf("fired at %v, want %v", fired, want)
 	}

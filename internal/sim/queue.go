@@ -28,28 +28,20 @@ import "math/bits"
 // Buckets store their events inline (scheduling allocates nothing in steady
 // state) in fixed-size chunks drawn from one pool shared by all buckets.
 // Queue memory is what the queued events need, whichever bucket they are
-// in: the periodic timers of a large fleet pass through a fresh high bucket
+// in: the periodic ticks of a large fleet pass through a fresh high bucket
 // every time the clock crosses a power of two, and a slice per bucket grown
 // by append would give each of those its own fleet-sized array.
 //
-// Events owned by a Timer carry the id of a slot in the slot table, and
-// every move of such an event records its new (bucket, index) there, so
-// Timer.Stop and Timer.Reset remove their event in O(1). Plain After/At
-// events skip all slot bookkeeping.
+// Nothing is ever removed from the queue but its minimum: an event, once
+// scheduled, fires.
 
-// event is one scheduled callback. Timer events leave fn nil and carry
-// the owning slot id in tid; the slot holds the callback so it survives
-// the fire and can be re-armed by Reset.
-//
-// at and seq form the order key (see before).
+// event is one scheduled callback, 24 bytes: at and seq form the order key
+// (see before).
 type event struct {
 	at  Time
 	seq uint64 // Kernel.seq when the event was scheduled
-	tid int32  // owning timer slot, or noTimer
 	fn  func()
 }
-
-const noTimer = int32(-1)
 
 // before is the queue's strict total order and the kernel's same-instant
 // ordering contract: fire time, then scheduling order. seq is unique per
@@ -64,19 +56,7 @@ func (e *event) before(o *event) bool {
 	return e.seq < o.seq
 }
 
-// timerSlot is the persistent half of a Timer: the callback plus where its
-// pending event sits — index idx of bucket bkt, or notQueued. gen guards
-// stale Timer handles after a slot is recycled.
-type timerSlot struct {
-	fn  func()
-	idx int32
-	gen uint32
-	bkt int8
-}
-
-const notQueued = int8(-1)
-
-// A chunk is the unit bucket storage is handed out in: 32 events, 1 KB —
+// A chunk is the unit bucket storage is handed out in: 32 events, 768 B —
 // small enough that the thirty-odd buckets a short-lived kernel touches cost
 // it less than the heap's doubling did, large enough that a refill streams.
 const (
@@ -103,20 +83,9 @@ type eventQueue struct {
 	buckets  [64]bucket // buckets[b], b >= 1: events with bits.Len64(at^last) == b
 	nonEmpty uint64     // bit b set while buckets[b] holds events
 	spare    []*chunk   // drained chunks awaiting reuse
-
-	slots []timerSlot
-	free  []int32 // recycled slot ids
 }
 
 func (q *eventQueue) len() int { return q.n }
-
-// setPos records an event's location in its owning slot, if any.
-func (q *eventQueue) setPos(tid int32, bkt, idx int) {
-	if tid != noTimer {
-		s := &q.slots[tid]
-		s.bkt, s.idx = int8(bkt), int32(idx)
-	}
-}
 
 // push queues e. Scheduling before last would file e below events that
 // must fire after it; the kernel's clamping makes that unreachable, and a
@@ -145,7 +114,6 @@ func (q *eventQueue) place(e *event) {
 	bk.chunks[i>>chunkShift][i&chunkMask] = *e
 	bk.n++
 	q.nonEmpty |= 1 << uint(b)
-	q.setPos(e.tid, b, i)
 }
 
 func (q *eventQueue) newChunk() *chunk {
@@ -167,14 +135,11 @@ func (q *eventQueue) popUntil(limit Time, e *event) bool {
 		if q.last > limit {
 			return false
 		}
-		q.removeCur(0, e)
+		q.popCur(e)
 	} else if q.n == 0 || !q.refill(limit, e) {
 		return false
 	}
 	q.n--
-	if e.tid != noTimer {
-		q.slots[e.tid].bkt = notQueued
-	}
 	return true
 }
 
@@ -219,47 +184,15 @@ func (q *eventQueue) refill(limit Time, e *event) bool {
 	return true
 }
 
-// remove deletes the pending event of timer slot tid (Timer.Stop, and the
-// first half of a Reset).
-func (q *eventQueue) remove(tid int32) {
-	s := &q.slots[tid]
-	b, i := int(s.bkt), int(s.idx)
-	q.n--
-	s.bkt = notQueued
-	if b == 0 {
-		var e event
-		q.removeCur(i, &e)
-		return
-	}
-	bk := &q.buckets[b]
-	bk.n--
-	tail := bk.chunks[bk.n>>chunkShift]
-	if i != bk.n {
-		e := tail[bk.n&chunkMask]
-		bk.chunks[i>>chunkShift][i&chunkMask] = e
-		q.setPos(e.tid, b, i)
-	}
-	tail[bk.n&chunkMask].fn = nil // drop the reference for the GC
-	if bk.n&chunkMask == 0 && bk.n > 0 {
-		bk.chunks = bk.chunks[:bk.n>>chunkShift]
-		q.spare = append(q.spare, tail)
-	}
-	if bk.n == 0 {
-		q.nonEmpty &^= 1 << uint(b)
-	}
-}
-
-// removeCur removes cur[i] into e, restoring heap order.
-func (q *eventQueue) removeCur(i int, e *event) {
-	*e = q.cur[i]
+// popCur removes the root of cur, the current instant's minimum, into e.
+func (q *eventQueue) popCur(e *event) {
+	*e = q.cur[0]
 	last := len(q.cur) - 1
-	if i != last {
-		q.cur[i] = q.cur[last]
-	}
+	q.cur[0] = q.cur[last]
 	q.cur[last].fn = nil // drop the reference for the GC
 	q.cur = q.cur[:last]
-	if i != last && !q.siftDown(i) {
-		q.siftUp(i)
+	if last > 0 {
+		q.siftDown(0)
 	}
 }
 
@@ -272,18 +205,15 @@ func (q *eventQueue) siftUp(i int) {
 			break
 		}
 		q.cur[i] = q.cur[p]
-		q.setPos(q.cur[i].tid, 0, i)
 		i = p
 	}
 	q.cur[i] = e
-	q.setPos(e.tid, 0, i)
 }
 
-// siftDown moves cur[i] toward the leaves; reports whether it moved.
-func (q *eventQueue) siftDown(i int) bool {
+// siftDown moves cur[i] toward the leaves.
+func (q *eventQueue) siftDown(i int) {
 	n := len(q.cur)
 	e := q.cur[i]
-	start := i
 	for {
 		c := 2*i + 1
 		if c >= n {
@@ -296,34 +226,7 @@ func (q *eventQueue) siftDown(i int) bool {
 			break
 		}
 		q.cur[i] = q.cur[c]
-		q.setPos(q.cur[i].tid, 0, i)
 		i = c
 	}
 	q.cur[i] = e
-	q.setPos(e.tid, 0, i)
-	return i != start
-}
-
-// allocSlot takes a slot off the free list (or grows the table) and
-// installs fn.
-func (q *eventQueue) allocSlot(fn func()) int32 {
-	if n := len(q.free); n > 0 {
-		id := q.free[n-1]
-		q.free = q.free[:n-1]
-		s := &q.slots[id]
-		s.fn, s.bkt = fn, notQueued
-		return id
-	}
-	q.slots = append(q.slots, timerSlot{fn: fn, bkt: notQueued})
-	return int32(len(q.slots) - 1)
-}
-
-// freeSlot recycles a slot; the generation bump invalidates outstanding
-// Timer handles.
-func (q *eventQueue) freeSlot(id int32) {
-	s := &q.slots[id]
-	s.fn = nil
-	s.bkt = notQueued
-	s.gen++
-	q.free = append(q.free, id)
 }

@@ -15,7 +15,7 @@ import (
 func BenchmarkKernelQueue(b *testing.B) {
 	b.Run("shallow", func(b *testing.B) { stepN(b, shallowWorld()) })
 	b.Run("deep", func(b *testing.B) { stepN(b, deepWorld(deepWorkers)) })
-	b.Run("timer-reset", func(b *testing.B) { stepN(b, tickWorld()) })
+	b.Run("tick", func(b *testing.B) { stepN(b, tickWorld()) })
 }
 
 func stepN(b *testing.B, k *Kernel) {
@@ -89,8 +89,8 @@ func deepWorld(workers int) *Kernel {
 }
 
 // tickWorld is the control plane's shape (and stream_shift_chaos's): a few
-// hundred Every loops at mixed periods, each fire a Timer.Reset from inside
-// its own callback.
+// hundred Every loops at mixed periods, each fire re-scheduling itself with
+// After from inside its own callback.
 func tickWorld() *Kernel {
 	k := New(1)
 	for i := 0; i < 200; i++ {
@@ -108,7 +108,7 @@ func TestQueueSteadyStateAllocs(t *testing.T) {
 	worlds := []struct {
 		name string
 		k    *Kernel
-	}{{"shallow", shallowWorld()}, {"deep", deepWorld(4096)}, {"timer-reset", tickWorld()}}
+	}{{"shallow", shallowWorld()}, {"deep", deepWorld(4096)}, {"tick", tickWorld()}}
 	for _, w := range worlds {
 		for i := 0; i < 200000; i++ {
 			w.k.Step()
@@ -140,7 +140,7 @@ func TestQueueMemoryAtFleetScale(t *testing.T) {
 		var e event
 		for i := 0; i < events; i++ {
 			cnt++
-			e = event{at: Time(i%2000+1)*Time(Millisecond) + Time(i%977), seq: cnt, tid: noTimer, fn: fn}
+			e = event{at: Time(i%2000+1)*Time(Millisecond) + Time(i%977), seq: cnt, fn: fn}
 			push(&e)
 		}
 		for i := 0; i < cycles*events; i++ {
@@ -172,17 +172,16 @@ func TestQueueMemoryAtFleetScale(t *testing.T) {
 }
 
 // TestQueueDifferentialAgainstHeap drives the radix queue and the 4-ary heap
-// it replaced with one monotone stream of pushes, limited and unlimited pops
-// and timer removals, and demands the same event from both at every pop.
+// it replaced with one monotone stream of pushes and limited and unlimited
+// pops, and demands the same event from both at every pop.
 func TestQueueDifferentialAgainstHeap(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		rng := rand.New(rand.NewSource(int64(4000 + trial)))
 		var (
-			q      eventQueue
-			h      heapQueue
-			now    Time
-			cnt    uint64
-			timers []int32 // slots with a queued event
+			q   eventQueue
+			h   heapQueue
+			now Time
+			cnt uint64
 		)
 		pop := func(limit Time) {
 			var got event
@@ -194,50 +193,25 @@ func TestQueueDifferentialAgainstHeap(t *testing.T) {
 				return
 			}
 			want := h.pop()
-			if got.at != want.at || got.seq != want.seq || got.tid != want.tid {
+			if got.at != want.at || got.seq != want.seq {
 				t.Fatalf("trial %d: popped %+v, heap popped %+v", trial, got, want)
 			}
 			now = got.at
-			if got.tid != noTimer {
-				for i, id := range timers {
-					if id == got.tid {
-						timers = append(timers[:i], timers[i+1:]...)
-						break
-					}
-				}
-				q.freeSlot(got.tid)
-				h.freeSlot(got.tid)
-			}
 		}
 		for step := 0; step < 5000; step++ {
 			switch r := rng.Intn(10); {
 			case r < 5:
 				cnt++
-				e := event{at: now + Time(wideDelay(rng)), seq: cnt, tid: noTimer}
+				e := event{at: now + Time(wideDelay(rng)), seq: cnt}
 				if e.at < now {
 					e.at = now
-				}
-				if rng.Intn(4) == 0 {
-					e.tid = q.allocSlot(nil)
-					if id := h.allocSlot(nil); id != e.tid {
-						t.Fatalf("slot ids diverged: %d vs %d", e.tid, id)
-					}
-					timers = append(timers, e.tid)
 				}
 				q.push(&e)
 				h.push(e)
 			case r < 8:
 				pop(maxTime)
-			case r < 9:
+			default:
 				pop(now + Time(rng.Int63n(int64(Millisecond))))
-			case len(timers) > 0:
-				i := rng.Intn(len(timers))
-				id := timers[i]
-				timers = append(timers[:i], timers[i+1:]...)
-				q.remove(id)
-				h.remove(int(h.slots[id].pos))
-				q.freeSlot(id)
-				h.freeSlot(id)
 			}
 			if q.len() != h.len() {
 				t.Fatalf("trial %d step %d: radix holds %d events, heap %d", trial, step, q.len(), h.len())

@@ -12,8 +12,8 @@ import (
 // tests below drive it and the kernel with the same schedule and demand
 // identical fire orders; the alloc test pins the boxed implementation's
 // per-event allocation as the ceiling the kernel's queue must beat. (The
-// reference with timers and staged runs, and plans that reach every bucket
-// of the radix queue, are in order_ref_test.go and order_test.go.)
+// reference with Every loops and staged runs, and plans that reach every
+// bucket of the radix queue, are in order_ref_test.go and order_test.go.)
 type refEvent struct {
 	at  Time
 	seq uint64
@@ -148,9 +148,9 @@ func TestDifferentialFireOrder(t *testing.T) {
 	}
 }
 
-// TestDifferentialWithTimers mixes Timer traffic (Reset/Stop churn) into a
-// plain event stream and checks the plain events still fire in reference
-// order — the indexed-slot bookkeeping must not perturb heap ordering.
+// TestDifferentialWithTimers mixes periodic traffic — Every loops that tick
+// among the plan's events and record nothing — into a plain event stream and
+// checks the plain events still fire in reference order.
 func TestDifferentialWithTimers(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(7000 + trial)))
@@ -158,19 +158,9 @@ func TestDifferentialWithTimers(t *testing.T) {
 		want := driveSchedule(&refKernel{}, plan)
 
 		k := New(1)
-		// Interleave timers that fire between/among the plan's events but
-		// record nothing; half get stopped, some get reset.
-		var timers []*Timer
 		for i := 0; i < 50; i++ {
-			timers = append(timers, k.AfterFunc(Duration(rng.Int63n(17)), func() {}))
-		}
-		for i, tm := range timers {
-			switch i % 3 {
-			case 0:
-				tm.Stop()
-			case 1:
-				tm.Reset(Duration(rng.Int63n(17)))
-			}
+			left := i % 3
+			k.Every(Duration(rng.Int63n(17)), func() bool { left--; return left >= 0 })
 		}
 		got := driveSchedule(k, plan)
 		if len(got) != len(want) {
@@ -219,12 +209,11 @@ func TestHeapAllocsReduced(t *testing.T) {
 	}
 }
 
-// TestEventIs32Bytes pins the inline event at four words — (at, seq), the
-// timer slot and the callback — so a chunk of 32 stays 1 KB and a refill
-// streams half a cache line per event.
-func TestEventIs32Bytes(t *testing.T) {
-	if n := unsafe.Sizeof(event{}); n != 32 {
-		t.Fatalf("event is %d bytes, want 32", n)
+// TestEventIs24Bytes pins the inline event at three words — (at, seq) and
+// the callback — so a chunk of 32 stays 768 B.
+func TestEventIs24Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 24 {
+		t.Fatalf("event is %d bytes, want 24", n)
 	}
 }
 
@@ -262,9 +251,9 @@ func BenchmarkKernelScheduleBoxedRef(b *testing.B) {
 	k.RunUntilIdle()
 }
 
-// BenchmarkEveryTick measures periodic-timer ticks (the cluster/EMR tick
-// loop shape): each tick is one Timer.Reset from inside the callback — one
-// queue push, no allocation.
+// BenchmarkEveryTick measures periodic ticks (the EMR's period loop shape):
+// each tick is one After from inside the callback — one queue push, no
+// allocation.
 func BenchmarkEveryTick(b *testing.B) {
 	b.ReportAllocs()
 	k := New(1)

@@ -12,17 +12,17 @@
 //     callback, for the same virtual time) fires after every event already
 //     queued for that instant — children never overtake their parent's
 //     cohort, because their seq is larger than anything queued before them;
-//   - Timer.Reset is a fresh scheduling: resetting a pending timer to the
-//     current instant moves it after previously queued same-instant
-//     events, exactly as if it had been stopped and re-scheduled.
+//   - an Every loop's re-arm is a fresh scheduling, stamped after its
+//     callback returns: the next tick fires after every event queued for
+//     that instant before the re-arm, the callback's own children included.
 //
 // The kernel never schedules into the past — every fire time is clamped to
 // the clock, and the clock never moves backwards — and the key has no ties,
 // so the event queue is a monotone radix queue on the fire time with a small
 // heap for the current instant (see queue.go). Events are stored inline:
 // scheduling one is a copy into a pooled chunk, not a boxed allocation, and
-// periodic work can hold a reusable Timer (AfterFunc/Reset) so tick loops
-// run allocation-free.
+// periodic work re-schedules one callback with After, so tick loops run
+// allocation-free. There is one kind of event and nothing cancels it.
 package sim
 
 import (
@@ -75,9 +75,6 @@ type Kernel struct {
 	rng *rand.Rand
 	seq uint64 // order key of the latest scheduling
 
-	// Stopped is set by Stop; Run returns once it is observed.
-	stopped bool
-
 	fired uint64 // events fired since creation
 	peak  int    // maximum queue depth observed
 }
@@ -101,101 +98,24 @@ func (k *Kernel) After(d Duration, fn func()) {
 	k.At(k.now+Time(d), fn)
 }
 
-// At schedules fn at absolute virtual time t (clamped to now).
-func (k *Kernel) At(t Time, fn func()) {
-	k.schedule(t, noTimer, fn)
-}
-
-// schedule stamps the next seq on an event at time at and queues it: a
-// plain callback fn, or the timer slot tid. This is the one place a fire
+// At schedules fn at absolute virtual time t. This is the one place a fire
 // time enters the queue, and it clamps it to now — a past instant, or a
 // delay large enough to wrap the clock — which is what lets the queue assume
 // no event is ever earlier than one it already popped.
-func (k *Kernel) schedule(at Time, tid int32, fn func()) {
-	if at < k.now {
-		at = k.now
+func (k *Kernel) At(t Time, fn func()) {
+	if t < k.now {
+		t = k.now
 	}
 	k.seq++
-	k.q.push(&event{at: at, seq: k.seq, tid: tid, fn: fn})
+	k.q.push(&event{at: t, seq: k.seq, fn: fn})
 	if n := k.q.len(); n > k.peak {
 		k.peak = n
 	}
 }
 
-// Timer is a reusable scheduled callback created by AfterFunc. Unlike a
-// plain After event, a Timer occupies one slot in the kernel for its whole
-// life: Reset re-queues the same slot and Stop cancels it. A timer that
-// fires without being re-armed by Reset — from inside its own callback —
-// releases its slot automatically; after that, Stop and Reset on the stale
-// handle are no-ops returning false.
-type Timer struct {
-	k   *Kernel
-	id  int32
-	gen uint32
-}
-
-// AfterFunc schedules fn to run d from now and returns a Timer that can
-// reschedule (Reset) or cancel (Stop) it. Tick loops that re-arm the timer
-// from inside fn schedule each subsequent fire without any allocation,
-// which is how Every and the cluster/EMR tick loops run.
-func (k *Kernel) AfterFunc(d Duration, fn func()) *Timer {
-	if d < 0 {
-		d = 0
-	}
-	id := k.q.allocSlot(fn)
-	t := &Timer{k: k, id: id, gen: k.q.slots[id].gen}
-	k.schedule(k.now+Time(d), id, nil)
-	return t
-}
-
-func (t *Timer) live() bool {
-	return t != nil && t.k != nil && t.k.q.slots[t.id].gen == t.gen
-}
-
-// Stop cancels the timer and releases its slot. It reports whether a
-// pending fire was dequeued; false means the timer already fired (and was
-// not re-armed) or was already stopped.
-func (t *Timer) Stop() bool {
-	if !t.live() {
-		return false
-	}
-	pending := t.k.q.slots[t.id].bkt != notQueued
-	if pending {
-		t.k.q.remove(t.id)
-	}
-	t.k.q.freeSlot(t.id)
-	return pending
-}
-
-// Reset reschedules the timer to fire d from now (negative d fires
-// immediately). While the timer is pending its queued event is removed and
-// queued anew; from inside the callback it re-arms the slot for another
-// fire. Reset reports false on a released timer (already fired without
-// re-arm, or stopped).
-//
-// Reset is a fresh scheduling with respect to same-instant ordering: the
-// new event takes a fresh seq, so a Reset to the current instant fires after
-// events that were already queued for that instant — exactly as if the timer
-// had been stopped and scheduled anew; the differential tests in sim_test.go
-// pin it.
-func (t *Timer) Reset(d Duration) bool {
-	if !t.live() {
-		return false
-	}
-	if d < 0 {
-		d = 0
-	}
-	k := t.k
-	if k.q.slots[t.id].bkt != notQueued {
-		k.q.remove(t.id)
-	}
-	k.schedule(k.now+Time(d), t.id, nil)
-	return true
-}
-
 // Every schedules fn at now+d, then every d thereafter, until fn returns
-// false or the simulation stops. The loop holds a single reusable timer
-// slot, so each tick costs one queue push and no allocation.
+// false. Each tick re-schedules the same callback with After once fn has
+// returned, so it costs one queue push and no allocation.
 //
 // A non-positive period is floored to one Microsecond: period 0 used to
 // reschedule at the same instant forever, livelocking RunUntilIdle.
@@ -203,19 +123,20 @@ func (k *Kernel) Every(d Duration, fn func() bool) {
 	if d < Microsecond {
 		d = Microsecond
 	}
-	var t *Timer
-	t = k.AfterFunc(d, func() {
+	var tick func()
+	tick = func() {
 		if fn() {
-			t.Reset(d)
+			k.After(d, tick)
 		}
-	})
+	}
+	k.After(d, tick)
 }
 
 // Step fires the next pending event, advancing the clock. It reports whether
-// an event was fired; it fires nothing once Stop has been called.
+// an event was fired.
 func (k *Kernel) Step() bool {
 	var e event
-	if k.stopped || !k.q.popUntil(maxTime, &e) {
+	if !k.q.popUntil(maxTime, &e) {
 		return false
 	}
 	k.fire(&e)
@@ -226,40 +147,18 @@ func (k *Kernel) Step() bool {
 func (k *Kernel) fire(e *event) {
 	k.now = e.at
 	k.fired++
-	if e.tid != noTimer {
-		k.fireTimer(e.tid)
-	} else {
-		e.fn()
-	}
-}
-
-// fireTimer runs a timer slot's callback and recycles the slot unless the
-// callback re-armed it with Reset (or released it itself with Stop).
-func (k *Kernel) fireTimer(id int32) {
-	gen := k.q.slots[id].gen
-	fn := k.q.slots[id].fn
-	fn()
-	// Re-index: fn may have created timers and grown the slot table.
-	s := &k.q.slots[id]
-	if s.gen != gen {
-		return // the callback stopped its own timer; slot already released
-	}
-	if s.bkt == notQueued {
-		k.q.freeSlot(id)
-	}
+	e.fn()
 }
 
 // Run fires every event due at or before until, in order, and then rests the
-// clock at until — unless Stop is called, which leaves the clock at the
-// event that stopped the run rather than jumping ahead to the deadline. The
-// clock never moves backwards: Run to an instant already passed fires
-// nothing and leaves it where it is.
+// clock at until. The clock never moves backwards: Run to an instant already
+// passed fires nothing and leaves it where it is.
 func (k *Kernel) Run(until Time) {
 	var e event
-	for !k.stopped && k.q.popUntil(until, &e) {
+	for k.q.popUntil(until, &e) {
 		k.fire(&e)
 	}
-	if !k.stopped && k.now < until {
+	if k.now < until {
 		k.now = until
 	}
 }
@@ -269,12 +168,6 @@ func (k *Kernel) RunUntilIdle() {
 	for k.Step() {
 	}
 }
-
-// Stop halts Run/RunUntilIdle after the current event.
-func (k *Kernel) Stop() { k.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (k *Kernel) Stopped() bool { return k.stopped }
 
 // Pending reports the number of queued events.
 func (k *Kernel) Pending() int { return k.q.len() }

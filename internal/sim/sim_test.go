@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -92,48 +90,36 @@ func TestRunAdvancesToDeadlineWhenIdle(t *testing.T) {
 
 func TestEveryStopsOnFalse(t *testing.T) {
 	k := New(1)
-	count := 0
+	var times []Time
 	k.Every(Second, func() bool {
-		count++
-		return count < 3
+		times = append(times, k.Now())
+		return len(times) < 3
 	})
 	k.RunUntilIdle()
-	if count != 3 {
-		t.Fatalf("ticks = %d, want 3", count)
+	if want := []Time{Time(Second), Time(2 * Second), Time(3 * Second)}; !reflect.DeepEqual(times, want) {
+		t.Fatalf("ticks at %v, want %v", times, want)
 	}
 }
 
-func TestStopHaltsRun(t *testing.T) {
+// A callback that re-arms itself with After from inside its own run fires at
+// each period, measured from the instant it ran.
+func TestTimerRearmFromCallback(t *testing.T) {
 	k := New(1)
-	count := 0
-	k.Every(Second, func() bool {
-		count++
-		if count == 2 {
-			k.Stop()
+	var times []Time
+	var fire func()
+	fire = func() {
+		times = append(times, k.Now())
+		if len(times) < 3 {
+			k.After(Second, fire)
 		}
-		return true
-	})
-	k.Run(Time(100 * Second))
-	if count != 2 {
-		t.Fatalf("ticks = %d, want 2", count)
 	}
-	if !k.Stopped() {
-		t.Fatal("Stopped() = false after Stop")
+	k.After(Second, fire)
+	k.RunUntilIdle()
+	if want := []Time{Time(Second), Time(2 * Second), Time(3 * Second)}; !reflect.DeepEqual(times, want) {
+		t.Fatalf("fires = %v, want %v", times, want)
 	}
-	// A stopped run halts after the current event: the clock must stay at
-	// the last fired event, not jump ahead to the deadline.
-	if k.Now() != Time(2*Second) {
-		t.Fatalf("clock after Stop = %d, want %d (last fired event)", k.Now(), 2*Second)
-	}
-}
-
-func TestStopBeforeRunLeavesClock(t *testing.T) {
-	k := New(1)
-	k.After(Second, func() {})
-	k.Stop()
-	k.Run(Time(10 * Second))
-	if k.Now() != 0 {
-		t.Fatalf("clock = %d, want 0: no event fired before Stop", k.Now())
+	if k.Pending() != 0 {
+		t.Fatalf("pending = %d after the last fire, want 0", k.Pending())
 	}
 }
 
@@ -154,106 +140,6 @@ func TestEveryNonPositivePeriodTerminates(t *testing.T) {
 		if k.Now() != Time(4*Microsecond) {
 			t.Fatalf("Every(%d): clock = %d, want 4µs (floored period)", d, k.Now())
 		}
-	}
-}
-
-func TestAfterFuncFiresOnce(t *testing.T) {
-	k := New(1)
-	fired := 0
-	k.AfterFunc(Second, func() { fired++ })
-	k.RunUntilIdle()
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
-	}
-}
-
-func TestTimerStopCancels(t *testing.T) {
-	k := New(1)
-	fired := false
-	tm := k.AfterFunc(Second, func() { fired = true })
-	if !tm.Stop() {
-		t.Fatal("Stop() = false on a pending timer")
-	}
-	k.RunUntilIdle()
-	if fired {
-		t.Fatal("stopped timer fired")
-	}
-	if tm.Stop() {
-		t.Fatal("second Stop() = true")
-	}
-	if tm.Reset(Second) {
-		t.Fatal("Reset on a stopped timer = true")
-	}
-}
-
-func TestTimerResetPostpones(t *testing.T) {
-	k := New(1)
-	var at Time
-	tm := k.AfterFunc(Second, func() { at = k.Now() })
-	tm.Reset(3 * Second)
-	k.RunUntilIdle()
-	if at != Time(3*Second) {
-		t.Fatalf("fired at %d, want 3s", at)
-	}
-	// The timer released its slot after firing un-re-armed.
-	if tm.Reset(Second) {
-		t.Fatal("Reset after unre-armed fire = true")
-	}
-}
-
-func TestTimerRearmFromCallback(t *testing.T) {
-	k := New(1)
-	var times []Time
-	var tm *Timer
-	tm = k.AfterFunc(Second, func() {
-		times = append(times, k.Now())
-		if len(times) < 3 {
-			tm.Reset(Second)
-		}
-	})
-	k.RunUntilIdle()
-	want := []Time{Time(Second), Time(2 * Second), Time(3 * Second)}
-	if len(times) != len(want) {
-		t.Fatalf("fires = %v, want %v", times, want)
-	}
-	for i := range want {
-		if times[i] != want[i] {
-			t.Fatalf("fires = %v, want %v", times, want)
-		}
-	}
-}
-
-func TestTimerStopFromOwnCallback(t *testing.T) {
-	k := New(1)
-	var tm *Timer
-	ran := false
-	tm = k.AfterFunc(Second, func() {
-		ran = true
-		tm.Stop() // releasing the slot from inside the callback must be safe
-	})
-	k.RunUntilIdle()
-	if !ran {
-		t.Fatal("callback did not run")
-	}
-	if tm.Reset(Second) {
-		t.Fatal("Reset after self-Stop = true")
-	}
-}
-
-// Timer slots are recycled: a long run of one-shot timers must not grow the
-// slot table beyond the number simultaneously live.
-func TestTimerSlotRecycling(t *testing.T) {
-	k := New(1)
-	for i := 0; i < 1000; i++ {
-		k.AfterFunc(Duration(i), func() {})
-	}
-	k.RunUntilIdle()
-	for i := 0; i < 1000; i++ {
-		k.AfterFunc(Duration(i), func() {})
-		k.RunUntilIdle()
-	}
-	if n := len(k.q.slots); n > 1001 {
-		t.Fatalf("slot table grew to %d; recycling is broken", n)
 	}
 }
 
@@ -369,8 +255,9 @@ func TestPropertyAllEventsFire(t *testing.T) {
 // TestSameInstantContract pins the (at, seq) contract end to end: at one
 // instant events fire in the order they were scheduled, whichever call
 // scheduled them and from whichever earlier instant; a child scheduled at
-// its parent's instant fires after the parent's whole cohort; and Reset is a
-// fresh scheduling, both on a pending timer and from inside its callback.
+// its parent's instant fires after the parent's whole cohort; and an Every
+// re-arm is a fresh scheduling, stamped once its callback has returned —
+// after the callback's own children and everything queued before it.
 func TestSameInstantContract(t *testing.T) {
 	k := New(7)
 	var log []string
@@ -380,96 +267,21 @@ func TestSameInstantContract(t *testing.T) {
 		log = append(log, "a")
 		k.After(0, mark("a-child"))
 	})
-	var tm *Timer
-	tm = k.AfterFunc(at, func() {
+	ticks := 0
+	k.Every(at, func() bool {
 		log = append(log, "t")
-		if len(log) < 4 {
-			tm.Reset(0)
-		}
+		k.After(at, mark("t-child"))
+		ticks++
+		return ticks < 2
 	})
-	k.After(at/2, func() { k.At(at, mark("late")) })
-	r := k.AfterFunc(at, mark("r"))
+	k.After(at/2, func() {
+		k.At(at, mark("late"))
+		k.At(2*at, mark("early"))
+	})
 	k.After(at, mark("b"))
-	r.Reset(at)
 	k.RunUntilIdle()
-	want := []string{"a", "t", "b", "r", "late", "a-child", "t"}
+	want := []string{"a", "t", "b", "late", "a-child", "early", "t-child", "t", "t-child"}
 	if !reflect.DeepEqual(log, want) {
 		t.Fatalf("same-instant order = %v, want %v", log, want)
-	}
-}
-
-// TestTimerResetSameInstantIsFreshScheduling pins the Reset contract: Reset
-// on a pending timer assigns a fresh counter, so a Reset to the current
-// instant fires after events already queued for that instant — the order a
-// Stop + new AfterFunc produces.
-func TestTimerResetSameInstantIsFreshScheduling(t *testing.T) {
-	viaReset := func() []string {
-		k := New(3)
-		var log []string
-		tm := k.AfterFunc(0, func() { log = append(log, "T") })
-		k.After(0, func() { log = append(log, "A") })
-		tm.Reset(0) // re-stamp: T must now fire after A and before B
-		k.After(0, func() { log = append(log, "B") })
-		k.RunUntilIdle()
-		return log
-	}
-	viaStopStart := func() []string {
-		k := New(3)
-		var log []string
-		tm := k.AfterFunc(0, func() { log = append(log, "T") })
-		k.After(0, func() { log = append(log, "A") })
-		tm.Stop()
-		k.AfterFunc(0, func() { log = append(log, "T") })
-		k.After(0, func() { log = append(log, "B") })
-		k.RunUntilIdle()
-		return log
-	}
-	want := []string{"A", "T", "B"}
-	if got := viaReset(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Reset-to-now order = %v, want %v (fresh scheduling)", got, want)
-	}
-	if got := viaStopStart(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Stop+AfterFunc order = %v, want %v", got, want)
-	}
-}
-
-// TestTimerResetDifferentialAgainstStopStart runs a randomized mix of
-// Reset-in-place and Stop+reschedule under same-instant contention and
-// checks both strategies produce the same fire order.
-func TestTimerResetDifferentialAgainstStopStart(t *testing.T) {
-	for trial := 0; trial < 40; trial++ {
-		seed := int64(500 + trial)
-		run := func(useReset bool) []string {
-			rng := rand.New(rand.NewSource(seed))
-			k := New(seed)
-			var log []string
-			type step struct {
-				d     Duration
-				plain bool
-			}
-			steps := make([]step, 30)
-			for i := range steps {
-				steps[i] = step{d: Duration(rng.Intn(3)), plain: rng.Intn(2) == 0}
-			}
-			tm := k.AfterFunc(1, func() { log = append(log, "tick") })
-			for i, s := range steps {
-				i := i
-				if s.plain {
-					k.After(s.d, func() { log = append(log, fmt.Sprintf("p%d", i)) })
-					continue
-				}
-				if useReset {
-					tm.Reset(s.d)
-				} else {
-					tm.Stop()
-					tm = k.AfterFunc(s.d, func() { log = append(log, "tick") })
-				}
-			}
-			k.RunUntilIdle()
-			return log
-		}
-		if a, b := run(true), run(false); !reflect.DeepEqual(a, b) {
-			t.Fatalf("seed %d: Reset order %v != Stop+AfterFunc order %v", seed, a, b)
-		}
 	}
 }
