@@ -16,7 +16,7 @@ COVER_PROFILE ?= coverage.out
 # Scratch dir for the trace round-trip smoke test.
 TRACE_SMOKE_DIR ?= .trace-smoke
 
-.PHONY: build test vet race bench bench-test bench-quick bench-baseline scale-quick burst-quick stream-quick plan-quick lint-model cover trace-smoke fuzz-smoke sweep-snapshot loc verify
+.PHONY: build test vet race bench kernel-bench bench-test bench-quick bench-baseline scale-quick burst-quick stream-quick plan-quick lint-model cover trace-smoke fuzz-smoke sweep-snapshot loc verify
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,14 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# kernel-bench runs each BenchmarkKernelQueue world (shallow, deep, tick:
+# the kernel's layer microbenchmarks at the repository benchmark's three
+# queue regimes) once, so they execute on every change instead of only
+# compiling. One iteration times nothing worth reading; run the target's
+# command without -benchtime for figures.
+kernel-bench:
+	$(GO) test -run '^$$' -bench KernelQueue -benchtime 1x ./internal/sim
 
 # bench-test runs the repository benchmark's own tests (benchmark/ is a
 # nested module, so `go test ./...` from the root never reaches them).
@@ -117,7 +125,9 @@ trace-smoke:
 # fuzz-smoke gives each fuzzer ten seconds on top of its checked-in corpus
 # (the package's testdata/fuzz and its f.Add seeds). FuzzKernelOrder: random
 # programs of After/At/Every/Run/Step calls, every fire compared with a
-# sorted-slice reference. FuzzPolicy: EPL source that parses must print,
+# sorted-slice reference; its same-instant-batch corpus entry gathers 64
+# events at one far instant from staged earlier instants, so one refill
+# files 63 of them into the current-instant FIFO. FuzzPolicy: EPL source that parses must print,
 # reparse and print the same string, and epl.Check and the analyzer must not
 # panic on it. FuzzEvaluate: every policy that parses and passes epl.Check,
 # evaluated against a snapshot of 1-8 servers and up to 32 actors decoded
@@ -186,9 +196,9 @@ loc:
 # suite passes under the race detector (determinism included: the run-twice
 # tests at two seeds and core's wall-clock/global-rand call rule), the policy
 # model checker passes every shipped policy — the one lint stage — the
-# benchmark harness's own tests pass, the quick-scale sweep shows no perf
+# kernel's queue microbenchmarks run, the benchmark harness's own tests pass, the quick-scale sweep shows no perf
 # regression or determinism drift against the checked-in bench baseline, the
 # decision tracer round-trips, and the kernel order, policy, evaluator,
 # envelope, trace JSONL, snapshot, percentile, bench-baseline and partition
 # fuzzers find nothing in ten seconds each.
-verify: build vet race lint-model bench-test bench-quick trace-smoke fuzz-smoke
+verify: build vet race lint-model kernel-bench bench-test bench-quick trace-smoke fuzz-smoke

@@ -45,17 +45,15 @@ func (o *Orleans) Tick() {
 	if len(up) < 2 {
 		return
 	}
-	// Count managed actors per server.
+	// Bucket managed actors by up server, in id order, in one table pass.
 	perSrv := map[cluster.MachineID][]actor.Ref{}
 	total := 0
-	for _, m := range up {
-		for _, ref := range o.RT.ActorsOn(m.ID) {
-			if o.covers(o.RT.TypeOf(ref)) {
-				perSrv[m.ID] = append(perSrv[m.ID], ref)
-				total++
-			}
+	o.RT.ForEachActor(func(info actor.Info) {
+		if o.covers(info.Type) && o.C.Machine(info.Server).Up() {
+			perSrv[info.Server] = append(perSrv[info.Server], info.Ref)
+			total++
 		}
-	}
+	})
 	target := total / len(up)
 	// Move surplus actors from over-count servers to under-count ones.
 	type srvCount struct {

@@ -169,26 +169,32 @@ func (w *World) Invariants() []string {
 	if n := w.RT.InFlightMigrations(); n != 0 {
 		bad = append(bad, fmt.Sprintf("%d migrations stuck in flight", n))
 	}
+	// One pass over the actor table buckets residents and their state by
+	// machine; an actor homed on no machine is live but not placed.
+	machines := w.C.Machines()
+	on := make([]int, len(machines))
+	mem := make([]int64, len(machines))
+	total := 0
+	w.RT.ForEachActor(func(info actor.Info) {
+		total++
+		if s := int(info.Server); s >= 0 && s < len(machines) {
+			on[s]++
+			mem[s] += info.MemBytes
+		}
+	})
 	seen := 0
-	for _, mach := range w.C.Machines() {
-		on := w.RT.ActorsOn(mach.ID)
-		seen += len(on)
-		if !mach.Up() && len(on) > 0 {
-			bad = append(bad, fmt.Sprintf("%d actors homed on down machine %d", len(on), mach.ID))
+	for i, mach := range machines {
+		seen += on[i]
+		if !mach.Up() && on[i] > 0 {
+			bad = append(bad, fmt.Sprintf("%d actors homed on down machine %d", on[i], mach.ID))
 			continue
 		}
-		if mach.Up() {
-			var sum int64
-			for _, ref := range on {
-				sum += w.RT.MemSize(ref)
-			}
-			if sum != mach.MemUsed() {
-				bad = append(bad, fmt.Sprintf("machine %d memory drift: accounted %d, actors hold %d",
-					mach.ID, mach.MemUsed(), sum))
-			}
+		if mach.Up() && mem[i] != mach.MemUsed() {
+			bad = append(bad, fmt.Sprintf("machine %d memory drift: accounted %d, actors hold %d",
+				mach.ID, mach.MemUsed(), mem[i]))
 		}
 	}
-	if total := len(w.RT.Actors()); seen != total {
+	if seen != total {
 		bad = append(bad, fmt.Sprintf("directory mismatch: %d placed vs %d live (actor lost or duplicated)", seen, total))
 	}
 	return bad

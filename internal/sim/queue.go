@@ -3,7 +3,7 @@ package sim
 import "math/bits"
 
 // This file implements the kernel's event queue: a monotone radix queue on
-// the fire time at, with a small heap for the current instant.
+// the fire time at, with a FIFO for the current instant.
 //
 // The kernel never schedules into the past (every at is clamped to now) and
 // the order key (at, seq) has no ties — see before — so the pop sequence is
@@ -22,8 +22,15 @@ import "math/bits"
 // heap whose every level is a cache miss at fleet scale. 64 buckets is the
 // width of Time, not a setting.
 //
-// Only bucket 0 needs seq: it is a binary heap on before. An event alone at
-// its instant — most events of a shallow queue — never enters it.
+// Only bucket 0 needs seq, and it gets it for free: it is a FIFO already in
+// seq order. A push at instant last appends, and its seq is larger than any
+// queued one. The rest of an instant's events come from one refill, in the
+// order its bucket stored them, and that too is seq order: the bucket index
+// is a function of at and last, so the events of one instant always share a
+// bucket, and they enter it only by appends in scheduling order or all
+// together, in their stored order, from the bucket above. An event alone at
+// its instant — most events of a shallow queue — goes from its bucket
+// straight to the kernel and never enters the FIFO.
 //
 // Buckets store their events inline (scheduling allocates nothing in steady
 // state) in fixed-size chunks drawn from one pool shared by all buckets.
@@ -79,7 +86,8 @@ func used(c *chunk, ci, n int) []event { return c[:min(chunkLen, n-ci<<chunkShif
 type eventQueue struct {
 	last     Time       // instant of the latest refill; no queued event is earlier
 	n        int        // queued events, all buckets
-	cur      []event    // bucket 0: the events of instant last, a binary heap on before
+	cur      []event    // bucket 0: cur[head:] are the events of instant last, in seq order
+	head     int        // cur[:head] have fired
 	buckets  [64]bucket // buckets[b], b >= 1: events with bits.Len64(at^last) == b
 	nonEmpty uint64     // bit b set while buckets[b] holds events
 	spare    []*chunk   // drained chunks awaiting reuse
@@ -102,8 +110,14 @@ func (q *eventQueue) push(e *event) {
 func (q *eventQueue) place(e *event) {
 	b := bits.Len64(uint64(e.at ^ q.last))
 	if b == 0 {
+		// A full FIFO at least half fired slides to the front rather than
+		// grow, so a long zero-delay chain holds its live events only.
+		if n := len(q.cur); n == cap(q.cur) && q.head > 0 && q.head >= n/2 {
+			live := copy(q.cur, q.cur[q.head:])
+			clear(q.cur[live:])
+			q.cur, q.head = q.cur[:live], 0
+		}
 		q.cur = append(q.cur, *e)
-		q.siftUp(len(q.cur) - 1)
 		return
 	}
 	bk := &q.buckets[b]
@@ -184,49 +198,13 @@ func (q *eventQueue) refill(limit Time, e *event) bool {
 	return true
 }
 
-// popCur removes the root of cur, the current instant's minimum, into e.
+// popCur removes the head of cur, the current instant's next event, into
+// e. A drained FIFO restarts at the front of its array.
 func (q *eventQueue) popCur(e *event) {
-	*e = q.cur[0]
-	last := len(q.cur) - 1
-	q.cur[0] = q.cur[last]
-	q.cur[last].fn = nil // drop the reference for the GC
-	q.cur = q.cur[:last]
-	if last > 0 {
-		q.siftDown(0)
+	*e = q.cur[q.head]
+	q.cur[q.head].fn = nil // drop the reference for the GC
+	q.head++
+	if q.head == len(q.cur) {
+		q.cur, q.head = q.cur[:0], 0
 	}
-}
-
-// siftUp moves cur[i] toward the root.
-func (q *eventQueue) siftUp(i int) {
-	e := q.cur[i]
-	for i > 0 {
-		p := (i - 1) / 2
-		if !e.before(&q.cur[p]) {
-			break
-		}
-		q.cur[i] = q.cur[p]
-		i = p
-	}
-	q.cur[i] = e
-}
-
-// siftDown moves cur[i] toward the leaves.
-func (q *eventQueue) siftDown(i int) {
-	n := len(q.cur)
-	e := q.cur[i]
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && q.cur[c+1].before(&q.cur[c]) {
-			c++
-		}
-		if !q.cur[c].before(&e) {
-			break
-		}
-		q.cur[i] = q.cur[c]
-		i = c
-	}
-	q.cur[i] = e
 }

@@ -102,13 +102,27 @@ func tickWorld() *Kernel {
 	return k
 }
 
+// crowdWorld is an instant-heavy queue: n loops on one 1 ms period, so every
+// instant holds n events and each reaches the kernel through one refill
+// batch and the current-instant FIFO.
+func crowdWorld(n int) *Kernel {
+	k := New(1)
+	for i := 0; i < n; i++ {
+		var loop func()
+		loop = func() { k.After(Millisecond, loop) }
+		k.After(Millisecond, loop)
+	}
+	return k
+}
+
 // TestQueueSteadyStateAllocs pins zero allocations per event once a regime's
-// buckets have their chunks: events are stored inline and chunks recycle.
+// buckets have their chunks and the FIFO its array: events are stored inline,
+// chunks recycle and the FIFO restarts at its front every instant.
 func TestQueueSteadyStateAllocs(t *testing.T) {
 	worlds := []struct {
 		name string
 		k    *Kernel
-	}{{"shallow", shallowWorld()}, {"deep", deepWorld(4096)}, {"tick", tickWorld()}}
+	}{{"shallow", shallowWorld()}, {"deep", deepWorld(4096)}, {"tick", tickWorld()}, {"crowd", crowdWorld(2048)}}
 	for _, w := range worlds {
 		for i := 0; i < 200000; i++ {
 			w.k.Step()

@@ -264,3 +264,69 @@ func BenchmarkEveryTick(b *testing.B) {
 	})
 	k.RunUntilIdle()
 }
+
+// TestRefillBatchInSeqOrder schedules 400 events at one far instant from 400
+// earlier instants spread over every power of two below it, each among
+// neighbours either side of the far instant, so the group is re-filed down
+// through bucket after bucket and reaches the current instant as one refill
+// batch of 399 events. The FIFO keeps no order of its own: the batch must
+// pop in scheduling order as the refill filed it.
+func TestRefillBatchInSeqOrder(t *testing.T) {
+	const far, group = Time(1)<<22 + 7, 400
+	k := New(1)
+	var fired []int
+	scheduled, batch := 0, 0
+	for i := 0; i < group; i++ {
+		k.At(Time(1)<<(i%22)+Time(i), func() {
+			id := scheduled
+			scheduled++
+			k.At(far, func() {
+				if len(fired) == 0 {
+					batch = len(k.q.cur) - k.q.head
+				}
+				fired = append(fired, id)
+			})
+			k.At(far-Time(1+i%5), func() {})
+			k.At(far+Time(1+i%3), func() {})
+		})
+	}
+	k.RunUntilIdle()
+	if batch != group-1 {
+		t.Fatalf("refill at the far instant filed %d events into the FIFO, want %d", batch, group-1)
+	}
+	for i, id := range fired {
+		if id != i {
+			t.Fatalf("far-instant event %d fired in place %d; the instant must fire in scheduling order", id, i)
+		}
+	}
+	if len(fired) != group {
+		t.Fatalf("%d far-instant events fired, want %d", len(fired), group)
+	}
+}
+
+// TestFIFOBoundedOnZeroDelayChain runs sixteen zero-delay chains, a million
+// events in all, at one instant. The FIFO holds sixteen live events at a
+// time; sliding to the front when full and half fired keeps its array at
+// most 64 events instead of one slot per event ever fired.
+func TestFIFOBoundedOnZeroDelayChain(t *testing.T) {
+	const chains, events = 16, 1_000_000
+	k := New(1)
+	fired, peak := 0, 0
+	for c := 0; c < chains; c++ {
+		var link func()
+		link = func() {
+			if fired++; fired+chains <= events {
+				k.After(0, link)
+			}
+			peak = max(peak, cap(k.q.cur))
+		}
+		k.After(0, link)
+	}
+	k.RunUntilIdle()
+	if fired != events || k.Now() != 0 {
+		t.Fatalf("fired %d events, clock at %d; want %d at instant 0", fired, k.Now(), events)
+	}
+	if peak > 64 {
+		t.Fatalf("current-instant FIFO grew to %d events for %d live; want at most 64", peak, chains)
+	}
+}

@@ -18,8 +18,8 @@
 //
 // The kernel never schedules into the past — every fire time is clamped to
 // the clock, and the clock never moves backwards — and the key has no ties,
-// so the event queue is a monotone radix queue on the fire time with a small
-// heap for the current instant (see queue.go). Events are stored inline:
+// so the event queue is a monotone radix queue on the fire time with a FIFO
+// for the current instant (see queue.go). Events are stored inline:
 // scheduling one is a copy into a pooled chunk, not a boxed allocation, and
 // periodic work re-schedules one callback with After, so tick loops run
 // allocation-free. There is one kind of event and nothing cancels it.
