@@ -132,7 +132,10 @@ trace-smoke:
 # panic on it. FuzzEvaluate: every policy that parses and passes epl.Check,
 # evaluated against a snapshot of 1-8 servers and up to 32 actors decoded
 # from bytes, must not panic, must give the same intents twice, and may name
-# only actors and servers in the snapshot. FuzzEnvelope: the //lint:envelope and
+# only actors and servers in the snapshot. FuzzSchema: the schema file
+# parser must not panic on any bytes, every schema it accepts must hold one
+# class per entry under a non-empty, unique name, and epl.Check against it
+# must not panic. FuzzEnvelope: the //lint:envelope and
 # //lint:assert parsers and the envelope's validation must not panic on any
 # source. FuzzTraceJSONL: ReadJSONL must not panic on arbitrary bytes, and
 # every line AppendJSONL writes must parse and round-trip its record.
@@ -155,6 +158,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKernelOrder -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzPolicy -fuzztime 10s -fuzzminimizetime 1s ./internal/lint
 	$(GO) test -run '^$$' -fuzz FuzzEvaluate -fuzztime 10s -fuzzminimizetime 1s ./internal/epl
+	$(GO) test -run '^$$' -fuzz FuzzSchema -fuzztime 10s -fuzzminimizetime 1s ./internal/epl
 	$(GO) test -run '^$$' -fuzz FuzzEnvelope -fuzztime 10s -fuzzminimizetime 1s ./internal/lint/model
 	$(GO) test -run '^$$' -fuzz FuzzTraceJSONL -fuzztime 10s -fuzzminimizetime 1s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/profile

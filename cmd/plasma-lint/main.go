@@ -76,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		pol, fileDiags := lintPolicyFile(path, schema)
 		diags = append(diags, fileDiags...)
 		if *doModel && pol != nil {
-			fs := model.Check(pol, schema)
+			fs := model.Check(pol)
 			for i := range fs {
 				fs[i].File = path
 			}

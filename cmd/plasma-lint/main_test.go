@@ -145,3 +145,20 @@ func TestRejectsNonPolicyTargets(t *testing.T) {
 		})
 	}
 }
+
+// TestSchemaWithParentIsAnIOFailure: actor types match only themselves
+// (§3.2), so a schema declaring a subtype's "parent" is a bad schema — exit
+// 2, naming the key — and no policy is linted against it.
+func TestSchemaWithParentIsAnIOFailure(t *testing.T) {
+	schema := filepath.Join(t.TempDir(), "app.json")
+	if err := os.WriteFile(schema, []byte(`{"actors":[{"name":"Worker","parent":"Base"},{"name":"Base"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-schema", schema, filepath.Join(corpusDir, "shadow_true.epl")}, &stdout, &stderr); code != 2 {
+		t.Fatalf("exit %d, want 2", code)
+	}
+	if stdout.Len() != 0 || !strings.Contains(stderr.String(), `unknown field "parent"`) {
+		t.Fatalf("stdout %q, stderr %q; want nothing linted and the key named", stdout.String(), stderr.String())
+	}
+}

@@ -8,9 +8,9 @@
 //	plasmac [-schema app.json] policy.epl
 //	plasmac -e 'server.cpu.perc > 80 => balance({Worker}, cpu);'
 //
-// It exits 1 when the policy does not compile; warnings never fail it. The
-// static-analysis passes and the model checker, with their -json and -Werror
-// surfaces, are plasma-lint's.
+// It exits 1 when the schema is bad or the policy does not compile;
+// warnings never fail it. The static-analysis passes and the model checker,
+// with their -json and -Werror surfaces, are plasma-lint's.
 //
 // The schema file declares actor classes (epl.ReadSchema):
 //

@@ -87,3 +87,20 @@ func TestInlinePolicy(t *testing.T) {
 		t.Fatalf("compiled output missing rule class: %s", stdout)
 	}
 }
+
+// TestSchemaWithParentFailsTheCompile: actor types match only themselves
+// (§3.2), so a schema declaring a subtype's "parent" is a bad schema — exit
+// 1, naming the key — and nothing is compiled.
+func TestSchemaWithParentFailsTheCompile(t *testing.T) {
+	schema := filepath.Join(t.TempDir(), "app.json")
+	if err := os.WriteFile(schema, []byte(`{"actors":[{"name":"W","parent":"Base"},{"name":"Base"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, code := runPlasmac(t, "-schema", schema, "-e", "server.cpu.perc > 80 => balance({W}, cpu);")
+	if code != 1 || stdout != "" {
+		t.Fatalf("exit = %d, stdout %q; want 1 and nothing compiled", code, stdout)
+	}
+	if !strings.Contains(stderr, `unknown field "parent"`) {
+		t.Fatalf("stderr does not name the key: %q", stderr)
+	}
+}

@@ -467,14 +467,6 @@ func (rt *Runtime) setProp(inst *instance, name string, refs []Ref) {
 	rt.mark(inst.id)
 }
 
-// MemSize reports the actor's declared state size in bytes.
-func (rt *Runtime) MemSize(ref Ref) int64 {
-	if inst := rt.inst(ref.ID); inst != nil {
-		return inst.memSize
-	}
-	return 0
-}
-
 // Pin marks the actor as unmovable; Unpin reverses it.
 func (rt *Runtime) Pin(ref Ref) {
 	if inst := rt.inst(ref.ID); inst != nil {

@@ -36,7 +36,7 @@ func TestPlasmaOwnerMappingAndMemory(t *testing.T) {
 		}
 	}
 	for _, ref := range app.Parts {
-		if got := rt.MemSize(ref); got != 8<<10 {
+		if got := memBytes(rt, ref); got != 8<<10 {
 			t.Fatalf("partition declares %d bytes, want %d (8 keys x 1KiB)", got, 8<<10)
 		}
 	}
@@ -62,7 +62,7 @@ func TestElasticHandoffFlipsOwnershipAndMemory(t *testing.T) {
 	if app.OwnerOf(0) != 0 || app.OwnerOf(7) != 1 {
 		t.Fatalf("initial assignment wrong: OwnerOf(0)=%d OwnerOf(7)=%d", app.OwnerOf(0), app.OwnerOf(7))
 	}
-	mem0, mem1 := rt.MemSize(app.Execs[0]), rt.MemSize(app.Execs[1])
+	mem0, mem1 := memBytes(rt, app.Execs[0]), memBytes(rt, app.Execs[1])
 	if mem0 != 4<<20 || mem1 != 4<<20 {
 		t.Fatalf("initial memory split %d/%d, want 4MiB each", mem0, mem1)
 	}
@@ -83,10 +83,10 @@ func TestElasticHandoffFlipsOwnershipAndMemory(t *testing.T) {
 	if app.Moving(1) || app.Moving(2) {
 		t.Fatal("keys still marked moving after the handoff committed")
 	}
-	if got := rt.MemSize(app.Execs[0]); got != 2<<20 {
+	if got := memBytes(rt, app.Execs[0]); got != 2<<20 {
 		t.Fatalf("source memory %d after shipping 2MiB, want %d", got, 2<<20)
 	}
-	if got := rt.MemSize(app.Execs[1]); got != 6<<20 {
+	if got := memBytes(rt, app.Execs[1]); got != 6<<20 {
 		t.Fatalf("destination memory %d after installing 2MiB, want %d", got, 6<<20)
 	}
 	if app.HandoffBatches != 1 || app.HandoffKeys != 2 || app.HandoffBytes != 2<<20 {
@@ -126,4 +126,10 @@ func TestElasticFlushRepliesWithBacklogLatency(t *testing.T) {
 	if flushLat < 50*sim.Millisecond {
 		t.Fatalf("flush latency %v did not include the 5-event backlog (>= 50ms)", flushLat)
 	}
+}
+
+// memBytes is the actor's declared state size, as the profiler reads it.
+func memBytes(rt *actor.Runtime, ref actor.Ref) int64 {
+	info, _ := rt.Lookup(ref)
+	return info.MemBytes
 }

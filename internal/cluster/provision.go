@@ -108,9 +108,6 @@ func DefaultProvSpecs() []ProvSpec {
 // Available reports whether the class can supply at least one machine.
 func (s *ProvSpec) Available() bool { return s.Capacity != 0 }
 
-// Remaining reports the pool capacity left (negative = unlimited).
-func (s *ProvSpec) Remaining() int { return s.Capacity }
-
 // acquire consumes one unit of pool capacity, reporting success.
 func (s *ProvSpec) acquire() bool {
 	if s.Capacity < 0 {

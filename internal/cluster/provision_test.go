@@ -118,8 +118,8 @@ func TestWarmPoolCapacityDepletes(t *testing.T) {
 			t.Fatalf("warm provision %d refused with capacity left", i)
 		}
 	}
-	if spec.Remaining() != 0 {
-		t.Fatalf("Remaining = %d, want 0", spec.Remaining())
+	if spec.Capacity != 0 {
+		t.Fatalf("Capacity = %d, want 0", spec.Capacity)
 	}
 	before := c.Provisions()
 	if m := c.ProvisionClass(M1Small, &spec, nil); m != nil {

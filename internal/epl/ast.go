@@ -409,24 +409,6 @@ func (r *Rule) String() string {
 type Policy struct {
 	Rules  []*Rule
 	Source string
-
-	// subtypes maps a type to itself plus its declared descendants,
-	// compiled by Check from the schema's Parent declarations (nil when
-	// the schema declares no hierarchy).
-	subtypes map[string][]string
-}
-
-// Expand returns the concrete types a rule type name matches: the type
-// itself, plus its schema-declared subtypes when Check compiled a
-// hierarchy.
-func (p *Policy) Expand(t string) []string {
-	if p.subtypes == nil {
-		return []string{t}
-	}
-	if d, ok := p.subtypes[t]; ok {
-		return d
-	}
-	return []string{t}
 }
 
 func (p *Policy) String() string {

@@ -1,8 +1,11 @@
 package epl
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"sort"
@@ -18,15 +21,12 @@ type Schema struct {
 	Actors map[string]*ActorSchema
 }
 
-// ActorSchema declares one actor class: its functions (message handlers),
-// reference properties, and (optionally) a parent class. §3.2 notes that
-// PLASMA "currently treats actor subtypes as distinct types from their
-// parent types"; declaring Parent enables the natural extension — a rule
-// written for the parent type also matches subtype actors (see
-// Policy.Expand).
+// ActorSchema declares one actor class: its functions (message handlers)
+// and reference properties. PLASMA "currently treats actor subtypes as
+// distinct types from their parent types" (§3.2), and so does this
+// compiler: a rule's type name matches exactly the actors of that type.
 type ActorSchema struct {
 	Name      string   `json:"name"`
-	Parent    string   `json:"parent"`
 	Functions []string `json:"functions"`
 	Props     []string `json:"props"`
 }
@@ -42,11 +42,9 @@ func NewSchema(classes ...*ActorSchema) *Schema {
 
 // ReadSchema loads a schema file of the CLIs' format,
 //
-//	{"actors": [{"name": "Folder", "parent": "", "functions": ["open"], "props": ["files"]}]}
+//	{"actors": [{"name": "Folder", "functions": ["open"], "props": ["files"]}]}
 //
 // and returns nil for the empty path (no schema: Check skips name checks).
-// A null entry, a class without a name, a name declared twice or a parent
-// cycle is a bad schema.
 func ReadSchema(path string) (*Schema, error) {
 	if path == "" {
 		return nil, nil
@@ -55,31 +53,36 @@ func ReadSchema(path string) (*Schema, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parseSchema(path, data)
+}
+
+// parseSchema decodes the schema file name holds. An unknown key, data
+// after the object, a null entry, a class without a name or a name
+// declared twice is a bad schema.
+func parseSchema(name string, data []byte) (*Schema, error) {
 	var f struct {
 		Actors []*ActorSchema `json:"actors"`
 	}
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("epl: bad schema %s: %v", path, err)
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&f)
+	if err == nil && dec.Decode(&struct{}{}) != io.EOF {
+		err = errors.New("data after the schema object")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("epl: bad schema %s: %v", name, err)
 	}
 	s := &Schema{Actors: make(map[string]*ActorSchema, len(f.Actors))}
 	for i, c := range f.Actors {
 		switch {
 		case c == nil:
-			return nil, fmt.Errorf("epl: bad schema %s: actor %d is null", path, i)
+			return nil, fmt.Errorf("epl: bad schema %s: actor %d is null", name, i)
 		case c.Name == "":
-			return nil, fmt.Errorf("epl: bad schema %s: actor %d has no name", path, i)
+			return nil, fmt.Errorf("epl: bad schema %s: actor %d has no name", name, i)
 		case s.Actors[c.Name] != nil:
-			return nil, fmt.Errorf("epl: bad schema %s: actor %q declared twice", path, c.Name)
+			return nil, fmt.Errorf("epl: bad schema %s: actor %q declared twice", name, c.Name)
 		}
 		s.Actors[c.Name] = c
-	}
-	// A parent chain longer than the class count has entered a cycle.
-	for _, c := range f.Actors {
-		for p, steps := s.Actors[c.Parent], 0; p != nil; p, steps = s.Actors[p.Parent], steps+1 {
-			if steps == len(f.Actors) {
-				return nil, fmt.Errorf("epl: bad schema %s: actor %q has a parent cycle", path, c.Name)
-			}
-		}
 	}
 	return s, nil
 }
@@ -87,51 +90,6 @@ func ReadSchema(path string) (*Schema, error) {
 // Class declares an actor class for NewSchema.
 func Class(name string, funcs []string, props []string) *ActorSchema {
 	return &ActorSchema{Name: name, Functions: funcs, Props: props}
-}
-
-// Subclass declares an actor class extending a parent class. The subtype
-// inherits nothing structurally (functions/props are its own), but rules
-// naming the parent type match subtype actors after Check.
-func Subclass(name, parent string, funcs []string, props []string) *ActorSchema {
-	return &ActorSchema{Name: name, Parent: parent, Functions: funcs, Props: props}
-}
-
-// descendants returns the set of types equal to or transitively extending
-// t, in deterministic order.
-func (s *Schema) descendants(t string) []string {
-	out := []string{t}
-	// Breadth-first over the child relation.
-	for i := 0; i < len(out); i++ {
-		names := make([]string, 0, len(s.Actors))
-		for n := range s.Actors {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			if s.Actors[n].Parent == out[i] {
-				out = append(out, n)
-			}
-		}
-	}
-	return out
-}
-
-func (a *ActorSchema) hasFunc(name string) bool {
-	for _, f := range a.Functions {
-		if f == name {
-			return true
-		}
-	}
-	return false
-}
-
-func (a *ActorSchema) hasProp(name string) bool {
-	for _, p := range a.Props {
-		if p == name {
-			return true
-		}
-	}
-	return false
 }
 
 // Conflict warning codes (EPL1xx), stable for tests and tooling. The
@@ -164,23 +122,11 @@ func (w Warning) String() string {
 
 // Check validates a policy against a schema (nil schema skips name checks)
 // and returns conflict warnings. It returns the first semantic error found.
-// When the schema declares subtype relations, Check also compiles them into
-// the policy so rule evaluation matches subtype actors (Policy.Expand).
+// It does not modify the policy.
 func Check(pol *Policy, schema *Schema) ([]Warning, error) {
 	for _, r := range pol.Rules {
 		if err := checkRule(r, schema); err != nil {
 			return nil, err
-		}
-	}
-	if schema != nil {
-		for _, as := range schema.Actors {
-			if as.Parent != "" { // only bother when any hierarchy exists
-				pol.subtypes = map[string][]string{}
-				for n := range schema.Actors {
-					pol.subtypes[n] = schema.descendants(n)
-				}
-				break
-			}
 		}
 	}
 	return detectConflicts(pol), nil
@@ -265,7 +211,7 @@ func checkCond(c Cond, schema *Schema) error {
 		}
 		if schema != nil {
 			ct := cond.Container.Type()
-			if as := schema.Actors[ct]; as != nil && !as.hasProp(cond.Prop) {
+			if as := schema.Actors[ct]; as != nil && !slices.Contains(as.Props, cond.Prop) {
 				return errAt(cond.Pos, "actor type %q has no property %q", ct, cond.Prop)
 			}
 		}
@@ -294,7 +240,7 @@ func checkCond(c Cond, schema *Schema) error {
 			}
 			if schema != nil {
 				ct := feat.Callee.Type()
-				if as := schema.Actors[ct]; as != nil && !as.hasFunc(feat.FName) {
+				if as := schema.Actors[ct]; as != nil && !slices.Contains(as.Functions, feat.FName) {
 					return errAt(feat.Pos, "actor type %q has no function %q", ct, feat.FName)
 				}
 			}
@@ -324,8 +270,7 @@ func checkActorRef(ref *ActorRef, schema *Schema) error {
 
 // Placement is one placement behavior's claim on one actor type, or — for
 // colocate and separate — on one unordered type pair (A <= B). Types are
-// expanded through the hierarchy Check compiled, so a behavior naming a
-// parent type claims each of its subtypes too.
+// the names the behavior writes; each claims only actors of that type.
 type Placement struct {
 	Kind BehaviorKind
 	A, B string // B is set only for colocate and separate
@@ -333,22 +278,16 @@ type Placement struct {
 	Pos  Pos
 }
 
-// Placements is rule r's placement summary, what the §4.3 conflict classes
-// compare: one Placement per type (or type pair) each of its colocate,
-// separate, pin, balance and reserve behaviors names.
-func (p *Policy) Placements(r *Rule) []Placement {
+// Placements is the rule's placement summary, what the §4.3 conflict
+// classes compare: one Placement per type (or type pair) each of its
+// colocate, separate, pin, balance and reserve behaviors names.
+func (r *Rule) Placements() []Placement {
 	var out []Placement
 	add := func(k BehaviorKind, pos Pos, a, b string) {
-		for _, xa := range p.Expand(a) {
-			if b == "" {
-				out = append(out, Placement{Kind: k, A: xa, Rule: r.Index, Pos: pos})
-				continue
-			}
-			for _, xb := range p.Expand(b) {
-				lo, hi := min(xa, xb), max(xa, xb)
-				out = append(out, Placement{Kind: k, A: lo, B: hi, Rule: r.Index, Pos: pos})
-			}
+		if b != "" {
+			a, b = min(a, b), max(a, b)
 		}
+		out = append(out, Placement{Kind: k, A: a, B: b, Rule: r.Index, Pos: pos})
 	}
 	for _, b := range r.Behaviors {
 		switch beh := b.(type) {
@@ -433,7 +372,7 @@ func (c conflictClass) each(xs, ys []Placement, f func(x, y Placement, over [2]s
 func detectConflicts(pol *Policy) []Warning {
 	var all []Placement
 	for _, r := range pol.Rules {
-		all = append(all, pol.Placements(r)...)
+		all = append(all, r.Placements()...)
 	}
 	var warns []Warning
 	for _, c := range conflictClasses {
@@ -488,8 +427,8 @@ func detectConflicts(pol *Policy) []Warning {
 // Clash names the first conflict class, in code order, under which rules a
 // and b place one actor type contradictorily, and what over:
 // `pin vs balance of type "Worker"`.
-func (p *Policy) Clash(a, b *Rule) (string, bool) {
-	pa, pb := p.Placements(a), p.Placements(b)
+func Clash(a, b *Rule) (string, bool) {
+	pa, pb := a.Placements(), b.Placements()
 	for _, c := range conflictClasses {
 		for _, side := range [2][2][]Placement{{pa, pb}, {pb, pa}} {
 			var first [2]string

@@ -1,12 +1,10 @@
 package epl
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 func mediaSchema() *Schema {
@@ -239,62 +237,6 @@ true => separate(A(x), B(y));
 	}
 }
 
-func TestConflictThroughSubtypeHierarchy(t *testing.T) {
-	// Premium is a subclass of Session: pinning the parent type conflicts
-	// with balancing the subtype, because Expand("Session") includes
-	// Premium actors.
-	schema := NewSchema(
-		Class("Session", []string{"presence"}, nil),
-		Subclass("Premium", "Session", nil, nil),
-	)
-	pol := MustParse(`
-true => pin(Session);
-server.cpu.perc > 80 => balance({Premium}, cpu);
-`)
-	warns, err := Check(pol, schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(warnsByCode(warns, CodePinBalance)) == 0 {
-		t.Fatalf("subtype conflict not detected: %v", warns)
-	}
-	// Sibling subtypes do not conflict with each other.
-	schema2 := NewSchema(
-		Class("Session", []string{"presence"}, nil),
-		Subclass("Premium", "Session", nil, nil),
-		Subclass("Trial", "Session", nil, nil),
-	)
-	pol2 := MustParse(`
-true => pin(Premium);
-server.cpu.perc > 80 => balance({Trial}, cpu);
-`)
-	warns2, err := Check(pol2, schema2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(warnsByCode(warns2, CodePinBalance)) != 0 {
-		t.Fatalf("sibling subtypes should not conflict: %v", warns2)
-	}
-}
-
-func TestConflictSubtypeColocateSeparate(t *testing.T) {
-	schema := NewSchema(
-		Class("Shard", []string{"get"}, []string{"peers"}),
-		Subclass("HotShard", "Shard", nil, nil),
-	)
-	pol := MustParse(`
-true => colocate(Shard(a), Shard(b));
-true => separate(HotShard(x), HotShard(y));
-`)
-	warns, err := Check(pol, schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(warnsByCode(warns, CodeColocateSeparate)) == 0 {
-		t.Fatalf("colocate(Shard) vs separate(HotShard) not detected: %v", warns)
-	}
-}
-
 func TestWarningStringIncludesCode(t *testing.T) {
 	pol := MustParse(`
 true => pin(Worker(w));
@@ -310,50 +252,45 @@ server.cpu.perc > 80 => balance({Worker}, cpu);
 	}
 }
 
-// TestReadSchemaRejectsGarbage feeds ReadSchema schema files that once
-// panicked (a null entry) or sent Check's subtype expansion round a parent
-// cycle forever. Each must come back as a bad-schema error, in bounded time.
+// schemaRows are schema files ReadSchema must reject (want names the
+// error) or accept (want == ""): a null entry once panicked, and an unknown
+// key — a subtype "parent", a misspelt "functions" — was once silently
+// ignored. FuzzSchema seeds its corpus from them.
+var schemaRows = []struct {
+	name, json, want string
+}{
+	{"null", `{"actors":[null]}`, "null"},
+	{"empty name", `{"actors":[{"name":""}]}`, "no name"},
+	{"duplicate name", `{"actors":[{"name":"A"},{"name":"A"}]}`, "declared twice"},
+	{"parent", `{"actors":[{"name":"A","functions":["f"],"props":["p"],"parent":"B"},{"name":"B"}]}`, `unknown field "parent"`},
+	{"misspelt key", `{"actors":[{"name":"A","fuctions":["f"],"props":["p"]},{"name":"B"}]}`, `unknown field "fuctions"`},
+	{"trailing data", `{"actors":[{"name":"A"}]} {}`, "data after the schema object"},
+	{"good", `{"actors":[{"name":"A","functions":["f"],"props":["p"]},{"name":"B"}]}`, ""},
+}
+
+// schemaPolicy names the classes, function and property of schemaRows'
+// good row, so checking it against a schema reads every declaration kind.
+const schemaPolicy = `client.call(A(a).f).count > 0 and B(b) in ref(a.p) => colocate(a, b);`
+
+// TestReadSchemaRejectsGarbage feeds ReadSchema the schemaRows files. Each
+// bad one must come back as a bad-schema error naming its fault; the good
+// one must check schemaPolicy.
 func TestReadSchemaRejectsGarbage(t *testing.T) {
 	dir := t.TempDir()
-	for _, tc := range []struct {
-		name, json, want string // want == "": the schema is good
-	}{
-		{"null", `{"actors":[null]}`, "null"},
-		{"self-parent", `{"actors":[{"name":"A","parent":"A"}]}`, "parent cycle"},
-		{"two-class cycle", `{"actors":[{"name":"A","parent":"B"},{"name":"B","parent":"A"}]}`, "parent cycle"},
-		{"cycle above", `{"actors":[{"name":"C","parent":"A"},{"name":"A","parent":"B"},{"name":"B","parent":"A"}]}`, "parent cycle"},
-		{"empty name", `{"actors":[{"name":""}]}`, "no name"},
-		{"duplicate name", `{"actors":[{"name":"A"},{"name":"A"}]}`, "declared twice"},
-		{"chain", `{"actors":[{"name":"C","parent":"B"},{"name":"B","parent":"A"},{"name":"A"}]}`, ""},
-		{"undeclared parent", `{"actors":[{"name":"A","parent":"Z"}]}`, ""},
-	} {
+	for _, tc := range schemaRows {
 		path := filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "_")+".json")
 		if err := os.WriteFile(path, []byte(tc.json), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		done := make(chan error, 1)
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					done <- fmt.Errorf("panic: %v", r)
-				}
-			}()
-			s, err := ReadSchema(path)
-			if err == nil {
-				_, err = Check(MustParse(`true => pin(A(a));`), s)
-			}
-			done <- err
-		}()
-		select {
-		case err := <-done:
-			switch {
-			case tc.want == "" && err != nil:
-				t.Errorf("%s: %v", tc.name, err)
-			case tc.want != "" && (err == nil || !strings.HasPrefix(err.Error(), "epl: bad schema ") || !strings.Contains(err.Error(), tc.want)):
-				t.Errorf("%s: err = %v, want a bad-schema error naming %q", tc.name, err, tc.want)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%s: ReadSchema + Check still running after 5s", tc.name)
+		s, err := ReadSchema(path)
+		if err == nil {
+			_, err = Check(MustParse(schemaPolicy), s)
+		}
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.HasPrefix(err.Error(), "epl: bad schema ") || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: err = %v, want a bad-schema error naming %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -122,7 +122,7 @@ func EvaluateObserved(pol *Policy, snap *Snapshot, resource, interaction bool, o
 		if !wantRule {
 			continue
 		}
-		evalRule(pol, rule, snap, resource, interaction, out, dedup, obs)
+		evalRule(rule, snap, resource, interaction, out, dedup, obs)
 	}
 	return out
 }
@@ -172,7 +172,7 @@ func (b *binding) lookup(ref *ActorRef) *ActorInfo {
 	return b.byRef[ref]
 }
 
-func evalRule(pol *Policy, rule *Rule, snap *Snapshot, resource, interaction bool, out *Intents, dd *dedup, obs EvalObserver) {
+func evalRule(rule *Rule, snap *Snapshot, resource, interaction bool, out *Intents, dd *dedup, obs EvalObserver) {
 	refs := rule.BindingRefs()
 	if len(refs) == 0 {
 		// Server-scoped rule (e.g. pure balance): the condition is checked
@@ -196,7 +196,7 @@ func evalRule(pol *Policy, rule *Rule, snap *Snapshot, resource, interaction boo
 			obs.RuleEvaluated(rule, examined, len(violating))
 		}
 		if len(violating) > 0 {
-			emitBehaviors(pol, rule, snap, &binding{}, violating, resource, interaction, out, dd)
+			emitBehaviors(rule, &binding{}, violating, resource, interaction, out, dd)
 		}
 		return
 	}
@@ -222,12 +222,12 @@ func evalRule(pol *Policy, rule *Rule, snap *Snapshot, resource, interaction boo
 				if obs != nil {
 					obs.RuleFired(rule, b.anchor.Ref, ctxSrv.ID, condValues(rule.Cond, snap, b, ctxSrv))
 				}
-				emitBehaviors(pol, rule, snap, b, []cluster.MachineID{ctxSrv.ID}, resource, interaction, out, dd)
+				emitBehaviors(rule, b, []cluster.MachineID{ctxSrv.ID}, resource, interaction, out, dd)
 			}
 			return
 		}
 		ref := refs[i]
-		cands := candidatesFor(pol, ref, snap, b, inrefs)
+		cands := candidatesFor(ref, snap, b, inrefs)
 		for _, cand := range cands {
 			bind(b, ref, cand, i == 0)
 			rec(i + 1)
@@ -284,20 +284,8 @@ func collectInRefs(c Cond) []*InRefCond {
 // candidatesFor narrows a ref's candidates: when the ref is the subject of
 // an InRef whose container is already bound, only the container's property
 // refs qualify.
-func candidatesFor(pol *Policy, ref *ActorRef, snap *Snapshot, b *binding, inrefs []*InRefCond) []*ActorInfo {
+func candidatesFor(ref *ActorRef, snap *Snapshot, b *binding, inrefs []*InRefCond) []*ActorInfo {
 	typ := ref.Type()
-	types := pol.Expand(typ)
-	match := func(t string) bool {
-		if typ == AnyType {
-			return true
-		}
-		for _, x := range types {
-			if x == t {
-				return true
-			}
-		}
-		return false
-	}
 	for _, ir := range inrefs {
 		if !sameBindingTarget(ir.Sub, ref) {
 			continue
@@ -308,13 +296,13 @@ func candidatesFor(pol *Policy, ref *ActorRef, snap *Snapshot, b *binding, inref
 		}
 		var cands []*ActorInfo
 		for _, pr := range container.Props[ir.Prop] {
-			if ai := snap.Actor(pr); ai != nil && match(ai.Type) {
+			if ai := snap.Actor(pr); ai != nil && (typ == AnyType || ai.Type == typ) {
 				cands = append(cands, ai)
 			}
 		}
 		return cands
 	}
-	return snap.OfTypes(types)
+	return snap.OfType(typ)
 }
 
 // sameBindingTarget reports whether two refs bind the same slot.
@@ -428,7 +416,7 @@ func sumCalls(a *ActorInfo, method, callerType string, caller actor.Ref) (count,
 	return count, bytes
 }
 
-func emitBehaviors(pol *Policy, rule *Rule, snap *Snapshot, b *binding, violating []cluster.MachineID, resource, interaction bool, out *Intents, dd *dedup) {
+func emitBehaviors(rule *Rule, b *binding, violating []cluster.MachineID, resource, interaction bool, out *Intents, dd *dedup) {
 	for _, beh := range rule.Behaviors {
 		isRes := beh.Kind().IsResource()
 		if isRes && !resource || !isRes && !interaction {
@@ -437,14 +425,8 @@ func emitBehaviors(pol *Policy, rule *Rule, snap *Snapshot, b *binding, violatin
 		switch bh := beh.(type) {
 		case *BalanceBeh:
 			upper, lower := CondBounds(rule.Cond, bh.Res)
-			// Subtype-aware: a balance on a parent type covers its
-			// schema-declared subtypes too.
-			var types []string
-			for _, t := range bh.Types {
-				types = append(types, pol.Expand(t)...)
-			}
 			out.Balance = mergeBalance(out.Balance, BalanceIntent{
-				Rule: rule, Types: types, Res: bh.Res, Upper: upper, Lower: lower, Violating: violating,
+				Rule: rule, Types: bh.Types, Res: bh.Res, Upper: upper, Lower: lower, Violating: violating,
 			})
 		case *ReserveBeh:
 			if a := b.lookup(bh.Actor); a != nil && !dd.reserve[a.Ref] {

@@ -1,6 +1,7 @@
 package epl
 
 import (
+	"reflect"
 	"testing"
 
 	"plasma/internal/actor"
@@ -306,5 +307,39 @@ func TestBalanceIntentCovers(t *testing.T) {
 	any := BalanceIntent{Types: []string{AnyType}}
 	if !any.Covers("Whatever") {
 		t.Fatal("any should cover all")
+	}
+}
+
+// TestTypeMatchesOnlyItself: actor types match only themselves (§3.2), so
+// a rule naming Partition passes over a HotPartition actor, whether it is
+// enumerated by type or reached through a property ref, and a balance on
+// Partition does not cover it. Checking against a schema that declares
+// both changes none of this, and leaves the policy as parsed.
+func TestTypeMatchesOnlyItself(t *testing.T) {
+	src := `Partition(p).cpu.perc > 30 => reserve(p, cpu);
+Partition(q).cpu.perc >= 0 and Partition(c) in ref(q.children) => colocate(q, c);
+server.cpu.perc > 80 => balance({Partition}, cpu);`
+	pol := MustParse(src)
+	schema := NewSchema(Class("Partition", nil, []string{"children"}), Class("HotPartition", nil, nil))
+	if _, err := Check(pol, schema); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(pol, MustParse(src)) {
+		t.Fatal("Check modified the policy")
+	}
+	b := newSnap().server(0, 90, 0, 0).server(1, 10, 0, 0)
+	plain := b.actor("Partition", 0, 55)
+	hot := b.actor("HotPartition", 1, 60)
+	child := b.actor("Partition", 1, 0)
+	plain.Props["children"] = []actor.Ref{hot.Ref, child.Ref}
+	in := Evaluate(pol, b.build(), true, true)
+	if len(in.Reserve) != 1 || in.Reserve[0].Actor != plain.Ref {
+		t.Fatalf("reserve = %+v, want the Partition actor alone", in.Reserve)
+	}
+	if len(in.Colocate) != 1 || in.Colocate[0].B != child.Ref {
+		t.Fatalf("colocate = %+v, want the Partition child alone", in.Colocate)
+	}
+	if len(in.Balance) != 1 || !in.Balance[0].Covers("Partition") || in.Balance[0].Covers("HotPartition") {
+		t.Fatalf("balance = %+v, want one intent covering Partition alone", in.Balance)
 	}
 }

@@ -1,6 +1,7 @@
 package epl
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -208,5 +209,33 @@ func FuzzEvaluate(f *testing.F) {
 		if d := checkEvaluate(pol, snap, resource, interaction); d != "" {
 			t.Fatalf("%s\npolicy:\n%s", d, src)
 		}
+	})
+}
+
+// FuzzSchema feeds parseSchema arbitrary bytes, seeded with
+// TestReadSchemaRejectsGarbage's rows. It must not panic; a schema it
+// accepts must hold one class per entry of the file's "actors" list, each
+// under its own non-empty name; and Check of schemaPolicy against an
+// accepted schema must not panic.
+func FuzzSchema(f *testing.F) {
+	for _, row := range schemaRows {
+		f.Add([]byte(row.json))
+	}
+	pol := MustParse(schemaPolicy)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := parseSchema("fuzz.json", data)
+		if err != nil {
+			return
+		}
+		var raw struct{ Actors []json.RawMessage }
+		if err := json.Unmarshal(data, &raw); err != nil || len(raw.Actors) != len(s.Actors) {
+			t.Fatalf("accepted %q: %d classes from %d entries (unmarshal: %v)", data, len(s.Actors), len(raw.Actors), err)
+		}
+		for name, c := range s.Actors {
+			if name == "" || c == nil || c.Name != name {
+				t.Fatalf("accepted %q: class %+v filed under %q", data, c, name)
+			}
+		}
+		Check(pol, s)
 	})
 }

@@ -224,28 +224,6 @@ func (s *Snapshot) OfType(t string) []*ActorInfo {
 	return s.byType[t]
 }
 
-// OfTypes returns actors of any of the given types, preserving snapshot
-// order (used for subtype-expanded matching).
-func (s *Snapshot) OfTypes(types []string) []*ActorInfo {
-	if len(types) == 1 {
-		return s.OfType(types[0])
-	}
-	want := map[string]bool{}
-	for _, t := range types {
-		if t == AnyType {
-			return s.Actors
-		}
-		want[t] = true
-	}
-	var out []*ActorInfo
-	for _, a := range s.Actors {
-		if want[a.Type] {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // Server looks up one server's info (nil if absent).
 func (s *Snapshot) Server(id cluster.MachineID) *ServerInfo {
 	if id < 0 || int(id) >= len(s.byServer) {

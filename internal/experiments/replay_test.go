@@ -36,7 +36,7 @@ func TestCounterexampleReplayReproducesOscillation(t *testing.T) {
 
 	// (a) the model checker flags it, with a counterexample path.
 	var f *model.Finding
-	findings := model.Check(pol, nil)
+	findings := model.Check(pol)
 	for i := range findings {
 		if findings[i].Code == lint.CodeOscillation {
 			f = &findings[i]
@@ -103,7 +103,7 @@ func TestCleanPoliciesDoNotFlap(t *testing.T) {
 	clean := []string{"clean_hysteresis.epl", "clean_pagerank.epl"}
 	for _, name := range clean {
 		pol := corpusPolicy(t, name)
-		for _, f := range model.Check(pol, nil) {
+		for _, f := range model.Check(pol) {
 			if f.Code == lint.CodeOscillation {
 				t.Fatalf("%s is not EPL200-clean; pick another policy", name)
 			}

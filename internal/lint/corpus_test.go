@@ -167,7 +167,7 @@ func TestShadowingCoversEveryConflictClass(t *testing.T) {
 		{"true => balance({A}, cpu);\nserver.cpu.perc > 80 => colocate(A(a), B(b));",
 			`balance vs colocate of types "A" and "B"`},
 	} {
-		diags := AnalyzePolicy(epl.MustParse(c.src), nil)
+		diags := AnalyzePolicy(epl.MustParse(c.src))
 		found := false
 		for _, d := range diags {
 			found = found || d.Code == CodeShadowed && strings.Contains(d.Message, c.want)

@@ -31,30 +31,14 @@ const (
 	CodeBadAnnotation = "EPL211" // malformed //lint:envelope or //lint:assert annotation
 )
 
-// Pass is one independently runnable policy analysis.
-type Pass struct {
-	Name string
-	Doc  string
-	Run  func(pol *epl.Policy, schema *epl.Schema) []Diagnostic
-}
-
-// Passes returns the EPL pass registry in execution order.
-func Passes() []Pass {
-	return []Pass{
-		{Name: "satisfiability", Doc: "interval analysis of conditions: unsatisfiable, out-of-range, tautological", Run: satisfiabilityPass},
-		{Name: "flapping", Doc: "provision/decommission threshold pairs with no hysteresis band", Run: flappingPass},
-		{Name: "shadowing", Doc: "rules subsumed by earlier rules with conflicting behaviors", Run: shadowingPass},
-		{Name: "unused", Doc: "rule variables never referenced by any behavior or condition", Run: unusedPass},
-	}
-}
-
-// AnalyzePolicy runs every registered pass over the policy and returns the
-// combined findings in deterministic order. The schema may be nil.
-func AnalyzePolicy(pol *epl.Policy, schema *epl.Schema) []Diagnostic {
-	var out []Diagnostic
-	for _, p := range Passes() {
-		out = append(out, p.Run(pol, schema)...)
-	}
+// AnalyzePolicy runs the four passes over the policy — satisfiability,
+// flapping, shadowing, unused declarations — and returns the combined
+// findings in deterministic order.
+func AnalyzePolicy(pol *epl.Policy) []Diagnostic {
+	out := satisfiabilityPass(pol)
+	out = append(out, flappingPass(pol)...)
+	out = append(out, shadowingPass(pol)...)
+	out = append(out, unusedPass(pol)...)
 	SortDiagnostics(out)
 	return out
 }
@@ -75,14 +59,14 @@ func CheckAndAnalyze(pol *epl.Policy, schema *epl.Schema) ([]Diagnostic, error) 
 			Message: w.Msg, Rules: w.Rules,
 		})
 	}
-	out = append(out, AnalyzePolicy(pol, schema)...)
+	out = append(out, AnalyzePolicy(pol)...)
 	SortDiagnostics(out)
 	return out, nil
 }
 
 // ---- pass 1: interval / satisfiability analysis ----
 
-func satisfiabilityPass(pol *epl.Policy, _ *epl.Schema) []Diagnostic {
+func satisfiabilityPass(pol *epl.Policy) []Diagnostic {
 	var out []Diagnostic
 	for _, r := range pol.Rules {
 		out = append(out, checkAtoms(r)...)
@@ -229,14 +213,14 @@ type trigger struct {
 // does not exceed the scale-down threshold: with no hysteresis band, any
 // load between the two fires both directions every period — the
 // oscillation the paper's elasticity period is meant to damp.
-func flappingPass(pol *epl.Policy, _ *epl.Schema) []Diagnostic {
+func flappingPass(pol *epl.Policy) []Diagnostic {
 	var ups, downs []trigger
 	types := map[int]map[string]bool{}
 	for _, r := range pol.Rules {
 		if !r.HasResourceBehavior() {
 			continue
 		}
-		types[r.Index] = resourceTypes(pol, r)
+		types[r.Index] = resourceTypes(r)
 		epl.WalkCmps(r.Cond, func(c *epl.CmpCond) {
 			rf, ok := c.Feat.(*epl.ResFeature)
 			if !ok || !rf.Server || c.Stat != epl.Perc {
@@ -291,10 +275,10 @@ func flappingPass(pol *epl.Policy, _ *epl.Schema) []Diagnostic {
 }
 
 // resourceTypes is the set of actor types a rule's resource behaviors act
-// on, expanded through the schema hierarchy compiled by Check.
-func resourceTypes(pol *epl.Policy, r *epl.Rule) map[string]bool {
+// on, as the behaviors name them.
+func resourceTypes(r *epl.Rule) map[string]bool {
 	set := map[string]bool{}
-	for _, p := range pol.Placements(r) {
+	for _, p := range r.Placements() {
 		if p.Kind == epl.KindBalance || p.Kind == epl.KindReserve {
 			set[p.A] = true
 		}
@@ -332,7 +316,7 @@ func overlap(a, b map[string]bool) bool {
 // placements for overlapping actor types: whenever the later rule fires,
 // the earlier one fires too, and the runtime resolves the clash by
 // priority every single period.
-func shadowingPass(pol *epl.Policy, _ *epl.Schema) []Diagnostic {
+func shadowingPass(pol *epl.Policy) []Diagnostic {
 	type ruleDNF struct {
 		djs []*disjunct
 		ok  bool
@@ -395,7 +379,7 @@ func regionContained(inner, outer []*disjunct) bool {
 // placements for overlapping types — one of epl's §4.3 conflict classes —
 // or contradictory provisioning preferences.
 func behaviorsClash(pol *epl.Policy, ri, rj *epl.Rule) (string, bool) {
-	if desc, ok := pol.Clash(ri, rj); ok {
+	if desc, ok := epl.Clash(ri, rj); ok {
 		return desc, true
 	}
 	// Two provclass chains in the same region fight over the scale-out
@@ -415,7 +399,7 @@ func behaviorsClash(pol *epl.Policy, ri, rj *epl.Rule) (string, bool) {
 // referenced again by any condition atom or behavior: the declaration
 // could be an anonymous pattern, and an unused name usually means the
 // author meant to constrain something and did not.
-func unusedPass(pol *epl.Policy, _ *epl.Schema) []Diagnostic {
+func unusedPass(pol *epl.Policy) []Diagnostic {
 	var out []Diagnostic
 	for _, r := range pol.Rules {
 		uses := map[*epl.VarDecl]int{}

@@ -31,6 +31,6 @@ func FuzzPolicy(f *testing.F) {
 			t.Fatalf("print → parse → print is not a fixed point\nprinted:\n%s\nreprinted:\n%s", printed, reprinted)
 		}
 		epl.Check(pol, nil)
-		AnalyzePolicy(pol, nil)
+		AnalyzePolicy(pol)
 	})
 }

@@ -35,8 +35,7 @@ type Finding struct {
 // Check runs the model checker over a checked policy. The envelope
 // defaults to DefaultEnvelope overridden by //lint:envelope annotations
 // in the policy source; //lint:assert annotations become EPL210 checks.
-func Check(pol *epl.Policy, schema *epl.Schema) []Finding {
-	_ = schema // reserved: actor-count envelopes would need class declarations
+func Check(pol *epl.Policy) []Finding {
 	env := DefaultEnvelope()
 	asserts, diags := parseAnnotations(pol.Source, &env)
 	findings := make([]Finding, 0, len(diags))

@@ -62,7 +62,7 @@ func checkFile(t *testing.T, path string) []Finding {
 	if _, err := epl.Check(pol, nil); err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}
-	return Check(pol, nil)
+	return Check(pol)
 }
 
 // TestModelCorpus runs the model checker over every corpus policy and
@@ -174,7 +174,7 @@ func TestShippedPoliciesModelClean(t *testing.T) {
 				continue
 			}
 			checked++
-			for _, f := range Check(pol, nil) {
+			for _, f := range Check(pol) {
 				t.Errorf("%s: shipped policy has model finding %s: %s", path, f.Code, f.Message)
 			}
 		}

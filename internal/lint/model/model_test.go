@@ -75,7 +75,7 @@ func TestMalformedAnnotations(t *testing.T) {
 	}
 	for _, src := range cases {
 		pol := mustCheck(t, src)
-		findings := Check(pol, nil)
+		findings := Check(pol)
 		bad := 0
 		for _, f := range findings {
 			if f.Code == lint.CodeBadAnnotation {
@@ -97,7 +97,7 @@ func TestOscillationCounterexample(t *testing.T) {
 server.cpu.perc > 80 or server.cpu.perc < 75 =>
     balance({Worker}, cpu);
 `)
-	findings := Check(pol, nil)
+	findings := Check(pol)
 	if len(findings) != 1 || findings[0].Code != lint.CodeOscillation {
 		t.Fatalf("findings = %+v, want one EPL200", findings)
 	}
@@ -184,7 +184,7 @@ func TestWarmPoolDeadEndPath(t *testing.T) {
 server.cpu.perc > 80 =>
     balance({Worker}, cpu); provclass({warm});
 `)
-	findings := Check(pol, nil)
+	findings := Check(pol)
 	var f *Finding
 	for i := range findings {
 		if findings[i].Code == lint.CodePoolDeadEnd {
@@ -241,7 +241,7 @@ func TestChurnCycleFlagged(t *testing.T) {
 server.cpu.perc > 60 => balance({W}, cpu);
 server.cpu.perc < 75 => balance({W}, cpu);
 `)
-	findings := Check(pol, nil)
+	findings := Check(pol)
 	found := false
 	for _, f := range findings {
 		if f.Code == lint.CodeOscillation {

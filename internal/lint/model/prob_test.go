@@ -78,7 +78,7 @@ func TestAssertWitnessReachesEvent(t *testing.T) {
 server.cpu.perc > 95 => balance({Worker}, cpu);
 `)
 	var f *Finding
-	findings := Check(pol, nil)
+	findings := Check(pol)
 	for i := range findings {
 		if findings[i].Code == lint.CodeProbBound {
 			f = &findings[i]
@@ -103,7 +103,7 @@ func TestAssertHoldsProducesNoFinding(t *testing.T) {
 # lint:assert P(overload, horizon=3) < 0.01
 server.cpu.perc > 80 or server.cpu.perc < 60 => balance({Worker}, cpu);
 `)
-	for _, f := range Check(pol, nil) {
+	for _, f := range Check(pol) {
 		t.Errorf("unexpected finding %s: %s", f.Code, f.Message)
 	}
 }

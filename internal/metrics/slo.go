@@ -13,15 +13,12 @@ package metrics
 type SLOTracker struct {
 	Threshold float64
 
-	lastT      float64
-	lastV      float64
-	seen       bool
-	violating  bool
-	violSec    float64
-	episodes   int
-	worstV     float64
-	finishedAt float64
-	closed     bool
+	lastT     float64
+	seen      bool
+	violating bool
+	violSec   float64
+	episodes  int
+	closed    bool
 }
 
 // NewSLOTracker creates a tracker for the given violation threshold:
@@ -43,13 +40,10 @@ func (s *SLOTracker) Observe(t, v float64) {
 		s.accumulate(t)
 	}
 	wasViolating := s.violating
-	s.lastT, s.lastV, s.seen = t, v, true
+	s.lastT, s.seen = t, true
 	s.violating = v > s.Threshold
 	if s.violating && !wasViolating {
 		s.episodes++
-	}
-	if v > s.worstV {
-		s.worstV = v
 	}
 }
 
@@ -65,7 +59,6 @@ func (s *SLOTracker) finish(t float64) {
 		s.accumulate(t)
 		s.lastT = t
 	}
-	s.finishedAt = t
 }
 
 // Finalize closes the tracker at end of run: a violation window still
@@ -78,10 +71,6 @@ func (s *SLOTracker) Finalize(now float64) {
 	s.finish(now)
 	s.closed = true
 }
-
-// FinishedAt reports the time the window was flushed through by Finalize
-// (0 before it).
-func (s *SLOTracker) FinishedAt() float64 { return s.finishedAt }
 
 func (s *SLOTracker) accumulate(t float64) {
 	if s.violating && t > s.lastT {
@@ -96,6 +85,3 @@ func (s *SLOTracker) ViolationSeconds() float64 { return s.violSec }
 // Episodes reports how many distinct violation episodes began (entries
 // from compliant to violating).
 func (s *SLOTracker) Episodes() int { return s.episodes }
-
-// Worst reports the largest value ever observed (0 before observations).
-func (s *SLOTracker) Worst() float64 { return s.worstV }

@@ -19,9 +19,6 @@ func TestSLOTrackerIntegratesViolationTime(t *testing.T) {
 	if s.Episodes() != 2 {
 		t.Errorf("Episodes = %d, want 2", s.Episodes())
 	}
-	if s.Worst() != 200 {
-		t.Errorf("Worst = %v, want 200", s.Worst())
-	}
 }
 
 func TestSLOTrackerNoViolations(t *testing.T) {
@@ -65,9 +62,6 @@ func TestSLOTrackerFinalizeFlushesOpenWindow(t *testing.T) {
 	if got := s.ViolationSeconds(); math.Abs(got-30) > 1e-9 {
 		t.Errorf("ViolationSeconds after Finalize(30) = %v, want 30", got)
 	}
-	if got := s.FinishedAt(); got != 30 {
-		t.Errorf("FinishedAt = %v, want 30", got)
-	}
 }
 
 // Finalize seals the tracker: repeating it later, or re-flushing via
@@ -89,16 +83,14 @@ func TestSLOTrackerObserveAfterFinalizeIgnored(t *testing.T) {
 	s := NewSLOTracker(100)
 	s.Observe(0, 150)
 	s.Finalize(10)
-	s.Observe(20, 500)
+	s.Observe(20, 50)  // a kept straggler would close the episode...
+	s.Observe(30, 500) // ...open a second one, and credit 20..40
 	s.Finalize(40)
 	if got := s.ViolationSeconds(); math.Abs(got-10) > 1e-9 {
 		t.Errorf("ViolationSeconds = %v, want 10 (post-finalize samples discarded)", got)
 	}
-	if s.Worst() != 150 {
-		t.Errorf("Worst = %v, want 150 (post-finalize samples discarded)", s.Worst())
-	}
 	if s.Episodes() != 1 {
-		t.Errorf("Episodes = %d, want 1", s.Episodes())
+		t.Errorf("Episodes = %d, want 1 (post-finalize samples discarded)", s.Episodes())
 	}
 }
 

@@ -273,8 +273,5 @@ func (r *Ring) Records() []Record {
 	return out
 }
 
-// Total reports how many records were ever emitted into the ring.
-func (r *Ring) Total() uint64 { return r.total }
-
 // Dropped reports how many records the ring has overwritten.
 func (r *Ring) Dropped() uint64 { return r.total - uint64(r.n) }
