@@ -15,7 +15,6 @@ import (
 	"plasma/internal/actor"
 	"plasma/internal/cluster"
 	"plasma/internal/epl"
-	"plasma/internal/profile"
 	"plasma/internal/sim"
 )
 
@@ -117,21 +116,17 @@ const (
 // elasticity logic (the paper's authors added 3000 LoC for it). Every
 // period it checks per-server CPU against a high-water mark and moves the
 // top-k% most-requested root partitions on hot servers — together with
-// their children — to the idlest servers. Tick is one period; the caller's
-// period timer runs it.
+// their children — to the idlest servers. Tick is one period, planned from
+// the EPR window the caller's period timer has just closed.
 type InApp struct {
-	RT   *actor.Runtime
-	Prof *profile.Profiler
-	App  *App
+	RT  *actor.Runtime
+	App *App
 
 	Migrations int
 }
 
-// Tick runs one period of the in-app algorithm and closes the profiling
-// window.
-func (e *InApp) Tick() {
-	snap := e.Prof.Snapshot(nil)
-	e.Prof.Reset()
+// Tick runs one period of the in-app algorithm.
+func (e *InApp) Tick(snap *epl.Snapshot) {
 	// Hot servers above the high-water mark, idlest first for targets.
 	var hot, cool []*epl.ServerInfo
 	hotIDs := map[cluster.MachineID]bool{}

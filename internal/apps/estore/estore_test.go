@@ -87,16 +87,18 @@ func TestInAppMovesHotRootWithChildren(t *testing.T) {
 		}
 		cl.Start()
 	}
-	mgr := &InApp{RT: rt, Prof: prof, App: app}
+	mgr := &InApp{RT: rt, App: app}
 	k.Run(sim.Time(2 * sim.Second))
-	mgr.Tick()
+	mgr.Tick(prof.Snapshot(nil))
+	prof.Reset()
 	// topFrac of 20 roots is 2 families of 1 root + 2 children each.
 	if want := int(20*topFrac) * 3; mgr.Migrations != want {
 		t.Fatalf("one hot period made %d migrations, want %d (topFrac of the roots, with children)", mgr.Migrations, want)
 	}
 	for at := 4 * sim.Second; at <= 12*sim.Second; at += 2 * sim.Second {
 		k.Run(sim.Time(at))
-		mgr.Tick()
+		mgr.Tick(prof.Snapshot(nil))
+		prof.Reset()
 	}
 	// Whatever moved, every root must still be colocated with its children.
 	k.Run(sim.Time(14 * sim.Second))

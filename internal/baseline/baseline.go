@@ -8,9 +8,10 @@
 //   - the frequency-based colocation "default rule" of §5.7 (Fig. 11a):
 //     co-locate actors that frequently interact with one another.
 //
-// Each manager is one per-period step, Tick; the caller's period timer runs
-// it. The Mizan-style per-superstep vertex migrator lives with the PageRank
-// application, since it operates below the actor level.
+// Each manager is one per-period step, Tick, that plans from the EPR window
+// the caller's period timer has just closed. The Mizan-style per-superstep
+// vertex migrator lives with the PageRank application, since it operates
+// below the actor level.
 package baseline
 
 import (
@@ -18,15 +19,13 @@ import (
 
 	"plasma/internal/actor"
 	"plasma/internal/cluster"
-	"plasma/internal/profile"
+	"plasma/internal/epl"
 )
 
 // Orleans equalizes actor counts across servers each period, mimicking the
 // paper's description of Orleans' elasticity management.
 type Orleans struct {
-	RT   *actor.Runtime
-	C    *cluster.Cluster
-	Prof *profile.Profiler
+	RT *actor.Runtime
 
 	// Types restricts balancing to the listed actor types (nil = all).
 	Types map[string]bool
@@ -39,21 +38,21 @@ func (o *Orleans) covers(typ string) bool {
 }
 
 // Tick runs one period: surplus actors move from over-count servers to
-// under-count ones, and the profiling window closes.
-func (o *Orleans) Tick() {
-	up := o.C.UpMachines()
+// under-count ones.
+func (o *Orleans) Tick(snap *epl.Snapshot) {
+	up := snap.Servers
 	if len(up) < 2 {
 		return
 	}
-	// Bucket managed actors by up server, in id order, in one table pass.
+	// Bucket managed actors by up server, in id order.
 	perSrv := map[cluster.MachineID][]actor.Ref{}
 	total := 0
-	o.RT.ForEachActor(func(info actor.Info) {
-		if o.covers(info.Type) && o.C.Machine(info.Server).Up() {
-			perSrv[info.Server] = append(perSrv[info.Server], info.Ref)
+	for _, ai := range snap.Actors {
+		if o.covers(ai.Type) && snap.Server(ai.Server) != nil {
+			perSrv[ai.Server] = append(perSrv[ai.Server], ai.Ref)
 			total++
 		}
-	})
+	}
 	target := total / len(up)
 	// Move surplus actors from over-count servers to under-count ones.
 	type srvCount struct {
@@ -97,7 +96,6 @@ func (o *Orleans) Tick() {
 			sort.Slice(counts, func(i, j int) bool { return counts[i].n > counts[j].n })
 		}
 	}
-	o.Prof.Reset()
 }
 
 // The def-rule's trigger and pace: a server is busy above heavyTriggerCPU
@@ -111,17 +109,14 @@ const (
 // the heaviest CPU usage from the busiest server to the idlest one —
 // without any application knowledge (so dependent actors stay behind).
 type HeavyMigrator struct {
-	RT   *actor.Runtime
-	Prof *profile.Profiler
+	RT *actor.Runtime
 
 	Migrations int
 }
 
 // Tick runs one period: if the busiest server is over heavyTriggerCPU, its
 // heaviest movable actors go to the idlest server.
-func (h *HeavyMigrator) Tick() {
-	snap := h.Prof.Snapshot(nil)
-	h.Prof.Reset()
+func (h *HeavyMigrator) Tick(snap *epl.Snapshot) {
 	if len(snap.Servers) < 2 {
 		return
 	}
@@ -167,17 +162,14 @@ const freqThreshold = 10
 // callee's server. This is application-agnostic and can make poor choices
 // (e.g. chasing a router that briefly sprays one session).
 type FreqColocator struct {
-	RT   *actor.Runtime
-	Prof *profile.Profiler
+	RT *actor.Runtime
 
 	Migrations int
 }
 
 // Tick runs one period: each caller whose strongest edge crosses servers
 // moves to its callee.
-func (f *FreqColocator) Tick() {
-	snap := f.Prof.Snapshot(nil)
-	f.Prof.Reset()
+func (f *FreqColocator) Tick(snap *epl.Snapshot) {
 	// Strongest cross-server edge per caller.
 	type edge struct {
 		callee actor.Ref

@@ -5,13 +5,13 @@ import (
 
 	"plasma/internal/actor"
 	"plasma/internal/cluster"
+	"plasma/internal/epl"
 	"plasma/internal/profile"
 	"plasma/internal/sim"
 )
 
 type env struct {
 	k    *sim.Kernel
-	c    *cluster.Cluster
 	rt   *actor.Runtime
 	prof *profile.Profiler
 }
@@ -22,16 +22,18 @@ func newEnv(machines int) *env {
 	c := cluster.New(k, machines, typ)
 	rt := actor.NewRuntime(k, c)
 	prof := profile.New(k, c, rt)
-	return &env{k, c, rt, prof}
+	return &env{k, rt, prof}
 }
 
-// periods advances the kernel one second at a time up to until, calling
-// tick at the end of each second, as the period timer of whoever drives the
-// manager does.
-func (e *env) periods(until sim.Duration, tick func()) {
+// periods advances the kernel one second at a time up to until, closing
+// the profiling window at the end of each second and handing it to tick, as
+// the period timer of whoever drives the manager does.
+func (e *env) periods(until sim.Duration, tick func(*epl.Snapshot)) {
 	for at := sim.Second; at <= until; at += sim.Second {
 		e.k.Run(sim.Time(at))
-		tick()
+		snap := e.prof.Snapshot(nil)
+		e.prof.Reset()
+		tick(snap)
 	}
 }
 
@@ -44,7 +46,7 @@ func TestOrleansEqualizesCounts(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		e.rt.SpawnOn("A", idle(), 0)
 	}
-	o := &Orleans{RT: e.rt, C: e.c, Prof: e.prof}
+	o := &Orleans{RT: e.rt}
 	e.periods(5*sim.Second, o.Tick)
 	for i := 0; i < 4; i++ {
 		n := len(e.rt.ActorsOn(cluster.MachineID(i)))
@@ -63,7 +65,7 @@ func TestOrleansStableWhenEqual(t *testing.T) {
 	e.rt.SpawnOn("A", idle(), 0)
 	e.rt.SpawnOn("A", idle(), 1)
 	e.rt.SpawnOn("A", idle(), 1)
-	o := &Orleans{RT: e.rt, C: e.c, Prof: e.prof}
+	o := &Orleans{RT: e.rt}
 	e.periods(5*sim.Second, o.Tick)
 	if o.Migrations != 0 {
 		t.Fatalf("migrations on balanced counts: %d", o.Migrations)
@@ -78,7 +80,7 @@ func TestOrleansTypeFilter(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		e.rt.SpawnOn("Unmanaged", idle(), 0)
 	}
-	o := &Orleans{RT: e.rt, C: e.c, Prof: e.prof, Types: map[string]bool{"Managed": true}}
+	o := &Orleans{RT: e.rt, Types: map[string]bool{"Managed": true}}
 	e.periods(5*sim.Second, o.Tick)
 	// Unmanaged actors stay put.
 	unmanagedOn0 := 0
@@ -111,7 +113,7 @@ func TestHeavyMigratorMovesHotActor(t *testing.T) {
 	cl := actor.NewClient(e.rt, 0)
 	cl.Send(hot, "w", nil, 8)
 	cl.Send(warm, "w", nil, 8)
-	h := &HeavyMigrator{RT: e.rt, Prof: e.prof}
+	h := &HeavyMigrator{RT: e.rt}
 	e.periods(sim.Second, h.Tick)
 	if h.Migrations != heavyMoves {
 		t.Fatalf("one period over the trigger moved %d actors, want heavyMoves = %d", h.Migrations, heavyMoves)
@@ -130,7 +132,7 @@ func TestHeavyMigratorQuietBelowTrigger(t *testing.T) {
 	e := newEnv(2)
 	warm := e.rt.SpawnOn("W", loop(70*sim.Millisecond, 30*sim.Millisecond), 0)
 	actor.NewClient(e.rt, 0).Send(warm, "w", nil, 8)
-	h := &HeavyMigrator{RT: e.rt, Prof: e.prof}
+	h := &HeavyMigrator{RT: e.rt}
 	e.periods(4*sim.Second, h.Tick)
 	if h.Migrations != 0 {
 		t.Fatalf("migrations below trigger: %d", h.Migrations)
@@ -151,7 +153,7 @@ func TestFreqColocatorChasesHeaviestEdge(t *testing.T) {
 		ctx.SendAfter(20*sim.Millisecond, ctx.Self(), "tick", nil, 8)
 	}), 0)
 	actor.NewClient(e.rt, 0).Send(player, "tick", nil, 8)
-	f := &FreqColocator{RT: e.rt, Prof: e.prof}
+	f := &FreqColocator{RT: e.rt}
 	e.periods(3*sim.Second, f.Tick)
 	if e.rt.ServerOf(player) != 2 {
 		t.Fatalf("player on %d, want chattiest peer's server 2", e.rt.ServerOf(player))
@@ -171,7 +173,7 @@ func TestFreqColocatorRespectsThreshold(t *testing.T) {
 		for i := 0; i < n; i++ {
 			cl.Send(caller, "go", nil, 8)
 		}
-		f := &FreqColocator{RT: e.rt, Prof: e.prof}
+		f := &FreqColocator{RT: e.rt}
 		e.periods(sim.Second, f.Tick)
 		if want := n / freqThreshold; f.Migrations != want {
 			t.Fatalf("%d messages in the window: %d migrations, want %d", n, f.Migrations, want)

@@ -217,9 +217,10 @@ func TestOnlyRunDrivesWorlds(t *testing.T) {
 
 // TestComparisonManagersScheduleNothing is the one-period rule, enforced: a
 // comparison manager in internal/baseline or internal/apps/estore is one
-// per-period step (Tick) that run's period timer calls, so no non-test file
-// there schedules a period of its own (.Every) or holds a *sim.Kernel to
-// schedule one with.
+// per-period step (Tick) that run's period timer calls with the EPR window it
+// has just closed, so no non-test file there schedules a period of its own
+// (.Every), holds a *sim.Kernel to schedule one with, or holds a
+// *profile.Profiler to close a window of its own.
 func TestComparisonManagersScheduleNothing(t *testing.T) {
 	root := filepath.Join("..", "..")
 	files := goFiles(t,
@@ -247,6 +248,9 @@ func TestComparisonManagersScheduleNothing(t *testing.T) {
 					filepath.ToSlash(rel), line, sel.Sel.Name)
 			case pkg != nil && pkg.Name == "sim" && sel.Sel.Name == "Kernel":
 				t.Errorf("%s:%d: holds a *sim.Kernel; a comparison manager schedules nothing",
+					filepath.ToSlash(rel), line)
+			case pkg != nil && pkg.Name == "profile" && sel.Sel.Name == "Profiler":
+				t.Errorf("%s:%d: holds a *profile.Profiler; plan from the window run hands you",
 					filepath.ToSlash(rel), line)
 			}
 			return true

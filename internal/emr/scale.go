@@ -104,10 +104,6 @@ func (m *Manager) provOrder() []int {
 	return order
 }
 
-// ProvSpecs exposes the manager's live provisioning spectrum (warm-pool
-// capacities deplete as the run provisions), for experiment reporting.
-func (m *Manager) ProvSpecs() []cluster.ProvSpec { return m.provSpecs }
-
 // tryScaleIn drains the emptiest of the GEM's servers after a corroborating
 // majority vote, migrating its actors away; the server is decommissioned
 // once empty (next tick).

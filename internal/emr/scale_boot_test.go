@@ -86,7 +86,7 @@ func TestScaleOutWalksProvisioningSpectrum(t *testing.T) {
 			t.Fatalf("provision %d used class %v, want %v (order %v)", i, got[i], want[i], got)
 		}
 	}
-	if specs := m.ProvSpecs(); specs[1].Capacity != 0 {
+	if specs := m.provSpecs; specs[1].Capacity != 0 {
 		t.Errorf("warm pool capacity = %d, want 0", specs[1].Capacity)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"plasma/internal/cluster"
 	"plasma/internal/core"
 	"plasma/internal/emr"
+	"plasma/internal/epl"
 	"plasma/internal/sim"
 )
 
@@ -93,8 +94,8 @@ func Fig11a(cfg Config) *Result {
 			sc.policy, sc.emr = halo.InterPolicySrc, emr.Config{Period: period}
 		case "def-rule":
 			sc.emr.Period = period
-			sc.baseline = func(w *core.World) func() {
-				return (&baseline.FreqColocator{RT: w.RT, Prof: w.Prof}).Tick
+			sc.baseline = func(w *core.World) func(*epl.Snapshot) {
+				return (&baseline.FreqColocator{RT: w.RT}).Tick
 			}
 		}
 		rec := workload.NewRecorder(10 * sim.Second)
@@ -151,8 +152,8 @@ func Fig11b(cfg Config) *Result {
 	h := &haloFleet{servers: 8, routerSrvs: 8, routers: 8, sessions: 8, latency: haloBaseLatency}
 	sc := h.arm()
 	sc.emr.Period = period
-	sc.baseline = func(w *core.World) func() {
-		return (&baseline.FreqColocator{RT: w.RT, Prof: w.Prof}).Tick
+	sc.baseline = func(w *core.World) func(*epl.Snapshot) {
+		return (&baseline.FreqColocator{RT: w.RT}).Tick
 	}
 	recs := make([]*workload.Recorder, 8)
 	misplacedAtJoin := make([]bool, 8)

@@ -7,6 +7,7 @@ import (
 	"plasma/internal/cluster"
 	"plasma/internal/core"
 	"plasma/internal/emr"
+	"plasma/internal/epl"
 	"plasma/internal/sim"
 )
 
@@ -57,8 +58,8 @@ func Fig5(cfg Config) *Result {
 			sc.policy, sc.emr = metadata.PolicySrc, emr.Config{Period: period}
 		case "def-rule":
 			sc.emr.Period = period
-			sc.baseline = func(w *core.World) func() {
-				return (&baseline.HeavyMigrator{RT: w.RT, Prof: w.Prof}).Tick
+			sc.baseline = func(w *core.World) func(*epl.Snapshot) {
+				return (&baseline.HeavyMigrator{RT: w.RT}).Tick
 			}
 		}
 		run(cfg, cfg.seed(), sc)

@@ -6,6 +6,7 @@ import (
 	"plasma/internal/cluster"
 	"plasma/internal/core"
 	"plasma/internal/emr"
+	"plasma/internal/epl"
 	"plasma/internal/sim"
 )
 
@@ -62,8 +63,8 @@ func Fig9(cfg Config) *Result {
 			sc.policy, sc.emr = estore.PolicySrc, emr.Config{Period: period}
 		case "in-app":
 			sc.emr.Period = period
-			sc.baseline = func(w *core.World) func() {
-				return (&estore.InApp{RT: w.RT, Prof: w.Prof, App: app}).Tick
+			sc.baseline = func(w *core.World) func(*epl.Snapshot) {
+				return (&estore.InApp{RT: w.RT, App: app}).Tick
 			}
 		}
 		run(cfg, cfg.seed(), sc)

@@ -120,8 +120,8 @@ func Fig6a(cfg Config) *Result {
 			a.policy, a.emr = pagerank.PolicySrc, emr.Config{Period: su.period}
 		case "orleans":
 			a.emr.Period = su.period
-			a.baseline = func(w *core.World) func() {
-				return (&baseline.Orleans{RT: w.RT, C: w.C, Prof: w.Prof, Types: map[string]bool{"Worker": true}}).Tick
+			a.baseline = func(w *core.World) func(*epl.Snapshot) {
+				return (&baseline.Orleans{RT: w.RT, Types: map[string]bool{"Worker": true}}).Tick
 			}
 		}
 		run(cfg, seed, a.scenario)

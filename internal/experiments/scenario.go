@@ -28,11 +28,11 @@ type scenario struct {
 
 	// The manager is an EPL policy with its emr.Config, or a comparison
 	// manager built from the world's parts and handed over as its
-	// per-period step, which run calls every emr.Period; an arm with neither
-	// is unmanaged.
+	// per-period step, which run calls every emr.Period with the window it
+	// just closed; an arm with neither is unmanaged.
 	policy   string
 	emr      emr.Config
-	baseline func(w *core.World) (tick func())
+	baseline func(w *core.World) (tick func(snap *epl.Snapshot))
 
 	// faults is the fault schedule of an EPL-managed arm (nil = none).
 	faults *faultPlan
@@ -40,9 +40,9 @@ type scenario struct {
 	// load starts the load generators once the manager is running.
 	load func(w *core.World)
 
-	// probe sees each elasticity period's snapshot before planning. On an
-	// arm with no manager at all, run closes the profiling window itself
-	// every emr.Period and hands the probe what a manager would have seen.
+	// probe sees each elasticity period's snapshot: the one the EMR or the
+	// comparison manager planned from, or on an unmanaged arm the one it
+	// would have planned from.
 	probe func(w *core.World, tick int, snap *epl.Snapshot)
 
 	// An open arm runs to horizon. A closed job sets done and is stepped
@@ -91,9 +91,10 @@ func run(cfg Config, seed int64, sc scenario) outcome {
 		}
 	}
 
-	// step is the period an EMR does not own: a comparison manager's, or the
-	// probe's on an arm with no manager at all.
-	var step func()
+	// Without an EMR, run owns the period: every emr.Period it closes the
+	// EPR window and hands the snapshot to the comparison manager and the
+	// probe, the same snapshot to both.
+	var step func(*epl.Snapshot)
 	switch {
 	case sc.policy != "":
 		m := w.Manage(epl.MustParse(sc.policy), sc.emr)
@@ -117,22 +118,25 @@ func run(cfg Config, seed int64, sc scenario) outcome {
 		m.Start()
 	case sc.baseline != nil:
 		step = sc.baseline(w)
-	case sc.probe != nil:
-		tick := 0
-		step = func() {
-			tick++
+	}
+	running := step != nil || sc.policy == "" && sc.probe != nil
+	if running {
+		n := 0
+		w.K.Every(sc.emr.Period, func() bool {
+			if !running {
+				return false
+			}
+			n++
 			snap := w.Prof.Snapshot(nil)
 			w.Prof.Reset()
-			sc.probe(w, tick, snap)
-		}
-	}
-	running := step != nil
-	if running {
-		w.K.Every(sc.emr.Period, func() bool {
-			if running {
-				step()
+			sample()
+			if step != nil {
+				step(snap)
 			}
-			return running
+			if sc.probe != nil {
+				sc.probe(w, n, snap)
+			}
+			return true
 		})
 	}
 	if sc.load != nil {

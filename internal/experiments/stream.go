@@ -13,6 +13,7 @@ import (
 	"plasma/internal/cluster"
 	"plasma/internal/core"
 	"plasma/internal/emr"
+	"plasma/internal/epl"
 	"plasma/internal/metrics"
 	"plasma/internal/sim"
 )
@@ -132,7 +133,10 @@ func streamTrial(cfg Config, seed int64, o streamOpts) streamOut {
 			owner, flushees = elastic.Owner, elastic.Execs
 		}
 		sc.emr.Period = streamPeriod
-		sc.baseline = func(*core.World) func() { return (&baseline.Elasticutor{App: elastic}).Tick }
+		sc.baseline = func(*core.World) func(*epl.Snapshot) {
+			e := &baseline.Elasticutor{App: elastic}
+			return func(*epl.Snapshot) { e.Tick() }
+		}
 	default:
 		panic("streamTrial: unknown mode " + o.mode)
 	}

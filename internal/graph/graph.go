@@ -1,7 +1,6 @@
 // Package graph provides the graph substrate for the PageRank experiments:
 // a seeded power-law (Chung–Lu style) social-graph generator standing in
-// for SNAP's LiveJournal dataset, a multilevel METIS-like partitioner, and a
-// reference PageRank kernel.
+// for SNAP's LiveJournal dataset, and a multilevel METIS-like partitioner.
 //
 // The property the paper's experiments rely on is that vertex-balanced
 // partitions of a power-law graph have *uneven edge counts*, so per-partition
@@ -150,43 +149,6 @@ func (c *cdfIndex) search(x float64) int {
 	b := c.bucket(x)
 	lo, hi := int(c.guide[b]), int(c.guide[b+1])
 	return lo + sort.SearchFloat64s(c.cum[lo:hi], x)
-}
-
-// PageRank runs the classic power-iteration PageRank for iters rounds and
-// returns the final rank vector (sums to ~1).
-func PageRank(g *Graph, damping float64, iters int) []float64 {
-	n := g.N
-	rank := make([]float64, n)
-	next := make([]float64, n)
-	for i := range rank {
-		rank[i] = 1 / float64(n)
-	}
-	for it := 0; it < iters; it++ {
-		base := (1 - damping) / float64(n)
-		for i := range next {
-			next[i] = base
-		}
-		var dangling float64
-		for u := 0; u < n; u++ {
-			deg := len(g.Out[u])
-			if deg == 0 {
-				dangling += rank[u]
-				continue
-			}
-			share := damping * rank[u] / float64(deg)
-			for _, v := range g.Out[u] {
-				next[v] += share
-			}
-		}
-		if dangling > 0 {
-			spread := damping * dangling / float64(n)
-			for i := range next {
-				next[i] += spread
-			}
-		}
-		rank, next = next, rank
-	}
-	return rank
 }
 
 // EdgeCut counts directed edges crossing partition boundaries.

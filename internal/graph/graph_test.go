@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -76,35 +75,6 @@ func TestGeneratePowerLawSkew(t *testing.T) {
 	frac := float64(top) / float64(g.NumEdges())
 	if frac < 0.05 {
 		t.Fatalf("top 1%% of vertices hold %.1f%% of edges; not heavy-tailed", frac*100)
-	}
-}
-
-func TestPageRankSumsToOne(t *testing.T) {
-	g := testGraph()
-	rank := PageRank(g, 0.85, 20)
-	var sum float64
-	for _, r := range rank {
-		sum += r
-	}
-	if math.Abs(sum-1) > 1e-6 {
-		t.Fatalf("rank sum = %v", sum)
-	}
-}
-
-func TestPageRankHubsRankHigher(t *testing.T) {
-	// A star: everything points at vertex 0.
-	n := 50
-	out := make([][]int32, n)
-	for v := 1; v < n; v++ {
-		out[v] = []int32{0}
-	}
-	out[0] = []int32{1}
-	g := &Graph{N: n, Out: out}
-	rank := PageRank(g, 0.85, 30)
-	for v := 2; v < n; v++ {
-		if rank[0] <= rank[v] {
-			t.Fatalf("hub rank %v not above leaf rank %v", rank[0], rank[v])
-		}
 	}
 }
 

@@ -75,12 +75,6 @@ const (
 // starting at 4, load 0–24 units starting at 8 (50% on 4 servers), ±1
 // unit drift per period, and the EMR's overload line at 90%.
 func DefaultEnvelope() Envelope {
-	return EnvelopeFor(cluster.DefaultProvSpecs())
-}
-
-// EnvelopeFor builds the default envelope over a specific provisioning
-// spectrum (pool capacities feed the state space).
-func EnvelopeFor(specs []cluster.ProvSpec) Envelope {
 	env := Envelope{
 		MinServers: 4, MaxServers: 32, InitServers: 4,
 		MinLoad: 0, MaxLoad: 24, InitLoad: 8,
@@ -89,7 +83,7 @@ func EnvelopeFor(specs []cluster.ProvSpec) Envelope {
 		Resources:    map[epl.Resource]bool{epl.CPU: true},
 		OverloadPerc: 90,
 	}
-	for _, s := range specs {
+	for _, s := range cluster.DefaultProvSpecs() {
 		env.Classes = append(env.Classes, Class{Name: s.Class.String(), Cap: s.Capacity})
 	}
 	return env
