@@ -658,9 +658,17 @@ func (rt *Runtime) send(fromSrv cluster.MachineID, msg *Message, to Ref) {
 	rt.launch(flightMsg, fromSrv, dstSrv, lat, msg, to)
 }
 
-// deliver queues a message that reached its actor's machine, or sheds it
-// when the bounded mailbox is full.
+// deliver hands a message that reached its actor's machine to the actor. An
+// actor that can run now with nothing queued starts its turn on it at once,
+// and the mailbox is never touched; otherwise the message queues behind the
+// rest, or is shed when the bounded mailbox is full.
 func (rt *Runtime) deliver(inst *instance, msg *Message) {
+	if inst.queued() == 0 && inst.pendingDst < 0 {
+		if m := rt.free(inst); m != nil {
+			rt.start(inst, m, msg)
+			return
+		}
+	}
 	if rt.MailboxCap > 0 && inst.queued() >= rt.MailboxCap {
 		rt.shed++
 		rt.tr.Emit(trace.Record{Kind: trace.KindShed, Server: int32(inst.srv), Target: -1,
@@ -701,26 +709,40 @@ func (inst *instance) dequeue(msg *Message) {
 // ShedRequests reports deliveries dropped at full bounded mailboxes.
 func (rt *Runtime) ShedRequests() int64 { return rt.shed }
 
-// pump dispatches the next mailbox message if the actor is free and its
-// machine is in service (a crashed machine processes nothing; queued mail
-// drains after recovery).
-func (rt *Runtime) pump(inst *instance) {
+// free returns the actor's machine if the actor may start a turn there now:
+// it is not busy, migrating or dead, and the machine is in service (a crashed
+// machine processes nothing; queued mail drains after recovery).
+func (rt *Runtime) free(inst *instance) *cluster.Machine {
 	if inst.busy || inst.migrating || inst.dead {
-		return
+		return nil
 	}
-	machine := rt.C.Machine(inst.srv)
-	if machine == nil || !machine.Up() {
+	if m := rt.C.Machine(inst.srv); m != nil && m.Up() {
+		return m
+	}
+	return nil
+}
+
+// pump moves a free actor on: a move requested while it was busy begins now,
+// ahead of any queued mail, or else its oldest queued message starts a turn.
+func (rt *Runtime) pump(inst *instance) {
+	machine := rt.free(inst)
+	if machine == nil {
 		return
 	}
 	if inst.pendingDst >= 0 {
-		// A move requested while the actor was busy begins now, ahead of
-		// any queued mail.
 		rt.beginMigration(inst)
 		return
 	}
-	if inst.queued() == 0 {
-		return
+	if inst.queued() > 0 {
+		rt.start(inst, machine, nil)
 	}
+}
+
+// start is the one way a turn begins, on a free actor on its up machine: the
+// turn runs on msg, when deliver hands one over, or else on the message
+// dequeued from the mailbox. Receive runs now; its declared cost then
+// occupies the machine, and finish follows.
+func (rt *Runtime) start(inst *instance, machine *cluster.Machine, msg *Message) {
 	inst.busy = true
 
 	ctx := rt.contexts
@@ -732,7 +754,11 @@ func (rt *Runtime) pump(inst *instance) {
 		ctx.done = func() { rt.finish(ctx) }
 	}
 	ctx.inst, ctx.srv = inst, inst.srv
-	inst.dequeue(&ctx.msg)
+	if msg != nil {
+		ctx.msg = *msg
+	} else {
+		inst.dequeue(&ctx.msg)
+	}
 
 	cost := baseMsgCost
 	if rt.profiler != nil {

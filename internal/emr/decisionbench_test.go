@@ -1,10 +1,12 @@
 package emr
 
 import (
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
 
+	"plasma/internal/actor"
 	"plasma/internal/cluster"
 	"plasma/internal/epl"
 )
@@ -190,6 +192,55 @@ func TestPeriodIndexSharedAndInvalidated(t *testing.T) {
 	if has(rd.residents(0), x) || !has(rd.residents(1), x) || len(rd.peers(x.Ref.ID)) != 0 {
 		t.Fatalf("after Index() the round still sees x on server 0 (%v) or its dropped edge %v", has(rd.residents(0), x), rd.peers(x.Ref.ID))
 	}
+}
+
+// TestResidentsMatchMapGrouping holds round.residents to a map from server to
+// its actors in snapshot order, over two generations of one snapshot: servers
+// 0-7 are up, two of them hold no actor, and one actor sits on server 12,
+// beyond every up server. Between the generations a quarter of the actors
+// move, the server-12 one among them, and one lands on server 15: a round
+// that kept the first generation's buckets fails the second comparison.
+func TestResidentsMatchMapGrouping(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	snap := &epl.Snapshot{}
+	for i := 0; i < 8; i++ {
+		snap.Servers = append(snap.Servers, &epl.ServerInfo{ID: cluster.MachineID(i), Up: true})
+	}
+	occupied := []cluster.MachineID{0, 2, 4, 5, 6, 7} // 1 and 3 hold no actor
+	for i := 0; i < 200; i++ {
+		srv := occupied[rng.Intn(len(occupied))]
+		if i == 50 {
+			srv = 12
+		}
+		snap.Actors = append(snap.Actors, &epl.ActorInfo{Ref: actor.Ref{ID: actor.ID(i + 1)}, Server: srv})
+	}
+	rd := &round{}
+	compare := func(gen int) {
+		t.Helper()
+		want := map[cluster.MachineID][]*epl.ActorInfo{}
+		for _, ai := range snap.Actors {
+			want[ai.Server] = append(want[ai.Server], ai)
+		}
+		for srv := cluster.MachineID(0); srv < 20; srv++ {
+			if got := rd.residents(srv); !slices.Equal(got, want[srv]) {
+				t.Fatalf("generation %d, server %d: residents %d actors, the map %d (or another order)", gen, srv, len(got), len(want[srv]))
+			}
+		}
+	}
+	rd.snap = snap.Index()
+	compare(1)
+	for i, ai := range snap.Actors {
+		switch {
+		case i == 50:
+			ai.Server = 3
+		case i == 120:
+			ai.Server = 15
+		case rng.Intn(4) == 0:
+			ai.Server = cluster.MachineID(rng.Intn(8))
+		}
+	}
+	rd.snap = snap.Index()
+	compare(2)
 }
 
 // fleetBench's steady-state allocation ceiling, one period of four rounds.

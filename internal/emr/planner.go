@@ -323,6 +323,7 @@ type round struct {
 	dest    map[actor.ID]cluster.MachineID // where the round leaves each actor it has decided about
 
 	bucketGen uint64           // the snapshot generation start/resident hold
+	srvOf     []int32          // snap.Actors[i].Server, read once per generation
 	start     []int32          // machine id -> its run in resident
 	resident  []*epl.ActorInfo // snap.Actors grouped by server
 
@@ -357,18 +358,24 @@ func (r *round) begin(snap *epl.Snapshot, n int, last []lastReport, tick int) {
 }
 
 // residents lists the snapshot's actors on srv, in snapshot order. The
-// first call for a snapshot generation buckets snap.Actors by server.
+// first call for a snapshot generation buckets snap.Actors by server: one
+// pass reads each row's server into srvOf, and a counting sort over that
+// array places the rows without visiting them again.
 func (r *round) residents(srv cluster.MachineID) []*epl.ActorInfo {
 	if r.bucketGen != r.snap.Gen() {
 		r.bucketGen = r.snap.Gen()
-		n := 0
-		for _, ai := range r.snap.Actors {
-			n = max(n, int(ai.Server)+1)
+		actors := r.snap.Actors
+		r.srvOf = slices.Grow(r.srvOf[:0], len(actors))[:len(actors)]
+		n := int32(0)
+		for i, ai := range actors {
+			s := int32(ai.Server)
+			r.srvOf[i] = s
+			n = max(n, s+1)
 		}
-		r.start = slices.Grow(r.start[:0], n+2)[:n+2]
+		r.start = slices.Grow(r.start[:0], int(n)+2)[:n+2]
 		clear(r.start)
-		for _, ai := range r.snap.Actors {
-			if s := int(ai.Server); s >= 0 {
+		for _, s := range r.srvOf {
+			if s >= 0 {
 				r.start[s+2]++
 			}
 		}
@@ -377,9 +384,9 @@ func (r *round) residents(srv cluster.MachineID) []*epl.ActorInfo {
 		}
 		total := int(r.start[n+1])
 		r.resident = slices.Grow(r.resident[:0], total)[:total]
-		for _, ai := range r.snap.Actors {
-			if s := int(ai.Server); s >= 0 {
-				r.resident[r.start[s+1]] = ai
+		for i, s := range r.srvOf {
+			if s >= 0 {
+				r.resident[r.start[s+1]] = actors[i]
 				r.start[s+1]++
 			}
 		}

@@ -3,26 +3,43 @@ package sim
 // heapQueue is the event queue the kernel used before the radix queue: a
 // value-typed 4-ary min-heap on before, kept as the reference side of the
 // queue differential, the memory ceiling and the BenchmarkKernelQueue
-// comparisons — the way metis_ref_test.go keeps the map partitioner.
+// comparisons — the way metis_ref_test.go keeps the map partitioner. A heap
+// does not keep an instant's events in scheduling order, so, like the kernel
+// it came from, it stamps each event with its seq.
 type heapQueue struct {
-	heap []event
+	heap []heapEvent
+	seq  uint64
+}
+
+type heapEvent struct {
+	event
+	seq uint64 // heapQueue.seq when the event was pushed
+}
+
+// before is the (at, seq) order.
+func (e *heapEvent) before(o *heapEvent) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.seq < o.seq
 }
 
 func (q *heapQueue) len() int { return len(q.heap) }
 
 func (q *heapQueue) push(e event) {
-	q.heap = append(q.heap, e)
+	q.seq++
+	q.heap = append(q.heap, heapEvent{e, q.seq})
 	q.siftUp(len(q.heap) - 1)
 }
 
 // pop removes and returns the minimum event.
 func (q *heapQueue) pop() event {
-	e := q.heap[0]
+	e := q.heap[0].event
 	last := len(q.heap) - 1
 	if last > 0 {
 		q.heap[0] = q.heap[last]
 	}
-	q.heap[last] = event{} // drop the fn reference for the GC
+	q.heap[last] = heapEvent{} // drop the fn reference for the GC
 	q.heap = q.heap[:last]
 	if last > 0 {
 		q.siftDown(0)

@@ -57,7 +57,15 @@ func (k *sortKernel) At(t Time, fn func()) {
 	k.queue[i] = e
 }
 
-func (k *sortKernel) After(d Duration, fn func()) { k.At(k.now+Time(max(d, 0)), fn) }
+// After follows Kernel.After's contract: a negative delay fires now, one
+// past the end of Time at maxTime.
+func (k *sortKernel) After(d Duration, fn func()) {
+	if d = max(d, 0); Time(d) > maxTime-k.now {
+		k.At(maxTime, fn)
+		return
+	}
+	k.At(k.now+Time(d), fn)
+}
 
 // Every follows Kernel.Every's contract: the period floored to 1 µs, and
 // each next tick scheduled afresh once fn has returned true.

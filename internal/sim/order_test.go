@@ -155,9 +155,10 @@ func TestPushBeforeLastPanics(t *testing.T) {
 
 // TestPublicAPICannotScheduleIntoThePast walks every public way a fire time
 // enters the queue with a time, delay or period that would put it behind the
-// clock — past instants, negative delays, delays that wrap Time — and the gap a
-// finished Run(until) leaves between the clock and the next queued event.
-// None may panic, fire out of order or move the clock back.
+// clock — past instants, negative delays, delays that would wrap Time — and
+// the gap a finished Run(until) leaves between the clock and the next queued
+// event. None may panic, fire out of order or move the clock back; a delay
+// past the end of Time fires at maxTime.
 func TestPublicAPICannotScheduleIntoThePast(t *testing.T) {
 	const huge = Duration(maxTime)
 	k := New(1)
@@ -174,13 +175,13 @@ func TestPublicAPICannotScheduleIntoThePast(t *testing.T) {
 	k.At(100, mark) // past: fires at 400
 	k.At(401, mark)
 	k.After(-7, mark)
-	k.After(huge, mark) // 400 + huge wraps: clamped to 400
+	k.After(huge, mark) // 400 + huge is past the end of Time: saturates at maxTime
 	k.Every(-1, once)   // floored to 1 µs: fires at 401
-	k.Every(huge, once) // wraps like After: clamped to 400
+	k.Every(huge, once) // saturates like After
 	k.At(maxTime, mark)
 	k.RunUntilIdle()
 
-	want := []Time{400, 400, 400, 400, 401, 401, 1000, maxTime}
+	want := []Time{400, 400, 401, 401, 1000, maxTime, maxTime, maxTime}
 	if len(fired) != len(want) {
 		t.Fatalf("fired at %v, want %v", fired, want)
 	}
@@ -188,5 +189,24 @@ func TestPublicAPICannotScheduleIntoThePast(t *testing.T) {
 		if fired[i] != want[i] {
 			t.Fatalf("fired at %v, want %v", fired, want)
 		}
+	}
+}
+
+// Regression: After added the delay to the clock unchecked, so a fire time
+// past the end of Time wrapped negative and was clamped to now — and an Every
+// whose next tick overflowed re-fired at one instant forever, with Run never
+// reaching its deadline. The fire time saturates at maxTime instead.
+func TestFireTimePastEndOfTimeSaturates(t *testing.T) {
+	k := New(1)
+	k.Run(5)
+	ticks := 0
+	k.Every(Duration(maxTime-3), func() bool {
+		ticks++
+		return ticks < 1_000_000 // a bound, so a regression fails instead of hanging
+	})
+	k.Run(Time(Second))
+	if ticks != 0 || k.Now() != Time(Second) || k.Pending() != 1 {
+		t.Fatalf("Every(maxTime-3) from t=5: %d ticks before Run(1 s) returned at %d with %d pending; want 0 ticks, the clock at 1 s and the tick queued",
+			ticks, k.Now(), k.Pending())
 	}
 }

@@ -6,8 +6,9 @@ import "math/bits"
 // the fire time at, with a FIFO for the current instant.
 //
 // The kernel never schedules into the past (every at is clamped to now) and
-// the order key (at, seq) has no ties — see before — so the pop sequence is
-// fixed by the key alone and the queue is free to exploit monotonicity.
+// the order key (at, seq) — fire time, then scheduling order — has no ties,
+// so the pop sequence is fixed by the key alone and the queue is free to
+// exploit monotonicity.
 // last is the instant of the latest refill; every queued event has
 // at >= last and sits in bucket bits.Len64(at ^ last): bucket 0 holds the
 // events of instant last itself, bucket b >= 1 those whose highest bit
@@ -22,15 +23,17 @@ import "math/bits"
 // heap whose every level is a cache miss at fleet scale. 64 buckets is the
 // width of Time, not a setting.
 //
-// Only bucket 0 needs seq, and it gets it for free: it is a FIFO already in
-// seq order. A push at instant last appends, and its seq is larger than any
-// queued one. The rest of an instant's events come from one refill, in the
-// order its bucket stored them, and that too is seq order: the bucket index
-// is a function of at and last, so the events of one instant always share a
-// bucket, and they enter it only by appends in scheduling order or all
-// together, in their stored order, from the bucket above. An event alone at
-// its instant — most events of a shallow queue — goes from its bucket
-// straight to the kernel and never enters the FIFO.
+// The key's seq is not stored anywhere: it is an event's position. Bucket 0
+// is a FIFO already in seq order. A push at instant last appends, and its seq
+// is larger than any queued one. The rest of an instant's events come from one
+// refill, in the order its bucket stored them, and that too is seq order: the
+// bucket index is a function of at and last, so the events of one instant
+// always share a bucket, and they enter it only by appends in scheduling order
+// or all together, in their stored order, from the bucket above. So within a
+// bucket, the first-stored event of the earliest instant is the minimum, and a
+// refill finds it with a strict < on at alone. An event alone at its instant —
+// most events of a shallow queue — goes from its bucket straight to the kernel
+// and never enters the FIFO.
 //
 // Buckets store their events inline (scheduling allocates nothing in steady
 // state) in fixed-size chunks drawn from one pool shared by all buckets.
@@ -42,28 +45,15 @@ import "math/bits"
 // Nothing is ever removed from the queue but its minimum: an event, once
 // scheduled, fires.
 
-// event is one scheduled callback, 24 bytes: at and seq form the order key
-// (see before).
+// event is one scheduled callback, 16 bytes: its fire time and the callback.
+// Its place in the (at, seq) order is its fire time, then its position in
+// the queue (see the file comment).
 type event struct {
-	at  Time
-	seq uint64 // Kernel.seq when the event was scheduled
-	fn  func()
+	at Time
+	fn func()
 }
 
-// before is the queue's strict total order and the kernel's same-instant
-// ordering contract: fire time, then scheduling order. seq is unique per
-// kernel — every scheduling bumps it — so ties cannot exist and any correct
-// priority queue pops events in exactly one order. It also makes the order
-// causal: an event scheduled at its parent's instant is stamped after
-// everything already queued, so the pop sequence is monotone in the key.
-func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return e.seq < o.seq
-}
-
-// A chunk is the unit bucket storage is handed out in: 32 events, 768 B —
+// A chunk is the unit bucket storage is handed out in: 32 events, 512 B —
 // small enough that the thirty-odd buckets a short-lived kernel touches cost
 // it less than the heap's doubling did, large enough that a refill streams.
 const (
@@ -74,7 +64,8 @@ const (
 
 type chunk [chunkLen]event
 
-// bucket is an unordered bag of events; every chunk but the last is full.
+// bucket holds events in the order they were filed; every chunk but the last
+// is full.
 type bucket struct {
 	chunks []*chunk
 	n      int
@@ -86,7 +77,7 @@ func used(c *chunk, ci, n int) []event { return c[:min(chunkLen, n-ci<<chunkShif
 type eventQueue struct {
 	last     Time       // instant of the latest refill; no queued event is earlier
 	n        int        // queued events, all buckets
-	cur      []event    // bucket 0: cur[head:] are the events of instant last, in seq order
+	cur      []event    // bucket 0: cur[head:] are the events of instant last, in scheduling order
 	head     int        // cur[:head] have fired
 	buckets  [64]bucket // buckets[b], b >= 1: events with bits.Len64(at^last) == b
 	nonEmpty uint64     // bit b set while buckets[b] holds events
@@ -157,8 +148,9 @@ func (q *eventQueue) popUntil(limit Time, e *event) bool {
 	return true
 }
 
-// refill empties the lowest non-empty bucket, if its minimum fires at or
-// before limit: the minimum goes to e, its instant becomes last, and the
+// refill empties the lowest non-empty bucket, if its minimum — the
+// first-stored event of its earliest instant — fires at or before limit: the
+// minimum goes to e, its instant becomes last, and the
 // rest are re-filed against it — the other events of that instant into
 // bucket 0, every later one into a bucket below the one it left.
 func (q *eventQueue) refill(limit Time, e *event) bool {
@@ -169,7 +161,7 @@ func (q *eventQueue) refill(limit Time, e *event) bool {
 	for ci, c := range chunks {
 		evs := used(c, ci, n)
 		for i := range evs {
-			if evs[i].before(first) {
+			if evs[i].at < first.at {
 				first = &evs[i]
 			}
 		}

@@ -150,17 +150,14 @@ func TestQueueMemoryAtFleetScale(t *testing.T) {
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		fn := func() {}
-		var cnt uint64
 		var e event
 		for i := 0; i < events; i++ {
-			cnt++
-			e = event{at: Time(i%2000+1)*Time(Millisecond) + Time(i%977), seq: cnt, fn: fn}
+			e = event{at: Time(i%2000+1)*Time(Millisecond) + Time(i%977), fn: fn}
 			push(&e)
 		}
 		for i := 0; i < cycles*events; i++ {
 			pop(&e)
-			cnt++
-			e.at, e.seq = e.at+Time(2*Second), cnt
+			e.at += Time(2 * Second)
 			push(&e)
 		}
 		runtime.GC()
@@ -187,15 +184,17 @@ func TestQueueMemoryAtFleetScale(t *testing.T) {
 
 // TestQueueDifferentialAgainstHeap drives the radix queue and the 4-ary heap
 // it replaced with one monotone stream of pushes and limited and unlimited
-// pops, and demands the same event from both at every pop.
+// pops, and demands the same event from both at every pop. Each event's
+// callback reports its scheduling number, so an instant's events are told
+// apart.
 func TestQueueDifferentialAgainstHeap(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		rng := rand.New(rand.NewSource(int64(4000 + trial)))
 		var (
-			q   eventQueue
-			h   heapQueue
-			now Time
-			cnt uint64
+			q        eventQueue
+			h        heapQueue
+			now      Time
+			cnt, num uint64
 		)
 		pop := func(limit Time) {
 			var got event
@@ -207,8 +206,11 @@ func TestQueueDifferentialAgainstHeap(t *testing.T) {
 				return
 			}
 			want := h.pop()
-			if got.at != want.at || got.seq != want.seq {
-				t.Fatalf("trial %d: popped %+v, heap popped %+v", trial, got, want)
+			got.fn()
+			gotNum := num
+			want.fn()
+			if got.at != want.at || gotNum != num {
+				t.Fatalf("trial %d: popped event %d at %d, heap popped event %d at %d", trial, gotNum, got.at, num, want.at)
 			}
 			now = got.at
 		}
@@ -216,7 +218,8 @@ func TestQueueDifferentialAgainstHeap(t *testing.T) {
 			switch r := rng.Intn(10); {
 			case r < 5:
 				cnt++
-				e := event{at: now + Time(wideDelay(rng)), seq: cnt}
+				n := cnt
+				e := event{at: now + Time(wideDelay(rng)), fn: func() { num = n }}
 				if e.at < now {
 					e.at = now
 				}

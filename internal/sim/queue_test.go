@@ -209,11 +209,11 @@ func TestHeapAllocsReduced(t *testing.T) {
 	}
 }
 
-// TestEventIs24Bytes pins the inline event at three words — (at, seq) and
-// the callback — so a chunk of 32 stays 768 B.
-func TestEventIs24Bytes(t *testing.T) {
-	if n := unsafe.Sizeof(event{}); n != 24 {
-		t.Fatalf("event is %d bytes, want 24", n)
+// TestEventIs16Bytes pins the inline event at two words — the fire time and
+// the callback; seq is the event's position — so a chunk of 32 stays 512 B.
+func TestEventIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 16 {
+		t.Fatalf("event is %d bytes, want 16", n)
 	}
 }
 

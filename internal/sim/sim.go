@@ -1,26 +1,29 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// All of PLASMA's experiments run on virtual time. Every event carries an
-// order key (at, seq) — firing time, then a kernel-wide scheduling counter —
-// so two events scheduled for the same instant fire in a single well-defined
-// order and every run is reproducible bit-for-bit from a single seed. The
-// same-instant contract is:
+// All of PLASMA's experiments run on virtual time. Every event has an order
+// key (at, seq) — firing time, then scheduling order — so two events
+// scheduled for the same instant fire in a single well-defined order and
+// every run is reproducible bit-for-bit from a single seed. The same-instant
+// contract is:
 //
 //   - events of one instant fire in the order they were scheduled, whoever
 //     scheduled them: a sender's same-instant messages arrive in send order;
 //   - an event scheduled at its parent's instant (from inside an event
 //     callback, for the same virtual time) fires after every event already
 //     queued for that instant — children never overtake their parent's
-//     cohort, because their seq is larger than anything queued before them;
-//   - an Every loop's re-arm is a fresh scheduling, stamped after its
-//     callback returns: the next tick fires after every event queued for
-//     that instant before the re-arm, the callback's own children included.
+//     cohort, because they are scheduled after everything queued before them;
+//   - an Every loop's re-arm is a fresh scheduling, made after its callback
+//     returns: the next tick fires after every event queued for that instant
+//     before the re-arm, the callback's own children included.
 //
 // The kernel never schedules into the past — every fire time is clamped to
-// the clock, and the clock never moves backwards — and the key has no ties,
-// so the event queue is a monotone radix queue on the fire time with a FIFO
-// for the current instant (see queue.go). Events are stored inline:
-// scheduling one is a copy into a pooled chunk, not a boxed allocation, and
+// the clock, a delay past the end of Time saturates at its last instant, and
+// the clock never moves backwards — and the key has no ties, so the event
+// queue is a monotone radix queue on the fire time with a FIFO for the
+// current instant (see queue.go). The queue keeps each instant's events in
+// scheduling order, so seq is an event's position, not a stored field: an
+// event is two words, its fire time and its callback, stored inline —
+// scheduling one is a copy into a pooled chunk, not a boxed allocation — and
 // periodic work re-schedules one callback with After, so tick loops run
 // allocation-free. There is one kind of event and nothing cancels it.
 package sim
@@ -73,7 +76,6 @@ type Kernel struct {
 	now Time
 	q   eventQueue
 	rng *rand.Rand
-	seq uint64 // order key of the latest scheduling
 
 	fired uint64 // events fired since creation
 	peak  int    // maximum queue depth observed
@@ -90,24 +92,26 @@ func (k *Kernel) Now() Time { return k.now }
 // Rand exposes the kernel's deterministic random stream.
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
-// After schedules fn to run d from now. Negative delays fire immediately.
+// After schedules fn to run d from now. Negative delays fire immediately;
+// a delay past the end of Time fires at its last instant.
 func (k *Kernel) After(d Duration, fn func()) {
-	if d < 0 {
-		d = 0
+	d = max(d, 0)
+	t := maxTime
+	if Time(d) <= maxTime-k.now {
+		t = k.now + Time(d)
 	}
-	k.At(k.now+Time(d), fn)
+	k.At(t, fn)
 }
 
 // At schedules fn at absolute virtual time t. This is the one place a fire
-// time enters the queue, and it clamps it to now — a past instant, or a
-// delay large enough to wrap the clock — which is what lets the queue assume
-// no event is ever earlier than one it already popped.
+// time enters the queue, and it clamps a past instant to now, which is what
+// lets the queue assume no event is ever earlier than one it already popped.
+// The event's place among those of its instant is its scheduling order.
 func (k *Kernel) At(t Time, fn func()) {
 	if t < k.now {
 		t = k.now
 	}
-	k.seq++
-	k.q.push(&event{at: t, seq: k.seq, fn: fn})
+	k.q.push(&event{at: t, fn: fn})
 	if n := k.q.len(); n > k.peak {
 		k.peak = n
 	}
