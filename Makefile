@@ -16,7 +16,7 @@ COVER_PROFILE ?= coverage.out
 # Scratch dir for the trace round-trip smoke test.
 TRACE_SMOKE_DIR ?= .trace-smoke
 
-.PHONY: build test vet race bench kernel-bench actor-bench bench-test bench-quick bench-baseline scale-quick burst-quick stream-quick plan-quick lint-model cover trace-smoke quickstart-smoke fuzz-smoke sweep-snapshot loc verify
+.PHONY: build test vet race bench kernel-bench actor-bench workload-bench bench-test bench-quick bench-baseline scale-quick burst-quick stream-quick plan-quick lint-model cover trace-smoke quickstart-smoke fuzz-smoke sweep-snapshot loc verify
 
 build:
 	$(GO) build ./...
@@ -47,6 +47,12 @@ kernel-bench:
 # actors on one self-message cycle, every delivery finding its actor idle.
 actor-bench:
 	$(GO) test -run '^$$' -bench '^Benchmark(RequestReply|Send|IdleDelivery)$$' -benchtime 1x ./internal/actor
+
+# workload-bench runs the workload layer's key-draw microbenchmark once, the
+# way kernel-bench does: ZipfKeys.Draw at the stream experiments' shape and
+# the same loop over rand.Zipf, the variates it reproduces.
+workload-bench:
+	$(GO) test -run '^$$' -bench '^BenchmarkZipfKeysDraw$$' -benchtime 1x ./internal/apps/workload
 
 # bench-test runs the repository benchmark's own tests (benchmark/ is a
 # nested module, so `go test ./...` from the root never reaches them).
@@ -157,7 +163,8 @@ trace-smoke:
 # bytes, and every baseline it accepts must compare clean against itself.
 # FuzzPartition: small graphs with self-loops, repeated edges and isolated
 # vertices, k in [1, 200], every PartitionMultilevel assignment compared
-# with the map-based reference partitioner.
+# with the map-based reference partitioner. FuzzZipf: an exponent in (1, 4],
+# up to 2^16 keys and a seed, 2,000 tabled draws compared with rand.Zipf's.
 # A failing input is written to the corpus directory and fails `go test`
 # from then on. Minimising each coverage-increasing input is
 # capped at a second — the default minute would take the rest of the smoke.
@@ -172,6 +179,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPercentile -fuzztime 10s -fuzzminimizetime 1s ./internal/metrics
 	$(GO) test -run '^$$' -fuzz FuzzBenchFile -fuzztime 10s -fuzzminimizetime 1s ./cmd/plasma-bench
 	$(GO) test -run '^$$' -fuzz FuzzPartition -fuzztime 10s -fuzzminimizetime 1s ./internal/graph
+	$(GO) test -run '^$$' -fuzz FuzzZipf -fuzztime 10s -fuzzminimizetime 1s ./internal/apps/workload
 
 # quickstart-smoke runs the one example end to end: the chat room's rule
 # must perform at least one migration.
@@ -212,11 +220,12 @@ loc:
 # suite passes under the race detector (determinism included: the run-twice
 # tests at two seeds and core's wall-clock/global-rand call rule), the policy
 # model checker passes every shipped policy — the one lint stage — the
-# kernel's queue and the actor runtime's message-path microbenchmarks run,
+# kernel's queue, the actor runtime's message-path and the workload layer's
+# key-draw microbenchmarks run,
 # the benchmark harness's own tests pass, the quick-scale sweep shows no perf
 # regression or determinism drift against the checked-in bench baseline, the
 # decision tracer round-trips, the quickstart example migrates, and the
 # kernel order, policy, evaluator, envelope, trace JSONL, snapshot,
-# percentile, bench-baseline and partition fuzzers find nothing in ten
+# percentile, bench-baseline, partition and Zipf fuzzers find nothing in ten
 # seconds each.
-verify: build vet race lint-model kernel-bench actor-bench bench-test bench-quick trace-smoke quickstart-smoke fuzz-smoke
+verify: build vet race lint-model kernel-bench actor-bench workload-bench bench-test bench-quick trace-smoke quickstart-smoke fuzz-smoke

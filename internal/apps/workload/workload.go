@@ -6,8 +6,6 @@
 package workload
 
 import (
-	"math/rand"
-
 	"plasma/internal/actor"
 	"plasma/internal/metrics"
 	"plasma/internal/sim"
@@ -125,7 +123,9 @@ type OpenLoop struct {
 	// Every is each client's inter-arrival interval at rate 1.
 	Every sim.Duration
 	// Rate is the arrival-rate multiplier at virtual time t (nil = constant
-	// 1; a flash crowd returns 10-100 inside its window).
+	// 1; a flash crowd returns 10-100 inside its window). A rate that is not
+	// above 0 (0, negative, NaN) pauses the client: it fires nothing and
+	// looks again one Every later.
 	Rate func(t sim.Time) float64
 	// Until is the horizon: a client due at or after it sends nothing more.
 	Until sim.Time
@@ -145,12 +145,13 @@ func (o *OpenLoop) Start() {
 			if o.K.Now() >= o.Until {
 				return
 			}
-			o.Fire(i)
-			iv := sim.Duration(float64(o.Every) / rate(o.K.Now()))
-			if iv < sim.Microsecond {
-				iv = sim.Microsecond
+			x := rate(o.K.Now())
+			if !(x > 0) {
+				o.K.After(o.Every, loop)
+				return
 			}
-			o.K.After(iv, loop)
+			o.Fire(i)
+			o.K.After(max(sim.Duration(float64(o.Every)/x), sim.Microsecond), loop)
 		}
 		o.K.At(sim.Time(i)*sim.Time(o.Every)/sim.Time(o.Clients), loop)
 	}
@@ -190,35 +191,47 @@ func SkewedPicker(k *sim.Kernel, weights []float64) func() int {
 // contiguously past the span. Rotate shifts the whole mapping by delta
 // keys, moving the hot set onto previously cold partitions in one instant —
 // the "skew shift" whose recovery time the stream experiments measure.
+// The ranks are rand.NewZipf(k.Rand(), s, 1, n-1)'s, drawn by a sampler
+// that tables its inversion instead of paying an Exp and a Log per draw.
 type ZipfKeys struct {
-	n, span, block int
-	offset         int
-	z              *rand.Zipf
+	n      int
+	hot    []int32 // hot[r]: rank r's key before rotation, for r < span
+	offset int
+	z      *zipf
 }
 
-// NewZipfKeys builds the drawer: n keys total, Zipf exponent s (>1), a hot
-// span of span keys interleaved in units of block (block must divide span).
+// NewZipfKeys builds the drawer: n ≥ 1 keys total, Zipf exponent s > 1, a
+// hot span of span ∈ [0, n] keys interleaved in units of block ≥ 1 (block
+// must divide span). It panics on any other argument.
 func NewZipfKeys(k *sim.Kernel, s float64, n, span, block int) *ZipfKeys {
-	if span%block != 0 || span > n {
-		panic("workload: ZipfKeys span must be a multiple of block and <= n")
+	switch {
+	case !(s > 1):
+		panic("workload: ZipfKeys exponent s must be > 1")
+	case n < 1:
+		panic("workload: ZipfKeys needs n >= 1 keys")
+	case block < 1:
+		panic("workload: ZipfKeys block must be >= 1")
+	case span < 0 || span%block != 0 || span > n:
+		panic("workload: ZipfKeys span must be a multiple of block in [0, n]")
 	}
-	return &ZipfKeys{
-		n: n, span: span, block: block,
-		z: rand.NewZipf(k.Rand(), s, 1, uint64(n-1)),
+	hot, blocks := make([]int32, span), span/block
+	for r := range hot {
+		hot[r] = int32((r%blocks)*block + r/blocks)
 	}
+	return &ZipfKeys{n: n, hot: hot, z: newZipf(k.Rand(), s, uint64(n-1))}
 }
 
 // Draw returns the next key.
 func (z *ZipfKeys) Draw() int {
-	r := int(z.z.Uint64())
-	var key int
-	if r < z.span {
-		blocks := z.span / z.block
-		key = (r%blocks)*z.block + r/blocks
-	} else {
-		key = r
+	key := int(z.z.Uint64())
+	if key < len(z.hot) {
+		key = int(z.hot[key])
 	}
-	return (key + z.offset) % z.n
+	// key ≤ n (the sampler's range ends at imax+1) and offset < n.
+	if key += z.offset; key >= z.n {
+		key -= z.n
+	}
+	return key
 }
 
 // Rotate shifts the rank→key mapping by delta keys (the hot-set drift).

@@ -181,6 +181,31 @@ func TestOpenLoopFiresAtRate(t *testing.T) {
 	}
 }
 
+// A rate that is not above 0 pauses a client instead of flooring its
+// interval at 1 µs: nothing fires while it lasts, and the client looks again
+// one Every later.
+func TestOpenLoopPausesWhileRateNotPositive(t *testing.T) {
+	for _, paused := range []float64{0, -2, math.NaN()} {
+		k := sim.New(1)
+		var fired []sim.Time
+		(&OpenLoop{
+			K: k, Clients: 1, Every: 100 * sim.Millisecond,
+			Rate: func(t sim.Time) float64 {
+				if t < sim.Time(sim.Second) {
+					return paused
+				}
+				return 1
+			},
+			Until: sim.Time(2 * sim.Second),
+			Fire:  func(int) { fired = append(fired, k.Now()) },
+		}).Start()
+		k.RunUntilIdle()
+		if len(fired) != 10 || fired[0] != sim.Time(sim.Second) {
+			t.Fatalf("rate %v for the first second: fired %d times from %v, want 10 from 1s", paused, len(fired), fired)
+		}
+	}
+}
+
 func TestRecorderBucketsAndHistogram(t *testing.T) {
 	r := NewRecorder(sim.Second)
 	r.Record(sim.Time(100*sim.Millisecond), 10*sim.Millisecond)
