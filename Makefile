@@ -209,10 +209,13 @@ sweep-snapshot:
 # internal/emr, the control plane, by internal/profile and internal/actor,
 # the EPR and the runtime under it, by internal/sim, the kernel, by
 # internal/epl, internal/lint and internal/core, the policy front end, by
-# internal/baseline, the comparison managers, and by internal/apps and
-# internal/graph, the applications and the PageRank graph substrate.
+# internal/baseline, the comparison managers, by internal/apps and
+# internal/graph, the applications and the PageRank graph substrate, by
+# internal/cluster, internal/trace, internal/metrics and internal/chaos, the
+# machines, the decision tracer, the report tables and the fault injector,
+# and by cmd/plasma-bench and cmd/plasma-trace.
 GO_NONTEST = -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*'
-LOC_PKGS = internal/experiments internal/emr internal/profile internal/actor internal/sim internal/epl internal/lint internal/core internal/baseline internal/apps internal/graph
+LOC_PKGS = internal/experiments internal/emr internal/profile internal/actor internal/sim internal/epl internal/lint internal/core internal/baseline internal/apps internal/graph internal/cluster internal/trace internal/metrics internal/chaos cmd/plasma-bench cmd/plasma-trace
 loc:
 	@echo "module $$(find . $(GO_NONTEST) | xargs cat | wc -l) $$(for d in $(LOC_PKGS); do printf ' %s %s' $$d $$(find ./$$d $(GO_NONTEST) | xargs cat | wc -l); done)"
 

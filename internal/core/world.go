@@ -9,7 +9,8 @@
 //	w := core.NewWorld(seed, 8, cluster.M5Large, tracer) // K, C, RT, Prof
 //	w.RT.SpawnOn("Worker", myBehavior, 0)                 // actors first
 //	w.Manage(epl.MustParse(`server.cpu.perc > 80 or server.cpu.perc < 60 => balance({Worker}, cpu);`),
-//	    emr.Config{Period: sim.Second}).Start()
+//	    emr.Config{Period: sim.Second})
+//	w.Start() // or call w.M.Tick() from a period loop of your own
 //	w.Run(5 * sim.Minute)
 package core
 
@@ -69,8 +70,10 @@ func NewWorld(seed int64, machines int, inst cluster.InstanceType, tr *trace.Tra
 // when the compiler rejects the policy or a finding has error severity — a
 // rule that can never fire is a configuration bug, not something to find
 // after a day of simulated elasticity. The other findings go on Diagnostics.
-// Then it creates the world's elasticity manager (not started) and hands it
-// the tracer, which it fans out to the runtime, cluster and injector.
+// Then it creates the world's elasticity manager, hands it the tracer, which
+// it fans out to the runtime, cluster and injector, makes it the runtime's
+// new-actor placement and opens a fresh EPR window: the manager's first Tick
+// closes it.
 func (w *World) Manage(pol *epl.Policy, cfg emr.Config) *emr.Manager {
 	diags, err := lint.CheckAndAnalyze(pol, nil)
 	if err != nil {
@@ -84,6 +87,8 @@ func (w *World) Manage(pol *epl.Policy, cfg emr.Config) *emr.Manager {
 	w.Diagnostics = diags
 	w.M = emr.New(w.K, w.C, w.RT, w.Prof, pol, cfg)
 	w.M.SetTracer(w.tr)
+	w.RT.SetPlacement(w.M)
+	w.Prof.Reset()
 	return w.M
 }
 
@@ -138,7 +143,7 @@ func (w *World) FailLEM(srv int) bool {
 
 func (w *World) RecoverLEM(srv int) bool { return w.M.RecoverLEM(cluster.MachineID(srv)) }
 
-// Start begins elasticity management.
+// Start has the manager tick every period on its own (emr.Manager.Start).
 func (w *World) Start() { w.M.Start() }
 
 // Run advances virtual time by d.
@@ -147,18 +152,6 @@ func (w *World) Run(d sim.Duration) { w.K.Run(w.K.Now() + sim.Time(d)) }
 // Client returns a request driver homed on the given machine.
 func (w *World) Client(site cluster.MachineID) *actor.Client {
 	return actor.NewClient(w.RT, site)
-}
-
-// Drain stops the manager (if any) and runs settle longer, so migrations
-// admitted in the last period commit before Invariants looks. A zero settle
-// fires nothing: a world cut off at its horizon stays exactly as it was.
-func (w *World) Drain(settle sim.Duration) {
-	if w.M != nil {
-		w.M.Stop()
-	}
-	if settle > 0 {
-		w.Run(settle)
-	}
 }
 
 // Invariants is the global sweep over a quiesced world, one message per

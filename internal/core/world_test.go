@@ -169,15 +169,13 @@ func TestNoWallClockOrGlobalRand(t *testing.T) {
 
 // TestOnlyRunDrivesWorlds is the one-loop rule, enforced: in
 // internal/experiments, scenario.go's run is the only non-test code that makes
-// a world (Config.world), gives it a manager or an injector, owns OnTick,
-// advances its kernel, drains it or sweeps it. Every id describes its arms as
-// scenario values; what a per-period checker or a seed sweep needs to hook is
-// therefore one function.
+// a world (Config.world), gives it a manager or an injector, advances its
+// kernel or sweeps it. Every id describes its arms as scenario values; what a
+// per-period checker or a seed sweep needs to hook is therefore one function.
 func TestOnlyRunDrivesWorlds(t *testing.T) {
 	banned := map[string]bool{
 		"world": true, "Manage": true, "Chaos": true, "Apply": true,
-		"Run": true, "RunUntilIdle": true, "Step": true,
-		"Drain": true, "Invariants": true,
+		"Run": true, "RunUntilIdle": true, "Step": true, "Invariants": true,
 	}
 	files := goFiles(t, filepath.Join("..", "experiments"))
 	sawRun := false
@@ -193,18 +191,10 @@ func TestOnlyRunDrivesWorlds(t *testing.T) {
 			t.Fatal(err)
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && banned[sel.Sel.Name] {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && banned[sel.Sel.Name] {
 					t.Errorf("%s:%d: calls .%s; describe the arm as a scenario and let run drive it",
-						name, fset.Position(n.Pos()).Line, sel.Sel.Name)
-				}
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "OnTick" {
-						t.Errorf("%s:%d: assigns .OnTick; run owns it — use scenario.probe",
-							name, fset.Position(n.Pos()).Line)
-					}
+						name, fset.Position(call.Pos()).Line, sel.Sel.Name)
 				}
 			}
 			return true
@@ -255,6 +245,45 @@ func TestComparisonManagersScheduleNothing(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// TestEMRTicksOnlyInStartShim is the one-period rule for the EMR: its period
+// is one step (Manager.Tick) that the caller's loop calls, so no non-test
+// file in internal/emr schedules a period (.Every) outside (*Manager).Start,
+// the shim over Tick for callers without a loop of their own.
+func TestEMRTicksOnlyInStartShim(t *testing.T) {
+	files := goFiles(t, filepath.Join("..", "emr"))
+	fset := token.NewFileSet()
+	inShim := 0
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			shim := false
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == "Start" && fn.Recv != nil {
+				if star, ok := fn.Recv.List[0].Type.(*ast.StarExpr); ok {
+					id, ok := star.X.(*ast.Ident)
+					shim = ok && id.Name == "Manager"
+				}
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Every" {
+					if shim {
+						inShim++
+					} else {
+						t.Errorf("%s:%d: calls .Every; the EMR's period is Tick, which the caller's loop calls",
+							filepath.Base(path), fset.Position(sel.Pos()).Line)
+					}
+				}
+				return true
+			})
+		}
+	}
+	if inShim == 0 {
+		t.Fatal("(*Manager).Start schedules no period; the rule has no shim to exempt")
 	}
 }
 

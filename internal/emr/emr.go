@@ -176,7 +176,7 @@ type Stats struct {
 }
 
 // Manager wires the EMR to an application: policy, profiler, cluster, and
-// actor runtime. Create with New, then Start.
+// actor runtime. Create with New; the caller's period loop calls Tick.
 type Manager struct {
 	K    *sim.Kernel
 	C    *cluster.Cluster
@@ -192,13 +192,9 @@ type Manager struct {
 	// machine provisioned since.
 	servers []*server
 
-	// OnTick, when set, observes each period's global snapshot before
-	// planning (used by experiments to trace CPU% and actor distributions).
-	OnTick func(tick int, snap *epl.Snapshot)
-
 	Stats   Stats
-	running bool
-	booting int // provisioned machines not yet up (scale-out cooldown)
+	loop    *bool // the Start shim's live-loop flag; nil when stopped
+	booting int   // provisioned machines not yet up (scale-out cooldown)
 
 	// provSpecs is the manager's mutable copy of Cfg.ProvSpecs (warm-pool
 	// capacity depletes); provPref is the class preference the policy's
@@ -340,21 +336,20 @@ type gem struct {
 
 // lastReport is one server's row in a GEM's table. A REPORT that arrives in
 // period p is parked in (next, heard = p); the evaluation at reportWindow
-// promotes a non-nil next to (info, tick = p). So a REPORT landing after the
-// evaluation, one to a GEM that crashed before it, and one without a payload
-// (a machine that came up after the snapshot) are all heard and never
+// promotes next to (info, tick = p). So a REPORT landing after the
+// evaluation, or one to a GEM that crashed before it, is heard and never
 // remembered, and a row with heard < p and p-tick <= stalePeriods is a stale
 // fill.
 type lastReport struct {
 	info  *epl.ServerInfo // payload of the last evaluated REPORT
 	tick  int             // its period
-	next  *epl.ServerInfo // payload parked by this period's REPORT; may be nil
+	next  *epl.ServerInfo // payload parked by this period's REPORT
 	heard int             // last period a REPORT arrived
 }
 
 // New creates an EMR manager for a policy it does not check (core's
-// World.Manage is the gate that does). Call Start to begin elasticity
-// management.
+// World.Manage is the gate that does). Each call to Tick runs one elasticity
+// period.
 func New(k *sim.Kernel, c *cluster.Cluster, rt *actor.Runtime, prof *profile.Profiler, pol *epl.Policy, cfg Config) *Manager {
 	m := &Manager{
 		K: k, C: c, RT: rt, Prof: prof, Pol: pol, Cfg: cfg.withDefaults(),
@@ -368,27 +363,33 @@ func New(k *sim.Kernel, c *cluster.Cluster, rt *actor.Runtime, prof *profile.Pro
 	return m
 }
 
-// Start installs the new-actor placement hook and runs elasticity
-// management every period on K.Every. After Stop, the pending period
-// lapses without rescheduling.
+// Start and Stop are a shim over Tick for callers that own no period loop
+// (the repository benchmark, the quickstart): Start installs the new-actor
+// placement hook, opens a fresh EPR window and calls Tick every Cfg.Period
+// on K.Every until Stop. Each Start arms its own loop, so a loop that Stop
+// ended stays ended across a later Start.
 func (m *Manager) Start() {
-	if m.running {
+	if m.loop != nil {
 		return
 	}
-	m.running = true
+	live := true
+	m.loop = &live
 	m.RT.SetPlacement(m)
 	m.Prof.Reset()
 	m.K.Every(m.Cfg.Period, func() bool {
-		if !m.running {
-			return false
+		if live {
+			m.Tick()
 		}
-		m.tick()
-		return true
+		return live
 	})
 }
 
-// Stop halts elasticity management after the current period.
-func (m *Manager) Stop() { m.running = false }
+// Stop ends the Start shim's loop: its pending period lapses.
+func (m *Manager) Stop() {
+	if m.loop != nil {
+		*m.loop, m.loop = false, nil
+	}
+}
 
 // FailGEM simulates the crash of one global elasticity manager (§4.3 fault
 // tolerance): no state synchronization exists between LEMs and GEMs, so
@@ -472,8 +473,9 @@ func (m *Manager) randomLiveGEM() *gem {
 	return nil
 }
 
-// tick runs one elasticity period end to end, on the schedule above.
-func (m *Manager) tick() {
+// Tick runs one elasticity period end to end, on the schedule above, and
+// returns the EPR window it closed: the snapshot the period plans from.
+func (m *Manager) Tick() *epl.Snapshot {
 	m.Stats.Ticks++
 	tickIdx := m.Stats.Ticks
 
@@ -489,13 +491,9 @@ func (m *Manager) tick() {
 	m.cleanupReservations()
 	m.finishDraining()
 
-	if m.OnTick != nil {
-		m.OnTick(tickIdx, snap)
-	}
-
 	up := m.C.UpMachines()
 	if len(up) == 0 {
-		return
+		return snap
 	}
 
 	// Phase 1 — LEMs: apply interaction rules locally, report to a GEM.
@@ -508,9 +506,8 @@ func (m *Manager) tick() {
 	inter := epl.EvaluateObserved(m.Pol, snap, false, true, m.obs(m.trTick, tickIdx, "lem"))
 	// Refresh the pin flags planners read. The snapshot showed every actor's
 	// flag an instant ago, and nothing between there and here pins or unpins
-	// (Reset, the reservation and drain sweeps, and OnTick, whose users —
-	// experiments' scenario probes and the emr tests — only read or fail
-	// machines and LEMs), so only the actors just pinned can be out of date.
+	// (Reset and the reservation and drain sweeps), so only the actors just
+	// pinned can be out of date.
 	// This is the one write the profiler's rows allow: it stores the
 	// runtime's own flag, and Pin has marked the row for the next Snapshot.
 	for _, pi := range inter.Pin {
@@ -549,6 +546,7 @@ func (m *Manager) tick() {
 		}
 		m.resolveAndExecute(snap, inter)
 	})
+	return snap
 }
 
 // cleanupReservations drops reservations whose owner died or moved away,
@@ -631,9 +629,7 @@ func (m *Manager) gemProcess(g *gem, snap *epl.Snapshot, tickIdx int) {
 	for i := range g.last {
 		e, id := &g.last[i], cluster.MachineID(i)
 		if e.heard == tickIdx {
-			if e.next != nil {
-				e.info, e.tick = e.next, tickIdx
-			}
+			e.info, e.tick = e.next, tickIdx
 		} else if m.standsIn(g, id, tickIdx) {
 			m.Stats.StaleReportsUsed++
 			m.tr.Emit(trace.Record{Kind: trace.KindStaleReport, Parent: m.trTick,
@@ -642,9 +638,7 @@ func (m *Manager) gemProcess(g *gem, snap *epl.Snapshot, tickIdx int) {
 			continue
 		}
 		scoped++
-		if e.info != nil && tickIdx-e.tick <= stalePeriods {
-			servers = append(servers, e.info)
-		}
+		servers = append(servers, e.info)
 	}
 
 	effK := m.Cfg.K - m.failedLEMCount()

@@ -415,21 +415,43 @@ func TestStopHaltsManagement(t *testing.T) {
 	}
 }
 
-func TestOnTickObserverFires(t *testing.T) {
+// Start → Stop → Start leaves one period loop: the stopped loop's pending
+// period lapses instead of resuming under the second Start's flag. Ticks
+// land at 1 s, then 2.5, 3.5 and 4.5 s.
+func TestRestartRunsOneLoop(t *testing.T) {
+	e := newEnv(1, 2, 1)
+	m := New(e.k, e.c, e.rt, e.prof, epl.MustParse(`server.cpu.perc > 80 => balance({Worker}, cpu);`),
+		Config{Period: sim.Second})
+	m.Start()
+	e.k.At(sim.Time(1500*sim.Millisecond), func() {
+		m.Stop()
+		m.Start()
+	})
+	e.k.Run(sim.Time(5200 * sim.Millisecond))
+	if m.Stats.Ticks != 4 {
+		t.Fatalf("%d ticks after a restart, want 4 from one loop", m.Stats.Ticks)
+	}
+}
+
+// Tick returns the EPR window it closed: every server, closed at the
+// period boundary after one period.
+func TestTickReturnsTheWindowItClosed(t *testing.T) {
 	e := newEnv(1, 2, 1)
 	pol := epl.MustParse(`server.cpu.perc > 80 => balance({Worker}, cpu);`)
 	m := New(e.k, e.c, e.rt, e.prof, pol, Config{Period: sim.Second})
 	ticks := 0
-	m.OnTick = func(tick int, snap *epl.Snapshot) {
+	e.k.Every(sim.Second, func() bool {
 		ticks++
-		if len(snap.Servers) != 2 {
-			t.Errorf("snapshot servers = %d", len(snap.Servers))
+		snap := m.Tick()
+		if want := sim.Time(ticks) * sim.Time(sim.Second); len(snap.Servers) != 2 || snap.At != want || snap.Window != sim.Second {
+			t.Errorf("tick %d: %d servers, window closed at %v after %v; want 2 at %v after 1s",
+				ticks, len(snap.Servers), snap.At, snap.Window, want)
 		}
-	}
-	m.Start()
+		return true
+	})
 	e.k.Run(sim.Time(5500 * sim.Millisecond))
-	if ticks != 5 {
-		t.Fatalf("observer fired %d times, want 5", ticks)
+	if ticks != 5 || m.Stats.Ticks != 5 {
+		t.Fatalf("stepped %d periods, manager counted %d, want 5", ticks, m.Stats.Ticks)
 	}
 }
 

@@ -14,9 +14,10 @@ import (
 // scenario is one experiment arm as a value — the (application, rules,
 // workload) row the paper's Table 1 lists — and run is the only code in this
 // package that builds and drives a world from one. The steps and their order
-// are core.World's: world → app build → manager → injector → start → load →
-// run → stop/settle → sweep. RNG draws, actor ids and event counts follow
-// call order, so each closure schedules what its step says and nothing else.
+// are core.World's: world → app build → manager → injector → period loop →
+// load → run → stop/settle → sweep. RNG draws, actor ids and event counts
+// follow call order, so each closure schedules what its step says and nothing
+// else.
 type scenario struct {
 	machines int // fleet at time zero, client sites included
 	inst     cluster.InstanceType
@@ -26,10 +27,11 @@ type scenario struct {
 	build func(w *core.World)
 	wire  bool
 
-	// The manager is an EPL policy with its emr.Config, or a comparison
-	// manager built from the world's parts and handed over as its
-	// per-period step, which run calls every emr.Period with the window it
-	// just closed; an arm with neither is unmanaged.
+	// The manager is an EPL policy with its emr.Config, whose Tick run calls
+	// every (defaulted) emr.Period, or a comparison manager built from the
+	// world's parts and handed over as its per-period step, which run calls
+	// every emr.Period with the window it just closed; an arm with neither
+	// is unmanaged.
 	policy   string
 	emr      emr.Config
 	baseline func(w *core.World) (tick func(snap *epl.Snapshot))
@@ -40,9 +42,9 @@ type scenario struct {
 	// load starts the load generators once the manager is running.
 	load func(w *core.World)
 
-	// probe sees each elasticity period's snapshot: the one the EMR or the
-	// comparison manager planned from, or on an unmanaged arm the one it
-	// would have planned from.
+	// probe sees each elasticity period's snapshot right after the period's
+	// step, at the same instant: the one the EMR or the comparison manager
+	// planned from, or on an unmanaged arm the one it would have planned from.
 	probe func(w *core.World, tick int, snap *epl.Snapshot)
 
 	// An open arm runs to horizon. A closed job sets done and is stepped
@@ -91,19 +93,18 @@ func run(cfg Config, seed int64, sc scenario) outcome {
 		}
 	}
 
-	// Without an EMR, run owns the period: every emr.Period it closes the
-	// EPR window and hands the snapshot to the comparison manager and the
-	// probe, the same snapshot to both.
-	var step func(*epl.Snapshot)
+	// One loop steps every arm's period — the EMR's Tick, or closing the EPR
+	// window for the comparison manager — then probes the step's snapshot.
+	closeWindow := func() *epl.Snapshot {
+		snap := w.Prof.Snapshot(nil)
+		w.Prof.Reset()
+		return snap
+	}
+	var step func() *epl.Snapshot
+	period := sc.emr.Period
 	switch {
 	case sc.policy != "":
 		m := w.Manage(epl.MustParse(sc.policy), sc.emr)
-		m.OnTick = func(tick int, snap *epl.Snapshot) {
-			sample()
-			if sc.probe != nil {
-				sc.probe(w, tick, snap)
-			}
-		}
 		if f := sc.faults; f != nil {
 			inj := w.Chaos(seed, f.floor, f.protected...)
 			inj.SetAllFaults(f.msg)
@@ -115,28 +116,29 @@ func run(cfg Config, seed int64, sc scenario) outcome {
 				}
 			}
 		}
-		m.Start()
+		step, period = m.Tick, m.Cfg.Period
 	case sc.baseline != nil:
-		step = sc.baseline(w)
+		plan := sc.baseline(w)
+		step = func() *epl.Snapshot {
+			snap := closeWindow()
+			plan(snap)
+			return snap
+		}
+	case sc.probe != nil:
+		step = closeWindow
 	}
-	running := step != nil || sc.policy == "" && sc.probe != nil
+	running, n := step != nil, 0
 	if running {
-		n := 0
-		w.K.Every(sc.emr.Period, func() bool {
-			if !running {
-				return false
+		w.K.Every(period, func() bool {
+			if running {
+				n++
+				snap := step()
+				sample()
+				if sc.probe != nil {
+					sc.probe(w, n, snap)
+				}
 			}
-			n++
-			snap := w.Prof.Snapshot(nil)
-			w.Prof.Reset()
-			sample()
-			if step != nil {
-				step(snap)
-			}
-			if sc.probe != nil {
-				sc.probe(w, n, snap)
-			}
-			return true
+			return running
 		})
 	}
 	if sc.load != nil {
@@ -151,9 +153,12 @@ func run(cfg Config, seed int64, sc scenario) outcome {
 		w.K.Run(end)
 	}
 
-	// The step stops at the same instant Drain stops an EMR.
+	// The loop stops; settle lets the last period's migrations commit before
+	// the sweep, and a zero settle leaves the world exactly as it stands.
 	running = false
-	w.Drain(sc.settle)
+	if sc.settle > 0 {
+		w.Run(sc.settle)
+	}
 	sample()
 	if sc.settle > 0 {
 		out.violations = w.Invariants()
