@@ -88,17 +88,25 @@ func TestOrderAcrossPowerOfTwoBoundaries(t *testing.T) {
 	}
 }
 
-// TestEveryInEveryBucket parks an Every loop's first tick in each bucket of
-// the queue in turn, among plain events of its own instant and either side
-// of it, lets it re-arm from there for a few periods, and compares the fire
-// order with the sorted reference. The placement is asserted, not assumed.
+// TestEveryInEveryBucket parks an Every loop's first tick at each bit
+// length of delay in turn — in the bottom slot of its microsecond for the
+// first twelve, in bucket b above them — among plain events of its own
+// instant and either side of it, lets it re-arm from there for a few
+// periods, and compares the fire order with the sorted reference. The
+// placement is asserted, not assumed.
 func TestEveryInEveryBucket(t *testing.T) {
 	for b := 1; b <= 62; b++ {
-		at := Duration(1) << uint(b-1) // from a fresh queue, bucket b
+		at := Duration(1) << uint(b-1) // from a fresh queue, bits.Len64(at) == b
 		k := New(1)
 		k.Every(at, func() bool { return false })
-		if got := k.q.nonEmpty; got != 1<<uint(b) {
-			t.Fatalf("tick at %d parked in buckets %b, want bucket %d", at, got, b)
+		if b <= slotBits {
+			s := int(at)
+			if k.q.nonEmpty != 0 || k.q.summary != 1<<uint(s>>6) || k.q.occ[s>>6] != 1<<uint(s&63) {
+				t.Fatalf("tick at %d parked in buckets %b, summary %b, occupancy word %b; want slot %d alone",
+					at, k.q.nonEmpty, k.q.summary, k.q.occ[s>>6], s)
+			}
+		} else if k.q.nonEmpty != 1<<uint(b) || k.q.summary != 0 {
+			t.Fatalf("tick at %d parked in buckets %b, summary %b; want bucket %d alone", at, k.q.nonEmpty, k.q.summary, b)
 		}
 		for ticks := 0; ticks < 4; ticks++ {
 			p := program{budget: 64, top: []op{

@@ -3,44 +3,53 @@ package sim
 import "math/bits"
 
 // This file implements the kernel's event queue: a monotone radix queue on
-// the fire time at, with a FIFO for the current instant.
+// the fire time at, whose bottom level is a wheel of one FIFO per
+// microsecond.
 //
 // The kernel never schedules into the past (every at is clamped to now) and
 // the order key (at, seq) — fire time, then scheduling order — has no ties,
 // so the pop sequence is fixed by the key alone and the queue is free to
 // exploit monotonicity.
-// last is the instant of the latest refill; every queued event has
-// at >= last and sits in bucket bits.Len64(at ^ last): bucket 0 holds the
-// events of instant last itself, bucket b >= 1 those whose highest bit
-// differing from last is bit b-1. A higher bucket holds strictly later
-// events than a lower one, so the next event is always in the lowest
-// non-empty bucket. When bucket 0 runs dry, refill empties that bucket: its
-// minimum is the event to fire, that event's instant becomes last, and the
-// rest are re-filed against it. Each lands strictly lower, and events in
-// higher buckets keep their index because last changed only below their
-// differing bit. An event is therefore moved at most once per
-// bit of its delay, in sequential sweeps, instead of being compared down a
-// heap whose every level is a cache miss at fleet scale. 64 buckets is the
-// width of Time, not a setting.
 //
-// The key's seq is not stored anywhere: it is an event's position. Bucket 0
-// is a FIFO already in seq order. A push at instant last appends, and its seq
-// is larger than any queued one. The rest of an instant's events come from one
-// refill, in the order its bucket stored them, and that too is seq order: the
-// bucket index is a function of at and last, so the events of one instant
-// always share a bucket, and they enter it only by appends in scheduling order
-// or all together, in their stored order, from the bucket above. So within a
-// bucket, the first-stored event of the earliest instant is the minimum, and a
-// refill finds it with a strict < on at alone. An event alone at its instant —
-// most events of a shallow queue — goes from its bucket straight to the kernel
-// and never enters the FIFO.
+// last is the instant of the latest pop; no queued event is earlier. An
+// event in last's aligned 4,096 µs block (bits.Len64(at ^ last) <= 12) sits
+// in the bottom level, in the slot of its own microsecond; a two-level
+// occupancy bitmap, 64 words under one summary word, finds the lowest
+// occupied slot, so 12 bits is the width one summary word covers, not a
+// setting. Every later event sits in bucket b = bits.Len64(at ^ last), 13 to
+// 63. A higher bucket holds strictly later events than a lower one, and
+// every bucket later ones than the bottom. A pop takes the lowest occupied
+// slot and moves last there, which moves no bucket's event: the index reads
+// only last's bits 12 and up. When the bottom runs dry, refill empties the
+// lowest bucket: its minimum is the event to fire, its instant becomes last,
+// and the rest are re-filed against it, into their slots or into a bucket
+// below the one they left; higher buckets keep their index because last
+// changed only below their differing bit. An event is therefore moved at
+// most once per bit of its delay above the bottom twelve, in sequential
+// sweeps, instead of being compared down a heap whose every level is a cache
+// miss at fleet scale. 64 buckets is the width of Time, not a setting.
 //
-// Buckets store their events inline (scheduling allocates nothing in steady
+// The key's seq is not stored anywhere: it is an event's position. An
+// instant's events always share a slot, and it holds no other instant's. A
+// push into the bottom appends to its slot, and its seq is larger than any
+// queued one. The rest of an instant's events come from one refill of an
+// empty bottom, in the order their bucket stored them, and that too is seq
+// order: the bucket index is a function of at and last, so the events of one
+// instant always share a bucket, and they enter it only by appends in
+// scheduling order or all together, in their stored order, from the bucket
+// above. So a slot is a FIFO already in seq order, and within a bucket the
+// first-stored event of the earliest instant is the minimum, which a refill
+// finds with a strict < on at alone. The minimum goes from the bucket
+// straight to the kernel and never enters a slot.
+//
+// Bucket events are stored inline (scheduling allocates nothing in steady
 // state) in fixed-size chunks drawn from one pool shared by all buckets.
 // Queue memory is what the queued events need, whichever bucket they are
 // in: the periodic ticks of a large fleet pass through a fresh high bucket
 // every time the clock crosses a power of two, and a slice per bucket grown
-// by append would give each of those its own fleet-sized array.
+// by append would give each of those its own fleet-sized array. Slot
+// entries are nodes of one arena with a free list, so it holds the bottom's
+// peak occupancy; the 32 KB slot table is allocated on first use.
 //
 // Nothing is ever removed from the queue but its minimum: an event, once
 // scheduled, fires.
@@ -54,7 +63,7 @@ type event struct {
 }
 
 // A chunk is the unit bucket storage is handed out in: 32 events, 512 B —
-// small enough that the thirty-odd buckets a short-lived kernel touches cost
+// small enough that the twenty-odd buckets a short-lived kernel touches cost
 // it less than the heap's doubling did, large enough that a refill streams.
 const (
 	chunkShift = 5
@@ -74,14 +83,34 @@ type bucket struct {
 // used is the filled part of c, the ci-th chunk of a bucket holding n events.
 func used(c *chunk, ci, n int) []event { return c[:min(chunkLen, n-ci<<chunkShift)] }
 
+// The bottom level: one slot per microsecond of last's 4,096 µs block.
+const (
+	slotBits = 12
+	nSlots   = 1 << slotBits
+	slotMask = nSlots - 1
+)
+
+// node is a slot entry: the callback and the arena index of the next node of
+// its slot or of the free list. A slot is its first and last node's indices;
+// index 0 is no node, so a zero slot is empty.
+type node struct {
+	fn   func()
+	next int32
+}
+
+type slot struct{ head, tail int32 }
+
 type eventQueue struct {
-	last     Time       // instant of the latest refill; no queued event is earlier
-	n        int        // queued events, all buckets
-	cur      []event    // bucket 0: cur[head:] are the events of instant last, in scheduling order
-	head     int        // cur[:head] have fired
-	buckets  [64]bucket // buckets[b], b >= 1: events with bits.Len64(at^last) == b
-	nonEmpty uint64     // bit b set while buckets[b] holds events
-	spare    []*chunk   // drained chunks awaiting reuse
+	last     Time // instant of the latest pop; no queued event is earlier
+	n        int  // queued events, bottom and buckets
+	slots    *[nSlots]slot
+	occ      [nSlots / 64]uint64 // bit s%64 of occ[s/64] set while slot s holds events
+	summary  uint64              // bit w set while occ[w] != 0
+	nodes    []node              // the slots' arena; nodes[0] is unused
+	free     int32               // head of the arena's free list, 0 if none
+	buckets  [64]bucket          // buckets[b], b > slotBits: events with bits.Len64(at^last) == b
+	nonEmpty uint64              // bit b set while buckets[b] holds events
+	spare    []*chunk            // drained chunks awaiting reuse
 }
 
 func (q *eventQueue) len() int { return q.n }
@@ -97,20 +126,15 @@ func (q *eventQueue) push(e *event) {
 	q.place(e)
 }
 
-// place files e in the bucket its distance from last selects.
+// place files e in its slot if it shares last's block, else in the bucket
+// its distance from last selects.
 func (q *eventQueue) place(e *event) {
-	b := bits.Len64(uint64(e.at ^ q.last))
-	if b == 0 {
-		// A full FIFO at least half fired slides to the front rather than
-		// grow, so a long zero-delay chain holds its live events only.
-		if n := len(q.cur); n == cap(q.cur) && q.head > 0 && q.head >= n/2 {
-			live := copy(q.cur, q.cur[q.head:])
-			clear(q.cur[live:])
-			q.cur, q.head = q.cur[:live], 0
-		}
-		q.cur = append(q.cur, *e)
+	x := uint64(e.at ^ q.last)
+	if x < nSlots {
+		q.appendSlot(int(e.at&slotMask), e.fn)
 		return
 	}
+	b := bits.Len64(x)
 	bk := &q.buckets[b]
 	i := bk.n
 	if i>>chunkShift == len(bk.chunks) {
@@ -119,6 +143,31 @@ func (q *eventQueue) place(e *event) {
 	bk.chunks[i>>chunkShift][i&chunkMask] = *e
 	bk.n++
 	q.nonEmpty |= 1 << uint(b)
+}
+
+// appendSlot queues fn at the tail of slot s.
+func (q *eventQueue) appendSlot(s int, fn func()) {
+	if q.slots == nil {
+		q.slots = new([nSlots]slot)
+		q.nodes = make([]node, 1, 64)
+	}
+	i := q.free
+	if i != 0 {
+		q.free = q.nodes[i].next
+		q.nodes[i] = node{fn: fn}
+	} else {
+		i = int32(len(q.nodes))
+		q.nodes = append(q.nodes, node{fn: fn})
+	}
+	sl := &q.slots[s]
+	if sl.head == 0 {
+		sl.head = i
+		q.occ[s>>6] |= 1 << uint(s&63)
+		q.summary |= 1 << uint(s>>6)
+	} else {
+		q.nodes[sl.tail].next = i
+	}
+	sl.tail = i
 }
 
 func (q *eventQueue) newChunk() *chunk {
@@ -133,14 +182,27 @@ func (q *eventQueue) newChunk() *chunk {
 // popUntil removes the minimum event into e if it fires at or before
 // limit, and reports whether it did. It never advances last beyond limit:
 // between two Runs the kernel's clock rests at the first one's deadline, and
-// a refill that had peeked past it would leave last ahead of instants a
+// a pop that had peeked past it would leave last ahead of instants a
 // caller may still schedule at.
 func (q *eventQueue) popUntil(limit Time, e *event) bool {
-	if len(q.cur) > 0 {
-		if q.last > limit {
+	if q.summary != 0 {
+		w := bits.TrailingZeros64(q.summary)
+		s := w<<6 | bits.TrailingZeros64(q.occ[w])
+		at := q.last&^slotMask | Time(s)
+		if at > limit {
 			return false
 		}
-		q.popCur(e)
+		sl := &q.slots[s]
+		i := sl.head
+		nd := &q.nodes[i]
+		q.last, e.at, e.fn, sl.head = at, at, nd.fn, nd.next
+		*nd = node{next: q.free} // drop the callback's reference for the GC
+		q.free = i
+		if sl.head == 0 {
+			if q.occ[w] &^= 1 << uint(s&63); q.occ[w] == 0 {
+				q.summary &^= 1 << uint(w)
+			}
+		}
 	} else if q.n == 0 || !q.refill(limit, e) {
 		return false
 	}
@@ -150,9 +212,9 @@ func (q *eventQueue) popUntil(limit Time, e *event) bool {
 
 // refill empties the lowest non-empty bucket, if its minimum — the
 // first-stored event of its earliest instant — fires at or before limit: the
-// minimum goes to e, its instant becomes last, and the
-// rest are re-filed against it — the other events of that instant into
-// bucket 0, every later one into a bucket below the one it left.
+// minimum goes to e, its instant becomes last, and the rest are re-filed
+// against it — the events of its block into their slots, every later one
+// into a bucket below the one it left. It runs only on an empty bottom.
 func (q *eventQueue) refill(limit Time, e *event) bool {
 	b := bits.TrailingZeros64(q.nonEmpty)
 	bk := &q.buckets[b]
@@ -188,15 +250,4 @@ func (q *eventQueue) refill(limit Time, e *event) bool {
 		}
 	}
 	return true
-}
-
-// popCur removes the head of cur, the current instant's next event, into
-// e. A drained FIFO restarts at the front of its array.
-func (q *eventQueue) popCur(e *event) {
-	*e = q.cur[q.head]
-	q.cur[q.head].fn = nil // drop the reference for the GC
-	q.head++
-	if q.head == len(q.cur) {
-		q.cur, q.head = q.cur[:0], 0
-	}
 }

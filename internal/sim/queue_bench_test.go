@@ -16,6 +16,7 @@ func BenchmarkKernelQueue(b *testing.B) {
 	b.Run("shallow", func(b *testing.B) { stepN(b, shallowWorld()) })
 	b.Run("deep", func(b *testing.B) { stepN(b, deepWorld(deepWorkers)) })
 	b.Run("tick", func(b *testing.B) { stepN(b, tickWorld()) })
+	b.Run("stream", func(b *testing.B) { stepN(b, streamWorld()) })
 }
 
 func stepN(b *testing.B, k *Kernel) {
@@ -102,9 +103,32 @@ func tickWorld() *Kernel {
 	return k
 }
 
+// streamWorld is stream_shift_chaos's queue: 24 open-loop clients, each on
+// a 10 ms arrival whose next arrival does not wait for the request, and
+// each request a 504 µs hop and then 2,022 µs of service — the three delays
+// almost every event of that workload is scheduled with. Its instants are
+// many and sparse, a few dozen events queued at any time.
+func streamWorld() *Kernel {
+	k := New(1)
+	const clients = 24
+	const arrival, hop, service = 10 * Millisecond, 504 * Microsecond, 2022 * Microsecond
+	rng := lcg(1)
+	done := func() {}
+	served := func() { k.After(service, done) }
+	for c := 0; c < clients; c++ {
+		var arrive func()
+		arrive = func() {
+			k.After(hop, served)
+			k.After(arrival, arrive)
+		}
+		k.After(Duration(rng.next(uint64(arrival))), arrive)
+	}
+	return k
+}
+
 // crowdWorld is an instant-heavy queue: n loops on one 1 ms period, so every
 // instant holds n events and each reaches the kernel through one refill
-// batch and the current-instant FIFO.
+// batch and its instant's slot.
 func crowdWorld(n int) *Kernel {
 	k := New(1)
 	for i := 0; i < n; i++ {
@@ -116,13 +140,13 @@ func crowdWorld(n int) *Kernel {
 }
 
 // TestQueueSteadyStateAllocs pins zero allocations per event once a regime's
-// buckets have their chunks and the FIFO its array: events are stored inline,
-// chunks recycle and the FIFO restarts at its front every instant.
+// buckets have their chunks and the slot arena its nodes: events are stored
+// inline, chunks recycle and popped nodes return to the arena's free list.
 func TestQueueSteadyStateAllocs(t *testing.T) {
 	worlds := []struct {
 		name string
 		k    *Kernel
-	}{{"shallow", shallowWorld()}, {"deep", deepWorld(4096)}, {"tick", tickWorld()}, {"crowd", crowdWorld(2048)}}
+	}{{"shallow", shallowWorld()}, {"deep", deepWorld(4096)}, {"tick", tickWorld()}, {"stream", streamWorld()}, {"crowd", crowdWorld(2048)}}
 	for _, w := range worlds {
 		for i := 0; i < 200000; i++ {
 			w.k.Step()

@@ -268,9 +268,10 @@ func BenchmarkEveryTick(b *testing.B) {
 // TestRefillBatchInSeqOrder schedules 400 events at one far instant from 400
 // earlier instants spread over every power of two below it, each among
 // neighbours either side of the far instant, so the group is re-filed down
-// through bucket after bucket and reaches the current instant as one refill
-// batch of 399 events. The FIFO keeps no order of its own: the batch must
-// pop in scheduling order as the refill filed it.
+// through bucket after bucket and reaches the bottom in one refill, all 400
+// in the far instant's slot: 399 wait there when the first fires. The slot
+// keeps no order of its own: the batch must pop in scheduling order as the
+// refill filed it.
 func TestRefillBatchInSeqOrder(t *testing.T) {
 	const far, group = Time(1)<<22 + 7, 400
 	k := New(1)
@@ -282,7 +283,7 @@ func TestRefillBatchInSeqOrder(t *testing.T) {
 			scheduled++
 			k.At(far, func() {
 				if len(fired) == 0 {
-					batch = len(k.q.cur) - k.q.head
+					batch = slotLen(&k.q, int(far&slotMask))
 				}
 				fired = append(fired, id)
 			})
@@ -292,7 +293,7 @@ func TestRefillBatchInSeqOrder(t *testing.T) {
 	}
 	k.RunUntilIdle()
 	if batch != group-1 {
-		t.Fatalf("refill at the far instant filed %d events into the FIFO, want %d", batch, group-1)
+		t.Fatalf("refill at the far instant filed %d events into its slot, want %d", batch, group-1)
 	}
 	for i, id := range fired {
 		if id != i {
@@ -304,10 +305,19 @@ func TestRefillBatchInSeqOrder(t *testing.T) {
 	}
 }
 
+// slotLen counts the nodes linked into slot s.
+func slotLen(q *eventQueue, s int) int {
+	n := 0
+	for i := q.slots[s].head; i != 0; i = q.nodes[i].next {
+		n++
+	}
+	return n
+}
+
 // TestFIFOBoundedOnZeroDelayChain runs sixteen zero-delay chains, a million
-// events in all, at one instant. The FIFO holds sixteen live events at a
-// time; sliding to the front when full and half fired keeps its array at
-// most 64 events instead of one slot per event ever fired.
+// events in all, at one instant. The instant's slot holds sixteen live
+// events at a time; popped nodes return to the arena's free list, so the
+// arena stays at most 64 nodes instead of one node per event ever fired.
 func TestFIFOBoundedOnZeroDelayChain(t *testing.T) {
 	const chains, events = 16, 1_000_000
 	k := New(1)
@@ -318,7 +328,7 @@ func TestFIFOBoundedOnZeroDelayChain(t *testing.T) {
 			if fired++; fired+chains <= events {
 				k.After(0, link)
 			}
-			peak = max(peak, cap(k.q.cur))
+			peak = max(peak, len(k.q.nodes))
 		}
 		k.After(0, link)
 	}
@@ -327,6 +337,6 @@ func TestFIFOBoundedOnZeroDelayChain(t *testing.T) {
 		t.Fatalf("fired %d events, clock at %d; want %d at instant 0", fired, k.Now(), events)
 	}
 	if peak > 64 {
-		t.Fatalf("current-instant FIFO grew to %d events for %d live; want at most 64", peak, chains)
+		t.Fatalf("slot arena grew to %d nodes for %d live events; want at most 64", peak, chains)
 	}
 }

@@ -19,13 +19,14 @@
 // The kernel never schedules into the past — every fire time is clamped to
 // the clock, a delay past the end of Time saturates at its last instant, and
 // the clock never moves backwards — and the key has no ties, so the event
-// queue is a monotone radix queue on the fire time with a FIFO for the
-// current instant (see queue.go). The queue keeps each instant's events in
-// scheduling order, so seq is an event's position, not a stored field: an
-// event is two words, its fire time and its callback, stored inline —
-// scheduling one is a copy into a pooled chunk, not a boxed allocation — and
-// periodic work re-schedules one callback with After, so tick loops run
-// allocation-free. There is one kind of event and nothing cancels it.
+// queue is a monotone radix queue on the fire time whose bottom level holds
+// one FIFO per microsecond of the clock's 4,096 µs block (see queue.go). The
+// queue keeps each instant's events in scheduling order, so seq is an
+// event's position, not a stored field: an event is two words, its fire time
+// and its callback, stored inline — scheduling one is a copy into a pooled
+// chunk or arena node, not a boxed allocation — and periodic work
+// re-schedules one callback with After, so tick loops run allocation-free.
+// There is one kind of event and nothing cancels it.
 package sim
 
 import (
