@@ -70,19 +70,24 @@ bench-quick:
 bench-baseline:
 	$(GO) run ./cmd/plasma-bench -json -o $(BENCH_BASELINE)
 
+# Each <family>-quick target below also runs its ids' share of
+# TestAllQuickIDsDeterministic, which checks every row's claim at seeds 1 and
+# 2. go test splits -run at each slash, so the part after it filters the
+# subtests of every test the part before it selects.
+
 # scale-quick runs the beyond-the-paper scalability family end to end
 # (parallel multi-seed runner included) at quick sizes, with the slow 100k
 # smoke test skipped via -short.
 scale-quick:
-	$(GO) run ./cmd/plasma-sim scale scale_snap
-	$(GO) test -short -run 'TestScale' ./internal/experiments/
+	$(GO) run ./cmd/plasma-sim scale
+	$(GO) test -short -run 'TestScale|TestAllQuickIDsDeterministic/^scale$$' ./internal/experiments/
 
 # burst-quick runs the burst/failure robustness family at quick sizes: the
 # flash-crowd sweep across the provisioning spectrum, the chaos-composed
 # flash-during-GEM-crash run, and the burst shape/determinism tests.
 burst-quick:
 	$(GO) run ./cmd/plasma-sim burst_flash burst_chaos
-	$(GO) test -run 'TestBurst' ./internal/experiments/
+	$(GO) test -run 'TestBurst|TestAllQuickIDsDeterministic/^burst_' ./internal/experiments/
 
 # stream-quick runs the windowed streaming family at quick sizes: the
 # skew-shift recovery race against the Elasticutor-style repartitioner, the
@@ -90,7 +95,7 @@ burst-quick:
 # (including the pinned seed-1 recovery numbers).
 stream-quick:
 	$(GO) run ./cmd/plasma-sim stream_skew stream_chaos
-	$(GO) test -run 'TestStream' ./internal/experiments/
+	$(GO) test -run 'TestStream|TestAllQuickIDsDeterministic/^stream_' ./internal/experiments/
 
 # plan-quick runs the planner family at quick sizes: both plan_* regression
 # ids (DESIGN.md §11), the planner unit/regression suite (band math, packing,
@@ -99,7 +104,8 @@ stream-quick:
 # quick scale.
 plan-quick:
 	$(GO) run ./cmd/plasma-sim plan_pagerank plan_halo
-	$(GO) test -run 'TestPlan|TestBatch|TestGroupAnchor|TestDecisionBench' ./internal/emr/ ./internal/experiments/
+	$(GO) test -run 'TestPlan|TestBatch|TestGroupAnchor|TestDecisionBench' ./internal/emr/
+	$(GO) test -run 'TestPlan|TestAllQuickIDsDeterministic/^plan_' ./internal/experiments/
 	$(GO) test -bench 'PlannerDecision/64k' -benchtime 1x -run '^$$' ./internal/emr/
 
 # lint-model runs the offline policy model checker: the model package's
@@ -189,7 +195,7 @@ quickstart-smoke:
 
 # sweep-snapshot writes everything a byte-identity refactor is held to into
 # OUT: the quick plasma-bench report at seeds 1 and 2 and one decision trace
-# per registered id. Run it on the parent commit and on the change, then
+# per experiment id. Run it on the parent commit and on the change, then
 # `diff -r` the two directories.
 sweep-snapshot:
 	@test -n "$(OUT)" || { echo "usage: make sweep-snapshot OUT=<dir>"; exit 2; }

@@ -209,7 +209,7 @@ func flagPassed(name string) bool {
 	return found
 }
 
-// measureSweep benchmarks every registered experiment. Wall time is the
+// measureSweep benchmarks every experiment id. Wall time is the
 // minimum across iterations (the least-noisy estimator for a deterministic
 // workload); allocation counts come from the final iteration.
 func measureSweep(cfg experiments.Config, iters int) BenchFile {

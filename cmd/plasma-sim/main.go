@@ -5,7 +5,10 @@
 //
 //	plasma-sim [-full] [-seed N] [-trace out.jsonl [-trace-cap N]] [experiment ...]
 //
-// With no arguments, all experiments run in registry order. With -trace,
+// With no arguments, all experiments run in table order. After each
+// experiment's report comes its claim, the paper's shape as a predicate over
+// the result: "claim: holds" or "claim: FAILS: <why>" (the exit status does
+// not depend on it). With -trace,
 // every elasticity decision (rule evaluations, migrations, provisioning,
 // chaos injections) is recorded and written to the given JSONL file; inspect
 // it with cmd/plasma-trace (summarize/filter/diff) or convert it with
@@ -55,7 +58,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
-		fmt.Fprintln(stdout, res.Render())
+		claim := "holds"
+		if res.Claim != nil {
+			claim = "FAILS: " + res.Claim.Error()
+		}
+		fmt.Fprintf(stdout, "%sclaim: %s\n\n", res.Render(), claim)
 	}
 	if ring != nil {
 		if err := writeTrace(*traceOut, ring); err != nil {

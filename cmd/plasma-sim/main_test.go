@@ -28,8 +28,8 @@ func TestRunExitCodes(t *testing.T) {
 			if got := run(tc.args, &stdout, &stderr); got != tc.exit {
 				t.Fatalf("exit = %d, want %d (stderr %q)", got, tc.exit, stderr.String())
 			}
-			if !strings.Contains(stdout.String(), "== fig5:") {
-				t.Fatalf("stdout lacks the fig5 table: %q", stdout.String())
+			if !strings.Contains(stdout.String(), "== fig5:") || !strings.Contains(stdout.String(), "\nclaim: holds\n") {
+				t.Fatalf("stdout lacks the fig5 table or its claim: %q", stdout.String())
 			}
 			if got := stderr.String(); (got == "") != (tc.wantStderr == "") || !strings.Contains(got, tc.wantStderr) {
 				t.Fatalf("stderr = %q, want %q in it (and nothing when empty)", got, tc.wantStderr)

@@ -46,6 +46,16 @@ const (
 	burstSLOms   = 50
 )
 
+// burstSize sizes the burst ids (burstQuick, burstFull): burst_flash's
+// horizon, clients and spike fold, which burst_chaos repeats with 12 clients,
+// and the diurnal and region horizons.
+type burstSize struct {
+	flash           sim.Duration
+	flashClients    int
+	spike           float64
+	diurnal, region sim.Duration
+}
+
 // burstOpts parameterizes one burst arm.
 type burstOpts struct {
 	servers   int // initial app servers (client site is one more)
@@ -190,7 +200,7 @@ func burstSeedTable(r *Result, cfg Config, seeds int, o burstOpts, cols []burstC
 	outs := runSeeds(cfg, seeds, func(_ int, seed int64) *burstOut { return burstTrial(cfg, seed, o) })
 	bad := 0
 	for i, o := range outs {
-		burstRow(r, fmt.Sprintf("%d", cfg.seed()+int64(i)), o, cols)
+		burstRow(r, fmt.Sprintf("%d", cfg.Seed+int64(i)), o, cols)
 		bad += len(o.violations)
 		for _, c := range cols {
 			if c.mean != "" {
@@ -236,28 +246,21 @@ server.cpu.perc > 70 or server.cpu.perc < 10 => balance({Frontend}, cpu);
 server.cpu.perc > 70 => provclass({%s});
 `
 
-// BurstFlash is the flash-crowd scenario swept across the provisioning
+// burstFlash is the flash-crowd scenario swept across the provisioning
 // spectrum: a 20x arrival spike hits 15 seconds into a steady workload,
 // and the only variable across rows is the provisioning class scale-out
 // may draw from. Warm pools absorb the spike in milliseconds; VMs arrive
 // after it is over, so the run rides out the crowd on shedding alone.
-func BurstFlash(cfg Config) *Result {
-	r := newResult("burst_flash", "Flash crowd vs provisioning class: SLO violation and shedding")
+func burstFlash(cfg Config, su burstSize, r *Result) {
 	cols := []burstCol{colViol, colEpisodes, colShed, colServed, colP95, colScaleOuts, colProvFails, colPeakSrv}
 	r.Header = burstHeader("Class", cols)
-
-	total := 60 * sim.Second
-	clients, spike := 12, 10.0
-	if cfg.Full {
-		total, clients, spike = 120*sim.Second, 24, 20.0
-	}
 	for _, pc := range []cluster.ProvClass{cluster.WarmPool, cluster.Container, cluster.VM} {
-		o := burstTrial(cfg, cfg.seed(), burstOpts{
+		o := burstTrial(cfg, cfg.Seed, burstOpts{
 			servers: 4, frontends: 12,
 			policy: fmt.Sprintf(burstPolicyFmt, pc),
 			emr:    emr.Config{Period: 2 * sim.Second, NumGEMs: 1, MinServers: 4, ProvSpecs: burstSpec(pc)},
-			total:  total, clients: clients, baseEvery: 100 * sim.Millisecond,
-			rate:       flashRate(sim.Time(15*sim.Second), sim.Time(35*sim.Second), spike),
+			total:  su.flash, clients: su.flashClients, baseEvery: 100 * sim.Millisecond,
+			rate:       flashRate(sim.Time(15*sim.Second), sim.Time(35*sim.Second), su.spike),
 			mailboxCap: 32,
 		})
 		burstRow(r, pc.String(), o, cols)
@@ -268,45 +271,33 @@ func BurstFlash(cfg Config) *Result {
 		r.Series["latency_"+pc.String()] = o.rec.Series()
 	}
 	r.notef("warm pool restores capacity inside the spike; VM boots land after it — the violation-seconds spread is the provisioning spectrum's effect")
-	return r
 }
 
-// BurstDiurnal is the diurnal-wave scenario: arrivals swell and recede
+// burstDiurnal is the diurnal-wave scenario: arrivals swell and recede
 // sinusoidally over each 60-second 'day', and the fleet should track the
 // wave — growing through the warm/container spectrum on the way up,
 // scaling back in on the way down. Three seeds, aggregated.
-func BurstDiurnal(cfg Config) *Result {
-	r := newResult("burst_diurnal", "Diurnal wave: fleet tracks a sinusoidal arrival rate")
-	total := 90 * sim.Second
-	if cfg.Full {
-		total = 240 * sim.Second
-	}
+func burstDiurnal(cfg Config, su burstSize, r *Result) {
 	day := 60 * sim.Second
 	burstSeedTable(r, cfg, 3, burstOpts{
 		servers: 3, frontends: 9,
 		policy: fmt.Sprintf(burstPolicyFmt, "warm, container"),
 		emr: emr.Config{Period: 3 * sim.Second, NumGEMs: 1, ScaleIn: true, MinServers: 3,
 			ProvSpecs: append(burstSpec(cluster.WarmPool), burstSpec(cluster.Container)...)},
-		total: total, clients: 10, baseEvery: 60 * sim.Millisecond,
+		total: su.diurnal, clients: 10, baseEvery: 60 * sim.Millisecond,
 		rate: func(t sim.Time) float64 {
 			return math.Max(0.25, 1+2.2*math.Sin(2*math.Pi*float64(t)/float64(day)))
 		},
 		mailboxCap: 32,
 	}, []burstCol{colViol, colShed, colScaleOuts, colScaleIns, colPeakSrv, colFinalSrv})
 	r.notef("the fleet grows on the wave's crest and is reclaimed in the trough; violation time concentrates in the first crest before capacity catches up")
-	return r
 }
 
-// BurstRegion is correlated region failover: half the fleet (region A)
+// burstRegion is correlated region failover: half the fleet (region A)
 // crashes in the same instant, dumping its actors and load onto the
 // surviving region, which saturates and must both shed and re-provision
 // through the spectrum. Region A repairs 30 seconds later.
-func BurstRegion(cfg Config) *Result {
-	r := newResult("burst_region", "Correlated region failover onto survivors")
-	total := 80 * sim.Second
-	if cfg.Full {
-		total = 160 * sim.Second
-	}
+func burstRegion(cfg Config, su burstSize, r *Result) {
 	servers := 8
 	failAt := sim.Time(30 * sim.Second)
 	var events []chaos.Event
@@ -329,34 +320,27 @@ server.cpu.perc > 80 => provclass({warm, container});
 		policy: policy,
 		emr: emr.Config{Period: 2 * sim.Second, NumGEMs: 2, MinServers: 2,
 			ProvSpecs: append(burstSpec(cluster.WarmPool), burstSpec(cluster.Container)...)},
-		total: total, clients: 16, baseEvery: 18 * sim.Millisecond,
+		total: su.region, clients: 16, baseEvery: 18 * sim.Millisecond,
 		mailboxCap: 32,
 		events:     events, floor: 2,
 	}, []burstCol{colCrashes, colViol, colShed, colScaleOuts.plain(), colProvFails, colPeakSrv})
 	r.notef("survivors absorb the dead region's actors (runtime re-homing) and its load; warm-pool scale-out plus shedding carries the gap until repair")
-	return r
 }
 
-// BurstChaos composes a flash crowd with a GEM crash covering it: GEM 0
+// burstChaos composes a flash crowd with a GEM crash covering it: GEM 0
 // dies before the spike starts and recovers after it ends, so the spike
 // must be absorbed with half the control plane gone — the surviving GEM's
 // self-corroborated scale-out still grows the fleet.
-func BurstChaos(cfg Config) *Result {
-	r := newResult("burst_chaos", "Flash crowd during a GEM crash (chaos-composed burst)")
-	// Same workload as burst_flash's warm row, so the delta between the
+func burstChaos(cfg Config, su burstSize, r *Result) {
+	// Same workload as burst_flash's quick warm row, so the delta between the
 	// two isolates the GEM crash's cost.
-	total := 60 * sim.Second
-	spike := 10.0
-	if cfg.Full {
-		total, spike = 120*sim.Second, 20.0
-	}
 	burstSeedTable(r, cfg, 2, burstOpts{
 		servers: 4, frontends: 12,
 		policy: fmt.Sprintf(burstPolicyFmt, "warm, container"),
 		emr: emr.Config{Period: 2 * sim.Second, NumGEMs: 2, MinServers: 4,
 			ProvSpecs: append(burstSpec(cluster.WarmPool), burstSpec(cluster.Container)...)},
-		total: total, clients: 12, baseEvery: 100 * sim.Millisecond,
-		rate:       flashRate(sim.Time(15*sim.Second), sim.Time(35*sim.Second), spike),
+		total: su.flash, clients: 12, baseEvery: 100 * sim.Millisecond,
+		rate:       flashRate(sim.Time(15*sim.Second), sim.Time(35*sim.Second), su.spike),
 		mailboxCap: 32,
 		events: []chaos.Event{
 			{At: sim.Time(12 * sim.Second), Op: chaos.FailGEM, Target: 0},
@@ -365,5 +349,4 @@ func BurstChaos(cfg Config) *Result {
 		floor: 2,
 	}, []burstCol{colCtlFails, colViol, colShed, colScaleOuts, colPeakSrv})
 	r.notef("with one of two GEMs down for the whole spike, the survivor's scale-out vote self-corroborates and the fleet still grows")
-	return r
 }

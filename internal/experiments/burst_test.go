@@ -12,77 +12,18 @@ import (
 	"plasma/internal/trace"
 )
 
-// The flash-crowd sweep must cover the full provisioning spectrum and show
-// its effect: a warm pool (capacity back in milliseconds) sheds no more —
-// and violates the SLO no longer — than VM provisioning (capacity back
-// after the spike is over).
-func TestBurstFlashSpectrumShape(t *testing.T) {
-	r := BurstFlash(Config{Seed: 1})
-	if len(r.Rows) != 3 {
-		t.Fatalf("burst_flash has %d rows, want one per provisioning class (3)", len(r.Rows))
-	}
-	for _, pc := range []string{"warm", "container", "vm"} {
-		if _, ok := r.Summary["slo_viol_s_"+pc]; !ok {
-			t.Fatalf("missing SLO-violation summary for class %s", pc)
-		}
-		if r.Summary["invariant_violations_"+pc] != 0 {
-			t.Errorf("class %s run ended with invariant violations", pc)
-		}
-	}
-	if r.Summary["shed_vm"] == 0 {
-		t.Error("VM-only provisioning shed nothing during the flash; spike too weak to test overload")
-	}
-	if r.Summary["scale_outs_warm"] == 0 {
-		t.Error("warm-pool run never scaled out")
-	}
-	if r.Summary["shed_warm"] > r.Summary["shed_vm"] {
-		t.Errorf("warm pool shed more than VM (%v > %v); spectrum has no effect",
-			r.Summary["shed_warm"], r.Summary["shed_vm"])
-	}
-	if r.Summary["slo_viol_s_warm"] > r.Summary["slo_viol_s_vm"] {
-		t.Errorf("warm pool violated longer than VM (%v > %v)",
-			r.Summary["slo_viol_s_warm"], r.Summary["slo_viol_s_vm"])
-	}
-}
-
-// The region-failover scenario must actually dump load: every region-A
-// machine crashes, the survivors saturate (nonzero SLO violation), and the
-// end state still satisfies the global invariants.
-func TestBurstRegionFailoverDumpsLoad(t *testing.T) {
-	r := BurstRegion(Config{Seed: 1})
-	if r.Summary["mean_crashes"] != 4 {
-		t.Fatalf("mean crashes = %v, want 4 (whole region A)", r.Summary["mean_crashes"])
-	}
-	if r.Summary["mean_slo_viol_s"] == 0 {
-		t.Error("region failover caused no SLO violation; survivors were never stressed")
-	}
-	if r.Summary["invariant_violations"] != 0 {
-		t.Error("invariant violations after failover/repair")
-	}
-}
-
-// The chaos-composed burst (flash crowd during a GEM crash) must run in
-// the quick sweep with the GEM actually down and the fleet still growing.
-func TestBurstChaosGEMCrashDuringFlash(t *testing.T) {
-	r := BurstChaos(Config{Seed: 1})
-	if r.Summary["mean_ctl_fails"] == 0 {
-		t.Fatal("GEM crash was never applied; composition is vacuous")
-	}
-	if r.Summary["mean_scale_outs"] == 0 {
-		t.Error("no scale-out during the flash: surviving GEM's vote did not carry")
-	}
-	if r.Summary["invariant_violations"] != 0 {
-		t.Error("invariant violations after the composed run")
-	}
-}
+// The burst family's shape tests are their rows' claims (experiments.go).
+func TestBurstFlashSpectrumShape(t *testing.T)       { claimHolds(t, "burst_flash") }
+func TestBurstRegionFailoverDumpsLoad(t *testing.T)  { claimHolds(t, "burst_region") }
+func TestBurstChaosGEMCrashDuringFlash(t *testing.T) { claimHolds(t, "burst_chaos") }
 
 // Fixed seed, fixed scenario: the rendered result (every row, summary, and
 // note) must be byte-identical across runs.
 func TestBurstDeterministicSameSeed(t *testing.T) {
-	a := BurstDiurnal(Config{Seed: 5}).Render()
-	b := BurstDiurnal(Config{Seed: 5}).Render()
-	if a != b {
-		t.Fatalf("same-seed burst_diurnal renders differ:\n--- a ---\n%s\n--- b ---\n%s", a, b)
+	a, _ := Run("burst_diurnal", Config{Seed: 5})
+	b, _ := Run("burst_diurnal", Config{Seed: 5})
+	if a.Render() != b.Render() {
+		t.Fatalf("same-seed burst_diurnal renders differ:\n--- a ---\n%s\n--- b ---\n%s", a.Render(), b.Render())
 	}
 }
 

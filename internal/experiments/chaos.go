@@ -15,7 +15,7 @@ import (
 	"plasma/internal/sim"
 )
 
-// Chaos is the deterministic fault-injection harness: PageRank, the Media
+// chaosRun is the deterministic fault-injection harness: PageRank, the Media
 // Service, and Halo each run under randomized-but-seeded fault schedules —
 // control-plane message drops/delays/duplicates plus machine, GEM, and LEM
 // crash/recovery pairs — and a global invariant sweep is asserted at the
@@ -23,12 +23,12 @@ import (
 // machine's memory accounting drifted; and the application is serving again
 // within two elasticity periods of the last fault. The same seed replays
 // the same faults bit for bit (see the injector trace), which is what turns
-// §4.3's graceful-degradation claims into checkable assertions.
-func Chaos(cfg Config) *Result {
-	r := newResult("chaos", "Invariants under seeded control-plane and crash fault schedules")
+// §4.3's graceful-degradation claims into checkable assertions. stretch
+// multiplies every arm's quick horizon (PageRank's iterations).
+func chaosRun(cfg Config, stretch int, r *Result) {
 	r.Header = []string{"App", "Seed", "Dropped", "Dup", "Delayed", "Crashes", "CtlFails", "Migrations", "Failed", "Denied", "Invariants"}
 
-	seeds := []int64{cfg.seed(), cfg.seed() + 1, cfg.seed() + 2}
+	seeds := []int64{cfg.Seed, cfg.Seed + 1, cfg.Seed + 2}
 	apps := []struct {
 		name string
 		arm  chaosArm
@@ -42,7 +42,7 @@ func Chaos(cfg Config) *Result {
 	var faults, crashes, migrations int
 	for _, app := range apps {
 		for _, seed := range seeds {
-			cr := chaosTrial(cfg, seed, app.arm)
+			cr := chaosTrial(cfg, stretch, seed, app.arm)
 			runs++
 			violations += len(cr.violations)
 			st, emrStats := cr.Inj.Stats, cr.M.Stats
@@ -71,31 +71,22 @@ func Chaos(cfg Config) *Result {
 	r.Summary["crashes"] = float64(crashes)
 	r.Summary["migrations"] = float64(migrations)
 	r.notef("every run asserts: no actor lost/duplicated/stuck, memory accounting exact, serving resumes within 2 periods of the last fault")
-	return r
 }
 
-// chaosArm builds one application's arm under a seeded fault schedule, and
-// the liveness check its drained outcome must pass ("" = alive).
-type chaosArm func(cfg Config, seed int64) (scenario, func(outcome) string)
+// chaosArm builds one application's arm, its horizon stretch times the quick
+// one, under a seeded fault schedule, and the liveness check its drained
+// outcome must pass ("" = alive).
+type chaosArm func(stretch int, seed int64) (scenario, func(outcome) string)
 
 // chaosTrial runs an arm and adds a failed liveness check to the sweep's
 // violations.
-func chaosTrial(cfg Config, seed int64, arm chaosArm) outcome {
-	sc, stalled := arm(cfg, seed)
+func chaosTrial(cfg Config, stretch int, seed int64, arm chaosArm) outcome {
+	sc, stalled := arm(stretch, seed)
 	out := run(cfg, seed, sc)
 	if msg := stalled(out); msg != "" {
 		out.violations = append(out.violations, msg)
 	}
 	return out
-}
-
-// finalDirectory renders the actor directory for bit-identity comparison.
-func finalDirectory(rt *actor.Runtime) string {
-	var sb strings.Builder
-	for _, ref := range rt.Actors() {
-		fmt.Fprintf(&sb, "%d@%d ", ref.ID, rt.ServerOf(ref))
-	}
-	return sb.String()
 }
 
 // chaosMsgFaults is the message-fault mix every app runs under: light loss,
@@ -119,12 +110,9 @@ func servedAfterRecovery(lastReply *sim.Time, period sim.Duration, what string) 
 // in-process messages, and machine-crash recovery is covered by the other
 // two apps). The liveness invariant is completion: elasticity-plane chaos
 // must never stall the application.
-func pagerankChaosArm(cfg Config, seed int64) (scenario, func(outcome) string) {
-	su := prSetup{vertices: 3000, avgDeg: 8, workers: 8, iterations: 40,
+func pagerankChaosArm(stretch int, seed int64) (scenario, func(outcome) string) {
+	su := prSetup{vertices: 3000, avgDeg: 8, workers: 8, iterations: 40 * stretch,
 		perEdge: 55 * sim.Microsecond, syncOver: 8 * sim.Millisecond, period: 500 * sim.Millisecond}
-	if cfg.Full {
-		su.iterations = 80
-	}
 	placement := make([]cluster.MachineID, su.workers)
 	for i := range placement {
 		placement[i] = cluster.MachineID(i % 4)
@@ -151,11 +139,8 @@ func pagerankChaosArm(cfg Config, seed int64) (scenario, func(outcome) string) {
 // faults plus machine, GEM, and LEM crash/recovery pairs. Clients drive
 // open-loop request streams from a protected client-site machine, and the
 // liveness invariant is that requests complete after the last fault.
-func mediaChaosArm(cfg Config, _ int64) (scenario, func(outcome) string) {
-	total := 90 * sim.Second
-	if cfg.Full {
-		total = 180 * sim.Second
-	}
+func mediaChaosArm(stretch int, _ int64) (scenario, func(outcome) string) {
+	total := sim.Duration(stretch) * 90 * sim.Second
 	period := 5 * sim.Second
 	clientSite := cluster.MachineID(4)
 
@@ -200,11 +185,8 @@ func mediaChaosArm(cfg Config, _ int64) (scenario, func(outcome) string) {
 
 // haloChaosArm runs the Halo presence service (routers, sessions, players)
 // under the full fault mix, with heartbeats as the liveness probe.
-func haloChaosArm(cfg Config, _ int64) (scenario, func(outcome) string) {
-	total := 120 * sim.Second
-	if cfg.Full {
-		total = 240 * sim.Second
-	}
+func haloChaosArm(stretch int, _ int64) (scenario, func(outcome) string) {
+	total := sim.Duration(stretch) * 120 * sim.Second
 	period := 10 * sim.Second
 	h := &haloFleet{servers: 8, routerSrvs: 2, routers: 4, sessions: 8}
 

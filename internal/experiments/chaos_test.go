@@ -1,33 +1,22 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+
+	"plasma/internal/actor"
 )
 
 // Acceptance: all three applications survive three seeded fault schedules
 // each with zero invariant violations, and the schedules actually injected
-// faults (the sweep is not vacuous).
+// faults (the sweep is not vacuous): the chaos row's claim.
 func TestChaosInvariantsHoldAcrossAppsAndSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos harness runs nine full simulations")
 	}
-	r := Chaos(Config{})
-	if got := r.Summary["runs"]; got != 9 {
-		t.Fatalf("runs = %v, want 9 (3 apps x 3 seeds)", got)
-	}
-	if got := r.Summary["invariant_violations"]; got != 0 {
-		t.Fatalf("invariant violations = %v, want 0:\n%s", got, r.Render())
-	}
-	if r.Summary["msg_faults"] == 0 {
-		t.Fatal("no message faults injected; harness is vacuous")
-	}
-	if r.Summary["crashes"] == 0 {
-		t.Fatal("no machine crashes applied; harness is vacuous")
-	}
-	if r.Summary["migrations"] == 0 {
-		t.Fatal("no elasticity actions executed under chaos")
-	}
+	claimHolds(t, "chaos")
 }
 
 // Satellite: the chaos layer is deterministic end to end — the same seed
@@ -37,8 +26,8 @@ func TestChaosDeterministicReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs three full simulations")
 	}
-	a := chaosTrial(Config{}, 21, mediaChaosArm)
-	b := chaosTrial(Config{}, 21, mediaChaosArm)
+	a := chaosTrial(Config{}, 1, 21, mediaChaosArm)
+	b := chaosTrial(Config{}, 1, 21, mediaChaosArm)
 	if !reflect.DeepEqual(a.Inj.Trace(), b.Inj.Trace()) {
 		t.Fatalf("same seed produced different fault traces:\n%v\nvs\n%v", a.Inj.Trace(), b.Inj.Trace())
 	}
@@ -52,8 +41,17 @@ func TestChaosDeterministicReplay(t *testing.T) {
 		t.Fatalf("same seed produced different injector stats:\n%+v\nvs\n%+v", a.Inj.Stats, b.Inj.Stats)
 	}
 
-	c := chaosTrial(Config{}, 22, mediaChaosArm)
+	c := chaosTrial(Config{}, 1, 22, mediaChaosArm)
 	if reflect.DeepEqual(a.Inj.Trace(), c.Inj.Trace()) {
 		t.Fatal("different seeds produced identical fault traces")
 	}
+}
+
+// finalDirectory renders the actor directory for bit-identity comparison.
+func finalDirectory(rt *actor.Runtime) string {
+	var sb strings.Builder
+	for _, ref := range rt.Actors() {
+		fmt.Fprintf(&sb, "%d@%d ", ref.ID, rt.ServerOf(ref))
+	}
+	return sb.String()
 }

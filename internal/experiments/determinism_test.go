@@ -10,8 +10,9 @@ import (
 
 // runCaptured executes one experiment id at a seed with a capturing tracer
 // and returns everything a byte-level comparison needs: the rendered
-// report, the decision-trace JSONL bytes, and the kernel event count.
-func runCaptured(t *testing.T, id string, seed int64) (render string, traceJSONL []byte, events uint64) {
+// report, the decision-trace JSONL bytes, and the kernel event count; and
+// the run's claim.
+func runCaptured(t *testing.T, id string, seed int64) (render string, traceJSONL []byte, events uint64, claim error) {
 	t.Helper()
 	ring := trace.NewRing(1 << 20)
 	tr := trace.New(ring)
@@ -26,21 +27,26 @@ func runCaptured(t *testing.T, id string, seed int64) (render string, traceJSONL
 	if err := trace.WriteJSONL(&buf, ring.Records()); err != nil {
 		t.Fatalf("%s: encode trace: %v", id, err)
 	}
-	return res.Render(), buf.Bytes(), res.EventsFired
+	return res.Render(), buf.Bytes(), res.EventsFired, res.Claim
 }
 
 // TestAllQuickIDsDeterministic is the all-ids determinism regression: every
-// registered experiment id, run quick twice at seed 1 and twice at seed 2,
-// must produce a byte-identical rendered report, byte-identical
-// decision-trace JSONL, and the same kernel event count within each pair.
-// Go randomises the order of every map range, so each pair is an
-// independent chance to catch map order leaking into a report or a trace.
+// experiment id, run quick twice at seed 1 and twice at seed 2, must produce
+// a byte-identical rendered report, byte-identical decision-trace JSONL, and
+// the same kernel event count within each pair. Go randomises the order of
+// every map range, so each pair is an independent chance to catch map order
+// leaking into a report or a trace. The first run at each seed must also
+// hold its row's claim. Four runs of an id share one process, so a runner
+// that wrote into its (shared) size value would show here too.
 func TestAllQuickIDsDeterministic(t *testing.T) {
 	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
 			for _, seed := range []int64{1, 2} {
-				aRender, aTrace, aEvents := runCaptured(t, id, seed)
-				bRender, bTrace, bEvents := runCaptured(t, id, seed)
+				aRender, aTrace, aEvents, claim := runCaptured(t, id, seed)
+				if claim != nil {
+					t.Errorf("seed %d: claim fails: %v", seed, claim)
+				}
+				bRender, bTrace, bEvents, _ := runCaptured(t, id, seed)
 				if aEvents != bEvents {
 					t.Errorf("seed %d: events fired: first run %d, second run %d", seed, aEvents, bEvents)
 				}

@@ -1,34 +1,52 @@
 package experiments
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
 
-// The shape assertions below encode the paper's qualitative claims: each
-// experiment must reproduce who wins and in which direction, not absolute
-// AWS numbers.
-
-func TestTable1AllAppsCompile(t *testing.T) {
-	r := Table1(Config{})
-	if r.Summary["apps"] != 9 {
-		t.Fatalf("apps = %v", r.Summary["apps"])
+// claimHolds runs one id untraced at seed 1, the way plasma-sim and
+// plasma-bench run it, and fails with its claim's error.
+func claimHolds(t *testing.T, id string) *Result {
+	t.Helper()
+	r, err := Run(id, Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, row := range r.Rows {
-		if row[3] != "yes" {
-			t.Fatalf("app %s failed to compile: %v", row[0], row)
-		}
+	if r.Claim != nil {
+		t.Fatalf("%s claim fails at seed 1: %v", id, r.Claim)
 	}
-	if r.Summary["total_rules"] != 19 {
-		t.Fatalf("total rules = %v, want 19", r.Summary["total_rules"])
-	}
+	return r
 }
+
+// The per-id shape tests: each is its row's claim (experiments.go), which
+// encodes the paper's qualitative result — who wins and in which direction,
+// not absolute AWS numbers.
+
+func TestTable1AllAppsCompile(t *testing.T)                      { claimHolds(t, "table1") }
+func TestTable3OverheadWithinPaperBound(t *testing.T)            { claimHolds(t, "table3") }
+func TestFig5ShapesMatchPaper(t *testing.T)                      { claimHolds(t, "fig5") }
+func TestFig6aPlasmaBeatsOrleans(t *testing.T)                   { claimHolds(t, "fig6a") }
+func TestFig6bFewerServersSimilarBallpark(t *testing.T)          { claimHolds(t, "fig6b") }
+func TestFig7aPlasmaGainExceedsMizan(t *testing.T)               { claimHolds(t, "fig7a") }
+func TestFig7bcImbalanceShrinks(t *testing.T)                    { claimHolds(t, "fig7bc") }
+func TestFig8ScaleOutImprovesIterations(t *testing.T)            { claimHolds(t, "fig8") }
+func TestFig9PlasmaMatchesInApp(t *testing.T)                    { claimHolds(t, "fig9") }
+func TestFig10ShorterPeriodReclaimsFaster(t *testing.T)          { claimHolds(t, "fig10") }
+func TestFig11aInterRuleSmoother(t *testing.T)                   { claimHolds(t, "fig11a") }
+func TestFig11bMisplacedPayUntilRedistribution(t *testing.T)     { claimHolds(t, "fig11b") }
+func TestFig11cSpikeThenStabilizeAndGEMsComparable(t *testing.T) { claimHolds(t, "fig11c") }
 
 // The four applications that exist only as Table 1 rows: each one's policy
 // parses and checks against its schema.
 func TestPolicyChecksAgainstSchema(t *testing.T) {
 	rows := map[string][]string{}
-	for _, row := range Table1(Config{}).Rows {
+	for _, row := range claimHolds(t, "table1").Rows {
 		rows[row[0]] = row
 	}
 	for _, tc := range []struct{ name, app string }{
@@ -49,141 +67,6 @@ func TestPolicyChecksAgainstSchema(t *testing.T) {
 	}
 }
 
-func TestTable3OverheadWithinPaperBound(t *testing.T) {
-	r := Table3(Config{})
-	if w := r.Summary["worst_overhead"]; w <= 0 || w > 0.023 {
-		t.Fatalf("worst overhead = %v, want (0, 2.3%%]", w)
-	}
-}
-
-func TestFig5ShapesMatchPaper(t *testing.T) {
-	r := Fig5(Config{})
-	resCol := r.Summary["rescol_vs_norule_reduction"]
-	defRule := r.Summary["defrule_vs_norule_reduction"]
-	if resCol < 25 {
-		t.Fatalf("res-col reduction %v%%, want >= 25%% (paper ~40%%)", resCol)
-	}
-	if defRule > resCol/2 {
-		t.Fatalf("def-rule reduction %v%% too close to res-col %v%%", defRule, resCol)
-	}
-}
-
-func TestFig6aPlasmaBeatsOrleans(t *testing.T) {
-	r := Fig6a(Config{})
-	if imp := r.Summary["plasma_improvement_pct"]; imp <= 2 {
-		t.Fatalf("plasma improvement %v%%, want > 2%% (paper ~24%%)", imp)
-	}
-}
-
-func TestFig6bFewerServersSimilarBallpark(t *testing.T) {
-	r := Fig6b(Config{})
-	if r.Summary["servers_plasma"] >= r.Summary["servers_conservative"] {
-		t.Fatalf("plasma used %v servers vs conservative %v",
-			r.Summary["servers_plasma"], r.Summary["servers_conservative"])
-	}
-	ratio := r.Summary["converged_ms_plasma"] / r.Summary["converged_ms_conservative"]
-	if ratio > 2.5 {
-		t.Fatalf("plasma %vx slower than conservative; too far from the paper's parity", ratio)
-	}
-}
-
-func TestFig7aPlasmaGainExceedsMizan(t *testing.T) {
-	r := Fig7a(Config{})
-	p, m := r.Summary["gain_pct_plasma"], r.Summary["gain_pct_mizan"]
-	if p <= m {
-		t.Fatalf("plasma gain %v%% not above mizan %v%% (paper: 24%% vs <=3%%)", p, m)
-	}
-	if p <= 0 {
-		t.Fatalf("plasma gain %v%%", p)
-	}
-}
-
-func TestFig7bcImbalanceShrinks(t *testing.T) {
-	r := Fig7bc(Config{})
-	first, last := r.Summary["cpu_imbalance_first"], r.Summary["cpu_imbalance_last"]
-	if last >= first {
-		t.Fatalf("imbalance %v -> %v; balancing had no effect", first, last)
-	}
-	if r.Summary["migrations"] == 0 {
-		t.Fatal("no migrations recorded")
-	}
-}
-
-func TestFig8ScaleOutImprovesIterations(t *testing.T) {
-	r := Fig8(Config{})
-	if r.Summary["speedup"] < 1.5 {
-		t.Fatalf("speedup = %v, want visible round-by-round improvement", r.Summary["speedup"])
-	}
-	if r.Summary["final_servers"] < 3 {
-		t.Fatalf("final servers = %v", r.Summary["final_servers"])
-	}
-	if r.Summary["scaleouts"] == 0 {
-		t.Fatal("no scale-outs")
-	}
-}
-
-func TestFig9PlasmaMatchesInApp(t *testing.T) {
-	r := Fig9(Config{})
-	none := r.Summary["tail_ms_none"]
-	plasma := r.Summary["tail_ms_plasma"]
-	inapp := r.Summary["tail_ms_in-app"]
-	if plasma >= none || inapp >= none {
-		t.Fatalf("elastic setups not below none: plasma=%v inapp=%v none=%v", plasma, inapp, none)
-	}
-	ratio := plasma / inapp
-	if ratio < 0.5 || ratio > 1.5 {
-		t.Fatalf("plasma/in-app ratio %v; paper says they track closely", ratio)
-	}
-}
-
-func TestFig10ShorterPeriodReclaimsFaster(t *testing.T) {
-	r := Fig10(Config{})
-	if r.Summary["peak_servers_20s"] <= 4 {
-		t.Fatal("fleet never grew")
-	}
-	if r.Summary["final_servers_20s"] > r.Summary["final_servers_60s"] {
-		t.Fatalf("20s period ended with %v servers vs 60s period's %v; shorter should reclaim faster",
-			r.Summary["final_servers_20s"], r.Summary["final_servers_60s"])
-	}
-	if r.Summary["mean_latency_ms_20s"] > r.Summary["mean_latency_ms_60s"]*1.15 {
-		t.Fatalf("short-period latency %v far above long-period %v",
-			r.Summary["mean_latency_ms_20s"], r.Summary["mean_latency_ms_60s"])
-	}
-}
-
-func TestFig11aInterRuleSmoother(t *testing.T) {
-	r := Fig11a(Config{})
-	if r.Summary["p95_ms_def-rule"] <= r.Summary["p95_ms_inter-rule"] {
-		t.Fatalf("def-rule p95 %v not above inter-rule %v",
-			r.Summary["p95_ms_def-rule"], r.Summary["p95_ms_inter-rule"])
-	}
-}
-
-func TestFig11bMisplacedPayUntilRedistribution(t *testing.T) {
-	r := Fig11b(Config{})
-	if r.Summary["misplaced_clients"] == 0 {
-		t.Skip("random placement happened to colocate everyone")
-	}
-	if ratio := r.Summary["misplaced_early_over_late"]; ratio < 1.1 {
-		t.Fatalf("misplaced early/late ratio %v, want > 1.1 (paper ~1.35+)", ratio)
-	}
-}
-
-func TestFig11cSpikeThenStabilizeAndGEMsComparable(t *testing.T) {
-	r := Fig11c(Config{})
-	if r.Summary["peak_ms_1gem"] < r.Summary["final_ms_1gem"]*1.5 {
-		t.Fatalf("no saturation spike: peak %v vs final %v",
-			r.Summary["peak_ms_1gem"], r.Summary["final_ms_1gem"])
-	}
-	f1, f4 := r.Summary["final_ms_1gem"], r.Summary["final_ms_4gem"]
-	if f4 > f1*1.3 || f1 > f4*1.3 {
-		t.Fatalf("GEM counts diverge: 1gem=%v 4gem=%v", f1, f4)
-	}
-	if r.Summary["router_servers_1gem"] < 4 {
-		t.Fatalf("routers still crowded: %v servers", r.Summary["router_servers_1gem"])
-	}
-}
-
 func TestRunUnknownID(t *testing.T) {
 	if _, err := Run("bogus", Config{}); err == nil {
 		t.Fatal("unknown id accepted")
@@ -191,8 +74,7 @@ func TestRunUnknownID(t *testing.T) {
 }
 
 func TestRenderIncludesHeaderAndSummary(t *testing.T) {
-	r := Table1(Config{})
-	out := r.Render()
+	out := claimHolds(t, "table1").Render()
 	for _, want := range []string{"table1", "Application", "Metadata Server", "summary"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
@@ -200,9 +82,66 @@ func TestRenderIncludesHeaderAndSummary(t *testing.T) {
 	}
 }
 
+// The table is the list of experiments: ids unique and sorted (IDs and the
+// plasma-bench report follow its order), and every row complete.
 func TestIDsComplete(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 26 {
-		t.Fatalf("registered experiments = %d, want 26 (every table and figure, chaos, and the scale, burst, stream, and batched-planner families)", len(ids))
+	if len(ids) != len(table) || !sort.StringsAreSorted(ids) {
+		t.Fatalf("ids not in sorted table order: %v", ids)
+	}
+	for i, e := range table {
+		if i > 0 && e.id == table[i-1].id {
+			t.Errorf("id %q listed twice", e.id)
+		}
+		if e.id == "" || e.title == "" || e.run == nil || e.claim == nil {
+			t.Errorf("row %d (%q) lacks an id, title, runner or claim", i, e.id)
+		}
+	}
+}
+
+// Seed 0 is a seed like any other: the run is labelled with it, not
+// silently replaced by seed 1.
+func TestSeedZeroRunsSeedZero(t *testing.T) {
+	r, err := Run("stream_chaos", Config{Seed: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Rows[0][0]; got != "0" {
+		t.Fatalf("Config{Seed: 0} ran as seed %s", got)
+	}
+}
+
+// TestOnlySizedReadsFull is the one-sizing rule, enforced: sized in
+// experiments.go is the only non-test code in the package that reads
+// Config.Full. Each runner takes its sizes as a value from its table row.
+func TestOnlySizedReadsFull(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	reads := 0
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Full" {
+				if path == "experiments.go" {
+					reads++
+				} else {
+					t.Errorf("%s:%d: reads .Full; take the sizes as a value from the table's sized",
+						path, fset.Position(sel.Pos()).Line)
+				}
+			}
+			return true
+		})
+	}
+	if reads != 1 {
+		t.Fatalf("experiments.go reads .Full %d times; sized is the one reader", reads)
 	}
 }

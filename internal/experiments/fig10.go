@@ -27,7 +27,15 @@ func mediaRequests(fe actor.Ref) func() workload.Request {
 	}
 }
 
-// Fig10 reproduces §5.6: the Media Service under a bell-shaped client
+// fig10Size sizes fig10's client population, its bell (join and leave
+// times are normal draws), and the elasticity periods it compares.
+type fig10Size struct {
+	clients                                             int
+	joinMu, joinSigma, stay, leaveMu, leaveSigma, total sim.Duration
+	periods                                             []sim.Duration
+}
+
+// fig10 reproduces §5.6: the Media Service under a bell-shaped client
 // population. Clients join over the first phase following a normal
 // distribution, stay, then leave following another normal distribution.
 // The service starts on 4 m1.small instances and may scale to 65. One run
@@ -35,31 +43,15 @@ func mediaRequests(fe actor.Ref) func() workload.Request {
 //
 // Paper: a smaller elasticity period yields lower latency and faster
 // resource allocation/reclaim.
-func Fig10(cfg Config) *Result {
-	r := newResult("fig10", "Media Service: latency and fleet size per elasticity period")
+func fig10(cfg Config, su fig10Size, r *Result) {
 	r.Header = []string{"Period", "Mean latency", "Peak servers", "Final servers"}
 
-	clients := 128
-	joinMu, joinSigma := 2*sim.Minute, 90*sim.Second
-	stay := 4 * sim.Minute
-	leaveMu, leaveSigma := 19*sim.Minute, 90*sim.Second
-	total := 26 * sim.Minute
-	periods := []sim.Duration{60 * sim.Second, 120 * sim.Second, 180 * sim.Second}
-	if !cfg.Full {
-		clients = 48
-		joinMu, joinSigma = 100*sim.Second, 40*sim.Second
-		stay = 100 * sim.Second
-		leaveMu, leaveSigma = 380*sim.Second, 40*sim.Second
-		total = 520 * sim.Second
-		periods = []sim.Duration{20 * sim.Second, 40 * sim.Second, 60 * sim.Second}
-	}
-
 	meanLat := map[sim.Duration]float64{}
-	for _, period := range periods {
+	for _, period := range su.periods {
 		var app *mediaservice.App
 		rec := workload.NewRecorder(20 * sim.Second)
 		servers := &metrics.Series{Name: "servers"}
-		out := run(cfg, cfg.seed(), scenario{
+		out := run(cfg, cfg.Seed, scenario{
 			machines: 4, inst: cluster.M1Small,
 			build: func(w *core.World) {
 				w.C.SetMaxSize(65)
@@ -73,7 +65,7 @@ func Fig10(cfg Config) *Result {
 				k := w.K
 				k.Every(10*sim.Second, func() bool {
 					servers.Add(k.Now().Seconds(), float64(w.C.UpCount()))
-					return k.Now() < sim.Time(total)
+					return k.Now() < sim.Time(su.total)
 				})
 
 				// Schedule joins and leaves.
@@ -84,11 +76,11 @@ func Fig10(cfg Config) *Result {
 					}
 					return sim.Time(x)
 				}
-				for i := 0; i < clients; i++ {
-					joinAt := norm(joinMu, joinSigma)
-					leaveAt := norm(leaveMu, leaveSigma)
-					if sim.Duration(leaveAt) < sim.Duration(joinAt)+stay {
-						leaveAt = joinAt + sim.Time(stay)
+				for i := 0; i < su.clients; i++ {
+					joinAt := norm(su.joinMu, su.joinSigma)
+					leaveAt := norm(su.leaveMu, su.leaveSigma)
+					if sim.Duration(leaveAt) < sim.Duration(joinAt)+su.stay {
+						leaveAt = joinAt + sim.Time(su.stay)
 					}
 					k.At(joinAt, func() {
 						id, fe := app.AddClient()
@@ -107,7 +99,7 @@ func Fig10(cfg Config) *Result {
 					})
 				}
 			},
-			horizon: total,
+			horizon: su.total,
 		})
 
 		key := fmt.Sprintf("%ds", int64(period/sim.Second))
@@ -124,10 +116,9 @@ func Fig10(cfg Config) *Result {
 		r.Summary["final_servers_"+key] = final
 	}
 
-	shortest, longest := periods[0], periods[len(periods)-1]
+	shortest, longest := su.periods[0], su.periods[len(su.periods)-1]
 	if !math.IsNaN(meanLat[shortest]) && meanLat[longest] > 0 {
 		r.Summary["short_vs_long_latency_ratio"] = meanLat[shortest] / meanLat[longest]
 	}
 	r.notef("paper: the 60s period yields the best latency and the fastest allocation/reclaim")
-	return r
 }

@@ -18,6 +18,16 @@ import (
 // latencies are dominated by cross-instance messaging).
 const haloBaseLatency = 5 * sim.Millisecond
 
+// haloSize sizes the Halo ids (haloQuick, haloFull). fig11a and fig11b run
+// eight servers: a join round, their elasticity period, and fig11b's horizon.
+// fig11c and plan_halo crowd routers on a larger fleet, fig11c's clients
+// beating every heartbeat and plan_halo's half as often.
+type haloSize struct {
+	round, roundPeriod, firstRound      sim.Duration
+	servers, routers, sessions, clients int
+	period, total, heartbeat            sim.Duration
+}
+
 // haloFleet is the Halo deployment the fig11, plan_halo and chaos arms share:
 // app servers 0..servers-1 with the routers crowded on the first routerSrvs of
 // them and the sessions spread over all, then two client sites.
@@ -65,7 +75,7 @@ func (h *haloFleet) beats(w *core.World, rec *workload.Recorder, until sim.Time)
 	}
 }
 
-// Fig11a reproduces §5.7's interaction-rule comparison: 8 routers and 8
+// fig11a reproduces §5.7's interaction-rule comparison: 8 routers and 8
 // sessions on 8 servers; 32 clients join in 4 rounds of 180 s; the
 // interaction rule (colocate player with its session, placed correctly at
 // creation) vs the frequency-based default rule (random placement, chase
@@ -73,17 +83,10 @@ func (h *haloFleet) beats(w *core.World, rec *workload.Recorder, until sim.Time)
 //
 // Paper: inter-rule keeps latency smooth from the start; def-rule shows
 // degraded spans until each round's players get re-located.
-func Fig11a(cfg Config) *Result {
-	r := newResult("fig11a", "Halo: interaction rule vs frequency-based default rule")
+func fig11a(cfg Config, su haloSize, r *Result) {
 	r.Header = []string{"Rule", "Mean latency", "p95 latency"}
 
-	roundLen := 180 * sim.Second
-	period := 70 * sim.Second
 	hbEvery := 500 * sim.Millisecond
-	if !cfg.Full {
-		roundLen = 60 * sim.Second
-		period = 25 * sim.Second
-	}
 	rounds, perRound := 4, 8
 
 	arm := func(mode string) *workload.Recorder {
@@ -91,21 +94,21 @@ func Fig11a(cfg Config) *Result {
 		sc := h.arm()
 		switch mode {
 		case "inter-rule":
-			sc.policy, sc.emr = halo.InterPolicySrc, emr.Config{Period: period}
+			sc.policy, sc.emr = halo.InterPolicySrc, emr.Config{Period: su.roundPeriod}
 		case "def-rule":
-			sc.emr.Period = period
+			sc.emr.Period = su.roundPeriod
 			sc.baseline = func(w *core.World) func(*epl.Snapshot) {
 				return (&baseline.FreqColocator{RT: w.RT}).Tick
 			}
 		}
 		rec := workload.NewRecorder(10 * sim.Second)
-		end := sim.Duration(rounds+1) * roundLen
+		end := sim.Duration(rounds+1) * su.round
 		sc.horizon = end
 		sc.load = func(w *core.World) {
 			for round := 0; round < rounds; round++ {
 				for j := 0; j < perRound; j++ {
-					joinAt := sim.Time(round)*sim.Time(roundLen) +
-						sim.Time(w.K.Rand().Int63n(int64(roundLen)))
+					joinAt := sim.Time(round)*sim.Time(su.round) +
+						sim.Time(w.K.Rand().Int63n(int64(su.round)))
 					idx := round*perRound + j
 					w.K.At(joinAt, func() {
 						h.join(w, idx, idx, hbEvery, h.beats(w, rec, sim.Time(end)))
@@ -113,7 +116,7 @@ func Fig11a(cfg Config) *Result {
 				}
 			}
 		}
-		run(cfg, cfg.seed(), sc)
+		run(cfg, cfg.Seed, sc)
 		return rec
 	}
 
@@ -132,40 +135,31 @@ func Fig11a(cfg Config) *Result {
 		r.Summary["defrule_p95_over_inter"] = d[1] / stats["inter-rule"][1]
 	}
 	r.notef("paper: inter-rule avoids remote messaging from the start; def-rule degrades until re-location")
-	return r
 }
 
-// Fig11b reproduces the per-client detail of the first round under the
+// fig11b reproduces the per-client detail of the first round under the
 // default rule: fortunately placed clients see low latency immediately;
 // misplaced ones run ~35% higher until the first redistribution.
-func Fig11b(cfg Config) *Result {
-	r := newResult("fig11b", "Halo: per-client latency, first round, default rule")
+func fig11b(cfg Config, su haloSize, r *Result) {
 	r.Header = []string{"Client", "Early latency", "Late latency", "Early/Late"}
-
-	period := 70 * sim.Second
-	total := 170 * sim.Second
-	if !cfg.Full {
-		period = 25 * sim.Second
-		total = 80 * sim.Second
-	}
 
 	h := &haloFleet{servers: 8, routerSrvs: 8, routers: 8, sessions: 8, latency: haloBaseLatency}
 	sc := h.arm()
-	sc.emr.Period = period
+	sc.emr.Period = su.roundPeriod
 	sc.baseline = func(w *core.World) func(*epl.Snapshot) {
 		return (&baseline.FreqColocator{RT: w.RT}).Tick
 	}
 	recs := make([]*workload.Recorder, 8)
 	misplacedAtJoin := make([]bool, 8)
-	sc.horizon = total
+	sc.horizon = su.firstRound
 	sc.load = func(w *core.World) {
 		for i := range recs {
 			recs[i] = workload.NewRecorder(10 * sim.Second)
-			p := h.join(w, i, i, 500*sim.Millisecond, h.beats(w, recs[i], sim.Time(total)))
+			p := h.join(w, i, i, 500*sim.Millisecond, h.beats(w, recs[i], sim.Time(su.firstRound)))
 			misplacedAtJoin[i] = w.RT.ServerOf(p) != w.RT.ServerOf(h.app.SessionOf(p))
 		}
 	}
-	run(cfg, cfg.seed(), sc)
+	run(cfg, cfg.Seed, sc)
 
 	misplacedEarly, placedEarly := 0.0, 0.0
 	nm, np := 0, 0
@@ -201,10 +195,9 @@ func Fig11b(cfg Config) *Result {
 		r.notef("misplaced clients' latency dropped %.2fx after re-location (paper: ~35%%+ higher until redistribution)", ratioSum/float64(nr))
 	}
 	r.Summary["misplaced_clients"] = float64(nm)
-	return r
 }
 
-// Fig11c reproduces the resource-rule experiment: 64 sessions (one per
+// fig11c reproduces the resource-rule experiment: 64 sessions (one per
 // server) and 32 routers crowded on 8 of 64 servers, with router
 // decryption making those servers hot; 128 clients join over time. The
 // router-balance rule spreads routers; runs with 1, 2, and 4 GEMs compare
@@ -212,36 +205,24 @@ func Fig11b(cfg Config) *Result {
 //
 // Paper: latency spikes as clients join, then stabilizes once routers get
 // room; the number of GEMs has only a small impact.
-func Fig11c(cfg Config) *Result {
-	r := newResult("fig11c", "Halo: router CPU balance and GEM count")
+func fig11c(cfg Config, su haloSize, r *Result) {
 	r.Header = []string{"GEMs", "Peak latency", "Final latency", "Router servers"}
 
-	servers, routers, sessions, clients := 64, 32, 64, 128
-	period := 80 * sim.Second
-	total := 800 * sim.Second
-	hbEvery := 250 * sim.Millisecond
-	if !cfg.Full {
-		servers, routers, sessions, clients = 16, 8, 16, 32
-		period = 20 * sim.Second
-		total = 200 * sim.Second
-		hbEvery = 100 * sim.Millisecond
-	}
-
 	for _, gems := range []int{1, 2, 4} {
-		h := &haloFleet{servers: servers, routerSrvs: servers / 8, routers: routers, sessions: sessions,
+		h := &haloFleet{servers: su.servers, routerSrvs: su.servers / 8, routers: su.routers, sessions: su.sessions,
 			latency: haloBaseLatency, decrypt: true}
 		sc := h.arm()
-		sc.policy, sc.emr = halo.FullPolicySrc, emr.Config{Period: period, NumGEMs: gems}
+		sc.policy, sc.emr = halo.FullPolicySrc, emr.Config{Period: su.period, NumGEMs: gems}
 		rec := workload.NewRecorder(20 * sim.Second)
-		sc.horizon = total
+		sc.horizon = su.total
 		sc.load = func(w *core.World) {
-			for i := 0; i < clients; i++ {
-				w.K.At(sim.Time(i)*sim.Time(total)/sim.Time(2*clients), func() {
-					h.join(w, i, i, hbEvery, h.beats(w, rec, sim.Time(total)))
+			for i := 0; i < su.clients; i++ {
+				w.K.At(sim.Time(i)*sim.Time(su.total)/sim.Time(2*su.clients), func() {
+					h.join(w, i, i, su.heartbeat, h.beats(w, rec, sim.Time(su.total)))
 				})
 			}
 		}
-		out := run(cfg, cfg.seed(), sc)
+		out := run(cfg, cfg.Seed, sc)
 
 		key := fmt.Sprintf("%dgem", gems)
 		series := rec.Series()
@@ -258,5 +239,4 @@ func Fig11c(cfg Config) *Result {
 		r.Summary["router_servers_"+key] = float64(len(routerSrvSet))
 	}
 	r.notef("paper: latency rises while router servers saturate, then stabilizes after balancing; GEM count has small impact")
-	return r
 }

@@ -11,7 +11,7 @@ import (
 	"plasma/internal/sim"
 )
 
-// Fig5 reproduces §5.3: the Metadata Server under three setups — the §3.3
+// fig5 reproduces §5.3: the Metadata Server under three setups — the §3.3
 // reserve+colocate rule (res-col-rule), an application-agnostic default
 // rule that migrates heavy actors to an idle server (def-rule), and no
 // elasticity (no-rule). 4 folders × 8 files on an m1.small, 16 clients,
@@ -20,8 +20,7 @@ import (
 //
 // Paper: res-col-rule reduces latency by ~40%; def-rule shows no visible
 // benefit because folder accesses are forwarded to files left behind.
-func Fig5(cfg Config) *Result {
-	r := newResult("fig5", "Metadata Server: reserve+colocate vs default rule vs none")
+func fig5(cfg Config, r *Result) {
 	r.Header = []string{"Setup", "Latency before", "Latency after", "Change"}
 
 	duration := 100 * sim.Second
@@ -62,7 +61,7 @@ func Fig5(cfg Config) *Result {
 				return (&baseline.HeavyMigrator{RT: w.RT}).Tick
 			}
 		}
-		run(cfg, cfg.seed(), sc)
+		run(cfg, cfg.Seed, sc)
 		return rec
 	}
 
@@ -99,5 +98,4 @@ func Fig5(cfg Config) *Result {
 		r.Summary["defrule_vs_norule_reduction"] = (noRule - defRule) / noRule * 100
 	}
 	r.notef("paper: res-col-rule ~40%% below the others; def-rule indistinguishable from no-rule")
-	return r
 }

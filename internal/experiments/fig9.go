@@ -10,27 +10,21 @@ import (
 	"plasma/internal/sim"
 )
 
-// Fig9 reproduces §5.5: E-Store with 40 root partitions × 4 children on 4
+// fig9Size sizes fig9's E-Store deployment and run.
+type fig9Size struct {
+	roots, clients   int
+	duration, period sim.Duration
+}
+
+// fig9 reproduces §5.5: E-Store with 40 root partitions × 4 children on 4
 // m1.small servers (one extra server available), 48 clients with the 35%
 // geometric skew. Three managers: PLASMA executing the §3.3 rules, the
 // in-app E-Store algorithm, and no elasticity.
 //
 // Paper: PLASMA E-Store and in-app E-Store track each other closely; both
 // clearly beat no elasticity.
-func Fig9(cfg Config) *Result {
-	r := newResult("fig9", "E-Store latency: PLASMA rules vs in-app elasticity vs none")
+func fig9(cfg Config, su fig9Size, r *Result) {
 	r.Header = []string{"Setup", "Tail latency", "vs no-elasticity"}
-
-	roots, children := 40, 4
-	clients := 48
-	duration := 220 * sim.Second
-	period := 30 * sim.Second
-	if !cfg.Full {
-		roots, children = 16, 4
-		clients = 24
-		duration = 120 * sim.Second
-		period = 20 * sim.Second
-	}
 
 	arm := func(mode string) *workload.Recorder {
 		var app *estore.App
@@ -38,12 +32,12 @@ func Fig9(cfg Config) *Result {
 		sc := scenario{
 			machines: 5, inst: cluster.M1Small, // 4 app servers + 1 extra
 			build: func(w *core.World) {
-				app = estore.Build(w.RT, []cluster.MachineID{0, 1, 2, 3}, roots, children)
+				app = estore.Build(w.RT, []cluster.MachineID{0, 1, 2, 3}, su.roots, 4)
 			},
 			wire: true,
 			load: func(w *core.World) {
-				pick := workload.SkewedPicker(w.K, workload.GeometricWeights(roots, 0.35))
-				for i := 0; i < clients; i++ {
+				pick := workload.SkewedPicker(w.K, workload.GeometricWeights(su.roots, 0.35))
+				for i := 0; i < su.clients; i++ {
 					loop := &workload.ClosedLoop{
 						K:      w.K,
 						Client: w.Client(4), // clients use the spare as their site
@@ -56,18 +50,18 @@ func Fig9(cfg Config) *Result {
 					loop.Start()
 				}
 			},
-			horizon: duration,
+			horizon: su.duration,
 		}
 		switch mode {
 		case "plasma":
-			sc.policy, sc.emr = estore.PolicySrc, emr.Config{Period: period}
+			sc.policy, sc.emr = estore.PolicySrc, emr.Config{Period: su.period}
 		case "in-app":
-			sc.emr.Period = period
+			sc.emr.Period = su.period
 			sc.baseline = func(w *core.World) func(*epl.Snapshot) {
 				return (&estore.InApp{RT: w.RT, App: app}).Tick
 			}
 		}
-		run(cfg, cfg.seed(), sc)
+		run(cfg, cfg.Seed, sc)
 		return rec
 	}
 
@@ -87,5 +81,4 @@ func Fig9(cfg Config) *Result {
 		r.Summary["plasma_vs_inapp_ratio"] = tails["plasma"] / tails["in-app"]
 	}
 	r.notef("paper: PLASMA E-Store ~= in-app E-Store, both clearly below no-elasticity")
-	return r
 }

@@ -14,7 +14,8 @@ import (
 	"plasma/internal/sim"
 )
 
-// prSetup sizes the PageRank experiments.
+// prSetup sizes the PageRank experiments; the five paper ids and
+// plan_pagerank share one pair (prQuick, prFull), which each adapts.
 type prSetup struct {
 	vertices   int
 	avgDeg     float64
@@ -25,13 +26,6 @@ type prSetup struct {
 	period     sim.Duration
 	boot       sim.Duration // provisioning delay for scale-out experiments
 	state      int64        // worker state bytes per vertex (0 = the app's default)
-}
-
-func pagerankSetup(cfg Config) prSetup {
-	if cfg.Full {
-		return prSetup{vertices: 24000, avgDeg: 10, workers: 32, iterations: 200, perEdge: 55 * sim.Microsecond, syncOver: 24 * sim.Millisecond, period: sim.Second, boot: 10 * sim.Second}
-	}
-	return prSetup{vertices: 12000, avgDeg: 10, workers: 32, iterations: 150, perEdge: 55 * sim.Microsecond, syncOver: 12 * sim.Millisecond, period: 500 * sim.Millisecond, boot: 4 * sim.Second}
 }
 
 // instance is the m5.large the experiments run on, booting in su.boot when
@@ -99,15 +93,13 @@ func randomPlacement(seed int64, workers, machines int) []cluster.MachineID {
 	return out
 }
 
-// Fig6a reproduces §5.4 "dynamic workload balance": 32 workers on 8
+// fig6a reproduces §5.4 "dynamic workload balance": 32 workers on 8
 // m5.large VMs (16 vCPUs), PLASMA's balance rule vs Orleans' equal-count
 // management (which takes no action: counts are already equal). Averaged
 // over 3 seeds. Paper: PLASMA converges ~24% faster.
-func Fig6a(cfg Config) *Result {
-	r := newResult("fig6a", "PageRank converged computation time: PLASMA vs Orleans (16 vCPU)")
+func fig6a(cfg Config, su prSetup, r *Result) {
 	r.Header = []string{"Elasticity", "Converged iteration time", "Runs"}
-	su := pagerankSetup(cfg)
-	seeds := []int64{cfg.seed(), cfg.seed() + 1, cfg.seed() + 2}
+	seeds := []int64{cfg.Seed, cfg.Seed + 1, cfg.Seed + 2}
 	inputs := make([]prInput, len(seeds))
 	for i, seed := range seeds {
 		inputs[i] = pagerankInput(su, seed)
@@ -144,20 +136,17 @@ func Fig6a(cfg Config) *Result {
 		r.Summary["plasma_improvement_pct"] = imp
 		r.notef("paper: PLASMA converges ~24%% faster than Orleans; measured %.1f%%", imp)
 	}
-	return r
 }
 
-// Fig6b reproduces §5.4 "dynamic resource allocation" (average view):
+// fig6b reproduces §5.4 "dynamic resource allocation" (average view):
 // PLASMA grows from 1 server under the balance rule vs conservative
 // provisioning with one worker per vCPU (16 m5.large = 32 vCPUs). Paper:
 // PLASMA reaches nearly identical performance with 12 servers (25% fewer
 // resources).
-func Fig6b(cfg Config) *Result {
-	r := newResult("fig6b", "PageRank dynamic allocation: PLASMA vs conservative provisioning")
+func fig6b(cfg Config, su prSetup, r *Result) {
 	r.Header = []string{"Setup", "Converged iteration time", "Servers used"}
-	su := pagerankSetup(cfg)
 	su.iterations *= 5 // give scale-out time to converge
-	in := pagerankInput(su, cfg.seed())
+	in := pagerankInput(su, cfg.Seed)
 
 	// Conservative: 16 servers, 2 workers (one per vCPU) each.
 	placement := make([]cluster.MachineID, su.workers)
@@ -166,7 +155,7 @@ func Fig6b(cfg Config) *Result {
 	}
 	conSrv := 16
 	con := pagerankArm(su, in, conSrv, placement, 30*sim.Minute)
-	run(cfg, cfg.seed(), con.scenario)
+	run(cfg, cfg.Seed, con.scenario)
 	conservative := con.app.ConvergedTime()
 	r.addRow("conservative (32 vCPU)", conservative.String(), fmt.Sprintf("%d", conSrv))
 	r.Summary["converged_ms_conservative"] = float64(conservative) / float64(sim.Millisecond)
@@ -174,7 +163,7 @@ func Fig6b(cfg Config) *Result {
 	// PLASMA: everything starts on one server; scale-out provisions more.
 	dyn := pagerankArm(su, in, 1, make([]cluster.MachineID, su.workers), 30*sim.Minute)
 	dyn.policy, dyn.emr = pagerank.PolicySrc, emr.Config{Period: su.period, ScaleOut: true, InstanceType: su.instance()}
-	out := run(cfg, cfg.seed(), dyn.scenario)
+	out := run(cfg, cfg.Seed, dyn.scenario)
 	plasma := dyn.app.ConvergedTime()
 	used := out.C.UpCount()
 	r.addRow("PLASMA (dynamic)", plasma.String(), fmt.Sprintf("%d", used))
@@ -185,24 +174,21 @@ func Fig6b(cfg Config) *Result {
 		r.Summary["resource_saving_pct"] = float64(conSrv-used) / float64(conSrv) * 100
 	}
 	r.notef("paper: PLASMA ~matches conservative performance with 12 of 16 servers (25%% saving)")
-	return r
 }
 
-// Fig7a reproduces the Mizan comparison: normalized per-iteration times for
+// fig7a reproduces the Mizan comparison: normalized per-iteration times for
 // PLASMA and a Mizan-style vertex migrator, each with and without
 // elasticity. Mizan equalizes per-worker partitions but cannot move actors
 // between servers, so per-server skew from random placement persists.
 // Paper: Mizan's elasticity gains <=3%; PLASMA's ~24%.
-func Fig7a(cfg Config) *Result {
-	r := newResult("fig7a", "PageRank per-iteration time: PLASMA vs Mizan, with/without elasticity")
+func fig7a(cfg Config, su prSetup, r *Result) {
 	r.Header = []string{"System", "Mean normalized iteration time (tail)", "Gain vs no elasticity"}
-	su := pagerankSetup(cfg)
 	// The paper's figure spans 19 iterations; both systems are measured
 	// over that horizon (Mizan migrates incrementally per superstep and
 	// has not converged by then — one reason its measured gain is small).
 	su.iterations = 19
 	su.period = su.period / 2
-	in := pagerankInput(su, cfg.seed())
+	in := pagerankInput(su, cfg.Seed)
 
 	arm := func(system string, elastic bool) *metrics.Series {
 		su := su
@@ -210,7 +196,7 @@ func Fig7a(cfg Config) *Result {
 			// Mizan's framework is ~4x slower per edge in the paper's runs.
 			su.perEdge *= 4
 		}
-		a := pagerankArm(su, in, 8, randomPlacement(cfg.seed()*7+1, su.workers, 8), 60*sim.Minute)
+		a := pagerankArm(su, in, 8, randomPlacement(cfg.Seed*7+1, su.workers, 8), 60*sim.Minute)
 		switch {
 		case !elastic:
 		case system == "mizan":
@@ -222,7 +208,7 @@ func Fig7a(cfg Config) *Result {
 		default:
 			a.policy, a.emr = pagerank.PolicySrc, emr.Config{Period: su.period}
 		}
-		run(cfg, cfg.seed(), a.scenario)
+		run(cfg, cfg.Seed, a.scenario)
 		s := &metrics.Series{Name: system}
 		for i, d := range a.app.IterationTimes {
 			s.Add(float64(i+1), float64(d))
@@ -254,16 +240,13 @@ func Fig7a(cfg Config) *Result {
 	}
 	r.notef("paper: Mizan elasticity improves iterations by <=3%%, PLASMA by up to 24%%; measured mizan %.1f%%, plasma %.1f%%",
 		gains["mizan"], gains["plasma"])
-	return r
 }
 
-// Fig7bc reproduces the Fig. 7b/7c traces from one elastic Fig6a run:
+// fig7bc reproduces the Fig. 7b/7c traces from one elastic Fig6a run:
 // per-server CPU% and worker counts at each redistribution (elasticity
 // period).
-func Fig7bc(cfg Config) *Result {
-	r := newResult("fig7bc", "PageRank per-server CPU% and worker distribution over redistributions")
-	su := pagerankSetup(cfg)
-	a := pagerankArm(su, pagerankInput(su, cfg.seed()), 8, randomPlacement(cfg.seed()*7+1, su.workers, 8), 20*sim.Minute)
+func fig7bc(cfg Config, su prSetup, r *Result) {
+	a := pagerankArm(su, pagerankInput(su, cfg.Seed), 8, randomPlacement(cfg.Seed*7+1, su.workers, 8), 20*sim.Minute)
 	a.policy, a.emr = pagerank.PolicySrc, emr.Config{Period: su.period}
 	for i := 0; i < 8; i++ {
 		id := fmt.Sprintf("node%d", i+1)
@@ -284,7 +267,7 @@ func Fig7bc(cfg Config) *Result {
 			r.Series["actors-"+name].Add(float64(tick), float64(counts[id]))
 		}
 	}
-	out := run(cfg, cfg.seed(), a.scenario)
+	out := run(cfg, cfg.Seed, a.scenario)
 
 	// Spread of CPU% across servers, first vs last redistribution.
 	spread := func(tick int) float64 {
@@ -305,25 +288,22 @@ func Fig7bc(cfg Config) *Result {
 	}
 	r.Summary["migrations"] = float64(out.M.Stats.ExecutedMigrations)
 	r.notef("paper: CPU%% of servers converges into the [60,80] band as workers are re-located")
-	return r
 }
 
-// Fig8 reproduces the dynamic-allocation traces: iteration times,
+// fig8 reproduces the dynamic-allocation traces: iteration times,
 // per-server CPU%, and worker distribution as PLASMA provisions servers
 // from 1 toward the bound-satisfying fleet.
-func Fig8(cfg Config) *Result {
-	r := newResult("fig8", "PageRank dynamic resource allocation traces")
-	su := pagerankSetup(cfg)
+func fig8(cfg Config, su prSetup, r *Result) {
 	su.iterations *= 5
 
-	a := pagerankArm(su, pagerankInput(su, cfg.seed()), 1, make([]cluster.MachineID, su.workers), 40*sim.Minute)
+	a := pagerankArm(su, pagerankInput(su, cfg.Seed), 1, make([]cluster.MachineID, su.workers), 40*sim.Minute)
 	a.policy, a.emr = pagerank.PolicySrc, emr.Config{Period: su.period, ScaleOut: true, InstanceType: su.instance()}
 
 	serverSeries := &metrics.Series{Name: "servers"}
 	a.probe = func(w *core.World, tick int, snap *epl.Snapshot) {
 		serverSeries.Add(float64(tick), float64(w.C.UpCount()))
 	}
-	out := run(cfg, cfg.seed(), a.scenario)
+	out := run(cfg, cfg.Seed, a.scenario)
 	iterSeries := &metrics.Series{Name: "iteration-time"}
 	for i, d := range a.app.IterationTimes {
 		iterSeries.Add(float64(i+1), d.Seconds())
@@ -339,5 +319,4 @@ func Fig8(cfg Config) *Result {
 	r.Summary["final_servers"] = float64(out.C.UpCount())
 	r.Summary["scaleouts"] = float64(out.M.Stats.ScaleOuts)
 	r.notef("paper: performance improves round by round as servers are provisioned until CPU%% sits within [60,80]")
-	return r
 }

@@ -29,7 +29,7 @@ server.mem.perc > 80 or server.mem.perc < 60 =>
     balance({Worker}, mem);
 `
 
-// PlanPagerank is a memory-heavy Fig. 6a variant: 32 PageRank workers with
+// planPagerank is a memory-heavy Fig. 6a variant: 32 PageRank workers with
 // large vertex state, randomly placed on 8 m5.large servers, governed by a
 // CPU band and a memory band. A planner that takes each rule on its own
 // axis against the same static snapshot lets a CPU move overload the
@@ -37,12 +37,10 @@ server.mem.perc > 80 or server.mem.perc < 60 =>
 // periods — every bounce a multi-second state serialize. The round packs
 // both intents against one shared (cpu, mem, net) projection, so a target
 // must fit on every axis before a move is planned.
-func PlanPagerank(cfg Config) *Result {
-	r := newResult("plan_pagerank", "PageRank convergence under cpu+mem bands")
+func planPagerank(cfg Config, su prSetup, r *Result) {
 	r.Header = []string{"Converged iteration time", "Migrations"}
-	su := pagerankSetup(cfg)
 	su.state = 4 << 20 // ~1.5 GB per worker: memory is a real axis
-	seed := cfg.seed()
+	seed := cfg.Seed
 
 	a := pagerankArm(su, pagerankInput(su, seed), 8, randomPlacement(seed*7+1, su.workers, 8), 30*sim.Minute)
 	a.policy, a.emr = planPagerankPolicy, emr.Config{Period: su.period}
@@ -53,10 +51,9 @@ func PlanPagerank(cfg Config) *Result {
 	r.Summary["converged_ms"] = float64(conv) / float64(sim.Millisecond)
 	r.Summary["migrations"] = float64(migs)
 	r.notef("cpu and mem rules pack one shared projection; the per-intent greedy loop this replaced bounced workers between the axes (36.1 s, 3,699 migrations at seed 1)")
-	return r
 }
 
-// PlanHalo is a skewed Fig. 11c variant: routers crowded on a sixteenth of
+// planHalo is a skewed Fig. 11c variant: routers crowded on a sixteenth of
 // the fleet with CPU-hot decryption, three quarters of the clients joining
 // the four hottest sessions, and each client sticky to one router (the usual
 // sticky load-balancer front end), so every router forwards mostly to one
@@ -75,54 +72,42 @@ server.cpu.perc > 40 or server.cpu.perc < 15 =>
     balance({Router}, cpu);
 ` + halo.InterPolicySrc
 
-func PlanHalo(cfg Config) *Result {
-	r := newResult("plan_halo", "Halo latency with skewed sessions under affinity-scored balancing")
+func planHalo(cfg Config, su haloSize, r *Result) {
 	r.Header = []string{"Mean latency", "Final latency", "Settle time"}
-
-	servers, routers, sessions, clients := 64, 32, 64, 128
-	period := 80 * sim.Second
-	total := 800 * sim.Second
-	hbEvery := 500 * sim.Millisecond
 	hotSessions := 4
-	if !cfg.Full {
-		servers, routers, sessions, clients = 16, 8, 16, 32
-		period = 20 * sim.Second
-		total = 200 * sim.Second
-		hbEvery = 200 * sim.Millisecond
-	}
 
 	// Accentuate the remote hop further than fig11 (20 ms): the skewed
 	// scenario is about where routers sit relative to their traffic, so
 	// the cross-server hop must dominate per-message compute. All routers
 	// crowd a sixteenth of the fleet so the balance rule has real work even
 	// at the gentler heartbeat rate.
-	h := &haloFleet{servers: servers, routerSrvs: servers / 16, routers: routers, sessions: sessions,
+	h := &haloFleet{servers: su.servers, routerSrvs: su.servers / 16, routers: su.routers, sessions: su.sessions,
 		latency: 4 * haloBaseLatency, decrypt: true}
 	sc := h.arm()
-	sc.policy, sc.emr = planHaloPolicy, emr.Config{Period: period}
+	sc.policy, sc.emr = planHaloPolicy, emr.Config{Period: su.period}
 
 	rec := workload.NewRecorder(20 * sim.Second)
-	sc.horizon = total
+	sc.horizon = su.total
 	sc.load = func(w *core.World) {
-		for i := 0; i < clients; i++ {
+		for i := 0; i < su.clients; i++ {
 			// Popularity skew: three quarters of the clients pile into the
 			// hot sessions; the rest spread round-robin.
-			sess := i % sessions
+			sess := i % su.sessions
 			if i%4 != 0 {
 				sess = i % hotSessions
 			}
-			w.K.At(sim.Time(i)*sim.Time(total)/sim.Time(2*clients), func() {
+			w.K.At(sim.Time(i)*sim.Time(su.total)/sim.Time(2*su.clients), func() {
 				router := h.app.Routers[i%len(h.app.Routers)]
-				h.join(w, i, sess, hbEvery, func(cl *actor.Client, p actor.Ref) bool {
+				h.join(w, i, sess, 2*su.heartbeat, func(cl *actor.Client, p actor.Ref) bool {
 					cl.Request(router, "heartbeat", p, 256, func(lat sim.Duration, _ interface{}) {
 						rec.Record(w.K.Now(), lat)
 					})
-					return w.K.Now() < sim.Time(total)
+					return w.K.Now() < sim.Time(su.total)
 				})
 			})
 		}
 	}
-	run(cfg, cfg.seed(), sc)
+	run(cfg, cfg.Seed, sc)
 
 	series := rec.Series()
 	r.Series["latency"] = series
@@ -134,7 +119,6 @@ func PlanHalo(cfg Config) *Result {
 	r.Summary["final_ms"] = final
 	r.Summary["settle_s"] = settle
 	r.notef("affinity-scored targets put each router beside the hot sessions it forwards to; settle time = first bucket after which latency stays within 20%% of final")
-	return r
 }
 
 // settleTime finds the earliest bucket time (seconds) after which every

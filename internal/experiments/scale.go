@@ -7,15 +7,13 @@ import (
 	"plasma/internal/cluster"
 	"plasma/internal/core"
 	"plasma/internal/emr"
-	"plasma/internal/epl"
 	"plasma/internal/sim"
 )
 
 // This file is the beyond-the-paper scalability family: Fig. 11c asked how
-// GEM count affects balancing on 64 servers; these experiments ask the same
+// GEM count affects balancing on 64 servers; this experiment asks the same
 // question at fleet sizes the AWS testbed could not reach (10k, 100k and 1M
-// actors in -full), plus an EPR-only measurement that isolates the snapshot
-// construction hot path the million-actor fleet leans on.
+// actors in -full).
 
 // scaleCycle is the synthetic workers' self-message period; scalePeriod the
 // elasticity period (short so a quick run still spans several decisions).
@@ -92,19 +90,13 @@ func scaleTrial(cfg Config, seed int64, size, gems int) scaleResult {
 	return scaleResult{stats: out.M.Stats, spareFilled: len(filled)}
 }
 
-// Scale sweeps GEM count across fleet sizes: 1k and 4k actors quick; 10k,
+// scale sweeps GEM count across fleet sizes: 1k and 4k actors quick; 10k,
 // 100k and 1M actors in -full. Each (size, gems) cell averages several
 // seeded trials; trials run in parallel on a goroutine pool (each owns an
 // independent kernel), except the million-actor cells, which run one seed
 // at a time to bound peak memory.
-func Scale(cfg Config) *Result {
-	r := newResult("scale", "GEM scalability on synthetic million-actor fleets (beyond Fig. 11c)")
+func scale(cfg Config, sizes []int, r *Result) {
 	r.Header = []string{"Actors", "GEMs", "Seeds", "Migrations", "Denied", "Spares filled"}
-
-	sizes := []int{1000, 4000}
-	if cfg.Full {
-		sizes = []int{10_000, 100_000, 1_000_000}
-	}
 	for _, size := range sizes {
 		for _, gems := range []int{1, 2, 4} {
 			seeds := 3
@@ -131,75 +123,4 @@ func Scale(cfg Config) *Result {
 		}
 	}
 	r.notef("paper: GEM count has small impact at 64 servers; the sweep checks the claim holds as the fleet grows 4 orders of magnitude")
-	return r
-}
-
-// ScaleSnap isolates the EPR snapshot hot path: a 10k-actor fleet (100k in
-// -full) where only 1% of actors, the same ones every period, hear a
-// message. Snapshot refreshes just those actors' rows and keeps the rest as
-// the last call left them, so a period costs that 1%, the per-server work
-// and Reset clearing the window, not a walk of the fleet. plasma-bench's
-// ns/op and allocs/op for this id track the profiler's sparse refresh.
-func ScaleSnap(cfg Config) *Result {
-	r := newResult("scale_snap", "EPR snapshot construction at fleet scale")
-	r.Header = []string{"Actors", "Servers", "Periods", "Call records", "Prop actors"}
-
-	size, periods := 10_000, 40
-	if cfg.Full {
-		size = 100_000
-	}
-	servers := size / 128
-	period := 250 * sim.Millisecond
-
-	ping := actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
-		ctx.Use(100 * sim.Microsecond)
-	})
-	refs := make([]actor.Ref, size)
-	var cl *actor.Client
-	contact := func() { // one period's traffic: 1% of the fleet hears from the client
-		for i := 0; i < size/100; i++ {
-			cl.Send(refs[i], "ping", nil, 256)
-		}
-	}
-	var callRecs, propActors, actorsSeen int
-	out := run(cfg, cfg.seed(), scenario{
-		machines: servers, inst: cluster.M1Small,
-		build: func(w *core.World) {
-			for i := range refs {
-				refs[i] = w.RT.SpawnOn("Worker", ping, cluster.MachineID(i%servers))
-				if i%100 == 0 { // 1% of the fleet exposes a property (lazy Props path)
-					w.RT.SetProp(refs[i], "peer", []actor.Ref{refs[0]})
-				}
-			}
-			cl = w.Client(0)
-		},
-		// No manager: run closes each profiling window and the probe, having
-		// read it, sends the next period's traffic.
-		emr:  emr.Config{Period: period},
-		load: func(*core.World) { contact() },
-		probe: func(_ *core.World, tick int, snap *epl.Snapshot) {
-			actorsSeen = len(snap.Actors)
-			callRecs, propActors = 0, 0
-			for _, a := range snap.Actors {
-				callRecs += len(a.Calls)
-				if a.Props != nil {
-					propActors++
-				}
-			}
-			if tick < periods {
-				contact()
-			}
-		},
-		horizon: sim.Duration(periods) * period,
-	})
-
-	r.addRow(fmt.Sprintf("%d", size), fmt.Sprintf("%d", servers), fmt.Sprintf("%d", periods),
-		fmt.Sprintf("%d", callRecs), fmt.Sprintf("%d", propActors))
-	r.Summary["actors"] = float64(actorsSeen)
-	r.Summary["snapshots"] = float64(periods)
-	r.Summary["call_records"] = float64(callRecs)
-	r.Summary["prop_actors"] = float64(propActors)
-	r.Summary["messages"] = float64(out.Prof.Messages())
-	r.notef("each period Snapshot refreshes the %d rows of the actors messaged and keeps the other %d from the last call", size/100, actorsSeen-size/100)
-	return r
 }

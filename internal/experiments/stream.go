@@ -47,6 +47,17 @@ const (
 	streamSLOms   = 50
 )
 
+// streamSize sizes the stream ids (streamQuick, streamFull): the single-shift
+// run stream_skew and stream_chaos share, and the longer run of stream_drift's
+// rotations and stream_spike's rate spike.
+type streamSize struct {
+	total              sim.Duration
+	shift              sim.Time
+	long               sim.Duration
+	drift              []sim.Time
+	spikeFrom, spikeTo sim.Time
+}
+
 // streamOpts is what varies between streaming arms.
 type streamOpts struct {
 	mode   string // "plasma" or "elasticutor": which manager the arm deploys
@@ -249,19 +260,11 @@ func streamTrial(cfg Config, seed int64, o streamOpts) streamOut {
 func streamT(sec float64) sim.Time { return sim.Time(sec * float64(sim.Second)) }
 
 // streamBase is the single-shift arm the ids start from.
-func streamBase(cfg Config, mode string) streamOpts {
-	o := streamOpts{
+func streamBase(su streamSize, mode string) streamOpts {
+	return streamOpts{
 		mode: mode, policy: streamagg.PolicySrc, numGEMs: 2,
-		total: 40 * sim.Second,
-		// Shifts land mid-window so the first post-shift observation is a
-		// window that actually saw shifted traffic.
-		shifts: []sim.Time{streamT(18.5)}, rotate: 1024,
+		total: su.total, shifts: []sim.Time{su.shift}, rotate: 1024,
 	}
-	if cfg.Full {
-		o.total = 90 * sim.Second
-		o.shifts = []sim.Time{streamT(40.5)}
-	}
-	return o
 }
 
 func recCell(r metrics.Recovery) string {
@@ -271,15 +274,14 @@ func recCell(r metrics.Recovery) string {
 	return fmt.Sprintf("%.1f", r.Seconds)
 }
 
-// StreamSkew is the head-to-head recovery race: one hot-set rotation mid
+// streamSkew is the head-to-head recovery race: one hot-set rotation mid
 // run, PLASMA partition migration vs executor-level key repartitioning on
 // identical fleets and identical arrival streams.
-func StreamSkew(cfg Config) *Result {
-	r := newResult("stream_skew", "Skew shift recovery: PLASMA vs Elasticutor-style key repartitioning")
+func streamSkew(cfg Config, su streamSize, r *Result) {
 	r.Header = []string{"Manager", "Steady p99(ms)", "Peak p99(ms)", "Recovery(s)", "SLOviol(s)", "Moves", "MovedMB", "Events", "Invariants"}
 
 	for _, mode := range []string{"plasma", "elasticutor"} {
-		o := streamTrial(cfg, cfg.seed(), streamBase(cfg, mode))
+		o := streamTrial(cfg, cfg.Seed, streamBase(su, mode))
 		r.addRow(mode,
 			fmt.Sprintf("%.1f", o.steadyP99), fmt.Sprintf("%.1f", o.peakP99),
 			recCell(o.first), fmt.Sprintf("%.1f", o.violSec),
@@ -294,25 +296,18 @@ func StreamSkew(cfg Config) *Result {
 		r.Series["p99_"+mode] = o.p99Series
 	}
 	r.notef("identical seeds drive identical arrival streams; the race is purely detection + state movement + drain")
-	return r
 }
 
-// StreamDrift rotates the hot set repeatedly — the drifting-popularity
+// streamDrift rotates the hot set repeatedly — the drifting-popularity
 // regime where every shift restarts the race — and reports mean recovery.
-func StreamDrift(cfg Config) *Result {
-	r := newResult("stream_drift", "Drifting hot set: mean recovery over repeated shifts")
+func streamDrift(cfg Config, su streamSize, r *Result) {
 	r.Header = []string{"Manager", "Recoveries(s)", "Recovered", "MeanRec(s)", "SLOviol(s)", "Moves", "MovedMB", "Invariants"}
 
 	for _, mode := range []string{"plasma", "elasticutor"} {
-		o := streamBase(cfg, mode)
-		o.total = 48 * sim.Second
-		o.shifts = []sim.Time{streamT(14.5), streamT(26.5), streamT(38.5)}
+		o := streamBase(su, mode)
+		o.total, o.shifts = su.long, su.drift
 		o.rotate = 512 // quarter turns: each shift lands on a fresh cold span
-		if cfg.Full {
-			o.total = 96 * sim.Second
-			o.shifts = []sim.Time{streamT(20.5), streamT(40.5), streamT(60.5), streamT(80.5)}
-		}
-		out := streamTrial(cfg, cfg.seed(), o)
+		out := streamTrial(cfg, cfg.Seed, o)
 		cells := ""
 		for i, rec := range out.recs {
 			if i > 0 {
@@ -331,7 +326,6 @@ func StreamDrift(cfg Config) *Result {
 		r.Series["p99_"+mode] = out.p99Series
 	}
 	r.notef("each rotation moves the hot span onto a cold server; mean recovery integrates detection lag over repeated shifts")
-	return r
 }
 
 // streamSpikePolicy swaps the shipped policy's reserve rule for warm-pool
@@ -343,26 +337,19 @@ server.cpu.perc > 70 or server.cpu.perc < 15 => balance({Part}, cpu);
 server.cpu.perc > 70 => provclass({warm});
 `
 
-// StreamSpike is the window-spike scenario: the arrival rate multiplies
+// streamSpike is the window-spike scenario: the arrival rate multiplies
 // mid-run with no rotation. PLASMA grows the fleet through the warm pool
 // and rebalances onto it; the Elasticutor-style baseline can only shuffle
 // keys over a saturated fixed fleet, so it recovers only when the spike
 // ends. The comparison is honest about that asymmetry — capacity elasticity
 // is exactly what executor-level repartitioning lacks.
-func StreamSpike(cfg Config) *Result {
-	r := newResult("stream_spike", "Window spike: warm-pool scale-out vs fixed-fleet repartitioning")
+func streamSpike(cfg Config, su streamSize, r *Result) {
 	r.Header = []string{"Manager", "Recovery(s)", "SLOviol(s)", "ScaleOuts", "PeakSrv", "Moves", "Invariants"}
 
-	spikeFrom, spikeTo := streamT(16.5), streamT(34.5)
-	total := 48 * sim.Second
-	if cfg.Full {
-		spikeFrom, spikeTo = streamT(30.5), streamT(66.5)
-		total = 96 * sim.Second
-	}
 	for _, mode := range []string{"plasma", "elasticutor"} {
-		o := streamBase(cfg, mode)
-		o.total = total
-		o.shifts = []sim.Time{spikeFrom} // the recovery clock starts at the spike
+		o := streamBase(su, mode)
+		o.total = su.long
+		o.shifts = []sim.Time{su.spikeFrom} // the recovery clock starts at the spike
 		o.rotate = 0
 		// A rate spike is a capacity problem, not a skew problem: draw keys
 		// uniformly so no single partition actor saturates (the Zipf head
@@ -372,7 +359,7 @@ func StreamSpike(cfg Config) *Result {
 		o.uniform = true
 		o.numGEMs = 1
 		o.rate = func(t sim.Time) float64 {
-			if t >= spikeFrom && t < spikeTo {
+			if t >= su.spikeFrom && t < su.spikeTo {
 				return 4
 			}
 			return 1
@@ -384,7 +371,7 @@ func StreamSpike(cfg Config) *Result {
 				BootMin: 50 * sim.Millisecond, BootMax: 200 * sim.Millisecond,
 				FailProb: 0.01, Capacity: 8}}
 		}
-		out := streamTrial(cfg, cfg.seed(), o)
+		out := streamTrial(cfg, cfg.Seed, o)
 		r.addRow(mode, recCell(out.first), fmt.Sprintf("%.1f", out.violSec),
 			fmt.Sprintf("%d", out.scaleOuts), fmt.Sprintf("%d", out.peakSrv),
 			fmt.Sprintf("%d", out.moves), verdict(out.violations))
@@ -395,25 +382,22 @@ func StreamSpike(cfg Config) *Result {
 		r.Series["p99_"+mode] = out.p99Series
 	}
 	r.notef("no rotation: the spike adds load everywhere at once; only the manager that can add machines recovers before the spike ends")
-	return r
 }
 
-// StreamChaos composes the skew shift with a control-plane outage: GEM 0
+// streamChaos composes the skew shift with a control-plane outage: GEM 0
 // of 2 is down across the entire shift, so detection and migration must
 // flow through the surviving GEM alone.
-func StreamChaos(cfg Config) *Result {
-	r := newResult("stream_chaos", "Skew shift during a GEM crash (chaos-composed stream)")
+func streamChaos(cfg Config, su streamSize, r *Result) {
 	r.Header = []string{"Seed", "CtlFails", "Recovery(s)", "SLOviol(s)", "Moves", "Invariants"}
 
-	o := streamBase(cfg, "plasma")
-	shift := o.shifts[0]
+	o := streamBase(su, "plasma")
 	o.events = []chaos.Event{
-		{At: shift - sim.Time(4*sim.Second), Op: chaos.FailGEM, Target: 0},
-		{At: shift + sim.Time(12*sim.Second), Op: chaos.RecoverGEM, Target: 0},
+		{At: su.shift - sim.Time(4*sim.Second), Op: chaos.FailGEM, Target: 0},
+		{At: su.shift + sim.Time(12*sim.Second), Op: chaos.RecoverGEM, Target: 0},
 	}
 	o.floor = streamServers
-	out := streamTrial(cfg, cfg.seed(), o)
-	r.addRow(fmt.Sprintf("%d", cfg.seed()), fmt.Sprintf("%d", out.CtlFails),
+	out := streamTrial(cfg, cfg.Seed, o)
+	r.addRow(fmt.Sprintf("%d", cfg.Seed), fmt.Sprintf("%d", out.CtlFails),
 		recCell(out.first), fmt.Sprintf("%.1f", out.violSec),
 		fmt.Sprintf("%d", out.moves), verdict(out.violations))
 	r.Summary["recovery_s"] = out.first.Seconds
@@ -423,7 +407,6 @@ func StreamChaos(cfg Config) *Result {
 	r.Summary["invariant_violations"] = float64(len(out.violations))
 	r.Series["p99_plasma"] = out.p99Series
 	r.notef("with half the control plane gone for the whole shift, the survivor's self-corroborated plan still rebalances the hot span")
-	return r
 }
 
 func boolToInt(b bool) int {

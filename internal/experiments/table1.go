@@ -44,13 +44,12 @@ Replica(r2) in ref(t.replicas) =>
     separate(r1, r2);
 `
 
-// Table1 regenerates Table 1's application inventory: each application's
+// table1 regenerates Table 1's application inventory: each application's
 // elasticity policy is compiled and checked against its schema, and the
 // rule counts and behaviors are reported. (The paper's LoC column counted
 // the authors' AEON sources; here the analogous inventory is the compiled
 // rule set per application.)
-func Table1(cfg Config) *Result {
-	r := newResult("table1", "Applications implemented with PLASMA (rule inventory)")
+func table1(_ Config, r *Result) {
 	r.Header = []string{"Application", "Rules", "Behaviors", "Compiles", "Warnings"}
 
 	type appEntry struct {
@@ -123,5 +122,4 @@ func Table1(cfg Config) *Result {
 	r.Summary["apps"] = float64(len(apps))
 	r.Summary["total_rules"] = float64(totalRules)
 	r.notef("paper reports <10 rules per application; all policies compile against their schemas")
-	return r
 }

@@ -9,22 +9,17 @@ import (
 	"plasma/internal/sim"
 )
 
-// Table3 reproduces the EPR overhead measurement of §5.2: the chat room
+// table3 reproduces the EPR overhead measurement of §5.2: the chat room
 // microbenchmark on one instance with {8,16,32} users on m1.small ("s") and
 // m1.medium ("m"), reporting the execution time with profiling normalized
-// to the vanilla runtime. The paper observes at most 2.3% overhead.
-func Table3(cfg Config) *Result {
-	r := newResult("table3", "Normalized EPR overhead (chat room microbenchmark)")
+// to the vanilla runtime, each user sending posts messages. The paper
+// observes at most 2.3% overhead.
+func table3(cfg Config, posts int, r *Result) {
 	r.Header = []string{"Setup", "Vanilla", "Profiled", "Normalized"}
-
-	posts := 30
-	if cfg.Full {
-		posts = 200
-	}
 
 	arm := func(inst cluster.InstanceType, users int, profiled bool) sim.Duration {
 		var app *chatroom.App
-		out := run(cfg, cfg.seed(), scenario{
+		out := run(cfg, cfg.Seed, scenario{
 			machines: 1, inst: inst,
 			build: func(w *core.World) {
 				if !profiled {
@@ -65,5 +60,4 @@ func Table3(cfg Config) *Result {
 	} else {
 		r.notef("worst-case overhead %.2f%% exceeds the paper's 2.3%% bound", worst*100)
 	}
-	return r
 }
