@@ -226,12 +226,6 @@ func (rt *Runtime) FailedMigrations() int { return rt.failedMigs }
 // runtime must report zero (no actor may be stuck mid-move).
 func (rt *Runtime) InFlightMigrations() int { return len(rt.inflight) }
 
-// Migrating reports whether the actor is currently mid-migration.
-func (rt *Runtime) Migrating(ref Ref) bool {
-	inst := rt.inst(ref.ID)
-	return inst != nil && inst.migrating
-}
-
 // onMachineFail aborts or rolls back every in-flight migration touching the
 // crashed machine. A destination crash rolls the actor back onto its source
 // (state never left it authoritatively; buffered mail redelivers there). A
@@ -441,16 +435,10 @@ func (rt *Runtime) ServerOf(ref Ref) cluster.MachineID {
 	return -1
 }
 
-// Props returns an actor's reference property (nil if absent).
-func (rt *Runtime) Props(ref Ref, name string) []Ref {
-	if inst := rt.inst(ref.ID); inst != nil {
-		return inst.props[name]
-	}
-	return nil
-}
-
-// SetProp sets a reference property from outside a message handler (for
-// spawn-time initialization by application facades).
+// SetProp sets a reference property from outside a message handler.
+// Applications set theirs inside handlers (Context.SetProp). Only tests call
+// this one; it stays exported because the profile and emr tests do, and an
+// export_test.go would not reach them.
 func (rt *Runtime) SetProp(ref Ref, name string, refs []Ref) {
 	if inst := rt.inst(ref.ID); inst != nil {
 		rt.setProp(inst, name, append([]Ref(nil), refs...))
@@ -487,17 +475,6 @@ func (rt *Runtime) Unpin(ref Ref) {
 func (rt *Runtime) Pinned(ref Ref) bool {
 	inst := rt.inst(ref.ID)
 	return inst != nil && inst.pinned
-}
-
-// Actors returns all live actor refs in id order (deterministic).
-func (rt *Runtime) Actors() []Ref {
-	refs := make([]Ref, 0, rt.live)
-	for _, inst := range rt.actors {
-		if inst != nil {
-			refs = append(refs, Ref{ID: inst.id})
-		}
-	}
-	return refs
 }
 
 // ActorsOn returns the live actors hosted on srv, in id order.
@@ -996,11 +973,6 @@ func (c *Context) push(kind flightKind, to Ref, delay sim.Duration, msg Message)
 // conditions. The update is immediate (metadata, not messaging).
 func (c *Context) SetProp(name string, refs []Ref) {
 	c.rt.setProp(c.inst, name, append([]Ref(nil), refs...))
-}
-
-// AddPropRef appends one ref to a property.
-func (c *Context) AddPropRef(name string, r Ref) {
-	c.rt.setProp(c.inst, name, append(c.inst.props[name], r))
 }
 
 // SetMemSize declares the actor's state size in bytes (drives machine

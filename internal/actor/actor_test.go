@@ -262,16 +262,18 @@ func TestPropsVisibleToRuntime(t *testing.T) {
 	k, _, rt := testEnv(t, 1)
 	child := rt.SpawnOn("File", &echo{}, 0)
 	parent := rt.SpawnOn("Folder", BehaviorFunc(func(ctx *Context, msg Message) {
-		ctx.SetProp("files", []Ref{child})
-		ctx.AddPropRef("files", child)
+		files := []Ref{child}
+		ctx.SetProp("files", files)
+		ctx.SetProp("files", append(files, child))
 	}), 0)
 	NewClient(rt, 0).Send(parent, "init", nil, 1)
 	k.RunUntilIdle()
-	refs := rt.Props(parent, "files")
+	info, _ := rt.Lookup(parent)
+	refs := info.Props["files"]
 	if len(refs) != 2 || refs[0] != child || refs[1] != child {
 		t.Fatalf("props = %v", refs)
 	}
-	if rt.Props(parent, "nope") != nil {
+	if info.Props["nope"] != nil {
 		t.Fatal("missing prop should be nil")
 	}
 }
@@ -285,10 +287,17 @@ func TestActorsOnAndOrdering(t *testing.T) {
 	if len(on0) != 2 || on0[0] != a || on0[1] != c {
 		t.Fatalf("ActorsOn(0) = %v", on0)
 	}
-	all := rt.Actors()
+	all := liveActors(rt)
 	if len(all) != 3 || all[0] != a || all[1] != b || all[2] != c {
-		t.Fatalf("Actors() = %v", all)
+		t.Fatalf("ForEachActor visited %v", all)
 	}
+}
+
+// liveActors lists the live actors in the order ForEachActor visits them.
+func liveActors(rt *Runtime) []Ref {
+	var refs []Ref
+	rt.ForEachActor(func(info Info) { refs = append(refs, info.Ref) })
+	return refs
 }
 
 // The actor table is a slice indexed by id: an id past its end (never
@@ -311,15 +320,16 @@ func TestNeverIssuedAndStoppedIDsAreNobody(t *testing.T) {
 		failed := false
 		rt.Migrate(ref, 1, func(ok bool) { failed = !ok })
 		k.RunUntilIdle()
-		if rt.Exists(ref) || rt.TypeOf(ref) != "" || rt.ServerOf(ref) != -1 || rt.Pinned(ref) ||
-			rt.Props(ref, "p") != nil || rt.MigratingTo(ref) != -1 || !failed {
+		_, found := rt.Lookup(ref)
+		if rt.Exists(ref) || found || rt.TypeOf(ref) != "" || rt.ServerOf(ref) != -1 || rt.Pinned(ref) ||
+			rt.MigratingTo(ref) != -1 || !failed {
 			t.Fatalf("%v: nobody should be there", ref)
 		}
 	}
 	if len(e.got) != 0 {
 		t.Fatalf("a dead letter was delivered: %+v", e.got)
 	}
-	if all := rt.Actors(); rt.NumActors() != 1 || len(all) != 1 || all[0] != kept || rt.NumActorsOn(1) != 0 {
+	if all := liveActors(rt); rt.NumActors() != 1 || len(all) != 1 || all[0] != kept || rt.NumActorsOn(1) != 0 {
 		t.Fatalf("live set = %v (NumActors %d), want just %v", all, rt.NumActors(), kept)
 	}
 	// The next spawn takes a fresh id, not the stopped one's.

@@ -42,7 +42,7 @@ func TestDestinationCrashMidTransferRollsBack(t *testing.T) {
 	var doneCalled, doneOK bool
 	rt.Migrate(ref, 1, func(ok bool) { doneCalled, doneOK = true, ok })
 	k.Run(k.Now() + sim.Time(100*sim.Millisecond)) // mid-transfer
-	if !rt.Migrating(ref) || rt.InFlightMigrations() != 1 {
+	if !rt.inst(ref.ID).migrating || rt.InFlightMigrations() != 1 {
 		t.Fatal("migration not in flight at crash time")
 	}
 	// Mail arriving mid-migration buffers in the mailbox.
@@ -59,7 +59,7 @@ func TestDestinationCrashMidTransferRollsBack(t *testing.T) {
 	if !doneCalled || doneOK {
 		t.Fatalf("initiator not told of failure (called=%v ok=%v)", doneCalled, doneOK)
 	}
-	if rt.Migrating(ref) || rt.InFlightMigrations() != 0 {
+	if rt.inst(ref.ID).migrating || rt.InFlightMigrations() != 0 {
 		t.Fatal("migration state stuck after destination crash")
 	}
 	if srv := rt.ServerOf(ref); srv != 0 {
@@ -113,7 +113,7 @@ func TestSourceCrashMidTransferAwaitsRecovery(t *testing.T) {
 	if !doneCalled || doneOK {
 		t.Fatalf("initiator not told of failure (called=%v ok=%v)", doneCalled, doneOK)
 	}
-	if rt.Migrating(ref) || rt.InFlightMigrations() != 0 {
+	if rt.inst(ref.ID).migrating || rt.InFlightMigrations() != 0 {
 		t.Fatal("migration state stuck after source crash")
 	}
 	// The actor died with its machine; recovery re-homes it to the survivor.
@@ -152,7 +152,7 @@ func TestQueuedMigrationFailsFastOnDeadDestination(t *testing.T) {
 
 	var doneCalled, doneOK bool
 	rt.Migrate(ref, 1, func(ok bool) { doneCalled, doneOK = true, ok })
-	if rt.Migrating(ref) {
+	if rt.inst(ref.ID).migrating {
 		t.Fatal("migration began while the actor was busy")
 	}
 	c.Fail(1)
@@ -162,7 +162,7 @@ func TestQueuedMigrationFailsFastOnDeadDestination(t *testing.T) {
 	// The actor finishes its message and keeps serving on its source.
 	cl.Send(ref, "work", nil, 8)
 	k.RunUntilIdle()
-	if rt.Migrating(ref) || rt.InFlightMigrations() != 0 {
+	if rt.inst(ref.ID).migrating || rt.InFlightMigrations() != 0 {
 		t.Fatal("migration state stuck")
 	}
 	if rt.ServerOf(ref) != 0 || worked != 1 {
@@ -189,7 +189,7 @@ func TestDecommissionMidTransferRollsBack(t *testing.T) {
 	if !doneCalled || doneOK {
 		t.Fatalf("initiator not told of failure (called=%v ok=%v)", doneCalled, doneOK)
 	}
-	if rt.Migrating(ref) || rt.InFlightMigrations() != 0 {
+	if rt.inst(ref.ID).migrating || rt.InFlightMigrations() != 0 {
 		t.Fatal("migration state stuck after decommission")
 	}
 	if srv := rt.ServerOf(ref); srv != 0 {
@@ -263,9 +263,9 @@ func TestStopAndRecoverRollbackRecords(t *testing.T) {
 		if len(outcomes) != 1 || outcomes[0] {
 			t.Errorf("%s: initiator outcomes %v, want one failure", tc.reason, outcomes)
 		}
-		if rt.InFlightMigrations() != 0 || rt.FailedMigrations() != 1 || rt.Migrating(ref) {
-			t.Errorf("%s: in flight %d, failed %d, migrating %v; want 0, 1, false",
-				tc.reason, rt.InFlightMigrations(), rt.FailedMigrations(), rt.Migrating(ref))
+		if rt.InFlightMigrations() != 0 || rt.FailedMigrations() != 1 || rt.MigratingTo(ref) != -1 {
+			t.Errorf("%s: in flight %d, failed %d, migrating to %d; want 0, 1, -1",
+				tc.reason, rt.InFlightMigrations(), rt.FailedMigrations(), rt.MigratingTo(ref))
 		}
 	}
 }

@@ -95,7 +95,7 @@ func TestPropertyDirectoryConsistency(t *testing.T) {
 				}
 			}
 		}
-		return len(seen) == len(rt.Actors())
+		return len(seen) == len(liveActors(rt))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -77,8 +77,8 @@ func TestDeliveriesQueueWhenTheActorCannotRun(t *testing.T) {
 		rt.Migrate(ref, 2, nil)
 		send(cl, ref, 1, 2)
 		k.Run(sim.Time(50 * sim.Millisecond))
-		if !rt.Migrating(ref) || rt.inst(ref.ID).queued() != 2 {
-			t.Fatalf("mid-migration: migrating %v, %d queued; want true and 2", rt.Migrating(ref), rt.inst(ref.ID).queued())
+		if !rt.inst(ref.ID).migrating || rt.inst(ref.ID).queued() != 2 {
+			t.Fatalf("mid-migration: migrating %v, %d queued; want true and 2", rt.inst(ref.ID).migrating, rt.inst(ref.ID).queued())
 		}
 		k.RunUntilIdle()
 		check(t, l, []int{1, 2}, []cluster.MachineID{2, 2}, []int{1, 0})

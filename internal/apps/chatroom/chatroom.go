@@ -1,7 +1,9 @@
 // Package chatroom is the online chat room microbenchmark of §5.2 (Table 3):
 // users, each represented by an actor, exchange messages with others in the
 // same room. It is deployed on a single instance and used to measure the
-// profiling runtime's overhead (PLASMA vs vanilla execution time).
+// profiling runtime's overhead (PLASMA vs vanilla execution time). It ships
+// no policy: the overhead experiment only needs the profiler running, and
+// the actors stay where they were spawned.
 package chatroom
 
 import (
@@ -9,14 +11,6 @@ import (
 	"plasma/internal/cluster"
 	"plasma/internal/sim"
 )
-
-// PolicySrc is a minimal policy: the overhead experiment only needs the
-// profiler running; actors are stationary on one instance. The envelope
-// annotation moves the model checker's overload line up to the rule's
-// deliberate 95% trigger — tolerating load right below it is the point.
-const PolicySrc = `
-# lint:envelope overload=96
-server.cpu.perc > 95 => balance({User}, cpu);`
 
 // Costs for one message hop. The room fan-out dominates.
 const (

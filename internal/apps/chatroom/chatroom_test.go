@@ -5,16 +5,9 @@ import (
 
 	"plasma/internal/actor"
 	"plasma/internal/cluster"
-	"plasma/internal/epl"
 	"plasma/internal/profile"
 	"plasma/internal/sim"
 )
-
-func TestPolicyParses(t *testing.T) {
-	if _, err := epl.Parse(PolicySrc); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestPostsFanOutToAllOtherUsers(t *testing.T) {
 	k := sim.New(1)

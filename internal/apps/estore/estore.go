@@ -39,7 +39,6 @@ func Schema() *epl.Schema {
 const (
 	rootCost  = 3 * sim.Millisecond
 	childCost = 6 * sim.Millisecond
-	reqSize   = 256
 	repSize   = 512
 )
 

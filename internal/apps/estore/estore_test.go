@@ -12,6 +12,9 @@ import (
 	"plasma/internal/sim"
 )
 
+// reqSize is the bytes of one client read request.
+const reqSize = 256
+
 func TestPolicyChecksAgainstSchema(t *testing.T) {
 	pol := epl.MustParse(PolicySrc)
 	if _, err := epl.Check(pol, Schema()); err != nil {

@@ -57,11 +57,13 @@ func TestJoinPublishesMembership(t *testing.T) {
 	p2 := app.Join(0)
 	p3 := app.Join(1)
 	k.RunUntilIdle()
-	s0 := rt.Props(app.Sessions[0], "players")
+	info0, _ := rt.Lookup(app.Sessions[0])
+	s0 := info0.Props["players"]
 	if len(s0) != 2 || s0[0] != p1 || s0[1] != p2 {
 		t.Fatalf("session 0 players = %v", s0)
 	}
-	s1 := rt.Props(app.Sessions[1], "players")
+	info1, _ := rt.Lookup(app.Sessions[1])
+	s1 := info1.Props["players"]
 	if len(s1) != 1 || s1[0] != p3 {
 		t.Fatalf("session 1 players = %v", s1)
 	}

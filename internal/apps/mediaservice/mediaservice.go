@@ -58,9 +58,7 @@ const (
 	checkCost   = 10 * sim.Millisecond
 	publishCost = 500 * sim.Microsecond
 
-	watchReqSize  = 512
 	streamRepSize = 64 << 10 // streamed chunk back to the client
-	reviewReqSize = 2 << 10
 	reviewRepSize = 256
 )
 

@@ -11,6 +11,12 @@ import (
 	"plasma/internal/sim"
 )
 
+// The bytes of one client watch and one client review request.
+const (
+	watchReqSize  = 512
+	reviewReqSize = 2 << 10
+)
+
 func env(machines int) (*sim.Kernel, *cluster.Cluster, *actor.Runtime, *profile.Profiler) {
 	k := sim.New(1)
 	c := cluster.New(k, machines, cluster.M1Small)
@@ -105,13 +111,13 @@ func TestClientPairingSharesActors(t *testing.T) {
 func TestRemoveClientReleasesActors(t *testing.T) {
 	k, _, rt, _ := env(2)
 	app := Build(k, rt, []cluster.MachineID{0, 1}, 2)
-	before := len(rt.Actors())
+	before := rt.NumActors()
 	id0, _ := app.AddClient()
 	id1, _ := app.AddClient()
 	k.RunUntilIdle()
 	app.RemoveClient(id0)
 	app.RemoveClient(id1)
-	after := len(rt.Actors())
+	after := rt.NumActors()
 	if after != before {
 		t.Fatalf("actors leaked: before=%d after=%d", before, after)
 	}

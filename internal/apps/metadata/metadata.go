@@ -34,7 +34,6 @@ func Schema() *epl.Schema {
 const (
 	openCost = 5 * sim.Millisecond
 	readCost = 20 * sim.Millisecond
-	reqSize  = 128
 	repSize  = 1024
 )
 

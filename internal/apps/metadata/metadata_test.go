@@ -12,6 +12,9 @@ import (
 	"plasma/internal/sim"
 )
 
+// reqSize is the bytes of one client open request.
+const reqSize = 128
+
 func TestPolicyChecksAgainstSchema(t *testing.T) {
 	pol := epl.MustParse(PolicySrc)
 	if _, err := epl.Check(pol, Schema()); err != nil {
@@ -41,7 +44,8 @@ func TestFolderPublishesFilesProp(t *testing.T) {
 	rt := actor.NewRuntime(k, c)
 	app := Build(k, rt, 0, 1, 4)
 	k.RunUntilIdle()
-	refs := rt.Props(app.Folders[0], "files")
+	info, _ := rt.Lookup(app.Folders[0])
+	refs := info.Props["files"]
 	if len(refs) != 4 {
 		t.Fatalf("files prop = %d refs, want 4", len(refs))
 	}

@@ -56,10 +56,7 @@ type Config struct {
 	FlushCost   sim.Duration // CPU per window flush probe
 }
 
-const (
-	evSize    = 128
-	flushSize = 64
-)
+const flushSize = 64
 
 // ---------------------------------------------------------------------------
 // Plasma deployment: block-partitioned Part actors, managed by the EMR.

@@ -239,9 +239,6 @@ func (z *ZipfKeys) Rotate(delta int) {
 	z.offset = ((z.offset+delta)%z.n + z.n) % z.n
 }
 
-// Offset reports the current rotation (for harness bookkeeping).
-func (z *ZipfKeys) Offset() int { return z.offset }
-
 // GeometricWeights returns E-Store's §5.5 request skew: the first element
 // takes frac of the total, the second frac of the remainder, and so on.
 func GeometricWeights(n int, frac float64) []float64 {

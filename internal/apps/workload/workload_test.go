@@ -312,12 +312,12 @@ func TestZipfKeysInterleavesHotSpan(t *testing.T) {
 func TestZipfKeysRotateMovesHotSet(t *testing.T) {
 	k := sim.New(1)
 	z := NewZipfKeys(k, 1.1, 64, 16, 4)
-	if z.Offset() != 0 {
-		t.Fatalf("fresh drawer offset = %d, want 0", z.Offset())
+	if z.offset != 0 {
+		t.Fatalf("fresh drawer offset = %d, want 0", z.offset)
 	}
 	z.Rotate(32)
-	if z.Offset() != 32 {
-		t.Fatalf("offset after Rotate(32) = %d, want 32", z.Offset())
+	if z.offset != 32 {
+		t.Fatalf("offset after Rotate(32) = %d, want 32", z.offset)
 	}
 	// Post-rotation the hot span occupies [32, 48): the bulk of draws must
 	// land there and none of the old hot ranks keep their old keys.
@@ -334,12 +334,12 @@ func TestZipfKeysRotateMovesHotSet(t *testing.T) {
 	}
 	// Rotation wraps modulo n and composes.
 	z.Rotate(40)
-	if z.Offset() != (32+40)%64 {
-		t.Fatalf("offset after second rotate = %d, want %d", z.Offset(), (32+40)%64)
+	if z.offset != (32+40)%64 {
+		t.Fatalf("offset after second rotate = %d, want %d", z.offset, (32+40)%64)
 	}
 	z.Rotate(-8)
-	if z.Offset() != 0 {
-		t.Fatalf("negative rotate did not wrap: offset = %d, want 0", z.Offset())
+	if z.offset != 0 {
+		t.Fatalf("negative rotate did not wrap: offset = %d, want 0", z.offset)
 	}
 }
 

@@ -146,7 +146,7 @@ func TestZipfKeysDrawsMathRandKeys(t *testing.T) {
 		if r < span {
 			r = (r%(span/block))*block + r/(span/block)
 		}
-		if got, want := z.Draw(), (r+z.Offset())%n; got != want {
+		if got, want := z.Draw(), (r+z.offset)%n; got != want {
 			t.Fatalf("draw %d is key %d, want %d", i, got, want)
 		}
 	}

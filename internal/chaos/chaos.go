@@ -149,33 +149,31 @@ func (s Stats) TotalDuplicated() int { return total(s.Duplicated) }
 func (s Stats) TotalIntercepted() int { return total(s.Intercepted) }
 
 // Injector is a seeded, deterministic fault source. It implements
-// Interceptor for message faults and records a human-readable event trace
-// whose bit-identity across runs is the determinism invariant tests pin.
+// Interceptor for message faults and mirrors every injected fault into the
+// decision trace as a KindChaos record, whose bit-identity across runs is
+// the determinism invariant tests pin.
 type Injector struct {
 	rng   *rand.Rand
-	now   func() sim.Time
 	plans [numKinds]Faults
-	trace []string
-	tr    *trace.Tracer // nil = injections not in the structured trace
+	tr    *trace.Tracer // nil = injections not traced
 
 	Stats Stats
 }
 
 // SetTracer mirrors every injected fault into the structured decision trace
-// (as KindChaos records) in addition to the injector's own string trace.
+// as a KindChaos record, stamped with the tracer's clock.
 func (in *Injector) SetTracer(t *trace.Tracer) { in.tr = t }
 
 // NewInjector creates an injector whose fault stream derives only from
-// seed. now supplies timestamps for the trace (pass kernel.Now); nil uses
-// zero times.
-func NewInjector(seed int64, now func() sim.Time) *Injector {
-	if now == nil {
-		now = func() sim.Time { return 0 }
-	}
-	return &Injector{rng: rand.New(rand.NewSource(seed)), now: now}
+// seed. The clock argument is unused: KindChaos records take their time from
+// the tracer's clock. It stays because benchmark/workloads.go — which a PR
+// touching internal/ may not edit — calls NewInjector(seed, k.Now).
+func NewInjector(seed int64, _ func() sim.Time) *Injector {
+	return &Injector{rng: rand.New(rand.NewSource(seed))}
 }
 
-// SetFaults installs the fault plan for one message kind.
+// SetFaults installs the fault plan for one message kind. Only tests call
+// it: emr's per-kind fault tests, which an export_test.go would not reach.
 func (in *Injector) SetFaults(kind MsgKind, f Faults) {
 	if kind >= 0 && kind < numKinds {
 		in.plans[kind] = f
@@ -190,7 +188,7 @@ func (in *Injector) SetAllFaults(f Faults) {
 }
 
 // Intercept implements Interceptor: it draws the message's fate from the
-// seeded stream and records any injected fault in the trace.
+// seeded stream and records any injected fault in the decision trace.
 func (in *Injector) Intercept(kind MsgKind, from, to Endpoint) Decision {
 	in.Stats.Intercepted[kind]++
 	p := in.plans[kind]
@@ -200,35 +198,35 @@ func (in *Injector) Intercept(kind MsgKind, from, to Endpoint) Decision {
 	dropRoll := in.rng.Float64()
 	dupRoll := in.rng.Float64()
 	delayRoll := in.rng.Float64()
+	var d Decision
 	switch {
 	case dropRoll < p.DropProb:
 		in.Stats.Dropped[kind]++
-		in.Tracef("%s %s->%s drop", kind, from, to)
-		return Decision{Verdict: Drop}
+		d = Decision{Verdict: Drop}
 	case dupRoll < p.DupProb:
 		in.Stats.Duplicated[kind]++
-		in.Tracef("%s %s->%s dup", kind, from, to)
-		return Decision{Verdict: Duplicate}
+		d = Decision{Verdict: Duplicate}
 	case delayRoll < p.DelayProb && p.MaxDelay > 0:
-		d := sim.Duration(in.rng.Int63n(int64(p.MaxDelay))) + 1
 		in.Stats.Delayed[kind]++
-		in.Tracef("%s %s->%s delay %v", kind, from, to, d)
-		return Decision{Verdict: Delay, Delay: d}
+		d = Decision{Verdict: Delay, Delay: sim.Duration(in.rng.Int63n(int64(p.MaxDelay))) + 1}
+	default:
+		return Decision{Verdict: Deliver}
 	}
-	return Decision{Verdict: Deliver}
+	if in.tr.Enabled() {
+		detail := fmt.Sprintf("%s %s->%s %s", kind, from, to, d.Verdict)
+		if d.Verdict == Delay {
+			detail += " " + d.Delay.String()
+		}
+		in.emit(detail)
+	}
+	return d
 }
 
-// Tracef appends a timestamped line to the injector's event trace (the
-// string trace whose bit-identity determinism tests pin) and mirrors it
-// into the structured decision trace when a tracer is installed.
-func (in *Injector) Tracef(format string, args ...interface{}) {
-	msg := fmt.Sprintf(format, args...)
-	in.trace = append(in.trace, fmt.Sprintf("t=%d %s", int64(in.now()), msg))
-	in.tr.Emit(trace.Record{Kind: trace.KindChaos, Server: -1, Target: -1, Rule: -1, Detail: msg})
+// emit records one injected fault as a KindChaos record. Callers format the
+// detail only when in.tr.Enabled(), so an untraced run pays nothing for it.
+func (in *Injector) emit(detail string) {
+	in.tr.Emit(trace.Record{Kind: trace.KindChaos, Server: -1, Target: -1, Rule: -1, Detail: detail})
 }
-
-// Trace returns the recorded event trace (do not mutate).
-func (in *Injector) Trace() []string { return in.trace }
 
 // Rand exposes the injector's deterministic stream (for schedule
 // generation tied to the same seed).

@@ -5,25 +5,37 @@ import (
 	"testing"
 
 	"plasma/internal/sim"
+	"plasma/internal/trace"
 )
 
+// traced returns an injector seeded with seed whose KindChaos records land
+// in the returned ring, stamped by clock (nil leaves them at zero time).
+func traced(seed int64, clock func() sim.Time) (*Injector, *trace.Ring) {
+	ring := trace.NewRing(1024)
+	tr := trace.New(ring)
+	tr.SetClock(clock)
+	in := NewInjector(seed, nil)
+	in.SetTracer(tr)
+	return in, ring
+}
+
 func TestInterceptDeterministic(t *testing.T) {
-	run := func() ([]Decision, []string, Stats) {
-		in := NewInjector(42, nil)
+	run := func() ([]Decision, []trace.Record, Stats) {
+		in, ring := traced(42, nil)
 		in.SetAllFaults(Faults{DropProb: 0.2, DupProb: 0.2, DelayProb: 0.3, MaxDelay: sim.Millis(5)})
 		var out []Decision
 		for i := 0; i < 200; i++ {
 			out = append(out, in.Intercept(MsgKind(i%int(numKinds)), LEM(0), GEM(1)))
 		}
-		return out, in.Trace(), in.Stats
+		return out, ring.Records(), in.Stats
 	}
 	d1, t1, s1 := run()
 	d2, t2, s2 := run()
 	if !reflect.DeepEqual(d1, d2) {
 		t.Fatal("same seed produced different decisions")
 	}
-	if !reflect.DeepEqual(t1, t2) {
-		t.Fatal("same seed produced different traces")
+	if len(t1) == 0 || !reflect.DeepEqual(t1, t2) {
+		t.Fatalf("same seed produced different records (%d vs %d)", len(t1), len(t2))
 	}
 	if s1 != s2 {
 		t.Fatalf("same seed produced different stats: %+v vs %+v", s1, s2)
@@ -34,21 +46,21 @@ func TestInterceptDeterministic(t *testing.T) {
 }
 
 func TestInterceptSeedsDiffer(t *testing.T) {
-	trace := func(seed int64) []string {
-		in := NewInjector(seed, nil)
+	records := func(seed int64) []trace.Record {
+		in, ring := traced(seed, nil)
 		in.SetAllFaults(Faults{DropProb: 0.5})
 		for i := 0; i < 50; i++ {
 			in.Intercept(Report, LEM(0), GEM(1))
 		}
-		return in.Trace()
+		return ring.Records()
 	}
-	if reflect.DeepEqual(trace(1), trace(2)) {
+	if reflect.DeepEqual(records(1), records(2)) {
 		t.Fatal("different seeds produced identical fault traces")
 	}
 }
 
 func TestZeroProbabilitiesDeliverEverything(t *testing.T) {
-	in := NewInjector(7, nil)
+	in, ring := traced(7, nil)
 	for i := 0; i < 100; i++ {
 		if d := in.Intercept(Query, LEM(0), GEM(1)); d.Verdict != Deliver {
 			t.Fatalf("fault injected with zero probabilities: %v", d.Verdict)
@@ -57,8 +69,18 @@ func TestZeroProbabilitiesDeliverEverything(t *testing.T) {
 	if in.Stats.TotalIntercepted() != 100 {
 		t.Fatalf("intercepted = %d, want 100", in.Stats.TotalIntercepted())
 	}
-	if len(in.Trace()) != 0 {
-		t.Fatalf("clean run produced trace entries: %v", in.Trace())
+	if recs := ring.Records(); len(recs) != 0 {
+		t.Fatalf("clean run produced trace records: %+v", recs)
+	}
+}
+
+// With no tracer installed an injected fault costs no allocation: its
+// detail is formatted only for a tracer, as Tracer.Enabled asks.
+func TestUntracedFaultsDoNotAllocate(t *testing.T) {
+	in := NewInjector(7, nil)
+	in.SetAllFaults(Faults{DropProb: 1})
+	if a := testing.AllocsPerRun(100, func() { in.Intercept(Report, LEM(0), GEM(1)) }); a != 0 {
+		t.Fatalf("untraced Intercept allocates %v times per call, want 0", a)
 	}
 }
 
@@ -216,7 +238,7 @@ func (e *fakeEnv) RecoverLEM(srv int) bool   { e.log = append(e.log, "reclem"); 
 
 func TestApplyDispatchesAndTracesRefusals(t *testing.T) {
 	k := sim.New(1)
-	in := NewInjector(1, k.Now)
+	in, ring := traced(1, k.Now)
 	env := &fakeEnv{}
 	in.Apply(k, env, []Event{
 		{At: sim.Time(2 * sim.Second), Op: FailGEM, Target: 1}, // refused by fakeEnv
@@ -228,11 +250,11 @@ func TestApplyDispatchesAndTracesRefusals(t *testing.T) {
 	if !reflect.DeepEqual(env.log, want) {
 		t.Fatalf("dispatch order = %v, want %v", env.log, want)
 	}
-	tr := in.Trace()
-	if len(tr) != 3 {
-		t.Fatalf("trace = %v, want 3 lines", tr)
+	recs := ring.Records()
+	if len(recs) != 3 {
+		t.Fatalf("records = %+v, want 3", recs)
 	}
-	if tr[1] != "t=2000000 fail-gem 1 skipped" {
-		t.Fatalf("refusal not traced as skipped: %q", tr[1])
+	if r := recs[1]; r.Kind != trace.KindChaos || r.At != sim.Time(2*sim.Second) || r.Detail != "fail-gem 1 skipped" {
+		t.Fatalf("refusal not traced as skipped at 2s: %+v", r)
 	}
 }

@@ -27,7 +27,6 @@ const (
 	FailLEM
 	// RecoverLEM re-registers a failed LEM.
 	RecoverLEM
-	numOps
 )
 
 func (o Op) String() string {
@@ -58,7 +57,7 @@ type Event struct {
 // Env is what a fault schedule executes against; the experiment harness
 // bridges it to the cluster, actor runtime, and EMR. Implementations may
 // refuse an event (return false) — e.g. crashing the last surviving
-// machine — and the refusal is recorded in the trace.
+// machine — and the refusal is recorded as a KindChaos record.
 type Env interface {
 	CrashMachine(id int) bool
 	RepairMachine(id int) bool
@@ -69,7 +68,7 @@ type Env interface {
 }
 
 // Apply schedules every event on the kernel, dispatching through env and
-// recording each application (or refusal) in the injector's trace.
+// recording each application (or refusal) as a KindChaos record.
 func (in *Injector) Apply(k *sim.Kernel, env Env, events []Event) {
 	sorted := append([]Event(nil), events...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
@@ -91,10 +90,12 @@ func (in *Injector) Apply(k *sim.Kernel, env Env, events []Event) {
 			case RecoverLEM:
 				ok = env.RecoverLEM(ev.Target)
 			}
-			if ok {
-				in.Tracef("%s %d", ev.Op, ev.Target)
-			} else {
-				in.Tracef("%s %d skipped", ev.Op, ev.Target)
+			if in.tr.Enabled() {
+				detail := fmt.Sprintf("%s %d", ev.Op, ev.Target)
+				if !ok {
+					detail += " skipped"
+				}
+				in.emit(detail)
 			}
 		})
 	}

@@ -89,16 +89,11 @@ type Machine struct {
 // Up reports whether the machine has finished booting and is usable.
 func (m *Machine) Up() bool { return m.up && !m.failed }
 
-// Booting reports whether the machine is provisioned but still booting.
-func (m *Machine) Booting() bool { return m.bootPending }
-
 // ProvClass reports the provisioning class the machine came from
 // (WarmPool for pre-seeded machines, which never went through a boot).
+// Only tests call it: emr's provision-order test reads each scale-out's
+// class, and an export_test.go would not reach another package's tests.
 func (m *Machine) ProvClass() ProvClass { return m.provClass }
-
-// Decommissioned reports whether the machine has been permanently removed
-// from service.
-func (m *Machine) Decommissioned() bool { return m.decommed }
 
 // ScaledCost converts a baseline CPU cost into this machine's actual
 // execution (core-occupancy) time.
@@ -182,12 +177,6 @@ func (m *Machine) complete(w *work) {
 		done()
 	}
 }
-
-// QueueLen reports the number of CPU tasks waiting for a core.
-func (m *Machine) QueueLen() int { return len(m.queue) - m.qhead }
-
-// Busy reports the number of cores currently executing work.
-func (m *Machine) Busy() int { return len(m.active) }
 
 // AddNetBytes accounts NIC traffic against the current window.
 func (m *Machine) AddNetBytes(n int64) { m.netBytes += n }

@@ -14,6 +14,9 @@ func newTestMachine(k *sim.Kernel, vcpus int) *Machine {
 	return c.UpMachines()[0]
 }
 
+// queueLen reports the number of CPU tasks waiting for a core.
+func queueLen(m *Machine) int { return len(m.queue) - m.qhead }
+
 func TestExecCompletesAfterCost(t *testing.T) {
 	k := sim.New(1)
 	m := newTestMachine(k, 1)
@@ -31,8 +34,8 @@ func TestSingleCoreSerializesWork(t *testing.T) {
 	var order []int
 	m.Exec(10*sim.Millisecond, func() { order = append(order, 1) })
 	m.Exec(10*sim.Millisecond, func() { order = append(order, 2) })
-	if m.QueueLen() != 1 {
-		t.Fatalf("queue len = %d, want 1", m.QueueLen())
+	if queueLen(m) != 1 {
+		t.Fatalf("queue len = %d, want 1", queueLen(m))
 	}
 	k.RunUntilIdle()
 	if k.Now() != sim.Time(20*sim.Millisecond) {
@@ -227,7 +230,7 @@ func TestRepairAfterDecommissionRefused(t *testing.T) {
 	if c.Machine(0).Up() || c.UpCount() != 2 {
 		t.Fatal("decommissioned machine resurrected")
 	}
-	if !c.Machine(0).Decommissioned() {
+	if !c.Machine(0).decommed {
 		t.Fatal("Decommissioned() not reported")
 	}
 	// A crashed machine may be decommissioned (it is down either way)...
@@ -280,8 +283,8 @@ func TestStaleCompletionAfterFailAndRepairIsDropped(t *testing.T) {
 	if math.Abs(cpuAt10-12.5) > 1e-3 {
 		t.Fatalf("CPUPercent at 10s = %v, want 12.5", cpuAt10)
 	}
-	if m.Busy() != 0 || m.QueueLen() != 0 {
-		t.Fatalf("run queues not empty: busy %d, queued %d", m.Busy(), m.QueueLen())
+	if len(m.active) != 0 || queueLen(m) != 0 {
+		t.Fatalf("run queues not empty: busy %d, queued %d", len(m.active), queueLen(m))
 	}
 }
 
@@ -326,7 +329,7 @@ func TestPropertyCPUPercentBounded(t *testing.T) {
 			if p < 0 || p > 100.0001 {
 				ok = false
 			}
-			return k.Pending() > 1
+			return len(m.active) > 0 || queueLen(m) > 0
 		})
 		k.RunUntilIdle()
 		return ok && m.CPUPercent() <= 100.0001
@@ -387,8 +390,8 @@ func TestExecDeepQueueAllocatesNothing(t *testing.T) {
 	if got := testing.AllocsPerRun(1, steps); got != 0 {
 		t.Fatalf("1000 completions on a 63-deep queue allocated %v times, want 0", got)
 	}
-	if m.QueueLen() != 63 {
-		t.Fatalf("queue len = %d, want 63", m.QueueLen())
+	if queueLen(m) != 63 {
+		t.Fatalf("queue len = %d, want 63", queueLen(m))
 	}
 }
 
@@ -411,10 +414,10 @@ func TestRunQueueFIFOAcrossSlides(t *testing.T) {
 			for i := 0; i < id%3 && next < 2000; i++ {
 				submit()
 			}
-			if next < 2000 && m.QueueLen() == 0 && m.Busy() == 0 {
+			if next < 2000 && queueLen(m) == 0 && len(m.active) == 0 {
 				submit()
 			}
-			deepest = max(deepest, m.QueueLen())
+			deepest = max(deepest, queueLen(m))
 		})
 	}
 	for i := 0; i < 10; i++ {
@@ -449,8 +452,8 @@ func TestFailDropsAdvancedRunQueue(t *testing.T) {
 	k.At(sim.Time(2500*sim.Millisecond), func() { c.Fail(0) })
 	k.At(sim.Time(3*sim.Second), func() {
 		c.Repair(0)
-		if m.QueueLen() != 0 {
-			t.Errorf("queue len after repair = %d, want 0", m.QueueLen())
+		if queueLen(m) != 0 {
+			t.Errorf("queue len after repair = %d, want 0", queueLen(m))
 		}
 		m.Exec(sim.Second, func() { freshAt = k.Now() })
 	})
@@ -461,7 +464,7 @@ func TestFailDropsAdvancedRunQueue(t *testing.T) {
 	if freshAt != sim.Time(4*sim.Second) {
 		t.Fatalf("post-repair work done at %v, want 4s", freshAt)
 	}
-	if m.Busy() != 0 || m.QueueLen() != 0 {
-		t.Fatalf("run queues not empty: busy %d, queued %d", m.Busy(), m.QueueLen())
+	if len(m.active) != 0 || queueLen(m) != 0 {
+		t.Fatalf("run queues not empty: busy %d, queued %d", len(m.active), queueLen(m))
 	}
 }

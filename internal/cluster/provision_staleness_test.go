@@ -44,7 +44,7 @@ func provisionIntoBackoff(t *testing.T, k *sim.Kernel, c *Cluster) (*Machine, *[
 	if len(*outcomes) != 0 {
 		t.Fatalf("outcome fired during backoff: %v", *outcomes)
 	}
-	if !m.Booting() {
+	if !m.bootPending {
 		t.Fatal("machine should still be boot-pending while awaiting retry")
 	}
 	if got := countKind(ring, trace.KindProvFail); got != 1 {
@@ -85,7 +85,7 @@ func TestDecommissionDuringBackoffStalesRetry(t *testing.T) {
 	if m.Up() {
 		t.Error("stale retry timer brought a decommissioned machine up")
 	}
-	if m.Booting() {
+	if m.bootPending {
 		t.Error("decommissioned machine still reports Booting")
 	}
 	if len(*outcomes) != 1 {
@@ -155,7 +155,7 @@ func TestBackoffRetriesExhaustWithoutTeardown(t *testing.T) {
 	if len(*outcomes) != 1 || (*outcomes)[0] {
 		t.Fatalf("outcomes = %v, want exactly one false (permanent exhaustion)", *outcomes)
 	}
-	if m.Up() || m.Booting() {
+	if m.Up() || m.bootPending {
 		t.Error("exhausted provision left the machine up or boot-pending")
 	}
 }

@@ -21,7 +21,7 @@ func TestFailMidBootMakesBootTimerStale(t *testing.T) {
 	if m == nil {
 		t.Fatal("ProvisionClass returned nil")
 	}
-	if !m.Booting() {
+	if !m.bootPending {
 		t.Fatal("provisioned machine should report Booting")
 	}
 
@@ -30,7 +30,7 @@ func TestFailMidBootMakesBootTimerStale(t *testing.T) {
 	if !c.Fail(m.ID) {
 		t.Fatal("Fail refused a booting machine")
 	}
-	if m.Booting() {
+	if m.bootPending {
 		t.Error("crashed machine still reports Booting")
 	}
 
@@ -74,7 +74,7 @@ func TestDecommissionMidBootCancelsProvision(t *testing.T) {
 	if m.Up() {
 		t.Error("stale boot timer brought a decommissioned machine up")
 	}
-	if !m.Decommissioned() {
+	if !m.decommed {
 		t.Error("machine should be decommissioned")
 	}
 }
@@ -186,7 +186,7 @@ func TestProvisionFailureRetriesAndExhaustion(t *testing.T) {
 	if m.Up() {
 		t.Error("permanently failed provision is Up")
 	}
-	if !m.Decommissioned() {
+	if !m.decommed {
 		t.Error("permanently failed provision should be decommissioned")
 	}
 	// provAttempts boots of 1s each, with a doubling backoff between them.

@@ -205,6 +205,32 @@ func TestOnlyRunDrivesWorlds(t *testing.T) {
 	}
 }
 
+// TestOnlyLintImportsModelChecker keeps the policy model checker beside the
+// simulator, not in it: outside internal/lint and cmd/plasma-lint no non-test
+// file imports internal/lint/model, so plasma-sim, plasma-bench and the
+// examples do not link it. Replaying a counterexample through the simulator
+// is internal/experiments' test harness.
+func TestOnlyLintImportsModelChecker(t *testing.T) {
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	for _, path := range sourceFiles(t, root) {
+		rel, _ := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
+		if strings.HasPrefix(rel, "internal/lint/") || strings.HasPrefix(rel, "cmd/plasma-lint/") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "plasma/internal/lint/model" {
+				t.Errorf("%s imports %s; only internal/lint and cmd/plasma-lint may", rel, p)
+			}
+		}
+	}
+}
+
 // TestComparisonManagersScheduleNothing is the one-period rule, enforced: a
 // comparison manager in internal/baseline or internal/apps/estore is one
 // per-period step (Tick) that run's period timer calls with the EPR window it

@@ -37,9 +37,9 @@ func TestReservationHeldDuringInFlightReserveTransfer(t *testing.T) {
 	// and the transfer begins.
 	m.srv(1).owner = owner
 	e.rt.Migrate(owner, 1, nil)
-	if !e.rt.Migrating(owner) || e.rt.ServerOf(owner) != 0 {
-		t.Fatalf("transfer not in flight (migrating=%v srv=%d)",
-			e.rt.Migrating(owner), e.rt.ServerOf(owner))
+	if e.rt.MigratingTo(owner) != 1 || e.rt.InFlightMigrations() != 1 || e.rt.ServerOf(owner) != 0 {
+		t.Fatalf("transfer not in flight (migrating to %d, %d in flight, srv=%d)",
+			e.rt.MigratingTo(owner), e.rt.InFlightMigrations(), e.rt.ServerOf(owner))
 	}
 
 	// A period boundary's cleanup pass lands mid-transfer.

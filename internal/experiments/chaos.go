@@ -22,7 +22,7 @@ import (
 // end of every run: no actor lost, duplicated, or stuck mid-migration; no
 // machine's memory accounting drifted; and the application is serving again
 // within two elasticity periods of the last fault. The same seed replays
-// the same faults bit for bit (see the injector trace), which is what turns
+// the same faults bit for bit (see the KindChaos records), which is what turns
 // §4.3's graceful-degradation claims into checkable assertions. stretch
 // multiplies every arm's quick horizon (PageRank's iterations).
 func chaosRun(cfg Config, stretch int, r *Result) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"plasma/internal/actor"
+	"plasma/internal/trace"
 )
 
 // Acceptance: all three applications survive three seeded fault schedules
@@ -19,17 +20,31 @@ func TestChaosInvariantsHoldAcrossAppsAndSeeds(t *testing.T) {
 	claimHolds(t, "chaos")
 }
 
+// chaosLog is a trace sink keeping only the KindChaos records: every fault
+// the injector applied, in order, with its virtual time.
+type chaosLog struct{ recs []trace.Record }
+
+func (l *chaosLog) Emit(r trace.Record) {
+	if r.Kind == trace.KindChaos {
+		l.recs = append(l.recs, r)
+	}
+}
+
 // Satellite: the chaos layer is deterministic end to end — the same seed
-// replays the same fault trace bit for bit and lands every actor on the
-// same machine with the same EMR counters; a different seed does not.
+// replays the same KindChaos records bit for bit and lands every actor on
+// the same machine with the same EMR counters; a different seed does not.
 func TestChaosDeterministicReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs three full simulations")
 	}
-	a := chaosTrial(Config{}, 1, 21, mediaChaosArm)
-	b := chaosTrial(Config{}, 1, 21, mediaChaosArm)
-	if !reflect.DeepEqual(a.Inj.Trace(), b.Inj.Trace()) {
-		t.Fatalf("same seed produced different fault traces:\n%v\nvs\n%v", a.Inj.Trace(), b.Inj.Trace())
+	trial := func(seed int64) (outcome, []trace.Record) {
+		log := &chaosLog{}
+		return chaosTrial(Config{Trace: trace.New(log)}, 1, seed, mediaChaosArm), log.recs
+	}
+	a, ar := trial(21)
+	b, br := trial(21)
+	if len(ar) == 0 || !reflect.DeepEqual(ar, br) {
+		t.Fatalf("same seed produced different fault records:\n%+v\nvs\n%+v", ar, br)
 	}
 	if ad, bd := finalDirectory(a.RT), finalDirectory(b.RT); ad != bd {
 		t.Fatalf("same seed produced different final directories:\n%s\nvs\n%s", ad, bd)
@@ -41,17 +56,16 @@ func TestChaosDeterministicReplay(t *testing.T) {
 		t.Fatalf("same seed produced different injector stats:\n%+v\nvs\n%+v", a.Inj.Stats, b.Inj.Stats)
 	}
 
-	c := chaosTrial(Config{}, 1, 22, mediaChaosArm)
-	if reflect.DeepEqual(a.Inj.Trace(), c.Inj.Trace()) {
-		t.Fatal("different seeds produced identical fault traces")
+	if _, cr := trial(22); reflect.DeepEqual(ar, cr) {
+		t.Fatal("different seeds produced identical fault records")
 	}
 }
 
 // finalDirectory renders the actor directory for bit-identity comparison.
 func finalDirectory(rt *actor.Runtime) string {
 	var sb strings.Builder
-	for _, ref := range rt.Actors() {
-		fmt.Fprintf(&sb, "%d@%d ", ref.ID, rt.ServerOf(ref))
-	}
+	rt.ForEachActor(func(info actor.Info) {
+		fmt.Fprintf(&sb, "%d@%d ", info.Ref.ID, info.Server)
+	})
 	return sb.String()
 }

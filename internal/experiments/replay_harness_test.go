@@ -11,7 +11,7 @@ import (
 
 // Counterexample replay: the model checker (internal/lint/model) proves
 // properties over an *abstraction* — uniform load, instantaneous boots,
-// one drift step per period. ReplayPath closes the loop by driving the
+// one drift step per period. replayPath closes the loop by driving the
 // abstract counterexample's load schedule through the real simulator
 // (cluster + actor runtime + profiler + EMR) and reading the corroborated
 // scale decisions back out of the trace stream, so every EPL200 finding
@@ -29,14 +29,12 @@ func (l *scaleLog) Emit(r trace.Record) {
 	}
 }
 
-// ReplayOpts configures one counterexample replay.
-type ReplayOpts struct {
+// replayOpts configures one counterexample replay.
+type replayOpts struct {
 	// Policy is the EPL source (lint annotations are ignored by the lexer).
+	// The workers are spawned as the class its first balance behavior
+	// covers, so the fleet the replay drives is the one the policy governs.
 	Policy string
-	// Class is the actor class to spawn the workers as. When empty it is
-	// taken from the policy's first balance behavior, so the fleet the
-	// replay drives is the one the policy actually governs.
-	Class string
 	// Env is the workload envelope the counterexample was checked under;
 	// it fixes the load-to-arrival-rate mapping and the fleet bounds.
 	Env model.Envelope
@@ -51,8 +49,8 @@ type ReplayOpts struct {
 	Seed    int64
 }
 
-// ReplayOut is one replay's outcome, read from the trace records.
-type ReplayOut struct {
+// replayOut is one replay's outcome, read from the trace records.
+type replayOut struct {
 	// ScaleOuts and ScaleIns count corroborated scale *decisions*
 	// (KindScaleOut / KindScaleIn trace records).
 	ScaleOuts int
@@ -64,26 +62,21 @@ type ReplayOut struct {
 	// booted / decommissioned), for cross-checking against the decisions.
 	StatOuts int
 	StatIns  int
-	FinalSrv int
-	Shed     int64
 }
 
-// ReplayPath replays a load schedule through the real simulator. One
+// replayPath replays a load schedule through the real simulator. One
 // abstract load unit is the work one server absorbs per 1/PerServer of
 // its capacity, so the aggregate arrival rate at level λ is
 // λ/(PerServer·reqCost) and the per-server utilization the profiler
 // measures converges to the model's 100·λ/(n·PerServer).
-func ReplayPath(o ReplayOpts) ReplayOut {
+func replayPath(o replayOpts) replayOut {
 	const (
 		period  = 500 * sim.Millisecond
 		reqCost = burstReqCost
 		clients = 16
 	)
 	env := o.Env
-	class := o.Class
-	if class == "" {
-		class = balanceClass(o.Policy)
-	}
+	class := balanceClass(o.Policy)
 	// 12 actors per initial server keeps per-actor load small enough that
 	// balance can land any fleet size in the envelope inside a policy's
 	// hysteresis band (the abstraction assumes perfectly divisible load).
@@ -131,10 +124,7 @@ func ReplayPath(o ReplayOpts) ReplayOut {
 		mailboxCap: 64,
 	})
 
-	r := ReplayOut{
-		StatOuts: out.M.Stats.ScaleOuts, StatIns: out.M.Stats.ScaleIns,
-		FinalSrv: out.C.UpCount(), Shed: out.RT.ShedRequests(),
-	}
+	r := replayOut{StatOuts: out.M.Stats.ScaleOuts, StatIns: out.M.Stats.ScaleIns}
 	last := trace.Kind(0)
 	seen := false
 	for _, rec := range log.recs {
@@ -187,11 +177,11 @@ func replaySpecs(env model.Envelope) []cluster.ProvSpec {
 	return specs
 }
 
-// DriftWalk rolls the envelope's drift distribution forward, returning a
+// driftWalk rolls the envelope's drift distribution forward, returning a
 // per-period load schedule for the property sweeps. The generator is a
 // self-contained LCG so sweeps are reproducible byte for byte at a fixed
 // seed, independent of any kernel's draw order.
-func DriftWalk(env model.Envelope, periods int, seed uint64) []int {
+func driftWalk(env model.Envelope, periods int, seed uint64) []int {
 	loads := make([]int, periods)
 	x := seed*2862933555777941757 + 3037000493
 	load := env.InitLoad

@@ -57,7 +57,7 @@ func TestCounterexampleReplayReproducesOscillation(t *testing.T) {
 	for i, st := range f.Path {
 		loads[i] = st.Load
 	}
-	out := ReplayPath(ReplayOpts{
+	out := replayPath(replayOpts{
 		Policy: pol.Source, Env: model.DefaultEnvelope(),
 		Loads: loads, CycleFrom: f.CycleFrom,
 		Periods: 60, Seed: 1,
@@ -98,7 +98,7 @@ func TestCleanPoliciesDoNotFlap(t *testing.T) {
 	env := model.DefaultEnvelope()
 	env.InitLoad = 13
 	env.MaxLoad = 16
-	loads := DriftWalk(env, 200, 7)
+	loads := driftWalk(env, 200, 7)
 
 	clean := []string{"clean_hysteresis.epl", "clean_pagerank.epl"}
 	for _, name := range clean {
@@ -108,7 +108,7 @@ func TestCleanPoliciesDoNotFlap(t *testing.T) {
 				t.Fatalf("%s is not EPL200-clean; pick another policy", name)
 			}
 		}
-		out := ReplayPath(ReplayOpts{
+		out := replayPath(replayOpts{
 			Policy: pol.Source, Env: env,
 			Loads: loads, CycleFrom: -1, Periods: 200, Seed: 7,
 		})
@@ -120,7 +120,7 @@ func TestCleanPoliciesDoNotFlap(t *testing.T) {
 	}
 
 	osc := corpusPolicy(t, "osc_cross_rule.epl")
-	out := ReplayPath(ReplayOpts{
+	out := replayPath(replayOpts{
 		Policy: osc.Source, Env: env,
 		Loads: loads, CycleFrom: -1, Periods: 200, Seed: 7,
 	})
@@ -135,8 +135,8 @@ func TestCleanPoliciesDoNotFlap(t *testing.T) {
 // a fixed seed, one drift step per period, clamped to the envelope.
 func TestDriftWalkStaysInEnvelope(t *testing.T) {
 	env := model.DefaultEnvelope()
-	a := DriftWalk(env, 100, 3)
-	b := DriftWalk(env, 100, 3)
+	a := driftWalk(env, 100, 3)
+	b := driftWalk(env, 100, 3)
 	prev := env.InitLoad
 	for i, l := range a {
 		if l != b[i] {
@@ -150,7 +150,7 @@ func TestDriftWalkStaysInEnvelope(t *testing.T) {
 		}
 		prev = l
 	}
-	if c := DriftWalk(env, 100, 4); equalInts(a, c) {
+	if c := driftWalk(env, 100, 4); equalInts(a, c) {
 		t.Fatal("different seeds produced identical walks")
 	}
 }

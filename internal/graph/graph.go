@@ -21,15 +21,6 @@ type Graph struct {
 	Out [][]int32
 }
 
-// NumEdges reports the total directed edge count.
-func (g *Graph) NumEdges() int64 {
-	var m int64
-	for _, adj := range g.Out {
-		m += int64(len(adj))
-	}
-	return m
-}
-
 // GeneratePowerLaw builds a directed graph with n vertices and roughly
 // n*avgDeg edges whose degree distribution follows a power law with the
 // given exponent (typical social graphs: 2.0-2.5). Deterministic per seed.

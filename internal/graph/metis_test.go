@@ -157,7 +157,7 @@ func TestGenerateGolden(t *testing.T) {
 		{2, 361752, 0x83f93d320b1eeb85},
 	} {
 		g := GeneratePowerLaw(36000, 10, 2.1, c.seed)
-		if m := g.NumEdges(); m != c.edges {
+		if m := numEdges(g); m != c.edges {
 			t.Errorf("seed %d: %d edges, want %d", c.seed, m, c.edges)
 		}
 		h := fnv.New64a()

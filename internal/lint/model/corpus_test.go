@@ -181,7 +181,7 @@ func TestShippedPoliciesModelClean(t *testing.T) {
 	}
 	// The exact count: a glob or a policy literal that stops matching fails
 	// here instead of silently leaving a policy unchecked.
-	if checked != 13 {
-		t.Fatalf("checked %d shipped policies, want 13; a glob or the literal pattern has drifted", checked)
+	if checked != 12 {
+		t.Fatalf("checked %d shipped policies, want 12; a glob or the literal pattern has drifted", checked)
 	}
 }

@@ -102,8 +102,8 @@ func naiveSnapshot(h *logHook) []*epl.ActorInfo {
 			MemBytes: info.MemBytes, Pinned: info.Pinned, LastMoved: info.LastMoved,
 			Props: map[string][]actor.Ref{},
 		}
-		for name := range info.Props {
-			ai.Props[name] = p.rt.Props(info.Ref, name)
+		for name, refs := range info.Props {
+			ai.Props[name] = refs
 		}
 		if m.Type.MemMB > 0 {
 			ai.MemPerc = float64(ai.MemBytes) / float64(m.Type.MemMB*1024*1024) * 100

@@ -59,7 +59,13 @@ func BenchmarkOnMessage(b *testing.B) {
 				traffic()
 			}
 			b.StopTimer()
-			if p.Messages() == 0 {
+			var msgs int64
+			for _, a := range p.Snapshot(nil).Actors {
+				for _, cs := range a.Calls {
+					msgs += cs.Count
+				}
+			}
+			if msgs == 0 {
 				b.Fatal("no messages profiled")
 			}
 		})

@@ -18,7 +18,7 @@ const (
 	opAsk             // client request to actor arg; the reply charges net
 	opMemSize         // actor arg's handler calls SetMemSize
 	opCtxProp         // actor arg's handler calls SetProp
-	opAddProp         // actor arg's handler calls AddPropRef
+	opAddProp         // actor arg's handler appends to its SetProp property
 	opSetProp         // Runtime.SetProp on actor arg
 	opPin             // Pin actor arg
 	opUnpin           // Unpin actor arg
@@ -43,6 +43,8 @@ func runSnapshotProgram(t *testing.T, data []byte) {
 	cl := actor.NewClient(rt, 3)
 
 	var refs []actor.Ref // every actor spawned, live or not
+	// props holds each actor's "p" property as its handler last set it.
+	props := map[actor.ID][]actor.Ref{}
 	behavior := actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
 		ctx.Use(sim.Duration(1+msg.Size%4) * sim.Millisecond)
 		arg, _ := msg.Arg.(actor.Ref)
@@ -54,9 +56,11 @@ func runSnapshotProgram(t *testing.T, data []byte) {
 		case "mem":
 			ctx.SetMemSize(msg.Size << 10)
 		case "prop":
-			ctx.SetProp("p", []actor.Ref{arg})
+			props[ctx.Self().ID] = []actor.Ref{arg}
+			ctx.SetProp("p", props[ctx.Self().ID])
 		case "add":
-			ctx.AddPropRef("p", arg)
+			props[ctx.Self().ID] = append(props[ctx.Self().ID], arg)
+			ctx.SetProp("p", props[ctx.Self().ID])
 		}
 	})
 	pick := func(arg byte) actor.Ref { return refs[int(arg)%len(refs)] }

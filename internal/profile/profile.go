@@ -122,9 +122,9 @@ func (cc *calleeCalls) buildIdx(names []string) {
 }
 
 // Profiler collects per-window runtime information. It implements
-// actor.ProfilerHook. A single Profiler serves all servers; snapshots can be
-// scoped to a server subset, which is how per-LEM and per-GEM views are
-// produced.
+// actor.ProfilerHook. A single Profiler serves all servers, and every product
+// caller takes the whole-cluster Snapshot(nil); a GEM's view is that
+// snapshot's WithServers over the servers whose REPORTs it combined.
 //
 // Lifetime contract: the *epl.Snapshot returned by Snapshot, its ActorInfos
 // and their Calls and Props are valid until the next call to Snapshot, which
@@ -163,8 +163,7 @@ type Profiler struct {
 	// names interns the actor type and method names callRecs refer to.
 	names []string
 
-	callRecs int   // records held across all call tables, live or quiet
-	messages int64 // total messages observed (all time), for overhead tests
+	callRecs int // records held across all call tables, live or quiet
 
 	// What Snapshot hands out, refreshed in place by each call: one row per
 	// actor id (a row of an id with no live actor holds nothing), the
@@ -253,7 +252,6 @@ func (p *Profiler) OnMessage(srv cluster.MachineID, callerType string, caller ac
 	cc.recs[i].bytes += size
 	p.actorNet[callee.ID] += size
 	p.marks[callee.ID/64] |= 1 << (callee.ID % 64)
-	p.messages++
 }
 
 // OnCPU implements actor.ProfilerHook.
@@ -269,9 +267,6 @@ func (p *Profiler) OnNet(srv cluster.MachineID, a actor.Ref, typ string, size in
 	p.actorNet[a.ID] += size
 	p.marks[a.ID/64] |= 1 << (a.ID % 64)
 }
-
-// Messages reports the total number of profiled messages.
-func (p *Profiler) Messages() int64 { return p.messages }
 
 // Window reports the current window's span so far.
 func (p *Profiler) Window() sim.Duration { return sim.Duration(p.k.Now() - p.windowStart) }

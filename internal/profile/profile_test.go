@@ -206,7 +206,8 @@ func TestMessagesCounter(t *testing.T) {
 		cl.Send(ref, "m", nil, 1)
 	}
 	k.RunUntilIdle()
-	if p.Messages() != 7 {
-		t.Fatalf("messages = %d", p.Messages())
+	calls := p.Snapshot(nil).Actor(ref).Calls
+	if len(calls) != 1 || calls[0].Method != "m" || calls[0].Count != 7 {
+		t.Fatalf("calls = %+v, want one CallStat counting 7 sends of m", calls)
 	}
 }

@@ -36,6 +36,7 @@ func TestSnapshotRowsMatchNaiveAcrossPeriods(t *testing.T) {
 	// period, so every window has different (caller, method) pairs, and
 	// rewrites its own properties and memory as it goes.
 	fanout, period := 1, 0
+	seen := map[actor.ID][]actor.Ref{} // each chatter's growing "seen" property
 	chatter := actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
 		ctx.Use(2 * sim.Millisecond)
 		if msg.Method == "fan" {
@@ -46,7 +47,9 @@ func TestSnapshotRowsMatchNaiveAcrossPeriods(t *testing.T) {
 			case 0:
 				ctx.SetProp("next", []actor.Ref{refs[period%len(refs)]})
 			case 1:
-				ctx.AddPropRef("seen", quiet[period%len(quiet)])
+				self := ctx.Self().ID
+				seen[self] = append(seen[self], quiet[period%len(quiet)])
+				ctx.SetProp("seen", seen[self])
 			case 2:
 				ctx.SetMemSize(int64(period) << 20)
 			}

@@ -174,9 +174,6 @@ func (k *Kernel) RunUntilIdle() {
 	}
 }
 
-// Pending reports the number of queued events.
-func (k *Kernel) Pending() int { return k.q.len() }
-
 // Stats summarizes the kernel's lifetime effort, used by the benchmark
 // harness to report event throughput and queue pressure per experiment.
 type Stats struct {
