@@ -16,7 +16,7 @@ COVER_PROFILE ?= coverage.out
 # Scratch dir for the trace round-trip smoke test.
 TRACE_SMOKE_DIR ?= .trace-smoke
 
-.PHONY: build test vet race bench kernel-bench actor-bench workload-bench bench-test bench-quick bench-baseline scale-quick burst-quick stream-quick plan-quick lint-model cover trace-smoke quickstart-smoke fuzz-smoke sweep-snapshot loc verify
+.PHONY: build test vet race bench kernel-bench actor-bench profile-bench workload-bench bench-test bench-quick bench-baseline scale-quick burst-quick stream-quick plan-quick lint-model cover trace-smoke quickstart-smoke fuzz-smoke sweep-snapshot loc verify
 
 build:
 	$(GO) build ./...
@@ -43,10 +43,19 @@ kernel-bench:
 
 # actor-bench runs the actor runtime's message-path microbenchmarks once
 # each, the way kernel-bench does: a client request → forward → reply, an
-# actor → actor Send, and BenchmarkIdleDelivery, fleet_control's shape — 4,096
-# actors on one self-message cycle, every delivery finding its actor idle.
+# actor → actor Send, BenchmarkIdleDelivery, fleet_control's shape — 4,096
+# actors on one self-message cycle, every delivery finding its actor idle —
+# and BenchmarkDeliverFleet, fleet_control's miss pattern: idle deliveries
+# to random actors of a 131,072-actor runtime.
 actor-bench:
-	$(GO) test -run '^$$' -bench '^Benchmark(RequestReply|Send|IdleDelivery)$$' -benchtime 1x ./internal/actor
+	$(GO) test -run '^$$' -bench '^Benchmark(RequestReply|Send|IdleDelivery|DeliverFleet)$$' -benchtime 1x ./internal/actor
+
+# profile-bench runs the EPR's microbenchmarks once each with their
+# allocation counts, the way actor-bench does: the per-message hook at fanin 4
+# and 64, a steady Snapshot of 1,024 actors, and a sparse Snapshot of a
+# 131,072-actor fleet with 1% messaged each period.
+profile-bench:
+	$(GO) test -run '^$$' -bench '^Benchmark(OnMessage|SnapshotSteady|SnapshotSparse)$$' -benchtime 1x -benchmem ./internal/profile
 
 # workload-bench runs the workload layer's key-draw microbenchmark once, the
 # way kernel-bench does: ZipfKeys.Draw at the stream experiments' shape and
@@ -236,12 +245,12 @@ loc:
 # suite passes under the race detector (determinism included: the run-twice
 # tests at two seeds and core's wall-clock/global-rand call rule), the policy
 # model checker passes every shipped policy — the one lint stage — the
-# kernel's queue, the actor runtime's message-path and the workload layer's
-# key-draw microbenchmarks run,
+# kernel's queue, the actor runtime's message-path, the EPR's hook and
+# snapshot and the workload layer's key-draw microbenchmarks run,
 # the benchmark harness's own tests pass, the quick-scale sweep shows no perf
 # regression or determinism drift against the checked-in bench baseline, the
 # decision tracer round-trips, the quickstart example migrates, and the
 # kernel order, policy, evaluator, envelope, trace JSONL, snapshot,
 # percentile, bench-baseline, partition and Zipf fuzzers find nothing in ten
 # seconds each.
-verify: build vet race lint-model kernel-bench actor-bench workload-bench bench-test bench-quick trace-smoke quickstart-smoke fuzz-smoke
+verify: build vet race lint-model kernel-bench actor-bench profile-bench workload-bench bench-test bench-quick trace-smoke quickstart-smoke fuzz-smoke

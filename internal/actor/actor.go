@@ -84,29 +84,36 @@ type PlacementHook interface {
 	Place(typ string, creator Ref, creatorSrv cluster.MachineID) cluster.MachineID
 }
 
+// instance is one live actor: 128 bytes, two cache lines (its size class
+// aligns it to them). The first line holds what send, deliver and start
+// read of every message: the home, the mailbox, the pending move, the id and
+// the flags. The second holds the type and behavior a turn runs, and what
+// the profiler's metadata refresh and a migration read. TestInstanceLayout
+// holds the size and the split.
 type instance struct {
-	id       ID
-	typ      string
-	behavior Behavior
-	srv      cluster.MachineID
+	srv cluster.MachineID
 
 	// The mailbox is a FIFO over one backing array: queued messages are
 	// mailbox[head:]. The array is kept across drains (see enqueue/dequeue),
 	// so an actor in steady state queues without allocating.
-	mailbox   []Message
-	head      int
+	mailbox []Message
+	head    int
+
+	// pending is the migration requested but not yet begun (it waits for
+	// the current turn to end); nil when no move is pending.
+	pending *migration
+	id      ID
+
 	busy      bool // currently processing a message
 	migrating bool
+	dead      bool
+	pinned    bool
 
+	typ      string
+	behavior Behavior
 	props    map[string][]Ref
 	memSize  int64
-	pinned   bool
 	lastMove sim.Time
-
-	pendingDst cluster.MachineID // -1 when no migration requested
-	pendingFn  func(ok bool)
-	pendingTr  uint64 // trace parent for the pending migration
-	dead       bool
 
 	// migEpoch invalidates in-flight migration steps when the actor is
 	// re-homed (crash recovery) or a newer migration supersedes them.
@@ -138,8 +145,8 @@ type Runtime struct {
 	// reused, so the table is dense, walking it is ascending-id (= spawn)
 	// order, and a stopped actor leaves a nil behind. Read it through inst.
 	actors     []*instance
-	live       int                       // non-nil entries of actors
-	on         map[cluster.MachineID]int // live actors per machine
+	live       int   // non-nil entries of actors
+	on         []int // live actors per machine, indexed by MachineID
 	migrations int
 
 	// changed is the change set, one bit per actor id: an actor joins it when
@@ -166,14 +173,18 @@ type Runtime struct {
 	tr *trace.Tracer // nil = migration lifecycle untraced
 }
 
-// migration is one in-flight live migration.
+// migration is one live migration: requested and pending on its actor
+// until beginMigration starts it, then in flight. While it is pending,
+// traceID is the trace parent its KindTransfer record will name; from then
+// on it is that record's id (one field for both keeps the struct in the
+// 48-byte size class).
 type migration struct {
 	inst    *instance
 	src     cluster.MachineID
 	dst     cluster.MachineID
 	epoch   uint64
 	onDone  func(ok bool)
-	traceID uint64 // id of the KindTransfer record, parent of commit/rollback
+	traceID uint64 // the transfer's parent, then its id: parent of commit/rollback
 }
 
 // NewRuntime creates a runtime over the given cluster.
@@ -182,7 +193,6 @@ func NewRuntime(k *sim.Kernel, c *cluster.Cluster) *Runtime {
 		K:        k,
 		C:        c,
 		actors:   make([]*instance, 1), // the zero ID is nobody
-		on:       make(map[cluster.MachineID]int),
 		inflight: make(map[ID]*migration),
 	}
 	c.OnFail(rt.onMachineFail)
@@ -249,7 +259,7 @@ func (rt *Runtime) onMachineFail(id cluster.MachineID) {
 	// Queued (not yet begun) migrations toward the dead machine fail fast so
 	// the initiating LEM can replan instead of waiting forever.
 	for _, inst := range rt.actors {
-		if inst != nil && inst.pendingDst == id && !inst.migrating {
+		if inst != nil && inst.pending != nil && inst.pending.dst == id && !inst.migrating {
 			inst.failPending()
 		}
 	}
@@ -258,10 +268,10 @@ func (rt *Runtime) onMachineFail(id cluster.MachineID) {
 // failPending withdraws the actor's requested, not yet begun migration and
 // tells its initiator, if it left a callback, that the move failed.
 func (inst *instance) failPending() {
-	fn := inst.pendingFn
-	inst.pendingDst, inst.pendingFn, inst.pendingTr = -1, nil, 0
-	if fn != nil {
-		fn(false)
+	mig := inst.pending
+	inst.pending = nil
+	if mig != nil && mig.onDone != nil {
+		mig.onDone(false)
 	}
 }
 
@@ -316,16 +326,15 @@ func (rt *Runtime) SpawnOn(typ string, b Behavior, srv cluster.MachineID) Ref {
 		panic(fmt.Sprintf("actor: spawn on bad machine %d", srv))
 	}
 	inst := &instance{
-		id:         ID(len(rt.actors)),
-		typ:        typ,
-		behavior:   b,
-		srv:        srv,
-		lastMove:   rt.K.Now(),
-		pendingDst: -1,
+		id:       ID(len(rt.actors)),
+		typ:      typ,
+		behavior: b,
+		srv:      srv,
+		lastMove: rt.K.Now(),
 	}
 	rt.actors = append(rt.actors, inst)
 	rt.live++
-	rt.on[srv]++
+	rt.countOn(srv)
 	rt.mark(inst.id)
 	if g, ok := rt.profiler.(spawnGrower); ok {
 		g.OnSpawn(srv, Ref{ID: inst.id})
@@ -341,11 +350,20 @@ func (rt *Runtime) mark(id ID) {
 	rt.changed[id/64] |= 1 << (id % 64)
 }
 
+// countOn adds one to srv's live-actor count, growing the counts to cover
+// srv.
+func (rt *Runtime) countOn(srv cluster.MachineID) {
+	for int(srv) >= len(rt.on) {
+		rt.on = append(rt.on, 0)
+	}
+	rt.on[srv]++
+}
+
 // move re-homes the actor on dst: the per-machine counts follow it, its
 // last move is now, and it joins the change set.
 func (rt *Runtime) move(inst *instance, dst cluster.MachineID) {
 	rt.on[inst.srv]--
-	rt.on[dst]++
+	rt.countOn(dst)
 	inst.srv, inst.lastMove = dst, rt.K.Now()
 	rt.mark(inst.id)
 }
@@ -490,7 +508,12 @@ func (rt *Runtime) ActorsOn(srv cluster.MachineID) []Ref {
 
 // NumActorsOn counts the live actors hosted on srv, from a count kept as
 // actors are spawned, stopped and moved.
-func (rt *Runtime) NumActorsOn(srv cluster.MachineID) int { return rt.on[srv] }
+func (rt *Runtime) NumActorsOn(srv cluster.MachineID) int {
+	if srv >= 0 && int(srv) < len(rt.on) {
+		return rt.on[srv]
+	}
+	return 0
+}
 
 // Info is one live actor's metadata as Lookup and ForEachActor deliver it:
 // everything the elasticity profiling runtime needs per actor, in a single
@@ -536,8 +559,8 @@ func (rt *Runtime) MigratingTo(ref Ref) cluster.MachineID {
 	if mig := rt.inflight[ref.ID]; mig != nil {
 		return mig.dst
 	}
-	if inst := rt.inst(ref.ID); inst != nil && inst.pendingDst >= 0 {
-		return inst.pendingDst
+	if inst := rt.inst(ref.ID); inst != nil && inst.pending != nil {
+		return inst.pending.dst
 	}
 	return -1
 }
@@ -640,7 +663,7 @@ func (rt *Runtime) send(fromSrv cluster.MachineID, msg *Message, to Ref) {
 // and the mailbox is never touched; otherwise the message queues behind the
 // rest, or is shed when the bounded mailbox is full.
 func (rt *Runtime) deliver(inst *instance, msg *Message) {
-	if inst.queued() == 0 && inst.pendingDst < 0 {
+	if inst.queued() == 0 && inst.pending == nil {
 		if m := rt.free(inst); m != nil {
 			rt.start(inst, m, msg)
 			return
@@ -706,7 +729,7 @@ func (rt *Runtime) pump(inst *instance) {
 	if machine == nil {
 		return
 	}
-	if inst.pendingDst >= 0 {
+	if inst.pending != nil {
 		rt.beginMigration(inst)
 		return
 	}
@@ -788,7 +811,7 @@ func (rt *Runtime) MigrateTraced(ref Ref, dst cluster.MachineID, parent uint64, 
 			onDone(false)
 		}
 	}
-	if inst == nil || inst.pinned || inst.migrating || inst.pendingDst >= 0 {
+	if inst == nil || inst.pinned || inst.migrating || inst.pending != nil {
 		fail()
 		return
 	}
@@ -797,9 +820,7 @@ func (rt *Runtime) MigrateTraced(ref Ref, dst cluster.MachineID, parent uint64, 
 		fail()
 		return
 	}
-	inst.pendingDst = dst
-	inst.pendingFn = onDone
-	inst.pendingTr = parent
+	inst.pending = &migration{inst: inst, dst: dst, onDone: onDone, traceID: parent}
 	if !inst.busy {
 		rt.beginMigration(inst)
 	}
@@ -816,19 +837,20 @@ func (rt *Runtime) MigrateTraced(ref Ref, dst cluster.MachineID, parent uint64, 
 // never a permanently stuck `migrating` flag. Each step runs directly in
 // the Exec completion of the one before it.
 func (rt *Runtime) beginMigration(inst *instance) {
-	dst, onDone, parent := inst.pendingDst, inst.pendingFn, inst.pendingTr
+	mig := inst.pending
+	dst := mig.dst
 	if dstM := rt.C.Machine(dst); dstM == nil || !dstM.Up() || inst.dead {
 		inst.failPending()
 		rt.pump(inst)
 		return
 	}
-	inst.pendingDst, inst.pendingFn, inst.pendingTr = -1, nil, 0
+	inst.pending = nil
 	inst.migrating = true
 	inst.migEpoch++
-	mig := &migration{inst: inst, src: inst.srv, dst: dst, epoch: inst.migEpoch, onDone: onDone}
-	rt.inflight[inst.id] = mig
 	src := inst.srv
-	mig.traceID = rt.tr.Emit(trace.Record{Kind: trace.KindTransfer, Parent: parent,
+	mig.src, mig.epoch = src, inst.migEpoch
+	rt.inflight[inst.id] = mig
+	mig.traceID = rt.tr.Emit(trace.Record{Kind: trace.KindTransfer, Parent: mig.traceID,
 		Server: int32(src), Target: int32(dst), Actor: uint64(inst.id), Rule: -1, Value: float64(inst.memSize)})
 	stateMB := float64(inst.memSize) / (1 << 20)
 	serCost := sim.Duration(stateMB * float64(SerializePerMB))

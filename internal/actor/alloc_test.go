@@ -1,7 +1,9 @@
 package actor
 
 import (
+	"math/rand"
 	"testing"
+	"unsafe"
 
 	"plasma/internal/cluster"
 	"plasma/internal/sim"
@@ -144,5 +146,83 @@ func TestMessagePathAllocCeiling(t *testing.T) {
 	f.run(17 * n)
 	if got := testing.AllocsPerRun(10, func() { f.run(n) }); got > 0 {
 		t.Errorf("idle delivery: %v allocs per fleet cycle, ceiling 0", got)
+	}
+	// A delivery to a random actor of a fleet costs nothing either.
+	d := newDeliverFleet(4096)
+	if got := testing.AllocsPerRun(200, d.deliver); got > 0 {
+		t.Errorf("delivery to a random actor: %v allocs, ceiling 0", got)
+	}
+}
+
+// deliverFleet is fleet_control's miss pattern: n idle actors on 1,024
+// machines, each op one client message to an actor picked at random, run
+// to the end of its turn. At full size the instances are far larger than
+// the cache, so every delivery reads a cold actor. Every machine has run a
+// turn once, so none allocates its work queue inside a measurement.
+type deliverFleet struct {
+	k    *sim.Kernel
+	cl   *Client
+	refs []Ref
+	rng  *rand.Rand
+}
+
+func newDeliverFleet(n int) *deliverFleet {
+	const machines = 1024
+	k := sim.New(1)
+	c := cluster.New(k, machines+1, cluster.InstanceType{Name: "t", VCPUs: 2, MemMB: 4096, NetMbps: 1000, SpeedFac: 1})
+	rt := NewRuntime(k, c)
+	f := &deliverFleet{k: k, cl: NewClient(rt, machines), refs: make([]Ref, n), rng: rand.New(rand.NewSource(1))}
+	worker := BehaviorFunc(func(ctx *Context, msg Message) { ctx.Use(sim.Millisecond) })
+	for i := range f.refs {
+		f.refs[i] = rt.SpawnOn("Worker", worker, cluster.MachineID(i%machines))
+	}
+	for _, ref := range f.refs[:min(n, machines)] {
+		f.cl.Send(ref, "work", nil, 64)
+		k.RunUntilIdle()
+	}
+	return f
+}
+
+// deliver sends one message to a random actor and runs it to completion.
+func (f *deliverFleet) deliver() {
+	f.cl.Send(f.refs[f.rng.Intn(len(f.refs))], "work", nil, 64)
+	f.k.RunUntilIdle()
+}
+
+// BenchmarkDeliverFleet times one idle delivery to a random actor of a
+// 131,072-actor runtime, fleet_control's size. Ceiling: 0 allocs/op
+// (TestMessagePathAllocCeiling).
+func BenchmarkDeliverFleet(b *testing.B) {
+	f := newDeliverFleet(131_072)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.deliver()
+	}
+}
+
+// An actor is two cache lines, and what send, deliver and start read of
+// every message sits in the first: see the layout comment on instance.
+func TestInstanceLayout(t *testing.T) {
+	var inst instance
+	if got := unsafe.Sizeof(inst); got != 128 {
+		t.Errorf("instance is %d bytes, want 128: see the layout comment on instance", got)
+	}
+	for _, f := range []struct {
+		name string
+		end  uintptr
+	}{
+		{"srv", unsafe.Offsetof(inst.srv) + unsafe.Sizeof(inst.srv)},
+		{"mailbox", unsafe.Offsetof(inst.mailbox) + unsafe.Sizeof(inst.mailbox)},
+		{"head", unsafe.Offsetof(inst.head) + unsafe.Sizeof(inst.head)},
+		{"pending", unsafe.Offsetof(inst.pending) + unsafe.Sizeof(inst.pending)},
+		{"busy", unsafe.Offsetof(inst.busy) + unsafe.Sizeof(inst.busy)},
+		{"migrating", unsafe.Offsetof(inst.migrating) + unsafe.Sizeof(inst.migrating)},
+		{"dead", unsafe.Offsetof(inst.dead) + unsafe.Sizeof(inst.dead)},
+		{"pinned", unsafe.Offsetof(inst.pinned) + unsafe.Sizeof(inst.pinned)},
+	} {
+		if f.end > 64 {
+			t.Errorf("instance.%s ends at byte %d, past the first cache line: see the layout comment on instance", f.name, f.end)
+		}
 	}
 }

@@ -131,7 +131,7 @@ func TestSourceCrashMidTransferAwaitsRecovery(t *testing.T) {
 }
 
 // Satellite regression: a migration requested while the actor is busy (so it
-// is still queued as pendingDst, not yet in flight) must fail fast when the
+// is still pending, not yet in flight) must fail fast when the
 // destination dies, not leave the actor stuck waiting to migrate forever.
 func TestQueuedMigrationFailsFastOnDeadDestination(t *testing.T) {
 	k := sim.New(1)

@@ -89,7 +89,8 @@ func TestDeliveriesQueueWhenTheActorCannotRun(t *testing.T) {
 		// actor holding one is set up by hand: the delivery must not start
 		// a turn ahead of it.
 		k, _, rt, l, ref, cl := setup(t)
-		rt.inst(ref.ID).pendingDst = 2
+		inst := rt.inst(ref.ID)
+		inst.pending = &migration{inst: inst, dst: 2}
 		send(cl, ref, 1)
 		k.RunUntilIdle()
 		check(t, l, []int{1}, []cluster.MachineID{2}, []int{0})

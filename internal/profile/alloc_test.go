@@ -109,10 +109,10 @@ func naiveSnapshot(h *logHook) []*epl.ActorInfo {
 			ai.MemPerc = float64(ai.MemBytes) / float64(m.Type.MemMB*1024*1024) * 100
 		}
 		id := int(info.Ref.ID)
-		if scope[info.Server] && window > 0 && id < len(p.actorCPU) {
-			ai.CPUTime = p.actorCPU[id]
+		if scope[info.Server] && window > 0 && id < len(p.acct) {
+			ai.CPUTime = p.acct[id].cpu
 			ai.CPUPerc = float64(ai.CPUTime) / (float64(window) * float64(m.Type.VCPUs)) * 100
-			ai.NetBytes = p.actorNet[id]
+			ai.NetBytes = p.acct[id].net
 			ai.NetPerc = float64(ai.NetBytes) * 8 / 1e6 / window.Seconds() / m.Type.NetMbps * 100
 		}
 		ai.Calls = calls[info.Ref]

@@ -162,8 +162,8 @@ func TestHookAllocCeiling(t *testing.T) {
 	if got := testing.AllocsPerRun(5, traffic); got != 0 {
 		t.Errorf("steady-state OnMessage/OnCPU/OnNet: %.0f allocs per window, want 0", got)
 	}
-	for id := range p.calls {
-		if p.calls[id].unsorted {
+	for id := range p.acct {
+		if p.acct[id].unsorted {
 			t.Fatalf("callee %d awaits a sort after a window that added no key", id)
 		}
 	}

@@ -52,12 +52,27 @@ const promoteAt = 16
 // re-sorts the table (and rebuilds idx) only when unsorted says one was.
 type calleeCalls struct {
 	recs []callRec
-	// idx is an open-addressed index over recs, linearly probed: 0 is an
-	// empty slot, j+1 stands for recs[j]. Nil while len(recs) <= promoteAt,
-	// otherwise a power of two of at least 2*len(recs) slots.
-	idx      []int32
+	// idx is nil while len(recs) <= promoteAt. Few tables are promoted, so
+	// the index sits behind a pointer and costs the others 8 bytes, not 24.
+	idx      *callIndex
 	live     int32 // records with count > 0: the window's keys
 	unsorted bool
+}
+
+// callIndex is an open-addressed index over a call table's recs, linearly
+// probed: 0 is an empty slot, j+1 stands for recs[j]. It holds a power of two
+// of at least 2*len(recs) slots.
+type callIndex struct{ slots []int32 }
+
+// acct is one actor's accumulators for the window: its CPU time, its network
+// bytes and its call table as a callee. The row is one 64-byte cache line
+// (the rows' array is a multiple of 4 KB, so its size class aligns it), and a
+// hook touches that line only; TestAcctLayout holds the size.
+type acct struct {
+	cpu sim.Duration
+	net int64
+	calleeCalls
+	_ [8]byte // pads the row to its line
 }
 
 // slot is where a key's probe sequence starts in an index of mask+1 slots.
@@ -84,9 +99,10 @@ func (cc *calleeCalls) find(names []string, callerType string, caller actor.ID, 
 		}
 		return -1
 	}
-	mask := uint64(len(cc.idx) - 1)
+	slots := cc.idx.slots
+	mask := uint64(len(slots) - 1)
 	for s := slot(caller, method, mask); ; s = (s + 1) & mask {
-		j := int(cc.idx[s]) - 1
+		j := int(slots[s]) - 1
 		if j < 0 || match(&cc.recs[j]) {
 			return j
 		}
@@ -95,12 +111,13 @@ func (cc *calleeCalls) find(names []string, callerType string, caller actor.ID, 
 
 // place enters recs[i] into an index that has room for it.
 func (cc *calleeCalls) place(names []string, i int) {
-	mask := uint64(len(cc.idx) - 1)
+	slots := cc.idx.slots
+	mask := uint64(len(slots) - 1)
 	s := slot(cc.recs[i].caller, names[cc.recs[i].method], mask)
-	for cc.idx[s] != 0 {
+	for slots[s] != 0 {
 		s = (s + 1) & mask
 	}
-	cc.idx[s] = int32(i + 1)
+	slots[s] = int32(i + 1)
 }
 
 // buildIdx indexes recs afresh: after an append found no room, a sort or an
@@ -111,10 +128,13 @@ func (cc *calleeCalls) buildIdx(names []string) {
 		cc.idx = nil
 		return
 	}
-	if n := 1 << bits.Len(uint(4*len(cc.recs)-1)); len(cc.idx) < n/2 || len(cc.idx) > 2*n {
-		cc.idx = make([]int32, n)
+	if cc.idx == nil {
+		cc.idx = new(callIndex)
+	}
+	if n := 1 << bits.Len(uint(4*len(cc.recs)-1)); len(cc.idx.slots) < n/2 || len(cc.idx.slots) > 2*n {
+		cc.idx.slots = make([]int32, n)
 	} else {
-		clear(cc.idx)
+		clear(cc.idx.slots)
 	}
 	for i := range cc.recs {
 		cc.place(names, i)
@@ -141,12 +161,10 @@ type Profiler struct {
 
 	windowStart sim.Time
 
-	// Dense per-actor state, indexed by actor id. These slices and the
-	// bitmaps below grow in lockstep (ensure), at spawn time via OnSpawn;
-	// Reset zeroes the counters in place.
-	actorCPU []sim.Duration
-	actorNet []int64
-	calls    []calleeCalls
+	// Dense per-actor state, indexed by actor id: one acct row per id. The
+	// rows and the held and usage-mark bitmaps grow in lockstep (ensure), at
+	// spawn time via OnSpawn; Reset zeroes the counters in place.
+	acct []acct
 	// held is the set of callees whose call tables hold keys, one bit per
 	// actor id: OnMessage sets a callee's bit with its first key, Reset
 	// clears it when eviction empties the table, and walks only the set bits.
@@ -155,9 +173,10 @@ type Profiler struct {
 	held []uint64
 
 	// The rows the next Snapshot refreshes: marks holds the usage marks,
-	// set by OnMessage (on the callee), OnCPU and OnNet, and the rows whose
-	// actors had usage when last refreshed; meta takes the runtime's change
-	// set, whose rows get their metadata refreshed too.
+	// set by OnMessage (on the callee), OnCPU and OnNet, and the rows that
+	// still held usage when last refreshed, so every non-zero acct row is
+	// marked; meta takes the runtime's change set, whose rows get their
+	// metadata refreshed too, and covers exactly the ids the runtime issued.
 	marks, meta []uint64
 
 	// names interns the actor type and method names callRecs refer to.
@@ -166,7 +185,7 @@ type Profiler struct {
 	callRecs int // records held across all call tables, live or quiet
 
 	// What Snapshot hands out, refreshed in place by each call: one row per
-	// actor id (a row of an id with no live actor holds nothing), the
+	// issued actor id (a row of an id with no live actor holds nothing), the
 	// snapshot listing the live rows, and the buffer their Calls slice.
 	rows    []epl.ActorInfo
 	snap    epl.Snapshot
@@ -186,21 +205,25 @@ func New(k *sim.Kernel, c *cluster.Cluster, rt *actor.Runtime) *Profiler {
 // the per-message hooks find them sized.
 func (p *Profiler) OnSpawn(srv cluster.MachineID, a actor.Ref) { p.ensure(a.ID) }
 
-// ensure grows the dense per-actor slices to cover id, in whole bitmap
-// words, so that the bitmaps and the slices cover the same ids.
+// ensure grows the accumulators to cover id, and the bitmaps over them to
+// the same ids.
 func (p *Profiler) ensure(id actor.ID) {
 	n := int(id) + 1
-	if n <= len(p.actorCPU) {
+	if n <= len(p.acct) {
 		return
 	}
-	n = (max(n, 2*len(p.actorCPU)) + 63) &^ 63
-	p.actorCPU = grow(p.actorCPU, n)
-	p.actorNet = grow(p.actorNet, n)
-	p.calls = grow(p.calls, n)
+	n = fleetLen(n, len(p.acct))
+	p.acct = grow(p.acct, n)
 	p.held = grow(p.held, n/64)
 	p.marks = grow(p.marks, n/64)
-	p.meta = grow(p.meta, n/64)
 }
+
+// fleetLen is the length a per-actor slice of have rows grows to when it
+// must cover n ids: n, or a quarter more than have when that is larger, so
+// that growth one spawn at a time stays amortized, rounded up to whole bitmap
+// words: at most 1.25n + 64 rows (TestProfilerFootprint), and n rounded up
+// for a slice grown from empty.
+func fleetLen(n, have int) int { return (max(n, have+have/4) + 63) &^ 63 }
 
 // grow returns s extended with zeros to length n, in an array of exactly
 // that size (append rounds up); a longer s is returned as is.
@@ -229,7 +252,8 @@ func (p *Profiler) intern(s string) uint32 {
 // OnMessage implements actor.ProfilerHook.
 func (p *Profiler) OnMessage(srv cluster.MachineID, callerType string, caller actor.Ref, callee actor.Ref, calleeType, method string, size int64) {
 	p.ensure(callee.ID)
-	cc := &p.calls[callee.ID]
+	a := &p.acct[callee.ID]
+	cc := &a.calleeCalls
 	i := cc.find(p.names, callerType, caller.ID, method)
 	if i < 0 {
 		i = len(cc.recs)
@@ -239,7 +263,7 @@ func (p *Profiler) OnMessage(srv cluster.MachineID, callerType string, caller ac
 		cc.recs = append(cc.recs, callRec{caller: caller.ID, ctype: p.intern(callerType), method: p.intern(method)})
 		cc.unsorted = true
 		p.callRecs++
-		if len(cc.idx) >= 2*len(cc.recs) {
+		if cc.idx != nil && len(cc.idx.slots) >= 2*len(cc.recs) {
 			cc.place(p.names, i)
 		} else {
 			cc.buildIdx(p.names)
@@ -250,21 +274,21 @@ func (p *Profiler) OnMessage(srv cluster.MachineID, callerType string, caller ac
 	}
 	cc.recs[i].count++
 	cc.recs[i].bytes += size
-	p.actorNet[callee.ID] += size
+	a.net += size
 	p.marks[callee.ID/64] |= 1 << (callee.ID % 64)
 }
 
 // OnCPU implements actor.ProfilerHook.
 func (p *Profiler) OnCPU(srv cluster.MachineID, a actor.Ref, typ string, cost sim.Duration) {
 	p.ensure(a.ID)
-	p.actorCPU[a.ID] += cost
+	p.acct[a.ID].cpu += cost
 	p.marks[a.ID/64] |= 1 << (a.ID % 64)
 }
 
 // OnNet implements actor.ProfilerHook.
 func (p *Profiler) OnNet(srv cluster.MachineID, a actor.Ref, typ string, size int64) {
 	p.ensure(a.ID)
-	p.actorNet[a.ID] += size
+	p.acct[a.ID].net += size
 	p.marks[a.ID/64] |= 1 << (a.ID % 64)
 }
 
@@ -272,16 +296,21 @@ func (p *Profiler) OnNet(srv cluster.MachineID, a actor.Ref, typ string, size in
 func (p *Profiler) Window() sim.Duration { return sim.Duration(p.k.Now() - p.windowStart) }
 
 // Reset closes the window: per-actor counters are zeroed in place (no
-// reallocation) and every up machine's utilization window restarts. Call
-// tables keep their keys, within a bound: a table holding more than twice
-// the keys that were live in the window just closed drops its quiet ones,
-// so callers that went away (or a stopped callee) do not pin memory. Only
-// the callees in the held set are visited, in id order: a table without
-// keys has nothing to evict or zero.
+// reallocation) and every up machine's utilization window restarts. Only
+// the rows the usage marks name are zeroed: they name every row with a
+// non-zero counter. Call tables keep their keys, within a bound: a table
+// holding more than twice the keys that were live in the window just closed
+// drops its quiet ones, so callers that went away (or a stopped callee) do
+// not pin memory. Only the callees in the held set are visited, in id order:
+// a table without keys has nothing to evict or zero.
 func (p *Profiler) Reset() {
 	p.windowStart = p.k.Now()
-	clear(p.actorCPU)
-	clear(p.actorNet)
+	for w, word := range p.marks {
+		for ; word != 0; word &= word - 1 {
+			a := &p.acct[w*64+bits.TrailingZeros64(word)]
+			a.cpu, a.net = 0, 0
+		}
+	}
 	for w, word := range p.held {
 		for ; word != 0; word &= word - 1 {
 			p.resetCalls(w*64 + bits.TrailingZeros64(word))
@@ -295,7 +324,7 @@ func (p *Profiler) Reset() {
 // resetCalls closes the window on one callee's table, dropping the callee
 // from the held set when eviction empties it.
 func (p *Profiler) resetCalls(id int) {
-	cc := &p.calls[id]
+	cc := &p.acct[id].calleeCalls
 	live := int(cc.live)
 	cc.live = 0
 	if len(cc.recs) > 2*live {
@@ -368,14 +397,17 @@ func (p *Profiler) Snapshot(scope []cluster.MachineID) *epl.Snapshot {
 		})
 	}
 
-	// The metadata marks cover every id the runtime issued; the
-	// accumulators, the usage marks and the rows cover the metadata marks.
+	// The metadata marks cover every id the runtime issued, in whole
+	// words; the rows, the accumulators and the usage marks cover them.
 	p.meta = p.rt.TakeChanged(p.meta)
-	if n := 64 * len(p.meta); n > len(p.actorCPU) {
+	n := 64 * len(p.meta)
+	if n > len(p.acct) {
 		p.ensure(actor.ID(n - 1))
 	}
-	reindex := len(p.rows) < len(p.actorCPU)
-	p.rows = grow(p.rows, len(p.actorCPU))
+	reindex := len(p.rows) < n
+	if reindex {
+		p.rows = grow(p.rows, fleetLen(n, len(p.rows)))
+	}
 	if !slices.Equal(p.scope, p.lastScope) {
 		for w := range p.meta {
 			p.meta[w] = ^uint64(0)
@@ -392,17 +424,17 @@ func (p *Profiler) Snapshot(scope []cluster.MachineID) *epl.Snapshot {
 		for ; word != 0; word &= word - 1 {
 			bit := word & -word
 			id := w*64 + bits.TrailingZeros64(word)
-			ai := &p.rows[id]
+			ai, a := &p.rows[id], &p.acct[id]
 			if listed := ai.Ref.ID != 0; meta&bit != 0 && p.refreshMeta(ai, id) != listed {
 				reindex = true // born or died
 			}
-			if ai.Ref.ID == 0 {
-				continue // no live actor: nothing to show
+			if ai.Ref.ID != 0 { // a row with no live actor shows nothing
+				p.refreshUsage(ai, a, window)
 			}
-			p.refreshUsage(ai, window)
 			// Usage is carried: the next call refreshes the row again, to
-			// show the window then, or its zeroing by Reset.
-			if p.actorCPU[id] != 0 || p.actorNet[id] != 0 || ai.Calls != nil {
+			// show the window then, or its zeroing by Reset, which zeroes
+			// the marked rows, a stopped actor's last turn included.
+			if a.cpu != 0 || a.net != 0 || a.live > 0 {
 				p.marks[w] |= bit
 			}
 		}
@@ -455,11 +487,10 @@ func (p *Profiler) refreshMeta(ai *epl.ActorInfo, id int) bool {
 }
 
 // refreshUsage rewrites a live row's usage fields from this window.
-func (p *Profiler) refreshUsage(ai *epl.ActorInfo, window sim.Duration) {
-	id := ai.Ref.ID
+func (p *Profiler) refreshUsage(ai *epl.ActorInfo, a *acct, window sim.Duration) {
 	ai.CPUTime, ai.CPUPerc, ai.NetBytes, ai.NetPerc, ai.Calls = 0, 0, 0, 0, nil
 	if m := p.c.Machine(ai.Server); p.scope[ai.Server] && window > 0 {
-		cpu, net := p.actorCPU[id], p.actorNet[id]
+		cpu, net := a.cpu, a.net
 		ai.CPUTime = cpu
 		ai.CPUPerc = float64(cpu) / (float64(window) * float64(m.Type.VCPUs)) * 100
 		ai.NetBytes = net
@@ -470,7 +501,7 @@ func (p *Profiler) refreshUsage(ai *epl.ActorInfo, window sim.Duration) {
 	// live records are copied into callBuf as CallStats, so the snapshot does
 	// not alias accumulation state and never shows a key nobody used this
 	// window. A row not refreshed shows no calls, so callBuf starts empty.
-	if cc := &p.calls[id]; cc.live > 0 {
+	if cc := &a.calleeCalls; cc.live > 0 {
 		if cc.unsorted {
 			p.sortCalls(cc.recs)
 			cc.buildIdx(p.names) // sorting invalidated the indices

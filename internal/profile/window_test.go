@@ -109,8 +109,8 @@ func TestCallTableMatchesLogAcrossWindows(t *testing.T) {
 		h.log = h.log[:0]
 
 		held := 0
-		for id := range p.calls {
-			cc := &p.calls[id]
+		for id := range p.acct {
+			cc := &p.acct[id]
 			held += len(cc.recs)
 			if n := len(live[actor.Ref{ID: actor.ID(id)}]); len(cc.recs) > 2*n {
 				t.Fatalf("window %d: callee %d holds %d keys after Reset, %d were live (bound 2x)", w, id, len(cc.recs), n)
@@ -130,20 +130,20 @@ func TestCallTableMatchesLogAcrossWindows(t *testing.T) {
 		// The held set is exactly the full walk's non-empty tables.
 		ids, listedRecs := heldIDs(p), 0
 		for _, id := range ids {
-			if len(p.calls[id].recs) == 0 {
+			if len(p.acct[id].recs) == 0 {
 				t.Fatalf("window %d: callee %d held with an empty table", w, id)
 			}
-			listedRecs += len(p.calls[id].recs)
+			listedRecs += len(p.acct[id].recs)
 		}
-		for id := range p.calls {
-			if len(p.calls[id].recs) > 0 && !slices.Contains(ids, id) {
-				t.Fatalf("window %d: callee %d holds %d keys but is not in the held set", w, id, len(p.calls[id].recs))
+		for id := range p.acct {
+			if len(p.acct[id].recs) > 0 && !slices.Contains(ids, id) {
+				t.Fatalf("window %d: callee %d holds %d keys but is not in the held set", w, id, len(p.acct[id].recs))
 			}
 		}
 		if listedRecs != p.callRecs {
 			t.Fatalf("window %d: held tables hold %d keys, callRecs = %d", w, listedRecs, p.callRecs)
 		}
-		switch indexed := p.calls[hub.ID].idx != nil; {
+		switch indexed := p.acct[hub.ID].idx != nil; {
 		case indexed && sawLinearAfterIndexed:
 			sawIndexedAgain = true
 		case indexed:
@@ -168,7 +168,7 @@ func TestCallTableMatchesLogAcrossWindows(t *testing.T) {
 // visits.
 func heldIDs(p *Profiler) []int {
 	var ids []int
-	for id := range p.calls {
+	for id := range p.acct {
 		if p.held[id/64]&(1<<(id%64)) != 0 {
 			ids = append(ids, id)
 		}
@@ -196,8 +196,8 @@ func TestResetSkipsIdleCallees(t *testing.T) {
 			p.OnMessage(rt.ServerOf(callee), "W", refs[i], callee, "W", "m", 64)
 		}
 	}
-	if visits := len(heldIDs(p)); len(p.calls) < fleet || visits > 2*called {
-		t.Fatalf("%d call tables, Reset would visit %d; want ≥ %d tables and ≤ %d visits", len(p.calls), visits, fleet, 2*called)
+	if visits := len(heldIDs(p)); len(p.acct) < fleet || visits > 2*called {
+		t.Fatalf("%d call tables, Reset would visit %d; want ≥ %d tables and ≤ %d visits", len(p.acct), visits, fleet, 2*called)
 	}
 	p.Reset()
 	if visits := len(heldIDs(p)); visits != called || p.callRecs != called {
