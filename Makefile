@@ -16,7 +16,7 @@ COVER_PROFILE ?= coverage.out
 # Scratch dir for the trace round-trip smoke test.
 TRACE_SMOKE_DIR ?= .trace-smoke
 
-.PHONY: build test vet race bench kernel-bench actor-bench profile-bench workload-bench bench-test bench-quick bench-baseline scale-quick burst-quick stream-quick plan-quick lint-model cover trace-smoke quickstart-smoke fuzz-smoke sweep-snapshot loc verify
+.PHONY: build test vet race bench kernel-bench actor-bench profile-bench metrics-bench workload-bench bench-test bench-quick bench-baseline scale-quick burst-quick stream-quick plan-quick lint-model cover trace-smoke quickstart-smoke fuzz-smoke sweep-snapshot loc verify
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,14 @@ actor-bench:
 # 131,072-actor fleet with 1% messaged each period.
 profile-bench:
 	$(GO) test -run '^$$' -bench '^Benchmark(OnMessage|SnapshotSteady|SnapshotSparse)$$' -benchtime 1x -benchmem ./internal/profile
+
+# metrics-bench runs the latency histogram's microbenchmarks once each with
+# their allocation counts, the way profile-bench does: a p50 and a p99 query
+# over 3.4M samples, a benchmark run's pooled size (a query moves no sample,
+# so every iteration queries the same histogram), and filling a histogram
+# with 3.4M samples, whose B/op is what the samples cost.
+metrics-bench:
+	$(GO) test -run '^$$' -bench '^Benchmark(Percentile|Observe)$$' -benchtime 1x -benchmem ./internal/metrics
 
 # workload-bench runs the workload layer's key-draw microbenchmark once, the
 # way kernel-bench does: ZipfKeys.Draw at the stream experiments' shape and
@@ -178,7 +186,9 @@ trace-smoke:
 # compared field for field with a from-scratch build. FuzzPercentile: random
 # programs of Observe calls (NaN, ±Inf, ±0, duplicates, raw floats) and
 # queries, every Histogram percentile compared bit for bit with a sort of the
-# samples, up to NaN payloads and zero signs the order cannot tell apart.
+# samples, up to NaN payloads and zero signs the order cannot tell apart;
+# its one-key-range corpus entry puts every sample in one key range, so the
+# candidate buffer holds them all.
 # FuzzBenchFile: the bench gate's baseline parser must not panic on any
 # bytes, and every baseline it accepts must compare clean against itself.
 # FuzzPartition: small graphs with self-loops, repeated edges and isolated
@@ -246,11 +256,12 @@ loc:
 # tests at two seeds and core's wall-clock/global-rand call rule), the policy
 # model checker passes every shipped policy — the one lint stage — the
 # kernel's queue, the actor runtime's message-path, the EPR's hook and
-# snapshot and the workload layer's key-draw microbenchmarks run,
+# snapshot, the latency histogram's and the workload layer's key-draw
+# microbenchmarks run,
 # the benchmark harness's own tests pass, the quick-scale sweep shows no perf
 # regression or determinism drift against the checked-in bench baseline, the
 # decision tracer round-trips, the quickstart example migrates, and the
 # kernel order, policy, evaluator, envelope, trace JSONL, snapshot,
 # percentile, bench-baseline, partition and Zipf fuzzers find nothing in ten
 # seconds each.
-verify: build vet race lint-model kernel-bench actor-bench profile-bench workload-bench bench-test bench-quick trace-smoke quickstart-smoke fuzz-smoke
+verify: build vet race lint-model kernel-bench actor-bench profile-bench metrics-bench workload-bench bench-test bench-quick trace-smoke quickstart-smoke fuzz-smoke

@@ -12,6 +12,7 @@ package actor
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"plasma/internal/cluster"
@@ -41,15 +42,18 @@ type Message struct {
 	Sender     Ref    // zero when sent by a client
 	SenderType string // actor type name, or ClientCaller
 
-	reply *replyPath
+	reply uint64 // the request's handle in the runtime's reply table; 0 for none
 }
 
 // replyPath routes a reply back to the original requester across any number
-// of Forward hops: the client's site, when it asked, and its callback.
+// of Forward hops: the client's site, when it asked, and its callback. It is
+// a slot of the runtime's reply table, named by the handle slot+1 | gen<<32.
 type replyPath struct {
 	originSrv cluster.MachineID
 	start     sim.Time
 	done      func(lat sim.Duration, reply interface{})
+	gen       uint32 // advances when the first reply frees the slot
+	next      uint32 // free-list link: the next free slot+1, 0 for none
 }
 
 // Behavior is application logic for one actor. Receive runs when a message
@@ -161,10 +165,16 @@ type Runtime struct {
 
 	// MailboxCap, when positive, bounds every actor's mailbox: a delivery
 	// arriving at a full mailbox is shed (dropped; a request's reply
-	// callback simply never fires) instead of growing the queue without
-	// limit — overload degrades gracefully rather than melting down. Zero
-	// keeps the legacy unbounded mailboxes.
+	// callback never fires, and its reply slot stays open) instead of growing
+	// the queue without limit — overload degrades gracefully rather than
+	// melting down. Zero keeps the legacy unbounded mailboxes.
 	MailboxCap int
+
+	// The reply table, the head of its free list (slot+1, 0 for none) and
+	// the count of replies to requests answered already.
+	replies    []replyPath
+	freeReply  uint32
+	dupReplies int
 
 	shed     int64    // deliveries dropped at full bounded mailboxes
 	flights  *flight  // free list of recycled flights
@@ -580,7 +590,7 @@ const (
 // recycled through the runtime's free list, and fire — the callback
 // handed to Kernel.After — is built once per struct, so a message
 // hop allocates nothing in steady state. A reply flight carries its
-// argument and size in msg.Arg and msg.Size and its route in msg.reply.
+// argument and size in msg.Arg and msg.Size and its handle in msg.reply.
 type flight struct {
 	kind      flightKind
 	from, dst cluster.MachineID
@@ -624,8 +634,13 @@ func (rt *Runtime) arrive(f *flight) {
 		rt.C.Machine(dst).AddNetBytes(msg.Size)
 	}
 	if kind == flightReply {
-		if rp := msg.reply; rp.done != nil {
-			rp.done(sim.Duration(rt.K.Now()-rp.start), msg.Arg)
+		// The first reply to arrive frees the slot and runs the callback.
+		if rp := rt.openPath(msg.reply); rp != nil {
+			start, done := rp.start, rp.done
+			rp.gen, rp.done, rp.next, rt.freeReply = rp.gen+1, nil, rt.freeReply, uint32(msg.reply)
+			if done != nil {
+				done(sim.Duration(rt.K.Now()-start), msg.Arg)
+			}
 		}
 		return
 	}
@@ -640,6 +655,20 @@ func (rt *Runtime) arrive(f *flight) {
 	}
 	rt.deliver(cur, &msg)
 }
+
+// openPath returns the reply path of handle h while its request is open. A
+// reply to a request answered already gets nil, and is counted.
+func (rt *Runtime) openPath(h uint64) *replyPath {
+	if rp := &rt.replies[uint32(h)-1]; rp.gen == uint32(h>>32) {
+		return rp
+	}
+	rt.dupReplies++
+	return nil
+}
+
+// DuplicateReplies reports replies to requests answered already, dropped at
+// commit or on arrival; a correct application keeps it at zero.
+func (rt *Runtime) DuplicateReplies() int { return rt.dupReplies }
 
 // send routes a message to an actor, resolving its location at delivery
 // time; messages chase migrated actors with an extra forwarding hop. The
@@ -684,13 +713,16 @@ func (inst *instance) queued() int { return len(inst.mailbox) - inst.head }
 
 // enqueue appends to the mailbox. When the backing array is full and at
 // least half of it is consumed prefix, the queued messages slide to the
-// front instead of the array growing; a fuller array is left to append's
-// doubling, which keeps the slide amortized constant per message.
+// front instead of the array growing; a fuller array doubles (append grows a
+// large one by a quarter, copying a deep mailbox several times as often).
+// Either way each message is moved a constant number of times, amortized.
 func (inst *instance) enqueue(msg *Message) {
 	if n := len(inst.mailbox); n == cap(inst.mailbox) && inst.head > 0 && inst.head >= n/2 {
 		live := copy(inst.mailbox, inst.mailbox[inst.head:])
 		clear(inst.mailbox[live:])
 		inst.mailbox, inst.head = inst.mailbox[:live], 0
+	} else if n == cap(inst.mailbox) {
+		inst.mailbox = slices.Grow(inst.mailbox, n)
 	}
 	inst.mailbox = append(inst.mailbox, *msg)
 }
@@ -936,7 +968,7 @@ type Context struct {
 
 // effect is one buffered outgoing send, delayed send or reply, replayed in
 // order by commit. A reply keeps its argument and size in msg.Arg and
-// msg.Size and its route in msg.reply, as a reply flight does.
+// msg.Size and its handle in msg.reply, as a reply flight does.
 type effect struct {
 	kind  flightKind
 	msg   Message
@@ -977,11 +1009,10 @@ func (c *Context) Forward(to Ref, method string, arg interface{}, size int64) {
 
 // Reply answers the current message's requester, if it expects a reply.
 func (c *Context) Reply(arg interface{}, size int64) {
-	rp := c.msg.reply
-	if rp == nil {
+	if c.msg.reply == 0 {
 		return
 	}
-	c.push(flightReply, Ref{}, 0, Message{Arg: arg, Size: size, reply: rp})
+	c.push(flightReply, Ref{}, 0, Message{Arg: arg, Size: size, reply: c.msg.reply})
 	if c.rt.profiler != nil {
 		c.rt.profiler.OnNet(c.inst.srv, c.Self(), c.inst.typ, size)
 	}
@@ -1020,7 +1051,11 @@ func (c *Context) commit() {
 			// routes normally.
 			rt.launch(flightDelay, srv, srv, e.delay, &e.msg, e.to)
 		case flightReply:
-			origin := e.msg.reply.originSrv
+			rp := rt.openPath(e.msg.reply)
+			if rp == nil {
+				break // answered already: this reply goes nowhere
+			}
+			origin := rp.originSrv
 			lat := rt.C.TransferLatency(srv, origin, e.msg.Size)
 			if srv != origin {
 				rt.C.Machine(srv).AddNetBytes(e.msg.Size)
@@ -1045,13 +1080,23 @@ func NewClient(rt *Runtime, site cluster.MachineID) *Client {
 }
 
 // Request sends a message and invokes done with the end-to-end latency when
-// the (possibly multi-hop) reply arrives at the client's site.
+// the (possibly multi-hop) reply arrives at the client's site, once: for the
+// first reply. The reply path takes a reused slot of the runtime's table.
 func (cl *Client) Request(to Ref, method string, arg interface{}, size int64, done func(lat sim.Duration, reply interface{})) {
+	rt := cl.rt
+	slot := rt.freeReply
+	if slot == 0 {
+		rt.replies = append(rt.replies, replyPath{})
+		slot = uint32(len(rt.replies))
+	}
+	rp := &rt.replies[slot-1]
+	rt.freeReply = rp.next
+	*rp = replyPath{originSrv: cl.Site, start: rt.K.Now(), done: done, gen: rp.gen}
 	msg := Message{
 		Method: method, Arg: arg, Size: size, SenderType: ClientCaller,
-		reply: &replyPath{originSrv: cl.Site, start: cl.rt.K.Now(), done: done},
+		reply: uint64(slot) | uint64(rp.gen)<<32,
 	}
-	cl.rt.send(cl.Site, &msg, to)
+	rt.send(cl.Site, &msg, to)
 }
 
 // Send delivers a one-way client message (no reply expected).

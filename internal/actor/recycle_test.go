@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"plasma/internal/cluster"
 	"plasma/internal/sim"
@@ -398,5 +399,67 @@ func TestPoisonedStructsPanic(t *testing.T) {
 			}()
 			fire()
 		}()
+	}
+}
+
+// A deep mailbox doubles: 20,000 messages queue behind a busy actor, and the
+// arrays its mailbox went through total at most twice the last one (growing
+// by a quarter totals about five times it). Messages are served in the order
+// sent across a slide to the front and every growth.
+func TestDeepMailboxGrowsByDoubling(t *testing.T) {
+	k := sim.New(1)
+	rt := NewRuntime(k, cluster.New(k, 1, oneCore))
+	var served []int
+	ref := rt.SpawnOn("A", BehaviorFunc(func(ctx *Context, msg Message) {
+		served = append(served, msg.Arg.(int))
+		ctx.Use(sim.Millisecond)
+	}), 0)
+	inst := rt.actors[ref.ID]
+	cl := NewClient(rt, 0)
+	sent := 0
+	send := func(n int) {
+		for ; n > 0; n-- {
+			cl.Send(ref, "m", sent, 8)
+			sent++
+		}
+	}
+	send(100)
+	var array *Message
+	allocated, slides, burst := 0, 0, false
+	for {
+		// Once the first 100 have arrived and half the array is consumed,
+		// fill it past its end, so the next arrival slides the queue to the
+		// front, and queue 20,000 more.
+		delivered := len(served) + inst.queued()
+		if !burst && delivered == sent && inst.head > 0 && inst.head >= cap(inst.mailbox)/2 {
+			send(cap(inst.mailbox) - len(inst.mailbox) + 1 + 20_000)
+			burst = true
+		}
+		head := inst.head
+		if !k.Step() {
+			break
+		}
+		// One event delivers at most one message: every array shows here.
+		switch a := unsafe.SliceData(inst.mailbox[:cap(inst.mailbox)]); {
+		case a != array && cap(inst.mailbox) > 0:
+			array = a
+			allocated += cap(inst.mailbox)
+		case inst.head < head && inst.queued() > 0:
+			slides++
+		}
+	}
+	if !burst || slides == 0 {
+		t.Fatalf("burst sent %v, slides %d: the test no longer reaches a slide", burst, slides)
+	}
+	if final := cap(inst.mailbox); allocated > 2*final {
+		t.Errorf("mailbox arrays total %d messages, more than twice the final %d", allocated, final)
+	}
+	for i, got := range served {
+		if got != i {
+			t.Fatalf("message %d served %dth: FIFO order broken", got, i)
+		}
+	}
+	if len(served) != sent {
+		t.Fatalf("served %d of %d messages", len(served), sent)
 	}
 }

@@ -65,9 +65,10 @@ func TestClosedLoopSkipsZeroTarget(t *testing.T) {
 	k.RunUntilIdle()
 }
 
-// A steady request allocates only the runtime's reply path: the loop's own
-// step and reply callbacks are built once, in Start.
-func TestClosedLoopSteadyRequestAllocatesOnce(t *testing.T) {
+// A steady request allocates nothing: the loop's own step and reply
+// callbacks are built once, in Start, and the runtime files the reply path in
+// a reused slot of its reply table.
+func TestClosedLoopSteadyRequestAllocatesNothing(t *testing.T) {
 	k, rt, ref := env()
 	count := 0
 	loop := &ClosedLoop{
@@ -84,8 +85,8 @@ func TestClosedLoopSteadyRequestAllocatesOnce(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		request()
 	}
-	if got := testing.AllocsPerRun(200, request); got > 1 {
-		t.Fatalf("a steady request allocated %v times, want at most 1", got)
+	if got := testing.AllocsPerRun(200, request); got > 0 {
+		t.Fatalf("a steady request allocated %v times, want 0", got)
 	}
 }
 

@@ -155,12 +155,16 @@ func (w *World) Client(site cluster.MachineID) *actor.Client {
 }
 
 // Invariants is the global sweep over a quiesced world, one message per
-// violation: no migration stuck in flight, every actor homed on an up machine,
-// each up machine's memory accounting exactly the sum of its residents' state.
+// violation: no migration stuck in flight, no request answered twice, every
+// actor homed on an up machine, each up machine's memory accounting exactly
+// the sum of its residents' state.
 func (w *World) Invariants() []string {
 	var bad []string
 	if n := w.RT.InFlightMigrations(); n != 0 {
 		bad = append(bad, fmt.Sprintf("%d migrations stuck in flight", n))
+	}
+	if n := w.RT.DuplicateReplies(); n != 0 {
+		bad = append(bad, fmt.Sprintf("requests answered more than once (%d extra replies)", n))
 	}
 	// One pass over the actor table buckets residents and their state by
 	// machine; an actor homed on no machine is live but not placed.

@@ -350,6 +350,18 @@ func TestWorldInvariantsCatch(t *testing.T) {
 			w.RT.Migrate(big, 1, nil)
 			w.Run(10 * sim.Millisecond) // serializing 64 MB alone takes 320 ms
 		}, "1 migrations stuck in flight"},
+		{"ReplyTwice", func(w *World, _ actor.Ref) {
+			answerTwice(w, func(ctx *actor.Context, msg actor.Message, _ actor.Ref) {
+				ctx.Reply(nil, 8)
+				ctx.Reply(nil, 8)
+			})
+		}, "requests answered more than once (1 extra replies)"},
+		{"ForwardThenReply", func(w *World, _ actor.Ref) {
+			answerTwice(w, func(ctx *actor.Context, msg actor.Message, leaf actor.Ref) {
+				ctx.Forward(leaf, msg.Method, nil, 8)
+				ctx.Reply(nil, 8)
+			})
+		}, "requests answered more than once (1 extra replies)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w, big := quiescedWorld(t)
@@ -360,6 +372,16 @@ func TestWorldInvariantsCatch(t *testing.T) {
 			}
 		})
 	}
+}
+
+// answerTwice sends one client request to an actor on server 0 that handles
+// it with front, given a leaf on server 1 that replies to whatever reaches
+// it, and runs the world until idle.
+func answerTwice(w *World, front func(ctx *actor.Context, msg actor.Message, leaf actor.Ref)) {
+	leaf := w.RT.SpawnOn("Leaf", actor.BehaviorFunc(func(ctx *actor.Context, _ actor.Message) { ctx.Reply(nil, 8) }), 1)
+	ref := w.RT.SpawnOn("Front", actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) { front(ctx, msg, leaf) }), 0)
+	w.Client(2).Request(ref, "get", nil, 8, nil)
+	w.K.RunUntilIdle()
 }
 
 func TestWorldChaosRefusals(t *testing.T) {

@@ -14,38 +14,64 @@ import (
 // bucketed: experiment sample counts are small enough that exact percentiles
 // are affordable and simpler to reason about.
 //
-// A percentile query selects the order statistics it needs in place instead
-// of sorting: each query costs time linear in the sample count, and no state
-// besides the samples is kept between queries. A query reorders the samples,
-// so Mean, which sums them in their current order, can round differently
-// after one; call it first where that matters.
+// Each sample is written once, into a first block that doubles up to
+// blockLen samples and then fixed blocks of blockLen, and never moves: a
+// query counts the samples into key ranges, copies the range(s) holding the
+// ranks it needs into a candidate buffer kept on the histogram, and selects
+// within that buffer.
 type Histogram struct {
-	samples []float64
+	blocks       [][]float64
+	n            int
+	keyLo, keyHi uint64    // the samples' key range (see key)
+	cand         []float64 // a query's candidates, reused by the next query
+}
+
+const (
+	blockLen  = 512 // samples per block: 4 KB
+	rangeBits = 12  // a query counts the samples into at most 1<<rangeBits key ranges
+)
+
+// key maps x to a uint64 ordered as sort.Float64s orders floats: every NaN
+// first (as 0), then -Inf, the numbers and +Inf, -0 just below +0.
+func key(x float64) uint64 {
+	if x != x {
+		return 0
+	}
+	b := math.Float64bits(x)
+	return b ^ (uint64(int64(b)>>63) | 1<<63) // negative: all bits flipped
 }
 
 // Observe records one sample.
 func (h *Histogram) Observe(x float64) {
-	if len(h.samples) == cap(h.samples) {
-		// Double: append grows a large slice by a quarter, which copies a
-		// histogram of millions of samples several times as often.
-		h.samples = slices.Grow(h.samples, len(h.samples))
+	k := key(x)
+	switch last := len(h.blocks) - 1; {
+	case last < 0:
+		h.blocks = append(h.blocks, nil) // append doubles it up to blockLen
+		h.keyLo, h.keyHi = k, k
+	case len(h.blocks[last]) == blockLen:
+		h.blocks = append(h.blocks, make([]float64, 0, blockLen))
 	}
-	h.samples = append(h.samples, x)
+	b := &h.blocks[len(h.blocks)-1]
+	*b = append(*b, x)
+	h.keyLo, h.keyHi = min(h.keyLo, k), max(h.keyHi, k)
+	h.n++
 }
 
 // Count reports the number of samples.
-func (h *Histogram) Count() int { return len(h.samples) }
+func (h *Histogram) Count() int { return h.n }
 
 // Mean reports the arithmetic mean (0 if empty).
 func (h *Histogram) Mean() float64 {
-	if len(h.samples) == 0 {
+	if h.n == 0 {
 		return 0
 	}
 	var s float64
-	for _, x := range h.samples {
-		s += x
+	for _, b := range h.blocks {
+		for _, x := range b {
+			s += x
+		}
 	}
-	return s / float64(len(h.samples))
+	return s / float64(h.n)
 }
 
 // Percentile reports the p-th percentile using linear interpolation
@@ -53,21 +79,52 @@ func (h *Histogram) Mean() float64 {
 // p outside [0,100] is clamped to the nearest bound; an empty histogram (or
 // a NaN p) reports NaN.
 func (h *Histogram) Percentile(p float64) float64 {
-	n := len(h.samples)
+	n := h.n
 	if n == 0 || math.IsNaN(p) {
 		return math.NaN()
 	}
 	rank := min(max(p, 0), 100) / 100 * float64(n-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
-	x := h.nth(lo)
+	// Count the samples into equal key ranges, 2^bits.Len(n) of them up to
+	// 1<<rangeBits, and find the first range holding rank lo and the last
+	// holding rank hi: any range between them is empty.
+	shift := max(bits.Len64(h.keyHi-h.keyLo)-min(rangeBits, bits.Len(uint(n))), 0)
+	var counts [1 << rangeBits]int
+	for _, b := range h.blocks {
+		for _, x := range b {
+			counts[(key(x)-h.keyLo)>>shift]++
+		}
+	}
+	first, below := 0, 0
+	for below+counts[first] <= lo {
+		below += counts[first]
+		first++
+	}
+	last, upTo := first, below+counts[first]
+	for upTo <= hi {
+		last++
+		upTo += counts[last]
+	}
+	// Rank lo is rank lo-below among the upTo-below samples of those ranges.
+	cand := slices.Grow(h.cand[:0], upTo-below)
+	for _, b := range h.blocks {
+		for _, x := range b {
+			if r := int((key(x) - h.keyLo) >> shift); r >= first && r <= last {
+				cand = append(cand, x)
+			}
+		}
+	}
+	h.cand = cand
+	k := lo - below
+	x := nth(cand, k)
 	if lo == hi {
 		return x
 	}
-	// nth left every sample after lo no smaller than x, so the next order
+	// nth left every candidate after k no smaller than x, so the next order
 	// statistic is the least of them.
-	y := h.samples[hi]
-	for _, s := range h.samples[hi+1:] {
+	y := cand[k+1]
+	for _, s := range cand[k+2:] {
 		if less(s, y) {
 			y = s
 		}
@@ -79,13 +136,12 @@ func (h *Histogram) Percentile(p float64) float64 {
 // less is sort.Float64s' order: NaN before every number.
 func less(x, y float64) bool { return x < y || (x != x && y == y) }
 
-// nth reorders the samples so that samples[k] holds the k-th smallest, none
-// after it is smaller and none before it larger, and returns it. It is an
-// introselect: median-of-three Hoare partitions narrow the range holding k,
-// and a range still unsettled after 2·⌈log2 n⌉ of them is sorted, which
-// bounds the adversarial case at a sort's cost.
-func (h *Histogram) nth(k int) float64 {
-	a := h.samples
+// nth reorders a so that a[k] holds its k-th smallest, none after it is
+// smaller and none before it larger, and returns it. It is an introselect:
+// median-of-three Hoare partitions narrow the range holding k, and a range
+// still unsettled after 2·⌈log2 n⌉ of them is sorted, which bounds the
+// adversarial case at a sort's cost.
+func nth(a []float64, k int) float64 {
 	lo, hi := 0, len(a)-1
 	for budget := 2 * bits.Len(uint(len(a)-1)); lo < hi; budget-- {
 		if budget == 0 {

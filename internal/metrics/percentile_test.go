@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -41,19 +42,20 @@ func sortPercentile(samples []float64, p float64) float64 {
 // and a zero matches a zero when the samples hold zeros of both signs.
 func checkPercentile(t *testing.T, h *Histogram, p float64) {
 	t.Helper()
-	want := sortPercentile(h.samples, p)
+	samples := slices.Concat(h.blocks...)
+	want := sortPercentile(samples, p)
 	got := h.Percentile(p)
 	switch {
 	case math.IsNaN(want):
 		if math.IsNaN(got) {
 			return
 		}
-	case want == 0 && got == 0 && bothZeros(h.samples):
+	case want == 0 && got == 0 && bothZeros(samples):
 		return
 	case math.Float64bits(got) == math.Float64bits(want):
 		return
 	}
-	t.Fatalf("n=%d: Percentile(%v) = %v, sort reference %v", len(h.samples), p, got, want)
+	t.Fatalf("n=%d: Percentile(%v) = %v, sort reference %v", len(samples), p, got, want)
 }
 
 func bothZeros(samples []float64) bool {
@@ -68,7 +70,7 @@ func bothZeros(samples []float64) bool {
 
 // Percentile matches the sort reference across sizes, duplicate-heavy and
 // continuous values, ±Inf and NaN samples, p in [-10, 110], and Observe
-// interleaved with queries (each query reorders what the next one sees).
+// interleaved with queries.
 func TestPercentileMatchesSort(t *testing.T) {
 	ps := []float64{-10, 0, 1e-9, 0.5, 1, 25, 50, 90, 95, 99, 99.9, 100 - 1e-9, 100, 110}
 	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
@@ -128,15 +130,17 @@ func TestPercentileAdversarialInputs(t *testing.T) {
 	}
 }
 
-// A query allocates nothing, Observe between queries included once the
-// samples' array has room: there is no merge buffer to grow.
+// A query allocates nothing once its candidate buffer has grown to the
+// ranges it selects in, Observe between queries included while the last
+// block has room.
 func TestPercentileAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var h Histogram
 	for i := 0; i < 3000; i++ {
 		h.Observe(rng.ExpFloat64())
 	}
-	// 3000 samples sit in a 4096-slot array; the runs below add 501.
+	// 3000 samples leave 72 slots in the sixth block; the runs below add
+	// 501, so Observe opens one block in 500 runs: 0 per run.
 	allocs := testing.AllocsPerRun(500, func() {
 		h.Observe(rng.ExpFloat64())
 		h.Percentile(50)
@@ -147,11 +151,82 @@ func TestPercentileAllocatesNothing(t *testing.T) {
 	}
 }
 
+// Every sample is written once: 1 M Observe calls allocate the samples' 8
+// bytes each, the first block's doubling and the partly filled last block
+// (8 KB between them), and the block list: a 24-byte slice header per
+// 512-sample block, under four per block as append grows the list. One
+// array doubled as it fills allocates about 16 B per sample.
+func TestHistogramStoresEachSampleOnce(t *testing.T) {
+	const n = 1_000_000
+	var h Histogram
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		h.Observe(float64(i))
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	if ceiling := uint64(8*n + 8<<10 + 4*24*(n/blockLen+1)); got > ceiling {
+		t.Fatalf("1M Observe calls allocated %d B, ceiling %d (8 B a sample + 8 KB + 96 B a block)", got, ceiling)
+	}
+	if h.Count() != n {
+		t.Fatalf("Count = %d, want %d", h.Count(), n)
+	}
+}
+
+// A query moves no sample: after any mix of queries the blocks hold what was
+// observed, in order, and Mean reads the same bits as before.
+func TestPercentileLeavesSamplesInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+	for _, n := range []int{1, 7, 512, 513, 5000} {
+		var h Histogram
+		want := make([]float64, 0, n)
+		for i := 0; i < n; i++ {
+			x := rng.NormFloat64() * 1e3
+			if rng.Intn(8) == 0 {
+				x = specials[rng.Intn(len(specials))]
+			}
+			h.Observe(x)
+			want = append(want, x)
+		}
+		mean := math.Float64bits(h.Mean())
+		for _, p := range []float64{0, 1, 25, 50, 75, 99, 99.9, 100, rng.Float64() * 100} {
+			h.Percentile(p)
+			if got := math.Float64bits(h.Mean()); got != mean {
+				t.Fatalf("n=%d: Mean bits %x after Percentile(%v), %x before", n, got, p, mean)
+			}
+			got := slices.Concat(h.blocks...)
+			if !slices.EqualFunc(got, want, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+				t.Fatalf("n=%d: Percentile(%v) moved samples", n, p)
+			}
+		}
+	}
+}
+
 var sinkPercentile float64
 
 // BenchmarkPercentile times the p50 and p99 queries a benchmark run makes
-// on its pooled latency samples, freshly collected each time.
+// on its pooled latency samples. A query moves no sample, so every
+// iteration queries the same histogram.
 func BenchmarkPercentile(b *testing.B) {
+	const n = 3_400_000
+	rng := rand.New(rand.NewSource(1))
+	var h Histogram
+	for i := 0; i < n; i++ {
+		h.Observe(16 + rng.ExpFloat64()*10)
+	}
+	b.Run("3.4M", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkPercentile = h.Percentile(50) + h.Percentile(99)
+		}
+	})
+}
+
+// BenchmarkObserve times filling a histogram with as many samples as a
+// benchmark run pools, per op; its B/op is what the samples cost.
+func BenchmarkObserve(b *testing.B) {
 	const n = 3_400_000
 	rng := rand.New(rand.NewSource(1))
 	src := make([]float64, n)
@@ -159,12 +234,13 @@ func BenchmarkPercentile(b *testing.B) {
 		src[i] = 16 + rng.ExpFloat64()*10
 	}
 	b.Run("3.4M", func(b *testing.B) {
-		h := Histogram{samples: make([]float64, n)}
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			copy(h.samples, src)
-			b.StartTimer()
-			sinkPercentile = h.Percentile(50) + h.Percentile(99)
+			var h Histogram
+			for _, x := range src {
+				h.Observe(x)
+			}
+			sinkPercentile = float64(h.Count())
 		}
 	})
 }
@@ -175,7 +251,8 @@ func BenchmarkPercentile(b *testing.B) {
 // one below 0xE0 the small integer b-16, one below 0xF0 the float64 in the
 // next eight bytes, and any other byte queries at p = next·120/255 - 10
 // (NaN when the next byte is 0xFF). The program ends with p0, p50, p99 and
-// p100.
+// p100. The one-key-range corpus entry observes only equal samples, across
+// two blocks, so every query's candidate buffer holds all of them.
 func FuzzPercentile(f *testing.F) {
 	specials := [16]float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
 		1, -1, 0.5, 2, 1.5, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, 1e300, -1e-300, 7}
