@@ -12,7 +12,6 @@ package actor
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"plasma/internal/cluster"
@@ -184,15 +183,15 @@ type Runtime struct {
 }
 
 // migration is one live migration: requested and pending on its actor
-// until beginMigration starts it, then in flight. While it is pending,
-// traceID is the trace parent its KindTransfer record will name; from then
-// on it is that record's id (one field for both keeps the struct in the
-// 48-byte size class).
+// until beginMigration starts it, at start, then in flight. While it is
+// pending, traceID is the trace parent its KindTransfer record will name;
+// from then on it is that record's id.
 type migration struct {
 	inst    *instance
 	src     cluster.MachineID
 	dst     cluster.MachineID
 	epoch   uint64
+	start   sim.Time
 	onDone  func(ok bool)
 	traceID uint64 // the transfer's parent, then its id: parent of commit/rollback
 }
@@ -245,6 +244,14 @@ func (rt *Runtime) FailedMigrations() int { return rt.failedMigs }
 // InFlightMigrations reports migrations currently in progress; a quiesced
 // runtime must report zero (no actor may be stuck mid-move).
 func (rt *Runtime) InFlightMigrations() int { return len(rt.inflight) }
+
+// OldestMigration reports the age of the oldest in-flight migration (0 = none).
+func (rt *Runtime) OldestMigration() (oldest sim.Duration) {
+	for _, mig := range rt.inflight {
+		oldest = max(oldest, sim.Duration(rt.K.Now()-mig.start))
+	}
+	return oldest
+}
 
 // onMachineFail aborts or rolls back every in-flight migration touching the
 // crashed machine. A destination crash rolls the actor back onto its source
@@ -713,8 +720,8 @@ func (inst *instance) queued() int { return len(inst.mailbox) - inst.head }
 
 // enqueue appends to the mailbox. When the backing array is full and at
 // least half of it is consumed prefix, the queued messages slide to the
-// front instead of the array growing; a fuller array doubles (append grows a
-// large one by a quarter, copying a deep mailbox several times as often).
+// front instead of the array growing; a fuller one moves to an array of
+// exactly twice its size (append grows by a quarter, slices.Grow past 2×).
 // Either way each message is moved a constant number of times, amortized.
 func (inst *instance) enqueue(msg *Message) {
 	if n := len(inst.mailbox); n == cap(inst.mailbox) && inst.head > 0 && inst.head >= n/2 {
@@ -722,7 +729,7 @@ func (inst *instance) enqueue(msg *Message) {
 		clear(inst.mailbox[live:])
 		inst.mailbox, inst.head = inst.mailbox[:live], 0
 	} else if n == cap(inst.mailbox) {
-		inst.mailbox = slices.Grow(inst.mailbox, n)
+		inst.mailbox, inst.head = append(make([]Message, 0, 2*n), inst.mailbox[inst.head:]...), 0
 	}
 	inst.mailbox = append(inst.mailbox, *msg)
 }
@@ -880,7 +887,7 @@ func (rt *Runtime) beginMigration(inst *instance) {
 	inst.migrating = true
 	inst.migEpoch++
 	src := inst.srv
-	mig.src, mig.epoch = src, inst.migEpoch
+	mig.src, mig.epoch, mig.start = src, inst.migEpoch, rt.K.Now()
 	rt.inflight[inst.id] = mig
 	mig.traceID = rt.tr.Emit(trace.Record{Kind: trace.KindTransfer, Parent: mig.traceID,
 		Server: int32(src), Target: int32(dst), Actor: uint64(inst.id), Rule: -1, Value: float64(inst.memSize)})

@@ -35,6 +35,9 @@ func Schema() *epl.Schema {
 	)
 }
 
+// boundaryBytesPerEdge sizes the per-iteration boundary exchange.
+const boundaryBytesPerEdge = 4
+
 // Config sizes one PageRank deployment.
 type Config struct {
 	Graph *graph.Graph
@@ -43,8 +46,6 @@ type Config struct {
 
 	// PerEdgeCost is CPU time per edge per iteration.
 	PerEdgeCost sim.Duration
-	// BoundaryBytesPerEdge sizes the per-iteration boundary exchange.
-	BoundaryBytesPerEdge int64
 	// StatePerVertex sizes worker actor state (drives migration cost).
 	StatePerVertex int64
 	// HeteroSpread adds per-partition compute heterogeneity: each
@@ -67,9 +68,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.PerEdgeCost == 0 {
 		c.PerEdgeCost = 2 * sim.Microsecond
-	}
-	if c.BoundaryBytesPerEdge == 0 {
-		c.BoundaryBytesPerEdge = 4
 	}
 	if c.StatePerVertex == 0 {
 		c.StatePerVertex = 64
@@ -178,7 +176,7 @@ func (w *workerState) Receive(ctx *actor.Context, msg actor.Message) {
 		// Boundary exchange: split the partition's boundary volume across
 		// the other workers.
 		if app.Cfg.K > 1 {
-			total := edges * app.Cfg.BoundaryBytesPerEdge
+			total := edges * boundaryBytesPerEdge
 			per := total / int64(app.Cfg.K-1)
 			for j, other := range app.Workers {
 				if j == w.idx {

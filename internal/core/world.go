@@ -154,14 +154,14 @@ func (w *World) Client(site cluster.MachineID) *actor.Client {
 	return actor.NewClient(w.RT, site)
 }
 
-// Invariants is the global sweep over a quiesced world, one message per
-// violation: no migration stuck in flight, no request answered twice, every
-// actor homed on an up machine, each up machine's memory accounting exactly
-// the sum of its residents' state.
-func (w *World) Invariants() []string {
+// Invariants is the global sweep between any two events, one message per
+// violation: no migration in flight for longer than bound, no request
+// answered twice, every actor homed on an up machine, each up machine's
+// memory accounting exactly the sum of its residents' state.
+func (w *World) Invariants(bound sim.Duration) []string {
 	var bad []string
-	if n := w.RT.InFlightMigrations(); n != 0 {
-		bad = append(bad, fmt.Sprintf("%d migrations stuck in flight", n))
+	if age := w.RT.OldestMigration(); age > bound {
+		bad = append(bad, fmt.Sprintf("a migration in flight for %v (bound %v)", age, bound))
 	}
 	if n := w.RT.DuplicateReplies(); n != 0 {
 		bad = append(bad, fmt.Sprintf("requests answered more than once (%d extra replies)", n))

@@ -330,7 +330,7 @@ func quiescedWorld(t *testing.T) (*World, actor.Ref) {
 	big := w.RT.SpawnOn("Big", sized(64<<20), 0)
 	cl.Send(big, "init", nil, 8)
 	w.K.RunUntilIdle()
-	if bad := w.Invariants(); len(bad) != 0 {
+	if bad := w.Invariants(0); len(bad) != 0 {
 		t.Fatalf("quiesced world not clean: %v", bad)
 	}
 	return w, big
@@ -346,10 +346,15 @@ func TestWorldInvariantsCatch(t *testing.T) {
 			"machine 1 memory drift"},
 		{"ActorsOnDownMachine", func(w *World, _ actor.Ref) { w.C.Fail(2) },
 			"2 actors homed on down machine 2"},
+		// Serializing 64 MB alone takes 320 ms; the sweep's bound is 100 ms.
+		{"YoungMigration", func(w *World, big actor.Ref) {
+			w.RT.Migrate(big, 1, nil)
+			w.Run(100 * sim.Millisecond)
+		}, ""},
 		{"StuckMigration", func(w *World, big actor.Ref) {
 			w.RT.Migrate(big, 1, nil)
-			w.Run(10 * sim.Millisecond) // serializing 64 MB alone takes 320 ms
-		}, "1 migrations stuck in flight"},
+			w.Run(101 * sim.Millisecond)
+		}, "a migration in flight for 101.000ms (bound 100.000ms)"},
 		{"ReplyTwice", func(w *World, _ actor.Ref) {
 			answerTwice(w, func(ctx *actor.Context, msg actor.Message, _ actor.Ref) {
 				ctx.Reply(nil, 8)
@@ -366,9 +371,11 @@ func TestWorldInvariantsCatch(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			w, big := quiescedWorld(t)
 			tc.breakIt(w, big)
-			bad := w.Invariants()
-			if len(bad) != 1 || !strings.Contains(bad[0], tc.want) {
-				t.Fatalf("Invariants() = %q, want one message containing %q", bad, tc.want)
+			switch bad := w.Invariants(100 * sim.Millisecond); {
+			case tc.want == "" && len(bad) != 0:
+				t.Fatalf("Invariants(100ms) = %q, want none", bad)
+			case tc.want != "" && (len(bad) != 1 || !strings.Contains(bad[0], tc.want)):
+				t.Fatalf("Invariants(100ms) = %q, want one message containing %q", bad, tc.want)
 			}
 		})
 	}
@@ -412,7 +419,7 @@ func TestWorldChaosRefusals(t *testing.T) {
 			}
 			// A crash the world applies is followed by RecoverMachine, so the
 			// sweep stays clean either way.
-			if bad := w.Invariants(); len(bad) != 0 {
+			if bad := w.Invariants(0); len(bad) != 0 {
 				t.Fatalf("invariants after fault: %v", bad)
 			}
 		})

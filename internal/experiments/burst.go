@@ -174,34 +174,31 @@ func (c burstCol) plain() burstCol {
 	return c
 }
 
-// burstHeader is a burst table's header: the label column, the columns, the
-// invariant sweep's verdict.
+// burstHeader is a burst table's header: the label column, then the columns.
 func burstHeader(label string, cols []burstCol) []string {
 	h := []string{label}
 	for _, c := range cols {
 		h = append(h, c.head)
 	}
-	return append(h, "Invariants")
+	return h
 }
 
-// burstRow adds one arm's row: its label, the columns, the sweep's verdict.
+// burstRow adds one arm's row: its label, then the columns.
 func burstRow(r *Result, label string, o *burstOut, cols []burstCol) {
 	cells := []string{label}
 	for _, c := range cols {
 		cells = append(cells, fmt.Sprintf("%.*f", c.prec, c.val(o)))
 	}
-	r.addRow(append(cells, verdict(o.violations))...)
+	r.addRow(cells...)
 }
 
 // burstSeedTable runs one arm at consecutive seeds and renders a row per
-// seed, the mean of every column that names one, and the violation total.
+// seed and the mean of every column that names one.
 func burstSeedTable(r *Result, cfg Config, seeds int, o burstOpts, cols []burstCol) {
 	r.Header = burstHeader("Seed", cols)
 	outs := runSeeds(cfg, seeds, func(_ int, seed int64) *burstOut { return burstTrial(cfg, seed, o) })
-	bad := 0
 	for i, o := range outs {
 		burstRow(r, fmt.Sprintf("%d", cfg.Seed+int64(i)), o, cols)
-		bad += len(o.violations)
 		for _, c := range cols {
 			if c.mean != "" {
 				r.Summary[c.mean] += c.val(o)
@@ -213,7 +210,6 @@ func burstSeedTable(r *Result, cfg Config, seeds int, o burstOpts, cols []burstC
 			r.Summary[c.mean] /= float64(len(outs))
 		}
 	}
-	r.Summary["invariant_violations"] = float64(bad)
 }
 
 // flashRate is the flash-crowd arrival multiplier: baseline outside the
@@ -267,7 +263,6 @@ func burstFlash(cfg Config, su burstSize, r *Result) {
 		r.Summary["slo_viol_s_"+pc.String()] = colViol.val(o)
 		r.Summary["shed_"+pc.String()] = colShed.val(o)
 		r.Summary["scale_outs_"+pc.String()] = colScaleOuts.val(o)
-		r.Summary["invariant_violations_"+pc.String()] = float64(len(o.violations))
 		r.Series["latency_"+pc.String()] = o.rec.Series()
 	}
 	r.notef("warm pool restores capacity inside the spike; VM boots land after it — the violation-seconds spread is the provisioning spectrum's effect")

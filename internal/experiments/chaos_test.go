@@ -39,7 +39,7 @@ func TestChaosDeterministicReplay(t *testing.T) {
 	}
 	trial := func(seed int64) (outcome, []trace.Record) {
 		log := &chaosLog{}
-		return chaosTrial(Config{Trace: trace.New(log)}, 1, seed, mediaChaosArm), log.recs
+		return run(Config{Trace: trace.New(log)}, seed, mediaChaosArm(1, seed)), log.recs
 	}
 	a, ar := trial(21)
 	b, br := trial(21)

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -119,9 +120,8 @@ type Config struct {
 	// so record timestamps are always the active kernel's virtual time.
 	Trace *trace.Tracer
 
-	// stats, when non-nil, collects every kernel created through
-	// Config.world so Run can aggregate event counts and queue depths (set
-	// internally by Run).
+	// stats, when non-nil, is the run's record: the kernels created through
+	// Config.world and the invariant sweeps of run (set internally by Run).
 	stats *simTracker
 }
 
@@ -175,12 +175,15 @@ func runSeeds[T any](cfg Config, seeds int, trial func(idx int, seed int64) T) [
 	return out
 }
 
-// simTracker accumulates the kernels an experiment creates; totals are
-// read once the experiment function returns (all kernels idle by then).
-// The mutex covers registration from runSeeds' trial goroutines.
+// simTracker is a Run's record: the kernels the experiment creates, whose
+// totals are read once the experiment function returns (all kernels idle by
+// then), and the violations run's sweeps found, with the count of sweeps and
+// of the periods the arms stepped. The mutex covers runSeeds' goroutines.
 type simTracker struct {
-	mu      sync.Mutex
-	kernels []*sim.Kernel
+	mu              sync.Mutex
+	kernels         []*sim.Kernel
+	violations      []string
+	sweeps, periods int
 }
 
 func (t *simTracker) add(k *sim.Kernel) {
@@ -254,7 +257,8 @@ var (
 
 // table is every experiment, sorted by id: IDs returns its order, and
 // cmd/plasma-bench's report follows it. Run adds one clause to every claim:
-// each invariant sweep a row summarises came back clean.
+// every invariant sweep came back clean; §4.3: no actor lost, duplicated or
+// stranded.
 var table = []experiment{
 	{"burst_chaos", "Flash crowd during a GEM crash (chaos-composed burst)",
 		sized(burstQuick, burstFull, burstChaos), func(r *Result) error {
@@ -443,17 +447,6 @@ var table = []experiment{
 		}},
 }
 
-// swept is the clause Run adds to every claim: each invariant sweep the
-// result summarises (the invariant_violations keys) found nothing; §4.3: no
-// actor lost, duplicated or stranded.
-func swept(r *Result) error {
-	var errs []error
-	for _, k := range r.keys("invariant_violations") {
-		errs = append(errs, unless(r.Summary[k] == 0, "%s = %v", k, r.Summary[k]))
-	}
-	return errors.Join(errs...)
-}
-
 // IDs returns the experiment ids in table order.
 func IDs() []string {
 	ids := make([]string, len(table))
@@ -476,7 +469,8 @@ func Run(id string, cfg Config) (*Result, error) {
 	res := &Result{ID: e.id, Title: e.title, Series: map[string]*metrics.Series{}, Summary: map[string]float64{}}
 	e.run(cfg, res)
 	res.EventsFired, res.PeakQueue = tr.totals()
-	res.Claim = errors.Join(e.claim(res), swept(res))
+	slices.Sort(tr.violations) // runSeeds' trials record theirs in any order
+	res.Claim = errors.Join(e.claim(res), unless(len(tr.violations) == 0, "%s", strings.Join(tr.violations, "\n")))
 	return res, nil
 }
 

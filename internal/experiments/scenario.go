@@ -17,7 +17,9 @@ import (
 // are core.World's: world → app build → manager → injector → period loop →
 // load → run → stop/settle → sweep. RNG draws, actor ids and event counts
 // follow call order, so each closure schedules what its step says and nothing
-// else.
+// else. The sweep, after every period and at the end, is the only invariant
+// check: each violation lands on the run's record (Config.stats), which Run
+// joins into Result.Claim.
 type scenario struct {
 	machines int // fleet at time zero, client sites included
 	inst     cluster.InstanceType
@@ -49,11 +51,13 @@ type scenario struct {
 
 	// An open arm runs to horizon. A closed job sets done and is stepped
 	// until it reports true, horizon being its deadline. settle > 0 runs that
-	// much longer once the manager has stopped and then sweeps the
-	// invariants; 0 cuts the world off where it stands and sweeps nothing.
+	// much longer once the manager has stopped, so the last sweep allows no
+	// migration in flight; 0 cuts the world off where it stands. stalled,
+	// if set, is a liveness check the last sweep reports ("" = alive).
 	horizon sim.Duration
 	done    func() bool
 	settle  sim.Duration
+	stalled func(out outcome) string
 }
 
 // faultPlan is a fault schedule: one message-fault mix on every control-plane
@@ -74,9 +78,8 @@ type outcome struct {
 	*core.World
 	// peakSrv is the fleet-size probe: UpCount() — client sites included —
 	// once the app is built, at every elasticity period, and at the end.
-	peakSrv    int
-	lastFault  sim.Time // when the fault schedule's final event fires
-	violations []string // the invariant sweep (settle > 0 only)
+	peakSrv   int
+	lastFault sim.Time // when the fault schedule's final event fires
 }
 
 // run executes one arm at one seed.
@@ -94,7 +97,8 @@ func run(cfg Config, seed int64, sc scenario) outcome {
 	}
 
 	// One loop steps every arm's period — the EMR's Tick, or closing the EPR
-	// window for the comparison manager — then probes the step's snapshot.
+	// window for the comparison manager — then probes the step's snapshot and
+	// sweeps the invariants.
 	closeWindow := func() *epl.Snapshot {
 		snap := w.Prof.Snapshot(nil)
 		w.Prof.Reset()
@@ -137,6 +141,7 @@ func run(cfg Config, seed int64, sc scenario) outcome {
 				if sc.probe != nil {
 					sc.probe(w, n, snap)
 				}
+				cfg.stats.sweep(w, n, 0, 2*period)
 			}
 			return running
 		})
@@ -154,22 +159,37 @@ func run(cfg Config, seed int64, sc scenario) outcome {
 	}
 
 	// The loop stops; settle lets the last period's migrations commit before
-	// the sweep, and a zero settle leaves the world exactly as it stands.
+	// the last sweep, and a zero settle leaves the world exactly as it stands.
 	running = false
+	bound := 2 * period
 	if sc.settle > 0 {
 		w.Run(sc.settle)
+		bound = 0
 	}
 	sample()
-	if sc.settle > 0 {
-		out.violations = w.Invariants()
+	stalled := ""
+	if sc.stalled != nil {
+		stalled = sc.stalled(out)
 	}
+	cfg.stats.sweep(w, n, n, bound, stalled)
 	return out
 }
 
-// verdict renders an invariant sweep as a table cell.
-func verdict(violations []string) string {
-	if len(violations) > 0 {
-		return fmt.Sprintf("%v", violations)
+// sweep checks w's invariants after its arm's nth period, a migration
+// allowed bound in flight, and records each violation, and each non-empty
+// finding in more, as "period n (t = …): message". An arm's last sweep
+// passes the periods it stepped.
+func (t *simTracker) sweep(w *core.World, n, stepped int, bound sim.Duration, more ...string) {
+	if t == nil {
+		return
 	}
-	return "ok"
+	bad := append(w.Invariants(bound), more...)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.sweeps, t.periods = t.sweeps+1, t.periods+stepped
+	for _, msg := range bad {
+		if msg != "" {
+			t.violations = append(t.violations, fmt.Sprintf("period %d (t = %v): %s", n, sim.Duration(w.K.Now()), msg))
+		}
+	}
 }

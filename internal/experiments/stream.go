@@ -278,7 +278,7 @@ func recCell(r metrics.Recovery) string {
 // run, PLASMA partition migration vs executor-level key repartitioning on
 // identical fleets and identical arrival streams.
 func streamSkew(cfg Config, su streamSize, r *Result) {
-	r.Header = []string{"Manager", "Steady p99(ms)", "Peak p99(ms)", "Recovery(s)", "SLOviol(s)", "Moves", "MovedMB", "Events", "Invariants"}
+	r.Header = []string{"Manager", "Steady p99(ms)", "Peak p99(ms)", "Recovery(s)", "SLOviol(s)", "Moves", "MovedMB", "Events"}
 
 	for _, mode := range []string{"plasma", "elasticutor"} {
 		o := streamTrial(cfg, cfg.Seed, streamBase(su, mode))
@@ -286,13 +286,12 @@ func streamSkew(cfg Config, su streamSize, r *Result) {
 			fmt.Sprintf("%.1f", o.steadyP99), fmt.Sprintf("%.1f", o.peakP99),
 			recCell(o.first), fmt.Sprintf("%.1f", o.violSec),
 			fmt.Sprintf("%d", o.moves), fmt.Sprintf("%.1f", o.movedMB),
-			fmt.Sprintf("%d", o.events), verdict(o.violations))
+			fmt.Sprintf("%d", o.events))
 		r.Summary["recovery_s_"+mode] = o.first.Seconds
 		r.Summary["recovered_"+mode] = float64(boolToInt(o.first.Recovered))
 		r.Summary["slo_viol_s_"+mode] = o.violSec
 		r.Summary["moves_"+mode] = float64(o.moves)
 		r.Summary["moved_mb_"+mode] = o.movedMB
-		r.Summary["invariant_violations_"+mode] = float64(len(o.violations))
 		r.Series["p99_"+mode] = o.p99Series
 	}
 	r.notef("identical seeds drive identical arrival streams; the race is purely detection + state movement + drain")
@@ -301,7 +300,7 @@ func streamSkew(cfg Config, su streamSize, r *Result) {
 // streamDrift rotates the hot set repeatedly — the drifting-popularity
 // regime where every shift restarts the race — and reports mean recovery.
 func streamDrift(cfg Config, su streamSize, r *Result) {
-	r.Header = []string{"Manager", "Recoveries(s)", "Recovered", "MeanRec(s)", "SLOviol(s)", "Moves", "MovedMB", "Invariants"}
+	r.Header = []string{"Manager", "Recoveries(s)", "Recovered", "MeanRec(s)", "SLOviol(s)", "Moves", "MovedMB"}
 
 	for _, mode := range []string{"plasma", "elasticutor"} {
 		o := streamBase(su, mode)
@@ -318,11 +317,10 @@ func streamDrift(cfg Config, su streamSize, r *Result) {
 		r.addRow(mode, cells,
 			fmt.Sprintf("%d", out.recovered), fmt.Sprintf("%.1f", out.meanRec),
 			fmt.Sprintf("%.1f", out.violSec), fmt.Sprintf("%d", out.moves),
-			fmt.Sprintf("%.1f", out.movedMB), verdict(out.violations))
+			fmt.Sprintf("%.1f", out.movedMB))
 		r.Summary["mean_recovery_s_"+mode] = out.meanRec
 		r.Summary["recovered_"+mode] = float64(out.recovered)
 		r.Summary["slo_viol_s_"+mode] = out.violSec
-		r.Summary["invariant_violations_"+mode] = float64(len(out.violations))
 		r.Series["p99_"+mode] = out.p99Series
 	}
 	r.notef("each rotation moves the hot span onto a cold server; mean recovery integrates detection lag over repeated shifts")
@@ -344,7 +342,7 @@ server.cpu.perc > 70 => provclass({warm});
 // ends. The comparison is honest about that asymmetry — capacity elasticity
 // is exactly what executor-level repartitioning lacks.
 func streamSpike(cfg Config, su streamSize, r *Result) {
-	r.Header = []string{"Manager", "Recovery(s)", "SLOviol(s)", "ScaleOuts", "PeakSrv", "Moves", "Invariants"}
+	r.Header = []string{"Manager", "Recovery(s)", "SLOviol(s)", "ScaleOuts", "PeakSrv", "Moves"}
 
 	for _, mode := range []string{"plasma", "elasticutor"} {
 		o := streamBase(su, mode)
@@ -374,11 +372,10 @@ func streamSpike(cfg Config, su streamSize, r *Result) {
 		out := streamTrial(cfg, cfg.Seed, o)
 		r.addRow(mode, recCell(out.first), fmt.Sprintf("%.1f", out.violSec),
 			fmt.Sprintf("%d", out.scaleOuts), fmt.Sprintf("%d", out.peakSrv),
-			fmt.Sprintf("%d", out.moves), verdict(out.violations))
+			fmt.Sprintf("%d", out.moves))
 		r.Summary["recovery_s_"+mode] = out.first.Seconds
 		r.Summary["slo_viol_s_"+mode] = out.violSec
 		r.Summary["scale_outs_"+mode] = float64(out.scaleOuts)
-		r.Summary["invariant_violations_"+mode] = float64(len(out.violations))
 		r.Series["p99_"+mode] = out.p99Series
 	}
 	r.notef("no rotation: the spike adds load everywhere at once; only the manager that can add machines recovers before the spike ends")
@@ -388,7 +385,7 @@ func streamSpike(cfg Config, su streamSize, r *Result) {
 // of 2 is down across the entire shift, so detection and migration must
 // flow through the surviving GEM alone.
 func streamChaos(cfg Config, su streamSize, r *Result) {
-	r.Header = []string{"Seed", "CtlFails", "Recovery(s)", "SLOviol(s)", "Moves", "Invariants"}
+	r.Header = []string{"Seed", "CtlFails", "Recovery(s)", "SLOviol(s)", "Moves"}
 
 	o := streamBase(su, "plasma")
 	o.events = []chaos.Event{
@@ -399,12 +396,11 @@ func streamChaos(cfg Config, su streamSize, r *Result) {
 	out := streamTrial(cfg, cfg.Seed, o)
 	r.addRow(fmt.Sprintf("%d", cfg.Seed), fmt.Sprintf("%d", out.CtlFails),
 		recCell(out.first), fmt.Sprintf("%.1f", out.violSec),
-		fmt.Sprintf("%d", out.moves), verdict(out.violations))
+		fmt.Sprintf("%d", out.moves))
 	r.Summary["recovery_s"] = out.first.Seconds
 	r.Summary["recovered"] = float64(boolToInt(out.first.Recovered))
 	r.Summary["ctl_fails"] = float64(out.CtlFails)
 	r.Summary["slo_viol_s"] = out.violSec
-	r.Summary["invariant_violations"] = float64(len(out.violations))
 	r.Series["p99_plasma"] = out.p99Series
 	r.notef("with half the control plane gone for the whole shift, the survivor's self-corroborated plan still rebalances the hot span")
 }

@@ -16,9 +16,9 @@ import (
 //
 // Each sample is written once, into a first block that doubles up to
 // blockLen samples and then fixed blocks of blockLen, and never moves: a
-// query counts the samples into key ranges, copies the range(s) holding the
-// ranks it needs into a candidate buffer kept on the histogram, and selects
-// within that buffer.
+// query copies the samples into a candidate buffer kept on the histogram and
+// selects within that buffer; past selectAll samples it counts them into key
+// ranges first and copies only the range(s) holding the ranks it needs.
 type Histogram struct {
 	blocks       [][]float64
 	n            int
@@ -29,6 +29,9 @@ type Histogram struct {
 const (
 	blockLen  = 512 // samples per block: 4 KB
 	rangeBits = 12  // a query counts the samples into at most 1<<rangeBits key ranges
+	// Selecting over all samples beats counting key ranges up to selectAll:
+	// a p50+p99 pair took 8 vs 15 µs at 1,000 samples, 88 vs 59 at 4,000.
+	selectAll = 2048
 )
 
 // key maps x to a uint64 ordered as sort.Float64s orders floats: every NaN
@@ -86,32 +89,39 @@ func (h *Histogram) Percentile(p float64) float64 {
 	rank := min(max(p, 0), 100) / 100 * float64(n-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
-	// Count the samples into equal key ranges, 2^bits.Len(n) of them up to
-	// 1<<rangeBits, and find the first range holding rank lo and the last
-	// holding rank hi: any range between them is empty.
-	shift := max(bits.Len64(h.keyHi-h.keyLo)-min(rangeBits, bits.Len(uint(n))), 0)
-	var counts [1 << rangeBits]int
-	for _, b := range h.blocks {
-		for _, x := range b {
-			counts[(key(x)-h.keyLo)>>shift]++
+	// The candidates are every sample or, past selectAll, those of the key
+	// ranges holding ranks lo and hi: count the samples into equal key
+	// ranges, 2^bits.Len(n) of them up to 1<<rangeBits (any range between
+	// the two is empty). Rank lo is rank lo-below among the candidates.
+	cand, below := h.cand[:0], 0
+	if n <= selectAll {
+		cand = slices.Grow(cand, n)
+		for _, b := range h.blocks {
+			cand = append(cand, b...)
 		}
-	}
-	first, below := 0, 0
-	for below+counts[first] <= lo {
-		below += counts[first]
-		first++
-	}
-	last, upTo := first, below+counts[first]
-	for upTo <= hi {
-		last++
-		upTo += counts[last]
-	}
-	// Rank lo is rank lo-below among the upTo-below samples of those ranges.
-	cand := slices.Grow(h.cand[:0], upTo-below)
-	for _, b := range h.blocks {
-		for _, x := range b {
-			if r := int((key(x) - h.keyLo) >> shift); r >= first && r <= last {
-				cand = append(cand, x)
+	} else {
+		shift := max(bits.Len64(h.keyHi-h.keyLo)-min(rangeBits, bits.Len(uint(n))), 0)
+		var counts [1 << rangeBits]int
+		for _, b := range h.blocks {
+			for _, x := range b {
+				counts[(key(x)-h.keyLo)>>shift]++
+			}
+		}
+		first := 0
+		for below+counts[first] <= lo {
+			below += counts[first]
+			first++
+		}
+		last, upTo := first, below+counts[first]
+		for upTo <= hi {
+			last++
+			upTo += counts[last]
+		}
+		for _, b := range h.blocks {
+			for _, x := range b {
+				if r := int((key(x) - h.keyLo) >> shift); r >= first && r <= last {
+					cand = append(cand, x)
+				}
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -74,7 +75,7 @@ func bothZeros(samples []float64) bool {
 func TestPercentileMatchesSort(t *testing.T) {
 	ps := []float64{-10, 0, 1e-9, 0.5, 1, 25, 50, 90, 95, 99, 99.9, 100 - 1e-9, 100, 110}
 	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
-	for trial, n := range []int{1, 2, 3, 4, 5, 7, 8, 16, 31, 100, 257, 1000, 2048, 5000} {
+	for trial, n := range []int{1, 2, 3, 4, 5, 7, 8, 16, 31, 100, 257, 1000, selectAll, selectAll + 1, 5000} {
 		for _, kind := range []string{"continuous", "duplicates", "specials"} {
 			rng := rand.New(rand.NewSource(int64(trial)))
 			draw := func() float64 {
@@ -210,18 +211,23 @@ var sinkPercentile float64
 // on its pooled latency samples. A query moves no sample, so every
 // iteration queries the same histogram.
 func BenchmarkPercentile(b *testing.B) {
-	const n = 3_400_000
-	rng := rand.New(rand.NewSource(1))
-	var h Histogram
-	for i := 0; i < n; i++ {
-		h.Observe(16 + rng.ExpFloat64()*10)
-	}
-	b.Run("3.4M", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sinkPercentile = h.Percentile(50) + h.Percentile(99)
+	for _, n := range []int{10, 100, 1000, 3_400_000} {
+		rng := rand.New(rand.NewSource(1))
+		var h Histogram
+		for i := 0; i < n; i++ {
+			h.Observe(16 + rng.ExpFloat64()*10)
 		}
-	})
+		name := fmt.Sprint(n)
+		if n == 3_400_000 {
+			name = "3.4M"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkPercentile = h.Percentile(50) + h.Percentile(99)
+			}
+		})
+	}
 }
 
 // BenchmarkObserve times filling a histogram with as many samples as a
@@ -252,13 +258,21 @@ func BenchmarkObserve(b *testing.B) {
 // next eight bytes, and any other byte queries at p = next·120/255 - 10
 // (NaN when the next byte is 0xFF). The program ends with p0, p50, p99 and
 // p100. The one-key-range corpus entry observes only equal samples, across
-// two blocks, so every query's candidate buffer holds all of them.
+// two blocks, so every query's candidate buffer holds all of them; the last
+// seed queries at selectAll samples, where a query selects over them all,
+// and again past it, where it counts key ranges first.
 func FuzzPercentile(f *testing.F) {
 	specials := [16]float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
 		1, -1, 0.5, 2, 1.5, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, 1e300, -1e-300, 7}
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 0xF0, 0x80, 5, 6, 0xF0, 0xFF})
 	f.Add([]byte{20, 20, 20, 17, 17, 0xF1, 128, 20, 20, 3, 4, 4, 3, 0xF2, 0, 0xF3, 255})
+	crossing := make([]byte, 0, selectAll+24)
+	for i := 0; i < selectAll; i++ {
+		crossing = append(crossing, byte(16+i%200))
+	}
+	crossing = append(crossing, 0xF1, 128, 0xF1, 250, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 0xF1, 128)
+	f.Add(crossing)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			t.Skip("longer programs only repeat what shorter ones reach")
