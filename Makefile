@@ -16,7 +16,7 @@ COVER_PROFILE ?= coverage.out
 # Scratch dir for the trace round-trip smoke test.
 TRACE_SMOKE_DIR ?= .trace-smoke
 
-.PHONY: build test vet race bench kernel-bench actor-bench profile-bench metrics-bench workload-bench bench-test bench-quick bench-baseline scale-quick burst-quick stream-quick plan-quick lint-model cover trace-smoke quickstart-smoke fuzz-smoke sweep-snapshot loc verify
+.PHONY: build test vet race bench micro-bench bench-test bench-quick bench-baseline scale-quick burst-quick stream-quick plan-quick lint-model cover trace-smoke quickstart-smoke fuzz-smoke sweep-snapshot loc verify
 
 build:
 	$(GO) build ./...
@@ -33,44 +33,29 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# kernel-bench runs each BenchmarkKernelQueue world (shallow, deep, tick,
-# stream: the kernel's layer microbenchmarks at the repository benchmark's
-# four queue regimes) once, so they execute on every change instead of only
-# compiling. One iteration times nothing worth reading; run the target's
-# command without -benchtime for figures.
-kernel-bench:
-	$(GO) test -run '^$$' -bench KernelQueue -benchtime 1x ./internal/sim
-
-# actor-bench runs the actor runtime's message-path microbenchmarks once
-# each, the way kernel-bench does: a client request → forward → reply, an
-# actor → actor Send, BenchmarkIdleDelivery, fleet_control's shape — 4,096
-# actors on one self-message cycle, every delivery finding its actor idle —
-# and BenchmarkDeliverFleet, fleet_control's miss pattern: idle deliveries
-# to random actors of a 131,072-actor runtime.
-actor-bench:
-	$(GO) test -run '^$$' -bench '^Benchmark(RequestReply|Send|IdleDelivery|DeliverFleet)$$' -benchtime 1x ./internal/actor
-
-# profile-bench runs the EPR's microbenchmarks once each with their
-# allocation counts, the way actor-bench does: the per-message hook at fanin 4
-# and 64, a steady Snapshot of 1,024 actors, and a sparse Snapshot of a
-# 131,072-actor fleet with 1% messaged each period.
-profile-bench:
-	$(GO) test -run '^$$' -bench '^Benchmark(OnMessage|SnapshotSteady|SnapshotSparse)$$' -benchtime 1x -benchmem ./internal/profile
-
-# metrics-bench runs the latency histogram's microbenchmarks once each with
-# their allocation counts, the way profile-bench does: a p50 and a p99 query
-# over 10, 100 and 1,000 samples and over 3.4M, a benchmark run's pooled size
-# (a query moves no sample, so every iteration queries the same histogram),
-# and filling a histogram with 3.4M samples, whose B/op is what the samples
-# cost.
-metrics-bench:
-	$(GO) test -run '^$$' -bench '^Benchmark(Percentile|Observe)$$' -benchtime 1x -benchmem ./internal/metrics
-
-# workload-bench runs the workload layer's key-draw microbenchmark once, the
-# way kernel-bench does: ZipfKeys.Draw at the stream experiments' shape and
-# the same loop over rand.Zipf, the variates it reproduces.
-workload-bench:
-	$(GO) test -run '^$$' -bench '^BenchmarkZipfKeysDraw$$' -benchtime 1x ./internal/apps/workload
+# micro-bench runs every layer microbenchmark once with its allocation
+# count, so they execute on every change instead of only compiling. One
+# iteration times nothing worth reading; run the command without -benchtime
+# for figures. By package:
+#   internal/sim: BenchmarkKernelQueue, each world (shallow, deep, tick,
+#     stream) at one of the repository benchmark's four queue regimes;
+#   internal/actor: a client request → forward → reply, an actor → actor
+#     Send, BenchmarkIdleDelivery — fleet_control's shape, 4,096 actors on
+#     one self-message cycle, every delivery finding its actor idle — and
+#     BenchmarkDeliverFleet, fleet_control's miss pattern: idle deliveries to
+#     random actors of a 131,072-actor runtime;
+#   internal/profile: the EPR's per-message hook at fanin 4 and 64, a steady
+#     Snapshot of 1,024 actors, and a sparse Snapshot of a 131,072-actor
+#     fleet with 1% messaged each period;
+#   internal/metrics: a p50 and a p99 query over 10, 100 and 1,000 samples
+#     and over 3.4M, a benchmark run's pooled size (a query moves no sample,
+#     so every iteration queries the same histogram), and filling a
+#     histogram with 3.4M samples, whose B/op is what the samples cost;
+#   internal/apps/workload: ZipfKeys.Draw at the stream experiments' shape
+#     and the same loop over rand.Zipf, the variates it reproduces.
+MICRO_BENCH = KernelQueue|RequestReply|Send|IdleDelivery|DeliverFleet|OnMessage|SnapshotSteady|SnapshotSparse|Percentile|Observe|ZipfKeysDraw
+micro-bench:
+	$(GO) test -run '^$$' -bench '^Benchmark($(MICRO_BENCH))$$' -benchtime 1x -benchmem ./internal/sim ./internal/actor ./internal/profile ./internal/metrics ./internal/apps/workload
 
 # bench-test runs the repository benchmark's own tests (benchmark/ is a
 # nested module, so `go test ./...` from the root never reaches them).
@@ -218,21 +203,21 @@ quickstart-smoke:
 	$(GO) run ./examples/quickstart | grep -q 'migrations performed: [1-9]'
 
 # sweep-snapshot writes everything a byte-identity refactor is held to into
-# OUT: the quick plasma-bench report at seeds 1 and 2 and one decision trace
-# per experiment id. Run it on the parent commit and on the change, then
-# `diff -r` the two directories.
+# OUT: the quick plasma-sim sweep at seeds 1 and 2 — every report and claim
+# verdict — and one decision trace per experiment id. Run it on the parent
+# commit and on the change, then `diff -r` the two directories.
 sweep-snapshot:
 	@test -n "$(OUT)" || { echo "usage: make sweep-snapshot OUT=<dir>"; exit 2; }
 	@mkdir -p $(OUT)
-	$(GO) build -o $(OUT)/.bin/ ./cmd/plasma-bench ./cmd/plasma-sim
+	$(GO) build -o $(OUT)/.bin/ ./cmd/plasma-sim
 	@set -e; for seed in 1 2; do \
-		$(OUT)/.bin/plasma-bench -seed $$seed > $(OUT)/report-seed$$seed.md; \
+		$(OUT)/.bin/plasma-sim -seed $$seed > $(OUT)/sweep-seed$$seed.txt; \
 	done; \
-	for id in $$(sed -n 's/^## \([a-z0-9_]*\) .*/\1/p' $(OUT)/report-seed1.md); do \
+	for id in $$(sed -n 's/^== \([a-z0-9_]*\): .*/\1/p' $(OUT)/sweep-seed1.txt); do \
 		$(OUT)/.bin/plasma-sim -trace $(OUT)/$$id.jsonl $$id > /dev/null; \
 	done
 	@rm -rf $(OUT)/.bin
-	@echo "sweep-snapshot: wrote $(OUT)/report-seed{1,2}.md and one <id>.jsonl per id"
+	@echo "sweep-snapshot: wrote $(OUT)/sweep-seed{1,2}.txt and one <id>.jsonl per id"
 
 # loc prints the root module's non-test Go line count — the figure behind
 # the net non-test line delta every PR reports (ROADMAP aim 2) — then its
@@ -256,13 +241,11 @@ loc:
 # suite passes under the race detector (determinism included: the run-twice
 # tests at two seeds and core's wall-clock/global-rand call rule), the policy
 # model checker passes every shipped policy — the one lint stage — the
-# kernel's queue, the actor runtime's message-path, the EPR's hook and
-# snapshot, the latency histogram's and the workload layer's key-draw
-# microbenchmarks run,
+# layer microbenchmarks run,
 # the benchmark harness's own tests pass, the quick-scale sweep shows no perf
 # regression or determinism drift against the checked-in bench baseline, the
 # decision tracer round-trips, the quickstart example migrates, and the
 # kernel order, policy, evaluator, envelope, trace JSONL, snapshot,
 # percentile, bench-baseline, partition and Zipf fuzzers find nothing in ten
 # seconds each.
-verify: build vet race lint-model kernel-bench actor-bench profile-bench metrics-bench workload-bench bench-test bench-quick trace-smoke quickstart-smoke fuzz-smoke
+verify: build vet race lint-model micro-bench bench-test bench-quick trace-smoke quickstart-smoke fuzz-smoke

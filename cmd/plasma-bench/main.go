@@ -1,20 +1,16 @@
-// Command plasma-bench runs the full evaluation sweep (every table and
-// figure of §5) and reports it in two forms:
+// Command plasma-bench measures the full evaluation sweep (every table and
+// figure of §5): wall time, allocations, simulated-event throughput, and
+// peak event-queue depth per experiment id, printed as a table. The sweep's
+// reports and claims are plasma-sim's to print; this command only times it.
 //
-// Report mode (default) emits an EXPERIMENTS.md-style markdown report with
-// the paper's claims next to the measured results:
+// -json writes the measurement as a BENCH_<date>.json perf baseline.
+// -compare checks it against a previous baseline and exits non-zero on what
+// this VM can measure reliably: a baseline id no longer run, fixed-seed
+// drift in events fired or a summary value, or allocs/op growth past
+// allocTolerance. Wall time is printed, not gated — host-time claims belong
+// to benchmark/, which corrects for the VM's speed drift:
 //
-//	plasma-bench [-full] [-seed N] > report.md
-//
-// Bench mode (-json and/or -compare) measures the sweep instead: wall time,
-// allocations, simulated-event throughput, and peak event-queue depth per
-// experiment id, written as a BENCH_<date>.json perf baseline. -compare
-// checks the fresh measurement against a previous baseline and exits
-// non-zero on what this VM can measure reliably: a baseline id no longer
-// run, fixed-seed drift in events fired or a summary value, or allocs/op
-// growth past allocTolerance. Wall time is printed, not gated — host-time
-// claims belong to benchmark/, which corrects for the VM's speed drift:
-//
+//	plasma-bench [-full] [-seed N]          # measure, print the table
 //	plasma-bench -json                      # write BENCH_<date>.json
 //	plasma-bench -json -o BENCH_ci.json     # explicit output path
 //	plasma-bench -compare BENCH_base.json   # measure, diff, gate
@@ -79,48 +75,16 @@ func main() {
 	jsonOut := flag.Bool("json", false, "benchmark the sweep and write a BENCH_<date>.json baseline")
 	outPath := flag.String("o", "", "output path for -json (default BENCH_<date>.json)")
 	comparePath := flag.String("compare", "", "benchmark the sweep and diff against this baseline; exit 1 on regression")
-	iters := flag.Int("iters", 3, "iterations per experiment in bench mode (min wall time wins)")
+	iters := flag.Int("iters", 3, "iterations per experiment (min wall time wins)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the bench sweep to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the bench sweep to this file")
 	flag.Parse()
 
 	cfg := experiments.Config{Full: *full, Seed: *seed}
-	if *jsonOut || *comparePath != "" {
-		os.Exit(benchMain(cfg, *iters, *outPath, *comparePath, *cpuProfile, *memProfile))
-	}
-	reportMain(cfg)
+	os.Exit(benchMain(cfg, *iters, *jsonOut, *outPath, *comparePath, *cpuProfile, *memProfile))
 }
 
-// reportMain is the original markdown report mode, byte-for-byte stable
-// per (mode, seed).
-func reportMain(cfg experiments.Config) {
-	fmt.Println("# PLASMA evaluation sweep")
-	fmt.Println()
-	mode := "quick"
-	if cfg.Full {
-		mode = "full (paper-scale)"
-	}
-	fmt.Printf("Mode: %s, seed %d. Virtual-time simulation; compare shapes, not absolute numbers.\n\n", mode, cfg.Seed)
-
-	for _, id := range experiments.IDs() {
-		res, err := experiments.Run(id, cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("## %s — %s\n\n```\n%s```\n\n", res.ID, res.Title, res.Render())
-		if len(res.Series) > 0 {
-			names := make([]string, 0, len(res.Series))
-			for n := range res.Series {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			fmt.Printf("Series available: %v\n\n", names)
-		}
-	}
-}
-
-func benchMain(cfg experiments.Config, iters int, outPath, comparePath, cpuProfile, memProfile string) int {
+func benchMain(cfg experiments.Config, iters int, jsonOut bool, outPath, comparePath, cpuProfile, memProfile string) int {
 	if iters < 1 {
 		iters = 1
 	}
@@ -184,7 +148,7 @@ func benchMain(cfg experiments.Config, iters int, outPath, comparePath, cpuProfi
 			fmt.Printf("no regressions vs %s\n", comparePath)
 		}
 	}
-	if flagPassed("json") {
+	if jsonOut {
 		data, err := json.MarshalIndent(bf, "", "  ")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -199,19 +163,8 @@ func benchMain(cfg experiments.Config, iters int, outPath, comparePath, cpuProfi
 	return exit
 }
 
-func flagPassed(name string) bool {
-	found := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			found = true
-		}
-	})
-	return found
-}
-
-// measureSweep benchmarks every experiment id. Wall time is the
-// minimum across iterations (the least-noisy estimator for a deterministic
-// workload); allocation counts come from the final iteration.
+// measureSweep benchmarks every experiment id and the planner's decision
+// round, each through timeBest.
 func measureSweep(cfg experiments.Config, iters int) BenchFile {
 	mode := "quick"
 	if cfg.Full {
@@ -251,22 +204,11 @@ func benchDecision(cfg experiments.Config, iters int) BenchExperiment {
 		actors, servers = 1_000_000, 1000
 	}
 	db := emr.NewDecisionBench(actors, servers)
-	be := BenchExperiment{ID: "planner_decision_time", Iters: iters, NsPerOp: math.MaxInt64}
+	be := BenchExperiment{ID: "planner_decision_time", Iters: iters}
 	// One untimed round first: it sizes the planner's reused scratch, which a
 	// steady-state period never pays for and -iters 1 would otherwise count.
 	actions := db.Run("")
-	for i := 0; i < iters; i++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		actions = db.Run("")
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&after)
-		if ns := elapsed.Nanoseconds(); ns < be.NsPerOp {
-			be.NsPerOp = ns
-		}
-		be.AllocsPerOp = int64(after.Mallocs - before.Mallocs)
-	}
+	be.NsPerOp, be.AllocsPerOp = timeBest(iters, func() { actions = db.Run("") })
 	be.Events = uint64(actors)
 	if be.NsPerOp > 0 {
 		be.EventsPerSec = float64(be.Events) / (float64(be.NsPerOp) / 1e9)
@@ -280,31 +222,37 @@ func benchDecision(cfg experiments.Config, iters int) BenchExperiment {
 }
 
 func benchOne(id string, cfg experiments.Config, iters int) (BenchExperiment, error) {
-	be := BenchExperiment{ID: id, Iters: iters, NsPerOp: math.MaxInt64}
-	for i := 0; i < iters; i++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		res, err := experiments.Run(id, cfg)
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			return be, err
-		}
-		if ns := elapsed.Nanoseconds(); ns < be.NsPerOp {
-			be.NsPerOp = ns
-		}
-		be.AllocsPerOp = int64(after.Mallocs - before.Mallocs)
-		be.Events = res.EventsFired
-		be.PeakQueue = res.PeakQueue
-		if i == iters-1 {
-			be.Summary = finiteSummary(res.Summary)
-		}
+	var res *experiments.Result
+	var err error
+	be := BenchExperiment{ID: id, Iters: iters}
+	be.NsPerOp, be.AllocsPerOp = timeBest(iters, func() { res, err = experiments.Run(id, cfg) })
+	if err != nil {
+		return be, err
 	}
+	be.Events, be.PeakQueue = res.EventsFired, res.PeakQueue
+	be.Summary = finiteSummary(res.Summary)
 	if be.NsPerOp > 0 {
 		be.EventsPerSec = float64(be.Events) / (float64(be.NsPerOp) / 1e9)
 	}
 	return be, nil
+}
+
+// timeBest calls fn iters times and returns the least wall time of one call
+// (the least-noisy estimator for a deterministic workload) and the heap
+// allocation count of the last.
+func timeBest(iters int, fn func()) (ns, allocs int64) {
+	ns = math.MaxInt64
+	for i := 0; i < iters; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		fn()
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
+		ns = min(ns, elapsed.Nanoseconds())
+		allocs = int64(after.Mallocs - before.Mallocs)
+	}
+	return ns, allocs
 }
 
 // finiteSummary drops non-finite values: NaN/Inf are not representable in

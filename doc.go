@@ -6,5 +6,5 @@
 //
 // The public entry point is internal/core (see examples/quickstart); the
 // evaluation harness reproducing every table and figure of the paper lives
-// in internal/experiments (run it with cmd/plasma-sim or cmd/plasma-bench).
+// in internal/experiments (run it with cmd/plasma-sim; cmd/plasma-bench times it).
 package plasma

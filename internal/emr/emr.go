@@ -856,26 +856,12 @@ func shareOn(ai *epl.ActorInfo, src, dst [3]float64) [3]float64 {
 	return v
 }
 
-// movable reports whether the actor may be migrated now (not pinned, has
-// satisfied the minimum-residence stability requirement, §4.3).
-func (m *Manager) movable(ai *epl.ActorInfo) bool {
-	if ai.Pinned {
-		return false
-	}
-	return m.rested(ai)
-}
-
-// movableAt is movable for a specific action priority: actions outranking
-// pin may move pinned actors.
+// movableAt reports whether an action of priority pri may migrate the actor
+// now: it is not pinned, or the action outranks pin, and it has satisfied
+// the minimum-residence stability requirement (§4.3).
 func (m *Manager) movableAt(ai *epl.ActorInfo, pri int) bool {
 	if ai.Pinned && pri <= priority(epl.KindPin) {
 		return false
 	}
-	return m.rested(ai)
-}
-
-// rested reports whether the minimum-residence stability requirement
-// (§4.3) has elapsed since the actor's last move.
-func (m *Manager) rested(ai *epl.ActorInfo) bool {
 	return sim.Duration(m.K.Now()-ai.LastMoved) >= m.Cfg.MinResidence
 }

@@ -99,7 +99,7 @@ func (m *Manager) planColocateGroups(snap *epl.Snapshot, pairs []epl.PairIntent,
 			if _, committed := planned[mem.Ref]; committed {
 				continue // its own higher-priority action wins this period
 			}
-			if mem.Pinned || !m.movable(mem) {
+			if !m.movableAt(mem, priority(epl.KindColocate)) {
 				continue
 			}
 			out = append(out, Action{
@@ -219,7 +219,7 @@ func (m *Manager) planSeparates(snap *epl.Snapshot, pairs []epl.PairIntent, plan
 	stays := func(ai *epl.ActorInfo) bool {
 		_, committed := planned[ai.Ref]
 		_, gone := moved[ai.Ref]
-		return committed || gone || ai.Pinned || !m.movable(ai)
+		return committed || gone || !m.movableAt(ai, priority(epl.KindSeparate))
 	}
 	var out []Action
 	for _, pi := range pairs {
@@ -678,7 +678,7 @@ func (m *Manager) candidates(src cluster.MachineID, bi epl.BalanceIntent) []cand
 	r := &m.rd
 	r.cands = r.cands[:0]
 	for _, ai := range r.residents(src) {
-		if _, planned := r.dest[ai.Ref.ID]; planned || !bi.Covers(ai.Type) || !m.movable(ai) {
+		if _, planned := r.dest[ai.Ref.ID]; planned || !bi.Covers(ai.Type) || !m.movableAt(ai, priority(epl.KindBalance)) {
 			continue
 		}
 		if use := ai.ResOf(bi.Res); use > 0 {

@@ -263,7 +263,6 @@ func burstFlash(cfg Config, su burstSize, r *Result) {
 		r.Summary["slo_viol_s_"+pc.String()] = colViol.val(o)
 		r.Summary["shed_"+pc.String()] = colShed.val(o)
 		r.Summary["scale_outs_"+pc.String()] = colScaleOuts.val(o)
-		r.Series["latency_"+pc.String()] = o.rec.Series()
 	}
 	r.notef("warm pool restores capacity inside the spike; VM boots land after it — the violation-seconds spread is the provisioning spectrum's effect")
 }

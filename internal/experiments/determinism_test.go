@@ -36,8 +36,14 @@ func runCaptured(t *testing.T, id string, seed int64) (render string, traceJSONL
 // the same kernel event count within each pair. Go randomises the order of
 // every map range, so each pair is an independent chance to catch map order
 // leaking into a report or a trace. The first run at each seed must also
-// hold its row's claim. Four runs of an id share one process, so a runner
+// hold its row's claim. Five runs of an id share one process, so a runner
 // that wrote into its (shared) size value would show here too.
+//
+// The fifth is the id's untraced seed-1 run (seedOne), on the goroutine pool
+// runSeeds uses when no tracer is set. It must render what the traced run
+// renders, so observation is passive and the pool changes nothing, and its
+// record must hold one sweep per period every arm stepped plus one at the
+// end of each arm (an arm is one kernel).
 func TestAllQuickIDsDeterministic(t *testing.T) {
 	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
@@ -45,6 +51,15 @@ func TestAllQuickIDsDeterministic(t *testing.T) {
 				aRender, aTrace, aEvents, claim := runCaptured(t, id, seed)
 				if claim != nil {
 					t.Errorf("seed %d: claim fails: %v", seed, claim)
+				}
+				if seed == 1 {
+					plain, rec := runSeedOne(t, id)
+					if plain.Render() != aRender {
+						t.Errorf("tracing changed the report:\n--- untraced ---\n%s\n--- traced ---\n%s", plain.Render(), aRender)
+					}
+					if arms := len(rec.kernels); rec.sweeps != rec.periods+arms {
+						t.Errorf("%d sweeps over %d arms stepping %d periods, want %d", rec.sweeps, arms, rec.periods, rec.periods+arms)
+					}
 				}
 				bRender, bTrace, bEvents, _ := runCaptured(t, id, seed)
 				if aEvents != bEvents {

@@ -18,7 +18,6 @@ import (
 
 	"plasma/internal/cluster"
 	"plasma/internal/core"
-	"plasma/internal/metrics"
 	"plasma/internal/sim"
 	"plasma/internal/trace"
 )
@@ -31,8 +30,6 @@ type Result struct {
 	Header []string
 	Rows   [][]string
 
-	// Series holds named traces for figure-style results.
-	Series map[string]*metrics.Series
 	// Summary holds the key scalar findings (also consumed by benchmarks).
 	Summary map[string]float64
 	// Notes records observations comparing against the paper's claims.
@@ -256,7 +253,7 @@ var (
 )
 
 // table is every experiment, sorted by id: IDs returns its order, and
-// cmd/plasma-bench's report follows it. Run adds one clause to every claim:
+// plasma-sim's sweep follows it. Run adds one clause to every claim:
 // every invariant sweep came back clean; §4.3: no actor lost, duplicated or
 // stranded.
 var table = []experiment{
@@ -463,15 +460,18 @@ func Run(id string, cfg Config) (*Result, error) {
 	if i == len(table) || table[i].id != id {
 		return nil, fmt.Errorf("experiments: unknown id %q (have %s)", id, strings.Join(IDs(), ", "))
 	}
-	e := table[i]
-	tr := &simTracker{}
+	return table[i].exec(cfg, &simTracker{}), nil
+}
+
+// exec is Run on the record tr.
+func (e experiment) exec(cfg Config, tr *simTracker) *Result {
 	cfg.stats = tr
-	res := &Result{ID: e.id, Title: e.title, Series: map[string]*metrics.Series{}, Summary: map[string]float64{}}
+	res := &Result{ID: e.id, Title: e.title, Summary: map[string]float64{}}
 	e.run(cfg, res)
 	res.EventsFired, res.PeakQueue = tr.totals()
 	slices.Sort(tr.violations) // runSeeds' trials record theirs in any order
 	res.Claim = errors.Join(e.claim(res), unless(len(tr.violations) == 0, "%s", strings.Join(tr.violations, "\n")))
-	return res, nil
+	return res
 }
 
 func ms(x float64) string { return fmt.Sprintf("%.1f ms", x) }

@@ -5,19 +5,43 @@ import (
 	"go/parser"
 	"go/token"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// claimHolds runs one id untraced at seed 1, the way plasma-sim and
-// plasma-bench run it, and fails with its claim's error.
+// seedOne holds each id's untraced seed-1 run and its record, the way
+// plasma-sim and plasma-bench run it, made once per test binary:
+// TestAllQuickIDsDeterministic holds it to the traced run, and every test
+// below reads it, so no id runs untraced twice. The package's tests run
+// sequentially, so the map needs no lock.
+var seedOne = map[string]seedOneRun{}
+
+type seedOneRun struct {
+	r   *Result
+	rec *simTracker
+}
+
+func runSeedOne(t *testing.T, id string) (*Result, *simTracker) {
+	t.Helper()
+	if c, ok := seedOne[id]; ok {
+		return c.r, c.rec
+	}
+	i := slices.IndexFunc(table, func(e experiment) bool { return e.id == id })
+	if i < 0 {
+		t.Fatalf("unknown id %q", id)
+	}
+	rec := &simTracker{}
+	r := table[i].exec(Config{Seed: 1}, rec)
+	seedOne[id] = seedOneRun{r, rec}
+	return r, rec
+}
+
+// claimHolds reads one id's seed-1 run and fails with its claim's error.
 func claimHolds(t *testing.T, id string) *Result {
 	t.Helper()
-	r, err := Run(id, Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, _ := runSeedOne(t, id)
 	if r.Claim != nil {
 		t.Fatalf("%s claim fails at seed 1: %v", id, r.Claim)
 	}

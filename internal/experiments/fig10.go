@@ -10,7 +10,6 @@ import (
 	"plasma/internal/cluster"
 	"plasma/internal/core"
 	"plasma/internal/emr"
-	"plasma/internal/metrics"
 	"plasma/internal/sim"
 )
 
@@ -50,7 +49,7 @@ func fig10(cfg Config, su fig10Size, r *Result) {
 	for _, period := range su.periods {
 		var app *mediaservice.App
 		rec := workload.NewRecorder(20 * sim.Second)
-		servers := &metrics.Series{Name: "servers"}
+		peak := 0 // the fleet's largest size at a 10 s sample
 		out := run(cfg, cfg.Seed, scenario{
 			machines: 4, inst: cluster.M1Small,
 			build: func(w *core.World) {
@@ -64,7 +63,7 @@ func fig10(cfg Config, su fig10Size, r *Result) {
 			load: func(w *core.World) {
 				k := w.K
 				k.Every(10*sim.Second, func() bool {
-					servers.Add(k.Now().Seconds(), float64(w.C.UpCount()))
+					peak = max(peak, w.C.UpCount())
 					return k.Now() < sim.Time(su.total)
 				})
 
@@ -103,16 +102,12 @@ func fig10(cfg Config, su fig10Size, r *Result) {
 		})
 
 		key := fmt.Sprintf("%ds", int64(period/sim.Second))
-		lat := rec.Series()
-		r.Series["latency-"+key] = lat
-		r.Series["servers-"+key] = servers
-		mean := lat.MeanY()
+		mean := rec.Series().MeanY()
 		meanLat[period] = mean
-		peak := servers.MaxY()
 		final := float64(out.C.UpCount())
-		r.addRow(key, ms(mean), fmt.Sprintf("%.0f", peak), fmt.Sprintf("%.0f", final))
+		r.addRow(key, ms(mean), fmt.Sprintf("%d", peak), fmt.Sprintf("%.0f", final))
 		r.Summary["mean_latency_ms_"+key] = mean
-		r.Summary["peak_servers_"+key] = peak
+		r.Summary["peak_servers_"+key] = float64(peak)
 		r.Summary["final_servers_"+key] = final
 	}
 

@@ -123,7 +123,6 @@ func fig11a(cfg Config, su haloSize, r *Result) {
 	stats := map[string][2]float64{}
 	for _, mode := range []string{"inter-rule", "def-rule"} {
 		rec := arm(mode)
-		r.Series[mode] = rec.Series()
 		mean := rec.Hist.Mean()
 		p95 := rec.Hist.Percentile(95)
 		stats[mode] = [2]float64{mean, p95}
@@ -226,7 +225,6 @@ func fig11c(cfg Config, su haloSize, r *Result) {
 
 		key := fmt.Sprintf("%dgem", gems)
 		series := rec.Series()
-		r.Series[key] = series
 		peak := series.MaxY()
 		final := series.TailMeanY(0.25)
 		routerSrvSet := map[cluster.MachineID]bool{}

@@ -67,9 +67,7 @@ func fig5(cfg Config, r *Result) {
 
 	var after = map[string]float64{}
 	for _, mode := range []string{"res-col-rule", "def-rule", "no-rule"} {
-		rec := arm(mode)
-		series := rec.Series()
-		r.Series[mode] = series
+		series := arm(mode).Series()
 		// "Before" is the first fifth (pre-elasticity), "after" the last
 		// third (post-migration steady state).
 		n := series.Len()

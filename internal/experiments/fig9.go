@@ -67,10 +67,7 @@ func fig9(cfg Config, su fig9Size, r *Result) {
 
 	tails := map[string]float64{}
 	for _, mode := range []string{"plasma", "in-app", "none"} {
-		rec := arm(mode)
-		series := rec.Series()
-		r.Series[mode] = series
-		tails[mode] = series.TailMeanY(0.34)
+		tails[mode] = arm(mode).Series().TailMeanY(0.34)
 	}
 	for _, mode := range []string{"plasma", "in-app", "none"} {
 		delta := (tails[mode] - tails["none"]) / tails["none"] * 100

@@ -190,7 +190,7 @@ func fig7a(cfg Config, su prSetup, r *Result) {
 	su.period = su.period / 2
 	in := pagerankInput(su, cfg.Seed)
 
-	arm := func(system string, elastic bool) *metrics.Series {
+	arm := func(system string, elastic bool) []sim.Duration {
 		su := su
 		if system == "mizan" {
 			// Mizan's framework is ~4x slower per edge in the paper's runs.
@@ -209,30 +209,21 @@ func fig7a(cfg Config, su prSetup, r *Result) {
 			a.policy, a.emr = pagerank.PolicySrc, emr.Config{Period: su.period}
 		}
 		run(cfg, cfg.Seed, a.scenario)
-		s := &metrics.Series{Name: system}
-		for i, d := range a.app.IterationTimes {
-			s.Add(float64(i+1), float64(d))
-		}
-		return s
+		return a.app.IterationTimes
 	}
 
 	gains := map[string]float64{}
 	for _, system := range []string{"plasma", "mizan"} {
 		base := arm(system, false)
-		elas := arm(system, true)
-		norm := base.Y[0] // normalize to the first no-elasticity iteration
-		baseNorm := &metrics.Series{Name: system + "-vanilla"}
-		elasNorm := &metrics.Series{Name: system + "-elastic"}
-		for i := range base.Y {
-			baseNorm.Add(base.X[i], base.Y[i]/norm)
+		norm := float64(base[0]) // normalize to the first no-elasticity iteration
+		tail := func(times []sim.Duration) float64 {
+			s := metrics.Series{Y: make([]float64, len(times))}
+			for i, d := range times {
+				s.Y[i] = float64(d) / norm
+			}
+			return s.TailMeanY(0.3)
 		}
-		for i := range elas.Y {
-			elasNorm.Add(elas.X[i], elas.Y[i]/norm)
-		}
-		r.Series[system+"-vanilla"] = baseNorm
-		r.Series[system+"-elastic"] = elasNorm
-		bTail := baseNorm.TailMeanY(0.3)
-		eTail := elasNorm.TailMeanY(0.3)
+		bTail, eTail := tail(base), tail(arm(system, true))
 		gain := (bTail - eTail) / bTail * 100
 		gains[system] = gain
 		r.addRow(system, fmt.Sprintf("%.3f -> %.3f", bTail, eTail), pct(gain))
@@ -243,28 +234,18 @@ func fig7a(cfg Config, su prSetup, r *Result) {
 }
 
 // fig7bc reproduces the Fig. 7b/7c traces from one elastic Fig6a run:
-// per-server CPU% and worker counts at each redistribution (elasticity
-// period).
+// per-server CPU% at each redistribution (elasticity period), reported as
+// the spread across servers at the first and the last.
 func fig7bc(cfg Config, su prSetup, r *Result) {
 	a := pagerankArm(su, pagerankInput(su, cfg.Seed), 8, randomPlacement(cfg.Seed*7+1, su.workers, 8), 20*sim.Minute)
 	a.policy, a.emr = pagerank.PolicySrc, emr.Config{Period: su.period}
-	for i := 0; i < 8; i++ {
-		id := fmt.Sprintf("node%d", i+1)
-		r.Series["cpu-"+id] = &metrics.Series{Name: "cpu-" + id}
-		r.Series["actors-"+id] = &metrics.Series{Name: "actors-" + id}
-	}
+	// cpu[i] is server i's CPU% at each redistribution its snapshot row saw.
+	var cpu [8][]float64
 	a.probe = func(w *core.World, tick int, snap *epl.Snapshot) {
-		counts := map[cluster.MachineID]int{}
-		for _, worker := range a.app.Workers {
-			counts[w.RT.ServerOf(worker)]++
-		}
-		for i := 0; i < 8; i++ {
-			id := cluster.MachineID(i)
-			name := fmt.Sprintf("node%d", i+1)
-			if s := snap.Server(id); s != nil {
-				r.Series["cpu-"+name].Add(float64(tick), s.CPUPerc)
+		for i := range cpu {
+			if s := snap.Server(cluster.MachineID(i)); s != nil {
+				cpu[i] = append(cpu[i], s.CPUPerc)
 			}
-			r.Series["actors-"+name].Add(float64(tick), float64(counts[id]))
 		}
 	}
 	out := run(cfg, cfg.Seed, a.scenario)
@@ -272,15 +253,14 @@ func fig7bc(cfg Config, su prSetup, r *Result) {
 	// Spread of CPU% across servers, first vs last redistribution.
 	spread := func(tick int) float64 {
 		var vals []float64
-		for i := 0; i < 8; i++ {
-			s := r.Series[fmt.Sprintf("cpu-node%d", i+1)]
-			if tick < s.Len() {
-				vals = append(vals, s.Y[tick])
+		for _, c := range cpu {
+			if tick < len(c) {
+				vals = append(vals, c[tick])
 			}
 		}
 		return metrics.Imbalance(vals)
 	}
-	last := r.Series["cpu-node1"].Len() - 1
+	last := len(cpu[0]) - 1
 	if last >= 1 {
 		r.Summary["cpu_imbalance_first"] = spread(0)
 		r.Summary["cpu_imbalance_last"] = spread(last)
@@ -290,27 +270,20 @@ func fig7bc(cfg Config, su prSetup, r *Result) {
 	r.notef("paper: CPU%% of servers converges into the [60,80] band as workers are re-located")
 }
 
-// fig8 reproduces the dynamic-allocation traces: iteration times,
-// per-server CPU%, and worker distribution as PLASMA provisions servers
-// from 1 toward the bound-satisfying fleet.
+// fig8 reproduces the dynamic-allocation traces: iteration times as PLASMA
+// provisions servers from 1 toward the bound-satisfying fleet, reported as
+// the first iteration against the last fifth.
 func fig8(cfg Config, su prSetup, r *Result) {
 	su.iterations *= 5
 
 	a := pagerankArm(su, pagerankInput(su, cfg.Seed), 1, make([]cluster.MachineID, su.workers), 40*sim.Minute)
 	a.policy, a.emr = pagerank.PolicySrc, emr.Config{Period: su.period, ScaleOut: true, InstanceType: su.instance()}
 
-	serverSeries := &metrics.Series{Name: "servers"}
-	a.probe = func(w *core.World, tick int, snap *epl.Snapshot) {
-		serverSeries.Add(float64(tick), float64(w.C.UpCount()))
-	}
 	out := run(cfg, cfg.Seed, a.scenario)
-	iterSeries := &metrics.Series{Name: "iteration-time"}
+	iterSeries := &metrics.Series{}
 	for i, d := range a.app.IterationTimes {
 		iterSeries.Add(float64(i+1), d.Seconds())
 	}
-
-	r.Series["iteration-time"] = iterSeries
-	r.Series["servers"] = serverSeries
 	if iterSeries.Len() > 2 {
 		r.Summary["first_iter_s"] = iterSeries.Y[0]
 		r.Summary["final_iter_s"] = iterSeries.TailMeanY(0.2)

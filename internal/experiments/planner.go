@@ -110,7 +110,6 @@ func planHalo(cfg Config, su haloSize, r *Result) {
 	run(cfg, cfg.Seed, sc)
 
 	series := rec.Series()
-	r.Series["latency"] = series
 	mean := rec.Hist.Mean()
 	final := series.TailMeanY(0.25)
 	settle := settleTime(series, final)

@@ -11,7 +11,6 @@ import (
 	"plasma/internal/core"
 	"plasma/internal/emr"
 	"plasma/internal/epl"
-	"plasma/internal/metrics"
 	"plasma/internal/sim"
 )
 
@@ -146,18 +145,6 @@ func TestRunSweepCatchesMutations(t *testing.T) {
 				t.Fatalf("first violation %q, want period %d (…): %s", v, tc.period, tc.want)
 			}
 		})
-	}
-}
-
-// Every arm of every quick id is swept after each period it steps and once at
-// its end (1,771 periods over 87 arms at seed 1).
-func TestRunSweepsEveryPeriodAndArm(t *testing.T) {
-	for _, e := range table {
-		rec := &simTracker{}
-		e.run(Config{Seed: 1, stats: rec}, &Result{Series: map[string]*metrics.Series{}, Summary: map[string]float64{}})
-		if arms := len(rec.kernels); rec.sweeps != rec.periods+arms {
-			t.Errorf("%s: %d sweeps over %d arms stepping %d periods, want %d", e.id, rec.sweeps, arms, rec.periods, rec.periods+arms)
-		}
 	}
 }
 

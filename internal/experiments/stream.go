@@ -93,7 +93,7 @@ type streamOut struct {
 	movedMB   float64
 	events    int64
 	scaleOuts int
-	p99Series *metrics.Series
+	p99       []float64 // each window's flush p99 (+Inf: a probe never returned)
 }
 
 // streamTrial runs one seeded streaming arm: open-loop clients draw keys from
@@ -205,7 +205,7 @@ func streamTrial(cfg Config, seed int64, o streamOpts) streamOut {
 	for _, at := range o.shifts {
 		rec.Shift(at.Seconds())
 	}
-	var series metrics.Series
+	out.p99 = make([]float64, numWindows)
 	firstShiftW := numWindows
 	if len(o.shifts) > 0 {
 		firstShiftW = int(o.shifts[0] / sim.Time(streamWindow))
@@ -220,14 +220,12 @@ func streamTrial(cfg Config, seed int64, o streamOpts) streamOut {
 			}
 			p99 = samples[w][idx-1]
 		}
+		out.p99[w] = p99
 		end := (sim.Time(w) + 1) * sim.Time(streamWindow)
 		slo.Observe(end.Seconds(), p99)
 		rec.Observe(end.Seconds(), p99)
-		if !math.IsInf(p99, 0) {
-			series.Add(end.Seconds(), p99)
-			if p99 > out.peakP99 {
-				out.peakP99 = p99
-			}
+		if !math.IsInf(p99, 0) && p99 > out.peakP99 {
+			out.peakP99 = p99
 		}
 		if w == firstShiftW-1 {
 			out.steadyP99 = p99
@@ -241,7 +239,6 @@ func streamTrial(cfg Config, seed int64, o streamOpts) streamOut {
 	}
 	out.meanRec, out.recovered = rec.MeanRecovery(horizon)
 	out.violSec = slo.ViolationSeconds()
-	out.p99Series = &series
 	if plasma != nil {
 		out.events = plasma.Events
 		out.moves = out.M.Stats.ExecutedMigrations
@@ -292,7 +289,6 @@ func streamSkew(cfg Config, su streamSize, r *Result) {
 		r.Summary["slo_viol_s_"+mode] = o.violSec
 		r.Summary["moves_"+mode] = float64(o.moves)
 		r.Summary["moved_mb_"+mode] = o.movedMB
-		r.Series["p99_"+mode] = o.p99Series
 	}
 	r.notef("identical seeds drive identical arrival streams; the race is purely detection + state movement + drain")
 }
@@ -321,7 +317,6 @@ func streamDrift(cfg Config, su streamSize, r *Result) {
 		r.Summary["mean_recovery_s_"+mode] = out.meanRec
 		r.Summary["recovered_"+mode] = float64(out.recovered)
 		r.Summary["slo_viol_s_"+mode] = out.violSec
-		r.Series["p99_"+mode] = out.p99Series
 	}
 	r.notef("each rotation moves the hot span onto a cold server; mean recovery integrates detection lag over repeated shifts")
 }
@@ -376,7 +371,6 @@ func streamSpike(cfg Config, su streamSize, r *Result) {
 		r.Summary["recovery_s_"+mode] = out.first.Seconds
 		r.Summary["slo_viol_s_"+mode] = out.violSec
 		r.Summary["scale_outs_"+mode] = float64(out.scaleOuts)
-		r.Series["p99_"+mode] = out.p99Series
 	}
 	r.notef("no rotation: the spike adds load everywhere at once; only the manager that can add machines recovers before the spike ends")
 }
@@ -401,7 +395,6 @@ func streamChaos(cfg Config, su streamSize, r *Result) {
 	r.Summary["recovered"] = float64(boolToInt(out.first.Recovered))
 	r.Summary["ctl_fails"] = float64(out.CtlFails)
 	r.Summary["slo_viol_s"] = out.violSec
-	r.Series["p99_plasma"] = out.p99Series
 	r.notef("with half the control plane gone for the whole shift, the survivor's self-corroborated plan still rebalances the hot span")
 }
 

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"math"
 	"testing"
+
+	"plasma/internal/sim"
 )
 
 // The acceptance bar for the streaming family: the stream_skew row's claim
@@ -26,35 +29,36 @@ func TestStreamSkewPlasmaBeatsElasticutor(t *testing.T) {
 	}
 }
 
-// The p99 series must have the race's shape for both managers: a
-// steady-state plateau under the SLO before the shift, and (for the
-// baseline, which visibly degrades) a post-shift excursion above it.
+// The per-window p99 must have the race's shape for both of stream_skew's
+// managers: a steady-state plateau under the SLO before the shift, and (for
+// the baseline, which visibly degrades) a post-shift excursion above it.
+// Windows whose probes never returned are skipped.
 func TestStreamSkewSeriesShape(t *testing.T) {
-	r, _ := Run("stream_skew", Config{Seed: 1})
 	for _, mode := range []string{"plasma", "elasticutor"} {
-		s := r.Series["p99_"+mode]
-		if s == nil || s.Len() == 0 {
-			t.Fatalf("missing p99 series for %s", mode)
-		}
-		// Steady state: every window in (10s, 18s] — past warm-up, before
-		// the 18.5s shift — under the 50 ms SLO.
-		for i := range s.X {
-			if s.X[i] > 10 && s.X[i] <= 18 && s.Y[i] > 50 {
-				t.Errorf("%s steady-state window at t=%.1f has p99 %.1f ms > SLO", mode, s.X[i], s.Y[i])
+		finite, peak := 0, 0.0
+		for w, p99 := range streamTrial(Config{Seed: 1}, 1, streamBase(streamQuick, mode)).p99 {
+			if math.IsInf(p99, 0) {
+				continue
+			}
+			finite++
+			// Steady state: every window ending in (10s, 18s] — past warm-up,
+			// before the 18.5s shift — under the 50 ms SLO.
+			end := ((sim.Time(w) + 1) * sim.Time(streamWindow)).Seconds()
+			if end > 10 && end <= 18 && p99 > 50 {
+				t.Errorf("%s steady-state window at t=%.1f has p99 %.1f ms > SLO", mode, end, p99)
+			}
+			if end > 18.5 {
+				peak = max(peak, p99)
 			}
 		}
-	}
-	// The baseline's post-shift excursion is what recovery is measured
-	// against; it must actually exist.
-	s := r.Series["p99_elasticutor"]
-	peak := 0.0
-	for i := range s.X {
-		if s.X[i] > 18.5 && s.Y[i] > peak {
-			peak = s.Y[i]
+		if finite == 0 {
+			t.Fatalf("no p99 window returned for %s", mode)
 		}
-	}
-	if peak < 50 {
-		t.Fatalf("elasticutor post-shift peak %.1f ms never exceeded the SLO; the shift is too weak", peak)
+		// The baseline's post-shift excursion is what recovery is measured
+		// against; it must actually exist.
+		if mode == "elasticutor" && peak < 50 {
+			t.Fatalf("elasticutor post-shift peak %.1f ms never exceeded the SLO; the shift is too weak", peak)
+		}
 	}
 }
 

@@ -196,9 +196,7 @@ func nth(a []float64, k int) float64 {
 // Series is an append-only (x, y) trace used to reproduce the paper's
 // figures (latency over time, CPU% over redistributions, ...).
 type Series struct {
-	Name string
-	X    []float64
-	Y    []float64
+	X, Y []float64
 }
 
 // Add appends one point.
