@@ -13,8 +13,9 @@ import (
 
 // seedOne holds each id's untraced seed-1 run and its record, the way
 // plasma-sim and plasma-bench run it, made once per test binary:
-// TestAllQuickIDsDeterministic holds it to the traced run, and every test
-// below reads it, so no id runs untraced twice. The package's tests run
+// TestAllQuickIDsDeterministic holds it to the traced run,
+// TestRunSweepsEveryPeriodAndArm reads its record, and every test below
+// reads it, so no id runs untraced twice. The package's tests run
 // sequentially, so the map needs no lock.
 var seedOne = map[string]seedOneRun{}
 

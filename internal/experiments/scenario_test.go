@@ -148,6 +148,18 @@ func TestRunSweepCatchesMutations(t *testing.T) {
 	}
 }
 
+// Every arm of every quick id is swept after each period it steps and once at
+// its end (1,771 periods over 87 arms at seed 1). It reads each id's shared
+// untraced seed-1 run (seedOne), so it costs no run of its own.
+func TestRunSweepsEveryPeriodAndArm(t *testing.T) {
+	for _, e := range table {
+		_, rec := runSeedOne(t, e.id)
+		if arms := len(rec.kernels); rec.sweeps != rec.periods+arms {
+			t.Errorf("%s: %d sweeps over %d arms stepping %d periods, want %d", e.id, rec.sweeps, arms, rec.periods, rec.periods+arms)
+		}
+	}
+}
+
 // An arm's liveness finding reaches the record with its last sweep.
 func TestRunRecordsStalledArm(t *testing.T) {
 	sc := scenario{

@@ -41,3 +41,20 @@ func TestTraceSameSeedByteIdentical(t *testing.T) {
 		}
 	}
 }
+
+// A traced run must render exactly the same result as an untraced one:
+// observation is passive.
+func TestTraceDoesNotPerturbResults(t *testing.T) {
+	plain, err := Run("fig5", Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced, err := Run("fig5", Config{Seed: 3, Trace: trace.New(trace.NewRing(1 << 20))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Render() != traced.Render() {
+		t.Fatalf("tracing changed experiment output:\n--- plain ---\n%s\n--- traced ---\n%s",
+			plain.Render(), traced.Render())
+	}
+}
