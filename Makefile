@@ -52,10 +52,14 @@ bench:
 #     so every iteration queries the same histogram), and filling a
 #     histogram with 3.4M samples, whose B/op is what the samples cost;
 #   internal/apps/workload: ZipfKeys.Draw at the stream experiments' shape
-#     and the same loop over rand.Zipf, the variates it reproduces.
-MICRO_BENCH = KernelQueue|RequestReply|Send|IdleDelivery|DeliverFleet|OnMessage|SnapshotSteady|SnapshotSparse|Percentile|Observe|ZipfKeysDraw
+#     and the same loop over rand.Zipf, the variates it reproduces;
+#   internal/graph: PartitionMultilevel on power-law graphs: 36k vertices
+#     into 56 parts (pagerank_rebalance's partitioning, ten levels), 12k
+#     into 32, and 36k into 1,024 (one level, 43 hubs: most vertices tally
+#     from their adjacency).
+MICRO_BENCH = KernelQueue|RequestReply|Send|IdleDelivery|DeliverFleet|OnMessage|SnapshotSteady|SnapshotSparse|Percentile|Observe|ZipfKeysDraw|PartitionMultilevel
 micro-bench:
-	$(GO) test -run '^$$' -bench '^Benchmark($(MICRO_BENCH))$$' -benchtime 1x -benchmem ./internal/sim ./internal/actor ./internal/profile ./internal/metrics ./internal/apps/workload
+	$(GO) test -run '^$$' -bench '^Benchmark($(MICRO_BENCH))$$' -benchtime 1x -benchmem ./internal/sim ./internal/actor ./internal/profile ./internal/metrics ./internal/apps/workload ./internal/graph
 
 # bench-test runs the repository benchmark's own tests (benchmark/ is a
 # nested module, so `go test ./...` from the root never reaches them).

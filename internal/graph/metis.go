@@ -34,7 +34,7 @@ func (r *refiner) partition(g *Graph, k int, seed int64) []int {
 	rng := rand.New(rand.NewSource(seed))
 	w := newWorking(g)
 	r.loads, r.gain = make([]int, k), make([]int32, k)
-	r.seen, r.settled = make([]uint64, (k+63)/64), make([]bool, w.n)
+	r.seen, r.settled, r.hub = make([]uint64, (k+63)/64), make([]bool, w.n), make([]int32, w.n)
 	var levels []*working
 	for w.n > 40*k && len(levels) < 30 {
 		levels = append(levels, w)
@@ -69,22 +69,24 @@ func (r *refiner) partition(g *Graph, k int, seed int64) []int {
 type working struct {
 	n         int
 	vw        []int   // vertex weights
-	xadj      []int32 // row v is adj/wgt[xadj[v]:xadj[v+1]]
-	adj, wgt  []int32 // neighbor ids and edge weights
+	xadj      []int32 // row v is adj[xadj[v]:xadj[v+1]]
+	adj       []edge
 	coarseMap []int32 // fine vertex -> coarse vertex (set on the finer level)
 }
 
-// add folds edge weight ew toward id into the row being appended, which
-// begins at start. pos[id] remembers where id sits; what an earlier row
-// left there points before start, so pos is never cleared between rows.
-func (w *working) add(pos []int32, start, id, ew int32) {
+// edge is a row entry: a neighbor and the weight of the edge toward it.
+type edge struct{ to, w int32 }
+
+// fold adds weight ew toward id to the row adj[start:end] and returns the
+// row's new end. pos[id] remembers where id sits; what an earlier row left
+// there points before start, so pos is never cleared between rows.
+func fold(pos []int32, adj []edge, start, end, id, ew int32) int32 {
 	if p := pos[id]; p >= start {
-		w.wgt[p] += ew
-		return
+		adj[p].w += ew
+		return end
 	}
-	pos[id] = int32(len(w.adj))
-	w.adj = append(w.adj, id)
-	w.wgt = append(w.wgt, ew)
+	pos[id], adj[end] = end, edge{id, ew}
+	return end + 1
 }
 
 func minusOnes(n int) []int32 {
@@ -123,34 +125,34 @@ func newWorking(g *Graph) *working {
 		xadj[v+1] += xadj[v]
 	}
 	// One entry per edge end first, repeats included; pos is the fill cursor.
-	raw := make([]int32, entries)
+	adj := make([]edge, entries)
 	pos := make([]int32, n)
 	copy(pos, xadj)
 	for u, out := range g.Out[:n] {
 		for _, v := range out {
 			if int(v) != u {
-				raw[pos[u]] = v
+				adj[pos[u]].to = v
 				pos[u]++
-				raw[pos[v]] = int32(u)
+				adj[pos[v]].to = int32(u)
 				pos[v]++
 			}
 		}
 	}
 	// Fold the repeats into weights in place: the folded rows are written
-	// over raw from the front and never overtake the entry being read.
-	w := &working{n: n, vw: make([]int, n), xadj: xadj, adj: raw[:0], wgt: make([]int32, 0, entries)}
-	for i := range pos {
-		pos[i] = -1
-	}
+	// from the front and never overtake the entry being read.
+	w := &working{n: n, vw: make([]int, n), xadj: xadj}
+	pos, end := minusOnes(n), int32(0)
 	for v := 0; v < n; v++ {
 		w.vw[v] = 1
-		row := raw[xadj[v]:xadj[v+1]]
-		xadj[v] = int32(len(w.adj))
-		for _, u := range row {
-			w.add(pos, xadj[v], u, 1)
+		row := adj[xadj[v]:xadj[v+1]]
+		start := end
+		xadj[v] = start
+		for _, e := range row {
+			end = fold(pos, adj, start, end, e.to, 1)
 		}
 	}
-	xadj[n] = int32(len(w.adj))
+	xadj[n] = end
+	w.adj = adj[:end]
 	return w
 }
 
@@ -161,18 +163,17 @@ func (w *working) coarsen(rng *rand.Rand) *working {
 		if match[u] >= 0 {
 			continue
 		}
-		// Match with the unmatched neighbor of heaviest edge weight;
-		// ties break toward the smaller vertex id.
-		best, bestW := int32(-1), int32(0)
-		for i := w.xadj[u]; i < w.xadj[u+1]; i++ {
-			v, ew := w.adj[i], w.wgt[i]
-			if match[v] < 0 && (ew > bestW || (ew == bestW && v < best)) {
-				best, bestW = v, ew
+		// Match with the unmatched neighbor of heaviest edge weight, ties
+		// toward the smaller vertex id: the largest key weight<<32 | ^id.
+		var best uint64
+		for _, e := range w.adj[w.xadj[u]:w.xadj[u+1]] {
+			if match[e.to] < 0 {
+				best = max(best, uint64(e.w)<<32|uint64(^uint32(e.to)))
 			}
 		}
-		if best >= 0 {
-			match[u] = best
-			match[best] = int32(u)
+		if best != 0 {
+			v := int32(^uint32(best))
+			match[u], match[v] = v, int32(u)
 		} else {
 			match[u] = int32(u)
 		}
@@ -182,29 +183,25 @@ func (w *working) coarsen(rng *rand.Rand) *working {
 	nc := 0
 	for u, m := range match {
 		if int(m) >= u {
-			coarse[u] = int32(nc)
-			coarse[m] = int32(nc)
+			coarse[u], coarse[m] = int32(nc), int32(nc)
 			nc++
 		}
 	}
 	w.coarseMap = coarse
-	next := &working{
-		n: nc, vw: make([]int, nc), xadj: make([]int32, nc+1),
-		adj: make([]int32, 0, len(w.adj)), wgt: make([]int32, 0, len(w.adj)),
-	}
+	next := &working{n: nc, vw: make([]int, nc), xadj: make([]int32, nc+1), adj: make([]edge, len(w.adj))}
 	pos := minusOnes(nc)
-	c := int32(0)
+	c, end := int32(0), int32(0)
 	for u, m := range match {
 		if int(m) < u {
 			continue // folded in with its smaller partner
 		}
-		start := int32(len(next.adj))
+		start := end
 		next.xadj[c] = start
 		for x := int32(u); ; x = m {
 			next.vw[c] += w.vw[x]
-			for i := w.xadj[x]; i < w.xadj[x+1]; i++ {
-				if cv := coarse[w.adj[i]]; cv != c {
-					next.add(pos, start, cv, w.wgt[i])
+			for _, e := range w.adj[w.xadj[x]:w.xadj[x+1]] {
+				if cv := coarse[e.to]; cv != c {
+					end = fold(pos, next.adj, start, end, cv, e.w)
 				}
 			}
 			if x == m {
@@ -213,11 +210,14 @@ func (w *working) coarsen(rng *rand.Rand) *working {
 		}
 		c++
 	}
-	next.xadj[nc] = int32(len(next.adj))
+	next.xadj[nc] = end
+	next.adj = next.adj[:end]
 	return next
 }
 
-// initialPartition greedily fills parts in decreasing vertex-weight order.
+// initialPartition greedily fills parts in decreasing vertex-weight order,
+// each vertex going to the least-loaded part (ties toward the smaller id):
+// the root of a binary heap of parts on (load, id).
 func (w *working) initialPartition(k int) []int {
 	parts := make([]int, w.n)
 	order := make([]int, w.n)
@@ -225,27 +225,38 @@ func (w *working) initialPartition(k int) []int {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(i, j int) bool { return w.vw[order[i]] > w.vw[order[j]] })
-	loads := make([]int, k)
+	loads, heap := make([]int, k), make([]int, k)
+	for p := range heap {
+		heap[p] = p
+	}
+	less := func(a, b int) bool { return loads[a] < loads[b] || loads[a] == loads[b] && a < b }
 	for _, v := range order {
-		best := 0
-		for p := 1; p < k; p++ {
-			if loads[p] < loads[best] {
-				best = p
+		parts[v] = heap[0]
+		loads[heap[0]] += w.vw[v]
+		for i, c := 0, 1; c < k; i, c = c, 2*c+1 {
+			if c+1 < k && less(heap[c+1], heap[c]) {
+				c++
 			}
+			if !less(heap[c], heap[i]) {
+				break
+			}
+			heap[i], heap[c] = heap[c], heap[i]
 		}
-		parts[v] = best
-		loads[best] += w.vw[v]
 	}
 	return parts
 }
 
 // refiner is the scratch one partitioning shares across its refine calls.
+// Slices marked per vertex are sized for the finest level.
 type refiner struct {
 	loads   []int    // vertex weight per part
 	gain    []int32  // edge weight from the vertex in hand toward each part; zero between vertices
 	seen    []uint64 // bit p set when gain[p] is not zero
-	settled []bool   // per vertex of the level in hand (sized for the finest): its last tally found no gain
+	settled []bool   // per vertex: its last tally found no gain
+	hub     []int32  // per vertex: its row in rows, or -1
+	rows    []int32  // edge weight from a hub toward each part, k per hub
 	tallies int      // vertices tallied, across every level
+	reads   int      // adjacency entries read to tally a vertex or build its row
 }
 
 const refinePasses = 4
@@ -259,13 +270,16 @@ const refinePasses = 4
 // skipped until a neighbor moves: its tally reads only its own part and its
 // neighbors', so until then it would find the same gains again. One stopped
 // only by the balance bounds stays unsettled, since loads change under it.
+//
+// A hub, a vertex with more neighbors than there are parts, keeps its
+// weight toward each part in a row of rows, built once per call and kept
+// current as its neighbors move; it tallies by reading that row in part
+// order. Any other vertex tallies from its adjacency.
 func (w *working) refine(parts []int, r *refiner) {
-	loads, gain, seen, settled := r.loads, r.gain, r.seen, r.settled[:w.n]
+	loads, gain, seen, settled, hub := r.loads, r.gain, r.seen, r.settled[:w.n], r.hub[:w.n]
 	clear(settled)
 	k := len(loads)
-	for p := range loads {
-		loads[p] = 0
-	}
+	clear(loads)
 	var total int
 	for v, p := range parts {
 		loads[p] += w.vw[v]
@@ -274,6 +288,29 @@ func (w *working) refine(parts []int, r *refiner) {
 	maxLoad := int(float64(total)/float64(k)*1.05) + 1
 	minLoad := int(float64(total) / float64(k) * 0.85)
 
+	hubs := 0
+	for v := range hub {
+		hub[v] = -1
+		if int(w.xadj[v+1]-w.xadj[v]) > k {
+			hub[v] = int32(hubs)
+			hubs++
+		}
+	}
+	if cap(r.rows) < hubs*k {
+		r.rows = make([]int32, 2*hubs*k) // coarse levels refine first, and finer ones tend to have more hubs
+	}
+	rows := r.rows[:hubs*k]
+	clear(rows)
+	for v, h := range hub {
+		if h >= 0 {
+			row := w.adj[w.xadj[v]:w.xadj[v+1]]
+			for _, e := range row {
+				rows[int(h)*k+parts[e.to]] += e.w
+			}
+			r.reads += len(row)
+		}
+	}
+
 	for pass := 0; pass < refinePasses; pass++ {
 		moved := 0
 		for v := 0; v < w.n; v++ {
@@ -281,29 +318,44 @@ func (w *working) refine(parts []int, r *refiner) {
 			if settled[v] || loads[pv]-vw < minLoad {
 				continue // nothing changed near it, or moving would under-fill the source part
 			}
-			// Tally edge weight toward each part among neighbors, the
-			// vertex's own part included.
 			r.tallies++
-			for i := w.xadj[v]; i < w.xadj[v+1]; i++ {
-				pu := parts[w.adj[i]]
-				gain[pu] += w.wgt[i]
-				seen[pu>>6] |= 1 << (uint(pu) & 63)
-			}
-			internal := gain[pv]
 			// Parts in ascending order, so keeping only a strictly larger
 			// gain breaks ties toward the smaller part id.
 			bestP, bestGain, open := -1, int32(0), false
-			for i, word := range seen {
-				for ; word != 0; word &= word - 1 {
-					p := i<<6 | bits.TrailingZeros64(word)
-					g := gain[p] - internal
-					gain[p] = 0
-					open = open || g > 0
-					if g > bestGain && loads[p]+vw <= maxLoad {
-						bestP, bestGain = p, g
+			if h := int(hub[v]); h >= 0 {
+				row := rows[h*k : (h+1)*k]
+				internal := row[pv]
+				for p, c := range row {
+					if g := c - internal; g > 0 {
+						open = true
+						if g > bestGain && loads[p]+vw <= maxLoad {
+							bestP, bestGain = p, g
+						}
 					}
 				}
-				seen[i] = 0
+			} else {
+				// Tally edge weight toward each part among neighbors, the
+				// vertex's own part included.
+				row := w.adj[w.xadj[v]:w.xadj[v+1]]
+				r.reads += len(row)
+				for _, e := range row {
+					pu := parts[e.to]
+					gain[pu] += e.w
+					seen[pu>>6] |= 1 << (uint(pu) & 63)
+				}
+				internal := gain[pv]
+				for i, word := range seen {
+					for ; word != 0; word &= word - 1 {
+						p := i<<6 | bits.TrailingZeros64(word)
+						g := gain[p] - internal
+						gain[p] = 0
+						open = open || g > 0
+						if g > bestGain && loads[p]+vw <= maxLoad {
+							bestP, bestGain = p, g
+						}
+					}
+					seen[i] = 0
+				}
 			}
 			settled[v] = !open
 			if bestP >= 0 {
@@ -311,8 +363,12 @@ func (w *working) refine(parts []int, r *refiner) {
 				loads[bestP] += vw
 				parts[v] = bestP
 				moved++
-				for _, u := range w.adj[w.xadj[v]:w.xadj[v+1]] {
-					settled[u] = false
+				for _, e := range w.adj[w.xadj[v]:w.xadj[v+1]] {
+					settled[e.to] = false
+					if h := int(hub[e.to]); h >= 0 {
+						rows[h*k+pv] -= e.w
+						rows[h*k+bestP] += e.w
+					}
 				}
 			}
 		}
