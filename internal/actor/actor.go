@@ -131,10 +131,19 @@ const (
 	// profilingCost is the additional per-message CPU charge when a
 	// profiler hook is attached (Table 3 measures this overhead).
 	profilingCost = 2 * sim.Microsecond
-	// SerializePerMB converts actor state to CPU time for migration: this
-	// much per MB, on each side.
-	SerializePerMB = 5 * sim.Millisecond
 )
+
+// SerializeCost is one side of a move: 5 ms of baseline CPU per MB of state.
+func SerializeCost(bytes int64) sim.Duration {
+	return sim.Duration(float64(bytes) / (1 << 20) * float64(5*sim.Millisecond))
+}
+
+// MoveCost is a move's duration with no contention: serialize on src,
+// transfer, deserialize on dst, each side at its own core speed.
+func (rt *Runtime) MoveCost(bytes int64, src, dst cluster.MachineID) sim.Duration {
+	ser := SerializeCost(bytes)
+	return rt.C.Machine(src).ScaledCost(ser) + rt.C.TransferLatency(src, dst, bytes) + rt.C.Machine(dst).ScaledCost(ser)
+}
 
 // Runtime hosts actors across a cluster.
 type Runtime struct {
@@ -192,6 +201,7 @@ type migration struct {
 	dst     cluster.MachineID
 	epoch   uint64
 	start   sim.Time
+	cost    sim.Duration // MoveCost at start
 	onDone  func(ok bool)
 	traceID uint64 // the transfer's parent, then its id: parent of commit/rollback
 }
@@ -245,12 +255,15 @@ func (rt *Runtime) FailedMigrations() int { return rt.failedMigs }
 // runtime must report zero (no actor may be stuck mid-move).
 func (rt *Runtime) InFlightMigrations() int { return len(rt.inflight) }
 
-// OldestMigration reports the age of the oldest in-flight migration (0 = none).
-func (rt *Runtime) OldestMigration() (oldest sim.Duration) {
+// OverdueMigration reports the age and MoveCost of the in-flight migration
+// furthest past its own cost, the older on a tie (zeros when none is past it).
+func (rt *Runtime) OverdueMigration() (age, cost sim.Duration) {
 	for _, mig := range rt.inflight {
-		oldest = max(oldest, sim.Duration(rt.K.Now()-mig.start))
+		if a := sim.Duration(rt.K.Now() - mig.start); a-mig.cost > age-cost || a-mig.cost == age-cost && a > age {
+			age, cost = a, mig.cost
+		}
 	}
-	return oldest
+	return age, cost
 }
 
 // onMachineFail aborts or rolls back every in-flight migration touching the
@@ -887,19 +900,16 @@ func (rt *Runtime) beginMigration(inst *instance) {
 	inst.migrating = true
 	inst.migEpoch++
 	src := inst.srv
-	mig.src, mig.epoch, mig.start = src, inst.migEpoch, rt.K.Now()
+	mig.src, mig.epoch, mig.start, mig.cost = src, inst.migEpoch, rt.K.Now(), rt.MoveCost(inst.memSize, src, dst)
 	rt.inflight[inst.id] = mig
 	mig.traceID = rt.tr.Emit(trace.Record{Kind: trace.KindTransfer, Parent: mig.traceID,
 		Server: int32(src), Target: int32(dst), Actor: uint64(inst.id), Rule: -1, Value: float64(inst.memSize)})
-	stateMB := float64(inst.memSize) / (1 << 20)
-	serCost := sim.Duration(stateMB * float64(SerializePerMB))
-
-	rt.C.Machine(src).Exec(serCost, func() { rt.migTransfer(mig, serCost) })
+	rt.C.Machine(src).Exec(SerializeCost(inst.memSize), func() { rt.migTransfer(mig) })
 }
 
 // migTransfer is the post-serialize step: charge the state transfer to
 // both NICs and schedule the arrival.
-func (rt *Runtime) migTransfer(mig *migration, serCost sim.Duration) {
+func (rt *Runtime) migTransfer(mig *migration) {
 	if !rt.migValid(mig) {
 		return
 	}
@@ -917,7 +927,7 @@ func (rt *Runtime) migTransfer(mig *migration, serCost sim.Duration) {
 			rt.abortMigration(mig, true, "dst-down")
 			return
 		}
-		rt.C.Machine(dst).Exec(serCost, func() { rt.migCommit(mig) })
+		rt.C.Machine(dst).Exec(SerializeCost(inst.memSize), func() { rt.migCommit(mig) })
 	})
 }
 

@@ -194,6 +194,44 @@ func TestMigrationCostGrowsWithState(t *testing.T) {
 	}
 }
 
+// MoveCost is what the runtime takes to move a 64 MB actor on an idle
+// cluster, to the microsecond: from Migrate to commit is serialize at the
+// source's speed, the transfer at the slower NIC, deserialize at the
+// target's speed. The target boots through ProvisionClass, so a mixed pair
+// reads each side's own type.
+func TestMoveCostMatchesIdleMigration(t *testing.T) {
+	const bytes = 64 << 20
+	for _, tc := range []struct {
+		name     string
+		src, dst cluster.InstanceType
+		want     sim.Duration
+	}{
+		{"m1.small to m1.small", cluster.M1Small, cluster.M1Small, 2_787_983 * sim.Microsecond},
+		{"m5.large to m5.large", cluster.M5Large, cluster.M5Large, 214_187 * sim.Microsecond},
+		{"m1.small to m5.large", cluster.M1Small, cluster.M5Large, 2_547_983 * sim.Microsecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.New(1)
+			c := cluster.New(k, 1, tc.src)
+			rt := NewRuntime(k, c)
+			dst := c.ProvisionClass(tc.dst, &cluster.ProvSpec{Class: cluster.VM, BootMin: tc.dst.Boot, Capacity: -1}, nil).ID
+			ref := rt.SpawnOn("Big", BehaviorFunc(func(ctx *Context, _ Message) { ctx.SetMemSize(bytes) }), 0)
+			NewClient(rt, 0).Send(ref, "init", nil, 8)
+			k.RunUntilIdle()
+			start, took := k.Now(), sim.Duration(-1)
+			rt.Migrate(ref, dst, func(ok bool) {
+				if ok {
+					took = sim.Duration(k.Now() - start)
+				}
+			})
+			k.RunUntilIdle()
+			if cost := rt.MoveCost(bytes, 0, dst); took != cost || cost != tc.want {
+				t.Fatalf("migration took %v, MoveCost %v, want both %v", took, cost, tc.want)
+			}
+		})
+	}
+}
+
 func TestPinnedActorRefusesMigration(t *testing.T) {
 	k, _, rt := testEnv(t, 2)
 	ref := rt.SpawnOn("A", &echo{}, 0)

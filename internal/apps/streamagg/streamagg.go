@@ -162,24 +162,18 @@ func (e *execState) Receive(ctx *actor.Context, msg actor.Message) {
 	case "handoff":
 		h := msg.Arg.(*Handoff)
 		bytes := int64(len(h.Keys)) * app.cfg.PerKeyBytes
-		ctx.Use(app.serCost(bytes))
+		ctx.Use(actor.SerializeCost(bytes))
 		app.execMem[e.idx] -= bytes
 		ctx.SetMemSize(app.execMem[e.idx])
 		ctx.Send(app.Execs[h.Dst], "install", h, bytes)
 	case "install":
 		h := msg.Arg.(*Handoff)
 		bytes := int64(len(h.Keys)) * app.cfg.PerKeyBytes
-		ctx.Use(app.serCost(bytes))
+		ctx.Use(actor.SerializeCost(bytes))
 		app.execMem[e.idx] += bytes
 		ctx.SetMemSize(app.execMem[e.idx])
 		app.commitHandoff(h, msg.Sender, bytes)
 	}
-}
-
-// serCost prices (de)serializing bytes of state with the runtime's
-// migration cost model.
-func (a *Elastic) serCost(bytes int64) sim.Duration {
-	return sim.Duration(float64(bytes) / (1 << 20) * float64(actor.SerializePerMB))
 }
 
 func (a *Elastic) commitHandoff(h *Handoff, src actor.Ref, bytes int64) {

@@ -155,13 +155,15 @@ func (w *World) Client(site cluster.MachineID) *actor.Client {
 }
 
 // Invariants is the global sweep between any two events, one message per
-// violation: no migration in flight for longer than bound, no request
-// answered twice, every actor homed on an up machine, each up machine's
-// memory accounting exactly the sum of its residents' state.
+// violation: no migration more than bound past its RT.MoveCost (none in
+// flight if bound is 0), no request answered twice, every actor homed on an
+// up machine, each up machine's memory accounting exactly its residents' state.
 func (w *World) Invariants(bound sim.Duration) []string {
 	var bad []string
-	if age := w.RT.OldestMigration(); age > bound {
-		bad = append(bad, fmt.Sprintf("a migration in flight for %v (bound %v)", age, bound))
+	if n := w.RT.InFlightMigrations(); bound == 0 && n > 0 {
+		bad = append(bad, fmt.Sprintf("%d migrations in flight (none allowed)", n))
+	} else if age, cost := w.RT.OverdueMigration(); age > cost+bound {
+		bad = append(bad, fmt.Sprintf("a migration in flight for %v, %v past its %v move (bound %v)", age, age-cost, cost, bound))
 	}
 	if n := w.RT.DuplicateReplies(); n != 0 {
 		bad = append(bad, fmt.Sprintf("requests answered more than once (%d extra replies)", n))

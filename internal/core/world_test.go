@@ -346,15 +346,20 @@ func TestWorldInvariantsCatch(t *testing.T) {
 			"machine 1 memory drift"},
 		{"ActorsOnDownMachine", func(w *World, _ actor.Ref) { w.C.Fail(2) },
 			"2 actors homed on down machine 2"},
-		// Serializing 64 MB alone takes 320 ms; the sweep's bound is 100 ms.
-		{"YoungMigration", func(w *World, big actor.Ref) {
+		// The 64 MB move costs 2.788 s on an idle pair, far past the 100 ms
+		// bound, and is allowed its own cost plus the bound.
+		{"MoveWithinItsCost", func(w *World, big actor.Ref) {
 			w.RT.Migrate(big, 1, nil)
-			w.Run(100 * sim.Millisecond)
+			w.Run(2 * sim.Second)
+		}, ""},
+		// A minute of work on server 0's one core holds the move at
+		// serialize, so only its age grows.
+		{"YoungMigration", func(w *World, big actor.Ref) {
+			contended(w, big, moveCost+100*sim.Millisecond)
 		}, ""},
 		{"StuckMigration", func(w *World, big actor.Ref) {
-			w.RT.Migrate(big, 1, nil)
-			w.Run(101 * sim.Millisecond)
-		}, "a migration in flight for 101.000ms (bound 100.000ms)"},
+			contended(w, big, moveCost+101*sim.Millisecond)
+		}, "a migration in flight for 2.889s, 101.000ms past its 2.788s move (bound 100.000ms)"},
 		{"ReplyTwice", func(w *World, _ actor.Ref) {
 			answerTwice(w, func(ctx *actor.Context, msg actor.Message, _ actor.Ref) {
 				ctx.Reply(nil, 8)
@@ -378,6 +383,28 @@ func TestWorldInvariantsCatch(t *testing.T) {
 				t.Fatalf("Invariants(100ms) = %q, want one message containing %q", bad, tc.want)
 			}
 		})
+	}
+}
+
+// moveCost is quiescedWorld's 64 MB move from server 0 to 1 with no
+// contention.
+const moveCost = 2_787_983 * sim.Microsecond
+
+// contended occupies server 0's one core for a minute, migrates big to
+// server 1 behind that work, and runs the world for d.
+func contended(w *World, big actor.Ref, d sim.Duration) {
+	w.C.Machine(0).Exec(sim.Minute, func() {})
+	w.RT.Migrate(big, 1, nil)
+	w.Run(d)
+}
+
+// A settled world's sweep allows no migration in flight, however young.
+func TestWorldInvariantsSettledAllowsNoMigration(t *testing.T) {
+	w, big := quiescedWorld(t)
+	w.RT.Migrate(big, 1, nil)
+	w.Run(sim.Millisecond)
+	if bad := w.Invariants(0); len(bad) != 1 || bad[0] != "1 migrations in flight (none allowed)" {
+		t.Fatalf("Invariants(0) = %q, want the one in-flight migration", bad)
 	}
 }
 

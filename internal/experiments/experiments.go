@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
@@ -179,8 +180,15 @@ func runSeeds[T any](cfg Config, seeds int, trial func(idx int, seed int64) T) [
 type simTracker struct {
 	mu              sync.Mutex
 	kernels         []*sim.Kernel
-	violations      []string
+	violations      []violation
 	sweeps, periods int
+}
+
+// violation is a sweep finding; Run sorts them on (period, line), as runSeeds'
+// trials record theirs in any order.
+type violation struct {
+	period int
+	line   string
 }
 
 func (t *simTracker) add(k *sim.Kernel) {
@@ -469,8 +477,14 @@ func (e experiment) exec(cfg Config, tr *simTracker) *Result {
 	res := &Result{ID: e.id, Title: e.title, Summary: map[string]float64{}}
 	e.run(cfg, res)
 	res.EventsFired, res.PeakQueue = tr.totals()
-	slices.Sort(tr.violations) // runSeeds' trials record theirs in any order
-	res.Claim = errors.Join(e.claim(res), unless(len(tr.violations) == 0, "%s", strings.Join(tr.violations, "\n")))
+	slices.SortFunc(tr.violations, func(a, b violation) int {
+		return cmp.Or(cmp.Compare(a.period, b.period), strings.Compare(a.line, b.line))
+	})
+	lines := make([]string, len(tr.violations))
+	for i, v := range tr.violations {
+		lines[i] = v.line
+	}
+	res.Claim = errors.Join(e.claim(res), unless(len(lines) == 0, "%s", strings.Join(lines, "\n")))
 	return res
 }
 

@@ -189,7 +189,7 @@ func (t *simTracker) sweep(w *core.World, n, stepped int, bound sim.Duration, mo
 	t.sweeps, t.periods = t.sweeps+1, t.periods+stepped
 	for _, msg := range bad {
 		if msg != "" {
-			t.violations = append(t.violations, fmt.Sprintf("period %d (t = %v): %s", n, sim.Duration(w.K.Now()), msg))
+			t.violations = append(t.violations, violation{n, fmt.Sprintf("period %d (t = %v): %s", n, sim.Duration(w.K.Now()), msg)})
 		}
 	}
 }

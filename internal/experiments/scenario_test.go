@@ -92,8 +92,9 @@ func TestRunHandsBaselineAndProbeOneWindow(t *testing.T) {
 
 // A fault planted mid-run reaches the run's record from the sweep that
 // follows it: a leaked memory byte and an actor homed on a failed machine in
-// the period they happen, a migration that never commits at the first
-// boundary where it has been in flight longer than two periods.
+// the period they happen, a migration held up behind other work at the first
+// boundary where it has been in flight longer than its own no-contention
+// cost plus two periods.
 func TestRunSweepCatchesMutations(t *testing.T) {
 	const at = 3 // the period whose probe plants the fault
 	for _, tc := range []struct {
@@ -106,10 +107,14 @@ func TestRunSweepCatchesMutations(t *testing.T) {
 			at, "machine 1 memory drift: accounted 1048577, actors hold 1048576"},
 		{"HomedOnFailedMachine", func(w *core.World, _ actor.Ref) { w.C.Fail(2) },
 			at, "1 actors homed on down machine 2"},
-		// Serializing 4 GB takes 20 s; the bound is two 1 s periods, so the
-		// migration begun at period 3 is 2 s old at period 5 and caught at 6.
-		{"MigrationNeverCommits", func(w *core.World, big actor.Ref) { w.RT.Migrate(big, 1, nil) },
-			at + 3, "a migration in flight for 3.000s (bound 2.000s)"},
+		// A minute of work on server 0's one core holds the 64 MB move at
+		// serialize. Its idle cost is 2.788 s and the bound two 1 s periods,
+		// so the move begun at period 3 passes at 7 (4 s old) and is caught
+		// at 8.
+		{"MigrationNeverCommits", func(w *core.World, big actor.Ref) {
+			w.C.Machine(0).Exec(sim.Minute, func() {})
+			w.RT.Migrate(big, 1, nil)
+		}, at + 5, "a migration in flight for 5.000s, 2.212s past its 2.788s move (bound 2.000s)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var big actor.Ref
@@ -124,7 +129,7 @@ func TestRunSweepCatchesMutations(t *testing.T) {
 					for srv := cluster.MachineID(1); srv < 3; srv++ {
 						cl.Send(w.RT.SpawnOn("Small", sized(1<<20), srv), "init", nil, 8)
 					}
-					big = w.RT.SpawnOn("Big", sized(4<<30), 0)
+					big = w.RT.SpawnOn("Big", sized(64<<20), 0)
 					cl.Send(big, "init", nil, 8)
 				},
 				wire: true,
@@ -141,10 +146,30 @@ func TestRunSweepCatchesMutations(t *testing.T) {
 			if len(rec.violations) == 0 {
 				t.Fatal("no violation recorded")
 			}
-			if v := rec.violations[0]; !strings.HasPrefix(v, fmt.Sprintf("period %d (", tc.period)) || !strings.HasSuffix(v, "): "+tc.want) {
+			if v := rec.violations[0].line; !strings.HasPrefix(v, fmt.Sprintf("period %d (", tc.period)) || !strings.HasSuffix(v, "): "+tc.want) {
 				t.Fatalf("first violation %q, want period %d (…): %s", v, tc.period, tc.want)
 			}
 		})
+	}
+}
+
+// Result.Claim joins the record's violations in period order, not string
+// order (which puts "period 100" before "period 9"), whatever order the
+// sweeps recorded them in.
+func TestTrackerReportsInPeriodOrder(t *testing.T) {
+	sweeps := experiment{id: "sweeps", claim: func(*Result) error { return nil }, run: func(cfg Config, _ *Result) {
+		w := core.NewWorld(1, 2, cluster.M1Small, nil)
+		w.C.Machine(1).AddMem(1)
+		for _, n := range []int{10, 9, 100} {
+			cfg.stats.sweep(w, n, 0, sim.Second)
+		}
+	}}
+	var want []string
+	for _, n := range []int{9, 10, 100} {
+		want = append(want, fmt.Sprintf("period %d (t = 0µs): machine 1 memory drift: accounted 1, actors hold 0", n))
+	}
+	if r := sweeps.exec(Config{}, &simTracker{}); r.Claim == nil || r.Claim.Error() != strings.Join(want, "\n") {
+		t.Fatalf("claim = %v, want\n%s", r.Claim, strings.Join(want, "\n"))
 	}
 }
 
@@ -173,7 +198,7 @@ func TestRunRecordsStalledArm(t *testing.T) {
 	}
 	rec := &simTracker{}
 	run(Config{stats: rec}, 1, sc)
-	if want := []string{"period 3 (t = 3.001s): app stalled"}; !slices.Equal(rec.violations, want) {
+	if want := []violation{{3, "period 3 (t = 3.001s): app stalled"}}; !slices.Equal(rec.violations, want) {
 		t.Fatalf("record holds %q, want %q", rec.violations, want)
 	}
 }
