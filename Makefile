@@ -201,8 +201,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPartition -fuzztime 10s -fuzzminimizetime 1s ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzZipf -fuzztime 10s -fuzzminimizetime 1s ./internal/apps/workload
 
-# quickstart-smoke runs the one example end to end: the chat room's rule
-# must perform at least one migration.
+# quickstart-smoke runs the one example end to end: the worker pool's
+# balance rule must perform at least one migration.
 quickstart-smoke:
 	$(GO) run ./examples/quickstart | grep -q 'migrations performed: [1-9]'
 

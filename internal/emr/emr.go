@@ -8,7 +8,7 @@
 //  1. each LEM evaluates the interaction elasticity rules against its local
 //     profiling snapshot (applyActRules) and REPORTs resource-rule actor and
 //     server runtime info to a randomly chosen GEM;
-//  2. each GEM that received more than K reports builds a global runtime
+//  2. each GEM with at least one server in scope builds a global runtime
 //     snapshot over its reporting servers, evaluates the resource elasticity
 //     rules (applyResRules), and RREPLYs migration actions to the LEMs;
 //  3. LEMs resolve conflicting actions by priority (resolveActions), QUERY
@@ -52,8 +52,6 @@ type Config struct {
 	Period sim.Duration
 	// NumGEMs is the number of global elasticity managers (§5.7).
 	NumGEMs int
-	// K is the report-count threshold before a GEM acts (Alg. 2 line 8).
-	K int
 	// MinResidence is the minimum time an actor must stay on a server
 	// before it may move again; 0 defaults to Period (§4.3 stability).
 	MinResidence sim.Duration
@@ -69,14 +67,9 @@ type Config struct {
 	// when a pool is exhausted. Empty defaults to one unlimited VM class
 	// booting in InstanceType.Boot.
 	ProvSpecs []cluster.ProvSpec
-	// ReserveTTL, when positive, is how many periods a granted reservation
-	// outlives the last reserve intent naming its owner: a reserve rule that
-	// stops firing (the anchor went cold, or the dedicated server pulled it
-	// back under the rule's threshold) lets the lease lapse and returns the
-	// server to the shared pool after ReserveTTL periods. Zero keeps the
-	// legacy behavior — reservations persist until the owner moves or dies —
-	// which on drifting workloads fragments the fleet one stale dedication
-	// at a time.
+	// Deprecated: ignored; every reservation is a lease of reserveLease
+	// periods. ReserveTTL is the benchmark's spelling of that lease
+	// (benchmark/workloads.go sets 3) and stays only so it compiles.
 	ReserveTTL int
 	// ReserveEvacuate, when set, drains a freshly dedicated server's other
 	// residents to the least loaded unreserved servers at grant time.
@@ -147,6 +140,7 @@ const (
 	execDelay     = reportWindow + 4*gemLatency // t0 -> LEM resolve/execute; later RREPLYs are lost for the period
 	queryTimeout  = 4 * gemLatency              // QREPLY wait before the source counts a denial
 	stalePeriods  = 2                           // oldest last REPORT that may stand in for a lost one
+	reserveLease  = 3                           // periods a reservation outlives the last reserve intent naming its owner
 )
 
 // Stats counts EMR activity for experiments.
@@ -168,7 +162,7 @@ type Stats struct {
 	// rollover before the source acted).
 	ReleasedReservations int
 	// ExpiredReservations counts reservations released because no reserve
-	// intent re-named their owner for Cfg.ReserveTTL periods.
+	// intent re-named their owner for reserveLease periods.
 	ExpiredReservations int
 	// FailedProvisions counts scale-out provisions that never reached Up
 	// (boot retries exhausted, or crashed/decommissioned mid-boot).
@@ -292,9 +286,8 @@ type server struct {
 	// owner is the actor the server is dedicated to (zero: shared pool).
 	// epoch counts grants, so a stale release-on-timeout closure from an
 	// earlier grant cannot revoke a newer one of the same server. lease is
-	// the last tick a reserve intent named the owner (grants count); with
-	// Cfg.ReserveTTL set, cleanupReservations expires one that stopped
-	// being refreshed.
+	// the last tick a reserve intent named the owner (grants count);
+	// cleanupReservations expires one that stopped being refreshed.
 	owner actor.Ref
 	epoch uint64
 	lease int
@@ -437,18 +430,6 @@ func (m *Manager) RecoverLEM(srv cluster.MachineID) bool {
 	return true
 }
 
-// failedLEMCount counts crashed LEMs on machines that are still up — the
-// servers whose REPORTs the K-quorum must not wait for.
-func (m *Manager) failedLEMCount() int {
-	n := 0
-	for _, mach := range m.C.Machines() {
-		if mach.Up() && m.srv(mach.ID).failed {
-			n++
-		}
-	}
-	return n
-}
-
 // randomLiveGEM draws one of the GEMs currently accepting reports, with one
 // RNG draw among them, or returns nil (drawing nothing) when none is.
 func (m *Manager) randomLiveGEM() *gem {
@@ -550,9 +531,8 @@ func (m *Manager) Tick() *epl.Snapshot {
 }
 
 // cleanupReservations drops reservations whose owner died or moved away,
-// and, with Cfg.ReserveTTL set, those whose owner no reserve intent has
-// named for more than TTL periods (the owner stays put; only the
-// exclusivity ends).
+// and those whose owner no reserve intent has named for more than
+// reserveLease periods (the owner stays put; only the exclusivity ends).
 // A reservation is kept while the owner's admitted transfer TO the
 // reserved server is still in flight: ServerOf reports the source until
 // the migration commits, so "not on srv yet" must not be read as "moved
@@ -568,7 +548,7 @@ func (m *Manager) cleanupReservations() {
 			s.dropReservation()
 			continue
 		}
-		if ttl := m.Cfg.ReserveTTL; ttl > 0 && m.Stats.Ticks-s.lease > ttl {
+		if m.Stats.Ticks-s.lease > reserveLease {
 			s.dropReservation()
 			m.Stats.ExpiredReservations++
 			m.tr.Emit(trace.Record{Kind: trace.KindDeny, Parent: m.trTick,
@@ -617,14 +597,13 @@ func (m *Manager) inScope(g *gem, id cluster.MachineID, tickIdx int) bool {
 // snapshot over the servers whose REPORTs arrived — filling gaps with
 // bounded-staleness last REPORTs, so a lossy control plane degrades the
 // view instead of stalling it — apply resource rules, distribute actions
-// as RREPLY messages, and drive scale adjustment. The K-quorum discounts
-// crashed LEMs: their REPORTs are not coming.
+// as RREPLY messages, and drive scale adjustment. A GEM with no server in
+// scope has nothing to plan on and skips the period.
 func (m *Manager) gemProcess(g *gem, snap *epl.Snapshot, tickIdx int) {
 	// One walk in id order: what arrived becomes the server's last REPORT,
 	// what did not may be stood in for. The GEM's view is built from REPORT
 	// payloads, not from the profiler directly: what the GEM plans on is
 	// exactly what the network delivered.
-	scoped := 0
 	servers := make([]*epl.ServerInfo, 0, len(g.last))
 	for i := range g.last {
 		e, id := &g.last[i], cluster.MachineID(i)
@@ -637,26 +616,21 @@ func (m *Manager) gemProcess(g *gem, snap *epl.Snapshot, tickIdx int) {
 		} else {
 			continue
 		}
-		scoped++
 		servers = append(servers, e.info)
 	}
 
-	effK := m.Cfg.K - m.failedLEMCount()
-	if effK < 0 {
-		effK = 0
-	}
 	gemEvalID := uint64(0)
 	if m.tr.Enabled() {
 		det := chaos.GEM(g.id).String() + " reports=" + strconv.Itoa(g.heard) +
-			" combined=" + strconv.Itoa(scoped) + " quorum=" + strconv.Itoa(effK)
-		if scoped <= effK {
+			" combined=" + strconv.Itoa(len(servers))
+		if len(servers) == 0 {
 			det += " skipped"
 		}
 		gemEvalID = m.tr.Emit(trace.Record{Kind: trace.KindGemEval, Parent: m.trTick,
 			Tick: int32(tickIdx), Server: -1, Target: -1, Rule: -1,
-			Value: float64(scoped), Detail: det})
+			Value: float64(len(servers)), Detail: det})
 	}
-	if scoped <= effK {
+	if len(servers) == 0 {
 		return
 	}
 	gemView := snap.WithServers(servers)

@@ -162,14 +162,21 @@ func TestReservedServerRejectsOthers(t *testing.T) {
 	}
 	m.Start()
 	startWork(e, refs...)
-	e.k.Run(sim.Time(8 * sim.Second))
-	// Balance wants to move workers but the only target is reserved: the
-	// planner must avoid it, so nothing migrates.
+	e.k.Run(sim.Time(reserveLease*sim.Second + sim.Second/2))
+	// Balance wants to move workers but the only target is reserved: while
+	// the lease runs the planner must avoid it, so nothing migrates.
 	if len(e.rt.ActorsOn(1)) != 1 {
 		t.Fatalf("reserved server accepted foreign actors: %v", e.rt.ActorsOn(1))
 	}
 	if m.Stats.ExecutedMigrations != 0 {
 		t.Fatalf("migrations onto reserved server: %d", m.Stats.ExecutedMigrations)
+	}
+	// No reserve rule names the owner, so the lease lapses and balance may
+	// use the server.
+	e.k.Run(sim.Time(8 * sim.Second))
+	if !m.srv(1).shared() || len(e.rt.ActorsOn(1)) == 1 {
+		t.Fatalf("server 1 (reserved for %v) holds %v after the lease lapsed, want workers balanced onto it",
+			m.srv(1).owner, e.rt.ActorsOn(1))
 	}
 }
 
@@ -381,23 +388,6 @@ func TestMultipleGEMsStillBalance(t *testing.T) {
 	}
 }
 
-func TestKThresholdSuppressesSmallGEMs(t *testing.T) {
-	e := newEnv(1, 2, 1)
-	pol := epl.MustParse(`server.cpu.perc > 80 or server.cpu.perc < 60 => balance({Worker}, cpu);`)
-	var refs []actor.Ref
-	for i := 0; i < 4; i++ {
-		refs = append(refs, e.rt.SpawnOn("Worker", worker(45), 0))
-	}
-	// K=5 > number of servers: the GEM never acts.
-	m := New(e.k, e.c, e.rt, e.prof, pol, Config{Period: sim.Second, MinResidence: sim.Millisecond, K: 5})
-	m.Start()
-	startWork(e, refs...)
-	e.k.Run(sim.Time(8 * sim.Second))
-	if m.Stats.ExecutedMigrations != 0 {
-		t.Fatal("GEM acted below the K report threshold")
-	}
-}
-
 func TestStopHaltsManagement(t *testing.T) {
 	e := newEnv(1, 2, 1)
 	pol := epl.MustParse(`server.cpu.perc > 80 or server.cpu.perc < 60 => balance({Worker}, cpu);`)
@@ -495,7 +485,8 @@ Replica(r2) in ref(t.replicas) =>
 
 // zExpander's Table 1 policy: on a server past 40% memory, each
 // memory-heavy Leaf gets a server of its own. Three 160 MB leaves and their
-// index start on one 512 MB server of four.
+// index start on one 512 MB server of four. Alone, a leaf fills 31% of its
+// server, so the rule stops firing and the leases lapse; the leaves stay.
 func TestReserveSpreadsMemoryHeavyLeaves(t *testing.T) {
 	k := sim.New(1)
 	c := cluster.New(k, 4, cluster.InstanceType{Name: "t", VCPUs: 1, MemMB: 512, NetMbps: 1000, SpeedFac: 1})
@@ -515,10 +506,17 @@ func TestReserveSpreadsMemoryHeavyLeaves(t *testing.T) {
 	startWork(e, leaves...)
 	m := New(e.k, e.c, e.rt, e.prof, pol, Config{Period: sim.Second, MinResidence: sim.Millisecond})
 	m.Start()
+	e.k.Run(sim.Time(6 * sim.Second))
+	for _, lf := range leaves {
+		if s := e.rt.ServerOf(lf); s == 0 || m.srv(s).owner != lf || len(e.rt.ActorsOn(s)) != 1 {
+			t.Fatalf("leaf %v on server %d (reserved for %v, holding %v), want a server of its own",
+				lf, s, m.srv(s).owner, e.rt.ActorsOn(s))
+		}
+	}
 	e.k.Run(sim.Time(10 * sim.Second))
 	for _, lf := range leaves {
-		if s := e.rt.ServerOf(lf); s == 0 || m.srv(s).owner != lf {
-			t.Fatalf("leaf %v on server %d (reserved for %v), want a server of its own", lf, s, m.srv(s).owner)
+		if s := e.rt.ServerOf(lf); s == 0 || !m.srv(s).shared() {
+			t.Fatalf("leaf %v on server %d (reserved for %v), want its lapsed server", lf, s, m.srv(s).owner)
 		}
 	}
 	if n := distinctServers(e, leaves); n != 3 {

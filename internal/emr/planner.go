@@ -472,7 +472,7 @@ func (m *Manager) planResource(last []lastReport, snap *epl.Snapshot, in *epl.In
 
 	for _, ri := range in.Reserve {
 		// A reserve intent naming a reservation's owner refreshes its lease:
-		// the rule still wants the dedication (see Config.ReserveTTL).
+		// the rule still wants the dedication (see reserveLease).
 		for _, s := range m.servers {
 			if s.owner == ri.Actor {
 				s.lease = m.Stats.Ticks

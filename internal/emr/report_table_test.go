@@ -21,8 +21,8 @@ import (
 // arrival list, its dedup set and the last-REPORT cache, maps keyed by server
 // and walked through sorted keys — and is fed from a log of REPORT
 // deliveries the test's own interceptor writes. Every evaluation of the real
-// GEM must see the scope, the fresh set, the stale fills and the quorum
-// verdict the reference computes from that log.
+// GEM must see the scope, the fresh set, the stale fills and the verdict on
+// whether to plan the reference computes from that log.
 
 type refCached struct {
 	info *epl.ServerInfo
@@ -45,7 +45,7 @@ type tableEval struct {
 	scope []cluster.MachineID // ascending
 	fresh []cluster.MachineID // ascending
 	stale []staleFill         // ascending by server
-	ok    bool                // cleared the K-quorum
+	ok    bool                // non-empty scope: the GEM planned
 }
 
 func (e tableEval) String() string {
@@ -91,8 +91,8 @@ func sortedKeys[V any](m map[cluster.MachineID]V) []cluster.MachineID {
 
 // evaluate is the head of the parent's gemProcess, verbatim in structure:
 // refresh the cache from the arrivals, stand in for the missing from cache
-// entries at most two periods old, then the quorum.
-func (g *refGEM) evaluate(tick, effK int, lemFailed, up func(cluster.MachineID) bool) tableEval {
+// entries at most two periods old, then plan over a non-empty scope.
+func (g *refGEM) evaluate(tick int, lemFailed, up func(cluster.MachineID) bool) tableEval {
 	g.evaluated = tick
 	for _, r := range g.reports {
 		g.cache[r.srv] = refCached{r.info, tick}
@@ -114,7 +114,7 @@ func (g *refGEM) evaluate(tick, effK int, lemFailed, up func(cluster.MachineID) 
 		}
 	}
 	slices.Sort(ev.scope)
-	ev.ok = len(ev.scope) > effK
+	ev.ok = len(ev.scope) > 0
 	return ev
 }
 
@@ -153,7 +153,7 @@ type tableHarness struct {
 // leave at t0, +4 ms and +12 ms and take 1 ms (2 ms for a duplicate's copy).
 var tableDelays = []sim.Duration{2300, 7700, 13100, 21500, 1100 * sim.Millisecond}
 
-func newTableHarness(t *testing.T, seed int64, machines, gems, k int) *tableHarness {
+func newTableHarness(t *testing.T, seed int64, machines, gems int) *tableHarness {
 	kern := sim.New(seed)
 	typ := cluster.InstanceType{Name: "t", VCPUs: 1, MemMB: 1024, NetMbps: 100, Boot: 1500 * sim.Millisecond, SpeedFac: 1}
 	c := cluster.New(kern, machines, typ)
@@ -161,7 +161,7 @@ func newTableHarness(t *testing.T, seed int64, machines, gems, k int) *tableHarn
 	h := &tableHarness{t: t, k: kern, c: c, rng: rand.New(rand.NewSource(seed)),
 		sink: &sliceSink{}, lemFailed: map[cluster.MachineID]bool{}}
 	h.m = New(kern, c, rt, profile.New(kern, c, rt), epl.MustParse(`true => pin(Nothing(n));`),
-		Config{Period: sim.Second, NumGEMs: gems, K: k, InstanceType: typ})
+		Config{Period: sim.Second, NumGEMs: gems, InstanceType: typ})
 	for i := 0; i < gems; i++ {
 		h.refs = append(h.refs, &refGEM{id: i, got: map[cluster.MachineID]bool{}, cache: map[cluster.MachineID]refCached{}})
 	}
@@ -267,9 +267,9 @@ func (h *tableHarness) observed() []tableEval {
 		case r.Kind == trace.KindStaleReport:
 			stale = append(stale, staleFill{cluster.MachineID(r.Server), int(r.Value)})
 		case r.Kind == trace.KindGemEval:
-			var reports, combined, quorum int
+			var reports, combined int
 			ev := tableEval{stale: stale, ok: !strings.HasSuffix(r.Detail, " skipped")}
-			if _, err := fmt.Sscanf(r.Detail, "gem%d reports=%d combined=%d quorum=%d", &ev.gem, &reports, &combined, &quorum); err != nil {
+			if _, err := fmt.Sscanf(r.Detail, "gem%d reports=%d combined=%d", &ev.gem, &reports, &combined); err != nil {
 				h.t.Fatalf("gem-eval detail %q: %v", r.Detail, err)
 			}
 			stale = nil
@@ -294,17 +294,10 @@ func (h *tableHarness) observed() []tableEval {
 
 // probe runs a microsecond after the period's evaluation.
 func (h *tableHarness) probe() {
-	effK := h.m.Cfg.K
-	for _, mach := range h.c.UpMachines() {
-		if h.lemFailed[mach.ID] {
-			effK--
-		}
-	}
-	effK = max(effK, 0)
 	var want []tableEval
 	for _, g := range h.refs {
 		if !g.failed {
-			want = append(want, g.evaluate(h.tick, effK,
+			want = append(want, g.evaluate(h.tick,
 				func(id cluster.MachineID) bool { return h.lemFailed[id] },
 				func(id cluster.MachineID) bool { return h.c.Machine(id).Up() }))
 		}
@@ -336,7 +329,7 @@ func vmSpec(typ cluster.InstanceType) *cluster.ProvSpec {
 // machine provisioned mid-run, every evaluation matches the reference.
 func TestReportTableMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		h := newTableHarness(t, seed, 6, 4, 1)
+		h := newTableHarness(t, seed, 6, 4)
 		at := func(period int, off sim.Duration, fn func()) {
 			h.k.At(sim.Time(sim.Duration(period+int(seed)-1)*sim.Second+off), fn)
 		}
@@ -395,7 +388,7 @@ func (h *tableHarness) acks(srv cluster.MachineID, tick int) (n int) {
 // retransmitting — and is otherwise as good as lost: the GEM did not
 // evaluate it, and must not stand it in for the next period's missing one.
 func TestLateReportIsAckedNotCached(t *testing.T) {
-	h := newTableHarness(t, 1, 2, 1, 0)
+	h := newTableHarness(t, 1, 2, 1)
 	h.verdict = func(kind chaos.MsgKind, srv cluster.MachineID, tick int) chaos.Decision {
 		switch {
 		case kind == chaos.Report && srv == 1 && tick == 1:

@@ -128,11 +128,9 @@ func streamTrial(cfg Config, seed int64, o streamOpts) streamOut {
 			Period: streamPeriod, NumGEMs: o.numGEMs, MinResidence: streamPeriod / 2,
 			ScaleOut: o.scaleOut, MinServers: streamServers,
 			InstanceType: cluster.M1Small, ProvSpecs: o.specs,
-			// Drifting hot sets leave a trail of stale dedications; the lease
-			// returns cooled-off reserved servers to the pool (3 periods), and
-			// grants evict the dedicated server's old residents so the hot
+			// Grants evict the dedicated server's old residents so the hot
 			// partition actually gets the CPU it was promised.
-			ReserveTTL: 3, ReserveEvacuate: true,
+			ReserveEvacuate: true,
 		}
 		if len(o.events) > 0 {
 			sc.faults = &faultPlan{floor: o.floor, protected: []cluster.MachineID{clientSite}, events: o.events}

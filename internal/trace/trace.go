@@ -48,8 +48,8 @@ const (
 	// bounded-staleness cache (Value is the cached tick).
 	KindStaleReport
 	// KindGemEval is a GEM evaluating at the report-window deadline
-	// (Detail carries gem id, report/stale counts, and the effective
-	// quorum; a below-quorum skip is recorded too).
+	// (Detail carries gem id and report/stale counts; a skip for an empty
+	// scope is recorded too).
 	KindGemEval
 	// KindPropose is one planned migration action (Actor, Server=src,
 	// Target=trg; Detail carries the behavior kind and priority).
