@@ -56,10 +56,12 @@ bench:
 #   internal/graph: PartitionMultilevel on power-law graphs: 36k vertices
 #     into 56 parts (pagerank_rebalance's partitioning, ten levels), 12k
 #     into 32, and 36k into 1,024 (one level, 43 hubs: most vertices tally
-#     from their adjacency).
-MICRO_BENCH = KernelQueue|RequestReply|Send|IdleDelivery|DeliverFleet|OnMessage|SnapshotSteady|SnapshotSparse|Percentile|Observe|ZipfKeysDraw|PartitionMultilevel
+#     from their adjacency);
+#   internal/trace: BenchmarkRingEmit, one Emit into a decision-trace ring
+#     that has wrapped (a traced run's steady state; 0 allocs/op).
+MICRO_BENCH = KernelQueue|RequestReply|Send|IdleDelivery|DeliverFleet|OnMessage|SnapshotSteady|SnapshotSparse|Percentile|Observe|ZipfKeysDraw|PartitionMultilevel|RingEmit
 micro-bench:
-	$(GO) test -run '^$$' -bench '^Benchmark($(MICRO_BENCH))$$' -benchtime 1x -benchmem ./internal/sim ./internal/actor ./internal/profile ./internal/metrics ./internal/apps/workload ./internal/graph
+	$(GO) test -run '^$$' -bench '^Benchmark($(MICRO_BENCH))$$' -benchtime 1x -benchmem ./internal/sim ./internal/actor ./internal/profile ./internal/metrics ./internal/apps/workload ./internal/graph ./internal/trace
 
 # bench-test runs the repository benchmark's own tests (benchmark/ is a
 # nested module, so `go test ./...` from the root never reaches them).

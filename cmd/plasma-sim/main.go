@@ -37,7 +37,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	full := fl.Bool("full", false, "run paper-scale workloads (slower)")
 	seed := fl.Int64("seed", 1, "simulation seed")
 	traceOut := fl.String("trace", "", "write a decision trace (JSONL) to this file")
-	traceCap := fl.Int("trace-cap", 1<<20, "max records kept in the trace ring (oldest dropped)")
+	traceCap := fl.Int("trace-cap", 1<<20, "max records kept in the trace ring (oldest dropped); the ring allocates as records land, so a large cap costs nothing until a run fills it")
 	if err := fl.Parse(args); err != nil {
 		return 2
 	}

@@ -200,6 +200,7 @@ type Manager struct {
 
 	tr     *trace.Tracer // nil = decisions untraced
 	trTick uint64        // current period's KindTick record id
+	trDet  []byte        // rule-fire Detail buffer, reused across firings
 
 	rd round // the planning round's state, reused across periods
 }
@@ -232,7 +233,7 @@ func (o *evalObs) RuleEvaluated(rule *epl.Rule, examined, fired int) {
 }
 
 func (o *evalObs) RuleFired(rule *epl.Rule, anchor actor.Ref, srv cluster.MachineID, values []epl.FeatureValue) {
-	var det []byte
+	det := o.m.trDet[:0]
 	for i, v := range values {
 		if i > 0 {
 			det = append(det, "; "...)
@@ -241,6 +242,7 @@ func (o *evalObs) RuleFired(rule *epl.Rule, anchor actor.Ref, srv cluster.Machin
 		det = append(det, " = "...)
 		det = strconv.AppendFloat(det, v.Value, 'g', -1, 64)
 	}
+	o.m.trDet = det
 	o.m.tr.Emit(trace.Record{Kind: trace.KindRuleFire, Parent: o.parent, Tick: o.tick,
 		Server: int32(srv), Target: -1, Actor: uint64(anchor.ID), Rule: int32(rule.Index),
 		Detail: string(det)})

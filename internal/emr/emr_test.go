@@ -8,6 +8,7 @@ import (
 	"plasma/internal/epl"
 	"plasma/internal/profile"
 	"plasma/internal/sim"
+	"plasma/internal/trace"
 )
 
 type env struct {
@@ -589,5 +590,26 @@ Table(t) in ref(Worker(w).reads) => colocate(w, t);
 		if ws, ts := e.rt.ServerOf(w), e.rt.ServerOf(tables[i]); ws != ts {
 			t.Fatalf("worker %d on server %d, its table on %d", i, ws, ts)
 		}
+	}
+}
+
+// TestRuleFiredAllocatesOnlyDetail pins a traced rule firing to one
+// allocation, its Detail string: the bytes are built in the manager's
+// reused buffer and the ring has wrapped, so it allocates nothing itself.
+func TestRuleFiredAllocatesOnlyDetail(t *testing.T) {
+	e := newEnv(1, 2, 1)
+	pol := epl.MustParse(`server.cpu.perc > 80 and server.mem.perc > 50 => balance({Worker}, cpu);`)
+	m := New(e.k, e.c, e.rt, e.prof, pol, Config{Period: sim.Second})
+	ring := trace.NewRing(1)
+	m.SetTracer(trace.New(ring))
+	obs := m.obs(0, 1, "lem")
+	values := []epl.FeatureValue{{Feature: "server.cpu.perc > 80", Value: 91.5}, {Feature: "server.mem.perc > 50", Value: 62.25}}
+	fire := func() { obs.RuleFired(pol.Rules[0], actor.Ref{ID: 7}, 1, values) }
+	if a := testing.AllocsPerRun(100, fire); a > 1 {
+		t.Fatalf("RuleFired made %v allocations, want at most 1 (the Detail string)", a)
+	}
+	want := "server.cpu.perc > 80 = 91.5; server.mem.perc > 50 = 62.25"
+	if got := ring.Records()[0].Detail; got != want {
+		t.Fatalf("Detail = %q, want %q", got, want)
 	}
 }

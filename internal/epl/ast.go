@@ -172,18 +172,24 @@ func (c *OrCond) String() string {
 }
 
 // CmpCond compares a feature statistic against a bound: feat.stat comp val.
+// The parser, its only constructor, formats its text once (a traced rule
+// firing names every comparison that held).
 type CmpCond struct {
 	Feat Feature
 	Stat Stat
 	Op   CmpOp
 	Val  float64
 	Pos  Pos
+
+	text string
 }
 
-func (*CmpCond) condNode() {}
-func (c *CmpCond) String() string {
-	// No exponent: the lexer reads a number as digits and dots only, and %g
-	// would print a million as 1e+06.
+func (*CmpCond) condNode()        {}
+func (c *CmpCond) String() string { return c.text }
+
+// format is the text String returns. No exponent: the lexer reads a number
+// as digits and dots only, and %g would print a million as 1e+06.
+func (c *CmpCond) format() string {
 	return fmt.Sprintf("%s.%s %s %s", c.Feat, c.Stat, c.Op, strconv.FormatFloat(c.Val, 'f', -1, 64))
 }
 

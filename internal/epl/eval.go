@@ -94,7 +94,8 @@ type EvalObserver interface {
 	RuleEvaluated(rule *Rule, examined, fired int)
 	// RuleFired is called for each firing context. anchor is the zero Ref
 	// for server-scoped rules; values lists the profiled comparisons that
-	// held in this context.
+	// held in this context, in a buffer the evaluation reuses: it is valid
+	// only during the call.
 	RuleFired(rule *Rule, anchor actor.Ref, srv cluster.MachineID, values []FeatureValue)
 }
 
@@ -112,6 +113,10 @@ func Evaluate(pol *Policy, snap *Snapshot, resource, interaction bool) *Intents 
 func EvaluateObserved(pol *Policy, snap *Snapshot, resource, interaction bool, obs EvalObserver) *Intents {
 	out := &Intents{}
 	dedup := newDedup()
+	var o *observer
+	if obs != nil {
+		o = &observer{EvalObserver: obs}
+	}
 	for _, rule := range pol.Rules {
 		wantRule := false
 		for _, b := range rule.Behaviors {
@@ -122,15 +127,27 @@ func EvaluateObserved(pol *Policy, snap *Snapshot, resource, interaction bool, o
 		if !wantRule {
 			continue
 		}
-		evalRule(rule, snap, resource, interaction, out, dedup, obs)
+		evalRule(rule, snap, resource, interaction, out, dedup, o)
 	}
 	return out
 }
 
-// condValues recomputes the profiled left-hand value of every comparison in
-// a condition for one firing context. Pure: reads only the snapshot.
-func condValues(c Cond, snap *Snapshot, b *binding, ctxSrv *ServerInfo) []FeatureValue {
-	var out []FeatureValue
+// observer is an evaluation's EvalObserver with the FeatureValue buffer its
+// firings reuse.
+type observer struct {
+	EvalObserver
+	vals []FeatureValue
+}
+
+// fired reports one firing context with its comparisons' values.
+func (o *observer) fired(rule *Rule, anchor actor.Ref, snap *Snapshot, b *binding, ctxSrv *ServerInfo) {
+	o.vals = condValues(o.vals[:0], rule.Cond, snap, b, ctxSrv)
+	o.RuleFired(rule, anchor, ctxSrv.ID, o.vals)
+}
+
+// condValues appends to out the profiled left-hand value of every comparison
+// in a condition for one firing context. Pure: reads only the snapshot.
+func condValues(out []FeatureValue, c Cond, snap *Snapshot, b *binding, ctxSrv *ServerInfo) []FeatureValue {
 	WalkCmps(c, func(cond *CmpCond) {
 		if v, ok := evalFeature(cond.Feat, cond.Stat, snap, b, ctxSrv); ok {
 			out = append(out, FeatureValue{Feature: cond.String(), Value: v})
@@ -172,7 +189,7 @@ func (b *binding) lookup(ref *ActorRef) *ActorInfo {
 	return b.byRef[ref]
 }
 
-func evalRule(rule *Rule, snap *Snapshot, resource, interaction bool, out *Intents, dd *dedup, obs EvalObserver) {
+func evalRule(rule *Rule, snap *Snapshot, resource, interaction bool, out *Intents, dd *dedup, obs *observer) {
 	refs := rule.BindingRefs()
 	if len(refs) == 0 {
 		// Server-scoped rule (e.g. pure balance): the condition is checked
@@ -188,7 +205,7 @@ func evalRule(rule *Rule, snap *Snapshot, resource, interaction bool, out *Inten
 			if evalCond(rule.Cond, snap, b, srv) {
 				violating = append(violating, srv.ID)
 				if obs != nil {
-					obs.RuleFired(rule, actor.Ref{}, srv.ID, condValues(rule.Cond, snap, b, srv))
+					obs.fired(rule, actor.Ref{}, snap, b, srv)
 				}
 			}
 		}
@@ -220,7 +237,7 @@ func evalRule(rule *Rule, snap *Snapshot, resource, interaction bool, out *Inten
 			if evalCond(rule.Cond, snap, b, ctxSrv) {
 				fired++
 				if obs != nil {
-					obs.RuleFired(rule, b.anchor.Ref, ctxSrv.ID, condValues(rule.Cond, snap, b, ctxSrv))
+					obs.fired(rule, b.anchor.Ref, snap, b, ctxSrv)
 				}
 				emitBehaviors(rule, b, []cluster.MachineID{ctxSrv.ID}, resource, interaction, out, dd)
 			}

@@ -291,7 +291,9 @@ func (p *parser) parseStatCmp(feat Feature) (Cond, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CmpCond{Feat: feat, Stat: stat, Op: op, Val: val.num, Pos: st.pos}, nil
+	c := &CmpCond{Feat: feat, Stat: stat, Op: op, Val: val.num, Pos: st.pos}
+	c.text = c.format()
+	return c, nil
 }
 
 // parseInRef parses "ref(actor.pname)" after "sub in".

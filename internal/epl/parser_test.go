@@ -1,6 +1,9 @@
 package epl
 
 import (
+	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -285,5 +288,25 @@ func TestVarUsableAcrossCondAndBehavior(t *testing.T) {
 	r := pol.Rules[0]
 	if len(r.Vars) != 1 || r.Vars[0].Name != "v" || r.Vars[0].Type != "VideoStream" {
 		t.Fatalf("vars = %+v", r.Vars)
+	}
+}
+
+// TestCmpCondStringFormattedOnce checks the text the parser stores for a
+// comparison against the fmt form it is built from, at an integer, a
+// fractional and a seven-digit threshold (no exponent), and across the
+// variable rewrite binding applies after parsing.
+func TestCmpCondStringFormattedOnce(t *testing.T) {
+	pol := MustParse(`server.cpu.perc > 70 and Folder(fo).mem.size <= 0.5 and client.call(fo.open).count >= 1000000 => balance({Folder}, cpu);`)
+	var got []string
+	WalkCmps(pol.Rules[0].Cond, func(c *CmpCond) {
+		want := fmt.Sprintf("%s.%s %s %s", c.Feat, c.Stat, c.Op, strconv.FormatFloat(c.Val, 'f', -1, 64))
+		if c.String() != want {
+			t.Errorf("CmpCond.String() = %q, want %q", c.String(), want)
+		}
+		got = append(got, c.String())
+	})
+	want := []string{"server.cpu.perc > 70", "Folder(fo).mem.size <= 0.5", "client.call(fo.open).count >= 1000000"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("comparisons = %q, want %q", got, want)
 	}
 }

@@ -16,7 +16,9 @@
 // Tracing is off by default: components hold a nil *Tracer and every Emit
 // on it is a nil-check returning immediately, so the disabled hot path
 // costs nothing and allocates nothing (the perf gate in make bench-quick
-// runs untraced).
+// runs untraced). Turned on, the stock sink, Ring, costs what a run
+// records: its storage is allocated a chunk at a time as records land, not
+// at its capacity.
 package trace
 
 import (
@@ -234,41 +236,65 @@ func (t *Tracer) Emit(r Record) uint64 {
 }
 
 // Ring is a fixed-capacity ring-buffer sink: the last cap records are
-// kept, older ones are overwritten. The buffer is allocated once at
-// construction, so steady-state emission allocates nothing (Detail
-// strings aside, which the emitting site owns).
+// kept, older ones are overwritten. Records live in chunks of chunkLen, each
+// allocated by the first Emit that lands in it, so a ring costs what it
+// holds rather than its capacity, and no record moves once written. After
+// the ring wraps, emission allocates nothing (Detail strings aside, which
+// the emitting site owns).
 type Ring struct {
-	buf   []Record
-	start int
-	n     int
-	total uint64
+	chunks [][]Record
+	cap    int
+	start  int // slot of the oldest record once the ring is full
+	n      int
+	total  uint64
 }
+
+// chunkLen is the records per chunk (a power of two: a slot's chunk and
+// offset are a shift and a mask).
+const (
+	chunkShift = 10
+	chunkLen   = 1 << chunkShift
+)
 
 // NewRing creates a ring holding the most recent capacity records.
 func NewRing(capacity int) *Ring {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Ring{buf: make([]Record, capacity)}
+	return &Ring{cap: max(capacity, 1)}
 }
 
 // Emit implements Sink.
 func (r *Ring) Emit(rec Record) {
 	r.total++
-	if r.n < len(r.buf) {
-		r.buf[(r.start+r.n)%len(r.buf)] = rec
+	i := r.start
+	if r.n < r.cap {
+		// Until it wraps the ring fills in slot order, so the slot past the
+		// last chunk opens the next one.
+		i = r.n
 		r.n++
-		return
+		if i>>chunkShift == len(r.chunks) {
+			r.chunks = append(r.chunks, make([]Record, min(chunkLen, r.cap-i)))
+		}
+	} else {
+		r.start++
+		if r.start == r.cap {
+			r.start = 0
+		}
 	}
-	r.buf[r.start] = rec
-	r.start = (r.start + 1) % len(r.buf)
+	r.chunks[i>>chunkShift][i&(chunkLen-1)] = rec
 }
 
 // Records returns the buffered records oldest-first (a fresh slice).
 func (r *Ring) Records() []Record {
-	out := make([]Record, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.buf[(r.start+i)%len(r.buf)]
+	out := r.appendSlots(make([]Record, 0, r.n), r.start, r.n)
+	return r.appendSlots(out, 0, r.start)
+}
+
+// appendSlots appends slots [lo, hi) to out, a chunk at a time.
+func (r *Ring) appendSlots(out []Record, lo, hi int) []Record {
+	for lo < hi {
+		c := r.chunks[lo>>chunkShift][lo&(chunkLen-1):]
+		c = c[:min(len(c), hi-lo)]
+		out = append(out, c...)
+		lo += len(c)
 	}
 	return out
 }

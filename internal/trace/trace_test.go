@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
 	"unicode/utf8"
+	"unsafe"
 
 	"plasma/internal/sim"
 )
@@ -65,6 +67,65 @@ func TestRingOverwritesOldest(t *testing.T) {
 	}
 	if ring.Dropped() != 2 {
 		t.Fatalf("dropped=%d, want 2 of 5", ring.Dropped())
+	}
+}
+
+// TestRingAllocatesWhatItHolds pins the ring's memory to the records it
+// holds: construction costs nothing in proportion to the capacity, a chunk
+// is allocated only when a record lands in it, and a wrapped ring emits
+// without allocating.
+func TestRingAllocatesWhatItHolds(t *testing.T) {
+	// allocated returns the fewest bytes f allocated over three runs: what
+	// the rest of the process (the race detector's runtime, say) allocates
+	// meanwhile only adds.
+	allocated := func(f func()) uint64 {
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			f()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	var ring *Ring
+	if b := allocated(func() { ring = NewRing(1 << 20) }); b > 4<<10 {
+		t.Fatalf("NewRing(1<<20) allocated %d bytes, want at most 4 KB", b)
+	}
+	chunkBytes := uint64(chunkLen) * uint64(unsafe.Sizeof(Record{}))
+	emit := func() {
+		ring = NewRing(1 << 20)
+		for i := 0; i < 5000; i++ {
+			ring.Emit(Record{ID: uint64(i)})
+		}
+	}
+	if b := allocated(emit); b > 5*chunkBytes+4<<10 {
+		t.Fatalf("5,000 emits allocated %d bytes, want at most 5 chunks (%d bytes each)", b, chunkBytes)
+	}
+
+	small := NewRing(3000)
+	for i := 0; i < 6000; i++ {
+		small.Emit(Record{ID: uint64(i)})
+	}
+	if a := testing.AllocsPerRun(100, func() { small.Emit(Record{Kind: KindTick}) }); a != 0 {
+		t.Fatalf("Emit into a wrapped ring made %v allocations, want 0", a)
+	}
+}
+
+// BenchmarkRingEmit times one Emit into a ring that has wrapped, the steady
+// state of a long traced run.
+func BenchmarkRingEmit(b *testing.B) {
+	ring := NewRing(4096)
+	rec := Record{Kind: KindRuleFire, Server: 2, Target: -1, Actor: 7, Detail: "server.cpu.perc > 85 = 91.5"}
+	for i := 0; i < 2*4096; i++ {
+		ring.Emit(rec)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec.ID = uint64(i)
+		ring.Emit(rec)
 	}
 }
 
