@@ -58,10 +58,13 @@ bench:
 #     into 32, and 36k into 1,024 (one level, 43 hubs: most vertices tally
 #     from their adjacency);
 #   internal/trace: BenchmarkRingEmit, one Emit into a decision-trace ring
-#     that has wrapped (a traced run's steady state; 0 allocs/op).
-MICRO_BENCH = KernelQueue|RequestReply|Send|IdleDelivery|DeliverFleet|OnMessage|SnapshotSteady|SnapshotSparse|Percentile|Observe|ZipfKeysDraw|PartitionMultilevel|RingEmit
+#     that has wrapped (a traced run's steady state; 0 allocs/op);
+#   internal/epl: BenchmarkEvaluate, the Media Service policy over a
+#     profiler-shaped snapshot of 128 clients' actors, its interaction
+#     rules joined on who called whom (ceiling: TestEvaluateAllocCeiling).
+MICRO_BENCH = KernelQueue|RequestReply|Send|IdleDelivery|DeliverFleet|OnMessage|SnapshotSteady|SnapshotSparse|Percentile|Observe|ZipfKeysDraw|PartitionMultilevel|RingEmit|Evaluate
 micro-bench:
-	$(GO) test -run '^$$' -bench '^Benchmark($(MICRO_BENCH))$$' -benchtime 1x -benchmem ./internal/sim ./internal/actor ./internal/profile ./internal/metrics ./internal/apps/workload ./internal/graph ./internal/trace
+	$(GO) test -run '^$$' -bench '^Benchmark($(MICRO_BENCH))$$' -benchtime 1x -benchmem ./internal/sim ./internal/actor ./internal/profile ./internal/metrics ./internal/apps/workload ./internal/graph ./internal/trace ./internal/epl
 
 # bench-test runs the repository benchmark's own tests (benchmark/ is a
 # nested module, so `go test ./...` from the root never reaches them).

@@ -46,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(ids) == 0 {
 		ids = experiments.IDs()
 	}
-	cfg := experiments.Config{Full: *full, Seed: *seed}
+	cfg := experiments.Config{Full: *full, Seed: *seed, Inputs: &experiments.Inputs{}}
 	var ring *trace.Ring
 	if *traceOut != "" {
 		ring = trace.NewRing(*traceCap)

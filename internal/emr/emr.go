@@ -226,10 +226,13 @@ type evalObs struct {
 	ctx    string
 }
 
-func (o *evalObs) RuleEvaluated(rule *epl.Rule, examined, fired int) {
+func (o *evalObs) RuleEvaluated(rule *epl.Rule, examined, fired int, truncated bool) {
+	det := o.ctx + " examined=" + strconv.Itoa(examined)
+	if truncated {
+		det += " truncated"
+	}
 	o.m.tr.Emit(trace.Record{Kind: trace.KindRuleEval, Parent: o.parent, Tick: o.tick,
-		Server: -1, Target: -1, Rule: int32(rule.Index), Value: float64(fired),
-		Detail: o.ctx + " examined=" + strconv.Itoa(examined)})
+		Server: -1, Target: -1, Rule: int32(rule.Index), Value: float64(fired), Detail: det})
 }
 
 func (o *evalObs) RuleFired(rule *epl.Rule, anchor actor.Ref, srv cluster.MachineID, values []epl.FeatureValue) {

@@ -1,7 +1,10 @@
 package epl
 
 import (
+	"cmp"
 	"math"
+	"slices"
+	"sync"
 
 	"plasma/internal/actor"
 	"plasma/internal/cluster"
@@ -74,7 +77,9 @@ type ProvClassIntent struct {
 	Classes []string
 }
 
-// maxBindings caps binding enumeration per rule as a runaway guard.
+// maxBindings caps the complete bindings one rule's enumeration reaches, as
+// a runaway guard. A rule that hits it stops there, and RuleEvaluated says
+// so.
 const maxBindings = 1 << 20
 
 // FeatureValue is one profiled comparison observed while a rule fired: the
@@ -89,9 +94,13 @@ type FeatureValue struct {
 // RuleFired are recomputed from the same snapshot the decision used.
 type EvalObserver interface {
 	// RuleEvaluated is called once per applicable rule with the number of
-	// contexts examined (bindings, or servers for server-scoped rules) and
-	// how many of them fired.
-	RuleEvaluated(rule *Rule, examined, fired int)
+	// contexts examined, how many of them fired, and whether the enumeration
+	// stopped at maxBindings. A server-scoped rule examines every up server;
+	// any other rule the complete bindings its enumeration reached, which a
+	// ref(...) or a call-relation join (see joinLevels) narrows to the
+	// actors that could satisfy it: the contexts checked, not the cross
+	// product of the rule's types.
+	RuleEvaluated(rule *Rule, examined, fired int, truncated bool)
 	// RuleFired is called for each firing context. anchor is the zero Ref
 	// for server-scoped rules; values lists the profiled comparisons that
 	// held in this context, in a buffer the evaluation reuses: it is valid
@@ -111,12 +120,9 @@ func Evaluate(pol *Policy, snap *Snapshot, resource, interaction bool) *Intents 
 // EvaluateObserved is Evaluate with an optional observer (nil disables
 // observation and is exactly Evaluate).
 func EvaluateObserved(pol *Policy, snap *Snapshot, resource, interaction bool, obs EvalObserver) *Intents {
-	out := &Intents{}
-	dedup := newDedup()
-	var o *observer
-	if obs != nil {
-		o = &observer{EvalObserver: obs}
-	}
+	e := evaluators.Get().(*evaluator)
+	defer e.release()
+	e.snap, e.resource, e.interaction, e.out, e.obs = snap, resource, interaction, &Intents{}, obs
 	for _, rule := range pol.Rules {
 		wantRule := false
 		for _, b := range rule.Behaviors {
@@ -127,33 +133,57 @@ func EvaluateObserved(pol *Policy, snap *Snapshot, resource, interaction bool, o
 		if !wantRule {
 			continue
 		}
-		evalRule(rule, snap, resource, interaction, out, dedup, o)
+		e.rule(rule)
 	}
-	return out
+	return e.out
 }
 
-// observer is an evaluation's EvalObserver with the FeatureValue buffer its
-// firings reuse.
-type observer struct {
-	EvalObserver
-	vals []FeatureValue
+// evaluator is one evaluation's state, reused across the policy's rules: the
+// dedup sets, the binding being enumerated, the levels' candidate buffers
+// and the perc denominators summed so far. It serves one Evaluate call at a
+// time and writes nothing into the policy, so evaluations of one policy may
+// run at once.
+type evaluator struct {
+	snap                  *Snapshot
+	resource, interaction bool
+	out                   *Intents
+	dd                    *dedup
+	obs                   EvalObserver
+	vals                  []FeatureValue // a firing's values, reused
+
+	b      binding
+	inrefs []*InRefCond
+	joins  []*CallFeature      // per level: the join naming its candidates, or nil
+	cands  [][]*ActorInfo      // per level: the candidates a ref(...) or a join names
+	viol   []cluster.MachineID // a rule's violating servers, or one firing's server
+
+	examined, fired int
+	truncated       bool
+
+	// at[id] is the actor's index in Actors, filled by the first rule that
+	// joins (see rank); distinct is whether the join may use it.
+	at               []int32
+	ranked, distinct bool
+
+	percTotals map[percKey]int64
 }
 
-// fired reports one firing context with its comparisons' values.
-func (o *observer) fired(rule *Rule, anchor actor.Ref, snap *Snapshot, b *binding, ctxSrv *ServerInfo) {
-	o.vals = condValues(o.vals[:0], rule.Cond, snap, b, ctxSrv)
-	o.RuleFired(rule, anchor, ctxSrv.ID, o.vals)
-}
+// evaluators keeps evaluators between calls, so an evaluation reuses the
+// dedup sets and buffers earlier ones grew rather than growing its own.
+var evaluators = sync.Pool{New: func() any { return &evaluator{dd: newDedup()} }}
 
-// condValues appends to out the profiled left-hand value of every comparison
-// in a condition for one firing context. Pure: reads only the snapshot.
-func condValues(out []FeatureValue, c Cond, snap *Snapshot, b *binding, ctxSrv *ServerInfo) []FeatureValue {
-	WalkCmps(c, func(cond *CmpCond) {
-		if v, ok := evalFeature(cond.Feat, cond.Stat, snap, b, ctxSrv); ok {
-			out = append(out, FeatureValue{Feature: cond.String(), Value: v})
-		}
-	})
-	return out
+// release empties e of the evaluation it served and returns it to the pool.
+func (e *evaluator) release() {
+	e.snap, e.out, e.obs, e.ranked = nil, nil, nil, false
+	clear(e.percTotals)
+	clear(e.dd.pairs)
+	clear(e.dd.pins)
+	clear(e.dd.reserve)
+	clear(e.dd.provclass)
+	for _, c := range e.cands {
+		clear(c[:cap(c)])
+	}
+	evaluators.Put(e)
 }
 
 // dedup suppresses duplicate intents arising from multiple bindings of the
@@ -174,152 +204,29 @@ func newDedup() *dedup {
 	}
 }
 
-// binding maps binding refs (by identity of their VarDecl, or the ref
-// itself for anonymous patterns) to concrete actors.
+// binding holds the actor bound at each of a rule's BindingRefs, by
+// position; a slot not yet bound holds nil. The first slot's actor is the
+// anchor: its server is the rule's "server".
 type binding struct {
-	byDecl map[*VarDecl]*ActorInfo
-	byRef  map[*ActorRef]*ActorInfo
-	anchor *ActorInfo // first bound actor; its server is the rule's "server"
+	refs []*ActorRef
+	acts []*ActorInfo
+}
+
+// slot is the index of the binding ref that ref names, or -1.
+func (b *binding) slot(ref *ActorRef) int {
+	for i, r := range b.refs {
+		if sameBindingTarget(r, ref) {
+			return i
+		}
+	}
+	return -1
 }
 
 func (b *binding) lookup(ref *ActorRef) *ActorInfo {
-	if ref.Decl != nil {
-		return b.byDecl[ref.Decl]
+	if i := b.slot(ref); i >= 0 {
+		return b.acts[i]
 	}
-	return b.byRef[ref]
-}
-
-func evalRule(rule *Rule, snap *Snapshot, resource, interaction bool, out *Intents, dd *dedup, obs *observer) {
-	refs := rule.BindingRefs()
-	if len(refs) == 0 {
-		// Server-scoped rule (e.g. pure balance): the condition is checked
-		// against each server.
-		var violating []cluster.MachineID
-		examined := 0
-		for _, srv := range snap.Servers {
-			if !srv.Up {
-				continue
-			}
-			examined++
-			b := &binding{}
-			if evalCond(rule.Cond, snap, b, srv) {
-				violating = append(violating, srv.ID)
-				if obs != nil {
-					obs.fired(rule, actor.Ref{}, snap, b, srv)
-				}
-			}
-		}
-		if obs != nil {
-			obs.RuleEvaluated(rule, examined, len(violating))
-		}
-		if len(violating) > 0 {
-			emitBehaviors(rule, &binding{}, violating, resource, interaction, out, dd)
-		}
-		return
-	}
-
-	// Enumerate bindings with InRef-based pruning.
-	inrefs := collectInRefs(rule.Cond)
-	b := &binding{byDecl: map[*VarDecl]*ActorInfo{}, byRef: map[*ActorRef]*ActorInfo{}}
-	count := 0
-	fired := 0
-	var rec func(i int)
-	rec = func(i int) {
-		if count > maxBindings {
-			return
-		}
-		if i == len(refs) {
-			count++
-			ctxSrv := snap.Server(b.anchor.Server)
-			if ctxSrv == nil {
-				return
-			}
-			if evalCond(rule.Cond, snap, b, ctxSrv) {
-				fired++
-				if obs != nil {
-					obs.fired(rule, b.anchor.Ref, snap, b, ctxSrv)
-				}
-				emitBehaviors(rule, b, []cluster.MachineID{ctxSrv.ID}, resource, interaction, out, dd)
-			}
-			return
-		}
-		ref := refs[i]
-		cands := candidatesFor(ref, snap, b, inrefs)
-		for _, cand := range cands {
-			bind(b, ref, cand, i == 0)
-			rec(i + 1)
-			unbind(b, ref, i == 0)
-		}
-	}
-	rec(0)
-	if obs != nil {
-		obs.RuleEvaluated(rule, count, fired)
-	}
-}
-
-func bind(b *binding, ref *ActorRef, a *ActorInfo, first bool) {
-	if ref.Decl != nil {
-		b.byDecl[ref.Decl] = a
-	} else {
-		b.byRef[ref] = a
-	}
-	if first {
-		b.anchor = a
-	}
-}
-
-func unbind(b *binding, ref *ActorRef, first bool) {
-	if ref.Decl != nil {
-		delete(b.byDecl, ref.Decl)
-	} else {
-		delete(b.byRef, ref)
-	}
-	if first {
-		b.anchor = nil
-	}
-}
-
-func collectInRefs(c Cond) []*InRefCond {
-	var out []*InRefCond
-	var walk func(Cond)
-	walk = func(c Cond) {
-		switch cond := c.(type) {
-		case *AndCond:
-			walk(cond.L)
-			walk(cond.R)
-		case *OrCond:
-			walk(cond.L)
-			walk(cond.R)
-		case *InRefCond:
-			out = append(out, cond)
-		}
-	}
-	walk(c)
-	return out
-}
-
-// candidatesFor narrows a ref's candidates: when the ref is the subject of
-// an InRef whose container is already bound, only the container's property
-// refs qualify.
-func candidatesFor(ref *ActorRef, snap *Snapshot, b *binding, inrefs []*InRefCond) []*ActorInfo {
-	typ := ref.Type()
-	for _, ir := range inrefs {
-		if !sameBindingTarget(ir.Sub, ref) {
-			continue
-		}
-		container := b.lookup(ir.Container)
-		if container == nil {
-			continue
-		}
-		var cands []*ActorInfo
-		for _, pr := range container.Props[ir.Prop] {
-			if ai := snap.Actor(pr); ai != nil && (typ == AnyType || ai.Type == typ) {
-				cands = append(cands, ai)
-			}
-		}
-		return cands
-	}
-	return snap.OfType(typ)
+	return nil
 }
 
 // sameBindingTarget reports whether two refs bind the same slot.
@@ -330,17 +237,215 @@ func sameBindingTarget(a, b *ActorRef) bool {
 	return a.Decl != nil && a.Decl == b.Decl
 }
 
-func evalCond(c Cond, snap *Snapshot, b *binding, ctxSrv *ServerInfo) bool {
+func (e *evaluator) rule(rule *Rule) {
+	refs := rule.BindingRefs()
+	e.b.refs, e.b.acts = refs, slices.Grow(e.b.acts[:0], len(refs))[:len(refs)]
+	e.examined, e.fired, e.truncated = 0, 0, false
+	if len(refs) == 0 {
+		// Server-scoped rule (e.g. pure balance): the condition is checked
+		// against each server.
+		e.viol = e.viol[:0]
+		for _, srv := range e.snap.Servers {
+			if !srv.Up {
+				continue
+			}
+			e.examined++
+			if e.cond(rule.Cond, srv) {
+				e.viol = append(e.viol, srv.ID)
+				if e.obs != nil {
+					e.observe(rule, actor.Ref{}, srv)
+				}
+			}
+		}
+		e.fired = len(e.viol)
+		if e.fired > 0 {
+			e.emit(rule, e.viol)
+		}
+	} else {
+		e.inrefs = appendInRefs(e.inrefs[:0], rule.Cond)
+		e.joinLevels(rule.Cond)
+		for len(e.cands) < len(refs) {
+			e.cands = append(e.cands, nil)
+		}
+		e.enum(rule, 0)
+	}
+	if e.obs != nil {
+		e.obs.RuleEvaluated(rule, e.examined, e.fired, e.truncated)
+	}
+}
+
+// enum binds level i to each of its candidates in turn and, once every
+// level is bound, checks the condition in that context.
+func (e *evaluator) enum(rule *Rule, i int) {
+	if i == len(e.b.acts) {
+		e.check(rule)
+		return
+	}
+	for _, cand := range e.candidates(i) {
+		if e.truncated {
+			break
+		}
+		e.b.acts[i] = cand
+		e.enum(rule, i+1)
+	}
+	e.b.acts[i] = nil
+}
+
+// check evaluates the rule in the context of the complete binding.
+func (e *evaluator) check(rule *Rule) {
+	if e.examined == maxBindings {
+		e.truncated = true
+		return
+	}
+	e.examined++
+	anchor := e.b.acts[0]
+	ctxSrv := e.snap.Server(anchor.Server)
+	if ctxSrv == nil || !e.cond(rule.Cond, ctxSrv) {
+		return
+	}
+	e.fired++
+	if e.obs != nil {
+		e.observe(rule, anchor.Ref, ctxSrv)
+	}
+	e.viol = append(e.viol[:0], ctxSrv.ID)
+	e.emit(rule, e.viol)
+}
+
+// appendInRefs appends c's ref(...) atoms to out, in syntactic order.
+func appendInRefs(out []*InRefCond, c Cond) []*InRefCond {
+	switch cond := c.(type) {
+	case *AndCond:
+		return appendInRefs(appendInRefs(out, cond.L), cond.R)
+	case *OrCond:
+		return appendInRefs(appendInRefs(out, cond.L), cond.R)
+	case *InRefCond:
+		return append(out, cond)
+	}
+	return out
+}
+
+// joinLevels sets e.joins: per binding level, the call whose callers name
+// the level's candidates, or nil. A comparison joins when it is a top-level
+// conjunct caller.call(callee.m).stat op v whose callee binds at an earlier
+// level than its caller, and when it cannot hold at 0. Count, size and perc
+// are all 0 for a caller the callee's Calls do not name, so only a named
+// caller can then satisfy the condition. A comparison true at 0, or one
+// under an `or`, leaves its level on the cross product.
+func (e *evaluator) joinLevels(c Cond) {
+	n := len(e.b.refs)
+	e.joins = slices.Grow(e.joins[:0], n)[:n]
+	clear(e.joins)
+	e.join(c)
+}
+
+func (e *evaluator) join(c Cond) {
+	switch cond := c.(type) {
+	case *AndCond:
+		e.join(cond.L)
+		e.join(cond.R)
+	case *CmpCond:
+		f, ok := cond.Feat.(*CallFeature)
+		if !ok || f.Client || cond.Op.Apply(0, cond.Val) {
+			return
+		}
+		callee, caller := e.b.slot(f.Callee), e.b.slot(f.Caller)
+		if callee >= 0 && callee < caller && e.joins[caller] == nil && e.rank() {
+			e.joins[caller] = f
+		}
+	}
+}
+
+// rank fills e.at on its first call in an evaluation and reports whether
+// the join may use it. The join reaches callers through their ids, so
+// every listed actor must have a nonzero id of its own: Actor then returns
+// each one.
+func (e *evaluator) rank() bool {
+	if e.ranked {
+		return e.distinct
+	}
+	e.ranked, e.distinct = true, true
+	e.at = slices.Grow(e.at[:0], len(e.snap.byID))[:len(e.snap.byID)]
+	for i, a := range e.snap.Actors {
+		if a.Ref.ID == 0 || e.snap.Actor(a.Ref) != a {
+			e.distinct = false
+			break
+		}
+		e.at[a.Ref.ID] = int32(i)
+	}
+	return e.distinct
+}
+
+// candidates lists level i's actors: the container's property refs when
+// the level is the subject of a ref(...) whose container is bound; else the
+// callers its join's callee names; else every actor of its type. The last
+// two list actors in the same order.
+func (e *evaluator) candidates(i int) []*ActorInfo {
+	ref := e.b.refs[i]
+	typ := ref.Type()
+	for _, ir := range e.inrefs {
+		if !sameBindingTarget(ir.Sub, ref) {
+			continue
+		}
+		container := e.b.lookup(ir.Container)
+		if container == nil {
+			continue
+		}
+		cands := e.cands[i][:0]
+		for _, pr := range container.Props[ir.Prop] {
+			if ai := e.snap.Actor(pr); ai != nil && (typ == AnyType || ai.Type == typ) {
+				cands = append(cands, ai)
+			}
+		}
+		e.cands[i] = cands
+		return cands
+	}
+	if f := e.joins[i]; f != nil {
+		e.cands[i] = e.callers(e.cands[i][:0], e.b.lookup(f.Callee), f.FName, typ)
+		return e.cands[i]
+	}
+	return e.snap.OfType(typ)
+}
+
+// callers appends to buf the actors of type typ that callee's Calls name as
+// callers of method, each once, in Actors order: the order OfType lists
+// them in, so the order the cross product visits them in. (The profiler
+// sorts Calls by its own key; nothing here relies on that.)
+func (e *evaluator) callers(buf []*ActorInfo, callee *ActorInfo, method, typ string) []*ActorInfo {
+	for _, cs := range callee.Calls {
+		if cs.Method != method {
+			continue
+		}
+		if ai := e.snap.Actor(cs.Caller); ai != nil && (typ == AnyType || ai.Type == typ) {
+			buf = append(buf, ai)
+		}
+	}
+	slices.SortFunc(buf, func(x, y *ActorInfo) int { return cmp.Compare(e.at[x.Ref.ID], e.at[y.Ref.ID]) })
+	return slices.Compact(buf)
+}
+
+// observe reports one firing context with the profiled left-hand value of
+// every comparison in the rule's condition.
+func (e *evaluator) observe(rule *Rule, anchor actor.Ref, ctxSrv *ServerInfo) {
+	e.vals = e.vals[:0]
+	WalkCmps(rule.Cond, func(cond *CmpCond) {
+		if v, ok := e.feature(cond.Feat, cond.Stat, ctxSrv); ok {
+			e.vals = append(e.vals, FeatureValue{Feature: cond.String(), Value: v})
+		}
+	})
+	e.obs.RuleFired(rule, anchor, ctxSrv.ID, e.vals)
+}
+
+func (e *evaluator) cond(c Cond, ctxSrv *ServerInfo) bool {
 	switch cond := c.(type) {
 	case *TrueCond:
 		return true
 	case *AndCond:
-		return evalCond(cond.L, snap, b, ctxSrv) && evalCond(cond.R, snap, b, ctxSrv)
+		return e.cond(cond.L, ctxSrv) && e.cond(cond.R, ctxSrv)
 	case *OrCond:
-		return evalCond(cond.L, snap, b, ctxSrv) || evalCond(cond.R, snap, b, ctxSrv)
+		return e.cond(cond.L, ctxSrv) || e.cond(cond.R, ctxSrv)
 	case *InRefCond:
-		sub := b.lookup(cond.Sub)
-		container := b.lookup(cond.Container)
+		sub := e.b.lookup(cond.Sub)
+		container := e.b.lookup(cond.Container)
 		if sub == nil || container == nil {
 			return false
 		}
@@ -351,13 +456,13 @@ func evalCond(c Cond, snap *Snapshot, b *binding, ctxSrv *ServerInfo) bool {
 		}
 		return false
 	case *CmpCond:
-		v, ok := evalFeature(cond.Feat, cond.Stat, snap, b, ctxSrv)
+		v, ok := e.feature(cond.Feat, cond.Stat, ctxSrv)
 		return ok && cond.Op.Apply(v, cond.Val)
 	}
 	return false
 }
 
-func evalFeature(f Feature, stat Stat, snap *Snapshot, b *binding, ctxSrv *ServerInfo) (float64, bool) {
+func (e *evaluator) feature(f Feature, stat Stat, ctxSrv *ServerInfo) (float64, bool) {
 	switch feat := f.(type) {
 	case *ResFeature:
 		if feat.Server {
@@ -366,7 +471,7 @@ func evalFeature(f Feature, stat Stat, snap *Snapshot, b *binding, ctxSrv *Serve
 			}
 			return ctxSrv.Res(feat.Res), true
 		}
-		a := b.lookup(feat.Actor)
+		a := e.b.lookup(feat.Actor)
 		if a == nil {
 			return 0, false
 		}
@@ -375,22 +480,21 @@ func evalFeature(f Feature, stat Stat, snap *Snapshot, b *binding, ctxSrv *Serve
 		}
 		return a.ResOf(feat.Res), true
 	case *CallFeature:
-		callee := b.lookup(feat.Callee)
+		callee := e.b.lookup(feat.Callee)
 		if callee == nil {
 			return 0, false
 		}
-		wantCallerType := ""
-		var wantCaller actor.Ref
+		k := percKey{srv: callee.Server, method: feat.FName}
 		if feat.Client {
-			wantCallerType = actor.ClientCaller
+			k.callerType = actor.ClientCaller
 		} else if feat.Caller != nil {
-			if ca := b.lookup(feat.Caller); ca != nil {
-				wantCaller = ca.Ref
+			if ca := e.b.lookup(feat.Caller); ca != nil {
+				k.caller = ca.Ref
 			} else {
-				wantCallerType = feat.Caller.Type()
+				k.callerType = feat.Caller.Type()
 			}
 		}
-		count, bytes := sumCalls(callee, feat.FName, wantCallerType, wantCaller)
+		count, bytes := sumCalls(callee, k.method, k.callerType, k.caller)
 		switch stat {
 		case Count:
 			return float64(count), true
@@ -399,14 +503,7 @@ func evalFeature(f Feature, stat Stat, snap *Snapshot, b *binding, ctxSrv *Serve
 		case Perc:
 			// Share of this method's calls received by this actor among all
 			// actors on the same server (§3.2 category iii).
-			var total int64
-			for _, other := range snap.Actors {
-				if other.Server != callee.Server {
-					continue
-				}
-				c, _ := sumCalls(other, feat.FName, wantCallerType, wantCaller)
-				total += c
-			}
+			total := e.percTotal(k)
 			if total == 0 {
 				return 0, true
 			}
@@ -414,6 +511,36 @@ func evalFeature(f Feature, stat Stat, snap *Snapshot, b *binding, ctxSrv *Serve
 		}
 	}
 	return 0, false
+}
+
+// percKey names one perc denominator: a server, a method and a caller
+// filter (a caller type, or one caller).
+type percKey struct {
+	srv        cluster.MachineID
+	method     string
+	callerType string
+	caller     actor.Ref
+}
+
+// percTotal is a perc statistic's denominator: the calls under k's method
+// and caller filter that every actor on k's server received. Each is summed
+// once per evaluation: the first ask for a method and caller filter sums
+// every server's in one pass over the actors.
+func (e *evaluator) percTotal(k percKey) int64 {
+	if t, ok := e.percTotals[k]; ok {
+		return t
+	}
+	if e.percTotals == nil {
+		e.percTotals = map[percKey]int64{}
+	}
+	e.percTotals[k] = 0 // k's server may host no actor
+	for _, a := range e.snap.Actors {
+		c, _ := sumCalls(a, k.method, k.callerType, k.caller)
+		on := k
+		on.srv = a.Server
+		e.percTotals[on] += c
+	}
+	return e.percTotals[k]
 }
 
 func sumCalls(a *ActorInfo, method, callerType string, caller actor.Ref) (count, bytes int64) {
@@ -433,25 +560,32 @@ func sumCalls(a *ActorInfo, method, callerType string, caller actor.Ref) (count,
 	return count, bytes
 }
 
-func emitBehaviors(rule *Rule, b *binding, violating []cluster.MachineID, resource, interaction bool, out *Intents, dd *dedup) {
+// emit applies the rule's behaviors to the current binding; violating is
+// the servers it fired on.
+func (e *evaluator) emit(rule *Rule, violating []cluster.MachineID) {
+	out, dd := e.out, e.dd
 	for _, beh := range rule.Behaviors {
 		isRes := beh.Kind().IsResource()
-		if isRes && !resource || !isRes && !interaction {
+		if isRes && !e.resource || !isRes && !e.interaction {
 			continue
 		}
 		switch bh := beh.(type) {
 		case *BalanceBeh:
 			upper, lower := CondBounds(rule.Cond, bh.Res)
-			out.Balance = mergeBalance(out.Balance, BalanceIntent{
+			var kept bool
+			out.Balance, kept = mergeBalance(out.Balance, BalanceIntent{
 				Rule: rule, Types: bh.Types, Res: bh.Res, Upper: upper, Lower: lower, Violating: violating,
 			})
+			if kept {
+				e.viol = nil // the new intent owns violating's array
+			}
 		case *ReserveBeh:
-			if a := b.lookup(bh.Actor); a != nil && !dd.reserve[a.Ref] {
+			if a := e.b.lookup(bh.Actor); a != nil && !dd.reserve[a.Ref] {
 				dd.reserve[a.Ref] = true
 				out.Reserve = append(out.Reserve, ReserveIntent{Rule: rule, Actor: a.Ref, Res: bh.Res})
 			}
 		case *ColocateBeh:
-			if x, y := b.lookup(bh.A), b.lookup(bh.B); x != nil && y != nil && x.Ref != y.Ref {
+			if x, y := e.b.lookup(bh.A), e.b.lookup(bh.B); x != nil && y != nil && x.Ref != y.Ref {
 				key := [3]uint64{uint64(x.Ref.ID), uint64(y.Ref.ID), 0}
 				if !dd.pairs[key] {
 					dd.pairs[key] = true
@@ -459,7 +593,7 @@ func emitBehaviors(rule *Rule, b *binding, violating []cluster.MachineID, resour
 				}
 			}
 		case *SeparateBeh:
-			if x, y := b.lookup(bh.A), b.lookup(bh.B); x != nil && y != nil && x.Ref != y.Ref {
+			if x, y := e.b.lookup(bh.A), e.b.lookup(bh.B); x != nil && y != nil && x.Ref != y.Ref {
 				key := [3]uint64{uint64(x.Ref.ID), uint64(y.Ref.ID), 1}
 				if !dd.pairs[key] {
 					dd.pairs[key] = true
@@ -467,7 +601,7 @@ func emitBehaviors(rule *Rule, b *binding, violating []cluster.MachineID, resour
 				}
 			}
 		case *PinBeh:
-			if a := b.lookup(bh.Actor); a != nil && !dd.pins[a.Ref] {
+			if a := e.b.lookup(bh.Actor); a != nil && !dd.pins[a.Ref] {
 				dd.pins[a.Ref] = true
 				out.Pin = append(out.Pin, PinIntent{Rule: rule, Actor: a.Ref})
 			}
@@ -482,21 +616,19 @@ func emitBehaviors(rule *Rule, b *binding, violating []cluster.MachineID, resour
 }
 
 // mergeBalance collapses repeated triggers of the same balance rule into
-// one intent with the union of violating servers.
-func mergeBalance(list []BalanceIntent, bi BalanceIntent) []BalanceIntent {
+// one intent with the union of violating servers. It reports whether bi
+// became a new intent, which then keeps bi.Violating.
+func mergeBalance(list []BalanceIntent, bi BalanceIntent) ([]BalanceIntent, bool) {
 	for i := range list {
 		if list[i].Rule == bi.Rule {
-			have := map[cluster.MachineID]bool{}
-			for _, s := range list[i].Violating {
-				have[s] = true
-			}
+			had := list[i].Violating
 			for _, s := range bi.Violating {
-				if !have[s] {
+				if !slices.Contains(had, s) {
 					list[i].Violating = append(list[i].Violating, s)
 				}
 			}
-			return list
+			return list, false
 		}
 	}
-	return append(list, bi)
+	return append(list, bi), true
 }

@@ -135,6 +135,47 @@ func TestEvalPercDenominatorPerServer(t *testing.T) {
 	}
 }
 
+// TestEvalPercDenominatorSharedPerServer: two contexts on one server share
+// its denominator, summed once per evaluation, and a server's denominator
+// never leaks into another's. Per-caller filters keep their own: u gets 30
+// of w1's 40 runs on server 0 (75%) but 10 of w2's 10 (100%).
+func TestEvalPercDenominatorSharedPerServer(t *testing.T) {
+	pol := MustParse(`client.call(Folder(fo).open).perc >= 10 => pin(fo);
+Worker(w).call(Worker(u).run).perc > 0 => colocate(u, w);`)
+	b := newSnap().server(0, 0, 0, 0).server(1, 0, 0, 0)
+	a := b.actor("Folder", 0, 0)
+	peer := b.actor("Folder", 0, 0)
+	far := b.actor("Folder", 1, 0)
+	a.Calls = []CallStat{{CallerType: actor.ClientCaller, Method: "open", Count: 45}}
+	peer.Calls = []CallStat{{CallerType: actor.ClientCaller, Method: "open", Count: 5}}
+	far.Calls = []CallStat{{CallerType: actor.ClientCaller, Method: "open", Count: 25}}
+	w1 := b.actor("Worker", 1, 0)
+	w2 := b.actor("Worker", 1, 0)
+	u := b.actor("Worker", 0, 0)
+	v := b.actor("Worker", 0, 0)
+	u.Calls = []CallStat{{CallerType: "Worker", Caller: w1.Ref, Method: "run", Count: 30}, {CallerType: "Worker", Caller: w2.Ref, Method: "run", Count: 10}}
+	v.Calls = []CallStat{{CallerType: "Worker", Caller: w1.Ref, Method: "run", Count: 10}}
+	var rec recorder
+	in := EvaluateObserved(pol, b.build(), true, true, &rec)
+	want := map[actor.Ref]float64{a.Ref: 90, peer.Ref: 10, far.Ref: 100}
+	pairs := map[[2]actor.Ref]float64{{u.Ref, w1.Ref}: 75, {u.Ref, w2.Ref}: 100, {v.Ref, w1.Ref}: 25}
+	if len(rec.fires) != len(want)+len(pairs) || len(in.Pin) != len(want) || len(in.Colocate) != len(pairs) {
+		t.Fatalf("fires = %+v, intents = %+v", rec.fires, in)
+	}
+	for i, f := range rec.fires {
+		if i < len(want) {
+			if f.values[0].Value != want[f.anchor] {
+				t.Errorf("folder %v: perc %v, want %v", f.anchor, f.values[0].Value, want[f.anchor])
+			}
+			continue
+		}
+		c := in.Colocate[i-len(want)]
+		if got := f.values[0].Value; got != pairs[[2]actor.Ref{c.A, c.B}] {
+			t.Errorf("pair %v: perc %v, want %v", c, got, pairs[[2]actor.Ref{c.A, c.B}])
+		}
+	}
+}
+
 func TestEvalHaloRule(t *testing.T) {
 	pol := MustParse(haloPolicy)
 	b := newSnap().server(0, 0, 0, 0).server(1, 0, 0, 0)

@@ -24,7 +24,7 @@ func policyNames(pol *Policy) (types, props, methods []string) {
 				types = append(types, t)
 			}
 		})
-		for _, ir := range collectInRefs(r.Cond) {
+		for _, ir := range appendInRefs(nil, r.Cond) {
 			props = append(props, ir.Prop)
 		}
 		WalkCmps(r.Cond, func(c *CmpCond) {
@@ -126,17 +126,22 @@ func canonical(in *Intents) *Intents {
 // nopObserver watches an evaluation; observing must not change it.
 type nopObserver struct{}
 
-func (nopObserver) RuleEvaluated(*Rule, int, int)                                 {}
+func (nopObserver) RuleEvaluated(*Rule, int, int, bool)                           {}
 func (nopObserver) RuleFired(*Rule, actor.Ref, cluster.MachineID, []FeatureValue) {}
 
 // checkEvaluate evaluates pol against snap twice, the second time observed,
 // and reports the first property that fails: the two intent sets must be
-// equal, and every actor and server an intent names must be in the snapshot.
+// equal, the reference evaluator (eval_ref_test.go) must agree with them
+// (see diffEvaluate), and every actor and server an intent names must be in
+// the snapshot.
 func checkEvaluate(pol *Policy, snap *Snapshot, resource, interaction bool) string {
 	in := canonical(Evaluate(pol, snap, resource, interaction))
 	again := canonical(EvaluateObserved(pol, snap, resource, interaction, nopObserver{}))
 	if !reflect.DeepEqual(in, again) {
 		return "a second, observed evaluation gave different intents"
+	}
+	if d, _ := diffEvaluate(pol, snap, resource, interaction); d != "" {
+		return "the reference evaluator disagrees: " + d
 	}
 	var refs []actor.Ref
 	for _, r := range in.Reserve {
@@ -165,8 +170,9 @@ func checkEvaluate(pol *Policy, snap *Snapshot, resource, interaction bool) stri
 
 // FuzzEvaluate runs every policy that parses and passes Check against a
 // snapshot decoded from bytes (see decodeSnapshot). Evaluate must not panic,
-// two evaluations must give the same intents, and an intent may name only
-// actors and servers in the snapshot. The corpus is seeded with the paper's
+// two evaluations must give the same intents, the reference evaluator the
+// same intents and firings, and an intent may name only actors and servers
+// in the snapshot. The corpus is seeded with the paper's
 // policies, one rule on actor features, and the lint corpus,
 // internal/lint/testdata/*.epl.
 func FuzzEvaluate(f *testing.F) {

@@ -6,7 +6,10 @@ package epl
 // they must see exactly the thresholds and preference chains the EMR's
 // planner acts on, so these are the evaluator's own helpers, not copies.
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // WalkCmps calls f for every comparison atom in c, in syntactic order.
 func WalkCmps(c Cond, f func(*CmpCond)) {
@@ -141,13 +144,9 @@ func (r *Rule) ProvClassChain() []string {
 // enabled.
 func (r *Rule) BindingRefs() []*ActorRef {
 	var refs []*ActorRef
-	seenDecl := map[*VarDecl]bool{}
 	WalkRefs(r, func(ref *ActorRef) {
-		if ref.Decl != nil {
-			if seenDecl[ref.Decl] {
-				return
-			}
-			seenDecl[ref.Decl] = true
+		if ref.Decl != nil && slices.ContainsFunc(refs, func(seen *ActorRef) bool { return seen.Decl == ref.Decl }) {
+			return
 		}
 		refs = append(refs, ref)
 	})

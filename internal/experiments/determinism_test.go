@@ -8,6 +8,10 @@ import (
 	"plasma/internal/trace"
 )
 
+// sweepInputs is the traced runs' Inputs, shared by every id as
+// plasma-sim's sweep shares them.
+var sweepInputs = &Inputs{}
+
 // runCaptured executes one experiment id at a seed with a capturing tracer
 // and returns everything a byte-level comparison needs: the rendered
 // report, the decision-trace JSONL bytes, and the kernel event count; and
@@ -16,7 +20,7 @@ func runCaptured(t *testing.T, id string, seed int64) (render string, traceJSONL
 	t.Helper()
 	ring := trace.NewRing(1 << 20)
 	tr := trace.New(ring)
-	res, err := Run(id, Config{Seed: seed, Trace: tr})
+	res, err := Run(id, Config{Seed: seed, Trace: tr, Inputs: sweepInputs})
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -42,7 +46,9 @@ func runCaptured(t *testing.T, id string, seed int64) (render string, traceJSONL
 // The fifth is the id's untraced seed-1 run (seedOne), on the goroutine pool
 // runSeeds uses when no tracer is set. It must render what the traced run
 // renders, so observation is passive and the pool changes nothing
-// (TestRunSweepsEveryPeriodAndArm reads the same run's record).
+// (TestRunSweepsEveryPeriodAndArm reads the same run's record). It builds
+// its own inputs, where the traced runs share sweepInputs, so a shared
+// input changes nothing either.
 func TestAllQuickIDsDeterministic(t *testing.T) {
 	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {

@@ -118,6 +118,10 @@ type Config struct {
 	// so record timestamps are always the active kernel's virtual time.
 	Trace *trace.Tracer
 
+	// Inputs, when set, builds each workload input once for all the Runs
+	// that share it; nil builds them per Run, so a benchmarked id times its own.
+	Inputs *Inputs
+
 	// stats, when non-nil, is the run's record: the kernels created through
 	// Config.world and the invariant sweeps of run (set internally by Run).
 	stats *simTracker
@@ -474,6 +478,9 @@ func Run(id string, cfg Config) (*Result, error) {
 // exec is Run on the record tr.
 func (e experiment) exec(cfg Config, tr *simTracker) *Result {
 	cfg.stats = tr
+	if cfg.Inputs == nil {
+		cfg.Inputs = &Inputs{}
+	}
 	res := &Result{ID: e.id, Title: e.title, Summary: map[string]float64{}}
 	e.run(cfg, res)
 	res.EventsFired, res.PeakQueue = tr.totals()

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"plasma/internal/apps/pagerank"
 	"plasma/internal/baseline"
@@ -39,8 +40,8 @@ func (su prSetup) instance() cluster.InstanceType {
 }
 
 // prInput is the generated graph and its partition. Both depend only on
-// (setup, seed) and nothing writes to them, so an id builds one per seed and
-// hands it to every arm it runs at that seed.
+// (setup, seed) and nothing writes to them, so Config.input builds one per
+// seed and hands it to every arm that asks.
 type prInput struct {
 	g     *graph.Graph
 	parts []int
@@ -49,6 +50,20 @@ type prInput struct {
 func pagerankInput(su prSetup, seed int64) prInput {
 	g := graph.GeneratePowerLaw(su.vertices, su.avgDeg, 2.1, seed)
 	return prInput{g: g, parts: graph.PartitionMultilevel(g, su.workers, seed)}
+}
+
+// Inputs keeps a sweep's PageRank inputs; the zero value is ready to use.
+type Inputs struct{ pr sync.Map }
+
+// input is pagerankInput, built once per (vertices, avgDeg, workers, seed)
+// for all the Runs that share c.Inputs.
+func (c Config) input(su prSetup, seed int64) prInput {
+	k := [4]float64{float64(su.vertices), su.avgDeg, float64(su.workers), float64(seed)}
+	in, ok := c.Inputs.pr.Load(k)
+	if !ok {
+		in, _ = c.Inputs.pr.LoadOrStore(k, pagerankInput(su, seed))
+	}
+	return in.(prInput)
 }
 
 // prArm is one PageRank arm: the scenario that deploys the job and steps it
@@ -100,13 +115,9 @@ func randomPlacement(seed int64, workers, machines int) []cluster.MachineID {
 func fig6a(cfg Config, su prSetup, r *Result) {
 	r.Header = []string{"Elasticity", "Converged iteration time", "Runs"}
 	seeds := []int64{cfg.Seed, cfg.Seed + 1, cfg.Seed + 2}
-	inputs := make([]prInput, len(seeds))
-	for i, seed := range seeds {
-		inputs[i] = pagerankInput(su, seed)
-	}
 
-	arm := func(mode string, seed int64, in prInput) sim.Duration {
-		a := pagerankArm(su, in, 8, randomPlacement(seed*7+1, su.workers, 8), 20*sim.Minute)
+	arm := func(mode string, seed int64) sim.Duration {
+		a := pagerankArm(su, cfg.input(su, seed), 8, randomPlacement(seed*7+1, su.workers, 8), 20*sim.Minute)
 		switch mode {
 		case "plasma":
 			a.policy, a.emr = pagerank.PolicySrc, emr.Config{Period: su.period}
@@ -123,8 +134,8 @@ func fig6a(cfg Config, su prSetup, r *Result) {
 	means := map[string]float64{}
 	for _, mode := range []string{"plasma", "orleans"} {
 		var sum sim.Duration
-		for i, seed := range seeds {
-			sum += arm(mode, seed, inputs[i])
+		for _, seed := range seeds {
+			sum += arm(mode, seed)
 		}
 		mean := sum / sim.Duration(len(seeds))
 		means[mode] = float64(mean)
@@ -146,7 +157,7 @@ func fig6a(cfg Config, su prSetup, r *Result) {
 func fig6b(cfg Config, su prSetup, r *Result) {
 	r.Header = []string{"Setup", "Converged iteration time", "Servers used"}
 	su.iterations *= 5 // give scale-out time to converge
-	in := pagerankInput(su, cfg.Seed)
+	in := cfg.input(su, cfg.Seed)
 
 	// Conservative: 16 servers, 2 workers (one per vCPU) each.
 	placement := make([]cluster.MachineID, su.workers)
@@ -188,7 +199,7 @@ func fig7a(cfg Config, su prSetup, r *Result) {
 	// has not converged by then — one reason its measured gain is small).
 	su.iterations = 19
 	su.period = su.period / 2
-	in := pagerankInput(su, cfg.Seed)
+	in := cfg.input(su, cfg.Seed)
 
 	arm := func(system string, elastic bool) []sim.Duration {
 		su := su
@@ -237,7 +248,7 @@ func fig7a(cfg Config, su prSetup, r *Result) {
 // per-server CPU% at each redistribution (elasticity period), reported as
 // the spread across servers at the first and the last.
 func fig7bc(cfg Config, su prSetup, r *Result) {
-	a := pagerankArm(su, pagerankInput(su, cfg.Seed), 8, randomPlacement(cfg.Seed*7+1, su.workers, 8), 20*sim.Minute)
+	a := pagerankArm(su, cfg.input(su, cfg.Seed), 8, randomPlacement(cfg.Seed*7+1, su.workers, 8), 20*sim.Minute)
 	a.policy, a.emr = pagerank.PolicySrc, emr.Config{Period: su.period}
 	// cpu[i] is server i's CPU% at each redistribution its snapshot row saw.
 	var cpu [8][]float64
@@ -276,7 +287,7 @@ func fig7bc(cfg Config, su prSetup, r *Result) {
 func fig8(cfg Config, su prSetup, r *Result) {
 	su.iterations *= 5
 
-	a := pagerankArm(su, pagerankInput(su, cfg.Seed), 1, make([]cluster.MachineID, su.workers), 40*sim.Minute)
+	a := pagerankArm(su, cfg.input(su, cfg.Seed), 1, make([]cluster.MachineID, su.workers), 40*sim.Minute)
 	a.policy, a.emr = pagerank.PolicySrc, emr.Config{Period: su.period, ScaleOut: true, InstanceType: su.instance()}
 
 	out := run(cfg, cfg.Seed, a.scenario)

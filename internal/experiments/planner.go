@@ -42,7 +42,7 @@ func planPagerank(cfg Config, su prSetup, r *Result) {
 	su.state = 4 << 20 // ~1.5 GB per worker: memory is a real axis
 	seed := cfg.Seed
 
-	a := pagerankArm(su, pagerankInput(su, seed), 8, randomPlacement(seed*7+1, su.workers, 8), 30*sim.Minute)
+	a := pagerankArm(su, cfg.input(su, seed), 8, randomPlacement(seed*7+1, su.workers, 8), 30*sim.Minute)
 	a.policy, a.emr = planPagerankPolicy, emr.Config{Period: su.period}
 	out := run(cfg, seed, a.scenario)
 
