@@ -369,6 +369,8 @@ type Rule struct {
 	Behaviors []Behavior
 	Vars      []*VarDecl // inline variable declarations, in source order
 	Pos       Pos
+
+	levels []level // the evaluator's enumeration plan, fixed at parse
 }
 
 // HasResourceBehavior reports whether any behavior is [r-r]: GEMs evaluate

@@ -97,9 +97,9 @@ type EvalObserver interface {
 	// contexts examined, how many of them fired, and whether the enumeration
 	// stopped at maxBindings. A server-scoped rule examines every up server;
 	// any other rule the complete bindings its enumeration reached, which a
-	// ref(...) or a call-relation join (see joinLevels) narrows to the
-	// actors that could satisfy it: the contexts checked, not the cross
-	// product of the rule's types.
+	// top-level ref(...) or call-relation join in the rule's plan (see plan)
+	// narrows to the actors that could satisfy it: the contexts checked,
+	// not the cross product of the rule's types.
 	RuleEvaluated(rule *Rule, examined, fired int, truncated bool)
 	// RuleFired is called for each firing context. anchor is the zero Ref
 	// for server-scoped rules; values lists the profiled comparisons that
@@ -124,16 +124,9 @@ func EvaluateObserved(pol *Policy, snap *Snapshot, resource, interaction bool, o
 	defer e.release()
 	e.snap, e.resource, e.interaction, e.out, e.obs = snap, resource, interaction, &Intents{}, obs
 	for _, rule := range pol.Rules {
-		wantRule := false
-		for _, b := range rule.Behaviors {
-			if b.Kind().IsResource() && resource || !b.Kind().IsResource() && interaction {
-				wantRule = true
-			}
+		if resource && rule.HasResourceBehavior() || interaction && rule.HasInteractionBehavior() {
+			e.rule(rule)
 		}
-		if !wantRule {
-			continue
-		}
-		e.rule(rule)
 	}
 	return e.out
 }
@@ -151,11 +144,9 @@ type evaluator struct {
 	obs                   EvalObserver
 	vals                  []FeatureValue // a firing's values, reused
 
-	b      binding
-	inrefs []*InRefCond
-	joins  []*CallFeature      // per level: the join naming its candidates, or nil
-	cands  [][]*ActorInfo      // per level: the candidates a ref(...) or a join names
-	viol   []cluster.MachineID // a rule's violating servers, or one firing's server
+	b     binding
+	cands [][]*ActorInfo      // per level: the candidates a ref(...) or a join names
+	viol  []cluster.MachineID // a rule's violating servers, or one firing's server
 
 	examined, fired int
 	truncated       bool
@@ -204,18 +195,67 @@ func newDedup() *dedup {
 	}
 }
 
-// binding holds the actor bound at each of a rule's BindingRefs, by
-// position; a slot not yet bound holds nil. The first slot's actor is the
-// anchor: its server is the rule's "server".
-type binding struct {
-	refs []*ActorRef
-	acts []*ActorInfo
+// level is one step of a rule's enumeration: the ref it binds and where its
+// candidates come from. An inref takes precedence over a join; with
+// neither, the level takes every actor of its type.
+type level struct {
+	ref   *ActorRef
+	inref *InRefCond   // candidates: its container's property refs
+	join  *CallFeature // candidates: the callers its callee's Calls name
 }
 
-// slot is the index of the binding ref that ref names, or -1.
+// plan is a rule's enumeration, one level per BindingRefs entry; the parser
+// computes it once per rule. Only the condition's top-level `and`
+// conjuncts narrow a level: each must hold for the rule to fire, so an
+// actor one excludes cannot satisfy the condition, while a conjunct under
+// an `or` may be false in a firing context. A level's inref is the first
+// such ref(...), in syntactic order, whose subject it binds and whose
+// container binds at an earlier level. Its join is the first comparison
+// caller.call(callee.m).stat op v whose caller it binds, whose callee binds
+// earlier, and which cannot hold at 0: count, size and perc are all 0 for a
+// caller the callee's Calls do not name.
+func plan(rule *Rule) []level {
+	refs := rule.BindingRefs()
+	b := binding{levels: make([]level, len(refs))}
+	for i, ref := range refs {
+		b.levels[i].ref = ref
+	}
+	var narrow func(c Cond)
+	narrow = func(c Cond) {
+		switch cond := c.(type) {
+		case *AndCond:
+			narrow(cond.L)
+			narrow(cond.R)
+		case *InRefCond:
+			if sub := b.slot(cond.Sub); b.slot(cond.Container) < sub && b.levels[sub].inref == nil {
+				b.levels[sub].inref = cond
+			}
+		case *CmpCond:
+			f, ok := cond.Feat.(*CallFeature)
+			if !ok || f.Client || cond.Op.Apply(0, cond.Val) {
+				return
+			}
+			if caller := b.slot(f.Caller); b.slot(f.Callee) < caller && b.levels[caller].join == nil {
+				b.levels[caller].join = f
+			}
+		}
+	}
+	narrow(rule.Cond)
+	return b.levels
+}
+
+// binding holds the actor bound at each of a rule's levels, by position; a
+// slot not yet bound holds nil. The first slot's actor is the anchor: its
+// server is the rule's "server".
+type binding struct {
+	levels []level
+	acts   []*ActorInfo
+}
+
+// slot is the index of the level that binds ref, or -1.
 func (b *binding) slot(ref *ActorRef) int {
-	for i, r := range b.refs {
-		if sameBindingTarget(r, ref) {
+	for i := range b.levels {
+		if sameBindingTarget(b.levels[i].ref, ref) {
 			return i
 		}
 	}
@@ -238,10 +278,10 @@ func sameBindingTarget(a, b *ActorRef) bool {
 }
 
 func (e *evaluator) rule(rule *Rule) {
-	refs := rule.BindingRefs()
-	e.b.refs, e.b.acts = refs, slices.Grow(e.b.acts[:0], len(refs))[:len(refs)]
+	n := len(rule.levels)
+	e.b.levels, e.b.acts = rule.levels, slices.Grow(e.b.acts[:0], n)[:n]
 	e.examined, e.fired, e.truncated = 0, 0, false
-	if len(refs) == 0 {
+	if n == 0 {
 		// Server-scoped rule (e.g. pure balance): the condition is checked
 		// against each server.
 		e.viol = e.viol[:0]
@@ -262,9 +302,7 @@ func (e *evaluator) rule(rule *Rule) {
 			e.emit(rule, e.viol)
 		}
 	} else {
-		e.inrefs = appendInRefs(e.inrefs[:0], rule.Cond)
-		e.joinLevels(rule.Cond)
-		for len(e.cands) < len(refs) {
+		for len(e.cands) < n {
 			e.cands = append(e.cands, nil)
 		}
 		e.enum(rule, 0)
@@ -311,52 +349,8 @@ func (e *evaluator) check(rule *Rule) {
 	e.emit(rule, e.viol)
 }
 
-// appendInRefs appends c's ref(...) atoms to out, in syntactic order.
-func appendInRefs(out []*InRefCond, c Cond) []*InRefCond {
-	switch cond := c.(type) {
-	case *AndCond:
-		return appendInRefs(appendInRefs(out, cond.L), cond.R)
-	case *OrCond:
-		return appendInRefs(appendInRefs(out, cond.L), cond.R)
-	case *InRefCond:
-		return append(out, cond)
-	}
-	return out
-}
-
-// joinLevels sets e.joins: per binding level, the call whose callers name
-// the level's candidates, or nil. A comparison joins when it is a top-level
-// conjunct caller.call(callee.m).stat op v whose callee binds at an earlier
-// level than its caller, and when it cannot hold at 0. Count, size and perc
-// are all 0 for a caller the callee's Calls do not name, so only a named
-// caller can then satisfy the condition. A comparison true at 0, or one
-// under an `or`, leaves its level on the cross product.
-func (e *evaluator) joinLevels(c Cond) {
-	n := len(e.b.refs)
-	e.joins = slices.Grow(e.joins[:0], n)[:n]
-	clear(e.joins)
-	e.join(c)
-}
-
-func (e *evaluator) join(c Cond) {
-	switch cond := c.(type) {
-	case *AndCond:
-		e.join(cond.L)
-		e.join(cond.R)
-	case *CmpCond:
-		f, ok := cond.Feat.(*CallFeature)
-		if !ok || f.Client || cond.Op.Apply(0, cond.Val) {
-			return
-		}
-		callee, caller := e.b.slot(f.Callee), e.b.slot(f.Caller)
-		if callee >= 0 && callee < caller && e.joins[caller] == nil && e.rank() {
-			e.joins[caller] = f
-		}
-	}
-}
-
 // rank fills e.at on its first call in an evaluation and reports whether
-// the join may use it. The join reaches callers through their ids, so
+// a join may use it. The join reaches callers through their ids, so
 // every listed actor must have a nonzero id of its own: Actor then returns
 // each one.
 func (e *evaluator) rank() bool {
@@ -375,35 +369,28 @@ func (e *evaluator) rank() bool {
 	return e.distinct
 }
 
-// candidates lists level i's actors: the container's property refs when
-// the level is the subject of a ref(...) whose container is bound; else the
-// callers its join's callee names; else every actor of its type. The last
-// two list actors in the same order.
+// candidates lists level i's actors as its plan says: the property refs of
+// its inref's bound container; else the callers its join's bound callee
+// names, when the snapshot's ids allow the join (see rank); else every
+// actor of its type. The last two list actors in the same order.
 func (e *evaluator) candidates(i int) []*ActorInfo {
-	ref := e.b.refs[i]
-	typ := ref.Type()
-	for _, ir := range e.inrefs {
-		if !sameBindingTarget(ir.Sub, ref) {
-			continue
-		}
-		container := e.b.lookup(ir.Container)
-		if container == nil {
-			continue
-		}
+	l := &e.b.levels[i]
+	typ := l.ref.Type()
+	switch {
+	case l.inref != nil:
 		cands := e.cands[i][:0]
-		for _, pr := range container.Props[ir.Prop] {
+		for _, pr := range e.b.lookup(l.inref.Container).Props[l.inref.Prop] {
 			if ai := e.snap.Actor(pr); ai != nil && (typ == AnyType || ai.Type == typ) {
 				cands = append(cands, ai)
 			}
 		}
 		e.cands[i] = cands
-		return cands
+	case l.join != nil && e.rank():
+		e.cands[i] = e.callers(e.cands[i][:0], e.b.lookup(l.join.Callee), l.join.FName, typ)
+	default:
+		return e.snap.OfType(typ)
 	}
-	if f := e.joins[i]; f != nil {
-		e.cands[i] = e.callers(e.cands[i][:0], e.b.lookup(f.Callee), f.FName, typ)
-		return e.cands[i]
-	}
-	return e.snap.OfType(typ)
+	return e.cands[i]
 }
 
 // callers appends to buf the actors of type typ that callee's Calls name as

@@ -2,7 +2,8 @@ package epl
 
 // eval_ref_test.go keeps the evaluator as it was before bindings became
 // positional slots and call comparisons became joins: a cross product over
-// every binding ref, two maps written and deleted per context. The
+// every binding ref, two maps written and deleted per context, narrowed
+// only by ref(...) atoms that are top-level `and` conjuncts. The
 // differential tests (eval_diff_test.go, FuzzEvaluate) hold Evaluate to it
 // intent for intent and firing for firing.
 
@@ -195,15 +196,15 @@ func refUnbind(b *refBinding, ref *ActorRef, first bool) {
 	}
 }
 
+// refCollectInRefs lists c's ref(...) atoms that are top-level `and`
+// conjuncts: one under an `or` need not hold where the rule fires, so it
+// narrows nothing.
 func refCollectInRefs(c Cond) []*InRefCond {
 	var out []*InRefCond
 	var walk func(Cond)
 	walk = func(c Cond) {
 		switch cond := c.(type) {
 		case *AndCond:
-			walk(cond.L)
-			walk(cond.R)
-		case *OrCond:
 			walk(cond.L)
 			walk(cond.R)
 		case *InRefCond:

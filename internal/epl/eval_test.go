@@ -332,6 +332,25 @@ func TestEvalInRefPruningMatchesCrossProduct(t *testing.T) {
 	}
 }
 
+// refUnderOrRule puts a ref(...) under an `or`: on a server above 50% the
+// condition holds for every player, listed in the session or not.
+const refUnderOrRule = `Session(s).cpu.perc >= 0 and (Player(p) in ref(s.players) or server.cpu.perc > 50) => colocate(p, s);`
+
+func TestEvalInRefUnderOrNarrowsNothing(t *testing.T) {
+	pol := MustParse(refUnderOrRule)
+	b := newSnap().server(0, 90, 0, 0)
+	s := b.actor("Session", 0, 0)
+	listed := b.actor("Player", 0, 0)
+	b.actor("Player", 0, 0)
+	b.actor("Player", 0, 0)
+	s.Props["players"] = []actor.Ref{listed.Ref}
+	// The session's server is at 90%, so the `or` holds for each of the
+	// three players: one colocate intent per player.
+	if in := Evaluate(pol, b.build(), true, true); len(in.Colocate) != 3 {
+		t.Fatalf("colocate = %+v, want one per player (3)", in.Colocate)
+	}
+}
+
 func TestEvalEmptySnapshot(t *testing.T) {
 	pol := MustParse(mediaPolicy)
 	in := Evaluate(pol, (&Snapshot{}).Index(), true, true)

@@ -18,15 +18,26 @@ import (
 // actors the rules can bind and actors they must pass over.
 func policyNames(pol *Policy) (types, props, methods []string) {
 	types, props, methods = []string{"Other"}, []string{"other"}, []string{"other"}
+	var inrefProps func(c Cond)
+	inrefProps = func(c Cond) {
+		switch cond := c.(type) {
+		case *AndCond:
+			inrefProps(cond.L)
+			inrefProps(cond.R)
+		case *OrCond:
+			inrefProps(cond.L)
+			inrefProps(cond.R)
+		case *InRefCond:
+			props = append(props, cond.Prop)
+		}
+	}
 	for _, r := range pol.Rules {
 		WalkRefs(r, func(ref *ActorRef) {
 			if t := ref.Type(); t != "" && t != AnyType {
 				types = append(types, t)
 			}
 		})
-		for _, ir := range appendInRefs(nil, r.Cond) {
-			props = append(props, ir.Prop)
-		}
+		inrefProps(r.Cond)
 		WalkCmps(r.Cond, func(c *CmpCond) {
 			if call, ok := c.Feat.(*CallFeature); ok {
 				methods = append(methods, call.FName)
@@ -181,7 +192,8 @@ func FuzzEvaluate(f *testing.F) {
 		f.Fatalf("no seed policies in ../lint/testdata (%v)", err)
 	}
 	srcs := []string{metadataPolicy, pagerankPolicy, estorePolicy, mediaPolicy, haloPolicy,
-		"Worker(w).cpu.perc > 20 and w.mem.size > 9000000 or Worker(x).call(w.run).perc >= 50 => separate(w, x); pin(w);"}
+		"Worker(w).cpu.perc > 20 and w.mem.size > 9000000 or Worker(x).call(w.run).perc >= 50 => separate(w, x); pin(w);",
+		refUnderOrRule}
 	for _, path := range files {
 		src, err := os.ReadFile(path)
 		if err != nil {

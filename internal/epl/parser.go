@@ -102,6 +102,7 @@ func (p *parser) parseRule() (*Rule, error) {
 	if err := p.bind(rule); err != nil {
 		return nil, err
 	}
+	rule.levels = plan(rule)
 	return rule, nil
 }
 

@@ -94,7 +94,7 @@ func pagerankChaosArm(stretch int, seed int64) scenario {
 	}
 	a := pagerankArm(su, pagerankInput(su, seed), 4, placement, 120*sim.Second)
 	a.policy = pagerank.PolicySrc
-	a.emr = emr.Config{Period: su.period, NumGEMs: 2, MinResidence: su.period}
+	a.emr = emr.Config{Period: su.period, NumGEMs: 2}
 	a.faults = &faultPlan{floor: 4, msg: chaosMsgFaults, draw: chaos.ScheduleOpts{
 		Horizon: sim.Time(20 * sim.Second),
 		GEMs:    2, LEMs: []int{0, 1, 2, 3},
@@ -127,7 +127,7 @@ func mediaChaosArm(stretch int, _ int64) scenario {
 		build:  func(w *core.World) { app = mediaservice.Build(w.K, w.RT, []cluster.MachineID{0, 1, 2, 3}, 4) },
 		wire:   true,
 		policy: mediaservice.PolicySrc,
-		emr:    emr.Config{Period: period, NumGEMs: 2, MinResidence: period},
+		emr:    emr.Config{Period: period, NumGEMs: 2},
 		faults: &faultPlan{floor: 3, protected: []cluster.MachineID{clientSite}, msg: chaosMsgFaults,
 			draw: chaos.ScheduleOpts{
 				Horizon:  sim.Time(total) * 6 / 10,
@@ -174,7 +174,7 @@ func haloChaosArm(stretch int, _ int64) scenario {
 	lastReply := sim.Time(-1)
 	sc := h.arm()
 	sc.policy = halo.FullPolicySrc
-	sc.emr = emr.Config{Period: period, NumGEMs: 2, MinResidence: period}
+	sc.emr = emr.Config{Period: period, NumGEMs: 2}
 	sc.faults = &faultPlan{floor: h.servers / 2, msg: chaosMsgFaults,
 		protected: []cluster.MachineID{cluster.MachineID(h.servers), cluster.MachineID(h.servers + 1)},
 		draw: chaos.ScheduleOpts{

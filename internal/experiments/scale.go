@@ -77,7 +77,7 @@ func scaleTrial(cfg Config, seed int64, size, gems int) scaleResult {
 			}
 		},
 		policy:  scalePolicy,
-		emr:     emr.Config{Period: scalePeriod, NumGEMs: gems, MinResidence: scalePeriod},
+		emr:     emr.Config{Period: scalePeriod, NumGEMs: gems},
 		horizon: 4*scalePeriod + scalePeriod/2,
 	})
 

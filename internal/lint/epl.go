@@ -339,7 +339,7 @@ func shadowingPass(pol *epl.Policy) []Diagnostic {
 			if !regionContained(dnfs[j].djs, dnfs[i].djs) {
 				continue
 			}
-			desc, clash := behaviorsClash(pol, pol.Rules[i], pol.Rules[j])
+			desc, clash := behaviorsClash(pol.Rules[i], pol.Rules[j])
 			if !clash {
 				continue
 			}
@@ -378,7 +378,7 @@ func regionContained(inner, outer []*disjunct) bool {
 // behaviorsClash reports whether two rules' behaviors demand contradictory
 // placements for overlapping types — one of epl's §4.3 conflict classes —
 // or contradictory provisioning preferences.
-func behaviorsClash(pol *epl.Policy, ri, rj *epl.Rule) (string, bool) {
+func behaviorsClash(ri, rj *epl.Rule) (string, bool) {
 	if desc, ok := epl.Clash(ri, rj); ok {
 		return desc, true
 	}
