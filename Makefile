@@ -164,11 +164,12 @@ trace-smoke:
 # events at one far instant from staged earlier instants, so one refill
 # files 63 of them into one bottom slot, and its bottom-block-edges entry
 # schedules either side of the 4,096 µs block edges. FuzzPolicy: EPL source that parses must print,
-# reparse and print the same string, and epl.Check and the analyzer must not
-# panic on it. FuzzEvaluate: every policy that parses and passes epl.Check,
-# evaluated against a snapshot of 1-8 servers and up to 32 actors decoded
-# from bytes, must not panic, must give the same intents twice, and may name
-# only actors and servers in the snapshot. FuzzSchema: the schema file
+# reparse to the same condition trees and print the same string, and
+# epl.Check and the analyzer must not panic on it. FuzzEvaluate: every
+# policy that parses and passes epl.Check, evaluated against a snapshot of
+# 1-8 servers and up to 32 actors decoded from bytes, must not panic, must
+# give the same intents twice, may name only actors in the snapshot, and
+# gives one intent per balance or provclass behavior. FuzzSchema: the schema file
 # parser must not panic on any bytes, every schema it accepts must hold one
 # class per entry under a non-empty, unique name, and epl.Check against it
 # must not panic. FuzzEnvelope: the //lint:envelope and

@@ -64,7 +64,6 @@ func NewDecisionBench(actors, servers int) *DecisionBench {
 		srvCPU[i], srvMem[i] = cpu, mem
 		snap.Servers = append(snap.Servers, &epl.ServerInfo{
 			ID: cluster.MachineID(i), CPUPerc: cpu, MemPerc: mem, NetPerc: 20,
-			VCPUs: typ.VCPUs, MemMB: typ.MemMB, NetMbps: typ.NetMbps, Up: true,
 		})
 	}
 	per := actors / servers

@@ -204,7 +204,7 @@ func TestResidentsMatchMapGrouping(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	snap := &epl.Snapshot{}
 	for i := 0; i < 8; i++ {
-		snap.Servers = append(snap.Servers, &epl.ServerInfo{ID: cluster.MachineID(i), Up: true})
+		snap.Servers = append(snap.Servers, &epl.ServerInfo{ID: cluster.MachineID(i)})
 	}
 	occupied := []cluster.MachineID{0, 2, 4, 5, 6, 7} // 1 and 3 hold no actor
 	for i := 0; i < 200; i++ {

@@ -1,6 +1,7 @@
 package emr
 
 import (
+	"slices"
 	"testing"
 
 	"plasma/internal/actor"
@@ -148,6 +149,69 @@ server.cpu.perc > 80 and client.call(Folder(fo).open).perc > 40 => reserve(fo, c
 	}
 	if owner := m.srv(1).owner; owner != hot {
 		t.Fatalf("server 1 reserved for %v, want %v", owner, hot)
+	}
+}
+
+// TestReserveMovesPinnedActor runs a rule that both pins and reserves the
+// hot folder. Reserve outranks pin (EPL103): the folder moves to the empty
+// server the reservation dedicates to it and is pinned there.
+func TestReserveMovesPinnedActor(t *testing.T) {
+	e := newEnv(1, 3, 1)
+	pol := epl.MustParse(`
+server.cpu.perc > 80 and client.call(Folder(fo).open).perc > 40 => pin(fo); reserve(fo, cpu);
+`)
+	hot := e.rt.SpawnOn("Folder", actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
+		ctx.Use(30 * sim.Millisecond)
+		ctx.Reply(nil, 32)
+	}), 0)
+	cold := e.rt.SpawnOn("Folder", actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
+		ctx.Use(10 * sim.Millisecond)
+		ctx.Reply(nil, 32)
+	}), 0)
+	e.rt.SpawnOn("Other", actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {}), 2)
+	e.rt.Pin(hot)
+
+	m := New(e.k, e.c, e.rt, e.prof, pol, Config{Period: sim.Second, MinResidence: sim.Millisecond})
+	m.Start()
+	cl := actor.NewClient(e.rt, 2)
+	e.k.Every(20*sim.Millisecond, func() bool {
+		cl.Request(hot, "open", nil, 64, nil)
+		cl.Request(hot, "open", nil, 64, nil)
+		cl.Request(cold, "open", nil, 64, nil)
+		return e.k.Now() < sim.Time(8*sim.Second)
+	})
+	e.k.Run(sim.Time(10 * sim.Second))
+
+	if got := e.rt.ServerOf(hot); got != 1 {
+		t.Fatalf("pinned hot folder on %d, want its dedicated server 1", got)
+	}
+	if owner := m.srv(1).owner; owner != hot {
+		t.Fatalf("server 1 reserved for %v, want %v", owner, hot)
+	}
+	if !e.rt.Pinned(hot) {
+		t.Fatal("hot folder lost its pin on the move")
+	}
+}
+
+// TestProvClassPairSetsPreference evaluates a rule with two provclass
+// behaviors at a GEM: the manager's scale-out preference is both classes,
+// in behavior order, as the rule's ProvClassChain (which lint/model reads)
+// states.
+func TestProvClassPairSetsPreference(t *testing.T) {
+	e := newEnv(1, 2, 1)
+	pol := epl.MustParse(`server.cpu.perc > 80 => provclass({warm}); provclass({container});`)
+	w := e.rt.SpawnOn("Worker", worker(95), 0)
+	m := New(e.k, e.c, e.rt, e.prof, pol, Config{Period: sim.Second, MinResidence: sim.Millisecond})
+	m.Start()
+	startWork(e, w)
+	e.k.Run(sim.Time(3 * sim.Second))
+
+	var got []string
+	for _, pc := range m.provPref {
+		got = append(got, pc.String())
+	}
+	if want := pol.Rules[0].ProvClassChain(); !slices.Equal(got, want) || len(want) != 2 {
+		t.Fatalf("provisioning preference = %v, want the rule's chain %v", got, want)
 	}
 }
 

@@ -195,7 +195,7 @@ func (m *Manager) planSeparates(snap *epl.Snapshot, pairs []epl.PairIntent, plan
 	score := map[cluster.MachineID]float64{}
 	var targets []cluster.MachineID
 	for _, srv := range snap.Servers {
-		if !srv.Up || !m.srv(srv.ID).shared() {
+		if !m.srv(srv.ID).shared() {
 			continue
 		}
 		score[srv.ID] = srv.CPUPerc
@@ -499,7 +499,7 @@ func (m *Manager) planResource(last []lastReport, snap *epl.Snapshot, in *epl.In
 	for _, srv := range snap.Servers {
 		// Dedicated servers are outside balance's purview: their load is the
 		// reservation owner's entitlement.
-		if r.slot[srv.ID] != slotScope || !srv.Up || !m.servers[srv.ID].shared() {
+		if r.slot[srv.ID] != slotScope || !m.servers[srv.ID].shared() {
 			continue
 		}
 		r.slot[srv.ID] = int32(len(r.servers))
@@ -565,7 +565,7 @@ func (m *Manager) planReserve(ri epl.ReserveIntent) (trg cluster.MachineID, star
 	trg = -1
 	bestLoad, bestCnt := math.Inf(1), 0
 	for _, srv := range r.snap.Servers {
-		if r.slot[srv.ID] != slotScope || !srv.Up || srv.ID == ai.Server || !m.servers[srv.ID].shared() {
+		if r.slot[srv.ID] != slotScope || srv.ID == ai.Server || !m.servers[srv.ID].shared() {
 			continue
 		}
 		load := srv.Res(ri.Res)

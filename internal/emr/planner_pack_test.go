@@ -16,7 +16,6 @@ func buildSnapVec(pe *planEnv, servers [][3]float64, actors []*epl.ActorInfo) *e
 	for i, v := range servers {
 		snap.Servers = append(snap.Servers, &epl.ServerInfo{
 			ID: cluster.MachineID(i), CPUPerc: v[0], MemPerc: v[1], NetPerc: v[2],
-			VCPUs: 2, MemMB: 4096, NetMbps: 1000, Up: true,
 		})
 	}
 	snap.Actors = actors

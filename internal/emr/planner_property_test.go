@@ -40,17 +40,18 @@ func randomFleet(t *testing.T, seed int64) (m *Manager, scope []cluster.MachineI
 	nextID := actor.ID(1)
 	for i := 0; i < nSrv; i++ {
 		id := cluster.MachineID(i)
-		srv := &epl.ServerInfo{ID: id, Up: true,
+		srv := &epl.ServerInfo{ID: id,
 			CPUPerc: 10 * rng.Float64(), MemPerc: 10 * rng.Float64(), NetPerc: 10 * rng.Float64()}
+		down := false // a down server is absent from the view
 		switch rng.Intn(10) {
 		case 0:
-			srv.Up = false
+			down = true
 		case 1:
 			m.srv(id).draining = true
 		case 2:
 			m.srv(id).owner = actor.Ref{ID: 1 << 40}
 		}
-		if rng.Intn(8) != 0 {
+		if rng.Intn(8) != 0 && !down {
 			scope = append(scope, id)
 			if rng.Intn(5) != 0 {
 				fresh[id].heard = 1
@@ -133,10 +134,8 @@ func TestPlanRoundProperties(t *testing.T) {
 			switch {
 			case ai == nil || ai.Server != a.Src || a.Src == a.Trg:
 				t.Fatalf("seed %d: malformed action %+v", seed, a)
-			case trg == nil || !trg.Up:
-				t.Fatalf("seed %d: %+v targets a down server", seed, a)
-			case !slices.Contains(scope, a.Trg):
-				t.Fatalf("seed %d: %+v targets a server outside the scope", seed, a)
+			case trg == nil || !slices.Contains(scope, a.Trg):
+				t.Fatalf("seed %d: %+v targets a server outside the scope (down servers included)", seed, a)
 			case m.srv(a.Trg).draining:
 				t.Fatalf("seed %d: %+v targets a draining server", seed, a)
 			case a.Kind == epl.KindBalance && dedicated[a.Trg]:

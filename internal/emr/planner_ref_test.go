@@ -77,16 +77,17 @@ func refRound(t *testing.T, seed int64) (m *Manager, snap *epl.Snapshot) {
 	for i := 0; i < nSrv; i++ {
 		id := cluster.MachineID(i)
 		grid := func(n int) float64 { return float64(10 * rng.Intn(n)) }
-		srv := &epl.ServerInfo{ID: id, Up: true, CPUPerc: grid(8), MemPerc: grid(9), NetPerc: grid(8)}
+		srv := &epl.ServerInfo{ID: id, CPUPerc: grid(8), MemPerc: grid(9), NetPerc: grid(8)}
+		down := false // a down server is absent from the view
 		switch rng.Intn(12) {
 		case 0:
-			srv.Up = false
+			down = true
 		case 1:
 			m.srv(id).draining = true
 		case 2:
 			m.srv(id).owner = actor.Ref{ID: 1 << 40}
 		}
-		if rng.Intn(6) != 0 {
+		if rng.Intn(6) != 0 && !down {
 			scope = append(scope, id)
 		}
 		last[i].heard = tick - rng.Intn(2)

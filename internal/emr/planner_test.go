@@ -32,9 +32,7 @@ func newPlanEnv(t *testing.T, machines int) *planEnv {
 func buildSnap(pe *planEnv, serverCPU []float64, actors []*epl.ActorInfo) *epl.Snapshot {
 	snap := &epl.Snapshot{At: pe.e.k.Now(), Window: sim.Second}
 	for i, cpu := range serverCPU {
-		snap.Servers = append(snap.Servers, &epl.ServerInfo{
-			ID: cluster.MachineID(i), CPUPerc: cpu, VCPUs: 2, Up: true,
-		})
+		snap.Servers = append(snap.Servers, &epl.ServerInfo{ID: cluster.MachineID(i), CPUPerc: cpu})
 	}
 	snap.Actors = actors
 	return snap.Index()

@@ -167,7 +167,7 @@ func (m *Manager) tryScaleIn(g *gem, snap *epl.Snapshot, parent uint64) {
 func (m *Manager) evacTargets(victim cluster.MachineID, snap *epl.Snapshot) []cluster.MachineID {
 	var out []srvLoad
 	for _, srv := range snap.Servers {
-		if !srv.Up || srv.ID == victim || !m.srv(srv.ID).shared() {
+		if srv.ID == victim || !m.srv(srv.ID).shared() {
 			continue
 		}
 		out = append(out, srvLoad{srv.ID, srv.CPUPerc})

@@ -159,16 +159,34 @@ func (*TrueCond) String() string { return "true" }
 type AndCond struct{ L, R Cond }
 
 func (*AndCond) condNode() {}
+
+// String parenthesizes an `or` operand, which binds looser, and a right
+// `and` operand, since `and` groups to the left: the text parses back to
+// this tree.
 func (c *AndCond) String() string {
-	return c.L.String() + " and " + c.R.String()
+	l, r := c.L.String(), c.R.String()
+	if _, ok := c.L.(*OrCond); ok {
+		l = "(" + l + ")"
+	}
+	switch c.R.(type) {
+	case *OrCond, *AndCond:
+		r = "(" + r + ")"
+	}
+	return l + " and " + r
 }
 
 // OrCond is disjunction.
 type OrCond struct{ L, R Cond }
 
 func (*OrCond) condNode() {}
+
+// String parenthesizes a right `or` operand: `or` groups to the left.
 func (c *OrCond) String() string {
-	return c.L.String() + " or " + c.R.String()
+	r := c.R.String()
+	if _, ok := c.R.(*OrCond); ok {
+		r = "(" + r + ")"
+	}
+	return c.L.String() + " or " + r
 }
 
 // CmpCond compares a feature statistic against a bound: feat.stat comp val.

@@ -18,7 +18,7 @@ import (
 func mediaSnapshot(clients int) *Snapshot {
 	snap := &Snapshot{}
 	for i := 0; i < 4; i++ {
-		snap.Servers = append(snap.Servers, &ServerInfo{ID: cluster.MachineID(i), CPUPerc: float64(40 + 15*i), NetPerc: 70, VCPUs: 2, Up: true})
+		snap.Servers = append(snap.Servers, &ServerInfo{ID: cluster.MachineID(i), CPUPerc: float64(40 + 15*i), NetPerc: 70})
 	}
 	spawn := func(typ string, calls ...CallStat) *ActorInfo {
 		id := actor.ID(len(snap.Actors) + 1)

@@ -325,9 +325,9 @@ var conflictClasses = []conflictClass{
 	{CodePinBalance, KindPin, KindBalance,
 		"type %q is pinned but also subject to balance (rules %s); pinned actors will not be balanced"},
 	{CodePinReserve, KindPin, KindReserve,
-		"type %q is pinned but also subject to reserve (rules %s); pinned actors will not be reserved"},
+		"type %q is pinned but also subject to reserve (rules %s); reserve outranks pin: a pinned actor moves to its dedicated server and stays pinned there"},
 	{CodeReserveBalance, KindReserve, KindBalance,
-		"type %q is both reserved and balanced (rules %s); runtime priority (balance first) decides"},
+		"type %q is both reserved and balanced (rules %s); reserve outranks balance: a reserved actor is not balanced, and balance packs nothing onto a dedicated server"},
 	{CodeBalanceColocate, KindBalance, KindColocate,
 		"type %q is balanced but also colocated with %q (rules %s); balance may break colocation"},
 }

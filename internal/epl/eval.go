@@ -12,6 +12,9 @@ import (
 
 // Intents are the concrete elasticity demands produced by evaluating a
 // policy against a snapshot. The EMR turns them into migration actions.
+// Every behavior of a firing rule applies: a balance or provclass behavior
+// gives one intent however many contexts fired, the others one per distinct
+// actor or pair they name.
 type Intents struct {
 	Balance   []BalanceIntent
 	Reserve   []ReserveIntent
@@ -23,15 +26,13 @@ type Intents struct {
 
 // BalanceIntent asks for workload balancing of the listed types on the
 // named resource. Upper/Lower are taken from the rule's own condition
-// (NaN when the condition states no such bound); Violating lists the
-// snapshot servers whose utilization triggered the rule.
+// (NaN when the condition states no such bound).
 type BalanceIntent struct {
-	Rule      *Rule
-	Types     []string
-	Res       Resource
-	Upper     float64
-	Lower     float64
-	Violating []cluster.MachineID
+	Rule  *Rule
+	Types []string
+	Res   Resource
+	Upper float64
+	Lower float64
 }
 
 // HasUpper reports whether the rule stated an upper bound.
@@ -95,7 +96,7 @@ type FeatureValue struct {
 type EvalObserver interface {
 	// RuleEvaluated is called once per applicable rule with the number of
 	// contexts examined, how many of them fired, and whether the enumeration
-	// stopped at maxBindings. A server-scoped rule examines every up server;
+	// stopped at maxBindings. A server-scoped rule examines every listed server;
 	// any other rule the complete bindings its enumeration reached, which a
 	// top-level ref(...) or call-relation join in the rule's plan (see plan)
 	// narrows to the actors that could satisfy it: the contexts checked,
@@ -145,8 +146,7 @@ type evaluator struct {
 	vals                  []FeatureValue // a firing's values, reused
 
 	b     binding
-	cands [][]*ActorInfo      // per level: the candidates a ref(...) or a join names
-	viol  []cluster.MachineID // a rule's violating servers, or one firing's server
+	cands [][]*ActorInfo // per level: the candidates a ref(...) or a join names
 
 	examined, fired int
 	truncated       bool
@@ -170,6 +170,7 @@ func (e *evaluator) release() {
 	clear(e.dd.pairs)
 	clear(e.dd.pins)
 	clear(e.dd.reserve)
+	clear(e.dd.balance)
 	clear(e.dd.provclass)
 	for _, c := range e.cands {
 		clear(c[:cap(c)])
@@ -183,7 +184,8 @@ type dedup struct {
 	pairs     map[[3]uint64]bool
 	pins      map[actor.Ref]bool
 	reserve   map[actor.Ref]bool
-	provclass map[*Rule]bool
+	balance   map[*BalanceBeh]bool
+	provclass map[*ProvClassBeh]bool
 }
 
 func newDedup() *dedup {
@@ -191,7 +193,8 @@ func newDedup() *dedup {
 		pairs:     map[[3]uint64]bool{},
 		pins:      map[actor.Ref]bool{},
 		reserve:   map[actor.Ref]bool{},
-		provclass: map[*Rule]bool{},
+		balance:   map[*BalanceBeh]bool{},
+		provclass: map[*ProvClassBeh]bool{},
 	}
 }
 
@@ -284,22 +287,17 @@ func (e *evaluator) rule(rule *Rule) {
 	if n == 0 {
 		// Server-scoped rule (e.g. pure balance): the condition is checked
 		// against each server.
-		e.viol = e.viol[:0]
 		for _, srv := range e.snap.Servers {
-			if !srv.Up {
-				continue
-			}
 			e.examined++
 			if e.cond(rule.Cond, srv) {
-				e.viol = append(e.viol, srv.ID)
+				e.fired++
 				if e.obs != nil {
 					e.observe(rule, actor.Ref{}, srv)
 				}
 			}
 		}
-		e.fired = len(e.viol)
 		if e.fired > 0 {
-			e.emit(rule, e.viol)
+			e.emit(rule)
 		}
 	} else {
 		for len(e.cands) < n {
@@ -345,8 +343,7 @@ func (e *evaluator) check(rule *Rule) {
 	if e.obs != nil {
 		e.observe(rule, anchor.Ref, ctxSrv)
 	}
-	e.viol = append(e.viol[:0], ctxSrv.ID)
-	e.emit(rule, e.viol)
+	e.emit(rule)
 }
 
 // rank fills e.at on its first call in an evaluation and reports whether
@@ -547,9 +544,10 @@ func sumCalls(a *ActorInfo, method, callerType string, caller actor.Ref) (count,
 	return count, bytes
 }
 
-// emit applies the rule's behaviors to the current binding; violating is
-// the servers it fired on.
-func (e *evaluator) emit(rule *Rule, violating []cluster.MachineID) {
+// emit applies the rule's behaviors to the current binding, one intent per
+// behavior: a balance or provclass behavior once per evaluation, one naming
+// actors once per distinct actor or pair.
+func (e *evaluator) emit(rule *Rule) {
 	out, dd := e.out, e.dd
 	for _, beh := range rule.Behaviors {
 		isRes := beh.Kind().IsResource()
@@ -558,13 +556,10 @@ func (e *evaluator) emit(rule *Rule, violating []cluster.MachineID) {
 		}
 		switch bh := beh.(type) {
 		case *BalanceBeh:
-			upper, lower := CondBounds(rule.Cond, bh.Res)
-			var kept bool
-			out.Balance, kept = mergeBalance(out.Balance, BalanceIntent{
-				Rule: rule, Types: bh.Types, Res: bh.Res, Upper: upper, Lower: lower, Violating: violating,
-			})
-			if kept {
-				e.viol = nil // the new intent owns violating's array
+			if !dd.balance[bh] {
+				dd.balance[bh] = true
+				upper, lower := CondBounds(rule.Cond, bh.Res)
+				out.Balance = append(out.Balance, BalanceIntent{Rule: rule, Types: bh.Types, Res: bh.Res, Upper: upper, Lower: lower})
 			}
 		case *ReserveBeh:
 			if a := e.b.lookup(bh.Actor); a != nil && !dd.reserve[a.Ref] {
@@ -593,29 +588,10 @@ func (e *evaluator) emit(rule *Rule, violating []cluster.MachineID) {
 				out.Pin = append(out.Pin, PinIntent{Rule: rule, Actor: a.Ref})
 			}
 		case *ProvClassBeh:
-			// One intent per rule regardless of how many contexts fired.
-			if !dd.provclass[rule] {
-				dd.provclass[rule] = true
+			if !dd.provclass[bh] {
+				dd.provclass[bh] = true
 				out.ProvClass = append(out.ProvClass, ProvClassIntent{Rule: rule, Classes: bh.Classes})
 			}
 		}
 	}
-}
-
-// mergeBalance collapses repeated triggers of the same balance rule into
-// one intent with the union of violating servers. It reports whether bi
-// became a new intent, which then keeps bi.Violating.
-func mergeBalance(list []BalanceIntent, bi BalanceIntent) ([]BalanceIntent, bool) {
-	for i := range list {
-		if list[i].Rule == bi.Rule {
-			had := list[i].Violating
-			for _, s := range bi.Violating {
-				if !slices.Contains(had, s) {
-					list[i].Violating = append(list[i].Violating, s)
-				}
-			}
-			return list, false
-		}
-	}
-	return append(list, bi), true
 }

@@ -173,7 +173,8 @@ func genDiffPolicy(rng *rand.Rand) string {
 }
 
 // genDiffSnapshot builds a snapshot of up to 24 actors on up to four
-// servers, one of them maybe down and one maybe unlisted. Actors appear in
+// servers, some maybe down (unlisted, as the profiler leaves them) and one
+// maybe never listed. Actors appear in
 // shuffled id order, and each actor's Calls in shuffled order, so neither
 // matches the profiler's sorting. Callers are actors of any type, ids no
 // actor has, or zero (per-type records), and one caller may appear in
@@ -183,9 +184,9 @@ func genDiffSnapshot(rng *rand.Rand) *Snapshot {
 	snap := &Snapshot{}
 	servers := 1 + rng.Intn(4)
 	for i := 0; i < servers; i++ {
-		snap.Servers = append(snap.Servers, &ServerInfo{
-			ID: cluster.MachineID(i), CPUPerc: float64(rng.Intn(100)), VCPUs: 1, Up: rng.Intn(6) != 0,
-		})
+		if cpu := float64(rng.Intn(100)); rng.Intn(6) != 0 {
+			snap.Servers = append(snap.Servers, &ServerInfo{ID: cluster.MachineID(i), CPUPerc: cpu})
+		}
 	}
 	n := rng.Intn(25)
 	ids := rng.Perm(40)[:n]

@@ -75,19 +75,21 @@ func refCondValues(out []FeatureValue, c Cond, snap *Snapshot, b *refBinding, ct
 
 // refDedup suppresses duplicate intents arising from multiple bindings of the
 // same rule (e.g. a folder with two files triggers reserve(folder) once).
+// once holds the balance and provclass behaviors that already gave their
+// one intent.
 type refDedup struct {
-	pairs     map[[3]uint64]bool
-	pins      map[actor.Ref]bool
-	reserve   map[actor.Ref]bool
-	provclass map[*Rule]bool
+	pairs   map[[3]uint64]bool
+	pins    map[actor.Ref]bool
+	reserve map[actor.Ref]bool
+	once    map[Behavior]bool
 }
 
 func refNewDedup() *refDedup {
 	return &refDedup{
-		pairs:     map[[3]uint64]bool{},
-		pins:      map[actor.Ref]bool{},
-		reserve:   map[actor.Ref]bool{},
-		provclass: map[*Rule]bool{},
+		pairs:   map[[3]uint64]bool{},
+		pins:    map[actor.Ref]bool{},
+		reserve: map[actor.Ref]bool{},
+		once:    map[Behavior]bool{},
 	}
 }
 
@@ -111,26 +113,22 @@ func refEvalRule(rule *Rule, snap *Snapshot, resource, interaction bool, out *In
 	if len(refs) == 0 {
 		// Server-scoped rule (e.g. pure balance): the condition is checked
 		// against each server.
-		var violating []cluster.MachineID
-		examined := 0
+		examined, fired := 0, 0
 		for _, srv := range snap.Servers {
-			if !srv.Up {
-				continue
-			}
 			examined++
 			b := &refBinding{}
 			if refEvalCond(rule.Cond, snap, b, srv) {
-				violating = append(violating, srv.ID)
+				fired++
 				if obs != nil {
 					obs.fired(rule, actor.Ref{}, snap, b, srv)
 				}
 			}
 		}
 		if obs != nil {
-			obs.RuleEvaluated(rule, examined, len(violating))
+			obs.RuleEvaluated(rule, examined, fired)
 		}
-		if len(violating) > 0 {
-			refEmitBehaviors(rule, &refBinding{}, violating, resource, interaction, out, dd)
+		if fired > 0 {
+			refEmitBehaviors(rule, &refBinding{}, resource, interaction, out, dd)
 		}
 		return
 	}
@@ -156,7 +154,7 @@ func refEvalRule(rule *Rule, snap *Snapshot, resource, interaction bool, out *In
 				if obs != nil {
 					obs.fired(rule, b.anchor.Ref, snap, b, ctxSrv)
 				}
-				refEmitBehaviors(rule, b, []cluster.MachineID{ctxSrv.ID}, resource, interaction, out, dd)
+				refEmitBehaviors(rule, b, resource, interaction, out, dd)
 			}
 			return
 		}
@@ -350,7 +348,7 @@ func refSumCalls(a *ActorInfo, method, callerType string, caller actor.Ref) (cou
 	return count, bytes
 }
 
-func refEmitBehaviors(rule *Rule, b *refBinding, violating []cluster.MachineID, resource, interaction bool, out *Intents, dd *refDedup) {
+func refEmitBehaviors(rule *Rule, b *refBinding, resource, interaction bool, out *Intents, dd *refDedup) {
 	for _, beh := range rule.Behaviors {
 		isRes := beh.Kind().IsResource()
 		if isRes && !resource || !isRes && !interaction {
@@ -358,10 +356,11 @@ func refEmitBehaviors(rule *Rule, b *refBinding, violating []cluster.MachineID, 
 		}
 		switch bh := beh.(type) {
 		case *BalanceBeh:
-			upper, lower := CondBounds(rule.Cond, bh.Res)
-			out.Balance = refMergeBalance(out.Balance, BalanceIntent{
-				Rule: rule, Types: bh.Types, Res: bh.Res, Upper: upper, Lower: lower, Violating: violating,
-			})
+			if !dd.once[beh] {
+				dd.once[beh] = true
+				upper, lower := CondBounds(rule.Cond, bh.Res)
+				out.Balance = append(out.Balance, BalanceIntent{Rule: rule, Types: bh.Types, Res: bh.Res, Upper: upper, Lower: lower})
+			}
 		case *ReserveBeh:
 			if a := b.lookup(bh.Actor); a != nil && !dd.reserve[a.Ref] {
 				dd.reserve[a.Ref] = true
@@ -389,31 +388,10 @@ func refEmitBehaviors(rule *Rule, b *refBinding, violating []cluster.MachineID, 
 				out.Pin = append(out.Pin, PinIntent{Rule: rule, Actor: a.Ref})
 			}
 		case *ProvClassBeh:
-			// One intent per rule regardless of how many contexts fired.
-			if !dd.provclass[rule] {
-				dd.provclass[rule] = true
+			if !dd.once[beh] {
+				dd.once[beh] = true
 				out.ProvClass = append(out.ProvClass, ProvClassIntent{Rule: rule, Classes: bh.Classes})
 			}
 		}
 	}
-}
-
-// refMergeBalance collapses repeated triggers of the same balance rule into
-// one intent with the union of violating servers.
-func refMergeBalance(list []BalanceIntent, bi BalanceIntent) []BalanceIntent {
-	for i := range list {
-		if list[i].Rule == bi.Rule {
-			have := map[cluster.MachineID]bool{}
-			for _, s := range list[i].Violating {
-				have[s] = true
-			}
-			for _, s := range bi.Violating {
-				if !have[s] {
-					list[i].Violating = append(list[i].Violating, s)
-				}
-			}
-			return list
-		}
-	}
-	return append(list, bi)
 }

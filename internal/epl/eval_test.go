@@ -1,6 +1,7 @@
 package epl
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -19,7 +20,7 @@ func newSnap() *snapBuilder {
 }
 
 func (b *snapBuilder) server(id cluster.MachineID, cpu, mem, net float64) *snapBuilder {
-	b.snap.Servers = append(b.snap.Servers, &ServerInfo{ID: id, CPUPerc: cpu, MemPerc: mem, NetPerc: net, VCPUs: 1, Up: true})
+	b.snap.Servers = append(b.snap.Servers, &ServerInfo{ID: id, CPUPerc: cpu, MemPerc: mem, NetPerc: net})
 	return b
 }
 
@@ -38,7 +39,8 @@ func (b *snapBuilder) build() *Snapshot { return b.snap.Index() }
 func TestEvalBalanceTriggersOnViolation(t *testing.T) {
 	pol := MustParse(pagerankPolicy) // >80 or <60 => balance({Partition}, cpu)
 	b := newSnap().server(0, 90, 0, 0).server(1, 70, 0, 0).server(2, 40, 0, 0)
-	in := Evaluate(pol, b.build(), true, true)
+	var rec recorder
+	in := EvaluateObserved(pol, b.build(), true, true, &rec)
 	if len(in.Balance) != 1 {
 		t.Fatalf("balance intents = %d, want 1", len(in.Balance))
 	}
@@ -47,8 +49,8 @@ func TestEvalBalanceTriggersOnViolation(t *testing.T) {
 		t.Fatalf("bounds = %v/%v", bi.Upper, bi.Lower)
 	}
 	// Servers 0 (>80) and 2 (<60) violate; server 1 does not.
-	if len(bi.Violating) != 2 {
-		t.Fatalf("violating = %v", bi.Violating)
+	if want := []ruleEval{{rule: 0, examined: 3, fired: 2}}; !reflect.DeepEqual(rec.evals, want) {
+		t.Fatalf("RuleEvaluated = %+v, want %+v", rec.evals, want)
 	}
 }
 
@@ -329,6 +331,38 @@ func TestEvalInRefPruningMatchesCrossProduct(t *testing.T) {
 	in := Evaluate(pol, b.build(), true, true)
 	if len(in.Colocate) != 20 {
 		t.Fatalf("colocate = %d, want 20 (one per player)", len(in.Colocate))
+	}
+}
+
+// Two-behavior rules: every behavior of a firing rule applies, so each
+// balance and each provclass behavior gives its own intent.
+const (
+	twoBalanceRule   = `server.cpu.perc > 50 => balance({A}, cpu); balance({B}, mem);`
+	twoProvClassRule = `server.cpu.perc > 50 => provclass({warm}); provclass({container});`
+)
+
+// TestEvalOneIntentPerBehavior evaluates the two-behavior rules on two
+// servers, one above 50% CPU. The balance rule gives two intents: {A} on
+// cpu, its upper bound the condition's 50 and no lower bound, and {B} on
+// mem with neither bound, since the condition states none on mem. The
+// provclass rule gives [warm] then [container], its ProvClassChain.
+func TestEvalOneIntentPerBehavior(t *testing.T) {
+	pol := MustParse(twoBalanceRule + "\n" + twoProvClassRule)
+	in := canonical(Evaluate(pol, newSnap().server(0, 90, 0, 0).server(1, 20, 0, 0).build(), true, false))
+	inf := math.Inf(1) // canonical's stand-in for a bound the rule does not state
+	wantBal := []BalanceIntent{
+		{Rule: pol.Rules[0], Types: []string{"A"}, Res: CPU, Upper: 50, Lower: inf},
+		{Rule: pol.Rules[0], Types: []string{"B"}, Res: Mem, Upper: inf, Lower: inf},
+	}
+	if !reflect.DeepEqual(in.Balance, wantBal) {
+		t.Errorf("balance intents = %+v, want %+v", in.Balance, wantBal)
+	}
+	wantProv := []ProvClassIntent{
+		{Rule: pol.Rules[1], Classes: []string{"warm"}},
+		{Rule: pol.Rules[1], Classes: []string{"container"}},
+	}
+	if !reflect.DeepEqual(in.ProvClass, wantProv) {
+		t.Errorf("provclass intents = %+v, want %+v", in.ProvClass, wantProv)
 	}
 }
 

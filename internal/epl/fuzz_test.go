@@ -2,10 +2,12 @@ package epl
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"plasma/internal/actor"
@@ -63,9 +65,10 @@ func actorCap(pol *Policy) int {
 }
 
 // decodeSnapshot reads fuzz bytes into the modes Evaluate runs in and an
-// indexed snapshot of 1–8 servers, some down, and up to actorCap(pol)
-// actors. Actor ids leave gaps; an actor may sit on a server the snapshot
-// does not list; property refs and callers may name ids no actor has.
+// indexed snapshot of 1–8 servers, some down (unlisted, as the profiler
+// leaves them), and up to actorCap(pol) actors. Actor ids leave gaps; an
+// actor may sit on a server the snapshot does not list; property refs and
+// callers may name ids no actor has.
 func decodeSnapshot(data []byte, pol *Policy) (snap *Snapshot, resource, interaction bool) {
 	next := func() byte {
 		if len(data) == 0 {
@@ -86,10 +89,11 @@ func decodeSnapshot(data []byte, pol *Policy) (snap *Snapshot, resource, interac
 	snap = &Snapshot{}
 	servers := 1 + int(next()%8)
 	for i := 0; i < servers; i++ {
-		snap.Servers = append(snap.Servers, &ServerInfo{
-			ID: cluster.MachineID(i), CPUPerc: pct(), MemPerc: pct(), NetPerc: pct(),
-			VCPUs: 1 + int(next()%4), Up: next()%8 != 0,
-		})
+		if next()%8 != 0 {
+			snap.Servers = append(snap.Servers, &ServerInfo{
+				ID: cluster.MachineID(i), CPUPerc: pct(), MemPerc: pct(), NetPerc: pct(),
+			})
+		}
 	}
 	var id actor.ID
 	for n := min(int(next()%33), actorCap(pol)); n > 0; n-- {
@@ -143,8 +147,9 @@ func (nopObserver) RuleFired(*Rule, actor.Ref, cluster.MachineID, []FeatureValue
 // checkEvaluate evaluates pol against snap twice, the second time observed,
 // and reports the first property that fails: the two intent sets must be
 // equal, the reference evaluator (eval_ref_test.go) must agree with them
-// (see diffEvaluate), and every actor and server an intent names must be in
-// the snapshot.
+// (see diffEvaluate), every actor an intent names must be in the snapshot,
+// and a rule's balance and provclass intents must be one per behavior (see
+// onePerBehavior).
 func checkEvaluate(pol *Policy, snap *Snapshot, resource, interaction bool) string {
 	in := canonical(Evaluate(pol, snap, resource, interaction))
 	again := canonical(EvaluateObserved(pol, snap, resource, interaction, nopObserver{}))
@@ -169,11 +174,46 @@ func checkEvaluate(pol *Policy, snap *Snapshot, resource, interaction bool) stri
 			return "an intent names actor " + r.String() + ", which is not in the snapshot"
 		}
 	}
-	for _, b := range in.Balance {
-		for _, id := range b.Violating {
-			if snap.Server(id) == nil {
-				return "a balance intent names a server that is not in the snapshot"
+	return onePerBehavior(pol, in)
+}
+
+// onePerBehavior reports the first rule whose balance or provclass intents
+// are not, in behavior order, one per balance or provclass behavior of the
+// rule, each carrying its own behavior's types and resource or classes. A
+// rule that did not fire, or was not applied, has none.
+func onePerBehavior(pol *Policy, in *Intents) string {
+	for _, rule := range pol.Rules {
+		var bal []*BalanceBeh
+		var prov []*ProvClassBeh
+		for _, beh := range rule.Behaviors {
+			switch bh := beh.(type) {
+			case *BalanceBeh:
+				bal = append(bal, bh)
+			case *ProvClassBeh:
+				prov = append(prov, bh)
 			}
+		}
+		var gotBal []BalanceIntent
+		for _, bi := range in.Balance {
+			if bi.Rule == rule {
+				gotBal = append(gotBal, bi)
+			}
+		}
+		var gotProv []ProvClassIntent
+		for _, pi := range in.ProvClass {
+			if pi.Rule == rule {
+				gotProv = append(gotProv, pi)
+			}
+		}
+		bad := len(gotBal) > 0 && len(gotBal) != len(bal) || len(gotProv) > 0 && len(gotProv) != len(prov)
+		for i := 0; !bad && i < len(gotBal); i++ {
+			bad = !slices.Equal(gotBal[i].Types, bal[i].Types) || gotBal[i].Res != bal[i].Res
+		}
+		for i := 0; !bad && i < len(gotProv); i++ {
+			bad = !slices.Equal(gotProv[i].Classes, prov[i].Classes)
+		}
+		if bad {
+			return fmt.Sprintf("rule %d (%s) gave balance intents %+v and provclass intents %+v: not one per behavior", rule.Index, rule, gotBal, gotProv)
 		}
 	}
 	return ""
@@ -182,9 +222,11 @@ func checkEvaluate(pol *Policy, snap *Snapshot, resource, interaction bool) stri
 // FuzzEvaluate runs every policy that parses and passes Check against a
 // snapshot decoded from bytes (see decodeSnapshot). Evaluate must not panic,
 // two evaluations must give the same intents, the reference evaluator the
-// same intents and firings, and an intent may name only actors and servers
-// in the snapshot. The corpus is seeded with the paper's
-// policies, one rule on actor features, and the lint corpus,
+// same intents and firings, an intent may name only actors in the snapshot,
+// and a balance or provclass behavior gives one intent (see checkEvaluate).
+// The corpus is seeded with the paper's policies, one rule on actor
+// features, the rules of TestEvalInRefUnderOrNarrowsNothing and
+// TestEvalOneIntentPerBehavior, and the lint corpus,
 // internal/lint/testdata/*.epl.
 func FuzzEvaluate(f *testing.F) {
 	files, err := filepath.Glob(filepath.Join("..", "lint", "testdata", "*.epl"))
@@ -193,7 +235,7 @@ func FuzzEvaluate(f *testing.F) {
 	}
 	srcs := []string{metadataPolicy, pagerankPolicy, estorePolicy, mediaPolicy, haloPolicy,
 		"Worker(w).cpu.perc > 20 and w.mem.size > 9000000 or Worker(x).call(w.run).perc >= 50 => separate(w, x); pin(w);",
-		refUnderOrRule}
+		refUnderOrRule, twoBalanceRule, twoProvClassRule}
 	for _, path := range files {
 		src, err := os.ReadFile(path)
 		if err != nil {

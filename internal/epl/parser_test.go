@@ -310,3 +310,20 @@ func TestCmpCondStringFormattedOnce(t *testing.T) {
 		t.Fatalf("comparisons = %q, want %q", got, want)
 	}
 }
+
+// TestRuleStringKeepsGrouping prints rules whose grouping the source states
+// with parentheses: an `or` under an `and`, and a right-nested `and` or
+// `or`. The printed rule must keep them, or it reparses as another rule.
+func TestRuleStringKeepsGrouping(t *testing.T) {
+	for _, src := range []string{
+		"server.mem.perc > 10 and (server.cpu.perc > 80 or server.cpu.perc < 20) => balance({W}, cpu);",
+		"(server.cpu.perc > 80 or server.cpu.perc < 20) and server.mem.perc > 10 => balance({W}, cpu);",
+		"server.mem.perc > 10 and (server.cpu.perc > 80 and server.cpu.perc < 90) => balance({W}, cpu);",
+		"server.mem.perc > 10 or (server.cpu.perc > 80 or server.cpu.perc < 20) => balance({W}, cpu);",
+		"server.mem.perc > 10 and server.cpu.perc > 80 or server.cpu.perc < 20 => balance({W}, cpu);",
+	} {
+		if got := MustParse(src).Rules[0].String(); got != src {
+			t.Errorf("Rule.String() = %q, want %q", got, src)
+		}
+	}
+}

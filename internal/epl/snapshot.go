@@ -39,16 +39,13 @@ type ActorInfo struct {
 	LastMoved sim.Time
 }
 
-// ServerInfo is one server's runtime information (the serverRT of Alg. 1/2).
+// ServerInfo is one up server's runtime information (the serverRT of Alg.
+// 1/2): its utilizations over the window, each a percent of its capacity.
 type ServerInfo struct {
 	ID      cluster.MachineID
 	CPUPerc float64
 	MemPerc float64
 	NetPerc float64
-	VCPUs   int
-	MemMB   int64
-	NetMbps float64 // NIC capacity
-	Up      bool
 }
 
 // Res reads the named resource utilization.

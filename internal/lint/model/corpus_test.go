@@ -5,11 +5,14 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"plasma/internal/actor"
+	"plasma/internal/cluster"
 	"plasma/internal/epl"
 	"plasma/internal/lint"
 )
@@ -183,5 +186,93 @@ func TestShippedPoliciesModelClean(t *testing.T) {
 	// here instead of silently leaving a policy unchecked.
 	if checked != 12 {
 		t.Fatalf("checked %d shipped policies, want 12; a glob or the literal pattern has drifted", checked)
+	}
+}
+
+// policyLiteralRe extracts every backtick literal holding a rule.
+var policyLiteralRe = regexp.MustCompile("`([^`]*=>[^`]*)`")
+
+// firedRules records which rules an evaluation fired.
+type firedRules map[*epl.Rule]bool
+
+func (f firedRules) RuleEvaluated(rule *epl.Rule, _, fired int, _ bool)                  { f[rule] = fired > 0 }
+func (firedRules) RuleFired(*epl.Rule, actor.Ref, cluster.MachineID, []epl.FeatureValue) {}
+
+// TestProvClassIntentsMatchChain holds the EMR's provisioning preference to
+// the chain the model reads: over the lint corpus, every policy literal in
+// the shipped Go sources (a %s template filled with "warm, container") and a
+// rule with two provclass behaviors, each rule with a provclass chain must
+// fire on a grid of 125 servers, and where it fires its provclass intents'
+// classes, concatenated, must equal its ProvClassChain().
+func TestProvClassIntentsMatchChain(t *testing.T) {
+	srcs := []string{`server.cpu.perc > 50 => provclass({warm}); provclass({container});`}
+	epls, err := filepath.Glob(filepath.Join(corpusDir, "*.epl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gos []string
+	for _, pattern := range []string{"../../*/*.go", "../../apps/*/*.go", "../../../examples/*/main.go"} {
+		fs, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gos = append(gos, fs...)
+	}
+	for _, path := range append(epls, gos...) {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.HasSuffix(path, ".epl") {
+			srcs = append(srcs, string(data))
+			continue
+		}
+		for _, m := range policyLiteralRe.FindAllStringSubmatch(string(data), -1) {
+			srcs = append(srcs, strings.ReplaceAll(m[1], "%s", "warm, container"))
+		}
+	}
+
+	snap := &epl.Snapshot{}
+	for i := 0; i < 125; i++ {
+		snap.Servers = append(snap.Servers, &epl.ServerInfo{ID: cluster.MachineID(i),
+			CPUPerc: float64(25 * (i % 5)), MemPerc: float64(25 * (i / 5 % 5)), NetPerc: float64(25 * (i / 25))})
+	}
+	snap.Index()
+	checked := 0
+	for _, src := range srcs {
+		pol, err := epl.Parse(src)
+		if err != nil {
+			continue // a corpus file that tests a parse error, or a literal that is no policy
+		}
+		fired := firedRules{}
+		in := epl.EvaluateObserved(pol, snap, true, false, fired)
+		for _, rule := range pol.Rules {
+			chain := rule.ProvClassChain()
+			if len(chain) == 0 {
+				continue
+			}
+			if !fired[rule] {
+				t.Errorf("rule %q fires nowhere on the grid; this check cannot cover it", rule)
+				continue
+			}
+			var got []string
+			for _, pi := range in.ProvClass {
+				if pi.Rule == rule {
+					got = append(got, pi.Classes...)
+				}
+			}
+			if !slices.Equal(got, chain) {
+				t.Errorf("rule %q: provclass intents give %v, ProvClassChain %v", rule, got, chain)
+			}
+			checked++
+		}
+	}
+	// The exact count, as in TestShippedPoliciesModelClean: the pair, six
+	// corpus rules and three in internal/experiments.
+	if checked != 10 {
+		t.Fatalf("checked %d provclass rules, want 10; a glob or the literal pattern has drifted", checked)
 	}
 }

@@ -318,7 +318,7 @@ func TestModelBandIsEMRBand(t *testing.T) {
 			c := sys.control(4, int16(load))
 			snap := &epl.Snapshot{}
 			for id := cluster.MachineID(0); id < 4; id++ {
-				snap.Servers = append(snap.Servers, &epl.ServerInfo{ID: id, CPUPerc: c.util, VCPUs: 1, Up: true})
+				snap.Servers = append(snap.Servers, &epl.ServerInfo{ID: id, CPUPerc: c.util})
 			}
 			var out, in bool
 			for _, bi := range epl.Evaluate(pol, snap.Index(), true, false).Balance {

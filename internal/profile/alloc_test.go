@@ -88,7 +88,7 @@ func naiveSnapshot(h *logHook) []*epl.ActorInfo {
 		}
 		servers = append(servers, &epl.ServerInfo{
 			ID: m.ID, CPUPerc: m.CPUPercent(), MemPerc: m.MemPercent(),
-			NetPerc: m.NetPercent(), VCPUs: m.Type.VCPUs, MemMB: m.Type.MemMB, Up: true,
+			NetPerc: m.NetPercent(),
 		})
 	}
 	var actors []*epl.ActorInfo

@@ -142,9 +142,9 @@ func (cc *calleeCalls) buildIdx(names []string) {
 }
 
 // Profiler collects per-window runtime information. It implements
-// actor.ProfilerHook. A single Profiler serves all servers, and every product
-// caller takes the whole-cluster Snapshot(nil); a GEM's view is that
-// snapshot's WithServers over the servers whose REPORTs it combined.
+// actor.ProfilerHook. A single Profiler serves all servers, and its Snapshot
+// covers the up ones; a GEM's view is that snapshot's WithServers over the
+// servers whose REPORTs it combined.
 //
 // Lifetime contract: the *epl.Snapshot returned by Snapshot, its ActorInfos
 // and their Calls and Props are valid until the next call to Snapshot, which
@@ -190,7 +190,7 @@ type Profiler struct {
 	rows    []epl.ActorInfo
 	snap    epl.Snapshot
 	callBuf []epl.CallStat
-	// The scope sets of this call and the last, indexed by MachineID.
+	// The up sets of this call and the last, indexed by MachineID.
 	scope, lastScope []bool
 }
 
@@ -346,54 +346,41 @@ func (p *Profiler) resetCalls(id int) {
 	}
 }
 
-// Snapshot builds the rule-evaluation view for the given server scope (nil
-// means all up servers). Actor metadata (type, placement, properties, pins)
-// is included for every live actor so reference conditions resolve across
-// servers; usage statistics are attributed per actor from this window.
+// Snapshot builds the rule-evaluation view over the up servers. Actor
+// metadata (type, placement, properties, pins) is included for every live
+// actor so reference conditions resolve across servers; usage statistics
+// are attributed from this window to the actors on up servers. The argument
+// is ignored: every caller passes nil, and it stays because the benchmark
+// module spells the call Snapshot(nil).
 //
-// Only marked rows are refreshed; the first call, and a call whose scope set
+// Only marked rows are refreshed; the first call, and a call whose up set
 // differs from the last one's, marks every row. The actor list and its
 // indexes are rebuilt only when a refreshed row was born or died, or the
 // rows grew.
-func (p *Profiler) Snapshot(scope []cluster.MachineID) *epl.Snapshot {
+func (p *Profiler) Snapshot([]cluster.MachineID) *epl.Snapshot {
 	window := p.Window()
 	snap := &p.snap
 	snap.At = p.k.Now()
 	snap.Window = window
 
-	// Scope set: the servers whose actors get usage statistics attributed.
-	// A MachineID is its machine's index in Machines().
+	// Scope set: the up servers, whose actors get usage statistics
+	// attributed. A MachineID is its machine's index in Machines(). Server
+	// list: the same machines in id order. ServerInfo is freshly allocated
+	// on purpose: the GEM's report table keeps *ServerInfo for up to
+	// stalePeriods.
 	p.scope, p.lastScope = p.lastScope, p.scope
 	p.scope = append(p.scope[:0], make([]bool, len(p.c.Machines()))...)
-	if scope == nil {
-		for _, m := range p.c.Machines() {
-			p.scope[m.ID] = m.Up()
-		}
-	} else {
-		for _, id := range scope {
-			if id >= 0 && int(id) < len(p.scope) {
-				p.scope[id] = true
-			}
-		}
-	}
-
-	// Server list: in-scope up machines in id order. ServerInfo is freshly
-	// allocated on purpose: the GEM's report table keeps *ServerInfo for up
-	// to stalePeriods.
 	snap.Servers = snap.Servers[:0]
 	for _, m := range p.c.Machines() {
-		if !p.scope[m.ID] || !m.Up() {
+		if !m.Up() {
 			continue
 		}
+		p.scope[m.ID] = true
 		snap.Servers = append(snap.Servers, &epl.ServerInfo{
 			ID:      m.ID,
 			CPUPerc: m.CPUPercent(),
 			MemPerc: m.MemPercent(),
 			NetPerc: m.NetPercent(),
-			VCPUs:   m.Type.VCPUs,
-			MemMB:   m.Type.MemMB,
-			NetMbps: m.Type.NetMbps,
-			Up:      true,
 		})
 	}
 

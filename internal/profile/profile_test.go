@@ -131,8 +131,11 @@ func TestResetClearsWindow(t *testing.T) {
 	}
 }
 
+// A crashed machine leaves the snapshot's scope: its row leaves Servers and
+// its actor, not yet recovered, keeps its metadata but shows no usage until
+// the machine is repaired.
 func TestSnapshotScope(t *testing.T) {
-	k, _, rt, p := env()
+	k, c, rt, p := env()
 	a0 := rt.SpawnOn("W", actor.BehaviorFunc(func(ctx *actor.Context, msg actor.Message) {
 		ctx.Use(50 * sim.Millisecond)
 	}), 0)
@@ -143,19 +146,27 @@ func TestSnapshotScope(t *testing.T) {
 	cl.Send(a0, "w", nil, 10)
 	cl.Send(a1, "w", nil, 10)
 	k.RunUntilIdle()
-	snap := p.Snapshot([]cluster.MachineID{0})
+	c.Fail(1)
+	snap := p.Snapshot(nil)
 	if len(snap.Servers) != 1 || snap.Servers[0].ID != 0 {
-		t.Fatalf("scoped servers = %+v", snap.Servers)
+		t.Fatalf("servers with machine 1 down = %+v", snap.Servers)
 	}
-	// Out-of-scope actors keep metadata but no usage stats.
-	if snap.Actor(a1) == nil {
-		t.Fatal("out-of-scope actor metadata missing")
+	if ai := snap.Actor(a1); ai == nil || ai.Server != 1 {
+		t.Fatalf("actor on the down machine: %+v, want its metadata on server 1", ai)
 	}
-	if snap.Actor(a1).CPUPerc != 0 {
-		t.Fatal("out-of-scope actor has usage stats")
+	if ai := snap.Actor(a1); ai.CPUPerc != 0 || ai.CPUTime != 0 {
+		t.Fatalf("actor on the down machine shows usage: %+v", ai)
 	}
 	if snap.Actor(a0).CPUPerc == 0 {
-		t.Fatal("in-scope actor lost usage stats")
+		t.Fatal("actor on the up machine lost its usage")
+	}
+	c.Repair(1)
+	snap = p.Snapshot(nil)
+	if len(snap.Servers) != 2 {
+		t.Fatalf("servers after repair = %+v", snap.Servers)
+	}
+	if snap.Actor(a1).CPUPerc == 0 {
+		t.Fatal("actor on the repaired machine shows no usage")
 	}
 }
 
@@ -188,15 +199,22 @@ func TestSnapshotFeedsEvaluator(t *testing.T) {
 	actor.NewClient(rt, 1).Send(w, "compute", nil, 10)
 	k.Run(sim.Time(sim.Second))
 	k.RunUntilIdle()
-	in := epl.Evaluate(pol, p.Snapshot(nil), true, true)
+	var fired firedCount
+	in := epl.EvaluateObserved(pol, p.Snapshot(nil), true, true, &fired)
 	if len(in.Balance) != 1 {
 		t.Fatalf("balance = %+v", in.Balance)
 	}
 	// Server 0 ~90% (over), server 1 0% (under): both violate.
-	if len(in.Balance[0].Violating) != 2 {
-		t.Fatalf("violating = %v", in.Balance[0].Violating)
+	if len(fired) != 1 || fired[0] != 2 {
+		t.Fatalf("fired = %v, want the rule firing on both servers", fired)
 	}
 }
+
+// firedCount lists, per evaluated rule, the contexts it fired in.
+type firedCount []int
+
+func (f *firedCount) RuleEvaluated(_ *epl.Rule, _, fired int, _ bool)                     { *f = append(*f, fired) }
+func (*firedCount) RuleFired(*epl.Rule, actor.Ref, cluster.MachineID, []epl.FeatureValue) {}
 
 func TestMessagesCounter(t *testing.T) {
 	k, _, rt, p := env()
