@@ -58,11 +58,14 @@ bench:
 #     into 32, and 36k into 1,024 (one level, 43 hubs: most vertices tally
 #     from their adjacency);
 #   internal/trace: BenchmarkRingEmit, one Emit into a decision-trace ring
-#     that has wrapped (a traced run's steady state; 0 allocs/op);
+#     that has wrapped (a traced run's steady state; 0 allocs/op), and
+#     BenchmarkWriteJSONL, exporting 64k stream-shaped records into a fresh
+#     bytes.Buffer, which WriteJSONL grows once to the trace's size (ceiling:
+#     TestWriteJSONLAllocCeiling);
 #   internal/epl: BenchmarkEvaluate, the Media Service policy over a
 #     profiler-shaped snapshot of 128 clients' actors, its interaction
 #     rules joined on who called whom (ceiling: TestEvaluateAllocCeiling).
-MICRO_BENCH = KernelQueue|RequestReply|Send|IdleDelivery|DeliverFleet|OnMessage|SnapshotSteady|SnapshotSparse|Percentile|Observe|ZipfKeysDraw|PartitionMultilevel|RingEmit|Evaluate
+MICRO_BENCH = KernelQueue|RequestReply|Send|IdleDelivery|DeliverFleet|OnMessage|SnapshotSteady|SnapshotSparse|Percentile|Observe|ZipfKeysDraw|PartitionMultilevel|RingEmit|WriteJSONL|Evaluate
 micro-bench:
 	$(GO) test -run '^$$' -bench '^Benchmark($(MICRO_BENCH))$$' -benchtime 1x -benchmem ./internal/sim ./internal/actor ./internal/profile ./internal/metrics ./internal/apps/workload ./internal/graph ./internal/trace ./internal/epl
 
@@ -145,7 +148,9 @@ cover:
 
 # trace-smoke round-trips the decision tracer end to end: a quick traced
 # experiment run twice at the same seed must produce byte-identical JSONL,
-# summarize and diff must accept it, and the Chrome export must render.
+# summarize and diff must accept it, filter with no selector must write it
+# back byte for byte (read then write is the identity), and the Chrome
+# export must render.
 trace-smoke:
 	@rm -rf $(TRACE_SMOKE_DIR) && mkdir -p $(TRACE_SMOKE_DIR)
 	$(GO) run ./cmd/plasma-sim -trace $(TRACE_SMOKE_DIR)/a.jsonl fig5 > /dev/null
@@ -153,6 +158,7 @@ trace-smoke:
 	cmp $(TRACE_SMOKE_DIR)/a.jsonl $(TRACE_SMOKE_DIR)/b.jsonl
 	$(GO) run ./cmd/plasma-trace summarize $(TRACE_SMOKE_DIR)/a.jsonl | grep -q '^records:'
 	$(GO) run ./cmd/plasma-trace diff $(TRACE_SMOKE_DIR)/a.jsonl $(TRACE_SMOKE_DIR)/b.jsonl > /dev/null
+	$(GO) run ./cmd/plasma-trace filter $(TRACE_SMOKE_DIR)/a.jsonl | cmp - $(TRACE_SMOKE_DIR)/a.jsonl
 	$(GO) run ./cmd/plasma-trace chrome $(TRACE_SMOKE_DIR)/a.jsonl > $(TRACE_SMOKE_DIR)/a.trace.json
 	@rm -rf $(TRACE_SMOKE_DIR)
 	@echo "trace-smoke OK: same-seed traces byte-identical, tooling round-trips"

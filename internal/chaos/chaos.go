@@ -96,10 +96,16 @@ func GEM(id int) Endpoint { return Endpoint{GEM: true, ID: id} }
 
 // String names the endpoint as the trace does: "lem3", "gem0".
 func (e Endpoint) String() string {
+	var b [24]byte
+	return string(e.appendTo(b[:0]))
+}
+
+func (e Endpoint) appendTo(b []byte) []byte {
+	name := "lem"
 	if e.GEM {
-		return "gem" + strconv.Itoa(e.ID)
+		name = "gem"
 	}
-	return "lem" + strconv.Itoa(e.ID)
+	return strconv.AppendInt(append(b, name...), int64(e.ID), 10)
 }
 
 // Interceptor decides the fate of control-plane messages. The EMR calls it
@@ -213,13 +219,22 @@ func (in *Injector) Intercept(kind MsgKind, from, to Endpoint) Decision {
 		return Decision{Verdict: Deliver}
 	}
 	if in.tr.Enabled() {
-		detail := fmt.Sprintf("%s %s->%s %s", kind, from, to, d.Verdict)
-		if d.Verdict == Delay {
-			detail += " " + d.Delay.String()
-		}
-		in.emit(detail)
+		var b [64]byte
+		in.emit(string(appendFault(b[:0], kind, from, to, d)))
 	}
 	return d
+}
+
+// appendFault appends a message fault's trace detail:
+// "REPORT lem3->gem0 drop", "QUERY lem1->lem4 delay 12.345ms".
+func appendFault(b []byte, kind MsgKind, from, to Endpoint, d Decision) []byte {
+	b = append(b, kind.String()...)
+	b = append(from.appendTo(append(b, ' ')), "->"...)
+	b = append(append(to.appendTo(b), ' '), d.Verdict.String()...)
+	if d.Verdict == Delay {
+		b = d.Delay.AppendTo(append(b, ' '))
+	}
+	return b
 }
 
 // emit records one injected fault as a KindChaos record. Callers format the

@@ -74,6 +74,41 @@ func TestZeroProbabilitiesDeliverEverything(t *testing.T) {
 	}
 }
 
+// TestFaultDetails pins the bytes of a message fault's detail: each verdict
+// and a delay in each of its three units. TestApplyDispatchesAndTracesRefusals
+// pins a scheduled op's, applied and refused.
+func TestFaultDetails(t *testing.T) {
+	cases := []struct {
+		kind     MsgKind
+		from, to Endpoint
+		d        Decision
+		want     string
+	}{
+		{Report, LEM(3), GEM(0), Decision{Verdict: Drop}, "REPORT lem3->gem0 drop"},
+		{RReply, GEM(1), LEM(12), Decision{Verdict: Duplicate}, "RREPLY gem1->lem12 dup"},
+		{Query, LEM(1), LEM(4), Decision{Verdict: Delay, Delay: 250}, "QUERY lem1->lem4 delay 250µs"},
+		{QReply, LEM(4), LEM(1), Decision{Verdict: Delay, Delay: 12_345}, "QREPLY lem4->lem1 delay 12.345ms"},
+		{Report, LEM(0), GEM(2), Decision{Verdict: Delay, Delay: 1_500_000}, "REPORT lem0->gem2 delay 1.500s"},
+	}
+	buf := []byte("stale")
+	for _, c := range cases {
+		buf = appendFault(buf[:0], c.kind, c.from, c.to, c.d)
+		if string(buf) != c.want {
+			t.Errorf("fault detail = %q, want %q", buf, c.want)
+		}
+	}
+	// Intercept traces the same details.
+	in, ring := traced(1, nil)
+	in.SetFaults(Report, Faults{DropProb: 1})
+	in.SetFaults(RReply, Faults{DupProb: 1})
+	in.Intercept(Report, LEM(3), GEM(0))
+	in.Intercept(RReply, GEM(1), LEM(12))
+	recs := ring.Records()
+	if len(recs) != 2 || recs[0].Detail != cases[0].want || recs[1].Detail != cases[1].want {
+		t.Fatalf("traced details = %+v", recs)
+	}
+}
+
 // With no tracer installed an injected fault costs no allocation: its
 // detail is formatted only for a tracer, as Tracer.Enabled asks.
 func TestUntracedFaultsDoNotAllocate(t *testing.T) {
@@ -256,5 +291,8 @@ func TestApplyDispatchesAndTracesRefusals(t *testing.T) {
 	}
 	if r := recs[1]; r.Kind != trace.KindChaos || r.At != sim.Time(2*sim.Second) || r.Detail != "fail-gem 1 skipped" {
 		t.Fatalf("refusal not traced as skipped at 2s: %+v", r)
+	}
+	if recs[0].Detail != "crash-machine 0" || recs[2].Detail != "repair-machine 0" {
+		t.Fatalf("applied ops traced as %q and %q", recs[0].Detail, recs[2].Detail)
 	}
 }

@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"plasma/internal/sim"
 )
@@ -91,11 +92,12 @@ func (in *Injector) Apply(k *sim.Kernel, env Env, events []Event) {
 				ok = env.RecoverLEM(ev.Target)
 			}
 			if in.tr.Enabled() {
-				detail := fmt.Sprintf("%s %d", ev.Op, ev.Target)
+				var buf [64]byte
+				b := strconv.AppendInt(append(append(buf[:0], ev.Op.String()...), ' '), int64(ev.Target), 10)
 				if !ok {
-					detail += " skipped"
+					b = append(b, " skipped"...)
 				}
-				in.emit(detail)
+				in.emit(string(b))
 			}
 		})
 	}

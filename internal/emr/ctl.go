@@ -69,7 +69,7 @@ func (m *Manager) lemReport(srv cluster.MachineID, snap *epl.Snapshot, tickIdx, 
 	if m.tr.Enabled() {
 		m.tr.Emit(trace.Record{Kind: trace.KindReport, Parent: m.trTick,
 			Tick: int32(tickIdx), Server: int32(srv), Target: -1, Rule: -1,
-			Value: float64(attempt), Detail: chaos.GEM(g.id).String()})
+			Value: float64(attempt), Detail: g.name})
 	}
 	m.sendCtl(chaos.Report, lem(srv), chaos.GEM(g.id), func() {
 		if g.failed || m.Stats.Ticks != tickIdx {
@@ -85,7 +85,7 @@ func (m *Manager) lemReport(srv cluster.MachineID, snap *epl.Snapshot, tickIdx, 
 				if m.tr.Enabled() {
 					m.tr.Emit(trace.Record{Kind: trace.KindReportAck, Parent: m.trTick,
 						Tick: int32(tickIdx), Server: int32(srv), Target: -1, Rule: -1,
-						Detail: chaos.GEM(g.id).String()})
+						Detail: g.name})
 				}
 			}
 		})

@@ -319,6 +319,7 @@ func (m *Manager) grow() {
 
 type gem struct {
 	id     int
+	name   string // chaos.GEM(id).String(), as trace details name it
 	failed bool
 
 	// last is all a GEM remembers (§4.3: no synchronised state): per server,
@@ -356,7 +357,7 @@ func New(k *sim.Kernel, c *cluster.Cluster, rt *actor.Runtime, prof *profile.Pro
 	// capacity depletes), and the caller's slice must stay pristine.
 	m.provSpecs = append([]cluster.ProvSpec(nil), m.Cfg.ProvSpecs...)
 	for i := 0; i < m.Cfg.NumGEMs; i++ {
-		m.gems = append(m.gems, &gem{id: i})
+		m.gems = append(m.gems, &gem{id: i, name: chaos.GEM(i).String()})
 	}
 	return m
 }
@@ -626,7 +627,7 @@ func (m *Manager) gemProcess(g *gem, snap *epl.Snapshot, tickIdx int) {
 
 	gemEvalID := uint64(0)
 	if m.tr.Enabled() {
-		det := chaos.GEM(g.id).String() + " reports=" + strconv.Itoa(g.heard) +
+		det := g.name + " reports=" + strconv.Itoa(g.heard) +
 			" combined=" + strconv.Itoa(len(servers))
 		if len(servers) == 0 {
 			det += " skipped"
@@ -640,7 +641,7 @@ func (m *Manager) gemProcess(g *gem, snap *epl.Snapshot, tickIdx int) {
 	}
 	gemView := snap.WithServers(servers)
 
-	res := epl.EvaluateObserved(m.Pol, gemView, true, false, m.obs(gemEvalID, tickIdx, chaos.GEM(g.id).String()))
+	res := epl.EvaluateObserved(m.Pol, gemView, true, false, m.obs(gemEvalID, tickIdx, g.name))
 	if len(res.ProvClass) > 0 {
 		// Refresh the scale-out class preference from the provclass rules
 		// that fired this period (rule order = preference order).

@@ -30,8 +30,8 @@
 package sim
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 )
 
 // Time is an instant in virtual time, in microseconds since simulation start.
@@ -58,13 +58,19 @@ func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 func (d Duration) String() string {
+	var b [32]byte
+	return string(d.AppendTo(b[:0]))
+}
+
+// AppendTo appends d as String writes it: "1.500s", "12.345ms", "250µs".
+func (d Duration) AppendTo(dst []byte) []byte {
 	switch {
 	case d >= Second:
-		return fmt.Sprintf("%.3fs", d.Seconds())
+		return append(strconv.AppendFloat(dst, d.Seconds(), 'f', 3, 64), 's')
 	case d >= Millisecond:
-		return fmt.Sprintf("%.3fms", float64(d)/float64(Millisecond))
+		return append(strconv.AppendFloat(dst, float64(d)/float64(Millisecond), 'f', 3, 64), "ms"...)
 	default:
-		return fmt.Sprintf("%dµs", int64(d))
+		return append(strconv.AppendInt(dst, int64(d), 10), "µs"...)
 	}
 }
 

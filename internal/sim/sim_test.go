@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -204,10 +206,34 @@ func TestDurationString(t *testing.T) {
 		{3 * Second, "3.000s"},
 		{Millis(1.5), "1.500ms"},
 		{250 * Microsecond, "250µs"},
+		{0, "0µs"},
+		{-5, "-5µs"},
+		{999, "999µs"},
+		{Millisecond, "1.000ms"},
+		{999_999, "999.999ms"},
+		{1_234_567, "1.235s"},
+		{90 * Minute, "5400.000s"},
 	}
 	for _, c := range cases {
 		if got := c.d.String(); got != c.want {
 			t.Errorf("(%d).String() = %q, want %q", c.d, got, c.want)
+		}
+	}
+	// AppendTo writes what fmt's %.3f and %d wrote before it.
+	viaFmt := func(d Duration) string {
+		switch {
+		case d >= Second:
+			return fmt.Sprintf("%.3fs", d.Seconds())
+		case d >= Millisecond:
+			return fmt.Sprintf("%.3fms", float64(d)/float64(Millisecond))
+		}
+		return fmt.Sprintf("%dµs", int64(d))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10_000; i++ {
+		d := Duration(rng.Int63n(int64(10*Second))) - Millisecond
+		if got, want := string(d.AppendTo([]byte("x"))), "x"+viaFmt(d); got != want {
+			t.Fatalf("(%d).AppendTo = %q, want %q", d, got, want)
 		}
 	}
 }

@@ -116,10 +116,24 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// WriteJSONL writes records as JSONL, one per line, in order.
+// WriteJSONL writes records as JSONL, one per line, in order. Like io.Copy
+// asking for a WriterTo, it asks w for a Grow method: an in-memory
+// destination (a bytes.Buffer, a strings.Builder) is grown once by the
+// trace's exact size, counted by encoding each line into the scratch line.
+// Left to itself it regrows under every 4 KB flush and allocates several
+// times what it ends up holding. Files and pipes have no Grow; every
+// destination gets the same bytes.
 func WriteJSONL(w io.Writer, recs []Record) error {
-	bw := bufio.NewWriter(w)
 	var line []byte
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		n := 0
+		for _, r := range recs {
+			line = AppendJSONL(line[:0], r)
+			n += len(line)
+		}
+		g.Grow(n)
+	}
+	bw := bufio.NewWriter(w)
 	for _, r := range recs {
 		line = AppendJSONL(line[:0], r)
 		if _, err := bw.Write(line); err != nil {

@@ -3,7 +3,9 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
+	"math/rand"
 	"runtime"
 	"strconv"
 	"strings"
@@ -75,20 +77,6 @@ func TestRingOverwritesOldest(t *testing.T) {
 // is allocated only when a record lands in it, and a wrapped ring emits
 // without allocating.
 func TestRingAllocatesWhatItHolds(t *testing.T) {
-	// allocated returns the fewest bytes f allocated over three runs: what
-	// the rest of the process (the race detector's runtime, say) allocates
-	// meanwhile only adds.
-	allocated := func(f func()) uint64 {
-		least := uint64(math.MaxUint64)
-		for i := 0; i < 3; i++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			f()
-			runtime.ReadMemStats(&after)
-			least = min(least, after.TotalAlloc-before.TotalAlloc)
-		}
-		return least
-	}
 	var ring *Ring
 	if b := allocated(func() { ring = NewRing(1 << 20) }); b > 4<<10 {
 		t.Fatalf("NewRing(1<<20) allocated %d bytes, want at most 4 KB", b)
@@ -111,6 +99,21 @@ func TestRingAllocatesWhatItHolds(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() { small.Emit(Record{Kind: KindTick}) }); a != 0 {
 		t.Fatalf("Emit into a wrapped ring made %v allocations, want 0", a)
 	}
+}
+
+// allocated returns the fewest bytes f allocated over three runs: what the
+// rest of the process (the race detector's runtime, say) allocates
+// meanwhile only adds.
+func allocated(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }
 
 // BenchmarkRingEmit times one Emit into a ring that has wrapped, the steady
@@ -136,6 +139,118 @@ func sampleRecords() []Record {
 		{ID: 3, Parent: 2, At: 60_000_000, Kind: KindRuleFire, Tick: 1, Server: 2, Target: -1, Actor: 7, Rule: 0, Value: 0, Detail: `server.cpu.perc > 85 = 91.5`},
 		{ID: 4, Parent: 1, At: 60_004_000, Kind: KindPropose, Tick: 1, Server: 2, Target: 0, Actor: 7, Rule: -1, Detail: "balance pri=40"},
 		{ID: 5, Parent: 4, At: 60_008_000, Kind: KindDeny, Tick: 1, Server: 0, Target: -1, Actor: 7, Rule: -1, Detail: "over-bound cpu 91.2+3.4>85"},
+	}
+}
+
+// streamRecords builds n records shaped like a stream world's trace: mostly
+// chaos faults on control-plane messages, REPORT rounds naming their GEM,
+// rule firings with their comparisons, and state transfers.
+func streamRecords(n int) []Record {
+	rng := rand.New(rand.NewSource(1))
+	recs := make([]Record, n)
+	for i := range recs {
+		r := Record{ID: uint64(i + 1), Parent: uint64(i / 8), At: sim.Time(1_000_000 + 1_000*i),
+			Tick: int32(1 + i/2_000), Server: int32(rng.Intn(17)), Target: -1, Rule: -1}
+		switch i % 8 {
+		case 0, 1, 2, 3:
+			r.Kind, r.Server = KindChaos, -1
+			r.Detail = "REPORT lem" + strconv.Itoa(rng.Intn(17)) + "->gem0 delay " + sim.Duration(1+rng.Int63n(40_000)).String()
+		case 4, 5:
+			r.Kind, r.Value, r.Detail = KindReport, float64(rng.Intn(3)), "gem0"
+		case 6:
+			r.Kind, r.Actor, r.Rule = KindRuleFire, uint64(rng.Intn(4096)), 0
+			r.Detail = "server.cpu.perc > 70 = " + strconv.FormatFloat(70+30*rng.Float64(), 'g', -1, 64)
+		default:
+			r.Kind, r.Target, r.Actor, r.Value = KindTransfer, int32(rng.Intn(17)), uint64(rng.Intn(4096)), 4194304
+		}
+		recs[i] = r
+	}
+	return recs
+}
+
+// hideGrow is a writer without a Grow method: what a file or stdout is to
+// WriteJSONL.
+type hideGrow struct{ w io.Writer }
+
+func (h hideGrow) Write(p []byte) (int, error) { return h.w.Write(p) }
+
+// edgeRecords holds every field at its extremes: ids and ints at their
+// limits, an unknown kind, non-finite, signed-zero, subnormal and
+// exponent-form values, and details that need escaping or are not UTF-8.
+func edgeRecords() []Record {
+	var recs []Record
+	edge := Record{ID: math.MaxUint64, Parent: math.MaxUint64, At: math.MinInt64, Kind: numKinds + 3,
+		Tick: math.MinInt32, Server: math.MinInt32, Target: math.MaxInt32, Actor: math.MaxUint64, Rule: math.MinInt32}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 5e-324, 1e21, 4194304, -0.1, math.MaxFloat64} {
+		edge.Value = v
+		recs = append(recs, edge)
+	}
+	for _, det := range []string{"", "bad\xff\xfeutf8", "\x00\x01\x1f\x7f ctl", "tab\tnl\ncr\rbs\bff\f", `say "hi" \ bye`, "µs → 世\uFFFD", "\xe2\x82"} {
+		edge.Detail = det
+		recs = append(recs, edge)
+	}
+	return recs
+}
+
+// TestWriteJSONLSizesItsDestination: a destination that can grow gets the
+// bytes a plain writer gets, in one allocation of (about) their size.
+func TestWriteJSONLSizesItsDestination(t *testing.T) {
+	recs := append(streamRecords(4096), edgeRecords()...)
+	var plain, buf bytes.Buffer
+	var sb strings.Builder
+	for _, w := range []io.Writer{hideGrow{&plain}, &buf, &sb} {
+		if err := WriteJSONL(w, recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(buf.Bytes(), plain.Bytes()) || sb.String() != plain.String() {
+		t.Fatal("a bytes.Buffer or strings.Builder destination got other bytes than a plain writer")
+	}
+	// Past 32 KB the allocator rounds a slice up to the next 8 KB page.
+	if n, c := buf.Len(), cap(buf.Bytes()); n < 32<<10 || c-n >= 8<<10 {
+		t.Fatalf("buffer holds %d bytes in a capacity of %d, want them within one 8 KB page", n, c)
+	}
+}
+
+// TestWriteJSONLAllocCeiling keeps the export into a bytes.Buffer from
+// regrowing it again: a stream-shaped trace costs one Grow of its own size
+// plus 10% and 64 KB, not the doubling buffer's several times that. The
+// Grow is measured, not assumed: a -race build does not fold
+// bytes.Buffer's make-and-append, so there it allocates twice the size.
+func TestWriteJSONLAllocCeiling(t *testing.T) {
+	recs := streamRecords(1 << 16)
+	var out bytes.Buffer
+	if err := WriteJSONL(&out, recs); err != nil {
+		t.Fatal(err)
+	}
+	size := out.Len()
+	grow := allocated(func() {
+		var buf bytes.Buffer
+		buf.Grow(size)
+	})
+	b := allocated(func() {
+		var buf bytes.Buffer
+		if err := WriteJSONL(&buf, recs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if ceiling := grow + uint64(0.1*float64(size)) + 64<<10; b > ceiling {
+		t.Fatalf("writing %d bytes of JSONL allocated %d, want at most %d (a Grow of that size: %d)", size, b, ceiling, grow)
+	}
+}
+
+// BenchmarkWriteJSONL times exporting a stream-shaped trace of 64k records
+// into a fresh bytes.Buffer, as the repository benchmark does each pass.
+func BenchmarkWriteJSONL(b *testing.B) {
+	recs := streamRecords(1 << 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var buf bytes.Buffer
+		if err := WriteJSONL(&buf, recs); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(buf.Len()))
 	}
 }
 
