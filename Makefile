@@ -174,8 +174,9 @@ trace-smoke:
 # epl.Check and the analyzer must not panic on it. FuzzEvaluate: every
 # policy that parses and passes epl.Check, evaluated against a snapshot of
 # 1-8 servers and up to 32 actors decoded from bytes, must not panic, must
-# give the same intents twice, may name only actors in the snapshot, and
-# gives one intent per balance or provclass behavior. FuzzSchema: the schema file
+# give the same intents twice, must give the intents and firings of the
+# literal cross product in spec_test.go, may name only actors in the
+# snapshot, and gives one intent per balance or provclass behavior. FuzzSchema: the schema file
 # parser must not panic on any bytes, every schema it accepts must hold one
 # class per entry under a non-empty, unique name, and epl.Check against it
 # must not panic. FuzzEnvelope: the //lint:envelope and

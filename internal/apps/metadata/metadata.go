@@ -49,7 +49,6 @@ type App struct {
 type folderState struct {
 	files []actor.Ref
 	next  int
-	init  bool
 }
 
 func (f *folderState) Receive(ctx *actor.Context, msg actor.Message) {
@@ -57,7 +56,6 @@ func (f *folderState) Receive(ctx *actor.Context, msg actor.Message) {
 	case "init":
 		ctx.SetProp("files", f.files)
 		ctx.SetMemSize(64 << 10)
-		f.init = true
 	case "open":
 		ctx.Use(openCost)
 		if len(f.files) == 0 {

@@ -48,7 +48,7 @@ func NewDecisionBench(actors, servers int) *DecisionBench {
 	k.Run(sim.Time(sim.Second))
 
 	b := &DecisionBench{NumActors: actors, NumServers: servers, m: m}
-	snap := &epl.Snapshot{At: k.Now(), Window: sim.Second}
+	snap := &epl.Snapshot{}
 	srvCPU := make([]float64, servers)
 	srvMem := make([]float64, servers)
 	for i := 0; i < servers; i++ {

@@ -488,8 +488,8 @@ func TestRestartRunsOneLoop(t *testing.T) {
 	}
 }
 
-// Tick returns the EPR window it closed: every server, closed at the
-// period boundary after one period.
+// Tick returns the EPR window it closed: every server, after one period,
+// and the profiler's next window opens at the period boundary.
 func TestTickReturnsTheWindowItClosed(t *testing.T) {
 	e := newEnv(1, 2, 1)
 	pol := epl.MustParse(`server.cpu.perc > 80 => balance({Worker}, cpu);`)
@@ -497,10 +497,11 @@ func TestTickReturnsTheWindowItClosed(t *testing.T) {
 	ticks := 0
 	e.k.Every(sim.Second, func() bool {
 		ticks++
+		window := e.prof.Window()
 		snap := m.Tick()
-		if want := sim.Time(ticks) * sim.Time(sim.Second); len(snap.Servers) != 2 || snap.At != want || snap.Window != sim.Second {
-			t.Errorf("tick %d: %d servers, window closed at %v after %v; want 2 at %v after 1s",
-				ticks, len(snap.Servers), snap.At, snap.Window, want)
+		if len(snap.Servers) != 2 || window != sim.Second || e.prof.Window() != 0 {
+			t.Errorf("tick %d: %d servers, window closed after %v, next open for %v; want 2 after 1s, next open for 0",
+				ticks, len(snap.Servers), window, e.prof.Window())
 		}
 		return true
 	})

@@ -12,7 +12,7 @@ import (
 
 // buildSnapVec is buildSnap with full (cpu, mem, net) server vectors.
 func buildSnapVec(pe *planEnv, servers [][3]float64, actors []*epl.ActorInfo) *epl.Snapshot {
-	snap := &epl.Snapshot{At: pe.e.k.Now(), Window: 1}
+	snap := &epl.Snapshot{}
 	for i, v := range servers {
 		snap.Servers = append(snap.Servers, &epl.ServerInfo{
 			ID: cluster.MachineID(i), CPUPerc: v[0], MemPerc: v[1], NetPerc: v[2],

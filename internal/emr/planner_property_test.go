@@ -35,7 +35,7 @@ func randomFleet(t *testing.T, seed int64) (m *Manager, scope []cluster.MachineI
 	m = New(k, c, rt, nil, nil, Config{Period: sim.Second, MinResidence: 100 * sim.Millisecond})
 	k.Run(sim.Time(sim.Second))
 
-	snap = &epl.Snapshot{At: k.Now(), Window: sim.Second}
+	snap = &epl.Snapshot{}
 	fresh = make([]lastReport, nSrv) // heard == 1: reported in the round's period
 	nextID := actor.ID(1)
 	for i := 0; i < nSrv; i++ {
@@ -164,7 +164,7 @@ func TestPlanRoundProperties(t *testing.T) {
 		if again, _, _, _, _ := m.planResource(fresh, within(snap, scope), in, 0, 1); !slices.Equal(acts, again) {
 			t.Fatalf("seed %d: the same inputs planned differently twice:\n%+v\n%+v", seed, acts, again)
 		}
-		shuffled := &epl.Snapshot{At: snap.At, Window: snap.Window, Servers: snap.Servers, Actors: slices.Clone(snap.Actors)}
+		shuffled := &epl.Snapshot{Servers: snap.Servers, Actors: slices.Clone(snap.Actors)}
 		rand.New(rand.NewSource(seed)).Shuffle(len(shuffled.Actors), func(i, j int) {
 			shuffled.Actors[i], shuffled.Actors[j] = shuffled.Actors[j], shuffled.Actors[i]
 		})

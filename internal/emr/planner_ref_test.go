@@ -71,7 +71,7 @@ func refRound(t *testing.T, seed int64) (m *Manager, snap *epl.Snapshot) {
 	k.Run(sim.Time(sim.Second))
 
 	const tick = 3
-	snap = &epl.Snapshot{At: k.Now(), Window: sim.Second}
+	snap = &epl.Snapshot{}
 	last := make([]lastReport, nSrv)
 	var scope []cluster.MachineID
 	for i := 0; i < nSrv; i++ {

@@ -30,7 +30,7 @@ func newPlanEnv(t *testing.T, machines int) *planEnv {
 
 // buildSnap makes a snapshot with explicit server loads and actors.
 func buildSnap(pe *planEnv, serverCPU []float64, actors []*epl.ActorInfo) *epl.Snapshot {
-	snap := &epl.Snapshot{At: pe.e.k.Now(), Window: sim.Second}
+	snap := &epl.Snapshot{}
 	for i, cpu := range serverCPU {
 		snap.Servers = append(snap.Servers, &epl.ServerInfo{ID: cluster.MachineID(i), CPUPerc: cpu})
 	}

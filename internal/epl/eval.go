@@ -99,8 +99,8 @@ type EvalObserver interface {
 	// stopped at maxBindings. A server-scoped rule examines every listed server;
 	// any other rule the complete bindings its enumeration reached, which a
 	// top-level ref(...) or call-relation join in the rule's plan (see plan)
-	// narrows to the actors that could satisfy it: the contexts checked,
-	// not the cross product of the rule's types.
+	// narrows to the actors it names: the contexts checked, at most the
+	// cross product of the rule's types.
 	RuleEvaluated(rule *Rule, examined, fired int, truncated bool)
 	// RuleFired is called for each firing context. anchor is the zero Ref
 	// for server-scoped rules; values lists the profiled comparisons that
@@ -151,8 +151,8 @@ type evaluator struct {
 	examined, fired int
 	truncated       bool
 
-	// at[id] is the actor's index in Actors, filled by the first rule that
-	// joins (see rank); distinct is whether the join may use it.
+	// at[id] is the actor's index in Actors, filled by the first level that
+	// narrows (see rank); distinct is whether narrowing may use it.
 	at               []int32
 	ranked, distinct bool
 
@@ -198,9 +198,9 @@ func newDedup() *dedup {
 	}
 }
 
-// level is one step of a rule's enumeration: the ref it binds and where its
-// candidates come from. An inref takes precedence over a join; with
-// neither, the level takes every actor of its type.
+// level is one step of a rule's enumeration: the ref it binds and the
+// conjunct, if any, that names its candidates. An inref takes precedence
+// over a join; with neither, the level takes every actor of its type.
 type level struct {
 	ref   *ActorRef
 	inref *InRefCond   // candidates: its container's property refs
@@ -346,10 +346,9 @@ func (e *evaluator) check(rule *Rule) {
 	e.emit(rule)
 }
 
-// rank fills e.at on its first call in an evaluation and reports whether
-// a join may use it. The join reaches callers through their ids, so
-// every listed actor must have a nonzero id of its own: Actor then returns
-// each one.
+// rank fills e.at on its first call in an evaluation and reports whether a
+// level may narrow. Narrowing reaches actors through their ids, so every
+// listed actor must have a nonzero id of its own: Actor then returns each.
 func (e *evaluator) rank() bool {
 	if e.ranked {
 		return e.distinct
@@ -366,45 +365,37 @@ func (e *evaluator) rank() bool {
 	return e.distinct
 }
 
-// candidates lists level i's actors as its plan says: the property refs of
-// its inref's bound container; else the callers its join's bound callee
-// names, when the snapshot's ids allow the join (see rank); else every
-// actor of its type. The last two list actors in the same order.
+// candidates lists level i's actors. When its plan names them (its inref's
+// bound container's property refs, or the callers its join's bound callee's
+// Calls name) and the snapshot's ids allow it (see rank), it lists those of
+// its type, each once, in Actors order; else every actor of its type, which
+// OfType lists in the same order. So narrowing only skips bindings.
 func (e *evaluator) candidates(i int) []*ActorInfo {
 	l := &e.b.levels[i]
 	typ := l.ref.Type()
-	switch {
-	case l.inref != nil:
-		cands := e.cands[i][:0]
-		for _, pr := range e.b.lookup(l.inref.Container).Props[l.inref.Prop] {
-			if ai := e.snap.Actor(pr); ai != nil && (typ == AnyType || ai.Type == typ) {
-				cands = append(cands, ai)
-			}
-		}
-		e.cands[i] = cands
-	case l.join != nil && e.rank():
-		e.cands[i] = e.callers(e.cands[i][:0], e.b.lookup(l.join.Callee), l.join.FName, typ)
-	default:
+	if l.inref == nil && l.join == nil || !e.rank() {
 		return e.snap.OfType(typ)
 	}
-	return e.cands[i]
-}
-
-// callers appends to buf the actors of type typ that callee's Calls name as
-// callers of method, each once, in Actors order: the order OfType lists
-// them in, so the order the cross product visits them in. (The profiler
-// sorts Calls by its own key; nothing here relies on that.)
-func (e *evaluator) callers(buf []*ActorInfo, callee *ActorInfo, method, typ string) []*ActorInfo {
-	for _, cs := range callee.Calls {
-		if cs.Method != method {
-			continue
-		}
-		if ai := e.snap.Actor(cs.Caller); ai != nil && (typ == AnyType || ai.Type == typ) {
-			buf = append(buf, ai)
+	named := e.cands[i][:0]
+	add := func(r actor.Ref) {
+		if ai := e.snap.Actor(r); ai != nil && (typ == AnyType || ai.Type == typ) {
+			named = append(named, ai)
 		}
 	}
-	slices.SortFunc(buf, func(x, y *ActorInfo) int { return cmp.Compare(e.at[x.Ref.ID], e.at[y.Ref.ID]) })
-	return slices.Compact(buf)
+	if l.inref != nil {
+		for _, r := range e.b.lookup(l.inref.Container).Props[l.inref.Prop] {
+			add(r)
+		}
+	} else {
+		for _, cs := range e.b.lookup(l.join.Callee).Calls {
+			if cs.Method == l.join.FName {
+				add(cs.Caller)
+			}
+		}
+	}
+	slices.SortFunc(named, func(x, y *ActorInfo) int { return cmp.Compare(e.at[x.Ref.ID], e.at[y.Ref.ID]) })
+	e.cands[i] = slices.Compact(named)
+	return e.cands[i]
 }
 
 // observe reports one firing context with the profiled left-hand value of

@@ -25,9 +25,7 @@ type ruleEval struct {
 	truncated             bool
 }
 
-// recorder keeps every observation of one evaluation, in order. It serves
-// as both the EvalObserver and, through refRecorder, the reference
-// evaluator's observer.
+// recorder keeps every observation of one evaluation, in order.
 type recorder struct {
 	fires []firing
 	evals []ruleEval
@@ -46,22 +44,17 @@ type evalsOnly struct{ recorder }
 
 func (*evalsOnly) RuleFired(*Rule, actor.Ref, cluster.MachineID, []FeatureValue) {}
 
-type refRecorder struct{ *recorder }
-
-func (r refRecorder) RuleEvaluated(rule *Rule, examined, fired int) {
-	r.recorder.RuleEvaluated(rule, examined, fired, false)
-}
-
 // diffEvaluate evaluates pol against snap with Evaluate and with the
-// reference evaluator and reports the first difference: the intents,
-// element for element; the RuleFired sequence; each rule's firing count;
-// and examined, which may only fall (a join checks fewer contexts), never
-// rise. joined reports whether some rule examined fewer contexts.
-func diffEvaluate(pol *Policy, snap *Snapshot, resource, interaction bool) (diff string, joined bool) {
-	var got, want recorder
+// literal cross product (spec_test.go) and reports the first difference:
+// the intents, element for element; the RuleFired sequence, values
+// included; each rule's firing count; and examined, which may only fall (a
+// narrowed level skips bindings), never rise. narrowed reports whether some
+// rule examined fewer contexts.
+func diffEvaluate(pol *Policy, snap *Snapshot, resource, interaction bool) (diff string, narrowed bool) {
+	var got recorder
 	in := canonical(EvaluateObserved(pol, snap, resource, interaction, &got))
-	ref := canonical(refEvaluateObserved(pol, snap, resource, interaction, refRecorder{&want}))
-	if !reflect.DeepEqual(in, ref) {
+	want := specEvaluate(pol, snap, resource, interaction)
+	if ref := canonical(want.in); !reflect.DeepEqual(in, ref) {
 		return fmt.Sprintf("intents differ:\n got %+v\nwant %+v", in, ref), false
 	}
 	if !reflect.DeepEqual(got.fires, want.fires) {
@@ -73,11 +66,11 @@ func diffEvaluate(pol *Policy, snap *Snapshot, resource, interaction bool) (diff
 	for i, g := range got.evals {
 		w := want.evals[i]
 		if g.rule != w.rule || g.fired != w.fired || g.examined > w.examined || g.truncated {
-			return fmt.Sprintf("rule evaluation %d: got %+v, reference %+v", i, g, w), false
+			return fmt.Sprintf("rule evaluation %d: got %+v, cross product %+v", i, g, w), false
 		}
-		joined = joined || g.examined < w.examined
+		narrowed = narrowed || g.examined < w.examined
 	}
-	return "", joined
+	return "", narrowed
 }
 
 // diffTypes are the types a generated policy names; a snapshot adds
@@ -237,21 +230,21 @@ func genDiffSnapshot(rng *rand.Rand) *Snapshot {
 		snap.Actors = append(snap.Actors, a)
 	}
 	if dup {
-		// Two actors of one type share an id: a join would reach only the
-		// one byID holds.
+		// Two actors of one type share an id: narrowing through ids would
+		// reach only the one byID holds.
 		snap.Actors[0].Type = snap.Actors[1].Type
 	}
 	return snap.Index()
 }
 
-// TestEvaluateMatchesReference holds Evaluate to the reference cross
-// product on random policies and snapshots: the same intents in the same
-// order, the same RuleFired sequence, the same firing counts, and never
-// more contexts examined. Some cases must have joined, or the test would
-// not be exercising the join at all.
+// TestEvaluateMatchesReference holds Evaluate to the literal cross product
+// (specEvaluate) on random policies and snapshots: the same intents in the
+// same order, the same RuleFired sequence, the same firing counts, and never
+// more contexts examined. Some cases must have narrowed, or the test would
+// not be exercising the ref(...) and join narrowing at all.
 func TestEvaluateMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
-	cases, joined := 0, 0
+	cases, narrowed := 0, 0
 	for cases < 1500 {
 		src := genDiffPolicy(rng)
 		pol, err := Parse(src)
@@ -265,18 +258,18 @@ func TestEvaluateMatchesReference(t *testing.T) {
 		for k := 0; k < 4; k++ {
 			snap := genDiffSnapshot(rng)
 			mode := rng.Intn(3)
-			d, j := diffEvaluate(pol, snap, mode != 1, mode != 2)
+			d, n := diffEvaluate(pol, snap, mode != 1, mode != 2)
 			if d != "" {
 				t.Fatalf("case %d: %s\npolicy:\n%s", cases, d, src)
 			}
-			if j {
-				joined++
+			if n {
+				narrowed++
 			}
 		}
 	}
-	t.Logf("%d of %d evaluations joined", joined, 4*cases)
-	if joined < 300 {
-		t.Fatalf("only %d of %d evaluations joined", joined, 4*cases)
+	t.Logf("%d of %d evaluations narrowed", narrowed, 4*cases)
+	if narrowed < 300 {
+		t.Fatalf("only %d of %d evaluations narrowed", narrowed, 4*cases)
 	}
 }
 

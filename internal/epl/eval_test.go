@@ -385,6 +385,50 @@ func TestEvalInRefUnderOrNarrowsNothing(t *testing.T) {
 	}
 }
 
+// TestEvalInRefListedTwiceFiresOnce: a session whose players property lists
+// its one player twice still has one (session, player) binding, so the rule
+// fires once and gives one colocate intent.
+func TestEvalInRefListedTwiceFiresOnce(t *testing.T) {
+	pol := MustParse(`Player(p) in ref(Session(s).players) => colocate(p, s);`)
+	b := newSnap().server(0, 0, 0, 0)
+	s := b.actor("Session", 0, 0)
+	p := b.actor("Player", 0, 0)
+	s.Props["players"] = []actor.Ref{p.Ref, p.Ref}
+	var rec recorder
+	in := EvaluateObserved(pol, b.build(), true, true, &rec)
+	if want := []ruleEval{{rule: 0, examined: 1, fired: 1}}; !reflect.DeepEqual(rec.evals, want) {
+		t.Fatalf("RuleEvaluated = %+v, want %+v", rec.evals, want)
+	}
+	if len(rec.fires) != 1 {
+		t.Fatalf("RuleFired %d times, want once: %+v", len(rec.fires), rec.fires)
+	}
+	if want := []PairIntent{{Rule: pol.Rules[0], A: p.Ref, B: s.Ref}}; !reflect.DeepEqual(in.Colocate, want) {
+		t.Fatalf("colocate = %+v, want %+v", in.Colocate, want)
+	}
+}
+
+// TestEvalInRefReachesActorsSharingAnID: two players share the id the
+// session's property names, so the condition holds for both, and the rule
+// fires on both bindings as the cross product does.
+func TestEvalInRefReachesActorsSharingAnID(t *testing.T) {
+	pol := MustParse(`Player(p) in ref(Session(s).players) => colocate(p, s);`)
+	b := newSnap().server(0, 0, 0, 0)
+	s := b.actor("Session", 0, 0)
+	p1 := b.actor("Player", 0, 0)
+	p2 := b.actor("Player", 0, 0)
+	p2.Ref = p1.Ref
+	s.Props["players"] = []actor.Ref{p1.Ref}
+	snap := b.build()
+	var rec recorder
+	EvaluateObserved(pol, snap, true, true, &rec)
+	if want := []ruleEval{{rule: 0, examined: 2, fired: 2}}; !reflect.DeepEqual(rec.evals, want) {
+		t.Fatalf("RuleEvaluated = %+v, want %+v", rec.evals, want)
+	}
+	if d, _ := diffEvaluate(pol, snap, true, true); d != "" {
+		t.Fatal(d)
+	}
+}
+
 func TestEvalEmptySnapshot(t *testing.T) {
 	pol := MustParse(mediaPolicy)
 	in := Evaluate(pol, (&Snapshot{}).Index(), true, true)

@@ -50,8 +50,8 @@ func policyNames(pol *Policy) (types, props, methods []string) {
 }
 
 // actorCap is how many actors a snapshot for pol may hold: 32, or fewer
-// when pol has a rule with so many binding refs that enumerating its
-// bindings over 32 actors would take a fuzz iteration seconds.
+// when pol has a rule with so many binding refs that the literal cross
+// product (spec_test.go) would enumerate more than 2^14 bindings.
 func actorCap(pol *Policy) int {
 	refs := 0
 	for _, r := range pol.Rules {
@@ -146,7 +146,7 @@ func (nopObserver) RuleFired(*Rule, actor.Ref, cluster.MachineID, []FeatureValue
 
 // checkEvaluate evaluates pol against snap twice, the second time observed,
 // and reports the first property that fails: the two intent sets must be
-// equal, the reference evaluator (eval_ref_test.go) must agree with them
+// equal, the literal cross product (spec_test.go) must agree with them
 // (see diffEvaluate), every actor an intent names must be in the snapshot,
 // and a rule's balance and provclass intents must be one per behavior (see
 // onePerBehavior).
@@ -157,7 +157,7 @@ func checkEvaluate(pol *Policy, snap *Snapshot, resource, interaction bool) stri
 		return "a second, observed evaluation gave different intents"
 	}
 	if d, _ := diffEvaluate(pol, snap, resource, interaction); d != "" {
-		return "the reference evaluator disagrees: " + d
+		return "the literal cross product disagrees: " + d
 	}
 	var refs []actor.Ref
 	for _, r := range in.Reserve {
@@ -221,7 +221,7 @@ func onePerBehavior(pol *Policy, in *Intents) string {
 
 // FuzzEvaluate runs every policy that parses and passes Check against a
 // snapshot decoded from bytes (see decodeSnapshot). Evaluate must not panic,
-// two evaluations must give the same intents, the reference evaluator the
+// two evaluations must give the same intents, the literal cross product the
 // same intents and firings, an intent may name only actors in the snapshot,
 // and a balance or provclass behavior gives one intent (see checkEvaluate).
 // The corpus is seeded with the paper's policies, one rule on actor

@@ -104,9 +104,6 @@ func (a *ActorInfo) ResSize(r Resource) float64 {
 // Snapshot is the profiling view a rule evaluation runs against: a LEM's
 // local snapshot or a GEM's global one.
 type Snapshot struct {
-	At     sim.Time
-	Window sim.Duration
-
 	Actors  []*ActorInfo
 	Servers []*ServerInfo
 
@@ -193,8 +190,6 @@ func indexServers(idx, servers []*ServerInfo) []*ServerInfo {
 // bounded-staleness server cache without re-indexing the whole fleet.
 func (s *Snapshot) WithServers(servers []*ServerInfo) *Snapshot {
 	v := &Snapshot{
-		At:      s.At,
-		Window:  s.Window,
 		Actors:  s.Actors,
 		Servers: servers,
 		byID:    s.byID,

@@ -16,16 +16,15 @@ import (
 
 // Every arm's period is one step, then the probe on the snapshot that step
 // returned. On a comparison arm, run closes the EPR window once and hands the
-// same snapshot to the manager, then to the probe; on an EPL arm, the probe
-// gets the window the EMR's Tick closed, at the manager's defaulted period,
-// numbered with the manager's own tick count.
+// same snapshot to the manager, then to the probe, at the same instant; on an
+// EPL arm, the probe gets the window the EMR's Tick closed, at the manager's
+// defaulted period, numbered with the manager's own tick count.
 func TestRunHandsBaselineAndProbeOneWindow(t *testing.T) {
 	type call struct {
 		who  string
 		tick int
 		snap *epl.Snapshot
-		at   sim.Time
-		win  sim.Duration
+		at   sim.Time // when the call was made
 	}
 	for _, tc := range []struct {
 		name   string
@@ -36,8 +35,8 @@ func TestRunHandsBaselineAndProbeOneWindow(t *testing.T) {
 	}{
 		{"baseline", sim.Second, func(sc *scenario, add func(call)) {
 			sc.emr = emr.Config{Period: sim.Second}
-			sc.baseline = func(*core.World) func(*epl.Snapshot) {
-				return func(snap *epl.Snapshot) { add(call{"manager", 0, snap, snap.At, snap.Window}) }
+			sc.baseline = func(w *core.World) func(*epl.Snapshot) {
+				return func(snap *epl.Snapshot) { add(call{"manager", 0, snap, w.K.Now()}) }
 			}
 		}, []string{"manager", "probe"}},
 		{"policy", 60 * sim.Second, func(sc *scenario, _ func(call)) {
@@ -55,7 +54,7 @@ func TestRunHandsBaselineAndProbeOneWindow(t *testing.T) {
 					if w.M != nil && tick != w.M.Stats.Ticks {
 						t.Errorf("probe tick %d, manager at tick %d", tick, w.M.Stats.Ticks)
 					}
-					add(call{"probe", tick, snap, snap.At, snap.Window})
+					add(call{"probe", tick, snap, w.K.Now()})
 				},
 				horizon: 5 * tc.period,
 			}
@@ -72,18 +71,17 @@ func TestRunHandsBaselineAndProbeOneWindow(t *testing.T) {
 					if c.who != tc.who[i] {
 						t.Fatalf("period %d called %s at position %d, want %v", p, c.who, i, tc.who)
 					}
-					if c.snap != got[0].snap || c.at != got[0].at || c.win != got[0].win {
-						t.Errorf("period %d: %s saw %p (at %v, window %v), %s %p (at %v, window %v)",
-							p, c.who, c.snap, c.at, c.win, got[0].who, got[0].snap, got[0].at, got[0].win)
+					if c.snap != got[0].snap || c.at != got[0].at {
+						t.Errorf("period %d: %s saw %p (at %v), %s %p (at %v)",
+							p, c.who, c.snap, c.at, got[0].who, got[0].snap, got[0].at)
 					}
 				}
 				last := got[per-1]
 				if last.tick != p {
 					t.Errorf("probe tick %d, want %d", last.tick, p)
 				}
-				if want := sim.Time(p) * sim.Time(tc.period); last.at != want || last.win != tc.period {
-					t.Errorf("period %d: window closed at %v after %v, want at %v after %v",
-						p, last.at, last.win, want, tc.period)
+				if want := sim.Time(p) * sim.Time(tc.period); last.at != want {
+					t.Errorf("period %d: window closed at %v, want at %v", p, last.at, want)
 				}
 			}
 		})

@@ -200,11 +200,10 @@ func singleFeature(c epl.Cond) (string, featIv, bool) {
 // (provision class), a lower trigger ("perc < 50") on low load
 // (decommission class).
 type trigger struct {
-	rule  int
-	res   epl.Resource
-	val   float64
-	upper bool
-	pos   epl.Pos
+	rule int
+	res  epl.Resource
+	val  float64
+	pos  epl.Pos
 }
 
 // flappingPass pairs provision-class triggers with decommission-class
@@ -229,7 +228,6 @@ func flappingPass(pol *epl.Policy) []Diagnostic {
 			t := trigger{rule: r.Index, res: rf.Res, val: c.Val, pos: c.Pos}
 			switch c.Op {
 			case epl.GT, epl.GE:
-				t.upper = true
 				ups = append(ups, t)
 			case epl.LT, epl.LE:
 				downs = append(downs, t)

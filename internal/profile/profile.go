@@ -360,8 +360,6 @@ func (p *Profiler) resetCalls(id int) {
 func (p *Profiler) Snapshot([]cluster.MachineID) *epl.Snapshot {
 	window := p.Window()
 	snap := &p.snap
-	snap.At = p.k.Now()
-	snap.Window = window
 
 	// Scope set: the up servers, whose actors get usage statistics
 	// attributed. A MachineID is its machine's index in Machines(). Server
