@@ -43,7 +43,10 @@ bench:
 #     Send, BenchmarkIdleDelivery — fleet_control's shape, 4,096 actors on
 #     one self-message cycle, every delivery finding its actor idle — and
 #     BenchmarkDeliverFleet, fleet_control's miss pattern: idle deliveries to
-#     random actors of a 131,072-actor runtime;
+#     random actors of a 131,072-actor runtime, and BenchmarkBarrierRound,
+#     pagerank_rebalance's barrier: a coordinator and 56 workers on 7
+#     machines, each worker sending 55 boundary messages and a done (ceiling:
+#     TestBarrierRoundAllocCeiling);
 #   internal/profile: the EPR's per-message hook at fanin 4 and 64, a steady
 #     Snapshot of 1,024 actors, and a sparse Snapshot of a 131,072-actor
 #     fleet with 1% messaged each period;
@@ -65,7 +68,7 @@ bench:
 #   internal/epl: BenchmarkEvaluate, the Media Service policy over a
 #     profiler-shaped snapshot of 128 clients' actors, its interaction
 #     rules joined on who called whom (ceiling: TestEvaluateAllocCeiling).
-MICRO_BENCH = KernelQueue|RequestReply|Send|IdleDelivery|DeliverFleet|OnMessage|SnapshotSteady|SnapshotSparse|Percentile|Observe|ZipfKeysDraw|PartitionMultilevel|RingEmit|WriteJSONL|Evaluate
+MICRO_BENCH = KernelQueue|RequestReply|Send|IdleDelivery|DeliverFleet|BarrierRound|OnMessage|SnapshotSteady|SnapshotSparse|Percentile|Observe|ZipfKeysDraw|PartitionMultilevel|RingEmit|WriteJSONL|Evaluate
 micro-bench:
 	$(GO) test -run '^$$' -bench '^Benchmark($(MICRO_BENCH))$$' -benchtime 1x -benchmem ./internal/sim ./internal/actor ./internal/profile ./internal/metrics ./internal/apps/workload ./internal/graph ./internal/trace ./internal/epl
 

@@ -87,20 +87,19 @@ type PlacementHook interface {
 	Place(typ string, creator Ref, creatorSrv cluster.MachineID) cluster.MachineID
 }
 
-// instance is one live actor: 128 bytes, two cache lines (its size class
-// aligns it to them). The first line holds what send, deliver and start
-// read of every message: the home, the mailbox, the pending move, the id and
-// the flags. The second holds the type and behavior a turn runs, and what
-// the profiler's metadata refresh and a migration read. TestInstanceLayout
-// holds the size and the split.
+// instance is one live actor: 120 bytes in a 128-byte size class, which
+// aligns it to two cache lines. The first line holds what send, deliver and
+// start read of every message: the home, the mailbox and its count, the
+// pending move, the id and the flags. The second holds the type and behavior
+// a turn runs, and what the profiler's metadata refresh and a migration
+// read. TestInstanceLayout holds the size and the split.
 type instance struct {
 	srv cluster.MachineID
 
-	// The mailbox is a FIFO over one backing array: queued messages are
-	// mailbox[head:]. The array is kept across drains (see enqueue/dequeue),
-	// so an actor in steady state queues without allocating.
-	mailbox []Message
-	head    int
+	// The mailbox is the flights that arrived while the actor could not
+	// start a turn, oldest first; queued counts them.
+	mail   fifo
+	queued int
 
 	// pending is the migration requested but not yet begun (it waits for
 	// the current turn to end); nil when no move is pending.
@@ -186,6 +185,8 @@ type Runtime struct {
 
 	shed     int64    // deliveries dropped at full bounded mailboxes
 	flights  *flight  // free list of recycled flights
+	made     int      // flights ever made; all are free when none is buffered, queued or in transit
+	slab     []flight // flights allocated but not yet made
 	contexts *Context // free list of recycled Contexts
 
 	tr *trace.Tracer // nil = migration lifecycle untraced
@@ -453,6 +454,10 @@ func (rt *Runtime) Stop(ref Ref) {
 		return
 	}
 	inst.dead = true
+	for f := inst.mail.pop(); f != nil; f = inst.mail.pop() {
+		rt.release(f)
+	}
+	inst.queued = 0
 	if mig := rt.inflight[inst.id]; mig != nil {
 		rt.abortMigration(mig, false, "actor-stopped")
 	}
@@ -595,7 +600,7 @@ func (rt *Runtime) MigratingTo(ref Ref) cluster.MachineID {
 	return -1
 }
 
-// flightKind says what a flight (or a buffered effect) carries.
+// flightKind says what a flight carries.
 type flightKind uint8
 
 const (
@@ -605,75 +610,116 @@ const (
 	flightReply                   // a reply on its way to msg.reply's origin
 )
 
-// flight is one message, delayed send or reply in transit between two
-// machines: the state of the kernel event that carries it. Flights are
-// recycled through the runtime's free list, and fire — the callback
-// handed to Kernel.After — is built once per struct, so a message
-// hop allocates nothing in steady state. A reply flight carries its
-// argument and size in msg.Arg and msg.Size and its handle in msg.reply.
+// flight is the one record of a message, a delayed send or a reply, from
+// the send to the start of the turn that consumes it: on the sending turn's
+// effect list, then in transit (the state of the kernel event carrying it),
+// then on its actor's mailbox if the actor cannot start a turn. Flights are
+// recycled through the runtime's free list, and fire, the callback handed
+// to Kernel.After, is built once per struct. A reply keeps its argument,
+// size and handle in msg.Arg, msg.Size and msg.reply.
 type flight struct {
 	kind      flightKind
 	from, dst cluster.MachineID
 	msg       Message
 	to        Ref
-	fire      func() // reusable arrival closure: rt.arrive(f)
-	next      *flight
+	delay     sim.Duration // a buffered SendAfter's delay
+	fire      func()       // reusable arrival closure: rt.arrive(f)
+	next      *flight      // free-list or fifo link
 }
 
-// launch schedules a flight from machine from to machine dst, d from now.
-func (rt *Runtime) launch(kind flightKind, from, dst cluster.MachineID, d sim.Duration, msg *Message, to Ref) {
+// fifo is a queue of flights linked through next: a turn's buffered
+// effects, or an actor's mailbox. last is meaningful only while first is
+// not nil.
+type fifo struct{ first, last *flight }
+
+func (q *fifo) push(f *flight) {
+	if q.first == nil {
+		q.first = f
+	} else {
+		q.last.next = f
+	}
+	q.last = f
+}
+
+// pop removes and returns the oldest flight, or nil when q is empty.
+func (q *fifo) pop() *flight {
+	f := q.first
+	if f != nil {
+		q.first, f.next = f.next, nil
+	}
+	return f
+}
+
+// flightSlab is how many flights one allocation makes: a deep mailbox holds
+// a flight per queued message, and made one at a time (each with its fire
+// closure) they would double a queueing world's allocation count. 63
+// flights and the allocator's 8-byte header fill its 8 KB size class.
+const flightSlab = 63
+
+// take returns a flight carrying msg to to, from the free list when it has
+// one.
+func (rt *Runtime) take(kind flightKind, msg Message, to Ref, delay sim.Duration) *flight {
 	f := rt.flights
 	if f != nil {
-		rt.flights = f.next
-		f.next = nil
+		rt.flights, f.next = f.next, nil
 	} else {
-		f = &flight{}
+		if len(rt.slab) == 0 {
+			rt.slab = make([]flight, flightSlab)
+		}
+		f, rt.slab = &rt.slab[0], rt.slab[1:]
 		f.fire = func() { rt.arrive(f) }
+		rt.made++
 	}
-	f.kind, f.from, f.dst, f.msg, f.to = kind, from, dst, *msg, to
+	f.kind, f.msg, f.to, f.delay = kind, msg, to, delay
+	return f
+}
+
+// release poisons f and puts it back on the free list.
+func (rt *Runtime) release(f *flight) {
+	*f = flight{fire: f.fire, next: rt.flights}
+	rt.flights = f
+}
+
+// launch schedules f from machine from to machine dst, d from now.
+func (rt *Runtime) launch(f *flight, from, dst cluster.MachineID, d sim.Duration) {
+	f.from, f.dst = from, dst
 	rt.K.After(d, f.fire)
 }
 
-// arrive is a flight's kernel event. The struct goes back to the free list
-// first — the event that fired was its only pending reference, and whatever
-// the arrival sends next can reuse it at once.
+// arrive is a flight's kernel event: a delay elapsed sends its message on,
+// a reply goes back to the free list before the client's callback runs, and
+// a message is delivered, or sent on to its actor's new home (a dead letter
+// if the actor stopped).
 func (rt *Runtime) arrive(f *flight) {
-	kind, from, dst, msg, to := f.kind, f.from, f.dst, f.msg, f.to
-	if kind == flightFree {
+	switch f.kind {
+	case flightFree:
 		panic("actor: a recycled flight fired")
-	}
-	f.kind, f.msg = flightFree, Message{}
-	f.next = rt.flights
-	rt.flights = f
-
-	if kind == flightDelay {
-		rt.send(dst, &msg, to)
+	case flightDelay:
+		f.kind = flightMsg
+		rt.send(f.dst, f)
 		return
 	}
-	if from != dst {
-		rt.C.Machine(dst).AddNetBytes(msg.Size)
+	if f.from != f.dst {
+		rt.C.Machine(f.dst).AddNetBytes(f.msg.Size)
 	}
-	if kind == flightReply {
+	if f.kind == flightReply {
 		// The first reply to arrive frees the slot and runs the callback.
-		if rp := rt.openPath(msg.reply); rp != nil {
+		h, arg := f.msg.reply, f.msg.Arg
+		rt.release(f)
+		if rp := rt.openPath(h); rp != nil {
 			start, done := rp.start, rp.done
-			rp.gen, rp.done, rp.next, rt.freeReply = rp.gen+1, nil, rt.freeReply, uint32(msg.reply)
+			rp.gen, rp.done, rp.next, rt.freeReply = rp.gen+1, nil, rt.freeReply, uint32(h)
 			if done != nil {
-				done(sim.Duration(rt.K.Now()-start), msg.Arg)
+				done(sim.Duration(rt.K.Now()-start), arg)
 			}
 		}
 		return
 	}
-	cur := rt.inst(to.ID)
-	if cur == nil {
-		return
+	if cur := rt.inst(f.to.ID); cur != nil && cur.srv == f.dst {
+		rt.deliver(cur, f)
+	} else {
+		rt.send(f.dst, f) // the actor moved while the message flew: forward
 	}
-	if cur.srv != dst {
-		// Actor moved while the message was in flight: forward.
-		rt.send(dst, &msg, to)
-		return
-	}
-	rt.deliver(cur, &msg)
 }
 
 // openPath returns the reply path of handle h while its request is open. A
@@ -690,72 +736,45 @@ func (rt *Runtime) openPath(h uint64) *replyPath {
 // commit or on arrival; a correct application keeps it at zero.
 func (rt *Runtime) DuplicateReplies() int { return rt.dupReplies }
 
-// send routes a message to an actor, resolving its location at delivery
-// time; messages chase migrated actors with an extra forwarding hop. The
-// send side of the network accounting happens here, the receive side when
-// the flight arrives.
-func (rt *Runtime) send(fromSrv cluster.MachineID, msg *Message, to Ref) {
-	inst := rt.inst(to.ID)
+// send routes a message flight to its actor, resolving the actor's location
+// at delivery time; messages chase migrated actors with an extra forwarding
+// hop. The send side of the network accounting happens here, the receive
+// side when the flight arrives. A flight to a stopped actor is a dead letter.
+func (rt *Runtime) send(fromSrv cluster.MachineID, f *flight) {
+	inst := rt.inst(f.to.ID)
 	if inst == nil {
-		return // dead letter
+		rt.release(f)
+		return
 	}
 	dstSrv := inst.srv
-	lat := rt.C.TransferLatency(fromSrv, dstSrv, msg.Size)
+	lat := rt.C.TransferLatency(fromSrv, dstSrv, f.msg.Size)
 	if fromSrv != dstSrv {
-		rt.C.Machine(fromSrv).AddNetBytes(msg.Size)
+		rt.C.Machine(fromSrv).AddNetBytes(f.msg.Size)
 	}
-	rt.launch(flightMsg, fromSrv, dstSrv, lat, msg, to)
+	rt.launch(f, fromSrv, dstSrv, lat)
 }
 
-// deliver hands a message that reached its actor's machine to the actor. An
-// actor that can run now with nothing queued starts its turn on it at once,
-// and the mailbox is never touched; otherwise the message queues behind the
-// rest, or is shed when the bounded mailbox is full.
-func (rt *Runtime) deliver(inst *instance, msg *Message) {
-	if inst.queued() == 0 && inst.pending == nil {
+// deliver hands a message flight that reached its actor's machine to the
+// actor. An actor that can run now with nothing queued starts its turn on it
+// at once, and the mailbox is never touched; otherwise the flight queues
+// behind the rest, or is shed when the bounded mailbox is full.
+func (rt *Runtime) deliver(inst *instance, f *flight) {
+	if inst.queued == 0 && inst.pending == nil {
 		if m := rt.free(inst); m != nil {
-			rt.start(inst, m, msg)
+			rt.start(inst, m, f)
 			return
 		}
 	}
-	if rt.MailboxCap > 0 && inst.queued() >= rt.MailboxCap {
+	if rt.MailboxCap > 0 && inst.queued >= rt.MailboxCap {
 		rt.shed++
 		rt.tr.Emit(trace.Record{Kind: trace.KindShed, Server: int32(inst.srv), Target: -1,
-			Actor: uint64(inst.id), Rule: -1, Value: float64(rt.MailboxCap), Detail: msg.Method})
+			Actor: uint64(inst.id), Rule: -1, Value: float64(rt.MailboxCap), Detail: f.msg.Method})
+		rt.release(f)
 		return
 	}
-	inst.enqueue(msg)
+	inst.mail.push(f)
+	inst.queued++
 	rt.pump(inst)
-}
-
-// queued reports the number of messages waiting in the mailbox.
-func (inst *instance) queued() int { return len(inst.mailbox) - inst.head }
-
-// enqueue appends to the mailbox. When the backing array is full and at
-// least half of it is consumed prefix, the queued messages slide to the
-// front instead of the array growing; a fuller one moves to an array of
-// exactly twice its size (append grows by a quarter, slices.Grow past 2×).
-// Either way each message is moved a constant number of times, amortized.
-func (inst *instance) enqueue(msg *Message) {
-	if n := len(inst.mailbox); n == cap(inst.mailbox) && inst.head > 0 && inst.head >= n/2 {
-		live := copy(inst.mailbox, inst.mailbox[inst.head:])
-		clear(inst.mailbox[live:])
-		inst.mailbox, inst.head = inst.mailbox[:live], 0
-	} else if n == cap(inst.mailbox) {
-		inst.mailbox, inst.head = append(make([]Message, 0, 2*n), inst.mailbox[inst.head:]...), 0
-	}
-	inst.mailbox = append(inst.mailbox, *msg)
-}
-
-// dequeue removes the oldest queued message into msg, resetting a drained
-// mailbox to the start of its backing array.
-func (inst *instance) dequeue(msg *Message) {
-	*msg = inst.mailbox[inst.head]
-	inst.mailbox[inst.head] = Message{}
-	inst.head++
-	if inst.head == len(inst.mailbox) {
-		inst.mailbox, inst.head = inst.mailbox[:0], 0
-	}
 }
 
 // ShedRequests reports deliveries dropped at full bounded mailboxes.
@@ -785,16 +804,17 @@ func (rt *Runtime) pump(inst *instance) {
 		rt.beginMigration(inst)
 		return
 	}
-	if inst.queued() > 0 {
+	if inst.queued > 0 {
 		rt.start(inst, machine, nil)
 	}
 }
 
 // start is the one way a turn begins, on a free actor on its up machine: the
-// turn runs on msg, when deliver hands one over, or else on the message
-// dequeued from the mailbox. Receive runs now; its declared cost then
-// occupies the machine, and finish follows.
-func (rt *Runtime) start(inst *instance, machine *cluster.Machine, msg *Message) {
+// turn runs on f, when deliver hands one over, or else on the oldest flight
+// of the mailbox. The message is copied into the Context and the flight
+// freed; Receive runs now; its declared cost then occupies the machine, and
+// finish follows.
+func (rt *Runtime) start(inst *instance, machine *cluster.Machine, f *flight) {
 	inst.busy = true
 
 	ctx := rt.contexts
@@ -806,11 +826,12 @@ func (rt *Runtime) start(inst *instance, machine *cluster.Machine, msg *Message)
 		ctx.done = func() { rt.finish(ctx) }
 	}
 	ctx.inst, ctx.srv = inst, inst.srv
-	if msg != nil {
-		ctx.msg = *msg
-	} else {
-		inst.dequeue(&ctx.msg)
+	if f == nil {
+		f = inst.mail.pop()
+		inst.queued--
 	}
+	ctx.msg = f.msg
+	rt.release(f)
 
 	cost := baseMsgCost
 	if rt.profiler != nil {
@@ -978,19 +999,9 @@ type Context struct {
 
 	cpu     sim.Duration
 	cost    sim.Duration // total handed to Machine.Exec
-	effects []effect     // reused across turns
+	effects fifo         // the turn's sends, delayed sends and replies
 	done    func()       // reusable Exec completion: rt.finish(c)
 	next    *Context     // free-list link
-}
-
-// effect is one buffered outgoing send, delayed send or reply, replayed in
-// order by commit. A reply keeps its argument and size in msg.Arg and
-// msg.Size and its handle in msg.reply, as a reply flight does.
-type effect struct {
-	kind  flightKind
-	msg   Message
-	to    Ref
-	delay sim.Duration
 }
 
 // Self returns the receiving actor's ref.
@@ -1035,8 +1046,9 @@ func (c *Context) Reply(arg interface{}, size int64) {
 	}
 }
 
+// push buffers one effect of the turn as a flight, launched by commit.
 func (c *Context) push(kind flightKind, to Ref, delay sim.Duration, msg Message) {
-	c.effects = append(c.effects, effect{kind: kind, msg: msg, to: to, delay: delay})
+	c.effects.push(c.rt.take(kind, msg, to, delay))
 }
 
 // SetProp publishes a reference property visible to EPL `ref(...)`
@@ -1054,34 +1066,32 @@ func (c *Context) SetMemSize(bytes int64) {
 	c.rt.mark(c.inst.id)
 }
 
-// commit applies the buffered effects, in the order the handler issued
+// commit launches the buffered effects, in the order the handler issued
 // them, from the server the message was processed on.
 func (c *Context) commit() {
 	rt, srv := c.rt, c.srv
-	for i := range c.effects {
-		e := &c.effects[i]
-		switch e.kind {
+	for f := c.effects.pop(); f != nil; f = c.effects.pop() {
+		switch f.kind {
 		case flightMsg:
-			rt.send(srv, &e.msg, e.to)
+			rt.send(srv, f)
 		case flightDelay:
 			// The delay elapses on the sending machine, then the send
 			// routes normally.
-			rt.launch(flightDelay, srv, srv, e.delay, &e.msg, e.to)
+			rt.launch(f, srv, srv, f.delay)
 		case flightReply:
-			rp := rt.openPath(e.msg.reply)
+			rp := rt.openPath(f.msg.reply)
 			if rp == nil {
-				break // answered already: this reply goes nowhere
+				rt.release(f) // answered already: this reply goes nowhere
+				break
 			}
 			origin := rp.originSrv
-			lat := rt.C.TransferLatency(srv, origin, e.msg.Size)
+			lat := rt.C.TransferLatency(srv, origin, f.msg.Size)
 			if srv != origin {
-				rt.C.Machine(srv).AddNetBytes(e.msg.Size)
+				rt.C.Machine(srv).AddNetBytes(f.msg.Size)
 			}
-			rt.launch(flightReply, srv, origin, lat, &e.msg, Ref{})
+			rt.launch(f, srv, origin, lat)
 		}
-		*e = effect{} // drop the payload references
 	}
-	c.effects = c.effects[:0]
 }
 
 // Client issues latency-tracked requests into the actor system from a
@@ -1113,11 +1123,11 @@ func (cl *Client) Request(to Ref, method string, arg interface{}, size int64, do
 		Method: method, Arg: arg, Size: size, SenderType: ClientCaller,
 		reply: uint64(slot) | uint64(rp.gen)<<32,
 	}
-	rt.send(cl.Site, &msg, to)
+	rt.send(cl.Site, rt.take(flightMsg, msg, to, 0))
 }
 
 // Send delivers a one-way client message (no reply expected).
 func (cl *Client) Send(to Ref, method string, arg interface{}, size int64) {
 	msg := Message{Method: method, Arg: arg, Size: size, SenderType: ClientCaller}
-	cl.rt.send(cl.Site, &msg, to)
+	cl.rt.send(cl.Site, cl.rt.take(flightMsg, msg, to, 0))
 }

@@ -4,16 +4,16 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
-	"unsafe"
 
 	"plasma/internal/cluster"
 	"plasma/internal/sim"
 )
 
-// Tests of the recycled message path: flights, Contexts and mailbox backing
-// arrays are reused, so these pin what reuse must not change — order,
-// payloads, exact shedding — and that nothing pending ever refers to a
-// struct that is back on a free list.
+// Tests of the recycled message path: flights (a message buffered by a
+// turn, in transit, or queued on a mailbox) and Contexts are reused, so these
+// pin what reuse must not change — order, payloads, exact shedding — that
+// nothing pending ever refers to a struct that is back on a free list, and
+// that every flight made comes back to it.
 
 var oneCore = cluster.InstanceType{Name: "t", VCPUs: 1, MemMB: 4096, NetMbps: 1000, SpeedFac: 1}
 
@@ -30,8 +30,8 @@ func checkFreeLists(t *testing.T, rt *Runtime) (flights, contexts int) {
 			t.Fatalf("flight %p is on a free list twice", f)
 		}
 		seenF[f] = true
-		if f.kind != flightFree || !reflect.DeepEqual(f.msg, Message{}) {
-			t.Fatalf("free flight not poisoned: kind %d msg %+v", f.kind, f.msg)
+		if f.kind != flightFree || f.to != (Ref{}) || f.delay != 0 || !reflect.DeepEqual(f.msg, Message{}) {
+			t.Fatalf("free flight not poisoned: kind %d to %v delay %v msg %+v", f.kind, f.to, f.delay, f.msg)
 		}
 	}
 	for c := rt.contexts; c != nil; c = c.next {
@@ -39,16 +39,16 @@ func checkFreeLists(t *testing.T, rt *Runtime) (flights, contexts int) {
 			t.Fatalf("Context %p is on a free list twice", c)
 		}
 		seenC[c] = true
-		if c.inst != nil || c.cpu != 0 || len(c.effects) != 0 || !reflect.DeepEqual(c.msg, Message{}) {
+		if c.inst != nil || c.cpu != 0 || c.effects.first != nil || !reflect.DeepEqual(c.msg, Message{}) {
 			t.Fatalf("free Context not poisoned: %+v", c)
 		}
 	}
 	return len(seenF), len(seenC)
 }
 
-// Property: the mailbox is a FIFO that sheds exactly at MailboxCap, across
-// drains (reset to the start of the backing array), compactions and growth —
-// checked against a plain slice queue driven by the same arrivals.
+// Property: the mailbox is a FIFO that sheds exactly at MailboxCap and whose
+// count is the length of its list, across drains and refills — checked
+// against a plain slice queue driven by the same arrivals.
 func TestPropertyMailboxMatchesSliceQueue(t *testing.T) {
 	const cost = sim.Millisecond
 	f := func(ops []uint8, capSel uint8) bool {
@@ -82,14 +82,18 @@ func TestPropertyMailboxMatchesSliceQueue(t *testing.T) {
 			}
 		}
 		agree := func() bool {
-			if inst.queued() != len(queue) || rt.ShedRequests() != shed || !reflect.DeepEqual(served, want) {
+			if inst.queued != len(queue) || rt.ShedRequests() != shed || !reflect.DeepEqual(served, want) {
 				t.Logf("cap %d: queued %d/%d shed %d/%d served %v want %v", rt.MailboxCap,
-					inst.queued(), len(queue), rt.ShedRequests(), shed, served, want)
+					inst.queued, len(queue), rt.ShedRequests(), shed, served, want)
 				return false
 			}
-			// Compaction keeps a bounded mailbox's array bounded too.
-			if rt.MailboxCap > 0 && cap(inst.mailbox) > 8*rt.MailboxCap {
-				t.Logf("cap %d: backing array grew to %d", rt.MailboxCap, cap(inst.mailbox))
+			n, last := 0, (*flight)(nil)
+			for f := inst.mail.first; f != nil; f = f.next {
+				n, last = n+1, f
+			}
+			if n != inst.queued || n > 0 && inst.mail.last != last {
+				t.Logf("cap %d: the mailbox lists %d flights, ending at %p, but counts %d, ending at %p",
+					rt.MailboxCap, n, last, inst.queued, inst.mail.last)
 				return false
 			}
 			return true
@@ -122,7 +126,7 @@ func TestPropertyMailboxMatchesSliceQueue(t *testing.T) {
 		}
 		k.RunUntilIdle()
 		advance(1 << 62)
-		return agree() && inst.head == 0 && len(inst.mailbox) == 0
+		return agree() && inst.mail.first == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -402,71 +406,100 @@ func TestPoisonedStructsPanic(t *testing.T) {
 	}
 }
 
-// A deep mailbox doubles: 20,000 messages queue behind a busy actor, the
-// arrays its mailbox went through total at most twice the last one (growing
-// by a quarter totals about five times it), and the last one holds at most
-// twice the deepest queue (rounding the doubled size up to an allocator size
-// class held 49,265 slots for 20,153 messages). Messages are served in the
-// order sent across a slide to the front and every growth.
-func TestDeepMailboxGrowsByDoubling(t *testing.T) {
+// A deep mailbox is a list of the flights that carried its messages:
+// 20,000 messages queued behind a busy actor are served in the order sent,
+// and once the first burst has warmed the free list a second burst of the
+// same size allocates nothing — no array to grow, slide or copy.
+func TestDeepMailboxServedInOrderWithoutAllocating(t *testing.T) {
+	const n = 20_000
 	k := sim.New(1)
 	rt := NewRuntime(k, cluster.New(k, 1, oneCore))
-	var served []int
+	args := make([]interface{}, n) // boxed once: a boxed int past 255 allocates
+	for i := range args {
+		args[i] = i
+	}
+	next, outOfOrder, deepest := 0, 0, 0
 	ref := rt.SpawnOn("A", BehaviorFunc(func(ctx *Context, msg Message) {
-		served = append(served, msg.Arg.(int))
+		if msg.Arg.(int) != next {
+			outOfOrder++
+		}
+		next = (next + 1) % n
+		deepest = max(deepest, ctx.inst.queued)
 		ctx.Use(sim.Millisecond)
 	}), 0)
-	inst := rt.actors[ref.ID]
-	cl := NewClient(rt, 0)
-	sent := 0
-	send := func(n int) {
-		for ; n > 0; n-- {
-			cl.Send(ref, "m", sent, 8)
-			sent++
+	cl := NewClient(rt, 0) // local: the burst arrives at one instant
+	burst := func() {
+		for _, arg := range args {
+			cl.Send(ref, "m", arg, 8)
 		}
+		k.RunUntilIdle()
 	}
-	send(100)
-	var array *Message
-	allocated, slides, burst, deepest := 0, 0, false, 0
-	for {
-		// Once the first 100 have arrived and half the array is consumed,
-		// fill it past its end, so the next arrival slides the queue to the
-		// front, and queue 20,000 more.
-		delivered := len(served) + inst.queued()
-		if !burst && delivered == sent && inst.head > 0 && inst.head >= cap(inst.mailbox)/2 {
-			send(cap(inst.mailbox) - len(inst.mailbox) + 1 + 20_000)
-			burst = true
-		}
-		head := inst.head
-		if !k.Step() {
-			break
-		}
-		// One event delivers at most one message: every array shows here.
-		switch a := unsafe.SliceData(inst.mailbox[:cap(inst.mailbox)]); {
-		case a != array && cap(inst.mailbox) > 0:
-			array = a
-			allocated += cap(inst.mailbox)
-		case inst.head < head && inst.queued() > 0:
-			slides++
-		}
-		deepest = max(deepest, inst.queued())
+	burst()
+	// The first message starts a turn on arrival; the second turn starts
+	// with the rest still queued.
+	if deepest != n-2 || next != 0 || outOfOrder != 0 {
+		t.Fatalf("deepest queue %d (want %d), next %d, %d served out of order", deepest, n-2, next, outOfOrder)
 	}
-	if !burst || slides == 0 {
-		t.Fatalf("burst sent %v, slides %d: the test no longer reaches a slide", burst, slides)
+	if got := testing.AllocsPerRun(1, burst); got > 0 {
+		t.Errorf("a warm burst of %d queued messages: %v allocs, ceiling 0", n, got)
 	}
-	final := cap(inst.mailbox)
-	if allocated > 2*final {
-		t.Errorf("mailbox arrays total %d messages, more than twice the final %d", allocated, final)
+	if outOfOrder != 0 || rt.inst(ref.ID).mail.first != nil {
+		t.Fatalf("%d served out of order, mailbox %+v left", outOfOrder, rt.inst(ref.ID).mail)
 	}
-	if final > 2*deepest {
-		t.Errorf("final mailbox array holds %d messages, more than twice the deepest queue of %d", final, deepest)
+	if f, _ := checkFreeLists(t, rt); f != rt.made {
+		t.Fatalf("%d of the %d flights made are on the free list", f, rt.made)
 	}
-	for i, got := range served {
-		if got != i {
-			t.Fatalf("message %d served %dth: FIFO order broken", got, i)
-		}
+}
+
+// Every flight comes back: a Stop with mail queued, a shed, dead letters
+// (a client's at send and at arrival, a Send's and a SendAfter's, to a
+// stopped actor) and duplicate
+// replies (dropped at commit and at arrival) each return theirs, so a
+// quiesced runtime holds every flight it ever made on its free list,
+// poisoned.
+func TestNoFlightLeaks(t *testing.T) {
+	k, _, rt := testEnv(t, 3)
+	rt.MailboxCap = 2
+	slow := func(ctx *Context, msg Message) { ctx.Use(10 * sim.Millisecond) }
+	doomed := rt.SpawnOn("Doomed", BehaviorFunc(slow), 0)
+	capped := rt.SpawnOn("Capped", BehaviorFunc(slow), 1)
+	// Echo answers after its declared cost; Twice answers at once and
+	// forwards to Echo, so Echo's reply is a duplicate: dropped at arrival
+	// when Echo is quick, at Echo's commit when the first reply landed.
+	echo := rt.SpawnOn("Echo", BehaviorFunc(func(ctx *Context, msg Message) {
+		ctx.Use(msg.Arg.(sim.Duration))
+		ctx.Reply(nil, 8)
+	}), 0)
+	twice := rt.SpawnOn("Twice", BehaviorFunc(func(ctx *Context, msg Message) {
+		ctx.Reply(nil, 8)
+		ctx.Forward(echo, "m", msg.Arg, 8)
+	}), 0)
+	mailer := rt.SpawnOn("Mailer", BehaviorFunc(func(ctx *Context, msg Message) {
+		ctx.Send(doomed, "late", nil, 8)
+		ctx.SendAfter(sim.Millisecond, doomed, "later", nil, 8)
+	}), 1)
+	cl := NewClient(rt, 2)
+	for i := 0; i < 4; i++ {
+		cl.Send(doomed, "m", nil, 8) // each: one in service, two queued, one shed
+		cl.Send(capped, "m", nil, 8)
 	}
-	if len(served) != sent {
-		t.Fatalf("served %d of %d messages", len(served), sent)
+	k.Run(sim.Time(5 * sim.Millisecond))
+	if q := rt.inst(doomed.ID).queued; q != 2 {
+		t.Fatalf("%d queued on the actor to stop, want 2", q)
+	}
+	cl.Send(doomed, "in flight", nil, 8)
+	rt.Stop(doomed)
+	cl.Send(doomed, "dead", nil, 8)
+	cl.Send(mailer, "go", nil, 8)
+	noop := func(sim.Duration, interface{}) {}
+	cl.Request(twice, "m", sim.Microsecond, 8, noop)
+	cl.Request(twice, "m", 100*sim.Millisecond, 8, noop)
+	k.RunUntilIdle()
+
+	if rt.ShedRequests() != 2 || rt.DuplicateReplies() != 2 {
+		t.Fatalf("%d shed and %d duplicate replies, want 2 of each", rt.ShedRequests(), rt.DuplicateReplies())
+	}
+	if f, _ := checkFreeLists(t, rt); f != rt.made {
+		t.Fatalf("%d of the %d flights made are on the free list", f, rt.made)
 	}
 }

@@ -14,14 +14,14 @@ import (
 // full bounded mailbox, and turns run in arrival order.
 
 // TestIdleDeliveryAllocatesNoMailbox runs a fleet whose every delivery finds
-// its actor idle: no actor ever queues, so none gets a mailbox array.
+// its actor idle: no actor ever queues, so every mailbox list stays empty.
 func TestIdleDeliveryAllocatesNoMailbox(t *testing.T) {
 	const n = 256
 	f := newIdleFleet(n)
 	f.run(3 * n)
 	for _, inst := range f.rt.actors[1:] {
-		if c := cap(inst.mailbox); c != 0 {
-			t.Fatalf("actor %d: every delivery found it idle, yet its mailbox holds an array of %d", inst.id, c)
+		if inst.mail.first != nil || inst.queued != 0 {
+			t.Fatalf("actor %d: every delivery found it idle, yet its mailbox was used: %+v, %d queued", inst.id, inst.mail, inst.queued)
 		}
 	}
 }
@@ -37,7 +37,7 @@ type turnLog struct {
 func (l *turnLog) Receive(ctx *Context, msg Message) {
 	l.args = append(l.args, msg.Arg.(int))
 	l.srvs = append(l.srvs, ctx.srv)
-	l.queued = append(l.queued, ctx.inst.queued())
+	l.queued = append(l.queued, ctx.inst.queued)
 	ctx.Use(10 * sim.Millisecond)
 }
 
@@ -77,8 +77,8 @@ func TestDeliveriesQueueWhenTheActorCannotRun(t *testing.T) {
 		rt.Migrate(ref, 2, nil)
 		send(cl, ref, 1, 2)
 		k.Run(sim.Time(50 * sim.Millisecond))
-		if !rt.inst(ref.ID).migrating || rt.inst(ref.ID).queued() != 2 {
-			t.Fatalf("mid-migration: migrating %v, %d queued; want true and 2", rt.inst(ref.ID).migrating, rt.inst(ref.ID).queued())
+		if !rt.inst(ref.ID).migrating || rt.inst(ref.ID).queued != 2 {
+			t.Fatalf("mid-migration: migrating %v, %d queued; want true and 2", rt.inst(ref.ID).migrating, rt.inst(ref.ID).queued)
 		}
 		k.RunUntilIdle()
 		check(t, l, []int{1, 2}, []cluster.MachineID{2, 2}, []int{1, 0})

@@ -348,7 +348,7 @@ func (e *evaluator) check(rule *Rule) {
 
 // rank fills e.at on its first call in an evaluation and reports whether a
 // level may narrow. Narrowing reaches actors through their ids, so every
-// listed actor must have a nonzero id of its own: Actor then returns each.
+// listed actor must have an id of its own: Actor then returns each.
 func (e *evaluator) rank() bool {
 	if e.ranked {
 		return e.distinct
@@ -356,7 +356,7 @@ func (e *evaluator) rank() bool {
 	e.ranked, e.distinct = true, true
 	e.at = slices.Grow(e.at[:0], len(e.snap.byID))[:len(e.snap.byID)]
 	for i, a := range e.snap.Actors {
-		if a.Ref.ID == 0 || e.snap.Actor(a.Ref) != a {
+		if e.snap.Actor(a.Ref) != a {
 			e.distinct = false
 			break
 		}

@@ -142,7 +142,13 @@ func (s *Snapshot) IndexServers() *Snapshot {
 
 // Index builds lookup indexes; call after populating Actors/Servers. On a
 // reused Snapshot the previous indexes are cleared and refilled in place.
+// The zero ID names no actor, so Index drops a row with the zero ref (from a
+// copy of Actors): no rule binds one, and no call total counts its calls.
 func (s *Snapshot) Index() *Snapshot {
+	zero := func(a *ActorInfo) bool { return a.Ref.Zero() }
+	if slices.ContainsFunc(s.Actors, zero) {
+		s.Actors = slices.DeleteFunc(slices.Clone(s.Actors), zero)
+	}
 	var maxID actor.ID
 	for _, a := range s.Actors {
 		if a.Ref.ID > maxID {

@@ -1,8 +1,9 @@
 package epl
 
 // spec_test.go is EPL's meaning written out literally (§3): a rule fires on
-// every binding in the plain cross product of its BindingRefs' OfType, in
-// that order, whose condition holds as written on the first bound actor's
+// every binding in the plain cross product of its BindingRefs' OfType (Index
+// drops a row with the zero ref, as that ID names no actor), in that order,
+// whose condition holds as written on the first bound actor's
 // server; a rule with no binding refs is checked on each listed server. An
 // evaluation gives one intent per balance or provclass behavior, reserved or
 // pinned actor, and colocated or separated pair. Nothing is pruned, joined
@@ -166,14 +167,14 @@ func (s *spec) feature(f Feature, stat Stat, srv *ServerInfo) (float64, bool) {
 		return s.lookup(f.Actor).ResOf(f.Res), true
 	case *CallFeature:
 		callee := s.lookup(f.Callee)
-		var caller actor.Ref // a caller with the zero ref, as no actor has, filters nothing
+		var caller actor.Ref
 		if !f.Client {
 			caller = s.lookup(f.Caller).Ref
 		}
 		var count, bytes, total int64
 		for _, a := range s.snap.Actors {
 			for _, cs := range a.Calls {
-				if a.Server == callee.Server && cs.Method == f.FName && (f.Client && cs.CallerType == actor.ClientCaller || !f.Client && (caller.Zero() || cs.Caller == caller)) {
+				if a.Server == callee.Server && cs.Method == f.FName && (f.Client && cs.CallerType == actor.ClientCaller || !f.Client && cs.Caller == caller) {
 					total += cs.Count
 					if a == callee {
 						count, bytes = count+cs.Count, bytes+cs.Bytes
