@@ -5,10 +5,12 @@
 //
 //	plasma-sim [-full] [-seed N] [-trace out.jsonl [-trace-cap N]] [experiment ...]
 //
-// With no arguments, all experiments run in table order. After each
-// experiment's report comes its claim, the paper's shape as a predicate over
-// the result: "claim: holds" or "claim: FAILS: <why>" (the exit status does
-// not depend on it). With -trace,
+// With no arguments, all experiments run in table order. Each report ends
+// with its claim's clauses, one "clause <name> = <value> <op> <threshold>
+// (margin <m>): <paper's words>" line each, the margin positive when the
+// clause holds; the last is "violations == 0", the invariant sweeps. Then
+// comes "claim: holds", or "claim: FAILS: " and each failing clause, one per
+// line, the sweeps' period lines last (the exit status ignores it). With -trace,
 // every elasticity decision (rule evaluations, migrations, provisioning,
 // chaos injections) is recorded and written to the given JSONL file; inspect
 // it with cmd/plasma-trace (summarize/filter/diff) or convert it with
@@ -58,11 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
-		claim := "holds"
-		if res.Claim != nil {
-			claim = "FAILS: " + res.Claim.Error()
-		}
-		fmt.Fprintf(stdout, "%sclaim: %s\n\n", res.Render(), claim)
+		fmt.Fprintf(stdout, "%sclaim: %s\n\n", res.Render(), experiments.Verdict(res.Clauses))
 	}
 	if ring != nil {
 		if err := writeTrace(*traceOut, ring); err != nil {

@@ -12,6 +12,10 @@
 // the caller's period timer has just closed. The Mizan-style per-superstep
 // vertex migrator lives with the PageRank application, since it operates
 // below the actor level.
+//
+// The two default rules stay Go steps: as EPL policies under the EMR they
+// fail fig5, fig11a and fig11b at all of seeds 1-10, and fig11b misplaces no
+// client (EXPERIMENTS.md, Known deviation 3).
 package baseline
 
 import (

@@ -264,7 +264,7 @@ func burstFlash(cfg Config, su burstSize, r *Result) {
 		r.Summary["shed_"+pc.String()] = colShed.val(o)
 		r.Summary["scale_outs_"+pc.String()] = colScaleOuts.val(o)
 	}
-	r.notef("warm pool restores capacity inside the spike; VM boots land after it — the violation-seconds spread is the provisioning spectrum's effect")
+	r.note("warm pool restores capacity inside the spike; VM boots land after it — the violation-seconds spread is the provisioning spectrum's effect")
 }
 
 // burstDiurnal is the diurnal-wave scenario: arrivals swell and recede
@@ -284,7 +284,7 @@ func burstDiurnal(cfg Config, su burstSize, r *Result) {
 		},
 		mailboxCap: 32,
 	}, []burstCol{colViol, colShed, colScaleOuts, colScaleIns, colPeakSrv, colFinalSrv})
-	r.notef("the fleet grows on the wave's crest and is reclaimed in the trough; violation time concentrates in the first crest before capacity catches up")
+	r.note("the fleet grows on the wave's crest and is reclaimed in the trough; violation time concentrates in the first crest before capacity catches up")
 }
 
 // burstRegion is correlated region failover: half the fleet (region A)
@@ -318,7 +318,7 @@ server.cpu.perc > 80 => provclass({warm, container});
 		mailboxCap: 32,
 		events:     events, floor: 2,
 	}, []burstCol{colCrashes, colViol, colShed, colScaleOuts.plain(), colProvFails, colPeakSrv})
-	r.notef("survivors absorb the dead region's actors (runtime re-homing) and its load; warm-pool scale-out plus shedding carries the gap until repair")
+	r.note("survivors absorb the dead region's actors (runtime re-homing) and its load; warm-pool scale-out plus shedding carries the gap until repair")
 }
 
 // burstChaos composes a flash crowd with a GEM crash covering it: GEM 0
@@ -342,5 +342,4 @@ func burstChaos(cfg Config, su burstSize, r *Result) {
 		},
 		floor: 2,
 	}, []burstCol{colCtlFails, colViol, colShed, colScaleOuts, colPeakSrv})
-	r.notef("with one of two GEMs down for the whole spike, the survivor's scale-out vote self-corroborates and the fleet still grows")
 }

@@ -61,7 +61,6 @@ func chaosRun(cfg Config, stretch int, r *Result) {
 	r.Summary["msg_faults"] = float64(faults)
 	r.Summary["crashes"] = float64(crashes)
 	r.Summary["migrations"] = float64(migrations)
-	r.notef("every run asserts: no actor lost/duplicated/stuck, memory accounting exact, serving resumes within 2 periods of the last fault")
 }
 
 // chaosMsgFaults is the message-fault mix every app runs under: light loss,

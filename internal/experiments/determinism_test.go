@@ -15,8 +15,8 @@ var sweepInputs = &Inputs{}
 // runCaptured executes one experiment id at a seed with a capturing tracer
 // and returns everything a byte-level comparison needs: the rendered
 // report, the decision-trace JSONL bytes, and the kernel event count; and
-// the run's claim.
-func runCaptured(t *testing.T, id string, seed int64) (render string, traceJSONL []byte, events uint64, claim error) {
+// the run's claim clauses.
+func runCaptured(t *testing.T, id string, seed int64) (render string, traceJSONL []byte, events uint64, clauses []Clause) {
 	t.Helper()
 	ring := trace.NewRing(1 << 20)
 	tr := trace.New(ring)
@@ -31,7 +31,7 @@ func runCaptured(t *testing.T, id string, seed int64) (render string, traceJSONL
 	if err := trace.WriteJSONL(&buf, ring.Records()); err != nil {
 		t.Fatalf("%s: encode trace: %v", id, err)
 	}
-	return res.Render(), buf.Bytes(), res.EventsFired, res.Claim
+	return res.Render(), buf.Bytes(), res.EventsFired, res.Clauses
 }
 
 // TestAllQuickIDsDeterministic is the all-ids determinism regression: every
@@ -40,7 +40,8 @@ func runCaptured(t *testing.T, id string, seed int64) (render string, traceJSONL
 // the same kernel event count within each pair. Go randomises the order of
 // every map range, so each pair is an independent chance to catch map order
 // leaking into a report or a trace. The first run at each seed must also
-// hold its row's claim. Five runs of an id share one process, so a runner
+// hold its row's claim, every clause named, with the paper's words, and its
+// margin's sign agreeing with its verdict. Five runs of an id share one process, so a runner
 // that wrote into its (shared) size value would show here too.
 //
 // The fifth is the id's untraced seed-1 run (seedOne), on the goroutine pool
@@ -53,9 +54,14 @@ func TestAllQuickIDsDeterministic(t *testing.T) {
 	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
 			for _, seed := range []int64{1, 2} {
-				aRender, aTrace, aEvents, claim := runCaptured(t, id, seed)
-				if claim != nil {
-					t.Errorf("seed %d: claim fails: %v", seed, claim)
+				aRender, aTrace, aEvents, clauses := runCaptured(t, id, seed)
+				if v := Verdict(clauses); v != "holds" {
+					t.Errorf("seed %d: claim %s", seed, v)
+				}
+				for _, c := range clauses {
+					if c.Name == "" || c.Paper == "" || !marginAgrees(c) {
+						t.Errorf("seed %d: clause %q lacks a name or the paper's words, or its margin disagrees with its verdict", seed, c)
+					}
 				}
 				if seed == 1 {
 					if plain, _ := runSeedOne(t, id); plain.Render() != aRender {

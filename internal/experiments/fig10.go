@@ -39,9 +39,6 @@ type fig10Size struct {
 // distribution, stay, then leave following another normal distribution.
 // The service starts on 4 m1.small instances and may scale to 65. One run
 // per elasticity period (60 s, 120 s, 180 s by default).
-//
-// Paper: a smaller elasticity period yields lower latency and faster
-// resource allocation/reclaim.
 func fig10(cfg Config, su fig10Size, r *Result) {
 	r.Header = []string{"Period", "Mean latency", "Peak servers", "Final servers"}
 
@@ -115,5 +112,4 @@ func fig10(cfg Config, su fig10Size, r *Result) {
 	if !math.IsNaN(meanLat[shortest]) && meanLat[longest] > 0 {
 		r.Summary["short_vs_long_latency_ratio"] = meanLat[shortest] / meanLat[longest]
 	}
-	r.notef("paper: the 60s period yields the best latency and the fastest allocation/reclaim")
 }

@@ -80,9 +80,6 @@ func (h *haloFleet) beats(w *core.World, rec *workload.Recorder, until sim.Time)
 // interaction rule (colocate player with its session, placed correctly at
 // creation) vs the frequency-based default rule (random placement, chase
 // the chattiest peer each period). Period 70 s.
-//
-// Paper: inter-rule keeps latency smooth from the start; def-rule shows
-// degraded spans until each round's players get re-located.
 func fig11a(cfg Config, su haloSize, r *Result) {
 	r.Header = []string{"Rule", "Mean latency", "p95 latency"}
 
@@ -120,20 +117,17 @@ func fig11a(cfg Config, su haloSize, r *Result) {
 		return rec
 	}
 
-	stats := map[string][2]float64{}
 	for _, mode := range []string{"inter-rule", "def-rule"} {
 		rec := arm(mode)
 		mean := rec.Hist.Mean()
 		p95 := rec.Hist.Percentile(95)
-		stats[mode] = [2]float64{mean, p95}
 		r.addRow(mode, ms(mean), ms(p95))
 		r.Summary["mean_ms_"+mode] = mean
 		r.Summary["p95_ms_"+mode] = p95
 	}
-	if d := stats["def-rule"]; d[0] > 0 {
-		r.Summary["defrule_p95_over_inter"] = d[1] / stats["inter-rule"][1]
+	if s := r.Summary; s["mean_ms_def-rule"] > 0 {
+		s["defrule_p95_over_inter"] = s["p95_ms_def-rule"] / s["p95_ms_inter-rule"]
 	}
-	r.notef("paper: inter-rule avoids remote messaging from the start; def-rule degrades until re-location")
 }
 
 // fig11b reproduces the per-client detail of the first round under the
@@ -185,13 +179,11 @@ func fig11b(cfg Config, su haloSize, r *Result) {
 	if nm > 0 && np > 0 {
 		penalty := (misplacedEarly/float64(nm) - placedEarly/float64(np)) / (placedEarly / float64(np)) * 100
 		r.Summary["misplaced_early_penalty_pct"] = penalty
-		r.notef("paper: misplaced clients run ~35%% higher latency until redistribution; measured %.0f%% vs well-placed peers", penalty)
 	}
 	if nr > 0 {
 		// Early-vs-settled ratio for misplaced clients: the paper's 30-40ms
 		// down to 20ms after the first redistribution is a ~1.35-2.0x drop.
 		r.Summary["misplaced_early_over_late"] = ratioSum / float64(nr)
-		r.notef("misplaced clients' latency dropped %.2fx after re-location (paper: ~35%%+ higher until redistribution)", ratioSum/float64(nr))
 	}
 	r.Summary["misplaced_clients"] = float64(nm)
 }
@@ -201,9 +193,6 @@ func fig11b(cfg Config, su haloSize, r *Result) {
 // decryption making those servers hot; 128 clients join over time. The
 // router-balance rule spreads routers; runs with 1, 2, and 4 GEMs compare
 // the impact of GEM count on latency.
-//
-// Paper: latency spikes as clients join, then stabilizes once routers get
-// room; the number of GEMs has only a small impact.
 func fig11c(cfg Config, su haloSize, r *Result) {
 	r.Header = []string{"GEMs", "Peak latency", "Final latency", "Router servers"}
 
@@ -236,5 +225,4 @@ func fig11c(cfg Config, su haloSize, r *Result) {
 		r.Summary["final_ms_"+key] = final
 		r.Summary["router_servers_"+key] = float64(len(routerSrvSet))
 	}
-	r.notef("paper: latency rises while router servers saturate, then stabilizes after balancing; GEM count has small impact")
 }

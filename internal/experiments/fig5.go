@@ -17,9 +17,6 @@ import (
 // elasticity (no-rule). 4 folders × 8 files on an m1.small, 16 clients,
 // one folder taking 50% of requests; the elastic setups may use one extra
 // server.
-//
-// Paper: res-col-rule reduces latency by ~40%; def-rule shows no visible
-// benefit because folder accesses are forwarded to files left behind.
 func fig5(cfg Config, r *Result) {
 	r.Header = []string{"Setup", "Latency before", "Latency after", "Change"}
 
@@ -65,7 +62,6 @@ func fig5(cfg Config, r *Result) {
 		return rec
 	}
 
-	var after = map[string]float64{}
 	for _, mode := range []string{"res-col-rule", "def-rule", "no-rule"} {
 		series := arm(mode).Series()
 		// "Before" is the first fifth (pre-elasticity), "after" the last
@@ -83,17 +79,13 @@ func fig5(cfg Config, r *Result) {
 			before /= float64(cnt)
 		}
 		tail := series.TailMeanY(0.34)
-		after[mode] = tail
 		change := pct((tail - before) / before * 100)
 		r.addRow(mode, ms(before), ms(tail), change)
 		r.Summary["after_"+mode] = tail
 	}
-	resCol := after["res-col-rule"]
-	noRule := after["no-rule"]
-	defRule := after["def-rule"]
+	resCol, defRule, noRule := r.Summary["after_res-col-rule"], r.Summary["after_def-rule"], r.Summary["after_no-rule"]
 	if noRule > 0 {
 		r.Summary["rescol_vs_norule_reduction"] = (noRule - resCol) / noRule * 100
 		r.Summary["defrule_vs_norule_reduction"] = (noRule - defRule) / noRule * 100
 	}
-	r.notef("paper: res-col-rule ~40%% below the others; def-rule indistinguishable from no-rule")
 }

@@ -20,9 +20,6 @@ type fig9Size struct {
 // m1.small servers (one extra server available), 48 clients with the 35%
 // geometric skew. Three managers: PLASMA executing the §3.3 rules, the
 // in-app E-Store algorithm, and no elasticity.
-//
-// Paper: PLASMA E-Store and in-app E-Store track each other closely; both
-// clearly beat no elasticity.
 func fig9(cfg Config, su fig9Size, r *Result) {
 	r.Header = []string{"Setup", "Tail latency", "vs no-elasticity"}
 
@@ -77,5 +74,4 @@ func fig9(cfg Config, su fig9Size, r *Result) {
 	if tails["in-app"] > 0 {
 		r.Summary["plasma_vs_inapp_ratio"] = tails["plasma"] / tails["in-app"]
 	}
-	r.notef("paper: PLASMA E-Store ~= in-app E-Store, both clearly below no-elasticity")
 }

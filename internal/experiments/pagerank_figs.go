@@ -111,7 +111,7 @@ func randomPlacement(seed int64, workers, machines int) []cluster.MachineID {
 // fig6a reproduces §5.4 "dynamic workload balance": 32 workers on 8
 // m5.large VMs (16 vCPUs), PLASMA's balance rule vs Orleans' equal-count
 // management (which takes no action: counts are already equal). Averaged
-// over 3 seeds. Paper: PLASMA converges ~24% faster.
+// over 3 seeds.
 func fig6a(cfg Config, su prSetup, r *Result) {
 	r.Header = []string{"Elasticity", "Converged iteration time", "Runs"}
 	seeds := []int64{cfg.Seed, cfg.Seed + 1, cfg.Seed + 2}
@@ -145,15 +145,12 @@ func fig6a(cfg Config, su prSetup, r *Result) {
 	if means["orleans"] > 0 {
 		imp := (means["orleans"] - means["plasma"]) / means["orleans"] * 100
 		r.Summary["plasma_improvement_pct"] = imp
-		r.notef("paper: PLASMA converges ~24%% faster than Orleans; measured %.1f%%", imp)
 	}
 }
 
 // fig6b reproduces §5.4 "dynamic resource allocation" (average view):
 // PLASMA grows from 1 server under the balance rule vs conservative
-// provisioning with one worker per vCPU (16 m5.large = 32 vCPUs). Paper:
-// PLASMA reaches nearly identical performance with 12 servers (25% fewer
-// resources).
+// provisioning with one worker per vCPU (16 m5.large = 32 vCPUs).
 func fig6b(cfg Config, su prSetup, r *Result) {
 	r.Header = []string{"Setup", "Converged iteration time", "Servers used"}
 	su.iterations *= 5 // give scale-out time to converge
@@ -184,14 +181,12 @@ func fig6b(cfg Config, su prSetup, r *Result) {
 	if conSrv > 0 {
 		r.Summary["resource_saving_pct"] = float64(conSrv-used) / float64(conSrv) * 100
 	}
-	r.notef("paper: PLASMA ~matches conservative performance with 12 of 16 servers (25%% saving)")
 }
 
 // fig7a reproduces the Mizan comparison: normalized per-iteration times for
 // PLASMA and a Mizan-style vertex migrator, each with and without
 // elasticity. Mizan equalizes per-worker partitions but cannot move actors
 // between servers, so per-server skew from random placement persists.
-// Paper: Mizan's elasticity gains <=3%; PLASMA's ~24%.
 func fig7a(cfg Config, su prSetup, r *Result) {
 	r.Header = []string{"System", "Mean normalized iteration time (tail)", "Gain vs no elasticity"}
 	// The paper's figure spans 19 iterations; both systems are measured
@@ -223,7 +218,6 @@ func fig7a(cfg Config, su prSetup, r *Result) {
 		return a.app.IterationTimes
 	}
 
-	gains := map[string]float64{}
 	for _, system := range []string{"plasma", "mizan"} {
 		base := arm(system, false)
 		norm := float64(base[0]) // normalize to the first no-elasticity iteration
@@ -236,12 +230,9 @@ func fig7a(cfg Config, su prSetup, r *Result) {
 		}
 		bTail, eTail := tail(base), tail(arm(system, true))
 		gain := (bTail - eTail) / bTail * 100
-		gains[system] = gain
 		r.addRow(system, fmt.Sprintf("%.3f -> %.3f", bTail, eTail), pct(gain))
 		r.Summary["gain_pct_"+system] = gain
 	}
-	r.notef("paper: Mizan elasticity improves iterations by <=3%%, PLASMA by up to 24%%; measured mizan %.1f%%, plasma %.1f%%",
-		gains["mizan"], gains["plasma"])
 }
 
 // fig7bc reproduces the Fig. 7b/7c traces from one elastic Fig6a run:
@@ -278,7 +269,6 @@ func fig7bc(cfg Config, su prSetup, r *Result) {
 		r.Summary["redistributions"] = float64(last + 1)
 	}
 	r.Summary["migrations"] = float64(out.M.Stats.ExecutedMigrations)
-	r.notef("paper: CPU%% of servers converges into the [60,80] band as workers are re-located")
 }
 
 // fig8 reproduces the dynamic-allocation traces: iteration times as PLASMA
@@ -302,5 +292,4 @@ func fig8(cfg Config, su prSetup, r *Result) {
 	}
 	r.Summary["final_servers"] = float64(out.C.UpCount())
 	r.Summary["scaleouts"] = float64(out.M.Stats.ScaleOuts)
-	r.notef("paper: performance improves round by round as servers are provisioned until CPU%% sits within [60,80]")
 }

@@ -50,7 +50,7 @@ func planPagerank(cfg Config, su prSetup, r *Result) {
 	r.addRow(conv.String(), fmt.Sprintf("%d", migs))
 	r.Summary["converged_ms"] = float64(conv) / float64(sim.Millisecond)
 	r.Summary["migrations"] = float64(migs)
-	r.notef("cpu and mem rules pack one shared projection; the per-intent greedy loop this replaced bounced workers between the axes (36.1 s, 3,699 migrations at seed 1)")
+	r.note("cpu and mem rules pack one shared projection; the per-intent greedy loop this replaced bounced workers between the axes (36.1 s, 3,699 migrations at seed 1)")
 }
 
 // planHalo is a skewed Fig. 11c variant: routers crowded on a sixteenth of
@@ -117,7 +117,7 @@ func planHalo(cfg Config, su haloSize, r *Result) {
 	r.Summary["mean_ms"] = mean
 	r.Summary["final_ms"] = final
 	r.Summary["settle_s"] = settle
-	r.notef("affinity-scored targets put each router beside the hot sessions it forwards to; settle time = first bucket after which latency stays within 20%% of final")
+	r.note("affinity-scored targets put each router beside the hot sessions it forwards to; settle time = first bucket after which latency stays within 20% of final")
 }
 
 // settleTime finds the earliest bucket time (seconds) after which every

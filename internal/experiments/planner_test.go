@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -24,7 +25,8 @@ func TestPlanPagerankSeed7MovesOverrun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Claim == nil || !strings.Contains(r.Claim.Error(), " past its ") {
-		t.Fatalf("claim = %v, want it failing on a migration past its own move", r.Claim)
+	inv := invariantClause(t, r)
+	if inv.Holds() || !slices.ContainsFunc(inv.Detail, func(l string) bool { return strings.Contains(l, " past its ") }) {
+		t.Fatalf("invariant clause %s, want it failing on a migration past its own move", inv)
 	}
 }

@@ -122,5 +122,4 @@ func scale(cfg Config, sizes []int, r *Result) {
 			r.Summary["spare_filled_"+key] = spare
 		}
 	}
-	r.notef("paper: GEM count has small impact at 64 servers; the sweep checks the claim holds as the fleet grows 4 orders of magnitude")
 }

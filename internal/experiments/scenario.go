@@ -19,7 +19,7 @@ import (
 // follow call order, so each closure schedules what its step says and nothing
 // else. The sweep, after every period and at the end, is the only invariant
 // check: each violation lands on the run's record (Config.stats), which Run
-// joins into Result.Claim.
+// turns into the claim's invariant clause.
 type scenario struct {
 	machines int // fleet at time zero, client sites included
 	inst     cluster.InstanceType

@@ -151,11 +151,11 @@ func TestRunSweepCatchesMutations(t *testing.T) {
 	}
 }
 
-// Result.Claim joins the record's violations in period order, not string
-// order (which puts "period 100" before "period 9"), whatever order the
-// sweeps recorded them in.
+// The invariant clause lists the record's violations in period order, not
+// string order (which puts "period 100" before "period 9"), whatever order
+// the sweeps recorded them in.
 func TestTrackerReportsInPeriodOrder(t *testing.T) {
-	sweeps := experiment{id: "sweeps", claim: func(*Result) error { return nil }, run: func(cfg Config, _ *Result) {
+	sweeps := experiment{id: "sweeps", claim: func(*Result) []Clause { return nil }, run: func(cfg Config, _ *Result) {
 		w := core.NewWorld(1, 2, cluster.M1Small, nil)
 		w.C.Machine(1).AddMem(1)
 		for _, n := range []int{10, 9, 100} {
@@ -166,8 +166,9 @@ func TestTrackerReportsInPeriodOrder(t *testing.T) {
 	for _, n := range []int{9, 10, 100} {
 		want = append(want, fmt.Sprintf("period %d (t = 0µs): machine 1 memory drift: accounted 1, actors hold 0", n))
 	}
-	if r := sweeps.exec(Config{}, &simTracker{}); r.Claim == nil || r.Claim.Error() != strings.Join(want, "\n") {
-		t.Fatalf("claim = %v, want\n%s", r.Claim, strings.Join(want, "\n"))
+	inv := invariantClause(t, sweeps.exec(Config{}, &simTracker{}))
+	if inv.Value != 3 || !slices.Equal(inv.Detail, want) {
+		t.Fatalf("invariant clause %s lists\n%s\nwant\n%s", inv, strings.Join(inv.Detail, "\n"), strings.Join(want, "\n"))
 	}
 }
 

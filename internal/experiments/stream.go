@@ -288,7 +288,7 @@ func streamSkew(cfg Config, su streamSize, r *Result) {
 		r.Summary["moves_"+mode] = float64(o.moves)
 		r.Summary["moved_mb_"+mode] = o.movedMB
 	}
-	r.notef("identical seeds drive identical arrival streams; the race is purely detection + state movement + drain")
+	r.note("identical seeds drive identical arrival streams; the race is purely detection + state movement + drain")
 }
 
 // streamDrift rotates the hot set repeatedly — the drifting-popularity
@@ -316,7 +316,7 @@ func streamDrift(cfg Config, su streamSize, r *Result) {
 		r.Summary["recovered_"+mode] = float64(out.recovered)
 		r.Summary["slo_viol_s_"+mode] = out.violSec
 	}
-	r.notef("each rotation moves the hot span onto a cold server; mean recovery integrates detection lag over repeated shifts")
+	r.note("each rotation moves the hot span onto a cold server; mean recovery integrates detection lag over repeated shifts")
 }
 
 // streamSpikePolicy swaps the shipped policy's reserve rule for warm-pool
@@ -370,7 +370,7 @@ func streamSpike(cfg Config, su streamSize, r *Result) {
 		r.Summary["slo_viol_s_"+mode] = out.violSec
 		r.Summary["scale_outs_"+mode] = float64(out.scaleOuts)
 	}
-	r.notef("no rotation: the spike adds load everywhere at once; only the manager that can add machines recovers before the spike ends")
+	r.note("no rotation: the spike adds load everywhere at once; only the manager that can add machines recovers before the spike ends")
 }
 
 // streamChaos composes the skew shift with a control-plane outage: GEM 0
@@ -393,7 +393,6 @@ func streamChaos(cfg Config, su streamSize, r *Result) {
 	r.Summary["recovered"] = float64(boolToInt(out.first.Recovered))
 	r.Summary["ctl_fails"] = float64(out.CtlFails)
 	r.Summary["slo_viol_s"] = out.violSec
-	r.notef("with half the control plane gone for the whole shift, the survivor's self-corroborated plan still rebalances the hot span")
 }
 
 func boolToInt(b bool) int {

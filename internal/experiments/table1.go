@@ -121,5 +121,4 @@ func table1(_ Config, r *Result) {
 	}
 	r.Summary["apps"] = float64(len(apps))
 	r.Summary["total_rules"] = float64(totalRules)
-	r.notef("paper reports <10 rules per application; all policies compile against their schemas")
 }
