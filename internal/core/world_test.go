@@ -167,6 +167,28 @@ func TestNoWallClockOrGlobalRand(t *testing.T) {
 	}
 }
 
+// TestNoGoroutines is the one-thread rule: no non-test file under internal/,
+// cmd/ or examples/ holds a go statement. One goroutine runs every kernel and
+// every experiment's arms and seeds, in one order, so no shared record needs
+// a lock and no output depends on scheduling.
+func TestNoGoroutines(t *testing.T) {
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	for _, path := range sourceFiles(t, root) {
+		rel, _ := filepath.Rel(root, path)
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				t.Errorf("%s:%d: go statement; the simulator runs on one goroutine", filepath.ToSlash(rel), fset.Position(g.Pos()).Line)
+			}
+			return true
+		})
+	}
+}
+
 // TestOnlyRunDrivesWorlds is the one-loop rule, enforced: in
 // internal/experiments, scenario.go's run is the only non-test code that makes
 // a world (Config.world), gives it a manager or an injector, advances its

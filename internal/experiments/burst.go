@@ -196,18 +196,18 @@ func burstRow(r *Result, label string, o *burstOut, cols []burstCol) {
 // seed and the mean of every column that names one.
 func burstSeedTable(r *Result, cfg Config, seeds int, o burstOpts, cols []burstCol) {
 	r.Header = burstHeader("Seed", cols)
-	outs := runSeeds(cfg, seeds, func(_ int, seed int64) *burstOut { return burstTrial(cfg, seed, o) })
-	for i, o := range outs {
-		burstRow(r, fmt.Sprintf("%d", cfg.Seed+int64(i)), o, cols)
+	for seed := cfg.Seed; seed < cfg.Seed+int64(seeds); seed++ {
+		out := burstTrial(cfg, seed, o)
+		burstRow(r, fmt.Sprintf("%d", seed), out, cols)
 		for _, c := range cols {
 			if c.mean != "" {
-				r.Summary[c.mean] += c.val(o)
+				r.Summary[c.mean] += c.val(out)
 			}
 		}
 	}
 	for _, c := range cols {
 		if c.mean != "" {
-			r.Summary[c.mean] /= float64(len(outs))
+			r.Summary[c.mean] /= float64(seeds)
 		}
 	}
 }

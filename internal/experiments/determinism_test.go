@@ -44,9 +44,8 @@ func runCaptured(t *testing.T, id string, seed int64) (render string, traceJSONL
 // margin's sign agreeing with its verdict. Five runs of an id share one process, so a runner
 // that wrote into its (shared) size value would show here too.
 //
-// The fifth is the id's untraced seed-1 run (seedOne), on the goroutine pool
-// runSeeds uses when no tracer is set. It must render what the traced run
-// renders, so observation is passive and the pool changes nothing
+// The fifth is the id's untraced seed-1 run (seedOne). It must render what
+// the traced run renders, so observation is passive
 // (TestRunSweepsEveryPeriodAndArm reads the same run's record). It builds
 // its own inputs, where the traced runs share sweepInputs, so a shared
 // input changes nothing either.

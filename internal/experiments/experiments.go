@@ -10,12 +10,10 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"plasma/internal/cluster"
 	"plasma/internal/core"
@@ -115,9 +113,9 @@ type Config struct {
 	Seed int64
 
 	// Trace, when non-nil, receives the structured decision trace of every
-	// EMR the experiment builds (see internal/trace). Experiments that run
-	// several kernels sequentially re-point its clock at each new kernel,
-	// so record timestamps are always the active kernel's virtual time.
+	// EMR the experiment builds (see internal/trace). An experiment runs its
+	// kernels one after another, each re-pointing the tracer's clock at
+	// itself, so record timestamps are always the active kernel's virtual time.
 	Trace *trace.Tracer
 
 	// Inputs, when set, builds each workload input once for all the Runs
@@ -140,68 +138,24 @@ func (c Config) world(seed int64, machines int, inst cluster.InstanceType) *core
 	return w
 }
 
-// runSeeds runs one independent trial per seed (seed base, base+1, ...) and
-// returns the trials' results in seed order. Each trial must build its own
-// world via cfg.world, so trials share no simulation state and the
-// index-ordered result slice is deterministic no matter how trials are
-// scheduled. Untraced trials run on a goroutine pool; traced runs stay
-// sequential because the tracer's clock is re-pointed at each new kernel
-// and record order must remain byte-identical per seed.
-func runSeeds[T any](cfg Config, seeds int, trial func(idx int, seed int64) T) []T {
-	out := make([]T, seeds)
-	base := cfg.Seed
-	if cfg.Trace != nil || seeds <= 1 {
-		for i := range out {
-			out[i] = trial(i, base+int64(i))
-		}
-		return out
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > seeds {
-		workers = seeds
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out[i] = trial(i, base+int64(i))
-			}
-		}()
-	}
-	for i := 0; i < seeds; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return out
-}
-
 // simTracker is a Run's record: the kernels the experiment creates, whose
 // totals are read once the experiment function returns (all kernels idle by
 // then), and the violations run's sweeps found, with the count of sweeps and
-// of the periods the arms stepped. The mutex covers runSeeds' goroutines.
+// of the periods the arms stepped.
 type simTracker struct {
-	mu              sync.Mutex
 	kernels         []*sim.Kernel
 	violations      []violation
 	sweeps, periods int
 }
 
-// violation is a sweep finding; Run sorts them on (period, line), as runSeeds'
-// trials record theirs in any order.
+// violation is a sweep finding; Run sorts them on (period, line), so an id's
+// arms and seeds list theirs in period order.
 type violation struct {
 	period int
 	line   string
 }
 
-func (t *simTracker) add(k *sim.Kernel) {
-	t.mu.Lock()
-	t.kernels = append(t.kernels, k)
-	t.mu.Unlock()
-}
+func (t *simTracker) add(k *sim.Kernel) { t.kernels = append(t.kernels, k) }
 
 func (t *simTracker) totals() (fired uint64, peak int) {
 	for _, k := range t.kernels {
@@ -287,8 +241,8 @@ func Verdict(clauses []Clause) string {
 
 // sized picks a runner's sizes: quick by default, full with Config.Full. It
 // is the only code in the package that reads Full. Size values are shared by
-// every run in the process, runSeeds' goroutines included, so a runner copies
-// what it changes and never writes into a slice it got from its size.
+// every run in the process, so a runner copies what it changes and never
+// writes into a slice it got from its size.
 func sized[S any](quick, full S, fn func(Config, S, *Result)) func(Config, *Result) {
 	return func(cfg Config, r *Result) {
 		s := quick

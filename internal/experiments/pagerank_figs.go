@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"plasma/internal/apps/pagerank"
 	"plasma/internal/baseline"
@@ -53,17 +52,21 @@ func pagerankInput(su prSetup, seed int64) prInput {
 }
 
 // Inputs keeps a sweep's PageRank inputs; the zero value is ready to use.
-type Inputs struct{ pr sync.Map }
+type Inputs struct{ pr map[[4]float64]prInput }
 
 // input is pagerankInput, built once per (vertices, avgDeg, workers, seed)
 // for all the Runs that share c.Inputs.
 func (c Config) input(su prSetup, seed int64) prInput {
 	k := [4]float64{float64(su.vertices), su.avgDeg, float64(su.workers), float64(seed)}
-	in, ok := c.Inputs.pr.Load(k)
+	in, ok := c.Inputs.pr[k]
 	if !ok {
-		in, _ = c.Inputs.pr.LoadOrStore(k, pagerankInput(su, seed))
+		if c.Inputs.pr == nil {
+			c.Inputs.pr = map[[4]float64]prInput{}
+		}
+		in = pagerankInput(su, seed)
+		c.Inputs.pr[k] = in
 	}
-	return in.(prInput)
+	return in
 }
 
 // prArm is one PageRank arm: the scenario that deploys the job and steps it

@@ -91,28 +91,26 @@ func scaleTrial(cfg Config, seed int64, size, gems int) scaleResult {
 }
 
 // scale sweeps GEM count across fleet sizes: 1k and 4k actors quick; 10k,
-// 100k and 1M actors in -full. Each (size, gems) cell averages several
-// seeded trials; trials run in parallel on a goroutine pool (each owns an
-// independent kernel), except the million-actor cells, which run one seed
-// at a time to bound peak memory.
+// 100k and 1M actors in -full. Each (size, gems) cell averages three seeded
+// trials, run in seed order, except the million-actor cells, which run one
+// seed: they take 46 s of -full scale's 48 s on a 2-CPU VM, and three seeds
+// would triple that.
 func scale(cfg Config, sizes []int, r *Result) {
 	r.Header = []string{"Actors", "GEMs", "Seeds", "Migrations", "Denied", "Spares filled"}
 	for _, size := range sizes {
 		for _, gems := range []int{1, 2, 4} {
 			seeds := 3
 			if size >= 1_000_000 {
-				seeds = 1 // one resident million-actor kernel at a time
+				seeds = 1
 			}
-			trials := runSeeds(cfg, seeds, func(idx int, seed int64) scaleResult {
-				return scaleTrial(cfg, seed, size, gems)
-			})
 			var mig, den, spare float64
-			for _, t := range trials {
+			for seed := cfg.Seed; seed < cfg.Seed+int64(seeds); seed++ {
+				t := scaleTrial(cfg, seed, size, gems)
 				mig += float64(t.stats.ExecutedMigrations)
 				den += float64(t.stats.DeniedAdmissions)
 				spare += float64(t.spareFilled)
 			}
-			n := float64(len(trials))
+			n := float64(seeds)
 			mig, den, spare = mig/n, den/n, spare/n
 			r.addRow(fmt.Sprintf("%d", size), fmt.Sprintf("%d", gems), fmt.Sprintf("%d", seeds),
 				fmt.Sprintf("%.1f", mig), fmt.Sprintf("%.1f", den), fmt.Sprintf("%.1f", spare))

@@ -184,8 +184,6 @@ func (t *simTracker) sweep(w *core.World, n, stepped int, bound sim.Duration, mo
 		return
 	}
 	bad := append(w.Invariants(bound), more...)
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.sweeps, t.periods = t.sweeps+1, t.periods+stepped
 	for _, msg := range bad {
 		if msg != "" {
