@@ -26,9 +26,10 @@ func invariantClause(t *testing.T, r *Result) Clause {
 }
 
 // Every comparison held and failed, "==" both ways and a NaN value: the
-// verdict is each clause's comparison, its margin has the verdict's sign, and
-// the failure text lists the failing clauses in order, the invariant sweep's
-// period lines last and in period order.
+// verdict is each clause's comparison, its margin has the verdict's sign and
+// is no larger than the slack itself, and the failure text lists the failing
+// clauses in order, the invariant sweep's period lines last and in period
+// order. fig7a at seed 8 compares against Mizan's gain, near zero.
 func TestClauseVerdict(t *testing.T) {
 	cases := []struct {
 		c    Clause
@@ -45,6 +46,7 @@ func TestClauseVerdict(t *testing.T) {
 		{Clause{Name: "eq", Value: 4, Op: "==", Threshold: 4}, true},
 		{Clause{Name: "eq_off", Value: 5, Op: "==", Threshold: 4}, false},
 		{Clause{Name: "nan", Value: math.NaN(), Op: "<=", Threshold: 1}, false},
+		{Clause{Name: "fig7a_seed8", Value: -4.784, Op: ">", Threshold: -0.04698}, false},
 	}
 	var all, failing []Clause
 	for _, tc := range cases {
@@ -53,6 +55,9 @@ func TestClauseVerdict(t *testing.T) {
 		}
 		if !marginAgrees(tc.c) {
 			t.Errorf("%s: margin's sign disagrees with the verdict", tc.c)
+		}
+		if math.Abs(tc.c.Margin()) > math.Abs(tc.c.Value-tc.c.Threshold) {
+			t.Errorf("%s: margin exceeds the slack %g", tc.c, tc.c.Value-tc.c.Threshold)
 		}
 		all = append(all, tc.c)
 		if !tc.held {

@@ -194,8 +194,9 @@ func (r *Result) is(key, op string, threshold float64, paper string) Clause {
 	return Clause{Name: key, Value: r.Summary[key], Op: op, Threshold: threshold, Paper: paper}
 }
 
-// Margin is the clause's slack, divided by |Threshold| when that is nonzero:
-// positive when it holds, 0 at its bound, NaN if an operand is NaN.
+// Margin is the clause's slack, divided by |Threshold| when that exceeds 1:
+// positive when it holds, 0 at its bound, NaN if an operand is NaN. The floor
+// keeps a threshold near zero, another arm's measured value, from inflating it.
 func (c Clause) Margin() float64 {
 	d := c.Value - c.Threshold
 	switch c.Op {
@@ -207,10 +208,7 @@ func (c Clause) Margin() float64 {
 	default:
 		panic("experiments: clause " + c.Name + " has no comparison " + c.Op)
 	}
-	if c.Threshold != 0 {
-		d /= math.Abs(c.Threshold)
-	}
-	return d + 0 // a -0 reads as 0
+	return d/max(math.Abs(c.Threshold), 1) + 0 // a -0 reads as 0
 }
 
 // Holds reports the margin's sign: a NaN operand fails every comparison.
