@@ -133,7 +133,7 @@ type Config struct {
 func (c Config) world(seed int64, machines int, inst cluster.InstanceType) *core.World {
 	w := core.NewWorld(seed, machines, inst, c.Trace)
 	if c.stats != nil {
-		c.stats.add(w.K)
+		c.stats.kernels = append(c.stats.kernels, w.K)
 	}
 	return w
 }
@@ -154,8 +154,6 @@ type violation struct {
 	period int
 	line   string
 }
-
-func (t *simTracker) add(k *sim.Kernel) { t.kernels = append(t.kernels, k) }
 
 func (t *simTracker) totals() (fired uint64, peak int) {
 	for _, k := range t.kernels {
