@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	plasma-sim [-full] [-seed N] [-trace out.jsonl [-trace-cap N]] [experiment ...]
+//	plasma-sim [-full] [-seed N] [-trace out.jsonl] [experiment ...]
 //
 // With no arguments, all experiments run in table order. Each report ends
 // with its claim's clauses, one "clause <name> = <value> <op> <threshold>
@@ -12,14 +12,15 @@
 // comes "claim: holds", or "claim: FAILS: " and each failing clause, one per
 // line, the sweeps' period lines last (the exit status ignores it). With -trace,
 // every elasticity decision (rule evaluations, migrations, provisioning,
-// chaos injections) is recorded and written to the given JSONL file; inspect
-// it with cmd/plasma-trace (summarize/filter/diff) or convert it with
-// `plasma-trace chrome` for Perfetto. Traces at a fixed seed are
-// byte-identical across runs. A run whose trace ring overflowed (-trace-cap)
-// still writes the file but exits 1: the trace's head is missing.
+// chaos injections) of every id is streamed to the given JSONL file as it is
+// recorded; inspect it with cmd/plasma-trace (summarize/filter/diff) or
+// convert it with `plasma-trace chrome` for Perfetto. Traces at a fixed seed
+// are byte-identical across runs.
 package main
 
 import (
+	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -38,8 +39,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fl.SetOutput(stderr)
 	full := fl.Bool("full", false, "run paper-scale workloads (slower)")
 	seed := fl.Int64("seed", 1, "simulation seed")
-	traceOut := fl.String("trace", "", "write a decision trace (JSONL) to this file")
-	traceCap := fl.Int("trace-cap", 1<<20, "max records kept in the trace ring (oldest dropped); the ring allocates as records land, so a large cap costs nothing until a run fills it")
+	traceOut := fl.String("trace", "", "stream a decision trace (JSONL) to this file")
 	if err := fl.Parse(args); err != nil {
 		return 2
 	}
@@ -49,10 +49,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ids = experiments.IDs()
 	}
 	cfg := experiments.Config{Full: *full, Seed: *seed, Inputs: &experiments.Inputs{}}
-	var ring *trace.Ring
+	var fh *os.File
+	var bw *bufio.Writer
 	if *traceOut != "" {
-		ring = trace.NewRing(*traceCap)
-		cfg.Trace = trace.New(ring)
+		var err error
+		if fh, err = os.Create(*traceOut); err != nil {
+			fmt.Fprintln(stderr, "plasma-sim:", err)
+			return 1
+		}
+		bw = bufio.NewWriter(fh)
+		cfg.Trace = trace.New(fileSink{bw})
 	}
 	for _, id := range ids {
 		res, err := experiments.Run(id, cfg)
@@ -62,28 +68,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "%sclaim: %s\n\n", res.Render(), experiments.Verdict(res.Clauses))
 	}
-	if ring != nil {
-		if err := writeTrace(*traceOut, ring); err != nil {
+	if fh != nil {
+		if err := errors.Join(bw.Flush(), fh.Close()); err != nil {
 			fmt.Fprintln(stderr, "plasma-sim:", err)
-			return 1
-		}
-		// The file is written and inspectable, but its head is missing.
-		if d := ring.Dropped(); d > 0 {
-			fmt.Fprintf(stderr, "plasma-sim: trace ring dropped %d oldest records (raise -trace-cap)\n", d)
 			return 1
 		}
 	}
 	return 0
 }
 
-func writeTrace(path string, ring *trace.Ring) error {
-	fh, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteJSONL(fh, ring.Records()); err != nil {
-		fh.Close()
-		return err
-	}
-	return fh.Close()
-}
+// fileSink writes each record's JSONL line as it is emitted. A write error
+// sticks in the bufio.Writer, which then drops every later write, and
+// surfaces at its Flush.
+type fileSink struct{ *bufio.Writer }
+
+func (s fileSink) Emit(r trace.Record) { s.Write(trace.AppendJSONL(s.AvailableBuffer(), r)) }

@@ -21,7 +21,6 @@ func TestRunExitCodes(t *testing.T) {
 	}{
 		{"Untraced", []string{"fig5"}, 0, "", false},
 		{"Traced", []string{"-trace", out, "fig5"}, 0, "", true},
-		{"TracedRingOverflow", []string{"-trace", out, "-trace-cap", "8", "fig5"}, 1, "raise -trace-cap", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
@@ -45,9 +44,6 @@ func TestRunExitCodes(t *testing.T) {
 			recs, err := trace.ReadJSONL(fh)
 			if err != nil || len(recs) == 0 {
 				t.Fatalf("trace file: %d records, err %v", len(recs), err)
-			}
-			if tc.exit != 0 && len(recs) != 8 {
-				t.Fatalf("overflowed ring wrote %d records, want its 8-record tail", len(recs))
 			}
 		})
 	}

@@ -15,8 +15,6 @@ import (
 	"strconv"
 	"strings"
 
-	"plasma/internal/cluster"
-	"plasma/internal/core"
 	"plasma/internal/sim"
 	"plasma/internal/trace"
 )
@@ -34,8 +32,9 @@ type Result struct {
 	// Notes records observations the table and summary lines do not show.
 	Notes []string
 
-	// EventsFired and PeakQueue aggregate simulation-kernel effort across
-	// every kernel the run created (filled by Run, consumed by
+	// EventsFired and PeakQueue aggregate simulation-kernel effort over
+	// every arm of the run, each folded in as the arm ends: events fired
+	// summed, the largest peak queue (filled by Run, consumed by
 	// cmd/plasma-bench for events/sec and queue-pressure reporting). They
 	// are not rendered: Render output stays bit-identical per seed.
 	EventsFired uint64
@@ -122,28 +121,18 @@ type Config struct {
 	// that share it; nil builds them per Run, so a benchmarked id times its own.
 	Inputs *Inputs
 
-	// stats, when non-nil, is the run's record: the kernels created through
-	// Config.world and the invariant sweeps of run (set internally by Run).
+	// stats, when non-nil, is the run's record: each arm's kernel effort and
+	// the invariant sweeps of run (set internally by Run).
 	stats *simTracker
 }
 
-// world is core.NewWorld with the run's tracer, its kernel registered for
-// Run's perf accounting. Experiments that derive several seeds from the base
-// one (multi-seed averaging, chaos schedules) pass each; the rest c.Seed.
-func (c Config) world(seed int64, machines int, inst cluster.InstanceType) *core.World {
-	w := core.NewWorld(seed, machines, inst, c.Trace)
-	if c.stats != nil {
-		c.stats.kernels = append(c.stats.kernels, w.K)
-	}
-	return w
-}
-
-// simTracker is a Run's record: the kernels the experiment creates, whose
-// totals are read once the experiment function returns (all kernels idle by
-// then), and the violations run's sweeps found, with the count of sweeps and
-// of the periods the arms stepped.
+// simTracker is a Run's record: the kernel effort of the arms run has ended
+// (events fired summed, peak queue the largest, arms counted), and the
+// violations run's sweeps found, with the count of sweeps and of the periods
+// the arms stepped.
 type simTracker struct {
-	kernels         []*sim.Kernel
+	fired           uint64
+	peak, arms      int
 	violations      []violation
 	sweeps, periods int
 }
@@ -153,17 +142,6 @@ type simTracker struct {
 type violation struct {
 	period int
 	line   string
-}
-
-func (t *simTracker) totals() (fired uint64, peak int) {
-	for _, k := range t.kernels {
-		st := k.Stats()
-		fired += st.Fired
-		if st.PeakQueue > peak {
-			peak = st.PeakQueue
-		}
-	}
-	return fired, peak
 }
 
 // experiment is one id: its title, the runner that fills its Result (sizes
@@ -479,7 +457,7 @@ func (e experiment) exec(cfg Config, tr *simTracker) *Result {
 	}
 	res := &Result{ID: e.id, Title: e.title, Summary: map[string]float64{}}
 	e.run(cfg, res)
-	res.EventsFired, res.PeakQueue = tr.totals()
+	res.EventsFired, res.PeakQueue = tr.fired, tr.peak
 	slices.SortFunc(tr.violations, func(a, b violation) int {
 		return cmp.Or(cmp.Compare(a.period, b.period), strings.Compare(a.line, b.line))
 	})

@@ -84,7 +84,7 @@ type outcome struct {
 
 // run executes one arm at one seed.
 func run(cfg Config, seed int64, sc scenario) outcome {
-	w := cfg.world(seed, sc.machines, sc.inst)
+	w := core.NewWorld(seed, sc.machines, sc.inst, cfg.Trace)
 	sc.build(w)
 	if sc.wire {
 		w.K.RunUntilIdle()
@@ -172,6 +172,10 @@ func run(cfg Config, seed int64, sc scenario) outcome {
 		stalled = sc.stalled(out)
 	}
 	cfg.stats.sweep(w, n, n, bound, stalled)
+	if t := cfg.stats; t != nil {
+		st := w.K.Stats()
+		t.fired, t.peak, t.arms = t.fired+st.Fired, max(t.peak, st.PeakQueue), t.arms+1
+	}
 	return out
 }
 
