@@ -15,7 +15,8 @@
 // chaos injections) of every id is streamed to the given JSONL file as it is
 // recorded; inspect it with cmd/plasma-trace (summarize/filter/diff) or
 // convert it with `plasma-trace chrome` for Perfetto. Traces at a fixed seed
-// are byte-identical across runs.
+// are byte-identical across runs. An unknown id exits 2, and a trace file
+// that cannot be created exits 1, before any id runs.
 package main
 
 import (
@@ -25,6 +26,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"plasma/internal/experiments"
 	"plasma/internal/trace"
@@ -44,9 +47,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	known := experiments.IDs()
 	ids := fl.Args()
 	if len(ids) == 0 {
-		ids = experiments.IDs()
+		ids = known
+	}
+	for _, id := range ids {
+		if !slices.Contains(known, id) {
+			fmt.Fprintf(stderr, "plasma-sim: unknown id %q (have %s)\n", id, strings.Join(known, ", "))
+			return 2
+		}
 	}
 	cfg := experiments.Config{Full: *full, Seed: *seed, Inputs: &experiments.Inputs{}}
 	var fh *os.File
@@ -63,8 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, id := range ids {
 		res, err := experiments.Run(id, cfg)
 		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
+			panic(err) // every id was checked above
 		}
 		fmt.Fprintf(stdout, "%sclaim: %s\n\n", res.Render(), experiments.Verdict(res.Clauses))
 	}

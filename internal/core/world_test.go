@@ -191,12 +191,12 @@ func TestNoGoroutines(t *testing.T) {
 
 // TestOnlyRunDrivesWorlds is the one-loop rule, enforced: in
 // internal/experiments, scenario.go's run is the only non-test code that makes
-// a world (Config.world), gives it a manager or an injector, advances its
+// a world (core.NewWorld), gives it a manager or an injector, advances its
 // kernel or sweeps it. Every id describes its arms as scenario values; what a
 // per-period checker or a seed sweep needs to hook is therefore one function.
 func TestOnlyRunDrivesWorlds(t *testing.T) {
 	banned := map[string]bool{
-		"world": true, "Manage": true, "Chaos": true, "Apply": true,
+		"NewWorld": true, "Manage": true, "Chaos": true, "Apply": true,
 		"Run": true, "RunUntilIdle": true, "Step": true, "Invariants": true,
 	}
 	files := goFiles(t, filepath.Join("..", "experiments"))
