@@ -91,4 +91,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 // surfaces at its Flush.
 type fileSink struct{ *bufio.Writer }
 
-func (s fileSink) Emit(r trace.Record) { s.Write(trace.AppendJSONL(s.AvailableBuffer(), r)) }
+func (s fileSink) Emit(r trace.Record) { _, _ = s.Write(trace.AppendJSONL(s.AvailableBuffer(), r)) }
