@@ -153,7 +153,9 @@ cover:
 # experiment run twice at the same seed must produce byte-identical JSONL,
 # summarize and diff must accept it, filter with no selector must write it
 # back byte for byte (read then write is the identity), and the Chrome
-# export must render.
+# export must render. Then the whole quick sweep is traced into one file,
+# every id's worlds one after another: filter must write it back byte for
+# byte and summarize must read it.
 trace-smoke:
 	@rm -rf $(TRACE_SMOKE_DIR) && mkdir -p $(TRACE_SMOKE_DIR)
 	$(GO) run ./cmd/plasma-sim -trace $(TRACE_SMOKE_DIR)/a.jsonl fig5 > /dev/null
@@ -163,8 +165,11 @@ trace-smoke:
 	$(GO) run ./cmd/plasma-trace diff $(TRACE_SMOKE_DIR)/a.jsonl $(TRACE_SMOKE_DIR)/b.jsonl > /dev/null
 	$(GO) run ./cmd/plasma-trace filter $(TRACE_SMOKE_DIR)/a.jsonl | cmp - $(TRACE_SMOKE_DIR)/a.jsonl
 	$(GO) run ./cmd/plasma-trace chrome $(TRACE_SMOKE_DIR)/a.jsonl > $(TRACE_SMOKE_DIR)/a.trace.json
+	$(GO) run ./cmd/plasma-sim -trace $(TRACE_SMOKE_DIR)/all.jsonl > /dev/null
+	$(GO) run ./cmd/plasma-trace filter $(TRACE_SMOKE_DIR)/all.jsonl | cmp - $(TRACE_SMOKE_DIR)/all.jsonl
+	$(GO) run ./cmd/plasma-trace summarize $(TRACE_SMOKE_DIR)/all.jsonl | grep -q '^records:'
 	@rm -rf $(TRACE_SMOKE_DIR)
-	@echo "trace-smoke OK: same-seed traces byte-identical, tooling round-trips"
+	@echo "trace-smoke OK: same-seed traces byte-identical, tooling round-trips, whole-sweep trace read back"
 
 # fuzz-smoke gives each fuzzer ten seconds on top of its checked-in corpus
 # (the package's testdata/fuzz and its f.Add seeds). FuzzKernelOrder: random
