@@ -93,9 +93,8 @@ bench-baseline:
 # 2. go test splits -run at each slash, so the part after it filters the
 # subtests of every test the part before it selects.
 
-# scale-quick runs the beyond-the-paper scalability family end to end
-# (parallel multi-seed runner included) at quick sizes, with the slow 100k
-# smoke test skipped via -short.
+# scale-quick runs the beyond-the-paper scalability family end to end at
+# quick sizes, with the slow 100k smoke test skipped via -short.
 scale-quick:
 	$(GO) run ./cmd/plasma-sim scale
 	$(GO) test -short -run 'TestScale|TestAllQuickIDsDeterministic/^scale$$' ./internal/experiments/

@@ -1,7 +1,9 @@
-// Command plasma-lint runs PLASMA's static-analysis engine over EPL
-// policies: the analyzer's passes (satisfiability, flapping, shadowing,
-// unused declarations — plus the compiler's conflict detection) on each
-// .epl target.
+// Command plasma-lint is PLASMA's one EPL command, the "PLASMA compiler" of
+// Fig. 2 run on files: it parses each .epl target, checks it against an
+// optional application schema, and reports the compiler's §4.3 conflict
+// warnings (EPL101–105) beside the analyzer's passes (satisfiability,
+// flapping, shadowing, unused declarations). A target that cannot be read,
+// parsed or checked is one EPL000 error; the other targets are still linted.
 //
 // Usage:
 //
@@ -20,8 +22,9 @@
 // (EPL210). -explain (implies -model) prints each finding's concrete
 // counterexample path tick by tick.
 //
-// Exit status: 0 clean, 1 findings at error severity (or warning severity
-// with -Werror), 2 usage or I/O failure.
+// Exit status: 0 clean, 1 findings at error severity (EPL000 among them, or
+// warning severity with -Werror), 2 usage, schema (epl.ReadSchema) or output
+// failure.
 package main
 
 import (

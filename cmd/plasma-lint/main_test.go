@@ -162,3 +162,55 @@ func TestSchemaWithParentIsAnIOFailure(t *testing.T) {
 		t.Fatalf("stdout %q, stderr %q; want nothing linted and the key named", stdout.String(), stderr.String())
 	}
 }
+
+// TestUncompilablePolicyIsEPL000: a target that cannot be read, parsed or
+// checked is one error-severity EPL000 diagnostic carrying the OS's, the
+// parser's or the compiler's message — exit 1 without -Werror — and the
+// target beside it is still linted.
+func TestUncompilablePolicyIsEPL000(t *testing.T) {
+	other := filepath.Join(corpusDir, "shadow_true.epl")
+	var alone, stderr bytes.Buffer
+	if code := run([]string{other}, &alone, &stderr); code != 0 {
+		t.Fatalf("%s alone: exit %d, want 0", other, code)
+	}
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name, src, want string
+	}{
+		{"Parse", "server.cpu.perc > => balance({Worker}, cpu);", "expected number, found '=>'"},
+		{"Check", "Partition(p).cpu.perc > 30 => balance({p}, cpu);", "balance takes actor types"},
+		{"Missing", "", "no such file or directory"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(dir, tc.name+".epl")
+			if tc.src != "" {
+				if err := os.WriteFile(path, []byte(tc.src+"\n"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var stdout, stderr bytes.Buffer
+			if code := run([]string{path, other}, &stdout, &stderr); code != 1 {
+				t.Fatalf("exit %d, want 1\n%s", code, stdout.String())
+			}
+			if stderr.Len() != 0 {
+				t.Fatalf("unexpected stderr: %s", stderr.String())
+			}
+			var epl000 []string
+			var rest strings.Builder
+			for _, line := range strings.SplitAfter(stdout.String(), "\n") {
+				if strings.Contains(line, "EPL000") {
+					epl000 = append(epl000, line)
+				} else {
+					rest.WriteString(line)
+				}
+			}
+			prefix := path + ":1:1: error[EPL000]: "
+			if len(epl000) != 1 || !strings.HasPrefix(epl000[0], prefix) || !strings.Contains(epl000[0], tc.want) {
+				t.Fatalf("want one EPL000 line for %s naming %q, got\n%s", path, tc.want, stdout.String())
+			}
+			if rest.String() != alone.String() {
+				t.Fatalf("besides the EPL000 line, got\n%s\nwant %s's own findings\n%s", rest.String(), other, alone.String())
+			}
+		})
+	}
+}

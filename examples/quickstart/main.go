@@ -53,7 +53,7 @@ func main() {
 		cl.Send(w, "work", nil, 16)
 	}
 
-	world.Start()
+	world.M.Start()
 
 	show := func(label string) {
 		fmt.Printf("%-8s", label)

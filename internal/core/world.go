@@ -10,7 +10,7 @@
 //	w.RT.SpawnOn("Worker", myBehavior, 0)                 // actors first
 //	w.Manage(epl.MustParse(`server.cpu.perc > 80 or server.cpu.perc < 60 => balance({Worker}, cpu);`),
 //	    emr.Config{Period: sim.Second})
-//	w.Start() // or call w.M.Tick() from a period loop of your own
+//	w.M.Start() // or call w.M.Tick() from a period loop of your own
 //	w.Run(5 * sim.Minute)
 package core
 
@@ -142,9 +142,6 @@ func (w *World) FailLEM(srv int) bool {
 }
 
 func (w *World) RecoverLEM(srv int) bool { return w.M.RecoverLEM(cluster.MachineID(srv)) }
-
-// Start has the manager tick every period on its own (emr.Manager.Start).
-func (w *World) Start() { w.M.Start() }
 
 // Run advances virtual time by d.
 func (w *World) Run(d sim.Duration) { w.K.Run(w.K.Now() + sim.Time(d)) }

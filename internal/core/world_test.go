@@ -487,7 +487,7 @@ func TestManageEndToEnd(t *testing.T) {
 		})
 		refs = append(refs, w.RT.SpawnOn("Worker", b, 0))
 	}
-	w.Start()
+	w.M.Start()
 	cl := w.Client(1)
 	for _, r := range refs {
 		cl.Send(r, "w", nil, 8)

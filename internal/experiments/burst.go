@@ -223,18 +223,12 @@ func flashRate(from, to sim.Time, spike float64) func(sim.Time) float64 {
 	}
 }
 
-// burstSpec builds a single-class spectrum for the flash-crowd class
-// comparison (warm pools stay finite; the fallible boot draws exercise
-// the retry/backoff path).
+// burstSpec is class pc alone of cluster.DefaultProvSpecs (ordered by
+// ProvClass). Its boots draw their failures from the kernel's RNG, but none
+// fails at quick scale: internal/cluster's provision tests (FailProb 1) hold
+// the retry/backoff path.
 func burstSpec(pc cluster.ProvClass) []cluster.ProvSpec {
-	switch pc {
-	case cluster.WarmPool:
-		return []cluster.ProvSpec{{Class: cluster.WarmPool, BootMin: 50 * sim.Millisecond, BootMax: 200 * sim.Millisecond, FailProb: 0.01, Capacity: 8}}
-	case cluster.Container:
-		return []cluster.ProvSpec{{Class: cluster.Container, BootMin: 2 * sim.Second, BootMax: 5 * sim.Second, FailProb: 0.03, Capacity: -1}}
-	default:
-		return []cluster.ProvSpec{{Class: cluster.VM, BootMin: 30 * sim.Second, BootMax: 60 * sim.Second, FailProb: 0.05, Capacity: -1}}
-	}
+	return cluster.DefaultProvSpecs()[pc : pc+1 : pc+1]
 }
 
 const burstPolicyFmt = `

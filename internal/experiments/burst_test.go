@@ -111,8 +111,9 @@ func TestBurstFlashRateWindow(t *testing.T) {
 	}
 }
 
-// Spectrum helper sanity: the warm pool is the only finite class, and every
-// class carries a nonzero failure probability so the retry path is live.
+// Spectrum helper sanity: burstSpec(pc) is class pc alone, the warm pool is
+// the only finite class, and every class carries a nonzero failure
+// probability, so each boot draws its failure from the kernel's RNG.
 func TestBurstSpecSpectrum(t *testing.T) {
 	for _, pc := range []cluster.ProvClass{cluster.WarmPool, cluster.Container, cluster.VM} {
 		specs := burstSpec(pc)
@@ -120,7 +121,7 @@ func TestBurstSpecSpectrum(t *testing.T) {
 			t.Fatalf("burstSpec(%v) = %+v", pc, specs)
 		}
 		if specs[0].FailProb <= 0 {
-			t.Errorf("class %v has no failure probability; retry path untested", pc)
+			t.Errorf("class %v has no failure probability", pc)
 		}
 		finite := specs[0].Capacity >= 0
 		if finite != (pc == cluster.WarmPool) {

@@ -358,9 +358,7 @@ func streamSpike(cfg Config, su streamSize, r *Result) {
 		if mode == "plasma" {
 			o.policy = streamSpikePolicy
 			o.scaleOut = true
-			o.specs = []cluster.ProvSpec{{Class: cluster.WarmPool,
-				BootMin: 50 * sim.Millisecond, BootMax: 200 * sim.Millisecond,
-				FailProb: 0.01, Capacity: 8}}
+			o.specs = burstSpec(cluster.WarmPool)
 		}
 		out := streamTrial(cfg, cfg.Seed, o)
 		r.addRow(mode, recCell(out.first), fmt.Sprintf("%.1f", out.violSec),
