@@ -67,10 +67,16 @@ bench:
 #     TestWriteJSONLAllocCeiling);
 #   internal/epl: BenchmarkEvaluate, the Media Service policy over a
 #     profiler-shaped snapshot of 128 clients' actors, its interaction
-#     rules joined on who called whom (ceiling: TestEvaluateAllocCeiling).
-MICRO_BENCH = KernelQueue|RequestReply|Send|IdleDelivery|DeliverFleet|BarrierRound|OnMessage|SnapshotSteady|SnapshotSparse|Percentile|Observe|ZipfKeysDraw|PartitionMultilevel|RingEmit|WriteJSONL|Evaluate
+#     rules joined on who called whom (ceiling: TestEvaluateAllocCeiling);
+#   internal/emr: BenchmarkPlannerDecision, one GEM planning round over
+#     64k actors on 256 servers and 1M on 1,000, and fleet_control's four
+#     rounds of one period (ceilings: TestPlanRoundAllocCeiling,
+#     TestFleetPeriodAllocCeiling), and BenchmarkManagedPeriod, one whole
+#     period of a 16,384-actor managed fleet under control-plane chaos
+#     (ceiling: TestManagedPeriodAllocCeiling).
+MICRO_BENCH = KernelQueue|RequestReply|Send|IdleDelivery|DeliverFleet|BarrierRound|OnMessage|SnapshotSteady|SnapshotSparse|Percentile|Observe|ZipfKeysDraw|PartitionMultilevel|RingEmit|WriteJSONL|Evaluate|PlannerDecision|ManagedPeriod
 micro-bench:
-	$(GO) test -run '^$$' -bench '^Benchmark($(MICRO_BENCH))$$' -benchtime 1x -benchmem ./internal/sim ./internal/actor ./internal/profile ./internal/metrics ./internal/apps/workload ./internal/graph ./internal/trace ./internal/epl
+	$(GO) test -run '^$$' -bench '^Benchmark($(MICRO_BENCH))$$' -benchtime 1x -benchmem ./internal/sim ./internal/actor ./internal/profile ./internal/metrics ./internal/apps/workload ./internal/graph ./internal/trace ./internal/epl ./internal/emr
 
 # bench-test runs the repository benchmark's own tests (benchmark/ is a
 # nested module, so `go test ./...` from the root never reaches them).

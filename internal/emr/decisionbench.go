@@ -32,6 +32,7 @@ type DecisionBench struct {
 	m    *Manager
 	snap *epl.Snapshot
 	in   *epl.Intents
+	acts []Action
 }
 
 // NewDecisionBench builds the synthetic fleet and snapshot.
@@ -108,6 +109,6 @@ func NewDecisionBench(actors, servers int) *DecisionBench {
 // emr.plan_ms_per_round.legacy and .batch read the same round until a
 // benchmark PR drops one.
 func (b *DecisionBench) Run(string) int {
-	acts, _, _, _, _ := b.m.planResource(nil, b.snap.Index(), b.in, 0, 0)
-	return len(acts)
+	b.acts, _, _, _, _ = b.m.planResource(b.acts[:0], nil, b.snap.Index(), b.in, 0, 0)
+	return len(b.acts)
 }

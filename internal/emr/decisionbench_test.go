@@ -2,7 +2,6 @@ package emr
 
 import (
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -67,6 +66,8 @@ func BenchmarkPlannerDecision(b *testing.B) {
 type fleetBench struct {
 	db     *DecisionBench
 	scopes [4][]*epl.ServerInfo
+	views  [4]epl.Snapshot // each GEM's view, refilled every period
+	acts   []Action
 }
 
 func newFleetBench() *fleetBench {
@@ -91,32 +92,29 @@ func newFleetBench() *fleetBench {
 // It returns the actions planned.
 func (fb *fleetBench) period() (acts int) {
 	snap := fb.db.snap.Index()
-	for _, sc := range fb.scopes {
-		a, _, _, _, _ := fb.db.m.planResource(nil, snap.WithServers(sc), fb.db.in, 0, 0)
-		acts += len(a)
+	for g, sc := range fb.scopes {
+		fb.acts, _, _, _, _ = fb.db.m.planResource(fb.acts[:0], nil, fb.views[g].ViewOf(snap, sc), fb.db.in, 0, 0)
+		acts += len(fb.acts)
 	}
 	return acts
 }
 
 // The round's steady-state allocation ceiling at the quick decision-bench
 // size. The per-intent greedy loop it replaced read 677 allocs / 0.74 MB per
-// round here and the first batch round 80,281 / 12.3 MB (a map-of-maps
-// affinity graph rebuilt every round); the round's scratch lives on the
-// Manager, so what is left is the action slice.
+// round here, the first batch round 80,281 / 12.3 MB (a map-of-maps affinity
+// graph rebuilt every round), and a round returning a fresh action slice
+// 36 / 417 KB. The round's scratch lives on the Manager and its actions go
+// into the caller's buffer, so it allocates nothing. AllocsPerRun counts
+// every allocation in the process, and averages over its runs a stray one
+// the runtime makes now and then.
 func TestPlanRoundAllocCeiling(t *testing.T) {
 	db := NewDecisionBench(65536, 256)
 	if db.Run("") == 0 {
 		t.Fatal("degenerate synthetic fleet: no actions")
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	db.Run("")
-	runtime.ReadMemStats(&after)
-	allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
-	if allocs > 1000 || bytes > 1500<<10 {
-		t.Fatalf("one round allocated %d objects / %d KB, ceiling 1,000 / 1,500 KB", allocs, bytes>>10)
+	if allocs := testing.AllocsPerRun(4, func() { db.Run("") }); allocs != 0 {
+		t.Fatalf("one round allocates %.0f objects, want none", allocs)
 	}
-	t.Logf("one round: %d allocs, %d KB", allocs, bytes>>10)
 }
 
 // A round that finds every server inside every band builds neither the
@@ -138,7 +136,7 @@ func TestPlanRoundInBandAllocatesNothing(t *testing.T) {
 		{Types: []string{"W"}, Res: epl.Mem, Upper: 80, Lower: 60},
 	}}
 	allocs := testing.AllocsPerRun(5, func() {
-		if acts, _, _, _, _ := pe.m.planResource(nil, snap, in, 0, 0); len(acts) != 0 {
+		if acts, _, _, _, _ := pe.m.planResource(nil, nil, snap, in, 0, 0); len(acts) != 0 {
 			t.Fatalf("in-band fleet planned %+v", acts)
 		}
 	})
@@ -150,7 +148,7 @@ func TestPlanRoundInBandAllocatesNothing(t *testing.T) {
 	}
 }
 
-// A period's GEMs plan over WithServers views of one snapshot, and the
+// A period's GEMs plan over views (ViewOf) of one snapshot, and the
 // per-server buckets and the affinity graph are built by the first of their
 // rounds only: after it, an actor is moved and its traffic dropped behind
 // the snapshot's back, and the next three rounds still see it where the
@@ -169,7 +167,7 @@ func TestPeriodIndexSharedAndInvalidated(t *testing.T) {
 	has := func(list []*epl.ActorInfo, ai *epl.ActorInfo) bool { return slices.Contains(list, ai) }
 
 	for g := 0; g < 4; g++ {
-		if acts, _, _, _, _ := pe.m.planResource(nil, within(snap, scope(3)), in, 0, 0); len(acts) == 0 {
+		if acts, _, _, _, _ := pe.m.planResource(nil, nil, within(snap, scope(3)), in, 0, 0); len(acts) == 0 {
 			t.Fatalf("round %d over an overloaded server planned nothing", g)
 		}
 		if rd.bucketGen != snap.Gen() || rd.affGen != snap.Gen() {
@@ -188,7 +186,7 @@ func TestPeriodIndexSharedAndInvalidated(t *testing.T) {
 	if snap.Gen() == gen {
 		t.Fatal("Index() kept the snapshot's generation")
 	}
-	pe.m.planResource(nil, within(snap, scope(3)), in, 0, 0)
+	pe.m.planResource(nil, nil, within(snap, scope(3)), in, 0, 0)
 	if has(rd.residents(0), x) || !has(rd.residents(1), x) || len(rd.peers(x.Ref.ID)) != 0 {
 		t.Fatalf("after Index() the round still sees x on server 0 (%v) or its dropped edge %v", has(rd.residents(0), x), rd.peers(x.Ref.ID))
 	}
@@ -244,23 +242,18 @@ func TestResidentsMatchMapGrouping(t *testing.T) {
 }
 
 // fleetBench's steady-state allocation ceiling, one period of four rounds.
-// PR 25 read 96 allocs / 2,257 KB here, the same as the parent's rounds
-// that each built their own buckets and affinity into reused scratch: what
-// is left is the four views' server indexes and the 7,998 planned
-// actions' slices. The period takes 15 ms against the parent's 54 ms
+// It read 96 allocs / 2,257 KB when the rounds first shared the period's
+// buckets and affinity, the four views' server indexes and the 7,998
+// planned actions' slices being what was left. Each GEM now refills its own
+// view and plans into a reused buffer, so the period allocates nothing. It
+// takes 15 ms; rounds that each built their own index took 54 ms
 // (BenchmarkPlannerDecision/131k_1k_4gem).
 func TestFleetPeriodAllocCeiling(t *testing.T) {
 	fb := newFleetBench()
 	if fb.period() == 0 {
 		t.Fatal("degenerate fleet: no actions")
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	acts := fb.period()
-	runtime.ReadMemStats(&after)
-	allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
-	if allocs > 200 || bytes > 3000<<10 {
-		t.Fatalf("one period allocated %d objects / %d KB, ceiling 200 / 3,000 KB", allocs, bytes>>10)
+	if allocs := testing.AllocsPerRun(4, func() { fb.period() }); allocs != 0 {
+		t.Fatalf("one period allocates %.0f objects, want none", allocs)
 	}
-	t.Logf("one period: %d actions, %d allocs, %d KB", acts, allocs, bytes>>10)
 }

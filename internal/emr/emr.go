@@ -21,7 +21,8 @@
 package emr
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
 
 	"plasma/internal/actor"
@@ -203,6 +204,24 @@ type Manager struct {
 	trDet  []byte        // rule-fire Detail buffer, reused across firings
 
 	rd round // the planning round's state, reused across periods
+
+	// The period's buffers, re-sliced or cleared at their first use each
+	// period (DESIGN.md §5 "Control-plane records"). plan is the planning
+	// GEM's actions before RREPLY; acts is every GEM's, grouped by GEM and
+	// then by source LEM, and an RREPLY carries its LEM's range of it; all
+	// and final are the LEMs' actions before and after conflict resolution.
+	plan  []Action
+	acts  []Action
+	bySrc []int // rreplyActions' per-LEM slots
+	all   []Action
+	final []Action
+	dest  map[actor.Ref]cluster.MachineID // resolveActions: each actor's last planned target
+	best  map[actor.Ref]int               // resolveActions: each actor's index in final
+	ia    interScratch                    // planInteraction's maps and lists
+
+	free           [numCtlKinds]*ctl // recycled control-plane records
+	countMigration func(ok bool)     // a drain migration's outcome
+	eo             evalObs           // the one evaluation observer, reset per pass
 }
 
 // SetTracer installs (or removes, with nil) the decision tracer, fanning it
@@ -252,12 +271,14 @@ func (o *evalObs) RuleFired(rule *epl.Rule, anchor actor.Ref, srv cluster.Machin
 }
 
 // obs returns the evaluation observer for one pass, or nil when tracing is
-// off (epl.EvaluateObserved with nil is exactly epl.Evaluate).
+// off (epl.EvaluateObserved with nil is exactly epl.Evaluate). Passes run
+// one at a time, so they share one observer.
 func (m *Manager) obs(parent uint64, tick int, ctx string) epl.EvalObserver {
 	if !m.tr.Enabled() {
 		return nil
 	}
-	return &evalObs{m: m, parent: parent, tick: int32(tick), ctx: ctx}
+	m.eo = evalObs{m: m, parent: parent, tick: int32(tick), ctx: ctx}
+	return &m.eo
 }
 
 // tracePropose stamps each planned action with its KindPropose record.
@@ -278,8 +299,7 @@ func (m *Manager) tracePropose(actions []Action, parent uint64, tickIdx int) {
 // period state, and the placement state every planner and admission check
 // consults.
 type server struct {
-	gemActions []Action // actions received via RREPLY this period
-	rreply     []Action // a GEM's actions for this LEM, between planning and RREPLY
+	got []span // the ranges of m.acts that RREPLYs delivered this period
 
 	// admission ledger: extra resource share already promised to inbound
 	// actors this period, per resource.
@@ -299,6 +319,9 @@ type server struct {
 
 	draining bool // being emptied for scale-in; admits nothing
 }
+
+// span is a range [lo, hi) of the period's GEM actions, m.acts.
+type span struct{ lo, hi int }
 
 // srv returns the record of a machine the cluster knows, first growing the
 // table when the machine was provisioned since the last period.
@@ -331,6 +354,10 @@ type gem struct {
 	// view flags from the last processed period, for adjustment voting.
 	allOver  bool
 	allUnder bool
+
+	// view is the GEM's global snapshot, refilled every period: the
+	// period's actors, and the servers in the GEM's scope.
+	view epl.Snapshot
 }
 
 // lastReport is one server's row in a GEM's table. A REPORT that arrives in
@@ -358,6 +385,11 @@ func New(k *sim.Kernel, c *cluster.Cluster, rt *actor.Runtime, prof *profile.Pro
 	m.provSpecs = append([]cluster.ProvSpec(nil), m.Cfg.ProvSpecs...)
 	for i := 0; i < m.Cfg.NumGEMs; i++ {
 		m.gems = append(m.gems, &gem{id: i, name: chaos.GEM(i).String()})
+	}
+	m.countMigration = func(ok bool) {
+		if ok {
+			m.Stats.ExecutedMigrations++
+		}
 	}
 	return m
 }
@@ -478,13 +510,18 @@ func (m *Manager) Tick() *epl.Snapshot {
 	m.cleanupReservations()
 	m.finishDraining()
 
-	up := m.C.UpMachines()
-	if len(up) == 0 {
+	if m.C.UpCount() == 0 {
 		return snap
 	}
 
 	// Phase 1 — LEMs: apply interaction rules locally, report to a GEM.
+	// Every LEM starts the period empty-handed, a down machine's too: what
+	// an RREPLY delivered before a crash must not outlive its period.
 	m.grow()
+	for _, l := range m.servers {
+		l.got, l.promised, l.acked = l.got[:0], [3]float64{}, false
+	}
+	m.acts = m.acts[:0]
 	for _, g := range m.gems {
 		g.heard = 0
 		g.last = append(g.last, make([]lastReport, len(m.servers)-len(g.last))...)
@@ -506,10 +543,10 @@ func (m *Manager) Tick() *epl.Snapshot {
 	// Alg. 1 line 11: each live LEM sends its REPORT (with ack-driven
 	// retransmission) to a randomly chosen live GEM — the shuffling that
 	// makes GEM failure harmless.
-	for _, mach := range up {
-		l := m.servers[mach.ID]
-		l.gemActions, l.promised, l.acked = nil, [3]float64{}, false
-		m.lemReport(mach.ID, snap, tickIdx, 0)
+	for _, mach := range m.C.Machines() {
+		if mach.Up() {
+			m.lemReport(mach.ID, snap, tickIdx, 0)
+		}
 	}
 
 	// Phase 2 — GEMs: at the report-window deadline, apply resource rules
@@ -610,7 +647,7 @@ func (m *Manager) gemProcess(g *gem, snap *epl.Snapshot, tickIdx int) {
 	// what did not may be stood in for. The GEM's view is built from REPORT
 	// payloads, not from the profiler directly: what the GEM plans on is
 	// exactly what the network delivered.
-	servers := make([]*epl.ServerInfo, 0, len(g.last))
+	servers := g.view.Servers[:0]
 	for i := range g.last {
 		e, id := &g.last[i], cluster.MachineID(i)
 		if e.heard == tickIdx {
@@ -639,7 +676,7 @@ func (m *Manager) gemProcess(g *gem, snap *epl.Snapshot, tickIdx int) {
 	if len(servers) == 0 {
 		return
 	}
-	gemView := snap.WithServers(servers)
+	gemView := g.view.ViewOf(snap, servers)
 
 	res := epl.EvaluateObserved(m.Pol, gemView, true, false, m.obs(gemEvalID, tickIdx, g.name))
 	if len(res.ProvClass) > 0 {
@@ -654,7 +691,8 @@ func (m *Manager) gemProcess(g *gem, snap *epl.Snapshot, tickIdx int) {
 			}
 		}
 	}
-	actions, allOver, allUnder, outNeed, wantIn := m.planResource(g.last, gemView, res, gemEvalID, tickIdx)
+	actions, allOver, allUnder, outNeed, wantIn := m.planResource(m.plan[:0], g.last, gemView, res, gemEvalID, tickIdx)
+	m.plan = actions
 	g.allOver = allOver
 	g.allUnder = allUnder
 	m.Stats.PlannedActions += len(actions)
@@ -673,20 +711,25 @@ func (m *Manager) gemProcess(g *gem, snap *epl.Snapshot, tickIdx int) {
 // reserved/balanced actors in the same period), resolve per-actor conflicts
 // by priority, admission-check targets, then migrate.
 func (m *Manager) resolveAndExecute(snap *epl.Snapshot, inter *epl.Intents) {
-	var all []Action
-	for _, l := range m.servers {
-		if !l.failed {
-			all = append(all, l.gemActions...)
+	all := m.all[:0]
+	for id, l := range m.servers {
+		if l.failed || !m.C.Machine(cluster.MachineID(id)).Up() {
+			continue
+		}
+		for _, sp := range l.got {
+			all = append(all, m.acts[sp.lo:sp.hi]...)
 		}
 	}
-	interActions := m.planInteraction(snap, inter, all)
+	n := len(all)
+	all = m.planInteraction(all, snap, inter, all)
+	m.all = all
+	interActions := all[n:]
 	m.Stats.PlannedActions += len(interActions)
 	m.tracePropose(interActions, m.trTick, m.Stats.Ticks)
-	all = append(all, interActions...)
 
 	final := m.resolveActions(all)
 	// Process queries in priority order so reservations admit partners.
-	sort.SliceStable(final, func(i, j int) bool { return final[i].Pri > final[j].Pri })
+	slices.SortStableFunc(final, func(a, b Action) int { return cmp.Compare(b.Pri, a.Pri) })
 
 	pinPri := priority(epl.KindPin)
 	for _, a := range final {
@@ -716,47 +759,49 @@ func (m *Manager) resolveAndExecute(snap *epl.Snapshot, inter *epl.Intents) {
 	}
 }
 
-// resolveActions keeps, per actor, the highest-priority action. Colocate
-// actions additionally retarget to follow a partner that is itself being
-// migrated this period.
+// resolveActions keeps, per actor, the highest-priority action, in the
+// order the actors first appear. Colocate actions additionally retarget to
+// follow a partner that is itself being migrated this period. The result is
+// the Manager's buffer, valid until the next call.
 func (m *Manager) resolveActions(all []Action) []Action {
-	if len(all) == 0 {
-		return nil
-	}
-	dest := map[actor.Ref]cluster.MachineID{}
+	m.dest, m.best = cleared(m.dest), cleared(m.best)
 	for _, a := range all {
-		dest[a.Actor] = a.Trg
+		m.dest[a.Actor] = a.Trg
 	}
-	best := map[actor.Ref]Action{}
-	order := []actor.Ref{}
+	out := m.final[:0]
 	for _, a := range all {
 		if a.Kind == epl.KindColocate && !a.Partner.Zero() {
-			if d, ok := dest[a.Partner]; ok {
+			if d, ok := m.dest[a.Partner]; ok {
 				a.Trg = d
 			}
 		}
 		if a.Trg == a.Src {
 			continue
 		}
-		cur, ok := best[a.Actor]
+		i, ok := m.best[a.Actor]
 		if !ok {
-			best[a.Actor] = a
-			order = append(order, a.Actor)
+			m.best[a.Actor] = len(out)
+			out = append(out, a)
 			continue
 		}
 		m.Stats.ResolvedConflicts++
 		loser := a
-		if a.Pri > cur.Pri {
-			loser = cur
-			best[a.Actor] = a
+		if a.Pri > out[i].Pri {
+			loser, out[i] = out[i], a
 		}
 		m.traceDrop(loser, "conflict")
 	}
-	out := make([]Action, 0, len(order))
-	for _, ref := range order {
-		out = append(out, best[ref])
-	}
+	m.final = out
 	return out
+}
+
+// cleared empties a reused map, keeping its buckets, or makes it.
+func cleared[K comparable, V any](mp map[K]V) map[K]V {
+	if mp == nil {
+		return make(map[K]V)
+	}
+	clear(mp)
+	return mp
 }
 
 // traceDrop records an action lost before admission (conflict resolution,

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 
 	"plasma/internal/actor"
@@ -20,79 +19,106 @@ type srvLoad struct {
 	load float64
 }
 
-// planInteraction turns interaction intents into migration actions
-// (applyActRules), aware of the destinations GEM actions will move actors
-// to this period, so colocation partners follow in the same period.
+// interScratch is planInteraction's state, cleared and reused every period.
+type interScratch struct {
+	planned map[actor.Ref]Action    // each actor's highest-priority GEM action
+	parent  map[actor.Ref]actor.Ref // the colocate union-find
+	members []groupMember           // colocate groups, by root then member id
+	group   []*epl.ActorInfo        // one group's members
+	byID    map[actor.ID]*epl.ActorInfo
+	comm    map[cluster.MachineID]float64
+	mass    map[cluster.MachineID]int64
+	ids     []cluster.MachineID
+	score   map[cluster.MachineID]float64 // planSeparates' projected cpu
+	targets []cluster.MachineID
+	moved   map[actor.Ref]cluster.MachineID
+}
+
+// groupMember is one actor of a colocate group.
+type groupMember struct {
+	root actor.ID
+	ai   *epl.ActorInfo
+}
+
+// planInteraction appends to dst the migration actions the interaction
+// intents call for (applyActRules), aware of the destinations GEM actions
+// will move actors to this period, so colocation partners follow in the
+// same period. It reads gemActions before appending, so they may be dst's
+// own elements.
 //
 // Colocate pairs are first merged into groups (a folder with eight files,
 // a root partition with its children): the whole group follows one anchor
 // destination, so a higher-priority balance or reserve action on any member
 // drags the rest of the family along instead of splitting it.
-func (m *Manager) planInteraction(snap *epl.Snapshot, in *epl.Intents, gemActions []Action) []Action {
-	planned := map[actor.Ref]Action{}
+func (m *Manager) planInteraction(dst []Action, snap *epl.Snapshot, in *epl.Intents, gemActions []Action) []Action {
+	if len(in.Colocate) == 0 && len(in.Separate) == 0 {
+		return dst
+	}
+	planned := cleared(m.ia.planned)
+	m.ia.planned = planned
 	for _, a := range gemActions {
 		if cur, ok := planned[a.Actor]; !ok || a.Pri > cur.Pri {
 			planned[a.Actor] = a
 		}
 	}
-	var out []Action
-	out = append(out, m.planColocateGroups(snap, in.Colocate, planned)...)
-	out = append(out, m.planSeparates(snap, in.Separate, planned)...)
-	return out
+	dst = m.planColocateGroups(dst, snap, in.Colocate, planned)
+	return m.planSeparates(dst, snap, in.Separate, planned)
 }
 
-// planColocateGroups unions colocate pairs into groups and emits one
-// follow-the-anchor action per displaced member.
-func (m *Manager) planColocateGroups(snap *epl.Snapshot, pairs []epl.PairIntent, planned map[actor.Ref]Action) []Action {
-	parent := map[actor.Ref]actor.Ref{}
-	var find func(x actor.Ref) actor.Ref
-	find = func(x actor.Ref) actor.Ref {
-		if parent[x] == x {
-			return x
-		}
-		r := find(parent[x])
-		parent[x] = r
-		return r
+// find is the colocate union-find's root lookup, with path compression.
+func (s *interScratch) find(x actor.Ref) actor.Ref {
+	p := s.parent[x]
+	if p == x {
+		return x
 	}
-	add := func(x actor.Ref) {
-		if _, ok := parent[x]; !ok {
-			parent[x] = x
-		}
-	}
+	r := s.find(p)
+	s.parent[x] = r
+	return r
+}
+
+// planColocateGroups unions colocate pairs into groups and appends to dst
+// one follow-the-anchor action per displaced member.
+func (m *Manager) planColocateGroups(dst []Action, snap *epl.Snapshot, pairs []epl.PairIntent, planned map[actor.Ref]Action) []Action {
+	s := &m.ia
+	s.parent = cleared(s.parent)
 	for _, pi := range pairs {
 		if snap.Actor(pi.A) == nil || snap.Actor(pi.B) == nil {
 			continue
 		}
-		add(pi.A)
-		add(pi.B)
-		ra, rb := find(pi.A), find(pi.B)
+		for _, x := range [2]actor.Ref{pi.A, pi.B} {
+			if _, ok := s.parent[x]; !ok {
+				s.parent[x] = x
+			}
+		}
+		ra, rb := s.find(pi.A), s.find(pi.B)
 		if ra != rb {
 			// Deterministic union: smaller id becomes root.
 			if rb.ID < ra.ID {
 				ra, rb = rb, ra
 			}
-			parent[rb] = ra
+			s.parent[rb] = ra
 		}
 	}
-	groups := map[actor.Ref][]*epl.ActorInfo{}
-	for x := range parent {
-		groups[find(x)] = append(groups[find(x)], snap.Actor(x))
+	// Groups in root id order, each group's members in id order.
+	s.members = s.members[:0]
+	for x := range s.parent {
+		s.members = append(s.members, groupMember{s.find(x).ID, snap.Actor(x)})
 	}
-	roots := make([]actor.Ref, 0, len(groups))
-	for r := range groups {
-		roots = append(roots, r)
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i].ID < roots[j].ID })
+	slices.SortFunc(s.members, func(a, b groupMember) int {
+		return cmp.Or(cmp.Compare(a.root, b.root), cmp.Compare(a.ai.Ref.ID, b.ai.Ref.ID))
+	})
 
-	var out []Action
-	for _, r := range roots {
-		members := groups[r]
-		sort.Slice(members, func(i, j int) bool { return members[i].Ref.ID < members[j].Ref.ID })
-		dest, anchor := m.groupAnchor(members, planned)
+	for i := 0; i < len(s.members); {
+		group := s.group[:0]
+		for root := s.members[i].root; i < len(s.members) && s.members[i].root == root; i++ {
+			group = append(group, s.members[i].ai)
+		}
+		s.group = group
+		dest, anchor := m.groupAnchor(group, planned)
 		if dest < 0 {
 			continue
 		}
-		for _, mem := range members {
+		for _, mem := range group {
 			if mem.Server == dest {
 				continue
 			}
@@ -102,14 +128,14 @@ func (m *Manager) planColocateGroups(snap *epl.Snapshot, pairs []epl.PairIntent,
 			if !m.movableAt(mem, priority(epl.KindColocate)) {
 				continue
 			}
-			out = append(out, Action{
+			dst = append(dst, Action{
 				Actor: mem.Ref, Src: mem.Server, Trg: dest,
 				Kind: epl.KindColocate, Res: epl.CPU,
 				Pri: priority(epl.KindColocate), Partner: anchor,
 			})
 		}
 	}
-	return out
+	return dst
 }
 
 // groupAnchor picks where a colocation group should live: the destination
@@ -137,15 +163,17 @@ func (m *Manager) groupAnchor(members []*epl.ActorInfo, planned map[actor.Ref]Ac
 			return mem.Server, mem.Ref
 		}
 	}
-	byID := make(map[actor.ID]*epl.ActorInfo, len(members))
+	s := &m.ia
+	byID := cleared(s.byID)
+	s.byID = byID
 	for _, mem := range members {
 		byID[mem.Ref.ID] = mem
 	}
 	// Per server: the intra-group message weight its resident members take
 	// part in (message counts, so the sums are exact in any order), and
 	// their state mass.
-	comm := map[cluster.MachineID]float64{}
-	mass := map[cluster.MachineID]int64{}
+	comm, mass := cleared(s.comm), cleared(s.mass)
+	s.comm, s.mass = comm, mass
 	for _, mem := range members {
 		mass[mem.Server] += mem.MemBytes + 1
 		for _, cs := range mem.Calls {
@@ -155,11 +183,12 @@ func (m *Manager) groupAnchor(members []*epl.ActorInfo, planned map[actor.Ref]Ac
 			}
 		}
 	}
-	ids := make([]cluster.MachineID, 0, len(mass))
+	ids := s.ids[:0]
 	for id := range mass {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	s.ids = ids
 	for _, id := range ids {
 		if dest < 0 || comm[id] > comm[dest] || (comm[id] == comm[dest] && mass[id] > mass[dest]) {
 			dest = id
@@ -184,16 +213,17 @@ func destOf(ai *epl.ActorInfo, planned map[actor.Ref]Action) cluster.MachineID {
 	return ai.Server
 }
 
-// planSeparates spreads co-resident actors of violated separate intents:
-// each mover goes to a distinct least-loaded server, with a shared
-// projection so one idle server does not absorb every mover (§3.2: keep
-// separated "whenever resources are available").
-func (m *Manager) planSeparates(snap *epl.Snapshot, pairs []epl.PairIntent, planned map[actor.Ref]Action) []Action {
+// planSeparates spreads co-resident actors of violated separate intents,
+// appending the moves to dst: each mover goes to a distinct least-loaded
+// server, with a shared projection so one idle server does not absorb every
+// mover (§3.2: keep separated "whenever resources are available").
+func (m *Manager) planSeparates(dst []Action, snap *epl.Snapshot, pairs []epl.PairIntent, planned map[actor.Ref]Action) []Action {
 	if len(pairs) == 0 {
-		return nil
+		return dst
 	}
-	score := map[cluster.MachineID]float64{}
-	var targets []cluster.MachineID
+	s := &m.ia
+	score, targets := cleared(s.score), s.targets[:0]
+	s.score = score
 	for _, srv := range snap.Servers {
 		if !m.srv(srv.ID).shared() {
 			continue
@@ -201,15 +231,17 @@ func (m *Manager) planSeparates(snap *epl.Snapshot, pairs []epl.PairIntent, plan
 		score[srv.ID] = srv.CPUPerc
 		targets = append(targets, srv.ID)
 	}
+	s.targets = targets
 	if len(targets) < 2 {
-		return nil
+		return dst
 	}
 	// spreadPenalty makes each assignment push later movers elsewhere.
 	const spreadPenalty = 25
 
 	// moved is where this pass sends its movers: a pair whose member already
 	// left is settled, so its partner stays.
-	moved := map[actor.Ref]cluster.MachineID{}
+	moved := cleared(s.moved)
+	s.moved = moved
 	at := func(ai *epl.ActorInfo) cluster.MachineID {
 		if to, ok := moved[ai.Ref]; ok {
 			return to
@@ -221,7 +253,6 @@ func (m *Manager) planSeparates(snap *epl.Snapshot, pairs []epl.PairIntent, plan
 		_, gone := moved[ai.Ref]
 		return committed || gone || !m.movableAt(ai, priority(epl.KindSeparate))
 	}
-	var out []Action
 	for _, pi := range pairs {
 		a, b := snap.Actor(pi.A), snap.Actor(pi.B)
 		if a == nil || b == nil {
@@ -253,13 +284,13 @@ func (m *Manager) planSeparates(snap *epl.Snapshot, pairs []epl.PairIntent, plan
 		}
 		moved[mover.Ref] = best
 		score[best] += spreadPenalty
-		out = append(out, Action{
+		dst = append(dst, Action{
 			Actor: mover.Ref, Src: mover.Server, Trg: best,
 			Kind: epl.KindSeparate, Res: epl.CPU,
 			Pri: priority(epl.KindSeparate),
 		})
 	}
-	return out
+	return dst
 }
 
 // The planning round (Alg. 2's applyResRules). A GEM collects the period's
@@ -291,11 +322,16 @@ func (m *Manager) planSeparates(snap *epl.Snapshot, pairs []epl.PairIntent, plan
 // the order of snap.Actors.
 
 // round is one planning round's state. It lives on the Manager and is
-// re-sliced every round, so a steady-state period allocates next to nothing
-// here.
+// re-sliced every round, and the round appends its actions to the caller's
+// buffer, so a warm round allocates nothing (TestPlanRoundAllocCeiling).
+// The rest of a steady-state period reuses its buffers, GEM views and
+// control-plane records too (ctl.go): what a period allocates is the
+// profiler's server rows, the rule passes' intents, the actor runtime's
+// migrations and the two phase closures Tick schedules
+// (TestManagedPeriodAllocCeiling).
 //
 // The per-server buckets and the affinity edges are functions of the
-// snapshot's actors alone, which every WithServers view of one snapshot
+// snapshot's actors alone, which every view (ViewOf) of one snapshot
 // shares: a period's GEMs each plan over such a view. So they are built by
 // the first round that reaches for them and kept, tagged with the
 // snapshot's generation (epl.Snapshot.Gen), for every later round of the
@@ -331,6 +367,8 @@ type round struct {
 	affGen uint64 // the snapshot generation aff holds
 	pulls  []srvLoad
 	cands  []cand
+	over   []srvLoad                  // planBalance's over-band sources
+	dsts   map[cluster.MachineID]bool // tracePlan's distinct targets
 }
 
 const (
@@ -459,16 +497,18 @@ func (r *round) move(ai *epl.ActorInfo, from, to int32, add [3]float64) {
 }
 
 // planResource runs the round over a GEM's view — snap's servers are its
-// scope — and reports, beside the actions, the scale signals: whether every
-// packable server is over (resp. under) some rule's band, how many servers'
-// worth of scale-out pressure the round could not place, and whether a rule
-// wants to scale in. last is round.last (nil: every scoped server reported
-// this period); parent/tickIdx anchor the plan-batch trace record to the GEM
-// evaluation that produced the intents.
-func (m *Manager) planResource(last []lastReport, snap *epl.Snapshot, in *epl.Intents, parent uint64, tickIdx int) (actions []Action, allOver, allUnder bool, outNeed int, wantIn bool) {
+// scope — appending the actions to dst, and reports the scale signals:
+// whether every packable server is over (resp. under) some rule's band, how
+// many servers' worth of scale-out pressure the round could not place, and
+// whether a rule wants to scale in. last is round.last (nil: every scoped
+// server reported this period); parent/tickIdx anchor the plan-batch trace
+// record to the GEM evaluation that produced the intents.
+func (m *Manager) planResource(dst []Action, last []lastReport, snap *epl.Snapshot, in *epl.Intents, parent uint64, tickIdx int) (actions []Action, allOver, allUnder bool, outNeed int, wantIn bool) {
 	r := &m.rd
 	m.grow()
 	r.begin(snap, len(m.servers), last, tickIdx)
+	base := len(dst)
+	actions = dst
 
 	for _, ri := range in.Reserve {
 		// A reserve intent naming a reservation's owner refreshes its lease:
@@ -494,7 +534,7 @@ func (m *Manager) planResource(last []lastReport, snap *epl.Snapshot, in *epl.In
 			outNeed++
 		}
 	}
-	nResv := len(actions)
+	nResv := len(actions) - base
 
 	for _, srv := range snap.Servers {
 		// Dedicated servers are outside balance's purview: their load is the
@@ -513,7 +553,7 @@ func (m *Manager) planResource(last []lastReport, snap *epl.Snapshot, in *epl.In
 	// LEM's colocate rule's call; balance moving a child off the source its
 	// parent is just leaving would outrank that colocate and split the
 	// family across three servers.
-	for _, a := range actions {
+	for _, a := range actions[base:] {
 		owner := snap.Actor(a.Actor)
 		if from := r.slot[a.Src]; from >= 0 {
 			for x, v := range owner.ResVec() {
@@ -530,8 +570,8 @@ func (m *Manager) planResource(last []lastReport, snap *epl.Snapshot, in *epl.In
 	}
 	if len(r.servers) > 0 {
 		for _, bi := range in.Balance {
-			acts, over, under, out, in2 := m.planBalance(bi)
-			actions = append(actions, acts...)
+			var over, under, out, in2 bool
+			actions, over, under, out, in2 = m.planBalance(actions, bi)
 			allOver = allOver || over
 			allUnder = allUnder || under
 			if out {
@@ -540,7 +580,7 @@ func (m *Manager) planResource(last []lastReport, snap *epl.Snapshot, in *epl.In
 			wantIn = wantIn || in2
 		}
 	}
-	m.tracePlan(parent, tickIdx, actions, nResv, in.Balance)
+	m.tracePlan(parent, tickIdx, actions[base:], nResv, in.Balance)
 	return actions, allOver, allUnder, outNeed, wantIn
 }
 
@@ -584,16 +624,17 @@ func (m *Manager) planReserve(ri epl.ReserveIntent) (trg cluster.MachineID, star
 	return trg, false
 }
 
-// planBalance runs one balance intent through the shared projection:
-// servers above the rule's upper bound shed into targets that fit on every
-// axis until they re-enter the band (PLASMA's heuristic, §4.2); with none
-// above it, the low-water side redistributes.
-func (m *Manager) planBalance(bi epl.BalanceIntent) (actions []Action, allOver, allUnder, wantOut, wantIn bool) {
+// planBalance runs one balance intent through the shared projection,
+// appending its moves to dst: servers above the rule's upper bound shed into
+// targets that fit on every axis until they re-enter the band (PLASMA's
+// heuristic, §4.2); with none above it, the low-water side redistributes.
+func (m *Manager) planBalance(dst []Action, bi epl.BalanceIntent) (actions []Action, allOver, allUnder, wantOut, wantIn bool) {
 	r := &m.rd
 	upper, lower := epl.Band(bi.Upper, bi.Lower)
 	ax := int(bi.Res)
 
-	var over []srvLoad
+	actions = dst
+	over := r.over[:0]
 	nUnder := 0
 	for s, id := range r.servers {
 		if load := r.proj[s][ax]; load > upper {
@@ -602,6 +643,7 @@ func (m *Manager) planBalance(bi epl.BalanceIntent) (actions []Action, allOver, 
 			nUnder++
 		}
 	}
+	r.over = over
 	total := len(r.servers)
 	allOver = len(over) == total
 	allUnder = nUnder == total
@@ -618,7 +660,7 @@ func (m *Manager) planBalance(bi epl.BalanceIntent) (actions []Action, allOver, 
 			if bi.HasUpper() {
 				minSource = (upper + lower) / 2
 			}
-			actions = m.planDeficitFill(bi, upper, lower, minSource)
+			actions = m.planDeficitFill(actions, bi, upper, lower, minSource)
 		}
 		return actions, allOver, allUnder, false, wantIn
 	}
@@ -778,14 +820,15 @@ func (c *shareCache) on(dst [3]float64) [3]float64 {
 
 // planDeficitFill raises servers below the rule's lower bound by moving
 // actors from the most loaded servers, while never dragging a source below
-// the destination's projected load (which would just invert the imbalance).
+// the destination's projected load (which would just invert the imbalance),
+// and appends the moves to dst.
 //
 // The starvation probe (how far below lower a target must sit) and the
 // minimum actionable spread are band-relative, capped at 5 and 15 points: a
 // rule with the standard 20-point band (or wider) uses the caps, a tighter
 // band scales both down so its low-water side can still act at all; a
 // degenerate band uses the caps too.
-func (m *Manager) planDeficitFill(bi epl.BalanceIntent, upper, lower, minSource float64) []Action {
+func (m *Manager) planDeficitFill(dst []Action, bi epl.BalanceIntent, upper, lower, minSource float64) []Action {
 	r := &m.rd
 	ax := int(bi.Res)
 	probe, minSpread := 5.0, 15.0
@@ -793,7 +836,6 @@ func (m *Manager) planDeficitFill(bi epl.BalanceIntent, upper, lower, minSource 
 		probe = min(probe, band/4)
 		minSpread = min(minSpread, 0.75*band)
 	}
-	var out []Action
 	for guard := 0; guard < 64; guard++ {
 		// Most deficient target and most loaded source.
 		var trg, src int32 = -1, -1
@@ -826,10 +868,10 @@ func (m *Manager) planDeficitFill(bi epl.BalanceIntent, upper, lower, minSource 
 		if pick == nil {
 			break
 		}
-		out = append(out, m.balanceAction(pick, r.servers[trg], bi.Res))
+		dst = append(dst, m.balanceAction(pick, r.servers[trg], bi.Res))
 		r.move(pick, src, trg, add)
 	}
-	return out
+	return dst
 }
 
 // tracePlan emits the round's plan-batch summary record: the moves, and
@@ -839,7 +881,8 @@ func (m *Manager) tracePlan(parent uint64, tickIdx int, actions []Action, nResv 
 		return
 	}
 	r := &m.rd
-	dsts := map[cluster.MachineID]bool{}
+	dsts := cleared(r.dsts)
+	r.dsts = dsts
 	for _, a := range actions {
 		dsts[a.Trg] = true
 	}

@@ -108,7 +108,7 @@ func TestPlanRoundProperties(t *testing.T) {
 	moves := 0
 	for seed := int64(1); seed <= 60; seed++ {
 		m, scope, fresh, snap, in := randomFleet(t, seed)
-		acts, _, _, _, _ := m.planResource(fresh, within(snap, scope), in, 0, 1)
+		acts, _, _, _, _ := m.planResource(nil, fresh, within(snap, scope), in, 0, 1)
 		moves += len(acts)
 
 		dedicated := map[cluster.MachineID]bool{}
@@ -161,14 +161,14 @@ func TestPlanRoundProperties(t *testing.T) {
 			}
 		}
 
-		if again, _, _, _, _ := m.planResource(fresh, within(snap, scope), in, 0, 1); !slices.Equal(acts, again) {
+		if again, _, _, _, _ := m.planResource(nil, fresh, within(snap, scope), in, 0, 1); !slices.Equal(acts, again) {
 			t.Fatalf("seed %d: the same inputs planned differently twice:\n%+v\n%+v", seed, acts, again)
 		}
 		shuffled := &epl.Snapshot{Servers: snap.Servers, Actors: slices.Clone(snap.Actors)}
 		rand.New(rand.NewSource(seed)).Shuffle(len(shuffled.Actors), func(i, j int) {
 			shuffled.Actors[i], shuffled.Actors[j] = shuffled.Actors[j], shuffled.Actors[i]
 		})
-		if again, _, _, _, _ := m.planResource(fresh, within(shuffled.Index(), scope), in, 0, 1); !slices.Equal(acts, again) {
+		if again, _, _, _, _ := m.planResource(nil, fresh, within(shuffled.Index(), scope), in, 0, 1); !slices.Equal(acts, again) {
 			t.Fatalf("seed %d: shuffling snap.Actors changed the plan:\n%+v\n%+v", seed, acts, again)
 		}
 	}

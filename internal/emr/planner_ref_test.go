@@ -120,7 +120,7 @@ func refRound(t *testing.T, seed int64) (m *Manager, snap *epl.Snapshot) {
 	if rng.Intn(4) == 0 {
 		last = nil // every scoped server reported this period
 	}
-	m.planResource(last, within(snap, scope), &epl.Intents{}, 0, tick)
+	m.planResource(nil, last, within(snap, scope), &epl.Intents{}, 0, tick)
 	return m, snap
 }
 

@@ -162,7 +162,7 @@ func TestColocateGroupsCommittedMemberKeepsOwnAction(t *testing.T) {
 		b.Ref: {Actor: b.Ref, Src: 1, Trg: 2, Pri: 45, Kind: epl.KindReserve},
 	}
 	pairs := []epl.PairIntent{{A: a.Ref, B: b.Ref}, {A: b.Ref, B: c.Ref}}
-	acts := pe.m.planColocateGroups(snap, pairs, planned)
+	acts := pe.m.planColocateGroups(nil, snap, pairs, planned)
 	if len(acts) != 2 {
 		t.Fatalf("actions = %+v, want a and c following the anchor", acts)
 	}
@@ -187,8 +187,8 @@ func TestColocateGroupsMergeOrderIndependent(t *testing.T) {
 	snap := buildSnap(pe, []float64{10, 10, 10, 10}, []*epl.ActorInfo{a, b, c, d})
 	fwd := []epl.PairIntent{{A: a.Ref, B: b.Ref}, {A: b.Ref, B: c.Ref}, {A: c.Ref, B: d.Ref}}
 	rev := []epl.PairIntent{{A: c.Ref, B: d.Ref}, {A: b.Ref, B: c.Ref}, {A: a.Ref, B: b.Ref}}
-	got1 := pe.m.planColocateGroups(snap, fwd, map[actor.Ref]Action{})
-	got2 := pe.m.planColocateGroups(snap, rev, map[actor.Ref]Action{})
+	got1 := pe.m.planColocateGroups(nil, snap, fwd, map[actor.Ref]Action{})
+	got2 := pe.m.planColocateGroups(nil, snap, rev, map[actor.Ref]Action{})
 	if len(got1) != len(got2) {
 		t.Fatalf("fwd=%+v rev=%+v", got1, got2)
 	}
@@ -220,7 +220,7 @@ func TestPlanReserveHoldsOwnersFamily(t *testing.T) {
 		Reserve: []epl.ReserveIntent{{Actor: root.Ref, Res: epl.CPU}},
 		Balance: []epl.BalanceIntent{{Types: []string{"P"}, Res: epl.CPU, Upper: nan(), Lower: 50}},
 	}
-	acts, _, _, _, _ := pe.m.planResource(nil, within(snap, scope(3)), in, 0, 0)
+	acts, _, _, _, _ := pe.m.planResource(nil, nil, within(snap, scope(3)), in, 0, 0)
 	if len(acts) == 0 || acts[0].Kind != epl.KindReserve || acts[0].Actor != root.Ref || acts[0].Trg != 2 {
 		t.Fatalf("actions = %+v, want the root reserved onto idle server 2 first", acts)
 	}

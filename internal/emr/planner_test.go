@@ -51,13 +51,13 @@ func mkActor(pe *planEnv, typ string, srv cluster.MachineID, cpu float64) *epl.A
 // planBalance runs the planning round with one balance intent; wantOut is
 // the round's scale-out need as a flag.
 func (pe *planEnv) planBalance(bi epl.BalanceIntent, snap *epl.Snapshot, scope []cluster.MachineID) (acts []Action, allOver, allUnder, wantOut, wantIn bool) {
-	acts, allOver, allUnder, outNeed, wantIn := pe.m.planResource(nil, within(snap, scope), &epl.Intents{Balance: []epl.BalanceIntent{bi}}, 0, 0)
+	acts, allOver, allUnder, outNeed, wantIn := pe.m.planResource(nil, nil, within(snap, scope), &epl.Intents{Balance: []epl.BalanceIntent{bi}}, 0, 0)
 	return acts, allOver, allUnder, outNeed > 0, wantIn
 }
 
 // planReserve runs the planning round with one reserve intent.
 func (pe *planEnv) planReserve(ri epl.ReserveIntent, snap *epl.Snapshot, scope []cluster.MachineID) (act *Action, starved bool) {
-	acts, _, _, outNeed, _ := pe.m.planResource(nil, within(snap, scope), &epl.Intents{Reserve: []epl.ReserveIntent{ri}}, 0, 0)
+	acts, _, _, outNeed, _ := pe.m.planResource(nil, nil, within(snap, scope), &epl.Intents{Reserve: []epl.ReserveIntent{ri}}, 0, 0)
 	if len(acts) > 0 {
 		act = &acts[0]
 	}
@@ -73,7 +73,7 @@ func within(snap *epl.Snapshot, scope []cluster.MachineID) *epl.Snapshot {
 			servers = append(servers, srv)
 		}
 	}
-	return snap.WithServers(servers)
+	return new(epl.Snapshot).ViewOf(snap, servers)
 }
 
 func scope(n int) []cluster.MachineID {
@@ -177,7 +177,7 @@ func TestPlannerBandIsEplBand(t *testing.T) {
 				wantOver = wantOver || load > upper
 				wantUnder = wantUnder || load < lower
 			}
-			_, allOver, allUnder, _, _ := pe.m.planResource(nil, snap, in, 0, 0)
+			_, allOver, allUnder, _, _ := pe.m.planResource(nil, nil, snap, in, 0, 0)
 			if allOver != wantOver || allUnder != wantUnder {
 				t.Errorf("%s at %.0f%%: planner over=%v under=%v, epl.Band says over=%v under=%v",
 					src, load, allOver, allUnder, wantOver, wantUnder)
@@ -306,7 +306,7 @@ func TestColocateGroupsMergeTransitively(t *testing.T) {
 	c := mkActor(pe, "C", 2, 5)
 	snap := buildSnap(pe, []float64{10, 10, 10}, []*epl.ActorInfo{a, b, c})
 	pairs := []epl.PairIntent{{A: a.Ref, B: b.Ref}, {A: b.Ref, B: c.Ref}}
-	acts := pe.m.planColocateGroups(snap, pairs, map[actor.Ref]Action{})
+	acts := pe.m.planColocateGroups(nil, snap, pairs, map[actor.Ref]Action{})
 	// a, b, c form one family: two of them must move to the third's server.
 	if len(acts) != 2 {
 		t.Fatalf("actions = %+v, want 2 moves into one home", acts)
@@ -328,7 +328,7 @@ func TestSeparatesSpreadAcrossTargets(t *testing.T) {
 		{A: a.Ref, B: b.Ref}, {A: a.Ref, B: c.Ref}, {A: b.Ref, B: c.Ref},
 		{A: b.Ref, B: a.Ref}, {A: c.Ref, B: a.Ref}, {A: c.Ref, B: b.Ref},
 	}
-	acts := pe.m.planSeparates(snap, pairs, map[actor.Ref]Action{})
+	acts := pe.m.planSeparates(nil, snap, pairs, map[actor.Ref]Action{})
 	if len(acts) != 2 {
 		t.Fatalf("actions = %+v, want 2 movers and one actor staying", acts)
 	}

@@ -437,6 +437,31 @@ func TestEvalEmptySnapshot(t *testing.T) {
 	}
 }
 
+// Index sizes each type's list to its count instead of growing it one
+// append at a time, and a re-index that fits keeps the lists: 3,000 actors of
+// two types, indexed, then re-indexed with a third of them gone.
+func TestIndexSizesTypeListsOnce(t *testing.T) {
+	s := &Snapshot{}
+	for i := 1; i <= 3000; i++ {
+		typ := "A"
+		if i%3 == 0 {
+			typ = "B"
+		}
+		s.Actors = append(s.Actors, &ActorInfo{Ref: actor.Ref{ID: actor.ID(i)}, Type: typ})
+	}
+	s.Index()
+	if a, b := s.OfType("A"), s.OfType("B"); len(a) != 2000 || cap(a) != 2000 || len(b) != 1000 || cap(b) != 1000 {
+		t.Fatalf("A: %d of capacity %d, B: %d of capacity %d; want 2000 and 1000, exactly", len(a), cap(a), len(b), cap(b))
+	}
+	s.Actors = s.Actors[:2000]
+	if allocs := testing.AllocsPerRun(3, func() { s.Index() }); allocs != 0 {
+		t.Fatalf("a re-index that fits allocates %.0f objects", allocs)
+	}
+	if a, b := s.OfType("A"), s.OfType("B"); len(a) != 1334 || len(b) != 666 || s.Actor(actor.Ref{ID: 2500}) != nil {
+		t.Fatalf("after the re-index A holds %d, B %d, actor 2500 %v", len(a), len(b), s.Actor(actor.Ref{ID: 2500}))
+	}
+}
+
 func TestBalanceIntentCovers(t *testing.T) {
 	bi := BalanceIntent{Types: []string{"A", "B"}}
 	if !bi.Covers("A") || !bi.Covers("B") || bi.Covers("C") {

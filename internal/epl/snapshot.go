@@ -115,6 +115,7 @@ type Snapshot struct {
 	byID     []*ActorInfo
 	byType   map[string][]*ActorInfo
 	byServer []*ServerInfo
+	typeN    map[string]int // Index's per-type counts
 
 	// gen names the contents of the last indexing; views copy it.
 	gen uint64
@@ -126,7 +127,7 @@ type Snapshot struct {
 var generations atomic.Uint64
 
 // Gen identifies what the snapshot held when it was last indexed; every
-// WithServers view of it reports the same value, and every Index() or
+// view of it (ViewOf) reports the same value, and every Index() or
 // IndexServers() call draws a new one. Zero means never indexed. Whatever is
 // derived from Actors alone (the planner's per-server buckets and affinity
 // graph) may be cached under it and shared by all of a period's views.
@@ -161,11 +162,24 @@ func (s *Snapshot) Index() *Snapshot {
 		s.byID = s.byID[:n]
 		clear(s.byID)
 	}
+	// Count each type's actors first, so each list is sized once instead of
+	// growing one append at a time; a list keeps its capacity across calls.
 	if s.byType == nil {
 		s.byType = make(map[string][]*ActorInfo)
-	} else {
-		for t, list := range s.byType {
-			s.byType[t] = list[:0]
+	}
+	if s.typeN == nil {
+		s.typeN = make(map[string]int)
+	}
+	clear(s.typeN)
+	for _, a := range s.Actors {
+		s.typeN[a.Type]++
+	}
+	for t, list := range s.byType {
+		s.byType[t] = list[:0]
+	}
+	for t, n := range s.typeN {
+		if cap(s.byType[t]) < n {
+			s.byType[t] = make([]*ActorInfo, 0, n)
 		}
 	}
 	for _, a := range s.Actors {
@@ -190,19 +204,14 @@ func indexServers(idx, servers []*ServerInfo) []*ServerInfo {
 	return idx
 }
 
-// WithServers derives a view over the same actors (sharing the actor
-// indexes built by Index, so no per-actor work) but a different server
-// list. The GEM uses it to evaluate global policies against its
-// bounded-staleness server cache without re-indexing the whole fleet.
-func (s *Snapshot) WithServers(servers []*ServerInfo) *Snapshot {
-	v := &Snapshot{
-		Actors:  s.Actors,
-		Servers: servers,
-		byID:    s.byID,
-		byType:  s.byType,
-		gen:     s.gen,
-	}
-	v.byServer = indexServers(nil, servers)
+// ViewOf makes v a view of s over a different server list, sharing the
+// actor indexes built by Index (so no per-actor work) and reusing v's server
+// index, and returns v. A GEM keeps one view and refills it every period to
+// evaluate global policies against its bounded-staleness server cache
+// without re-indexing the whole fleet.
+func (v *Snapshot) ViewOf(s *Snapshot, servers []*ServerInfo) *Snapshot {
+	v.Actors, v.Servers, v.byID, v.byType, v.gen = s.Actors, servers, s.byID, s.byType, s.gen
+	v.byServer = indexServers(v.byServer[:0], servers)
 	return v
 }
 

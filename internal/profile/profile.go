@@ -143,7 +143,7 @@ func (cc *calleeCalls) buildIdx(names []string) {
 
 // Profiler collects per-window runtime information. It implements
 // actor.ProfilerHook. A single Profiler serves all servers, and its Snapshot
-// covers the up ones; a GEM's view is that snapshot's WithServers over the
+// covers the up ones; a GEM's view is a ViewOf that snapshot over the
 // servers whose REPORTs it combined.
 //
 // Lifetime contract: the *epl.Snapshot returned by Snapshot, its ActorInfos
